@@ -224,130 +224,35 @@ func run(args []string) error {
 		return os.WriteFile(filepath.Join(*svgDir, name), []byte(doc), 0o644)
 	}
 
-	if (*logical || all) && set.Config.Logical {
-		hm := core.LogicalHeatmap(set, "Logical Trace (pre-aggregation sends)")
-		if err := hm.RenderText(os.Stdout); err != nil {
-			return err
+	selected := map[string]bool{"l": *logical, "lp": *papiBar, "s": *overall, "p": *physical, "violin": *violins}
+	for _, p := range core.Plots {
+		if !all && !selected[p.Flag] {
+			continue
 		}
-		fmt.Println()
-		doc, err := hm.RenderSVG()
-		if err != nil {
-			return err
+		if _, missing := p.Missing(set); missing {
+			continue
 		}
-		if err := svg("logical_heatmap.svg", doc); err != nil {
-			return err
+		// With a single recorded counter the grouped plot repeats papi-bar.
+		if p.Kind == "papi-grouped" && len(set.Config.PAPIEvents) < 2 {
+			continue
 		}
-	}
-	if (*physical || all) && set.Config.Physical {
-		hm := core.PhysicalHeatmap(set, "Physical Trace (post-aggregation buffers)")
-		if err := hm.RenderText(os.Stdout); err != nil {
-			return err
-		}
-		fmt.Println()
-		doc, err := hm.RenderSVG()
-		if err != nil {
-			return err
-		}
-		if err := svg("physical_heatmap.svg", doc); err != nil {
-			return err
-		}
-	}
-	if (*violins || all) && set.Config.Logical {
-		v := core.LogicalViolin(set, "Logical sends/recvs per PE (quartiles)")
-		if err := v.RenderText(os.Stdout); err != nil {
-			return err
-		}
-		fmt.Println()
-		doc, err := v.RenderSVG()
-		if err != nil {
-			return err
-		}
-		if err := svg("logical_violin.svg", doc); err != nil {
-			return err
-		}
-	}
-	if (*violins || all) && set.Config.Physical {
-		v := core.PhysicalViolin(set, "Physical buffers per PE (quartiles)")
-		if err := v.RenderText(os.Stdout); err != nil {
-			return err
-		}
-		fmt.Println()
-		doc, err := v.RenderSVG()
-		if err != nil {
-			return err
-		}
-		if err := svg("physical_violin.svg", doc); err != nil {
-			return err
-		}
-	}
-	if (*papiBar || all) && len(set.Config.PAPIEvents) > 0 {
-		ev, err := papi.EventByName(*eventName)
-		if err != nil {
-			return err
-		}
-		bar := core.PAPIBar(set, ev, fmt.Sprintf("%s per PE (user regions)", ev))
-		if err := bar.RenderText(os.Stdout); err != nil {
-			return err
-		}
-		fmt.Println()
-		doc, err := bar.RenderSVG()
-		if err != nil {
-			return err
-		}
-		if err := svg("papi_bar.svg", doc); err != nil {
-			return err
-		}
-		// The full -lp view: every recorded counter in one grouped plot.
-		if len(set.Config.PAPIEvents) > 1 {
-			gb := core.PAPIGroupedBar(set, "All PAPI counters per PE (one run)")
-			if err := gb.RenderText(os.Stdout); err != nil {
-				return err
-			}
-			fmt.Println()
-			doc, err := gb.RenderSVG()
-			if err != nil {
-				return err
-			}
-			if err := svg("papi_grouped.svg", doc); err != nil {
+		var ev papi.Event
+		if p.UsesEvent {
+			if ev, err = papi.EventByName(*eventName); err != nil {
 				return err
 			}
 		}
-	}
-	if (*physical || all) && set.Config.Physical && set.NumPEs > set.PEsPerNode {
-		hm := core.NodeHeatmap(set, "Node-level network hotspots")
-		if err := hm.RenderText(os.Stdout); err != nil {
+		plot := p.Build(set, ev)
+		if err := plot.RenderText(os.Stdout); err != nil {
 			return err
 		}
 		fmt.Println()
-		doc, err := hm.RenderSVG()
+		doc, err := plot.RenderSVG()
 		if err != nil {
 			return err
 		}
-		if err := svg("node_heatmap.svg", doc); err != nil {
+		if err := svg(p.SVGFile(), doc); err != nil {
 			return err
-		}
-	}
-	if (*overall || all) && set.Config.Overall {
-		for _, mode := range []struct {
-			rel  bool
-			name string
-			file string
-		}{
-			{false, "Overall breakdown (absolute cycles)", "overall_absolute.svg"},
-			{true, "Overall breakdown (relative)", "overall_relative.svg"},
-		} {
-			sb := core.OverallStacked(set, mode.rel, mode.name)
-			if err := sb.RenderText(os.Stdout); err != nil {
-				return err
-			}
-			fmt.Println()
-			doc, err := sb.RenderSVG()
-			if err != nil {
-				return err
-			}
-			if err := svg(mode.file, doc); err != nil {
-				return err
-			}
 		}
 	}
 	if all || *papiBar {

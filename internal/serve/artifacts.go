@@ -24,164 +24,116 @@ func noData(format string, args ...any) error {
 	return statusError{code: 404, msg: fmt.Sprintf(format, args...)}
 }
 
-// artifact is one servable plot kind: an availability check against the
-// trace's features, an SVG renderer, and a JSON payload builder. The
-// param is the request's ?event= value; only kinds that declare
-// usesParam receive it (and key their cache entries on it) - for every
-// other kind the parameter is ignored entirely, so it cannot mint
-// distinct cache entries for identical bytes.
+// artifact is one servable plot kind: its entry in core's plot catalog
+// (availability, title, SVG plot) plus the JSON payload builder. Only
+// kinds that declare UsesEvent receive the request's ?event= value (and
+// key their cache entries on it) - for every other kind the parameter is
+// ignored entirely, so it cannot mint distinct cache entries for
+// identical bytes.
 type artifact struct {
-	check     func(s trace.Source) error
-	plot      func(s trace.Source, param string) (viz.Plot, error)
-	json      func(s trace.Source, param string) (any, error)
-	usesParam bool
+	core.PlotSpec
+	payload func(s trace.Source, title string, ev papi.Event) any
 }
 
-func needLogical(s trace.Source) error {
-	if !s.TraceConfig().Logical {
-		return noData("run has no logical trace (PEi_send.csv)")
+// missing words the 404 for each feature a run can lack.
+var missing = map[core.Feature]string{
+	core.FeatureLogical:   "run has no logical trace (PEi_send.csv)",
+	core.FeaturePhysical:  "run has no physical trace (physical.txt)",
+	core.FeatureOverall:   "run has no overall breakdown (overall.txt)",
+	core.FeaturePAPI:      "run has no PAPI events (PEi_PAPI.csv)",
+	core.FeatureMultiNode: "run fits on one node; no node-level hotspots to plot",
+}
+
+// check reports, as a 404, the first feature the kind needs and s lacks.
+func (a artifact) check(s trace.Source) error {
+	if f, lacks := a.Missing(s); lacks {
+		return noData("%s", missing[f])
 	}
 	return nil
 }
 
-func needPhysical(s trace.Source) error {
-	if !s.TraceConfig().Physical {
-		return noData("run has no physical trace (physical.txt)")
+// event resolves param for the kinds that use it.
+func (a artifact) event(s trace.Source, param string) (papi.Event, error) {
+	if !a.UsesEvent {
+		return 0, nil
 	}
-	return nil
+	return papiEvent(s, param)
 }
 
-func needOverall(s trace.Source) error {
-	if !s.TraceConfig().Overall {
-		return noData("run has no overall breakdown (overall.txt)")
+func (a artifact) plot(s trace.Source, param string) (viz.Plot, error) {
+	ev, err := a.event(s, param)
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	return a.Build(s, ev), nil
 }
 
-func needPAPI(s trace.Source) error {
-	if len(s.TraceConfig().PAPIEvents) == 0 {
-		return noData("run has no PAPI events (PEi_PAPI.csv)")
+func (a artifact) json(s trace.Source, param string) (any, error) {
+	ev, err := a.event(s, param)
+	if err != nil {
+		return nil, err
 	}
-	return nil
+	return a.payload(s, a.TitleFor(ev), ev), nil
 }
 
-// artifacts is the daemon's plot catalog; the URL plot name is
-// "<kind>.svg" or "<kind>.json".
-var artifacts = map[string]artifact{
-	"logical-heatmap": {
-		check: needLogical,
-		plot: func(s trace.Source, _ string) (viz.Plot, error) {
-			return core.LogicalHeatmap(s, "Logical Trace (pre-aggregation sends)"), nil
-		},
-		json: func(s trace.Source, _ string) (any, error) {
-			return heatmapJSON("Logical Trace (pre-aggregation sends)", "src PE", "dst PE", s.LogicalMatrix()), nil
-		},
+// payloads holds the JSON side of every catalog kind.
+var payloads = map[string]func(s trace.Source, title string, ev papi.Event) any{
+	"logical-heatmap": func(s trace.Source, title string, _ papi.Event) any {
+		return heatmapJSON(title, "src PE", "dst PE", s.LogicalMatrix())
 	},
-	"physical-heatmap": {
-		check: needPhysical,
-		plot: func(s trace.Source, _ string) (viz.Plot, error) {
-			return core.PhysicalHeatmap(s, "Physical Trace (post-aggregation buffers)"), nil
-		},
-		json: func(s trace.Source, _ string) (any, error) {
-			return heatmapJSON("Physical Trace (post-aggregation buffers)", "src PE", "dst PE", s.PhysicalMatrix()), nil
-		},
+	"physical-heatmap": func(s trace.Source, title string, _ papi.Event) any {
+		return heatmapJSON(title, "src PE", "dst PE", s.PhysicalMatrix())
 	},
-	"node-heatmap": {
-		check: func(s trace.Source) error {
-			if err := needPhysical(s); err != nil {
-				return err
-			}
-			if npes, perNode := s.Shape(); npes <= perNode {
-				return noData("run fits on one node; no node-level hotspots to plot")
-			}
-			return nil
-		},
-		plot: func(s trace.Source, _ string) (viz.Plot, error) {
-			return core.NodeHeatmap(s, "Node-level network hotspots"), nil
-		},
-		json: func(s trace.Source, _ string) (any, error) {
-			_, perNode := s.Shape()
-			m := s.PhysicalMatrix().AggregateNodes(perNode)
-			return heatmapJSON("Node-level network hotspots", "src node", "dst node", m), nil
-		},
+	"node-heatmap": func(s trace.Source, title string, _ papi.Event) any {
+		_, perNode := s.Shape()
+		return heatmapJSON(title, "src node", "dst node", s.PhysicalMatrix().AggregateNodes(perNode))
 	},
-	"logical-violin": {
-		check: needLogical,
-		plot: func(s trace.Source, _ string) (viz.Plot, error) {
-			return core.LogicalViolin(s, "Logical sends/recvs per PE (quartiles)"), nil
-		},
-		json: func(s trace.Source, _ string) (any, error) {
-			return violinJSON(core.LogicalViolin(s, "Logical sends/recvs per PE (quartiles)")), nil
-		},
+	"logical-violin": func(s trace.Source, title string, _ papi.Event) any {
+		return violinJSON(core.LogicalViolin(s, title))
 	},
-	"physical-violin": {
-		check: needPhysical,
-		plot: func(s trace.Source, _ string) (viz.Plot, error) {
-			return core.PhysicalViolin(s, "Physical buffers per PE (quartiles)"), nil
-		},
-		json: func(s trace.Source, _ string) (any, error) {
-			return violinJSON(core.PhysicalViolin(s, "Physical buffers per PE (quartiles)")), nil
-		},
+	"physical-violin": func(s trace.Source, title string, _ papi.Event) any {
+		return violinJSON(core.PhysicalViolin(s, title))
 	},
-	"papi-bar": {
-		check:     needPAPI,
-		usesParam: true,
-		plot: func(s trace.Source, param string) (viz.Plot, error) {
-			ev, err := papiEvent(s, param)
-			if err != nil {
-				return nil, err
-			}
-			return core.PAPIBar(s, ev, fmt.Sprintf("%s per PE (user regions)", ev)), nil
-		},
-		json: func(s trace.Source, param string) (any, error) {
-			ev, err := papiEvent(s, param)
-			if err != nil {
-				return nil, err
-			}
-			return barPayload{
-				Title:  fmt.Sprintf("%s per PE (user regions)", ev),
-				YLabel: ev.String(),
-				Labels: peLabels(numPEs(s)),
-				Values: s.PAPITotalsPerPE(ev),
-			}, nil
-		},
+	"papi-bar": func(s trace.Source, title string, ev papi.Event) any {
+		return barPayload{
+			Title:  title,
+			YLabel: ev.String(),
+			Labels: peLabels(numPEs(s)),
+			Values: s.PAPITotalsPerPE(ev),
+		}
 	},
-	"papi-grouped": {
-		check: needPAPI,
-		plot: func(s trace.Source, _ string) (viz.Plot, error) {
-			return core.PAPIGroupedBar(s, "All PAPI counters per PE (one run)"), nil
-		},
-		json: func(s trace.Source, _ string) (any, error) {
-			p := stackedPayload{
-				Title:  "All PAPI counters per PE (one run)",
-				YLabel: "counter totals",
-				Labels: peLabels(numPEs(s)),
-			}
-			for _, ev := range s.TraceConfig().PAPIEvents {
-				p.Series = append(p.Series, seriesPayload{Name: ev.String(), Values: s.PAPITotalsPerPE(ev)})
-			}
-			return p, nil
-		},
+	"papi-grouped": func(s trace.Source, title string, _ papi.Event) any {
+		p := stackedPayload{
+			Title:  title,
+			YLabel: "counter totals",
+			Labels: peLabels(numPEs(s)),
+		}
+		for _, ev := range s.TraceConfig().PAPIEvents {
+			p.Series = append(p.Series, seriesPayload{Name: ev.String(), Values: s.PAPITotalsPerPE(ev)})
+		}
+		return p
 	},
-	"overall-absolute": {
-		check: needOverall,
-		plot: func(s trace.Source, _ string) (viz.Plot, error) {
-			return core.OverallStacked(s, false, "Overall breakdown (absolute cycles)"), nil
-		},
-		json: func(s trace.Source, _ string) (any, error) {
-			return overallPayload(s, false), nil
-		},
+	"overall-absolute": func(s trace.Source, title string, _ papi.Event) any {
+		return stackedJSON(core.OverallStacked(s, false, title))
 	},
-	"overall-relative": {
-		check: needOverall,
-		plot: func(s trace.Source, _ string) (viz.Plot, error) {
-			return core.OverallStacked(s, true, "Overall breakdown (relative)"), nil
-		},
-		json: func(s trace.Source, _ string) (any, error) {
-			return overallPayload(s, true), nil
-		},
+	"overall-relative": func(s trace.Source, title string, _ papi.Event) any {
+		return stackedJSON(core.OverallStacked(s, true, title))
 	},
 }
+
+// artifacts is the daemon's plot catalog, keyed by kind; the URL plot
+// name is "<kind>.svg" or "<kind>.json".
+var artifacts = func() map[string]artifact {
+	out := make(map[string]artifact, len(core.Plots))
+	for _, p := range core.Plots {
+		payload, ok := payloads[p.Kind]
+		if !ok {
+			panic("serve: plot kind " + p.Kind + " has no JSON payload builder")
+		}
+		out[p.Kind] = artifact{PlotSpec: p, payload: payload}
+	}
+	return out
+}()
 
 // artifactNames lists the catalog, for error messages and the index page.
 func artifactNames() []string {
@@ -284,18 +236,12 @@ type stackedPayload struct {
 	Series   []seriesPayload `json:"series"`
 }
 
-func overallPayload(s trace.Source, relative bool) stackedPayload {
-	sb := core.OverallStacked(s, relative, "Overall breakdown")
-	if relative {
-		sb.Title = "Overall breakdown (relative)"
-	} else {
-		sb.Title = "Overall breakdown (absolute cycles)"
-	}
+func stackedJSON(sb *viz.StackedBar) stackedPayload {
 	p := stackedPayload{
 		Title:    sb.Title,
 		YLabel:   sb.YLabel,
 		Labels:   sb.Labels,
-		Relative: relative,
+		Relative: sb.Relative,
 	}
 	for _, ser := range sb.Series {
 		p.Series = append(p.Series, seriesPayload{Name: ser.Name, Values: ser.Values})

@@ -46,7 +46,7 @@ type registry struct {
 	root     string
 	ttl      time.Duration // <= 0 disables the snapshot window
 	metrics  *Metrics
-	parseSem chan struct{} // bounds concurrent ReadSetLive calls
+	parseSem chan struct{} // bounds concurrent directory parses (ReadSummary and ReadSetLive)
 
 	snapMu   sync.Mutex
 	snapDirs map[string]string

@@ -349,7 +349,7 @@ func (s *Server) handlePlot(w http.ResponseWriter, r *http.Request) {
 	// would let one URL template mint unbounded distinct cache entries
 	// for identical bytes (TestIrrelevantParamSharesCacheEntry).
 	param := ""
-	if art.usesParam {
+	if art.UsesEvent {
 		param = r.URL.Query().Get("event")
 	}
 

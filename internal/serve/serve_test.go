@@ -71,6 +71,11 @@ func get(t *testing.T, h http.Handler, path string) (*http.Response, string) {
 func TestServesAllPlotFamilies(t *testing.T) {
 	srv, _ := newTestServer(t)
 	h := srv.Handler()
+	// A catalog kind without a payload builder panics at init; the other
+	// direction - a builder for a kind the catalog dropped - shows here.
+	if len(payloads) != len(core.Plots) {
+		t.Errorf("%d JSON payload builders for %d catalog plots", len(payloads), len(core.Plots))
+	}
 	for _, kind := range artifactNames() {
 		for _, format := range []string{"svg", "json"} {
 			path := fmt.Sprintf("/runs/run1/plots/%s.%s", kind, format)
@@ -379,10 +384,13 @@ func TestGracefulShutdownUnderLoad(t *testing.T) {
 	// Hold every request long enough for Shutdown to start while they
 	// are in flight.
 	release := make(chan struct{})
-	var once sync.Once
-	started := make(chan struct{})
+	const n = 8
+	// Shutdown closes the listener, so it may start only once all n
+	// requests are accepted; one still connecting would be refused.
+	var started sync.WaitGroup
+	started.Add(n)
 	slow := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		once.Do(func() { close(started) })
+		started.Done()
 		<-release
 		srv.Handler().ServeHTTP(w, r)
 	})
@@ -394,7 +402,6 @@ func TestGracefulShutdownUnderLoad(t *testing.T) {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 
-	const n = 8
 	codes := make(chan int, n)
 	for i := 0; i < n; i++ {
 		go func() {
@@ -408,7 +415,7 @@ func TestGracefulShutdownUnderLoad(t *testing.T) {
 			codes <- res.StatusCode
 		}()
 	}
-	<-started
+	started.Wait()
 	shutDone := make(chan error, 1)
 	go func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

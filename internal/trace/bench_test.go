@@ -173,7 +173,7 @@ func BenchmarkAppendLogicalLine(b *testing.B) {
 	buf := make([]byte, 0, 64)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		buf = appendLogical(buf[:0], r)
+		buf = appendLogical(buf[:0], r, nil)
 		if len(buf) == 0 {
 			b.Fatal("empty line")
 		}

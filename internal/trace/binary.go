@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"os"
 
 	"actorprof/internal/conveyor"
 )
@@ -70,6 +69,17 @@ const (
 	segmentsBinFile = "segments.bin"
 )
 
+// newColumns returns ncols empty columns with room for rows values each,
+// carved from one allocation (a column that outgrows its share
+// reallocates alone).
+func newColumns(ncols, rows int) [][]int64 {
+	cols, backing := make([][]int64, ncols), make([]int64, ncols*rows)
+	for i := range cols {
+		cols[i] = backing[i*rows : i*rows : (i+1)*rows]
+	}
+	return cols
+}
+
 func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
@@ -87,10 +97,7 @@ type binWriter struct {
 
 // newBinWriter writes the header and returns an encoder for kind/ncols.
 func newBinWriter(w *bufio.Writer, kind byte, ncols int) *binWriter {
-	b := &binWriter{w: w, ncols: ncols, cols: make([][]int64, ncols)}
-	for i := range b.cols {
-		b.cols[i] = make([]int64, 0, binBlockRows)
-	}
+	b := &binWriter{w: w, ncols: ncols, cols: newColumns(ncols, binBlockRows)}
 	if _, err := w.WriteString(binMagic); err != nil {
 		b.err = err
 	}
@@ -161,27 +168,6 @@ func (b *binWriter) finish() error {
 	return b.err
 }
 
-// writeBinFile creates path and streams rows from emit through a
-// binWriter into it.
-func writeBinFile(path string, kind byte, ncols int, emit func(b *binWriter)) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("trace: %w", err)
-	}
-	w := bufio.NewWriterSize(f, 1<<16)
-	b := newBinWriter(w, kind, ncols)
-	emit(b)
-	if err := b.finish(); err != nil {
-		f.Close()
-		return fmt.Errorf("trace: writing %s: %w", path, err)
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return fmt.Errorf("trace: flushing %s: %w", path, err)
-	}
-	return f.Close()
-}
-
 // binReader decodes one APBF file block by block, reusing column
 // scratch across blocks.
 type binReader struct {
@@ -190,25 +176,7 @@ type binReader struct {
 	ncols int
 	cols  [][]int64
 	strs  []string
-	// arena hands out counter slices (PAPI/segments) in chunks, like the
-	// CSV scratch.
-	arena []int64
-}
-
-func (d *binReader) counters(n int) []int64 {
-	if n == 0 {
-		return nil
-	}
-	if len(d.arena) < n {
-		size := arenaChunk
-		if n > size {
-			size = n
-		}
-		d.arena = make([]int64, size)
-	}
-	out := d.arena[:n:n]
-	d.arena = d.arena[n:]
-	return out
+	arena // counter slices (PAPI/segments), like the CSV scratch
 }
 
 // newBinReader validates the header. An empty file is reported as
@@ -238,12 +206,8 @@ func newBinReader(br *bufio.Reader, path string, wantKind byte, minCols int) (*b
 		return nil, fmt.Errorf("trace: %s: binary header claims %d columns, want %d..%d",
 			path, ncols64, minCols, maxBinCols)
 	}
-	d := &binReader{br: br, path: path, ncols: int(ncols64)}
-	d.cols = make([][]int64, d.ncols)
-	for i := range d.cols {
-		d.cols[i] = make([]int64, 0, binBlockRows)
-	}
-	return d, nil
+	ncols := int(ncols64)
+	return &binReader{br: br, path: path, ncols: ncols, cols: newColumns(ncols, binBlockRows)}, nil
 }
 
 // readBlock decodes the next block into d.cols (and d.strs when
@@ -293,147 +257,96 @@ func (d *binReader) readBlock(withStrings bool) (n, lost int, err error) {
 	return n, 0, nil
 }
 
-// scanBin drives block decoding for one file: row(i) validates and
-// yields row i of d.cols/d.strs, returning a validation error (which is
-// skipped per row in tolerant mode, fatal otherwise). Torn/corrupt
-// blocks end a tolerant scan with the block's rows counted as skipped.
-func scanBin(d *binReader, withStrings bool, tolerant bool, row func(i int) error) (int, error) {
-	if d == nil { // empty file
-		return 0, nil
-	}
-	skipped := 0
-	for {
-		n, lost, err := d.readBlock(withStrings)
-		if err != nil {
-			if tolerant {
-				return skipped + lost, nil
-			}
-			return 0, err
-		}
-		if n == 0 {
-			return skipped, nil
-		}
-		for i := 0; i < n; i++ {
-			if err := row(i); err != nil {
-				if tolerant {
-					skipped++
-					continue
-				}
-				return 0, err
-			}
-		}
+// Per-kind row codecs (the kind table's toRow / fromRow), mirroring the
+// CSV codecs in fastio.go.
+
+// padCounters copies a record's counters into its row's counter columns.
+// Columnar blocks need a uniform width; ragged counter lists (possible
+// only in hand-edited CSV) pad with zeros / truncate.
+func padCounters(dst, src []int64) {
+	for i := copy(dst, src); i < len(dst); i++ {
+		dst[i] = 0
 	}
 }
 
-// Per-kind binary scanners, mirroring the CSV scanners in fastio.go.
-
-func scanLogicalBin(br *bufio.Reader, path string, npes int, tolerant bool, yield func(LogicalRecord)) (int, error) {
-	d, err := newBinReader(br, path, binKindLogical, 5)
-	if err != nil {
-		return binHeaderErr(err, tolerant)
+// rowCounters gathers row i's columns from first on into a counter slice.
+func (d *binReader) rowCounters(first, i int) []int64 {
+	counters := d.take(d.ncols - first)
+	for c := first; c < d.ncols; c++ {
+		counters[c-first] = d.cols[c][i]
 	}
-	return scanBin(d, false, tolerant, func(i int) error {
-		src, dst := int(d.cols[1][i]), int(d.cols[3][i])
-		if err := checkPERange("logical", src, dst, npes); err != nil {
-			return err
-		}
-		yield(LogicalRecord{
-			SrcNode: int(d.cols[0][i]), SrcPE: src,
-			DstNode: int(d.cols[2][i]), DstPE: dst, MsgSize: int(d.cols[4][i]),
-		})
-		return nil
-	})
+	return counters
 }
 
-func scanPAPIBin(br *bufio.Reader, path string, npes int, tolerant bool, yield func(PAPIRecord)) (int, error) {
-	d, err := newBinReader(br, path, binKindPAPI, 7)
-	if err != nil {
-		return binHeaderErr(err, tolerant)
-	}
-	return scanBin(d, false, tolerant, func(i int) error {
-		src, dst := int(d.cols[1][i]), int(d.cols[3][i])
-		if err := checkPERange("PAPI", src, dst, npes); err != nil {
-			return err
-		}
-		counters := d.counters(d.ncols - 7)
-		for c := 7; c < d.ncols; c++ {
-			counters[c-7] = d.cols[c][i]
-		}
-		yield(PAPIRecord{
-			SrcNode: int(d.cols[0][i]), SrcPE: src,
-			DstNode: int(d.cols[2][i]), DstPE: dst,
-			PktSize: int(d.cols[4][i]), MailboxID: int(d.cols[5][i]), NumSends: int(d.cols[6][i]),
-			Counters: counters,
-		})
-		return nil
-	})
+func logicalToRow(r LogicalRecord, row []int64) string {
+	row[0], row[1], row[2] = int64(r.SrcNode), int64(r.SrcPE), int64(r.DstNode)
+	row[3], row[4] = int64(r.DstPE), int64(r.MsgSize)
+	return ""
 }
 
-func scanPhysicalBin(br *bufio.Reader, path string, npes int, tolerant bool, yield func(PhysicalRecord)) (int, error) {
-	d, err := newBinReader(br, path, binKindPhysical, binPhysicalMinCols)
-	if err != nil {
-		return binHeaderErr(err, tolerant)
+func logicalFromRow(d *binReader, i int) LogicalRecord {
+	return LogicalRecord{
+		SrcNode: int(d.cols[0][i]), SrcPE: int(d.cols[1][i]),
+		DstNode: int(d.cols[2][i]), DstPE: int(d.cols[3][i]), MsgSize: int(d.cols[4][i]),
 	}
-	return scanBin(d, false, tolerant, func(i int) error {
-		kind := d.cols[0][i]
-		if kind < 0 || kind > 2 {
-			return fmt.Errorf("trace: unknown send type %d in %s", kind, path)
-		}
-		src, dst := int(d.cols[2][i]), int(d.cols[3][i])
-		if err := checkPERange("physical", src, dst, npes); err != nil {
-			return err
-		}
-		rec := PhysicalRecord{
-			Kind: conveyor.SendKind(kind), BufBytes: int(d.cols[1][i]), SrcPE: src, DstPE: dst,
-		}
-		// Column 4 (virtual-clock cycles) was added after the base
-		// format shipped; files written before it simply lack the
-		// column and load with Cycles == 0, exactly as CSV does.
-		if d.ncols >= binPhysicalCols {
-			rec.Cycles = d.cols[4][i]
-		}
-		yield(rec)
-		return nil
-	})
 }
 
-func scanOverallBin(br *bufio.Reader, path string, tolerant bool, yield func(OverallRecord)) (int, error) {
-	d, err := newBinReader(br, path, binKindOverall, 4)
-	if err != nil {
-		return binHeaderErr(err, tolerant)
-	}
-	return scanBin(d, false, tolerant, func(i int) error {
-		m, c, p := d.cols[1][i], d.cols[2][i], d.cols[3][i]
-		yield(OverallRecord{
-			PE: int(d.cols[0][i]), TMain: m, TComm: c, TProc: p, TTotal: m + c + p,
-		})
-		return nil
-	})
+func papiToRow(r PAPIRecord, row []int64) string {
+	row[0], row[1] = int64(r.SrcNode), int64(r.SrcPE)
+	row[2], row[3] = int64(r.DstNode), int64(r.DstPE)
+	row[4], row[5], row[6] = int64(r.PktSize), int64(r.MailboxID), int64(r.NumSends)
+	padCounters(row[7:], r.Counters)
+	return ""
 }
 
-func scanSegmentsBin(br *bufio.Reader, path string, tolerant bool, yield func(SegmentRecord)) (int, error) {
-	d, err := newBinReader(br, path, binKindSegments, 3)
-	if err != nil {
-		return binHeaderErr(err, tolerant)
+func papiFromRow(d *binReader, i int) PAPIRecord {
+	return PAPIRecord{
+		SrcNode: int(d.cols[0][i]), SrcPE: int(d.cols[1][i]),
+		DstNode: int(d.cols[2][i]), DstPE: int(d.cols[3][i]),
+		PktSize: int(d.cols[4][i]), MailboxID: int(d.cols[5][i]), NumSends: int(d.cols[6][i]),
+		Counters: d.rowCounters(7, i),
 	}
-	return scanBin(d, true, tolerant, func(i int) error {
-		counters := d.counters(d.ncols - 3)
-		for c := 3; c < d.ncols; c++ {
-			counters[c-3] = d.cols[c][i]
-		}
-		yield(SegmentRecord{
-			PE: int(d.cols[0][i]), Name: d.strs[i],
-			Count: d.cols[1][i], Cycles: d.cols[2][i], Counters: counters,
-		})
-		return nil
-	})
 }
 
-// binHeaderErr maps a bad header to tolerant semantics: the whole file
-// is unreadable, which counts as one skipped artifact.
-func binHeaderErr(err error, tolerant bool) (int, error) {
-	if tolerant {
-		return 1, nil
+func physicalToRow(r PhysicalRecord, row []int64) string {
+	row[0], row[1], row[2] = int64(r.Kind), int64(r.BufBytes), int64(r.SrcPE)
+	row[3], row[4] = int64(r.DstPE), r.Cycles
+	return ""
+}
+
+func physicalFromRow(d *binReader, i int) PhysicalRecord {
+	rec := PhysicalRecord{
+		Kind: conveyor.SendKind(d.cols[0][i]), BufBytes: int(d.cols[1][i]),
+		SrcPE: int(d.cols[2][i]), DstPE: int(d.cols[3][i]),
 	}
-	return 0, err
+	// Column 4 (virtual-clock cycles) was added after the base format
+	// shipped; files written before it simply lack the column and load
+	// with Cycles == 0, exactly as CSV does.
+	if d.ncols >= binPhysicalCols {
+		rec.Cycles = d.cols[4][i]
+	}
+	return rec
+}
+
+func overallToRow(r OverallRecord, row []int64) string {
+	row[0], row[1], row[2], row[3] = int64(r.PE), r.TMain, r.TComm, r.TProc
+	return ""
+}
+
+func overallFromRow(d *binReader, i int) OverallRecord {
+	m, c, p := d.cols[1][i], d.cols[2][i], d.cols[3][i]
+	return OverallRecord{PE: int(d.cols[0][i]), TMain: m, TComm: c, TProc: p, TTotal: m + c + p}
+}
+
+func segmentToRow(r SegmentRecord, row []int64) string {
+	row[0], row[1], row[2] = int64(r.PE), r.Count, r.Cycles
+	padCounters(row[3:], r.Counters)
+	return r.Name
+}
+
+func segmentFromRow(d *binReader, i int) SegmentRecord {
+	return SegmentRecord{
+		PE: int(d.cols[0][i]), Name: d.strs[i],
+		Count: d.cols[1][i], Cycles: d.cols[2][i], Counters: d.rowCounters(3, i),
+	}
 }

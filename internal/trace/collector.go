@@ -198,7 +198,7 @@ func (p *PECollector) LogicalSend(mailbox, dst, msgSize int) {
 			MsgSize: msgSize,
 		}
 		if p.stream != nil {
-			p.streamLogical(rec)
+			p.stream.logical.put(rec)
 		}
 		if p.aggregate {
 			if p.aggLogical == nil {
@@ -252,7 +252,7 @@ func (p *PECollector) flushPAPI() {
 // mode), or the in-memory slice.
 func (p *PECollector) recordPAPI(rec PAPIRecord) {
 	if p.stream != nil {
-		p.streamPAPI(rec)
+		p.stream.papi.put(rec)
 	}
 	if p.aggregate {
 		if p.aggPAPI == nil {
@@ -284,7 +284,7 @@ func (p *PECollector) PhysicalSendAt(kind conveyor.SendKind, bufBytes, src, dst 
 		Kind: kind, BufBytes: bufBytes, SrcPE: src, DstPE: dst, Cycles: cycles,
 	}
 	if p.stream != nil {
-		p.streamPhysical(rec)
+		p.stream.phys.put(rec)
 	}
 	if p.aggregate {
 		if k := int(kind); src == p.pe && k >= 0 && k < len(p.aggPhys) &&

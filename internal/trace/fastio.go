@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"strings"
 
 	"actorprof/internal/conveyor"
-	"actorprof/internal/stats"
 )
 
 // Byte-level CSV codecs for the hot per-record trace files. The seed
@@ -160,30 +160,39 @@ func parseIntsCommaSlow(line []byte, want int, out []int64) ([]int64, error) {
 	return out, nil
 }
 
-// csvScratch is the per-shard scratch a CSV scanner reuses across lines.
-type csvScratch struct {
-	ints []int64
-	// arena hands out counter slices in chunks so a PAPI scan costs one
-	// allocation per ~arenaChunk counters instead of one per record.
-	arena []int64
-}
+// arena hands out counter slices in chunks so a PAPI or segments scan
+// costs one allocation per ~arenaChunk counters instead of one per record.
+type arena []int64
 
 const arenaChunk = 4096
 
-func (s *csvScratch) counters(n int) []int64 {
+func (a *arena) take(n int) []int64 {
 	if n == 0 {
 		return nil
 	}
-	if len(s.arena) < n {
+	if len(*a) < n {
 		size := arenaChunk
 		if n > size {
 			size = n
 		}
-		s.arena = make([]int64, size)
+		*a = make([]int64, size)
 	}
-	out := s.arena[:n:n]
-	s.arena = s.arena[n:]
+	out := (*a)[:n:n]
+	*a = (*a)[n:]
 	return out
+}
+
+// csvScratch is the per-shard state a CSV scan reuses across lines.
+type csvScratch struct {
+	nEvents int // configured PAPI events: the counter columns a line owes
+	ints    []int64
+	arena
+}
+
+// newCSVScratch sizes the field scratch for the widest line the writer
+// emits (PAPI: 7 fields plus one per event), so it never regrows.
+func newCSVScratch(nEvents int) *csvScratch {
+	return &csvScratch{nEvents: nEvents, ints: make([]int64, 0, 7+nEvents)}
 }
 
 // newLineScanner wraps r in a bufio.Scanner tuned for trace files.
@@ -193,71 +202,38 @@ func newLineScanner(r io.Reader) *bufio.Scanner {
 	return sc
 }
 
-// scanLogicalCSV streams PEi_send.csv records from r into yield.
-func scanLogicalCSV(r io.Reader, npes int, tolerant bool, scratch *csvScratch, yield func(LogicalRecord)) (int, error) {
-	skipped := 0
-	sc := newLineScanner(r)
-	for sc.Scan() {
-		line := trimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		v, err := parseIntsComma(line, 5, scratch.ints[:0])
-		if err == nil {
-			err = checkPERange("logical", int(v[1]), int(v[3]), npes)
-		}
-		if err != nil {
-			if tolerant {
-				skipped++
-				continue
-			}
-			return 0, err
-		}
-		scratch.ints = v[:0]
-		yield(LogicalRecord{
-			SrcNode: int(v[0]), SrcPE: int(v[1]),
-			DstNode: int(v[2]), DstPE: int(v[3]), MsgSize: int(v[4]),
-		})
+// Parse-side codecs: each takes one trimmed, non-empty line.
+
+func parseLogical(line []byte, s *csvScratch) (LogicalRecord, error) {
+	v, err := parseIntsComma(line, 5, s.ints[:0])
+	if err != nil {
+		return LogicalRecord{}, err
 	}
-	return skipped, scanErr(sc.Err(), tolerant, &skipped)
+	s.ints = v[:0]
+	return LogicalRecord{
+		SrcNode: int(v[0]), SrcPE: int(v[1]),
+		DstNode: int(v[2]), DstPE: int(v[3]), MsgSize: int(v[4]),
+	}, nil
 }
 
-// scanPAPICSV streams PEi_PAPI.csv records from r into yield.
-func scanPAPICSV(r io.Reader, nEvents, npes int, tolerant bool, scratch *csvScratch, yield func(PAPIRecord)) (int, error) {
-	skipped := 0
-	sc := newLineScanner(r)
-	for sc.Scan() {
-		line := trimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		v, err := parseIntsComma(line, 7+nEvents, scratch.ints[:0])
-		if err == nil {
-			err = checkPERange("PAPI", int(v[1]), int(v[3]), npes)
-		}
-		if err != nil {
-			if tolerant {
-				skipped++
-				continue
-			}
-			return 0, err
-		}
-		scratch.ints = v[:0]
-		counters := scratch.counters(len(v) - 7)
-		copy(counters, v[7:])
-		yield(PAPIRecord{
-			SrcNode: int(v[0]), SrcPE: int(v[1]),
-			DstNode: int(v[2]), DstPE: int(v[3]),
-			PktSize: int(v[4]), MailboxID: int(v[5]), NumSends: int(v[6]),
-			Counters: counters,
-		})
+func parsePAPI(line []byte, s *csvScratch) (PAPIRecord, error) {
+	v, err := parseIntsComma(line, 7+s.nEvents, s.ints[:0])
+	if err != nil {
+		return PAPIRecord{}, err
 	}
-	return skipped, scanErr(sc.Err(), tolerant, &skipped)
+	s.ints = v[:0]
+	counters := s.take(len(v) - 7)
+	copy(counters, v[7:])
+	return PAPIRecord{
+		SrcNode: int(v[0]), SrcPE: int(v[1]),
+		DstNode: int(v[2]), DstPE: int(v[3]),
+		PktSize: int(v[4]), MailboxID: int(v[5]), NumSends: int(v[6]),
+		Counters: counters,
+	}, nil
 }
 
-// parsePhysicalRecord parses one physical-trace line (already trimmed,
-// non-empty) without allocating.
-func parsePhysicalRecord(line []byte, npes int, scratch *csvScratch) (PhysicalRecord, error) {
+// parsePhysical parses one physical-trace line without allocating.
+func parsePhysical(line []byte, s *csvScratch) (PhysicalRecord, error) {
 	comma := -1
 	for i, c := range line {
 		if c == ',' {
@@ -272,14 +248,11 @@ func parsePhysicalRecord(line []byte, npes int, scratch *csvScratch) (PhysicalRe
 	if !ok {
 		return PhysicalRecord{}, fmt.Errorf("trace: unknown send type %q", line[:comma])
 	}
-	v, err := parseIntsComma(line[comma+1:], 3, scratch.ints[:0])
+	v, err := parseIntsComma(line[comma+1:], 3, s.ints[:0])
 	if err != nil || len(v) != 3 {
 		return PhysicalRecord{}, fmt.Errorf("trace: bad physical line %q", line)
 	}
-	scratch.ints = v[:0]
-	if err := checkPERange("physical", int(v[1]), int(v[2]), npes); err != nil {
-		return PhysicalRecord{}, err
-	}
+	s.ints = v[:0]
 	return PhysicalRecord{Kind: kind, BufBytes: int(v[0]), SrcPE: int(v[1]), DstPE: int(v[2])}, nil
 }
 
@@ -294,32 +267,55 @@ func sendKindOf(tok []byte) (conveyor.SendKind, bool) {
 	return 0, false
 }
 
-// scanPhysicalCSV streams physical.txt (or .part) records into yield.
-func scanPhysicalCSV(r io.Reader, npes int, tolerant bool, scratch *csvScratch, yield func(PhysicalRecord)) (int, error) {
-	skipped := 0
-	sc := newLineScanner(r)
-	for sc.Scan() {
-		line := trimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		rec, err := parsePhysicalRecord(line, npes, scratch)
-		if err != nil {
-			if tolerant {
-				skipped++
-				continue
-			}
-			return 0, err
-		}
-		yield(rec)
+// parseOverall parses an "Absolute" overall.txt line. overall.txt and
+// segments.txt hold O(PEs) lines, so these two parsers favour clarity
+// over allocation-free byte twiddling.
+func parseOverall(line []byte, _ *csvScratch) (OverallRecord, error) {
+	var pe int
+	var m, c, p int64
+	if _, err := fmt.Sscanf(string(line), "Absolute [PE%d] TCOMM_PROFILING (%d, %d, %d)",
+		&pe, &m, &c, &p); err != nil {
+		return OverallRecord{}, fmt.Errorf("trace: bad overall line %q: %w", line, err)
 	}
-	return skipped, scanErr(sc.Err(), tolerant, &skipped)
+	return OverallRecord{PE: pe, TMain: m, TComm: c, TProc: p, TTotal: m + c + p}, nil
 }
 
-// Append-side codecs: one scratch []byte per shard, records appended
-// with strconv.AppendInt and flushed in whole lines.
+func parseSegment(line []byte, s *csvScratch) (SegmentRecord, error) {
+	fields := strings.Fields(string(line))
+	if len(fields) < 4 || fields[1] != "SEGMENT" {
+		return SegmentRecord{}, fmt.Errorf("trace: bad segments line %q", line)
+	}
+	var pe int
+	if _, err := fmt.Sscanf(fields[0], "[PE%d]", &pe); err != nil {
+		return SegmentRecord{}, fmt.Errorf("trace: bad segments line %q: %w", line, err)
+	}
+	rec := SegmentRecord{PE: pe, Name: fields[2], Counters: make([]int64, 0, s.nEvents)}
+	for _, kv := range fields[3:] {
+		eq := strings.IndexByte(kv, '=')
+		if eq < 0 {
+			return SegmentRecord{}, fmt.Errorf("trace: bad segments field %q", kv)
+		}
+		v, err := strconv.ParseInt(kv[eq+1:], 10, 64)
+		if err != nil {
+			return SegmentRecord{}, fmt.Errorf("trace: bad segments field %q: %w", kv, err)
+		}
+		switch kv[:eq] {
+		case "count":
+			rec.Count = v
+		case "cycles":
+			rec.Cycles = v
+		default:
+			rec.Counters = append(rec.Counters, v)
+		}
+	}
+	return rec, nil
+}
 
-func appendLogical(buf []byte, r LogicalRecord) []byte {
+// Append-side codecs: one scratch []byte per sink, records appended with
+// strconv.AppendInt and flushed in whole lines. They share one signature
+// (the kind table's appendCSV); only segments.txt uses the event names.
+
+func appendLogical(buf []byte, r LogicalRecord, _ []string) []byte {
 	buf = strconv.AppendInt(buf, int64(r.SrcNode), 10)
 	buf = append(buf, ',')
 	buf = strconv.AppendInt(buf, int64(r.SrcPE), 10)
@@ -332,7 +328,7 @@ func appendLogical(buf []byte, r LogicalRecord) []byte {
 	return append(buf, '\n')
 }
 
-func appendPAPI(buf []byte, r PAPIRecord) []byte {
+func appendPAPI(buf []byte, r PAPIRecord, _ []string) []byte {
 	buf = strconv.AppendInt(buf, int64(r.SrcNode), 10)
 	buf = append(buf, ',')
 	buf = strconv.AppendInt(buf, int64(r.SrcPE), 10)
@@ -353,7 +349,7 @@ func appendPAPI(buf []byte, r PAPIRecord) []byte {
 	return append(buf, '\n')
 }
 
-func appendPhysical(buf []byte, r PhysicalRecord) []byte {
+func appendPhysical(buf []byte, r PhysicalRecord, _ []string) []byte {
 	buf = append(buf, r.Kind.String()...)
 	buf = append(buf, ',')
 	buf = strconv.AppendInt(buf, int64(r.BufBytes), 10)
@@ -366,7 +362,7 @@ func appendPhysical(buf []byte, r PhysicalRecord) []byte {
 
 // appendOverall emits the two overall.txt lines of one record, matching
 // the seed's fmt layout byte for byte.
-func appendOverall(buf []byte, r OverallRecord) []byte {
+func appendOverall(buf []byte, r OverallRecord, _ []string) []byte {
 	buf = append(buf, "Absolute [PE"...)
 	buf = strconv.AppendInt(buf, int64(r.PE), 10)
 	buf = append(buf, "] TCOMM_PROFILING ("...)
@@ -408,7 +404,3 @@ func appendSegment(buf []byte, r SegmentRecord, eventNames []string) []byte {
 	}
 	return append(buf, '\n')
 }
-
-// foldMsgBytes observes one logical record's payload size into a
-// streaming accumulator (the Summary's message-size statistics).
-func foldMsgBytes(s *stats.Stream, r LogicalRecord) { s.Observe(int64(r.MsgSize)) }

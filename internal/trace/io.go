@@ -2,10 +2,7 @@ package trace
 
 import (
 	"bufio"
-	"bytes"
-	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -26,7 +23,7 @@ const (
 	metaFile     = "actorprof_meta.txt"
 )
 
-// ReadOptions tunes ReadSetOptions / ReadSummary / Accumulate.
+// ReadOptions tunes ReadSetOptions / ReadSummary.
 type ReadOptions struct {
 	// Tolerant makes malformed lines (the torn tail of a file a streaming
 	// collector is still appending to) count as skipped instead of fatal,
@@ -39,11 +36,17 @@ type ReadOptions struct {
 	Workers int
 }
 
-func (o ReadOptions) workers() int {
-	if o.Workers <= 0 {
-		return defaultWorkers()
+// poolSize is the worker count a walk over an npes-PE directory uses:
+// never more than it has tasks.
+func (o ReadOptions) poolSize(npes int) int {
+	workers := o.Workers
+	if workers <= 0 {
+		workers = defaultWorkers()
 	}
-	return o.Workers
+	if tasks := 2*npes + 3; workers > tasks {
+		workers = tasks
+	}
+	return workers
 }
 
 // WriteFiles writes every enabled trace to dir in the formats selected
@@ -51,7 +54,7 @@ func (o ReadOptions) workers() int {
 // PEi_PAPI.csv, shared overall.txt/physical.txt/segments.txt), the
 // binary columnar *.bin siblings, or both. actorprof_meta.txt (run
 // parameters: number of PEs, PEs per node, PAPI event names) is always
-// text; the readers need it first. Per-PE files are written in parallel.
+// text; the readers need it first. Shards are written in parallel.
 func (s *Set) WriteFiles(dir string) error {
 	if s.Config.Aggregate {
 		return fmt.Errorf("trace: WriteFiles needs raw records, but the set was collected with Config.Aggregate (only matrices were kept)")
@@ -62,61 +65,28 @@ func (s *Set) WriteFiles(dir string) error {
 	if err := s.writeMeta(dir); err != nil {
 		return err
 	}
-	format := s.Config.Format
+	format, events := s.Config.Format, eventNames(s.Config.PAPIEvents)
 	var jobs []func() error
-	if s.Config.Logical {
-		for pe := 0; pe < s.NumPEs; pe++ {
-			pe := pe
-			if format.csv() {
-				jobs = append(jobs, func() error { return s.writeLogical(dir, pe) })
-			}
-			if format.binary() {
-				jobs = append(jobs, func() error { return s.writeLogicalBin(dir, pe) })
-			}
+	for pe := 0; pe < s.NumPEs; pe++ {
+		pe := pe
+		if s.Config.Logical {
+			jobs = append(jobs, func() error { return writeShard(&logicalKind, dir, pe, format, events, s.Logical[pe]) })
 		}
-	}
-	if len(s.Config.PAPIEvents) > 0 {
-		for pe := 0; pe < s.NumPEs; pe++ {
-			pe := pe
-			if format.csv() {
-				jobs = append(jobs, func() error { return s.writePAPI(dir, pe) })
-			}
-			if format.binary() {
-				jobs = append(jobs, func() error { return s.writePAPIBin(dir, pe) })
-			}
-		}
-	}
-	if s.Config.Overall {
-		if format.csv() {
-			jobs = append(jobs, func() error { return s.writeOverall(dir) })
-		}
-		if format.binary() {
-			jobs = append(jobs, func() error { return s.writeOverallBin(dir) })
+		if len(events) > 0 {
+			jobs = append(jobs, func() error { return writeShard(&papiKind, dir, pe, format, events, s.PAPI[pe]) })
 		}
 	}
 	if s.Config.Physical {
-		if format.csv() {
-			jobs = append(jobs, func() error { return s.writePhysical(dir) })
-		}
-		if format.binary() {
-			jobs = append(jobs, func() error { return s.writePhysicalBin(dir) })
-		}
+		jobs = append(jobs, func() error { return writeShard(&physicalKind, dir, 0, format, events, s.Physical...) })
 	}
-	if s.hasSegments() {
-		if format.csv() {
-			jobs = append(jobs, func() error { return s.writeSegments(dir) })
-		}
-		if format.binary() {
-			jobs = append(jobs, func() error { return s.writeSegmentsBin(dir) })
-		}
-	}
+	jobs = append(jobs, s.summaryJobs(dir)...)
 	errs := make([]error, len(jobs))
-	tasks := make([]func(), len(jobs))
+	tasks := make([]func(worker int), len(jobs))
 	for i := range jobs {
 		i := i
-		tasks[i] = func() { errs[i] = jobs[i]() }
+		tasks[i] = func(int) { errs[i] = jobs[i]() }
 	}
-	runTasks(defaultWorkers(), tasks)
+	runWorkerTasks(defaultWorkers(), tasks)
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -125,243 +95,46 @@ func (s *Set) WriteFiles(dir string) error {
 	return nil
 }
 
-func (s *Set) hasSegments() bool {
+// summaryJobs are the writes of the O(PEs) artifacts a streaming
+// collector also keeps in memory, so WriteFiles and Finalize share them:
+// the overall breakdown (sorted by PE) and the named segments.
+func (s *Set) summaryJobs(dir string) []func() error {
+	format, events := s.Config.Format, eventNames(s.Config.PAPIEvents)
+	var jobs []func() error
+	if s.Config.Overall {
+		recs := append([]OverallRecord(nil), s.Overall...)
+		sort.Slice(recs, func(i, j int) bool { return recs[i].PE < recs[j].PE })
+		jobs = append(jobs, func() error { return writeShard(&overallKind, dir, 0, format, events, recs) })
+	}
 	for _, recs := range s.Segments {
 		if len(recs) > 0 {
-			return true
+			jobs = append(jobs, func() error { return writeShard(&segmentsKind, dir, 0, format, events, s.Segments...) })
+			break
 		}
 	}
-	return false
+	return jobs
 }
 
-func (s *Set) writeSegments(dir string) error {
-	names := make([]string, len(s.Config.PAPIEvents))
-	for i, ev := range s.Config.PAPIEvents {
+func eventNames(events []papi.Event) []string {
+	names := make([]string, len(events))
+	for i, ev := range events {
 		names[i] = ev.String()
 	}
-	return writeLines(filepath.Join(dir, segmentsFile), func(w *bufio.Writer) error {
-		var buf []byte
-		for pe := 0; pe < s.NumPEs; pe++ {
-			for _, r := range s.Segments[pe] {
-				buf = appendSegment(buf[:0], r, names)
-				if _, err := w.Write(buf); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	})
-}
-
-func (s *Set) writeSegmentsBin(dir string) error {
-	nev := len(s.Config.PAPIEvents)
-	return writeBinFile(filepath.Join(dir, segmentsBinFile), binKindSegments, 3+nev, func(b *binWriter) {
-		row := make([]int64, 3+nev)
-		for pe := 0; pe < s.NumPEs; pe++ {
-			for _, r := range s.Segments[pe] {
-				row[0], row[1], row[2] = int64(r.PE), r.Count, r.Cycles
-				for i := 0; i < nev; i++ {
-					if i < len(r.Counters) {
-						row[3+i] = r.Counters[i]
-					} else {
-						row[3+i] = 0
-					}
-				}
-				b.pushStr(r.Name, row...)
-			}
-		}
-	})
-}
-
-func parseSegmentLine(line string, nEvents int) (SegmentRecord, error) {
-	fields := strings.Fields(line)
-	if len(fields) < 4 || fields[1] != "SEGMENT" {
-		return SegmentRecord{}, fmt.Errorf("trace: bad segments line %q", line)
-	}
-	var pe int
-	if _, err := fmt.Sscanf(fields[0], "[PE%d]", &pe); err != nil {
-		return SegmentRecord{}, fmt.Errorf("trace: bad segments line %q: %w", line, err)
-	}
-	rec := SegmentRecord{PE: pe, Name: fields[2], Counters: make([]int64, 0, nEvents)}
-	for _, kv := range fields[3:] {
-		eq := strings.IndexByte(kv, '=')
-		if eq < 0 {
-			return SegmentRecord{}, fmt.Errorf("trace: bad segments field %q", kv)
-		}
-		v, err := strconv.ParseInt(kv[eq+1:], 10, 64)
-		if err != nil {
-			return SegmentRecord{}, fmt.Errorf("trace: bad segments field %q: %w", kv, err)
-		}
-		switch kv[:eq] {
-		case "count":
-			rec.Count = v
-		case "cycles":
-			rec.Cycles = v
-		default:
-			rec.Counters = append(rec.Counters, v)
-		}
-	}
-	return rec, nil
-}
-
-func scanSegmentsCSV(r io.Reader, nEvents int, tolerant bool, yield func(SegmentRecord)) (int, error) {
-	skipped := 0
-	sc := newLineScanner(r)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		rec, err := parseSegmentLine(line, nEvents)
-		if err != nil {
-			if tolerant {
-				skipped++
-				continue
-			}
-			return 0, err
-		}
-		yield(rec)
-	}
-	return skipped, scanErr(sc.Err(), tolerant, &skipped)
-}
-
-func writeLines(path string, emit func(w *bufio.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("trace: %w", err)
-	}
-	w := bufio.NewWriterSize(f, 1<<16)
-	if err := emit(w); err != nil {
-		f.Close()
-		return err
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return fmt.Errorf("trace: flushing %s: %w", path, err)
-	}
-	return f.Close()
+	return names
 }
 
 func (s *Set) writeMeta(dir string) error {
-	return writeLines(filepath.Join(dir, metaFile), func(w *bufio.Writer) error {
-		fmt.Fprintf(w, "num_PEs %d\n", s.NumPEs)
-		fmt.Fprintf(w, "PEs_per_node %d\n", s.PEsPerNode)
-		if len(s.Config.PAPIEvents) > 0 {
-			names := make([]string, len(s.Config.PAPIEvents))
-			for i, ev := range s.Config.PAPIEvents {
-				names[i] = ev.String()
-			}
-			fmt.Fprintf(w, "papi_events %s\n", strings.Join(names, ","))
-		}
-		fmt.Fprintf(w, "logical_sample %d\n", s.Config.LogicalSample)
-		return nil
-	})
-}
-
-func (s *Set) writeLogical(dir string, pe int) error {
-	return writeLines(filepath.Join(dir, logicalFile(pe)), func(w *bufio.Writer) error {
-		var buf []byte
-		for _, r := range s.Logical[pe] {
-			buf = appendLogical(buf[:0], r)
-			if _, err := w.Write(buf); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-func (s *Set) writeLogicalBin(dir string, pe int) error {
-	return writeBinFile(filepath.Join(dir, logicalBinFile(pe)), binKindLogical, 5, func(b *binWriter) {
-		for _, r := range s.Logical[pe] {
-			b.push(int64(r.SrcNode), int64(r.SrcPE), int64(r.DstNode), int64(r.DstPE), int64(r.MsgSize))
-		}
-	})
-}
-
-func (s *Set) writePAPI(dir string, pe int) error {
-	return writeLines(filepath.Join(dir, papiFile(pe)), func(w *bufio.Writer) error {
-		var buf []byte
-		for _, r := range s.PAPI[pe] {
-			buf = appendPAPI(buf[:0], r)
-			if _, err := w.Write(buf); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-func (s *Set) writePAPIBin(dir string, pe int) error {
-	nev := len(s.Config.PAPIEvents)
-	return writeBinFile(filepath.Join(dir, papiBinFile(pe)), binKindPAPI, 7+nev, func(b *binWriter) {
-		row := make([]int64, 7+nev)
-		for _, r := range s.PAPI[pe] {
-			row[0], row[1] = int64(r.SrcNode), int64(r.SrcPE)
-			row[2], row[3] = int64(r.DstNode), int64(r.DstPE)
-			row[4], row[5], row[6] = int64(r.PktSize), int64(r.MailboxID), int64(r.NumSends)
-			// Columnar blocks need a uniform width; ragged counter lists
-			// (possible only in hand-edited CSV) pad with zeros / truncate.
-			for i := 0; i < nev; i++ {
-				if i < len(r.Counters) {
-					row[7+i] = r.Counters[i]
-				} else {
-					row[7+i] = 0
-				}
-			}
-			b.push(row...)
-		}
-	})
-}
-
-func (s *Set) writeOverall(dir string) error {
-	recs := append([]OverallRecord(nil), s.Overall...)
-	sort.Slice(recs, func(i, j int) bool { return recs[i].PE < recs[j].PE })
-	return writeLines(filepath.Join(dir, overallFile), func(w *bufio.Writer) error {
-		var buf []byte
-		for _, r := range recs {
-			buf = appendOverall(buf[:0], r)
-			if _, err := w.Write(buf); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-func (s *Set) writeOverallBin(dir string) error {
-	recs := append([]OverallRecord(nil), s.Overall...)
-	sort.Slice(recs, func(i, j int) bool { return recs[i].PE < recs[j].PE })
-	return writeBinFile(filepath.Join(dir, overallBinFile), binKindOverall, 4, func(b *binWriter) {
-		for _, r := range recs {
-			b.push(int64(r.PE), r.TMain, r.TComm, r.TProc)
-		}
-	})
-}
-
-func (s *Set) writePhysical(dir string) error {
-	return writeLines(filepath.Join(dir, physicalFile), func(w *bufio.Writer) error {
-		var buf []byte
-		for pe := 0; pe < s.NumPEs; pe++ {
-			for _, r := range s.Physical[pe] {
-				buf = appendPhysical(buf[:0], r)
-				if _, err := w.Write(buf); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	})
-}
-
-func (s *Set) writePhysicalBin(dir string) error {
-	return writeBinFile(filepath.Join(dir, physicalBinFile), binKindPhysical, binPhysicalCols, func(b *binWriter) {
-		for pe := 0; pe < s.NumPEs; pe++ {
-			for _, r := range s.Physical[pe] {
-				b.push(int64(r.Kind), int64(r.BufBytes), int64(r.SrcPE), int64(r.DstPE), r.Cycles)
-			}
-		}
-	})
+	var b strings.Builder
+	fmt.Fprintf(&b, "num_PEs %d\n", s.NumPEs)
+	fmt.Fprintf(&b, "PEs_per_node %d\n", s.PEsPerNode)
+	if len(s.Config.PAPIEvents) > 0 {
+		fmt.Fprintf(&b, "papi_events %s\n", strings.Join(eventNames(s.Config.PAPIEvents), ","))
+	}
+	fmt.Fprintf(&b, "logical_sample %d\n", s.Config.LogicalSample)
+	if err := os.WriteFile(filepath.Join(dir, metaFile), []byte(b.String()), 0o666); err != nil {
+		return fmt.Errorf("trace: %w", err)
+	}
+	return nil
 }
 
 // ReadSet loads a trace directory written by WriteFiles back into a Set.
@@ -370,7 +143,7 @@ func (s *Set) writePhysicalBin(dir string) error {
 // must parse: a malformed record is an error. For directories a streaming
 // collector is still writing into, use ReadSetLive instead.
 func ReadSet(dir string) (*Set, error) {
-	s, _, err := readSet(dir, ReadOptions{})
+	s, _, err := ReadSetOptions(dir, ReadOptions{})
 	return s, err
 }
 
@@ -383,359 +156,110 @@ func ReadSet(dir string) (*Set, error) {
 // a nonzero count on a *finished* directory indicates corruption that
 // ReadSet would have reported as an error.
 func ReadSetLive(dir string) (*Set, int, error) {
-	return readSet(dir, ReadOptions{Tolerant: true})
+	return ReadSetOptions(dir, ReadOptions{Tolerant: true})
 }
 
-// ReadSetOptions is ReadSet/ReadSetLive with explicit options. For every
-// worker count (including 1) it returns an identical Set, identical
-// skipped count, and - on malformed input - the same error a sequential
-// read would report first.
+// cell holds the records one shard scan collects. Each is its own
+// allocation: shards scan concurrently and append per record, so slice
+// headers packed into one array would bounce a cache line between workers.
+type cell[T any] struct{ recs []T }
+
+// add is the yield that fills c.
+func (c *cell[T]) add() func(T) { return func(r T) { c.recs = append(c.recs, r) } }
+
+// newCell returns an empty cell for PE pe's shard of kind k. For the
+// kinds that declare a bytes-per-record figure it is sized up front from
+// the shard's on-disk size, so a big shard allocates once instead of
+// growing through append doublings (over-estimating slightly is fine).
+func newCell[T any](k *kind[T], dir string, pe int) *cell[T] {
+	c := &cell[T]{}
+	if k.binRecBytes > 0 {
+		if fi, err := os.Stat(filepath.Join(dir, k.binFile(pe))); err == nil {
+			c.recs = make([]T, 0, int(fi.Size())/k.binRecBytes+1)
+		} else if fi, err := os.Stat(filepath.Join(dir, k.csvFile(pe))); err == nil {
+			c.recs = make([]T, 0, int(fi.Size())/k.csvRecBytes+1)
+		}
+	}
+	return c
+}
+
+// ReadSetOptions is ReadSet/ReadSetLive with explicit options: the
+// walker plus collecting yields. Each shard appends to a cell it alone
+// owns and the cells are read only after the walk, so for every worker
+// count (including 1) it returns an identical Set, identical skipped
+// count, and - on malformed input - the same error a sequential read
+// would report first.
 func ReadSetOptions(dir string, opts ReadOptions) (*Set, int, error) {
-	return readSet(dir, opts)
-}
-
-// fileResult is one parse task's result slot (DESIGN.md §10): the task
-// that fills it is its only writer, and the merge reads it only after
-// the worker pool has drained.
-type fileResult[T any] struct {
-	recs    []T
-	skipped int
-	found   bool
-	err     error
-}
-
-// openShard opens the first existing candidate path and sniffs whether
-// its content is the binary format (by magic, so auto-detection works
-// regardless of file extension). The returned reader replays the
-// sniffed head; CSV scanners consume it directly (the line scanner is
-// the only buffer layer), the binary decoder wraps it in a
-// bufio.Reader. Returns os.IsNotExist-able error when no candidate
-// exists.
-func openShard(candidates ...string) (*os.File, io.Reader, bool, error) {
-	var lastErr error = os.ErrNotExist
-	for _, p := range candidates {
-		f, err := os.Open(p)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		head := make([]byte, 4)
-		n, err := io.ReadFull(f, head)
-		if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
-			f.Close()
-			return nil, nil, false, err
-		}
-		if n == 4 && string(head) == binMagic {
-			// Rewind so the binary branch's bufio.Reader is the only
-			// buffer layer between decoder and file.
-			if _, err := f.Seek(0, io.SeekStart); err != nil {
-				f.Close()
-				return nil, nil, false, err
-			}
-			return f, f, true, nil
-		}
-		return f, io.MultiReader(bytes.NewReader(head[:n]), f), false, nil
-	}
-	return nil, nil, false, lastErr
-}
-
-// The scan*Shard functions are the primitive per-file readers: they
-// resolve the binary/CSV candidates for one artifact, sniff the format,
-// and stream records into yield without materializing them. readSet
-// wraps them with slice-collecting yields; ReadSummary and Accumulate
-// fold records directly.
-
-func scanLogicalShard(dir string, pe, npes int, tolerant bool, yield func(LogicalRecord)) (bool, int, error) {
-	f, br, isBin, err := openShard(filepath.Join(dir, logicalBinFile(pe)), filepath.Join(dir, logicalFile(pe)))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return false, 0, nil
-		}
-		return false, 0, err
-	}
-	defer f.Close()
-	if isBin {
-		n, err := scanLogicalBin(bufio.NewReaderSize(br, 64<<10), f.Name(), npes, tolerant, yield)
-		return true, n, err
-	}
-	var scratch csvScratch
-	n, err := scanLogicalCSV(br, npes, tolerant, &scratch, yield)
-	return true, n, err
-}
-
-func scanPAPIShard(dir string, pe, nEvents, npes int, tolerant bool, yield func(PAPIRecord)) (bool, int, error) {
-	f, br, isBin, err := openShard(filepath.Join(dir, papiBinFile(pe)), filepath.Join(dir, papiFile(pe)))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return false, 0, nil
-		}
-		return false, 0, err
-	}
-	defer f.Close()
-	if isBin {
-		n, err := scanPAPIBin(bufio.NewReaderSize(br, 64<<10), f.Name(), npes, tolerant, yield)
-		return true, n, err
-	}
-	var scratch csvScratch
-	n, err := scanPAPICSV(br, nEvents, npes, tolerant, &scratch, yield)
-	return true, n, err
-}
-
-func scanOverallShard(dir string, tolerant bool, yield func(OverallRecord)) (bool, int, error) {
-	f, br, isBin, err := openShard(filepath.Join(dir, overallBinFile), filepath.Join(dir, overallFile))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return false, 0, nil
-		}
-		return false, 0, err
-	}
-	defer f.Close()
-	if isBin {
-		n, err := scanOverallBin(bufio.NewReaderSize(br, 64<<10), f.Name(), tolerant, yield)
-		return true, n, err
-	}
-	n, err := scanOverallCSV(br, tolerant, yield)
-	return true, n, err
-}
-
-// scanPhysicalShard reads the assembled physical file. When part is >=
-// 0 it instead reads that PE's unassembled .part file (always
-// tolerantly: its tail is being appended to while we read).
-func scanPhysicalShard(dir string, part, npes int, tolerant bool, yield func(PhysicalRecord)) (bool, int, error) {
-	var candidates []string
-	if part >= 0 {
-		tolerant = true
-		candidates = []string{filepath.Join(dir, physicalPartBin(part)), filepath.Join(dir, physicalPart(part))}
-	} else {
-		candidates = []string{filepath.Join(dir, physicalBinFile), filepath.Join(dir, physicalFile)}
-	}
-	f, br, isBin, err := openShard(candidates...)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return false, 0, nil
-		}
-		return false, 0, err
-	}
-	defer f.Close()
-	if isBin {
-		n, err := scanPhysicalBin(bufio.NewReaderSize(br, 64<<10), f.Name(), npes, tolerant, yield)
-		return true, n, err
-	}
-	var scratch csvScratch
-	n, err := scanPhysicalCSV(br, npes, tolerant, &scratch, yield)
-	return true, n, err
-}
-
-func scanSegmentsShard(dir string, nEvents int, tolerant bool, yield func(SegmentRecord)) (bool, int, error) {
-	f, br, isBin, err := openShard(filepath.Join(dir, segmentsBinFile), filepath.Join(dir, segmentsFile))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return false, 0, nil
-		}
-		return false, 0, err
-	}
-	defer f.Close()
-	if isBin {
-		n, err := scanSegmentsBin(bufio.NewReaderSize(br, 64<<10), f.Name(), tolerant, yield)
-		return true, n, err
-	}
-	n, err := scanSegmentsCSV(br, nEvents, tolerant, yield)
-	return true, n, err
-}
-
-// recordCapHint estimates a shard's record count from its on-disk size
-// so the collecting readers allocate once instead of growing through
-// append doublings. Each perRec is a conservative (low) bytes-per-record
-// figure for that format; over-estimating capacity slightly is fine,
-// re-growing is the cost we avoid.
-func recordCapHint(binPath string, binPerRec int, csvPath string, csvPerRec int) int {
-	if fi, err := os.Stat(binPath); err == nil {
-		return int(fi.Size())/binPerRec + 1
-	}
-	if fi, err := os.Stat(csvPath); err == nil {
-		return int(fi.Size())/csvPerRec + 1
-	}
-	return 0
-}
-
-func readLogicalShard(dir string, pe, npes int, tolerant bool) (res fileResult[LogicalRecord]) {
-	if hint := recordCapHint(filepath.Join(dir, logicalBinFile(pe)), 4, filepath.Join(dir, logicalFile(pe)), 10); hint > 0 {
-		res.recs = make([]LogicalRecord, 0, hint)
-	}
-	res.found, res.skipped, res.err = scanLogicalShard(dir, pe, npes, tolerant,
-		func(r LogicalRecord) { res.recs = append(res.recs, r) })
-	return res
-}
-
-func readPAPIShard(dir string, pe, nEvents, npes int, tolerant bool) (res fileResult[PAPIRecord]) {
-	if hint := recordCapHint(filepath.Join(dir, papiBinFile(pe)), 8, filepath.Join(dir, papiFile(pe)), 20); hint > 0 {
-		res.recs = make([]PAPIRecord, 0, hint)
-	}
-	res.found, res.skipped, res.err = scanPAPIShard(dir, pe, nEvents, npes, tolerant,
-		func(r PAPIRecord) { res.recs = append(res.recs, r) })
-	return res
-}
-
-func readOverallShard(dir string, tolerant bool) (res fileResult[OverallRecord]) {
-	res.found, res.skipped, res.err = scanOverallShard(dir, tolerant,
-		func(r OverallRecord) { res.recs = append(res.recs, r) })
-	if res.err == nil {
-		res.recs = normalizeOverall(res.recs)
-	}
-	return res
-}
-
-func readPhysicalShard(dir string, npes int, tolerant bool) (res fileResult[PhysicalRecord]) {
-	res.found, res.skipped, res.err = scanPhysicalShard(dir, -1, npes, tolerant,
-		func(r PhysicalRecord) { res.recs = append(res.recs, r) })
-	return res
-}
-
-func readPhysicalPartShard(dir string, pe, npes int) (res fileResult[PhysicalRecord]) {
-	res.found, res.skipped, res.err = scanPhysicalShard(dir, pe, npes, true,
-		func(r PhysicalRecord) { res.recs = append(res.recs, r) })
-	return res
-}
-
-func readSegmentsShard(dir string, nEvents int, tolerant bool) (res fileResult[SegmentRecord]) {
-	res.found, res.skipped, res.err = scanSegmentsShard(dir, nEvents, tolerant,
-		func(r SegmentRecord) { res.recs = append(res.recs, r) })
-	return res
-}
-
-// readSet is the sharded parallel reader behind ReadSet / ReadSetLive /
-// ReadSetOptions. Every per-PE file (and each shared file) is one task;
-// tasks run on a worker pool and write into result slots they own; the
-// merge below walks the slots sequentially in file order, making record
-// order, skipped totals, and error precedence identical for any worker
-// count (the seed's sequential reader is the workers=1 special case).
-func readSet(dir string, opts ReadOptions) (*Set, int, error) {
-	npes, perNode, events, sample, err := readMeta(filepath.Join(dir, metaFile))
+	m, err := readMeta(filepath.Join(dir, metaFile))
 	if err != nil {
 		return nil, 0, err
 	}
-	tolerant := opts.Tolerant
-	cfg := Config{PAPIEvents: events, LogicalSample: sample}
-	s := NewSet(cfg, npes, perNode)
-
-	logRes := make([]fileResult[LogicalRecord], npes)
-	papiRes := make([]fileResult[PAPIRecord], npes)
-	var overallRes fileResult[OverallRecord]
-	var physRes fileResult[PhysicalRecord]
-	var segRes fileResult[SegmentRecord]
-
-	tasks := make([]func(), 0, 2*npes+3)
-	for pe := 0; pe < npes; pe++ {
-		pe := pe
-		tasks = append(tasks, func() { logRes[pe] = readLogicalShard(dir, pe, npes, tolerant) })
+	logical := make([]*cell[LogicalRecord], m.npes)
+	papi := make([]*cell[PAPIRecord], m.npes)
+	// physical[0] is the assembled file, physical[1+pe] PE pe's live part.
+	physical := make([]*cell[PhysicalRecord], 1+m.npes)
+	var overall cell[OverallRecord]
+	var segments cell[SegmentRecord]
+	have, skipped, err := walk(dir, m, opts, consumer{
+		logical: func(_, pe int) func(LogicalRecord) {
+			logical[pe] = newCell(&logicalKind, dir, pe)
+			return logical[pe].add()
+		},
+		papi: func(_, pe int) func(PAPIRecord) {
+			papi[pe] = newCell(&papiKind, dir, pe)
+			return papi[pe].add()
+		},
+		overall: func(_, _ int) func(OverallRecord) { return overall.add() },
+		physical: func(_, pe int) func(PhysicalRecord) {
+			physical[1+pe] = newCell(&physicalKind, dir, pe)
+			return physical[1+pe].add()
+		},
+		segments: func(_, _ int) func(SegmentRecord) { return segments.add() },
+	})
+	if err != nil {
+		return nil, 0, err
 	}
-	for pe := 0; pe < npes; pe++ {
-		pe := pe
-		tasks = append(tasks, func() { papiRes[pe] = readPAPIShard(dir, pe, len(events), npes, tolerant) })
+	s := NewSet(m.config(), m.npes, m.perNode)
+	s.Config.Logical, s.Config.Overall, s.Config.Physical = have.logical, have.overall, have.physical
+	for pe := range logical {
+		s.Logical[pe], s.PAPI[pe] = logical[pe].recs, papi[pe].recs
+		s.LogicalSendCount[pe] = int64(len(s.Logical[pe])) * int64(m.sample)
 	}
-	tasks = append(tasks,
-		func() { overallRes = readOverallShard(dir, tolerant) },
-		func() { physRes = readPhysicalShard(dir, npes, tolerant) },
-		func() { segRes = readSegmentsShard(dir, len(events), tolerant) },
-	)
-	runTasks(opts.workers(), tasks)
-
-	// Merge phase: sequential, in file order.
-	skipped := 0
-	scale := int64(s.Config.LogicalSample)
-	for pe, r := range logRes {
-		if r.err != nil {
-			return nil, 0, r.err
+	if have.overall {
+		s.Overall = normalizeOverall(overall.recs)
+	}
+	for _, c := range physical {
+		if c == nil {
+			continue // parts are scanned only in the live fallback
 		}
-		if !r.found {
-			continue
-		}
-		skipped += r.skipped
-		s.Config.Logical = true
-		s.Logical[pe] = r.recs
-		s.LogicalSendCount[pe] = int64(len(r.recs)) * scale
-	}
-	for pe, r := range papiRes {
-		if r.err != nil {
-			return nil, 0, r.err
-		}
-		if !r.found {
-			continue
-		}
-		skipped += r.skipped
-		s.PAPI[pe] = r.recs
-	}
-	if overallRes.err != nil {
-		return nil, 0, overallRes.err
-	}
-	if overallRes.found {
-		skipped += overallRes.skipped
-		s.Config.Overall = true
-		s.Overall = overallRes.recs
-	}
-	if physRes.err != nil {
-		return nil, 0, physRes.err
-	}
-	if physRes.found {
-		skipped += physRes.skipped
-		s.Config.Physical = true
-		for _, r := range physRes.recs {
+		for _, r := range c.recs {
 			s.Physical[r.SrcPE] = append(s.Physical[r.SrcPE], r)
 		}
-	} else if tolerant {
-		// A live streaming dir assembles physical.txt only at Finalize;
-		// until then the records sit in per-PE .part files.
-		partRes := make([]fileResult[PhysicalRecord], npes)
-		partTasks := make([]func(), npes)
-		for pe := 0; pe < npes; pe++ {
-			pe := pe
-			partTasks[pe] = func() { partRes[pe] = readPhysicalPartShard(dir, pe, npes) }
-		}
-		runTasks(opts.workers(), partTasks)
-		for _, r := range partRes {
-			if r.err != nil {
-				return nil, 0, r.err
-			}
-			if !r.found {
-				continue
-			}
-			skipped += r.skipped
-			s.Config.Physical = true
-			for _, rec := range r.recs {
-				s.Physical[rec.SrcPE] = append(s.Physical[rec.SrcPE], rec)
-			}
-		}
 	}
-	if segRes.err != nil {
-		return nil, 0, segRes.err
-	}
-	if segRes.found {
-		skipped += segRes.skipped
-		for _, r := range segRes.recs {
-			if r.PE < 0 || r.PE >= npes {
-				// An out-of-range segment record is corruption, same as
-				// any other reader's PE-range check: skipped when
-				// tolerant, fatal otherwise. (The seed dropped these
-				// silently.)
-				if tolerant {
-					skipped++
-					continue
-				}
-				return nil, 0, fmtErrSegmentRange(r.PE, npes)
-			}
-			s.Segments[r.PE] = append(s.Segments[r.PE], r)
-		}
+	for _, r := range segments.recs {
+		s.Segments[r.PE] = append(s.Segments[r.PE], r)
 	}
 	return s, skipped, nil
 }
 
-func readMeta(path string) (npes, perNode int, events []papi.Event, sample int, err error) {
+// meta is the parsed actorprof_meta.txt: the run parameters every reader
+// needs before it can open a shard.
+type meta struct {
+	npes, perNode, sample int
+	events                []papi.Event
+}
+
+func (m *meta) config() Config {
+	return Config{PAPIEvents: m.events, LogicalSample: m.sample}.withDefaults()
+}
+
+func readMeta(path string) (*meta, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return 0, 0, nil, 0, fmt.Errorf("trace: reading meta: %w", err)
+		return nil, fmt.Errorf("trace: reading meta: %w", err)
 	}
 	defer f.Close()
-	perNode, sample = 1, 1
+	m := &meta{perNode: 1, sample: 1}
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {
 		fields := strings.Fields(sc.Text())
@@ -744,102 +268,47 @@ func readMeta(path string) (npes, perNode int, events []papi.Event, sample int, 
 		}
 		switch fields[0] {
 		case "num_PEs":
-			npes, err = strconv.Atoi(fields[1])
+			m.npes, err = strconv.Atoi(fields[1])
 		case "PEs_per_node":
-			perNode, err = strconv.Atoi(fields[1])
+			m.perNode, err = strconv.Atoi(fields[1])
 		case "logical_sample":
-			sample, err = strconv.Atoi(fields[1])
+			m.sample, err = strconv.Atoi(fields[1])
 		case "papi_events":
 			for _, name := range strings.Split(fields[1], ",") {
 				ev, e := papi.EventByName(name)
 				if e != nil {
-					return 0, 0, nil, 0, e
+					return nil, e
 				}
-				events = append(events, ev)
+				m.events = append(m.events, ev)
 			}
 		}
 		if err != nil {
-			return 0, 0, nil, 0, fmt.Errorf("trace: bad meta line %q: %w", sc.Text(), err)
+			return nil, fmt.Errorf("trace: bad meta line %q: %w", sc.Text(), err)
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return 0, 0, nil, 0, err
+		return nil, err
 	}
-	if npes <= 0 {
-		return 0, 0, nil, 0, fmt.Errorf("trace: meta file %s has no num_PEs", path)
+	if m.npes <= 0 {
+		return nil, fmt.Errorf("trace: meta file %s has no num_PEs", path)
 	}
-	if npes > maxReadPEs {
-		return 0, 0, nil, 0, fmt.Errorf("trace: meta file %s claims %d PEs (max %d); refusing to allocate",
-			path, npes, maxReadPEs)
+	if m.npes > maxReadPEs {
+		return nil, fmt.Errorf("trace: meta file %s claims %d PEs (max %d); refusing to allocate",
+			path, m.npes, maxReadPEs)
 	}
-	if perNode <= 0 || perNode > npes {
-		return 0, 0, nil, 0, fmt.Errorf("trace: meta file %s has PEs_per_node %d for %d PEs", path, perNode, npes)
+	if m.perNode <= 0 || m.perNode > m.npes {
+		return nil, fmt.Errorf("trace: meta file %s has PEs_per_node %d for %d PEs", path, m.perNode, m.npes)
 	}
-	if sample <= 0 {
-		sample = 1 // pre-normalization configs wrote 0 for "keep all"
+	if m.sample <= 0 {
+		m.sample = 1 // pre-normalization configs wrote 0 for "keep all"
 	}
-	return npes, perNode, events, sample, nil
+	return m, nil
 }
 
 // maxReadPEs caps the PE count a meta file may claim: the per-PE slices
 // ReadSet allocates (and the per-PE files it probes) scale with it, so a
 // corrupt meta line must not drive the reader into huge allocations.
 const maxReadPEs = 1 << 20
-
-// fmtErrSegmentRange is the segments reader's PE-range violation.
-func fmtErrSegmentRange(pe, npes int) error {
-	return fmt.Errorf("trace: segments record with PE %d outside [0, %d)", pe, npes)
-}
-
-// checkPERange rejects records whose endpoints fall outside the world
-// declared by the meta file. The analysis layer indexes matrices with
-// these values directly, so admitting them here would turn a corrupt
-// trace line into an index-out-of-range panic during visualization.
-func checkPERange(kind string, src, dst, npes int) error {
-	if src < 0 || src >= npes {
-		return fmt.Errorf("trace: %s record with src PE %d outside [0, %d)", kind, src, npes)
-	}
-	if dst < 0 || dst >= npes {
-		return fmt.Errorf("trace: %s record with dst PE %d outside [0, %d)", kind, dst, npes)
-	}
-	return nil
-}
-
-// scanErr classifies a scanner error for tolerant mode: a too-long line
-// is content corruption (count it as skipped, stop parsing), anything
-// else (a real I/O failure) stays fatal.
-func scanErr(err error, tolerant bool, skipped *int) error {
-	if err != nil && tolerant && errors.Is(err, bufio.ErrTooLong) {
-		*skipped++
-		return nil
-	}
-	return err
-}
-
-// scanOverallCSV parses overall.txt lines: only "Absolute" lines carry
-// data ("Relative" lines are derived and re-derivable).
-func scanOverallCSV(r io.Reader, tolerant bool, yield func(OverallRecord)) (int, error) {
-	skipped := 0
-	sc := newLineScanner(r)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if !strings.HasPrefix(line, "Absolute ") {
-			continue
-		}
-		var pe int
-		var m, c, p int64
-		if _, err := fmt.Sscanf(line, "Absolute [PE%d] TCOMM_PROFILING (%d, %d, %d)",
-			&pe, &m, &c, &p); err != nil {
-			if tolerant {
-				skipped++
-				continue
-			}
-			return 0, fmt.Errorf("trace: bad overall line %q: %w", line, err)
-		}
-		yield(OverallRecord{PE: pe, TMain: m, TComm: c, TProc: p, TTotal: m + c + p})
-	}
-	return skipped, scanErr(sc.Err(), tolerant, &skipped)
-}
 
 // normalizeOverall dedupes overall records by PE (last record wins, as
 // the seed's map-based reader behaved) and sorts by PE.

@@ -1,11 +1,26 @@
 package trace
 
 import (
+	"bufio"
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
+
+// apbf encodes rows as one APBF file of the given kind.
+func apbf(kind byte, rows ...[]int64) string {
+	var buf bytes.Buffer
+	w := bufio.NewWriter(&buf)
+	b := newBinWriter(w, kind, len(rows[0]))
+	for _, row := range rows {
+		b.push(row...)
+	}
+	b.finish()
+	w.Flush()
+	return buf.String()
+}
 
 // writeTraceDir materializes a trace directory from file name -> content.
 func writeTraceDir(t *testing.T, files map[string]string) string {
@@ -157,6 +172,32 @@ func TestReadSetErrorPaths(t *testing.T) {
 				"overall.txt":        "Absolute [PEx] TCOMM_PROFILING (1, 2, 3)\n",
 			},
 			wantErr: "bad overall line",
+		},
+		{
+			// Overall records outside the world used to be admitted here
+			// and dropped silently by every consumer.
+			name: "overall PE out of range",
+			files: map[string]string{
+				"actorprof_meta.txt": goodMeta,
+				"overall.txt":        "Absolute [PE4] TCOMM_PROFILING (1, 2, 3)\n",
+			},
+			wantErr: "overall record with PE 4 outside",
+		},
+		{
+			name: "binary overall PE out of range",
+			files: map[string]string{
+				"actorprof_meta.txt": goodMeta,
+				"overall.bin":        apbf(binKindOverall, []int64{0, 1, 2, 3}, []int64{-1, 1, 2, 3}),
+			},
+			wantErr: "overall record with PE -1 outside",
+		},
+		{
+			name: "binary physical with unknown send type",
+			files: map[string]string{
+				"actorprof_meta.txt": goodMeta,
+				"physical.bin":       apbf(binKindPhysical, []int64{7, 1024, 0, 1, 0}),
+			},
+			wantErr: "unknown send type 7",
 		},
 	}
 	for _, tc := range cases {

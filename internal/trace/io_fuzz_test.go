@@ -11,7 +11,7 @@ import (
 // by content like ReadSet does).
 func fuzzReadLogical(dir string, tolerant bool) ([]LogicalRecord, int, error) {
 	var recs []LogicalRecord
-	_, skipped, err := scanLogicalShard(dir, 0, maxReadPEs, tolerant, func(r LogicalRecord) {
+	_, skipped, err := scanShard(&logicalKind, dir, 0, &meta{npes: maxReadPEs}, tolerant, func(r LogicalRecord) {
 		recs = append(recs, r)
 	})
 	return recs, skipped, err
@@ -43,9 +43,7 @@ func FuzzReadLogicalFile(f *testing.F) {
 		}
 		// Idempotence: emit the parsed records in the writer's format and
 		// parse again - must reproduce the same records.
-		s := NewSet(Config{Logical: true}, 1, 1)
-		s.Logical[0] = recs
-		if err := s.writeLogical(dir, 0); err != nil {
+		if err := writeShard(&logicalKind, dir, 0, FormatCSV, nil, recs); err != nil {
 			t.Fatal(err)
 		}
 		again, _, err := fuzzReadLogical(dir, false)
@@ -120,7 +118,10 @@ func FuzzBinaryLogicalShard(f *testing.F) {
 // FuzzReadSet drives the whole trace-directory reader over hostile file
 // contents: first with the fuzz data as the meta file itself, then with
 // a valid meta and the data in every per-PE and shared file. ReadSet
-// must return a set or an error, never panic.
+// must return a set or an error, never panic. On the second directory
+// the two tolerant readers are also each other's differential oracle:
+// they share one walker, so ReadSummary must fold exactly the records
+// ReadSetLive admits, with the same skipped count.
 func FuzzReadSet(f *testing.F) {
 	f.Add([]byte(""))
 	f.Add([]byte("num_PEs 1\nPEs_per_node 1\nlogical_sample 1\n"))
@@ -129,6 +130,8 @@ func FuzzReadSet(f *testing.F) {
 	f.Add([]byte("local_send,64,0,0\n"))
 	f.Add([]byte("[PE0] SEGMENT relax count=3 cycles=99\n"))
 	f.Add([]byte("[PE0] SEGMENT x count=y\n"))
+	f.Add([]byte("0,0,0,1,8,0,1,42\n0,1,0,0,8,-1,0,7\n"))
+	f.Add([]byte("Absolute [PE7] TCOMM_PROFILING (1, 2, 3)\n[PE7] SEGMENT x count=1 cycles=2\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Case 1: the meta file itself is hostile.
 		dirA := t.TempDir()
@@ -140,7 +143,7 @@ func FuzzReadSet(f *testing.F) {
 
 		// Case 2: valid meta, hostile everything else.
 		dirB := t.TempDir()
-		meta := []byte("num_PEs 2\nPEs_per_node 2\nlogical_sample 1\n")
+		meta := []byte("num_PEs 2\nPEs_per_node 2\npapi_events PAPI_TOT_INS\nlogical_sample 1\n")
 		if err := os.WriteFile(filepath.Join(dirB, "actorprof_meta.txt"), meta, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -156,8 +159,19 @@ func FuzzReadSet(f *testing.F) {
 		_, _ = ReadSet(dirB)
 		// The live reader must tolerate the same hostility without error:
 		// with a valid meta, content-level corruption is skipped, not fatal.
-		if _, _, err := ReadSetLive(dirB); err != nil {
+		set, skipped, err := ReadSetLive(dirB)
+		if err != nil {
 			t.Fatalf("ReadSetLive errored on content corruption: %v", err)
+		}
+		sum, sumSkipped, err := ReadSummary(dirB, ReadOptions{Tolerant: true})
+		if err != nil {
+			t.Fatalf("ReadSummary errored on content corruption: %v", err)
+		}
+		if sumSkipped != skipped {
+			t.Fatalf("ReadSummary skipped %d, ReadSetLive skipped %d", sumSkipped, skipped)
+		}
+		if want := set.Summary(); !reflect.DeepEqual(sum, want) {
+			t.Fatalf("ReadSummary differs from ReadSetLive(...).Summary():\n got %+v\nwant %+v", sum, want)
 		}
 	})
 }

@@ -18,40 +18,11 @@ import (
 // defaultWorkers is the worker count used when ReadOptions.Workers <= 0.
 func defaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
-// runTasks executes every task on a pool of at most workers goroutines.
-// Tasks communicate results only through slots they own.
-func runTasks(workers int, tasks []func()) {
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	if workers <= 1 {
-		for _, t := range tasks {
-			t()
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(tasks) {
-					return
-				}
-				tasks[i]()
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// runWorkerTasks is runTasks with worker-local state: each task receives
-// the index of the worker executing it, so tasks can fold into
-// per-worker partial accumulators (merged by the caller afterwards).
-// Only commutative merges may use this - the assignment of tasks to
+// runWorkerTasks executes every task on a pool of at most workers
+// goroutines. Tasks communicate results only through slots they own, or -
+// each task receives the index of the worker executing it - through
+// per-worker partial accumulators the caller merges afterwards. Only
+// commutative merges may use the latter: the assignment of tasks to
 // workers is scheduling-dependent.
 func runWorkerTasks(workers int, tasks []func(worker int)) {
 	if workers > len(tasks) {

@@ -22,51 +22,16 @@ import (
 // fastio.go (CSV) and binary.go (APBF) into per-stream scratch, so the
 // hot path stays allocation-free.
 
-// peStream holds one PE's open trace files in streaming mode: a CSV
-// sink and/or a binary sink per enabled record kind.
+// peStream holds one PE's open trace files in streaming mode: for each
+// enabled record kind, one sink per encoding of Config.Format.
 type peStream struct {
-	logicalF, papiF, physF *os.File
-	logical, papi, phys    *bufio.Writer
-
-	logicalBF, papiBF, physBF    *os.File
-	logicalBW, papiBW, physBW    *bufio.Writer
-	logicalBin, papiBin, physBin *binWriter
-
-	// buf is the CSV line-append scratch, reused per record; papiRow is
-	// the binary PAPI column scratch.
-	buf     []byte
-	papiRow []int64
+	logical sinks[LogicalRecord]
+	papi    sinks[PAPIRecord]
+	phys    sinks[PhysicalRecord]
 }
 
-func (s *peStream) flushClose() error {
-	var first error
-	flush := func(w *bufio.Writer, f *os.File) {
-		if w != nil {
-			if err := w.Flush(); err != nil && first == nil {
-				first = err
-			}
-		}
-		if f != nil {
-			if err := f.Close(); err != nil && first == nil {
-				first = err
-			}
-		}
-	}
-	finish := func(b *binWriter, w *bufio.Writer, f *os.File) {
-		if b != nil {
-			if err := b.finish(); err != nil && first == nil {
-				first = err
-			}
-		}
-		flush(w, f)
-	}
-	flush(s.logical, s.logicalF)
-	flush(s.papi, s.papiF)
-	flush(s.phys, s.physF)
-	finish(s.logicalBin, s.logicalBW, s.logicalBF)
-	finish(s.papiBin, s.papiBW, s.papiBF)
-	finish(s.physBin, s.physBW, s.physBF)
-	return first
+func (s *peStream) close() error {
+	return errors.Join(s.logical.close(), s.papi.close(), s.phys.close())
 }
 
 // NewStreamingCollector creates a collector that writes records straight
@@ -98,67 +63,21 @@ func NewStreamingCollector(cfg Config, machine sim.Machine, dir string) (*Collec
 func (c *Collector) Streaming() bool { return c.streamDir != "" }
 
 // openStreams creates the per-PE files lazily at ForPE time.
-func (c *Collector) openStreams(pe int) (*peStream, error) {
-	s := &peStream{}
-	format := c.cfg.Format
-	openCSV := func(name string) (*os.File, *bufio.Writer, error) {
-		f, err := os.Create(filepath.Join(c.streamDir, name))
-		if err != nil {
-			return nil, nil, err
-		}
-		return f, bufio.NewWriterSize(f, 1<<16), nil
-	}
-	openBin := func(name string, kind byte, ncols int) (*os.File, *bufio.Writer, *binWriter, error) {
-		f, err := os.Create(filepath.Join(c.streamDir, name))
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		w := bufio.NewWriterSize(f, 1<<16)
-		b := newBinWriter(w, kind, ncols)
-		// Flush the header so a live reader sniffing the file sees the
-		// magic immediately, not after 64 KB of buffered blocks.
-		if err := w.Flush(); err != nil {
-			f.Close()
-			return nil, nil, nil, err
-		}
-		return f, w, b, nil
-	}
-	var err error
+func (c *Collector) openStreams(pe int) (s *peStream, err error) {
+	s = &peStream{}
+	format, events := c.cfg.Format, eventNames(c.cfg.PAPIEvents)
 	if c.cfg.Logical {
-		if format.csv() {
-			if s.logicalF, s.logical, err = openCSV(logicalFile(pe)); err != nil {
-				return nil, err
-			}
-		}
-		if format.binary() {
-			if s.logicalBF, s.logicalBW, s.logicalBin, err = openBin(logicalBinFile(pe), binKindLogical, 5); err != nil {
-				return nil, err
-			}
-		}
+		s.logical, err = openSinks(&logicalKind, c.streamDir, pe, format, events)
 	}
-	if nev := len(c.cfg.PAPIEvents); nev > 0 {
-		if format.csv() {
-			if s.papiF, s.papi, err = openCSV(papiFile(pe)); err != nil {
-				return nil, err
-			}
-		}
-		if format.binary() {
-			if s.papiBF, s.papiBW, s.papiBin, err = openBin(papiBinFile(pe), binKindPAPI, 7+nev); err != nil {
-				return nil, err
-			}
-		}
+	if err == nil && len(events) > 0 {
+		s.papi, err = openSinks(&papiKind, c.streamDir, pe, format, events)
 	}
-	if c.cfg.Physical {
-		if format.csv() {
-			if s.physF, s.phys, err = openCSV(physicalPart(pe)); err != nil {
-				return nil, err
-			}
-		}
-		if format.binary() {
-			if s.physBF, s.physBW, s.physBin, err = openBin(physicalPartBin(pe), binKindPhysical, binPhysicalCols); err != nil {
-				return nil, err
-			}
-		}
+	if err == nil && c.cfg.Physical {
+		s.phys, err = openSinks(&physicalPartKind, c.streamDir, pe, format, events)
+	}
+	if err != nil {
+		s.close()
+		return nil, err
 	}
 	return s, nil
 }
@@ -188,7 +107,7 @@ func (c *Collector) Finalize() error {
 		if s == nil {
 			continue
 		}
-		if err := s.flushClose(); err != nil {
+		if err := s.close(); err != nil {
 			closeErrs = append(closeErrs, fmt.Errorf("trace: closing PE %d stream files: %w", pe, err))
 		}
 		c.streams[pe] = nil
@@ -202,32 +121,12 @@ func (c *Collector) Finalize() error {
 	if err := c.set.writeMeta(c.streamDir); err != nil {
 		return err
 	}
-	if c.cfg.Overall {
-		if c.cfg.Format.csv() {
-			if err := c.set.writeOverall(c.streamDir); err != nil {
-				return err
-			}
-		}
-		if c.cfg.Format.binary() {
-			if err := c.set.writeOverallBin(c.streamDir); err != nil {
-				return err
-			}
-		}
-	}
-	// Segments are aggregated in memory even in streaming mode (they are
-	// O(PEs x names), not O(records)), so they are written here like the
-	// overall breakdown. The seed's streaming Finalize omitted them,
-	// leaving streamed directories without segments.txt.
-	if c.set.hasSegments() {
-		if c.cfg.Format.csv() {
-			if err := c.set.writeSegments(c.streamDir); err != nil {
-				return err
-			}
-		}
-		if c.cfg.Format.binary() {
-			if err := c.set.writeSegmentsBin(c.streamDir); err != nil {
-				return err
-			}
+	// The overall breakdown and the segments are aggregated in memory even
+	// in streaming mode (they are O(PEs x names), not O(records)), so
+	// they are written here exactly as WriteFiles writes them.
+	for _, job := range c.set.summaryJobs(c.streamDir) {
+		if err := job(); err != nil {
+			return err
 		}
 	}
 	if c.cfg.Physical {
@@ -247,20 +146,13 @@ func (c *Collector) Finalize() error {
 
 // assemblePhysical concatenates the per-PE physical parts into the
 // directory-level physical file(s), removing the parts only after every
-// enabled format has assembled durably.
+// enabled encoding has assembled durably.
 func (c *Collector) assemblePhysical() error {
-	if c.cfg.Format.csv() {
-		if err := c.assemblePhysicalCSV(); err != nil {
+	for _, binary := range c.cfg.Format.encodings() {
+		if err := c.concatParts(binary); err != nil {
 			return err
 		}
 	}
-	if c.cfg.Format.binary() {
-		if err := c.assemblePhysicalBin(); err != nil {
-			return err
-		}
-	}
-	// Only after the assembled outputs are durably complete do the
-	// parts go away.
 	for pe := 0; pe < c.machine.NumPEs; pe++ {
 		os.Remove(filepath.Join(c.streamDir, physicalPart(pe)))
 		os.Remove(filepath.Join(c.streamDir, physicalPartBin(pe)))
@@ -268,156 +160,59 @@ func (c *Collector) assemblePhysical() error {
 	return nil
 }
 
-// assemblePhysicalCSV concatenates the CSV parts into physical.txt,
-// removing the half-written physical.txt on failure.
-func (c *Collector) assemblePhysicalCSV() (err error) {
-	outPath := filepath.Join(c.streamDir, physicalFile)
-	out, err := os.Create(outPath)
+// concatParts assembles one encoding's parts into physical.txt or
+// physical.bin through the sink every other writer uses - so the APBF
+// header is the writer's own - copying the parts' bytes verbatim behind
+// it. On failure the half-written output is removed (never leave a
+// truncated file that readers would trust); the parts, which still hold
+// the data, stay.
+func (c *Collector) concatParts(binary bool) (err error) {
+	out, err := openSink(&physicalKind, c.streamDir, 0, binary, nil)
 	if err != nil {
 		return err
 	}
 	defer func() {
-		if out != nil {
-			err = errors.Join(err, out.Close())
-		}
-		if err != nil {
-			// Leave the .part files (they still hold the data) but never
-			// a truncated physical.txt that readers would trust.
-			os.Remove(outPath)
+		if err = errors.Join(err, out.close()); err != nil {
+			os.Remove(out.f.Name())
 		}
 	}()
-	w := bufio.NewWriterSize(out, 1<<16)
 	for pe := 0; pe < c.machine.NumPEs; pe++ {
-		part := filepath.Join(c.streamDir, physicalPart(pe))
-		in, openErr := os.Open(part)
-		if openErr != nil {
-			if os.IsNotExist(openErr) {
-				continue
-			}
-			return openErr
+		part := physicalPart(pe)
+		if binary {
+			part = physicalPartBin(pe)
 		}
-		_, copyErr := io.Copy(w, in)
-		if err := errors.Join(copyErr, in.Close()); err != nil {
+		if err := copyPart(out.w, filepath.Join(c.streamDir, part), binary); err != nil {
 			return err
 		}
 	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	closeErr := out.Close()
-	out = nil
-	return closeErr
+	return nil
 }
 
-// assemblePhysicalBin concatenates the binary parts into physical.bin:
-// one output header, then every part's blocks with their own headers
-// stripped (each part is validated to carry the physical kind and
-// column count, so the concatenated block stream stays well formed).
-func (c *Collector) assemblePhysicalBin() (err error) {
-	outPath := filepath.Join(c.streamDir, physicalBinFile)
-	out, err := os.Create(outPath)
+// copyPart appends one part file's records to w. A binary part's own
+// header is validated (physical kind, the writer's column count) and
+// stripped, so the concatenated block stream stays well formed. A
+// missing or empty part contributes nothing.
+func copyPart(w io.Writer, part string, binary bool) error {
+	in, err := os.Open(part)
 	if err != nil {
+		if os.IsNotExist(err) {
+			return nil
+		}
 		return err
 	}
-	defer func() {
-		if out != nil {
-			err = errors.Join(err, out.Close())
-		}
-		if err != nil {
-			os.Remove(outPath)
-		}
-	}()
-	w := bufio.NewWriterSize(out, 1<<16)
-	hdr := newBinWriter(w, binKindPhysical, binPhysicalCols)
-	if err := hdr.finish(); err != nil {
-		return err
-	}
-	for pe := 0; pe < c.machine.NumPEs; pe++ {
-		part := filepath.Join(c.streamDir, physicalPartBin(pe))
-		in, openErr := os.Open(part)
-		if openErr != nil {
-			if os.IsNotExist(openErr) {
-				continue
-			}
-			return openErr
-		}
+	defer in.Close()
+	var r io.Reader = in
+	if binary {
 		br := bufio.NewReaderSize(in, 1<<16)
-		d, hdrErr := newBinReader(br, part, binKindPhysical, binPhysicalMinCols)
-		if hdrErr != nil {
-			in.Close()
-			return hdrErr
-		}
-		if d != nil { // nil means an empty part: nothing to copy
-			if d.ncols != binPhysicalCols {
-				in.Close()
-				return fmt.Errorf("trace: %s: physical part has %d columns, want %d", part, d.ncols, binPhysicalCols)
-			}
-			if _, copyErr := io.Copy(w, br); copyErr != nil {
-				in.Close()
-				return copyErr
-			}
-		}
-		if err := in.Close(); err != nil {
+		d, err := newBinReader(br, part, binKindPhysical, binPhysicalMinCols)
+		if err != nil || d == nil {
 			return err
 		}
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	closeErr := out.Close()
-	out = nil
-	return closeErr
-}
-
-// Streaming write paths, called from the PECollector hot path. Errors
-// are sticky in the underlying writers and surface at Finalize.
-
-func (p *PECollector) streamLogical(r LogicalRecord) {
-	s := p.stream
-	if s.logical != nil {
-		s.buf = appendLogical(s.buf[:0], r)
-		s.logical.Write(s.buf)
-	}
-	if s.logicalBin != nil {
-		s.logicalBin.push(int64(r.SrcNode), int64(r.SrcPE), int64(r.DstNode), int64(r.DstPE), int64(r.MsgSize))
-	}
-}
-
-func (p *PECollector) streamPAPI(r PAPIRecord) {
-	s := p.stream
-	if s.papi != nil {
-		s.buf = appendPAPI(s.buf[:0], r)
-		s.papi.Write(s.buf)
-	}
-	if s.papiBin != nil {
-		nev := len(p.parent.cfg.PAPIEvents)
-		row := s.papiRow
-		if cap(row) < 7+nev {
-			row = make([]int64, 7+nev)
-			s.papiRow = row
+		if d.ncols != binPhysicalCols {
+			return fmt.Errorf("trace: %s: physical part has %d columns, want %d", part, d.ncols, binPhysicalCols)
 		}
-		row = row[:7+nev]
-		row[0], row[1] = int64(r.SrcNode), int64(r.SrcPE)
-		row[2], row[3] = int64(r.DstNode), int64(r.DstPE)
-		row[4], row[5], row[6] = int64(r.PktSize), int64(r.MailboxID), int64(r.NumSends)
-		for i := 0; i < nev; i++ {
-			if i < len(r.Counters) {
-				row[7+i] = r.Counters[i]
-			} else {
-				row[7+i] = 0
-			}
-		}
-		s.papiBin.push(row...)
+		r = br
 	}
-}
-
-func (p *PECollector) streamPhysical(r PhysicalRecord) {
-	s := p.stream
-	if s.phys != nil {
-		s.buf = appendPhysical(s.buf[:0], r)
-		s.phys.Write(s.buf)
-	}
-	if s.physBin != nil {
-		s.physBin.push(int64(r.Kind), int64(r.BufBytes), int64(r.SrcPE), int64(r.DstPE), r.Cycles)
-	}
+	_, err = io.Copy(w, r)
+	return err
 }

@@ -150,7 +150,7 @@ func TestStreamingCollectorBadDirectory(t *testing.T) {
 }
 
 func TestFinalizeClosesAllStreamsOnError(t *testing.T) {
-	// Regression: Finalize used to return on the first flushClose error,
+	// Regression: Finalize used to return on the first stream close error,
 	// leaving every later PE's streams open (fd leak). All streams must
 	// be closed even when one of them fails.
 	dir := t.TempDir()
@@ -170,9 +170,9 @@ func TestFinalizeClosesAllStreamsOnError(t *testing.T) {
 	// file underneath the bufio writer makes its flush fail.
 	var files []*os.File
 	for _, s := range c.streams {
-		files = append(files, s.logicalF, s.physF)
+		files = append(files, s.logical[0].f, s.phys[0].f)
 	}
-	if err := c.streams[1].logicalF.Close(); err != nil {
+	if err := c.streams[1].logical[0].f.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Finalize(); err == nil {

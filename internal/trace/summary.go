@@ -89,11 +89,7 @@ func (m *Summary) LogicalMatrix() Matrix {
 func (m *Summary) PhysicalMatrix() Matrix {
 	out := NewMatrix(m.NumPEs)
 	for _, kind := range []conveyor.SendKind{conveyor.LocalSend, conveyor.NonblockSend} {
-		for i, row := range m.Physical[kind] {
-			for j, v := range row {
-				out[i][j] += v
-			}
-		}
+		addMatrix(out, m.Physical[kind])
 	}
 	return out
 }
@@ -177,380 +173,128 @@ func (s *Set) Summary() *Summary {
 // scheduling-dependent assignment of files to workers cannot change the
 // merged result (DESIGN.md §10).
 type summaryPartial struct {
-	npes    int
 	logical Matrix
 	phys    map[conveyor.SendKind]Matrix
 	papi    [][]int64
 	msg     stats.Stream
 }
 
-func (p *summaryPartial) logicalYield(scale int64) func(LogicalRecord) {
-	if p.logical == nil {
-		p.logical = NewMatrix(p.npes)
-	}
-	m := p.logical
-	return func(r LogicalRecord) {
-		m[r.SrcPE][r.DstPE] += scale
-		p.msg.Observe(int64(r.MsgSize))
-	}
-}
-
-func (p *summaryPartial) papiYield(pe, nEvents int) func(PAPIRecord) {
-	if p.papi == nil {
-		p.papi = make([][]int64, nEvents)
-		for i := range p.papi {
-			p.papi[i] = make([]int64, p.npes)
-		}
-	}
-	return func(r PAPIRecord) {
-		for ev := 0; ev < nEvents && ev < len(r.Counters); ev++ {
-			p.papi[ev][pe] += r.Counters[ev]
+// addMatrix adds src (nil, or dst's shape) into dst cell by cell.
+func addMatrix(dst, src Matrix) {
+	for i, row := range src {
+		for j, v := range row {
+			dst[i][j] += v
 		}
 	}
 }
 
-func (p *summaryPartial) physicalYield() func(PhysicalRecord) {
-	if p.phys == nil {
-		p.phys = map[conveyor.SendKind]Matrix{}
+func newPAPITotals(nEvents, npes int) [][]int64 {
+	out := make([][]int64, nEvents)
+	for i := range out {
+		out[i] = make([]int64, npes)
 	}
-	return func(r PhysicalRecord) {
-		m := p.phys[r.Kind]
-		if m == nil {
-			m = NewMatrix(p.npes)
-			p.phys[r.Kind] = m
-		}
-		m[r.SrcPE][r.DstPE]++
-	}
-}
-
-// taskMark is one parse task's found/skipped/error slot.
-type taskMark struct {
-	found   bool
-	skipped int
-	err     error
+	return out
 }
 
 // ReadSummary scans a trace directory into a Summary without ever
-// materializing record slices: per-PE files parse in parallel (like
-// ReadSetOptions) and every record folds into per-worker partial
-// matrices that merge by exact integer addition. opts.Tolerant has
-// ReadSetLive semantics; the skipped count matches what ReadSetOptions
-// would report for the same directory.
+// materializing record slices: the walker plus yields that fold every
+// record into per-worker partial matrices, merged afterwards by exact
+// integer addition. opts.Tolerant has ReadSetLive semantics; the skipped
+// count matches what ReadSetOptions would report for the same directory.
 func ReadSummary(dir string, opts ReadOptions) (*Summary, int, error) {
-	npes, perNode, events, sample, err := readMeta(filepath.Join(dir, metaFile))
+	md, err := readMeta(filepath.Join(dir, metaFile))
 	if err != nil {
 		return nil, 0, err
 	}
-	tolerant := opts.Tolerant
-	nEvents := len(events)
+	npes, nEvents, scale := md.npes, len(md.events), int64(md.sample)
 	m := &Summary{
 		NumPEs:     npes,
-		PEsPerNode: perNode,
-		Config:     Config{PAPIEvents: events, LogicalSample: sample},
+		PEsPerNode: md.perNode,
+		Config:     md.config(),
 		Segments:   make([][]SegmentRecord, npes),
 	}
-
-	workers := opts.workers()
-	if workers > 2*npes+1 {
-		workers = 2*npes + 1
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	partials := make([]*summaryPartial, workers)
+	var overall cell[OverallRecord]
+	// One allocation per worker: partials packed into one array would
+	// bounce a cache line between workers on every record.
+	partials := make([]*summaryPartial, opts.poolSize(npes))
 	for i := range partials {
-		partials[i] = &summaryPartial{npes: npes}
+		partials[i] = &summaryPartial{}
 	}
-
-	logMarks := make([]taskMark, npes)
-	papiMarks := make([]taskMark, npes)
-	var physMark taskMark
-	tasks := make([]func(worker int), 0, 2*npes+1)
-	scale := int64(sample)
-	for pe := 0; pe < npes; pe++ {
-		pe := pe
-		tasks = append(tasks, func(w int) {
-			t := &logMarks[pe]
-			t.found, t.skipped, t.err = scanLogicalShard(dir, pe, npes, tolerant, partials[w].logicalYield(scale))
-		})
-	}
-	for pe := 0; pe < npes; pe++ {
-		pe := pe
-		tasks = append(tasks, func(w int) {
-			t := &papiMarks[pe]
-			t.found, t.skipped, t.err = scanPAPIShard(dir, pe, nEvents, npes, tolerant, partials[w].papiYield(pe, nEvents))
-		})
-	}
-	tasks = append(tasks, func(w int) {
-		physMark.found, physMark.skipped, physMark.err = scanPhysicalShard(dir, -1, npes, tolerant, partials[w].physicalYield())
+	have, skipped, err := walk(dir, md, opts, consumer{
+		logical: func(w, _ int) func(LogicalRecord) {
+			p := partials[w]
+			if p.logical == nil {
+				p.logical = NewMatrix(npes)
+			}
+			return func(r LogicalRecord) {
+				p.logical[r.SrcPE][r.DstPE] += scale
+				p.msg.Observe(int64(r.MsgSize))
+			}
+		},
+		papi: func(w, pe int) func(PAPIRecord) {
+			p := partials[w]
+			if p.papi == nil {
+				p.papi = newPAPITotals(nEvents, npes)
+			}
+			return func(r PAPIRecord) {
+				for ev := 0; ev < nEvents && ev < len(r.Counters); ev++ {
+					p.papi[ev][pe] += r.Counters[ev]
+				}
+			}
+		},
+		overall: func(_, _ int) func(OverallRecord) { return overall.add() },
+		physical: func(w, _ int) func(PhysicalRecord) {
+			p := partials[w]
+			if p.phys == nil {
+				p.phys = map[conveyor.SendKind]Matrix{}
+			}
+			return func(r PhysicalRecord) {
+				mat := p.phys[r.Kind]
+				if mat == nil {
+					mat = NewMatrix(npes)
+					p.phys[r.Kind] = mat
+				}
+				mat[r.SrcPE][r.DstPE]++
+			}
+		},
+		segments: func(_, _ int) func(SegmentRecord) {
+			return func(r SegmentRecord) { m.Segments[r.PE] = append(m.Segments[r.PE], r) }
+		},
 	})
-	runWorkerTasks(workers, tasks)
-
-	skipped := 0
-	for _, t := range logMarks {
-		if t.err != nil {
-			return nil, 0, t.err
-		}
-		if t.found {
-			skipped += t.skipped
-			m.Config.Logical = true
-		}
+	if err != nil {
+		return nil, 0, err
 	}
-	for _, t := range papiMarks {
-		if t.err != nil {
-			return nil, 0, t.err
-		}
-		if t.found {
-			skipped += t.skipped
-		}
+	m.Config.Logical, m.Config.Overall, m.Config.Physical = have.logical, have.overall, have.physical
+	m.Overall = normalizeOverall(overall.recs)
+	// The result has the shape (*Set).Summary gives the same directory: a
+	// feature that was found reads as an all-zero aggregate, not as
+	// absent, even when its files held no records.
+	if have.logical {
+		m.Logical = NewMatrix(npes)
 	}
-
-	// Overall is one small file; scan it sequentially between the error
-	// checks so error precedence matches readSet (logical, PAPI,
-	// overall, physical, segments).
-	var overall []OverallRecord
-	overallFound, overallSkipped, overallErr := scanOverallShard(dir, tolerant,
-		func(r OverallRecord) { overall = append(overall, r) })
-	if overallErr != nil {
-		return nil, 0, overallErr
-	}
-	if overallFound {
-		skipped += overallSkipped
-		m.Config.Overall = true
-		m.Overall = normalizeOverall(overall)
-	}
-
-	if physMark.err != nil {
-		return nil, 0, physMark.err
-	}
-	if physMark.found {
-		skipped += physMark.skipped
-		m.Config.Physical = true
-	} else if tolerant {
-		// Unassembled streaming run: fold the per-PE .part files.
-		partMarks := make([]taskMark, npes)
-		partTasks := make([]func(worker int), npes)
-		for pe := 0; pe < npes; pe++ {
-			pe := pe
-			partTasks[pe] = func(w int) {
-				t := &partMarks[pe]
-				t.found, t.skipped, t.err = scanPhysicalShard(dir, pe, npes, true, partials[w].physicalYield())
-			}
-		}
-		runWorkerTasks(workers, partTasks)
-		for _, t := range partMarks {
-			if t.err != nil {
-				return nil, 0, t.err
-			}
-			if t.found {
-				skipped += t.skipped
-				m.Config.Physical = true
-			}
-		}
-	}
-
-	var segExtra int
-	var segErr error
-	_, segSkipped, err2 := scanSegmentsShard(dir, nEvents, tolerant, func(r SegmentRecord) {
-		if r.PE < 0 || r.PE >= npes {
-			if tolerant {
-				segExtra++ // safe: the sequential scan is the only writer
-				return
-			}
-			if segErr == nil {
-				segErr = fmtErrSegmentRange(r.PE, npes)
-			}
-			return
-		}
-		if segErr == nil {
-			m.Segments[r.PE] = append(m.Segments[r.PE], r)
-		}
-	})
-	if err2 == nil {
-		err2 = segErr
-	}
-	if err2 != nil {
-		return nil, 0, err2
-	}
-	skipped += segSkipped + segExtra
-
-	// Merge the worker partials: exact integer sums, any order.
-	for _, p := range partials {
-		if p.logical != nil {
-			if m.Logical == nil {
-				m.Logical = NewMatrix(npes)
-			}
-			for i, row := range p.logical {
-				for j, v := range row {
-					m.Logical[i][j] += v
-				}
-			}
-		}
-		m.MsgBytes.Merge(p.msg)
-		if p.phys != nil {
-			if m.Physical == nil {
-				m.Physical = map[conveyor.SendKind]Matrix{}
-			}
-			for kind, mat := range p.phys {
-				dst := m.Physical[kind]
-				if dst == nil {
-					dst = NewMatrix(npes)
-					m.Physical[kind] = dst
-				}
-				for i, row := range mat {
-					for j, v := range row {
-						dst[i][j] += v
-					}
-				}
-			}
-		}
-		if p.papi != nil {
-			if m.PAPITotals == nil {
-				m.PAPITotals = make([][]int64, nEvents)
-				for i := range m.PAPITotals {
-					m.PAPITotals[i] = make([]int64, npes)
-				}
-			}
-			for ev := range p.papi {
-				for pe, v := range p.papi[ev] {
-					m.PAPITotals[ev][pe] += v
-				}
-			}
-		}
-	}
-	if m.Config.Logical && m.Logical == nil {
-		m.Logical = NewMatrix(npes) // logical files existed but held no records
-	}
-	if m.Config.Physical && m.Physical == nil {
+	if have.physical {
 		m.Physical = map[conveyor.SendKind]Matrix{}
 	}
-	if nEvents > 0 && m.PAPITotals == nil {
-		m.PAPITotals = make([][]int64, nEvents)
-		for i := range m.PAPITotals {
-			m.PAPITotals[i] = make([]int64, npes)
+	if nEvents > 0 {
+		m.PAPITotals = newPAPITotals(nEvents, npes)
+	}
+	// Merge the worker partials: exact integer sums, any order.
+	for _, p := range partials {
+		if have.logical {
+			addMatrix(m.Logical, p.logical)
+		}
+		m.MsgBytes.Merge(p.msg)
+		for kind, mat := range p.phys {
+			if m.Physical[kind] == nil {
+				m.Physical[kind] = NewMatrix(npes)
+			}
+			addMatrix(m.Physical[kind], mat)
+		}
+		for ev := range p.papi {
+			for pe, v := range p.papi[ev] {
+				m.PAPITotals[ev][pe] += v
+			}
 		}
 	}
 	return m, skipped, nil
-}
-
-// Visitor receives every record of a trace directory during Accumulate.
-// Nil callbacks skip their record kind's files entirely (the files are
-// not even opened), which is how callers avoid paying for traces they
-// do not consume.
-type Visitor struct {
-	Logical  func(pe int, r LogicalRecord)
-	PAPI     func(pe int, r PAPIRecord)
-	Physical func(r PhysicalRecord)
-	Overall  func(r OverallRecord)
-	Segment  func(r SegmentRecord)
-}
-
-// Info describes the trace directory Accumulate walked: the meta-file
-// parameters plus which features were actually found on disk.
-type Info struct {
-	NumPEs     int
-	PEsPerNode int
-	Config     Config
-}
-
-// Accumulate streams every record of a trace directory through v on the
-// calling goroutine, in deterministic order: logical files PE 0..n-1,
-// PAPI files PE 0..n-1, overall, physical (or its live .part files in
-// PE order), segments. Records are decoded into reused scratch and
-// never materialized, so memory stays O(1) in trace size. Accumulate is
-// strictly sequential - callbacks need no locking; use ReadSummary for
-// the parallel aggregation path. opts.Workers is ignored.
-func Accumulate(dir string, opts ReadOptions, v Visitor) (Info, int, error) {
-	npes, perNode, events, sample, err := readMeta(filepath.Join(dir, metaFile))
-	if err != nil {
-		return Info{}, 0, err
-	}
-	tolerant := opts.Tolerant
-	info := Info{NumPEs: npes, PEsPerNode: perNode,
-		Config: Config{PAPIEvents: events, LogicalSample: sample}}
-	skipped := 0
-
-	if v.Logical != nil {
-		for pe := 0; pe < npes; pe++ {
-			pe := pe
-			found, n, err := scanLogicalShard(dir, pe, npes, tolerant,
-				func(r LogicalRecord) { v.Logical(pe, r) })
-			if err != nil {
-				return Info{}, 0, err
-			}
-			if found {
-				skipped += n
-				info.Config.Logical = true
-			}
-		}
-	}
-	if v.PAPI != nil {
-		for pe := 0; pe < npes; pe++ {
-			pe := pe
-			found, n, err := scanPAPIShard(dir, pe, len(events), npes, tolerant,
-				func(r PAPIRecord) { v.PAPI(pe, r) })
-			if err != nil {
-				return Info{}, 0, err
-			}
-			_ = found
-			skipped += n
-		}
-	}
-	if v.Overall != nil {
-		found, n, err := scanOverallShard(dir, tolerant, v.Overall)
-		if err != nil {
-			return Info{}, 0, err
-		}
-		if found {
-			skipped += n
-			info.Config.Overall = true
-		}
-	}
-	if v.Physical != nil {
-		found, n, err := scanPhysicalShard(dir, -1, npes, tolerant, v.Physical)
-		if err != nil {
-			return Info{}, 0, err
-		}
-		if found {
-			skipped += n
-			info.Config.Physical = true
-		} else if tolerant {
-			for pe := 0; pe < npes; pe++ {
-				found, n, err := scanPhysicalShard(dir, pe, npes, true, v.Physical)
-				if err != nil {
-					return Info{}, 0, err
-				}
-				if found {
-					skipped += n
-					info.Config.Physical = true
-				}
-			}
-		}
-	}
-	if v.Segment != nil {
-		var segErr error
-		_, n, err := scanSegmentsShard(dir, len(events), tolerant, func(r SegmentRecord) {
-			if r.PE < 0 || r.PE >= npes {
-				if tolerant {
-					skipped++
-					return
-				}
-				if segErr == nil {
-					segErr = fmtErrSegmentRange(r.PE, npes)
-				}
-				return
-			}
-			if segErr == nil {
-				v.Segment(r)
-			}
-		})
-		if err == nil {
-			err = segErr
-		}
-		if err != nil {
-			return Info{}, 0, err
-		}
-		skipped += n
-	}
-	return info, skipped, nil
 }

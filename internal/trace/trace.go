@@ -83,8 +83,12 @@ const (
 	FormatBoth
 )
 
-func (f Format) csv() bool    { return f == FormatCSV || f == FormatBoth }
 func (f Format) binary() bool { return f == FormatBinary || f == FormatBoth }
+
+// encodings lists what the format writes, as the sinks' binary flag.
+func (f Format) encodings() []bool {
+	return [...][]bool{FormatCSV: {false}, FormatBinary: {true}, FormatBoth: {false, true}}[f]
+}
 
 // String names the format as the -format CLI flags spell it.
 func (f Format) String() string {

@@ -202,11 +202,8 @@ func selectBuckets(lvl pyramidLevel, tmin int64, q Window) []WindowBucket {
 // rows whose timestamps fall inside the window.
 func (ix *TimeIndex) readBlockEvents(f *os.File, b blockSpan, q Window, res *WindowResult) error {
 	sr := io.NewSectionReader(f, b.off, b.length)
-	d := &binReader{br: bufio.NewReaderSize(sr, 16<<10), path: f.Name(), ncols: ix.ncols}
-	d.cols = make([][]int64, d.ncols)
-	for i := range d.cols {
-		d.cols[i] = make([]int64, 0, b.rows)
-	}
+	d := &binReader{br: bufio.NewReaderSize(sr, 16<<10), path: f.Name(), ncols: ix.ncols,
+		cols: newColumns(ix.ncols, b.rows)}
 	n, _, err := d.readBlock(false)
 	if err != nil {
 		return err
