@@ -149,8 +149,15 @@ func (r *runner) runScaleUp(pes, perNode, scale, keysPerPE int) error {
 		return err
 	}
 	rows := []string{
-		"| app | input | PEs | messages | validated | send imb (max/mean) | TOT_INS imb | host wall |",
-		"|---|---|---|---|---|---|---|---|",
+		"| app | input | PEs | messages | validated | send imb (max/mean) | TOT_INS imb | host wall | sleeps/PE mean (max) | yields/PE mean (max) |",
+		"|---|---|---|---|---|---|---|---|---|---|",
+	}
+	// How each PE waited for work (DESIGN.md §16): read on the PE's own
+	// goroutine when its app returns.
+	waits := make([]shmem.ProgressStats, pes)
+	waitCols := func() string {
+		return meanMax(waits, func(w shmem.ProgressStats) int64 { return w.Sleeps }) + " | " +
+			meanMax(waits, func(w shmem.ProgressStats) int64 { return w.Yields })
 	}
 
 	// isort: the ISx weak-scaling input, batched dispatch.
@@ -167,6 +174,7 @@ func (r *runner) runScaleUp(pes, perNode, scale, keysPerPE int) error {
 				return err
 			}
 			results[rt.PE().Rank()] = res
+			waits[rt.PE().Rank()] = rt.PE().ProgressStats()
 			return nil
 		})
 		if err != nil {
@@ -182,10 +190,10 @@ func (r *runner) runScaleUp(pes, perNode, scale, keysPerPE int) error {
 			}
 		}
 		lm := set.LogicalMatrix()
-		rows = append(rows, fmt.Sprintf("| isort | %d keys/PE | %d | %d | %v | %.1fx | %.1fx | %v |",
+		rows = append(rows, fmt.Sprintf("| isort | %d keys/PE | %d | %d | %v | %.1fx | %.1fx | %v | %s |",
 			keysPerPE, pes, lm.Total(), validated,
 			trace.MaxOverMean(lm.SendTotals()),
-			trace.MaxOverMean(set.PAPITotalsPerPE(papi.TOT_INS)), wall))
+			trace.MaxOverMean(set.PAPITotalsPerPE(papi.TOT_INS)), wall, waitCols()))
 		fmt.Println(rows[len(rows)-1])
 		if !validated {
 			return fmt.Errorf("scaleup: isort validation failed at %d PEs", pes)
@@ -214,6 +222,7 @@ func (r *runner) runScaleUp(pes, perNode, scale, keysPerPE int) error {
 				return err
 			}
 			counts[rt.PE().Rank()] = got
+			waits[rt.PE().Rank()] = rt.PE().ProgressStats()
 			return nil
 		})
 		if err != nil {
@@ -229,10 +238,10 @@ func (r *runner) runScaleUp(pes, perNode, scale, keysPerPE int) error {
 			}
 		}
 		lm := set.LogicalMatrix()
-		rows = append(rows, fmt.Sprintf("| trianglecount | R-MAT scale %d (%d vertices, %d edges) | %d | %d | %v | %.1fx | %.1fx | %v |",
+		rows = append(rows, fmt.Sprintf("| trianglecount | R-MAT scale %d (%d vertices, %d edges) | %d | %d | %v | %.1fx | %.1fx | %v | %s |",
 			scale, g.NumVertices(), g.NumEdges(), pes, lm.Total(), validated,
 			trace.MaxOverMean(lm.SendTotals()),
-			trace.MaxOverMean(set.PAPITotalsPerPE(papi.TOT_INS)), wall))
+			trace.MaxOverMean(set.PAPITotalsPerPE(papi.TOT_INS)), wall, waitCols()))
 		fmt.Println(rows[len(rows)-1])
 		if !validated {
 			return fmt.Errorf("scaleup: trianglecount validation failed (want %d)", expected)
@@ -247,6 +256,16 @@ func (r *runner) runScaleUp(pes, perNode, scale, keysPerPE int) error {
 	}
 	fmt.Printf("scale-up results written to %s\n", path)
 	return nil
+}
+
+// meanMax renders one per-PE wait counter as "mean (max)".
+func meanMax(waits []shmem.ProgressStats, counter func(shmem.ProgressStats) int64) string {
+	var sum, mx int64
+	for _, w := range waits {
+		sum += counter(w)
+		mx = max(mx, counter(w))
+	}
+	return fmt.Sprintf("%.0f (%d)", float64(sum)/float64(len(waits)), mx)
 }
 
 func int64SlicesEqual(a, b []int64) bool {

@@ -203,11 +203,20 @@ func (s *Selector[T]) Start() {
 	var worker func()
 	worker = func() {
 		s.progress()
-		if !s.terminated() {
-			s.rt.ctx.Async(worker)
-		} else {
+		if s.terminated() {
 			s.finished = true
+			return
 		}
+		// Wait point: when a Finish drain loop runs this worker and
+		// nothing else is queued, the finish body is over and only a
+		// remote event can give this PE work, so sleep until the
+		// doorbell rings (if the sweep above was idle). Reached through
+		// Yield or Promise.Wait the caller has local work - or a barrier
+		// - to get back to, and the worker must return at once.
+		if s.rt.ctx.SoleDrainTask() {
+			s.rt.pe.WaitIdle()
+		}
+		s.rt.ctx.Async(worker)
 	}
 	s.rt.ctx.Async(worker)
 }
@@ -263,6 +272,12 @@ func (s *Selector[T]) Send(mb int, msg T, dst int) {
 				s.drain(omb)
 			}
 		}
+		// Wait point: every mailbox of this selector has been swept and
+		// the push still has no room, which only a peer's ack can
+		// change. Sleeps only if all those sweeps were idle and nothing
+		// has been pushed since: the drains above run handlers, whose
+		// own Sends may have shipped the buffer this one waits on.
+		rt.pe.WaitIdle()
 	}
 	rt.exitRuntime()
 }

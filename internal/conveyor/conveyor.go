@@ -173,6 +173,14 @@ type Conveyor struct {
 	done     bool
 	complete bool
 
+	// poller registers this conveyor's Advance loop with the PE's
+	// doorbell (DESIGN.md §16). Receiving or shipping a buffer,
+	// un-backlogging an item and accepting a push all touch it; an
+	// Advance that touched nothing and left the pull ring empty is an
+	// idle sweep, and a push afterwards withdraws that claim until the
+	// next Advance.
+	poller *shmem.Poller
+
 	board *board // shared termination board
 	stats Stats
 
@@ -228,7 +236,9 @@ func New(pe *shmem.PE, opts Options) (*Conveyor, error) {
 	// Symmetric allocation: landing zones for every potential source and
 	// ack words for every potential destination. (Real Conveyors
 	// allocates only row+column channels; the full matrix costs a little
-	// simulated memory and keeps indexing trivial.)
+	// simulated memory and keeps indexing trivial. Only the channels of
+	// topology peers ever carry traffic - targets() is symmetric - and
+	// receive() polls only those.)
 	c.inBase = pe.Malloc(npes * c.chanBytes)
 	c.ackBase = pe.Malloc(npes * 8)
 
@@ -255,6 +265,7 @@ func New(pe *shmem.PE, opts Options) (*Conveyor, error) {
 		return nil, fmt.Errorf("conveyor: collective option mismatch: PE %d has signature %d, cluster range [%d, %d]",
 			pe.Rank(), sig, mn, mx)
 	}
+	c.poller = pe.OpenPoller()
 	return c, nil
 }
 

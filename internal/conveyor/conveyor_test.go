@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"actorprof/internal/shmem"
 	"actorprof/internal/sim"
@@ -466,5 +467,93 @@ func TestHighVolumeAggregation(t *testing.T) {
 	}
 	if total != npes*per {
 		t.Fatalf("delivered %d items, want %d", total, npes*per)
+	}
+}
+
+func TestPeerOnlyScanDeliversEverything64PE(t *testing.T) {
+	// 64 PEs x 4 per node is a 4 x 4 node cube: each PE has 10 peers but
+	// 64 landing zones. Every PE sends a distinct value to every PE, so
+	// the multiset each PE must receive is known exactly; an inbound
+	// channel the peer-only receive scan skipped would lose its items
+	// (and the run would never terminate).
+	const npes, perNode, reps = 64, 4, 3
+	vals, srcs, stats := exchange(t, npes, perNode, Options{ItemBytes: 8, BufferItems: 8},
+		func(pe int) ([]int64, []int) {
+			var v []int64
+			var d []int
+			for rep := 0; rep < reps; rep++ {
+				for off := 0; off < npes; off++ {
+					dst := (pe + off) % npes
+					v = append(v, int64((pe*npes+dst)*reps+rep))
+					d = append(d, dst)
+				}
+			}
+			return v, d
+		})
+	var routed int64
+	for pe := 0; pe < npes; pe++ {
+		got := make(map[int64]int, len(vals[pe]))
+		for i, v := range vals[pe] {
+			got[v]++
+			if want := int(v/reps) / npes; srcs[pe][i] != want {
+				t.Fatalf("PE %d: item %d reports source %d, want %d", pe, v, srcs[pe][i], want)
+			}
+		}
+		for src := 0; src < npes; src++ {
+			for rep := 0; rep < reps; rep++ {
+				v := int64((src*npes+pe)*reps + rep)
+				if got[v] != 1 {
+					t.Fatalf("PE %d received item %d (from PE %d) %d times, want once", pe, v, src, got[v])
+				}
+			}
+		}
+		if len(vals[pe]) != npes*reps {
+			t.Fatalf("PE %d received %d items, want %d", pe, len(vals[pe]), npes*reps)
+		}
+		routed += stats[pe].Routed
+	}
+	if routed == 0 {
+		t.Error("no item took an intermediate hop: the run did not exercise cube routing")
+	}
+}
+
+func TestPushAfterIdleSweepKeepsThePEAwake(t *testing.T) {
+	// Regression (jaccard under the tiny-buffers chaos plan): an outer
+	// Send retry loop swept, failed its push, and ran handlers whose
+	// nested Sends shipped the very buffer it was waiting on, swept once
+	// more (idle) and pushed; back in the outer loop every sweep on
+	// record was idle at the current epoch, so it slept - with room in
+	// its buffer and nobody left to ring. A successful push must withdraw
+	// the last sweep's claim. If it does not, PE 0 below sleeps forever:
+	// nothing PE 1 does writes into PE 0's heap or settles the board.
+	done := make(chan error, 1)
+	go func() {
+		done <- shmem.Run(cfg(2, 2), func(pe *shmem.PE) {
+			c, err := New(pe, Options{ItemBytes: 8, BufferItems: 4})
+			if err != nil {
+				panic(err)
+			}
+			if pe.Rank() == 0 {
+				c.Advance(false) // nothing to do: an idle sweep
+				if !c.Push(make([]byte, 8), 1) {
+					panic("push into an empty buffer failed")
+				}
+				if pe.WaitIdle() {
+					panic("slept although a push followed the last sweep")
+				}
+			}
+			for c.Advance(true) {
+				c.Pull()
+			}
+			pe.Barrier()
+		})
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("PE 0 sleeps on a stale idle claim")
 	}
 }

@@ -24,6 +24,25 @@ type board struct {
 	donePEs   atomic.Int64 // PEs that have called Advance(done=true)
 }
 
+// settled reports the global half of the termination condition: every
+// PE is done and every pushed item has reached a final pull queue. Once
+// true it stays true (a done PE pushes no more).
+func (b *board) settled(npes int) bool {
+	return b.donePEs.Load() == int64(npes) && b.pushed.Load() == b.delivered.Load()
+}
+
+// ringIfSettled is called by whoever just changed donePEs or delivered.
+// The board is plain shared memory, not a heap write, so PEs asleep
+// waiting for termination would not hear of it: the update that makes
+// the board settle rings every doorbell. (Of two racing final updates at
+// least one observes the other, so the ring cannot be lost; both may
+// ring, which is harmless.)
+func (c *Conveyor) ringIfSettled() {
+	if c.board.settled(c.pe.NumPEs()) {
+		c.pe.World().RingAll()
+	}
+}
+
 type boardKey struct{ inBase int }
 
 func boardFor(c *Conveyor) *board {
@@ -75,6 +94,10 @@ func (c *Conveyor) PushSlot(dst int) ([]byte, bool) {
 		return nil, false
 	}
 	slot := c.appendSlot(ob, c.pe.Rank(), dst)
+	// The buffer changed since the last sweep looked at it (a retry that
+	// failed before it may succeed now), so that sweep no longer vouches
+	// for this PE being idle.
+	c.poller.Touch()
 	c.stats.Pushed++
 	c.board.pushed.Add(1)
 	return slot, true
@@ -215,9 +238,13 @@ func (c *Conveyor) Advance(done bool) bool {
 	if c.faulty {
 		c.pe.FaultSched(fault.SiteAdvance)
 	}
+	// The sweep starts here: the poller samples the doorbell epoch
+	// before anything a peer may change is read.
+	c.poller.Begin()
 	if done && !c.done {
 		c.done = true
 		c.board.donePEs.Add(1)
+		c.ringIfSettled()
 	}
 
 	c.drainBacklog()
@@ -227,15 +254,20 @@ func (c *Conveyor) Advance(done bool) bool {
 
 	if c.done &&
 		len(c.routeBacklog) == 0 &&
-		c.board.donePEs.Load() == int64(c.pe.NumPEs()) &&
 		c.outEmpty() &&
-		c.board.pushed.Load() == c.board.delivered.Load() {
+		c.board.settled(c.pe.NumPEs()) {
 		// All PEs are done, nothing is buffered here, and every pushed
 		// item has reached a final pull queue, so nothing is in flight
 		// anywhere: terminate.
 		c.complete = true
+		c.poller.Close()
 		return false
 	}
+	// Advance itself never blocks - single-shot callers (Done, Progress)
+	// have local work to return to. It only tells the doorbell whether
+	// this sweep was idle; callers that can prove they have nothing else
+	// to do sleep in PE.WaitIdle.
+	c.poller.End(c.PendingPulls() == 0)
 	c.pe.Yield()
 	return true
 }
@@ -314,6 +346,7 @@ func (c *Conveyor) transfer(ob *outBuf) {
 	ob.sentSeq++
 	ob.items = ob.items[:0]
 	ob.n = 0
+	c.poller.Touch()
 }
 
 // flush ships every full buffer, and - in the endgame, once this PE is
@@ -329,10 +362,12 @@ func (c *Conveyor) flush(endgame bool) {
 
 // receive drains every incoming channel whose sequence word is ahead of
 // what we have consumed, delivering items addressed to this PE and
-// re-routing mesh items addressed elsewhere.
+// re-routing mesh items addressed elsewhere. Only topology peers can
+// write a landing zone (p is a hop target of q iff q is one of p), so
+// only their channels are polled.
 func (c *Conveyor) receive() {
 	me := c.pe.Rank()
-	for src := 0; src < c.pe.NumPEs(); src++ {
+	for _, src := range c.peers {
 		zone := c.inBase + src*c.chanBytes
 		seq := c.pe.LoadInt64(me, zone)
 		for c.consumed[src] < seq {
@@ -345,6 +380,7 @@ func (c *Conveyor) receive() {
 			// Ack before processing: the sender may refill this slot's
 			// partner immediately, but not this slot until the next ack.
 			c.pe.PutInt64(src, c.ackBase+me*8, c.consumed[src])
+			c.poller.Touch()
 			c.ingest(buf, n)
 		}
 	}
@@ -354,6 +390,7 @@ func (c *Conveyor) receive() {
 func (c *Conveyor) ingest(buf []byte, n int) {
 	me := c.pe.Rank()
 	c.pe.ChargeEvent(sim.EvIngest, int64(n))
+	delivered := c.stats.Delivered
 	for i := 0; i < n; i++ {
 		rec := buf[i*c.wireBytes : (i+1)*c.wireBytes]
 		orig := int(binary.LittleEndian.Uint32(rec[hdrOrig:]))
@@ -362,7 +399,6 @@ func (c *Conveyor) ingest(buf []byte, n int) {
 		if dst == me {
 			c.pull.push(payload, orig)
 			c.stats.Delivered++
-			c.board.delivered.Add(1)
 			continue
 		}
 		// Intermediate mesh hop: forward along our column. Never block
@@ -382,6 +418,11 @@ func (c *Conveyor) ingest(buf []byte, n int) {
 		}
 		c.appendItem(ob, orig, dst, payload)
 		c.stats.Routed++
+	}
+	// One board update per buffer, not per item.
+	if k := c.stats.Delivered - delivered; k > 0 {
+		c.board.delivered.Add(k)
+		c.ringIfSettled()
 	}
 }
 
@@ -426,6 +467,7 @@ func (c *Conveyor) drainBacklog() {
 		c.appendItem(ob, it.orig, it.dst, it.payload)
 		c.backlogFree = append(c.backlogFree, it.payload)
 		c.stats.Routed++
+		c.poller.Touch()
 	}
 	c.routeBacklog = remaining
 }

@@ -138,3 +138,69 @@ func TestTopologyTargetsSortedRandomShapes(t *testing.T) {
 		}
 	}
 }
+
+// peerScanShapes is the grid the peer-only receive scan is checked on:
+// single-node, square and non-square node counts, a prime node count
+// (the 1 x C grid where Cube degenerates to Mesh), and one PE per node.
+var peerScanShapes = []sim.Machine{
+	{NumPEs: 1, PEsPerNode: 1},
+	{NumPEs: 8, PEsPerNode: 8},
+	{NumPEs: 8, PEsPerNode: 4},
+	{NumPEs: 12, PEsPerNode: 4},   // 3 nodes: 1 x 3, cube -> mesh
+	{NumPEs: 16, PEsPerNode: 4},   // 2 x 2
+	{NumPEs: 24, PEsPerNode: 4},   // 6 nodes: 2 x 3
+	{NumPEs: 21, PEsPerNode: 3},   // 7 nodes: 1 x 7, cube -> mesh
+	{NumPEs: 40, PEsPerNode: 4},   // 10 nodes: 2 x 5
+	{NumPEs: 36, PEsPerNode: 3},   // 12 nodes: 3 x 4
+	{NumPEs: 5, PEsPerNode: 1},    // one PE per node
+	{NumPEs: 64, PEsPerNode: 4},   // 16 nodes: 4 x 4
+	{NumPEs: 256, PEsPerNode: 16}, // the scale-up shape
+}
+
+// receive() polls only c.peers = targets(me). That is exactly the set
+// of channels that can carry inbound traffic iff the hop-target relation
+// is symmetric (whoever may write to me is someone I may write to) and
+// every hop a route takes lands in the sender's targets.
+func TestTopologyInboundChannelsArePeers(t *testing.T) {
+	for _, m := range peerScanShapes {
+		for _, choice := range []Topology{TopologyLinear, TopologyMesh, TopologyCube} {
+			topo, err := resolveTopology(choice, m)
+			if err != nil {
+				t.Fatalf("machine %+v: resolving %v: %v", m, choice, err)
+			}
+			isTarget := make([][]bool, m.NumPEs)
+			for p := range isTarget {
+				isTarget[p] = make([]bool, m.NumPEs)
+				for _, q := range topo.targets(p) {
+					isTarget[p][q] = true
+				}
+			}
+			for p := 0; p < m.NumPEs; p++ {
+				for q := 0; q < m.NumPEs; q++ {
+					if isTarget[p][q] != isTarget[q][p] {
+						t.Fatalf("machine %+v topo %v (asked %v): %d in targets(%d) is %v but %d in targets(%d) is %v",
+							m, topo.kind(), choice, q, p, isTarget[p][q], p, q, isTarget[q][p])
+					}
+					if p != q && !isTarget[p][topo.nextHop(p, q)] {
+						t.Fatalf("machine %+v topo %v (asked %v): nextHop(%d, %d) = %d is not in targets(%d)",
+							m, topo.kind(), choice, p, q, topo.nextHop(p, q), p)
+					}
+				}
+			}
+		}
+	}
+}
+
+// The 1 x C cube must really be the mesh (same targets), or the property
+// above would be checking a topology no conveyor ever runs.
+func TestCubeOnOneRowGridIsMesh(t *testing.T) {
+	for _, m := range []sim.Machine{{NumPEs: 12, PEsPerNode: 4}, {NumPEs: 21, PEsPerNode: 3}} {
+		topo, err := resolveTopology(TopologyCube, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if topo.kind() != TopologyMesh {
+			t.Errorf("machine %+v: cube over a 1 x %d node grid resolved to %v, want mesh", m, m.NumNodes(), topo.kind())
+		}
+	}
+}

@@ -44,7 +44,7 @@ func (p *Promise[T]) Get() T {
 // empty - nothing left could ever fulfill it.
 func (p *Promise[T]) Wait() T {
 	for !p.done {
-		if !p.ctx.runOne() {
+		if !p.ctx.runOne(false) {
 			panic("hclib: Wait on a promise no queued task can fulfill")
 		}
 	}

@@ -14,7 +14,16 @@ package hclib
 // Context is a per-PE cooperative scheduler. It is not safe for
 // concurrent use; bind one Context to one PE goroutine.
 type Context struct {
-	queue []*task
+	// ring is the FIFO task queue: a power-of-two ring of task values,
+	// queued entries at ring[head], ring[head+1], ... (mod len). A task
+	// that re-arms itself every poll (the selector progress worker)
+	// costs one slot write and one slot clear, no allocation.
+	ring []task
+	head int
+	n    int
+	// draining is true while the running task was started by a Finish
+	// drain loop rather than by Yield or Promise.Wait (SoleDrainTask).
+	draining bool
 	// scopes is the stack of active finish scopes; Async attributes new
 	// tasks to the innermost one.
 	scopes []*finishScope
@@ -38,7 +47,16 @@ func New() *Context { return &Context{} }
 func (c *Context) Executed() int64 { return c.executed }
 
 // Pending returns the number of queued tasks.
-func (c *Context) Pending() int { return len(c.queue) }
+func (c *Context) Pending() int { return c.n }
+
+// SoleDrainTask reports, from inside a running task, whether that task
+// was started by a Finish drain loop and no other task is queued. Then
+// nothing else can run on this context until the task returns - the
+// finish body is over and there is no one to interleave with - which is
+// what lets a progress worker sleep until a remote event instead of
+// re-arming at once. A task reached through Yield or Promise.Wait gets
+// false: its caller still has work of its own to return to.
+func (c *Context) SoleDrainTask() bool { return c.draining && c.n == 0 }
 
 // Async schedules fn to run later on this context, attributed to the
 // innermost active finish scope. Calling Async outside any Finish panics:
@@ -50,7 +68,20 @@ func (c *Context) Async(fn func()) {
 	}
 	s := c.scopes[len(c.scopes)-1]
 	s.pending++
-	c.queue = append(c.queue, &task{fn: fn, scope: s})
+	if c.n == len(c.ring) {
+		c.grow()
+	}
+	c.ring[(c.head+c.n)&(len(c.ring)-1)] = task{fn: fn, scope: s}
+	c.n++
+}
+
+// grow doubles the ring, unrolling the queued tasks to its start.
+func (c *Context) grow() {
+	grown := make([]task, max(8, 2*len(c.ring)))
+	for i := 0; i < c.n; i++ {
+		grown[i] = c.ring[(c.head+i)&(len(c.ring)-1)]
+	}
+	c.ring, c.head = grown, 0
 }
 
 // Finish runs body, then drains tasks until every task transitively
@@ -63,7 +94,7 @@ func (c *Context) Finish(body func()) {
 	c.scopes = append(c.scopes, s)
 	body()
 	for s.pending > 0 {
-		if !c.runOne() {
+		if !c.runOne(true) {
 			// Queue empty while tasks are still pending can only mean a
 			// bookkeeping bug; fail loudly rather than spin forever.
 			panic("hclib: finish scope has pending tasks but the queue is empty")
@@ -76,18 +107,24 @@ func (c *Context) Finish(body func()) {
 // computations can call Yield to let runtime workers (e.g. the selector
 // progress loop) interleave, which is the "fine-grained asynchronous"
 // half of FA-BSP.
-func (c *Context) Yield() bool { return c.runOne() }
+func (c *Context) Yield() bool { return c.runOne(false) }
 
-// runOne pops and executes the task at the head of the queue.
-func (c *Context) runOne() bool {
-	if len(c.queue) == 0 {
+// runOne pops and executes the task at the head of the queue. drain
+// says whether a Finish drain loop is the caller (see SoleDrainTask);
+// the previous value is restored afterwards because tasks nest - a
+// drained task may Yield, and a yielded-to task may open a Finish.
+func (c *Context) runOne(drain bool) bool {
+	if c.n == 0 {
 		return false
 	}
-	t := c.queue[0]
-	// Slide rather than re-slice forever so the backing array is reused.
-	copy(c.queue, c.queue[1:])
-	c.queue = c.queue[:len(c.queue)-1]
+	t := c.ring[c.head]
+	c.ring[c.head] = task{} // drop the references the slot held
+	c.head = (c.head + 1) & (len(c.ring) - 1)
+	c.n--
+	outer := c.draining
+	c.draining = drain
 	t.fn()
+	c.draining = outer
 	t.scope.pending--
 	c.executed++
 	return true

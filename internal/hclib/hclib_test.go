@@ -132,3 +132,111 @@ func TestExecutedCounter(t *testing.T) {
 		t.Fatalf("Executed = %d, want 7", c.Executed())
 	}
 }
+
+func TestQueueStaysFIFOAcrossGrowthAndWrap(t *testing.T) {
+	// Interleave pushes and pops so the ring's head moves, wraps, and
+	// the ring grows while wrapped: order must stay first-in first-out.
+	ctx := New()
+	var got []int
+	next := 0
+	push := func(k int) {
+		for i := 0; i < k; i++ {
+			id := next
+			next++
+			ctx.Async(func() { got = append(got, id) })
+		}
+	}
+	ctx.Finish(func() {
+		push(5)
+		for i := 0; i < 3; i++ {
+			ctx.Yield()
+		}
+		push(6) // 8 queued in an 8-slot ring whose head is at 3: wrapped
+		ctx.Yield()
+		push(20) // grows while wrapped
+		for i := 0; i < 10; i++ {
+			ctx.Yield()
+		}
+		push(40)
+	})
+	if len(got) != next {
+		t.Fatalf("ran %d tasks, queued %d", len(got), next)
+	}
+	for i, id := range got {
+		if id != i {
+			t.Fatalf("task order %v: position %d ran task %d", got, i, id)
+		}
+	}
+	if ctx.Pending() != 0 {
+		t.Errorf("%d tasks pending after Finish", ctx.Pending())
+	}
+}
+
+func TestRearmingWorkerDoesNotAllocate(t *testing.T) {
+	// The selector progress worker re-arms itself on every poll; one
+	// Async plus one runOne must be O(1) and allocation-free once the
+	// ring has its steady-state size.
+	ctx := New()
+	polls := 0
+	var worker func()
+	worker = func() {
+		polls++
+		if polls%1000 != 0 {
+			ctx.Async(worker)
+		}
+	}
+	cycle := func() {
+		ctx.Finish(func() { ctx.Async(worker) })
+	}
+	cycle() // sizes the ring; Finish's own scope is the only allocation left
+	allocs := testing.AllocsPerRun(10, cycle)
+	if allocs > 1 {
+		t.Errorf("1000 worker re-arms allocated %.1f times (want at most the finish scope)", allocs)
+	}
+	if polls != 12*1000 {
+		t.Errorf("worker polled %d times, want %d", polls, 12*1000)
+	}
+}
+
+func TestSoleDrainTask(t *testing.T) {
+	ctx := New()
+	var fromDrainAlone, fromDrainWithOthers, fromYield, fromWait, nestedDrain, afterNested bool
+	ctx.Finish(func() {
+		// Reached through Yield: the caller has work to return to.
+		ctx.Async(func() { fromYield = ctx.SoleDrainTask() })
+		ctx.Yield()
+		// Reached through Promise.Wait: likewise.
+		p := AsyncFuture(ctx, func() int { fromWait = ctx.SoleDrainTask(); return 1 })
+		p.Wait()
+		// Drained with another task queued behind it, then drained alone.
+		ctx.Async(func() { fromDrainWithOthers = ctx.SoleDrainTask() })
+		ctx.Async(func() {
+			fromDrainAlone = ctx.SoleDrainTask()
+			// A task that yields to a task that opens its own Finish:
+			// inside that inner drain loop the bit is set again, and it
+			// is restored on the way out.
+			ctx.Async(func() {
+				ctx.Finish(func() {
+					ctx.Async(func() { nestedDrain = ctx.SoleDrainTask() })
+				})
+				afterNested = ctx.SoleDrainTask()
+			})
+			ctx.Yield()
+		})
+	})
+	if fromYield || fromWait {
+		t.Errorf("task reached through Yield (%v) or Wait (%v) reported SoleDrainTask", fromYield, fromWait)
+	}
+	if fromDrainWithOthers {
+		t.Error("drained task with another task queued reported SoleDrainTask")
+	}
+	if !fromDrainAlone {
+		t.Error("the only task of a Finish drain loop did not report SoleDrainTask")
+	}
+	if !nestedDrain {
+		t.Error("the only task of a nested Finish drain loop did not report SoleDrainTask")
+	}
+	if afterNested {
+		t.Error("a yielded-to task reported SoleDrainTask after its nested Finish returned")
+	}
+}

@@ -68,13 +68,17 @@ func (p *PE) heapOf(r int) *PE {
 
 // rawWrite copies data into PE target's heap at offset, with locking.
 // It performs the data movement only; cost accounting is the caller's
-// responsibility.
+// responsibility. A foreign write rings the target's doorbell once the
+// data is in place, in case the target sleeps waiting for it.
 func (p *PE) rawWrite(target, offset int, data []byte) {
 	t := p.heapOf(target)
 	t.heapMu.Lock()
 	t.ensure(offset, len(data))
 	copy(t.heap[offset:], data)
 	t.heapMu.Unlock()
+	if t != p {
+		t.ring()
+	}
 }
 
 // rawRead copies from PE target's heap at offset into buf, with locking.

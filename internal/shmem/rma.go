@@ -127,6 +127,9 @@ func (p *PE) AtomicFetchAddInt64(target, offset int, delta int64) int64 {
 	old := int64(binary.LittleEndian.Uint64(t.heap[offset:]))
 	binary.LittleEndian.PutUint64(t.heap[offset:], uint64(old+delta))
 	t.heapMu.Unlock()
+	if t != p {
+		t.ring()
+	}
 	return old
 }
 
@@ -187,14 +190,24 @@ func (c WaitCmp) holds(a, b int64) bool {
 
 // WaitUntilInt64 blocks until the int64 in this PE's own heap at offset
 // satisfies cmp against value (shmem_wait_until). The word is typically
-// written by a remote PE's put. Yields between polls so peers can run.
+// written by a remote PE's put, which rings this PE's doorbell: the wait
+// is a progress loop of its own (each poll is one sweep) and sleeps
+// between polls, falling back to yielding while another progress loop on
+// this PE - a conveyor that has not terminated - cannot vouch for being
+// idle.
 func (p *PE) WaitUntilInt64(offset int, cmp WaitCmp, value int64) int64 {
+	po := p.OpenPoller()
+	defer po.Close()
 	for {
+		po.Begin()
 		v := p.LoadInt64(p.rank, offset)
 		if cmp.holds(v, value) {
 			return v
 		}
-		p.Yield()
+		po.End(true)
+		if !p.WaitIdle() {
+			p.Yield()
+		}
 	}
 }
 

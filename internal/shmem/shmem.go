@@ -94,9 +94,11 @@ type World struct {
 
 	// failed flips when any PE panics. Barrier waiters are unblocked by
 	// barrier poisoning, but PEs spinning in progress loops (conveyor
-	// Advance, Quiet landing-zone waits, WaitUntil polls) never reach a
-	// barrier; they observe this flag at their Yield preemption point and
-	// abort instead of spinning on a peer that will never answer.
+	// Advance) or asleep at a wait point (WaitIdle: a blocked Send, an
+	// idle selector worker, WaitUntil) never reach a barrier; they
+	// observe this flag at their Yield preemption point, or on the
+	// wake-up fail's RingAll gives every sleeper, and abort instead of
+	// waiting on a peer that will never answer.
 	failed     atomic.Bool
 	failedRank atomic.Int64 // rank of the first crashed PE
 }
@@ -104,16 +106,25 @@ type World struct {
 // Failed reports whether any PE of this world has crashed.
 func (w *World) Failed() bool { return w.failed.Load() }
 
-// fail records the first crashed PE and raises the world failure flag.
+// fail records the first crashed PE, raises the world failure flag and
+// wakes every PE asleep at a wait point so it can observe the flag.
 func (w *World) fail(rank int) {
 	w.failedRank.CompareAndSwap(-1, int64(rank))
 	w.failed.Store(true)
+	w.RingAll()
 }
 
-// peerAbort is the panic value Yield raises on surviving PEs once the
-// world has failed; Run translates it into a secondary error so the
-// root-cause panic stays the error Run returns.
+// peerAbort is the panic value Yield and WaitIdle raise on surviving PEs
+// once the world has failed; Run translates it into a secondary error so
+// the root-cause panic stays the error Run returns.
 type peerAbort struct{ crashed int64 }
+
+// abortIfFailed panics with peerAbort once any PE has crashed.
+func (p *PE) abortIfFailed() {
+	if p.world.failed.Load() {
+		panic(peerAbort{crashed: p.world.failedRank.Load()})
+	}
+}
 
 // Shared returns the world-wide singleton for key, creating it with
 // create on first use. Safe for concurrent use by all PEs.
@@ -160,6 +171,10 @@ type PE struct {
 
 	heapMu sync.Mutex
 	heap   []byte
+
+	// bell is what this PE sleeps on when its progress loops are idle;
+	// foreign writes into heap ring it (see doorbell.go).
+	bell doorbell
 
 	// pendingNBI holds writes issued by PutNBI that have not yet been
 	// flushed by Quiet/Fence. Only the owning goroutine touches it.
@@ -259,12 +274,11 @@ func (p *PE) Recording() bool { return p.sched != nil }
 // observes that a peer has crashed (the world failure flag) and aborts
 // instead of spinning forever on a dead partner.
 func (p *PE) Yield() {
-	if p.world.failed.Load() {
-		panic(peerAbort{crashed: p.world.failedRank.Load()})
-	}
+	p.abortIfFailed()
 	if p.inj != nil {
 		p.FaultSched(fault.SiteYield)
 	}
+	p.bell.stats.Yields++
 	runtime.Gosched()
 }
 
@@ -291,6 +305,7 @@ func Run(cfg Config, body func(pe *PE)) error {
 			rank:  i,
 			clock: sim.NewClock(cfg.Timing),
 			inj:   cfg.Fault,
+			bell:  doorbell{wake: make(chan struct{}, 1)},
 		}
 		if skewer != nil {
 			w.pes[i].clock.SetSkewPercent(skewer.ClockSkewPercent(i))
@@ -334,7 +349,8 @@ func Run(cfg Config, body func(pe *PE)) error {
 					// Unblock the peers: poison the barrier for PEs waiting
 					// there, and raise the world failure flag for PEs
 					// spinning in progress loops (they observe it in Yield)
-					// so all of them fail fast instead of deadlocking.
+					// or asleep at a wait point (fail rings them awake) so
+					// all of them fail fast instead of deadlocking.
 					w.fail(pe.rank)
 					w.barr.poison()
 				}
