@@ -217,24 +217,41 @@ func (s *EventSet) Start() {
 // Stop ends the region (PAPI_stop) and returns the per-event deltas in
 // the order the events were registered.
 func (s *EventSet) Stop() []int64 {
+	out := make([]int64, len(s.events))
+	s.StopInto(out)
+	return out
+}
+
+// StopInto is Stop writing the deltas into dst, which must hold one
+// value per registered event. It allocates nothing: the trace collector
+// calls it once per PAPI record.
+func (s *EventSet) StopInto(dst []int64) {
 	if !s.running {
 		panic("papi: Stop on a stopped event set")
 	}
-	out := s.Peek()
+	s.PeekInto(dst)
 	s.running = false
-	return out
 }
 
 // Peek returns the running deltas without stopping (PAPI_read).
 func (s *EventSet) Peek() []int64 {
+	out := make([]int64, len(s.events))
+	s.PeekInto(out)
+	return out
+}
+
+// PeekInto is Peek writing the deltas into dst, which must hold one
+// value per registered event.
+func (s *EventSet) PeekInto(dst []int64) {
 	if !s.running {
 		panic("papi: Peek on a stopped event set")
 	}
-	out := make([]int64, len(s.events))
-	for i, ev := range s.events {
-		out[i] = s.engine.Read(ev) - s.base[i]
+	if len(dst) != len(s.events) {
+		panic(fmt.Sprintf("papi: buffer holds %d values for %d events", len(dst), len(s.events)))
 	}
-	return out
+	for i, ev := range s.events {
+		dst[i] = s.engine.Read(ev) - s.base[i]
+	}
 }
 
 // Running reports whether the set is currently recording.

@@ -120,6 +120,38 @@ func TestEventSetRegionDeltas(t *testing.T) {
 	}
 }
 
+// The into-buffer reads are what the collector's send path uses: same
+// deltas as Peek/Stop, into the caller's memory, without allocating.
+func TestEventSetIntoBuffer(t *testing.T) {
+	e := NewEngine()
+	s, _ := NewEventSet(e, TOT_INS, LST_INS)
+	buf := make([]int64, 2)
+	s.Start()
+	e.Tally(Work{Ins: 10, LstIns: 4})
+	if s.PeekInto(buf); buf[0] != 10 || buf[1] != 4 || !s.Running() {
+		t.Fatalf("PeekInto = %v (running %v), want [10 4] and still running", buf, s.Running())
+	}
+	e.Tally(Work{Ins: 1})
+	if s.StopInto(buf); buf[0] != 11 || buf[1] != 4 || s.Running() {
+		t.Fatalf("StopInto = %v (running %v), want [11 4] and stopped", buf, s.Running())
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		s.Start()
+		e.Tally(Work{Ins: 3})
+		s.StopInto(buf)
+	})
+	if allocs != 0 || buf[0] != 3 {
+		t.Errorf("Start/StopInto allocated %.0f times and read %v, want 0 and [3 0]", allocs, buf)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a buffer of the wrong length should panic")
+		}
+	}()
+	s.Start()
+	s.StopInto(make([]int64, 1))
+}
+
 func TestEventSetStateMachine(t *testing.T) {
 	e := NewEngine()
 	s, _ := NewEventSet(e, TOT_INS)
@@ -133,6 +165,7 @@ func TestEventSetStateMachine(t *testing.T) {
 	}
 	mustPanic("Stop before Start", func() { s.Stop() })
 	mustPanic("Peek before Start", func() { s.Peek() })
+	mustPanic("StopInto before Start", func() { s.StopInto(make([]int64, 1)) })
 	s.Start()
 	mustPanic("double Start", func() { s.Start() })
 	if !s.Running() {

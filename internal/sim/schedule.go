@@ -3,6 +3,9 @@ package sim
 import (
 	"encoding/json"
 	"fmt"
+	"sync"
+
+	"actorprof/internal/blocks"
 )
 
 // This file defines the recorded-schedule model behind the causal
@@ -189,13 +192,37 @@ type PELog struct {
 	// Skew is the PE's charge-inflation percent (fault-injected slow
 	// PE); replay applies the same SkewCharge arithmetic.
 	Skew int64 `json:"skew,omitempty"`
-	// Events is the ordered per-PE schedule.
+	// Events is the ordered per-PE schedule. Appended events reach it
+	// when the log is sealed (ScheduleRecorder.Schedule); a log built as
+	// a literal or decoded from schedule.json is sealed from the start.
 	Events []Event `json:"events"`
+
+	// pending holds the events appended since the last seal, each
+	// written once into a PE-private block (DESIGN.md §8).
+	pending blocks.Buf[Event]
 }
 
 // Append records one event.
 func (l *PELog) Append(kind EventKind, arg int64) {
-	l.Events = append(l.Events, Event{Kind: kind, Arg: arg})
+	l.pending.Push(Event{Kind: kind, Arg: arg})
+}
+
+// seal moves the appended events behind Events: one exact-size copy for
+// a log that is sealed once, as a recorded run's is. Idempotent.
+func (l *PELog) seal() {
+	if l.Events == nil {
+		l.Events = l.pending.Flatten()
+		return
+	}
+	l.Events = append(l.Events, l.pending.Flatten()...)
+}
+
+// each calls f on every run of the log's events in order, sealed or not.
+func (l *PELog) each(f func([]Event)) {
+	if len(l.Events) > 0 {
+		f(l.Events)
+	}
+	l.pending.Each(f)
 }
 
 // Schedule is a full recorded run: the machine shape, the cost model
@@ -232,13 +259,19 @@ func (s *Schedule) Validate() error {
 			return fmt.Errorf("sim: schedule PE %d has negative skew %d", rank, l.Skew)
 		}
 		n := 0
-		for _, e := range l.Events {
-			if e.Kind >= NumEventKinds {
-				return fmt.Errorf("sim: schedule PE %d has unknown event kind %d", rank, e.Kind)
+		var bad error
+		l.each(func(evs []Event) {
+			for _, e := range evs {
+				if e.Kind >= NumEventKinds && bad == nil {
+					bad = fmt.Errorf("sim: schedule PE %d has unknown event kind %d", rank, e.Kind)
+				}
+				if e.Kind == EvBarrier {
+					n++
+				}
 			}
-			if e.Kind == EvBarrier {
-				n++
-			}
+		})
+		if bad != nil {
+			return bad
 		}
 		if want < 0 {
 			want = n
@@ -253,7 +286,7 @@ func (s *Schedule) Validate() error {
 func (s *Schedule) Events() int {
 	n := 0
 	for _, l := range s.PEs {
-		n += len(l.Events)
+		n += len(l.Events) + l.pending.Len()
 	}
 	return n
 }
@@ -283,8 +316,24 @@ func NewScheduleRecorder(m Machine, timing TimingMode, cost CostModel) *Schedule
 func (r *ScheduleRecorder) PE(rank int) *PELog { return r.s.PEs[rank] }
 
 // Schedule returns the recorded schedule. Call only after the run has
-// completed (shmem.Run returned).
-func (r *ScheduleRecorder) Schedule() *Schedule { return &r.s }
+// completed (shmem.Run returned): this is where every PE's log is
+// sealed, so that PELog.Events is complete for the what-if engines and
+// schedule.json. Calling it again returns the same schedule.
+func (r *ScheduleRecorder) Schedule() *Schedule {
+	var wg sync.WaitGroup
+	for _, l := range r.s.PEs {
+		if l.pending.Len() == 0 {
+			continue
+		}
+		wg.Add(1)
+		go func(l *PELog) {
+			defer wg.Done()
+			l.seal()
+		}(l)
+	}
+	wg.Wait()
+	return &r.s
+}
 
 // ActorID packs a selector creation ordinal and mailbox index into the
 // actor identifier carried by handler markers. Selectors are created

@@ -2,7 +2,10 @@ package sim
 
 import (
 	"encoding/json"
+	"reflect"
 	"testing"
+
+	"actorprof/internal/blocks"
 )
 
 func TestCostModelValidate(t *testing.T) {
@@ -159,5 +162,129 @@ func TestActorIDParts(t *testing.T) {
 		if ord != tc.ord || mb != tc.mb {
 			t.Errorf("ActorIDParts(ActorID(%d, %d)) = (%d, %d)", tc.ord, tc.mb, ord, mb)
 		}
+	}
+}
+
+// recordedEvents is a deterministic event stream with every kind in it.
+func recordedEvents(pe, n int) []Event {
+	evs := make([]Event, n)
+	for i := range evs {
+		evs[i] = Event{Kind: EventKind((i + pe) % int(NumEventKinds)), Arg: int64(i*31 + pe)}
+	}
+	return evs
+}
+
+// TestPELogBlocksMatchAppend: a log recorded through Append, which lands
+// events in blocks, is the log plain append builds, around every block
+// boundary; Events() and Validate() agree before and after the schedule
+// is sealed, and sealing twice changes nothing.
+func TestPELogBlocksMatchAppend(t *testing.T) {
+	m := Machine{NumPEs: 2, PEsPerNode: 2}
+	for _, n := range []int{0, 1, blocks.Len - 1, blocks.Len, blocks.Len + 1, 3*blocks.Len + 7} {
+		rec := NewScheduleRecorder(m, Virtual, DefaultCostModel())
+		want := make([][]Event, m.NumPEs)
+		for pe := range want {
+			for _, e := range recordedEvents(pe, n) {
+				rec.PE(pe).Append(e.Kind, e.Arg)
+				want[pe] = append(want[pe], e)
+			}
+		}
+		// Before the hand-over: nothing in Events yet, everything counted.
+		unsealed := &rec.s
+		if got := unsealed.Events(); got != 2*n {
+			t.Fatalf("n=%d: Events() = %d before Schedule(), want %d", n, got, 2*n)
+		}
+		if err := unsealed.Validate(); err != nil {
+			t.Fatalf("n=%d: Validate before Schedule(): %v", n, err)
+		}
+
+		s := rec.Schedule()
+		for pe, l := range s.PEs {
+			if !reflect.DeepEqual(l.Events, want[pe]) {
+				t.Fatalf("n=%d PE %d: sealed log differs from the appended one (%d vs %d events)", n, pe, len(l.Events), len(want[pe]))
+			}
+			if len(l.Events) != cap(l.Events) {
+				t.Errorf("n=%d PE %d: sealed log has spare capacity (%d of %d)", n, pe, len(l.Events), cap(l.Events))
+			}
+		}
+		if got := s.Events(); got != 2*n {
+			t.Fatalf("n=%d: Events() = %d after Schedule(), want %d", n, got, 2*n)
+		}
+		if err := s.Validate(); err != nil {
+			t.Fatalf("n=%d: Validate after Schedule(): %v", n, err)
+		}
+
+		var first *Event
+		if n > 0 {
+			first = &s.PEs[0].Events[0]
+		}
+		again := rec.Schedule()
+		if again != s || !reflect.DeepEqual(again.PEs[1].Events, want[1]) || (n > 0 && &again.PEs[0].Events[0] != first) {
+			t.Fatalf("n=%d: a second Schedule() changed the schedule", n)
+		}
+
+		// Events appended after a seal join the log at the next one.
+		rec.PE(1).Append(EvRaw, 99)
+		if got := rec.Schedule().PEs[1].Events; !reflect.DeepEqual(got, append(want[1], Event{EvRaw, 99})) {
+			t.Fatalf("n=%d: an event appended after Schedule() was lost or misplaced", n)
+		}
+	}
+}
+
+// An unknown kind or a missing barrier is caught in an unsealed log too.
+func TestValidateSeesUnsealedEvents(t *testing.T) {
+	rec := NewScheduleRecorder(Machine{NumPEs: 2, PEsPerNode: 2}, Virtual, DefaultCostModel())
+	rec.PE(0).Append(EvBarrier, 0)
+	if err := rec.s.Validate(); err == nil {
+		t.Error("Validate accepted an unsealed schedule with mismatched barriers")
+	}
+	rec.PE(1).Append(EvBarrier, 0)
+	rec.PE(1).Append(NumEventKinds, 0)
+	if err := rec.s.Validate(); err == nil {
+		t.Error("Validate accepted an unsealed schedule with an unknown event kind")
+	}
+}
+
+// TestScheduleJSONGolden pins the bytes of schedule.json for a recorded
+// schedule: how events are buffered during the run must not show.
+func TestScheduleJSONGolden(t *testing.T) {
+	rec := NewScheduleRecorder(Machine{NumPEs: 2, PEsPerNode: 1}, Virtual, CostModel{NetworkLatency: 5, InstructionCycles: 1, InstructionScale: 2})
+	rec.PE(1).Skew = 25
+	rec.PE(0).Append(EvNetworkPut, 128)
+	rec.PE(0).Append(EvHandlerStart, BatchActorID(1, 2, 3))
+	rec.PE(0).Append(EvBarrier, 0)
+	rec.PE(1).Append(EvBarrier, 0)
+	got, err := json.Marshal(rec.Schedule())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"machine":{"NumPEs":2,"PEsPerNode":1},"timing":0,` +
+		`"cost":{"NetworkLatency":5,"NetworkPerByte":0,"QuietLatency":0,"SignalLatency":0,"LocalCopyLatency":0,` +
+		`"LocalCopyPerByte":0,"InstructionCycles":1,"InstructionScale":2,"PollCycles":0,"ItemIngestCycles":0},` +
+		`"pes":[{"events":[[0,128],[12,12884902146],[7,0]]},{"skew":25,"events":[[7,0]]}]}`
+	if string(got) != want {
+		t.Errorf("schedule.json changed:\n got %s\nwant %s", got, want)
+	}
+}
+
+// BenchmarkScheduleAppend is the recorder's share of a clock charge: one
+// event appended to a PE's log, sealed every million events so that the
+// hand-over is part of the figure.
+func BenchmarkScheduleAppend(b *testing.B) {
+	m := Machine{NumPEs: 1, PEsPerNode: 1}
+	rec := NewScheduleRecorder(m, Virtual, DefaultCostModel())
+	l := rec.PE(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%(1<<20) == 0 && i > 0 {
+			rec.Schedule()
+			rec = NewScheduleRecorder(m, Virtual, DefaultCostModel())
+			l = rec.PE(0)
+		}
+		l.Append(EvInstr, int64(i))
+	}
+	if n := rec.Schedule().Events(); n == 0 && b.N > 0 {
+		b.Fatal("no events recorded")
 	}
 }

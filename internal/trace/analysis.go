@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"sync"
+
 	"actorprof/internal/conveyor"
 	"actorprof/internal/papi"
 )
@@ -179,31 +181,57 @@ func (s *Set) PhysicalKindCounts() map[conveyor.SendKind]int64 {
 // each PE: the data behind the paper's Figure 10/11 bar graphs ("total
 // number of instructions per PE").
 func (s *Set) PAPITotalsPerPE(ev papi.Event) []int64 {
-	idx := -1
-	for i, e := range s.Config.PAPIEvents {
-		if e == ev {
-			idx = i
-			break
-		}
-	}
 	out := make([]int64, s.NumPEs)
-	if idx < 0 {
-		return out
-	}
-	if s.Config.Aggregate {
-		if idx < len(s.PAPIAgg) {
-			copy(out, s.PAPIAgg[idx])
+	for i, e := range s.Config.PAPIEvents {
+		if e != ev {
+			continue
 		}
-		return out
+		if s.Config.Aggregate {
+			if i < len(s.PAPIAgg) {
+				copy(out, s.PAPIAgg[i])
+			}
+		} else {
+			copy(out, s.papiTotals()[i])
+		}
+		break
 	}
+	return out
+}
+
+// papiTotalsMemo holds every configured event's per-PE totals, summed
+// in one walk over the PAPI records the first time any event is asked
+// for: a summary and the -lp plots ask once per event, and the walk (not
+// the sum) is what costs at millions of records. It lives behind a
+// pointer so that copies of a Set share it.
+type papiTotalsMemo struct {
+	once    sync.Once
+	byEvent [][]int64 // [event index][pe]
+}
+
+// papiTotals returns the memoized totals of a record-mode set. A Set is
+// immutable once assembled (Collector.Set after every Close, ReadSet's
+// result); a set built by hand must be complete before its first
+// PAPITotalsPerPE call.
+func (s *Set) papiTotals() [][]int64 {
+	if s.papiMemo == nil { // a Set literal rather than NewSet: nothing to share
+		return s.sumPAPI()
+	}
+	s.papiMemo.once.Do(func() { s.papiMemo.byEvent = s.sumPAPI() })
+	return s.papiMemo.byEvent
+}
+
+func (s *Set) sumPAPI() [][]int64 {
+	totals := newPAPITotals(len(s.Config.PAPIEvents), s.NumPEs)
 	for pe, recs := range s.PAPI {
-		for _, r := range recs {
-			if idx < len(r.Counters) {
-				out[pe] += r.Counters[idx]
+		for i := range recs {
+			for ev, v := range recs[i].Counters {
+				if ev < len(totals) {
+					totals[ev][pe] += v
+				}
 			}
 		}
 	}
-	return out
+	return totals
 }
 
 // OverallByPE returns the breakdown records indexed by PE (nil entries

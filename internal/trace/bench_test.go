@@ -267,3 +267,48 @@ func init() {
 		panic(fmt.Sprintf("benchPEs %d must be a multiple of the per-node width", benchPEs))
 	}
 }
+
+// benchCollect measures one send through the collector - LogicalSend
+// plus, every fourth send, the PhysicalSendAt of the buffer it filled -
+// as ns, bytes and allocations per send. A PE's collector is closed and
+// replaced every benchCollectRun sends, so record mode's hand-over is
+// part of the figure and memory stays bounded whatever b.N is.
+func benchCollect(b *testing.B, cfg Config) {
+	const benchCollectRun = 1 << 20
+	m := machine(benchPEs, 16)
+	eng := papi.NewEngine()
+	var pc *PECollector
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%benchCollectRun == 0 {
+			if pc != nil {
+				pc.Close()
+			}
+			c, err := NewCollector(cfg, m)
+			if err != nil {
+				b.Fatal(err)
+			}
+			pc = c.ForPE(0, eng)
+		}
+		dst := i % benchPEs
+		eng.Tally(papi.Work{Ins: 7, LstIns: 2})
+		pc.LogicalSend(0, dst, 16)
+		if i%4 == 3 {
+			pc.PhysicalSendAt(conveyor.LocalSend, 1024, 0, dst, int64(i))
+		}
+	}
+	pc.Close()
+}
+
+// BenchmarkCollectFullTrace is the record path (block arenas).
+func BenchmarkCollectFullTrace(b *testing.B) { benchCollect(b, fullTrace()) }
+
+// BenchmarkCollectAggregate is the benchmark's aggregation config, which
+// retains no records.
+func BenchmarkCollectAggregate(b *testing.B) {
+	benchCollect(b, Config{
+		Logical: true, Overall: true, Aggregate: true,
+		PAPIEvents: []papi.Event{papi.TOT_INS}, PAPIRecordEvery: 256,
+	})
+}

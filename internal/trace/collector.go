@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 
+	"actorprof/internal/blocks"
 	"actorprof/internal/conveyor"
 	"actorprof/internal/papi"
 	"actorprof/internal/sim"
@@ -59,10 +60,18 @@ func (c *Collector) ForPE(pe int, engine *papi.Engine) *PECollector {
 		parent:  c,
 		pe:      pe,
 		node:    c.machine.NodeOf(pe),
-		machine: c.machine,
+		npes:    c.machine.NumPEs,
+		perNode: c.machine.PEsPerNode,
 		engine:  engine,
+
+		aggregate:   c.cfg.Aggregate,
+		logicalOn:   c.cfg.Logical,
+		physicalOn:  c.cfg.Physical,
+		sampleEvery: c.cfg.LogicalSample,
+		untilSample: 1,
+		papiEvery:   c.cfg.PAPIRecordEvery,
+		events:      c.cfg.PAPIEvents,
 	}
-	pc.aggregate = c.cfg.Aggregate
 	if c.Streaming() {
 		s, err := c.openStreams(pe)
 		if err != nil {
@@ -73,6 +82,7 @@ func (c *Collector) ForPE(pe int, engine *papi.Engine) *PECollector {
 		c.mu.Unlock()
 		pc.stream = s
 	}
+	pc.retain = !pc.aggregate && pc.stream == nil
 	if len(c.cfg.PAPIEvents) > 0 {
 		if engine == nil {
 			panic("trace: PAPI events configured but no engine supplied")
@@ -95,17 +105,27 @@ func (c *Collector) ForPE(pe int, engine *papi.Engine) *PECollector {
 // PECollector receives trace events from one PE. Not safe for concurrent
 // use; the owning PE goroutine calls it.
 type PECollector struct {
-	parent  *Collector
-	pe      int
-	node    int
-	machine sim.Machine
-	engine  *papi.Engine
+	parent *Collector
+	pe     int
+	node   int
+	engine *papi.Engine
+
+	// What the send path needs of the configuration and the machine,
+	// copied here by ForPE so a send reads a few words of its own
+	// collector instead of copying the parent's Config.
+	npes, perNode int
+	logicalOn     bool
+	physicalOn    bool
+	sampleEvery   int // Config.LogicalSample
+	untilSample   int // sends until the next sampled logical record; 1 = the next one
+	papiEvery     int // Config.PAPIRecordEvery
+	events        []papi.Event
 
 	// stream, when non-nil, receives records directly (streaming mode).
 	stream *peStream
 
 	// Aggregate-mode state (Config.Aggregate): records fold into these
-	// per-PE accumulators instead of the slices below, and Close merges
+	// per-PE accumulators instead of the buffers below, and Close merges
 	// them into the Set's matrices. aggLogical and aggPhys[kind] are
 	// dst-indexed rows for sends initiated by this PE; aggPhysMisc
 	// catches the rare event attributed to another PE (or an unknown
@@ -117,10 +137,21 @@ type PECollector struct {
 	aggPAPI     []int64
 	msg         stats.Stream
 
-	logical      []LogicalRecord
+	// Record-mode state (retain: neither aggregated nor streamed). Every
+	// record lands once in a PE-private block and every Counters slice
+	// is carved from the arena; Close hands the blocks to the Set as one
+	// exact-size slice per kind. Until then nothing else may see them,
+	// afterwards records and their Counters are immutable (DESIGN.md §8).
+	retain   bool
+	logical  blocks.Buf[LogicalRecord]
+	papiRecs blocks.Buf[PAPIRecord]
+	physical blocks.Buf[PhysicalRecord]
+	counters arena
+	// scratch receives the counter deltas of a record nobody retains
+	// (aggregate and streaming mode), so those modes allocate no arena.
+	scratch [papi.MaxConcurrentEvents]int64
+
 	logicalCount int64
-	papiRecs     []PAPIRecord
-	physical     []PhysicalRecord
 	overall      OverallRecord
 	hasOverall   bool
 
@@ -143,7 +174,7 @@ type PECollector struct {
 type SegmentToken struct {
 	name     string
 	cycles0  int64
-	counter0 []int64
+	counter0 [papi.MaxConcurrentEvents]int64
 }
 
 // SegmentEnter begins measuring a named user segment; cycles is the PE's
@@ -152,9 +183,7 @@ type SegmentToken struct {
 func (p *PECollector) SegmentEnter(name string, cycles int64) SegmentToken {
 	tok := SegmentToken{name: name, cycles0: cycles}
 	if p.engine != nil {
-		evs := p.parent.cfg.PAPIEvents
-		tok.counter0 = make([]int64, len(evs))
-		for i, ev := range evs {
+		for i, ev := range p.events {
 			tok.counter0[i] = p.engine.Read(ev)
 		}
 	}
@@ -170,14 +199,14 @@ func (p *PECollector) SegmentExit(tok SegmentToken, cycles int64) {
 	if rec == nil {
 		rec = &SegmentRecord{
 			PE: p.pe, Name: tok.name,
-			Counters: make([]int64, len(p.parent.cfg.PAPIEvents)),
+			Counters: make([]int64, len(p.events)),
 		}
 		p.segments[tok.name] = rec
 	}
 	rec.Count++
 	rec.Cycles += cycles - tok.cycles0
 	if p.engine != nil {
-		for i, ev := range p.parent.cfg.PAPIEvents {
+		for i, ev := range p.events {
 			rec.Counters[i] += p.engine.Read(ev) - tok.counter0[i]
 		}
 	}
@@ -187,27 +216,18 @@ func (p *PECollector) SegmentExit(tok SegmentToken, cycles int64) {
 // to PE dst via the given mailbox. It feeds both the logical trace and
 // the PAPI trace, as in ActorProf's instrumentation of HClib-Actor.
 func (p *PECollector) LogicalSend(mailbox, dst, msgSize int) {
-	cfg := p.parent.cfg
 	p.logicalCount++
-	if cfg.Logical && (p.logicalCount-1)%int64(cfg.LogicalSample) == 0 {
-		rec := LogicalRecord{
-			SrcNode: p.node,
-			SrcPE:   p.pe,
-			DstNode: p.machine.NodeOf(dst),
-			DstPE:   dst,
-			MsgSize: msgSize,
-		}
-		if p.stream != nil {
-			p.stream.logical.put(rec)
-		}
-		if p.aggregate {
-			if p.aggLogical == nil {
-				p.aggLogical = make([]int64, p.machine.NumPEs)
-			}
-			p.aggLogical[dst]++
-			p.msg.Observe(int64(msgSize))
-		} else if p.stream == nil {
-			p.logical = append(p.logical, rec)
+	if p.logicalOn {
+		// Sends 1, 1+N, 1+2N, ... are sampled: a countdown, not a modulo.
+		if p.untilSample--; p.untilSample == 0 {
+			p.untilSample = p.sampleEvery
+			p.recordLogical(LogicalRecord{
+				SrcNode: p.node,
+				SrcPE:   p.pe,
+				DstNode: dst / p.perNode,
+				DstPE:   dst,
+				MsgSize: msgSize,
+			})
 		}
 	}
 	if p.eventSet == nil {
@@ -220,9 +240,41 @@ func (p *PECollector) LogicalSend(mailbox, dst, msgSize int) {
 	}
 	p.pendingDst, p.pendingMailbox, p.pendingPkt = dst, mailbox, msgSize
 	p.pendingSends++
-	if p.pendingSends >= cfg.PAPIRecordEvery {
+	if p.pendingSends >= p.papiEvery {
 		p.flushPAPI()
 	}
+}
+
+// recordLogical routes a sampled logical record to the enabled sinks,
+// as recordPAPI does for PAPI records.
+func (p *PECollector) recordLogical(rec LogicalRecord) {
+	if p.retain {
+		p.logical.Push(rec)
+		return
+	}
+	if p.stream != nil {
+		p.stream.logical.put(rec)
+	}
+	if p.aggregate {
+		if p.aggLogical == nil {
+			p.aggLogical = make([]int64, p.npes)
+		}
+		p.aggLogical[rec.DstPE]++
+		p.msg.Observe(int64(rec.MsgSize))
+	}
+}
+
+// stopCounters ends the running PAPI region and returns its counter
+// deltas: in a fresh arena slice when records are retained (the record
+// aliases it for the life of the Set), in the per-PE scratch otherwise
+// (valid until the next call).
+func (p *PECollector) stopCounters() []int64 {
+	counters := p.scratch[:len(p.events)]
+	if p.retain {
+		counters = p.counters.take(len(p.events))
+	}
+	p.eventSet.StopInto(counters)
+	return counters
 }
 
 // flushPAPI emits the pending PAPI record with the counter deltas since
@@ -231,40 +283,41 @@ func (p *PECollector) flushPAPI() {
 	if p.pendingSends == 0 || p.eventSet == nil {
 		return
 	}
-	counters := p.eventSet.Stop()
-	p.eventSet.Start()
-	rec := PAPIRecord{
+	counters := p.stopCounters()
+	// Re-opens the lifetime-long region of ForPE that stopCounters just
+	// read out.
+	p.eventSet.Start() //actorvet:ignore unpairedregion
+	p.recordPAPI(PAPIRecord{
 		SrcNode:   p.node,
 		SrcPE:     p.pe,
-		DstNode:   p.machine.NodeOf(p.pendingDst),
+		DstNode:   p.pendingDst / p.perNode,
 		DstPE:     p.pendingDst,
 		PktSize:   p.pendingPkt,
 		MailboxID: p.pendingMailbox,
 		NumSends:  p.pendingSends,
 		Counters:  counters,
-	}
-	p.recordPAPI(rec)
+	})
 	p.pendingSends = 0
 }
 
 // recordPAPI routes a finished PAPI record to the enabled sinks: the
-// stream (streaming mode), the per-event aggregate totals (aggregate
-// mode), or the in-memory slice.
+// in-memory blocks, or the stream (streaming mode) and the per-event
+// aggregate totals (aggregate mode), neither of which keeps rec.Counters.
 func (p *PECollector) recordPAPI(rec PAPIRecord) {
+	if p.retain {
+		p.papiRecs.Push(rec)
+		return
+	}
 	if p.stream != nil {
 		p.stream.papi.put(rec)
 	}
 	if p.aggregate {
 		if p.aggPAPI == nil {
-			p.aggPAPI = make([]int64, len(p.parent.cfg.PAPIEvents))
+			p.aggPAPI = make([]int64, len(p.events))
 		}
 		for i, v := range rec.Counters {
-			if i < len(p.aggPAPI) {
-				p.aggPAPI[i] += v
-			}
+			p.aggPAPI[i] += v
 		}
-	} else if p.stream == nil {
-		p.papiRecs = append(p.papiRecs, rec)
 	}
 }
 
@@ -277,31 +330,31 @@ func (p *PECollector) PhysicalSend(kind conveyor.SendKind, bufBytes, src, dst in
 // PhysicalSendAt records one Conveyors transfer event with the
 // initiating PE's clock value, enabling the Google Trace Event export.
 func (p *PECollector) PhysicalSendAt(kind conveyor.SendKind, bufBytes, src, dst int, cycles int64) {
-	if !p.parent.cfg.Physical {
+	if !p.physicalOn {
 		return
 	}
 	rec := PhysicalRecord{
 		Kind: kind, BufBytes: bufBytes, SrcPE: src, DstPE: dst, Cycles: cycles,
+	}
+	if p.retain {
+		p.physical.Push(rec)
+		return
 	}
 	if p.stream != nil {
 		p.stream.phys.put(rec)
 	}
 	if p.aggregate {
 		if k := int(kind); src == p.pe && k >= 0 && k < len(p.aggPhys) &&
-			dst >= 0 && dst < p.machine.NumPEs {
+			dst >= 0 && dst < p.npes {
 			row := p.aggPhys[k]
 			if row == nil {
-				row = make([]int64, p.machine.NumPEs)
+				row = make([]int64, p.npes)
 				p.aggPhys[k] = row
 			}
 			row[dst]++
 		} else {
 			p.aggPhysMisc = append(p.aggPhysMisc, rec)
 		}
-		return
-	}
-	if p.stream == nil {
-		p.physical = append(p.physical, rec)
 	}
 }
 
@@ -321,7 +374,10 @@ func (p *PECollector) OverallBreakdown(tMain, tProc, tTotal int64) {
 	p.hasOverall = true
 }
 
-// Close flushes pending records into the shared Set. Idempotent.
+// Close flushes pending records into the shared Set. Idempotent. The
+// hand-over copies and the segment sort happen before the collector's
+// lock is taken, so PEs finishing together do not queue behind each
+// other's memmove.
 func (p *PECollector) Close() {
 	if p.closed {
 		return
@@ -333,7 +389,7 @@ func (p *PECollector) Close() {
 		// the last send (the drain phase handles most receives on
 		// recv-heavy PEs). NumSends 0 and MailboxID -1 mark it; per-PE
 		// totals would otherwise under-count and depend on scheduling.
-		counters := p.eventSet.Stop()
+		counters := p.stopCounters()
 		residual := false
 		for _, c := range counters {
 			if c != 0 {
@@ -350,6 +406,22 @@ func (p *PECollector) Close() {
 			})
 		}
 	}
+	logical := p.logical.Flatten()
+	papiRecs := p.papiRecs.Flatten()
+	physical := p.physical.Flatten()
+	var segments []SegmentRecord
+	if len(p.segments) > 0 {
+		names := make([]string, 0, len(p.segments))
+		for name := range p.segments {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		segments = make([]SegmentRecord, 0, len(names))
+		for _, name := range names {
+			segments = append(segments, *p.segments[name])
+		}
+	}
+
 	c := p.parent
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -388,24 +460,15 @@ func (p *PECollector) Close() {
 			}
 		}
 	}
-	c.set.Logical[p.pe] = p.logical
+	c.set.Logical[p.pe] = logical
 	c.set.LogicalSendCount[p.pe] = p.logicalCount
-	c.set.PAPI[p.pe] = p.papiRecs
-	c.set.Physical[p.pe] = p.physical
+	c.set.PAPI[p.pe] = papiRecs
+	c.set.Physical[p.pe] = physical
 	if p.hasOverall {
 		c.set.Overall = append(c.set.Overall, p.overall)
 	}
-	if len(p.segments) > 0 {
-		names := make([]string, 0, len(p.segments))
-		for name := range p.segments {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		recs := make([]SegmentRecord, 0, len(names))
-		for _, name := range names {
-			recs = append(recs, *p.segments[name])
-		}
-		c.set.Segments[p.pe] = recs
+	if segments != nil {
+		c.set.Segments[p.pe] = segments
 	}
 }
 

@@ -254,6 +254,10 @@ type Set struct {
 	// MsgBytes accumulates logical payload-size statistics (streaming;
 	// aggregate mode cannot recover them from records).
 	MsgBytes stats.Stream
+
+	// papiMemo caches PAPITotalsPerPE's one walk over the PAPI records
+	// (analysis.go).
+	papiMemo *papiTotalsMemo
 }
 
 // NewSet allocates an empty set for npes PEs.
@@ -269,5 +273,6 @@ func NewSet(cfg Config, npes, perNode int) *Set {
 		Physical:         make([][]PhysicalRecord, npes),
 		Overall:          make([]OverallRecord, 0, npes),
 		Segments:         make([][]SegmentRecord, npes),
+		papiMemo:         new(papiTotalsMemo),
 	}
 }
