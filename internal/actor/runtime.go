@@ -35,6 +35,10 @@ type Runtime struct {
 	engine *papi.Engine
 	costs  papi.CostModel
 	opts   RuntimeOptions
+	// insCycles/insScale are the world cost model's instruction price,
+	// cached because World.Cost() returns the whole model by value and
+	// Work runs once per message (as Selector caches sendCyc).
+	insCycles, insScale int64
 
 	pc *trace.PECollector // nil when tracing is disabled
 
@@ -82,6 +86,8 @@ func NewRuntime(pe *shmem.PE, opts RuntimeOptions) *Runtime {
 		costs:  opts.Costs,
 		opts:   opts,
 	}
+	cost := pe.World().Cost()
+	rt.insCycles, rt.insScale = cost.InstructionCycles, cost.InstructionScale
 	if opts.Collector != nil {
 		rt.pc = opts.Collector.ForPE(pe.Rank(), rt.engine)
 	}
@@ -137,7 +143,12 @@ func (rt *Runtime) Segment(name string, fn func()) {
 // execute and be counted by the PMU.
 func (rt *Runtime) Work(w papi.Work) {
 	rt.engine.Tally(w)
-	rt.pe.ChargeInstr(rt.pe.World().Cost().InstructionCost(w.Ins), w.Ins)
+	rt.pe.ChargeInstr(rt.instrCost(w.Ins), w.Ins)
+}
+
+// instrCost is World().Cost().InstructionCost(ins) from the cached price.
+func (rt *Runtime) instrCost(ins int64) int64 {
+	return sim.PriceInstructions(ins, rt.insCycles, rt.insScale)
 }
 
 // Finish opens an hclib finish scope, runs body, and waits until every

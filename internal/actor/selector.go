@@ -96,11 +96,10 @@ func NewSelector[T any](rt *Runtime, n int, codec Codec[T]) (*Selector[T], error
 		sendCount: make([]int64, n),
 		recvCount: make([]int64, n),
 	}
-	cost := rt.pe.World().Cost()
 	s.sendWork = rt.costs.SendWork(codec.Size)
-	s.sendCyc = cost.InstructionCost(s.sendWork.Ins)
+	s.sendCyc = rt.instrCost(s.sendWork.Ins)
 	s.handlerWork = rt.costs.HandlerWork(codec.Size)
-	s.handlerCyc = cost.InstructionCost(s.handlerWork.Ins)
+	s.handlerCyc = rt.instrCost(s.handlerWork.Ins)
 	for mb := 0; mb < n; mb++ {
 		opts := conveyor.Options{
 			ItemBytes:   codec.Size,
@@ -405,7 +404,6 @@ func (s *Selector[T]) drainBatch(mb int) {
 	m.draining = true
 	rt := s.rt
 	w := s.handlerWork
-	cost := rt.pe.World().Cost()
 	size := s.codec.Size
 	for {
 		raw, rawSrcs, n := c.PullRun()
@@ -434,7 +432,7 @@ func (s *Selector[T]) drainBatch(mb int) {
 		s.recvCount[mb] += int64(n)
 		rt.engine.Tally(w.Scale(int64(n)))
 		ins := int64(n) * w.Ins
-		rt.pe.ChargeInstr(cost.InstructionCost(ins), ins)
+		rt.pe.ChargeInstr(rt.instrCost(ins), ins)
 		// Injection point (schedule-only), once per batch with the batch
 		// length as argument.
 		if rt.pe.HasFault() {

@@ -46,3 +46,25 @@ func BenchmarkISort(b *testing.B) {
 func BenchmarkISortPerMessage(b *testing.B) {
 	benchISort(b, true)
 }
+
+func BenchmarkISortLocalSort(b *testing.B) {
+	// One PE's local-sort segment at the benchmark workload's size: about
+	// 100 000 uniform keys in a bucket 65 536 wide, which is dense, so
+	// the counting sort runs. Its one allocation is the count table.
+	const me, width, n = 3, 1 << 16, 100000
+	rng := splitmix{state: 42}
+	unsorted := make([]int64, n)
+	for i := range unsorted {
+		unsorted[i] = me*width + int64(rng.next()%width)
+	}
+	keys := make([]int64, n)
+	b.ReportAllocs()
+	b.ReportMetric(n, "keys/op")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(keys, unsorted)
+		if err := sortBucket(keys, me, width); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

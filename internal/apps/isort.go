@@ -2,7 +2,8 @@ package apps
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 
 	"actorprof/internal/actor"
 	"actorprof/internal/papi"
@@ -138,18 +139,45 @@ func ISort(rt *actor.Runtime, cfg ISortConfig) (ISortResult, error) {
 	})
 
 	// Local sort of the bucket.
+	var sortErr error
 	rt.Segment("local-sort", func() {
-		sort.Slice(recv, func(i, j int) bool { return recv[i] < recv[j] })
+		sortErr = sortBucket(recv, me, cfg.BucketWidth)
 		rt.Work(papi.Work{Ins: int64(len(recv)) * 8, LstIns: int64(len(recv)) * 2, Cyc: int64(len(recv)) * 10})
 	})
-
-	lo, hi := int64(me)*cfg.BucketWidth, int64(me+1)*cfg.BucketWidth
-	for _, k := range recv {
-		if k < lo || k >= hi {
-			return ISortResult{}, fmt.Errorf("apps: isort PE %d received key %d outside bucket [%d, %d)", me, k, lo, hi)
-		}
+	if sortErr != nil {
+		return ISortResult{}, sortErr
 	}
 	return ISortResult{Keys: recv, Received: total}, nil
+}
+
+// sortBucket sorts PE me's bucket in place after checking that every
+// key lies in [me*width, (me+1)*width). A dense bucket - the ISx input,
+// about as many keys as the bucket is wide - takes ISx's own counting
+// sort over that range (one pass to count, one to write back); a sparse
+// one, where the count table would dwarf the keys, a comparison sort.
+func sortBucket(keys []int64, me int, width int64) error {
+	lo, hi := int64(me)*width, int64(me+1)*width
+	for _, k := range keys {
+		if k < lo || k >= hi {
+			return fmt.Errorf("apps: isort PE %d received key %d outside bucket [%d, %d)", me, k, lo, hi)
+		}
+	}
+	if width > 4*int64(len(keys))+1024 || len(keys) > math.MaxInt32 {
+		slices.Sort(keys)
+		return nil
+	}
+	counts := make([]int32, width)
+	for _, k := range keys {
+		counts[k-lo]++
+	}
+	i := 0
+	for v, n := range counts {
+		for ; n > 0; n-- {
+			keys[i] = lo + int64(v)
+			i++
+		}
+	}
+	return nil
 }
 
 // ISortSerial computes the reference bucket contents: all keys every PE
@@ -157,18 +185,27 @@ func ISort(rt *actor.Runtime, cfg ISortConfig) (ISortResult, error) {
 // deterministic placement makes the distributed result exactly equal.
 func ISortSerial(npes int, cfg ISortConfig) [][]int64 {
 	maxKey := int64(npes) * cfg.BucketWidth
-	var all []int64
+	all := make([]int64, 0, npes*cfg.KeysPerPE)
 	for pe := 0; pe < npes; pe++ {
 		rng := splitmix{state: cfg.Seed + uint64(pe)*0x9e3779b97f4a7c15}
 		for i := 0; i < cfg.KeysPerPE; i++ {
 			all = append(all, int64(rng.next()%uint64(maxKey)))
 		}
 	}
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+	slices.Sort(all)
+	// Bucket b is the run of the sorted keys below (b+1)*BucketWidth;
+	// an empty bucket stays nil.
 	buckets := make([][]int64, npes)
-	for _, k := range all {
-		b := int(k / cfg.BucketWidth)
-		buckets[b] = append(buckets[b], k)
+	lo := 0
+	for b := range buckets {
+		end, hi := int64(b+1)*cfg.BucketWidth, lo
+		for hi < len(all) && all[hi] < end {
+			hi++
+		}
+		if hi > lo {
+			buckets[b] = all[lo:hi:hi]
+		}
+		lo = hi
 	}
 	return buckets
 }

@@ -104,6 +104,59 @@ func BenchmarkPushThroughput(b *testing.B) {
 	}
 }
 
+func BenchmarkPushSlotCube64(b *testing.B) {
+	// The balanced benchmark workload's shape: 64 PEs x 16 per node (a
+	// 2 x 2 node cube), every PE pushing round-robin to all 64, so routes
+	// take up to three hops and all PEs push at once. On one node the
+	// next hop is the identity and nothing shared is contended; here a
+	// division per push or a world-shared word per push shows. b.N counts
+	// pushes over all PEs; must stay 0 allocs/op.
+	const npes, perNode = 64, 16
+	per := b.N/npes + 1
+	b.ReportAllocs()
+	err := shmem.Run(cfg(npes, perNode), func(pe *shmem.PE) {
+		c, err := New(pe, Options{ItemBytes: 8, BufferItems: 64})
+		if err != nil {
+			panic(err)
+		}
+		drain := func() {
+			for {
+				if _, _, n := c.PullRun(); n == 0 {
+					return
+				}
+			}
+		}
+		pe.Barrier()
+		if pe.Rank() == 0 {
+			b.ResetTimer()
+		}
+		pe.Barrier()
+		dst := pe.Rank()
+		for i := 0; i < per; i++ {
+			if dst++; dst == npes {
+				dst = 0
+			}
+			for {
+				slot, ok := c.PushSlot(dst)
+				if ok {
+					binary.LittleEndian.PutUint64(slot, uint64(i))
+					break
+				}
+				c.Advance(false)
+				drain()
+			}
+		}
+		for c.Advance(true) {
+			drain()
+			pe.WaitIdle()
+		}
+		drain()
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}
+
 func BenchmarkPushPullLocal(b *testing.B) {
 	// Single-PE push/pull round trip cost (self-sends through the full
 	// buffer path).

@@ -186,6 +186,11 @@ type Conveyor struct {
 
 	topo  topology
 	peers []int // legal hop targets (sorted), for iteration
+	// hopOf[dst] is topo.nextHop(me, dst), tabulated by New: routes are
+	// static, and a push or a forwarded item should cost an index, not
+	// the topology's coordinate arithmetic. hopOf[me] == me: self-sends
+	// take one full local hop (no bypass).
+	hopOf []int32
 }
 
 type outBuf struct {
@@ -251,6 +256,14 @@ func New(pe *shmem.PE, opts Options) (*Conveyor, error) {
 		}
 		c.peers = append(c.peers, t)
 	}
+	c.hopOf = make([]int32, npes)
+	for dst := range c.hopOf {
+		hop := dst
+		if dst != pe.Rank() {
+			hop = topo.nextHop(pe.Rank(), dst)
+		}
+		c.hopOf[dst] = int32(hop)
+	}
 	c.board = boardFor(c)
 	// Collective sanity check: every PE must construct the conveyor
 	// with identical options, or the symmetric channel layout (and the
@@ -274,12 +287,7 @@ func (c *Conveyor) Topology() Topology { return c.topo.kind() }
 
 // nextHop returns the next hop PE for an item whose final destination is
 // dst.
-func (c *Conveyor) nextHop(dst int) int {
-	if dst == c.pe.Rank() {
-		return dst // self-sends take one full local hop (no bypass)
-	}
-	return c.topo.nextHop(c.pe.Rank(), dst)
-}
+func (c *Conveyor) nextHop(dst int) int { return int(c.hopOf[dst]) }
 
 // Stats returns a snapshot of the conveyor's counters.
 func (c *Conveyor) Stats() Stats { return c.stats }

@@ -17,16 +17,21 @@ import (
 // board is the shared termination-detection state of one conveyor
 // instance across all PEs. In a real Conveyors run this bookkeeping rides
 // on the aggregated buffers themselves; the simulation keeps it as plain
-// shared counters, which changes no observable trace event.
+// shared counters, which changes no observable trace event. No message
+// touches it: a PE counts its pushes privately (Stats.Pushed) and adds
+// the total once, when it declares done; deliveries are added once per
+// received buffer.
 type board struct {
-	pushed    atomic.Int64 // items accepted from applications, all PEs
+	pushed    atomic.Int64 // items accepted from applications, summed over the PEs that are done
 	delivered atomic.Int64 // items placed in final pull queues, all PEs
 	donePEs   atomic.Int64 // PEs that have called Advance(done=true)
 }
 
 // settled reports the global half of the termination condition: every
 // PE is done and every pushed item has reached a final pull queue. Once
-// true it stays true (a done PE pushes no more).
+// true it stays true (a done PE pushes no more). pushed is only
+// meaningful - and only read - once donePEs says every PE has published
+// its total, which each does before it counts itself done.
 func (b *board) settled(npes int) bool {
 	return b.donePEs.Load() == int64(npes) && b.pushed.Load() == b.delivered.Load()
 }
@@ -77,16 +82,17 @@ func (c *Conveyor) Push(item []byte, dst int) bool {
 // copy Push implies. The caller must fill the entire slice before any
 // further conveyor call (the slot may hold stale bytes from a previous
 // buffer generation). Returns ok=false under the same conditions as
-// Push; panics likewise.
+// Push; panics likewise. A push writes nothing another PE reads: the
+// slot, the buffer's fill count and Stats.Pushed are this PE's own, and
+// the route is a table lookup (DESIGN.md §8, "what one message touches").
 func (c *Conveyor) PushSlot(dst int) ([]byte, bool) {
 	if c.done {
 		panic("conveyor: Push after Advance(done=true)")
 	}
-	if dst < 0 || dst >= c.pe.NumPEs() {
+	if dst < 0 || dst >= len(c.hopOf) {
 		panic(fmt.Sprintf("conveyor: Push to invalid PE %d", dst))
 	}
-	hop := c.nextHop(dst)
-	ob := c.out[hop]
+	ob := c.out[c.nextHop(dst)]
 	if ob.n >= c.capOf(ob) {
 		// Never transfer from inside Push: the append is MAIN-segment
 		// user work in the FA-BSP attribution, while buffer transfers
@@ -98,8 +104,8 @@ func (c *Conveyor) PushSlot(dst int) ([]byte, bool) {
 	// failed before it may succeed now), so that sweep no longer vouches
 	// for this PE being idle.
 	c.poller.Touch()
+	// Counted privately; Advance(done) publishes the total (see board).
 	c.stats.Pushed++
-	c.board.pushed.Add(1)
 	return slot, true
 }
 
@@ -243,6 +249,9 @@ func (c *Conveyor) Advance(done bool) bool {
 	c.poller.Begin()
 	if done && !c.done {
 		c.done = true
+		// Publish before counting as done: whoever sees the last PE done
+		// must see every PE's pushes (settled reads them in that order).
+		c.board.pushed.Add(c.stats.Pushed)
 		c.board.donePEs.Add(1)
 		c.ringIfSettled()
 	}
@@ -406,8 +415,7 @@ func (c *Conveyor) ingest(buf []byte, n int) {
 		// slots are unconsumed, park the item in the backlog; blocking
 		// inside receive processing can deadlock two column peers that
 		// are each waiting for the other's ack.
-		hop := c.nextHop(dst)
-		ob := c.out[hop]
+		ob := c.out[c.nextHop(dst)]
 		if len(c.routeBacklog) > 0 || (ob.n >= c.capOf(ob) && !c.tryTransfer(ob)) {
 			// Preserve per-pair ordering: once anything is backlogged,
 			// all further forwards queue behind it.

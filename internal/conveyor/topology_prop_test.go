@@ -5,6 +5,7 @@ import (
 	"sort"
 	"testing"
 
+	"actorprof/internal/shmem"
 	"actorprof/internal/sim"
 )
 
@@ -201,6 +202,45 @@ func TestCubeOnOneRowGridIsMesh(t *testing.T) {
 		}
 		if topo.kind() != TopologyMesh {
 			t.Errorf("machine %+v: cube over a 1 x %d node grid resolved to %v, want mesh", m, m.NumNodes(), topo.kind())
+		}
+	}
+}
+
+// A conveyor routes by table (hopOf, filled by New); topology.nextHop
+// stays the one definition of a route. On every shape of the peer-scan
+// grid and every topology, each PE's table must be that definition
+// tabulated, with the PE itself as its own (single, local) hop.
+func TestHopTableIsNextHopTabulated(t *testing.T) {
+	for _, m := range peerScanShapes {
+		for _, choice := range []Topology{TopologyLinear, TopologyMesh, TopologyCube} {
+			topo, err := resolveTopology(choice, m)
+			if err != nil {
+				t.Fatalf("machine %+v: resolving %v: %v", m, choice, err)
+			}
+			err = shmem.Run(shmem.Config{Machine: m}, func(pe *shmem.PE) {
+				c, err := New(pe, Options{ItemBytes: 8, BufferItems: 1, Topology: choice})
+				if err != nil {
+					panic(err)
+				}
+				me := pe.Rank()
+				if len(c.hopOf) != m.NumPEs {
+					t.Errorf("machine %+v topo %v: PE %d has %d table entries", m, choice, me, len(c.hopOf))
+					return
+				}
+				for dst, hop := range c.hopOf {
+					want := me
+					if dst != me {
+						want = topo.nextHop(me, dst)
+					}
+					if int(hop) != want || c.nextHop(dst) != want {
+						t.Errorf("machine %+v topo %v (asked %v): PE %d routes %d via %d, nextHop says %d",
+							m, topo.kind(), choice, me, dst, hop, want)
+					}
+				}
+			})
+			if err != nil {
+				t.Fatalf("machine %+v topo %v: %v", m, choice, err)
+			}
 		}
 	}
 }

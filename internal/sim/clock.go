@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"actorprof/internal/tsc"
 )
@@ -37,12 +36,14 @@ func (m TimingMode) String() string {
 // instruction retirements). In Hybrid mode real tsc cycles accumulate as
 // well.
 //
-// A Clock is read by its owning PE goroutine and advanced by the same
-// goroutine, but SyncMax-based barrier synchronization reads clocks
-// cross-goroutine, so the charged component is atomic.
+// A Clock belongs to one PE goroutine, which alone reads and advances
+// it. Nothing reads a clock across goroutines: barrier synchronization
+// hands the barrier each arriver's Now() by value and advances the
+// arriver's own clock to the returned maximum. So the charged component
+// is a plain word; the race detector is what holds that line.
 type Clock struct {
 	mode    TimingMode
-	charged atomic.Int64
+	charged int64
 	// skewPercent inflates every Charge by skewPercent/100, modelling a
 	// persistently slow PE (fault injection). Set once before the
 	// owning goroutine starts; 0 means no skew.
@@ -76,7 +77,7 @@ func (c *Clock) SkewPercent() int64 { return c.skewPercent }
 // skew). Negative charges are ignored.
 func (c *Clock) Charge(n int64) {
 	if n > 0 {
-		c.charged.Add(SkewCharge(n, c.skewPercent))
+		c.charged += SkewCharge(n, c.skewPercent)
 	}
 }
 
@@ -88,7 +89,7 @@ func (c *Clock) Charge(n int64) {
 // only on the (typically smaller) charged part and under-model the
 // straggler that Virtual mode models fully.
 func (c *Clock) Now() int64 {
-	v := c.charged.Load()
+	v := c.charged
 	if c.mode == Hybrid {
 		v += SkewCharge(tsc.Cycles()-c.realBase, c.skewPercent)
 	}
@@ -102,12 +103,12 @@ func (c *Clock) Now() int64 {
 func (c *Clock) AdvanceTo(target int64) {
 	now := c.Now()
 	if target > now {
-		c.charged.Add(target - now)
+		c.charged += target - now
 	}
 }
 
 // Reset rewinds the clock to zero.
 func (c *Clock) Reset() {
-	c.charged.Store(0)
+	c.charged = 0
 	c.realBase = tsc.Cycles()
 }

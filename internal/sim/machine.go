@@ -135,8 +135,15 @@ func (c CostModel) LocalTransferCost(n int) int64 {
 
 // InstructionCost converts a simulated instruction count into cycles.
 func (c CostModel) InstructionCost(ins int64) int64 {
-	if c.InstructionScale <= 0 {
-		return ins * c.InstructionCycles
+	return PriceInstructions(ins, c.InstructionCycles, c.InstructionScale)
+}
+
+// PriceInstructions is InstructionCost for callers that keep a model's
+// InstructionCycles and InstructionScale instead of the whole model (a
+// CostModel is a dozen words and moves by value).
+func PriceInstructions(ins, cycles, scale int64) int64 {
+	if scale <= 0 {
+		return ins * cycles
 	}
-	return ins * c.InstructionCycles / c.InstructionScale
+	return ins * cycles / scale
 }

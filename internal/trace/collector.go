@@ -83,6 +83,7 @@ func (c *Collector) ForPE(pe int, engine *papi.Engine) *PECollector {
 		pc.stream = s
 	}
 	pc.retain = !pc.aggregate && pc.stream == nil
+	pc.sumOnly = pc.aggregate && pc.stream == nil
 	if len(c.cfg.PAPIEvents) > 0 {
 		if engine == nil {
 			panic("trace: PAPI events configured but no engine supplied")
@@ -136,6 +137,11 @@ type PECollector struct {
 	aggPhysMisc []PhysicalRecord
 	aggPAPI     []int64
 	msg         stats.Stream
+	// sumOnly: aggregated and not streamed, so no PAPI record outlives
+	// its fold into aggPAPI and only the per-event sums are observable.
+	// The sum of back-to-back stop/start deltas is one delta, so sends
+	// only count and Close's flush reads the counters once.
+	sumOnly bool
 
 	// Record-mode state (retain: neither aggregated nor streamed). Every
 	// record lands once in a PE-private block and every Counters slice
@@ -221,7 +227,7 @@ func (p *PECollector) LogicalSend(mailbox, dst, msgSize int) {
 		// Sends 1, 1+N, 1+2N, ... are sampled: a countdown, not a modulo.
 		if p.untilSample--; p.untilSample == 0 {
 			p.untilSample = p.sampleEvery
-			p.recordLogical(LogicalRecord{
+			p.recordLogical(&LogicalRecord{
 				SrcNode: p.node,
 				SrcPE:   p.pe,
 				DstNode: dst / p.perNode,
@@ -231,6 +237,10 @@ func (p *PECollector) LogicalSend(mailbox, dst, msgSize int) {
 		}
 	}
 	if p.eventSet == nil {
+		return
+	}
+	if p.sumOnly {
+		p.pendingSends++
 		return
 	}
 	// Batch sends into a PAPI record. A change of destination or mailbox
@@ -247,13 +257,13 @@ func (p *PECollector) LogicalSend(mailbox, dst, msgSize int) {
 
 // recordLogical routes a sampled logical record to the enabled sinks,
 // as recordPAPI does for PAPI records.
-func (p *PECollector) recordLogical(rec LogicalRecord) {
+func (p *PECollector) recordLogical(rec *LogicalRecord) {
 	if p.retain {
-		p.logical.Push(rec)
+		p.logical.Push(*rec)
 		return
 	}
 	if p.stream != nil {
-		p.stream.logical.put(rec)
+		p.stream.logical.put(*rec)
 	}
 	if p.aggregate {
 		if p.aggLogical == nil {
@@ -287,7 +297,7 @@ func (p *PECollector) flushPAPI() {
 	// Re-opens the lifetime-long region of ForPE that stopCounters just
 	// read out.
 	p.eventSet.Start() //actorvet:ignore unpairedregion
-	p.recordPAPI(PAPIRecord{
+	p.recordPAPI(&PAPIRecord{
 		SrcNode:   p.node,
 		SrcPE:     p.pe,
 		DstNode:   p.pendingDst / p.perNode,
@@ -303,13 +313,13 @@ func (p *PECollector) flushPAPI() {
 // recordPAPI routes a finished PAPI record to the enabled sinks: the
 // in-memory blocks, or the stream (streaming mode) and the per-event
 // aggregate totals (aggregate mode), neither of which keeps rec.Counters.
-func (p *PECollector) recordPAPI(rec PAPIRecord) {
+func (p *PECollector) recordPAPI(rec *PAPIRecord) {
 	if p.retain {
-		p.papiRecs.Push(rec)
+		p.papiRecs.Push(*rec)
 		return
 	}
 	if p.stream != nil {
-		p.stream.papi.put(rec)
+		p.stream.papi.put(*rec)
 	}
 	if p.aggregate {
 		if p.aggPAPI == nil {
@@ -398,7 +408,7 @@ func (p *PECollector) Close() {
 			}
 		}
 		if residual {
-			p.recordPAPI(PAPIRecord{
+			p.recordPAPI(&PAPIRecord{
 				SrcNode: p.node, SrcPE: p.pe,
 				DstNode: p.node, DstPE: p.pe,
 				PktSize: 0, MailboxID: -1, NumSends: 0,

@@ -371,10 +371,12 @@ func TestAggregateCollectorMatchesBuffered(t *testing.T) {
 		for pe := 0; pe < 6; pe++ {
 			eng := papi.NewEngine()
 			pc := c.ForPE(pe, eng)
-			for i := 0; i < 15; i++ {
+			// PE 5 sends nothing: all of its work is the residual record.
+			for i := 0; i < 15 && pe != 5; i++ {
 				eng.Tally(papi.Work{Ins: int64(3*pe + i), LstIns: int64(i)})
 				pc.LogicalSend(0, (pe+i)%6, 16+i)
 			}
+			eng.Tally(papi.Work{Ins: int64(7 + pe), LstIns: 2}) // drain-phase work after the last send
 			pc.PhysicalSend(conveyor.LocalSend, 64, pe, (pe+1)%6)
 			pc.PhysicalSend(conveyor.NonblockSend, 128, pe, (pe+3)%6)
 			pc.OverallBreakdown(int64(10+pe), int64(20+pe), int64(500+pe))
@@ -423,5 +425,30 @@ func TestAggregateCollectorMatchesBuffered(t *testing.T) {
 	// WriteFiles needs raw records and must refuse the aggregate set.
 	if err := got.WriteFiles(t.TempDir()); err == nil {
 		t.Fatal("WriteFiles accepted an aggregate-mode set")
+	}
+
+	// Aggregated *and* streamed, the records are still observable - on
+	// disk - so the collector must keep flushing one per send there,
+	// and fold the same totals, rather than read the counters once.
+	dir := t.TempDir()
+	streamed, err := NewStreamingCollector(cfg, m, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed(streamed)
+	if err := streamed.Finalize(); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadSet(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back.PAPI, want.PAPI) {
+		t.Fatalf("aggregate+streaming wrote PAPI records\n%+v\nwant the buffered collector's\n%+v", back.PAPI, want.PAPI)
+	}
+	for _, ev := range cfg.PAPIEvents {
+		if w, g := want.PAPITotalsPerPE(ev), streamed.Set().PAPITotalsPerPE(ev); !reflect.DeepEqual(w, g) {
+			t.Fatalf("aggregate+streaming PAPI totals for %v differ:\n%v\nvs\n%v", ev, w, g)
+		}
 	}
 }
