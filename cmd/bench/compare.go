@@ -6,9 +6,9 @@ import (
 	"strings"
 )
 
-// hotPath names the benchmarks whose hot-path guarantees gate CI: ns/op
-// may not regress beyond the threshold and allocs/op may not regress at
-// all. Other benchmarks are compared informationally.
+// hotPath names the benchmarks whose hot-path guarantees gate CI:
+// allocs/op may not rise at all. Other benchmarks are compared
+// informationally.
 var hotPath = map[string]bool{
 	"BenchmarkPushThroughput":  true,
 	"BenchmarkPushPullLocal":   true,
@@ -42,13 +42,14 @@ var hotPath = map[string]bool{
 	"BenchmarkWhatIfReplay": true,
 }
 
-// compare checks current against baseline: for hot-path benchmarks a
-// ns/op increase beyond threshold (fraction, e.g. 0.10) or any
-// allocs/op increase fails; a hot-path benchmark missing from current
-// fails. Non-hot benchmarks are reported but never fatal (figure-scale
-// runs are too noisy at CI benchtimes to gate on). Returns the
-// human-readable report and the failure count.
-func compare(baseline, current File, threshold float64) (string, int) {
+// compare checks current against baseline: for hot-path benchmarks any
+// allocs/op increase fails, and so does one missing from current.
+// Allocation counts are the same on every machine; ns/op is not, and the
+// baseline comes from another one, so ns/op deltas are printed for the
+// reader and never fail. Non-hot benchmarks are reported but never fatal
+// (figure-scale runs allocate by design). Returns the human-readable
+// report and the failure count.
+func compare(baseline, current File) (string, int) {
 	cur := make(map[string]Result, len(current.Results))
 	for _, r := range current.Results {
 		cur[r.Package+"."+r.Name] = r
@@ -64,17 +65,14 @@ func compare(baseline, current File, threshold float64) (string, int) {
 
 	var b strings.Builder
 	failures := 0
-	fail := func(format string, args ...any) {
-		failures++
-		fmt.Fprintf(&b, "FAIL  "+format+"\n", args...)
-	}
 	for _, k := range keys {
 		old := base[k]
 		hot := hotPath[old.Name]
 		now, ok := cur[k]
 		if !ok {
 			if hot {
-				fail("%s: hot-path benchmark missing from current results", k)
+				failures++
+				fmt.Fprintf(&b, "FAIL  %s: hot-path benchmark missing from current results\n", k)
 			} else {
 				fmt.Fprintf(&b, "skip  %s: not in current results\n", k)
 			}
@@ -85,28 +83,20 @@ func compare(baseline, current File, threshold float64) (string, int) {
 			delta = (now.NsPerOp - old.NsPerOp) / old.NsPerOp
 		}
 		tag := "ok  "
-		switch {
-		case hot && delta > threshold:
-			fail("%s: ns/op %.5g -> %.5g (%+.1f%% > %+.0f%% budget)",
-				k, old.NsPerOp, now.NsPerOp, 100*delta, 100*threshold)
-			tag = ""
-		case hot && now.AllocsPerOp > old.AllocsPerOp:
-			fail("%s: allocs/op %.4g -> %.4g (hot path must not allocate more)",
-				k, old.AllocsPerOp, now.AllocsPerOp)
-			tag = ""
-		case !hot && delta > threshold:
+		if now.AllocsPerOp > old.AllocsPerOp {
 			tag = "warn"
+			if hot {
+				failures++
+				tag = "FAIL"
+			}
 		}
-		if tag != "" {
-			fmt.Fprintf(&b, "%s  %s: ns/op %.5g -> %.5g (%+.1f%%), allocs/op %.4g -> %.4g\n",
-				tag, k, old.NsPerOp, now.NsPerOp, 100*delta, old.AllocsPerOp, now.AllocsPerOp)
-		}
+		fmt.Fprintf(&b, "%s  %s: ns/op %.5g -> %.5g (%+.1f%%), allocs/op %.4g -> %.4g\n",
+			tag, k, old.NsPerOp, now.NsPerOp, 100*delta, old.AllocsPerOp, now.AllocsPerOp)
 	}
 	if failures == 0 {
-		fmt.Fprintf(&b, "benchmark gate passed: %d compared, threshold %+.0f%%\n",
-			len(keys), 100*threshold)
+		fmt.Fprintf(&b, "benchmark gate passed: %d compared\n", len(keys))
 	} else {
-		fmt.Fprintf(&b, "benchmark gate FAILED: %d regression(s)\n", failures)
+		fmt.Fprintf(&b, "benchmark gate FAILED: %d hot-path benchmark(s) allocate more or are missing\n", failures)
 	}
 	return b.String(), failures
 }

@@ -70,35 +70,28 @@ func res(name string, ns, allocs float64) Result {
 		NsPerOp: ns, AllocsPerOp: allocs, Runs: 3}
 }
 
-func TestCompareWithinBudgetPasses(t *testing.T) {
+func TestCompareNsDeltaIsPrintedNotGated(t *testing.T) {
+	// The baseline was measured on another machine: a slower ns/op on a
+	// hot benchmark is shown to the reader and fails nothing.
 	baseline := mkFile(res("BenchmarkPushThroughput", 100, 0))
-	current := mkFile(res("BenchmarkPushThroughput", 108, 0)) // +8% < 10%
-	report, failures := compare(baseline, current, 0.10)
+	current := mkFile(res("BenchmarkPushThroughput", 150, 0))
+	report, failures := compare(baseline, current)
 	if failures != 0 {
-		t.Fatalf("unexpected failures:\n%s", report)
+		t.Fatalf("ns/op delta gated:\n%s", report)
 	}
-}
-
-func TestCompareNsRegressionFails(t *testing.T) {
-	baseline := mkFile(res("BenchmarkPushThroughput", 100, 0))
-	current := mkFile(res("BenchmarkPushThroughput", 111, 0)) // +11% > 10%
-	report, failures := compare(baseline, current, 0.10)
-	if failures != 1 {
-		t.Fatalf("want 1 failure, got %d:\n%s", failures, report)
-	}
-	if !strings.Contains(report, "FAIL") || !strings.Contains(report, "ns/op") {
-		t.Errorf("report does not name the ns/op regression:\n%s", report)
+	if !strings.Contains(report, "+50.0%") {
+		t.Errorf("report does not show the ns/op delta:\n%s", report)
 	}
 }
 
 func TestCompareAllocRegressionFails(t *testing.T) {
 	baseline := mkFile(res("BenchmarkHandlerDispatch", 100, 0))
 	current := mkFile(res("BenchmarkHandlerDispatch", 100, 1))
-	report, failures := compare(baseline, current, 0.10)
+	report, failures := compare(baseline, current)
 	if failures != 1 {
 		t.Fatalf("want 1 failure, got %d:\n%s", failures, report)
 	}
-	if !strings.Contains(report, "allocs/op") {
+	if !strings.Contains(report, "FAIL") || !strings.Contains(report, "allocs/op") {
 		t.Errorf("report does not name the allocs/op regression:\n%s", report)
 	}
 }
@@ -106,7 +99,7 @@ func TestCompareAllocRegressionFails(t *testing.T) {
 func TestCompareImprovementPasses(t *testing.T) {
 	baseline := mkFile(res("BenchmarkPushThroughput", 100, 2))
 	current := mkFile(res("BenchmarkPushThroughput", 50, 0))
-	report, failures := compare(baseline, current, 0.10)
+	report, failures := compare(baseline, current)
 	if failures != 0 {
 		t.Fatalf("improvement flagged as regression:\n%s", report)
 	}
@@ -115,7 +108,7 @@ func TestCompareImprovementPasses(t *testing.T) {
 func TestCompareMissingHotBenchmarkFails(t *testing.T) {
 	baseline := mkFile(res("BenchmarkPushThroughput", 100, 0))
 	current := mkFile()
-	report, failures := compare(baseline, current, 0.10)
+	report, failures := compare(baseline, current)
 	if failures != 1 {
 		t.Fatalf("want 1 failure for missing hot benchmark, got %d:\n%s", failures, report)
 	}
@@ -124,11 +117,23 @@ func TestCompareMissingHotBenchmarkFails(t *testing.T) {
 func TestCompareNonHotOnlyWarns(t *testing.T) {
 	baseline := mkFile(res("BenchmarkFig03LogicalHeatmap1Node", 100, 5000))
 	current := mkFile(res("BenchmarkFig03LogicalHeatmap1Node", 150, 9000)) // +50%, more allocs
-	report, failures := compare(baseline, current, 0.10)
+	report, failures := compare(baseline, current)
 	if failures != 0 {
 		t.Fatalf("non-hot benchmark must not gate, got %d failures:\n%s", failures, report)
 	}
 	if !strings.Contains(report, "warn") {
 		t.Errorf("expected a warning line:\n%s", report)
+	}
+}
+
+// TestGatedBenchmarksAreRun: a benchmark compare gates on that no suite
+// runs would fail every gate as "missing".
+func TestGatedBenchmarksAreRun(t *testing.T) {
+	run := "|" + hotBench + "|"
+	for name := range hotPath {
+		top, _, _ := strings.Cut(name, "/")
+		if !strings.Contains(run, "|"+top+"|") {
+			t.Errorf("%s gates compare but the hot suite does not run it", name)
+		}
 	}
 }

@@ -11,14 +11,13 @@
 //
 //	go run ./examples/isort -out results/isort
 //
-//	-keys N        keys per PE (default 20000)
-//	-pes N         number of PEs (default 16)
-//	-per-node N    PEs per node (default 16)
-//	-width N       bucket width per PE (default 1<<16)
-//	-seed N        key-generation seed (default 42)
-//	-buf N         conveyor buffer items (default 64)
-//	-per-message   use per-message dispatch instead of batched
-//	-out DIR       trace output directory (default actorprof_trace)
+//	-keys N      keys per PE (default 20000)
+//	-pes N       number of PEs (default 16)
+//	-per-node N  PEs per node (default 16)
+//	-width N     bucket width per PE (default 1<<16)
+//	-seed N      key-generation seed (default 42)
+//	-buf N       conveyor buffer items (default 64)
+//	-out DIR     trace output directory (default actorprof_trace)
 package main
 
 import (
@@ -45,28 +44,21 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("isort", flag.ContinueOnError)
 	var (
-		keys       = fs.Int("keys", 20000, "keys per PE")
-		pes        = fs.Int("pes", 16, "number of PEs")
-		perNode    = fs.Int("per-node", 16, "PEs per node")
-		width      = fs.Int64("width", 1<<16, "bucket width per PE")
-		seed       = fs.Uint64("seed", 42, "key-generation seed")
-		buf        = fs.Int("buf", 64, "conveyor aggregation buffer (items)")
-		perMessage = fs.Bool("per-message", false, "use per-message dispatch instead of batched")
-		outDir     = fs.String("out", "actorprof_trace", "trace output directory")
+		keys    = fs.Int("keys", 20000, "keys per PE")
+		pes     = fs.Int("pes", 16, "number of PEs")
+		perNode = fs.Int("per-node", 16, "PEs per node")
+		width   = fs.Int64("width", 1<<16, "bucket width per PE")
+		seed    = fs.Uint64("seed", 42, "key-generation seed")
+		buf     = fs.Int("buf", 64, "conveyor aggregation buffer (items)")
+		outDir  = fs.String("out", "actorprof_trace", "trace output directory")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	cfg := apps.ISortConfig{
-		KeysPerPE: *keys, BucketWidth: *width, Seed: *seed, PerMessage: *perMessage,
-	}
-	mode := "batched"
-	if *perMessage {
-		mode = "per-message"
-	}
-	fmt.Fprintf(out, "isort: %d keys/PE on %d PEs (%d node(s)), bucket width %d, %s dispatch\n",
-		*keys, *pes, (*pes+*perNode-1)/(*perNode), *width, mode)
+	cfg := apps.ISortConfig{KeysPerPE: *keys, BucketWidth: *width, Seed: *seed}
+	fmt.Fprintf(out, "isort: %d keys/PE on %d PEs (%d node(s)), bucket width %d\n",
+		*keys, *pes, (*pes+*perNode-1)/(*perNode), *width)
 
 	results := make([]apps.ISortResult, *pes)
 	set, sched, err := core.RunCaptured(core.Options{

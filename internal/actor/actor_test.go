@@ -72,6 +72,11 @@ func TestSelectorValidation(t *testing.T) {
 		if _, err := NewSelector(rt, 0, Int64Codec()); err == nil {
 			panic("expected error for zero mailboxes")
 		}
+		// sim.ActorID keeps 8 bits of the mailbox index: mailbox 256 would
+		// share mailbox 0's actor ID in every what-if attribution.
+		if _, err := NewSelector(rt, sim.MaxMailboxes+1, Int64Codec()); err == nil {
+			panic("expected error for more mailboxes than actor IDs can name")
+		}
 		if _, err := NewSelector(rt, 1, Codec[int64]{}); err == nil {
 			panic("expected error for incomplete codec")
 		}

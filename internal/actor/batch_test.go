@@ -144,8 +144,8 @@ func TestBatchAccountingPerMessage(t *testing.T) {
 	}
 }
 
-// TestProcessBatchValidation pins the registration rules: one dispatch
-// mode per mailbox, registered before Start.
+// TestProcessBatchValidation pins the registration rules: a mailbox
+// takes one handler, whichever form installs it, before Start.
 func TestProcessBatchValidation(t *testing.T) {
 	err := shmem.Run(cfg(1, 1), func(pe *shmem.PE) {
 		rt := NewRuntime(pe, RuntimeOptions{})
@@ -153,7 +153,6 @@ func TestProcessBatchValidation(t *testing.T) {
 		if err != nil {
 			panic(err)
 		}
-		sel.Process(0, func(int64, int) {})
 		mustPanic := func(name string, f func()) {
 			defer func() {
 				if recover() == nil {
@@ -162,18 +161,18 @@ func TestProcessBatchValidation(t *testing.T) {
 			}()
 			f()
 		}
-		mustPanic("ProcessBatch over Process", func() {
-			sel.ProcessBatch(0, func([]int64, []int) {})
-		})
-		sel.ProcessBatch(1, func([]int64, []int) {})
-		mustPanic("Process over ProcessBatch", func() {
-			sel.Process(1, func(int64, int) {})
-		})
+		perMessage := func(mb int) func() { return func() { sel.Process(mb, func(int64, int) {}) } }
+		perRun := func(mb int) func() { return func() { sel.ProcessBatch(mb, func([]int64, []int) {}) } }
+		perMessage(0)()
+		mustPanic("Process over Process", perMessage(0))
+		mustPanic("ProcessBatch over Process", perRun(0))
+		perRun(1)()
+		mustPanic("Process over ProcessBatch", perMessage(1))
+		mustPanic("ProcessBatch over ProcessBatch", perRun(1))
 		rt.Finish(func() {
 			sel.Start()
-			mustPanic("ProcessBatch after Start", func() {
-				sel.ProcessBatch(1, func([]int64, []int) {})
-			})
+			mustPanic("Process after Start", perMessage(1))
+			mustPanic("ProcessBatch after Start", perRun(1))
 			sel.DoneAll()
 		})
 		rt.Close()

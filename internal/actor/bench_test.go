@@ -76,10 +76,10 @@ func BenchmarkSendRecvSampledTrace(b *testing.B) {
 // conveyor pushes (untimed - the send side has its own benchmarks), then
 // times one Progress that drains the whole backlog through the installed
 // handler. The reported ns/op covers dispatchBurst messages; divide for
-// the per-message figure. Both dispatch modes run at the same (default)
-// aggregation buffer size, so BenchmarkHandlerDispatchBatch vs
-// BenchmarkHandlerDispatch is the acceptance ratio for batching: the
-// batched drain must at least double messages/sec, at 0 allocs/op.
+// the per-message figure. Both registration forms go through the one
+// run drain at the same (default) aggregation buffer size, so
+// BenchmarkHandlerDispatch minus BenchmarkHandlerDispatchBatch is the
+// cost of Process's per-message closure call; both at 0 allocs/op.
 const dispatchBurst = 4096
 
 func benchDispatch(b *testing.B, register func(sel *Selector[int64], count *int)) {
@@ -131,18 +131,17 @@ func benchDispatch(b *testing.B, register func(sel *Selector[int64], count *int)
 }
 
 func BenchmarkHandlerDispatch(b *testing.B) {
-	// Per-message dispatch off a staged backlog: Pull, decode, tally,
-	// charge, and handler brackets for every message.
+	// A Process handler off a staged backlog: the run drain, then one
+	// closure call per message.
 	benchDispatch(b, func(sel *Selector[int64], count *int) {
 		sel.Process(0, func(int64, int) { *count++ })
 	})
 }
 
 func BenchmarkHandlerDispatchBatch(b *testing.B) {
-	// Batched twin of BenchmarkHandlerDispatch at the same buffer size:
-	// the drain loop delivers each pull-ring run as ONE ProcessBatch
-	// invocation over recycled scratch, amortizing the tally, the
-	// instruction charge, and the handler brackets across the run.
+	// The run drain alone: each pull-ring run is ONE ProcessBatch
+	// invocation over recycled scratch, with one tally, one instruction
+	// charge and one handler bracket for the run.
 	benchDispatch(b, func(sel *Selector[int64], count *int) {
 		sel.ProcessBatch(0, func(msgs []int64, srcPEs []int) { *count += len(msgs) })
 	})

@@ -29,9 +29,9 @@ import (
 // DecodeBatch is optional: when non-nil it bulk-decodes a delivered
 // buffer of len(dst) back-to-back Size-byte records from raw into dst
 // and returns how many it decoded (a partial count is legal; the runtime
-// finishes the tail with Decode). Batch dispatch uses it to turn n
-// per-message decoder calls into one flat loop; without it the runtime
-// falls back to Decode per message.
+// finishes the tail with Decode). Dispatch uses it to turn a run's n
+// decoder calls into one flat loop; without it the runtime falls back to
+// Decode per message.
 type Codec[T any] struct {
 	Size        int
 	Encode      func(buf []byte, v T)

@@ -315,3 +315,66 @@ func TestNestedSendRetryLoopsDoNotSleepOnStaleSweeps(t *testing.T) {
 		}
 	}
 }
+
+func TestHandlerSendsOnItsOwnMailboxThroughOneItemBuffers(t *testing.T) {
+	// Every first-hop message makes its Process handler send a second
+	// hop on the same mailbox, through buffers one item wide: nearly
+	// every such Send finds its buffer full and makes progress from
+	// inside the handler. That progress must not drain the mailbox whose
+	// run the handler is still iterating, yet must keep receiving and
+	// acknowledging, or two handlers blocked on each other never return.
+	// Main-body sends are sequential among themselves and so are one
+	// mailbox's handlers, so each (source, hop) stream must arrive in
+	// send order, every message exactly once.
+	const npes, firstHops = 4, 200
+	for round := 0; round < 5; round++ {
+		secondHops := make([]int64, npes)
+		err := runDeadline(t, 60*time.Second, cfg(npes, 2), func(pe *shmem.PE) {
+			rt := NewRuntime(pe, RuntimeOptions{BufferItems: 1})
+			sel, _ := NewActor(rt, PairCodec())
+			me := pe.Rank()
+			var sent, next [2][npes]int64
+			send := func(hop int64, dst int) {
+				seq := sent[hop][dst]
+				sent[hop][dst]++
+				sel.Send(0, Pair{A: hop, B: seq}, dst)
+			}
+			var handled int
+			sel.Process(0, func(m Pair, src int) {
+				if m.B != next[m.A][src] {
+					panic(fmt.Sprintf("PE %d: hop %d message %d from PE %d arrived where %d was due",
+						me, m.A, m.B, src, next[m.A][src]))
+				}
+				next[m.A][src]++
+				if m.A == 0 {
+					handled++
+					send(1, src)
+				} else {
+					secondHops[me]++
+				}
+			})
+			rt.Finish(func() {
+				sel.Start()
+				for i := 0; i < firstHops; i++ {
+					send(0, (me+i+round)%npes)
+				}
+				// Destinations rotate, so every PE is due firstHops first
+				// hops, and has sent all its second hops once it handled them.
+				for handled < firstHops {
+					sel.Progress()
+				}
+				sel.Done(0)
+			})
+			rt.Close()
+			pe.Barrier()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pe, got := range secondHops {
+			if got != firstHops {
+				t.Fatalf("round %d: PE %d handled %d second hops, want %d", round, pe, got, firstHops)
+			}
+		}
+	}
+}

@@ -143,7 +143,15 @@ func (rt *Runtime) Segment(name string, fn func()) {
 // execute and be counted by the PMU.
 func (rt *Runtime) Work(w papi.Work) {
 	rt.engine.Tally(w)
-	rt.pe.ChargeInstr(rt.instrCost(w.Ins), w.Ins)
+	rt.pe.ChargeInstr(rt.instrCost(w.Ins), w.Ins, 1)
+}
+
+// WorkN reports w once for each of n messages: what a ProcessBatch
+// handler calls with len(msgs) where a Process handler calls Work per
+// message, with the same counters and the same simulated time.
+func (rt *Runtime) WorkN(w papi.Work, n int) {
+	rt.engine.Tally(w.Scale(int64(n)))
+	rt.pe.ChargeInstr(rt.instrCost(w.Ins), w.Ins, int64(n))
 }
 
 // instrCost is World().Cost().InstructionCost(ins) from the cached price.

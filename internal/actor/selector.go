@@ -11,9 +11,9 @@ import (
 
 // Selector is an actor with multiple guarded mailboxes (Imam & Sarkar's
 // selector model, as adopted by HClib-Actor). Each mailbox carries
-// messages of type T and has its own Process handler and its own
-// Conveyors instance underneath. A Selector with one mailbox is a plain
-// actor.
+// messages of type T and has its own handler (Process or ProcessBatch)
+// and its own Conveyors instance underneath. A Selector with one mailbox
+// is a plain actor.
 //
 // Lifecycle (paper Listing 1):
 //
@@ -53,25 +53,23 @@ type Selector[T any] struct {
 	// ~25% of the un-traced messaging hot path.
 	sendWork    papi.Work // one Send's MAIN-segment work
 	sendCyc     int64     // InstructionCost(sendWork.Ins)
-	handlerWork papi.Work // one dispatch's PROC-segment work
+	handlerWork papi.Work // one message's dispatch work
 	handlerCyc  int64     // InstructionCost(handlerWork.Ins)
 }
 
 type mailbox[T any] struct {
-	process func(msg T, srcPE int)
-	// processBatch, when installed instead of process, receives each
-	// delivered pull-ring run as one invocation over the scratch slices
-	// below (see Selector.ProcessBatch).
-	processBatch func(msgs []T, srcPEs []int)
-	done         bool
-	// draining guards the batch scratch against re-entrant drains of the
-	// same mailbox: a batch handler's Send may hit a full buffer, whose
-	// retry loop drains this mailbox again while msgs/srcs are live.
+	// handler receives each delivered pull-ring run as one invocation
+	// over the scratch slices below (see Selector.ProcessBatch).
+	handler func(msgs []T, srcPEs []int)
+	done    bool
+	// draining guards the scratch against re-entrant drains of the same
+	// mailbox: a handler's Send may hit a full buffer, whose retry loop
+	// drains this mailbox again while msgs/srcs are live.
 	draining bool
-	// msgs/srcs are the recycled batch scratch: decoded messages and
-	// source PEs for the current batch invocation. They grow to the pull
-	// ring's high-water run length and are then reused, so steady-state
-	// batch dispatch allocates nothing.
+	// msgs/srcs are the recycled scratch: decoded messages and source
+	// PEs for the current invocation. They grow to the pull ring's
+	// high-water run length and are then reused, so steady-state
+	// dispatch allocates nothing.
 	msgs []T
 	srcs []int
 }
@@ -81,8 +79,8 @@ type mailbox[T any] struct {
 // with the same parameters (the conveyor construction underneath
 // allocates symmetric memory).
 func NewSelector[T any](rt *Runtime, n int, codec Codec[T]) (*Selector[T], error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("actor: selector needs at least one mailbox, got %d", n)
+	if n <= 0 || n > sim.MaxMailboxes {
+		return nil, fmt.Errorf("actor: selector needs 1 to %d mailboxes, got %d", sim.MaxMailboxes, n)
 	}
 	if codec.Size <= 0 || codec.Encode == nil || codec.Decode == nil {
 		return nil, fmt.Errorf("actor: incomplete codec")
@@ -128,46 +126,45 @@ func NewActor[T any](rt *Runtime, codec Codec[T]) (*Selector[T], error) {
 	return NewSelector(rt, 1, codec)
 }
 
-// Process installs the handler for mailbox mb. Must be called before
-// Start.
+// Process installs the handler for mailbox mb (Listing 1's process
+// callback): fn runs once per delivered message, in delivery order. It
+// is ProcessBatch with the loop over the run written for you; nothing
+// the runtime records or charges depends on which of the two was used.
 func (s *Selector[T]) Process(mb int, fn func(msg T, srcPE int)) {
-	s.checkMailbox(mb)
-	if s.started {
-		panic("actor: Process after Start")
-	}
-	if s.mailboxes[mb].processBatch != nil {
-		panic(fmt.Sprintf("actor: mailbox %d already has a ProcessBatch handler", mb))
-	}
-	s.mailboxes[mb].process = fn
+	s.ProcessBatch(mb, func(msgs []T, srcPEs []int) {
+		for i, msg := range msgs {
+			fn(msg, srcPEs[i])
+		}
+	})
 }
 
-// ProcessBatch installs a data-parallel handler for mailbox mb: instead
-// of one handler call per message, the runtime decodes each delivered
-// pull-ring run into recycled scratch and hands the whole run to fn as
-// ONE invocation — msgs holds the decoded messages in delivery order and
-// srcPEs the matching source ranks (len(msgs) == len(srcPEs) >= 1).
+// ProcessBatch installs a data-parallel handler for mailbox mb: the
+// runtime decodes each delivered pull-ring run into recycled scratch and
+// hands the whole run to fn as ONE invocation — msgs holds the decoded
+// messages in delivery order and srcPEs the matching source ranks
+// (len(msgs) == len(srcPEs) >= 1).
 //
 // Ownership (DESIGN.md §15): both slices are borrowed scratch, valid
 // only during the invocation. The runtime reuses them for the next
-// batch, so a handler must copy any element or subslice it retains past
-// its return. Sending from inside the handler is allowed, exactly as
-// with Process.
+// run, so a handler must copy any element or subslice it retains past
+// its return. Sending from inside the handler is allowed; a Send that
+// has to wait for buffer space runs other mailboxes' handlers but never
+// re-enters this one.
 //
-// Per-message semantics are preserved: RecvCount, the PAPI tally, the
-// cost-model instruction charge, and the logical trace all account n
-// messages, and handler schedule markers carry the batch length
-// (sim.BatchActorID) so what-if bottleneck ranking normalizes by
-// messages. A mailbox takes either Process or ProcessBatch, not both;
-// must be called before Start.
+// Accounting is per message: RecvCount, the PAPI tally, the cost-model
+// instruction charge, and the logical trace all account n messages, and
+// handler schedule markers carry the run length (sim.BatchActorID) so
+// what-if bottleneck ranking normalizes by messages. A mailbox takes one
+// handler, installed before Start.
 func (s *Selector[T]) ProcessBatch(mb int, fn func(msgs []T, srcPEs []int)) {
 	s.checkMailbox(mb)
 	if s.started {
-		panic("actor: ProcessBatch after Start")
+		panic("actor: handler installed after Start")
 	}
-	if s.mailboxes[mb].process != nil {
-		panic(fmt.Sprintf("actor: mailbox %d already has a Process handler", mb))
+	if s.mailboxes[mb].handler != nil {
+		panic(fmt.Sprintf("actor: mailbox %d already has a handler", mb))
 	}
-	s.mailboxes[mb].processBatch = fn
+	s.mailboxes[mb].handler = fn
 }
 
 // NumMailboxes returns the number of mailboxes.
@@ -194,7 +191,7 @@ func (s *Selector[T]) Start() {
 		panic("actor: Start called twice")
 	}
 	for mb := range s.mailboxes {
-		if s.mailboxes[mb].process == nil && s.mailboxes[mb].processBatch == nil {
+		if s.mailboxes[mb].handler == nil {
 			panic(fmt.Sprintf("actor: mailbox %d has no Process or ProcessBatch handler", mb))
 		}
 	}
@@ -239,7 +236,7 @@ func (s *Selector[T]) Send(mb int, msg T, dst int) {
 	// work (Table I): tally the PAPI cost model and charge the clock.
 	s.sendCount[mb]++
 	rt.engine.Tally(s.sendWork)
-	rt.pe.ChargeInstr(s.sendCyc, s.sendWork.Ins)
+	rt.pe.ChargeInstr(s.sendCyc, s.sendWork.Ins, 1)
 	if rt.collecting() {
 		rt.pc.LogicalSend(mb, dst, s.codec.Size)
 	}
@@ -345,60 +342,21 @@ func (s *Selector[T]) progress() {
 	s.inProgress = false
 }
 
-// drain dispatches every pending message of mailbox mb. Handler
-// executions are carved into the PROC regime and tallied with the
-// handler-dispatch cost model.
+// drain dispatches mailbox mb's pending messages in pull-ring runs: each
+// contiguous run is decoded into the mailbox's recycled scratch slices
+// and handed to the handler as one invocation, carved into the PROC
+// regime. Accounting is per message — RecvCount, the PAPI tally and the
+// dispatch charge all count n — and the clock takes one EvInstr event
+// priced as n dispatches (PE.ChargeInstr), so the simulated time of a
+// delivery does not depend on how it fell into runs.
 func (s *Selector[T]) drain(mb int) {
 	c := s.convs[mb]
 	m := &s.mailboxes[mb]
-	if m.processBatch != nil {
-		s.drainBatch(mb)
-		return
-	}
-	rt := s.rt
-	// Each message tallies and charges the (hoisted) dispatch work
-	// individually, keeping the MAIN/PROC/COMM attribution identical.
-	w, instr := s.handlerWork, s.handlerCyc
-	actor := sim.ActorID(s.ord, mb)
-	for {
-		item, src, ok := c.Pull()
-		if !ok {
-			return
-		}
-		s.recvCount[mb]++
-		rt.engine.Tally(w)
-		rt.pe.ChargeInstr(instr, w.Ins)
-		msg := s.codec.Decode(item)
-		// Injection point (schedule-only): extra yields before dispatch
-		// let peers race ahead, perturbing the order handler effects
-		// interleave with remote deliveries.
-		if rt.pe.HasFault() {
-			rt.pe.FaultSched(fault.SiteHandler)
-		}
-		start := rt.handlerEnter(actor)
-		m.process(msg, src)
-		rt.handlerExit(actor, start)
-	}
-}
-
-// drainBatch dispatches mailbox mb's pending messages in pull-ring
-// runs: each contiguous run is decoded into the mailbox's recycled
-// scratch slices and handed to the ProcessBatch handler as one
-// invocation. Accounting stays per message — RecvCount, the PAPI tally,
-// and the instruction charge all scale by the batch length — but the
-// clock takes ONE EvInstr event of n×w.Ins instructions per batch.
-// That exact event is what the what-if engine re-prices, and
-// InstructionCost is nonlinear in its argument (integer division by
-// InstructionScale), so the live charge must be InstructionCost(n×ins),
-// not n×InstructionCost(ins), for replay to agree bit-for-bit.
-func (s *Selector[T]) drainBatch(mb int) {
-	c := s.convs[mb]
-	m := &s.mailboxes[mb]
 	if m.draining {
-		// Re-entered from a batch handler's Send retry loop while the
-		// scratch is live; the outer invocation's loop picks up whatever
-		// this pass would have pulled. (Pull draining never gates push
-		// space, so skipping cannot deadlock the retry.)
+		// Re-entered from this mailbox's handler's Send retry loop while
+		// the scratch is live; the outer invocation's loop picks up
+		// whatever this pass would have pulled. (Pull draining never gates
+		// push space, so skipping cannot deadlock the retry.)
 		return
 	}
 	m.draining = true
@@ -431,16 +389,17 @@ func (s *Selector[T]) drainBatch(mb int) {
 		}
 		s.recvCount[mb] += int64(n)
 		rt.engine.Tally(w.Scale(int64(n)))
-		ins := int64(n) * w.Ins
-		rt.pe.ChargeInstr(rt.instrCost(ins), ins)
-		// Injection point (schedule-only), once per batch with the batch
-		// length as argument.
+		rt.pe.ChargeInstr(s.handlerCyc, w.Ins, int64(n))
+		// Injection point (schedule-only), once per run with the run
+		// length as argument: extra yields before dispatch let peers race
+		// ahead, perturbing the order handler effects interleave with
+		// remote deliveries.
 		if rt.pe.HasFault() {
 			rt.pe.FaultSchedArg(fault.SiteHandler, int64(n))
 		}
 		actor := sim.BatchActorID(s.ord, mb, n)
 		start := rt.handlerEnter(actor)
-		m.processBatch(msgs, srcs)
+		m.handler(msgs, srcs)
 		rt.handlerExit(actor, start)
 	}
 	m.draining = false

@@ -7,16 +7,12 @@ import (
 	"actorprof/internal/shmem"
 )
 
-// benchISort runs the full ISx-style sort - keygen, histogram exchange,
-// all-to-all key redistribution, local sort - end to end on an 8-PE
-// world and reports sorted keys per op. The redistribution phase is
-// where dispatch mode matters: batched is the default, per-message the
-// baseline.
-func benchISort(b *testing.B, perMessage bool) {
+// BenchmarkISort runs the full ISx-style sort - keygen, histogram
+// exchange, all-to-all key redistribution through batch handlers, local
+// sort - end to end on an 8-PE world and reports sorted keys per op.
+func BenchmarkISort(b *testing.B) {
 	const npes, perNode, keysPerPE = 8, 4, 4000
-	icfg := ISortConfig{
-		KeysPerPE: keysPerPE, BucketWidth: 1 << 16, Seed: 42, PerMessage: perMessage,
-	}
+	icfg := ISortConfig{KeysPerPE: keysPerPE, BucketWidth: 1 << 16, Seed: 42}
 	b.ReportMetric(float64(npes*keysPerPE), "keys/op")
 	for i := 0; i < b.N; i++ {
 		err := shmem.Run(cfg(npes, perNode), func(pe *shmem.PE) {
@@ -37,14 +33,6 @@ func benchISort(b *testing.B, perMessage bool) {
 			b.Fatal(err)
 		}
 	}
-}
-
-func BenchmarkISort(b *testing.B) {
-	benchISort(b, false)
-}
-
-func BenchmarkISortPerMessage(b *testing.B) {
-	benchISort(b, true)
 }
 
 func BenchmarkISortLocalSort(b *testing.B) {

@@ -283,18 +283,6 @@ func ChaosApps() []harness.App {
 			Check: checkPermutationBijection,
 		},
 		{
-			// Per-message variant of the (batched-by-default) permutation,
-			// keeping both dispatch paths soaked under faults.
-			Name:        "permutation-permsg",
-			BufferItems: 8,
-			Run: func(rt *actor.Runtime) (any, error) {
-				cfg := chaosPermutation
-				cfg.PerMessage = true
-				return Permutation(rt, cfg)
-			},
-			Check: checkPermutationBijection,
-		},
-		{
 			// ISx bucket sort: deterministic per-source placement makes
 			// the result exactly the serial oracle's bucket slices, no
 			// matter how the injector perturbs delivery.
@@ -303,40 +291,6 @@ func ChaosApps() []harness.App {
 				return ISort(rt, chaosISort)
 			},
 			Check: checkISortExact(chaosISort),
-		},
-		{
-			Name: "isort-permsg",
-			Run: func(rt *actor.Runtime) (any, error) {
-				cfg := chaosISort
-				cfg.PerMessage = true
-				return ISort(rt, cfg)
-			},
-			Check: checkISortExact(chaosISort),
-		},
-		{
-			Name: "histogram-permsg",
-			Run: func(rt *actor.Runtime) (any, error) {
-				cfg := chaosHistogram
-				cfg.PerMessage = true
-				return Histogram(rt, cfg)
-			},
-			Check: func(m sim.Machine, perPE []any) error {
-				want := int64(m.NumPEs * chaosHistogram.UpdatesPerPE)
-				var mass int64
-				for pe, r := range perPE {
-					res := r.(HistogramResult)
-					if res.GlobalMass != want {
-						return fmt.Errorf("PE %d saw global mass %d, want %d", pe, res.GlobalMass, want)
-					}
-					for _, v := range res.Local {
-						mass += v
-					}
-				}
-				if mass != want {
-					return fmt.Errorf("buckets hold %d updates, want %d", mass, want)
-				}
-				return nil
-			},
 		},
 		{
 			// Toposort's pivot choices depend on peel order, so the output

@@ -17,10 +17,6 @@ type HistogramConfig struct {
 	TableSizePerPE int
 	// Seed drives the pseudo-random destinations/indices.
 	Seed uint64
-	// PerMessage forces per-message dispatch (Process) instead of the
-	// default batched dispatch (ProcessBatch). Both modes produce
-	// bit-identical results and logical traces.
-	PerMessage bool
 }
 
 // HistogramResult reports one PE's view of the run.
@@ -49,21 +45,14 @@ func Histogram(rt *actor.Runtime, cfg HistogramConfig) (HistogramResult, error) 
 		return HistogramResult{}, fmt.Errorf("apps: histogram actor: %w", err)
 	}
 	handlerWork := papi.Work{Ins: 6, LstIns: 2, Cyc: 4}
-	if cfg.PerMessage {
-		sel.Process(0, func(idx int64, srcPE int) {
-			rt.Work(handlerWork)
+	// The hot handler as a data-parallel batch: one invocation per
+	// delivered pull-ring run, a flat increment loop inside.
+	sel.ProcessBatch(0, func(idxs []int64, srcPEs []int) {
+		rt.WorkN(handlerWork, len(idxs))
+		for _, idx := range idxs {
 			larray[idx]++ // no atomics: the runtime serializes handlers
-		})
-	} else {
-		// The hot handler as a data-parallel batch: one invocation per
-		// delivered pull-ring run, a flat increment loop inside.
-		sel.ProcessBatch(0, func(idxs []int64, srcPEs []int) {
-			rt.Work(handlerWork.Scale(int64(len(idxs))))
-			for _, idx := range idxs {
-				larray[idx]++
-			}
-		})
-	}
+		}
+	})
 
 	rt.Finish(func() {
 		sel.Start()

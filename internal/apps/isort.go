@@ -19,11 +19,6 @@ type ISortConfig struct {
 	BucketWidth int64
 	// Seed drives the key generation.
 	Seed uint64
-	// PerMessage forces per-message dispatch (Process) instead of the
-	// default batched dispatch (ProcessBatch). Both modes must produce
-	// bit-identical results and logical traces; the differential
-	// equivalence suite pins that.
-	PerMessage bool
 }
 
 // ISortResult reports one PE's view of the sort.
@@ -73,19 +68,12 @@ func ISort(rt *actor.Runtime, cfg ISortConfig) (ISortResult, error) {
 		return ISortResult{}, fmt.Errorf("apps: isort count actor: %w", err)
 	}
 	countWork := papi.Work{Ins: 4, LstIns: 1, Cyc: 3}
-	if cfg.PerMessage {
-		csel.Process(0, func(count int64, srcPE int) {
-			rt.Work(countWork)
-			incoming[srcPE] = count
-		})
-	} else {
-		csel.ProcessBatch(0, func(msgs []int64, srcPEs []int) {
-			rt.Work(countWork.Scale(int64(len(msgs))))
-			for i, count := range msgs {
-				incoming[srcPEs[i]] = count
-			}
-		})
-	}
+	csel.ProcessBatch(0, func(msgs []int64, srcPEs []int) {
+		rt.WorkN(countWork, len(msgs))
+		for i, count := range msgs {
+			incoming[srcPEs[i]] = count
+		}
+	})
 	rt.Finish(func() {
 		csel.Start()
 		for dst := 0; dst < npes; dst++ {
@@ -112,22 +100,14 @@ func ISort(rt *actor.Runtime, cfg ISortConfig) (ISortResult, error) {
 		return ISortResult{}, fmt.Errorf("apps: isort key actor: %w", err)
 	}
 	keyWork := papi.Work{Ins: 5, LstIns: 2, Cyc: 4}
-	if cfg.PerMessage {
-		ksel.Process(0, func(k int64, srcPE int) {
-			rt.Work(keyWork)
-			recv[cursor[srcPE]] = k
-			cursor[srcPE]++
-		})
-	} else {
-		ksel.ProcessBatch(0, func(msgs []int64, srcPEs []int) {
-			rt.Work(keyWork.Scale(int64(len(msgs))))
-			for i, k := range msgs {
-				src := srcPEs[i]
-				recv[cursor[src]] = k
-				cursor[src]++
-			}
-		})
-	}
+	ksel.ProcessBatch(0, func(msgs []int64, srcPEs []int) {
+		rt.WorkN(keyWork, len(msgs))
+		for i, k := range msgs {
+			src := srcPEs[i]
+			recv[cursor[src]] = k
+			cursor[src]++
+		}
+	})
 	rt.Finish(func() {
 		ksel.Start()
 		for _, k := range keys {

@@ -16,9 +16,6 @@ type PermutationConfig struct {
 	SlotsPerPE int
 	// Seed drives the dart throwing.
 	Seed uint64
-	// PerMessage forces per-message dispatch (Process) instead of the
-	// default batched dispatch (ProcessBatch).
-	PerMessage bool
 }
 
 // PermutationResult reports one PE's view.
@@ -73,41 +70,25 @@ func Permutation(rt *actor.Runtime, cfg PermutationConfig) (PermutationResult, e
 		}
 		dartWork := papi.Work{Ins: 10, LstIns: 3, BrMsp: 1, Cyc: 7}
 		rejectWork := papi.Work{Ins: 6, LstIns: 2, Cyc: 4}
-		if cfg.PerMessage {
-			sel.Process(mbDart, func(msg actor.Pair, src int) {
+		// Batched darts: contested slots send rejections from inside the
+		// batch invocation, exercising the re-entrant Send path.
+		sel.ProcessBatch(mbDart, func(msgs []actor.Pair, srcPEs []int) {
+			rt.WorkN(dartWork, len(msgs))
+			for i, msg := range msgs {
 				slot, val := msg.A, msg.B
-				rt.Work(dartWork)
 				if slots[slot] < 0 {
 					slots[slot] = val
 				} else {
-					sel.Send(mbReject, actor.Pair{A: 0, B: val}, src)
+					sel.Send(mbReject, actor.Pair{A: 0, B: val}, srcPEs[i])
 				}
-			})
-			sel.Process(mbReject, func(msg actor.Pair, src int) {
-				rt.Work(rejectWork)
+			}
+		})
+		sel.ProcessBatch(mbReject, func(msgs []actor.Pair, srcPEs []int) {
+			rt.WorkN(rejectWork, len(msgs))
+			for _, msg := range msgs {
 				rejected = append(rejected, msg.B)
-			})
-		} else {
-			// Batched darts: contested slots send rejections from inside
-			// the batch invocation, exercising the re-entrant Send path.
-			sel.ProcessBatch(mbDart, func(msgs []actor.Pair, srcPEs []int) {
-				rt.Work(dartWork.Scale(int64(len(msgs))))
-				for i, msg := range msgs {
-					slot, val := msg.A, msg.B
-					if slots[slot] < 0 {
-						slots[slot] = val
-					} else {
-						sel.Send(mbReject, actor.Pair{A: 0, B: val}, srcPEs[i])
-					}
-				}
-			})
-			sel.ProcessBatch(mbReject, func(msgs []actor.Pair, srcPEs []int) {
-				rt.Work(rejectWork.Scale(int64(len(msgs))))
-				for _, msg := range msgs {
-					rejected = append(rejected, msg.B)
-				}
-			})
-		}
+			}
+		})
 		rt.Finish(func() {
 			sel.Start()
 			for _, val := range pending {

@@ -43,26 +43,15 @@ func (p *PE) fireFaultCounted(site fault.Site, arg, arg2 int64) {
 	p.fireFault(site, idx, arg, arg2)
 }
 
-// FaultSched fires a schedule-only site (advance polls, yield points,
-// handler dispatch): the decision may only add scheduler yields, never
-// touch virtual state, because these sites fire at scheduling-dependent
-// rates and charging them would break Virtual-timing determinism.
-func (p *PE) FaultSched(site fault.Site) {
-	if p.inj == nil {
-		return
-	}
-	idx := p.faultIdx[site]
-	p.faultIdx[site]++
-	d := p.inj.Decide(fault.Point{PE: p.rank, Site: site, Index: idx})
-	for i := 0; i < d.Yields; i++ {
-		runtime.Gosched()
-	}
-}
+// FaultSched fires a schedule-only site (advance polls, yield points):
+// the decision may only add scheduler yields, never touch virtual
+// state, because these sites fire at scheduling-dependent rates and
+// charging them would break Virtual-timing determinism.
+func (p *PE) FaultSched(site fault.Site) { p.FaultSchedArg(site, 0) }
 
-// FaultSchedArg fires a schedule-only site with a site argument: the
-// batched handler-dispatch site fires once per batch and passes the
-// batch length, so injectors can key decisions on delivery size. Like
-// FaultSched, the decision may only add scheduler yields.
+// FaultSchedArg is FaultSched with a site argument: handler dispatch
+// fires once per delivered run and passes the run length, so injectors
+// can key decisions on delivery size.
 func (p *PE) FaultSchedArg(site fault.Site, arg int64) {
 	if p.inj == nil {
 		return

@@ -241,15 +241,16 @@ func (p *PE) ChargeEvent(kind sim.EventKind, arg int64) {
 	}
 }
 
-// ChargeInstr charges pre-priced instruction cycles, recording the
-// instruction count. The cycles must equal Cost().InstructionCost(ins);
-// callers on the message hot path precompute that product once per
-// batch instead of re-deriving it per message. (The what-if engine
-// re-prices the recorded count through the same InstructionCost.)
-func (p *PE) ChargeInstr(cycles, ins int64) {
-	p.clock.Charge(cycles)
+// ChargeInstr charges a run of n messages, each retiring ins
+// instructions at the pre-priced cycles = Cost().InstructionCost(ins),
+// and records it as one event. The clock advances as n separate charges
+// would (Clock.ChargeRun), so how deliveries fall into runs never shows
+// in simulated time; the what-if engine re-prices the recorded
+// sim.InstrRun the same way.
+func (p *PE) ChargeInstr(cycles, ins, n int64) {
+	p.clock.ChargeRun(cycles, n)
 	if p.sched != nil {
-		p.sched.Append(sim.EvInstr, ins)
+		p.sched.Append(sim.EvInstr, sim.InstrRun(ins, n))
 	}
 }
 

@@ -75,9 +75,13 @@ func (c *Clock) SkewPercent() int64 { return c.skewPercent }
 
 // Charge advances the clock by n cycles (inflated by any configured
 // skew). Negative charges are ignored.
-func (c *Clock) Charge(n int64) {
+func (c *Clock) Charge(n int64) { c.ChargeRun(n, 1) }
+
+// ChargeRun advances the clock by what count separate Charge(n) calls
+// would: skew inflates, and rounds, each one rather than their sum.
+func (c *Clock) ChargeRun(n, count int64) {
 	if n > 0 {
-		c.charged += SkewCharge(n, c.skewPercent)
+		c.charged += count * SkewCharge(n, c.skewPercent)
 	}
 }
 

@@ -3,6 +3,7 @@ package sim
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"sync"
 
 	"actorprof/internal/blocks"
@@ -27,8 +28,8 @@ import (
 //
 // Every charge site in shmem/conveyor/actor funnels through
 // PE.ChargeEvent / PE.ChargeInstr, which price via CostModel.PriceEvent
-// - the same function the replay engine uses - so recorded charging and
-// replayed charging cannot drift apart.
+// and Clock.ChargeRun - the same functions the replay engine uses - so
+// recorded charging and replayed charging cannot drift apart.
 
 // EventKind classifies one recorded schedule event. Kinds at or below
 // EvRaw carry a clock charge (priced by CostModel.PriceEvent); the
@@ -45,7 +46,7 @@ const (
 	// non-blocking puts (the price does not depend on it).
 	EvQuiet
 	// EvInstr is simulated instruction retirement; Arg is the
-	// instruction count.
+	// instruction count, or an InstrRun of n messages' worth of it.
 	EvInstr
 	// EvIngest is conveyor item ingestion; Arg is the item count.
 	EvIngest
@@ -68,8 +69,8 @@ const (
 	EvMainPause
 	EvMainResume
 	// EvHandlerStart/EvHandlerEnd bracket one outermost message-handler
-	// execution (a batched activation is one bracket). Arg is the actor
-	// ID (selector ordinal << 8 | mailbox) with the batch message count
+	// execution: one delivered run of messages. Arg is the actor ID
+	// (selector ordinal << 8 | mailbox) with the run's message count
 	// packed into bits 32+ (0 means one message); split it with
 	// ActorIDCanon.
 	EvHandlerStart
@@ -97,7 +98,8 @@ func (k EventKind) String() string {
 
 // PriceEvent is the canonical event-to-cycles mapping: the single
 // pricing function shared by record-time charging (PE.ChargeEvent) and
-// the what-if replay/projection engines. Marker kinds price to zero.
+// the what-if replay/projection engines. Marker kinds price to zero, an
+// instruction run to one of its messages (charged InstrRunParts' n times).
 func (c CostModel) PriceEvent(kind EventKind, arg int64) int64 {
 	switch kind {
 	case EvNetworkPut:
@@ -107,7 +109,7 @@ func (c CostModel) PriceEvent(kind EventKind, arg int64) int64 {
 	case EvQuiet:
 		return c.QuietLatency
 	case EvInstr:
-		return c.InstructionCost(arg)
+		return c.InstructionCost(arg & actorIDMask)
 	case EvIngest:
 		return arg * c.ItemIngestCycles
 	case EvDelay, EvRaw:
@@ -341,6 +343,9 @@ func (r *ScheduleRecorder) Schedule() *Schedule {
 // same logical actor everywhere.
 func ActorID(ord, mb int) int64 { return int64(ord)<<8 | int64(mb&0xff) }
 
+// MaxMailboxes is how many mailboxes of one selector ActorID keeps apart.
+const MaxMailboxes = 1 << 8
+
 // ActorIDParts splits an actor ID into its selector ordinal and mailbox.
 // A batch count packed in the high bits (BatchActorID) is ignored, so
 // marker arguments can be passed directly.
@@ -350,12 +355,29 @@ func ActorIDParts(id int64) (ord, mb int) {
 }
 
 // actorIDMask covers the canonical ActorID bits; BatchActorID packs the
-// message count above it.
+// message count above it, as InstrRun does above the instruction count.
 const actorIDMask = int64(1)<<32 - 1
 
-// BatchActorID packs an actor ID together with the number of messages a
-// batched handler activation delivered. n <= 1 yields the plain ActorID,
-// so per-message markers are unchanged.
+// InstrRun is the EvInstr argument for n messages of ins instructions
+// each, priced as n separate retirements of ins, so that batch
+// boundaries stay invisible to the clock. A run of one is the plain
+// count. A count that does not fit its field panics rather than wraps.
+func InstrRun(ins, n int64) int64 {
+	if ins < 0 || ins > actorIDMask || n < 1 || n > math.MaxInt32 {
+		panic(fmt.Sprintf("sim: a run of %d x %d instructions does not fit one schedule event", n, ins))
+	}
+	if n == 1 {
+		return ins
+	}
+	return n<<32 | ins
+}
+
+// InstrRunParts splits an EvInstr argument into the per-message
+// instruction count and the run length.
+func InstrRunParts(arg int64) (ins, n int64) { return ActorIDCanon(arg) }
+
+// BatchActorID packs an actor ID together with the number of messages
+// the bracketed run delivered. n <= 1 yields the plain ActorID.
 func BatchActorID(ord, mb, n int) int64 {
 	id := ActorID(ord, mb)
 	if n > 1 {
@@ -366,7 +388,7 @@ func BatchActorID(ord, mb, n int) int64 {
 
 // ActorIDCanon splits a handler-marker argument into the canonical actor
 // ID (as produced by ActorID) and the message count the bracketed
-// activation delivered (1 for per-message markers). Everything keyed by
+// activation delivered (1 when none is packed). Everything keyed by
 // actor — bottleneck aggregation, HandlerSpeedup factors — must key by
 // the canonical ID.
 func ActorIDCanon(id int64) (canon, msgs int64) {

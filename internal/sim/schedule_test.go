@@ -2,6 +2,7 @@ package sim
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
 	"testing"
 
@@ -286,5 +287,56 @@ func BenchmarkScheduleAppend(b *testing.B) {
 	}
 	if n := rec.Schedule().Events(); n == 0 && b.N > 0 {
 		b.Fatal("no events recorded")
+	}
+}
+
+// TestInstrRunPacksOrPanics pins the EvInstr run encoding at the edges
+// of its two fields: what fits round-trips, a run of one is the plain
+// count, and what does not fit panics instead of wrapping into the
+// other field (a silently different price).
+func TestInstrRunPacksOrPanics(t *testing.T) {
+	const maxIns, maxRun = int64(1)<<32 - 1, int64(math.MaxInt32)
+	for _, tc := range [][2]int64{{53, 1}, {53, 2}, {0, 7}, {maxIns, 1}, {maxIns, maxRun}, {1, maxRun}} {
+		arg := InstrRun(tc[0], tc[1])
+		if ins, n := InstrRunParts(arg); ins != tc[0] || n != tc[1] {
+			t.Errorf("InstrRunParts(InstrRun(%d, %d)) = (%d, %d)", tc[0], tc[1], ins, n)
+		}
+		if tc[1] == 1 && arg != tc[0] {
+			t.Errorf("InstrRun(%d, 1) = %d, want the plain count", tc[0], arg)
+		}
+	}
+	for _, tc := range [][2]int64{{maxIns + 1, 1}, {maxIns + 1, 2}, {53, maxRun + 1}, {53, 0}, {-1, 2}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("InstrRun(%d, %d) did not panic", tc[0], tc[1])
+				}
+			}()
+			InstrRun(tc[0], tc[1])
+		}()
+	}
+}
+
+// TestRunPricedAsItsMessages: under a skew and a price that both round,
+// a run costs what its messages would have cost one by one, in the
+// model and on the clock.
+func TestRunPricedAsItsMessages(t *testing.T) {
+	c := DefaultCostModel() // 53 instructions at IPC 2: 26 cycles, not 26.5
+	if got, want := c.PriceEvent(EvInstr, InstrRun(53, 10)), c.InstructionCost(53); got != want {
+		t.Errorf("PriceEvent of a run of 10 = %d, want one message's %d", got, want)
+	}
+	if c.InstructionCost(530) == 10*c.InstructionCost(53) {
+		t.Fatal("the price divides evenly; the case shows nothing")
+	}
+	one, run := NewClock(Virtual), NewClock(Virtual)
+	one.SetSkewPercent(7)
+	run.SetSkewPercent(7)
+	for i := 0; i < 10; i++ {
+		one.Charge(c.InstructionCost(53))
+	}
+	run.ChargeRun(c.InstructionCost(53), 10)
+	if one.Now() != run.Now() || one.Now() == SkewCharge(10*c.InstructionCost(53), 7) {
+		t.Errorf("ten charges reach %d, one run of ten %d (skewing the sum would give %d)",
+			one.Now(), run.Now(), SkewCharge(10*c.InstructionCost(53), 7))
 	}
 }

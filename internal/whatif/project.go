@@ -149,20 +149,19 @@ type Bottleneck struct {
 	// s<ordinal>/m<mailbox>.
 	Actor int64  `json:"actor"`
 	Label string `json:"label"`
-	// Activations counts outermost handler executions across all PEs. A
-	// batched activation (ProcessBatch) counts once here no matter how
-	// many messages it delivered.
+	// Activations counts outermost handler executions across all PEs: a
+	// delivered run counts once here no matter how many messages it
+	// held.
 	Activations int64 `json:"activations"`
-	// Messages counts the messages those activations delivered: equal to
-	// Activations for per-message handlers, >= Activations for batched
-	// ones (the marker's packed batch count).
+	// Messages counts the messages those activations delivered (the
+	// markers' packed run lengths), >= Activations.
 	Messages int64 `json:"messages"`
 	// TotalCycles is the summed duration of those executions.
 	TotalCycles int64 `json:"total_cycles"`
 	// AvgCycles is TotalCycles / Messages: the per-message handler cost.
-	// Normalizing by messages rather than activations keeps batched and
-	// per-message runs of the same app comparable - a batch run has far
-	// fewer (but proportionally longer) activations.
+	// Normalizing by messages rather than activations keeps it
+	// independent of how deliveries happened to fall into runs - longer
+	// runs mean fewer (but proportionally longer) activations.
 	AvgCycles float64 `json:"avg_cycles"`
 	// AvgInterval is the mean start-to-start spacing of consecutive
 	// activations on the same PE (0 when no PE saw two activations).
@@ -224,7 +223,7 @@ func Project(s *sim.Schedule, p Perturbation) (*Analysis, error) {
 			case ev.Kind == sim.EvBarrier:
 				g++
 			case ev.Kind.Charged():
-				gsum[pe][g] += sim.SkewCharge(p.price(ev.Kind, ev.Arg, st.inHandler, st.handler), skew)
+				gsum[pe][g] += p.charge(ev, &st, skew)
 			default:
 				st.marker(ev.Kind, ev.Arg, 0)
 			}
@@ -270,7 +269,7 @@ func Project(s *sim.Schedule, p Perturbation) (*Analysis, error) {
 			}
 			now := M[g] + prefix
 			if ev.Kind.Charged() {
-				dur := sim.SkewCharge(p.price(ev.Kind, ev.Arg, st.inHandler, st.handler), skew)
+				dur := p.charge(ev, &st, skew)
 				if pe == winner[g] {
 					edgeAcc[g].add(ev.Kind, regimeOf(&st), dur)
 				}
@@ -355,7 +354,7 @@ func Project(s *sim.Schedule, p Perturbation) (*Analysis, error) {
 		}
 		if b.AvgInterval > 0 && a.count > 0 {
 			// Busy fraction: per-activation duration over activation
-			// spacing (per-message AvgCycles would understate batch runs).
+			// spacing (per-message AvgCycles would understate long runs).
 			b.Score = float64(a.cycles) / float64(a.count) / b.AvgInterval
 		}
 		an.Bottlenecks = append(an.Bottlenecks, b)
@@ -432,7 +431,7 @@ func genBreakdown(s *sim.Schedule, p Perturbation, M []int64, pe, gen int, from,
 		}
 		now := M[g] + prefix
 		if ev.Kind.Charged() {
-			dur := sim.SkewCharge(p.price(ev.Kind, ev.Arg, st.inHandler, st.handler), skew)
+			dur := p.charge(ev, &st, skew)
 			if g == gen {
 				lo, hi := now, now+dur
 				if lo < from {

@@ -155,18 +155,31 @@ func (p Perturbation) Validate() error {
 	return nil
 }
 
-// price is the effective cycle cost of one recorded event under this
-// perturbation, given the attribution state at that point. It is the
-// single pricing definition shared by Replay and Project; exactness of
-// their agreement depends on both calling exactly this.
-func (p Perturbation) price(kind sim.EventKind, arg int64, inHandler bool, handler int64) int64 {
+// price is the effective cost of one recorded event under this
+// perturbation, given the attribution state at that point: cycles per
+// occurrence and the occurrence count (above 1 only for a sim.InstrRun:
+// speed-up and skew round per message, so a run costs what its messages
+// would have separately). It is the single pricing definition shared by
+// Replay and Project; their exact agreement depends on both calling it.
+func (p Perturbation) price(kind sim.EventKind, arg int64, inHandler bool, handler int64) (cycles, count int64) {
+	count = 1
+	if kind == sim.EvInstr {
+		_, count = sim.InstrRunParts(arg)
+	}
 	n := p.Cost.PriceEvent(kind, arg)
 	if inHandler && len(p.HandlerSpeedup) > 0 {
 		if f, ok := p.HandlerSpeedup[handler]; ok {
 			n = int64(float64(n) / f)
 		}
 	}
-	return n
+	return n, count
+}
+
+// charge is what price advances a clock of the given skew by: exactly
+// Clock.ChargeRun's arithmetic, for the engine that keeps no Clock.
+func (p Perturbation) charge(ev sim.Event, st *attrib, skew int64) int64 {
+	n, count := p.price(ev.Kind, ev.Arg, st.inHandler, st.handler)
+	return count * sim.SkewCharge(n, skew)
 }
 
 // attrib mirrors the actor runtime's T_MAIN/T_COMM/T_PROC state machine
@@ -253,7 +266,7 @@ func Replay(s *sim.Schedule, p Perturbation) (RunTotals, error) {
 				}
 				if ev.Kind.Charged() {
 					st := &states[pe]
-					clocks[pe].Charge(p.price(ev.Kind, ev.Arg, st.inHandler, st.handler))
+					clocks[pe].ChargeRun(p.price(ev.Kind, ev.Arg, st.inHandler, st.handler))
 				} else {
 					states[pe].marker(ev.Kind, ev.Arg, clocks[pe].Now())
 				}
