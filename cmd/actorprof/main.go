@@ -10,24 +10,23 @@
 //	-s    overall stacked bar graph  (Overall.py), absolute and relative
 //	-p    physical-trace heatmap     (physical.py)
 //
-// plus the quartile violin plots of the case study and an export of the
-// physical trace in Google Trace Event JSON (a paper future-work item):
+// plus the quartile violin plots of the case study:
 //
 //	-violin        logical+physical violins
 //	-svg DIR       also write every selected plot as an SVG into DIR
-//	-trace-events FILE  write physical trace as chrome://tracing JSON
 //	-event NAME    PAPI event for -lp (default PAPI_TOT_INS)
 //
 // Usage:
 //
 //	actorprof [flags] <trace-dir>
-//	actorprof export [-out file] [-legacy] [-timeline file.svg] [-index] <trace-dir>
+//	actorprof export [-out file] [-timeline file.svg] [-index] <trace-dir>
 //
 // With no plot flags, every plot the trace directory supports is
-// rendered. The export subcommand writes the physical trace as a
-// full-model Perfetto / chrome://tracing document (durations, counters,
-// process metadata), can rebuild the time-index sidecar (-index), and
-// can render the windowed activity timeline as SVG (-timeline).
+// rendered. The export subcommand writes the physical trace in Google
+// Trace Event JSON (a paper future-work item) as a full-model Perfetto /
+// chrome://tracing document (durations, counters, process metadata),
+// can rebuild the time-index sidecar (-index), and can render the
+// windowed activity timeline as SVG (-timeline).
 package main
 
 import (
@@ -51,22 +50,20 @@ func main() {
 }
 
 // runExport is the "actorprof export <trace-dir>" subcommand: it writes
-// the physical trace in the full-model Perfetto form (or the legacy
-// instant-event array with -legacy), optionally rebuilds the time-index
-// sidecar first, and can render the windowed activity timeline as SVG.
+// the physical trace in the full-model Perfetto form, optionally
+// rebuilds the time-index sidecar first, and can render the windowed
+// activity timeline as SVG.
 func runExport(args []string) error {
 	fs := flag.NewFlagSet("actorprof export", flag.ContinueOnError)
 	var (
-		out    = fs.String("out", "", `output file (default <trace-dir>/trace.perfetto.json, "-" for stdout)`)
-		legacy = fs.Bool("legacy", false,
-			"write the legacy instant-event array (ExportTraceEvents) instead of the full Perfetto model")
+		out      = fs.String("out", "", `output file (default <trace-dir>/trace.perfetto.json, "-" for stdout)`)
 		timeline = fs.String("timeline", "", "also render the activity timeline SVG to this file")
 		lod      = fs.Int("lod", 1, "pyramid level of detail for -timeline (>= 1)")
 		index    = fs.Bool("index", false, "(re)build the time-index sidecar (physical.idx) before exporting")
 		workers  = fs.Int("workers", 0, "parallel trace-parse workers (0 = GOMAXPROCS)")
 	)
 	fs.Usage = func() {
-		fmt.Fprintln(fs.Output(), "usage: actorprof export [-out file] [-legacy] [-timeline file.svg] [-index] <trace-dir>")
+		fmt.Fprintln(fs.Output(), "usage: actorprof export [-out file] [-timeline file.svg] [-index] <trace-dir>")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -108,11 +105,7 @@ func runExport(args []string) error {
 		}
 		w = f
 	}
-	if *legacy {
-		err = full.ExportTraceEvents(w)
-	} else {
-		err = full.ExportPerfetto(w)
-	}
+	err = full.ExportPerfetto(w)
 	if f != nil {
 		if cerr := f.Close(); err == nil {
 			err = cerr
@@ -159,15 +152,14 @@ func run(args []string) error {
 	}
 	fs := flag.NewFlagSet("actorprof", flag.ContinueOnError)
 	var (
-		logical     = fs.Bool("l", false, "render the logical-trace heatmap")
-		papiBar     = fs.Bool("lp", false, "render the PAPI counter bar graph")
-		overall     = fs.Bool("s", false, "render the overall MAIN/COMM/PROC stacked bars")
-		physical    = fs.Bool("p", false, "render the physical-trace heatmap")
-		violins     = fs.Bool("violin", false, "render quartile violin plots")
-		svgDir      = fs.String("svg", "", "directory to also write SVG files into")
-		eventName   = fs.String("event", "PAPI_TOT_INS", "PAPI event for -lp")
-		traceEvents = fs.String("trace-events", "", "write the physical trace as Google Trace Event JSON to this file")
-		workers     = fs.Int("workers", 0, "parallel trace-parse workers (0 = GOMAXPROCS)")
+		logical   = fs.Bool("l", false, "render the logical-trace heatmap")
+		papiBar   = fs.Bool("lp", false, "render the PAPI counter bar graph")
+		overall   = fs.Bool("s", false, "render the overall MAIN/COMM/PROC stacked bars")
+		physical  = fs.Bool("p", false, "render the physical-trace heatmap")
+		violins   = fs.Bool("violin", false, "render quartile violin plots")
+		svgDir    = fs.String("svg", "", "directory to also write SVG files into")
+		eventName = fs.String("event", "PAPI_TOT_INS", "PAPI event for -lp")
+		workers   = fs.Int("workers", 0, "parallel trace-parse workers (0 = GOMAXPROCS)")
 	)
 	fs.Usage = func() {
 		fmt.Fprintln(fs.Output(), "usage: actorprof [-l] [-lp] [-s] [-p] [-violin] [-svg dir] <trace-dir>")
@@ -183,15 +175,14 @@ func run(args []string) error {
 	dir := fs.Arg(0)
 
 	// Every standard plot consumes only aggregate matrices, so the trace
-	// is folded into an O(PEs^2) Summary while it streams off disk; the
-	// per-record slices are materialized only for -trace-events below.
+	// is folded into an O(PEs^2) Summary while it streams off disk.
 	set, _, err := trace.ReadSummary(dir, trace.ReadOptions{Workers: *workers})
 	if err != nil {
 		return fmt.Errorf("reading trace directory %s: %w", dir, err)
 	}
 	fmt.Printf("trace: %s (%d PEs, %d per node)\n\n", dir, set.NumPEs, set.PEsPerNode)
 
-	all := !*logical && !*papiBar && !*overall && !*physical && !*violins && *traceEvents == ""
+	all := !*logical && !*papiBar && !*overall && !*physical && !*violins
 	// Degenerate and partial directories must produce a friendly error,
 	// not a silent no-op (or, historically, a stats panic on empty violin
 	// input): tell the user which feature the trace is missing.
@@ -207,8 +198,6 @@ func run(args []string) error {
 			return fmt.Errorf("trace %s has no PAPI events (-lp needs PEi_PAPI.csv files and papi_events in the meta file)", dir)
 		case *overall && !set.Config.Overall:
 			return fmt.Errorf("trace %s has no overall breakdown (-s needs overall.txt; enable trace.Config.Overall)", dir)
-		case *traceEvents != "" && !set.Config.Physical:
-			return fmt.Errorf("trace %s has no physical trace; -trace-events has nothing to export", dir)
 		}
 	} else if !set.Config.Logical && !set.Config.Physical && !set.Config.Overall &&
 		len(set.Config.PAPIEvents) == 0 {
@@ -279,26 +268,6 @@ func run(args []string) error {
 			}
 			fmt.Println()
 		}
-	}
-	if *traceEvents != "" {
-		// The chrome://tracing export walks individual physical records:
-		// the one path that still needs the fully materialized Set.
-		full, _, err := trace.ReadSetOptions(dir, trace.ReadOptions{Workers: *workers})
-		if err != nil {
-			return fmt.Errorf("reading trace directory %s: %w", dir, err)
-		}
-		f, err := os.Create(*traceEvents)
-		if err != nil {
-			return err
-		}
-		if err := full.ExportTraceEvents(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Printf("wrote Google Trace Event JSON to %s\n", *traceEvents)
 	}
 	return nil
 }

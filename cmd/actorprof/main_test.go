@@ -111,17 +111,17 @@ func TestCLISVGOutput(t *testing.T) {
 	}
 }
 
-func TestCLITraceEvents(t *testing.T) {
+func TestCLIExport(t *testing.T) {
 	dir := writeTrace(t)
 	jsonPath := filepath.Join(t.TempDir(), "events.json")
-	capture(t, func() error { return run([]string{"-trace-events", jsonPath, dir}) })
+	capture(t, func() error { return run([]string{"export", "-out", jsonPath, dir}) })
 	data, err := os.ReadFile(jsonPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s := string(data)
-	if !strings.HasPrefix(s, "[") {
-		t.Fatal("trace events not a JSON array")
+	if !strings.HasPrefix(s, `{"traceEvents":[`) {
+		t.Fatal("export is not a Trace Event JSON object")
 	}
 	for _, want := range []string{`"name":"local_send"`, `"cat":"conveyor"`, `"ph":"i"`} {
 		if !strings.Contains(s, want) {
@@ -171,9 +171,9 @@ func TestCLIDegenerateTraceDirs(t *testing.T) {
 			wantErr: "no PAPI events",
 		},
 		{
-			name:    "no physical, trace-events requested",
+			name:    "no physical, export requested",
 			files:   map[string]string{"actorprof_meta.txt": meta, "PE0_send.csv": ""},
-			args:    []string{"-trace-events", "out.json"},
+			args:    []string{"export"},
 			wantErr: "nothing to export",
 		},
 		{

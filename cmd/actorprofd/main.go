@@ -17,8 +17,7 @@
 //	/api/runs                              run listing as JSON
 //	/runs/{run}/plots/{kind}.svg           plot as SVG
 //	/runs/{run}/plots/{kind}.json          plot data as JSON
-//	/runs/{run}/trace-events.json          chrome://tracing export (legacy instants)
-//	/runs/{run}/trace.perfetto.json        full-model Perfetto export
+//	/runs/{run}/trace.perfetto.json        Perfetto / chrome://tracing export
 //	/runs/{run}/events?t0=&t1=&lod=        windowed trace query (time-travel)
 //
 // Plot kinds: logical-heatmap, physical-heatmap, node-heatmap,

@@ -98,18 +98,6 @@ func isMethodOn(fn *types.Func, pkgPath, typeName, name string) bool {
 		n.Obj().Pkg().Path() == pkgPath && n.Obj().Name() == typeName
 }
 
-// usedObject resolves an identifier expression to the object it uses,
-// through parentheses. Returns nil for non-identifiers.
-func usedObject(info *types.Info, e ast.Expr) types.Object {
-	if id, ok := unparen(e).(*ast.Ident); ok {
-		if obj := info.Uses[id]; obj != nil {
-			return obj
-		}
-		return info.Defs[id]
-	}
-	return nil
-}
-
 // isPackageLevel reports whether obj is a package-scoped variable.
 func isPackageLevel(obj types.Object) bool {
 	if obj == nil || obj.Pkg() == nil {

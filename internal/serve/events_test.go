@@ -271,7 +271,7 @@ func TestWindowParamErrors(t *testing.T) {
 }
 
 // TestPerfettoEndpoint serves the full-model export over HTTP: a valid
-// JSON object distinct from the legacy instant array, revalidating
+// JSON object, the only Trace Event export there is, revalidating
 // through the fingerprint ETag like every artifact.
 func TestPerfettoEndpoint(t *testing.T) {
 	root := t.TempDir()
@@ -298,9 +298,8 @@ func TestPerfettoEndpoint(t *testing.T) {
 	if len(doc.TraceEvents) == 0 || doc.OtherData["clock_domain"] != "cycles" {
 		t.Fatalf("perfetto document malformed: %d events, otherData %v", len(doc.TraceEvents), doc.OtherData)
 	}
-	_, legacy := get(t, h, "/runs/ix/trace-events.json")
-	if legacy == body {
-		t.Error("perfetto export identical to legacy instant export")
+	if legacy, _ := get(t, h, "/runs/ix/trace-events.json"); legacy.StatusCode != http.StatusNotFound {
+		t.Errorf("the legacy instant-array export answers %d, want 404", legacy.StatusCode)
 	}
 	etag := res.Header.Get("ETag")
 	if etag == "" {

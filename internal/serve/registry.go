@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"actorprof/internal/papi"
 	"actorprof/internal/sim"
 	"actorprof/internal/trace"
 )
@@ -60,8 +59,7 @@ type runEntry struct {
 	mu      sync.Mutex // serializes parsing of this one run
 	fp      string     // fingerprint the cached parse corresponds to
 	sum     *trace.Summary
-	src     *shardSource // precomputed aggregate view over sum
-	set     *trace.Set   // full records; parsed lazily for trace-events only
+	set     *trace.Set // full records; parsed lazily for the Perfetto export and full-scan window queries
 	skipped int
 	live    bool
 
@@ -179,7 +177,7 @@ func fingerprint(dir string) (fp string, live bool, err error) {
 		if err != nil {
 			continue // racing a concurrent delete; the fingerprint changes anyway
 		}
-		if strings.HasSuffix(e.Name(), ".part") {
+		if trace.IsPhysicalPart(e.Name()) {
 			live = true
 		}
 		fmt.Fprintf(&b, "%s\x00%d\x00%d\x01", e.Name(), info.Size(), info.ModTime().UnixNano())
@@ -231,13 +229,12 @@ func (r *registry) freshFP(dir string, e *runEntry) (fp string, live bool, err e
 	return fp, live, nil
 }
 
-// load returns the run's aggregate view (a shardSource: the streamed
-// Summary plus its precomputed matrices, so repeated renders across
-// plot kinds share one aggregation pass), along with its fingerprint
-// (the cache-key component) and its RunInfo. It re-parses only when the
-// directory changed since the last parse, and bounds how many parses
-// run at once across all runs.
-func (r *registry) load(id string) (trace.Source, string, RunInfo, error) {
+// load returns the run's aggregate view - the streamed Summary itself,
+// read-only once parsed, so renders across plot kinds share its
+// matrices - along with its fingerprint (the cache-key component) and
+// its RunInfo. It re-parses only when the directory changed since the
+// last parse, and bounds how many parses run at once across all runs.
+func (r *registry) load(id string) (*trace.Summary, string, RunInfo, error) {
 	dir, e, err := r.entry(id)
 	if err != nil {
 		return nil, "", RunInfo{}, err
@@ -258,14 +255,13 @@ func (r *registry) load(id string) (trace.Source, string, RunInfo, error) {
 			return nil, "", RunInfo{}, fmt.Errorf("serve: parsing run %q: %w", id, err)
 		}
 		e.sum, e.fp, e.skipped, e.live = sum, fp, skipped, live
-		e.src = newShardSource(sum)
 		e.set = nil // records from the previous fingerprint are stale
 	}
-	return e.src, e.fp, r.infoLocked(id, dir, e), nil
+	return e.sum, e.fp, r.infoLocked(id, dir, e), nil
 }
 
 // loadSet returns the run's fully materialized Set - needed only by the
-// trace-events export, which walks individual physical records. The Set
+// Perfetto export, which walks individual physical records. The Set
 // is parsed lazily and cached next to the Summary under the same
 // fingerprint.
 func (r *registry) loadSet(id string) (*trace.Set, string, error) {
@@ -299,7 +295,6 @@ func (r *registry) setLocked(id, dir string, e *runEntry, fp string, live bool) 
 			return nil, fmt.Errorf("serve: parsing run %q: %w", id, err)
 		}
 		e.set, e.sum, e.fp, e.skipped, e.live = set, set.Summary(), fp, skipped, live
-		e.src = newShardSource(e.sum)
 	}
 	return e.set, nil
 }
@@ -436,49 +431,4 @@ func (r *registry) infoLocked(id, dir string, e *runEntry) RunInfo {
 		info.Features = append(info.Features, "papi")
 	}
 	return info
-}
-
-// shardSource wraps a parsed Summary with its derived aggregates
-// precomputed once per fingerprint: the logical and physical matrices
-// and the per-event PAPI totals that several plot kinds re-derive on
-// every render (PhysicalMatrix alone is consumed by physical-heatmap,
-// node-heatmap, and physical-violin, each summing the per-kind matrices
-// afresh). The shard is built under the runEntry lock at parse time and
-// is read-only afterwards, so renders may share it concurrently.
-type shardSource struct {
-	*trace.Summary
-	logical  trace.Matrix
-	physical trace.Matrix
-	papiTot  [][]int64 // parallel to Config.PAPIEvents
-}
-
-func newShardSource(sum *trace.Summary) *shardSource {
-	s := &shardSource{
-		Summary:  sum,
-		logical:  sum.LogicalMatrix(),
-		physical: sum.PhysicalMatrix(),
-	}
-	events := sum.Config.PAPIEvents
-	s.papiTot = make([][]int64, len(events))
-	for i, ev := range events {
-		s.papiTot[i] = sum.PAPITotalsPerPE(ev)
-	}
-	return s
-}
-
-// LogicalMatrix returns the precomputed pre-aggregation send matrix.
-func (s *shardSource) LogicalMatrix() trace.Matrix { return s.logical }
-
-// PhysicalMatrix returns the precomputed data-movement buffer matrix.
-func (s *shardSource) PhysicalMatrix() trace.Matrix { return s.physical }
-
-// PAPITotalsPerPE returns the precomputed per-PE totals for ev (zeros
-// for an unconfigured event).
-func (s *shardSource) PAPITotalsPerPE(ev papi.Event) []int64 {
-	for i, have := range s.Config.PAPIEvents {
-		if have == ev {
-			return s.papiTot[i]
-		}
-	}
-	return make([]int64, s.NumPEs)
 }

@@ -118,7 +118,6 @@ func New(cfg Config) (*Server, error) {
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /api/runs", s.handleRuns)
 	mux.HandleFunc("GET /runs/{run}/plots/{plot}", s.handlePlot)
-	mux.HandleFunc("GET /runs/{run}/trace-events.json", s.handleTraceEvents)
 	mux.HandleFunc("GET /runs/{run}/trace.perfetto.json", s.handlePerfetto)
 	mux.HandleFunc("GET /runs/{run}/events", s.handleEvents)
 	mux.HandleFunc("GET /runs/{run}/whatif", s.handleWhatIf)
@@ -308,12 +307,19 @@ func (s *Server) writeNegotiated(w http.ResponseWriter, r *http.Request, res ren
 	w.Write(data)
 }
 
-// serveArtifact is the shared conditional-request path for cached
-// renders: an If-None-Match hit against the fingerprint-derived ETag
-// short-circuits to a body-less 304 before the cache is even consulted;
-// otherwise the artifact is fetched (or rendered, single-flight) and
-// written with content negotiation.
-func (s *Server) serveArtifact(w http.ResponseWriter, r *http.Request, key, etagBase string, render func() (renderResult, error)) {
+// serveArtifact is the one pipeline behind every cached endpoint. The
+// cache key and the ETag derive from the same parts - the run, its
+// directory fingerprint, the artifact name and the normalized
+// parameters (none for an artifact that takes none) - so an
+// If-None-Match hit short-circuits to a body-less 304 before the cache
+// is even consulted; otherwise the artifact is fetched or rendered
+// (single-flight, timed, gzip-encoded once when worth it) and written
+// with content negotiation. An endpoint supplies only its normalized
+// parameters and a render that returns bytes and their type.
+func (s *Server) serveArtifact(w http.ResponseWriter, r *http.Request, runID, fp, name string, norm []string,
+	render func() (data []byte, contentType string, err error)) {
+	parts := append([]string{runID, fp, name}, norm...)
+	etagBase := etagFor(parts...)
 	if inm := r.Header.Get("If-None-Match"); inm != "" {
 		if matched, ok := etagMatches(inm, etagBase); ok {
 			h := w.Header()
@@ -324,7 +330,15 @@ func (s *Server) serveArtifact(w http.ResponseWriter, r *http.Request, key, etag
 			return
 		}
 	}
-	res, err := s.cache.getOrRender(key, render)
+	res, err := s.cache.getOrRender(strings.Join(parts, "\x00"), func() (renderResult, error) {
+		start := time.Now()
+		defer func() { s.metrics.observeRender(time.Since(start)) }()
+		data, contentType, err := render()
+		if err != nil {
+			return renderResult{}, err
+		}
+		return withGzip(renderResult{data: data, contentType: contentType}, s.cfg.GzipMinBytes), nil
+	})
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -353,40 +367,31 @@ func (s *Server) handlePlot(w http.ResponseWriter, r *http.Request) {
 		param = r.URL.Query().Get("event")
 	}
 
-	set, fp, _, err := s.reg.load(runID)
+	sum, fp, _, err := s.reg.load(runID)
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
-	if err := art.check(set); err != nil {
+	if err := art.check(sum); err != nil {
 		s.fail(w, err)
 		return
 	}
-
-	key := strings.Join([]string{runID, fp, name, param}, "\x00")
-	s.serveArtifact(w, r, key, etagFor(runID, fp, name, param), func() (renderResult, error) {
-		start := time.Now()
-		defer func() { s.metrics.observeRender(time.Since(start)) }()
+	s.serveArtifact(w, r, runID, fp, name, []string{param}, func() ([]byte, string, error) {
 		if format == "svg" {
-			p, err := art.plot(set, param)
+			p, err := art.plot(sum, param)
 			if err != nil {
-				return renderResult{}, err
+				return nil, "", err
 			}
 			var buf bytes.Buffer
-			if err := viz.RenderSVGTo(p, &buf); err != nil {
-				return renderResult{}, err
-			}
-			return withGzip(renderResult{data: buf.Bytes(), contentType: "image/svg+xml"}, s.cfg.GzipMinBytes), nil
+			err = viz.RenderSVGTo(p, &buf)
+			return buf.Bytes(), "image/svg+xml", err
 		}
-		v, err := art.json(set, param)
+		v, err := art.json(sum, param)
 		if err != nil {
-			return renderResult{}, err
+			return nil, "", err
 		}
 		data, err := json.Marshal(v)
-		if err != nil {
-			return renderResult{}, err
-		}
-		return withGzip(renderResult{data: data, contentType: "application/json"}, s.cfg.GzipMinBytes), nil
+		return data, "application/json", err
 	})
 }
 
@@ -403,36 +408,11 @@ func splitPlotName(name string) (kind, format string, ok bool) {
 	return kind, format, known
 }
 
-// handleTraceEvents serves the physical trace as Google Trace Event JSON
-// (loadable in chrome://tracing / Perfetto), cached like any plot. This
-// is the one endpoint that walks individual records, so it is the one
-// place the full Set is materialized (lazily, via loadSet).
-func (s *Server) handleTraceEvents(w http.ResponseWriter, r *http.Request) {
-	runID := r.PathValue("run")
-	set, fp, err := s.reg.loadSet(runID)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	if !set.Config.Physical {
-		s.fail(w, noData("run has no physical trace; nothing to export"))
-		return
-	}
-	key := strings.Join([]string{runID, fp, "trace-events"}, "\x00")
-	s.serveArtifact(w, r, key, etagFor(runID, fp, "trace-events"), func() (renderResult, error) {
-		start := time.Now()
-		defer func() { s.metrics.observeRender(time.Since(start)) }()
-		var buf bytes.Buffer
-		if err := set.ExportTraceEvents(&buf); err != nil {
-			return renderResult{}, err
-		}
-		return withGzip(renderResult{data: buf.Bytes(), contentType: "application/json"}, s.cfg.GzipMinBytes), nil
-	})
-}
-
-// handlePerfetto serves the full-model Perfetto / chrome://tracing
-// export: duration pairs per handler slot, backlog counters, and
-// process/thread metadata, streamed from the materialized Set.
+// handlePerfetto serves the physical trace as Google Trace Event JSON in
+// the full Perfetto / chrome://tracing model: duration pairs per handler
+// slot, backlog counters, and process/thread metadata. It walks
+// individual records, so it is the one endpoint that always needs the
+// full Set (materialized lazily, via loadSet).
 func (s *Server) handlePerfetto(w http.ResponseWriter, r *http.Request) {
 	runID := r.PathValue("run")
 	set, fp, err := s.reg.loadSet(runID)
@@ -444,15 +424,10 @@ func (s *Server) handlePerfetto(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, noData("run has no physical trace; nothing to export"))
 		return
 	}
-	key := strings.Join([]string{runID, fp, "perfetto"}, "\x00")
-	s.serveArtifact(w, r, key, etagFor(runID, fp, "perfetto"), func() (renderResult, error) {
-		start := time.Now()
-		defer func() { s.metrics.observeRender(time.Since(start)) }()
+	s.serveArtifact(w, r, runID, fp, "perfetto", nil, func() ([]byte, string, error) {
 		var buf bytes.Buffer
-		if err := set.ExportPerfetto(&buf); err != nil {
-			return renderResult{}, err
-		}
-		return withGzip(renderResult{data: buf.Bytes(), contentType: "application/json"}, s.cfg.GzipMinBytes), nil
+		err := set.ExportPerfetto(&buf)
+		return buf.Bytes(), "application/json", err
 	})
 }
 
@@ -534,13 +509,10 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	norm := fmt.Sprintf("%d\x01%d\x01%d\x01%d", q.T0, q.T1, q.LOD, q.MaxEvents)
-	key := strings.Join([]string{runID, fp, "events", norm}, "\x00")
-	s.serveArtifact(w, r, key, etagFor(runID, fp, "events", norm), func() (renderResult, error) {
-		start := time.Now()
-		defer func() { s.metrics.observeRender(time.Since(start)) }()
+	s.serveArtifact(w, r, runID, fp, "events", []string{norm}, func() ([]byte, string, error) {
 		res, err := s.reg.queryWindow(runID, q)
 		if err != nil {
-			return renderResult{}, err
+			return nil, "", err
 		}
 		s.metrics.windowQueries.Add(1)
 		s.metrics.windowBlocksRead.Add(int64(res.BlocksRead))
@@ -548,10 +520,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			s.metrics.windowFullScans.Add(1)
 		}
 		data, err := json.Marshal(res)
-		if err != nil {
-			return renderResult{}, err
-		}
-		return withGzip(renderResult{data: data, contentType: "application/json"}, s.cfg.GzipMinBytes), nil
+		return data, "application/json", err
 	})
 }
 
@@ -582,8 +551,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		}
 		for _, f := range info.Features {
 			if f == "physical" {
-				fmt.Fprintf(&b, `<li><a href="/runs/%s/trace-events.json">trace-events.json</a> (chrome://tracing, legacy instants)</li>`+"\n", info.ID)
-				fmt.Fprintf(&b, `<li><a href="/runs/%s/trace.perfetto.json">trace.perfetto.json</a> (Perfetto full model)</li>`+"\n", info.ID)
+				fmt.Fprintf(&b, `<li><a href="/runs/%s/trace.perfetto.json">trace.perfetto.json</a> (Perfetto / chrome://tracing)</li>`+"\n", info.ID)
 				fmt.Fprintf(&b, `<li><a href="/runs/%s/events?lod=1">events?t0=&amp;t1=&amp;lod=</a> (windowed query)</li>`+"\n", info.ID)
 			}
 		}

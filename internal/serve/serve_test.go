@@ -103,9 +103,9 @@ func TestServesAllPlotFamilies(t *testing.T) {
 		}
 	}
 	// The chrome://tracing export rides along with the plot families.
-	res, body := get(t, h, "/runs/run1/trace-events.json")
-	if res.StatusCode != http.StatusOK || !strings.HasPrefix(body, "[") {
-		t.Errorf("trace-events: status %d, body %.40q", res.StatusCode, body)
+	res, body := get(t, h, "/runs/run1/trace.perfetto.json")
+	if res.StatusCode != http.StatusOK || !strings.HasPrefix(body, `{"traceEvents":[`) {
+		t.Errorf("trace.perfetto.json: status %d, body %.40q", res.StatusCode, body)
 	}
 }
 
@@ -162,7 +162,7 @@ func TestMissingFeatureIs404(t *testing.T) {
 	for _, path := range []string{
 		"/runs/partial/plots/physical-heatmap.svg",
 		"/runs/partial/plots/overall-absolute.json",
-		"/runs/partial/trace-events.json",
+		"/runs/partial/trace.perfetto.json",
 	} {
 		res, body := get(t, h, path)
 		if res.StatusCode != http.StatusNotFound {
@@ -305,9 +305,15 @@ func TestMetricsEndpointReportsCounters(t *testing.T) {
 // is still writing into it: the daemon must serve plots mid-run and pick
 // up new data once more is flushed, then the finalized directory.
 func TestLiveDirIngestion(t *testing.T) {
+	for _, format := range []trace.Format{trace.FormatCSV, trace.FormatBinary, trace.FormatBoth} {
+		t.Run(format.String(), func(t *testing.T) { liveDirIngestion(t, format) })
+	}
+}
+
+func liveDirIngestion(t *testing.T, format trace.Format) {
 	root := t.TempDir()
 	dir := filepath.Join(root, "live")
-	coll, err := trace.NewStreamingCollector(trace.Config{Logical: true, Physical: true, Overall: true},
+	coll, err := trace.NewStreamingCollector(trace.Config{Logical: true, Physical: true, Overall: true, Format: format},
 		sim.Machine{NumPEs: 2, PEsPerNode: 2}, dir)
 	if err != nil {
 		t.Fatal(err)

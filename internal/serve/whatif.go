@@ -160,31 +160,27 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	norm := q.norm()
-	key := strings.Join([]string{runID, fp, "whatif", norm}, "\x00")
-	s.serveArtifact(w, r, key, etagFor(runID, fp, "whatif", norm), func() (renderResult, error) {
+	s.serveArtifact(w, r, runID, fp, "whatif", []string{q.norm()}, func() ([]byte, string, error) {
 		sched, err := s.reg.scheduleFor(runID)
 		if err != nil {
-			return renderResult{}, err
+			return nil, "", err
 		}
 		pert := whatif.Perturbation{Cost: whatif.ScaledCost(sched.Cost, q.scales)}
 		if q.speedup > 0 {
 			pert.HandlerSpeedup = map[int64]float64{q.actor: q.speedup}
 		}
 		if err := pert.Validate(); err != nil {
-			return renderResult{}, statusError{code: 400, msg: err.Error()}
+			return nil, "", statusError{code: 400, msg: err.Error()}
 		}
 		rep, err := core.WhatIf(sched, pert)
 		if err != nil {
-			return renderResult{}, err
+			return nil, "", err
 		}
 		var data []byte
 		contentType := "application/json"
 		switch {
 		case q.format == "json" && q.plot == "report":
-			if data, err = json.Marshal(rep); err != nil {
-				return renderResult{}, err
-			}
+			data, err = json.Marshal(rep)
 		default:
 			var plot interface {
 				RenderSVG() (string, error)
@@ -195,17 +191,13 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 				plot = core.BottleneckPlot(rep.Projected, 12, "bottleneck ranking (projected)")
 			}
 			if q.format == "json" {
-				if data, err = json.Marshal(plot); err != nil {
-					return renderResult{}, err
-				}
+				data, err = json.Marshal(plot)
 			} else {
-				svg, err := plot.RenderSVG()
-				if err != nil {
-					return renderResult{}, err
-				}
+				var svg string
+				svg, err = plot.RenderSVG()
 				data, contentType = []byte(svg), "image/svg+xml"
 			}
 		}
-		return withGzip(renderResult{data: data, contentType: contentType}, s.cfg.GzipMinBytes), nil
+		return data, contentType, err
 	})
 }

@@ -1,12 +1,5 @@
 package trace
 
-import (
-	"sync"
-
-	"actorprof/internal/conveyor"
-	"actorprof/internal/papi"
-)
-
 // Matrix is a square send-count matrix: Matrix[src][dst] = count. It is
 // the data behind the paper's heatmaps; the visualizer appends totals as
 // the last row (recv per destination) and last column (send per source).
@@ -83,155 +76,6 @@ func (m Matrix) AggregateNodes(perNode int) Matrix {
 		}
 	}
 	return out
-}
-
-// LogicalMatrix builds the pre-aggregation send-count matrix from the
-// logical trace, scaling sampled traces back to true counts. In
-// aggregate mode the counts were folded at collection time and only the
-// scaling remains.
-func (s *Set) LogicalMatrix() Matrix {
-	m := NewMatrix(s.NumPEs)
-	scale := int64(s.Config.LogicalSample)
-	if scale <= 0 {
-		scale = 1
-	}
-	if s.Config.Aggregate {
-		for i, row := range s.LogicalAgg {
-			for j, v := range row {
-				m[i][j] = v * scale
-			}
-		}
-		return m
-	}
-	for _, recs := range s.Logical {
-		for _, r := range recs {
-			m[r.SrcPE][r.DstPE] += scale
-		}
-	}
-	return m
-}
-
-// PhysicalMatrix builds the post-aggregation buffer-count matrix from the
-// physical trace. Only data-movement events (local_send, nonblock_send)
-// count as buffers; nonblock_progress events signal completion of a
-// nonblock_send and would double-count it.
-func (s *Set) PhysicalMatrix() Matrix {
-	m := NewMatrix(s.NumPEs)
-	if s.Config.Aggregate {
-		for _, kind := range []conveyor.SendKind{conveyor.LocalSend, conveyor.NonblockSend} {
-			for i, row := range s.PhysicalAgg[kind] {
-				for j, v := range row {
-					m[i][j] += v
-				}
-			}
-		}
-		return m
-	}
-	for _, recs := range s.Physical {
-		for _, r := range recs {
-			if r.Kind == conveyor.LocalSend || r.Kind == conveyor.NonblockSend {
-				m[r.SrcPE][r.DstPE]++
-			}
-		}
-	}
-	return m
-}
-
-// PhysicalMatrixOf builds the matrix for a single send kind, used by the
-// per-mechanism heatmaps (Figures 8-9 separate local_send from
-// nonblock_send).
-func (s *Set) PhysicalMatrixOf(kind conveyor.SendKind) Matrix {
-	m := NewMatrix(s.NumPEs)
-	if s.Config.Aggregate {
-		for i, row := range s.PhysicalAgg[kind] {
-			copy(m[i], row)
-		}
-		return m
-	}
-	for _, recs := range s.Physical {
-		for _, r := range recs {
-			if r.Kind == kind {
-				m[r.SrcPE][r.DstPE]++
-			}
-		}
-	}
-	return m
-}
-
-// PhysicalKindCounts returns the number of physical events per send kind.
-func (s *Set) PhysicalKindCounts() map[conveyor.SendKind]int64 {
-	out := map[conveyor.SendKind]int64{}
-	if s.Config.Aggregate {
-		for kind, m := range s.PhysicalAgg {
-			if t := m.Total(); t > 0 {
-				out[kind] = t
-			}
-		}
-		return out
-	}
-	for _, recs := range s.Physical {
-		for _, r := range recs {
-			out[r.Kind]++
-		}
-	}
-	return out
-}
-
-// PAPITotalsPerPE sums one event's counter across every PAPI record of
-// each PE: the data behind the paper's Figure 10/11 bar graphs ("total
-// number of instructions per PE").
-func (s *Set) PAPITotalsPerPE(ev papi.Event) []int64 {
-	out := make([]int64, s.NumPEs)
-	for i, e := range s.Config.PAPIEvents {
-		if e != ev {
-			continue
-		}
-		if s.Config.Aggregate {
-			if i < len(s.PAPIAgg) {
-				copy(out, s.PAPIAgg[i])
-			}
-		} else {
-			copy(out, s.papiTotals()[i])
-		}
-		break
-	}
-	return out
-}
-
-// papiTotalsMemo holds every configured event's per-PE totals, summed
-// in one walk over the PAPI records the first time any event is asked
-// for: a summary and the -lp plots ask once per event, and the walk (not
-// the sum) is what costs at millions of records. It lives behind a
-// pointer so that copies of a Set share it.
-type papiTotalsMemo struct {
-	once    sync.Once
-	byEvent [][]int64 // [event index][pe]
-}
-
-// papiTotals returns the memoized totals of a record-mode set. A Set is
-// immutable once assembled (Collector.Set after every Close, ReadSet's
-// result); a set built by hand must be complete before its first
-// PAPITotalsPerPE call.
-func (s *Set) papiTotals() [][]int64 {
-	if s.papiMemo == nil { // a Set literal rather than NewSet: nothing to share
-		return s.sumPAPI()
-	}
-	s.papiMemo.once.Do(func() { s.papiMemo.byEvent = s.sumPAPI() })
-	return s.papiMemo.byEvent
-}
-
-func (s *Set) sumPAPI() [][]int64 {
-	totals := newPAPITotals(len(s.Config.PAPIEvents), s.NumPEs)
-	for pe, recs := range s.PAPI {
-		for i := range recs {
-			for ev, v := range recs[i].Counters {
-				if ev < len(totals) {
-					totals[ev][pe] += v
-				}
-			}
-		}
-	}
-	return totals
 }
 
 // OverallByPE returns the breakdown records indexed by PE (nil entries

@@ -35,11 +35,11 @@ func NewCollector(cfg Config, machine sim.Machine) (*Collector, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Collector{
-		cfg:     cfg,
-		machine: machine,
-		set:     NewSet(cfg, machine.NumPEs, machine.PEsPerNode),
-	}, nil
+	set := NewSet(cfg, machine.NumPEs, machine.PEsPerNode)
+	if cfg.Aggregate {
+		set.memo.collected = &Summary{NumPEs: machine.NumPEs, Config: cfg}
+	}
+	return &Collector{cfg: cfg, machine: machine, set: set}, nil
 }
 
 // Config returns the collector's configuration (with defaults applied).
@@ -127,10 +127,10 @@ type PECollector struct {
 
 	// Aggregate-mode state (Config.Aggregate): records fold into these
 	// per-PE accumulators instead of the buffers below, and Close merges
-	// them into the Set's matrices. aggLogical and aggPhys[kind] are
-	// dst-indexed rows for sends initiated by this PE; aggPhysMisc
-	// catches the rare event attributed to another PE (or an unknown
-	// send kind), folded individually at Close.
+	// them into the partial Summary the Set reports. aggLogical and
+	// aggPhys[kind] are dst-indexed rows for sends initiated by this PE;
+	// aggPhysMisc catches the rare event attributed to another PE (or an
+	// unknown send kind), folded individually at Close.
 	aggregate   bool
 	aggLogical  []int64
 	aggPhys     [3][]int64
@@ -436,39 +436,24 @@ func (p *PECollector) Close() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if p.aggregate {
-		if p.aggLogical != nil {
-			if c.set.LogicalAgg == nil {
-				c.set.LogicalAgg = NewMatrix(c.machine.NumPEs)
-			}
-			row := c.set.LogicalAgg[p.pe]
-			for d, v := range p.aggLogical {
-				row[d] += v
-			}
+		sum := c.set.memo.collected
+		for dst, n := range p.aggLogical {
+			sum.addLogical(p.pe, dst, n)
 		}
-		c.set.MsgBytes.Merge(p.msg)
+		sum.MsgBytes.Merge(p.msg)
 		for k, counts := range p.aggPhys {
 			if counts == nil {
 				continue
 			}
-			row := c.physAggMatrix(conveyor.SendKind(k))[p.pe]
-			for d, v := range counts {
-				row[d] += v
+			row := sum.physicalOf(conveyor.SendKind(k))[p.pe]
+			for dst, n := range counts {
+				row[dst] += n
 			}
 		}
 		for _, r := range p.aggPhysMisc {
-			c.physAggMatrix(r.Kind)[r.SrcPE][r.DstPE]++
+			sum.foldPhysical(r)
 		}
-		if p.aggPAPI != nil {
-			if c.set.PAPIAgg == nil {
-				c.set.PAPIAgg = make([][]int64, len(c.cfg.PAPIEvents))
-				for i := range c.set.PAPIAgg {
-					c.set.PAPIAgg[i] = make([]int64, c.machine.NumPEs)
-				}
-			}
-			for ev, v := range p.aggPAPI {
-				c.set.PAPIAgg[ev][p.pe] += v
-			}
-		}
+		sum.addPAPI(p.pe, p.aggPAPI)
 	}
 	c.set.Logical[p.pe] = logical
 	c.set.LogicalSendCount[p.pe] = p.logicalCount
@@ -480,18 +465,4 @@ func (p *PECollector) Close() {
 	if segments != nil {
 		c.set.Segments[p.pe] = segments
 	}
-}
-
-// physAggMatrix returns (creating on demand) the aggregate matrix for a
-// send kind. Caller holds c.mu.
-func (c *Collector) physAggMatrix(kind conveyor.SendKind) Matrix {
-	if c.set.PhysicalAgg == nil {
-		c.set.PhysicalAgg = make(map[conveyor.SendKind]Matrix)
-	}
-	m := c.set.PhysicalAgg[kind]
-	if m == nil {
-		m = NewMatrix(c.machine.NumPEs)
-		c.set.PhysicalAgg[kind] = m
-	}
-	return m
 }

@@ -59,6 +59,9 @@ func (s *Set) WriteFiles(dir string) error {
 	if s.Config.Aggregate {
 		return fmt.Errorf("trace: WriteFiles needs raw records, but the set was collected with Config.Aggregate (only matrices were kept)")
 	}
+	if err := s.Config.Validate(); err != nil {
+		return err
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("trace: creating output dir: %w", err)
 	}
@@ -102,9 +105,7 @@ func (s *Set) summaryJobs(dir string) []func() error {
 	format, events := s.Config.Format, eventNames(s.Config.PAPIEvents)
 	var jobs []func() error
 	if s.Config.Overall {
-		recs := append([]OverallRecord(nil), s.Overall...)
-		sort.Slice(recs, func(i, j int) bool { return recs[i].PE < recs[j].PE })
-		jobs = append(jobs, func() error { return writeShard(&overallKind, dir, 0, format, events, recs) })
+		jobs = append(jobs, func() error { return writeShard(&overallKind, dir, 0, format, events, s.OverallRecords()) })
 	}
 	for _, recs := range s.Segments {
 		if len(recs) > 0 {
@@ -317,14 +318,10 @@ func normalizeOverall(recs []OverallRecord) []OverallRecord {
 	for _, r := range recs {
 		byPE[r.PE] = r
 	}
-	pes := make([]int, 0, len(byPE))
-	for pe := range byPE {
-		pes = append(pes, pe)
+	out := make([]OverallRecord, 0, len(byPE))
+	for _, r := range byPE {
+		out = append(out, r)
 	}
-	sort.Ints(pes)
-	out := make([]OverallRecord, 0, len(pes))
-	for _, pe := range pes {
-		out = append(out, byPE[pe])
-	}
+	sort.Slice(out, func(i, j int) bool { return out[i].PE < out[j].PE })
 	return out
 }

@@ -242,3 +242,23 @@ func TestReadSetThenMatricesNoPanic(t *testing.T) {
 		t.Errorf("physical matrix wrong: %v", pm)
 	}
 }
+
+// A Set is an exported struct, so its Config.Format can hold anything:
+// WriteFiles must answer an out-of-range format with an error. It used
+// to index the encodings table with it on a worker goroutine, and a
+// panic there takes the whole process down.
+func TestWriteFilesRejectsUnknownFormat(t *testing.T) {
+	s := NewSet(Config{Logical: true, Physical: true, Format: FormatBoth + 1}, 2, 2)
+	s.Logical[0] = []LogicalRecord{{SrcPE: 0, DstPE: 1, MsgSize: 8}}
+	dir := filepath.Join(t.TempDir(), "out")
+	err := s.WriteFiles(dir)
+	if err == nil || !strings.Contains(err.Error(), "unknown trace format") {
+		t.Fatalf("WriteFiles with Format %d: error %v, want one naming the unknown format", s.Config.Format, err)
+	}
+	if _, statErr := os.Stat(dir); !os.IsNotExist(statErr) {
+		t.Errorf("WriteFiles created %s before refusing the format", dir)
+	}
+	if _, err := openSinks(&logicalKind, t.TempDir(), 0, s.Config.Format, nil); err == nil {
+		t.Error("openSinks accepted an unknown format")
+	}
+}

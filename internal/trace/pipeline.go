@@ -206,6 +206,9 @@ func (s *sink[T]) close() error {
 type sinks[T any] []*sink[T]
 
 func openSinks[T any](k *kind[T], dir string, pe int, format Format, events []string) (sinks[T], error) {
+	if err := (Config{Format: format}).Validate(); err != nil {
+		return nil, err // never index the encodings table with it
+	}
 	var out sinks[T]
 	for _, binary := range format.encodings() {
 		s, err := openSink(k, dir, pe, binary, events)

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"actorprof/internal/sim"
 )
@@ -83,7 +84,15 @@ func (c *Collector) openStreams(pe int) (s *peStream, err error) {
 }
 
 func physicalPart(pe int) string    { return fmt.Sprintf("physical.PE%d.part", pe) }
-func physicalPartBin(pe int) string { return fmt.Sprintf("physical.PE%d.part.bin", pe) }
+func physicalPartBin(pe int) string { return physicalPart(pe) + ".bin" }
+
+// IsPhysicalPart reports whether a file name is a per-PE physical part
+// in either encoding. Parts exist only between a streaming collector's
+// ForPE and its Finalize, so one in a directory marks the run as live.
+func IsPhysicalPart(name string) bool {
+	name = strings.TrimSuffix(name, ".bin")
+	return strings.HasPrefix(name, "physical.PE") && strings.HasSuffix(name, ".part")
+}
 
 // Finalize completes a streaming trace directory: flushes and closes
 // every per-PE file, writes the meta file and the overall breakdown,

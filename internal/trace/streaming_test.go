@@ -249,3 +249,17 @@ func TestFinalizeOnBufferingCollectorFails(t *testing.T) {
 		t.Fatal("Finalize on a buffering collector must error")
 	}
 }
+
+// The part names the collector writes, in both encodings, are the names
+// IsPhysicalPart recognises; the assembled files and strangers are not.
+func TestIsPhysicalPart(t *testing.T) {
+	for name, want := range map[string]bool{
+		physicalPart(0): true, physicalPartBin(12): true,
+		physicalFile: false, "physical.bin": false, "physical.idx": false,
+		"PE0_send.csv.part": false, "physical.PE1.partial": false,
+	} {
+		if got := IsPhysicalPart(name); got != want {
+			t.Errorf("IsPhysicalPart(%q) = %v, want %v", name, got, want)
+		}
+	}
+}

@@ -91,10 +91,6 @@ func (b *PyramidBucket) fold(o PyramidBucket) {
 	}
 }
 
-func (b PyramidBucket) isZero() bool {
-	return b.Count == 0 && b.Bytes == 0 && b.Kinds == [3]int64{}
-}
-
 // blockSpan is one data-file block: its byte extent, the global row
 // index of its first record, and the inclusive timestamp span of the
 // records inside it.

@@ -25,7 +25,6 @@ import (
 
 	"actorprof/internal/conveyor"
 	"actorprof/internal/papi"
-	"actorprof/internal/stats"
 )
 
 // Config selects which traces a run collects.
@@ -60,12 +59,12 @@ type Config struct {
 	// affects writers.
 	Format Format
 	// Aggregate folds records into per-(src,dst) matrices at collection
-	// time instead of materializing them: the collector keeps O(PEs^2)
-	// aggregate state (LogicalAgg, PhysicalAgg, PAPIAgg, MsgBytes)
-	// rather than O(records) slices. Heatmap/violin/overall analyses
-	// work unchanged; WriteFiles and per-record exports need raw
-	// records and refuse aggregated sets (combine with a StreamDir to
-	// keep the records on disk).
+	// time instead of materializing them: the collector keeps an
+	// O(PEs^2) partial Summary rather than O(records) slices, and the
+	// set's Summary() reports it. Heatmap/violin/overall analyses work
+	// unchanged; WriteFiles and per-record exports need raw records and
+	// refuse aggregated sets (combine with a StreamDir to keep the
+	// records on disk).
 	Aggregate bool
 }
 
@@ -237,27 +236,9 @@ type Set struct {
 	// sorted by name.
 	Segments [][]SegmentRecord
 
-	// Aggregate-mode state (Config.Aggregate): the collector folds
-	// records into these instead of the slices above. They are nil on
-	// sets read from disk or collected without Aggregate; the matrix
-	// accessors in analysis.go consult them when Config.Aggregate is
-	// set.
-
-	// LogicalAgg[src][dst] counts sampled logical sends (unscaled;
-	// LogicalMatrix applies the LogicalSample scale).
-	LogicalAgg Matrix
-	// PhysicalAgg[kind][src][dst] counts physical events per send kind.
-	PhysicalAgg map[conveyor.SendKind]Matrix
-	// PAPIAgg[ev][pe] sums PAPI counter ev over PE pe's records,
-	// parallel to Config.PAPIEvents.
-	PAPIAgg [][]int64
-	// MsgBytes accumulates logical payload-size statistics (streaming;
-	// aggregate mode cannot recover them from records).
-	MsgBytes stats.Stream
-
-	// papiMemo caches PAPITotalsPerPE's one walk over the PAPI records
-	// (analysis.go).
-	papiMemo *papiTotalsMemo
+	// memo holds the set's Summary, folded once and shared by copies
+	// of the Set (summary.go).
+	memo *summaryMemo
 }
 
 // NewSet allocates an empty set for npes PEs.
@@ -273,6 +254,6 @@ func NewSet(cfg Config, npes, perNode int) *Set {
 		Physical:         make([][]PhysicalRecord, npes),
 		Overall:          make([]OverallRecord, 0, npes),
 		Segments:         make([][]SegmentRecord, npes),
-		papiMemo:         new(papiTotalsMemo),
+		memo:             new(summaryMemo),
 	}
 }

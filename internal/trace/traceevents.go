@@ -14,8 +14,8 @@ import (
 // traceEvent is one record of the Google Trace Event format ("Trace
 // Event Format", the chrome://tracing / Perfetto JSON form). The
 // paper's Section VI lists adopting this format as future work;
-// ExportTraceEvents implements the legacy instant-event array and
-// ExportPerfetto the full model (durations, counters, metadata).
+// ExportPerfetto implements the full model (durations, counters,
+// metadata).
 type traceEvent struct {
 	Name  string         `json:"name"`
 	Cat   string         `json:"cat,omitempty"`
@@ -25,16 +25,6 @@ type traceEvent struct {
 	TID   int            `json:"tid"`
 	Scope string         `json:"s,omitempty"` // instant-event scope
 	Args  map[string]any `json:"args,omitempty"`
-}
-
-// eventTS maps one record's clock value into the stream's timestamp
-// domain: virtual-clock cycles become microseconds, the sequence
-// domain passes the global record index through unchanged.
-func eventTS(domain ClockDomain, cycles, seq int64) float64 {
-	if domain == DomainCycles {
-		return float64(tsc.ToDuration(cycles).Microseconds())
-	}
-	return float64(seq)
 }
 
 // clockDomainArgs is the metadata payload that tells a consumer which
@@ -48,52 +38,6 @@ func clockDomainArgs(domain ClockDomain) map[string]any {
 		unit = "microseconds (3 GHz virtual clock)"
 	}
 	return map[string]any{"clock_domain": domain.String(), "unit": unit}
-}
-
-// ExportTraceEvents writes the physical trace as a Google Trace Event
-// JSON array: one instant event per Conveyors transfer, grouped by node
-// (pid) and PE (tid). The timestamp domain is decided once for the
-// whole trace - virtual-clock microseconds only when every record
-// carries a clock, the global sequence index otherwise (e.g. traces
-// reloaded from physical.txt, whose on-disk format carries none) - and
-// declared in a leading clock_domain metadata event; the two domains
-// are never interleaved in one stream.
-func (s *Set) ExportTraceEvents(w io.Writer) error {
-	perNode := s.PEsPerNode
-	if perNode <= 0 {
-		perNode = 1
-	}
-	domain := physicalClockDomain(s)
-	events := make([]traceEvent, 0, 256)
-	events = append(events, traceEvent{
-		Name: "clock_domain", Phase: "M", Args: clockDomainArgs(domain),
-	})
-	var seq int64
-	for pe, recs := range s.Physical {
-		for _, r := range recs {
-			ts := eventTS(domain, r.Cycles, seq)
-			seq++
-			events = append(events, traceEvent{
-				Name:  r.Kind.String(),
-				Cat:   "conveyor",
-				Phase: "i",
-				TS:    ts,
-				PID:   pe / perNode,
-				TID:   pe,
-				Scope: "t",
-				Args: map[string]any{
-					"buf_bytes": r.BufBytes,
-					"src_pe":    r.SrcPE,
-					"dst_pe":    r.DstPE,
-				},
-			})
-		}
-	}
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(events); err != nil {
-		return fmt.Errorf("trace: encoding trace events: %w", err)
-	}
-	return nil
 }
 
 // perfettoWriter streams a Trace Event JSON object one event at a time,
@@ -204,7 +148,12 @@ func (s *Set) ExportPerfetto(w io.Writer) error {
 		})
 		st := &peSlotState{pending: make(map[int][]pendingSend)}
 		for _, r := range recs {
-			ts := eventTS(domain, r.Cycles, seq)
+			// Virtual-clock cycles become microseconds; the sequence
+			// domain is the global record index.
+			ts := float64(seq)
+			if domain == DomainCycles {
+				ts = float64(tsc.ToDuration(r.Cycles).Microseconds())
+			}
 			seq++
 			st.lastTS = ts
 			switch r.Kind {

@@ -64,17 +64,26 @@ func goldenExportSet() *Set {
 	return s
 }
 
-// decodeEventArray unmarshals an ExportTraceEvents payload.
-func decodeEventArray(t *testing.T, raw []byte) []map[string]any {
+// exportedEvents runs ExportPerfetto and returns the document's events,
+// whose first must be the clock_domain declaration.
+func exportedEvents(t *testing.T, s *Set) (events []map[string]any, domain any) {
 	t.Helper()
-	var events []map[string]any
-	if err := json.Unmarshal(raw, &events); err != nil {
-		t.Fatalf("export is not a JSON array: %v", err)
+	var buf bytes.Buffer
+	if err := s.ExportPerfetto(&buf); err != nil {
+		t.Fatal(err)
 	}
-	if len(events) == 0 {
-		t.Fatal("export holds no events")
+	var doc perfettoDoc
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("export is not a JSON object: %v", err)
 	}
-	return events
+	if len(doc.TraceEvents) == 0 || doc.TraceEvents[0]["name"] != "clock_domain" {
+		t.Fatalf("export does not open with the clock_domain metadata: %v", doc.TraceEvents)
+	}
+	domain = doc.TraceEvents[0]["args"].(map[string]any)["clock_domain"]
+	if doc.OtherData["clock_domain"] != domain {
+		t.Fatalf("otherData declares domain %v, the leading event %v", doc.OtherData["clock_domain"], domain)
+	}
+	return doc.TraceEvents, domain
 }
 
 // TestExportClockDomainNeverMixed is the regression for the domain-mixing
@@ -86,39 +95,33 @@ func decodeEventArray(t *testing.T, raw []byte) []map[string]any {
 func TestExportClockDomainNeverMixed(t *testing.T) {
 	// A trace whose every record carries a clock exports in the cycles
 	// domain...
-	full := cycleSet(t, 4, 50)
-	var buf bytes.Buffer
-	if err := full.ExportTraceEvents(&buf); err != nil {
-		t.Fatal(err)
-	}
-	events := decodeEventArray(t, buf.Bytes())
-	if events[0]["name"] != "clock_domain" {
-		t.Fatalf("first event is %q, want the clock_domain metadata", events[0]["name"])
-	}
-	if d := events[0]["args"].(map[string]any)["clock_domain"]; d != "cycles" {
+	if _, d := exportedEvents(t, cycleSet(t, 4, 50)); d != "cycles" {
 		t.Fatalf("full-clock trace declared domain %v, want cycles", d)
 	}
 
 	// ...but one zero-clock record anywhere demotes the entire stream to
-	// the sequence domain: ts values must then be exactly 0..n-1 in
-	// stream order, with no microsecond-converted stragglers.
+	// the sequence domain: walking the events, timestamps must then step
+	// through exactly 0..n-1 in stream order (a record's events share its
+	// index), with no microsecond-converted stragglers.
 	mixed := cycleSet(t, 4, 50)
 	mixed.Physical[2][10].Cycles = 0
-	buf.Reset()
-	if err := mixed.ExportTraceEvents(&buf); err != nil {
-		t.Fatal(err)
-	}
-	events = decodeEventArray(t, buf.Bytes())
-	if d := events[0]["args"].(map[string]any)["clock_domain"]; d != "sequence" {
+	events, d := exportedEvents(t, mixed)
+	if d != "sequence" {
 		t.Fatalf("mixed-clock trace declared domain %v, want sequence", d)
 	}
-	var seq float64
-	for _, e := range events[1:] {
-		ts := e["ts"].(float64)
-		if ts != seq {
-			t.Fatalf("sequence-domain ts %v at position %v: domains interleaved", ts, seq)
+	seq := -1.0
+	for _, e := range events {
+		if e["ph"] == "M" {
+			continue
 		}
-		seq++
+		if ts := e["ts"].(float64); ts == seq+1 {
+			seq = ts
+		} else if ts != seq {
+			t.Fatalf("sequence-domain ts %v after %v: domains interleaved", ts, seq)
+		}
+	}
+	if seq != 4*50-1 {
+		t.Fatalf("sequence-domain timestamps end at %v, want one per record up to %d", seq, 4*50-1)
 	}
 }
 
@@ -142,12 +145,7 @@ func TestExportCSVReloadIsSequenceDomain(t *testing.T) {
 	if got := physicalClockDomain(re); got != DomainSequence {
 		t.Fatalf("CSV reload classified as %s, want sequence", got)
 	}
-	var buf bytes.Buffer
-	if err := re.ExportTraceEvents(&buf); err != nil {
-		t.Fatal(err)
-	}
-	events := decodeEventArray(t, buf.Bytes())
-	if d := events[0]["args"].(map[string]any)["clock_domain"]; d != "sequence" {
+	if _, d := exportedEvents(t, re); d != "sequence" {
 		t.Fatalf("CSV reload declared domain %v, want sequence", d)
 	}
 
@@ -308,19 +306,6 @@ func TestGoldenPerfettoExport(t *testing.T) {
 		validateTraceEventObject(t, e)
 	}
 	checkExportGolden(t, "perfetto_export", buf.Bytes())
-}
-
-// TestGoldenTraceEventsExport pins the legacy instant-event array the
-// same way, including its leading clock_domain metadata event.
-func TestGoldenTraceEventsExport(t *testing.T) {
-	var buf bytes.Buffer
-	if err := goldenExportSet().ExportTraceEvents(&buf); err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range decodeEventArray(t, buf.Bytes()) {
-		validateTraceEventObject(t, e)
-	}
-	checkExportGolden(t, "trace_events_export", buf.Bytes())
 }
 
 // TestExportPerfettoUnmatchedSends: sends whose progress record never

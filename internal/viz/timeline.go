@@ -43,16 +43,6 @@ func (tl *Timeline) validate() error {
 	return nil
 }
 
-func (tl *Timeline) maxCount() int64 {
-	var mx int64
-	for _, b := range tl.Buckets {
-		if b.Count > mx {
-			mx = b.Count
-		}
-	}
-	return mx
-}
-
 // foldTo folds the buckets into at most n columns (summing counts and
 // bytes) so the text renderer stays terminal-sized at any LOD.
 func (tl *Timeline) foldTo(n int) []TimelineBucket {

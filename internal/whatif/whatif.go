@@ -96,12 +96,6 @@ type CostScales struct {
 	Ingest float64 `json:"ingest,omitempty"`
 }
 
-// IsIdentity reports whether every factor is unset or 1.
-func (sc CostScales) IsIdentity() bool {
-	ident := func(f float64) bool { return f <= 0 || f == 1 }
-	return ident(sc.Network) && ident(sc.Local) && ident(sc.Quiet) && ident(sc.Instr) && ident(sc.Ingest)
-}
-
 func scale64(v int64, f float64) int64 {
 	if f <= 0 || f == 1 {
 		return v
