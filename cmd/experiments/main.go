@@ -21,8 +21,10 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
+	"syscall"
 	"time"
 
 	"actorprof/internal/actor"
@@ -149,15 +151,21 @@ func (r *runner) runScaleUp(pes, perNode, scale, keysPerPE int) error {
 		return err
 	}
 	rows := []string{
-		"| app | input | PEs | messages | validated | send imb (max/mean) | TOT_INS imb | host wall | sleeps/PE mean (max) | yields/PE mean (max) |",
-		"|---|---|---|---|---|---|---|---|---|---|",
+		"| app | input | PEs | messages | validated | send imb (max/mean) | TOT_INS imb | host wall | ns/message | peak RSS so far | sleeps/PE mean (max) | yields/PE mean (max) |",
+		"|---|---|---|---|---|---|---|---|---|---|---|---|",
 	}
 	// How each PE waited for work (DESIGN.md §16): read on the PE's own
 	// goroutine when its app returns.
 	waits := make([]shmem.ProgressStats, pes)
-	waitCols := func() string {
-		return meanMax(waits, func(w shmem.ProgressStats) int64 { return w.Sleeps }) + " | " +
-			meanMax(waits, func(w shmem.ProgressStats) int64 { return w.Yields })
+	// hostCols renders a row's host cost: wall-clock, wall-clock per
+	// logical message, the process's peak RSS when the row finished (a
+	// high-water mark, so a later row's includes the earlier ones), and
+	// the wait counters.
+	hostCols := func(wall time.Duration, msgs int64) string {
+		return fmt.Sprintf("%v | %.0f | %.0f MB | %s | %s", wall.Round(time.Millisecond),
+			float64(wall.Nanoseconds())/float64(msgs), peakRSSMB(),
+			meanMax(waits, func(w shmem.ProgressStats) int64 { return w.Sleeps }),
+			meanMax(waits, func(w shmem.ProgressStats) int64 { return w.Yields }))
 	}
 
 	// isort: the ISx weak-scaling input, batched dispatch.
@@ -180,7 +188,7 @@ func (r *runner) runScaleUp(pes, perNode, scale, keysPerPE int) error {
 		if err != nil {
 			return err
 		}
-		wall := time.Since(start).Round(time.Millisecond)
+		wall := time.Since(start)
 		want := apps.ISortSerial(pes, icfg)
 		validated := true
 		for pe := range results {
@@ -190,10 +198,10 @@ func (r *runner) runScaleUp(pes, perNode, scale, keysPerPE int) error {
 			}
 		}
 		lm := set.LogicalMatrix()
-		rows = append(rows, fmt.Sprintf("| isort | %d keys/PE | %d | %d | %v | %.1fx | %.1fx | %v | %s |",
+		rows = append(rows, fmt.Sprintf("| isort | %d keys/PE | %d | %d | %v | %.1fx | %.1fx | %s |",
 			keysPerPE, pes, lm.Total(), validated,
 			trace.MaxOverMean(lm.SendTotals()),
-			trace.MaxOverMean(set.PAPITotalsPerPE(papi.TOT_INS)), wall, waitCols()))
+			trace.MaxOverMean(set.PAPITotalsPerPE(papi.TOT_INS)), hostCols(wall, lm.Total())))
 		fmt.Println(rows[len(rows)-1])
 		if !validated {
 			return fmt.Errorf("scaleup: isort validation failed at %d PEs", pes)
@@ -228,7 +236,7 @@ func (r *runner) runScaleUp(pes, perNode, scale, keysPerPE int) error {
 		if err != nil {
 			return err
 		}
-		wall := time.Since(start).Round(time.Millisecond)
+		wall := time.Since(start)
 		expected := g.CountTrianglesSerial()
 		validated := true
 		for _, c := range counts {
@@ -238,10 +246,10 @@ func (r *runner) runScaleUp(pes, perNode, scale, keysPerPE int) error {
 			}
 		}
 		lm := set.LogicalMatrix()
-		rows = append(rows, fmt.Sprintf("| trianglecount | R-MAT scale %d (%d vertices, %d edges) | %d | %d | %v | %.1fx | %.1fx | %v | %s |",
+		rows = append(rows, fmt.Sprintf("| trianglecount | R-MAT scale %d (%d vertices, %d edges) | %d | %d | %v | %.1fx | %.1fx | %s |",
 			scale, g.NumVertices(), g.NumEdges(), pes, lm.Total(), validated,
 			trace.MaxOverMean(lm.SendTotals()),
-			trace.MaxOverMean(set.PAPITotalsPerPE(papi.TOT_INS)), wall, waitCols()))
+			trace.MaxOverMean(set.PAPITotalsPerPE(papi.TOT_INS)), hostCols(wall, lm.Total())))
 		fmt.Println(rows[len(rows)-1])
 		if !validated {
 			return fmt.Errorf("scaleup: trianglecount validation failed (want %d)", expected)
@@ -256,6 +264,18 @@ func (r *runner) runScaleUp(pes, perNode, scale, keysPerPE int) error {
 	}
 	fmt.Printf("scale-up results written to %s\n", path)
 	return nil
+}
+
+// peakRSSMB is the process's maximum resident set so far.
+func peakRSSMB() float64 {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	if runtime.GOOS == "darwin" {
+		return float64(ru.Maxrss) / 1e6 // bytes there, kilobytes elsewhere
+	}
+	return float64(ru.Maxrss) * 1024 / 1e6
 }
 
 // meanMax renders one per-PE wait counter as "mean (max)".

@@ -11,11 +11,11 @@ import (
 // RawOffset flags raw symmetric-heap offset arithmetic: RMA calls whose
 // byte-offset argument is computed inline from bare numeric literals
 // (off+8*i and friends) instead of going through the typed Int64Array
-// accessors. Hand-rolled offsets bypass Int64Array's bounds checks,
-// silently alias neighboring symmetric objects on every PE, and —
-// because ensure() grows heaps on demand — turn an off-by-one into heap
-// growth instead of a crash. The RMA entry points and their
-// offset-parameter positions come from shmem.RawOffsetMethods.
+// accessors. Hand-rolled offsets bypass Int64Array's bounds checks and
+// silently alias neighboring symmetric objects on every PE; the heap
+// itself only catches the overrun that leaves the last Malloc's break
+// (there an access crashes the PE that made it). The RMA entry points
+// and their offset-parameter positions come from shmem.RawOffsetMethods.
 //
 // Arithmetic over named constants (base + wordBytes*i) passes clean: the
 // name expresses the layout's intent, and it is exactly what -fix

@@ -1,6 +1,7 @@
 package conveyor
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"actorprof/internal/shmem"
@@ -94,5 +95,76 @@ func TestPushSlotZeroAlloc(t *testing.T) {
 		})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A forward that finds its hop's buffer full and both landing slots
+// unconsumed parks in the backlog, and every Advance retries it. The
+// retry pass keeps its per-hop "blocked" set on the conveyor, so a PE
+// stuck behind slow column peers allocates nothing while it waits. Mesh,
+// 10 nodes x 2: PE 0 sends to PE 1's nine column peers through PE 1 (row
+// hop, then column hop) while none of them advances - nine blocked hops,
+// one more than a map[int]bool holds before it spills to the heap. Every
+// PE but PE 1 blocks on a Go channel during the measurement, so
+// AllocsPerRun sees PE 1 alone.
+func TestBacklogRetryZeroAlloc(t *testing.T) {
+	const (
+		npes, perNode  = 20, 2
+		bufItems, bufs = 4, 6 // per hop: 1 buffer + 2 landing slots in flight, 3 buffers parked
+		hops           = npes/perNode - 1
+		wantParked     = hops * (bufs - 3) * bufItems
+	)
+	measured := make(chan struct{})
+	var allocs float64
+	var delivered atomic.Int64
+	err := shmem.Run(cfg(npes, perNode), func(pe *shmem.PE) {
+		c, err := New(pe, Options{ItemBytes: 8, BufferItems: bufItems, Topology: TopologyMesh})
+		if err != nil {
+			panic(err)
+		}
+		switch pe.Rank() {
+		case 0:
+			item := make([]byte, 8)
+			for dst := 3; dst < npes; dst += perNode {
+				for i := 0; i < bufs*bufItems; i++ {
+					for !c.Push(item, dst) {
+						c.Advance(false)
+					}
+				}
+			}
+			for !c.outEmpty() { // until PE 1 has taken every buffer
+				c.Advance(false)
+			}
+		case 1:
+			// Everything PE 0 sent is either forwarded or parked.
+			for int(c.stats.Routed) != hops*3*bufItems || len(c.routeBacklog) != wantParked {
+				c.Advance(false)
+			}
+			allocs = testing.AllocsPerRun(100, func() { c.Advance(false) })
+			if len(c.routeBacklog) != wantParked {
+				t.Errorf("backlog went %d -> %d while nobody was receiving", wantParked, len(c.routeBacklog))
+			}
+			close(measured)
+		}
+		<-measured
+		for more := true; more; {
+			more = c.Advance(true)
+			for {
+				if _, _, ok := c.Pull(); !ok {
+					break
+				}
+				delivered.Add(1)
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := delivered.Load(); got != hops*bufs*bufItems {
+		t.Fatalf("delivered %d items, want %d", got, hops*bufs*bufItems)
+	}
+	if allocs != 0 {
+		t.Errorf("an Advance retrying %d parked forwards over %d blocked hops allocated %.1f times, want 0",
+			wantParked, hops, allocs)
 	}
 }

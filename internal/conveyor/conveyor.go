@@ -13,7 +13,11 @@
 // same local rank on every node) with an inter-node non-blocking put.
 // This is the multi-hop, memory-frugal routing scheme the paper
 // describes, and it is what gives the physical-trace heatmaps of
-// Figures 8-9 their row/column structure.
+// Figures 8-9 their row/column structure. Frugal is meant literally: a
+// PE holds an aggregation buffer, a landing zone and an ack word for
+// each of its topology peers (its row and its column) and for no one
+// else, so a conveyor costs O(PEs x peers) bytes across the machine, not
+// O(PEs^2).
 //
 // The three transfer mechanisms the paper instruments exist here with the
 // same names and the same meaning:
@@ -33,6 +37,7 @@ package conveyor
 
 import (
 	"fmt"
+	"sort"
 
 	"actorprof/internal/shmem"
 )
@@ -103,8 +108,12 @@ const (
 	hdrBytes = 8
 )
 
-// Channel/landing-zone layout. Each directed pair (src -> dst) has a
-// landing zone in dst's symmetric heap and an ack word in src's heap.
+// Channel/landing-zone layout. Each directed pair (src -> dst) of
+// topology peers has a landing zone in dst's symmetric heap and an ack
+// word in src's heap. Both arrays are indexed by *peer index* - the
+// position of the other end in the owner's sorted targets() - so a heap
+// holds only what its peers can write: the memory-frugal half of the
+// paper's routing scheme (DESIGN.md §3).
 //
 // Landing zone (per incoming src):
 //
@@ -131,14 +140,14 @@ type Conveyor struct {
 	slotBytes int // 8 (length) + bufItems*wireBytes
 	chanBytes int // 8 (seq) + slots*slotBytes
 
-	inBase  int // heap offset of my landing zones, indexed by src PE
-	ackBase int // heap offset of my ack words, indexed by dst PE
+	inBase  int // heap offset of my landing zones, by peer index of the source
+	ackBase int // heap offset of my ack words, by peer index of the destination
 
-	// Next-hop aggregation buffers, indexed by hop target PE. Only the
-	// legal hop targets (row+column in mesh mode) are non-nil.
+	// out[i] is the aggregation buffer toward peers[i], the legal hop
+	// targets (row+column in mesh mode).
 	out []*outBuf
 
-	// consumed[src] counts buffers consumed from src's channel.
+	// consumed[i] counts buffers consumed from peers[i]'s channel.
 	consumed []int64
 
 	// pull is the delivery ring of items addressed to this PE. Pull
@@ -184,20 +193,31 @@ type Conveyor struct {
 	board *board // shared termination board
 	stats Stats
 
-	topo  topology
-	peers []int // legal hop targets (sorted), for iteration
+	topo topology
+	// peers is targets(me), ascending; a PE's position in it is its peer
+	// index here. Every PE has the same number of peers (machines are
+	// whole nodes), which is what makes the per-peer Mallocs symmetric.
+	peers []int
 	// hopOf[dst] is topo.nextHop(me, dst), tabulated by New: routes are
 	// static, and a push or a forwarded item should cost an index, not
 	// the topology's coordinate arithmetic. hopOf[me] == me: self-sends
-	// take one full local hop (no bypass).
-	hopOf []int32
+	// take one full local hop (no bypass). via[dst] is the same hop as a
+	// peer index, which is what the message path indexes out by; these
+	// two are the only per-PE tables as long as the world.
+	hopOf, via []int32
+	// blocked is drainBacklog's per-hop scratch, by peer index.
+	blocked []bool
 }
 
 type outBuf struct {
-	target  int
-	items   []byte // aggregated wire-format items
-	n       int    // item count
-	sentSeq int64  // buffers sent on this channel
+	target int // peers[idx]
+	// idx is the target's peer index here (my ack word for this channel);
+	// theirIdx is my peer index at the target: where my landing zone sits
+	// in its heap, and where it reads the acks I send it.
+	idx, theirIdx int
+	items         []byte // aggregated wire-format items
+	n             int    // item count
+	sentSeq       int64  // buffers sent on this channel
 	// cap is the effective capacity of the current buffer generation.
 	// It equals the configured BufferItems unless a fault injector
 	// shrinks the generation (capSeq tracks which generation the
@@ -217,11 +237,12 @@ func New(pe *shmem.PE, opts Options) (*Conveyor, error) {
 	if opts.BufferItems <= 0 {
 		return nil, fmt.Errorf("conveyor: BufferItems must be positive, got %d", opts.BufferItems)
 	}
-	npes := pe.NumPEs()
+	npes, me := pe.NumPEs(), pe.Rank()
 	topo, err := resolveTopology(opts.Topology, pe.World().Machine())
 	if err != nil {
 		return nil, err
 	}
+	peers := topo.targets(me)
 	c := &Conveyor{
 		pe:        pe,
 		opts:      opts,
@@ -229,40 +250,44 @@ func New(pe *shmem.PE, opts Options) (*Conveyor, error) {
 		itemBytes: opts.ItemBytes,
 		wireBytes: opts.ItemBytes + hdrBytes,
 		bufItems:  opts.BufferItems,
-		consumed:  make([]int64, npes),
-		out:       make([]*outBuf, npes),
+		consumed:  make([]int64, len(peers)),
+		out:       make([]*outBuf, len(peers)),
+		blocked:   make([]bool, len(peers)),
 		topo:      topo,
+		peers:     peers,
 	}
 	c.slotBytes = 8 + c.bufItems*c.wireBytes
 	c.chanBytes = 8 + slots*c.slotBytes
 	c.pull.init(c.itemBytes)
 	c.recvBuf = make([]byte, c.bufItems*c.wireBytes)
 
-	// Symmetric allocation: landing zones for every potential source and
-	// ack words for every potential destination. (Real Conveyors
-	// allocates only row+column channels; the full matrix costs a little
-	// simulated memory and keeps indexing trivial. Only the channels of
-	// topology peers ever carry traffic - targets() is symmetric - and
-	// receive() polls only those.)
-	c.inBase = pe.Malloc(npes * c.chanBytes)
-	c.ackBase = pe.Malloc(npes * 8)
+	// Symmetric allocation, as real Conveyors does it: a landing zone and
+	// an ack word per topology peer, the only PEs that can be the other
+	// end of a channel (targets() is symmetric). The peer count is the
+	// same on every PE, so the sizes are.
+	c.inBase = pe.Malloc(len(peers) * c.chanBytes)
+	c.ackBase = pe.Malloc(len(peers) * 8)
 
-	for _, t := range topo.targets(pe.Rank()) {
-		c.out[t] = &outBuf{
+	for i, t := range peers {
+		c.out[i] = &outBuf{
 			target: t,
-			items:  make([]byte, 0, c.bufItems*c.wireBytes),
-			cap:    c.bufItems,
-			capSeq: -1,
+			idx:    i,
+			// The one fact about a peer's layout a sender needs; from the
+			// peers' lists only (every PE's cost +17 % of a 256-PE run).
+			theirIdx: sort.SearchInts(topo.targets(t), me),
+			items:    make([]byte, 0, c.bufItems*c.wireBytes),
+			cap:      c.bufItems,
+			capSeq:   -1,
 		}
-		c.peers = append(c.peers, t)
 	}
-	c.hopOf = make([]int32, npes)
+	c.hopOf, c.via = make([]int32, npes), make([]int32, npes)
 	for dst := range c.hopOf {
 		hop := dst
-		if dst != pe.Rank() {
-			hop = topo.nextHop(pe.Rank(), dst)
+		if dst != me {
+			hop = topo.nextHop(me, dst)
 		}
 		c.hopOf[dst] = int32(hop)
+		c.via[dst] = int32(sort.SearchInts(peers, hop))
 	}
 	c.board = boardFor(c)
 	// Collective sanity check: every PE must construct the conveyor
@@ -288,6 +313,9 @@ func (c *Conveyor) Topology() Topology { return c.topo.kind() }
 // nextHop returns the next hop PE for an item whose final destination is
 // dst.
 func (c *Conveyor) nextHop(dst int) int { return int(c.hopOf[dst]) }
+
+// outFor returns the aggregation buffer toward that hop.
+func (c *Conveyor) outFor(dst int) *outBuf { return c.out[c.via[dst]] }
 
 // Stats returns a snapshot of the conveyor's counters.
 func (c *Conveyor) Stats() Stats { return c.stats }

@@ -103,8 +103,7 @@ func (e *Elastic) EPush(item []byte, dst int) bool {
 	// once is sound within this call. The check runs against the
 	// generation's *effective* capacity, which a fault injector may
 	// have shrunk below BufferItems.
-	hop := e.c.nextHop(dst)
-	ob := e.c.out[hop]
+	ob := e.c.outFor(dst)
 	if e.c.capOf(ob)-ob.n < cells {
 		if cells > e.c.bufItems {
 			panic(fmt.Sprintf("conveyor: item needs %d cells but buffers hold %d; raise BufferItems or CellBytes",

@@ -92,7 +92,7 @@ func (c *Conveyor) PushSlot(dst int) ([]byte, bool) {
 	if dst < 0 || dst >= len(c.hopOf) {
 		panic(fmt.Sprintf("conveyor: Push to invalid PE %d", dst))
 	}
-	ob := c.out[c.nextHop(dst)]
+	ob := c.outFor(dst)
 	if ob.n >= c.capOf(ob) {
 		// Never transfer from inside Push: the append is MAIN-segment
 		// user work in the FA-BSP attribution, while buffer transfers
@@ -282,22 +282,21 @@ func (c *Conveyor) Advance(done bool) bool {
 }
 
 func (c *Conveyor) outEmpty() bool {
-	for _, t := range c.peers {
-		ob := c.out[t]
+	for _, ob := range c.out {
 		if ob.n > 0 {
 			return false
 		}
-		if ob.sentSeq > c.ackOf(t) {
+		if ob.sentSeq > c.ackOf(ob) {
 			return false // transfers not yet consumed by the receiver
 		}
 	}
 	return true
 }
 
-// ackOf reads the ack word (buffers consumed by PE t) from this PE's own
-// heap, where the receiver deposits it.
-func (c *Conveyor) ackOf(t int) int64 {
-	return c.pe.LoadInt64(c.pe.Rank(), c.ackBase+t*8)
+// ackOf reads ob's ack word (buffers its target has consumed) from this
+// PE's own heap, where the receiver deposits it.
+func (c *Conveyor) ackOf(ob *outBuf) int64 {
+	return c.pe.LoadInt64(c.pe.Rank(), c.ackBase+ob.idx*8)
 }
 
 // tryTransfer attempts to move ob's aggregated buffer to its target's
@@ -307,7 +306,7 @@ func (c *Conveyor) tryTransfer(ob *outBuf) bool {
 	if ob.n == 0 {
 		return true
 	}
-	if ob.sentSeq-c.ackOf(ob.target) >= slots {
+	if ob.sentSeq-c.ackOf(ob) >= slots {
 		return false
 	}
 	c.transfer(ob)
@@ -321,8 +320,9 @@ func (c *Conveyor) transfer(ob *outBuf) {
 	c.pe.FaultTransfer(ob.sentSeq, ob.target, len(ob.items))
 	me := c.pe.Rank()
 	slot := int(ob.sentSeq % slots)
-	// Landing zone of channel me->target lives in target's heap.
-	zone := c.inBase + me*c.chanBytes
+	// Landing zone of channel me->target lives in target's heap, at the
+	// target's peer index of me.
+	zone := c.inBase + ob.theirIdx*c.chanBytes
 	slotOff := zone + 8 + slot*c.slotBytes
 	payload := ob.items
 
@@ -361,8 +361,7 @@ func (c *Conveyor) transfer(ob *outBuf) {
 // flush ships every full buffer, and - in the endgame, once this PE is
 // done - every non-empty buffer.
 func (c *Conveyor) flush(endgame bool) {
-	for _, t := range c.peers {
-		ob := c.out[t]
+	for _, ob := range c.out {
 		if (ob.n > 0 && ob.n >= ob.cap) || (endgame && ob.n > 0) {
 			c.tryTransfer(ob)
 		}
@@ -376,19 +375,20 @@ func (c *Conveyor) flush(endgame bool) {
 // only their channels are polled.
 func (c *Conveyor) receive() {
 	me := c.pe.Rank()
-	for _, src := range c.peers {
-		zone := c.inBase + src*c.chanBytes
+	for i, src := range c.peers {
+		zone := c.inBase + i*c.chanBytes
 		seq := c.pe.LoadInt64(me, zone)
-		for c.consumed[src] < seq {
-			slot := int(c.consumed[src] % slots)
+		for c.consumed[i] < seq {
+			slot := int(c.consumed[i] % slots)
 			slotOff := zone + 8 + slot*c.slotBytes
 			n := int(c.pe.LoadInt64(me, slotOff))
 			buf := c.recvBuf[:n*c.wireBytes]
 			c.pe.LoadBytesLocal(slotOff+8, buf)
-			c.consumed[src]++
+			c.consumed[i]++
 			// Ack before processing: the sender may refill this slot's
 			// partner immediately, but not this slot until the next ack.
-			c.pe.PutInt64(src, c.ackBase+me*8, c.consumed[src])
+			// The word sits at the sender's peer index of me.
+			c.pe.PutInt64(src, c.ackBase+c.out[i].theirIdx*8, c.consumed[i])
 			c.poller.Touch()
 			c.ingest(buf, n)
 		}
@@ -415,7 +415,7 @@ func (c *Conveyor) ingest(buf []byte, n int) {
 		// slots are unconsumed, park the item in the backlog; blocking
 		// inside receive processing can deadlock two column peers that
 		// are each waiting for the other's ack.
-		ob := c.out[c.nextHop(dst)]
+		ob := c.outFor(dst)
 		if len(c.routeBacklog) > 0 || (ob.n >= c.capOf(ob) && !c.tryTransfer(ob)) {
 			// Preserve per-pair ordering: once anything is backlogged,
 			// all further forwards queue behind it.
@@ -458,17 +458,16 @@ func (c *Conveyor) drainBacklog() {
 	if len(c.routeBacklog) == 0 {
 		return
 	}
-	blocked := make(map[int]bool)
+	clear(c.blocked)
 	remaining := c.routeBacklog[:0]
 	for _, it := range c.routeBacklog {
-		hop := c.nextHop(it.dst)
-		if blocked[hop] {
+		ob := c.outFor(it.dst)
+		if c.blocked[ob.idx] {
 			remaining = append(remaining, it)
 			continue
 		}
-		ob := c.out[hop]
 		if ob.n >= c.capOf(ob) && !c.tryTransfer(ob) {
-			blocked[hop] = true
+			c.blocked[ob.idx] = true
 			remaining = append(remaining, it)
 			continue
 		}

@@ -53,7 +53,9 @@ type topology interface {
 	// (dst itself when one hop remains). me != dst handling only; the
 	// conveyor treats dst == me as a regular single local hop.
 	nextHop(me, dst int) int
-	// targets returns the PEs me may transfer buffers to, ascending.
+	// targets returns the PEs me may transfer buffers to, ascending, in
+	// time proportional to the nodes of the machine, not its PEs: every
+	// PE asks for each of its peers' lists when it builds a conveyor.
 	targets(me int) []int
 	// kind echoes the Topology enum value.
 	kind() Topology
@@ -129,11 +131,15 @@ func (t meshTopo) nextHop(me, dst int) int {
 }
 
 func (t meshTopo) targets(me int) []int {
-	var out []int
-	node, lrank := t.m.NodeOf(me), t.m.LocalRank(me)
-	for p := 0; p < t.m.NumPEs; p++ {
-		if t.m.NodeOf(p) == node || t.m.LocalRank(p) == lrank {
-			out = append(out, p)
+	node, lrank, per := t.m.NodeOf(me), t.m.LocalRank(me), t.m.PEsPerNode
+	out := make([]int, 0, per+t.m.NumNodes()-1)
+	for n := 0; n < t.m.NumNodes(); n++ {
+		if n != node {
+			out = append(out, n*per+lrank) // my column's PE on node n
+			continue
+		}
+		for l := 0; l < per; l++ { // my row: the whole node
+			out = append(out, n*per+l)
 		}
 	}
 	return out
@@ -181,16 +187,17 @@ func (t cubeTopo) nextHop(me, dst int) int {
 
 func (t cubeTopo) targets(me int) []int {
 	mr, mc, ml := t.coords(me)
-	var out []int
-	for p := 0; p < t.m.NumPEs; p++ {
-		pr, pc, pl := t.coords(p)
-		switch {
-		case pr == mr && pc == mc: // own node (row of the cube)
-			out = append(out, p)
-		case pl == ml && pr == mr: // same node-row, same local rank
-			out = append(out, p)
-		case pl == ml && pc == mc: // same node-column, same local rank
-			out = append(out, p)
+	out := make([]int, 0, t.m.PEsPerNode+t.rows+t.cols-2)
+	for nr := 0; nr < t.rows; nr++ {
+		for nc := 0; nc < t.cols; nc++ {
+			switch {
+			case nr == mr && nc == mc: // own node (row of the cube)
+				for l := 0; l < t.m.PEsPerNode; l++ {
+					out = append(out, t.peOf(nr, nc, l))
+				}
+			case nr == mr || nc == mc: // same node-row or node-column, same local rank
+				out = append(out, t.peOf(nr, nc, ml))
+			}
 		}
 	}
 	return out

@@ -13,48 +13,42 @@ func align(n int) int { return (n + 7) &^ 7 }
 // must call it the same number of times with the same sizes, and all PEs
 // receive the same heap offset. The returned offset addresses n bytes of
 // zeroed storage in every PE's heap.
+//
+// A symmetric heap changes shape here and nowhere else: each PE grows its
+// own heap to exactly its new break before the implied barrier, so once
+// any PE holds the offset every heap backs it, and between two Mallocs no
+// heap slice moves. No access path allocates; one outside the break is a
+// bug in the caller and crashes (see outOfBreak). Only the capacity runs
+// ahead of the break, by a quarter: apps.Permutation builds a conveyor
+// per round for a thousand rounds and must not copy its heap at each.
 func (p *PE) Malloc(n int) int {
 	if n < 0 {
 		panic(fmt.Sprintf("shmem: Malloc with negative size %d on PE %d", n, p.rank))
 	}
-	// The first PE through extends the break pointer; everyone else
-	// validates nothing (real SHMEM trusts the program). Growth of each
-	// heap happens lazily under the heap lock in ensure().
-	p.world.allocMu.Lock()
-	if p.world.brk == 0 {
-		p.world.brk = 8 // offset 0 is reserved so that 0 can mean "nil"
+	// Every PE computes the same offsets from the same collective call
+	// sequence (real SHMEM trusts the program); offset 0 stays free so
+	// that 0 can mean "nil".
+	off := max(p.allocCursor, 8)
+	brk := align(off + n)
+	p.allocCursor = brk
+	// Under the lock: a peer still finishing the previous phase may be
+	// writing the part of the heap that already exists. Bytes between
+	// length and capacity are zero: nothing writes past a length that
+	// never shrinks.
+	p.heapMu.Lock()
+	if brk <= cap(p.heap) {
+		p.heap = p.heap[:brk]
+	} else {
+		grown := make([]byte, brk, brk+brk/4)
+		copy(grown, p.heap)
+		p.heap = grown
 	}
-	// Each PE calls Malloc; only one extension per collective call must
-	// happen. Track per-PE allocation cursors.
-	if p.allocCursor == 0 {
-		p.allocCursor = 8
-	}
-	off := p.allocCursor
-	p.allocCursor = align(p.allocCursor + n)
-	if p.allocCursor > p.world.brk {
-		p.world.brk = p.allocCursor
-	}
-	p.world.allocMu.Unlock()
+	p.heapMu.Unlock()
 
 	// shmem_malloc is a collective with an implicit barrier: no PE may
 	// proceed until all PEs have allocated (and thus grown their heaps).
 	p.Barrier()
 	return off
-}
-
-// allocCursor is kept on the PE (not the world) so that every PE computes
-// identical offsets independently, as with a real symmetric heap.
-// (Declared here, near Malloc, for readability.)
-
-// ensure grows the heap (under lock) so offset+size is addressable.
-func (p *PE) ensure(offset, size int) {
-	need := offset + size
-	if need <= len(p.heap) {
-		return
-	}
-	grown := make([]byte, align(need*2))
-	copy(grown, p.heap)
-	p.heap = grown
 }
 
 // heapOf returns the PE handle for rank r, panicking on bad ranks.
@@ -66,6 +60,16 @@ func (p *PE) heapOf(r int) *PE {
 	return p.world.pes[r]
 }
 
+// outOfBreak crashes PE p for accessing [offset, offset+n) of t's heap,
+// a range not inside t's break. Called with t.heapMu held, it releases it
+// first: the peers aborting behind the crash must not queue on that lock.
+func (p *PE) outOfBreak(t *PE, offset, n int) {
+	brk := len(t.heap)
+	t.heapMu.Unlock()
+	panic(fmt.Sprintf("shmem: PE %d accessed [%d,%d) of PE %d's heap (break %d)",
+		p.rank, offset, offset+n, t.rank, brk))
+}
+
 // rawWrite copies data into PE target's heap at offset, with locking.
 // It performs the data movement only; cost accounting is the caller's
 // responsibility. A foreign write rings the target's doorbell once the
@@ -73,7 +77,9 @@ func (p *PE) heapOf(r int) *PE {
 func (p *PE) rawWrite(target, offset int, data []byte) {
 	t := p.heapOf(target)
 	t.heapMu.Lock()
-	t.ensure(offset, len(data))
+	if offset < 0 || offset > len(t.heap)-len(data) {
+		p.outOfBreak(t, offset, len(data))
+	}
 	copy(t.heap[offset:], data)
 	t.heapMu.Unlock()
 	if t != p {
@@ -85,7 +91,9 @@ func (p *PE) rawWrite(target, offset int, data []byte) {
 func (p *PE) rawRead(target, offset int, buf []byte) {
 	t := p.heapOf(target)
 	t.heapMu.Lock()
-	t.ensure(offset, len(buf))
+	if offset < 0 || offset > len(t.heap)-len(buf) {
+		p.outOfBreak(t, offset, len(buf))
+	}
 	copy(buf, t.heap[offset:offset+len(buf)])
 	t.heapMu.Unlock()
 }

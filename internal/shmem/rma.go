@@ -123,7 +123,9 @@ func (p *PE) AtomicFetchAddInt64(target, offset int, delta int64) int64 {
 	p.chargeTransfer(target, 8)
 	t := p.heapOf(target)
 	t.heapMu.Lock()
-	t.ensure(offset, 8)
+	if offset < 0 || offset > len(t.heap)-8 {
+		p.outOfBreak(t, offset, 8)
+	}
 	old := int64(binary.LittleEndian.Uint64(t.heap[offset:]))
 	binary.LittleEndian.PutUint64(t.heap[offset:], uint64(old+delta))
 	t.heapMu.Unlock()

@@ -70,20 +70,14 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// World is the shared state of one SPMD run: all PE heaps, the symmetric
-// allocator, and synchronization structures. A World is created by Run
-// and is only valid for the duration of the body functions.
+// World is the shared state of one SPMD run: all PE heaps and the
+// synchronization structures. A World is created by Run and is only
+// valid for the duration of the body functions.
 type World struct {
 	cfg  Config
 	pes  []*PE
 	barr *barrier
 	coll *collectives
-
-	// allocMu guards the symmetric break pointer. Allocation itself is
-	// collective (all PEs call Malloc in the same order), but the heap
-	// growth must still be applied to every PE's heap under its lock.
-	allocMu sync.Mutex
-	brk     int
 
 	// shared holds world-wide singletons created by Shared. Higher
 	// layers use it for state that in a real job would live in the
@@ -185,9 +179,10 @@ type PE struct {
 	// class (see pool.go). Only the owning goroutine touches it.
 	nbiFree [nbiMaxClass + 1][][]byte
 
-	// allocCursor is this PE's private symmetric-heap break pointer.
-	// Every PE computes identical offsets from the same collective
-	// Malloc sequence, as with a real symmetric heap.
+	// allocCursor is this PE's symmetric-heap break pointer, kept per PE
+	// so that every PE computes identical offsets from the same
+	// collective Malloc sequence, as with a real symmetric heap. Malloc
+	// keeps len(heap) equal to it.
 	allocCursor int
 }
 
