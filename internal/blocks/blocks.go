@@ -1,17 +1,18 @@
 // Package blocks provides the append-only record buffer behind the trace
 // collector and the schedule recorder: values land once, in fixed-size
-// blocks, and are handed over as one exact-size slice when the run ends.
+// blocks, and leave once when the run ends: Flatten's exact-size slice, or
+// Each for an owner that expands them into a wider form.
 //
 // A growing slice re-copies every element each time it doubles, and at
-// the collector's volumes (millions of 40-80 byte records per run) that
+// the collector's volumes (millions of 8-40 byte records per run) that
 // re-copying - not the recording - was the cost of being profiled. A Buf
 // never moves a value it has accepted until Flatten.
 package blocks
 
 // Len is the number of values per block. At 1024 a block of the widest
-// record (trace.PAPIRecord, 80 bytes) is 80 KiB, so a PE that records a
-// handful of values pays for a handful of pages, while the per-block
-// allocation is amortised over a thousand appends.
+// record (trace.PhysicalRecord, 40 bytes; a packed send is 8 + 16) is
+// 40 KiB, so a PE that records a handful of values pays for a handful of
+// pages, while the per-block allocation is amortised over a thousand appends.
 const Len = 1024
 
 // Buf is an append-only buffer of T. The zero value is empty and ready
@@ -40,6 +41,15 @@ func (b *Buf[T]) grow() {
 		b.full = append(b.full, b.cur)
 	}
 	b.cur = make([]T, 0, Len)
+}
+
+// Last returns the most recently pushed value for the owner to amend, or
+// nil when the buffer is empty (cur is empty only then: grow precedes a Push).
+func (b *Buf[T]) Last() *T {
+	if n := len(b.cur); n > 0 {
+		return &b.cur[n-1]
+	}
+	return nil
 }
 
 // Len returns the number of values pushed since the last Flatten.

@@ -166,8 +166,8 @@ type Event struct {
 }
 
 // MarshalJSON encodes the event compactly as a [kind, arg] pair; a
-// schedule holds one event per charge, so the long form would bloat
-// schedule.json severalfold.
+// schedule holds an event per charge or run of instruction charges, so
+// the long form would bloat schedule.json severalfold.
 func (e Event) MarshalJSON() ([]byte, error) {
 	return json.Marshal([2]int64{int64(e.Kind), e.Arg})
 }
@@ -204,8 +204,17 @@ type PELog struct {
 	pending blocks.Buf[Event]
 }
 
-// Append records one event.
+// Append records one event. An EvInstr that follows an EvInstr of the
+// same per-message instruction count extends it into one InstrRun, priced
+// everywhere as its messages one by one; any other event ends the run.
 func (l *PELog) Append(kind EventKind, arg int64) {
+	if last := l.pending.Last(); kind == EvInstr && last != nil && last.Kind == EvInstr && last.Arg >= 0 && arg >= 0 {
+		ins, n := InstrRunParts(last.Arg)
+		if more, m := InstrRunParts(arg); more == ins && n+m <= math.MaxInt32 {
+			last.Arg = (n+m)<<32 | ins // InstrRun(ins, n+m), its bounds just checked
+			return
+		}
+	}
 	l.pending.Push(Event{Kind: kind, Arg: arg})
 }
 
@@ -239,9 +248,9 @@ type Schedule struct {
 }
 
 // Validate checks internal consistency: machine/log agreement, a
-// priceable cost model, and equal barrier counts across PEs (every
-// barrier is an all-PE collective, so a completed run cannot record
-// anything else; replay synchronization depends on it).
+// priceable cost model, no negative charge, and equal barrier counts
+// across PEs (every barrier is an all-PE collective, so a completed run
+// cannot record anything else; replay synchronization depends on it).
 func (s *Schedule) Validate() error {
 	if err := s.Machine.Validate(); err != nil {
 		return err
@@ -260,17 +269,22 @@ func (s *Schedule) Validate() error {
 		if l.Skew < 0 {
 			return fmt.Errorf("sim: schedule PE %d has negative skew %d", rank, l.Skew)
 		}
-		n := 0
+		n, at := 0, 0
 		var bad error
 		l.each(func(evs []Event) {
-			for _, e := range evs {
+			for i, e := range evs {
 				if e.Kind >= NumEventKinds && bad == nil {
 					bad = fmt.Errorf("sim: schedule PE %d has unknown event kind %d", rank, e.Kind)
+				}
+				// Replay's clock would ignore what Project's sum subtracts.
+				if e.Kind.Charged() && e.Arg < 0 && bad == nil {
+					bad = fmt.Errorf("sim: schedule PE %d event %d is a negative charge: %s %d", rank, at+i, e.Kind, e.Arg)
 				}
 				if e.Kind == EvBarrier {
 					n++
 				}
 			}
+			at += len(evs)
 		})
 		if bad != nil {
 			return bad
@@ -284,7 +298,8 @@ func (s *Schedule) Validate() error {
 	return nil
 }
 
-// Events returns the total recorded event count across all PEs.
+// Events returns the number of log entries across all PEs: an InstrRun
+// counts once, however many charges it stands for.
 func (s *Schedule) Events() int {
 	n := 0
 	for _, l := range s.PEs {

@@ -3,7 +3,9 @@ package sim
 import (
 	"encoding/json"
 	"math"
+	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"actorprof/internal/blocks"
@@ -338,5 +340,148 @@ func TestRunPricedAsItsMessages(t *testing.T) {
 	if one.Now() != run.Now() || one.Now() == SkewCharge(10*c.InstructionCost(53), 7) {
 		t.Errorf("ten charges reach %d, one run of ten %d (skewing the sum would give %d)",
 			one.Now(), run.Now(), SkewCharge(10*c.InstructionCost(53), 7))
+	}
+}
+
+// expandRuns writes every instruction run as its messages, one event each:
+// the sequence the charges were appended in.
+func expandRuns(evs []Event) []Event {
+	var out []Event
+	for _, e := range evs {
+		ins, n := int64(0), int64(1)
+		if e.Kind == EvInstr {
+			ins, n = InstrRunParts(e.Arg)
+			e.Arg = ins
+		}
+		for ; n > 0; n-- {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// TestAppendMergesOnlyAdjacentEqualInstr: Append folds an EvInstr into
+// the EvInstr right before it when both charge the same instructions per
+// message, and into nothing else - not across a marker or any other
+// kind, a different count, a seal, or past the run-length field - and
+// what was appended can be read back message for message.
+func TestAppendMergesOnlyAdjacentEqualInstr(t *testing.T) {
+	m := Machine{NumPEs: 1, PEsPerNode: 1}
+	rec := NewScheduleRecorder(m, Virtual, DefaultCostModel())
+	l := rec.PE(0)
+	for i := 0; i < 3; i++ {
+		l.Append(EvInstr, 53)
+	}
+	l.Append(EvMainPause, 0)
+	l.Append(EvInstr, 53) // after a marker
+	l.Append(EvInstr, 7)  // another count
+	l.Append(EvInstr, InstrRun(7, 4))
+	l.Append(EvLocalCopy, 64)
+	l.Append(EvInstr, InstrRun(7, 2)) // after another charged kind
+	l.Append(EvInstr, InstrRun(7, 3))
+	want := []Event{
+		{EvInstr, InstrRun(53, 3)}, {EvMainPause, 0}, {EvInstr, 53}, {EvInstr, InstrRun(7, 5)},
+		{EvLocalCopy, 64}, {EvInstr, InstrRun(7, 5)},
+	}
+	if got := rec.Schedule().PEs[0].Events; !reflect.DeepEqual(got, want) {
+		t.Fatalf("sealed log\n got %v\nwant %v", got, want)
+	}
+	// The sealed run is closed: the next charge starts an event.
+	l.Append(EvInstr, 7)
+	l.Append(EvInstr, 7)
+	want = append(want, Event{EvInstr, InstrRun(7, 2)})
+	if got := rec.Schedule().PEs[0].Events; !reflect.DeepEqual(got, want) {
+		t.Fatalf("log after a second seal\n got %v\nwant %v", got, want)
+	}
+
+	// A run is full at MaxInt32 messages; the charge that does not fit
+	// starts the next event instead of panicking in InstrRun.
+	full := NewScheduleRecorder(m, Virtual, DefaultCostModel())
+	l = full.PE(0)
+	l.Append(EvInstr, InstrRun(9, math.MaxInt32-1))
+	l.Append(EvInstr, 9)
+	l.Append(EvInstr, 9)
+	l.Append(EvInstr, InstrRun(9, math.MaxInt32))
+	want = []Event{{EvInstr, InstrRun(9, math.MaxInt32)}, {EvInstr, 9}, {EvInstr, InstrRun(9, math.MaxInt32)}}
+	if got := full.Schedule().PEs[0].Events; !reflect.DeepEqual(got, want) {
+		t.Fatalf("log around a full run\n got %v\nwant %v", got, want)
+	}
+
+	// Seeded appends, long enough for merges to meet block boundaries:
+	// expanding the log gives back the appended sequence.
+	rng := rand.New(rand.NewSource(22))
+	long := NewScheduleRecorder(m, Virtual, DefaultCostModel())
+	l = long.PE(0)
+	var appended []Event
+	for len(appended) < 6*blocks.Len {
+		if rng.Intn(4) == 0 {
+			e := Event{EventKind(rng.Intn(int(NumEventKinds))), int64(rng.Intn(100))}
+			if e.Kind != EvInstr {
+				l.Append(e.Kind, e.Arg)
+				appended = append(appended, e)
+			}
+			continue
+		}
+		ins := []int64{7, 53, 120}[rng.Intn(3)]
+		for n := 1 + rng.Intn(300); n > 0; n-- {
+			l.Append(EvInstr, ins)
+			appended = append(appended, Event{EvInstr, ins})
+		}
+	}
+	merged := long.Schedule().PEs[0].Events
+	if len(merged) >= len(appended)/10 {
+		t.Errorf("%d appended charges left %d events: runs did not form", len(appended), len(merged))
+	}
+	if got := expandRuns(merged); !reflect.DeepEqual(got, appended) {
+		t.Errorf("expanding the merged log does not give back the %d appended events", len(appended))
+	}
+
+	// A schedule.json from before runs were merged reads as it was
+	// written: decoding is not Append.
+	const old = `{"machine":{"NumPEs":1,"PEsPerNode":1},"timing":0,` +
+		`"cost":{"NetworkLatency":5,"NetworkPerByte":0,"QuietLatency":0,"SignalLatency":0,"LocalCopyLatency":0,` +
+		`"LocalCopyPerByte":0,"InstructionCycles":1,"InstructionScale":2,"PollCycles":0,"ItemIngestCycles":0},` +
+		`"pes":[{"events":[[8,0],[3,53],[3,53],[3,8589934645],[3,53],[9,0]]}]}`
+	var s Schedule
+	if err := json.Unmarshal([]byte(old), &s); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Validate(); err != nil {
+		t.Fatalf("unmerged schedule.json rejected: %v", err)
+	}
+	if again, err := json.Marshal(&s); err != nil || string(again) != old || s.Events() != 6 {
+		t.Errorf("unmerged schedule.json did not survive a round trip (%d events, %v):\n%s", s.Events(), err, again)
+	}
+}
+
+// TestValidateRejectsNegativeCharge: no run records a negative charge,
+// and the two what-if engines would price one differently (Clock.ChargeRun
+// ignores it, Project's sum does not), so a schedule holding one is
+// refused, naming the PE and the event, sealed or not.
+func TestValidateRejectsNegativeCharge(t *testing.T) {
+	for k := EventKind(0); k < NumEventKinds; k++ {
+		rec := NewScheduleRecorder(Machine{NumPEs: 2, PEsPerNode: 2}, Virtual, DefaultCostModel())
+		rec.PE(1).Append(EvFinishStart, 0)
+		rec.PE(1).Append(EvRaw, 100)
+		rec.PE(1).Append(k, -40)
+		rec.PE(0).Append(k, 0) // a barrier is on every PE
+		for _, s := range []*Schedule{&rec.s, rec.Schedule()} {
+			err := s.Validate()
+			if !k.Charged() {
+				if err != nil {
+					t.Errorf("%v: a marker's argument is not a charge, got %v", k, err)
+				}
+				continue
+			}
+			if err == nil || !strings.Contains(err.Error(), "PE 1 event 2") {
+				t.Errorf("%v -40: Validate = %v, want an error naming PE 1 event 2", k, err)
+			}
+		}
+	}
+	// An instruction run whose length bits are negative is a negative Arg.
+	s := &Schedule{Machine: Machine{NumPEs: 1, PEsPerNode: 1}, Cost: DefaultCostModel(),
+		PEs: []*PELog{{Events: []Event{{EvInstr, -1<<32 | 53}}}}}
+	if err := s.Validate(); err == nil {
+		t.Error("Validate accepted an instruction run of negative length")
 	}
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -143,18 +144,19 @@ type PECollector struct {
 	// only count and Close's flush reads the counters once.
 	sumOnly bool
 
-	// Record-mode state (retain: neither aggregated nor streamed). Every
-	// record lands once in a PE-private block and every Counters slice
-	// is carved from the arena; Close hands the blocks to the Set as one
-	// exact-size slice per kind. Until then nothing else may see them,
+	// Record-mode state (retain: neither aggregated nor streamed). A
+	// send lands once, packed, in PE-private blocks, and its counter
+	// deltas stay in the chunk StopInto wrote them to: the i-th PAPI
+	// record's are the i-th slot of chunks. Close expands the blocks into
+	// the Set's exact-size slices. Until then nothing else may see them,
 	// afterwards records and their Counters are immutable (DESIGN.md §8).
 	retain   bool
-	logical  blocks.Buf[LogicalRecord]
-	papiRecs blocks.Buf[PAPIRecord]
+	logical  blocks.Buf[packedLogical]
+	papiRecs blocks.Buf[packedPAPI]
 	physical blocks.Buf[PhysicalRecord]
-	counters arena
+	chunks   [][]int64 // counter slots, len(events) each: see slot
 	// scratch receives the counter deltas of a record nobody retains
-	// (aggregate and streaming mode), so those modes allocate no arena.
+	// (aggregate and streaming mode), so those modes allocate no chunk.
 	scratch [papi.MaxConcurrentEvents]int64
 
 	logicalCount int64
@@ -174,6 +176,20 @@ type PECollector struct {
 	segments map[string]*SegmentRecord
 
 	closed bool
+}
+
+// packedLogical and packedPAPI are a record while the run executes: what
+// a send chooses. Source and destination node follow from p.pe and dst.
+type packedLogical struct{ dst, size int32 }
+type packedPAPI struct{ dst, pkt, mailbox, sends int32 }
+
+// pack narrows a record field to its packed width. Like sim.InstrRun, a
+// value that does not fit panics rather than wraps.
+func pack(v int, field string) int32 {
+	if int(int32(v)) != v {
+		panic(fmt.Sprintf("trace: %s %d does not fit a packed record", field, v))
+	}
+	return int32(v)
 }
 
 // SegmentToken marks an open segment measurement.
@@ -227,13 +243,7 @@ func (p *PECollector) LogicalSend(mailbox, dst, msgSize int) {
 		// Sends 1, 1+N, 1+2N, ... are sampled: a countdown, not a modulo.
 		if p.untilSample--; p.untilSample == 0 {
 			p.untilSample = p.sampleEvery
-			p.recordLogical(&LogicalRecord{
-				SrcNode: p.node,
-				SrcPE:   p.pe,
-				DstNode: dst / p.perNode,
-				DstPE:   dst,
-				MsgSize: msgSize,
-			})
+			p.recordLogical(dst, msgSize)
 		}
 	}
 	if p.eventSet == nil {
@@ -257,34 +267,45 @@ func (p *PECollector) LogicalSend(mailbox, dst, msgSize int) {
 
 // recordLogical routes a sampled logical record to the enabled sinks,
 // as recordPAPI does for PAPI records.
-func (p *PECollector) recordLogical(rec *LogicalRecord) {
+func (p *PECollector) recordLogical(dst, msgSize int) {
 	if p.retain {
-		p.logical.Push(*rec)
+		p.logical.Push(packedLogical{pack(dst, "dst"), pack(msgSize, "msgSize")})
 		return
 	}
 	if p.stream != nil {
-		p.stream.logical.put(*rec)
+		p.stream.logical.put(LogicalRecord{p.node, p.pe, dst / p.perNode, dst, msgSize})
 	}
 	if p.aggregate {
 		if p.aggLogical == nil {
 			p.aggLogical = make([]int64, p.npes)
 		}
-		p.aggLogical[rec.DstPE]++
-		p.msg.Observe(int64(rec.MsgSize))
+		p.aggLogical[dst]++
+		p.msg.Observe(int64(msgSize))
 	}
 }
 
 // stopCounters ends the running PAPI region and returns its counter
-// deltas: in a fresh arena slice when records are retained (the record
+// deltas: in the next chunk slot when records are retained (the record
 // aliases it for the life of the Set), in the per-PE scratch otherwise
 // (valid until the next call).
 func (p *PECollector) stopCounters() []int64 {
 	counters := p.scratch[:len(p.events)]
 	if p.retain {
-		counters = p.counters.take(len(p.events))
+		counters = p.slot(p.papiRecs.Len())
 	}
 	p.eventSet.StopInto(counters)
 	return counters
+}
+
+// slot returns the counters of the i-th retained PAPI record, capped at
+// their own length, adding the chunk that holds them if i is the next.
+func (p *PECollector) slot(i int) []int64 {
+	k := len(p.events)
+	per := arenaChunk / k
+	if i/per == len(p.chunks) {
+		p.chunks = append(p.chunks, make([]int64, per*k))
+	}
+	return p.chunks[i/per][i%per*k:][:k:k]
 }
 
 // flushPAPI emits the pending PAPI record with the counter deltas since
@@ -297,35 +318,30 @@ func (p *PECollector) flushPAPI() {
 	// Re-opens the lifetime-long region of ForPE that stopCounters just
 	// read out.
 	p.eventSet.Start() //actorvet:ignore unpairedregion
-	p.recordPAPI(&PAPIRecord{
-		SrcNode:   p.node,
-		SrcPE:     p.pe,
-		DstNode:   p.pendingDst / p.perNode,
-		DstPE:     p.pendingDst,
-		PktSize:   p.pendingPkt,
-		MailboxID: p.pendingMailbox,
-		NumSends:  p.pendingSends,
-		Counters:  counters,
-	})
+	p.recordPAPI(p.pendingDst, p.pendingPkt, p.pendingMailbox, p.pendingSends, counters)
 	p.pendingSends = 0
 }
 
-// recordPAPI routes a finished PAPI record to the enabled sinks: the
-// in-memory blocks, or the stream (streaming mode) and the per-event
-// aggregate totals (aggregate mode), neither of which keeps rec.Counters.
-func (p *PECollector) recordPAPI(rec *PAPIRecord) {
+// recordPAPI routes a finished PAPI record to the enabled sinks: packed
+// into the in-memory blocks (counters already sit in their slot), or to the
+// stream and the per-event aggregate totals, neither of which keeps counters.
+func (p *PECollector) recordPAPI(dst, pkt, mailbox, sends int, counters []int64) {
 	if p.retain {
-		p.papiRecs.Push(*rec)
+		// sends <= PAPIRecordEvery, which Config.Validate holds inside int32.
+		p.papiRecs.Push(packedPAPI{pack(dst, "dst"), pack(pkt, "msgSize"), pack(mailbox, "mailbox"), int32(sends)})
 		return
 	}
 	if p.stream != nil {
-		p.stream.papi.put(*rec)
+		p.stream.papi.put(PAPIRecord{
+			SrcNode: p.node, SrcPE: p.pe, DstNode: dst / p.perNode, DstPE: dst,
+			PktSize: pkt, MailboxID: mailbox, NumSends: sends, Counters: counters,
+		})
 	}
 	if p.aggregate {
 		if p.aggPAPI == nil {
 			p.aggPAPI = make([]int64, len(p.events))
 		}
-		for i, v := range rec.Counters {
+		for i, v := range counters {
 			p.aggPAPI[i] += v
 		}
 	}
@@ -384,6 +400,34 @@ func (p *PECollector) OverallBreakdown(tMain, tProc, tTotal int64) {
 	p.hasOverall = true
 }
 
+// expand builds the Set's exact-size record slices from the packed blocks,
+// the one time a record is written in full. An empty kind stays nil.
+func (p *PECollector) expand() (logical []LogicalRecord, papiRecs []PAPIRecord) {
+	if n := p.logical.Len(); n > 0 {
+		logical = make([]LogicalRecord, 0, n)
+	}
+	p.logical.Each(func(run []packedLogical) {
+		for _, r := range run {
+			dst := int(r.dst)
+			logical = append(logical, LogicalRecord{p.node, p.pe, dst / p.perNode, dst, int(r.size)})
+		}
+	})
+	if n := p.papiRecs.Len(); n > 0 {
+		papiRecs = make([]PAPIRecord, 0, n)
+	}
+	p.papiRecs.Each(func(run []packedPAPI) {
+		for _, r := range run {
+			dst := int(r.dst)
+			papiRecs = append(papiRecs, PAPIRecord{
+				SrcNode: p.node, SrcPE: p.pe, DstNode: dst / p.perNode, DstPE: dst,
+				PktSize: int(r.pkt), MailboxID: int(r.mailbox), NumSends: int(r.sends),
+				Counters: p.slot(len(papiRecs)),
+			})
+		}
+	})
+	return logical, papiRecs
+}
+
 // Close flushes pending records into the shared Set. Idempotent. The
 // hand-over copies and the segment sort happen before the collector's
 // lock is taken, so PEs finishing together do not queue behind each
@@ -399,25 +443,12 @@ func (p *PECollector) Close() {
 		// the last send (the drain phase handles most receives on
 		// recv-heavy PEs). NumSends 0 and MailboxID -1 mark it; per-PE
 		// totals would otherwise under-count and depend on scheduling.
-		counters := p.stopCounters()
-		residual := false
-		for _, c := range counters {
-			if c != 0 {
-				residual = true
-				break
-			}
-		}
-		if residual {
-			p.recordPAPI(&PAPIRecord{
-				SrcNode: p.node, SrcPE: p.pe,
-				DstNode: p.node, DstPE: p.pe,
-				PktSize: 0, MailboxID: -1, NumSends: 0,
-				Counters: counters,
-			})
+		if counters := p.stopCounters(); slices.ContainsFunc(counters, func(c int64) bool { return c != 0 }) {
+			p.recordPAPI(p.pe, 0, -1, 0, counters)
 		}
 	}
-	logical := p.logical.Flatten()
-	papiRecs := p.papiRecs.Flatten()
+	logical, papiRecs := p.expand()
+	p.logical, p.papiRecs = blocks.Buf[packedLogical]{}, blocks.Buf[packedPAPI]{}
 	physical := p.physical.Flatten()
 	var segments []SegmentRecord
 	if len(p.segments) > 0 {

@@ -1,7 +1,12 @@
 package trace
 
 import (
+	"fmt"
+	"math"
 	"reflect"
+	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 
 	"actorprof/internal/blocks"
@@ -186,5 +191,129 @@ func TestPAPITotalsOneWalk(t *testing.T) {
 	lit := &Set{NumPEs: set.NumPEs, Config: set.Config, PAPI: set.PAPI}
 	if got, want := lit.PAPITotalsPerPE(papi.TOT_INS), copied.PAPITotalsPerPE(papi.TOT_INS); !reflect.DeepEqual(got, want) {
 		t.Errorf("Set literal: totals %v, want %v", got, want)
+	}
+}
+
+// TestPackedFieldsPanicNotWrap: record mode keeps a send's dst, msgSize
+// and mailbox in 32 bits until Close. The largest value that fits comes
+// back out of the Set unchanged; the next one panics at the send instead
+// of wrapping into another destination. Modes that retain no record
+// never pack, and keep taking any int.
+func TestPackedFieldsPanicNotWrap(t *testing.T) {
+	if strconv.IntSize < 64 {
+		t.Skip("every int fits a packed field")
+	}
+	const fits = math.MaxInt32
+	papiOnly := Config{PAPIEvents: []papi.Event{papi.TOT_INS}} // no logical record to panic first
+	for _, cfg := range []Config{fullTrace(), papiOnly} {
+		for _, f := range []struct {
+			name                 string
+			mailbox, dst, size   int
+			dMailbox, dDst, dSiz int
+		}{
+			{"dst", 1, fits, 8, 0, 1, 0},
+			{"msgSize", 1, 3, fits, 0, 0, 1},
+			{"mailbox", fits, 3, 8, 1, 0, 0},
+		} {
+			c, err := NewCollector(cfg, machine(4, 2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			func() {
+				defer func() {
+					if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), f.name) ||
+						!strings.Contains(fmt.Sprint(r), "does not fit a packed record") {
+						t.Errorf("logical=%v: %s one past MaxInt32: recovered %v, want the packed-record panic", cfg.Logical, f.name, r)
+					}
+				}()
+				c.ForPE(0, papi.NewEngine()).LogicalSend(f.mailbox+f.dMailbox, f.dst+f.dDst, f.size+f.dSiz)
+			}()
+			pc := c.ForPE(1, papi.NewEngine())
+			pc.LogicalSend(f.mailbox, f.dst, f.size)
+			pc.Close()
+			set := c.Set()
+			if cfg.Logical {
+				if want := (LogicalRecord{SrcNode: 0, SrcPE: 1, DstNode: f.dst / 2, DstPE: f.dst, MsgSize: f.size}); set.Logical[1][0] != want {
+					t.Errorf("%s at MaxInt32: logical record %+v, want %+v", f.name, set.Logical[1][0], want)
+				}
+			}
+			r := set.PAPI[1][0]
+			if r.SrcPE != 1 || r.DstPE != f.dst || r.DstNode != f.dst/2 || r.PktSize != f.size || r.MailboxID != f.mailbox || r.NumSends != 1 {
+				t.Errorf("%s at MaxInt32: PAPI record %+v", f.name, r)
+			}
+		}
+	}
+
+	agg, err := NewCollector(Config{Logical: true, Aggregate: true, PAPIEvents: []papi.Event{papi.TOT_INS}}, machine(4, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc := agg.ForPE(0, papi.NewEngine())
+	pc.LogicalSend(fits+1, 3, fits+1)
+	pc.Close()
+	if got := agg.Set().Summary().MsgBytes.MaxV; got != fits+1 {
+		t.Errorf("aggregate mode recorded a largest message of %d bytes, want %d", got, fits+1)
+	}
+
+	cfg := Config{PAPIRecordEvery: fits}
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("PAPIRecordEvery MaxInt32 rejected: %v", err)
+	}
+	cfg.PAPIRecordEvery++
+	if err := cfg.Validate(); err == nil {
+		t.Error("PAPIRecordEvery MaxInt32+1 accepted: a record's send count would wrap")
+	}
+}
+
+// TestRecordModeFootprint bounds what a fully traced send costs in heap:
+// while the run executes, its two packed records and its counter slot
+// (8 + 16 + 16 bytes), and over the collector's whole life those plus
+// the Set's own two records (40 + 80) - not a second copy of either.
+func TestRecordModeFootprint(t *testing.T) {
+	const npes, perNode, n = 4, 2, 1 << 16
+	seqs := make([][]send, npes)
+	for pe := range seqs {
+		seqs[pe] = sendSequence(pe, npes, n)
+	}
+	want := appendModel(npes, perNode, n)
+	allocated := func() uint64 {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.TotalAlloc
+	}
+
+	start := allocated()
+	c, err := NewCollector(fullTrace(), machine(npes, perNode))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pcs, engs := make([]*PECollector, npes), make([]*papi.Engine, npes)
+	for pe, seq := range seqs {
+		engs[pe] = papi.NewEngine()
+		pcs[pe] = c.ForPE(pe, engs[pe])
+		for _, s := range seq {
+			engs[pe].Tally(s.work)
+			pcs[pe].LogicalSend(s.mailbox, s.dst, s.size)
+		}
+	}
+	running := allocated()
+	for pe, pc := range pcs {
+		engs[pe].Tally(papi.Work{Ins: 3})
+		pc.OverallBreakdown(10, 20, 100)
+		pc.Close()
+	}
+	closed := allocated()
+
+	const sends = npes * n
+	if per := float64(running-start) / sends; per > 48 {
+		t.Errorf("%.1f bytes allocated per send before Close, want <= 48", per)
+	}
+	if per := float64(closed-start) / sends; per > 200 {
+		t.Errorf("%.1f bytes allocated per send over the collector's life, want <= 200", per)
+	}
+	got := c.Set()
+	if !reflect.DeepEqual(got.Logical, want.Logical) || !reflect.DeepEqual(got.PAPI, want.PAPI) ||
+		!reflect.DeepEqual(got.LogicalSendCount, want.LogicalSendCount) || !reflect.DeepEqual(got.Overall, want.Overall) {
+		t.Error("the handed-over set differs from the append-built one")
 	}
 }

@@ -22,6 +22,7 @@ package trace
 
 import (
 	"fmt"
+	"math"
 
 	"actorprof/internal/conveyor"
 	"actorprof/internal/papi"
@@ -130,6 +131,9 @@ func (c Config) Validate() error {
 	if len(c.PAPIEvents) > papi.MaxConcurrentEvents {
 		return fmt.Errorf("trace: %d PAPI events configured; PAPI allows at most %d",
 			len(c.PAPIEvents), papi.MaxConcurrentEvents)
+	}
+	if c.PAPIRecordEvery > math.MaxInt32 {
+		return fmt.Errorf("trace: PAPIRecordEvery %d exceeds a record's 32-bit send count", c.PAPIRecordEvery)
 	}
 	if c.Format > FormatBoth {
 		return fmt.Errorf("trace: unknown trace format %d", c.Format)
