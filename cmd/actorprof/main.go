@@ -85,11 +85,11 @@ func runExport(args []string) error {
 		}
 	}
 
-	full, _, err := trace.ReadSetOptions(dir, trace.ReadOptions{Workers: *workers})
+	phys, _, err := trace.ReadPhysical(dir, trace.ReadOptions{Workers: *workers})
 	if err != nil {
 		return fmt.Errorf("reading trace directory %s: %w", dir, err)
 	}
-	if !full.Config.Physical {
+	if !phys.Config.Physical {
 		return fmt.Errorf("trace %s has no physical trace; nothing to export", dir)
 	}
 
@@ -105,7 +105,7 @@ func runExport(args []string) error {
 		}
 		w = f
 	}
-	err = full.ExportPerfetto(w)
+	err = phys.ExportPerfetto(w)
 	if f != nil {
 		if cerr := f.Close(); err == nil {
 			err = cerr

@@ -64,7 +64,7 @@ func backfillIndexes(root string, out io.Writer) error {
 	}
 	built := 0
 	for _, d := range dirs {
-		if _, err := os.Stat(filepath.Join(d, "actorprof_meta.txt")); err != nil {
+		if _, err := os.Stat(filepath.Join(d, trace.MetaFile)); err != nil {
 			continue // not a trace directory
 		}
 		ok, err := trace.BuildTimeIndex(d)

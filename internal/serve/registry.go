@@ -13,10 +13,6 @@ import (
 	"actorprof/internal/trace"
 )
 
-// metaFileName mirrors internal/trace's meta file: its presence is what
-// marks a directory as a trace directory.
-const metaFileName = "actorprof_meta.txt"
-
 // RunInfo describes one trace directory the daemon serves.
 type RunInfo struct {
 	ID         string   `json:"id"`
@@ -45,7 +41,7 @@ type registry struct {
 	root     string
 	ttl      time.Duration // <= 0 disables the snapshot window
 	metrics  *Metrics
-	parseSem chan struct{} // bounds concurrent directory parses (ReadSummary and ReadSetLive)
+	parseSem chan struct{} // bounds concurrent directory parses (ReadSummary and ReadPhysical)
 
 	snapMu   sync.Mutex
 	snapDirs map[string]string
@@ -59,9 +55,14 @@ type runEntry struct {
 	mu      sync.Mutex // serializes parsing of this one run
 	fp      string     // fingerprint the cached parse corresponds to
 	sum     *trace.Summary
-	set     *trace.Set // full records; parsed lazily for the Perfetto export and full-scan window queries
 	skipped int
 	live    bool
+
+	// The physical records alone (trace.ReadPhysical), loaded lazily and
+	// cached per fingerprint for the two record-level consumers: the
+	// Perfetto export and full-scan window queries.
+	phys   *trace.Set
+	physFP string
 
 	// Time index for windowed queries, loaded lazily and cached per
 	// fingerprint. nil with a matching ixFP means the directory carries
@@ -95,7 +96,7 @@ func newRegistry(root string, parseConcurrency int, ttl time.Duration, m *Metric
 }
 
 func isTraceDir(dir string) bool {
-	fi, err := os.Stat(filepath.Join(dir, metaFileName))
+	fi, err := os.Stat(filepath.Join(dir, trace.MetaFile))
 	return err == nil && fi.Mode().IsRegular()
 }
 
@@ -185,49 +186,58 @@ func fingerprint(dir string) (fp string, live bool, err error) {
 	return b.String(), live, nil
 }
 
-// entry resolves a run ID to its directory and cache slot. The
-// fingerprint is taken separately (freshFP) under the entry's lock.
-func (r *registry) entry(id string) (dir string, e *runEntry, err error) {
+// lockedRun is a run resolved for one operation: its directory, its
+// cache slot with e.mu held, and the directory's current fingerprint.
+type lockedRun struct {
+	dir  string
+	e    *runEntry
+	fp   string
+	live bool
+}
+
+// lock is the preamble every per-run operation shares: it resolves the
+// run ID to its directory and cache slot, takes the slot's lock - the
+// caller releases it with unlock - and reads the directory's fingerprint,
+// re-reading the directory only when the cached observation is older than
+// the snapshot window.
+func (r *registry) lock(id string) (lockedRun, error) {
 	dirs, err := r.dirs(false)
 	if err != nil {
-		return "", nil, err
+		return lockedRun{}, err
 	}
 	dir, ok := dirs[id]
 	if !ok && r.ttl > 0 {
 		// The run may have been created inside the snapshot window.
 		if dirs, err = r.dirs(true); err != nil {
-			return "", nil, err
+			return lockedRun{}, err
 		}
 		dir, ok = dirs[id]
 	}
 	if !ok {
-		return "", nil, statusError{code: 404, msg: fmt.Sprintf("unknown run %q", id)}
+		return lockedRun{}, statusError{code: 404, msg: fmt.Sprintf("unknown run %q", id)}
 	}
 	r.mu.Lock()
-	e = r.runs[id]
+	e := r.runs[id]
 	if e == nil {
 		e = &runEntry{}
 		r.runs[id] = e
 	}
 	r.mu.Unlock()
-	return dir, e, nil
+
+	e.mu.Lock()
+	if r.ttl <= 0 || e.curFP == "" || time.Since(e.fpAt) >= r.ttl {
+		r.metrics.fingerprints.Add(1)
+		fp, live, err := fingerprint(dir)
+		if err != nil {
+			e.mu.Unlock()
+			return lockedRun{}, err
+		}
+		e.curFP, e.curLive, e.fpAt = fp, live, time.Now()
+	}
+	return lockedRun{dir: dir, e: e, fp: e.curFP, live: e.curLive}, nil
 }
 
-// freshFP returns the run's current fingerprint, re-reading the
-// directory only when the cached observation is older than the snapshot
-// window. Callers must hold e.mu.
-func (r *registry) freshFP(dir string, e *runEntry) (fp string, live bool, err error) {
-	if r.ttl > 0 && e.curFP != "" && time.Since(e.fpAt) < r.ttl {
-		return e.curFP, e.curLive, nil
-	}
-	r.metrics.fingerprints.Add(1)
-	fp, live, err = fingerprint(dir)
-	if err != nil {
-		return "", false, err
-	}
-	e.curFP, e.curLive, e.fpAt = fp, live, time.Now()
-	return fp, live, nil
-}
+func (run lockedRun) unlock() { run.e.mu.Unlock() }
 
 // load returns the run's aggregate view - the streamed Summary itself,
 // read-only once parsed, so renders across plot kinds share its
@@ -235,114 +245,94 @@ func (r *registry) freshFP(dir string, e *runEntry) (fp string, live bool, err e
 // its RunInfo. It re-parses only when the directory changed since the
 // last parse, and bounds how many parses run at once across all runs.
 func (r *registry) load(id string) (*trace.Summary, string, RunInfo, error) {
-	dir, e, err := r.entry(id)
+	run, err := r.lock(id)
 	if err != nil {
 		return nil, "", RunInfo{}, err
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	fp, live, err := r.freshFP(dir, e)
-	if err != nil {
-		return nil, "", RunInfo{}, err
-	}
-	if e.sum == nil || e.fp != fp {
+	defer run.unlock()
+	e := run.e
+	if e.sum == nil || e.fp != run.fp {
 		r.parseSem <- struct{}{}
 		start := time.Now()
-		sum, skipped, err := trace.ReadSummary(dir, trace.ReadOptions{Tolerant: true})
+		sum, skipped, err := trace.ReadSummary(run.dir, trace.ReadOptions{Tolerant: true})
 		r.metrics.observeParse(time.Since(start), skipped)
 		<-r.parseSem
 		if err != nil {
 			return nil, "", RunInfo{}, fmt.Errorf("serve: parsing run %q: %w", id, err)
 		}
-		e.sum, e.fp, e.skipped, e.live = sum, fp, skipped, live
-		e.set = nil // records from the previous fingerprint are stale
+		e.sum, e.fp, e.skipped, e.live = sum, run.fp, skipped, run.live
 	}
-	return e.sum, e.fp, r.infoLocked(id, dir, e), nil
+	return e.sum, e.fp, r.infoLocked(id, run.dir, e), nil
 }
 
-// loadSet returns the run's fully materialized Set - needed only by the
-// Perfetto export, which walks individual physical records. The Set
-// is parsed lazily and cached next to the Summary under the same
-// fingerprint.
-func (r *registry) loadSet(id string) (*trace.Set, string, error) {
-	dir, e, err := r.entry(id)
-	if err != nil {
-		return nil, "", err
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	fp, live, err := r.freshFP(dir, e)
-	if err != nil {
-		return nil, "", err
-	}
-	set, err := r.setLocked(id, dir, e, fp, live)
-	if err != nil {
-		return nil, "", err
-	}
-	return set, e.fp, nil
-}
-
-// setLocked materializes (or reuses) the run's Set for the given
-// fingerprint. Callers must hold e.mu.
-func (r *registry) setLocked(id, dir string, e *runEntry, fp string, live bool) (*trace.Set, error) {
-	if e.set == nil || e.fp != fp {
+// physicalLocked returns the run's physical records alone - all the
+// Perfetto export and a full-scan window query draw - read once per
+// fingerprint and cached beside the time index. The caller holds run.
+func (r *registry) physicalLocked(id string, run lockedRun) (*trace.Set, error) {
+	e := run.e
+	if e.physFP != run.fp {
 		r.parseSem <- struct{}{}
 		start := time.Now()
-		set, skipped, err := trace.ReadSetLive(dir)
+		set, skipped, err := trace.ReadPhysical(run.dir, trace.ReadOptions{Tolerant: true})
 		r.metrics.observeParse(time.Since(start), skipped)
 		<-r.parseSem
 		if err != nil {
 			return nil, fmt.Errorf("serve: parsing run %q: %w", id, err)
 		}
-		e.set, e.sum, e.fp, e.skipped, e.live = set, set.Summary(), fp, skipped, live
+		e.phys, e.physFP = set, run.fp
 	}
-	return e.set, nil
+	return e.phys, nil
+}
+
+// physical is physicalLocked for a caller that holds nothing.
+func (r *registry) physical(id string) (*trace.Set, error) {
+	run, err := r.lock(id)
+	if err != nil {
+		return nil, err
+	}
+	defer run.unlock()
+	return r.physicalLocked(id, run)
 }
 
 // fingerprintFor returns a run's current fingerprint without parsing
 // anything - the cache-key/ETag component for endpoints that defer the
 // expensive work into the render closure.
 func (r *registry) fingerprintFor(id string) (string, error) {
-	dir, e, err := r.entry(id)
+	run, err := r.lock(id)
 	if err != nil {
 		return "", err
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	fp, _, err := r.freshFP(dir, e)
-	return fp, err
+	defer run.unlock()
+	return run.fp, nil
 }
 
 // queryWindow answers a windowed trace query against one run: through
 // the cached time index when the directory carries a fresh one (reading
 // only the blocks the window intersects), falling back to the exact
-// full-scan reference over the materialized Set otherwise (CSV-only
-// traces, live streaming runs, torn or stale sidecars).
+// full-scan reference over the run's physical records otherwise
+// (CSV-only traces, live streaming runs, torn or stale sidecars, a data
+// file holding a record the readers reject).
 func (r *registry) queryWindow(id string, q trace.Window) (*trace.WindowResult, error) {
-	dir, e, err := r.entry(id)
+	run, err := r.lock(id)
 	if err != nil {
 		return nil, err
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	fp, live, err := r.freshFP(dir, e)
-	if err != nil {
-		return nil, err
-	}
-	if e.ixFP != fp {
+	defer run.unlock()
+	e := run.e
+	if e.ixFP != run.fp {
 		// One LoadTimeIndex per fingerprint: a missing or stale sidecar
 		// caches as nil so repeated queries do not re-stat it.
-		e.ix, _ = trace.LoadTimeIndex(dir)
-		e.ixFP = fp
+		e.ix, _ = trace.LoadTimeIndex(run.dir)
+		e.ixFP = run.fp
 	}
 	if e.ix != nil {
-		res, err := e.ix.Query(dir, q)
+		res, err := e.ix.Query(run.dir, q)
 		if err == nil {
 			return res, nil
 		}
-		e.ix = nil // the data file changed under the index: fall back
+		e.ix = nil // the data file does not hold what the index says: fall back
 	}
-	set, err := r.setLocked(id, dir, e, fp, live)
+	set, err := r.physicalLocked(id, run)
 	if err != nil {
 		return nil, err
 	}

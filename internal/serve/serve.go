@@ -411,22 +411,25 @@ func splitPlotName(name string) (kind, format string, ok bool) {
 // handlePerfetto serves the physical trace as Google Trace Event JSON in
 // the full Perfetto / chrome://tracing model: duration pairs per handler
 // slot, backlog counters, and process/thread metadata. It walks
-// individual records, so it is the one endpoint that always needs the
-// full Set (materialized lazily, via loadSet).
+// individual physical records, which are read inside the render - so a
+// revalidation or a cache hit reads nothing.
 func (s *Server) handlePerfetto(w http.ResponseWriter, r *http.Request) {
 	runID := r.PathValue("run")
-	set, fp, err := s.reg.loadSet(runID)
+	fp, err := s.reg.fingerprintFor(runID)
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
-	if !set.Config.Physical {
-		s.fail(w, noData("run has no physical trace; nothing to export"))
-		return
-	}
 	s.serveArtifact(w, r, runID, fp, "perfetto", nil, func() ([]byte, string, error) {
+		set, err := s.reg.physical(runID)
+		if err != nil {
+			return nil, "", err
+		}
+		if !set.Config.Physical {
+			return nil, "", noData("run has no physical trace; nothing to export")
+		}
 		var buf bytes.Buffer
-		err := set.ExportPerfetto(&buf)
+		err = set.ExportPerfetto(&buf)
 		return buf.Bytes(), "application/json", err
 	})
 }

@@ -171,6 +171,41 @@ func TestMissingFeatureIs404(t *testing.T) {
 	}
 }
 
+// TestPerfettoReadsInsideRender: the export reads the run's physical
+// records in its render closure, like /events and /whatif - so a cache
+// hit and a revalidation read nothing, even on a daemon that has not
+// parsed the run yet. (TestMissingFeatureIs404 pins the other half: a
+// run with no physical trace still answers 404.)
+func TestPerfettoReadsInsideRender(t *testing.T) {
+	srv, root := newTestServer(t)
+	const path = "/runs/run1/trace.perfetto.json"
+	res, body := get(t, srv.Handler(), path)
+	etag := res.Header.Get("ETag")
+	if res.StatusCode != http.StatusOK || etag == "" {
+		t.Fatalf("first GET: %d, ETag %q", res.StatusCode, etag)
+	}
+	if n := srv.Metrics().parses.Load(); n != 1 {
+		t.Fatalf("first GET cost %d parses, want the one physical-only read", n)
+	}
+	if res, again := get(t, srv.Handler(), path); res.StatusCode != http.StatusOK || again != body {
+		t.Fatalf("repeat GET: %d, same body %v", res.StatusCode, again == body)
+	}
+	fresh, err := New(Config{Root: root})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range map[string]*Server{"warm": srv, "fresh": fresh} {
+		before := s.Metrics().parses.Load()
+		res, _ := getHdr(t, s.Handler(), path, map[string]string{"If-None-Match": etag})
+		if res.StatusCode != http.StatusNotModified {
+			t.Errorf("%s daemon: If-None-Match = %d, want 304", name, res.StatusCode)
+		}
+		if n := s.Metrics().parses.Load(); n != before {
+			t.Errorf("%s daemon: a revalidation parsed the run (%d -> %d parses)", name, before, n)
+		}
+	}
+}
+
 // TestConcurrentSamePlotRendersOnce is the single-flight contract: N
 // concurrent requests for one plot produce one render; everyone gets the
 // same bytes.

@@ -20,25 +20,21 @@ import (
 // a rewritten run invalidates the cache automatically). Runs without a
 // schedule 404.
 func (r *registry) scheduleFor(id string) (*sim.Schedule, error) {
-	dir, e, err := r.entry(id)
+	run, err := r.lock(id)
 	if err != nil {
 		return nil, err
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	fp, _, err := r.freshFP(dir, e)
-	if err != nil {
-		return nil, err
-	}
-	if e.schedFP != fp {
-		sched, err := whatif.ReadScheduleFile(dir)
+	defer run.unlock()
+	e := run.e
+	if e.schedFP != run.fp {
+		sched, err := whatif.ReadScheduleFile(run.dir)
 		switch {
 		case errors.Is(err, os.ErrNotExist):
 			sched = nil
 		case err != nil:
 			return nil, err
 		}
-		e.sched, e.schedFP = sched, fp
+		e.sched, e.schedFP = sched, run.fp
 	}
 	if e.sched == nil {
 		return nil, noData("run %s has no recorded schedule (%s); capture one with core.RunCaptured", id, whatif.ScheduleFileName)

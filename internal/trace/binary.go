@@ -169,24 +169,40 @@ func (b *binWriter) finish() error {
 }
 
 // binReader decodes one APBF file block by block, reusing column
-// scratch across blocks.
+// scratch across blocks. It counts the bytes its bufio layer pulls from
+// the file, so it knows where each block it decodes sits.
 type binReader struct {
-	br    *bufio.Reader
-	path  string
-	ncols int
-	cols  [][]int64
-	strs  []string
-	arena // counter slices (PAPI/segments), like the CSV scratch
+	src     byteCounter
+	br      *bufio.Reader
+	path    string
+	ncols   int
+	rowBase int64 // file-order index of the next block's first row
+	cols    [][]int64
+	strs    []string
+	arena   // counter slices (PAPI/segments), like the CSV scratch
 }
 
-// newBinReader validates the header. An empty file is reported as
-// (nil, nil): zero records, like an empty CSV file.
-func newBinReader(br *bufio.Reader, path string, wantKind byte, minCols int) (*binReader, error) {
-	if _, err := br.Peek(1); err == io.EOF {
+type byteCounter struct {
+	r io.Reader
+	n int64
+}
+
+func (c *byteCounter) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
+}
+
+// newBinReader validates the header of the APBF file r. An empty file is
+// reported as (nil, nil): zero records, like an empty CSV file.
+func newBinReader(r io.Reader, path string, wantKind byte, minCols int) (*binReader, error) {
+	d := &binReader{src: byteCounter{r: r}, path: path}
+	d.br = bufio.NewReaderSize(&d.src, 64<<10)
+	if _, err := d.br.Peek(1); err == io.EOF {
 		return nil, nil
 	}
 	var hdr [6]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	if _, err := io.ReadFull(d.br, hdr[:]); err != nil {
 		return nil, fmt.Errorf("trace: %s: truncated binary header: %w", path, err)
 	}
 	if string(hdr[:4]) != binMagic {
@@ -198,7 +214,7 @@ func newBinReader(br *bufio.Reader, path string, wantKind byte, minCols int) (*b
 	if hdr[5] != wantKind {
 		return nil, fmt.Errorf("trace: %s: binary record kind %d, want %d", path, hdr[5], wantKind)
 	}
-	ncols64, err := binary.ReadUvarint(br)
+	ncols64, err := binary.ReadUvarint(d.br)
 	if err != nil {
 		return nil, fmt.Errorf("trace: %s: truncated binary header: %w", path, err)
 	}
@@ -206,8 +222,46 @@ func newBinReader(br *bufio.Reader, path string, wantKind byte, minCols int) (*b
 		return nil, fmt.Errorf("trace: %s: binary header claims %d columns, want %d..%d",
 			path, ncols64, minCols, maxBinCols)
 	}
-	ncols := int(ncols64)
-	return &binReader{br: br, path: path, ncols: ncols, cols: newColumns(ncols, binBlockRows)}, nil
+	d.ncols = int(ncols64)
+	d.cols = newColumns(d.ncols, binBlockRows)
+	return d, nil
+}
+
+// block locates one decoded block: the bytes it occupies in its file and
+// the file-order index of its first row.
+type block struct {
+	off, length, rowBase int64
+	rows                 int
+}
+
+// pos is the file offset of the next byte the decoder will consume.
+func (d *binReader) pos() int64 { return d.src.n - int64(d.br.Buffered()) }
+
+// seek points the decoder at r, the bytes of its file from the block
+// boundary at offset off on, whose first row has index rowBase.
+func (d *binReader) seek(r io.Reader, off, rowBase int64) {
+	d.src = byteCounter{r: r, n: off}
+	d.br.Reset(&d.src)
+	d.rowBase = rowBase
+}
+
+// eachBlock is the package's one block loop and readBlock's only caller:
+// it decodes block after block into d's columns and hands visit each
+// one's extent. It ends at a clean EOF, at a torn or corrupt block (lost
+// is the number of records it claimed) or at visit's first error.
+func (d *binReader) eachBlock(withStrings bool, visit func(b block) error) (lost int, err error) {
+	for {
+		b := block{off: d.pos(), rowBase: d.rowBase}
+		n, lost, err := d.readBlock(withStrings)
+		if err != nil || n == 0 {
+			return lost, err
+		}
+		b.rows, b.length = n, d.pos()-b.off
+		d.rowBase += int64(n)
+		if err := visit(b); err != nil {
+			return 0, err
+		}
+	}
 }
 
 // readBlock decodes the next block into d.cols (and d.strs when

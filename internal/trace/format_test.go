@@ -179,7 +179,7 @@ func TestFormatRoundTripByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
-		if e.Name() == metaFile {
+		if e.Name() == MetaFile {
 			continue
 		}
 		if !strings.HasSuffix(e.Name(), ".bin") {
@@ -232,7 +232,7 @@ func TestBinaryDetectedByContentNotName(t *testing.T) {
 		"PE0_PAPI.bin": "PE0_PAPI.csv", "PE1_PAPI.bin": "PE1_PAPI.csv",
 		"PE2_PAPI.bin": "PE2_PAPI.csv", "PE3_PAPI.bin": "PE3_PAPI.csv",
 		"overall.bin": overallFile, "physical.bin": physicalFile,
-		"segments.bin": segmentsFile, metaFile: metaFile,
+		"segments.bin": segmentsFile, MetaFile: MetaFile,
 	}
 	for from, to := range renames {
 		data, err := os.ReadFile(filepath.Join(binDir, from))

@@ -20,10 +20,12 @@ const (
 	overallFile  = "overall.txt"
 	physicalFile = "physical.txt"
 	segmentsFile = "segments.txt"
-	metaFile     = "actorprof_meta.txt"
+	// MetaFile holds the run parameters; its presence is what marks a
+	// directory as a trace directory.
+	MetaFile = "actorprof_meta.txt"
 )
 
-// ReadOptions tunes ReadSetOptions / ReadSummary.
+// ReadOptions tunes ReadSetOptions / ReadSummary / ReadPhysical.
 type ReadOptions struct {
 	// Tolerant makes malformed lines (the torn tail of a file a streaming
 	// collector is still appending to) count as skipped instead of fatal,
@@ -132,7 +134,7 @@ func (s *Set) writeMeta(dir string) error {
 		fmt.Fprintf(&b, "papi_events %s\n", strings.Join(eventNames(s.Config.PAPIEvents), ","))
 	}
 	fmt.Fprintf(&b, "logical_sample %d\n", s.Config.LogicalSample)
-	if err := os.WriteFile(filepath.Join(dir, metaFile), []byte(b.String()), 0o666); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, MetaFile), []byte(b.String()), 0o666); err != nil {
 		return fmt.Errorf("trace: %w", err)
 	}
 	return nil
@@ -160,7 +162,7 @@ func ReadSetLive(dir string) (*Set, int, error) {
 	return ReadSetOptions(dir, ReadOptions{Tolerant: true})
 }
 
-// cell holds the records one shard scan collects. Each is its own
+// cell holds the records one shard scan collects. A per-PE cell is its own
 // allocation: shards scan concurrently and append per record, so slice
 // headers packed into one array would bounce a cache line between workers.
 type cell[T any] struct{ recs []T }
@@ -184,6 +186,44 @@ func newCell[T any](k *kind[T], dir string, pe int) *cell[T] {
 	return c
 }
 
+// physicalCells collects the physical kind's shards: cell 0 is the
+// assembled file, cell 1+pe PE pe's live part (small, and scanned only in
+// the tolerant fallback). yield is the consumer factory that fills them.
+type physicalCells []cell[PhysicalRecord]
+
+func (p physicalCells) yield(_, pe int) func(PhysicalRecord) { return p[1+pe].add() }
+
+// fill files the collected records under their initiating PEs in s.
+func (p physicalCells) fill(s *Set) {
+	for i := range p {
+		for _, r := range p[i].recs {
+			s.Physical[r.SrcPE] = append(s.Physical[r.SrcPE], r)
+		}
+	}
+}
+
+// ReadPhysical loads only a directory's physical trace - the assembled
+// file or, in a tolerant read of a live run, the per-PE .part shards -
+// and opens no other record file: it is what the record-level consumers
+// (the Perfetto export, the full-scan window query) draw. The Set has
+// what the meta file declares, Config.Physical and Physical filled;
+// skipped is the physical shards' share alone.
+func ReadPhysical(dir string, opts ReadOptions) (*Set, int, error) {
+	m, err := readMeta(filepath.Join(dir, MetaFile))
+	if err != nil {
+		return nil, 0, err
+	}
+	physical := make(physicalCells, 1+m.npes)
+	have, skipped, err := walk(dir, m, opts, consumer{physical: physical.yield})
+	if err != nil {
+		return nil, 0, err
+	}
+	s := NewSet(m.config(), m.npes, m.perNode)
+	s.Config.Physical = have.physical
+	physical.fill(s)
+	return s, skipped, nil
+}
+
 // ReadSetOptions is ReadSet/ReadSetLive with explicit options: the
 // walker plus collecting yields. Each shard appends to a cell it alone
 // owns and the cells are read only after the walk, so for every worker
@@ -191,14 +231,13 @@ func newCell[T any](k *kind[T], dir string, pe int) *cell[T] {
 // count, and - on malformed input - the same error a sequential read
 // would report first.
 func ReadSetOptions(dir string, opts ReadOptions) (*Set, int, error) {
-	m, err := readMeta(filepath.Join(dir, metaFile))
+	m, err := readMeta(filepath.Join(dir, MetaFile))
 	if err != nil {
 		return nil, 0, err
 	}
 	logical := make([]*cell[LogicalRecord], m.npes)
 	papi := make([]*cell[PAPIRecord], m.npes)
-	// physical[0] is the assembled file, physical[1+pe] PE pe's live part.
-	physical := make([]*cell[PhysicalRecord], 1+m.npes)
+	physical := make(physicalCells, 1+m.npes)
 	var overall cell[OverallRecord]
 	var segments cell[SegmentRecord]
 	have, skipped, err := walk(dir, m, opts, consumer{
@@ -210,11 +249,8 @@ func ReadSetOptions(dir string, opts ReadOptions) (*Set, int, error) {
 			papi[pe] = newCell(&papiKind, dir, pe)
 			return papi[pe].add()
 		},
-		overall: func(_, _ int) func(OverallRecord) { return overall.add() },
-		physical: func(_, pe int) func(PhysicalRecord) {
-			physical[1+pe] = newCell(&physicalKind, dir, pe)
-			return physical[1+pe].add()
-		},
+		overall:  func(_, _ int) func(OverallRecord) { return overall.add() },
+		physical: physical.yield,
 		segments: func(_, _ int) func(SegmentRecord) { return segments.add() },
 	})
 	if err != nil {
@@ -229,14 +265,7 @@ func ReadSetOptions(dir string, opts ReadOptions) (*Set, int, error) {
 	if have.overall {
 		s.Overall = normalizeOverall(overall.recs)
 	}
-	for _, c := range physical {
-		if c == nil {
-			continue // parts are scanned only in the live fallback
-		}
-		for _, r := range c.recs {
-			s.Physical[r.SrcPE] = append(s.Physical[r.SrcPE], r)
-		}
-	}
+	physical.fill(s)
 	for _, r := range segments.recs {
 		s.Segments[r.PE] = append(s.Segments[r.PE], r)
 	}

@@ -121,7 +121,8 @@ func FuzzBinaryLogicalShard(f *testing.F) {
 // must return a set or an error, never panic. On the second directory
 // the two tolerant readers are also each other's differential oracle:
 // they share one walker, so ReadSummary must fold exactly the records
-// ReadSetLive admits, with the same skipped count.
+// ReadSetLive admits, with the same skipped count, and ReadPhysical
+// must return exactly its physical records.
 func FuzzReadSet(f *testing.F) {
 	f.Add([]byte(""))
 	f.Add([]byte("num_PEs 1\nPEs_per_node 1\nlogical_sample 1\n"))
@@ -172,6 +173,24 @@ func FuzzReadSet(f *testing.F) {
 		}
 		if want := set.Summary(); !reflect.DeepEqual(sum, want) {
 			t.Fatalf("ReadSummary differs from ReadSetLive(...).Summary():\n got %+v\nwant %+v", sum, want)
+		}
+		// The third consumer of that walker reads the physical kind alone:
+		// the same physical records, and none of the other files' skips.
+		phys, physSkipped, err := ReadPhysical(dirB, ReadOptions{Tolerant: true})
+		if err != nil {
+			t.Fatalf("ReadPhysical errored on content corruption: %v", err)
+		}
+		if !reflect.DeepEqual(phys.Physical, set.Physical) || phys.Config.Physical != set.Config.Physical {
+			t.Fatalf("ReadPhysical differs from ReadSetLive(...).Physical:\n got %+v\nwant %+v", phys.Physical, set.Physical)
+		}
+		for _, name := range []string{
+			"PE0_send.csv", "PE1_send.csv", "PE0_PAPI.csv", "PE1_PAPI.csv",
+			"overall.txt", "segments.txt", "PE0_send.bin", "PE0_PAPI.bin",
+		} {
+			os.Remove(filepath.Join(dirB, name))
+		}
+		if _, share, err := ReadSetLive(dirB); err != nil || physSkipped != share {
+			t.Fatalf("ReadPhysical skipped %d, the physical files' share is %d (err %v)", physSkipped, share, err)
 		}
 	})
 }

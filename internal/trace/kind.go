@@ -89,12 +89,15 @@ var physicalKind = kind[PhysicalRecord]{
 	binKind: binKindPhysical, cols: binPhysicalCols, minCols: binPhysicalMinCols,
 	appendCSV: appendPhysical, parseCSV: parsePhysical,
 	toRow: physicalToRow, fromRow: physicalFromRow,
-	check: func(r PhysicalRecord, npes int) error {
-		if r.Kind < conveyor.LocalSend || r.Kind > conveyor.NonblockProgress { // only APBF can carry one
-			return fmt.Errorf("trace: physical record with unknown send type %d", r.Kind)
-		}
-		return checkEndpoints("physical", r.SrcPE, r.DstPE, npes)
-	},
+	check: checkPhysical,
+}
+
+// checkPhysical is named so that the index paths can call it statically.
+func checkPhysical(r PhysicalRecord, npes int) error {
+	if r.Kind < conveyor.LocalSend || r.Kind > conveyor.NonblockProgress { // only APBF can carry one
+		return fmt.Errorf("trace: physical record with unknown send type %d", r.Kind)
+	}
+	return checkEndpoints("physical", r.SrcPE, r.DstPE, npes)
 }
 
 // physicalPartKind is the physical kind as a streaming collector leaves

@@ -17,11 +17,10 @@ import (
 
 // openShard opens the first existing candidate path and sniffs whether
 // its content is the binary format (by magic, so auto-detection works
-// regardless of file extension). The returned reader replays the
-// sniffed head; the CSV line scanner consumes it directly (it is the only
-// buffer layer), the binary decoder wraps it in a bufio.Reader. Returns
-// an os.IsNotExist-able error when no candidate exists.
-func openShard(candidates ...string) (*os.File, io.Reader, bool, error) {
+// regardless of file extension), then rewinds: the decoder the caller
+// picks is the only buffer layer over the file. Returns an
+// os.IsNotExist-able error when no candidate exists.
+func openShard(candidates ...string) (*os.File, bool, error) {
 	var lastErr error = os.ErrNotExist
 	for _, p := range candidates {
 		f, err := os.Open(p)
@@ -29,24 +28,18 @@ func openShard(candidates ...string) (*os.File, io.Reader, bool, error) {
 			lastErr = err
 			continue
 		}
-		head := make([]byte, 4)
+		head := make([]byte, len(binMagic))
 		n, err := io.ReadFull(f, head)
-		if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+		if err == nil || err == io.EOF || err == io.ErrUnexpectedEOF {
+			_, err = f.Seek(0, io.SeekStart)
+		}
+		if err != nil {
 			f.Close()
-			return nil, nil, false, err
+			return nil, false, err
 		}
-		if n == 4 && string(head) == binMagic {
-			// Rewind so the binary branch's bufio.Reader is the only
-			// buffer layer between decoder and file.
-			if _, err := f.Seek(0, io.SeekStart); err != nil {
-				f.Close()
-				return nil, nil, false, err
-			}
-			return f, f, true, nil
-		}
-		return f, io.MultiReader(bytes.NewReader(head[:n]), f), false, nil
+		return f, n == len(head) && string(head) == binMagic, nil
 	}
-	return nil, nil, false, lastErr
+	return nil, false, lastErr
 }
 
 // scanShard streams PE pe's shard of kind k into yield without
@@ -59,7 +52,7 @@ func openShard(candidates ...string) (*os.File, io.Reader, bool, error) {
 // unreadable APBF header counts as one skipped artifact, a torn block as
 // the rows it claimed.
 func scanShard[T any](k *kind[T], dir string, pe int, m *meta, tolerant bool, yield func(T)) (found bool, skipped int, err error) {
-	f, r, isBin, err := openShard(filepath.Join(dir, k.binFile(pe)), filepath.Join(dir, k.csvFile(pe)))
+	f, isBin, err := openShard(filepath.Join(dir, k.binFile(pe)), filepath.Join(dir, k.csvFile(pe)))
 	if err != nil {
 		if os.IsNotExist(err) {
 			err = nil
@@ -69,36 +62,34 @@ func scanShard[T any](k *kind[T], dir string, pe int, m *meta, tolerant bool, yi
 	defer f.Close()
 	npes := m.npes
 	if isBin {
-		d, err := newBinReader(bufio.NewReaderSize(r, 64<<10), f.Name(), k.binKind, k.minCols)
+		d, err := newBinReader(f, f.Name(), k.binKind, k.minCols)
 		if err != nil && tolerant {
 			return true, 1, nil
 		}
 		if err != nil || d == nil { // d == nil: an empty file holds no records
 			return true, 0, err
 		}
-		for {
-			n, lost, err := d.readBlock(k.hasStr)
-			if err != nil && tolerant {
-				return true, skipped + lost, nil
-			}
-			if err != nil || n == 0 {
-				return true, skipped, err
-			}
-			for i := 0; i < n; i++ {
+		lost, err := d.eachBlock(k.hasStr, func(b block) error {
+			for i := 0; i < b.rows; i++ {
 				rec := k.fromRow(d, i)
 				if err := k.check(rec, npes); err == nil {
 					yield(rec)
 				} else if tolerant {
 					skipped++
 				} else {
-					return true, 0, err
+					return err
 				}
 			}
+			return nil
+		})
+		if tolerant {
+			return true, skipped + lost, nil
 		}
+		return true, 0, err
 	}
 	scratch := newCSVScratch(len(m.events))
 	prefix := []byte(k.csvPrefix)
-	sc := newLineScanner(r)
+	sc := newLineScanner(f)
 	for sc.Scan() {
 		line := trimSpace(sc.Bytes())
 		if len(line) == 0 || !bytes.HasPrefix(line, prefix) {
@@ -253,9 +244,10 @@ func writeShard[T any](k *kind[T], dir string, pe int, format Format, events []s
 // consumer is what a reader plugs into walk: for each kind, a factory
 // the walker calls once per shard - on the worker about to scan it - for
 // the function that receives the shard's records. pe is -1 for the
-// run-wide files. Shards scan concurrently, so a yield may only touch
-// state owned by its shard (a result slot) or by its worker (a partial
-// accumulator that merges commutatively).
+// run-wide files; walk opens no file of a kind whose factory is nil.
+// Shards scan concurrently, so a yield may only touch state owned by its
+// shard (a result slot) or by its worker (a partial accumulator that
+// merges commutatively).
 type consumer struct {
 	logical  func(worker, pe int) func(LogicalRecord)
 	papi     func(worker, pe int) func(PAPIRecord)
@@ -276,78 +268,73 @@ type shardMark struct {
 	err     error
 }
 
-// scanTask binds one shard scan to its result slot.
-func scanTask[T any](mark *shardMark, k *kind[T], dir string, pe int, m *meta, tolerant bool,
-	yield func(worker, pe int) func(T)) func(worker int) {
-	return func(w int) {
-		mark.found, mark.skipped, mark.err = scanShard(k, dir, pe, m, tolerant, yield(w, pe))
+// scanTask appends the task that scans one shard into its result slot -
+// or nothing, when the consumer has no factory for the kind.
+func scanTask[T any](tasks []func(worker int), mark *shardMark, k *kind[T], dir string, pe int, m *meta, tolerant bool,
+	yield func(worker, pe int) func(T)) []func(worker int) {
+	if yield == nil {
+		return tasks
 	}
+	return append(tasks, func(w int) {
+		mark.found, mark.skipped, mark.err = scanShard(k, dir, pe, m, tolerant, yield(w, pe))
+	})
 }
 
 // walk is the directory walker behind every reader. It owns the task
-// layout (one task per per-PE file and per shared file, on a pool of
-// opts.poolSize workers), the file order - logical PE 0..n-1, PAPI PE
-// 0..n-1, overall, physical, segments - in which marks merge, and with it
-// the guarantees the readers share: the skipped total, and the error a
-// sequential read would hit first, are identical for every worker count.
-// A tolerant walk that finds no assembled physical file falls back to the
-// per-PE .part shards a live streaming run keeps until Finalize.
+// layout (one task per per-PE file and per shared file of the kinds the
+// consumer takes, on a pool of opts.poolSize workers), the file order -
+// logical PE 0..n-1, PAPI PE 0..n-1, overall, physical, segments - in
+// which marks merge, and with it the guarantees the readers share: the
+// skipped total, and the error a sequential read would hit first, are
+// identical for every worker count. A tolerant walk that finds no
+// assembled physical file falls back to the per-PE .part shards a live
+// streaming run keeps until Finalize.
 func walk(dir string, m *meta, opts ReadOptions, c consumer) (features, int, error) {
 	n, tolerant := m.npes, opts.Tolerant
 	marks := make([]shardMark, 2*n+3)
 	tasks := make([]func(worker int), 0, len(marks))
 	for pe := 0; pe < n; pe++ {
-		tasks = append(tasks, scanTask(&marks[pe], &logicalKind, dir, pe, m, tolerant, c.logical))
+		tasks = scanTask(tasks, &marks[pe], &logicalKind, dir, pe, m, tolerant, c.logical)
 	}
 	for pe := 0; pe < n; pe++ {
-		tasks = append(tasks, scanTask(&marks[n+pe], &papiKind, dir, pe, m, tolerant, c.papi))
+		tasks = scanTask(tasks, &marks[n+pe], &papiKind, dir, pe, m, tolerant, c.papi)
 	}
-	tasks = append(tasks,
-		scanTask(&marks[2*n], &overallKind, dir, -1, m, tolerant, c.overall),
-		scanTask(&marks[2*n+1], &physicalKind, dir, -1, m, tolerant, c.physical),
-		scanTask(&marks[2*n+2], &segmentsKind, dir, -1, m, tolerant, c.segments),
-	)
+	tasks = scanTask(tasks, &marks[2*n], &overallKind, dir, -1, m, tolerant, c.overall)
+	tasks = scanTask(tasks, &marks[2*n+1], &physicalKind, dir, -1, m, tolerant, c.physical)
+	tasks = scanTask(tasks, &marks[2*n+2], &segmentsKind, dir, -1, m, tolerant, c.segments)
 	runWorkerTasks(opts.poolSize(n), tasks)
 
+	// merge folds marks, in file order, into skipped and the first error.
 	skipped := 0
-	merge := func(marks []shardMark) (found bool, err error) {
+	var err error
+	merge := func(marks []shardMark) (found bool) {
 		for _, t := range marks {
-			if t.err != nil {
-				return false, t.err
+			if err == nil {
+				err = t.err
 			}
 			if t.found {
 				found = true
 				skipped += t.skipped
 			}
 		}
-		return found, nil
+		return found
 	}
 	var have features
-	var err error
-	if have.logical, err = merge(marks[:n]); err != nil {
-		return have, 0, err
-	}
-	if _, err = merge(marks[n : 2*n]); err != nil {
-		return have, 0, err
-	}
-	if have.overall, err = merge(marks[2*n : 2*n+1]); err != nil {
-		return have, 0, err
-	}
-	if have.physical, err = merge(marks[2*n+1 : 2*n+2]); err != nil {
-		return have, 0, err
-	}
-	if !have.physical && tolerant {
+	have.logical = merge(marks[:n])
+	merge(marks[n : 2*n])
+	have.overall = merge(marks[2*n : 2*n+1])
+	have.physical = merge(marks[2*n+1 : 2*n+2])
+	if err == nil && !have.physical && tolerant {
 		parts := make([]shardMark, n)
 		tasks = tasks[:0]
 		for pe := 0; pe < n; pe++ {
-			tasks = append(tasks, scanTask(&parts[pe], &physicalPartKind, dir, pe, m, true, c.physical))
+			tasks = scanTask(tasks, &parts[pe], &physicalPartKind, dir, pe, m, true, c.physical)
 		}
 		runWorkerTasks(opts.poolSize(n), tasks)
-		if have.physical, err = merge(parts); err != nil {
-			return have, 0, err
-		}
+		have.physical = merge(parts)
 	}
-	if _, err = merge(marks[2*n+2:]); err != nil {
+	merge(marks[2*n+2:])
+	if err != nil {
 		return have, 0, err
 	}
 	return have, skipped, nil

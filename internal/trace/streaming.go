@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -212,15 +211,14 @@ func copyPart(w io.Writer, part string, binary bool) error {
 	defer in.Close()
 	var r io.Reader = in
 	if binary {
-		br := bufio.NewReaderSize(in, 1<<16)
-		d, err := newBinReader(br, part, binKindPhysical, binPhysicalMinCols)
+		d, err := newBinReader(in, part, binKindPhysical, binPhysicalMinCols)
 		if err != nil || d == nil {
 			return err
 		}
 		if d.ncols != binPhysicalCols {
 			return fmt.Errorf("trace: %s: physical part has %d columns, want %d", part, d.ncols, binPhysicalCols)
 		}
-		r = br
+		r = d.br // the block stream behind the header
 	}
 	_, err = io.Copy(w, r)
 	return err

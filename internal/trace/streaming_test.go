@@ -235,7 +235,7 @@ func TestStreamingWritesMetaEagerly(t *testing.T) {
 	if _, err := NewStreamingCollector(Config{Logical: true}, machine(2, 2), dir); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, metaFile)); err != nil {
+	if _, err := os.Stat(filepath.Join(dir, MetaFile)); err != nil {
 		t.Fatalf("meta file not written at collector creation: %v", err)
 	}
 }

@@ -329,7 +329,7 @@ func newPAPITotals(nEvents, npes int) [][]int64 {
 // semantics; the skipped count matches what ReadSetOptions would report
 // for the same directory.
 func ReadSummary(dir string, opts ReadOptions) (*Summary, int, error) {
-	md, err := readMeta(filepath.Join(dir, metaFile))
+	md, err := readMeta(filepath.Join(dir, MetaFile))
 	if err != nil {
 		return nil, 0, err
 	}

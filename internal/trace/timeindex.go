@@ -1,11 +1,11 @@
 package trace
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 )
@@ -91,15 +91,11 @@ func (b *PyramidBucket) fold(o PyramidBucket) {
 	}
 }
 
-// blockSpan is one data-file block: its byte extent, the global row
-// index of its first record, and the inclusive timestamp span of the
-// records inside it.
+// blockSpan is one data-file block, as the block iterator located it,
+// and the inclusive timestamp span of the records inside it.
 type blockSpan struct {
-	off     int64
-	length  int64
-	rows    int
-	rowBase int64
-	t0, t1  int64
+	block
+	t0, t1 int64
 }
 
 type pyramidLevel struct {
@@ -114,6 +110,7 @@ type TimeIndex struct {
 	TMin     int64 // smallest record timestamp (0 on an empty trace)
 	TMax     int64 // largest record timestamp (-1 on an empty trace)
 	ncols    int
+	npes     int // from the meta file, not the sidecar: the PE range Query checks records against
 	dataSize int64
 	nrows    int64
 	blocks   []blockSpan
@@ -145,166 +142,145 @@ func (ix *TimeIndex) BucketWidth(lvl int) int64 {
 	return ix.levels[lvl].width
 }
 
-func uvarintLen(u uint64) int64 {
-	n := int64(1)
-	for u >= 0x80 {
-		u >>= 7
-		n++
-	}
-	return n
+// clockRule is the clock-domain rule, shown every physical record of a
+// trace: the cycles domain only when there are records and each carries a
+// nonzero clock. One zeroed clock anywhere (a CSV reload, a pre-cycles
+// binary, a hand-built fixture) demotes the whole trace to the sequence
+// domain - the two are never interleaved.
+type clockRule struct {
+	records   int64
+	zeroClock bool
 }
 
-// physBlockVisit is one decoded data-file block handed to the scan
-// callback of scanPhysicalBlocks, valid only for the callback's
-// duration.
-type physBlockVisit struct {
-	off     int64
-	length  int64
-	rowBase int64
-	rows    int
-	cols    [][]int64
+func (c *clockRule) see(r PhysicalRecord) {
+	c.records++
+	c.zeroClock = c.zeroClock || r.Cycles == 0
 }
 
-// scanPhysicalBlocks walks physical.bin block by block, tracking the
-// byte extent of every block arithmetically (varint lengths are
-// recomputed from the decoded values, so no counting reader is needed
-// under the bufio layer). A torn tail ends the walk silently - the
-// complete prefix is what gets indexed, matching the tolerant readers.
-// A missing file returns os.ErrNotExist; an empty file visits nothing.
-func scanPhysicalBlocks(path string, visit func(b *physBlockVisit) error) (ncols int, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
+func (c clockRule) domain() ClockDomain {
+	if c.records > 0 && !c.zeroClock {
+		return DomainCycles
 	}
-	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<16)
-	d, err := newBinReader(br, path, binKindPhysical, binPhysicalMinCols)
-	if err != nil {
-		return 0, err
+	return DomainSequence
+}
+
+// stamp is the timestamp, in domain d, of the record at file-order index seq.
+func (d ClockDomain) stamp(seq int64, r PhysicalRecord) int64 {
+	if d == DomainCycles {
+		return r.Cycles
 	}
-	if d == nil { // empty file
-		return 0, nil
-	}
-	off := int64(len(binMagic)) + 2 + uvarintLen(uint64(d.ncols))
-	var rowBase int64
-	for {
-		n, _, err := d.readBlock(false)
-		if err != nil {
-			return d.ncols, nil // torn tail: index the complete prefix
-		}
-		if n == 0 {
-			return d.ncols, nil
-		}
-		length := uvarintLen(uint64(n))
-		for c := 0; c < d.ncols; c++ {
-			for _, v := range d.cols[c][:n] {
-				length += uvarintLen(zigzag(v))
-			}
-		}
-		b := physBlockVisit{off: off, length: length, rowBase: rowBase, rows: n, cols: d.cols}
-		if err := visit(&b); err != nil {
-			return d.ncols, err
-		}
-		off += length
-		rowBase += int64(n)
+	return seq
+}
+
+// newLevel0 sizes the finest pyramid level over the inclusive timestamp
+// span [tmin, tmax]: at most pyramidBase buckets of equal width.
+func newLevel0(tmin, tmax int64) pyramidLevel {
+	span := tmax - tmin + 1
+	width := max((span+pyramidBase-1)/pyramidBase, 1)
+	return pyramidLevel{width: width, buckets: make([]PyramidBucket, (span+width-1)/width)}
+}
+
+// add folds one record, stamped ts on a span starting at tmin, into level 0.
+func (l pyramidLevel) add(tmin, ts int64, r PhysicalRecord) {
+	b := &l.buckets[(ts-tmin)/l.width]
+	b.Count++
+	b.Bytes += int64(r.BufBytes)
+	if r.Kind >= 0 && int(r.Kind) < len(b.Kinds) {
+		b.Kinds[r.Kind]++
 	}
 }
 
 // BuildTimeIndex builds (or rebuilds) the physical.idx sidecar for a
 // trace directory. It returns built=false without error when the
 // directory has no binary physical trace to index (CSV-only and
-// physical-less traces are served by the full-scan fallback). This is
-// both the collector's Finalize step and the backfill path for existing
-// traces.
+// physical-less traces are served by the full-scan fallback). A torn tail
+// is not an error - the complete prefix is indexed, matching the tolerant
+// readers - but a record the readers reject is: no sidecar is written and
+// queries keep falling back to the full scan. This is both the collector's
+// Finalize step and the backfill path for existing traces.
 func BuildTimeIndex(dir string) (built bool, err error) {
-	dataPath := filepath.Join(dir, physicalBinFile)
-	fi, err := os.Stat(dataPath)
+	f, err := os.Open(filepath.Join(dir, physicalBinFile))
 	if err != nil {
 		if os.IsNotExist(err) {
-			return false, nil
+			err = nil
 		}
 		return false, err
 	}
-
-	// Pass 1: block table, clock-domain detection, global span.
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return false, err
+	}
+	d, err := newBinReader(f, f.Name(), binKindPhysical, binPhysicalMinCols)
+	if err != nil {
+		return false, fmt.Errorf("trace: indexing %s: %w", f.Name(), err)
+	}
+	m, err := readMeta(filepath.Join(dir, MetaFile))
+	if err != nil {
+		return false, err
+	}
 	ix := &TimeIndex{dataSize: fi.Size()}
-	allCyclesNonzero := true
-	ncols, err := scanPhysicalBlocks(dataPath, func(b *physBlockVisit) error {
-		span := blockSpan{off: b.off, length: b.length, rows: b.rows, rowBase: b.rowBase}
-		if len(b.cols) >= binPhysicalCols {
-			cy := b.cols[4][:b.rows]
-			span.t0, span.t1 = cy[0], cy[0]
-			for _, v := range cy {
-				if v == 0 {
-					allCyclesNonzero = false
-				}
-				if v < span.t0 {
-					span.t0 = v
-				}
-				if v > span.t1 {
-					span.t1 = v
-				}
+	// pass runs the block iterator from where d stands to the end of the
+	// file; a torn tail ends it quietly.
+	pass := func(visit func(b block) error) error {
+		if d == nil { // an empty file indexes as zero blocks
+			return nil
+		}
+		ix.ncols = d.ncols
+		if lost, err := d.eachBlock(false, visit); err != nil && lost == 0 {
+			return fmt.Errorf("trace: indexing %s: %w", f.Name(), err)
+		}
+		return nil
+	}
+
+	// Pass 1: block table with cycle spans, clock domain, global span.
+	var rule clockRule
+	err = pass(func(b block) error {
+		span := blockSpan{block: b, t0: math.MaxInt64, t1: math.MinInt64}
+		for i := 0; i < b.rows; i++ {
+			r := physicalFromRow(d, i)
+			if err := checkPhysical(r, m.npes); err != nil {
+				return err
 			}
+			span.t0, span.t1 = min(span.t0, r.Cycles), max(span.t1, r.Cycles)
+			rule.see(r)
 		}
 		ix.blocks = append(ix.blocks, span)
 		ix.nrows += int64(b.rows)
 		return nil
 	})
 	if err != nil {
-		return false, fmt.Errorf("trace: indexing %s: %w", dataPath, err)
+		return false, err
 	}
-	ix.ncols = ncols
-	if ncols >= binPhysicalCols && ix.nrows > 0 && allCyclesNonzero {
-		ix.Domain = DomainCycles
-	} else {
-		// Sequence domain: a block's span is its global row range. This
-		// also overwrites whatever partial cycle values pass 1 saw, so a
-		// trace with a single zeroed clock is uniformly sequence-addressed
-		// rather than mixing domains.
-		ix.Domain = DomainSequence
-		for i := range ix.blocks {
-			ix.blocks[i].t0 = ix.blocks[i].rowBase
-			ix.blocks[i].t1 = ix.blocks[i].rowBase + int64(ix.blocks[i].rows) - 1
-		}
-	}
+	ix.Domain = rule.domain()
 	ix.TMin, ix.TMax = 0, -1
-	for i, b := range ix.blocks {
-		if i == 0 || b.t0 < ix.TMin {
-			ix.TMin = b.t0
+	for i := range ix.blocks {
+		b := &ix.blocks[i]
+		if ix.Domain == DomainSequence {
+			// A block's span is its global row range, whatever partial
+			// cycle values it carries.
+			b.t0, b.t1 = b.rowBase, b.rowBase+int64(b.rows)-1
 		}
-		if i == 0 || b.t1 > ix.TMax {
-			ix.TMax = b.t1
+		if i == 0 {
+			ix.TMin, ix.TMax = b.t0, b.t1
 		}
+		ix.TMin, ix.TMax = min(ix.TMin, b.t0), max(ix.TMax, b.t1)
 	}
 
-	// Pass 2: fold level 0 of the pyramid, then halve upward.
+	// Pass 2, over the records pass 1 checked: fold level 0, then halve upward.
 	if ix.nrows > 0 {
-		span := ix.TMax - ix.TMin + 1
-		width := (span + pyramidBase - 1) / pyramidBase
-		if width < 1 {
-			width = 1
-		}
-		nb := int((span + width - 1) / width)
-		level0 := pyramidLevel{width: width, buckets: make([]PyramidBucket, nb)}
-		var row int64
-		_, err = scanPhysicalBlocks(dataPath, func(b *physBlockVisit) error {
+		first := ix.blocks[0].off
+		d.seek(io.NewSectionReader(f, first, ix.dataSize-first), first, 0)
+		level0 := newLevel0(ix.TMin, ix.TMax)
+		err = pass(func(b block) error {
 			for i := 0; i < b.rows; i++ {
-				ts := row
-				if ix.Domain == DomainCycles {
-					ts = b.cols[4][i]
-				}
-				row++
-				bkt := &level0.buckets[(ts-ix.TMin)/width]
-				bkt.Count++
-				bkt.Bytes += b.cols[1][i]
-				if k := b.cols[0][i]; k >= 0 && k < 3 {
-					bkt.Kinds[k]++
-				}
+				r := physicalFromRow(d, i)
+				level0.add(ix.TMin, ix.Domain.stamp(b.rowBase+int64(i), r), r)
 			}
 			return nil
 		})
 		if err != nil {
-			return false, fmt.Errorf("trace: indexing %s: %w", dataPath, err)
+			return false, err
 		}
 		ix.levels = buildPyramid(level0)
 	}
@@ -414,6 +390,11 @@ func LoadTimeIndex(dir string) (*TimeIndex, error) {
 		return nil, fmt.Errorf("trace: %s: stale index (data file is %d bytes, index built over %d)",
 			path, dfi.Size(), ix.dataSize)
 	}
+	m, err := readMeta(filepath.Join(dir, MetaFile))
+	if err != nil {
+		return nil, err
+	}
+	ix.npes = m.npes
 	return ix, nil
 }
 

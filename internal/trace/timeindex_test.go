@@ -1,10 +1,13 @@
 package trace
 
 import (
+	"bytes"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"actorprof/internal/conveyor"
@@ -306,6 +309,184 @@ func TestCorruptIndexNeverBreaksQueries(t *testing.T) {
 	}
 	if err := os.WriteFile(path, clean, 0o644); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestIndexedPathAppliesRecordCheck: a physical.bin holding a record the
+// readers reject (a destination outside the meta file's world) must not
+// be served through the index as if it were fine. A build over it is an
+// error and writes no sidecar; a sidecar that predates the bad record
+// (and still validates: same length) makes Query fail, not answer; and
+// either way QueryWindow lands on the tolerant full scan, field for field.
+func TestIndexedPathAppliesRecordCheck(t *testing.T) {
+	write := func(dst int) (string, []byte) {
+		s := NewSet(Config{Physical: true, Format: FormatBinary}, 2, 2)
+		s.Physical[0] = []PhysicalRecord{
+			{Kind: conveyor.NonblockSend, BufBytes: 64, SrcPE: 0, DstPE: 1, Cycles: 3},
+			{Kind: conveyor.LocalSend, BufBytes: 8, SrcPE: 0, DstPE: dst, Cycles: 5},
+		}
+		dir := t.TempDir()
+		if err := s.WriteFiles(dir); err != nil {
+			t.Fatal(err)
+		}
+		raw, err := os.ReadFile(filepath.Join(dir, physicalBinFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dir, raw
+	}
+	dir, good := write(1)
+	_, bad := write(7)
+	if len(bad) != len(good) {
+		t.Fatalf("fixture: patched file is %d bytes, original %d", len(bad), len(good))
+	}
+	if built, err := BuildTimeIndex(dir); err != nil || !built {
+		t.Fatalf("indexing the clean file: built=%v err=%v", built, err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, physicalBinFile), bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := ReadSet(dir); err == nil || !strings.Contains(err.Error(), "dst PE 7 outside [0, 2)") {
+		t.Fatalf("ReadSet = %v, want the dst PE range error", err)
+	}
+	live, skipped, err := ReadSetLive(dir)
+	if err != nil || skipped != 1 {
+		t.Fatalf("ReadSetLive: skipped=%d err=%v, want the one bad record skipped", skipped, err)
+	}
+	q := Window{T0: 0, T1: 100}
+	want := QueryWindowSet(live, q)
+	if len(want.Events) != 1 {
+		t.Fatalf("reference holds %d events, want 1", len(want.Events))
+	}
+
+	// The sidecar built before the patch still validates against the file.
+	ix, err := LoadTimeIndex(dir)
+	if err != nil {
+		t.Fatalf("the same-length sidecar no longer loads: %v", err)
+	}
+	if res, err := ix.Query(dir, q); err == nil {
+		t.Fatalf("indexed query served the rejected record: %+v", res.Events)
+	}
+	for _, withSidecar := range []bool{true, false} {
+		if !withSidecar {
+			os.Remove(filepath.Join(dir, timeIndexFile))
+			if built, err := BuildTimeIndex(dir); err == nil || built {
+				t.Fatalf("BuildTimeIndex over the bad record: built=%v err=%v, want an error", built, err)
+			}
+			if _, err := os.Stat(filepath.Join(dir, timeIndexFile)); !os.IsNotExist(err) {
+				t.Fatalf("a failed build left a sidecar behind (stat: %v)", err)
+			}
+		}
+		got, err := QueryWindow(dir, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("sidecar=%v: QueryWindow differs from the full scan:\ngot  %+v\nwant %+v", withSidecar, got, want)
+		}
+	}
+}
+
+// TestBlockIteratorExtents asserts, where they are produced, the extents
+// LoadTimeIndex validates on read: on the 256-block fixture the blocks
+// tile the file from the header to its end, each extent decodes alone to
+// exactly its block's rows, and a torn tail ends the walk at the last
+// complete block.
+func TestBlockIteratorExtents(t *testing.T) {
+	const npes, recsPerPE = 64, 4096
+	dir := writeIndexedDir(t, orderedCycleSet(t, npes, recsPerPE))
+	path := filepath.Join(dir, physicalBinFile)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type blockRows struct {
+		block
+		recs []PhysicalRecord
+	}
+	rowsOf := func(t *testing.T, d *binReader, b block) (recs []PhysicalRecord) {
+		t.Helper()
+		for i := 0; i < b.rows; i++ {
+			r := physicalFromRow(d, i)
+			if err := checkPhysical(r, npes); err != nil {
+				t.Fatal(err)
+			}
+			recs = append(recs, r)
+		}
+		return recs
+	}
+	scan := func(data []byte) (blocks []blockRows, headerLen int64, lost int) {
+		t.Helper()
+		d, err := newBinReader(bytes.NewReader(data), path, binKindPhysical, binPhysicalMinCols)
+		if err != nil || d == nil {
+			t.Fatalf("newBinReader: d=%v err=%v", d, err)
+		}
+		headerLen = d.pos()
+		lost, err = d.eachBlock(false, func(b block) error {
+			blocks = append(blocks, blockRows{b, rowsOf(t, d, b)})
+			return nil
+		})
+		if (err != nil) != (lost > 0) {
+			t.Fatalf("walk ended with lost=%d err=%v", lost, err)
+		}
+		return blocks, headerLen, lost
+	}
+
+	blocks, headerLen, lost := scan(raw)
+	if lost != 0 || len(blocks) != npes*recsPerPE/binBlockRows {
+		t.Fatalf("clean file: %d blocks, lost %d; want %d, 0", len(blocks), lost, npes*recsPerPE/binBlockRows)
+	}
+	end, rows := headerLen, int64(0)
+	for i, b := range blocks {
+		if b.off != end || b.length <= 0 || b.rowBase != rows || b.rows != len(b.recs) {
+			t.Fatalf("block %d is %+v; want offset %d, first row %d, %d rows", i, b.block, end, rows, len(b.recs))
+		}
+		end, rows = b.off+b.length, rows+int64(b.rows)
+	}
+	if end != int64(len(raw)) {
+		t.Fatalf("extents end at byte %d, the file at %d", end, len(raw))
+	}
+
+	// Each extent alone decodes to its block - the index's Query does this.
+	d, err := newBinReader(bytes.NewReader(raw), path, binKindPhysical, binPhysicalMinCols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, i := range []int{0, 1, len(blocks) / 2, len(blocks) - 1} {
+		want := blocks[i]
+		d.seek(io.NewSectionReader(bytes.NewReader(raw), want.off, want.length), want.off, want.rowBase)
+		var got blockRows
+		if _, err := d.eachBlock(false, func(b block) error {
+			got = blockRows{b, append(got.recs, rowsOf(t, d, b)...)}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("block %d decoded alone as %+v, in the walk as %+v", i, got.block, want.block)
+		}
+	}
+
+	// The index stores exactly these extents.
+	ix, err := LoadTimeIndex(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range ix.blocks {
+		if b.block != blocks[i].block {
+			t.Fatalf("index block %d is %+v, the iterator says %+v", i, b.block, blocks[i].block)
+		}
+	}
+
+	// A torn tail: the walk yields every complete block and stops.
+	torn, _, lost := scan(raw[:len(raw)-3])
+	if len(torn) != len(blocks)-1 || lost != blocks[len(blocks)-1].rows {
+		t.Fatalf("torn tail: %d complete blocks, lost %d; want %d, %d",
+			len(torn), lost, len(blocks)-1, blocks[len(blocks)-1].rows)
+	}
+	if !reflect.DeepEqual(torn, blocks[:len(blocks)-1]) {
+		t.Fatal("torn tail changed the blocks before it")
 	}
 }
 

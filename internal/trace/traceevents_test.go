@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -306,6 +307,47 @@ func TestGoldenPerfettoExport(t *testing.T) {
 		validateTraceEventObject(t, e)
 	}
 	checkExportGolden(t, "perfetto_export", buf.Bytes())
+}
+
+// TestPhysicalOnlySetServesRecordConsumers: the two record-level
+// consumers draw nothing but physical records, so over the golden
+// fixture on disk a ReadPhysical Set exports the same bytes and answers
+// window queries with the same fields as the full ReadSet Set.
+func TestPhysicalOnlySetServesRecordConsumers(t *testing.T) {
+	for _, format := range []Format{FormatCSV, FormatBinary} {
+		s := goldenExportSet()
+		s.Config.Format = format
+		dir := t.TempDir()
+		if err := s.WriteFiles(dir); err != nil {
+			t.Fatal(err)
+		}
+		full, err := ReadSet(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		phys, _, err := ReadPhysical(dir, ReadOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want, got bytes.Buffer
+		if err := full.ExportPerfetto(&want); err != nil {
+			t.Fatal(err)
+		}
+		if err := phys.ExportPerfetto(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("%s: export of the physical-only Set differs from the full Set's", format)
+		}
+		if format == FormatBinary { // the encoding that keeps the clocks
+			checkExportGolden(t, "perfetto_export", got.Bytes())
+		}
+		for _, q := range []Window{{T0: 0, T1: 1 << 40}, {T0: 1000, T1: 2100}, {T0: 0, T1: 1 << 40, LOD: 2}, {T0: 5, T1: 5}} {
+			if got, want := QueryWindowSet(phys, q), QueryWindowSet(full, q); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: QueryWindowSet(%+v) over the physical-only Set:\n got %+v\nwant %+v", format, q, got, want)
+			}
+		}
+	}
 }
 
 // TestExportPerfettoUnmatchedSends: sends whose progress record never

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"os"
@@ -94,13 +93,36 @@ func (ix *TimeIndex) Query(dir string, q Window) (*WindowResult, error) {
 		return nil, err
 	}
 	defer f.Close()
+	// The header is what precedes the first block; only it is read here.
+	d, err := newBinReader(io.NewSectionReader(f, 0, ix.blocks[0].off), f.Name(), binKindPhysical, binPhysicalMinCols)
+	if err != nil {
+		return nil, err
+	}
+	if d == nil || d.ncols != ix.ncols {
+		return nil, fmt.Errorf("trace: %s: header no longer matches the index built over it", f.Name())
+	}
 	for _, b := range ix.blocks {
 		if b.t1 < q.T0 || b.t0 >= q.T1 {
 			continue
 		}
-		if err := ix.readBlockEvents(f, b, q, res); err != nil {
+		d.seek(io.NewSectionReader(f, b.off, b.length), b.off, b.rowBase)
+		if _, err := d.eachBlock(false, func(at block) error {
+			if at != b.block {
+				return fmt.Errorf("trace: %s: bytes at %d decode as %d rows in %d bytes, the index says %d in %d",
+					f.Name(), b.off, at.rows, at.length, b.rows, b.length)
+			}
+			for i := 0; i < at.rows; i++ {
+				r := physicalFromRow(d, i)
+				if err := checkPhysical(r, ix.npes); err != nil {
+					return err
+				}
+				res.addEvent(q, ix.Domain.stamp(at.rowBase+int64(i), r), r)
+			}
+			return nil
+		}); err != nil {
 			return nil, err
 		}
+		res.BlocksRead++
 	}
 	finishEvents(res, q)
 	return res, nil
@@ -198,42 +220,11 @@ func selectBuckets(lvl pyramidLevel, tmin int64, q Window) []WindowBucket {
 	return out
 }
 
-// readBlockEvents seeks to one data block, decodes it, and appends the
-// rows whose timestamps fall inside the window.
-func (ix *TimeIndex) readBlockEvents(f *os.File, b blockSpan, q Window, res *WindowResult) error {
-	sr := io.NewSectionReader(f, b.off, b.length)
-	d := &binReader{br: bufio.NewReaderSize(sr, 16<<10), path: f.Name(), ncols: ix.ncols,
-		cols: newColumns(ix.ncols, b.rows)}
-	n, _, err := d.readBlock(false)
-	if err != nil {
-		return err
+// addEvent appends the record, stamped ts, when it falls inside the window.
+func (res *WindowResult) addEvent(q Window, ts int64, r PhysicalRecord) {
+	if ts >= q.T0 && ts < q.T1 {
+		res.Events = append(res.Events, WindowEvent{TS: ts, Kind: r.Kind, BufBytes: r.BufBytes, SrcPE: r.SrcPE, DstPE: r.DstPE})
 	}
-	if n != b.rows {
-		return fmt.Errorf("trace: %s: block at offset %d decodes %d rows, index says %d",
-			f.Name(), b.off, n, b.rows)
-	}
-	res.BlocksRead++
-	for i := 0; i < n; i++ {
-		ts := b.rowBase + int64(i)
-		if ix.Domain == DomainCycles {
-			ts = d.cols[4][i]
-		}
-		if ts < q.T0 || ts >= q.T1 {
-			continue
-		}
-		kind := d.cols[0][i]
-		if kind < 0 || kind > 2 {
-			return fmt.Errorf("trace: unknown send type %d in %s", kind, f.Name())
-		}
-		res.Events = append(res.Events, WindowEvent{
-			TS:       ts,
-			Kind:     conveyor.SendKind(kind),
-			BufBytes: int(d.cols[1][i]),
-			SrcPE:    int(d.cols[2][i]),
-			DstPE:    int(d.cols[3][i]),
-		})
-	}
-	return nil
 }
 
 // finishEvents applies the deterministic postlude shared by both query
@@ -248,85 +239,52 @@ func finishEvents(res *WindowResult, q Window) {
 	}
 }
 
-// physicalClockDomain applies the domain rule to an in-memory Set: the
-// cycles domain only when every physical record carries a nonzero
-// clock, otherwise the sequence domain. One zeroed clock anywhere (a
-// CSV reload, a hand-built fixture) demotes the whole trace - the two
-// domains are never interleaved.
+// physicalClockDomain applies the clock-domain rule to an in-memory Set.
 func physicalClockDomain(s *Set) ClockDomain {
-	any := false
+	var rule clockRule
 	for _, recs := range s.Physical {
 		for _, r := range recs {
-			any = true
-			if r.Cycles == 0 {
-				return DomainSequence
-			}
+			rule.see(r)
 		}
 	}
-	if !any {
-		return DomainSequence
-	}
-	return DomainCycles
+	return rule.domain()
 }
 
-// QueryWindowSet is the exact brute-force reference: it flattens the
-// Set's physical records in PE-major order (the on-disk file order),
-// assigns timestamps under the same clock-domain rule as the index
-// builder, and filters or folds the full record list. It exists for
-// directories without a usable index - and as the oracle the
-// differential tests hold TimeIndex.Query to.
+// QueryWindowSet is the exact brute-force reference: it walks the Set's
+// physical records in PE-major order (the on-disk file order), stamps
+// them under the same clock-domain rule as the index builder, and
+// filters or folds every one. It exists for directories without a usable
+// index - and as the oracle the differential tests hold TimeIndex.Query
+// to. Only s.Physical is read, so a ReadPhysical Set serves.
 func QueryWindowSet(s *Set, q Window) *WindowResult {
 	domain := physicalClockDomain(s)
 	res := &WindowResult{Domain: domain, DomainName: domain.String(), FullScan: true, TMax: -1}
-
-	type flatRec struct {
-		ts  int64
-		rec PhysicalRecord
-	}
-	var flat []flatRec
-	var seq int64
-	for pe := 0; pe < s.NumPEs; pe++ {
-		for _, r := range s.Physical[pe] {
-			ts := seq
-			if domain == DomainCycles {
-				ts = r.Cycles
+	stamped := func(visit func(ts int64, r PhysicalRecord)) {
+		var seq int64
+		for pe := 0; pe < s.NumPEs; pe++ {
+			for _, r := range s.Physical[pe] {
+				visit(domain.stamp(seq, r), r)
+				seq++
 			}
-			seq++
-			flat = append(flat, flatRec{ts: ts, rec: r})
 		}
 	}
-	for i, fr := range flat {
-		if i == 0 || fr.ts < res.TMin {
-			res.TMin = fr.ts
+	n := 0
+	stamped(func(ts int64, _ PhysicalRecord) {
+		if n == 0 {
+			res.TMin, res.TMax = ts, ts
 		}
-		if i == 0 || fr.ts > res.TMax {
-			res.TMax = fr.ts
-		}
-	}
-	if len(flat) == 0 {
+		res.TMin, res.TMax = min(res.TMin, ts), max(res.TMax, ts)
+		n++
+	})
+	if n == 0 {
 		res.LOD = clampLOD(q.LOD, 0)
 		return res
 	}
 	q = clampWindow(q, res.TMin, res.TMax)
 
 	if q.LOD >= 1 {
-		// Fold level 0 with the builder's exact bucket math, stack the
-		// pyramid with the same fold, and select identically.
-		span := res.TMax - res.TMin + 1
-		width := (span + pyramidBase - 1) / pyramidBase
-		if width < 1 {
-			width = 1
-		}
-		nb := int((span + width - 1) / width)
-		level0 := pyramidLevel{width: width, buckets: make([]PyramidBucket, nb)}
-		for _, fr := range flat {
-			bkt := &level0.buckets[(fr.ts-res.TMin)/width]
-			bkt.Count++
-			bkt.Bytes += int64(fr.rec.BufBytes)
-			if k := fr.rec.Kind; k >= 0 && k < 3 {
-				bkt.Kinds[k]++
-			}
-		}
+		level0 := newLevel0(res.TMin, res.TMax)
+		stamped(func(ts int64, r PhysicalRecord) { level0.add(res.TMin, ts, r) })
 		levels := buildPyramid(level0)
 		res.LOD = clampLOD(q.LOD, len(levels))
 		lvl := levels[res.LOD-1]
@@ -335,18 +293,7 @@ func QueryWindowSet(s *Set, q Window) *WindowResult {
 		return res
 	}
 
-	for _, fr := range flat {
-		if q.T1 <= q.T0 || fr.ts < q.T0 || fr.ts >= q.T1 {
-			continue
-		}
-		res.Events = append(res.Events, WindowEvent{
-			TS:       fr.ts,
-			Kind:     fr.rec.Kind,
-			BufBytes: fr.rec.BufBytes,
-			SrcPE:    fr.rec.SrcPE,
-			DstPE:    fr.rec.DstPE,
-		})
-	}
+	stamped(func(ts int64, r PhysicalRecord) { res.addEvent(q, ts, r) })
 	finishEvents(res, q)
 	return res
 }
@@ -362,7 +309,7 @@ func QueryWindow(dir string, q Window) (*WindowResult, error) {
 			return res, nil
 		}
 	}
-	s, _, err := ReadSetLive(dir)
+	s, _, err := ReadPhysical(dir, ReadOptions{Tolerant: true})
 	if err != nil {
 		return nil, err
 	}
