@@ -19,6 +19,13 @@ var hotPath = map[string]bool{
 	// app run whose alloc count is not a hot-path guarantee.)
 	"BenchmarkHandlerDispatchBatch": true,
 	"BenchmarkCodecRoundTrip":       true,
+	// The per-message floor: pricing a message's work, a heap word read
+	// and written, one received buffer delivered or forwarded.
+	"BenchmarkRuntimeWork":     true,
+	"BenchmarkLoadInt64":       true,
+	"BenchmarkPutInt64Foreign": true,
+	"BenchmarkIngestForward":   true,
+	"BenchmarkIngestDeliver":   true,
 	// Trace-pipeline I/O: the parallel sharded reader/writer in both
 	// on-disk formats, plus the per-line parse/append helpers whose
 	// zero-allocation contract the allocs/op check enforces.

@@ -30,11 +30,12 @@ import (
 
 // hotPkgs and hotBench select the microbenchmarks of the message path,
 // the trace pipeline and the what-if engines.
-var hotPkgs = []string{"./internal/conveyor", "./internal/actor", "./internal/trace", "./internal/whatif", "./internal/apps"}
+var hotPkgs = []string{"./internal/shmem", "./internal/conveyor", "./internal/actor", "./internal/trace", "./internal/whatif", "./internal/apps"}
 
 const hotBench = "BenchmarkPushThroughput|BenchmarkPushPullLocal|BenchmarkExchangeLinear16PE|" +
 	"BenchmarkHandlerDispatch|BenchmarkHandlerDispatchBatch|BenchmarkISort|" +
 	"BenchmarkCodecRoundTrip|BenchmarkSendRecvUntraced|" +
+	"BenchmarkRuntimeWork|BenchmarkLoadInt64|BenchmarkPutInt64Foreign|BenchmarkIngestForward|BenchmarkIngestDeliver|" +
 	"BenchmarkReadSet|BenchmarkWriteFiles|BenchmarkReadSummary|" +
 	"BenchmarkParseLogicalLine|BenchmarkAppendLogicalLine|" +
 	"BenchmarkWindowQueryEvents|BenchmarkWindowQueryPyramid|BenchmarkWindowQueryFullScan|" +

@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"actorprof/internal/fault"
+	"actorprof/internal/papi"
 	"actorprof/internal/shmem"
 	"actorprof/internal/sim"
+	"actorprof/internal/whatif"
 )
 
 // TestProcessBatchDelivery is the basic batched-dispatch contract: every
@@ -217,5 +219,76 @@ func TestBatchDispatchZeroAlloc(t *testing.T) {
 	}
 	if count == 0 {
 		t.Error("no messages dispatched")
+	}
+}
+
+// TestWorkNEqualsWorkLoop: WorkN(w, n) after a loop is n calls of Work(w)
+// inside it - the same nine counters, the same clock (on skewed PEs too,
+// where each charge rounds on its own) and a recorded schedule the
+// what-if replay prices the same, at the recorded cost and at another.
+// It is what lets a loop that sends nothing report its work once.
+func TestWorkNEqualsWorkLoop(t *testing.T) {
+	const npes, n = 4, 1000
+	machine := sim.Machine{NumPEs: npes, PEsPerNode: 2}
+	cost := sim.DefaultCostModel()
+	w, other := papi.Work{Ins: 10, LstIns: 2, L1DCM: 1, L2DCM: 3, TLBDM: 4, BrMsp: 5, PrfDM: 6, VecIns: 7, Cyc: 6}, papi.Work{Ins: 3}
+	type seen struct {
+		counts [npes][papi.NumEvents]int64
+		clocks [npes]int64
+		sched  *sim.Schedule
+	}
+	observe := func(work func(rt *Runtime)) seen {
+		plan, err := fault.NamedPlan("stragglers", 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var s seen
+		rec := sim.NewScheduleRecorder(machine, sim.Virtual, cost)
+		err = shmem.Run(shmem.Config{Machine: machine, Cost: cost, Fault: plan, Schedule: rec}, func(pe *shmem.PE) {
+			rt := NewRuntime(pe, RuntimeOptions{})
+			rt.Finish(func() {
+				rt.Work(w) // a charge of the same size before the run, one of another after
+				work(rt)
+				rt.Work(other)
+				rt.WorkN(w, 0)                         // nothing
+				s.clocks[pe.Rank()] = pe.Clock().Now() // before the scope's barrier levels them
+			})
+			for ev := range s.counts[pe.Rank()] {
+				s.counts[pe.Rank()][ev] = rt.Engine().Read(papi.Event(ev))
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.sched = rec.Schedule()
+		return s
+	}
+	loop := observe(func(rt *Runtime) {
+		for i := 0; i < n; i++ {
+			rt.Work(w)
+		}
+	})
+	run := observe(func(rt *Runtime) { rt.WorkN(w, n) })
+	if loop.counts != run.counts || loop.clocks != run.clocks {
+		t.Errorf("n x Work left counters %v and clocks %v, WorkN %v and %v", loop.counts, loop.clocks, run.counts, run.clocks)
+	}
+	if loop.counts[0][papi.TOT_INS] != (n+1)*w.Ins+other.Ins || loop.clocks[0] == loop.clocks[1] {
+		t.Errorf("PE 0 retired %d instructions, want %d; clocks %v, want PE 0's skewed",
+			loop.counts[0][papi.TOT_INS], (n+1)*w.Ins+other.Ins, loop.clocks)
+	}
+	dear := cost
+	dear.InstructionCycles *= 3
+	for _, c := range []sim.CostModel{cost, dear} {
+		a, err := whatif.Replay(loop.sched, whatif.Perturbation{Cost: c})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := whatif.Replay(run.sched, whatif.Perturbation{Cost: c})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !a.Equal(b) || a.Makespan == 0 {
+			t.Errorf("replay prices the loop's schedule at %+v and the run's at %+v", a, b)
+		}
 	}
 }

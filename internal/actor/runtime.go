@@ -142,15 +142,21 @@ func (rt *Runtime) Segment(name string, fn func()) {
 // instrumented applications model their compute; real code would simply
 // execute and be counted by the PMU.
 func (rt *Runtime) Work(w papi.Work) {
-	rt.engine.Tally(w)
+	rt.engine.Tally(&w)
 	rt.pe.ChargeInstr(rt.instrCost(w.Ins), w.Ins, 1)
 }
 
 // WorkN reports w once for each of n messages: what a ProcessBatch
 // handler calls with len(msgs) where a Process handler calls Work per
-// message, with the same counters and the same simulated time.
+// message, and what follows a loop that would call Work(w) per element and
+// sends nothing - with the same counters, the same simulated time and the
+// same recorded schedule as the n calls.
 func (rt *Runtime) WorkN(w papi.Work, n int) {
-	rt.engine.Tally(w.Scale(int64(n)))
+	if n <= 0 {
+		return
+	}
+	run := w.Scale(int64(n))
+	rt.engine.Tally(&run)
 	rt.pe.ChargeInstr(rt.instrCost(w.Ins), w.Ins, int64(n))
 }
 

@@ -235,7 +235,7 @@ func (s *Selector[T]) Send(mb int, msg T, dst int) {
 	// Message construction and the mailbox append are MAIN-segment user
 	// work (Table I): tally the PAPI cost model and charge the clock.
 	s.sendCount[mb]++
-	rt.engine.Tally(s.sendWork)
+	rt.engine.Tally(&s.sendWork)
 	rt.pe.ChargeInstr(s.sendCyc, s.sendWork.Ins, 1)
 	if rt.collecting() {
 		rt.pc.LogicalSend(mb, dst, s.codec.Size)
@@ -388,7 +388,8 @@ func (s *Selector[T]) drain(mb int) {
 			srcs[j] = int(src)
 		}
 		s.recvCount[mb] += int64(n)
-		rt.engine.Tally(w.Scale(int64(n)))
+		run := w.Scale(int64(n))
+		rt.engine.Tally(&run)
 		rt.pe.ChargeInstr(s.handlerCyc, w.Ins, int64(n))
 		// Injection point (schedule-only), once per run with the run
 		// length as argument: extra yields before dispatch let peers race

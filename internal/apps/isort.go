@@ -57,8 +57,10 @@ func ISort(rt *actor.Runtime, cfg ISortConfig) (ISortResult, error) {
 		k := int64(rng.next() % uint64(maxKey))
 		keys[i] = k
 		counts[k/cfg.BucketWidth]++
-		rt.Work(papi.Work{Ins: 10, LstIns: 2, Cyc: 6}) // keygen + bucket index
 	}
+	// keygen + bucket index, per key; nothing is sent in between, so the
+	// loop's work is reported as one run.
+	rt.WorkN(papi.Work{Ins: 10, LstIns: 2, Cyc: 6}, len(keys))
 
 	// Exchange the histogram: every PE learns how many keys each source
 	// will send it. The counts are one int64 per (src, dst) pair.

@@ -190,3 +190,54 @@ func BenchmarkPushPullLocal(b *testing.B) {
 		b.Fatal(err)
 	}
 }
+
+// benchIngest times ingest on one full buffer of 64 8-byte items, all
+// for PE dst, as PE 1 of a 2 x 2 mesh receives it: dst 1 delivers every
+// item into the pull ring, dst 3 forwards every item into the buffer
+// toward PE 1's column peer. reset undoes the buffer's effect so that the
+// next one meets the same state. 0 allocs/op; ns/op is per buffer.
+func benchIngest(b *testing.B, dst int, reset func(c *Conveyor)) {
+	err := shmem.Run(cfg(4, 2), func(pe *shmem.PE) {
+		c, err := New(pe, Options{ItemBytes: 8, BufferItems: 64})
+		if err != nil {
+			panic(err)
+		}
+		if pe.Rank() == 1 {
+			buf := make([]byte, 64*c.wireBytes)
+			for i := 0; i < 64; i++ {
+				binary.LittleEndian.PutUint32(buf[i*c.wireBytes+hdrOrig:], 0)
+				binary.LittleEndian.PutUint32(buf[i*c.wireBytes+hdrDst:], uint32(dst))
+			}
+			c.ingest(buf, 64) // grow the pull ring outside the timer
+			reset(c)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.ingest(buf, 64)
+				reset(c)
+			}
+			b.StopTimer()
+		}
+		pe.Barrier()
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+}
+
+func BenchmarkIngestDeliver(b *testing.B) {
+	benchIngest(b, 1, func(c *Conveyor) {
+		for {
+			if _, _, n := c.PullRun(); n == 0 {
+				return
+			}
+		}
+	})
+}
+
+func BenchmarkIngestForward(b *testing.B) {
+	benchIngest(b, 3, func(c *Conveyor) {
+		ob := c.outFor(3)
+		ob.items, ob.n = ob.items[:0], 0
+	})
+}

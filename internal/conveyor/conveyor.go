@@ -137,7 +137,7 @@ type Conveyor struct {
 	itemBytes int // payload
 	wireBytes int // payload + header
 	bufItems  int
-	slotBytes int // 8 (length) + bufItems*wireBytes
+	slotBytes int // 8 (length) + bufItems*wireBytes, rounded up to whole words
 	chanBytes int // 8 (seq) + slots*slotBytes
 
 	inBase  int // heap offset of my landing zones, by peer index of the source
@@ -256,7 +256,10 @@ func New(pe *shmem.PE, opts Options) (*Conveyor, error) {
 		topo:      topo,
 		peers:     peers,
 	}
-	c.slotBytes = 8 + c.bufItems*c.wireBytes
+	// Whole words, so that every length, sequence and ack word is 8-aligned:
+	// the heap reads and writes those atomically and takes no lock
+	// (DESIGN.md §3). What a transfer moves is still bufItems*wireBytes.
+	c.slotBytes = (8 + c.bufItems*c.wireBytes + 7) &^ 7
 	c.chanBytes = 8 + slots*c.slotBytes
 	c.pull.init(c.itemBytes)
 	c.recvBuf = make([]byte, c.bufItems*c.wireBytes)

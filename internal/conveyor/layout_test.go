@@ -217,3 +217,82 @@ func TestThousandPEExchangeStaysOPeers(t *testing.T) {
 		}
 	}
 }
+
+// TestControlWordsAreWordAligned: the heap reads and writes a channel's
+// sequence, length and ack words as atomic words and takes no lock, so
+// every one of them must sit at an 8-aligned offset whatever the item
+// size - a 4-byte item in a 3-item buffer makes a 44-byte slot, which
+// used to put slot 1's length word and every later channel's sequence
+// word across two words. Checked on the layout itself and, under -race,
+// by an all-to-all exchange of such items over the three topologies (a
+// misaligned LoadInt64 crashes; a misaligned put would be a plain copy
+// racing the receiver's poll).
+func TestControlWordsAreWordAligned(t *testing.T) {
+	for _, tc := range []struct {
+		m    sim.Machine
+		topo Topology
+	}{
+		{sim.Machine{NumPEs: 6, PEsPerNode: 6}, TopologyLinear},
+		{sim.Machine{NumPEs: 8, PEsPerNode: 4}, TopologyMesh},
+		{sim.Machine{NumPEs: 16, PEsPerNode: 4}, TopologyCube},
+	} {
+		const perPair = 7 // two full buffers and a partial one per pair
+		npes := tc.m.NumPEs
+		var misaligned, wrong atomic.Int64
+		err := shmem.Run(shmem.Config{Machine: tc.m}, func(pe *shmem.PE) {
+			c, err := New(pe, Options{ItemBytes: 4, BufferItems: 3, Topology: tc.topo})
+			if err != nil {
+				panic(err)
+			}
+			for i := range c.peers {
+				zone := c.inBase + i*c.chanBytes
+				for _, off := range []int{zone, zone + 8, zone + 8 + c.slotBytes, c.ackBase + i*8} {
+					if off%8 != 0 {
+						misaligned.Add(1)
+					}
+				}
+			}
+			me := pe.Rank()
+			next := make([]uint32, npes) // per source: the value expected next (FIFO per pair)
+			got := 0
+			drain := func() {
+				for {
+					item, src, ok := c.Pull()
+					if !ok {
+						return
+					}
+					if v := binary.LittleEndian.Uint32(item); v != uint32(src<<16|me<<8)|next[src] {
+						wrong.Add(1)
+					}
+					next[src]++
+					got++
+				}
+			}
+			var item [4]byte
+			for k := 0; k < perPair; k++ {
+				for dst := 0; dst < npes; dst++ {
+					binary.LittleEndian.PutUint32(item[:], uint32(me<<16|dst<<8|k))
+					for !c.Push(item[:], dst) {
+						c.Advance(false)
+						drain()
+					}
+				}
+			}
+			for c.Advance(true) {
+				drain()
+			}
+			drain()
+			if got != perPair*npes {
+				wrong.Add(1)
+			}
+			pe.Barrier()
+		})
+		if err != nil {
+			t.Fatalf("machine %+v topo %v: %v", tc.m, tc.topo, err)
+		}
+		if misaligned.Load() != 0 || wrong.Load() != 0 {
+			t.Errorf("machine %+v topo %v: %d control words off a word boundary, %d items lost, reordered or corrupted",
+				tc.m, tc.topo, misaligned.Load(), wrong.Load())
+		}
+	}
+}

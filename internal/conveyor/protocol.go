@@ -156,7 +156,16 @@ func (c *Conveyor) appendSlot(ob *outBuf, orig, dst int) []byte {
 
 // appendItem adds one wire-format item to an outgoing buffer.
 func (c *Conveyor) appendItem(ob *outBuf, orig, dst int, payload []byte) {
-	copy(c.appendSlot(ob, orig, dst), payload)
+	moveItem(c.appendSlot(ob, orig, dst), payload)
+}
+
+// appendRecord adds an item that is only passing through: rec, header
+// and payload as they arrived, is copied once.
+func (c *Conveyor) appendRecord(ob *outBuf, rec []byte) {
+	off := len(ob.items)
+	ob.items = ob.items[:off+c.wireBytes]
+	moveItem(ob.items[off:], rec)
+	ob.n++
 }
 
 // Pull returns the next delivered item: its payload, the original source
@@ -399,14 +408,12 @@ func (c *Conveyor) receive() {
 func (c *Conveyor) ingest(buf []byte, n int) {
 	me := c.pe.Rank()
 	c.pe.ChargeEvent(sim.EvIngest, int64(n))
-	delivered := c.stats.Delivered
+	delivered, wire := c.stats.Delivered, c.wireBytes
 	for i := 0; i < n; i++ {
-		rec := buf[i*c.wireBytes : (i+1)*c.wireBytes]
-		orig := int(binary.LittleEndian.Uint32(rec[hdrOrig:]))
+		rec := buf[i*wire : (i+1)*wire]
 		dst := int(binary.LittleEndian.Uint32(rec[hdrDst:]))
-		payload := rec[hdrBytes:]
 		if dst == me {
-			c.pull.push(payload, orig)
+			c.pull.push(rec[hdrBytes:], int(binary.LittleEndian.Uint32(rec[hdrOrig:])))
 			c.stats.Delivered++
 			continue
 		}
@@ -420,11 +427,12 @@ func (c *Conveyor) ingest(buf []byte, n int) {
 			// Preserve per-pair ordering: once anything is backlogged,
 			// all further forwards queue behind it.
 			p := c.getBacklogBuf()
-			copy(p, payload)
+			copy(p, rec[hdrBytes:])
+			orig := int(binary.LittleEndian.Uint32(rec[hdrOrig:]))
 			c.routeBacklog = append(c.routeBacklog, routedItem{orig: orig, dst: dst, payload: p})
 			continue
 		}
-		c.appendItem(ob, orig, dst, payload)
+		c.appendRecord(ob, rec)
 		c.stats.Routed++
 	}
 	// One board update per buffer, not per item.

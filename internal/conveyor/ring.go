@@ -1,5 +1,7 @@
 package conveyor
 
+import "encoding/binary"
+
 // pullRing is a FIFO of delivered fixed-size items backed by one flat
 // byte buffer plus a parallel source array. Delivery copies each item
 // payload into the next slot and Pull hands out a borrowed view of the
@@ -44,7 +46,7 @@ func (r *pullRing) push(payload []byte, src int) {
 	if slot >= len(r.srcs) {
 		slot -= len(r.srcs)
 	}
-	copy(r.data[slot*r.itemBytes:(slot+1)*r.itemBytes], payload)
+	moveItem(r.data[slot*r.itemBytes:(slot+1)*r.itemBytes], payload)
 	r.srcs[slot] = int32(src)
 	r.n++
 }
@@ -86,4 +88,20 @@ func (r *pullRing) pop() (item []byte, src int, ok bool) {
 	}
 	r.n--
 	return r.data[slot*r.itemBytes : (slot+1)*r.itemBytes], int(r.srcs[slot]), true
+}
+
+// moveItem is copy(dst, src) for two slices of one length, with the
+// 8-byte item the built-in codecs overwhelmingly carry (and the 16-byte
+// wire record it travels as) moved as words: a variable-length copy is a
+// call into runtime.memmove, which cost more than the bytes it moved.
+func moveItem(dst, src []byte) {
+	switch len(src) {
+	case 8:
+		binary.LittleEndian.PutUint64(dst, binary.LittleEndian.Uint64(src))
+	case 16:
+		binary.LittleEndian.PutUint64(dst[8:], binary.LittleEndian.Uint64(src[8:]))
+		binary.LittleEndian.PutUint64(dst, binary.LittleEndian.Uint64(src))
+	default:
+		copy(dst, src)
+	}
 }

@@ -132,8 +132,12 @@ type Engine struct {
 // NewEngine returns a zeroed counter bank.
 func NewEngine() *Engine { return &Engine{} }
 
-// Tally charges a work bundle to the counters.
-func (e *Engine) Tally(w Work) {
+// Tally charges a work bundle to the counters. It takes the bundle where
+// the caller has it: passed by value, the 72 bytes are copied to a second
+// stack slot with 16-byte loads of what was just written with 8-byte
+// stores, a failed store-to-load forward that cost more than the nine adds
+// (DESIGN.md §8).
+func (e *Engine) Tally(w *Work) {
 	e.counts[TOT_INS] += w.Ins
 	e.counts[LST_INS] += w.LstIns
 	e.counts[L1_DCM] += w.L1DCM

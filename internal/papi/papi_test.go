@@ -26,8 +26,8 @@ func TestEventNamesRoundTrip(t *testing.T) {
 
 func TestEngineTallyAndRead(t *testing.T) {
 	e := NewEngine()
-	e.Tally(Work{Ins: 100, LstIns: 30, L1DCM: 5, Cyc: 60})
-	e.Tally(Work{Ins: 50, BrMsp: 2})
+	e.Tally(&Work{Ins: 100, LstIns: 30, L1DCM: 5, Cyc: 60})
+	e.Tally(&Work{Ins: 50, BrMsp: 2})
 	if got := e.Read(TOT_INS); got != 150 {
 		t.Errorf("TOT_INS = %d, want 150", got)
 	}
@@ -100,10 +100,10 @@ func TestEventSetRegionDeltas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Tally(Work{Ins: 1000}) // before Start: excluded
+	e.Tally(&Work{Ins: 1000}) // before Start: excluded
 	s.Start()
-	e.Tally(Work{Ins: 10, LstIns: 4})
-	e.Tally(Work{Ins: 20})
+	e.Tally(&Work{Ins: 10, LstIns: 4})
+	e.Tally(&Work{Ins: 20})
 	mid := s.Peek()
 	if mid[0] != 30 || mid[1] != 4 {
 		t.Fatalf("Peek = %v, want [30 4]", mid)
@@ -114,7 +114,7 @@ func TestEventSetRegionDeltas(t *testing.T) {
 	}
 	// Second region starts fresh.
 	s.Start()
-	e.Tally(Work{Ins: 5})
+	e.Tally(&Work{Ins: 5})
 	if got := s.Stop(); got[0] != 5 {
 		t.Fatalf("second region = %v, want [5 ...]", got)
 	}
@@ -127,17 +127,17 @@ func TestEventSetIntoBuffer(t *testing.T) {
 	s, _ := NewEventSet(e, TOT_INS, LST_INS)
 	buf := make([]int64, 2)
 	s.Start()
-	e.Tally(Work{Ins: 10, LstIns: 4})
+	e.Tally(&Work{Ins: 10, LstIns: 4})
 	if s.PeekInto(buf); buf[0] != 10 || buf[1] != 4 || !s.Running() {
 		t.Fatalf("PeekInto = %v (running %v), want [10 4] and still running", buf, s.Running())
 	}
-	e.Tally(Work{Ins: 1})
+	e.Tally(&Work{Ins: 1})
 	if s.StopInto(buf); buf[0] != 11 || buf[1] != 4 || s.Running() {
 		t.Fatalf("StopInto = %v (running %v), want [11 4] and stopped", buf, s.Running())
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		s.Start()
-		e.Tally(Work{Ins: 3})
+		e.Tally(&Work{Ins: 3})
 		s.StopInto(buf)
 	})
 	if allocs != 0 || buf[0] != 3 {
@@ -200,8 +200,9 @@ func TestCostModelProportionality(t *testing.T) {
 	// The engine-level invariant the figures rely on: N sends tally
 	// exactly N times the per-send work.
 	e := NewEngine()
+	send := m.SendWork(8)
 	for i := 0; i < 10; i++ {
-		e.Tally(m.SendWork(8))
+		e.Tally(&send)
 	}
 	if got, want := e.Read(TOT_INS), 10*m.SendWork(8).Ins; got != want {
 		t.Fatalf("10 sends tallied %d ins, want %d", got, want)

@@ -3,24 +3,46 @@ package shmem
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
+	"sync/atomic"
+	"unsafe"
 )
 
 // align rounds n up to an 8-byte boundary so that symmetric objects never
 // share a word, keeping the Int64 accessors self-consistent.
 func align(n int) int { return (n + 7) &^ 7 }
 
+// segment is one piece of a symmetric heap: the bytes at heap offsets
+// [base, base+len(data)). Its array is allocated once, 8-aligned, with
+// capacity ahead of its length, and never reallocated.
+type segment struct {
+	base int
+	data []byte
+}
+
+// heapView is an immutable snapshot of a heap: segments in offset order,
+// covering [0, brk) without gaps. Malloc publishes a new one; the access
+// paths load whichever is current and touch nothing else of the PE.
+type heapView struct {
+	segs []segment
+	brk  int
+}
+
 // Malloc is the collective symmetric allocator (shmem_malloc): every PE
 // must call it the same number of times with the same sizes, and all PEs
 // receive the same heap offset. The returned offset addresses n bytes of
 // zeroed storage in every PE's heap.
 //
-// A symmetric heap changes shape here and nowhere else: each PE grows its
-// own heap to exactly its new break before the implied barrier, so once
-// any PE holds the offset every heap backs it, and between two Mallocs no
-// heap slice moves. No access path allocates; one outside the break is a
-// bug in the caller and crashes (see outOfBreak). Only the capacity runs
-// ahead of the break, by a quarter: apps.Permutation builds a conveyor
-// per round for a thousand rounds and must not copy its heap at each.
+// A symmetric heap changes shape here and nowhere else, and it only ever
+// gains bytes: each PE extends its own heap to exactly its new break
+// before the implied barrier, so once any PE holds the offset every heap
+// backs it. Nothing that exists moves - a peer still finishing the
+// previous phase may be writing it, and there is no lock to stop it: an
+// allocation that fits the last segment's capacity reslices it, one that
+// does not opens a new segment (an object never spans two) whose capacity
+// runs a quarter of the break ahead, so apps.Permutation's thousand
+// conveyors open a few dozen. No access path allocates; one outside the
+// break is a bug in the caller and crashes (see span).
 func (p *PE) Malloc(n int) int {
 	if n < 0 {
 		panic(fmt.Sprintf("shmem: Malloc with negative size %d on PE %d", n, p.rank))
@@ -28,25 +50,22 @@ func (p *PE) Malloc(n int) int {
 	// Every PE computes the same offsets from the same collective call
 	// sequence (real SHMEM trusts the program); offset 0 stays free so
 	// that 0 can mean "nil".
-	off := max(p.allocCursor, 8)
+	h := p.heap.Load()
+	off := max(h.brk, 8)
 	brk := align(off + n)
-	p.allocCursor = brk
-	// Under the lock: a peer still finishing the previous phase may be
-	// writing the part of the heap that already exists. Bytes between
-	// length and capacity are zero: nothing writes past a length that
-	// never shrinks.
-	p.heapMu.Lock()
-	if brk <= cap(p.heap) {
-		p.heap = p.heap[:brk]
+	segs := h.segs
+	if last := len(segs) - 1; last >= 0 && brk-segs[last].base <= cap(segs[last].data) {
+		segs = slices.Clone(segs) // a published view is immutable
+		segs[last].data = segs[last].data[:brk-segs[last].base]
 	} else {
-		grown := make([]byte, brk, brk+brk/4)
-		copy(grown, p.heap)
-		p.heap = grown
+		// Bytes between length and capacity are zero: nothing writes past
+		// a length that never shrinks.
+		segs = append(slices.Clip(segs), segment{h.brk, make([]byte, brk-h.brk, brk-h.brk+brk/4)})
 	}
-	p.heapMu.Unlock()
+	p.heap.Store(&heapView{segs, brk})
 
 	// shmem_malloc is a collective with an implicit barrier: no PE may
-	// proceed until all PEs have allocated (and thus grown their heaps).
+	// proceed until all PEs have allocated (and thus extended their heaps).
 	p.Barrier()
 	return off
 }
@@ -60,42 +79,66 @@ func (p *PE) heapOf(r int) *PE {
 	return p.world.pes[r]
 }
 
-// outOfBreak crashes PE p for accessing [offset, offset+n) of t's heap,
-// a range not inside t's break. Called with t.heapMu held, it releases it
-// first: the peers aborting behind the crash must not queue on that lock.
-func (p *PE) outOfBreak(t *PE, offset, n int) {
-	brk := len(t.heap)
-	t.heapMu.Unlock()
+// span returns the n bytes at offset of PE target's heap, as it stands:
+// it takes no lock and the bytes never move. DESIGN.md §3 has the rule
+// that makes this sound - an 8-byte access at an 8-aligned offset is one
+// atomic word (see word); anything else is a plain copy, only ever read
+// by a peer that first observed a word written after it. A range that is
+// not inside the break, or lies across two segments (two Mallocs'
+// objects), is a bug in the caller and crashes PE p.
+func (p *PE) span(target, offset, n int) []byte {
+	t := p.heapOf(target)
+	h := t.heap.Load()
+	for i := len(h.segs) - 1; i >= 0; i-- {
+		if s := &h.segs[i]; offset >= s.base {
+			if rel := offset - s.base; n <= len(s.data)-rel {
+				return s.data[rel : rel+n]
+			}
+			break
+		}
+	}
 	panic(fmt.Sprintf("shmem: PE %d accessed [%d,%d) of PE %d's heap (break %d)",
-		p.rank, offset, offset+n, t.rank, brk))
+		p.rank, offset, offset+n, t.rank, h.brk))
 }
 
-// rawWrite copies data into PE target's heap at offset, with locking.
-// It performs the data movement only; cost accounting is the caller's
-// responsibility. A foreign write rings the target's doorbell once the
-// data is in place, in case the target sleeps waiting for it.
+// word returns the heap word at offset of PE target's heap for the
+// sync/atomic functions: the package's one unsafe cast. A word access at
+// an offset that is not 8-aligned is a bug in the caller, not a slower
+// kind of access, and crashes like one outside the break. (The host is
+// taken to be little-endian: a word's bytes are the LittleEndian encoding
+// the byte-wise accessors read and write.)
+func (p *PE) word(target, offset int) *int64 {
+	b := p.span(target, offset, 8)
+	w := unsafe.Pointer(&b[0])
+	if offset&7 != 0 || uintptr(w)&7 != 0 {
+		panic(fmt.Sprintf("shmem: PE %d accessed the word at misaligned offset %d of PE %d's heap",
+			p.rank, offset, target))
+	}
+	return (*int64)(w)
+}
+
+// rawWrite copies data into PE target's heap at offset. It performs the
+// data movement only; cost accounting is the caller's responsibility. A
+// foreign write rings the target's doorbell once the data is in place, in
+// case the target sleeps waiting for it.
 func (p *PE) rawWrite(target, offset int, data []byte) {
-	t := p.heapOf(target)
-	t.heapMu.Lock()
-	if offset < 0 || offset > len(t.heap)-len(data) {
-		p.outOfBreak(t, offset, len(data))
+	if len(data) == 8 && offset&7 == 0 {
+		atomic.StoreInt64(p.word(target, offset), int64(binary.LittleEndian.Uint64(data)))
+	} else {
+		copy(p.span(target, offset, len(data)), data)
 	}
-	copy(t.heap[offset:], data)
-	t.heapMu.Unlock()
-	if t != p {
-		t.ring()
+	if target != p.rank {
+		p.world.pes[target].ring()
 	}
 }
 
-// rawRead copies from PE target's heap at offset into buf, with locking.
+// rawRead copies from PE target's heap at offset into buf.
 func (p *PE) rawRead(target, offset int, buf []byte) {
-	t := p.heapOf(target)
-	t.heapMu.Lock()
-	if offset < 0 || offset > len(t.heap)-len(buf) {
-		p.outOfBreak(t, offset, len(buf))
+	if len(buf) == 8 && offset&7 == 0 {
+		binary.LittleEndian.PutUint64(buf, uint64(atomic.LoadInt64(p.word(target, offset))))
+	} else {
+		copy(buf, p.span(target, offset, len(buf)))
 	}
-	copy(buf, t.heap[offset:offset+len(buf)])
-	t.heapMu.Unlock()
 }
 
 // LoadInt64 reads an int64 from PE target's heap. When target is this PE
@@ -103,17 +146,13 @@ func (p *PE) rawRead(target, offset int, buf []byte) {
 // shmem_ptr; polling loops use it. No clock charge is applied: polling
 // costs are charged by the caller (see sim.CostModel.PollCycles).
 func (p *PE) LoadInt64(target, offset int) int64 {
-	var b [8]byte
-	p.rawRead(target, offset, b[:])
-	return int64(binary.LittleEndian.Uint64(b[:]))
+	return atomic.LoadInt64(p.word(target, offset))
 }
 
 // StoreInt64Local writes an int64 into this PE's own heap (a plain local
 // store, no cost).
 func (p *PE) StoreInt64Local(offset int, v int64) {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(v))
-	p.rawWrite(p.rank, offset, b[:])
+	atomic.StoreInt64(p.word(p.rank, offset), v)
 }
 
 // LoadBytesLocal reads n bytes from this PE's own heap into buf.

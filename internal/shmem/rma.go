@@ -2,6 +2,7 @@ package shmem
 
 import (
 	"encoding/binary"
+	"sync/atomic"
 
 	"actorprof/internal/fault"
 	"actorprof/internal/sim"
@@ -24,7 +25,11 @@ func (p *PE) prof(r Routine, n int) {
 }
 
 // PutInt64 is a blocking 8-byte put, the shape Conveyors uses for its
-// nonblock_progress signaling word (shmem_put after shmem_quiet).
+// nonblock_progress signaling word (shmem_put after shmem_quiet). It is
+// Put of the value's eight bytes, so unlike the other word accessors it
+// accepts a misaligned offset (as a plain copy: benchmark/shmemrung.go
+// replays buffers at whatever offsets their mean size gives); at an
+// aligned one it is the atomic word store a polling peer needs.
 func (p *PE) PutInt64(target, offset int, v int64) {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], uint64(v))
@@ -111,9 +116,9 @@ func (p *PE) Get(target, offset int, buf []byte) {
 
 // GetInt64 is a blocking 8-byte get.
 func (p *PE) GetInt64(target, offset int) int64 {
-	var b [8]byte
-	p.Get(target, offset, b[:])
-	return int64(binary.LittleEndian.Uint64(b[:]))
+	p.prof(RoutineGet, 8)
+	p.chargeTransfer(target, 8)
+	return atomic.LoadInt64(p.word(target, offset))
 }
 
 // AtomicFetchAddInt64 performs a remote fetch-and-add
@@ -121,16 +126,9 @@ func (p *PE) GetInt64(target, offset int) int64 {
 func (p *PE) AtomicFetchAddInt64(target, offset int, delta int64) int64 {
 	p.prof(RoutineAtomicFetchAdd, 8)
 	p.chargeTransfer(target, 8)
-	t := p.heapOf(target)
-	t.heapMu.Lock()
-	if offset < 0 || offset > len(t.heap)-8 {
-		p.outOfBreak(t, offset, 8)
-	}
-	old := int64(binary.LittleEndian.Uint64(t.heap[offset:]))
-	binary.LittleEndian.PutUint64(t.heap[offset:], uint64(old+delta))
-	t.heapMu.Unlock()
-	if t != p {
-		t.ring()
+	old := atomic.AddInt64(p.word(target, offset), delta) - delta
+	if target != p.rank {
+		p.world.pes[target].ring()
 	}
 	return old
 }

@@ -163,8 +163,9 @@ type PE struct {
 	inj      fault.Injector
 	faultIdx [fault.NumSites]int64
 
-	heapMu sync.Mutex
-	heap   []byte
+	// heap is this PE's symmetric heap as the last Malloc left it. Peers
+	// load it on every access; only the owner's Malloc stores it.
+	heap atomic.Pointer[heapView]
 
 	// bell is what this PE sleeps on when its progress loops are idle;
 	// foreign writes into heap ring it (see doorbell.go).
@@ -178,12 +179,6 @@ type PE struct {
 	// nbiFree recycles PutNBI staging buffers by power-of-two size
 	// class (see pool.go). Only the owning goroutine touches it.
 	nbiFree [nbiMaxClass + 1][][]byte
-
-	// allocCursor is this PE's symmetric-heap break pointer, kept per PE
-	// so that every PE computes identical offsets from the same
-	// collective Malloc sequence, as with a real symmetric heap. Malloc
-	// keeps len(heap) equal to it.
-	allocCursor int
 }
 
 type pendingWrite struct {
@@ -303,6 +298,7 @@ func Run(cfg Config, body func(pe *PE)) error {
 			inj:   cfg.Fault,
 			bell:  doorbell{wake: make(chan struct{}, 1)},
 		}
+		w.pes[i].heap.Store(&heapView{})
 		if skewer != nil {
 			w.pes[i].clock.SetSkewPercent(skewer.ClockSkewPercent(i))
 		}

@@ -22,7 +22,7 @@ const allocBatch = 1000
 // every fourth with its buffer transfer.
 func sendBatch(pc *PECollector, eng *papi.Engine, npes int) {
 	for i := 0; i < allocBatch; i++ {
-		eng.Tally(papi.Work{Ins: 7, LstIns: 2})
+		eng.Tally(&papi.Work{Ins: 7, LstIns: 2})
 		pc.LogicalSend(0, i%npes, 16)
 		if i%4 == 3 {
 			pc.PhysicalSendAt(conveyor.LocalSend, 1024, 0, i%npes, int64(i))
@@ -94,7 +94,7 @@ func TestSegmentZeroAlloc(t *testing.T) {
 	pc := c.ForPE(0, eng)
 	measure := func() {
 		tok := pc.SegmentEnter("relax", 100)
-		eng.Tally(papi.Work{Ins: 5})
+		eng.Tally(&papi.Work{Ins: 5})
 		pc.SegmentExit(tok, 160)
 	}
 	measure()

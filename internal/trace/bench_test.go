@@ -292,7 +292,7 @@ func benchCollect(b *testing.B, cfg Config) {
 			pc = c.ForPE(0, eng)
 		}
 		dst := i % benchPEs
-		eng.Tally(papi.Work{Ins: 7, LstIns: 2})
+		eng.Tally(&papi.Work{Ins: 7, LstIns: 2})
 		pc.LogicalSend(0, dst, 16)
 		if i%4 == 3 {
 			pc.PhysicalSendAt(conveyor.LocalSend, 1024, 0, dst, int64(i))

@@ -62,14 +62,14 @@ func collect(t testing.TB, cfg Config, npes, perNode, n int) *Set {
 		eng := papi.NewEngine()
 		pc := c.ForPE(pe, eng)
 		for _, s := range sendSequence(pe, npes, n) {
-			eng.Tally(s.work)
+			eng.Tally(&s.work)
 			pc.LogicalSend(s.mailbox, s.dst, s.size)
 			if s.physical {
 				r := s.physicalRecord(pe)
 				pc.PhysicalSendAt(r.Kind, r.BufBytes, r.SrcPE, r.DstPE, r.Cycles)
 			}
 		}
-		eng.Tally(papi.Work{Ins: 3}) // drain-phase work: the residual record
+		eng.Tally(&papi.Work{Ins: 3}) // drain-phase work: the residual record
 		pc.OverallBreakdown(10, 20, 100)
 		pc.Close()
 	}
@@ -292,13 +292,13 @@ func TestRecordModeFootprint(t *testing.T) {
 		engs[pe] = papi.NewEngine()
 		pcs[pe] = c.ForPE(pe, engs[pe])
 		for _, s := range seq {
-			engs[pe].Tally(s.work)
+			engs[pe].Tally(&s.work)
 			pcs[pe].LogicalSend(s.mailbox, s.dst, s.size)
 		}
 	}
 	running := allocated()
 	for pe, pc := range pcs {
-		engs[pe].Tally(papi.Work{Ins: 3})
+		engs[pe].Tally(&papi.Work{Ins: 3})
 		pc.OverallBreakdown(10, 20, 100)
 		pc.Close()
 	}

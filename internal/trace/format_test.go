@@ -29,14 +29,14 @@ func fullSet(t *testing.T, npes int) *Set {
 		pc := c.ForPE(pe, eng)
 		for i := 0; i < 20+pe; i++ {
 			dst := (pe + 1 + i*3) % npes
-			eng.Tally(papi.Work{Ins: int64(10 + i), LstIns: int64(i)})
+			eng.Tally(&papi.Work{Ins: int64(10 + i), LstIns: int64(i)})
 			pc.LogicalSend(0, dst, 8+i%64)
 		}
 		pc.PhysicalSend(conveyor.LocalSend, 128, pe, (pe+1)%npes)
 		pc.PhysicalSend(conveyor.NonblockSend, 4096, pe, (pe+2)%npes)
 		pc.PhysicalSend(conveyor.NonblockProgress, 4096, pe, (pe+2)%npes)
 		tok := pc.SegmentEnter("relax", 0)
-		eng.Tally(papi.Work{Ins: int64(1000 * (pe + 1))})
+		eng.Tally(&papi.Work{Ins: int64(1000 * (pe + 1))})
 		pc.SegmentExit(tok, int64(77*(pe+1)))
 		pc.OverallBreakdown(int64(100+pe), int64(5000+pe), int64(90000+pe))
 		pc.Close()
@@ -310,7 +310,7 @@ func TestStreamingCollectorBinaryFormats(t *testing.T) {
 			eng := papi.NewEngine()
 			pc := c.ForPE(pe, eng)
 			for i := 0; i < 6; i++ {
-				eng.Tally(papi.Work{Ins: int64(5 * (pe + i + 1))})
+				eng.Tally(&papi.Work{Ins: int64(5 * (pe + i + 1))})
 				pc.LogicalSend(0, (pe+i)%4, 8+i)
 			}
 			pc.PhysicalSend(conveyor.LocalSend, 128, pe, (pe+1)%4)
@@ -373,10 +373,10 @@ func TestAggregateCollectorMatchesBuffered(t *testing.T) {
 			pc := c.ForPE(pe, eng)
 			// PE 5 sends nothing: all of its work is the residual record.
 			for i := 0; i < 15 && pe != 5; i++ {
-				eng.Tally(papi.Work{Ins: int64(3*pe + i), LstIns: int64(i)})
+				eng.Tally(&papi.Work{Ins: int64(3*pe + i), LstIns: int64(i)})
 				pc.LogicalSend(0, (pe+i)%6, 16+i)
 			}
-			eng.Tally(papi.Work{Ins: int64(7 + pe), LstIns: 2}) // drain-phase work after the last send
+			eng.Tally(&papi.Work{Ins: int64(7 + pe), LstIns: 2}) // drain-phase work after the last send
 			pc.PhysicalSend(conveyor.LocalSend, 64, pe, (pe+1)%6)
 			pc.PhysicalSend(conveyor.NonblockSend, 128, pe, (pe+3)%6)
 			pc.OverallBreakdown(int64(10+pe), int64(20+pe), int64(500+pe))

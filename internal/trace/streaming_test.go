@@ -24,7 +24,7 @@ func TestStreamingCollectorWritesIdenticalFiles(t *testing.T) {
 			eng := papi.NewEngine()
 			pc := c.ForPE(pe, eng)
 			for i := 0; i < 5; i++ {
-				eng.Tally(papi.Work{Ins: int64(10 * (pe + 1))})
+				eng.Tally(&papi.Work{Ins: int64(10 * (pe + 1))})
 				pc.LogicalSend(0, (pe+i)%4, 8)
 			}
 			pc.PhysicalSend(conveyor.LocalSend, 128, pe, (pe+1)%4)

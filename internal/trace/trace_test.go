@@ -51,7 +51,7 @@ func buildSet(t *testing.T) *Set {
 		pc := c.ForPE(pe, eng)
 		for i := 0; i < 3; i++ {
 			dst := (pe + 1 + i) % 4
-			eng.Tally(papi.Work{Ins: 100, LstIns: 30})
+			eng.Tally(&papi.Work{Ins: 100, LstIns: 30})
 			pc.LogicalSend(0, dst, 8)
 		}
 		pc.PhysicalSend(conveyor.LocalSend, 256, pe, (pe+1)%4)
@@ -103,7 +103,7 @@ func TestPAPIRecordBatching(t *testing.T) {
 	pc := c.ForPE(0, eng)
 	// 10 sends to the same destination: records of 4, 4, 2.
 	for i := 0; i < 10; i++ {
-		eng.Tally(papi.Work{Ins: 10})
+		eng.Tally(&papi.Work{Ins: 10})
 		pc.LogicalSend(0, 1, 8)
 	}
 	pc.Close()
@@ -154,7 +154,7 @@ func TestResidualPAPIRecord(t *testing.T) {
 	pc := c.ForPE(0, eng)
 	pc.LogicalSend(0, 1, 8)
 	// Work after the last send (drain-phase handlers) must not be lost.
-	eng.Tally(papi.Work{Ins: 777})
+	eng.Tally(&papi.Work{Ins: 777})
 	pc.Close()
 	recs := c.Set().PAPI[0]
 	if len(recs) != 2 {
@@ -314,7 +314,7 @@ func TestSegmentAggregation(t *testing.T) {
 	pc := c.ForPE(0, eng)
 	for i := 0; i < 3; i++ {
 		tok := pc.SegmentEnter("compute", int64(i*100))
-		eng.Tally(papi.Work{Ins: 50})
+		eng.Tally(&papi.Work{Ins: 50})
 		pc.SegmentExit(tok, int64(i*100+20))
 	}
 	tok := pc.SegmentEnter("io", 0)
@@ -343,7 +343,7 @@ func TestSegmentsFileRoundTrip(t *testing.T) {
 		eng := papi.NewEngine()
 		pc := c.ForPE(pe, eng)
 		tok := pc.SegmentEnter("kernel", 0)
-		eng.Tally(papi.Work{Ins: int64(100 * (pe + 1)), LstIns: 9})
+		eng.Tally(&papi.Work{Ins: int64(100 * (pe + 1)), LstIns: 9})
 		pc.SegmentExit(tok, int64(500*(pe+1)))
 		pc.Close()
 	}
