@@ -2,8 +2,7 @@
 // directory of trace directories and serves every ActorProf
 // visualization over HTTP - SVG and JSON heatmaps, quartile violins,
 // PAPI bars, overall stacked bars, and the chrome://tracing export -
-// with an LRU render cache and live ingestion of directories a
-// streaming run (core.Options.StreamDir) is still writing.
+// with an LRU render cache that re-renders a run whose files changed.
 //
 // Usage:
 //

@@ -243,7 +243,7 @@ func TestWorkNEqualsWorkLoop(t *testing.T) {
 			t.Fatal(err)
 		}
 		var s seen
-		rec := sim.NewScheduleRecorder(machine, sim.Virtual, cost)
+		rec := sim.NewScheduleRecorder(machine, cost)
 		err = shmem.Run(shmem.Config{Machine: machine, Cost: cost, Fault: plan, Schedule: rec}, func(pe *shmem.PE) {
 			rt := NewRuntime(pe, RuntimeOptions{})
 			rt.Finish(func() {

@@ -39,7 +39,7 @@ func observeLockstep(t *testing.T, bufItems int, inj fault.Injector,
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := sim.NewScheduleRecorder(machine, sim.Virtual, cost)
+	rec := sim.NewScheduleRecorder(machine, cost)
 	turn := make([]chan struct{}, npes)
 	for i := range turn {
 		turn[i] = make(chan struct{}, 1)

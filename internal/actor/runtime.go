@@ -14,9 +14,6 @@ type RuntimeOptions struct {
 	// Collector, when non-nil, receives ActorProf trace data. The same
 	// *trace.Collector must be passed on every PE.
 	Collector *trace.Collector
-	// Costs is the PAPI cost model; zero value means
-	// papi.DefaultCostModel().
-	Costs papi.CostModel
 	// BufferItems is the conveyor aggregation buffer capacity in items
 	// (default: conveyor's default).
 	BufferItems int
@@ -33,7 +30,6 @@ type Runtime struct {
 	pe     *shmem.PE
 	ctx    *hclib.Context
 	engine *papi.Engine
-	costs  papi.CostModel
 	opts   RuntimeOptions
 	// insCycles/insScale are the world cost model's instruction price,
 	// cached because World.Cost() returns the whole model by value and
@@ -76,14 +72,10 @@ type Runtime struct {
 // before selectors are created, which New enforces with its own
 // collectives anyway).
 func NewRuntime(pe *shmem.PE, opts RuntimeOptions) *Runtime {
-	if opts.Costs == (papi.CostModel{}) {
-		opts.Costs = papi.DefaultCostModel()
-	}
 	rt := &Runtime{
 		pe:     pe,
 		ctx:    hclib.New(),
 		engine: papi.NewEngine(),
-		costs:  opts.Costs,
 		opts:   opts,
 	}
 	cost := pe.World().Cost()
@@ -99,9 +91,6 @@ func (rt *Runtime) PE() *shmem.PE { return rt.pe }
 
 // Engine returns the PE's PAPI counter bank.
 func (rt *Runtime) Engine() *papi.Engine { return rt.engine }
-
-// Costs returns the PAPI cost model in effect.
-func (rt *Runtime) Costs() papi.CostModel { return rt.costs }
 
 // Pause suspends trace collection on this PE (setup/validation phases).
 func (rt *Runtime) Pause() { rt.paused = true }

@@ -94,9 +94,10 @@ func NewSelector[T any](rt *Runtime, n int, codec Codec[T]) (*Selector[T], error
 		sendCount: make([]int64, n),
 		recvCount: make([]int64, n),
 	}
-	s.sendWork = rt.costs.SendWork(codec.Size)
+	costs := papi.DefaultCostModel()
+	s.sendWork = costs.SendWork(codec.Size)
 	s.sendCyc = rt.instrCost(s.sendWork.Ins)
-	s.handlerWork = rt.costs.HandlerWork(codec.Size)
+	s.handlerWork = costs.HandlerWork(codec.Size)
 	s.handlerCyc = rt.instrCost(s.handlerWork.Ins)
 	for mb := 0; mb < n; mb++ {
 		opts := conveyor.Options{
@@ -207,8 +208,8 @@ func (s *Selector[T]) Start() {
 		// nothing else is queued, the finish body is over and only a
 		// remote event can give this PE work, so sleep until the
 		// doorbell rings (if the sweep above was idle). Reached through
-		// Yield or Promise.Wait the caller has local work - or a barrier
-		// - to get back to, and the worker must return at once.
+		// Yield the caller has local work - or a barrier - to get back
+		// to, and the worker must return at once.
 		if s.rt.ctx.SoleDrainTask() {
 			s.rt.pe.WaitIdle()
 		}

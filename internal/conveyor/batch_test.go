@@ -72,55 +72,6 @@ func TestPullRunFIFO(t *testing.T) {
 	}
 }
 
-// TestPullRunAfterUnpull pins the Unpull interplay: an unpulled item is
-// redelivered by the next PullRun as a one-item run, ahead of the rest
-// of the backlog, so FIFO order survives mixing the two APIs.
-func TestPullRunAfterUnpull(t *testing.T) {
-	err := shmem.Run(shmem.Config{Machine: sim.Machine{NumPEs: 1, PEsPerNode: 1}},
-		func(pe *shmem.PE) {
-			c, err := New(pe, Options{ItemBytes: 8, BufferItems: 8})
-			if err != nil {
-				panic(err)
-			}
-			buf := make([]byte, 8)
-			for m := 0; m < 8; m++ {
-				binary.LittleEndian.PutUint64(buf, uint64(m))
-				for !c.Push(buf, 0) {
-					c.Advance(false)
-				}
-			}
-			c.Advance(false)
-			c.Advance(false)
-			item, src, ok := c.Pull()
-			if !ok || binary.LittleEndian.Uint64(item) != 0 {
-				panic("expected item 0 first")
-			}
-			c.Unpull(item, src)
-			items, srcs, n := c.PullRun()
-			if n != 1 || srcs[0] != 0 || binary.LittleEndian.Uint64(items) != 0 {
-				panic(fmt.Sprintf("unpulled item not redelivered as a 1-run: n=%d", n))
-			}
-			var rest []uint64
-			for {
-				items, _, n := c.PullRun()
-				if n == 0 {
-					break
-				}
-				for i := 0; i < n; i++ {
-					rest = append(rest, binary.LittleEndian.Uint64(items[i*8:]))
-				}
-			}
-			for i, v := range rest {
-				if v != uint64(i+1) {
-					panic(fmt.Sprintf("backlog item %d = %d after unpull, want %d", i, v, i+1))
-				}
-			}
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 // pushDrainRunCycle is pushDrainCycle's batched twin: a full buffer of
 // self-sends drained through PullRun views.
 func pushDrainRunCycle(c *Conveyor, buf []byte) {

@@ -2,7 +2,6 @@ package conveyor
 
 import (
 	"encoding/binary"
-	"fmt"
 	"sync"
 	"testing"
 
@@ -103,78 +102,6 @@ func TestConveyorAllToAllUnderChaos(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestElasticUnderCapacityShrink drives the elastic all-or-nothing
-// reservation against fault-shrunk buffer generations: items spanning
-// more cells than the shrunk capacity must widen the generation
-// (reserveCap) instead of livelocking, and every item must arrive
-// intact.
-func TestElasticUnderCapacityShrink(t *testing.T) {
-	const npes, per = 4, 80
-	// CellBytes 16 -> frag 12; items up to 100 bytes span up to 10 cells,
-	// well above the tiny-buffers floor of 4 - the reservation must
-	// recover by widening.
-	plan, err := fault.NamedPlan("tiny-buffers", 0xe1a5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := make([]int, npes)
-	var mu sync.Mutex
-	err = shmem.Run(faultCfg(npes, 2, plan), func(pe *shmem.PE) {
-		e, err := NewElastic(pe, ElasticOptions{MaxItemBytes: 128, CellBytes: 16, BufferItems: 16})
-		if err != nil {
-			panic(err)
-		}
-		got := 0
-		drain := func() {
-			for {
-				item, src, ok := e.EPull()
-				if !ok {
-					return
-				}
-				if len(item) > 0 && int(item[0]) != len(item)%256 {
-					panic(fmt.Sprintf("corrupt item from %d", src))
-				}
-				got++
-			}
-		}
-		rng := uint64(pe.Rank()*7919 + 3)
-		for i := 0; i < per; i++ {
-			rng = rng*6364136223846793005 + 1442695040888963407
-			sz := int(rng>>40) % 100
-			item := make([]byte, sz)
-			if sz > 0 {
-				item[0] = byte(sz % 256)
-			}
-			dst := int(rng>>20) % npes
-			for !e.EPush(item, dst) {
-				e.EAdvance(false)
-				drain()
-			}
-		}
-		for e.EAdvance(true) {
-			drain()
-			if e.c.Complete() {
-				break
-			}
-		}
-		drain()
-		mu.Lock()
-		counts[pe.Rank()] = got
-		mu.Unlock()
-		pe.Barrier()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if total != npes*per {
-		t.Fatalf("delivered %d items, want %d", total, npes*per)
 	}
 }
 

@@ -153,14 +153,6 @@ type Conveyor struct {
 	// pull is the delivery ring of items addressed to this PE. Pull
 	// hands out borrowed views of its slots (see Pull's contract).
 	pull pullRing
-	// unpulled holds a copy of an item returned by Unpull, delivered
-	// again before the ring. The buffer is reused across Unpulls.
-	unpulled    []byte
-	unpulledSrc int
-	hasUnpulled bool
-	// unpulledSrc32 backs the one-item source view PullRun hands out
-	// when it re-delivers an unpulled item.
-	unpulledSrc32 [1]int32
 
 	// recvBuf is the scratch buffer the receive path drains landing
 	// slots into. Ingest completes synchronously (items are copied into

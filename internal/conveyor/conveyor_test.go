@@ -298,48 +298,6 @@ func TestPhysicalCallbackClassification(t *testing.T) {
 	}
 }
 
-func TestUnpull(t *testing.T) {
-	err := shmem.Run(cfg(2, 2), func(pe *shmem.PE) {
-		c, err := New(pe, Options{ItemBytes: 8})
-		if err != nil {
-			panic(err)
-		}
-		buf := make([]byte, 8)
-		binary.LittleEndian.PutUint64(buf, uint64(pe.Rank()+1))
-		peer := 1 - pe.Rank()
-		for !c.Push(buf, peer) {
-			c.Advance(false)
-		}
-		var got []int64
-		for c.Advance(true) || c.PendingPulls() > 0 {
-			item, src, ok := c.Pull()
-			if !ok {
-				continue
-			}
-			if len(got) == 0 {
-				// Exercise unpull: give it back once, re-pull.
-				c.Unpull(item, src)
-				item2, src2, ok2 := c.Pull()
-				if !ok2 || src2 != src {
-					panic("unpull did not restore the item")
-				}
-				item = item2
-			}
-			got = append(got, int64(binary.LittleEndian.Uint64(item)))
-			if len(got) == 1 && c.Complete() {
-				break
-			}
-		}
-		if len(got) != 1 || got[0] != int64(peer+1) {
-			panic(fmt.Sprintf("PE %d got %v, want [%d]", pe.Rank(), got, peer+1))
-		}
-		pe.Barrier()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestPushAfterDonePanics(t *testing.T) {
 	err := shmem.Run(cfg(2, 2), func(pe *shmem.PE) {
 		c, _ := New(pe, Options{ItemBytes: 8})

@@ -130,16 +130,6 @@ func (c *Conveyor) decideCap(ob *outBuf) {
 	ob.capSeq = ob.sentSeq
 }
 
-// reserveCap widens the current generation's effective capacity to hold
-// at least n items (never beyond the allocated BufferItems). The elastic
-// all-or-nothing reservation uses it so a fault-shrunk generation cannot
-// livelock a multi-cell item that the configured capacity would hold.
-func (c *Conveyor) reserveCap(ob *outBuf, n int) {
-	if ob.cap < n && n <= c.bufItems {
-		ob.cap = n
-	}
-}
-
 // appendSlot reserves one wire-format record in ob, writes its header,
 // and returns the payload portion for the caller to fill. ob.items is
 // allocated at full BufferItems capacity up front and the capacity
@@ -175,10 +165,6 @@ func (c *Conveyor) appendRecord(ob *outBuf, rec []byte) {
 // blocked-push retry); decode or copy it before then. Every in-repo
 // consumer decodes immediately, which is the intended idiom.
 func (c *Conveyor) Pull() (item []byte, src int, ok bool) {
-	if c.hasUnpulled {
-		c.hasUnpulled = false
-		return c.unpulled, c.unpulledSrc, true
-	}
 	item, src, ok = c.pull.pop()
 	if ok {
 		c.stats.Pulled++
@@ -195,44 +181,13 @@ func (c *Conveyor) Pull() (item []byte, src int, ok bool) {
 // copy them before then. This is the batch-dispatch fast path: one call
 // drains up to a whole delivered ring segment instead of n Pulls.
 func (c *Conveyor) PullRun() (items []byte, srcs []int32, n int) {
-	if c.hasUnpulled {
-		// The unpulled item must come out first to preserve FIFO order;
-		// hand it back as a one-item run (its bytes were copied by
-		// Unpull, so the view contract trivially holds).
-		c.hasUnpulled = false
-		c.unpulledSrc32[0] = int32(c.unpulledSrc)
-		c.stats.Pulled++
-		return c.unpulled, c.unpulledSrc32[:], 1
-	}
 	items, srcs, n = c.pull.popRun()
 	c.stats.Pulled += int64(n)
 	return items, srcs, n
 }
 
-// Unpull returns the most recently pulled item to the front of the queue
-// (convey_unpull). Only one item may be outstanding. The item bytes are
-// copied, so an Unpulled view stays valid across further progress.
-func (c *Conveyor) Unpull(item []byte, src int) {
-	if c.hasUnpulled {
-		panic("conveyor: double Unpull")
-	}
-	if cap(c.unpulled) < c.itemBytes {
-		c.unpulled = make([]byte, c.itemBytes)
-	}
-	c.unpulled = c.unpulled[:c.itemBytes]
-	copy(c.unpulled, item)
-	c.unpulledSrc, c.hasUnpulled = src, true
-	c.stats.Pulled--
-}
-
 // PendingPulls returns the number of items waiting in the pull queue.
-func (c *Conveyor) PendingPulls() int {
-	n := c.pull.n
-	if c.hasUnpulled {
-		n++
-	}
-	return n
-}
+func (c *Conveyor) PendingPulls() int { return c.pull.n }
 
 // Advance makes communication progress: it receives incoming buffers
 // (delivering or re-routing their items), flushes outgoing buffers that

@@ -26,5 +26,5 @@ func BorrowedViewMethods() map[string][]int {
 // recycle the storage behind every outstanding borrowed view. Any value
 // from BorrowedViewMethods is dead after any of these.
 func ProgressMethods() []string {
-	return []string{"Advance", "Push", "PushSlot", "Pull", "PullRun", "Unpull"}
+	return []string{"Advance", "Push", "PushSlot", "Pull", "PullRun"}
 }

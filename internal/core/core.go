@@ -24,8 +24,6 @@ import (
 type Options struct {
 	// Machine is the PE/node layout. Required.
 	Machine sim.Machine
-	// Timing selects Virtual (deterministic, default) or Hybrid clocks.
-	Timing sim.TimingMode
 	// Cost overrides the data-movement cost model (default:
 	// sim.DefaultCostModel()).
 	Cost sim.CostModel
@@ -37,20 +35,11 @@ type Options struct {
 	// Topology overrides the conveyor routing scheme (default auto:
 	// 1D Linear / 2D Mesh / 3D Cube by node count).
 	Topology conveyor.Topology
-	// Costs overrides the PAPI user-region cost model.
-	Costs papi.CostModel
 	// APIProfile, when non-nil, additionally counts every OpenSHMEM
 	// routine invocation (the pshmem-style interface of paper Section
 	// V-B), including the non-blocking routines conventional profilers
 	// miss.
 	APIProfile *shmem.APIProfile
-	// StreamDir, when non-empty, switches the run to a streaming
-	// collector that writes trace records into this directory as they
-	// are produced instead of buffering them (paper Section VI: traces
-	// can reach 100 GB). The directory is finalized when Run returns;
-	// while the run is still executing, actorprofd (or trace.ReadSetLive)
-	// can ingest the directory and serve the plots live.
-	StreamDir string
 }
 
 // App is the SPMD application body, run once per PE with that PE's actor
@@ -67,9 +56,9 @@ func Run(opts Options, app App) (*trace.Set, error) {
 // RunCaptured is Run plus what-if schedule capture: every clock charge
 // and profiling region transition is recorded per PE, and the resulting
 // schedule feeds internal/whatif (critical paths, bottleneck ranking,
-// causal projections). When opts.StreamDir is set, the schedule is also
-// written there as schedule.json so actorprofd and `actorprof whatif`
-// find it next to the trace.
+// causal projections). whatif.WriteScheduleFile stores it next to a
+// trace directory as schedule.json, where actorprofd and `actorprof
+// whatif` find it.
 func RunCaptured(opts Options, app App) (*trace.Set, *sim.Schedule, error) {
 	return run(opts, app, true)
 }
@@ -88,30 +77,22 @@ func run(opts Options, app App, capture bool) (*trace.Set, *sim.Schedule, error)
 	if err := cost.Validate(); err != nil {
 		return nil, nil, err
 	}
-	var coll *trace.Collector
-	var err error
-	if opts.StreamDir != "" {
-		coll, err = trace.NewStreamingCollector(opts.Trace, opts.Machine, opts.StreamDir)
-	} else {
-		coll, err = trace.NewCollector(opts.Trace, opts.Machine)
-	}
+	coll, err := trace.NewCollector(opts.Trace, opts.Machine)
 	if err != nil {
 		return nil, nil, err
 	}
 	var rec *sim.ScheduleRecorder
 	if capture {
-		rec = sim.NewScheduleRecorder(opts.Machine, opts.Timing, cost)
+		rec = sim.NewScheduleRecorder(opts.Machine, cost)
 	}
 	runErr := shmem.Run(shmem.Config{
 		Machine:  opts.Machine,
 		Cost:     cost,
-		Timing:   opts.Timing,
 		Profile:  opts.APIProfile,
 		Schedule: rec,
 	}, func(pe *shmem.PE) {
 		rt := actor.NewRuntime(pe, actor.RuntimeOptions{
 			Collector:   coll,
-			Costs:       opts.Costs,
 			BufferItems: opts.BufferItems,
 			Topology:    opts.Topology,
 		})
@@ -124,19 +105,9 @@ func run(opts Options, app App, capture bool) (*trace.Set, *sim.Schedule, error)
 	if runErr != nil {
 		return nil, nil, runErr
 	}
-	if coll.Streaming() {
-		if err := coll.Finalize(); err != nil {
-			return nil, nil, err
-		}
-	}
 	var sched *sim.Schedule
 	if rec != nil {
 		sched = rec.Schedule()
-		if opts.StreamDir != "" {
-			if err := whatif.WriteScheduleFile(opts.StreamDir, sched); err != nil {
-				return nil, nil, err
-			}
-		}
 	}
 	return coll.Set(), sched, nil
 }

@@ -298,42 +298,6 @@ func TestAPIProfileCrossValidatesPhysicalTrace(t *testing.T) {
 	}
 }
 
-// TestHybridTimingMode runs a traced program under Hybrid clocks (the
-// rdtsc-analogue mode): shapes must still hold even though real host
-// cycles accumulate on top of the cost model.
-func TestHybridTimingMode(t *testing.T) {
-	set, err := Run(Options{
-		Machine: sim.Machine{NumPEs: 8, PEsPerNode: 4},
-		Timing:  sim.Hybrid,
-		Trace:   trace.Config{Overall: true, Logical: true},
-	}, func(rt *actor.Runtime) error {
-		_, err := apps.Histogram(rt, apps.HistogramConfig{
-			UpdatesPerPE: 500, TableSizePerPE: 64, Seed: 77,
-		})
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(set.Overall) != 8 {
-		t.Fatalf("overall records = %d", len(set.Overall))
-	}
-	for _, r := range set.Overall {
-		if r.TTotal <= 0 {
-			t.Errorf("PE %d: non-positive total %d under hybrid timing", r.PE, r.TTotal)
-		}
-		if r.TMain < 0 || r.TProc < 0 || r.TComm < 0 {
-			t.Errorf("PE %d: negative regime %+v", r.PE, r)
-		}
-		if r.TMain+r.TProc > r.TTotal {
-			t.Errorf("PE %d: MAIN+PROC exceed total: %+v", r.PE, r)
-		}
-	}
-	if set.LogicalMatrix().Total() != 8*500 {
-		t.Fatalf("logical total = %d", set.LogicalMatrix().Total())
-	}
-}
-
 func TestReportBuilders(t *testing.T) {
 	rep := caseStudy(t, 16, 16, DistCyclic)
 	set := rep.Set
@@ -491,38 +455,6 @@ func TestPlotsIdenticalAcrossFormats(t *testing.T) {
 	}
 }
 
-func TestRunStreamDirWritesAndFinalizesTrace(t *testing.T) {
-	dir := t.TempDir()
-	set, err := Run(Options{
-		Machine:   sim.Machine{NumPEs: 4, PEsPerNode: 2},
-		Trace:     FullTrace(),
-		StreamDir: dir,
-	}, func(rt *actor.Runtime) error {
-		_, err := apps.Histogram(rt, apps.HistogramConfig{
-			UpdatesPerPE: 100, TableSizePerPE: 16, Seed: 3,
-		})
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The returned set holds counters; the record data lives on disk in a
-	// finalized directory that ReadSet loads like any buffered trace.
-	if set.LogicalSendCount[0] == 0 {
-		t.Error("streaming set lost the logical send counters")
-	}
-	got, err := trace.ReadSet(dir)
-	if err != nil {
-		t.Fatalf("reading finalized stream dir: %v", err)
-	}
-	if got.LogicalMatrix().Total() != 400 {
-		t.Fatalf("logical total = %d, want 400", got.LogicalMatrix().Total())
-	}
-	if !got.Config.Physical || !got.Config.Overall {
-		t.Error("finalized stream dir missing physical/overall features")
-	}
-}
-
 func TestRunValidatesCostModel(t *testing.T) {
 	bad := sim.DefaultCostModel()
 	bad.NetworkLatency, bad.NetworkPerByte = 0, 0 // free network
@@ -539,14 +471,13 @@ func TestRunValidatesCostModel(t *testing.T) {
 	}
 }
 
-// TestRunCapturedWritesSchedule: with StreamDir set, the schedule lands
-// next to the streamed trace and round-trips through the whatif loader.
+// TestRunCapturedWritesSchedule: the captured schedule lands next to the
+// written trace and round-trips through the whatif loader.
 func TestRunCapturedWritesSchedule(t *testing.T) {
 	dir := t.TempDir()
-	_, sched, err := RunCaptured(Options{
-		Machine:   sim.Machine{NumPEs: 2, PEsPerNode: 2},
-		Trace:     trace.Config{Overall: true},
-		StreamDir: dir,
+	set, sched, err := RunCaptured(Options{
+		Machine: sim.Machine{NumPEs: 2, PEsPerNode: 2},
+		Trace:   trace.Config{Overall: true},
 	}, func(rt *actor.Runtime) error {
 		_, err := apps.Histogram(rt, apps.HistogramConfig{UpdatesPerPE: 50, TableSizePerPE: 16, Seed: 3})
 		return err
@@ -554,8 +485,14 @@ func TestRunCapturedWritesSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := set.WriteFiles(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := whatif.WriteScheduleFile(dir, sched); err != nil {
+		t.Fatal(err)
+	}
 	if !whatif.HasSchedule(dir) {
-		t.Fatal("StreamDir has no schedule.json")
+		t.Fatal("trace directory has no schedule.json")
 	}
 	got, err := whatif.ReadScheduleFile(dir)
 	if err != nil {

@@ -92,23 +92,47 @@ func checkAccessors(t *testing.T, label string, s *trace.Set) {
 	check("OverallRecords", s.OverallRecords(), m.OverallRecords())
 }
 
+// replayAggregated feeds a record-mode set's logical and physical records,
+// per PE in record order, through a fresh aggregate-mode collector.
+func replayAggregated(t *testing.T, s *trace.Set, m sim.Machine) *trace.Set {
+	t.Helper()
+	coll, err := trace.NewCollector(trace.Config{Logical: true, Physical: true, Aggregate: true}, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pe := 0; pe < s.NumPEs; pe++ {
+		pc := coll.ForPE(pe, nil)
+		for _, r := range s.Logical[pe] {
+			pc.LogicalSend(0, r.DstPE, r.MsgSize)
+		}
+		for _, r := range s.Physical[pe] {
+			pc.PhysicalSendAt(r.Kind, r.BufBytes, r.SrcPE, r.DstPE, r.Cycles)
+		}
+		pc.Close()
+	}
+	return coll.Set()
+}
+
 // TestFourWaysToASummary is the differential oracle for "one aggregate
 // view" (DESIGN.md §10): for every app, the Summary of a record-mode
-// collector's Set, of an aggregate-mode collector's Set, of the Set read
-// back from disk and of the streaming ReadSummary over the same
-// directory are deeply equal, the derived data-movement matrix included,
-// and every Set accessor answers what its Summary answers.
+// collector's Set, of the Set read back from disk and of the streaming
+// ReadSummary over the same directory are deeply equal, the derived
+// data-movement matrix included, and every Set accessor answers what its
+// Summary answers. The fourth way is an aggregate-mode collector: fed the
+// record-mode run's logical and physical records, per PE in record order,
+// it must fold the same logical and physical matrices and payload
+// statistics (at sample 1; TestAggregateCollectorMatchesBuffered covers
+// sampling).
 //
 // Two runs of one app are not record-for-record reproducible (which
 // buffers a finished PE flushes, which send a sampler picks and, for the
 // retrying apps, how many messages there are depend on interleaving), so
-// each run is compared with its own directory: the record-mode run
-// writes one with WriteFiles, the aggregate-mode run streams its records
-// into one while it folds them. A third run, aggregated and not
-// streamed, takes the collector's sum-only PAPI path. Across runs only
-// what is a function of the program is compared: for the three apps
-// whose per-PE work is (TestAggregatePAPITotalsEqualSumOfRecords), the
-// unsampled logical trace, and on one node the PAPI totals.
+// the disk readers and the replay are held to the record-mode run that
+// produced their input. A second run, aggregated, takes the collector's
+// sum-only PAPI path. Across runs only what is a function of the program
+// is compared: for the three apps whose per-PE work is
+// (TestAggregatePAPITotalsEqualSumOfRecords), the unsampled logical
+// trace, and on one node the PAPI totals.
 func TestFourWaysToASummary(t *testing.T) {
 	reproducible := map[string]bool{"triangle": true, "histogram": true, "isort": true}
 	machines := []sim.Machine{{NumPEs: 4, PEsPerNode: 4}, {NumPEs: 4, PEsPerNode: 2}}
@@ -122,9 +146,9 @@ func TestFourWaysToASummary(t *testing.T) {
 					t.Parallel()
 					cfg := FullTrace()
 					cfg.LogicalSample, cfg.PAPIRecordEvery = k.sample, k.every
-					run := func(cfg trace.Config, streamDir string) *trace.Set {
+					run := func(cfg trace.Config) *trace.Set {
 						t.Helper()
-						set, err := Run(Options{Machine: m, Trace: cfg, BufferItems: app.BufferItems, StreamDir: streamDir},
+						set, err := Run(Options{Machine: m, Trace: cfg, BufferItems: app.BufferItems},
 							func(rt *actor.Runtime) error {
 								_, err := app.Run(rt)
 								return err
@@ -162,35 +186,36 @@ func TestFourWaysToASummary(t *testing.T) {
 						checkAccessors(t, label+" read back", set)
 					}
 
-					recorded := run(cfg, "")
+					recorded := run(cfg)
 					dir := t.TempDir()
 					if err := recorded.WriteFiles(dir); err != nil {
 						t.Fatal(err)
 					}
 					readBack("record mode", dir, recorded)
 					checkAccessors(t, "record mode", recorded)
+					want := recorded.Summary()
+					if k.sample == 1 {
+						got := replayAggregated(t, recorded, m).Summary()
+						if !reflect.DeepEqual(got.Logical, want.Logical) || !reflect.DeepEqual(got.Physical, want.Physical) ||
+							got.MsgBytes != want.MsgBytes {
+							t.Errorf("an aggregate-mode collector fed the recorded sends folds\n%v %v %+v\nwant\n%v %v %+v",
+								got.Logical, got.Physical, got.MsgBytes, want.Logical, want.Physical, want.MsgBytes)
+						}
+					}
 
 					cfg.Aggregate = true
-					dir = t.TempDir()
-					streamed := run(cfg, dir)
-					readBack("aggregate mode, streamed", dir, streamed)
-					checkAccessors(t, "aggregate mode, streamed", streamed)
-
-					folded := run(cfg, "")
+					folded := run(cfg)
 					checkAccessors(t, "aggregate mode", folded)
 					if !reproducible[app.Name] {
 						return
 					}
-					want := recorded.Summary()
-					for _, other := range []*trace.Set{streamed, folded} {
-						got := other.Summary()
-						if k.sample == 1 && !(reflect.DeepEqual(got.Logical, want.Logical) && got.MsgBytes == want.MsgBytes) {
-							t.Errorf("aggregate and record mode disagree on the logical trace:\n got %v %+v\nwant %v %+v",
-								got.Logical, got.MsgBytes, want.Logical, want.MsgBytes)
-						}
-						if m.PEsPerNode == m.NumPEs && !reflect.DeepEqual(got.PAPITotals, want.PAPITotals) {
-							t.Errorf("aggregate and record mode disagree on the PAPI totals:\n got %v\nwant %v", got.PAPITotals, want.PAPITotals)
-						}
+					got := folded.Summary()
+					if k.sample == 1 && !(reflect.DeepEqual(got.Logical, want.Logical) && got.MsgBytes == want.MsgBytes) {
+						t.Errorf("aggregate and record mode disagree on the logical trace:\n got %v %+v\nwant %v %+v",
+							got.Logical, got.MsgBytes, want.Logical, want.MsgBytes)
+					}
+					if m.PEsPerNode == m.NumPEs && !reflect.DeepEqual(got.PAPITotals, want.PAPITotals) {
+						t.Errorf("aggregate and record mode disagree on the PAPI totals:\n got %v\nwant %v", got.PAPITotals, want.PAPITotals)
 					}
 				})
 			}

@@ -52,8 +52,8 @@ func compareWindowResults(t *testing.T, label string, got, want *trace.WindowRes
 }
 
 // TestWindowQueryAllApps is the all-apps leg of the differential suite:
-// every chaos app runs under physical tracing, streamed in binary form
-// (so Finalize writes the time-index sidecar), and randomized window
+// every chaos app runs under physical tracing, is written in binary form
+// and indexed (BuildTimeIndex writes the sidecar), and randomized window
 // queries through the index must match the brute-force reference over
 // the reloaded Set exactly - real traffic shapes, not synthetic ones.
 func TestWindowQueryAllApps(t *testing.T) {
@@ -62,11 +62,10 @@ func TestWindowQueryAllApps(t *testing.T) {
 		t.Run(app.Name, func(t *testing.T) {
 			t.Parallel()
 			dir := t.TempDir()
-			_, err := Run(Options{
+			set, err := Run(Options{
 				Machine:     sim.Machine{NumPEs: 4, PEsPerNode: 2},
 				Trace:       trace.Config{Physical: true, Format: trace.FormatBinary},
 				BufferItems: app.BufferItems,
-				StreamDir:   dir,
 			}, func(rt *actor.Runtime) error {
 				_, err := app.Run(rt)
 				return err
@@ -74,9 +73,15 @@ func TestWindowQueryAllApps(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if err := set.WriteFiles(dir); err != nil {
+				t.Fatal(err)
+			}
+			if built, err := trace.BuildTimeIndex(dir); err != nil || !built {
+				t.Fatalf("BuildTimeIndex: built=%v err=%v", built, err)
+			}
 			ix, err := trace.LoadTimeIndex(dir)
 			if err != nil {
-				t.Fatalf("no time index after Finalize: %v", err)
+				t.Fatalf("no time index after BuildTimeIndex: %v", err)
 			}
 			ref, err := trace.ReadSet(dir)
 			if err != nil {

@@ -57,8 +57,8 @@ const (
 	// SiteBufferCap fires when a conveyor outgoing buffer starts a new
 	// generation (first item after becoming empty) and selects the
 	// generation's effective capacity, stressing partial buffers and
-	// the elastic reservation path. Index: the channel's buffer
-	// sequence number. Arg: hop target PE. Arg2: configured capacity.
+	// early flushes. Index: the channel's buffer sequence number. Arg:
+	// hop target PE. Arg2: configured capacity.
 	// Decision.Capacity in [1, Arg2] overrides; 0 keeps the default.
 	SiteBufferCap
 	// SiteAdvance fires on every conveyor Advance poll. Schedule-only.

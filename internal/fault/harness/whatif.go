@@ -41,7 +41,7 @@ func WhatIfCell(c Cell, seed uint64) error {
 		return err
 	}
 	cost := sim.DefaultCostModel()
-	rec := sim.NewScheduleRecorder(c.Machine, sim.Virtual, cost)
+	rec := sim.NewScheduleRecorder(c.Machine, cost)
 	bufItems := c.App.BufferItems
 	if bufItems == 0 {
 		bufItems = 16

@@ -39,9 +39,7 @@ type Plan struct {
 
 	// CapShrinkProb gives a starting buffer generation a reduced
 	// effective capacity, uniform in [CapFloor, configured]. CapFloor
-	// defaults to 4; plans that drive elastic conveyors must keep it at
-	// or above the worst-case cells-per-item, or reservation can never
-	// succeed.
+	// defaults to 4.
 	CapShrinkProb float64 `json:"cap_shrink_prob,omitempty"`
 	CapFloor      int     `json:"cap_floor,omitempty"`
 
@@ -163,8 +161,8 @@ var planMakers = map[string]func(seed uint64) *Plan{
 		}
 	},
 	// tiny-buffers: aggregation buffers shrink per generation, forcing
-	// many small transfers, early flushes, and the elastic reservation
-	// retry path; termination must still count every item.
+	// many small transfers and early flushes; termination must still
+	// count every item.
 	"tiny-buffers": func(seed uint64) *Plan {
 		return &Plan{
 			Name: "tiny-buffers", Seed: seed,

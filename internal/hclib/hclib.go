@@ -22,7 +22,7 @@ type Context struct {
 	head int
 	n    int
 	// draining is true while the running task was started by a Finish
-	// drain loop rather than by Yield or Promise.Wait (SoleDrainTask).
+	// drain loop rather than by Yield (SoleDrainTask).
 	draining bool
 	// scopes is the stack of active finish scopes; Async attributes new
 	// tasks to the innermost one.
@@ -54,8 +54,8 @@ func (c *Context) Pending() int { return c.n }
 // nothing else can run on this context until the task returns - the
 // finish body is over and there is no one to interleave with - which is
 // what lets a progress worker sleep until a remote event instead of
-// re-arming at once. A task reached through Yield or Promise.Wait gets
-// false: its caller still has work of its own to return to.
+// re-arming at once. A task reached through Yield gets false: its caller
+// still has work of its own to return to.
 func (c *Context) SoleDrainTask() bool { return c.draining && c.n == 0 }
 
 // Async schedules fn to run later on this context, attributed to the

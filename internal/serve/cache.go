@@ -53,7 +53,7 @@ type flight struct {
 
 // cache is a byte-budgeted, scan-resistant segmented LRU (SLRU) of
 // rendered artifacts. Keys embed the source directory's fingerprint, so
-// a changed (live) trace directory naturally misses and renders fresh
+// a changed trace directory naturally misses and renders fresh
 // bytes while the stale entry ages out; nothing needs explicit
 // invalidation.
 //

@@ -62,6 +62,8 @@ func TestConditionalRequests(t *testing.T) {
 		{"accept gzip gets gzip", "GET", map[string]string{"Accept-Encoding": "gzip"}, 200, "gzip"},
 		{"accept anything gets gzip", "GET", map[string]string{"Accept-Encoding": "*"}, 200, "gzip"},
 		{"gzip at q=0 stays identity", "GET", map[string]string{"Accept-Encoding": "gzip;q=0"}, 200, "identity"},
+		{"refused gzip beats a wildcard", "GET", map[string]string{"Accept-Encoding": "*, gzip;q=0"}, 200, "identity"},
+		{"listed gzip beats a refused wildcard", "GET", map[string]string{"Accept-Encoding": "*;q=0, gzip"}, 200, "gzip"},
 		{"unknown coding stays identity", "GET", map[string]string{"Accept-Encoding": "br"}, 200, "identity"},
 		{"HEAD has headers, no body", "HEAD", nil, 200, "empty"},
 		{"HEAD revalidates to 304", "HEAD", map[string]string{"If-None-Match": etag}, 304, "empty"},
@@ -151,7 +153,7 @@ func TestETagStableAcrossIdenticalRenders(t *testing.T) {
 	}
 }
 
-// TestETagChangesOnLiveIngest: a write into the trace directory changes
+// TestETagChangesOnLiveIngest: a write into a served trace directory changes
 // the fingerprint, so a held ETag stops matching and the client gets
 // fresh bytes with a fresh validator - the no-invalidation-protocol
 // contract extended to conditional requests.
@@ -171,7 +173,7 @@ func TestETagChangesOnLiveIngest(t *testing.T) {
 		t.Fatalf("unchanged run revalidation = %d, want 304", res2.StatusCode)
 	}
 
-	// More records land in the directory (a live flush).
+	// More records land in the directory.
 	f, err := os.OpenFile(filepath.Join(root, "live", "PE0_send.csv"), os.O_APPEND|os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)

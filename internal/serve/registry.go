@@ -19,14 +19,13 @@ type RunInfo struct {
 	Dir        string   `json:"dir"`
 	NumPEs     int      `json:"num_pes"`
 	PEsPerNode int      `json:"pes_per_node"`
-	Live       bool     `json:"live"`
 	Skipped    int      `json:"skipped_lines"`
 	Features   []string `json:"features"`
 }
 
 // registry resolves run IDs to trace directories and caches their parsed
-// Sets, keyed by a directory fingerprint so that a directory still being
-// streamed into is re-parsed when (and only when) its files change.
+// Sets, keyed by a directory fingerprint so that a directory is re-parsed
+// when (and only when) its files change.
 //
 // Disk metadata work is amortized by a snapshot window (ttl): the root
 // scan (ReadDir + one Stat per child) and each run's fingerprint
@@ -56,7 +55,6 @@ type runEntry struct {
 	fp      string     // fingerprint the cached parse corresponds to
 	sum     *trace.Summary
 	skipped int
-	live    bool
 
 	// The physical records alone (trace.ReadPhysical), loaded lazily and
 	// cached per fingerprint for the two record-level consumers: the
@@ -66,7 +64,7 @@ type runEntry struct {
 
 	// Time index for windowed queries, loaded lazily and cached per
 	// fingerprint. nil with a matching ixFP means the directory carries
-	// no usable index (CSV-only, live, stale) and queries fall back to
+	// no usable index (CSV-only, stale) and queries fall back to
 	// the full-scan reference without re-statting the sidecar.
 	ix   *trace.TimeIndex
 	ixFP string
@@ -80,9 +78,8 @@ type runEntry struct {
 
 	// Last fingerprint observed on disk and when; reused within the
 	// snapshot window so hot runs are not re-statted per request.
-	curFP   string
-	curLive bool
-	fpAt    time.Time
+	curFP string
+	fpAt  time.Time
 }
 
 func newRegistry(root string, parseConcurrency int, ttl time.Duration, m *Metrics) *registry {
@@ -164,10 +161,10 @@ func (r *registry) dirs(force bool) (map[string]string, error) {
 // fingerprint summarizes a trace directory's contents (file names,
 // sizes, modification times). Two identical fingerprints mean the parsed
 // Set is still valid; any write into the directory changes it.
-func fingerprint(dir string) (fp string, live bool, err error) {
+func fingerprint(dir string) (string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return "", false, err
+		return "", err
 	}
 	var b strings.Builder
 	for _, e := range entries {
@@ -178,21 +175,17 @@ func fingerprint(dir string) (fp string, live bool, err error) {
 		if err != nil {
 			continue // racing a concurrent delete; the fingerprint changes anyway
 		}
-		if trace.IsPhysicalPart(e.Name()) {
-			live = true
-		}
 		fmt.Fprintf(&b, "%s\x00%d\x00%d\x01", e.Name(), info.Size(), info.ModTime().UnixNano())
 	}
-	return b.String(), live, nil
+	return b.String(), nil
 }
 
 // lockedRun is a run resolved for one operation: its directory, its
 // cache slot with e.mu held, and the directory's current fingerprint.
 type lockedRun struct {
-	dir  string
-	e    *runEntry
-	fp   string
-	live bool
+	dir string
+	e   *runEntry
+	fp  string
 }
 
 // lock is the preamble every per-run operation shares: it resolves the
@@ -227,14 +220,14 @@ func (r *registry) lock(id string) (lockedRun, error) {
 	e.mu.Lock()
 	if r.ttl <= 0 || e.curFP == "" || time.Since(e.fpAt) >= r.ttl {
 		r.metrics.fingerprints.Add(1)
-		fp, live, err := fingerprint(dir)
+		fp, err := fingerprint(dir)
 		if err != nil {
 			e.mu.Unlock()
 			return lockedRun{}, err
 		}
-		e.curFP, e.curLive, e.fpAt = fp, live, time.Now()
+		e.curFP, e.fpAt = fp, time.Now()
 	}
-	return lockedRun{dir: dir, e: e, fp: e.curFP, live: e.curLive}, nil
+	return lockedRun{dir: dir, e: e, fp: e.curFP}, nil
 }
 
 func (run lockedRun) unlock() { run.e.mu.Unlock() }
@@ -260,7 +253,7 @@ func (r *registry) load(id string) (*trace.Summary, string, RunInfo, error) {
 		if err != nil {
 			return nil, "", RunInfo{}, fmt.Errorf("serve: parsing run %q: %w", id, err)
 		}
-		e.sum, e.fp, e.skipped, e.live = sum, run.fp, skipped, run.live
+		e.sum, e.fp, e.skipped = sum, run.fp, skipped
 	}
 	return e.sum, e.fp, r.infoLocked(id, run.dir, e), nil
 }
@@ -310,8 +303,8 @@ func (r *registry) fingerprintFor(id string) (string, error) {
 // the cached time index when the directory carries a fresh one (reading
 // only the blocks the window intersects), falling back to the exact
 // full-scan reference over the run's physical records otherwise
-// (CSV-only traces, live streaming runs, torn or stale sidecars, a data
-// file holding a record the readers reject).
+// (CSV-only traces, torn or stale sidecars, a data file holding a record
+// the readers reject).
 func (r *registry) queryWindow(id string, q trace.Window) (*trace.WindowResult, error) {
 	run, err := r.lock(id)
 	if err != nil {
@@ -404,7 +397,6 @@ func (r *registry) infoLocked(id, dir string, e *runEntry) RunInfo {
 		Dir:        dir,
 		NumPEs:     e.sum.NumPEs,
 		PEsPerNode: e.sum.PEsPerNode,
-		Live:       e.live,
 		Skipped:    e.skipped,
 	}
 	cfg := e.sum.Config

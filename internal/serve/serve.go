@@ -1,15 +1,15 @@
 // Package serve is actorprofd's engine: an HTTP layer over trace
 // directories that parses them through internal/trace (tolerantly, so a
-// directory a streaming collector is still writing into can be watched
-// live) and serves every ActorProf visualization - the heatmaps, violin
-// plots, PAPI bars, and overall stacked bars of the paper's figures - as
-// SVG documents and JSON payloads, plus the chrome://tracing export.
+// torn or damaged file costs only its bad records) and serves every
+// ActorProf visualization - the heatmaps, violin plots, PAPI bars, and
+// overall stacked bars of the paper's figures - as SVG documents and
+// JSON payloads, plus the chrome://tracing export.
 //
 // Rendered artifacts live in a byte-budgeted, scan-resistant segmented
 // LRU cache with single-flight de-duplication: concurrent requests for
 // the same plot render it once, and one-shot scans cannot evict the
 // promoted hot set. Cache keys embed a fingerprint of the trace
-// directory's files, so live directories re-render exactly when their
+// directory's files, so directories re-render exactly when their
 // contents change, with no invalidation protocol. The same fingerprint
 // doubles as the ETag source, so unchanged artifacts revalidate with a
 // body-less 304 without touching the render path, and responses are
@@ -50,7 +50,7 @@ type Config struct {
 	// SnapshotTTL is how long the registry reuses its root scan and
 	// per-run fingerprints before re-reading disk metadata (default
 	// 500ms; negative disables the window so every request re-stats,
-	// which live-ingestion tests use for immediacy).
+	// which tests that rewrite a directory use for immediacy).
 	SnapshotTTL time.Duration
 	// GzipMinBytes is the smallest artifact worth gzip-encoding
 	// (default 860; non-positive keeps the default, use a huge value to
@@ -238,23 +238,23 @@ func etagFor(parts ...string) string {
 }
 
 // acceptsGzip reports whether the request's Accept-Encoding allows a
-// gzip response.
+// gzip response: an explicit gzip entry decides, and * applies only when
+// gzip is not listed. Either refuses at q=0.
 func acceptsGzip(r *http.Request) bool {
+	star := false
 	for _, part := range strings.Split(r.Header.Get("Accept-Encoding"), ",") {
-		token, q, hasQ := strings.Cut(strings.TrimSpace(part), ";")
-		if t := strings.TrimSpace(token); t != "gzip" && t != "*" {
-			continue
+		token, q, _ := strings.Cut(strings.TrimSpace(part), ";")
+		qv, hasQ := strings.CutPrefix(strings.TrimSpace(q), "q=")
+		f, err := strconv.ParseFloat(strings.TrimSpace(qv), 64)
+		allowed := !hasQ || err != nil || f != 0
+		switch strings.TrimSpace(token) {
+		case "gzip":
+			return allowed
+		case "*":
+			star = allowed
 		}
-		if hasQ {
-			if qv, ok := strings.CutPrefix(strings.TrimSpace(q), "q="); ok {
-				if f, err := strconv.ParseFloat(strings.TrimSpace(qv), 64); err == nil && f == 0 {
-					return false
-				}
-			}
-		}
-		return true
 	}
-	return false
+	return star
 }
 
 // etagMatches reports whether any member of an If-None-Match header
@@ -542,9 +542,6 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	}
 	for _, info := range infos {
 		fmt.Fprintf(&b, "<h2>%s</h2><ul>\n", htmlEscape(info.ID))
-		if info.Live {
-			b.WriteString("<li><em>live: run still streaming</em></li>\n")
-		}
 		for _, kind := range artifactNames() {
 			if artifacts[kind].check(sourceStub(info)) != nil {
 				continue

@@ -18,7 +18,6 @@ import (
 	"actorprof/internal/actor"
 	"actorprof/internal/apps"
 	"actorprof/internal/core"
-	"actorprof/internal/papi"
 	"actorprof/internal/sim"
 	"actorprof/internal/trace"
 )
@@ -333,87 +332,6 @@ func TestMetricsEndpointReportsCounters(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, body)
 		}
-	}
-}
-
-// TestLiveDirIngestion watches a directory while a streaming collector
-// is still writing into it: the daemon must serve plots mid-run and pick
-// up new data once more is flushed, then the finalized directory.
-func TestLiveDirIngestion(t *testing.T) {
-	for _, format := range []trace.Format{trace.FormatCSV, trace.FormatBinary, trace.FormatBoth} {
-		t.Run(format.String(), func(t *testing.T) { liveDirIngestion(t, format) })
-	}
-}
-
-func liveDirIngestion(t *testing.T, format trace.Format) {
-	root := t.TempDir()
-	dir := filepath.Join(root, "live")
-	coll, err := trace.NewStreamingCollector(trace.Config{Logical: true, Physical: true, Overall: true, Format: format},
-		sim.Machine{NumPEs: 2, PEsPerNode: 2}, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Enough records to force the 64 KiB stream buffers to flush at
-	// least once mid-run; the final line on disk is likely torn.
-	pcs := make([]*trace.PECollector, 2)
-	for pe := 0; pe < 2; pe++ {
-		pcs[pe] = coll.ForPE(pe, papi.NewEngine())
-	}
-	const records = 20000
-	for i := 0; i < records; i++ {
-		pcs[0].LogicalSend(0, 1, 8)
-	}
-	// A negative SnapshotTTL disables the metadata window: this test
-	// needs the daemon to observe every flush immediately.
-	srv, err := New(Config{Root: root, SnapshotTTL: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := srv.Handler()
-
-	res, body := get(t, h, "/runs/live/plots/logical-heatmap.json")
-	if res.StatusCode != http.StatusOK {
-		t.Fatalf("live plot: %d (%s)", res.StatusCode, body)
-	}
-	var hm struct {
-		SendTotals []int64 `json:"send_totals"`
-	}
-	if err := json.Unmarshal([]byte(body), &hm); err != nil {
-		t.Fatal(err)
-	}
-	midRun := hm.SendTotals[0]
-	if midRun == 0 || midRun >= records {
-		t.Fatalf("mid-run send total = %d, want in (0, %d)", midRun, records)
-	}
-
-	// The listing flags the run as live.
-	_, runsBody := get(t, h, "/api/runs")
-	if !strings.Contains(runsBody, `"live":true`) {
-		t.Errorf("/api/runs does not flag the streaming run as live: %s", runsBody)
-	}
-
-	// Finish the run: the fingerprint changes, the daemon re-parses, and
-	// the finalized totals appear. No restart, no invalidation call.
-	for pe := 0; pe < 2; pe++ {
-		pcs[pe].OverallBreakdown(int64(10+pe), 5, 100)
-		pcs[pe].Close()
-	}
-	if err := coll.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	res, body = get(t, h, "/runs/live/plots/logical-heatmap.json")
-	if res.StatusCode != http.StatusOK {
-		t.Fatalf("finalized plot: %d", res.StatusCode)
-	}
-	if err := json.Unmarshal([]byte(body), &hm); err != nil {
-		t.Fatal(err)
-	}
-	if hm.SendTotals[0] != records {
-		t.Fatalf("finalized send total = %d, want %d", hm.SendTotals[0], records)
-	}
-	_, runsBody = get(t, h, "/api/runs")
-	if !strings.Contains(runsBody, `"live":false`) {
-		t.Errorf("finalized run still flagged live: %s", runsBody)
 	}
 }
 

@@ -45,9 +45,6 @@ type Config struct {
 	// Cost is the data-movement cost model. Zero value means
 	// sim.DefaultCostModel().
 	Cost sim.CostModel
-	// Timing selects Virtual (deterministic, default) or Hybrid
-	// (adds real tsc cycles) clock advancement.
-	Timing sim.TimingMode
 	// Profile, when non-nil, receives per-PE counts of every OpenSHMEM
 	// routine invocation - the pshmem-style profiling interface the
 	// paper's Section V-B proposes for capturing non-blocking routines.
@@ -58,8 +55,8 @@ type Config struct {
 	Fault fault.Injector
 	// Schedule, when non-nil, records every clock charge and runtime
 	// region marker per PE for the what-if engine (internal/whatif).
-	// Create it with sim.NewScheduleRecorder using this config's machine,
-	// timing, and post-default cost model.
+	// Create it with sim.NewScheduleRecorder using this config's machine
+	// and post-default cost model.
 	Schedule *sim.ScheduleRecorder
 }
 
@@ -294,7 +291,7 @@ func Run(cfg Config, body func(pe *PE)) error {
 		w.pes[i] = &PE{
 			world: w,
 			rank:  i,
-			clock: sim.NewClock(cfg.Timing),
+			clock: sim.NewClock(sim.Virtual),
 			inj:   cfg.Fault,
 			bell:  doorbell{wake: make(chan struct{}, 1)},
 		}

@@ -239,12 +239,13 @@ func (l *PELog) each(f func([]Event)) {
 // Schedule is a full recorded run: the machine shape, the cost model
 // the run was priced with, and every PE's event log. It is the input to
 // the what-if engine and the payload of a trace directory's
-// schedule.json.
+// schedule.json. A schedule.json that still carries the "timing" field
+// older writers emitted loads unchanged: its one value was Virtual, and
+// the decoder skips fields it does not know.
 type Schedule struct {
-	Machine Machine    `json:"machine"`
-	Timing  TimingMode `json:"timing"`
-	Cost    CostModel  `json:"cost"`
-	PEs     []*PELog   `json:"pes"`
+	Machine Machine   `json:"machine"`
+	Cost    CostModel `json:"cost"`
+	PEs     []*PELog  `json:"pes"`
 }
 
 // Validate checks internal consistency: machine/log agreement, a
@@ -320,8 +321,8 @@ type ScheduleRecorder struct {
 // cost model must be the one the run actually charges with (shmem's
 // post-default model), since it is the baseline the what-if engine
 // re-prices against.
-func NewScheduleRecorder(m Machine, timing TimingMode, cost CostModel) *ScheduleRecorder {
-	r := &ScheduleRecorder{s: Schedule{Machine: m, Timing: timing, Cost: cost}}
+func NewScheduleRecorder(m Machine, cost CostModel) *ScheduleRecorder {
+	r := &ScheduleRecorder{s: Schedule{Machine: m, Cost: cost}}
 	r.s.PEs = make([]*PELog, m.NumPEs)
 	for i := range r.s.PEs {
 		r.s.PEs[i] = &PELog{}

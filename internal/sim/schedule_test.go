@@ -84,7 +84,7 @@ func TestEventKindCharged(t *testing.T) {
 }
 
 func TestScheduleJSONRoundTrip(t *testing.T) {
-	rec := NewScheduleRecorder(Machine{NumPEs: 2, PEsPerNode: 2}, Virtual, DefaultCostModel())
+	rec := NewScheduleRecorder(Machine{NumPEs: 2, PEsPerNode: 2}, DefaultCostModel())
 	rec.PE(0).Skew = 7
 	for pe := 0; pe < 2; pe++ {
 		l := rec.PE(pe)
@@ -123,7 +123,7 @@ func TestScheduleJSONRoundTrip(t *testing.T) {
 
 func TestScheduleValidateRejects(t *testing.T) {
 	mk := func() *Schedule {
-		rec := NewScheduleRecorder(Machine{NumPEs: 2, PEsPerNode: 2}, Virtual, DefaultCostModel())
+		rec := NewScheduleRecorder(Machine{NumPEs: 2, PEsPerNode: 2}, DefaultCostModel())
 		rec.PE(0).Append(EvBarrier, 0)
 		rec.PE(1).Append(EvBarrier, 0)
 		return rec.Schedule()
@@ -184,7 +184,7 @@ func recordedEvents(pe, n int) []Event {
 func TestPELogBlocksMatchAppend(t *testing.T) {
 	m := Machine{NumPEs: 2, PEsPerNode: 2}
 	for _, n := range []int{0, 1, blocks.Len - 1, blocks.Len, blocks.Len + 1, 3*blocks.Len + 7} {
-		rec := NewScheduleRecorder(m, Virtual, DefaultCostModel())
+		rec := NewScheduleRecorder(m, DefaultCostModel())
 		want := make([][]Event, m.NumPEs)
 		for pe := range want {
 			for _, e := range recordedEvents(pe, n) {
@@ -236,7 +236,7 @@ func TestPELogBlocksMatchAppend(t *testing.T) {
 
 // An unknown kind or a missing barrier is caught in an unsealed log too.
 func TestValidateSeesUnsealedEvents(t *testing.T) {
-	rec := NewScheduleRecorder(Machine{NumPEs: 2, PEsPerNode: 2}, Virtual, DefaultCostModel())
+	rec := NewScheduleRecorder(Machine{NumPEs: 2, PEsPerNode: 2}, DefaultCostModel())
 	rec.PE(0).Append(EvBarrier, 0)
 	if err := rec.s.Validate(); err == nil {
 		t.Error("Validate accepted an unsealed schedule with mismatched barriers")
@@ -249,9 +249,11 @@ func TestValidateSeesUnsealedEvents(t *testing.T) {
 }
 
 // TestScheduleJSONGolden pins the bytes of schedule.json for a recorded
-// schedule: how events are buffered during the run must not show.
+// schedule: how events are buffered during the run must not show. The
+// bytes older writers produced, with their "timing":0 field, decode to
+// the same schedule.
 func TestScheduleJSONGolden(t *testing.T) {
-	rec := NewScheduleRecorder(Machine{NumPEs: 2, PEsPerNode: 1}, Virtual, CostModel{NetworkLatency: 5, InstructionCycles: 1, InstructionScale: 2})
+	rec := NewScheduleRecorder(Machine{NumPEs: 2, PEsPerNode: 1}, CostModel{NetworkLatency: 5, InstructionCycles: 1, InstructionScale: 2})
 	rec.PE(1).Skew = 25
 	rec.PE(0).Append(EvNetworkPut, 128)
 	rec.PE(0).Append(EvHandlerStart, BatchActorID(1, 2, 3))
@@ -261,12 +263,19 @@ func TestScheduleJSONGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const want = `{"machine":{"NumPEs":2,"PEsPerNode":1},"timing":0,` +
+	const machine, rest = `{"machine":{"NumPEs":2,"PEsPerNode":1},`,
 		`"cost":{"NetworkLatency":5,"NetworkPerByte":0,"QuietLatency":0,"SignalLatency":0,"LocalCopyLatency":0,` +
-		`"LocalCopyPerByte":0,"InstructionCycles":1,"InstructionScale":2,"PollCycles":0,"ItemIngestCycles":0},` +
-		`"pes":[{"events":[[0,128],[12,12884902146],[7,0]]},{"skew":25,"events":[[7,0]]}]}`
-	if string(got) != want {
+			`"LocalCopyPerByte":0,"InstructionCycles":1,"InstructionScale":2,"PollCycles":0,"ItemIngestCycles":0},` +
+			`"pes":[{"events":[[0,128],[12,12884902146],[7,0]]},{"skew":25,"events":[[7,0]]}]}`
+	if want := machine + rest; string(got) != want {
 		t.Errorf("schedule.json changed:\n got %s\nwant %s", got, want)
+	}
+	var old Schedule
+	if err := json.Unmarshal([]byte(machine+`"timing":0,`+rest), &old); err != nil {
+		t.Fatal(err)
+	}
+	if again, err := json.Marshal(&old); err != nil || string(again) != string(got) {
+		t.Errorf("a schedule.json with \"timing\":0 decoded to\n%s\nwant\n%s (%v)", again, got, err)
 	}
 }
 
@@ -275,14 +284,14 @@ func TestScheduleJSONGolden(t *testing.T) {
 // hand-over is part of the figure.
 func BenchmarkScheduleAppend(b *testing.B) {
 	m := Machine{NumPEs: 1, PEsPerNode: 1}
-	rec := NewScheduleRecorder(m, Virtual, DefaultCostModel())
+	rec := NewScheduleRecorder(m, DefaultCostModel())
 	l := rec.PE(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if i%(1<<20) == 0 && i > 0 {
 			rec.Schedule()
-			rec = NewScheduleRecorder(m, Virtual, DefaultCostModel())
+			rec = NewScheduleRecorder(m, DefaultCostModel())
 			l = rec.PE(0)
 		}
 		l.Append(EvInstr, int64(i))
@@ -367,7 +376,7 @@ func expandRuns(evs []Event) []Event {
 // what was appended can be read back message for message.
 func TestAppendMergesOnlyAdjacentEqualInstr(t *testing.T) {
 	m := Machine{NumPEs: 1, PEsPerNode: 1}
-	rec := NewScheduleRecorder(m, Virtual, DefaultCostModel())
+	rec := NewScheduleRecorder(m, DefaultCostModel())
 	l := rec.PE(0)
 	for i := 0; i < 3; i++ {
 		l.Append(EvInstr, 53)
@@ -396,7 +405,7 @@ func TestAppendMergesOnlyAdjacentEqualInstr(t *testing.T) {
 
 	// A run is full at MaxInt32 messages; the charge that does not fit
 	// starts the next event instead of panicking in InstrRun.
-	full := NewScheduleRecorder(m, Virtual, DefaultCostModel())
+	full := NewScheduleRecorder(m, DefaultCostModel())
 	l = full.PE(0)
 	l.Append(EvInstr, InstrRun(9, math.MaxInt32-1))
 	l.Append(EvInstr, 9)
@@ -410,7 +419,7 @@ func TestAppendMergesOnlyAdjacentEqualInstr(t *testing.T) {
 	// Seeded appends, long enough for merges to meet block boundaries:
 	// expanding the log gives back the appended sequence.
 	rng := rand.New(rand.NewSource(22))
-	long := NewScheduleRecorder(m, Virtual, DefaultCostModel())
+	long := NewScheduleRecorder(m, DefaultCostModel())
 	l = long.PE(0)
 	var appended []Event
 	for len(appended) < 6*blocks.Len {
@@ -437,19 +446,20 @@ func TestAppendMergesOnlyAdjacentEqualInstr(t *testing.T) {
 	}
 
 	// A schedule.json from before runs were merged reads as it was
-	// written: decoding is not Append.
-	const old = `{"machine":{"NumPEs":1,"PEsPerNode":1},"timing":0,` +
+	// written, less the "timing" field writers of its day emitted:
+	// decoding is not Append.
+	const machine, rest = `{"machine":{"NumPEs":1,"PEsPerNode":1},`,
 		`"cost":{"NetworkLatency":5,"NetworkPerByte":0,"QuietLatency":0,"SignalLatency":0,"LocalCopyLatency":0,` +
-		`"LocalCopyPerByte":0,"InstructionCycles":1,"InstructionScale":2,"PollCycles":0,"ItemIngestCycles":0},` +
-		`"pes":[{"events":[[8,0],[3,53],[3,53],[3,8589934645],[3,53],[9,0]]}]}`
+			`"LocalCopyPerByte":0,"InstructionCycles":1,"InstructionScale":2,"PollCycles":0,"ItemIngestCycles":0},` +
+			`"pes":[{"events":[[8,0],[3,53],[3,53],[3,8589934645],[3,53],[9,0]]}]}`
 	var s Schedule
-	if err := json.Unmarshal([]byte(old), &s); err != nil {
+	if err := json.Unmarshal([]byte(machine+`"timing":0,`+rest), &s); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Validate(); err != nil {
 		t.Fatalf("unmerged schedule.json rejected: %v", err)
 	}
-	if again, err := json.Marshal(&s); err != nil || string(again) != old || s.Events() != 6 {
+	if again, err := json.Marshal(&s); err != nil || string(again) != machine+rest || s.Events() != 6 {
 		t.Errorf("unmerged schedule.json did not survive a round trip (%d events, %v):\n%s", s.Events(), err, again)
 	}
 }
@@ -460,7 +470,7 @@ func TestAppendMergesOnlyAdjacentEqualInstr(t *testing.T) {
 // refused, naming the PE and the event, sealed or not.
 func TestValidateRejectsNegativeCharge(t *testing.T) {
 	for k := EventKind(0); k < NumEventKinds; k++ {
-		rec := NewScheduleRecorder(Machine{NumPEs: 2, PEsPerNode: 2}, Virtual, DefaultCostModel())
+		rec := NewScheduleRecorder(Machine{NumPEs: 2, PEsPerNode: 2}, DefaultCostModel())
 		rec.PE(1).Append(EvFinishStart, 0)
 		rec.PE(1).Append(EvRaw, 100)
 		rec.PE(1).Append(k, -40)

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"testing"
-
-	"actorprof/internal/tsc"
-)
+import "testing"
 
 func TestSkewCharge(t *testing.T) {
 	cases := []struct {
@@ -36,49 +32,5 @@ func TestVirtualSkewOnCharges(t *testing.T) {
 	c.Charge(100)
 	if got := c.Now(); got != 250 {
 		t.Errorf("Now() = %d after second Charge(100), want 250", got)
-	}
-}
-
-// TestHybridSkewOnRealComponent is the regression test for the hybrid
-// skew inconsistency: the real elapsed-cycle component of a Hybrid
-// clock must be inflated by the same percentage as charges. A 100%-skew
-// clock must therefore overtake an unskewed reference created slightly
-// earlier once enough real cycles have elapsed - with the old behavior
-// (skew applied to charges only) the skewed clock's Now() tracked plain
-// elapsed cycles and stayed forever behind the reference.
-func TestHybridSkewOnRealComponent(t *testing.T) {
-	ref := NewClock(Hybrid) // no skew
-	c := NewClock(Hybrid)
-	c.SetSkewPercent(100)
-
-	// Spin until well past the creation gap between the two clocks, so
-	// the doubled elapsed component must dominate.
-	start := tsc.Cycles()
-	for tsc.Cycles()-start < 2_000_000 {
-	}
-	got, want := c.Now(), ref.Now()
-	if got <= want {
-		t.Errorf("100%%-skew hybrid clock Now() = %d, not ahead of unskewed reference %d: real component is unskewed", got, want)
-	}
-	// And the skewed charge path still applies on top.
-	before := c.Now()
-	c.Charge(1_000_000)
-	if d := c.Now() - before; d < 2_000_000 {
-		t.Errorf("Charge(1e6) at 100%% skew advanced hybrid clock by %d, want >= 2e6", d)
-	}
-}
-
-// TestHybridResetRebases: Reset must rewind both components.
-func TestHybridResetRebases(t *testing.T) {
-	c := NewClock(Hybrid)
-	c.SetSkewPercent(50)
-	c.Charge(10_000)
-	start := tsc.Cycles()
-	for tsc.Cycles()-start < 100_000 {
-	}
-	before := c.Now()
-	c.Reset()
-	if got := c.Now(); got >= before {
-		t.Errorf("Now() = %d after Reset, want below pre-reset %d", got, before)
 	}
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // The traced path is under the same rule as the untraced one (DESIGN.md
-// §8): recording a message allocates nothing at steady state. Modes that
-// retain no records read counters into a per-PE scratch; record mode
+// §8): recording a message allocates nothing at steady state. Aggregate
+// mode retains no records and reads counters into a per-PE scratch; record mode
 // pays one block per blocks.Len records and one arena chunk per
 // arenaChunk counters. testing.AllocsPerRun counts process-global
 // allocations and reports whole numbers, so each run is a batch of sends
@@ -32,36 +32,20 @@ func sendBatch(pc *PECollector, eng *papi.Engine, npes int) {
 
 func TestUnretainedSendZeroAlloc(t *testing.T) {
 	const npes = 8
-	aggregate := Config{
+	c, err := NewCollector(Config{
 		Logical: true, Physical: true, Overall: true, Aggregate: true,
 		PAPIEvents: []papi.Event{papi.TOT_INS}, PAPIRecordEvery: 256,
+	}, machine(npes, 4))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		name string
-		new  func() (*Collector, error)
-	}{
-		{"aggregate", func() (*Collector, error) { return NewCollector(aggregate, machine(npes, 4)) }},
-		{"streaming", func() (*Collector, error) {
-			return NewStreamingCollector(fullTrace(), machine(npes, 4), t.TempDir())
-		}},
-	} {
-		c, err := tc.new()
-		if err != nil {
-			t.Fatal(err)
-		}
-		eng := papi.NewEngine()
-		pc := c.ForPE(0, eng)
-		sendBatch(pc, eng, npes) // first use sizes the aggregate rows and stream scratch
-		if allocs := testing.AllocsPerRun(10, func() { sendBatch(pc, eng, npes) }); allocs != 0 {
-			t.Errorf("%s: %d sends allocated %.0f times, want 0", tc.name, allocBatch, allocs)
-		}
-		pc.Close()
-		if c.Streaming() {
-			if err := c.Finalize(); err != nil {
-				t.Fatal(err)
-			}
-		}
+	eng := papi.NewEngine()
+	pc := c.ForPE(0, eng)
+	sendBatch(pc, eng, npes) // first use sizes the aggregate rows
+	if allocs := testing.AllocsPerRun(10, func() { sendBatch(pc, eng, npes) }); allocs != 0 {
+		t.Errorf("aggregate: %d sends allocated %.0f times, want 0", allocBatch, allocs)
 	}
+	pc.Close()
 }
 
 func TestFullTraceSendAmortisedAlloc(t *testing.T) {

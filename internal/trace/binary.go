@@ -25,10 +25,9 @@ import (
 // auto-detected regardless of extension) and versioned. Column-major
 // blocks keep same-column values adjacent, which makes the varints short
 // (PE numbers and node IDs cluster) and the decode loop branch-free per
-// column. A torn tail - the normal state of a .part file that a
-// streaming collector is still appending to - is detected mid-block and
-// counted toward the tolerant reader's skipped total, exactly like a
-// torn CSV line.
+// column. A torn tail - a writer that stopped mid-block - is detected
+// mid-block and counted toward the tolerant reader's skipped total,
+// exactly like a torn CSV line.
 const (
 	binMagic   = "APBF"
 	binVersion = 1
@@ -39,9 +38,9 @@ const (
 	binKindOverall  byte = 4
 	binKindSegments byte = 5
 
-	// binBlockRows is the encoder's block size: small enough that live
-	// readers see records promptly, large enough to amortize the
-	// per-block row count.
+	// binBlockRows is the encoder's block size: small enough that a torn
+	// tail loses few records, large enough to amortize the per-block row
+	// count.
 	binBlockRows = 1024
 
 	// maxBinRows / maxBinCols / maxBinStr bound what a (possibly

@@ -22,12 +22,6 @@ type Collector struct {
 
 	mu  sync.Mutex
 	set *Set
-
-	// streamDir, when non-empty, switches the collector into streaming
-	// mode: records are written to disk as they are produced (see
-	// streaming.go) and only counters stay in memory.
-	streamDir string
-	streams   []*peStream
 }
 
 // NewCollector creates a collector for the given machine.
@@ -73,18 +67,6 @@ func (c *Collector) ForPE(pe int, engine *papi.Engine) *PECollector {
 		papiEvery:   c.cfg.PAPIRecordEvery,
 		events:      c.cfg.PAPIEvents,
 	}
-	if c.Streaming() {
-		s, err := c.openStreams(pe)
-		if err != nil {
-			panic(fmt.Sprintf("trace: opening stream files for PE %d: %v", pe, err))
-		}
-		c.mu.Lock()
-		c.streams[pe] = s
-		c.mu.Unlock()
-		pc.stream = s
-	}
-	pc.retain = !pc.aggregate && pc.stream == nil
-	pc.sumOnly = pc.aggregate && pc.stream == nil
 	if len(c.cfg.PAPIEvents) > 0 {
 		if engine == nil {
 			panic("trace: PAPI events configured but no engine supplied")
@@ -123,40 +105,34 @@ type PECollector struct {
 	papiEvery     int // Config.PAPIRecordEvery
 	events        []papi.Event
 
-	// stream, when non-nil, receives records directly (streaming mode).
-	stream *peStream
-
 	// Aggregate-mode state (Config.Aggregate): records fold into these
 	// per-PE accumulators instead of the buffers below, and Close merges
 	// them into the partial Summary the Set reports. aggLogical and
 	// aggPhys[kind] are dst-indexed rows for sends initiated by this PE;
 	// aggPhysMisc catches the rare event attributed to another PE (or an
-	// unknown send kind), folded individually at Close.
+	// unknown send kind), folded individually at Close. No PAPI record
+	// outlives its fold into aggPAPI, so only the per-event sums are
+	// observable; the sum of back-to-back stop/start deltas is one delta,
+	// so sends only count and Close's flush reads the counters once.
 	aggregate   bool
 	aggLogical  []int64
 	aggPhys     [3][]int64
 	aggPhysMisc []PhysicalRecord
 	aggPAPI     []int64
 	msg         stats.Stream
-	// sumOnly: aggregated and not streamed, so no PAPI record outlives
-	// its fold into aggPAPI and only the per-event sums are observable.
-	// The sum of back-to-back stop/start deltas is one delta, so sends
-	// only count and Close's flush reads the counters once.
-	sumOnly bool
 
-	// Record-mode state (retain: neither aggregated nor streamed). A
-	// send lands once, packed, in PE-private blocks, and its counter
-	// deltas stay in the chunk StopInto wrote them to: the i-th PAPI
-	// record's are the i-th slot of chunks. Close expands the blocks into
-	// the Set's exact-size slices. Until then nothing else may see them,
-	// afterwards records and their Counters are immutable (DESIGN.md §8).
-	retain   bool
+	// Record-mode state (not aggregate). A send lands once, packed, in
+	// PE-private blocks, and its counter deltas stay in the chunk
+	// StopInto wrote them to: the i-th PAPI record's are the i-th slot of
+	// chunks. Close expands the blocks into the Set's exact-size slices.
+	// Until then nothing else may see them, afterwards records and their
+	// Counters are immutable (DESIGN.md §8).
 	logical  blocks.Buf[packedLogical]
 	papiRecs blocks.Buf[packedPAPI]
 	physical blocks.Buf[PhysicalRecord]
 	chunks   [][]int64 // counter slots, len(events) each: see slot
-	// scratch receives the counter deltas of a record nobody retains
-	// (aggregate and streaming mode), so those modes allocate no chunk.
+	// scratch receives the counter deltas aggregate mode folds, so that
+	// mode allocates no chunk.
 	scratch [papi.MaxConcurrentEvents]int64
 
 	logicalCount int64
@@ -249,7 +225,7 @@ func (p *PECollector) LogicalSend(mailbox, dst, msgSize int) {
 	if p.eventSet == nil {
 		return
 	}
-	if p.sumOnly {
+	if p.aggregate {
 		p.pendingSends++
 		return
 	}
@@ -265,32 +241,27 @@ func (p *PECollector) LogicalSend(mailbox, dst, msgSize int) {
 	}
 }
 
-// recordLogical routes a sampled logical record to the enabled sinks,
-// as recordPAPI does for PAPI records.
+// recordLogical records or folds a sampled logical record, as recordPAPI
+// does for PAPI records.
 func (p *PECollector) recordLogical(dst, msgSize int) {
-	if p.retain {
+	if !p.aggregate {
 		p.logical.Push(packedLogical{pack(dst, "dst"), pack(msgSize, "msgSize")})
 		return
 	}
-	if p.stream != nil {
-		p.stream.logical.put(LogicalRecord{p.node, p.pe, dst / p.perNode, dst, msgSize})
+	if p.aggLogical == nil {
+		p.aggLogical = make([]int64, p.npes)
 	}
-	if p.aggregate {
-		if p.aggLogical == nil {
-			p.aggLogical = make([]int64, p.npes)
-		}
-		p.aggLogical[dst]++
-		p.msg.Observe(int64(msgSize))
-	}
+	p.aggLogical[dst]++
+	p.msg.Observe(int64(msgSize))
 }
 
 // stopCounters ends the running PAPI region and returns its counter
-// deltas: in the next chunk slot when records are retained (the record
-// aliases it for the life of the Set), in the per-PE scratch otherwise
-// (valid until the next call).
+// deltas: in the next chunk slot in record mode (the record aliases it
+// for the life of the Set), in the per-PE scratch otherwise (valid until
+// the next call).
 func (p *PECollector) stopCounters() []int64 {
 	counters := p.scratch[:len(p.events)]
-	if p.retain {
+	if !p.aggregate {
 		counters = p.slot(p.papiRecs.Len())
 	}
 	p.eventSet.StopInto(counters)
@@ -322,28 +293,20 @@ func (p *PECollector) flushPAPI() {
 	p.pendingSends = 0
 }
 
-// recordPAPI routes a finished PAPI record to the enabled sinks: packed
-// into the in-memory blocks (counters already sit in their slot), or to the
-// stream and the per-event aggregate totals, neither of which keeps counters.
+// recordPAPI records a finished PAPI record packed into the in-memory
+// blocks (counters already sit in their slot), or folds its counters into
+// the per-event aggregate totals.
 func (p *PECollector) recordPAPI(dst, pkt, mailbox, sends int, counters []int64) {
-	if p.retain {
+	if !p.aggregate {
 		// sends <= PAPIRecordEvery, which Config.Validate holds inside int32.
 		p.papiRecs.Push(packedPAPI{pack(dst, "dst"), pack(pkt, "msgSize"), pack(mailbox, "mailbox"), int32(sends)})
 		return
 	}
-	if p.stream != nil {
-		p.stream.papi.put(PAPIRecord{
-			SrcNode: p.node, SrcPE: p.pe, DstNode: dst / p.perNode, DstPE: dst,
-			PktSize: pkt, MailboxID: mailbox, NumSends: sends, Counters: counters,
-		})
+	if p.aggPAPI == nil {
+		p.aggPAPI = make([]int64, len(p.events))
 	}
-	if p.aggregate {
-		if p.aggPAPI == nil {
-			p.aggPAPI = make([]int64, len(p.events))
-		}
-		for i, v := range counters {
-			p.aggPAPI[i] += v
-		}
+	for i, v := range counters {
+		p.aggPAPI[i] += v
 	}
 }
 
@@ -362,25 +325,20 @@ func (p *PECollector) PhysicalSendAt(kind conveyor.SendKind, bufBytes, src, dst 
 	rec := PhysicalRecord{
 		Kind: kind, BufBytes: bufBytes, SrcPE: src, DstPE: dst, Cycles: cycles,
 	}
-	if p.retain {
+	if !p.aggregate {
 		p.physical.Push(rec)
 		return
 	}
-	if p.stream != nil {
-		p.stream.phys.put(rec)
-	}
-	if p.aggregate {
-		if k := int(kind); src == p.pe && k >= 0 && k < len(p.aggPhys) &&
-			dst >= 0 && dst < p.npes {
-			row := p.aggPhys[k]
-			if row == nil {
-				row = make([]int64, p.npes)
-				p.aggPhys[k] = row
-			}
-			row[dst]++
-		} else {
-			p.aggPhysMisc = append(p.aggPhysMisc, rec)
+	if k := int(kind); src == p.pe && k >= 0 && k < len(p.aggPhys) &&
+		dst >= 0 && dst < p.npes {
+		row := p.aggPhys[k]
+		if row == nil {
+			row = make([]int64, p.npes)
+			p.aggPhys[k] = row
 		}
+		row[dst]++
+	} else {
+		p.aggPhysMisc = append(p.aggPhysMisc, rec)
 	}
 }
 

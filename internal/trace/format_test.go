@@ -295,74 +295,7 @@ func TestSegmentsOutOfRangePE(t *testing.T) {
 	}
 }
 
-// TestStreamingCollectorBinaryFormats drives the streaming collector in
-// binary and both modes: the read-back records must match a buffered
-// collector fed the same events, and "both" must write each
-// representation.
-func TestStreamingCollectorBinaryFormats(t *testing.T) {
-	baseCfg := Config{
-		Logical: true, Physical: true, Overall: true,
-		PAPIEvents: []papi.Event{papi.TOT_INS},
-	}
-	m := machine(4, 2)
-	feed := func(c *Collector) {
-		for pe := 0; pe < 4; pe++ {
-			eng := papi.NewEngine()
-			pc := c.ForPE(pe, eng)
-			for i := 0; i < 6; i++ {
-				eng.Tally(&papi.Work{Ins: int64(5 * (pe + i + 1))})
-				pc.LogicalSend(0, (pe+i)%4, 8+i)
-			}
-			pc.PhysicalSend(conveyor.LocalSend, 128, pe, (pe+1)%4)
-			pc.PhysicalSend(conveyor.NonblockSend, 256, pe, (pe+2)%4)
-			tok := pc.SegmentEnter("seg", 0)
-			pc.SegmentExit(tok, int64(9*(pe+1)))
-			pc.OverallBreakdown(int64(100+pe), int64(50+pe), int64(1000+pe))
-			pc.Close()
-		}
-	}
-	buffered, err := NewCollector(baseCfg, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feed(buffered)
-	want := buffered.Set()
-
-	for _, format := range []Format{FormatBinary, FormatBoth} {
-		t.Run("format="+format.String(), func(t *testing.T) {
-			cfg := baseCfg
-			cfg.Format = format
-			dir := t.TempDir()
-			c, err := NewStreamingCollector(cfg, m, dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			feed(c)
-			if err := c.Finalize(); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := os.Stat(filepath.Join(dir, logicalBinFile(0))); err != nil {
-				t.Fatalf("binary logical shard missing: %v", err)
-			}
-			if format == FormatBoth {
-				if _, err := os.Stat(filepath.Join(dir, logicalFile(0))); err != nil {
-					t.Fatalf("both-mode CSV logical shard missing: %v", err)
-				}
-			}
-			leftovers, _ := filepath.Glob(filepath.Join(dir, "*.part*"))
-			if len(leftovers) != 0 {
-				t.Fatalf("part files not cleaned up: %v", leftovers)
-			}
-			back, err := ReadSet(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			recordsEqual(t, format.String(), want, back)
-		})
-	}
-}
-
-// TestAggregateCollectorMatchesBuffered pins the streaming-aggregation
+// TestAggregateCollectorMatchesBuffered pins the aggregation
 // equivalence: matrices from an Aggregate collector must equal the
 // matrices a buffering collector derives from its materialized records.
 func TestAggregateCollectorMatchesBuffered(t *testing.T) {
@@ -425,30 +358,5 @@ func TestAggregateCollectorMatchesBuffered(t *testing.T) {
 	// WriteFiles needs raw records and must refuse the aggregate set.
 	if err := got.WriteFiles(t.TempDir()); err == nil {
 		t.Fatal("WriteFiles accepted an aggregate-mode set")
-	}
-
-	// Aggregated *and* streamed, the records are still observable - on
-	// disk - so the collector must keep flushing one per send there,
-	// and fold the same totals, rather than read the counters once.
-	dir := t.TempDir()
-	streamed, err := NewStreamingCollector(cfg, m, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feed(streamed)
-	if err := streamed.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadSet(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(back.PAPI, want.PAPI) {
-		t.Fatalf("aggregate+streaming wrote PAPI records\n%+v\nwant the buffered collector's\n%+v", back.PAPI, want.PAPI)
-	}
-	for _, ev := range cfg.PAPIEvents {
-		if w, g := want.PAPITotalsPerPE(ev), streamed.Set().PAPITotalsPerPE(ev); !reflect.DeepEqual(w, g) {
-			t.Fatalf("aggregate+streaming PAPI totals for %v differ:\n%v\nvs\n%v", ev, w, g)
-		}
 	}
 }

@@ -27,10 +27,9 @@ const (
 
 // ReadOptions tunes ReadSetOptions / ReadSummary / ReadPhysical.
 type ReadOptions struct {
-	// Tolerant makes malformed lines (the torn tail of a file a streaming
-	// collector is still appending to) count as skipped instead of fatal,
-	// and merges unassembled physical .part files. This is ReadSetLive's
-	// behavior; the default (false) is ReadSet's strict behavior.
+	// Tolerant makes malformed lines (a torn tail, a corrupt record) count
+	// as skipped instead of fatal. This is ReadSetLive's behavior; the
+	// default (false) is ReadSet's strict behavior.
 	Tolerant bool
 	// Workers bounds the parse worker pool. <= 0 means GOMAXPROCS. The
 	// result is identical for every worker count: each per-PE file is one
@@ -84,7 +83,15 @@ func (s *Set) WriteFiles(dir string) error {
 	if s.Config.Physical {
 		jobs = append(jobs, func() error { return writeShard(&physicalKind, dir, 0, format, events, s.Physical...) })
 	}
-	jobs = append(jobs, s.summaryJobs(dir)...)
+	if s.Config.Overall {
+		jobs = append(jobs, func() error { return writeShard(&overallKind, dir, 0, format, events, s.OverallRecords()) })
+	}
+	for _, recs := range s.Segments {
+		if len(recs) > 0 {
+			jobs = append(jobs, func() error { return writeShard(&segmentsKind, dir, 0, format, events, s.Segments...) })
+			break
+		}
+	}
 	errs := make([]error, len(jobs))
 	tasks := make([]func(worker int), len(jobs))
 	for i := range jobs {
@@ -98,24 +105,6 @@ func (s *Set) WriteFiles(dir string) error {
 		}
 	}
 	return nil
-}
-
-// summaryJobs are the writes of the O(PEs) artifacts a streaming
-// collector also keeps in memory, so WriteFiles and Finalize share them:
-// the overall breakdown (sorted by PE) and the named segments.
-func (s *Set) summaryJobs(dir string) []func() error {
-	format, events := s.Config.Format, eventNames(s.Config.PAPIEvents)
-	var jobs []func() error
-	if s.Config.Overall {
-		jobs = append(jobs, func() error { return writeShard(&overallKind, dir, 0, format, events, s.OverallRecords()) })
-	}
-	for _, recs := range s.Segments {
-		if len(recs) > 0 {
-			jobs = append(jobs, func() error { return writeShard(&segmentsKind, dir, 0, format, events, s.Segments...) })
-			break
-		}
-	}
-	return jobs
 }
 
 func eventNames(events []papi.Event) []string {
@@ -143,20 +132,17 @@ func (s *Set) writeMeta(dir string) error {
 // ReadSet loads a trace directory written by WriteFiles back into a Set.
 // Missing optional files simply leave the corresponding feature disabled,
 // so the visualizer can work with partial trace directories. Every line
-// must parse: a malformed record is an error. For directories a streaming
-// collector is still writing into, use ReadSetLive instead.
+// must parse: a malformed record is an error. For directories that may
+// hold torn or corrupt files, use ReadSetLive instead.
 func ReadSet(dir string) (*Set, error) {
 	s, _, err := ReadSetOptions(dir, ReadOptions{})
 	return s, err
 }
 
-// ReadSetLive loads a trace directory that may still be being written by
-// a streaming collector. Unlike ReadSet it tolerates the artifacts of a
-// run in progress: malformed lines (the torn tail a concurrent writer
-// has only partially flushed) are skipped rather than fatal, and when
-// physical.txt has not been assembled yet the per-PE physical.PE*.part
-// files are merged in its place. It returns the number of lines skipped;
-// a nonzero count on a *finished* directory indicates corruption that
+// ReadSetLive loads a trace directory that may hold torn or corrupt
+// files. Unlike ReadSet it skips malformed lines (a writer's partially
+// flushed tail, a damaged record) rather than failing on them. It returns
+// the number of lines skipped; a nonzero count indicates damage that
 // ReadSet would have reported as an error.
 func ReadSetLive(dir string) (*Set, int, error) {
 	return ReadSetOptions(dir, ReadOptions{Tolerant: true})
@@ -186,26 +172,16 @@ func newCell[T any](k *kind[T], dir string, pe int) *cell[T] {
 	return c
 }
 
-// physicalCells collects the physical kind's shards: cell 0 is the
-// assembled file, cell 1+pe PE pe's live part (small, and scanned only in
-// the tolerant fallback). yield is the consumer factory that fills them.
-type physicalCells []cell[PhysicalRecord]
-
-func (p physicalCells) yield(_, pe int) func(PhysicalRecord) { return p[1+pe].add() }
-
-// fill files the collected records under their initiating PEs in s.
-func (p physicalCells) fill(s *Set) {
-	for i := range p {
-		for _, r := range p[i].recs {
-			s.Physical[r.SrcPE] = append(s.Physical[r.SrcPE], r)
-		}
+// filePhysical files physical records under their initiating PEs in s.
+func filePhysical(s *Set, recs []PhysicalRecord) {
+	for _, r := range recs {
+		s.Physical[r.SrcPE] = append(s.Physical[r.SrcPE], r)
 	}
 }
 
-// ReadPhysical loads only a directory's physical trace - the assembled
-// file or, in a tolerant read of a live run, the per-PE .part shards -
-// and opens no other record file: it is what the record-level consumers
-// (the Perfetto export, the full-scan window query) draw. The Set has
+// ReadPhysical loads only a directory's physical trace and opens no other
+// record file: it is what the record-level consumers (the Perfetto
+// export, the full-scan window query) draw. The Set has
 // what the meta file declares, Config.Physical and Physical filled;
 // skipped is the physical shards' share alone.
 func ReadPhysical(dir string, opts ReadOptions) (*Set, int, error) {
@@ -213,14 +189,16 @@ func ReadPhysical(dir string, opts ReadOptions) (*Set, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	physical := make(physicalCells, 1+m.npes)
-	have, skipped, err := walk(dir, m, opts, consumer{physical: physical.yield})
+	var physical cell[PhysicalRecord]
+	have, skipped, err := walk(dir, m, opts, consumer{
+		physical: func(_, _ int) func(PhysicalRecord) { return physical.add() },
+	})
 	if err != nil {
 		return nil, 0, err
 	}
 	s := NewSet(m.config(), m.npes, m.perNode)
 	s.Config.Physical = have.physical
-	physical.fill(s)
+	filePhysical(s, physical.recs)
 	return s, skipped, nil
 }
 
@@ -237,7 +215,7 @@ func ReadSetOptions(dir string, opts ReadOptions) (*Set, int, error) {
 	}
 	logical := make([]*cell[LogicalRecord], m.npes)
 	papi := make([]*cell[PAPIRecord], m.npes)
-	physical := make(physicalCells, 1+m.npes)
+	var physical cell[PhysicalRecord]
 	var overall cell[OverallRecord]
 	var segments cell[SegmentRecord]
 	have, skipped, err := walk(dir, m, opts, consumer{
@@ -250,7 +228,7 @@ func ReadSetOptions(dir string, opts ReadOptions) (*Set, int, error) {
 			return papi[pe].add()
 		},
 		overall:  func(_, _ int) func(OverallRecord) { return overall.add() },
-		physical: physical.yield,
+		physical: func(_, _ int) func(PhysicalRecord) { return physical.add() },
 		segments: func(_, _ int) func(SegmentRecord) { return segments.add() },
 	})
 	if err != nil {
@@ -265,7 +243,7 @@ func ReadSetOptions(dir string, opts ReadOptions) (*Set, int, error) {
 	if have.overall {
 		s.Overall = normalizeOverall(overall.recs)
 	}
-	physical.fill(s)
+	filePhysical(s, physical.recs)
 	for _, r := range segments.recs {
 		s.Segments[r.PE] = append(s.Segments[r.PE], r)
 	}

@@ -59,8 +59,8 @@ func FuzzReadLogicalFile(f *testing.F) {
 // FuzzBinaryLogicalShard throws arbitrary bytes at the APBF binary
 // decoder through the shard reader: truncated headers, bad version or
 // kind bytes, and torn block tails must never panic or allocate
-// unboundedly. Tolerant mode (how live .part files are read) must never
-// error; a successful strict parse must survive a binary
+// unboundedly. Tolerant mode (how ReadSetLive reads torn files) must
+// never error; a successful strict parse must survive a binary
 // rewrite-and-reparse round trip.
 func FuzzBinaryLogicalShard(f *testing.F) {
 	valid := func() []byte {
@@ -151,7 +151,7 @@ func FuzzReadSet(f *testing.F) {
 		for _, name := range []string{
 			"PE0_send.csv", "PE1_send.csv", "PE0_PAPI.csv", "PE1_PAPI.csv",
 			"overall.txt", "physical.txt", "segments.txt",
-			"PE0_send.bin", "PE0_PAPI.bin", "physical.PE0.part.bin",
+			"PE0_send.bin", "PE0_PAPI.bin",
 		} {
 			if err := os.WriteFile(filepath.Join(dirB, name), data, 0o644); err != nil {
 				t.Fatal(err)

@@ -100,14 +100,6 @@ func checkPhysical(r PhysicalRecord, npes int) error {
 	return checkEndpoints("physical", r.SrcPE, r.DstPE, npes)
 }
 
-// physicalPartKind is the physical kind as a streaming collector leaves
-// it before Finalize: one .part shard per PE.
-var physicalPartKind = func() kind[PhysicalRecord] {
-	k := physicalKind
-	k.csvFile, k.binFile = physicalPart, physicalPartBin
-	return k
-}()
-
 var segmentsKind = kind[SegmentRecord]{
 	csvFile: shared(segmentsFile), binFile: shared(segmentsBinFile),
 	binKind: binKindSegments, cols: 3, minCols: 3, counters: true, hasStr: true,

@@ -10,19 +10,17 @@ import (
 	"actorprof/internal/papi"
 )
 
-// writeLiveDir lays out a trace directory the way a streaming collector
-// leaves it mid-run: meta present, logical CSVs with a torn final line
-// (the writer's buffer flushed mid-record), and per-PE physical .part
-// files not yet assembled into physical.txt.
-func writeLiveDir(t *testing.T) string {
+// writeTornDir lays out a trace directory the way a writer that stopped
+// mid-record leaves it: meta present, and a logical CSV and physical.txt
+// whose final lines are torn (the buffer flushed mid-record).
+func writeTornDir(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
 	files := map[string]string{
 		"actorprof_meta.txt": "num_PEs 2\nPEs_per_node 2\nlogical_sample 1\n",
 		"PE0_send.csv":       "0,0,0,1,8\n0,0,0,1,16\n0,0,0",
 		"PE1_send.csv":       "0,1,0,0,8\n",
-		"physical.PE0.part":  "local_send,64,0,1\nnonblock_send,128,0,1\nnonblock_s",
-		"physical.PE1.part":  "local_send,32,1,0\n",
+		"physical.txt":       "local_send,64,0,1\nnonblock_send,128,0,1\nlocal_send,32,1,0\nnonblock_s",
 	}
 	for name, content := range files {
 		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
@@ -32,8 +30,20 @@ func writeLiveDir(t *testing.T) string {
 	return dir
 }
 
+// tear cuts the last 3 bytes off each named file of dir that exists.
+func tear(t *testing.T, dir string, names ...string) {
+	t.Helper()
+	for _, name := range names {
+		if fi, err := os.Stat(filepath.Join(dir, name)); err == nil {
+			if err := os.Truncate(filepath.Join(dir, name), fi.Size()-3); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
 func TestReadSetLiveToleratesInProgressDir(t *testing.T) {
-	dir := writeLiveDir(t)
+	dir := writeTornDir(t)
 
 	// The strict reader must refuse the torn logical line.
 	if _, err := ReadSet(dir); err == nil {
@@ -50,9 +60,9 @@ func TestReadSetLiveToleratesInProgressDir(t *testing.T) {
 	if !s.Config.Logical || len(s.Logical[0]) != 2 || len(s.Logical[1]) != 1 {
 		t.Errorf("logical records = %d/%d, want 2/1", len(s.Logical[0]), len(s.Logical[1]))
 	}
-	// Physical records come from the merged .part files.
+	// Physical records come from the torn file's complete lines.
 	if !s.Config.Physical {
-		t.Fatal("physical feature not detected from .part files")
+		t.Fatal("physical feature not detected from a torn physical.txt")
 	}
 	if len(s.Physical[0]) != 2 || len(s.Physical[1]) != 1 {
 		t.Errorf("physical records = %d/%d, want 2/1", len(s.Physical[0]), len(s.Physical[1]))
@@ -87,10 +97,10 @@ func TestReadSetLiveMatchesReadSetOnFinishedDir(t *testing.T) {
 
 // TestReadPhysicalMatchesReadSetLive: the physical-only reader returns
 // exactly the physical records, shape and feature flag the full tolerant
-// reader returns - for both encodings, for a finished directory, a live
-// one that holds only .part shards and one whose physical file is torn,
-// at any worker count - and its skipped count is the physical shards'
-// share of the full reader's.
+// reader returns - for both encodings, for a finished directory, one
+// whose physical file alone is torn and one where a logical shard is torn
+// too, at any worker count - and its skipped count is the physical
+// shards' share of the full reader's.
 func TestReadPhysicalMatchesReadSetLive(t *testing.T) {
 	const npes = 4
 	emit := func(c *Collector) { // 3 blocks' worth of physical records, plus logical ones
@@ -120,28 +130,16 @@ func TestReadPhysicalMatchesReadSetLive(t *testing.T) {
 			dir, _ := finished(t, format)
 			return dir, 0
 		},
-		// What a streaming run holds before Finalize: no assembled
-		// physical file, one .part shard per PE.
-		"live-parts": func(t *testing.T, format Format) (string, int) {
-			dir, set := finished(t, format)
-			os.Remove(filepath.Join(dir, physicalFile))
-			os.Remove(filepath.Join(dir, physicalBinFile))
-			for pe := 0; pe < npes; pe++ {
-				if err := writeShard(&physicalPartKind, dir, pe, format, nil, set.Physical[pe]); err != nil {
-					t.Fatal(err)
-				}
-			}
+		// What a writer that stopped mid-record leaves: the physical
+		// file's tail is torn, every other shard is whole.
+		"torn-physical": func(t *testing.T, format Format) (string, int) {
+			dir, _ := finished(t, format)
+			tear(t, dir, physicalFile, physicalBinFile)
 			return dir, 0
 		},
 		"torn": func(t *testing.T, format Format) (string, int) {
 			dir, _ := finished(t, format)
-			for _, name := range []string{physicalFile, physicalBinFile, logicalFile(1), logicalBinFile(1)} {
-				if fi, err := os.Stat(filepath.Join(dir, name)); err == nil {
-					if err := os.Truncate(filepath.Join(dir, name), fi.Size()-3); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
+			tear(t, dir, physicalFile, physicalBinFile, logicalFile(1), logicalBinFile(1))
 			if format == FormatBinary {
 				return dir, 600 // PE 1's logical shard is one torn block
 			}
@@ -171,7 +169,7 @@ func TestReadPhysicalMatchesReadSetLive(t *testing.T) {
 					if !reflect.DeepEqual(got.Physical, full.Physical) {
 						t.Fatalf("workers=%d: physical records differ from the full reader's", workers)
 					}
-					if skipped != fullSkipped-othersSkipped || (state == "torn") != (skipped > 0) {
+					if skipped != fullSkipped-othersSkipped || (state != "finished") != (skipped > 0) {
 						t.Fatalf("workers=%d: skipped %d; the full reader skipped %d, %d of them outside the physical trace",
 							workers, skipped, fullSkipped, othersSkipped)
 					}
@@ -188,7 +186,7 @@ func TestReadPhysicalMatchesReadSetLive(t *testing.T) {
 					}
 				}
 				// A strict read fails on the torn physical file only.
-				if _, _, err := ReadPhysical(dir, ReadOptions{}); (err != nil) != (state == "torn") {
+				if _, _, err := ReadPhysical(dir, ReadOptions{}); (err != nil) != (state != "finished") {
 					t.Fatalf("strict ReadPhysical: %v", err)
 				}
 			})

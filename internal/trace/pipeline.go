@@ -47,10 +47,9 @@ func openShard(candidates ...string) (*os.File, bool, error) {
 // the format, decodes record by record and applies the kind's PE-range
 // check. found is false when neither file exists. A record that fails to
 // decode or check is fatal in strict mode; a tolerant scan counts it in
-// skipped and carries on, so the torn tail of a file a streaming
-// collector is still appending to costs only the records it tore. An
-// unreadable APBF header counts as one skipped artifact, a torn block as
-// the rows it claimed.
+// skipped and carries on, so a torn tail or a corrupt line costs only the
+// records it tore. An unreadable APBF header counts as one skipped
+// artifact, a torn block as the rows it claimed.
 func scanShard[T any](k *kind[T], dir string, pe int, m *meta, tolerant bool, yield func(T)) (found bool, skipped int, err error) {
 	f, isBin, err := openShard(filepath.Join(dir, k.binFile(pe)), filepath.Join(dir, k.csvFile(pe)))
 	if err != nil {
@@ -152,12 +151,6 @@ func openSink[T any](k *kind[T], dir string, pe int, binary bool, events []strin
 		}
 		s.row = make([]int64, ncols)
 		s.bin = newBinWriter(s.w, k.binKind, ncols)
-		// Flush the header so a live reader sniffing the file sees the
-		// magic immediately, not after 64 KB of buffered blocks.
-		if err := s.w.Flush(); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("trace: writing %s: %w", f.Name(), err)
-		}
 	}
 	return s, nil
 }
@@ -286,9 +279,7 @@ func scanTask[T any](tasks []func(worker int), mark *shardMark, k *kind[T], dir 
 // logical PE 0..n-1, PAPI PE 0..n-1, overall, physical, segments - in
 // which marks merge, and with it the guarantees the readers share: the
 // skipped total, and the error a sequential read would hit first, are
-// identical for every worker count. A tolerant walk that finds no
-// assembled physical file falls back to the per-PE .part shards a live
-// streaming run keeps until Finalize.
+// identical for every worker count.
 func walk(dir string, m *meta, opts ReadOptions, c consumer) (features, int, error) {
 	n, tolerant := m.npes, opts.Tolerant
 	marks := make([]shardMark, 2*n+3)
@@ -324,15 +315,6 @@ func walk(dir string, m *meta, opts ReadOptions, c consumer) (features, int, err
 	merge(marks[n : 2*n])
 	have.overall = merge(marks[2*n : 2*n+1])
 	have.physical = merge(marks[2*n+1 : 2*n+2])
-	if err == nil && !have.physical && tolerant {
-		parts := make([]shardMark, n)
-		tasks = tasks[:0]
-		for pe := 0; pe < n; pe++ {
-			tasks = scanTask(tasks, &parts[pe], &physicalPartKind, dir, pe, m, true, c.physical)
-		}
-		runWorkerTasks(opts.poolSize(n), tasks)
-		have.physical = merge(parts)
-	}
 	merge(marks[2*n+2:])
 	if err != nil {
 		return have, 0, err

@@ -11,7 +11,7 @@ import (
 
 // Source is what the visualization layer actually needs from a trace:
 // the aggregates behind the paper's plots, not the records. Both *Set
-// (full records in memory) and *Summary (streaming aggregation, O(PEs^2)
+// (full records in memory) and *Summary (folded aggregates, O(PEs^2)
 // memory regardless of trace size) implement it, so every plot
 // constructor accepts either.
 type Source interface {

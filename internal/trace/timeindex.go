@@ -30,8 +30,8 @@ import (
 //	          per level: uvarint nbuckets, then nbuckets x
 //	          { uvarint count | uvarint bytes | uvarint k0 | k1 | k2 }
 //
-// Like the base format the index is written by the collector (at
-// Finalize) and by an explicit backfill pass over finished traces, and
+// The index is written by an explicit pass over a finished trace
+// (BuildTimeIndex: `actorprof export -index`, actorprofd -backfill), and
 // its reader is paranoid: any truncation, corruption, or staleness
 // (the data file changed size since the index was built) makes
 // LoadTimeIndex return an error, and every query path falls back to a
@@ -196,8 +196,7 @@ func (l pyramidLevel) add(tmin, ts int64, r PhysicalRecord) {
 // physical-less traces are served by the full-scan fallback). A torn tail
 // is not an error - the complete prefix is indexed, matching the tolerant
 // readers - but a record the readers reject is: no sidecar is written and
-// queries keep falling back to the full scan. This is both the collector's
-// Finalize step and the backfill path for existing traces.
+// queries keep falling back to the full scan.
 func BuildTimeIndex(dir string) (built bool, err error) {
 	f, err := os.Open(filepath.Join(dir, physicalBinFile))
 	if err != nil {

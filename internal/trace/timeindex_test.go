@@ -231,42 +231,6 @@ func TestWindowQueryCSVFallback(t *testing.T) {
 	}
 }
 
-// TestWindowQueryLiveFallback: a streaming directory that has not been
-// finalized has only .part shards and no sidecar; QueryWindow must
-// still answer, via the tolerant live reader and the full scan.
-func TestWindowQueryLiveFallback(t *testing.T) {
-	dir := t.TempDir()
-	m := machine(4, 2)
-	c, err := NewStreamingCollector(Config{Physical: true, Format: FormatBinary}, m, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for pe := 0; pe < m.NumPEs; pe++ {
-		pc := c.ForPE(pe, papi.NewEngine())
-		for i := 0; i < 60; i++ {
-			pc.PhysicalSendAt(conveyor.NonblockSend, 128, pe, (pe+1)%m.NumPEs, int64(pe*500+i+1))
-		}
-		pc.Close()
-	}
-	// No Finalize: the run is "still live".
-	ref, _, err := ReadSetLive(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := Window{T0: 100, T1: 900, LOD: 0}
-	res, err := QueryWindow(dir, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.FullScan {
-		t.Fatal("live query did not take the full-scan path")
-	}
-	compareWindow(t, "live", res, QueryWindowSet(ref, q))
-	if err := c.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestCorruptIndexNeverBreaksQueries: flipped or truncated sidecar bytes
 // must never panic, and QueryWindow must still produce an answer (via
 // the decoded index when the corruption passes validation, via the
@@ -560,45 +524,4 @@ func TestWindowQueryReadsOnlyWindow(t *testing.T) {
 	if res.BlocksRead != 0 {
 		t.Fatalf("LOD 1 query decoded %d blocks, want 0 (pyramid-only)", res.BlocksRead)
 	}
-}
-
-// TestStreamingFinalizeWritesIndex: the collector's Finalize is the
-// first writer of the sidecar.
-func TestStreamingFinalizeWritesIndex(t *testing.T) {
-	dir := t.TempDir()
-	m := machine(4, 2)
-	c, err := NewStreamingCollector(Config{Physical: true, Format: FormatBinary}, m, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for pe := 0; pe < m.NumPEs; pe++ {
-		pc := c.ForPE(pe, papi.NewEngine())
-		for i := 0; i < 100; i++ {
-			pc.PhysicalSendAt(conveyor.NonblockSend, 256, pe, (pe+1)%m.NumPEs, int64(pe*1000+i+1))
-		}
-		pc.Close()
-	}
-	if err := c.Finalize(); err != nil {
-		t.Fatal(err)
-	}
-	ix, err := LoadTimeIndex(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ix.Domain != DomainCycles {
-		t.Fatalf("streamed trace indexed as %s, want cycles", ix.Domain)
-	}
-	if ix.Rows() != int64(4*100) {
-		t.Fatalf("index covers %d rows, want 400", ix.Rows())
-	}
-	ref, err := ReadSet(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := Window{T0: ix.TMin + 10, T1: ix.TMax - 10}
-	got, err := ix.Query(dir, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareWindow(t, "streamed", got, QueryWindowSet(ref, q))
 }

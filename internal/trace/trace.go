@@ -53,19 +53,18 @@ type Config struct {
 	// This is the trace-size-management extension the paper lists as
 	// future work; totals-based analyses scale the counts back up.
 	LogicalSample int
-	// Format selects the on-disk representation WriteFiles and the
-	// streaming collector produce: the paper's CSV/text formats (the
-	// default), the compact binary columnar format, or both side by
-	// side. Readers auto-detect the format per file, so this only
-	// affects writers.
+	// Format selects the on-disk representation WriteFiles produces: the
+	// paper's CSV/text formats (the default), the compact binary columnar
+	// format, or both side by side. Readers auto-detect the format per
+	// file, so this only affects the writer.
 	Format Format
 	// Aggregate folds records into per-(src,dst) matrices at collection
 	// time instead of materializing them: the collector keeps an
 	// O(PEs^2) partial Summary rather than O(records) slices, and the
 	// set's Summary() reports it. Heatmap/violin/overall analyses work
 	// unchanged; WriteFiles and per-record exports need raw records and
-	// refuse aggregated sets (combine with a StreamDir to keep the
-	// records on disk).
+	// refuse aggregated sets. It alone decides between recording and
+	// folding: without it the collector keeps every enabled record.
 	Aggregate bool
 }
 

@@ -9,7 +9,7 @@ package trace
 // is shared by every PE (the same pointer is passed to every Runtime), so
 // constructing one under rank-dependent control flow diverges the PEs.
 func CollectiveFuncs() []string {
-	return []string{"NewCollector", "NewStreamingCollector"}
+	return []string{"NewCollector"}
 }
 
 // PairedMethods returns method-name pairs (opener -> closer) whose calls

@@ -12,7 +12,7 @@ import (
 // without running a simulation, so the benchmark measures only the
 // engines.
 func benchSchedule(pes, gens, transfersPerGen int) *sim.Schedule {
-	rec := sim.NewScheduleRecorder(sim.Machine{NumPEs: pes, PEsPerNode: pes}, sim.Virtual, sim.DefaultCostModel())
+	rec := sim.NewScheduleRecorder(sim.Machine{NumPEs: pes, PEsPerNode: pes}, sim.DefaultCostModel())
 	for pe := 0; pe < pes; pe++ {
 		l := rec.PE(pe)
 		l.Append(sim.EvFinishStart, 0)

@@ -1,7 +1,10 @@
 package whatif_test
 
 import (
+	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"actorprof/internal/actor"
@@ -200,7 +203,8 @@ func TestDifferentialSkewed(t *testing.T) {
 }
 
 // TestScheduleRoundTrip ensures schedule.json survives a write/read
-// cycle with projections intact.
+// cycle with projections intact, and that the file older writers produced
+// - the same bytes plus "timing":0 - loads and replays identically.
 func TestScheduleRoundTrip(t *testing.T) {
 	app := apps.ChaosApps()[1]
 	_, sched := capture(t, app, sim.Machine{NumPEs: 4, PEsPerNode: 2})
@@ -225,6 +229,32 @@ func TestScheduleRoundTrip(t *testing.T) {
 	}
 	if !a.Totals.Equal(b.Totals) {
 		t.Fatalf("round-tripped totals differ:\n%+v\n%+v", a.Totals, b.Totals)
+	}
+
+	data, err := os.ReadFile(filepath.Join(dir, whatif.ScheduleFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldBytes := bytes.Replace(data, []byte(`},"cost":`), []byte(`},"timing":0,"cost":`), 1)
+	if bytes.Equal(oldBytes, data) {
+		t.Fatal("schedule.json has no machine/cost boundary to put the old field at")
+	}
+	oldDir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(oldDir, whatif.ScheduleFileName), oldBytes, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	old, err := whatif.ReadScheduleFile(oldDir)
+	if err != nil {
+		t.Fatalf("read a schedule.json carrying \"timing\":0: %v", err)
+	}
+	for _, p := range []whatif.Perturbation{whatif.Identity(sched), {Cost: whatif.ScaledCost(sched.Cost, whatif.CostScales{Network: 2})}} {
+		want, err := whatif.Replay(sched, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := whatif.Replay(old, p); err != nil || !got.Equal(want) {
+			t.Fatalf("the old file replays to %+v (%v), the written one to %+v", got, err, want)
+		}
 	}
 }
 
@@ -264,7 +294,7 @@ func TestPerturbationValidate(t *testing.T) {
 func ExampleCompare() {
 	// A schedule with two PEs and one generation: PE 1 is the critical
 	// path; doubling network cost doubles its transfer charge.
-	rec := sim.NewScheduleRecorder(sim.Machine{NumPEs: 2, PEsPerNode: 2}, sim.Virtual, sim.DefaultCostModel())
+	rec := sim.NewScheduleRecorder(sim.Machine{NumPEs: 2, PEsPerNode: 2}, sim.DefaultCostModel())
 	for pe := 0; pe < 2; pe++ {
 		l := rec.PE(pe)
 		l.Append(sim.EvFinishStart, 0)

@@ -22,8 +22,8 @@ import (
 func randomLogs(seed int64, m sim.Machine, gens int, skew []int64) (merged, plain *sim.Schedule) {
 	rng := rand.New(rand.NewSource(seed))
 	cost := sim.DefaultCostModel()
-	rec := sim.NewScheduleRecorder(m, sim.Virtual, cost)
-	plain = &sim.Schedule{Machine: m, Timing: sim.Virtual, Cost: cost, PEs: make([]*sim.PELog, m.NumPEs)}
+	rec := sim.NewScheduleRecorder(m, cost)
+	plain = &sim.Schedule{Machine: m, Cost: cost, PEs: make([]*sim.PELog, m.NumPEs)}
 	counts := []int64{7, 53, 120} // 53 and 7 round at IPC 2
 	for pe := range plain.PEs {
 		l, lit := rec.PE(pe), &sim.PELog{Skew: skew[pe]}

@@ -36,7 +36,7 @@ func TestRunPricingUnderSkewAndNonDividingScale(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rec := sim.NewScheduleRecorder(m, sim.Virtual, cost)
+			rec := sim.NewScheduleRecorder(m, cost)
 			err = shmem.Run(shmem.Config{Machine: m, Cost: cost, Fault: plan, Schedule: rec}, func(pe *shmem.PE) {
 				rt := actor.NewRuntime(pe, actor.RuntimeOptions{Collector: coll, BufferItems: app.BufferItems})
 				if _, err := app.Run(rt); err != nil {
