@@ -5,7 +5,12 @@
 //
 // Usage:
 //
-//	experiments [-scale N] [-out DIR]
+//	experiments [-scale N] [-out DIR] [-cpuprofile FILE] [-memprofile FILE]
+//
+// -cpuprofile and -memprofile write runtime/pprof profiles of the whole
+// run (gzipped protobuf; read them with go tool pprof): CPU samples, and
+// the heap as the run ends, whose alloc_space view attributes every byte
+// allocated during the run to the code that allocated it.
 //
 // The output directory (default "results") is laid out as:
 //
@@ -16,12 +21,14 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 	"syscall"
@@ -61,17 +68,63 @@ func runMain(args []string) error {
 	suPEs := fs.Int("scaleup-pes", 256, "scale-up PE count")
 	suScale := fs.Int("scaleup-scale", 18, "scale-up R-MAT scale for trianglecount")
 	suKeys := fs.Int("scaleup-keys", 20000, "scale-up isort keys per PE")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+	memProfile := fs.String("memprofile", "", "write a heap profile to this file when the run ends")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	stop, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		return err
+	}
 	r := &runner{out: *out, scale: *scale, reports: map[string]*core.TriangleReport{}}
-	if *scaleup {
-		return r.runScaleUp(*suPEs, 16, *suScale, *suKeys)
+	switch {
+	case *scaleup:
+		err = r.runScaleUp(*suPEs, 16, *suScale, *suKeys)
+	case *sweep != "":
+		err = r.runSweep(*sweep)
+	default:
+		err = r.run()
 	}
-	if *sweep != "" {
-		return r.runSweep(*sweep)
+	return errors.Join(err, stop())
+}
+
+// startProfiles starts the CPU profile when cpu names a file, and returns
+// the function that ends it and, when mem names a file, writes the heap
+// profile there.
+func startProfiles(cpu, mem string) (stop func() error, err error) {
+	var cpuFile *os.File
+	if cpu != "" {
+		if cpuFile, err = os.Create(cpu); err != nil {
+			return nil, err
+		}
+		if err = pprof.StartCPUProfile(cpuFile); err != nil {
+			cpuFile.Close()
+			return nil, err
+		}
 	}
-	return r.run()
+	return func() error {
+		var err error
+		if cpuFile != nil {
+			pprof.StopCPUProfile()
+			err = cpuFile.Close()
+		}
+		if mem != "" {
+			err = errors.Join(err, writeHeapProfile(mem))
+		}
+		return err
+	}, nil
+}
+
+// writeHeapProfile writes the heap profile, with its in-use figures as of
+// a collection run just before.
+func writeHeapProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	runtime.GC()
+	return errors.Join(pprof.WriteHeapProfile(f), f.Close())
 }
 
 // runSweep measures the scale sensitivity of the headline shape metrics:

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
@@ -46,6 +47,25 @@ func TestExperimentsSuiteTinyScale(t *testing.T) {
 	for _, dir := range []string{"1n_cyclic", "1n_range", "2n_cyclic", "2n_range"} {
 		if _, err := os.Stat(filepath.Join(out, "traces", dir, "overall.txt")); err != nil {
 			t.Errorf("missing traces/%s: %v", dir, err)
+		}
+	}
+}
+
+// TestProfilesWritten: -cpuprofile and -memprofile each leave a non-empty
+// gzipped pprof file behind.
+func TestProfilesWritten(t *testing.T) {
+	out := t.TempDir()
+	cpu, mem := filepath.Join(out, "cpu.pprof"), filepath.Join(out, "mem.pprof")
+	if err := runMain([]string{"-sweep", "7", "-out", out, "-cpuprofile", cpu, "-memprofile", mem}); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{cpu, mem} {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(data, []byte{0x1f, 0x8b}) || len(data) < 32 {
+			t.Errorf("%s: %d bytes, want a non-empty gzip stream", filepath.Base(path), len(data))
 		}
 	}
 }

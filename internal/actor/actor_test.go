@@ -254,7 +254,8 @@ func TestTracingIntegration(t *testing.T) {
 		if got := len(set.Logical[pe]); got != n {
 			t.Errorf("PE %d logical records = %d, want %d", pe, got, n)
 		}
-		for _, r := range set.Logical[pe] {
+		for i := range set.Logical[pe] {
+			r := set.LogicalRecordAt(pe, i)
 			if r.SrcNode != machine.NodeOf(r.SrcPE) || r.DstNode != machine.NodeOf(r.DstPE) {
 				t.Fatalf("bad node mapping in %+v", r)
 			}
@@ -271,7 +272,8 @@ func TestTracingIntegration(t *testing.T) {
 	// at least the cost-model send floor.
 	for pe := 0; pe < npes; pe++ {
 		var sends int
-		for _, r := range set.PAPI[pe] {
+		for i := range set.PAPI[pe] {
+			r := set.PAPIRecordAt(pe, i)
 			sends += r.NumSends
 			if len(r.Counters) != 2 {
 				t.Fatalf("PAPI record with %d counters, want 2", len(r.Counters))

@@ -50,10 +50,10 @@ func TestAggregatePAPITotalsEqualSumOfRecords(t *testing.T) {
 				want[ev] = make([]int64, m.NumPEs)
 			}
 			records := 0
-			for pe, recs := range full.PAPI {
-				records += len(recs)
-				for _, r := range recs {
-					for ev, v := range r.Counters {
+			for pe := range full.PAPI {
+				records += len(full.PAPI[pe])
+				for i := range full.PAPI[pe] {
+					for ev, v := range full.PAPIRecordAt(pe, i).Counters {
 						want[ev][pe] += v
 					}
 				}

@@ -1,7 +1,7 @@
 // Package blocks provides the append-only record buffer behind the trace
 // collector and the schedule recorder: values land once, in fixed-size
-// blocks, and leave once when the run ends: Flatten's exact-size slice, or
-// Each for an owner that expands them into a wider form.
+// blocks, and leave once when the run ends, as Flatten's exact-size slice;
+// Each reads them in place before that.
 //
 // A growing slice re-copies every element each time it doubles, and at
 // the collector's volumes (millions of 8-40 byte records per run) that

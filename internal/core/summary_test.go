@@ -33,8 +33,9 @@ func onDisk(m *trace.Summary) trace.Summary {
 // to, so they cannot all be wrong the same way.
 func foldByHand(s *trace.Set) (logical trace.Matrix, physical map[conveyor.SendKind]trace.Matrix, papiTotals [][]int64) {
 	logical = trace.NewMatrix(s.NumPEs)
-	for _, recs := range s.Logical {
-		for _, r := range recs {
+	for pe := range s.Logical {
+		for i := range s.Logical[pe] {
+			r := s.LogicalRecordAt(pe, i)
 			logical[r.SrcPE][r.DstPE] += int64(s.Config.LogicalSample)
 		}
 	}
@@ -50,9 +51,9 @@ func foldByHand(s *trace.Set) (logical trace.Matrix, physical map[conveyor.SendK
 	papiTotals = make([][]int64, len(s.Config.PAPIEvents))
 	for ev := range papiTotals {
 		papiTotals[ev] = make([]int64, s.NumPEs)
-		for pe, recs := range s.PAPI {
-			for _, r := range recs {
-				papiTotals[ev][pe] += r.Counters[ev]
+		for pe := range s.PAPI {
+			for i := range s.PAPI[pe] {
+				papiTotals[ev][pe] += s.PAPIRecordAt(pe, i).Counters[ev]
 			}
 		}
 	}
@@ -102,7 +103,8 @@ func replayAggregated(t *testing.T, s *trace.Set, m sim.Machine) *trace.Set {
 	}
 	for pe := 0; pe < s.NumPEs; pe++ {
 		pc := coll.ForPE(pe, nil)
-		for _, r := range s.Logical[pe] {
+		for i := range s.Logical[pe] {
+			r := s.LogicalRecordAt(pe, i)
 			pc.LogicalSend(0, r.DstPE, r.MsgSize)
 		}
 		for _, r := range s.Physical[pe] {

@@ -58,9 +58,9 @@ func (m Machine) SameNode(a, b int) bool { return m.NodeOf(a) == m.NodeOf(b) }
 // are in cycles of the per-PE virtual clock (see Clock).
 //
 // Defaults are loosely calibrated to a Milan + Slingshot system at the
-// tsc package's 3 GHz reference frequency: ~2 µs one-way small-message
-// network latency, ~25 GB/s effective per-PE network bandwidth, and
-// ~100 GB/s intra-node copy bandwidth.
+// 3 GHz reference frequency the trace exports convert cycles at: ~2 µs
+// one-way small-message network latency, ~25 GB/s effective per-PE
+// network bandwidth, and ~100 GB/s intra-node copy bandwidth.
 type CostModel struct {
 	// NetworkLatency is the fixed per-transfer charge for an inter-node
 	// non-blocking put (start-up latency, rendezvous, NIC doorbell).

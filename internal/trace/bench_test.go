@@ -29,29 +29,19 @@ func benchSet(npes, recsPerPE int, format Format) *Set {
 		return int((rng >> 33) % uint64(n))
 	}
 	for pe := 0; pe < npes; pe++ {
-		recs := make([]LogicalRecord, recsPerPE)
+		recs := make([]LogicalSend, recsPerPE)
 		for i := range recs {
-			dst := next(npes)
-			recs[i] = LogicalRecord{
-				SrcNode: pe / perNode, SrcPE: pe,
-				DstNode: dst / perNode, DstPE: dst,
-				MsgSize: 8 + next(56),
-			}
+			recs[i] = LogicalSend{DstPE: int32(next(npes)), MsgSize: int32(8 + next(56))}
 		}
 		s.Logical[pe] = recs
 		s.LogicalSendCount[pe] = int64(recsPerPE)
 
-		precs := make([]PAPIRecord, recsPerPE/64)
+		precs, counters := make([]PAPISend, recsPerPE/64), make([]int64, 0, 2*recsPerPE/64)
 		for i := range precs {
-			dst := next(npes)
-			precs[i] = PAPIRecord{
-				SrcNode: pe / perNode, SrcPE: pe,
-				DstNode: dst / perNode, DstPE: dst,
-				PktSize: 16, MailboxID: 0, NumSends: 64,
-				Counters: []int64{int64(100000 + next(9999)), int64(50000 + next(999))},
-			}
+			precs[i] = PAPISend{DstPE: int32(next(npes)), PktSize: 16, MailboxID: 0, NumSends: 64}
+			counters = append(counters, int64(100000+next(9999)), int64(50000+next(999)))
 		}
-		s.PAPI[pe] = precs
+		s.PAPI[pe], s.PAPICounters[pe] = precs, counters
 
 		phys := make([]PhysicalRecord, recsPerPE/32)
 		for i := range phys {

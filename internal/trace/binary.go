@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"actorprof/internal/conveyor"
 )
@@ -178,7 +179,7 @@ type binReader struct {
 	rowBase int64 // file-order index of the next block's first row
 	cols    [][]int64
 	strs    []string
-	arena   // counter slices (PAPI/segments), like the CSV scratch
+	row     []int64 // rowCounters' scratch, like the CSV line scratch
 }
 
 type byteCounter struct {
@@ -322,9 +323,16 @@ func padCounters(dst, src []int64) {
 	}
 }
 
-// rowCounters gathers row i's columns from first on into a counter slice.
+// rowCounters gathers row i's columns from first on into the reader's
+// row scratch (nil when there are none): valid until the next call.
 func (d *binReader) rowCounters(first, i int) []int64 {
-	counters := d.take(d.ncols - first)
+	if first == d.ncols {
+		return nil
+	}
+	if d.row == nil {
+		d.row = make([]int64, d.ncols-first)
+	}
+	counters := d.row[:d.ncols-first]
 	for c := first; c < d.ncols; c++ {
 		counters[c-first] = d.cols[c][i]
 	}
@@ -400,6 +408,6 @@ func segmentToRow(r SegmentRecord, row []int64) string {
 func segmentFromRow(d *binReader, i int) SegmentRecord {
 	return SegmentRecord{
 		PE: int(d.cols[0][i]), Name: d.strs[i],
-		Count: d.cols[1][i], Cycles: d.cols[2][i], Counters: d.rowCounters(3, i),
+		Count: d.cols[1][i], Cycles: d.cols[2][i], Counters: slices.Clone(d.rowCounters(3, i)),
 	}
 }

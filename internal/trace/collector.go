@@ -52,12 +52,10 @@ func (c *Collector) Set() *Set {
 // counter bank (may be nil when no PAPI events are configured).
 func (c *Collector) ForPE(pe int, engine *papi.Engine) *PECollector {
 	pc := &PECollector{
-		parent:  c,
-		pe:      pe,
-		node:    c.machine.NodeOf(pe),
-		npes:    c.machine.NumPEs,
-		perNode: c.machine.PEsPerNode,
-		engine:  engine,
+		parent: c,
+		pe:     pe,
+		npes:   c.machine.NumPEs,
+		engine: engine,
 
 		aggregate:   c.cfg.Aggregate,
 		logicalOn:   c.cfg.Logical,
@@ -91,19 +89,18 @@ func (c *Collector) ForPE(pe int, engine *papi.Engine) *PECollector {
 type PECollector struct {
 	parent *Collector
 	pe     int
-	node   int
 	engine *papi.Engine
 
 	// What the send path needs of the configuration and the machine,
 	// copied here by ForPE so a send reads a few words of its own
 	// collector instead of copying the parent's Config.
-	npes, perNode int
-	logicalOn     bool
-	physicalOn    bool
-	sampleEvery   int // Config.LogicalSample
-	untilSample   int // sends until the next sampled logical record; 1 = the next one
-	papiEvery     int // Config.PAPIRecordEvery
-	events        []papi.Event
+	npes        int
+	logicalOn   bool
+	physicalOn  bool
+	sampleEvery int // Config.LogicalSample
+	untilSample int // sends until the next sampled logical record; 1 = the next one
+	papiEvery   int // Config.PAPIRecordEvery
+	events      []papi.Event
 
 	// Aggregate-mode state (Config.Aggregate): records fold into these
 	// per-PE accumulators instead of the buffers below, and Close merges
@@ -124,11 +121,11 @@ type PECollector struct {
 	// Record-mode state (not aggregate). A send lands once, packed, in
 	// PE-private blocks, and its counter deltas stay in the chunk
 	// StopInto wrote them to: the i-th PAPI record's are the i-th slot of
-	// chunks. Close expands the blocks into the Set's exact-size slices.
-	// Until then nothing else may see them, afterwards records and their
-	// Counters are immutable (DESIGN.md §8).
-	logical  blocks.Buf[packedLogical]
-	papiRecs blocks.Buf[packedPAPI]
+	// chunks. Close flattens the blocks into the Set's exact-size slices
+	// and joins the chunks into its counter column. Until then nothing
+	// else may see them, afterwards they are immutable (DESIGN.md §8).
+	logical  blocks.Buf[LogicalSend]
+	papiRecs blocks.Buf[PAPISend]
 	physical blocks.Buf[PhysicalRecord]
 	chunks   [][]int64 // counter slots, len(events) each: see slot
 	// scratch receives the counter deltas aggregate mode folds, so that
@@ -153,11 +150,6 @@ type PECollector struct {
 
 	closed bool
 }
-
-// packedLogical and packedPAPI are a record while the run executes: what
-// a send chooses. Source and destination node follow from p.pe and dst.
-type packedLogical struct{ dst, size int32 }
-type packedPAPI struct{ dst, pkt, mailbox, sends int32 }
 
 // pack narrows a record field to its packed width. Like sim.InstrRun, a
 // value that does not fit panics rather than wraps.
@@ -245,7 +237,7 @@ func (p *PECollector) LogicalSend(mailbox, dst, msgSize int) {
 // does for PAPI records.
 func (p *PECollector) recordLogical(dst, msgSize int) {
 	if !p.aggregate {
-		p.logical.Push(packedLogical{pack(dst, "dst"), pack(msgSize, "msgSize")})
+		p.logical.Push(LogicalSend{pack(dst, "dst"), pack(msgSize, "msgSize")})
 		return
 	}
 	if p.aggLogical == nil {
@@ -268,11 +260,15 @@ func (p *PECollector) stopCounters() []int64 {
 	return counters
 }
 
+// chunkWords is the size of a counter chunk: one allocation per
+// chunkWords / len(events) PAPI records.
+const chunkWords = 4096
+
 // slot returns the counters of the i-th retained PAPI record, capped at
 // their own length, adding the chunk that holds them if i is the next.
 func (p *PECollector) slot(i int) []int64 {
 	k := len(p.events)
-	per := arenaChunk / k
+	per := chunkWords / k
 	if i/per == len(p.chunks) {
 		p.chunks = append(p.chunks, make([]int64, per*k))
 	}
@@ -299,7 +295,7 @@ func (p *PECollector) flushPAPI() {
 func (p *PECollector) recordPAPI(dst, pkt, mailbox, sends int, counters []int64) {
 	if !p.aggregate {
 		// sends <= PAPIRecordEvery, which Config.Validate holds inside int32.
-		p.papiRecs.Push(packedPAPI{pack(dst, "dst"), pack(pkt, "msgSize"), pack(mailbox, "mailbox"), int32(sends)})
+		p.papiRecs.Push(PAPISend{pack(dst, "dst"), pack(pkt, "msgSize"), pack(mailbox, "mailbox"), int32(sends)})
 		return
 	}
 	if p.aggPAPI == nil {
@@ -358,38 +354,25 @@ func (p *PECollector) OverallBreakdown(tMain, tProc, tTotal int64) {
 	p.hasOverall = true
 }
 
-// expand builds the Set's exact-size record slices from the packed blocks,
-// the one time a record is written in full. An empty kind stays nil.
-func (p *PECollector) expand() (logical []LogicalRecord, papiRecs []PAPIRecord) {
-	if n := p.logical.Len(); n > 0 {
-		logical = make([]LogicalRecord, 0, n)
+// counterColumn joins the counter chunks into the exact-size column of
+// the n retained PAPI records (nil when there are none) and drops them.
+func (p *PECollector) counterColumn(n int) []int64 {
+	if n == 0 {
+		return nil
 	}
-	p.logical.Each(func(run []packedLogical) {
-		for _, r := range run {
-			dst := int(r.dst)
-			logical = append(logical, LogicalRecord{p.node, p.pe, dst / p.perNode, dst, int(r.size)})
-		}
-	})
-	if n := p.papiRecs.Len(); n > 0 {
-		papiRecs = make([]PAPIRecord, 0, n)
+	col, off := make([]int64, n*len(p.events)), 0
+	for _, chunk := range p.chunks {
+		off += copy(col[off:], chunk)
 	}
-	p.papiRecs.Each(func(run []packedPAPI) {
-		for _, r := range run {
-			dst := int(r.dst)
-			papiRecs = append(papiRecs, PAPIRecord{
-				SrcNode: p.node, SrcPE: p.pe, DstNode: dst / p.perNode, DstPE: dst,
-				PktSize: int(r.pkt), MailboxID: int(r.mailbox), NumSends: int(r.sends),
-				Counters: p.slot(len(papiRecs)),
-			})
-		}
-	})
-	return logical, papiRecs
+	p.chunks = nil
+	return col
 }
 
 // Close flushes pending records into the shared Set. Idempotent. The
 // hand-over copies and the segment sort happen before the collector's
 // lock is taken, so PEs finishing together do not queue behind each
-// other's memmove.
+// other's memmove. A record is copied once, at its packed width: the Set
+// holds what the blocks held (DESIGN.md §8).
 func (p *PECollector) Close() {
 	if p.closed {
 		return
@@ -405,8 +388,8 @@ func (p *PECollector) Close() {
 			p.recordPAPI(p.pe, 0, -1, 0, counters)
 		}
 	}
-	logical, papiRecs := p.expand()
-	p.logical, p.papiRecs = blocks.Buf[packedLogical]{}, blocks.Buf[packedPAPI]{}
+	logical, papiRecs := p.logical.Flatten(), p.papiRecs.Flatten()
+	counters := p.counterColumn(len(papiRecs))
 	physical := p.physical.Flatten()
 	var segments []SegmentRecord
 	if len(p.segments) > 0 {
@@ -446,7 +429,7 @@ func (p *PECollector) Close() {
 	}
 	c.set.Logical[p.pe] = logical
 	c.set.LogicalSendCount[p.pe] = p.logicalCount
-	c.set.PAPI[p.pe] = papiRecs
+	c.set.PAPI[p.pe], c.set.PAPICounters[p.pe] = papiRecs, counters
 	c.set.Physical[p.pe] = physical
 	if p.hasOverall {
 		c.set.Overall = append(c.set.Overall, p.overall)

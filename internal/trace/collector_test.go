@@ -77,31 +77,25 @@ func collect(t testing.TB, cfg Config, npes, perNode, n int) *Set {
 }
 
 // appendModel builds the set the same calls must produce, the way the
-// collector did before it had blocks: plain append, one fresh Counters
-// slice per record. Under fullTrace every send is one logical and one
+// collector did before it had blocks: plain append, record by record and
+// counter by counter. Under fullTrace every send is one logical and one
 // PAPI record, and the work after the last send is the residual record.
 func appendModel(npes, perNode, n int) *Set {
 	cfg := fullTrace()
 	want := NewSet(cfg, npes, perNode)
 	for pe := 0; pe < npes; pe++ {
-		node := pe / perNode
 		for _, s := range sendSequence(pe, npes, n) {
-			want.Logical[pe] = append(want.Logical[pe], LogicalRecord{
-				SrcNode: node, SrcPE: pe, DstNode: s.dst / perNode, DstPE: s.dst, MsgSize: s.size,
+			want.Logical[pe] = append(want.Logical[pe], LogicalSend{DstPE: int32(s.dst), MsgSize: int32(s.size)})
+			want.PAPI[pe] = append(want.PAPI[pe], PAPISend{
+				DstPE: int32(s.dst), PktSize: int32(s.size), MailboxID: int32(s.mailbox), NumSends: 1,
 			})
-			want.PAPI[pe] = append(want.PAPI[pe], PAPIRecord{
-				SrcNode: node, SrcPE: pe, DstNode: s.dst / perNode, DstPE: s.dst,
-				PktSize: s.size, MailboxID: s.mailbox, NumSends: 1,
-				Counters: []int64{s.work.Ins, s.work.LstIns},
-			})
+			want.PAPICounters[pe] = append(want.PAPICounters[pe], s.work.Ins, s.work.LstIns)
 			if s.physical {
 				want.Physical[pe] = append(want.Physical[pe], s.physicalRecord(pe))
 			}
 		}
-		want.PAPI[pe] = append(want.PAPI[pe], PAPIRecord{
-			SrcNode: node, SrcPE: pe, DstNode: node, DstPE: pe,
-			MailboxID: -1, Counters: []int64{3, 0},
-		})
+		want.PAPI[pe] = append(want.PAPI[pe], PAPISend{DstPE: int32(pe), MailboxID: -1})
+		want.PAPICounters[pe] = append(want.PAPICounters[pe], 3, 0)
 		want.LogicalSendCount[pe] = int64(n)
 		want.Overall = append(want.Overall, OverallRecord{PE: pe, TMain: 10, TProc: 20, TComm: 70, TTotal: 100})
 	}
@@ -128,6 +122,7 @@ func TestCollectorMatchesAppendModel(t *testing.T) {
 		}{
 			{"Logical", got.Logical, want.Logical},
 			{"PAPI", got.PAPI, want.PAPI},
+			{"PAPICounters", got.PAPICounters, want.PAPICounters},
 			{"Physical", got.Physical, want.Physical},
 			{"LogicalSendCount", got.LogicalSendCount, want.LogicalSendCount},
 			{"Overall", got.Overall, want.Overall},
@@ -138,28 +133,30 @@ func TestCollectorMatchesAppendModel(t *testing.T) {
 		}
 		for pe := range got.PAPI {
 			if len(got.Logical[pe]) != cap(got.Logical[pe]) || len(got.PAPI[pe]) != cap(got.PAPI[pe]) ||
-				len(got.Physical[pe]) != cap(got.Physical[pe]) {
+				len(got.PAPICounters[pe]) != cap(got.PAPICounters[pe]) || len(got.Physical[pe]) != cap(got.Physical[pe]) {
 				t.Errorf("n=%d PE %d: a handed-over slice is not exact-size", n, pe)
 			}
 		}
 	}
 }
 
-// TestCountersDoNotShareCapacity: Counters alias arena memory, so each
-// must be capped at its own length, or a consumer's append would write
-// into the next record's counters.
+// TestCountersDoNotShareCapacity: a PAPIRecordAt's Counters alias the
+// Set's counter column, so each must be capped at its own length, or a
+// consumer's append would write into the next record's counters. Across a
+// chunk boundary, so the joined column is what is checked.
 func TestCountersDoNotShareCapacity(t *testing.T) {
-	set := collect(t, fullTrace(), 2, 2, arenaChunk+5)
-	for pe, recs := range set.PAPI {
-		for i := range recs {
-			if c := recs[i].Counters; len(c) != 2 || cap(c) != 2 {
+	set := collect(t, fullTrace(), 2, 2, chunkWords+5)
+	for pe := range set.PAPI {
+		for i := range set.PAPI[pe] {
+			if c := set.PAPIRecordAt(pe, i).Counters; len(c) != 2 || cap(c) != 2 {
 				t.Fatalf("PE %d record %d: Counters len %d cap %d, want 2 and 2", pe, i, len(c), cap(c))
 			}
 		}
-		next := append([]int64(nil), recs[1].Counters...)
-		grown := append(recs[0].Counters, -1)
-		if !reflect.DeepEqual(recs[1].Counters, next) || &grown[0] == &recs[0].Counters[0] {
-			t.Fatalf("PE %d: appending to one record's Counters reached the arena", pe)
+		first, second := set.PAPIRecordAt(pe, 0).Counters, set.PAPIRecordAt(pe, 1).Counters
+		next := append([]int64(nil), second...)
+		grown := append(first, -1)
+		if !reflect.DeepEqual(second, next) || &grown[0] == &first[0] {
+			t.Fatalf("PE %d: appending to one record's Counters reached the column", pe)
 		}
 	}
 }
@@ -171,9 +168,9 @@ func TestPAPITotalsOneWalk(t *testing.T) {
 	copied := *set
 	for i, ev := range set.Config.PAPIEvents {
 		want := make([]int64, set.NumPEs)
-		for pe, recs := range set.PAPI {
-			for _, r := range recs {
-				want[pe] += r.Counters[i]
+		for pe := range set.PAPI {
+			for j := range set.PAPI[pe] {
+				want[pe] += set.PAPIRecordAt(pe, j).Counters[i]
 			}
 		}
 		for _, s := range []*Set{set, &copied} {
@@ -188,7 +185,7 @@ func TestPAPITotalsOneWalk(t *testing.T) {
 		t.Errorf("unconfigured event: totals %v, want zeros", got)
 	}
 	// A Set literal has no memo to share and still answers.
-	lit := &Set{NumPEs: set.NumPEs, Config: set.Config, PAPI: set.PAPI}
+	lit := &Set{NumPEs: set.NumPEs, Config: set.Config, PAPI: set.PAPI, PAPICounters: set.PAPICounters}
 	if got, want := lit.PAPITotalsPerPE(papi.TOT_INS), copied.PAPITotalsPerPE(papi.TOT_INS); !reflect.DeepEqual(got, want) {
 		t.Errorf("Set literal: totals %v, want %v", got, want)
 	}
@@ -233,11 +230,11 @@ func TestPackedFieldsPanicNotWrap(t *testing.T) {
 			pc.Close()
 			set := c.Set()
 			if cfg.Logical {
-				if want := (LogicalRecord{SrcNode: 0, SrcPE: 1, DstNode: f.dst / 2, DstPE: f.dst, MsgSize: f.size}); set.Logical[1][0] != want {
-					t.Errorf("%s at MaxInt32: logical record %+v, want %+v", f.name, set.Logical[1][0], want)
+				if want := (LogicalRecord{SrcNode: 0, SrcPE: 1, DstNode: f.dst / 2, DstPE: f.dst, MsgSize: f.size}); set.LogicalRecordAt(1, 0) != want {
+					t.Errorf("%s at MaxInt32: logical record %+v, want %+v", f.name, set.LogicalRecordAt(1, 0), want)
 				}
 			}
-			r := set.PAPI[1][0]
+			r := set.PAPIRecordAt(1, 0)
 			if r.SrcPE != 1 || r.DstPE != f.dst || r.DstNode != f.dst/2 || r.PktSize != f.size || r.MailboxID != f.mailbox || r.NumSends != 1 {
 				t.Errorf("%s at MaxInt32: PAPI record %+v", f.name, r)
 			}
@@ -265,10 +262,17 @@ func TestPackedFieldsPanicNotWrap(t *testing.T) {
 	}
 }
 
+// allocated is the process's cumulative heap allocation in bytes.
+func allocated() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.TotalAlloc
+}
+
 // TestRecordModeFootprint bounds what a fully traced send costs in heap:
 // while the run executes, its two packed records and its counter slot
 // (8 + 16 + 16 bytes), and over the collector's whole life those plus
-// the Set's own two records (40 + 80) - not a second copy of either.
+// their one copy into the Set at Close (24 + 16) - not a wider record.
 func TestRecordModeFootprint(t *testing.T) {
 	const npes, perNode, n = 4, 2, 1 << 16
 	seqs := make([][]send, npes)
@@ -276,11 +280,6 @@ func TestRecordModeFootprint(t *testing.T) {
 		seqs[pe] = sendSequence(pe, npes, n)
 	}
 	want := appendModel(npes, perNode, n)
-	allocated := func() uint64 {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.TotalAlloc
-	}
 
 	start := allocated()
 	c, err := NewCollector(fullTrace(), machine(npes, perNode))
@@ -305,15 +304,52 @@ func TestRecordModeFootprint(t *testing.T) {
 	closed := allocated()
 
 	const sends = npes * n
+	t.Logf("%.1f bytes per send before Close, %.1f over the collector's life",
+		float64(running-start)/sends, float64(closed-start)/sends)
 	if per := float64(running-start) / sends; per > 48 {
 		t.Errorf("%.1f bytes allocated per send before Close, want <= 48", per)
 	}
-	if per := float64(closed-start) / sends; per > 200 {
-		t.Errorf("%.1f bytes allocated per send over the collector's life, want <= 200", per)
+	if per := float64(closed-start) / sends; per > 96 {
+		t.Errorf("%.1f bytes allocated per send over the collector's life, want <= 96", per)
 	}
 	got := c.Set()
 	if !reflect.DeepEqual(got.Logical, want.Logical) || !reflect.DeepEqual(got.PAPI, want.PAPI) ||
+		!reflect.DeepEqual(got.PAPICounters, want.PAPICounters) ||
 		!reflect.DeepEqual(got.LogicalSendCount, want.LogicalSendCount) || !reflect.DeepEqual(got.Overall, want.Overall) {
 		t.Error("the handed-over set differs from the append-built one")
+	}
+}
+
+// TestReadSetFootprint bounds what ReadSet allocates per send of a fully
+// traced run read back: the packed records and the counter column a Set
+// holds (8 + 16 + 16 bytes), each slice sized once from its shard, plus
+// the physical records of every fourth send - no full row and no counter
+// slice per record. Decoded from either encoding, the Set is the one the
+// collector handed over.
+func TestReadSetFootprint(t *testing.T) {
+	const npes, perNode, n = 4, 2, 1 << 16
+	set := collect(t, fullTrace(), npes, perNode, n)
+	for _, format := range []Format{FormatCSV, FormatBinary} {
+		t.Run(format.String(), func(t *testing.T) {
+			set.Config.Format = format
+			dir := t.TempDir()
+			if err := set.WriteFiles(dir); err != nil {
+				t.Fatal(err)
+			}
+			start := allocated()
+			back, err := ReadSet(dir)
+			per := float64(allocated()-start) / (npes * n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%.1f bytes allocated per send", per)
+			if per > 64 {
+				t.Errorf("ReadSet allocated %.1f bytes per send, want <= 64", per)
+			}
+			if !reflect.DeepEqual(back.Logical, set.Logical) || !reflect.DeepEqual(back.PAPI, set.PAPI) ||
+				!reflect.DeepEqual(back.PAPICounters, set.PAPICounters) {
+				t.Error("the Set read back differs from the collected one")
+			}
+		})
 	}
 }

@@ -160,33 +160,10 @@ func parseIntsCommaSlow(line []byte, want int, out []int64) ([]int64, error) {
 	return out, nil
 }
 
-// arena hands out counter slices in chunks so a PAPI or segments scan
-// costs one allocation per ~arenaChunk counters instead of one per record.
-type arena []int64
-
-const arenaChunk = 4096
-
-func (a *arena) take(n int) []int64 {
-	if n == 0 {
-		return nil
-	}
-	if len(*a) < n {
-		size := arenaChunk
-		if n > size {
-			size = n
-		}
-		*a = make([]int64, size)
-	}
-	out := (*a)[:n:n]
-	*a = (*a)[n:]
-	return out
-}
-
 // csvScratch is the per-shard state a CSV scan reuses across lines.
 type csvScratch struct {
 	nEvents int // configured PAPI events: the counter columns a line owes
 	ints    []int64
-	arena
 }
 
 // newCSVScratch sizes the field scratch for the widest line the writer
@@ -222,13 +199,11 @@ func parsePAPI(line []byte, s *csvScratch) (PAPIRecord, error) {
 		return PAPIRecord{}, err
 	}
 	s.ints = v[:0]
-	counters := s.take(len(v) - 7)
-	copy(counters, v[7:])
 	return PAPIRecord{
 		SrcNode: int(v[0]), SrcPE: int(v[1]),
 		DstNode: int(v[2]), DstPE: int(v[3]),
 		PktSize: int(v[4]), MailboxID: int(v[5]), NumSends: int(v[6]),
-		Counters: counters,
+		Counters: v[7:len(v):len(v)], // the line scratch: valid until the next parse
 	}, nil
 }
 

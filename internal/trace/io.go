@@ -2,9 +2,11 @@ package trace
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -74,21 +76,36 @@ func (s *Set) WriteFiles(dir string) error {
 	for pe := 0; pe < s.NumPEs; pe++ {
 		pe := pe
 		if s.Config.Logical {
-			jobs = append(jobs, func() error { return writeShard(&logicalKind, dir, pe, format, events, s.Logical[pe]) })
+			jobs = append(jobs, func() error {
+				return writeShard(&logicalKind, dir, pe, format, events, len(s.Logical[pe]),
+					func(i int) LogicalRecord { return s.LogicalRecordAt(pe, i) })
+			})
 		}
 		if len(events) > 0 {
-			jobs = append(jobs, func() error { return writeShard(&papiKind, dir, pe, format, events, s.PAPI[pe]) })
+			jobs = append(jobs, func() error {
+				return writeShard(&papiKind, dir, pe, format, events, len(s.PAPI[pe]),
+					func(i int) PAPIRecord { return s.PAPIRecordAt(pe, i) })
+			})
 		}
 	}
 	if s.Config.Physical {
-		jobs = append(jobs, func() error { return writeShard(&physicalKind, dir, 0, format, events, s.Physical...) })
+		jobs = append(jobs, func() error {
+			n, at := rows(s.Physical...)
+			return writeShard(&physicalKind, dir, 0, format, events, n, at)
+		})
 	}
 	if s.Config.Overall {
-		jobs = append(jobs, func() error { return writeShard(&overallKind, dir, 0, format, events, s.OverallRecords()) })
+		jobs = append(jobs, func() error {
+			n, at := rows(s.OverallRecords())
+			return writeShard(&overallKind, dir, 0, format, events, n, at)
+		})
 	}
 	for _, recs := range s.Segments {
 		if len(recs) > 0 {
-			jobs = append(jobs, func() error { return writeShard(&segmentsKind, dir, 0, format, events, s.Segments...) })
+			jobs = append(jobs, func() error {
+				n, at := rows(s.Segments...)
+				return writeShard(&segmentsKind, dir, 0, format, events, n, at)
+			})
 			break
 		}
 	}
@@ -156,26 +173,72 @@ type cell[T any] struct{ recs []T }
 // add is the yield that fills c.
 func (c *cell[T]) add() func(T) { return func(r T) { c.recs = append(c.recs, r) } }
 
-// newCell returns an empty cell for PE pe's shard of kind k. For the
-// kinds that declare a bytes-per-record figure it is sized up front from
-// the shard's on-disk size, so a big shard allocates once instead of
-// growing through append doublings (over-estimating slightly is fine).
-func newCell[T any](k *kind[T], dir string, pe int) *cell[T] {
+// shardRows estimates how many records PE pe's shard of kind k holds from
+// its on-disk size and the run's nEvents counter columns, so that a
+// collecting reader allocates once instead of growing through append
+// doublings (over-estimating slightly is fine). It is 0 for the kinds
+// that declare no bytes-per-record figure.
+func shardRows[T any](k *kind[T], dir string, pe, nEvents int) int {
+	if k.binRecBytes == 0 {
+		return 0
+	}
+	if !k.counters {
+		nEvents = 0
+	}
+	if fi, err := os.Stat(filepath.Join(dir, k.binFile(pe))); err == nil {
+		return int(fi.Size())/(k.binRecBytes+nEvents) + 1
+	} else if fi, err := os.Stat(filepath.Join(dir, k.csvFile(pe))); err == nil {
+		return int(fi.Size())/(k.csvRecBytes+2*nEvents) + 1
+	}
+	return 0
+}
+
+// newCell returns an empty cell with room for n records (shardRows).
+func newCell[T any](n int) *cell[T] {
 	c := &cell[T]{}
-	if k.binRecBytes > 0 {
-		if fi, err := os.Stat(filepath.Join(dir, k.binFile(pe))); err == nil {
-			c.recs = make([]T, 0, int(fi.Size())/k.binRecBytes+1)
-		} else if fi, err := os.Stat(filepath.Join(dir, k.csvFile(pe))); err == nil {
-			c.recs = make([]T, 0, int(fi.Size())/k.csvRecBytes+1)
-		}
+	if n > 0 {
+		c.recs = make([]T, 0, n)
 	}
 	return c
 }
 
-// filePhysical files physical records under their initiating PEs in s.
+// papiCell collects one PE's PAPI rows the way a Set holds them: a
+// PAPISend per record and k counter words in one column. A row's
+// counters beyond the meta file's k events are dropped and missing ones
+// read as zero, as the APBF writer pads them.
+type papiCell struct {
+	k        int
+	recs     []PAPISend
+	counters []int64
+}
+
+func newPAPICell(n, k int) *papiCell {
+	c := &papiCell{k: k}
+	if n > 0 {
+		c.recs, c.counters = make([]PAPISend, 0, n), make([]int64, 0, n*k)
+	}
+	return c
+}
+
+func (c *papiCell) add(r PAPIRecord) {
+	c.recs = append(c.recs, PAPISend{int32(r.DstPE), int32(r.PktSize), int32(r.MailboxID), int32(r.NumSends)})
+	n := len(c.counters)
+	c.counters = slices.Grow(c.counters, c.k)[:n+c.k]
+	padCounters(c.counters[n:], r.Counters)
+}
+
+// filePhysical files physical records under their initiating PEs in s,
+// in file order within a PE. It sorts recs by source (stably: the file's
+// order is already that, PE by PE) and files each PE's run as a capped
+// view of recs, so the records are not copied again.
 func filePhysical(s *Set, recs []PhysicalRecord) {
-	for _, r := range recs {
-		s.Physical[r.SrcPE] = append(s.Physical[r.SrcPE], r)
+	slices.SortStableFunc(recs, func(a, b PhysicalRecord) int { return cmp.Compare(a.SrcPE, b.SrcPE) })
+	for len(recs) > 0 {
+		n := 1
+		for n < len(recs) && recs[n].SrcPE == recs[0].SrcPE {
+			n++
+		}
+		s.Physical[recs[0].SrcPE], recs = recs[:n:n], recs[n:]
 	}
 }
 
@@ -189,7 +252,7 @@ func ReadPhysical(dir string, opts ReadOptions) (*Set, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	var physical cell[PhysicalRecord]
+	physical := newCell[PhysicalRecord](shardRows(&physicalKind, dir, -1, 0))
 	have, skipped, err := walk(dir, m, opts, consumer{
 		physical: func(_, _ int) func(PhysicalRecord) { return physical.add() },
 	})
@@ -213,19 +276,23 @@ func ReadSetOptions(dir string, opts ReadOptions) (*Set, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	logical := make([]*cell[LogicalRecord], m.npes)
-	papi := make([]*cell[PAPIRecord], m.npes)
-	var physical cell[PhysicalRecord]
+	logical := make([]*cell[LogicalSend], m.npes)
+	papi := make([]*papiCell, m.npes)
+	physical := newCell[PhysicalRecord](shardRows(&physicalKind, dir, -1, 0))
 	var overall cell[OverallRecord]
 	var segments cell[SegmentRecord]
 	have, skipped, err := walk(dir, m, opts, consumer{
+		// A send row is held packed: checkSend admitted it only if the
+		// packing loses nothing.
 		logical: func(_, pe int) func(LogicalRecord) {
-			logical[pe] = newCell(&logicalKind, dir, pe)
-			return logical[pe].add()
+			c := newCell[LogicalSend](shardRows(&logicalKind, dir, pe, 0))
+			logical[pe] = c
+			return func(r LogicalRecord) { c.recs = append(c.recs, LogicalSend{int32(r.DstPE), int32(r.MsgSize)}) }
 		},
 		papi: func(_, pe int) func(PAPIRecord) {
-			papi[pe] = newCell(&papiKind, dir, pe)
-			return papi[pe].add()
+			k := len(m.events)
+			papi[pe] = newPAPICell(shardRows(&papiKind, dir, pe, k), k)
+			return papi[pe].add
 		},
 		overall:  func(_, _ int) func(OverallRecord) { return overall.add() },
 		physical: func(_, _ int) func(PhysicalRecord) { return physical.add() },
@@ -237,7 +304,7 @@ func ReadSetOptions(dir string, opts ReadOptions) (*Set, int, error) {
 	s := NewSet(m.config(), m.npes, m.perNode)
 	s.Config.Logical, s.Config.Overall, s.Config.Physical = have.logical, have.overall, have.physical
 	for pe := range logical {
-		s.Logical[pe], s.PAPI[pe] = logical[pe].recs, papi[pe].recs
+		s.Logical[pe], s.PAPI[pe], s.PAPICounters[pe] = logical[pe].recs, papi[pe].recs, papi[pe].counters
 		s.LogicalSendCount[pe] = int64(len(s.Logical[pe])) * int64(m.sample)
 	}
 	if have.overall {

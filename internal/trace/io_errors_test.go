@@ -141,6 +141,99 @@ func TestReadSetErrorPaths(t *testing.T) {
 			},
 			wantErr: "dst PE 4 outside",
 		},
+		// A Set holds a send packed, under the PE whose shard it came
+		// from and with its nodes derived: a row that names another
+		// source, nodes that are not its PEs', or a field wider than 32
+		// bits cannot be held, and used to be folded under its own SrcPE
+		// in the heatmap but under the shard's PE in the PAPI bars.
+		{
+			name: "logical src PE is not the shard's",
+			files: map[string]string{
+				"actorprof_meta.txt": goodMeta,
+				"PE0_send.csv":       "0,1,0,1,8\n",
+			},
+			wantErr: "src PE 1 in PE 0's shard",
+		},
+		{
+			name: "binary logical src PE is not the shard's",
+			files: map[string]string{
+				"actorprof_meta.txt": goodMeta,
+				"PE0_send.bin":       apbf(binKindLogical, []int64{0, 0, 0, 1, 8}, []int64{0, 1, 0, 1, 8}),
+			},
+			wantErr: "src PE 1 in PE 0's shard",
+		},
+		{
+			name: "logical src node is not the PE's",
+			files: map[string]string{
+				"actorprof_meta.txt": goodMeta,
+				"PE2_send.csv":       "0,2,0,1,8\n",
+			},
+			wantErr: "src node 0 for PE 2",
+		},
+		{
+			name: "binary logical src node is not the PE's",
+			files: map[string]string{
+				"actorprof_meta.txt": goodMeta,
+				"PE2_send.bin":       apbf(binKindLogical, []int64{0, 2, 0, 1, 8}),
+			},
+			wantErr: "src node 0 for PE 2",
+		},
+		{
+			name: "logical dst node is not the PE's",
+			files: map[string]string{
+				"actorprof_meta.txt": goodMeta,
+				"PE0_send.csv":       "0,0,0,3,8\n",
+			},
+			wantErr: "dst node 0 for PE 3",
+		},
+		{
+			name: "binary logical dst node is not the PE's",
+			files: map[string]string{
+				"actorprof_meta.txt": goodMeta,
+				"PE0_send.bin":       apbf(binKindLogical, []int64{0, 0, 0, 3, 8}),
+			},
+			wantErr: "dst node 0 for PE 3",
+		},
+		{
+			name: "logical msgSize beyond 32 bits",
+			files: map[string]string{
+				"actorprof_meta.txt": goodMeta,
+				"PE0_send.csv":       "0,0,0,1,2147483648\n",
+			},
+			wantErr: "msgSize 2147483648 does not fit 32 bits",
+		},
+		{
+			name: "binary logical msgSize beyond 32 bits",
+			files: map[string]string{
+				"actorprof_meta.txt": goodMeta,
+				"PE0_send.bin":       apbf(binKindLogical, []int64{0, 0, 0, 1, 1 << 31}),
+			},
+			wantErr: "msgSize 2147483648 does not fit 32 bits",
+		},
+		{
+			name: "PAPI src PE is not the shard's",
+			files: map[string]string{
+				"actorprof_meta.txt": goodMeta,
+				"PE2_PAPI.csv":       "1,3,1,3,8,0,1\n",
+			},
+			wantErr: "PAPI record with src PE 3 in PE 2's shard",
+		},
+		{
+			name: "binary PAPI dst node is not the PE's",
+			files: map[string]string{
+				"actorprof_meta.txt": goodMeta,
+				"PE2_PAPI.bin":       apbf(binKindPAPI, []int64{1, 2, 0, 3, 8, 0, 1}),
+			},
+			wantErr: "PAPI record with dst node 0 for PE 3",
+		},
+		{
+			name: "binary PAPI NUM_SENDS beyond 32 bits",
+			files: map[string]string{
+				"actorprof_meta.txt": goodMeta,
+				"PE2_PAPI.bin":       apbf(binKindPAPI, []int64{1, 2, 1, 3, 8, 0, 1 << 40}),
+			},
+			wantErr: "NUM_SENDS 1099511627776 does not fit 32 bits",
+		},
 		{
 			name: "physical with unknown send type",
 			files: map[string]string{
@@ -249,7 +342,7 @@ func TestReadSetThenMatricesNoPanic(t *testing.T) {
 // panic there takes the whole process down.
 func TestWriteFilesRejectsUnknownFormat(t *testing.T) {
 	s := NewSet(Config{Logical: true, Physical: true, Format: FormatBoth + 1}, 2, 2)
-	s.Logical[0] = []LogicalRecord{{SrcPE: 0, DstPE: 1, MsgSize: 8}}
+	s.Logical[0] = []LogicalSend{{DstPE: 1, MsgSize: 8}}
 	dir := filepath.Join(t.TempDir(), "out")
 	err := s.WriteFiles(dir)
 	if err == nil || !strings.Contains(err.Error(), "unknown trace format") {

@@ -8,10 +8,10 @@ import (
 )
 
 // fuzzReadLogical reads dir's PE0 logical shard (CSV or binary, sniffed
-// by content like ReadSet does).
+// by content like ReadSet does) of a one-PE-per-node world.
 func fuzzReadLogical(dir string, tolerant bool) ([]LogicalRecord, int, error) {
 	var recs []LogicalRecord
-	_, skipped, err := scanShard(&logicalKind, dir, 0, &meta{npes: maxReadPEs}, tolerant, func(r LogicalRecord) {
+	_, skipped, err := scanShard(&logicalKind, dir, 0, &meta{npes: maxReadPEs, perNode: 1}, tolerant, func(r LogicalRecord) {
 		recs = append(recs, r)
 	})
 	return recs, skipped, err
@@ -43,7 +43,7 @@ func FuzzReadLogicalFile(f *testing.F) {
 		}
 		// Idempotence: emit the parsed records in the writer's format and
 		// parse again - must reproduce the same records.
-		if err := writeShard(&logicalKind, dir, 0, FormatCSV, nil, recs); err != nil {
+		if err := writeShard(&logicalKind, dir, 0, FormatCSV, nil, len(recs), func(i int) LogicalRecord { return recs[i] }); err != nil {
 			t.Fatal(err)
 		}
 		again, _, err := fuzzReadLogical(dir, false)
@@ -66,11 +66,8 @@ func FuzzBinaryLogicalShard(f *testing.F) {
 	valid := func() []byte {
 		dir := f.TempDir()
 		s := NewSet(Config{Logical: true, Format: FormatBinary}, 2, 2)
-		s.Logical[0] = []LogicalRecord{
-			{SrcNode: 0, SrcPE: 0, DstNode: 0, DstPE: 1, MsgSize: 8},
-			{SrcNode: 0, SrcPE: 0, DstNode: 0, DstPE: 0, MsgSize: 1 << 20},
-		}
-		s.Logical[1] = []LogicalRecord{{SrcPE: 1, DstPE: 0, MsgSize: 16}}
+		s.Logical[0] = []LogicalSend{{DstPE: 1, MsgSize: 8}, {DstPE: 0, MsgSize: 1 << 20}}
+		s.Logical[1] = []LogicalSend{{DstPE: 0, MsgSize: 16}}
 		if err := s.WriteFiles(dir); err != nil {
 			f.Fatal(err)
 		}
@@ -100,8 +97,12 @@ func FuzzBinaryLogicalShard(f *testing.F) {
 		if err != nil {
 			return
 		}
+		// An admitted row is PE 0's own send at one PE per node, which the
+		// packed record holds exactly.
 		s := NewSet(Config{Logical: true, Format: FormatBinary}, 1, 1)
-		s.Logical[0] = recs
+		for _, r := range recs {
+			s.Logical[0] = append(s.Logical[0], LogicalSend{int32(r.DstPE), int32(r.MsgSize)})
+		}
 		if err := s.WriteFiles(dir); err != nil {
 			t.Fatal(err)
 		}
@@ -133,6 +134,13 @@ func FuzzReadSet(f *testing.F) {
 	f.Add([]byte("[PE0] SEGMENT x count=y\n"))
 	f.Add([]byte("0,0,0,1,8,0,1,42\n0,1,0,0,8,-1,0,7\n"))
 	f.Add([]byte("Absolute [PE7] TCOMM_PROFILING (1, 2, 3)\n[PE7] SEGMENT x count=1 cycles=2\n"))
+	// Send rows a packed Set cannot hold (kind.go checkSend): another
+	// shard's source, a node that is not the PE's, a field past 32 bits.
+	f.Add([]byte("0,1,0,0,8\n0,0,0,1,8,0,1,42\n"))
+	f.Add([]byte("1,0,0,1,8\n0,0,1,1,8\n"))
+	f.Add([]byte("0,0,0,1,4294967296\n0,0,0,1,8,0,4294967296,7\n"))
+	f.Add([]byte(apbf(binKindLogical, []int64{0, 1, 0, 0, 8}, []int64{1, 0, 0, 1, 8}, []int64{0, 0, 1, 1, 8}, []int64{0, 0, 0, 1, 1 << 32})))
+	f.Add([]byte(apbf(binKindPAPI, []int64{0, 1, 0, 0, 8, 0, 1, 42}, []int64{0, 0, 0, 1, 1 << 32, 0, 1, 7})))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Case 1: the meta file itself is hostile.
 		dirA := t.TempDir()

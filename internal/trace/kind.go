@@ -30,9 +30,12 @@ type kind[T any] struct {
 	// csvPrefix, when set, selects the text lines that carry records;
 	// other lines are derived data and are ignored, not skipped.
 	csvPrefix string
-	// csvRecBytes / binRecBytes are conservative (low) bytes-per-record
-	// figures for sizing a collecting reader's slice from the file size;
-	// 0 means the shard is small enough not to bother.
+	// csvRecBytes / binRecBytes are low bytes-per-record figures, before
+	// the counter columns, for sizing a collecting reader's slices from
+	// the file size (shardRows); 0 means the shard is small enough not to
+	// bother. For the send kinds they are the shortest row there is - a
+	// digit and a separator per CSV field, a byte per APBF column, and 2
+	// and 1 more per counter - so a send shard is never under-estimated.
 	csvRecBytes, binRecBytes int
 
 	// appendCSV appends r's text line(s); events are the PAPI event
@@ -45,12 +48,14 @@ type kind[T any] struct {
 	toRow   func(r T, row []int64) string
 	fromRow func(d *binReader, i int) T
 	// check rejects a decoded record the rest of the program could not
-	// index with: above all one that names a PE outside the world the
-	// meta file declares. The analysis layer indexes matrices and per-PE
-	// slices with these values directly, so admitting them would turn a
-	// corrupt trace line into an index-out-of-range panic (or a silently
-	// dropped record) during visualization.
-	check func(r T, npes int) error
+	// index with or hold: above all one that names a PE outside the world
+	// the meta file declares. The analysis layer indexes matrices and
+	// per-PE slices with these values directly, so admitting them would
+	// turn a corrupt trace line into an index-out-of-range panic (or a
+	// silently dropped record) during visualization. pe is the shard's PE
+	// (-1 for the run-wide files); a send row must name it as its source
+	// (checkSend).
+	check func(r T, m *meta, pe int) error
 }
 
 // shared names an artifact the whole run writes once.
@@ -59,19 +64,36 @@ func shared(name string) func(int) string { return func(int) string { return nam
 var logicalKind = kind[LogicalRecord]{
 	csvFile: logicalFile, binFile: logicalBinFile,
 	binKind: binKindLogical, cols: 5, minCols: 5,
-	csvRecBytes: 10, binRecBytes: 4,
+	csvRecBytes: 10, binRecBytes: 5,
 	appendCSV: appendLogical, parseCSV: parseLogical,
 	toRow: logicalToRow, fromRow: logicalFromRow,
-	check: func(r LogicalRecord, npes int) error { return checkEndpoints("logical", r.SrcPE, r.DstPE, npes) },
+	check: func(r LogicalRecord, m *meta, pe int) error {
+		if err := checkSend("logical", m, pe, r.SrcNode, r.SrcPE, r.DstNode, r.DstPE); err != nil {
+			return err
+		}
+		return checkWidth("logical", "msgSize", r.MsgSize)
+	},
 }
 
 var papiKind = kind[PAPIRecord]{
 	csvFile: papiFile, binFile: papiBinFile,
 	binKind: binKindPAPI, cols: 7, minCols: 7, counters: true,
-	csvRecBytes: 20, binRecBytes: 8,
+	csvRecBytes: 14, binRecBytes: 7,
 	appendCSV: appendPAPI, parseCSV: parsePAPI,
 	toRow: papiToRow, fromRow: papiFromRow,
-	check: func(r PAPIRecord, npes int) error { return checkEndpoints("PAPI", r.SrcPE, r.DstPE, npes) },
+	check: func(r PAPIRecord, m *meta, pe int) error {
+		err := checkSend("PAPI", m, pe, r.SrcNode, r.SrcPE, r.DstNode, r.DstPE)
+		if err == nil {
+			err = checkWidth("PAPI", "pktSize", r.PktSize)
+		}
+		if err == nil {
+			err = checkWidth("PAPI", "MAILBOXID", r.MailboxID)
+		}
+		if err == nil {
+			err = checkWidth("PAPI", "NUM_SENDS", r.NumSends)
+		}
+		return err
+	},
 }
 
 var overallKind = kind[OverallRecord]{
@@ -81,15 +103,16 @@ var overallKind = kind[OverallRecord]{
 	csvPrefix: "Absolute ",
 	appendCSV: appendOverall, parseCSV: parseOverall,
 	toRow: overallToRow, fromRow: overallFromRow,
-	check: func(r OverallRecord, npes int) error { return checkPE("overall", "", r.PE, npes) },
+	check: func(r OverallRecord, m *meta, _ int) error { return checkPE("overall", "", r.PE, m.npes) },
 }
 
 var physicalKind = kind[PhysicalRecord]{
 	csvFile: shared(physicalFile), binFile: shared(physicalBinFile),
 	binKind: binKindPhysical, cols: binPhysicalCols, minCols: binPhysicalMinCols,
+	csvRecBytes: 16, binRecBytes: 8,
 	appendCSV: appendPhysical, parseCSV: parsePhysical,
 	toRow: physicalToRow, fromRow: physicalFromRow,
-	check: checkPhysical,
+	check: func(r PhysicalRecord, m *meta, _ int) error { return checkPhysical(r, m.npes) },
 }
 
 // checkPhysical is named so that the index paths can call it statically.
@@ -105,7 +128,7 @@ var segmentsKind = kind[SegmentRecord]{
 	binKind: binKindSegments, cols: 3, minCols: 3, counters: true, hasStr: true,
 	appendCSV: appendSegment, parseCSV: parseSegment,
 	toRow: segmentToRow, fromRow: segmentFromRow,
-	check: func(r SegmentRecord, npes int) error { return checkPE("segments", "", r.PE, npes) },
+	check: func(r SegmentRecord, m *meta, _ int) error { return checkPE("segments", "", r.PE, m.npes) },
 }
 
 // checkPE is the PE-range rule, for every kind: role says which of the
@@ -129,4 +152,40 @@ func checkEndpoints(kind string, src, dst, npes int) error {
 		return err
 	}
 	return checkPE(kind, "dst ", dst, npes)
+}
+
+// checkSend is the admission rule for a send row (logical or PAPI), which
+// a Set holds packed: the source is the PE whose slice holds it and the
+// nodes are PE / PEs_per_node, none of them stored (DESIGN.md §10). So
+// beyond the PE-range rule the row must name its shard's PE as source and
+// its PEs' nodes; any other row would be folded or written back under
+// another source than the one it names.
+func checkSend(kind string, m *meta, pe, srcNode, src, dstNode, dst int) error {
+	if err := checkEndpoints(kind, src, dst, m.npes); err != nil {
+		return err
+	}
+	if src != pe || srcNode != src/m.perNode || dstNode != dst/m.perNode {
+		return sendError(kind, m, pe, srcNode, src, dstNode, dst)
+	}
+	return nil
+}
+
+//go:noinline
+func sendError(kind string, m *meta, pe, srcNode, src, dstNode, dst int) error {
+	switch {
+	case src != pe:
+		return fmt.Errorf("trace: %s record with src PE %d in PE %d's shard", kind, src, pe)
+	case srcNode != src/m.perNode:
+		return fmt.Errorf("trace: %s record with src node %d for PE %d at %d PEs per node", kind, srcNode, src, m.perNode)
+	}
+	return fmt.Errorf("trace: %s record with dst node %d for PE %d at %d PEs per node", kind, dstNode, dst, m.perNode)
+}
+
+// checkWidth holds a send row's other fields to the packed record's 32
+// bits.
+func checkWidth(kind, field string, v int) error {
+	if int(int32(v)) != v {
+		return fmt.Errorf("trace: %s record's %s %d does not fit 32 bits", kind, field, v)
+	}
+	return nil
 }

@@ -44,8 +44,10 @@ func openShard(candidates ...string) (*os.File, bool, error) {
 
 // scanShard streams PE pe's shard of kind k into yield without
 // materializing records: it resolves the binary/CSV candidates, sniffs
-// the format, decodes record by record and applies the kind's PE-range
-// check. found is false when neither file exists. A record that fails to
+// the format, decodes record by record and applies the kind's check.
+// A yielded record's Counters alias the scan's scratch and are valid only
+// until yield returns: a consumer that keeps them copies them. found is
+// false when neither file exists. A record that fails to
 // decode or check is fatal in strict mode; a tolerant scan counts it in
 // skipped and carries on, so a torn tail or a corrupt line costs only the
 // records it tore. An unreadable APBF header counts as one skipped
@@ -59,7 +61,6 @@ func scanShard[T any](k *kind[T], dir string, pe int, m *meta, tolerant bool, yi
 		return false, 0, err
 	}
 	defer f.Close()
-	npes := m.npes
 	if isBin {
 		d, err := newBinReader(f, f.Name(), k.binKind, k.minCols)
 		if err != nil && tolerant {
@@ -71,7 +72,7 @@ func scanShard[T any](k *kind[T], dir string, pe int, m *meta, tolerant bool, yi
 		lost, err := d.eachBlock(k.hasStr, func(b block) error {
 			for i := 0; i < b.rows; i++ {
 				rec := k.fromRow(d, i)
-				if err := k.check(rec, npes); err == nil {
+				if err := k.check(rec, m, pe); err == nil {
 					yield(rec)
 				} else if tolerant {
 					skipped++
@@ -96,7 +97,7 @@ func scanShard[T any](k *kind[T], dir string, pe int, m *meta, tolerant bool, yi
 		}
 		rec, err := k.parseCSV(line, scratch)
 		if err == nil {
-			err = k.check(rec, npes)
+			err = k.check(rec, m, pe)
 		}
 		if err == nil {
 			yield(rec)
@@ -219,19 +220,34 @@ func (ss sinks[T]) close() error {
 	return err
 }
 
-// writeShard writes PE pe's shard of kind k, in every encoding of format,
-// from the record slices in order.
-func writeShard[T any](k *kind[T], dir string, pe int, format Format, events []string, recs ...[]T) error {
+// writeShard writes PE pe's shard of kind k, in every encoding of format:
+// the n rows at(0), at(1), ..., at(n-1), asked for in that order.
+func writeShard[T any](k *kind[T], dir string, pe int, format Format, events []string, n int, at func(i int) T) error {
 	out, err := openSinks(k, dir, pe, format, events)
 	if err != nil {
 		return err
 	}
-	for _, rs := range recs {
-		for _, r := range rs {
-			out.put(r)
-		}
+	for i := 0; i < n; i++ {
+		out.put(at(i))
 	}
 	return out.close()
+}
+
+// rows is writeShard's (n, at) over the concatenation of per-PE slices,
+// in PE order: the run-wide shards' rows. at must be asked for rows in
+// order, as writeShard does.
+func rows[T any](per ...[]T) (n int, at func(i int) T) {
+	for _, recs := range per {
+		n += len(recs)
+	}
+	pe, base := 0, 0
+	return n, func(i int) T {
+		for i-base >= len(per[pe]) {
+			base += len(per[pe])
+			pe++
+		}
+		return per[pe][i-base]
+	}
 }
 
 // consumer is what a reader plugs into walk: for each kind, a factory

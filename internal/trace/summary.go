@@ -163,9 +163,10 @@ func (m *Summary) addPAPI(pe int, counters []int64) {
 	}
 }
 
-func (m *Summary) foldLogical(r LogicalRecord) {
-	m.addLogical(r.SrcPE, r.DstPE, 1)
-	m.MsgBytes.Observe(int64(r.MsgSize))
+// foldLogical folds one sampled logical record src -> dst of size bytes.
+func (m *Summary) foldLogical(src, dst, size int) {
+	m.addLogical(src, dst, 1)
+	m.MsgBytes.Observe(int64(size))
 }
 
 func (m *Summary) foldPhysical(r PhysicalRecord) { m.physicalOf(r.Kind)[r.SrcPE][r.DstPE]++ }
@@ -286,14 +287,16 @@ func (s *Set) Summary() *Summary {
 	}
 	memo.once.Do(func() {
 		p := &Summary{NumPEs: s.NumPEs, Config: s.Config.withDefaults()}
-		for _, recs := range s.Logical {
+		for pe, recs := range s.Logical {
 			for _, r := range recs {
-				p.foldLogical(r)
+				p.foldLogical(pe, int(r.DstPE), int(r.MsgSize))
 			}
 		}
-		for pe, recs := range s.PAPI {
-			for i := range recs {
-				p.addPAPI(pe, recs[i].Counters)
+		if k := len(s.Config.PAPIEvents); k > 0 {
+			for pe, col := range s.PAPICounters {
+				for ; len(col) >= k; col = col[k:] {
+					p.addPAPI(pe, col[:k])
+				}
 			}
 		}
 		for _, recs := range s.Physical {
@@ -343,7 +346,10 @@ func ReadSummary(dir string, opts ReadOptions) (*Summary, int, error) {
 		partials[i] = &Summary{NumPEs: md.npes, Config: cfg}
 	}
 	have, skipped, err := walk(dir, md, opts, consumer{
-		logical: func(w, _ int) func(LogicalRecord) { return partials[w].foldLogical },
+		logical: func(w, pe int) func(LogicalRecord) {
+			p := partials[w]
+			return func(r LogicalRecord) { p.foldLogical(pe, r.DstPE, r.MsgSize) }
+		},
 		papi: func(w, pe int) func(PAPIRecord) {
 			p := partials[w]
 			return func(r PAPIRecord) { p.addPAPI(pe, r.Counters) }

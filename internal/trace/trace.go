@@ -147,6 +147,8 @@ func (c Config) Any() bool {
 
 // LogicalRecord is one pre-aggregation send: the "user application-fed"
 // source and destination, with the node mapping (paper Section III-A).
+// It is the row PEi_send.csv holds; a Set holds the send as a
+// LogicalSend and builds this row with LogicalRecordAt.
 type LogicalRecord struct {
 	SrcNode, SrcPE, DstNode, DstPE int
 	MsgSize                        int // payload bytes
@@ -154,7 +156,9 @@ type LogicalRecord struct {
 
 // PAPIRecord is one HWPC record covering NumSends send operations to one
 // destination/mailbox, with the counter deltas attributed to user-region
-// code since the previous record on this PE (paper Section III-A).
+// code since the previous record on this PE (paper Section III-A). It is
+// the row PEi_PAPI.csv holds; a Set holds the record as a PAPISend plus
+// its counters and builds this row with PAPIRecordAt.
 type PAPIRecord struct {
 	SrcNode, SrcPE, DstNode, DstPE int
 	PktSize                        int
@@ -162,6 +166,16 @@ type PAPIRecord struct {
 	NumSends                       int
 	Counters                       []int64 // parallel to Config.PAPIEvents
 }
+
+// LogicalSend is a logical record as a Set holds it: what the send chose.
+// Its source is the PE whose slice holds it and both nodes follow from
+// the PEs (PE / PEsPerNode), so none of them is stored.
+type LogicalSend struct{ DstPE, MsgSize int32 }
+
+// PAPISend is a PAPI record as a Set holds it, without its source (as
+// LogicalSend) and without its counters, which are the record's
+// len(Config.PAPIEvents) words of Set.PAPICounters.
+type PAPISend struct{ DstPE, PktSize, MailboxID, NumSends int32 }
 
 // PhysicalRecord is one post-aggregation Conveyors transfer event
 // (paper Section III-C).
@@ -223,13 +237,18 @@ type Set struct {
 	PEsPerNode int
 	Config     Config
 
-	// Logical[pe] holds PE pe's logical records (PEi_send.csv).
-	Logical [][]LogicalRecord
+	// Logical[pe] holds PE pe's logical records (PEi_send.csv), packed:
+	// LogicalRecordAt(pe, i) is the i-th one in full.
+	Logical [][]LogicalSend
 	// LogicalSendCount[pe] is the exact number of logical sends by pe,
 	// independent of sampling.
 	LogicalSendCount []int64
-	// PAPI[pe] holds PE pe's HWPC records (PEi_PAPI.csv).
-	PAPI [][]PAPIRecord
+	// PAPI[pe] holds PE pe's HWPC records (PEi_PAPI.csv), packed, and
+	// PAPICounters[pe] their counters as one column: record i owns words
+	// [i*k, (i+1)*k) for k = len(Config.PAPIEvents). PAPIRecordAt(pe, i)
+	// is the i-th record in full.
+	PAPI         [][]PAPISend
+	PAPICounters [][]int64
 	// Physical[pe] holds the physical events *initiated by* PE pe; the
 	// on-disk physical.txt concatenates them in PE order.
 	Physical [][]PhysicalRecord
@@ -251,12 +270,38 @@ func NewSet(cfg Config, npes, perNode int) *Set {
 		NumPEs:           npes,
 		PEsPerNode:       perNode,
 		Config:           cfg,
-		Logical:          make([][]LogicalRecord, npes),
+		Logical:          make([][]LogicalSend, npes),
 		LogicalSendCount: make([]int64, npes),
-		PAPI:             make([][]PAPIRecord, npes),
+		PAPI:             make([][]PAPISend, npes),
+		PAPICounters:     make([][]int64, npes),
 		Physical:         make([][]PhysicalRecord, npes),
 		Overall:          make([]OverallRecord, 0, npes),
 		Segments:         make([][]SegmentRecord, npes),
 		memo:             new(summaryMemo),
+	}
+}
+
+// LogicalRecordAt returns PE pe's i-th logical record as the row
+// PEi_send.csv holds.
+func (s *Set) LogicalRecordAt(pe, i int) LogicalRecord {
+	r := s.Logical[pe][i]
+	dst := int(r.DstPE)
+	return LogicalRecord{
+		SrcNode: pe / s.PEsPerNode, SrcPE: pe, DstNode: dst / s.PEsPerNode, DstPE: dst,
+		MsgSize: int(r.MsgSize),
+	}
+}
+
+// PAPIRecordAt returns PE pe's i-th PAPI record as the row PEi_PAPI.csv
+// holds. Its Counters are the record's words of PAPICounters[pe], capped
+// at their own length: an append copies, but writing through them writes
+// into the Set, which is immutable.
+func (s *Set) PAPIRecordAt(pe, i int) PAPIRecord {
+	r := s.PAPI[pe][i]
+	dst, k := int(r.DstPE), len(s.Config.PAPIEvents)
+	return PAPIRecord{
+		SrcNode: pe / s.PEsPerNode, SrcPE: pe, DstNode: dst / s.PEsPerNode, DstPE: dst,
+		PktSize: int(r.PktSize), MailboxID: int(r.MailboxID), NumSends: int(r.NumSends),
+		Counters: s.PAPICounters[pe][i*k : (i+1)*k : (i+1)*k],
 	}
 }

@@ -107,7 +107,8 @@ func TestPAPIRecordBatching(t *testing.T) {
 		pc.LogicalSend(0, 1, 8)
 	}
 	pc.Close()
-	recs := c.Set().PAPI[0]
+	set := c.Set()
+	recs := set.PAPI[0]
 	if len(recs) != 3 {
 		t.Fatalf("got %d PAPI records, want 3", len(recs))
 	}
@@ -115,8 +116,8 @@ func TestPAPIRecordBatching(t *testing.T) {
 		t.Fatalf("batch sizes: %d,%d,%d", recs[0].NumSends, recs[1].NumSends, recs[2].NumSends)
 	}
 	var ins int64
-	for _, r := range recs {
-		ins += r.Counters[0]
+	for i := range recs {
+		ins += set.PAPIRecordAt(0, i).Counters[0]
 	}
 	if ins != 100 {
 		t.Fatalf("TOT_INS total = %d, want 100", ins)
@@ -156,11 +157,11 @@ func TestResidualPAPIRecord(t *testing.T) {
 	// Work after the last send (drain-phase handlers) must not be lost.
 	eng.Tally(&papi.Work{Ins: 777})
 	pc.Close()
-	recs := c.Set().PAPI[0]
-	if len(recs) != 2 {
-		t.Fatalf("got %d records, want send + residual", len(recs))
+	set := c.Set()
+	if len(set.PAPI[0]) != 2 {
+		t.Fatalf("got %d records, want send + residual", len(set.PAPI[0]))
 	}
-	last := recs[len(recs)-1]
+	last := set.PAPIRecordAt(0, 1)
 	if last.NumSends != 0 || last.MailboxID != -1 {
 		t.Fatalf("residual record malformed: %+v", last)
 	}
@@ -214,16 +215,16 @@ func TestWriteReadRoundTrip(t *testing.T) {
 		if len(back.Logical[pe]) != len(set.Logical[pe]) {
 			t.Fatalf("PE %d logical: %d vs %d", pe, len(back.Logical[pe]), len(set.Logical[pe]))
 		}
-		for i, r := range back.Logical[pe] {
-			if r != set.Logical[pe][i] {
-				t.Fatalf("PE %d logical[%d]: %+v vs %+v", pe, i, r, set.Logical[pe][i])
+		for i := range back.Logical[pe] {
+			if r, w := back.LogicalRecordAt(pe, i), set.LogicalRecordAt(pe, i); r != w {
+				t.Fatalf("PE %d logical[%d]: %+v vs %+v", pe, i, r, w)
 			}
 		}
 		if len(back.PAPI[pe]) != len(set.PAPI[pe]) {
 			t.Fatalf("PE %d PAPI: %d vs %d", pe, len(back.PAPI[pe]), len(set.PAPI[pe]))
 		}
-		for i, r := range back.PAPI[pe] {
-			w := set.PAPI[pe][i]
+		for i := range back.PAPI[pe] {
+			r, w := back.PAPIRecordAt(pe, i), set.PAPIRecordAt(pe, i)
 			if r.DstPE != w.DstPE || r.NumSends != w.NumSends || r.Counters[0] != w.Counters[0] {
 				t.Fatalf("PE %d PAPI[%d]: %+v vs %+v", pe, i, r, w)
 			}

@@ -6,10 +6,22 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"time"
 
 	"actorprof/internal/conveyor"
-	"actorprof/internal/tsc"
 )
+
+// cycleHz is the virtual clock's calibration for exports: 3 GHz, as the
+// AMD EPYC 7763 (Milan) nodes of the paper's Perlmutter runs. A PE's
+// clock counts simulated cycles; only a timestamp in wall-clock units
+// needs a frequency.
+const cycleHz = 3_000_000_000
+
+// cyclesToMicros converts a virtual-clock reading to whole microseconds
+// at cycleHz.
+func cyclesToMicros(cycles int64) int64 {
+	return time.Duration(cycles * 1_000_000_000 / cycleHz).Microseconds()
+}
 
 // traceEvent is one record of the Google Trace Event format ("Trace
 // Event Format", the chrome://tracing / Perfetto JSON form). The
@@ -152,7 +164,7 @@ func (s *Set) ExportPerfetto(w io.Writer) error {
 			// domain is the global record index.
 			ts := float64(seq)
 			if domain == DomainCycles {
-				ts = float64(tsc.ToDuration(r.Cycles).Microseconds())
+				ts = float64(cyclesToMicros(r.Cycles))
 			}
 			seq++
 			st.lastTS = ts

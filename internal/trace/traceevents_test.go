@@ -383,3 +383,15 @@ func TestExportPerfettoUnmatchedSends(t *testing.T) {
 		t.Fatalf("B=%d E=%d unmatched=%d, want 2/2/1", begins, ends, unmatched)
 	}
 }
+
+// TestCyclesToMicros pins the export's one clock conversion: virtual
+// cycles at cycleHz (3 GHz) to whole microseconds, truncated.
+func TestCyclesToMicros(t *testing.T) {
+	for _, c := range []struct{ cycles, us int64 }{
+		{0, 0}, {2_999, 0}, {3_000, 1}, {137 * 3_000, 137}, {cycleHz, 1_000_000},
+	} {
+		if got := cyclesToMicros(c.cycles); got != c.us {
+			t.Errorf("cyclesToMicros(%d) = %d µs, want %d", c.cycles, got, c.us)
+		}
+	}
+}
