@@ -6,9 +6,7 @@
 //
 // Exit status: 0 clean, 1 findings, 2 usage or load errors. Findings can
 // be suppressed with //actorvet:ignore directives (see README.md,
-// "Static analysis"); -format selects text, json, or sarif output; -fix
-// applies the mechanical fixes some rules carry (rawoffset named
-// constants, escapingview copies).
+// "Static analysis"); -format selects text or sarif output.
 package main
 
 import (
@@ -16,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"actorprof/internal/analysis"
@@ -29,12 +28,10 @@ func main() {
 func vetMain(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("actorvet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	jsonOut := fs.Bool("json", false, "emit findings as JSON (alias for -format json)")
-	format := fs.String("format", "text", "output format: text, json, or sarif")
+	format := fs.String("format", "text", "output format: text or sarif")
 	rules := fs.String("rules", "", "comma-separated rule IDs to run (default: all)")
 	list := fs.Bool("list", false, "list available rules and exit")
 	verbose := fs.Bool("v", false, "include fix hints in text output")
-	fix := fs.Bool("fix", false, "apply mechanical fixes for fixable findings, then report what remains")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: actorvet [flags] [package-dir|pattern ...]\n")
 		fmt.Fprintf(stderr, "patterns follow the go tool: a directory, or dir/... for the subtree (default ./...)\n\n")
@@ -44,37 +41,34 @@ func vetMain(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	analyzers := analysis.DefaultAnalyzers()
 	if *list {
-		for _, a := range analyzers {
-			fmt.Fprintf(stdout, "%s\n\t%s\n", a.Name(), a.Doc())
+		for _, r := range analysis.Rules {
+			fmt.Fprintf(stdout, "%s\n\t%s\n", r.Name, r.Doc)
 		}
 		return 0
 	}
+	selected := analysis.Rules
 	if *rules != "" {
-		var selected []analysis.Analyzer
+		selected = nil
 		for _, name := range strings.Split(*rules, ",") {
 			name = strings.TrimSpace(name)
-			a := analysis.AnalyzerByName(name)
-			if a == nil {
+			i := slices.IndexFunc(analysis.Rules, func(r analysis.Rule) bool { return r.Name == name })
+			if i < 0 {
 				fmt.Fprintf(stderr, "actorvet: unknown rule %q (try -list)\n", name)
 				return 2
 			}
-			selected = append(selected, a)
+			selected = append(selected, analysis.Rules[i])
 		}
-		analyzers = selected
 	}
 
-	var reporter analysis.Reporter
+	out := analysis.Text
 	switch {
-	case *jsonOut || *format == "json":
-		reporter = analysis.JSONReporter{Indent: true}
 	case *format == "sarif":
-		reporter = analysis.SARIFReporter{}
-	case *format == "text":
-		reporter = analysis.TextReporter{Verbose: *verbose}
-	default:
-		fmt.Fprintf(stderr, "actorvet: unknown format %q (want text, json, or sarif)\n", *format)
+		out = analysis.SARIF
+	case *format == "text" && *verbose:
+		out = analysis.TextVerbose
+	case *format != "text":
+		fmt.Fprintf(stderr, "actorvet: unknown format %q (want text or sarif)\n", *format)
 		return 2
 	}
 
@@ -87,30 +81,8 @@ func vetMain(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "actorvet: %v\n", err)
 		return 2
 	}
-
-	diags := analysis.Run(prog, analyzers)
-	if *fix {
-		fixed, err := analysis.ApplyFixes(diags)
-		if err != nil {
-			fmt.Fprintf(stderr, "actorvet: %v\n", err)
-			return 2
-		}
-		for _, f := range fixed {
-			fmt.Fprintf(stderr, "actorvet: fixed %s\n", f)
-		}
-		if len(fixed) > 0 {
-			// Re-analyze: the report should describe what is left, and a
-			// fix that does not make its finding go away is a bug we want
-			// loud.
-			prog, err = analysis.Load(patterns)
-			if err != nil {
-				fmt.Fprintf(stderr, "actorvet: reloading after fix: %v\n", err)
-				return 2
-			}
-			diags = analysis.Run(prog, analyzers)
-		}
-	}
-	if err := reporter.Report(stdout, diags); err != nil {
+	diags := analysis.Run(prog, selected)
+	if err := analysis.Report(stdout, diags, out); err != nil {
 		fmt.Fprintf(stderr, "actorvet: %v\n", err)
 		return 2
 	}

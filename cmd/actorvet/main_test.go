@@ -13,17 +13,7 @@ const fixtureRoot = "../../internal/analysis/testdata/src"
 // fail loudly if a rule is dropped from the registry.
 var allRules = []string{
 	"blockinghandler", "divergedcollective", "escapingview", "rawoffset",
-	"sendafterdone", "sharedhandlerstate", "stalestaging", "unpairedregion",
-}
-
-// fixtureFor maps a rule to its fixture directory. stalestaging is
-// path-scoped to packages ending in internal/shmem, so its fixture
-// nests.
-func fixtureFor(rule string) string {
-	if rule == "stalestaging" {
-		return filepath.Join(fixtureRoot, "stalestaging", "internal", "shmem")
-	}
-	return filepath.Join(fixtureRoot, rule)
+	"sendafterdone", "sharedhandlerstate", "unpairedregion",
 }
 
 func runVet(t *testing.T, args ...string) (code int, stdout, stderr string) {
@@ -38,7 +28,7 @@ func runVet(t *testing.T, args ...string) (code int, stdout, stderr string) {
 func TestFixturesExitNonZero(t *testing.T) {
 	for _, rule := range allRules {
 		t.Run(rule, func(t *testing.T) {
-			code, stdout, stderr := runVet(t, fixtureFor(rule))
+			code, stdout, stderr := runVet(t, filepath.Join(fixtureRoot, rule))
 			if code != 1 {
 				t.Fatalf("exit = %d, want 1 (stderr: %s)", code, stderr)
 			}
@@ -60,38 +50,6 @@ func TestCleanExitsZero(t *testing.T) {
 	}
 	if stdout != "" {
 		t.Errorf("clean run should be silent, got:\n%s", stdout)
-	}
-}
-
-// TestJSONOutput asserts -json and -format json emit the same decodable
-// document.
-func TestJSONOutput(t *testing.T) {
-	for _, args := range [][]string{
-		{"-json", filepath.Join(fixtureRoot, "rawoffset")},
-		{"-format", "json", filepath.Join(fixtureRoot, "rawoffset")},
-	} {
-		code, stdout, _ := runVet(t, args...)
-		if code != 1 {
-			t.Fatalf("%v: exit = %d, want 1", args, code)
-		}
-		var doc struct {
-			Count    int `json:"count"`
-			Findings []struct {
-				Rule string `json:"rule"`
-				Line int    `json:"line"`
-			} `json:"findings"`
-		}
-		if err := json.Unmarshal([]byte(stdout), &doc); err != nil {
-			t.Fatalf("%v output invalid: %v\n%s", args, err, stdout)
-		}
-		if doc.Count != 4 || len(doc.Findings) != 4 {
-			t.Fatalf("count = %d (%d findings), want 4", doc.Count, len(doc.Findings))
-		}
-		for _, f := range doc.Findings {
-			if f.Rule != "rawoffset" {
-				t.Errorf("unexpected rule %s", f.Rule)
-			}
-		}
 	}
 }
 
@@ -131,11 +89,14 @@ func TestSARIFOutput(t *testing.T) {
 	}
 }
 
-// TestUnknownFormatExitsTwo asserts -format validation is a usage error.
+// TestUnknownFormatExitsTwo asserts -format validation is a usage error;
+// SARIF is the one machine format, so json is unknown too.
 func TestUnknownFormatExitsTwo(t *testing.T) {
-	code, _, stderr := runVet(t, "-format", "xml", ".")
-	if code != 2 || !strings.Contains(stderr, "unknown format") {
-		t.Fatalf("exit = %d, stderr = %q; want 2 with unknown-format message", code, stderr)
+	for _, format := range []string{"xml", "json"} {
+		code, _, stderr := runVet(t, "-format", format, ".")
+		if code != 2 || !strings.Contains(stderr, "unknown format") {
+			t.Fatalf("-format %s: exit = %d, stderr = %q; want 2 with unknown-format message", format, code, stderr)
+		}
 	}
 }
 
@@ -153,7 +114,7 @@ func TestRuleFilter(t *testing.T) {
 	}
 }
 
-// TestListRules asserts -list names all eight analyzers.
+// TestListRules asserts -list names every rule.
 func TestListRules(t *testing.T) {
 	code, stdout, _ := runVet(t, "-list")
 	if code != 0 {

@@ -9,15 +9,16 @@
 // The framework loads whole programs from go-style patterns (./...):
 // every requested package plus its module-internal dependency closure is
 // type-checked in dependency order against a shared types.Info, so
-// analyzers see real cross-package objects in Uses/Defs/Selections —
-// never stubs. On top of the loader sit a call graph, interprocedural
-// dataflow summaries, and a per-function taint engine that the lifetime
-// rules (escapingview, stalestaging) consume. Run collects
-// position-tagged Diagnostics, honors //actorvet:ignore suppression
-// directives (validating them, and warning when they suppress nothing),
-// and the reporters render text, JSON, or SARIF. The shipped analyzers
-// are listed by DefaultAnalyzers; each one's Doc explains the invariant
-// and ties it to the paper's region semantics (see DESIGN.md §11).
+// rules see real cross-package objects in Uses/Defs/Selections — never
+// stubs. On top of the loader sit a call graph, a handler finder that
+// resolves every registered message handler, interprocedural dataflow
+// summaries, and a per-function taint engine that the lifetime rule
+// (escapingview) consumes. Run collects position-tagged Diagnostics,
+// honors //actorvet:ignore suppression directives (validating them, and
+// warning when they suppress nothing), and Report renders text or SARIF.
+// The shipped rules are the Rules table; each one's Doc explains the
+// invariant and ties it to the paper's region semantics (see DESIGN.md
+// §11).
 package analysis
 
 import (
@@ -38,23 +39,20 @@ const (
 
 // Diagnostic is one finding: a rule violation at a source position.
 type Diagnostic struct {
-	// Rule is the analyzer's name (the stable rule ID).
-	Rule string `json:"rule"`
+	// Rule is the rule's name (the stable rule ID).
+	Rule string
 	// Severity is error or warning.
-	Severity Severity `json:"severity"`
+	Severity Severity
 	// File is the path as loaded (relative to the working directory
 	// when the patterns were relative).
-	File string `json:"file"`
+	File string
 	// Line and Col are 1-based.
-	Line int `json:"line"`
-	Col  int `json:"col"`
+	Line int
+	Col  int
 	// Message states the violation.
-	Message string `json:"message"`
+	Message string
 	// Fix, when non-empty, hints at the remedy.
-	Fix string `json:"fix,omitempty"`
-	// Edits, when non-empty, is a mechanical fix applied by -fix mode.
-	// Excluded from JSON: reports describe findings, not patches.
-	Edits []TextEdit `json:"-"`
+	Fix string
 }
 
 // Position renders the file:line:col prefix.
@@ -62,17 +60,17 @@ func (d Diagnostic) Position() string {
 	return fmt.Sprintf("%s:%d:%d", d.File, d.Line, d.Col)
 }
 
-// Analyzer checks one invariant over one package at a time.
-type Analyzer interface {
-	// Name is the stable rule ID (lowercase, no spaces).
-	Name() string
-	// Doc is a one-paragraph description of the invariant.
-	Doc() string
-	// Run inspects pass.Pkg and reports findings via pass.Report.
-	Run(pass *Pass)
+// Rule is one actorvet check: its stable ID, the invariant it guards,
+// the severity of a violation, and the function that inspects one
+// package and reports through the pass.
+type Rule struct {
+	Name     string
+	Doc      string
+	Severity Severity
+	Run      func(pass *Pass)
 }
 
-// Pass carries one (package, analyzer) execution.
+// Pass carries one (package, rule) execution.
 type Pass struct {
 	// Pkg is the package under analysis.
 	Pkg *Package
@@ -81,27 +79,20 @@ type Pass struct {
 	// interprocedural summaries.
 	Prog *Program
 
-	analyzer Analyzer
-	severity Severity
-	sink     func(Diagnostic)
+	rule Rule
+	sink func(Diagnostic)
 }
 
 // Report records a finding at pos with a fix hint (may be empty).
 func (p *Pass) Report(pos token.Pos, fix, format string, args ...any) {
-	p.ReportWithEdits(pos, fix, nil, format, args...)
-}
-
-// ReportWithEdits records a finding carrying a mechanical fix.
-func (p *Pass) ReportWithEdits(pos token.Pos, fix string, edits []TextEdit, format string, args ...any) {
 	position := p.Pkg.Fset.Position(pos)
 	p.sink(Diagnostic{
-		Rule:     p.analyzer.Name(),
-		Severity: p.severity,
+		Rule:     p.rule.Name,
+		Severity: p.rule.Severity,
 		File:     position.Filename,
 		Line:     position.Line,
 		Col:      position.Column,
 		Message:  fmt.Sprintf(format, args...),
 		Fix:      fix,
-		Edits:    edits,
 	})
 }

@@ -3,6 +3,7 @@ package analysis
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 )
@@ -15,22 +16,22 @@ type loc struct{ line, col int }
 // documents the directive placement relative to them).
 var analyzerGolden = map[string][]loc{
 	"divergedcollective": {{13, 3}, {21, 12}, {28, 10}, {36, 14}, {43, 3}},
-	"blockinghandler":    {{12, 3}, {13, 3}, {24, 2}, {29, 3}},
+	"blockinghandler":    {{12, 3}, {13, 3}, {24, 2}, {29, 3}, {41, 3}, {42, 3}},
 	"sendafterdone":      {{11, 2}, {16, 2}, {21, 2}, {27, 3}},
 	"unpairedregion":     {{12, 2}, {24, 2}, {41, 9}, {46, 2}, {47, 6}},
 	"rawoffset":          {{7, 17}, {8, 23}, {9, 21}, {10, 32}},
-	"escapingview":       {{18, 2}, {23, 3}, {29, 10}, {39, 7}, {49, 9}, {58, 9}, {65, 9}, {77, 9}, {90, 3}, {96, 3}, {102, 12}, {109, 8}, {116, 10}},
-	"sharedhandlerstate": {{21, 4}, {22, 4}, {34, 2}},
-	"stalestaging":       {{8, 9}, {15, 2}, {22, 9}},
+	"escapingview":       {{18, 2}, {23, 3}, {29, 10}, {39, 7}, {49, 9}, {58, 9}, {65, 9}, {77, 9}, {90, 3}, {96, 3}, {102, 12}, {109, 8}, {116, 10}, {123, 2}},
+	"sharedhandlerstate": {{21, 4}, {22, 4}, {34, 2}, {43, 3}},
 }
 
-// fixtureDir returns the fixture directory for a rule. stalestaging is
-// path-scoped to packages ending in internal/shmem, so its fixture nests.
-func fixtureDir(rule string) string {
-	if rule == "stalestaging" {
-		return filepath.Join("stalestaging", "internal", "shmem")
+// ruleNamed returns the rule with the given ID from the Rules table.
+func ruleNamed(t *testing.T, name string) Rule {
+	t.Helper()
+	i := slices.IndexFunc(Rules, func(r Rule) bool { return r.Name == name })
+	if i < 0 {
+		t.Fatalf("no rule named %s", name)
 	}
-	return rule
+	return Rules[i]
 }
 
 func loadFixture(t *testing.T, dir string) *Program {
@@ -45,18 +46,13 @@ func loadFixture(t *testing.T, dir string) *Program {
 	return prog
 }
 
-// TestAnalyzerGolden runs each analyzer alone over its known-bad fixture
+// TestAnalyzerGolden runs each rule alone over its known-bad fixture
 // and asserts the exact rule IDs and positions.
 func TestAnalyzerGolden(t *testing.T) {
 	for rule, want := range analyzerGolden {
 		t.Run(rule, func(t *testing.T) {
-			a := AnalyzerByName(rule)
-			if a == nil {
-				t.Fatalf("no analyzer named %s", rule)
-			}
-			prog := loadFixture(t, fixtureDir(rule))
-			diags := Run(prog, []Analyzer{a})
-			wantFile := filepath.Join("testdata", "src", fixtureDir(rule), "bad.go")
+			diags := Run(loadFixture(t, rule), []Rule{ruleNamed(t, rule)})
+			wantFile := filepath.Join("testdata", "src", rule, "bad.go")
 			if len(diags) != len(want) {
 				t.Fatalf("got %d findings, want %d: %+v", len(diags), len(want), diags)
 			}
@@ -85,7 +81,7 @@ func TestAnalyzerGolden(t *testing.T) {
 func TestFullSuiteOnFixtures(t *testing.T) {
 	for rule, want := range analyzerGolden {
 		t.Run(rule, func(t *testing.T) {
-			diags := Run(loadFixture(t, fixtureDir(rule)), DefaultAnalyzers())
+			diags := Run(loadFixture(t, rule), Rules)
 			if len(diags) != len(want) {
 				t.Fatalf("full suite: got %d findings, want %d: %+v", len(diags), len(want), diags)
 			}
@@ -100,7 +96,7 @@ func TestFullSuiteOnFixtures(t *testing.T) {
 
 // TestCleanFixture asserts zero findings on the well-behaved program.
 func TestCleanFixture(t *testing.T) {
-	if diags := Run(loadFixture(t, "clean"), DefaultAnalyzers()); len(diags) != 0 {
+	if diags := Run(loadFixture(t, "clean"), Rules); len(diags) != 0 {
 		t.Fatalf("clean fixture produced findings: %+v", diags)
 	}
 }
@@ -110,7 +106,7 @@ func TestCleanFixture(t *testing.T) {
 // directive — which therefore suppressed nothing — is itself reported
 // stale.
 func TestIgnoreDirectives(t *testing.T) {
-	diags := Run(loadFixture(t, "ignored"), DefaultAnalyzers())
+	diags := Run(loadFixture(t, "ignored"), Rules)
 	want := []struct {
 		rule string
 		at   loc
@@ -135,7 +131,7 @@ func TestIgnoreDirectives(t *testing.T) {
 // name is a loud baddirective error (and suppresses nothing), and
 // directives that suppress nothing are staleignore warnings.
 func TestDirectiveEdgeCases(t *testing.T) {
-	diags := Run(loadFixture(t, "directives"), DefaultAnalyzers())
+	diags := Run(loadFixture(t, "directives"), Rules)
 	want := []struct {
 		rule string
 		at   loc
@@ -161,7 +157,7 @@ func TestDirectiveEdgeCases(t *testing.T) {
 // run does not falsely call directives for inactive rules stale.
 func TestStaleIgnoreNotJudgedUnderFilter(t *testing.T) {
 	prog := loadFixture(t, "directives")
-	diags := Run(prog, []Analyzer{AnalyzerByName("divergedcollective")})
+	diags := Run(prog, []Rule{ruleNamed(t, "divergedcollective")})
 	for _, d := range diags {
 		if d.Rule == "staleignore" {
 			t.Errorf("filtered run judged a directive stale: %s at %s", d.Message, d.Position())
@@ -171,30 +167,24 @@ func TestStaleIgnoreNotJudgedUnderFilter(t *testing.T) {
 
 // TestSeverities pins the severity split: rules whose violations
 // deadlock or corrupt data are errors, discipline rules are warnings.
+// (The directive checks' severities are pinned by TestDirectiveEdgeCases.)
 func TestSeverities(t *testing.T) {
 	want := map[string]Severity{
 		"divergedcollective": SeverityError,
 		"blockinghandler":    SeverityError,
 		"sendafterdone":      SeverityError,
 		"escapingview":       SeverityError,
-		"stalestaging":       SeverityError,
 		"sharedhandlerstate": SeverityError,
 		"unpairedregion":     SeverityWarning,
 		"rawoffset":          SeverityWarning,
 	}
-	if len(DefaultAnalyzers()) != len(want) {
-		t.Fatalf("suite has %d analyzers, want %d", len(DefaultAnalyzers()), len(want))
+	if len(Rules) != len(want) {
+		t.Fatalf("suite has %d rules, want %d", len(Rules), len(want))
 	}
-	for _, a := range DefaultAnalyzers() {
-		if got := severityOf(a); got != want[a.Name()] {
-			t.Errorf("%s: severity %s, want %s", a.Name(), got, want[a.Name()])
+	for _, r := range Rules {
+		if r.Severity != want[r.Name] {
+			t.Errorf("%s: severity %s, want %s", r.Name, r.Severity, want[r.Name])
 		}
-	}
-	if severityLevels[ruleBadDirective] != SeverityError {
-		t.Errorf("baddirective severity = %s, want error", severityLevels[ruleBadDirective])
-	}
-	if severityLevels[ruleStaleIgnore] != SeverityWarning {
-		t.Errorf("staleignore severity = %s, want warning", severityLevels[ruleStaleIgnore])
 	}
 }
 
@@ -218,9 +208,8 @@ func TestLoadPatterns(t *testing.T) {
 		t.Errorf("dependency closure did not grow: %d packages in All", len(prog.All))
 	}
 
-	// An explicit testdata subtree loads all fixtures (stalestaging
-	// contributes its nested internal/shmem package; directives, clean,
-	// and ignored ride along).
+	// An explicit testdata subtree loads all fixtures (directives, clean,
+	// and ignored ride along with one per rule).
 	prog, err = Load([]string{filepath.Join("testdata", "src") + "/..."})
 	if err != nil {
 		t.Fatalf("Load testdata/src/...: %v", err)
@@ -290,7 +279,7 @@ func TestWholeRepoAnalysisBudget(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading whole repo: %v", err)
 	}
-	diags := Run(prog, DefaultAnalyzers())
+	diags := Run(prog, Rules)
 	elapsed := time.Since(start)
 	for _, d := range diags {
 		t.Errorf("repo is not actorvet-clean: %s: %s [%s]", d.Position(), d.Message, d.Rule)

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/types"
 	"strings"
 )
 
@@ -24,6 +25,17 @@ func callee(call *ast.CallExpr) (recv ast.Expr, name string, ok bool) {
 		}
 	}
 	return nil, "", false
+}
+
+// callLabel names a resolved call in messages: recv.Name when the
+// receiver renders as an exprKey (pe.Barrier, rt.pc.Send), else Name.
+func callLabel(call *ast.CallExpr, fn *types.Func) string {
+	if recv, _, ok := callee(call); ok && recv != nil {
+		if key := exprKey(recv); key != "" {
+			return key + "." + fn.Name()
+		}
+	}
+	return fn.Name()
 }
 
 // pathHasSuffix reports whether an import path is pkg or ends in /pkg —
@@ -64,7 +76,7 @@ func litOrConstKey(e ast.Expr) string {
 // funcBodies yields every function body in the file along with the
 // enclosing function's type: declarations and, when walkLits is true,
 // function literals that are not already nested inside another yielded
-// body. Analyzers that treat literals as inline (executing at their
+// body. Rules that treat literals as inline (executing at their
 // lexical position) should walk them from within the enclosing body
 // instead and pass walkLits=false here.
 func funcBodies(f *ast.File, walkLits bool, visit func(ft *ast.FuncType, body *ast.BlockStmt)) {

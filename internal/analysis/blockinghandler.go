@@ -8,101 +8,55 @@ import (
 	"actorprof/internal/shmem"
 )
 
-// BlockingHandler flags actor/selector message handlers that call
-// blocking operations. Handlers execute one at a time inside conveyor
-// progress (the paper's PROC region, carved out of COMM): a handler that
-// blocks on a barrier, a nested Finish, a wait-until, or conveyor
-// advance/drain stalls the very progress loop that would deliver the
-// messages it is waiting for — deadlocking the PE — and meanwhile the
-// stalled cycles are attributed to T_PROC, poisoning the profile the
-// paper's Figures 12-13 depend on.
-type BlockingHandler struct{}
-
-// Name implements Analyzer.
-func (BlockingHandler) Name() string { return "blockinghandler" }
-
-// Doc implements Analyzer.
-func (BlockingHandler) Doc() string {
-	return "message handler (func passed to Selector.Process) calls a blocking operation (barrier, collective, Finish, wait-until, conveyor advance); handlers run inside conveyor progress and must complete without blocking"
-}
+// The runtime packages' vet contracts for what a handler must not call.
+var (
+	blockingShmem   = nameSet(shmem.BlockingMethods())
+	unsafeInHandler = nameSet(actor.HandlerUnsafeMethods())
+)
 
 const blockingFix = "move the blocking call out of the handler into the MAIN segment (before Done) or restructure with an extra mailbox; handlers may only compute and Send"
 
 // isBlockedInHandler reports whether fn — a resolved callee — must not
 // run inside a handler, per the runtime packages' vet contracts.
-func isBlockedInHandler(fn *types.Func, blockingShmem, unsafeActor map[string]bool) bool {
+func isBlockedInHandler(fn *types.Func) bool {
 	switch {
 	case funcIn(fn, pkgShmem, blockingShmem):
 		return true // barriers, collectives, wait-untils (PE and Int64Array)
-	case funcIn(fn, pkgShmem, nameSet(shmem.CollectiveFuncs())):
+	case funcIn(fn, pkgShmem, shmemCollectiveFuncs):
 		return true // AllocInt64Array blocks in Malloc's barrier
-	case funcIn(fn, pkgActor, unsafeActor):
+	case funcIn(fn, pkgActor, unsafeInHandler):
 		return true // Runtime.Finish re-enters the progress loop
-	case funcIn(fn, pkgConveyor, unsafeActor):
+	case funcIn(fn, pkgConveyor, unsafeInHandler):
 		return true // Conveyor.Advance is the progress loop
 	}
 	return false
 }
 
-// Run implements Analyzer.
-func (a BlockingHandler) Run(pass *Pass) {
-	cg, _ := pass.Prog.facts()
-	blockingShmem := nameSet(shmem.BlockingMethods())
-	unsafeActor := nameSet(actor.HandlerUnsafeMethods())
+// runBlockingHandler flags message handlers — per-message and batch
+// alike — that call blocking operations. Handlers execute one at a time
+// inside conveyor progress (the paper's PROC region, carved out of
+// COMM): a handler that blocks on a barrier, a nested Finish, a
+// wait-until, or conveyor advance/drain stalls the very progress loop
+// that would deliver the messages it is waiting for — deadlocking the
+// PE — and meanwhile the stalled cycles are attributed to T_PROC,
+// poisoning the profile the paper's Figures 12-13 depend on. Calls
+// anywhere inside the handler body count, including closures it defines
+// (they run on the same goroutine).
+func runBlockingHandler(pass *Pass) {
 	info := pass.Pkg.Info
-	for _, file := range pass.Pkg.Files {
-		ast.Inspect(file, func(n ast.Node) bool {
+	for _, h := range handlers(pass) {
+		ast.Inspect(h.body, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
 			}
 			fn := calleeFunc(info, call)
-			if !isMethodOn(fn, pkgActor, "Selector", "Process") || len(call.Args) != 2 {
+			if fn == nil || !isBlockedInHandler(fn) {
 				return true
 			}
-			var body *ast.BlockStmt
-			switch h := unparen(call.Args[1]).(type) {
-			case *ast.FuncLit:
-				body = h.Body
-			case *ast.Ident:
-				// Named handler: resolve through the call graph, which spans
-				// the whole program (cross-file and cross-package alike).
-				if hf, ok := info.Uses[h].(*types.Func); ok {
-					if node := cg.nodeOf(hf); node != nil {
-						body = node.decl.Body
-					}
-				}
-			}
-			if body == nil {
-				return true
-			}
-			a.checkHandler(pass, body, blockingShmem, unsafeActor)
+			pass.Report(call.Pos(), blockingFix,
+				"message handler calls blocking %s; handlers run inside conveyor progress, so blocking here deadlocks the PE and corrupts T_PROC attribution", callLabel(call, fn))
 			return true
 		})
 	}
-}
-
-// checkHandler reports blocking calls anywhere inside the handler body,
-// including closures it defines (they run on the same goroutine).
-func (a BlockingHandler) checkHandler(pass *Pass, body *ast.BlockStmt, blockingShmem, unsafeActor map[string]bool) {
-	info := pass.Pkg.Info
-	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		fn := calleeFunc(info, call)
-		if fn == nil || !isBlockedInHandler(fn, blockingShmem, unsafeActor) {
-			return true
-		}
-		label := fn.Name()
-		if recv, _, ok := callee(call); ok && recv != nil {
-			if key := exprKey(recv); key != "" {
-				label = key + "." + fn.Name()
-			}
-		}
-		pass.Report(call.Pos(), blockingFix,
-			"message handler calls blocking %s; handlers run inside conveyor progress, so blocking here deadlocks the PE and corrupts T_PROC attribution", label)
-		return true
-	})
 }

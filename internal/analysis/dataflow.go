@@ -7,17 +7,17 @@ import (
 )
 
 // This file is the per-function dataflow engine behind the lifetime
-// rules (escapingview, stalestaging). It tracks values — identified by
-// their types.Object, with real whole-program type information — from
-// the calls that produce them through assignments, slicing, control
-// flow, closures, and calls, and detects the two failure modes of a
-// borrowed buffer:
+// rule (escapingview). It tracks values — identified by their
+// types.Object, with real whole-program type information — from the
+// calls that produce them through assignments, slicing, control flow,
+// closures, and calls, and detects the two failure modes of a borrowed
+// buffer:
 //
 //   - escape: the value is stored somewhere that outlives the borrow
 //     (struct field, global, channel, slice/map element, goroutine
 //     capture, or a callee that does any of those per its summary);
 //   - staleness: the value is read after an operation that recycles its
-//     backing storage (conveyor progress, pool release, quiet).
+//     backing storage (conveyor or actor progress).
 //
 // Unresolvable calls (function values, interface methods) are treated
 // optimistically — no escape, no progress — so findings stay pinpointed
@@ -28,26 +28,18 @@ type taintSpec struct {
 	// sourceResults returns the result indices of a resolved call that
 	// produce tracked values, or nil. fn is never nil.
 	sourceResults func(fn *types.Func) []int
-	// sourceExpr reports whether a (non-call) expression produces a
-	// tracked value — e.g. reading a staging buffer out of pendingNBI.
-	// May be nil.
-	sourceExpr func(info *types.Info, e ast.Expr) bool
 	// invalidates returns a short phrase when a resolved call recycles
 	// the storage behind every tracked value ("conveyor progress
 	// (Advance)"), or "".
 	invalidates func(fn *types.Func) string
-	// releaseArgs returns the argument indices a resolved call releases
-	// (the value must not be used afterwards), or nil.
-	releaseArgs func(fn *types.Func) []int
-	// batchHandlerArg, when non-nil, returns the handler-function
-	// argument index of a resolved call that installs a data-parallel
-	// batch handler (actor.BatchHandlerMethods), or -1. The handler
-	// literal's slice parameters are borrowed runtime scratch, seeded as
-	// sticky tracked values: retaining them past the handler return is
-	// an escape, but progress inside the handler does not stale them
-	// (the runtime's re-entrancy guard keeps the scratch live for the
-	// whole invocation).
-	batchHandlerArg func(fn *types.Func) int
+	// scratch maps the FuncType of every batch handler (literal or
+	// named) to the Selector method that installed it. Its slice
+	// parameters are borrowed runtime scratch, seeded as sticky tracked
+	// values: retaining them past the handler return is an escape, but
+	// progress inside the handler does not stale them (the runtime's
+	// re-entrancy guard keeps the scratch live for the whole
+	// invocation). Nil in summary mode.
+	scratch map[*ast.FuncType]string
 	// describe names the tracked value class in messages, e.g.
 	// "borrowed conveyor view".
 	describe string
@@ -57,13 +49,6 @@ type taintSpec struct {
 	// summaries, when non-nil, supplies interprocedural facts: callee
 	// escapes, callee-transitive invalidation, borrowed returns.
 	summaries *summaryTable
-	// copyFixable marks escapes as mechanically fixable by wrapping the
-	// stored value in append([]byte(nil), v...).
-	copyFixable bool
-	// trackEscapes enables escape (store/send/capture) reporting. Rules
-	// whose tracked values legitimately live in fields until an explicit
-	// release (stalestaging) leave it false and get staleness checks only.
-	trackEscapes bool
 }
 
 // taint is the tracked state of one value.
@@ -125,11 +110,6 @@ type taintWalker struct {
 
 	// collect receives summary facts; nil in reporting mode.
 	collect *summaryCollector
-
-	// edits, when non-nil, lets the walker attach mechanical fixes. typ
-	// is the escaping expression's static type (nil when unknown), so
-	// the copy wraps in the right slice type: append([]T(nil), v...).
-	edits func(pos token.Pos, valueEnd token.Pos, typ types.Type)
 }
 
 // summaryCollector accumulates one function's summary during a
@@ -160,6 +140,13 @@ func (w *taintWalker) merge(o *taintWalker) {
 			w.vars[obj] = t
 		}
 	}
+}
+
+// walkFunc processes a function body, first seeding its parameters when
+// the function is a batch handler.
+func (w *taintWalker) walkFunc(ft *ast.FuncType, body *ast.BlockStmt) {
+	w.seedScratch(ft)
+	w.walkBody(body)
 }
 
 // walkBody processes a statement list in source order.
@@ -375,25 +362,25 @@ func (w *taintWalker) handleAssign(a *ast.AssignStmt) {
 		switch lhs := unparen(l).(type) {
 		case *ast.Ident:
 			if obj := w.objOf(lhs); obj != nil && isPackageLevel(obj) && tainted[i] {
-				w.reportEscapeAt(a.Rhs[min(i, len(a.Rhs)-1)], l.Pos(), "package-level variable "+lhs.Name)
+				w.reportEscapeAt(rhsFor(a, i), l.Pos(), "package-level variable "+lhs.Name)
 				continue
 			}
 			w.bindIdent(lhs, rhsFor(a, i), tainted[i])
 		case *ast.SelectorExpr:
 			w.evalExpr(lhs.X)
 			if tainted[i] {
-				w.reportEscapeAt(a.Rhs[min(i, len(a.Rhs)-1)], l.Pos(), "field "+exprKey(lhs))
+				w.reportEscapeAt(rhsFor(a, i), l.Pos(), "field "+exprKey(lhs))
 			}
 		case *ast.IndexExpr:
 			w.evalExpr(lhs.X)
 			w.evalExpr(lhs.Index)
 			if tainted[i] {
-				w.reportEscapeAt(a.Rhs[min(i, len(a.Rhs)-1)], l.Pos(), "element of "+exprKey(lhs.X))
+				w.reportEscapeAt(rhsFor(a, i), l.Pos(), "element of "+exprKey(lhs.X))
 			}
 		case *ast.StarExpr:
 			w.evalExpr(lhs.X)
 			if tainted[i] {
-				w.reportEscapeAt(a.Rhs[min(i, len(a.Rhs)-1)], l.Pos(), "pointer target")
+				w.reportEscapeAt(rhsFor(a, i), l.Pos(), "pointer target")
 			}
 		}
 	}
@@ -484,11 +471,6 @@ func (w *taintWalker) exprTainted(e ast.Expr) bool {
 		return ok
 	case *ast.SliceExpr:
 		return w.exprTainted(e.X)
-	case *ast.SelectorExpr:
-		if w.spec.sourceExpr != nil && w.spec.sourceExpr(w.info, e) {
-			return true
-		}
-		return false
 	case *ast.CallExpr:
 		return w.callExprTainted(e)
 	case *ast.CompositeLit:
@@ -606,7 +588,7 @@ func (w *taintWalker) evalExpr(e ast.Expr) {
 		// execute) at their lexical position in this codebase's idioms
 		// (rt.Finish(func(){…})); walk them inline so captured tracked
 		// values stay visible.
-		w.walkBody(e.Body)
+		w.walkFunc(e.Type, e.Body)
 	case *ast.CallExpr:
 		w.evalCall(e)
 	}
@@ -622,37 +604,12 @@ func (w *taintWalker) evalCall(call *ast.CallExpr) {
 		return
 	}
 	fn := calleeFunc(w.info, call)
-	// Batch-handler registration: seed the handler literal's slice
-	// parameters as tracked scratch BEFORE walking the literal body, so
-	// the walk sees retention of msgs/srcPEs as escapes.
-	if fn != nil && w.spec.batchHandlerArg != nil {
-		if idx := w.spec.batchHandlerArg(fn); idx >= 0 && idx < len(call.Args) {
-			if lit, ok := unparen(call.Args[idx]).(*ast.FuncLit); ok {
-				w.seedBatchScratch(fn, lit)
-			}
-		}
-	}
 	w.evalExpr(call.Fun)
 	for _, a := range call.Args {
 		w.evalExpr(a)
 	}
 	if fn == nil {
 		return
-	}
-	// Release effects: the argument's storage returns to its pool.
-	for _, idx := range w.spec.releaseArgs(fn) {
-		if idx >= len(call.Args) {
-			continue
-		}
-		if id, ok := unparen(call.Args[idx]).(*ast.Ident); ok {
-			if obj := w.objOf(id); obj != nil {
-				if t, tracked := w.vars[obj]; tracked && t.staleBy == "" {
-					t.staleBy = fn.Name() + " released it"
-					t.stalePos = call.Pos()
-					w.vars[obj] = t
-				}
-			}
-		}
 	}
 	// Escapes into callees, per summary.
 	if s := w.spec.summaries.of(fn); s != nil {
@@ -683,23 +640,23 @@ func (w *taintWalker) evalCall(call *ast.CallExpr) {
 	}
 }
 
-// seedBatchScratch marks the slice parameters of a batch-handler
-// literal as tracked borrowed scratch. The taints are sticky (progress
-// inside the handler does not recycle the scratch) and rootless (they
-// are runtime-owned, not caller-owned, so summary mode must not fold
-// them into paramEscapes).
-func (w *taintWalker) seedBatchScratch(fn *types.Func, lit *ast.FuncLit) {
-	if lit.Type.Params == nil {
+// seedScratch marks the slice parameters of a batch handler as tracked
+// borrowed scratch. The taints are sticky (progress inside the handler
+// does not recycle the scratch) and rootless (they are runtime-owned,
+// not caller-owned).
+func (w *taintWalker) seedScratch(ft *ast.FuncType) {
+	method, ok := w.spec.scratch[ft]
+	if !ok || ft.Params == nil {
 		return
 	}
-	for _, field := range lit.Type.Params.List {
+	for _, field := range ft.Params.List {
 		for _, name := range field.Names {
 			obj := w.info.Defs[name]
 			if obj == nil || !isSliceish(obj.Type()) {
 				continue
 			}
 			w.vars[obj] = taint{
-				origin: fn.Name() + " scratch parameter " + name.Name,
+				origin: method + " scratch parameter " + name.Name,
 				pos:    name.Pos(),
 				sticky: true,
 			}
@@ -750,7 +707,7 @@ func (w *taintWalker) checkGoroutineCapture(call *ast.CallExpr) {
 						if t.root != nil {
 							w.collect.escaped[t.root] = true
 						}
-					} else if w.report != nil && w.spec.trackEscapes {
+					} else if w.report != nil {
 						w.reportedAt[id.Pos()] = true
 						w.report(id.Pos(), w.spec.escapeFix,
 							"%s %q (from %s) is captured by a goroutine; it outlives the borrow — copy it first",
@@ -777,7 +734,7 @@ func (w *taintWalker) reportEscapeAt(e ast.Expr, pos token.Pos, dest string) {
 		}
 		return
 	}
-	if !w.spec.trackEscapes || w.reportedAt[pos] {
+	if w.reportedAt[pos] {
 		return
 	}
 	w.reportedAt[pos] = true
@@ -786,13 +743,6 @@ func (w *taintWalker) reportEscapeAt(e ast.Expr, pos token.Pos, dest string) {
 		origin = w.spec.describe
 	}
 	if w.report != nil {
-		if w.edits != nil && w.spec.copyFixable {
-			var typ types.Type
-			if tv, ok := w.info.Types[e]; ok {
-				typ = tv.Type
-			}
-			w.edits(e.Pos(), e.End(), typ)
-		}
 		w.report(pos, w.spec.escapeFix,
 			"%s (from %s) escapes to %s; the backing buffer is recycled by later progress — store a copy instead",
 			w.spec.describe, origin, dest)
@@ -902,11 +852,4 @@ func summariesEqual(a, b *funcSummary) bool {
 func isSliceish(t types.Type) bool {
 	_, ok := t.Underlying().(*types.Slice)
 	return ok
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

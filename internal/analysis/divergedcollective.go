@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 
 	"actorprof/internal/actor"
@@ -10,57 +9,41 @@ import (
 	"actorprof/internal/trace"
 )
 
-// DivergedCollective flags collective operations that are reachable only
-// under rank-dependent control flow: the classic SPMD deadlock, where the
-// ranks that skip the collective leave the others waiting forever at a
-// barrier that can never complete. The collective entry points come from
-// the runtime packages' own vet contracts (shmem.CollectiveMethods,
-// actor.CollectiveFuncs, trace.CollectiveFuncs), so the rule tracks the
-// API without a parallel list to maintain.
-type DivergedCollective struct{}
-
-// Name implements Analyzer.
-func (DivergedCollective) Name() string { return "divergedcollective" }
-
-// Doc implements Analyzer.
-func (DivergedCollective) Doc() string {
-	return "collective call (barrier, reduction, symmetric allocation, collector construction) reachable only under pe.Rank()-dependent conditionals or loops; diverged ranks deadlock the SPMD run"
-}
-
 const divergedFix = "hoist the collective out of the rank-dependent control flow so every PE executes it, or guard it with //actorvet:ignore and a justification"
 
+// The collective entry points, from the runtime packages' own vet
+// contracts: *PE collectives and Runtime.Finish as methods, plus the
+// symmetric allocators and collector constructors as package-level
+// functions.
+var (
+	shmemCollectiveMethods = nameSet(shmem.CollectiveMethods())
+	actorCollectiveMethods = nameSet(actor.CollectiveMethods())
+	shmemCollectiveFuncs   = nameSet(shmem.CollectiveFuncs())
+	actorCollectiveFuncs   = nameSet(actor.CollectiveFuncs())
+	traceCollectiveFuncs   = nameSet(trace.CollectiveFuncs())
+)
+
 // isCollectiveCall reports whether fn — a resolved callee — is a
-// collective entry point, per the runtime packages' vet contracts:
-// *PE collectives and Runtime.Finish as methods, plus the symmetric
-// allocators and collector constructors as package-level functions.
-func isCollectiveCall(fn *types.Func, shmemMethods, actorMethods map[string]bool) bool {
-	switch {
-	case funcIn(fn, pkgShmem, shmemMethods) && recvNamed(fn) != nil:
-		return true
-	case funcIn(fn, pkgActor, actorMethods) && recvNamed(fn) != nil:
-		return true
-	case funcIn(fn, pkgShmem, nameSet(shmem.CollectiveFuncs())) && recvNamed(fn) == nil:
-		return true
-	case funcIn(fn, pkgActor, nameSet(actor.CollectiveFuncs())) && recvNamed(fn) == nil:
-		return true
-	case funcIn(fn, pkgTrace, nameSet(trace.CollectiveFuncs())) && recvNamed(fn) == nil:
-		return true
+// collective entry point.
+func isCollectiveCall(fn *types.Func) bool {
+	if recvNamed(fn) != nil {
+		return funcIn(fn, pkgShmem, shmemCollectiveMethods) || funcIn(fn, pkgActor, actorCollectiveMethods)
 	}
-	return false
+	return funcIn(fn, pkgShmem, shmemCollectiveFuncs) || funcIn(fn, pkgActor, actorCollectiveFuncs) ||
+		funcIn(fn, pkgTrace, traceCollectiveFuncs)
 }
 
-// Run implements Analyzer.
-func (a DivergedCollective) Run(pass *Pass) {
-	shmemMethods := nameSet(shmem.CollectiveMethods())
-	actorMethods := nameSet(actor.CollectiveMethods())
+// runDivergedCollective flags collective operations that are reachable
+// only under rank-dependent control flow: the classic SPMD deadlock,
+// where the ranks that skip the collective leave the others waiting
+// forever at a barrier that can never complete. The collective entry
+// points come from the runtime packages' own vet contracts, so the rule
+// tracks the API without a parallel list to maintain.
+func runDivergedCollective(pass *Pass) {
 	for _, file := range pass.Pkg.Files {
 		funcBodies(file, false, func(ft *ast.FuncType, body *ast.BlockStmt) {
-			w := &divergenceWalker{
-				pass:         pass,
-				shmemMethods: shmemMethods,
-				actorMethods: actorMethods,
-			}
-			w.tainted = w.rankTaint(body)
+			w := &divergenceWalker{pass: pass}
+			w.tainted = rankTaint(pass.Pkg.Info, body)
 			w.walkBlock(body, false)
 		})
 	}
@@ -70,10 +53,8 @@ func (a DivergedCollective) Run(pass *Pass) {
 // executing inline at their lexical position) tracking whether control
 // flow has diverged on rank.
 type divergenceWalker struct {
-	pass         *Pass
-	shmemMethods map[string]bool
-	actorMethods map[string]bool
-	tainted      map[string]bool
+	pass    *Pass
+	tainted map[string]bool
 }
 
 func (w *divergenceWalker) walkBlock(b *ast.BlockStmt, div bool) {
@@ -181,36 +162,33 @@ func (w *divergenceWalker) scan(n ast.Node, div bool) {
 // checkCall reports node when it is a collective entry point.
 func (w *divergenceWalker) checkCall(call *ast.CallExpr) {
 	fn := calleeFunc(w.pass.Pkg.Info, call)
-	if fn == nil || !isCollectiveCall(fn, w.shmemMethods, w.actorMethods) {
+	if fn == nil || !isCollectiveCall(fn) {
 		return
 	}
-	label := fn.Name()
-	if recv, _, ok := callee(call); ok && recv != nil {
-		if key := exprKey(recv); key != "" {
-			label = key + "." + fn.Name()
-		}
-	}
-	w.report(call.Pos(), label)
+	w.pass.Report(call.Pos(), divergedFix,
+		"collective %s is only reachable under rank-dependent control flow; ranks that skip it strand the others in the barrier (SPMD deadlock)", callLabel(call, fn))
 }
 
-func (w *divergenceWalker) report(pos token.Pos, label string) {
-	w.pass.Report(pos, divergedFix,
-		"collective %s is only reachable under rank-dependent control flow; ranks that skip it strand the others in the barrier (SPMD deadlock)", label)
-}
-
-// rankDep reports whether expr depends on the executing PE's identity: it
-// contains a Rank()/Node() call or an identifier tainted by one.
+// rankDep reports whether expr depends on the executing PE's identity.
 func (w *divergenceWalker) rankDep(expr ast.Expr) bool {
+	return dependsOnRank(w.pass.Pkg.Info, expr, w.tainted)
+}
+
+// dependsOnRank reports whether e contains a PE.Rank()/PE.Node() call —
+// the two accessors that differ across PEs — or an identifier in the
+// taint set.
+func dependsOnRank(info *types.Info, e ast.Expr, tainted map[string]bool) bool {
 	dep := false
-	selNames := selectorSels(expr)
-	ast.Inspect(expr, func(n ast.Node) bool {
+	selNames := selectorSels(e)
+	ast.Inspect(e, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			if w.isRankSource(n) {
+			fn := calleeFunc(info, n)
+			if isMethodOn(fn, pkgShmem, "PE", "Rank") || isMethodOn(fn, pkgShmem, "PE", "Node") {
 				dep = true
 			}
 		case *ast.Ident:
-			if !selNames[n] && w.tainted[n.Name] {
+			if !selNames[n] && tainted[n.Name] {
 				dep = true
 			}
 		}
@@ -219,44 +197,20 @@ func (w *divergenceWalker) rankDep(expr ast.Expr) bool {
 	return dep
 }
 
-// isRankSource reports whether call is shmem's PE.Rank() or PE.Node() —
-// the two accessors that differ across PEs.
-func (w *divergenceWalker) isRankSource(call *ast.CallExpr) bool {
-	fn := calleeFunc(w.pass.Pkg.Info, call)
-	return isMethodOn(fn, pkgShmem, "PE", "Rank") || isMethodOn(fn, pkgShmem, "PE", "Node")
-}
-
 // rankTaint computes the set of identifier names assigned (directly or
 // transitively) from Rank()/Node() anywhere in body. The fixpoint loop is
 // bounded: each pass can only add names, and chains longer than the bound
 // are vanishingly rare in real code. The conventional-name seeds (rank,
 // mype, …) are deliberate heuristics for rank values that cross function
 // boundaries — they taint conditions, they do not match API calls.
-func (w *divergenceWalker) rankTaint(body *ast.BlockStmt) map[string]bool {
+func rankTaint(info *types.Info, body *ast.BlockStmt) map[string]bool {
 	tainted := make(map[string]bool)
 	// Seed with conventional parameter/variable names for rank values
 	// that cross function boundaries, where dataflow can't see the source.
 	for _, seed := range []string{"rank", "myrank", "mype", "myPE", "myRank"} {
 		tainted[seed] = true
 	}
-	depOn := func(e ast.Expr) bool {
-		dep := false
-		selNames := selectorSels(e)
-		ast.Inspect(e, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CallExpr:
-				if w.isRankSource(n) {
-					dep = true
-				}
-			case *ast.Ident:
-				if !selNames[n] && tainted[n.Name] {
-					dep = true
-				}
-			}
-			return !dep
-		})
-		return dep
-	}
+	depOn := func(e ast.Expr) bool { return dependsOnRank(info, e, tainted) }
 	for pass := 0; pass < 4; pass++ {
 		grew := false
 		mark := func(id *ast.Ident) {

@@ -2,33 +2,11 @@ package analysis
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 
 	"actorprof/internal/actor"
 	"actorprof/internal/conveyor"
 )
-
-// EscapingView flags borrowed conveyor views that outlive their borrow.
-// conveyor.Pull returns a slice into the pull ring and PushSlot a slice
-// into the push buffer; both are valid only until the next conveyor
-// progress (DESIGN.md §8), when the transport recycles the backing
-// arrays. A view stored to a field, global, channel, slice element, or
-// goroutine — or simply read after progress — observes bytes from a
-// different message: the zero-allocation hot path's one sharp edge,
-// which corrupts MAIN/PROC/COMM attribution silently. The analysis is
-// interprocedural: passing a view to a function whose summary stores its
-// parameter is an escape too, and calling a function that transitively
-// makes progress invalidates live views.
-type EscapingView struct{}
-
-// Name implements Analyzer.
-func (EscapingView) Name() string { return "escapingview" }
-
-// Doc implements Analyzer.
-func (EscapingView) Doc() string {
-	return "borrowed conveyor view (Pull/PushSlot/PullRun result) or ProcessBatch scratch slice escapes its borrow — stored to a field, global, channel, or goroutine, or used after conveyor/actor progress recycled its backing buffer; copy the elements first (append([]T(nil), v...))"
-}
 
 const escapeViewFix = "copy before retaining: v = append([]T(nil), v...)"
 const staleViewFix = "copy the bytes you still need before the progress call"
@@ -40,13 +18,10 @@ func borrowSpec() *taintSpec {
 	borrowed := conveyor.BorrowedViewMethods()
 	convProgress := nameSet(conveyor.ProgressMethods())
 	actProgress := nameSet(actor.ProgressMethods())
-	batch := actor.BatchHandlerMethods()
 	return &taintSpec{
-		describe:     "borrowed conveyor view",
-		escapeFix:    escapeViewFix,
-		staleFix:     staleViewFix,
-		copyFixable:  true,
-		trackEscapes: true,
+		describe:  "borrowed conveyor view",
+		escapeFix: escapeViewFix,
+		staleFix:  staleViewFix,
 		sourceResults: func(fn *types.Func) []int {
 			if n := recvNamed(fn); n != nil && n.Obj().Pkg() != nil &&
 				n.Obj().Pkg().Path() == pkgConveyor && n.Obj().Name() == "Conveyor" {
@@ -69,62 +44,44 @@ func borrowSpec() *taintSpec {
 			}
 			return ""
 		},
-		releaseArgs: func(fn *types.Func) []int { return nil },
-		batchHandlerArg: func(fn *types.Func) int {
-			if n := recvNamed(fn); n != nil && n.Obj().Pkg() != nil &&
-				n.Obj().Pkg().Path() == pkgActor && n.Obj().Name() == "Selector" {
-				if idx, ok := batch[fn.Name()]; ok {
-					return idx
-				}
-			}
-			return -1
-		},
 	}
 }
 
-// Run implements Analyzer.
-func (a EscapingView) Run(pass *Pass) {
+// runEscapingView flags borrowed conveyor views that outlive their
+// borrow. conveyor.Pull returns a slice into the pull ring and PushSlot
+// a slice into the push buffer; both are valid only until the next
+// conveyor progress (DESIGN.md §8), when the transport recycles the
+// backing arrays. A view stored to a field, global, channel, slice
+// element, or goroutine — or simply read after progress — observes bytes
+// from a different message: the zero-allocation hot path's one sharp
+// edge, which corrupts MAIN/PROC/COMM attribution silently. The analysis
+// is interprocedural: passing a view to a function whose summary stores
+// its parameter is an escape too, and calling a function that
+// transitively makes progress invalidates live views.
+//
+// A batch handler's slice parameters are borrowed runtime scratch too,
+// whether the handler is a literal or a named function registered in
+// this package: each is seeded when the walk reaches its FuncType.
+func runEscapingView(pass *Pass) {
 	_, summaries := pass.Prog.facts()
 	spec := borrowSpec()
 	spec.summaries = summaries
+	spec.scratch = make(map[*ast.FuncType]string)
+	for _, h := range handlers(pass) {
+		if h.method != "Process" { // a batch handler: its slices are scratch
+			spec.scratch[h.typ] = h.method
+		}
+	}
 	for _, file := range pass.Pkg.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			runLifetimeWalk(pass, spec, fd.Body)
+			w := newTaintWalker(pass.Pkg.Info, spec, pass.Report)
+			w.walkFunc(fd.Type, fd.Body)
 		}
 	}
-}
-
-// runLifetimeWalk wires the dataflow engine to a Pass: reports become
-// diagnostics, and fixable escapes carry copy-insertion edits.
-func runLifetimeWalk(pass *Pass, spec *taintSpec, body *ast.BlockStmt) {
-	var pending []TextEdit
-	w := newTaintWalker(pass.Pkg.Info, spec, nil)
-	w.edits = func(pos, end token.Pos, typ types.Type) {
-		// The copy must be the same slice type as the escaping value:
-		// []byte for conveyor views, the message slice type for batch
-		// scratch. Unknown types conservatively fall back to []byte,
-		// matching the historical fix.
-		elem := "byte"
-		if typ != nil {
-			if s, ok := typ.Underlying().(*types.Slice); ok {
-				elem = types.TypeString(s.Elem(), types.RelativeTo(pass.Pkg.Types))
-			}
-		}
-		file := pass.Pkg.Fset.Position(pos)
-		pending = []TextEdit{
-			{File: file.Filename, Offset: file.Offset, End: file.Offset, NewText: "append([]" + elem + "(nil), "},
-			{File: file.Filename, Offset: pass.Pkg.Fset.Position(end).Offset, End: pass.Pkg.Fset.Position(end).Offset, NewText: "...)"},
-		}
-	}
-	w.report = func(pos token.Pos, fix, format string, args ...any) {
-		pass.ReportWithEdits(pos, fix, pending, format, args...)
-		pending = nil
-	}
-	w.walkBody(body)
 }
 
 // facts lazily builds the whole-program analysis facts shared by every

@@ -33,7 +33,7 @@ const (
 	ignoreFileDirective = "//actorvet:ignore-file"
 )
 
-// Names of the directive-checking pseudo-rules. They are not Analyzers —
+// Names of the directive-checking pseudo-rules. They are not in Rules —
 // Run emits them while validating the ignore index — but they occupy the
 // same rule namespace so they can be filtered and suppressed uniformly.
 const (
@@ -187,7 +187,7 @@ func matchRules(set map[string]bool, rule string) bool {
 }
 
 // validate emits baddirective diagnostics for rule names that do not
-// exist. knownRules is the full rule namespace — every shipped analyzer
+// exist. knownRules is the full rule namespace — every shipped rule
 // plus the pseudo-rules — regardless of any -rules filter, so a filtered
 // run still catches typos.
 func (idx *ignoreIndex) validate(knownRules map[string]bool, sink func(Diagnostic)) {
@@ -204,7 +204,7 @@ func (idx *ignoreIndex) validate(knownRules map[string]bool, sink func(Diagnosti
 		sort.Strings(bad)
 		sink(Diagnostic{
 			Rule:     ruleBadDirective,
-			Severity: severityLevels[ruleBadDirective],
+			Severity: SeverityError,
 			File:     e.position.Filename,
 			Line:     e.position.Line,
 			Col:      e.position.Column,
@@ -215,8 +215,8 @@ func (idx *ignoreIndex) validate(knownRules map[string]bool, sink func(Diagnosti
 }
 
 // reportStale emits staleignore diagnostics for directives that
-// suppressed nothing. A directive is only judged against the analyzers
-// that actually ran: under a -rules filter, a directive for an inactive
+// suppressed nothing. A directive is only judged against the rules that
+// actually ran: under a -rules filter, a directive for an inactive
 // rule is skipped rather than falsely called stale (wildcard directives
 // are judged only when the full suite ran).
 func (idx *ignoreIndex) reportStale(activeRules map[string]bool, fullSuite bool, sink func(Diagnostic)) {
@@ -237,7 +237,7 @@ func (idx *ignoreIndex) reportStale(activeRules map[string]bool, fullSuite bool,
 		}
 		sink(Diagnostic{
 			Rule:     ruleStaleIgnore,
-			Severity: severityLevels[ruleStaleIgnore],
+			Severity: SeverityWarning,
 			File:     e.position.Filename,
 			Line:     e.position.Line,
 			Col:      e.position.Column,

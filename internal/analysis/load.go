@@ -39,10 +39,6 @@ type Package struct {
 	Info *types.Info
 	// Types is the type-checked package object.
 	Types *types.Package
-	// Requested reports whether the package was matched by the load
-	// patterns (and should be analyzed) as opposed to being loaded only
-	// as a dependency for type information.
-	Requested bool
 
 	// repoImports are the module-internal import paths of this package,
 	// used for dependency ordering.
@@ -58,7 +54,7 @@ type Program struct {
 	// Info is the program-wide type information, shared by every Package.
 	Info *types.Info
 	// Packages are the pattern-matched packages, sorted by directory.
-	// Analyzers run over these.
+	// Rules run over these.
 	Packages []*Package
 	// All is the full closure (requested + dependencies) in dependency
 	// order: a package appears after everything it imports.
@@ -129,7 +125,6 @@ func Load(patterns []string) (*Program, error) {
 			}
 			continue
 		}
-		pkg.Requested = true
 		abs, _ := filepath.Abs(dir)
 		byAbs[abs] = pkg
 		all = append(all, pkg)

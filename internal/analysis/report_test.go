@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -28,7 +27,7 @@ func sampleDiags() []Diagnostic {
 // TestTextReporterGolden pins the text format byte-for-byte.
 func TestTextReporterGolden(t *testing.T) {
 	var b strings.Builder
-	if err := (TextReporter{Verbose: true}).Report(&b, sampleDiags()); err != nil {
+	if err := Report(&b, sampleDiags(), TextVerbose); err != nil {
 		t.Fatal(err)
 	}
 	want := "pkg/a.go:13:3: error: collective pe.Barrier is only reachable under rank-dependent control flow [divergedcollective]\n" +
@@ -40,67 +39,11 @@ func TestTextReporterGolden(t *testing.T) {
 	}
 
 	b.Reset()
-	if err := (TextReporter{}).Report(&b, nil); err != nil {
+	if err := Report(&b, nil, Text); err != nil {
 		t.Fatal(err)
 	}
 	if b.String() != "" {
 		t.Errorf("empty run should print nothing, got %q", b.String())
-	}
-}
-
-// TestJSONReporterGolden pins the JSON document shape byte-for-byte.
-func TestJSONReporterGolden(t *testing.T) {
-	var b strings.Builder
-	if err := (JSONReporter{}).Report(&b, sampleDiags()); err != nil {
-		t.Fatal(err)
-	}
-	want := `{"count":2,"findings":[` +
-		`{"rule":"divergedcollective","severity":"error","file":"pkg/a.go","line":13,"col":3,` +
-		`"message":"collective pe.Barrier is only reachable under rank-dependent control flow","fix":"hoist the collective"},` +
-		`{"rule":"rawoffset","severity":"warning","file":"pkg/b.go","line":7,"col":17,` +
-		`"message":"raw symmetric-heap offset arithmetic"}]}` + "\n"
-	if b.String() != want {
-		t.Errorf("json report:\n%s\nwant:\n%s", b.String(), want)
-	}
-
-	b.Reset()
-	if err := (JSONReporter{}).Report(&b, nil); err != nil {
-		t.Fatal(err)
-	}
-	if b.String() != `{"count":0,"findings":[]}`+"\n" {
-		t.Errorf("empty json report = %q", b.String())
-	}
-}
-
-// TestJSONReporterRoundTripsFixture runs the suite over a fixture and
-// checks the JSON output decodes back to the same diagnostics.
-func TestJSONReporterRoundTripsFixture(t *testing.T) {
-	pkgs, err := Load([]string{filepath.Join("testdata", "src", "rawoffset")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags := Run(pkgs, DefaultAnalyzers())
-	var b strings.Builder
-	if err := (JSONReporter{Indent: true}).Report(&b, diags); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Count    int          `json:"count"`
-		Findings []Diagnostic `json:"findings"`
-	}
-	if err := json.Unmarshal([]byte(b.String()), &doc); err != nil {
-		t.Fatalf("reporter emitted invalid JSON: %v\n%s", err, b.String())
-	}
-	if doc.Count != len(diags) || len(doc.Findings) != len(diags) {
-		t.Fatalf("round trip count = %d/%d, want %d", doc.Count, len(doc.Findings), len(diags))
-	}
-	for i := range diags {
-		got, want := doc.Findings[i], diags[i]
-		// Edits are a fix payload, deliberately excluded from reports.
-		want.Edits = nil
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("finding %d round-tripped to %+v, want %+v", i, got, want)
-		}
 	}
 }
 
@@ -109,7 +52,7 @@ func TestJSONReporterRoundTripsFixture(t *testing.T) {
 // ingests, so any drift is a CI-integration break.
 func TestSARIFReporterGolden(t *testing.T) {
 	var b strings.Builder
-	if err := (SARIFReporter{}).Report(&b, sampleDiags()); err != nil {
+	if err := Report(&b, sampleDiags(), SARIF); err != nil {
 		t.Fatal(err)
 	}
 	golden := filepath.Join("testdata", "golden", "sample.sarif")
@@ -165,7 +108,7 @@ func TestSARIFReporterGolden(t *testing.T) {
 	// The empty document is still a well-formed run (code scanning
 	// rejects null results).
 	b.Reset()
-	if err := (SARIFReporter{}).Report(&b, nil); err != nil {
+	if err := Report(&b, nil, SARIF); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), `"results": []`) {

@@ -4,39 +4,37 @@ import (
 	"sort"
 )
 
-// Run executes every analyzer over the program's requested packages,
-// drops suppressed diagnostics, validates the suppression directives
+// Run executes every rule over the program's requested packages, drops
+// suppressed diagnostics, validates the suppression directives
 // themselves (baddirective, staleignore), and returns the findings
 // sorted by file, line, column, rule.
-func Run(prog *Program, analyzers []Analyzer) []Diagnostic {
+func Run(prog *Program, rules []Rule) []Diagnostic {
 	knownRules := make(map[string]bool)
-	for _, a := range DefaultAnalyzers() {
-		knownRules[a.Name()] = true
+	for _, r := range Rules {
+		knownRules[r.Name] = true
 	}
 	knownRules[ruleBadDirective] = true
 	knownRules[ruleStaleIgnore] = true
-	activeRules := make(map[string]bool, len(analyzers))
-	for _, a := range analyzers {
-		activeRules[a.Name()] = true
+	activeRules := make(map[string]bool, len(rules))
+	for _, r := range rules {
+		activeRules[r.Name] = true
 	}
-	fullSuite := len(activeRules) >= len(DefaultAnalyzers())
+	fullSuite := len(activeRules) >= len(Rules)
 
 	var diags []Diagnostic
 	for _, pkg := range prog.Packages {
 		idx := buildIgnoreIndex(pkg)
-		for _, a := range analyzers {
-			pass := &Pass{
-				Pkg:      pkg,
-				Prog:     prog,
-				analyzer: a,
-				severity: severityOf(a),
+		for _, r := range rules {
+			r.Run(&Pass{
+				Pkg:  pkg,
+				Prog: prog,
+				rule: r,
 				sink: func(d Diagnostic) {
 					if !idx.suppressed(d) {
 						diags = append(diags, d)
 					}
 				},
-			}
-			a.Run(pass)
+			})
 		}
 		// Directive hygiene. These bypass suppression deliberately: a
 		// stale wildcard directive would otherwise suppress its own
@@ -59,20 +57,4 @@ func Run(prog *Program, analyzers []Analyzer) []Diagnostic {
 		return a.Rule < b.Rule
 	})
 	return diags
-}
-
-// severityLevels maps rule IDs to non-default severities; everything
-// else is an error.
-var severityLevels = map[string]Severity{
-	"rawoffset":      SeverityWarning,
-	"unpairedregion": SeverityWarning,
-	ruleBadDirective: SeverityError,
-	ruleStaleIgnore:  SeverityWarning,
-}
-
-func severityOf(a Analyzer) Severity {
-	if s, ok := severityLevels[a.Name()]; ok {
-		return s
-	}
-	return SeverityError
 }

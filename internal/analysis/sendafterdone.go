@@ -4,24 +4,23 @@ import (
 	"go/ast"
 )
 
-// SendAfterDone flags Send calls on a selector mailbox that has already
-// been marked Done in the same straight-line flow. Done(mb) is the PE's
-// promise that no more messages will enter mailbox mb; the runtime
-// panics on a late Send, but only at run time, on the input that happens
-// to reach that path — this rule rejects the pattern at build time.
+// runSendAfterDone flags Send calls on a selector mailbox that has
+// already been marked Done in the same straight-line flow. Done(mb) is
+// the PE's promise that no more messages will enter mailbox mb; the
+// runtime panics on a late Send, but only at run time, on the input that
+// happens to reach that path — this rule rejects the pattern at build
+// time.
 //
 // The analysis is a dominance approximation over statement order: a Done
 // recorded at some block level applies to every later statement at that
 // level (and inside them); a Done nested in a conditional does not leak
 // out of it.
-type SendAfterDone struct{}
-
-// Name implements Analyzer.
-func (SendAfterDone) Name() string { return "sendafterdone" }
-
-// Doc implements Analyzer.
-func (SendAfterDone) Doc() string {
-	return "Selector.Send on a mailbox after Done/DoneAll on the same selector in the same flow; Done promises no further sends, and the runtime panics on violation"
+func runSendAfterDone(pass *Pass) {
+	for _, file := range pass.Pkg.Files {
+		funcBodies(file, true, func(ft *ast.FuncType, body *ast.BlockStmt) {
+			walkDoneBlock(pass, body.List, make(map[doneKey]bool))
+		})
+	}
 }
 
 const sendAfterDoneFix = "move the Send before Done, or split the protocol across mailboxes so each mailbox is Done exactly when its sends are finished"
@@ -32,32 +31,24 @@ type doneKey struct {
 	recv, mailbox string
 }
 
-// Run implements Analyzer.
-func (a SendAfterDone) Run(pass *Pass) {
-	for _, file := range pass.Pkg.Files {
-		funcBodies(file, true, func(ft *ast.FuncType, body *ast.BlockStmt) {
-			a.walkBlock(pass, body.List, make(map[doneKey]bool))
-		})
-	}
-}
-
-// walkBlock processes statements in order. done is mutated as Done calls
-// are seen; nested control flow gets a copy so its marks stay local.
-func (a SendAfterDone) walkBlock(pass *Pass, stmts []ast.Stmt, done map[doneKey]bool) {
+// walkDoneBlock processes statements in order. done is mutated as Done
+// calls are seen; nested control flow gets a copy so its marks stay
+// local.
+func walkDoneBlock(pass *Pass, stmts []ast.Stmt, done map[doneKey]bool) {
 	for _, s := range stmts {
 		// First flag Sends in this statement's own expressions (call
 		// statements, conditions, assignments) against the current done
-		// set. Nested blocks are not inspected here: walkBlock recurses
+		// set. Nested blocks are not inspected here: walkDoneBlock recurses
 		// into them below with a copy of the state, so their Sends are
 		// checked exactly once.
 		for _, e := range levelExprs(s) {
-			a.checkSends(pass, e, done)
+			checkSends(pass, e, done)
 		}
 		// Then record definite Done calls: a statement-level call always
 		// executes once flow reaches it.
 		if es, ok := s.(*ast.ExprStmt); ok {
 			if call, ok := es.X.(*ast.CallExpr); ok {
-				a.recordDone(pass, call, done)
+				recordDone(pass, call, done)
 			}
 		}
 		// Recurse into nested blocks with a copy so conditional Dones
@@ -66,7 +57,7 @@ func (a SendAfterDone) walkBlock(pass *Pass, stmts []ast.Stmt, done map[doneKey]
 		// additionally catches Done->Send sequences local to the nested
 		// block.
 		for _, nested := range nestedBlocks(s) {
-			a.walkBlock(pass, nested.List, copyDone(done))
+			walkDoneBlock(pass, nested.List, copyDone(done))
 		}
 	}
 }
@@ -118,7 +109,7 @@ func levelExprs(s ast.Stmt) []ast.Expr {
 }
 
 // checkSends reports Sends within expr that hit a done mailbox.
-func (a SendAfterDone) checkSends(pass *Pass, expr ast.Expr, done map[doneKey]bool) {
+func checkSends(pass *Pass, expr ast.Expr, done map[doneKey]bool) {
 	if len(done) == 0 || expr == nil {
 		return
 	}
@@ -154,7 +145,7 @@ func (a SendAfterDone) checkSends(pass *Pass, expr ast.Expr, done map[doneKey]bo
 }
 
 // recordDone marks Done/DoneAll statement-level calls.
-func (a SendAfterDone) recordDone(pass *Pass, call *ast.CallExpr, done map[doneKey]bool) {
+func recordDone(pass *Pass, call *ast.CallExpr, done map[doneKey]bool) {
 	fn := calleeFunc(pass.Pkg.Info, call)
 	if fn == nil || recvNamed(fn) == nil ||
 		(!isMethodOn(fn, pkgActor, "Selector", "Done") && !isMethodOn(fn, pkgActor, "Selector", "DoneAll")) {

@@ -6,128 +6,47 @@ import (
 	"go/types"
 )
 
-// SharedHandlerState flags message handlers that mutate state shared
-// across PEs instead of routing the update through Send. Inside
-// shmem.Run every PE executes its own invocation of the SPMD body
-// closure, so variables declared inside that closure are per-PE — but a
-// handler that writes a package-level variable, or a variable captured
-// from outside the SPMD closure, is mutating memory that every PE's
-// handlers race on. On the in-process simulator this merely corrupts
-// counters; under the actor model's ownership discipline (state belongs
-// to exactly one PE's actor, mutated only by its own handlers) it is a
-// correctness bug that Open item 1's multi-process transport would turn
-// into a real data race. Element writes (hist[pe.Rank()] = …) are the
-// sanctioned aggregation idiom and are not flagged.
-type SharedHandlerState struct{}
-
-// Name implements Analyzer.
-func (SharedHandlerState) Name() string { return "sharedhandlerstate" }
-
-// Doc implements Analyzer.
-func (SharedHandlerState) Doc() string {
-	return "message handler mutates a variable shared across PEs (package-level, or captured from outside the shmem.Run SPMD closure); handler state must be owned by one PE's actor and updated via Send"
-}
-
 const sharedStateFix = "move the variable into the SPMD closure (per-PE), or Send the update to the PE that owns it and mutate it in that PE's handler"
 
-// Run implements Analyzer.
-func (a SharedHandlerState) Run(pass *Pass) {
-	cg, _ := pass.Prog.facts()
-	info := pass.Pkg.Info
-	for _, file := range pass.Pkg.Files {
-		// The SPMD roots: every closure passed to shmem.Run in this file.
-		var roots []ast.Node
-		ast.Inspect(file, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if fn := calleeFunc(info, call); isFunc(fn, pkgShmem, "Run") && len(call.Args) == 2 {
-				if lit, ok := unparen(call.Args[1]).(*ast.FuncLit); ok {
-					roots = append(roots, lit)
+// runSharedHandlerState flags message handlers — per-message and batch
+// alike — that mutate state shared across PEs instead of routing the
+// update through Send. Inside shmem.Run every PE executes its own
+// invocation of the SPMD body closure, so variables declared inside that
+// closure are per-PE — but a handler that writes a package-level
+// variable, or a variable captured from outside the SPMD closure, is
+// mutating memory that every PE's handlers race on. On the in-process
+// simulator this merely corrupts counters; under the actor model's
+// ownership discipline (state belongs to exactly one PE's actor, mutated
+// only by its own handlers) it is a correctness bug that a
+// multi-process transport would turn into a real data race. Element
+// writes (hist[pe.Rank()] = …) are the sanctioned aggregation idiom and
+// are not flagged.
+func runSharedHandlerState(pass *Pass) {
+	for _, h := range handlers(pass) {
+		// Whole-variable writes anywhere in the handler body, including
+		// closures it defines (same goroutine).
+		ast.Inspect(h.body, func(n ast.Node) bool {
+			switch s := n.(type) {
+			case *ast.AssignStmt:
+				if s.Tok == token.DEFINE {
+					return true
 				}
+				for _, l := range s.Lhs {
+					checkSharedWrite(pass, l, h.root)
+				}
+			case *ast.IncDecStmt:
+				checkSharedWrite(pass, s.X, h.root)
 			}
 			return true
 		})
-		for _, decl := range file.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			ast.Inspect(fd, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				fn := calleeFunc(info, call)
-				if !isMethodOn(fn, pkgActor, "Selector", "Process") || len(call.Args) != 2 {
-					return true
-				}
-				handler, root := resolveHandler(cg, info, call.Args[1], roots, fd)
-				if handler == nil {
-					return true
-				}
-				a.checkHandler(pass, handler, root)
-				return true
-			})
-		}
 	}
 }
 
-// resolveHandler finds the handler body for a Process argument — a
-// function literal or a reference to a declared function — and the scope
-// that counts as "this PE's state": the enclosing shmem.Run closure when
-// there is one, otherwise the enclosing function declaration. The
-// fallback matters: a function like apps.BFS takes the per-PE Runtime as
-// a parameter and is invoked once per PE from inside the SPMD closure,
-// so its locals are per-PE state even though no shmem.Run is lexically
-// visible — only package-level writes (and writes escaping the
-// declaration, which cannot happen for an *ast.Ident) are shared.
-func resolveHandler(cg *callGraph, info *types.Info, arg ast.Expr, roots []ast.Node, encl *ast.FuncDecl) (body *ast.BlockStmt, root ast.Node) {
-	switch h := unparen(arg).(type) {
-	case *ast.FuncLit:
-		root = ast.Node(encl)
-		for _, r := range roots {
-			if h.Pos() >= r.Pos() && h.End() <= r.End() {
-				root = r
-				break
-			}
-		}
-		return h.Body, root
-	case *ast.Ident:
-		if fn, ok := info.Uses[h].(*types.Func); ok {
-			if node := cg.nodeOf(fn); node != nil {
-				return node.decl.Body, node.decl
-			}
-		}
-	}
-	return nil, nil
-}
-
-// checkHandler flags whole-variable writes to shared state anywhere in
-// the handler body, including closures it defines (same goroutine).
-func (a SharedHandlerState) checkHandler(pass *Pass, body *ast.BlockStmt, root ast.Node) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch s := n.(type) {
-		case *ast.AssignStmt:
-			if s.Tok == token.DEFINE {
-				return true
-			}
-			for _, l := range s.Lhs {
-				a.checkWrite(pass, l, root)
-			}
-		case *ast.IncDecStmt:
-			a.checkWrite(pass, s.X, root)
-		}
-		return true
-	})
-}
-
-// checkWrite reports target when it is a whole variable owned outside
-// the PE's SPMD scope. Selector and index targets are skipped: field
-// state belongs to the receiver's owner and element writes are the
+// checkSharedWrite reports target when it is a whole variable owned
+// outside the PE's SPMD scope. Selector and index targets are skipped:
+// field state belongs to the receiver's owner and element writes are the
 // per-rank aggregation idiom.
-func (a SharedHandlerState) checkWrite(pass *Pass, target ast.Expr, root ast.Node) {
+func checkSharedWrite(pass *Pass, target ast.Expr, root ast.Node) {
 	id, ok := unparen(target).(*ast.Ident)
 	if !ok || id.Name == "_" {
 		return

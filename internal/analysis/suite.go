@@ -1,25 +1,49 @@
 package analysis
 
-// DefaultAnalyzers returns the full actorvet suite, in rule-ID order.
-func DefaultAnalyzers() []Analyzer {
-	return []Analyzer{
-		BlockingHandler{},
-		DivergedCollective{},
-		EscapingView{},
-		RawOffset{},
-		SendAfterDone{},
-		SharedHandlerState{},
-		StaleStaging{},
-		UnpairedRegion{},
-	}
-}
-
-// AnalyzerByName returns the analyzer with the given rule ID, or nil.
-func AnalyzerByName(name string) Analyzer {
-	for _, a := range DefaultAnalyzers() {
-		if a.Name() == name {
-			return a
-		}
-	}
-	return nil
+// Rules is the full actorvet suite, in rule-ID order. The directive
+// checks (baddirective, staleignore) share the rule namespace but are
+// emitted by Run itself, not listed here.
+var Rules = []Rule{
+	{
+		Name:     "blockinghandler",
+		Doc:      "message handler (func passed to Selector.Process or ProcessBatch) calls a blocking operation (barrier, collective, Finish, wait-until, conveyor advance); handlers run inside conveyor progress and must complete without blocking",
+		Severity: SeverityError,
+		Run:      runBlockingHandler,
+	},
+	{
+		Name:     "divergedcollective",
+		Doc:      "collective call (barrier, reduction, symmetric allocation, collector construction) reachable only under pe.Rank()-dependent conditionals or loops; diverged ranks deadlock the SPMD run",
+		Severity: SeverityError,
+		Run:      runDivergedCollective,
+	},
+	{
+		Name:     "escapingview",
+		Doc:      "borrowed conveyor view (Pull/PushSlot/PullRun result) or ProcessBatch scratch slice escapes its borrow — stored to a field, global, channel, or goroutine, or used after conveyor/actor progress recycled its backing buffer; copy the elements first (append([]T(nil), v...))",
+		Severity: SeverityError,
+		Run:      runEscapingView,
+	},
+	{
+		Name:     "rawoffset",
+		Doc:      "raw symmetric-heap offset arithmetic (bare numeric literals) passed to an RMA call; bypasses the typed Int64Array bounds checks",
+		Severity: SeverityWarning,
+		Run:      runRawOffset,
+	},
+	{
+		Name:     "sendafterdone",
+		Doc:      "Selector.Send on a mailbox after Done/DoneAll on the same selector in the same flow; Done promises no further sends, and the runtime panics on violation",
+		Severity: SeverityError,
+		Run:      runSendAfterDone,
+	},
+	{
+		Name:     "sharedhandlerstate",
+		Doc:      "message handler mutates a variable shared across PEs (package-level, or captured from outside the shmem.Run SPMD closure); handler state must be owned by one PE's actor and updated via Send",
+		Severity: SeverityError,
+		Run:      runSharedHandlerState,
+	},
+	{
+		Name:     "unpairedregion",
+		Doc:      "unbalanced region within a function: Pause without Resume, PAPI EventSet Start without Stop, SegmentEnter without SegmentExit, or a Malloc whose result is discarded",
+		Severity: SeverityWarning,
+		Run:      runUnpairedRegion,
+	},
 }

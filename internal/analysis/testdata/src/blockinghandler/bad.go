@@ -35,3 +35,10 @@ func cleanHandler(sel *actor.Selector[int64]) {
 		sel.Send(1, msg+1, int(msg)%4)
 	})
 }
+
+func blockingBatchHandler(pe *shmem.PE, rt *actor.Runtime, sel *actor.Selector[int64]) {
+	sel.ProcessBatch(0, func(msgs []int64, srcPEs []int) {
+		pe.Barrier()         // line 41: barrier in a batch handler
+		rt.Finish(func() {}) // line 42: nested finish in a batch handler
+	})
+}

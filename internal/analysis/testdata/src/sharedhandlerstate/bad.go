@@ -37,3 +37,9 @@ func countDrop(msg int64, src int) {
 func namedHandler(sel *actor.Selector[int64]) {
 	sel.Process(0, countDrop)
 }
+
+func batchWritesGlobal(sel *actor.Selector[int64]) {
+	sel.ProcessBatch(0, func(msgs []int64, srcPEs []int) {
+		totalSeen += int64(len(msgs)) // line 43: package-level write in a batch handler
+	})
+}

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 
@@ -8,8 +9,8 @@ import (
 	"actorprof/internal/trace"
 )
 
-// UnpairedRegion flags profiling/allocation regions that are opened but
-// never closed within a function:
+// runUnpairedRegion flags profiling/allocation regions that are opened
+// but never closed within a function:
 //
 //   - Runtime.Pause without a matching Resume on the same receiver — the
 //     rest of the run's trace is silently discarded;
@@ -24,14 +25,18 @@ import (
 // The pairing is function-scoped by design: a region that genuinely
 // spans functions is rare enough to deserve an //actorvet:ignore with a
 // justification.
-type UnpairedRegion struct{}
-
-// Name implements Analyzer.
-func (UnpairedRegion) Name() string { return "unpairedregion" }
-
-// Doc implements Analyzer.
-func (UnpairedRegion) Doc() string {
-	return "unbalanced region within a function: Pause without Resume, PAPI EventSet Start without Stop, SegmentEnter without SegmentExit, or a Malloc whose result is discarded"
+func runUnpairedRegion(pass *Pass) {
+	specs := pairSpecs()
+	for _, file := range pass.Pkg.Files {
+		// walkLits=false: nested function literals are inspected as part
+		// of the enclosing declaration, so a pair split across a closure
+		// and its enclosing function still matches, and nothing is
+		// visited (or reported) twice.
+		funcBodies(file, false, func(ft *ast.FuncType, body *ast.BlockStmt) {
+			checkPairs(pass, body, specs)
+			checkDiscardedMalloc(pass, body)
+		})
+	}
 }
 
 // pairSpec describes one opener/closer method pair on one receiver type.
@@ -66,21 +71,6 @@ func pairSpecs() []pairSpec {
 	return specs
 }
 
-// Run implements Analyzer.
-func (a UnpairedRegion) Run(pass *Pass) {
-	specs := pairSpecs()
-	for _, file := range pass.Pkg.Files {
-		// walkLits=false: nested function literals are inspected as part
-		// of the enclosing declaration, so a pair split across a closure
-		// and its enclosing function still matches, and nothing is
-		// visited (or reported) twice.
-		funcBodies(file, false, func(ft *ast.FuncType, body *ast.BlockStmt) {
-			a.checkPairs(pass, body, specs)
-			a.checkDiscardedMalloc(pass, body)
-		})
-	}
-}
-
 // callSite is one opener occurrence.
 type callSite struct {
 	pos  token.Pos
@@ -91,7 +81,7 @@ type callSite struct {
 // including calls made inside nested function literals (they execute on
 // the same PE goroutine, so they legitimately close regions the
 // enclosing function opened).
-func (a UnpairedRegion) checkPairs(pass *Pass, body *ast.BlockStmt, specs []pairSpec) {
+func checkPairs(pass *Pass, body *ast.BlockStmt, specs []pairSpec) {
 	info := pass.Pkg.Info
 	for _, spec := range specs {
 		var opens []callSite
@@ -132,7 +122,7 @@ func (a UnpairedRegion) checkPairs(pass *Pass, body *ast.BlockStmt, specs []pair
 		for _, open := range opens {
 			if !closed[open.recv] {
 				pass.Report(open.pos,
-					sprintf1(spec.fix, open.recv+"."+spec.close),
+					fmt.Sprintf(spec.fix, open.recv+"."+spec.close),
 					spec.message, open.recv, spec.open, spec.close)
 			}
 		}
@@ -141,7 +131,7 @@ func (a UnpairedRegion) checkPairs(pass *Pass, body *ast.BlockStmt, specs []pair
 
 // checkDiscardedMalloc flags statement-level Malloc calls and Mallocs
 // assigned only to blanks.
-func (a UnpairedRegion) checkDiscardedMalloc(pass *Pass, body *ast.BlockStmt) {
+func checkDiscardedMalloc(pass *Pass, body *ast.BlockStmt) {
 	info := pass.Pkg.Info
 	report := func(call *ast.CallExpr, recvKey string) {
 		pass.Report(call.Pos(),
@@ -184,15 +174,4 @@ func (a UnpairedRegion) checkDiscardedMalloc(pass *Pass, body *ast.BlockStmt) {
 		}
 		return true
 	})
-}
-
-// sprintf1 substitutes the single %s in a fix-hint template; templates
-// without a verb pass through unchanged.
-func sprintf1(template, arg string) string {
-	for i := 0; i+1 < len(template); i++ {
-		if template[i] == '%' && template[i+1] == 's' {
-			return template[:i] + arg + template[i+2:]
-		}
-	}
-	return template
 }

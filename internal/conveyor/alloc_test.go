@@ -9,8 +9,8 @@ import (
 )
 
 // The message hot path must not allocate: Push/PushSlot encode into
-// preallocated aggregation buffers, transfers stage through recycled NBI
-// buffers, and delivery goes through the pull ring's flat storage. These
+// preallocated aggregation buffers, transfers stage through the PE's NBI
+// arena, and delivery goes through the pull ring's flat storage. These
 // guards run on a single-PE world so testing.AllocsPerRun (which counts
 // process-global allocations) sees only the path under test.
 
@@ -47,7 +47,7 @@ func TestPushDrainZeroAlloc(t *testing.T) {
 			}
 			buf := make([]byte, 16)
 			// Warm the pools to their high-water mark: pull ring growth,
-			// NBI staging buffers, backlog free lists.
+			// the NBI staging arena, backlog free lists.
 			pushDrainCycle(c, buf)
 			allocs := testing.AllocsPerRun(10, func() { pushDrainCycle(c, buf) })
 			if allocs != 0 {

@@ -199,6 +199,13 @@ type Conveyor struct {
 	hopOf, via []int32
 	// blocked is drainBacklog's per-hop scratch, by peer index.
 	blocked []bool
+	// stageOf[i] is the route stage of the channels to and from peers[i]
+	// (topology.stage); maxStage is the last. closedThrough is the stage
+	// through which this PE has published its outgoing channels closed
+	// (board.closed), -1 before the first.
+	stageOf       []int8
+	maxStage      int
+	closedThrough int
 }
 
 type outBuf struct {
@@ -247,6 +254,9 @@ func New(pe *shmem.PE, opts Options) (*Conveyor, error) {
 		blocked:   make([]bool, len(peers)),
 		topo:      topo,
 		peers:     peers,
+		stageOf:   make([]int8, len(peers)),
+
+		closedThrough: -1,
 	}
 	// Whole words, so that every length, sequence and ack word is 8-aligned:
 	// the heap reads and writes those atomically and takes no lock
@@ -264,6 +274,8 @@ func New(pe *shmem.PE, opts Options) (*Conveyor, error) {
 	c.ackBase = pe.Malloc(len(peers) * 8)
 
 	for i, t := range peers {
+		c.stageOf[i] = int8(topo.stage(me, t))
+		c.maxStage = max(c.maxStage, int(c.stageOf[i]))
 		c.out[i] = &outBuf{
 			target: t,
 			idx:    i,

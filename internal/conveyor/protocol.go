@@ -25,6 +25,9 @@ type board struct {
 	pushed    atomic.Int64 // items accepted from applications, summed over the PEs that are done
 	delivered atomic.Int64 // items placed in final pull queues, all PEs
 	donePEs   atomic.Int64 // PEs that have called Advance(done=true)
+	// closed[p] is 1 + the highest route stage through which PE p has
+	// shipped its last buffer on every outgoing channel (0: none yet).
+	closed []atomic.Int32
 }
 
 // settled reports the global half of the termination condition: every
@@ -51,7 +54,9 @@ func (c *Conveyor) ringIfSettled() {
 type boardKey struct{ inBase int }
 
 func boardFor(c *Conveyor) *board {
-	return c.pe.World().Shared(boardKey{c.inBase}, func() any { return &board{} }).(*board)
+	return c.pe.World().Shared(boardKey{c.inBase}, func() any {
+		return &board{closed: make([]atomic.Int32, c.pe.NumPEs())}
+	}).(*board)
 }
 
 // Push offers one item for delivery to PE dst. It returns false when the
@@ -323,13 +328,71 @@ func (c *Conveyor) transfer(ob *outBuf) {
 }
 
 // flush ships every full buffer, and - in the endgame, once this PE is
-// done - every non-empty buffer.
+// done - every non-empty buffer that can gain no more items. Holding a
+// partial buffer until then makes a channel's buffers a function of the
+// items it carries, not of when they arrived: N items cross it in
+// ceil(N/cap) buffers whatever the host's interleaving, and each buffer
+// costs its receiver an ack in simulated time.
 func (c *Conveyor) flush(endgame bool) {
+	fed := -1
+	if endgame {
+		fed = c.fedThrough()
+	}
 	for _, ob := range c.out {
-		if (ob.n > 0 && ob.n >= ob.cap) || (endgame && ob.n > 0) {
+		if ob.n > 0 && (ob.n >= ob.cap || int(c.stageOf[ob.idx]) <= fed) {
 			c.tryTransfer(ob)
 		}
 	}
+	if endgame {
+		c.close(fed)
+	}
+}
+
+// fedThrough returns the highest route stage whose outgoing buffers can
+// gain no more items. Once this PE is done its own pushes are over, so a
+// stage-s buffer is fed only by incoming channels of earlier stages
+// (topology.stage); it is complete when each of those has been closed by
+// its sender and drained here.
+func (c *Conveyor) fedThrough() int {
+	fed := c.maxStage
+	me := c.pe.Rank()
+	for i, src := range c.peers {
+		s := int(c.stageOf[i])
+		if s >= fed {
+			continue
+		}
+		// Closed first, then the sequence word: the sender signals its
+		// last buffer before it publishes the close.
+		if int(c.board.closed[src].Load())-1 < s || c.consumed[i] < c.pe.LoadInt64(me, c.inBase+i*c.chanBytes) {
+			fed = s
+		}
+	}
+	return fed
+}
+
+// close publishes the stages through which every outgoing channel has
+// shipped its last buffer, and rings the peers at the far end of the
+// newly closed channels: one may be holding a partial buffer for it, and
+// the board is not heap memory, so nothing else would wake it. No peer
+// forwards what arrives over a last-stage channel, so those closes go
+// unpublished - on one node nothing is.
+func (c *Conveyor) close(fed int) {
+	through := min(fed, c.maxStage-1)
+	for _, ob := range c.out {
+		if s := int(c.stageOf[ob.idx]); s <= through && ob.n > 0 {
+			through = s - 1
+		}
+	}
+	if through <= c.closedThrough {
+		return
+	}
+	c.board.closed[c.pe.Rank()].Store(int32(through + 1))
+	for i, p := range c.peers {
+		if s := int(c.stageOf[i]); s > c.closedThrough && s <= through {
+			c.pe.World().Ring(p)
+		}
+	}
+	c.closedThrough = through
 }
 
 // receive drains every incoming channel whose sequence word is ahead of

@@ -57,6 +57,10 @@ type topology interface {
 	// time proportional to the nodes of the machine, not its PEs: every
 	// PE asks for each of its peers' lists when it builds a conveyor.
 	targets(me int) []int
+	// stage returns the route stage of the channel between me and one
+	// of its targets: routes cross stages in ascending order, so an item
+	// arriving over a stage-s channel leaves only over a later one.
+	stage(me, peer int) int
 	// kind echoes the Topology enum value.
 	kind() Topology
 }
@@ -117,6 +121,8 @@ func (t linearTopo) targets(me int) []int {
 	return out
 }
 
+func (t linearTopo) stage(me, peer int) int { return 0 }
+
 func (t linearTopo) kind() Topology { return TopologyLinear }
 
 // meshTopo: rows are nodes, columns are local-rank classes.
@@ -143,6 +149,14 @@ func (t meshTopo) targets(me int) []int {
 		}
 	}
 	return out
+}
+
+// stage: the row (local) hop, then the column hop.
+func (t meshTopo) stage(me, peer int) int {
+	if t.m.SameNode(me, peer) {
+		return 0
+	}
+	return 1
 }
 
 func (t meshTopo) kind() Topology { return TopologyMesh }
@@ -201,6 +215,20 @@ func (t cubeTopo) targets(me int) []int {
 		}
 	}
 	return out
+}
+
+// stage: the local hop, the node-row hop, then the node-column hop.
+func (t cubeTopo) stage(me, peer int) int {
+	mr, mc, _ := t.coords(me)
+	pr, pc, _ := t.coords(peer)
+	switch {
+	case mr == pr && mc == pc:
+		return 0
+	case mr == pr:
+		return 1
+	default:
+		return 2
+	}
 }
 
 func (t cubeTopo) kind() Topology { return TopologyCube }

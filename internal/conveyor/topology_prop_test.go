@@ -192,6 +192,44 @@ func TestTopologyInboundChannelsArePeers(t *testing.T) {
 	}
 }
 
+// A done PE ships a partial stage-s buffer once its incoming channels of
+// earlier stages are closed (flush), so that rule is complete only if
+// every route crosses stages in strictly ascending order, and a channel
+// has one stage seen from either end.
+func TestRouteStagesAscend(t *testing.T) {
+	for _, m := range peerScanShapes {
+		for _, choice := range []Topology{TopologyLinear, TopologyMesh, TopologyCube} {
+			topo, err := resolveTopology(choice, m)
+			if err != nil {
+				t.Fatalf("machine %+v: resolving %v: %v", m, choice, err)
+			}
+			for p := 0; p < m.NumPEs; p++ {
+				for _, q := range topo.targets(p) {
+					if topo.stage(p, q) != topo.stage(q, p) {
+						t.Fatalf("machine %+v topo %v: stage(%d, %d) = %d but stage(%d, %d) = %d",
+							m, topo.kind(), p, q, topo.stage(p, q), q, p, topo.stage(q, p))
+					}
+				}
+				for dst := 0; dst < m.NumPEs; dst++ {
+					if dst == p {
+						continue
+					}
+					cur, last := p, -1
+					for _, hop := range walkRoute(t, topo, m, p, dst, hopBound(topo.kind())) {
+						if s := topo.stage(cur, hop); s <= last {
+							t.Fatalf("machine %+v topo %v: route %d->%d takes a stage-%d hop %d->%d after stage %d",
+								m, topo.kind(), p, dst, s, cur, hop, last)
+						} else {
+							last = s
+						}
+						cur = hop
+					}
+				}
+			}
+		}
+	}
+}
+
 // The 1 x C cube must really be the mesh (same targets), or the property
 // above would be checking a topology no conveyor ever runs.
 func TestCubeOnOneRowGridIsMesh(t *testing.T) {

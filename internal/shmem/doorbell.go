@@ -13,7 +13,8 @@ import (
 // The doorbell is an epoch counter plus a one-token wake channel. Every
 // foreign write into the PE's heap bumps the epoch after the data is in
 // place (store, then ring); World.RingAll bumps every PE's for events
-// that are not heap writes (conveyor termination, a crashed peer). A
+// that are not heap writes (conveyor termination, a crashed peer), and
+// World.Ring one PE's (a conveyor peer closing its channels). A
 // progress loop brackets each sweep with its Poller, which samples the
 // epoch *before* the sweep looks at anything. WaitIdle sleeps only when
 // every open poller's last sweep found nothing, began at the epoch that
@@ -77,6 +78,10 @@ func (w *World) RingAll() {
 		pe.ring()
 	}
 }
+
+// Ring rings one PE's doorbell, for a condition it may be waiting on
+// that is not a write into its heap (a conveyor peer closing a channel).
+func (w *World) Ring(rank int) { w.pes[rank].ring() }
 
 // Asleep returns how many PEs are blocked on their doorbell right now (a
 // PE raises its flag just before it blocks). It is a racy snapshot for

@@ -44,7 +44,8 @@ func (p *PE) PutInt64(target, offset int, v int64) {
 // bugs instead of hiding them behind eager delivery.
 //
 // The transfer cost is charged immediately (the NIC starts streaming when
-// the put is issued).
+// the put is issued). The caller's bytes are snapshotted into the PE's
+// staging arena, so data may be reused as soon as PutNBI returns.
 func (p *PE) PutNBI(target, offset int, data []byte) {
 	p.prof(RoutinePutNBI, len(data))
 	if p.inj != nil {
@@ -54,10 +55,9 @@ func (p *PE) PutNBI(target, offset int, data []byte) {
 		p.fireFaultCounted(fault.SitePutNBI, int64(target), int64(len(data)))
 	}
 	p.chargeTransfer(target, len(data))
-	cp := p.getNBIBuf(len(data))
-	copy(cp, data)
-	p.pendingNBI = append(p.pendingNBI, pendingWrite{target: target, offset: offset, data: cp})
-	p.nbiBytes += len(data)
+	start := len(p.nbiStage)
+	p.nbiStage = append(p.nbiStage, data...)
+	p.pendingNBI = append(p.pendingNBI, pendingWrite{target: target, offset: offset, start: start, end: len(p.nbiStage)})
 }
 
 // PendingNBI returns the number of buffered non-blocking puts (useful for
@@ -82,18 +82,15 @@ func (p *PE) quiet() {
 			// and hence remote visibility - of every buffered put, in
 			// virtual time. Only flushing quiets fire, so the index is
 			// program-determined.
-			p.fireFaultCounted(fault.SiteQuiet, int64(len(p.pendingNBI)), int64(p.nbiBytes))
+			p.fireFaultCounted(fault.SiteQuiet, int64(len(p.pendingNBI)), int64(len(p.nbiStage)))
 		}
 		p.ChargeEvent(sim.EvQuiet, int64(len(p.pendingNBI)))
-		for i, w := range p.pendingNBI {
-			p.rawWrite(w.target, w.offset, w.data)
-			// rawWrite copied the staging buffer into the target heap,
-			// so it can be recycled for future puts.
-			p.putNBIBuf(w.data)
-			p.pendingNBI[i].data = nil
+		for _, w := range p.pendingNBI {
+			p.rawWrite(w.target, w.offset, p.nbiStage[w.start:w.end])
 		}
+		// Every payload is in its target heap now: rewind the arena.
 		p.pendingNBI = p.pendingNBI[:0]
-		p.nbiBytes = 0
+		p.nbiStage = p.nbiStage[:0]
 	}
 }
 

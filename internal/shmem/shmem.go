@@ -169,19 +169,19 @@ type PE struct {
 	bell doorbell
 
 	// pendingNBI holds writes issued by PutNBI that have not yet been
-	// flushed by Quiet/Fence. Only the owning goroutine touches it.
+	// flushed by Quiet/Fence; nbiStage is the arena holding their
+	// payloads back to back. quiet rewinds both, so no staging slice
+	// outlives it. Only the owning goroutine touches them.
 	pendingNBI []pendingWrite
-	// nbiBytes is the total payload bytes buffered in pendingNBI.
-	nbiBytes int
-	// nbiFree recycles PutNBI staging buffers by power-of-two size
-	// class (see pool.go). Only the owning goroutine touches it.
-	nbiFree [nbiMaxClass + 1][][]byte
+	nbiStage   []byte
 }
 
+// pendingWrite is one buffered PutNBI: its payload is
+// nbiStage[start:end]. Offsets, not a slice, because the arena may grow
+// (and move) while the write is pending.
 type pendingWrite struct {
-	target int
-	offset int
-	data   []byte
+	target, offset int
+	start, end     int
 }
 
 // Rank returns the PE's global rank (0-based).

@@ -188,6 +188,81 @@ func TestPutNBIInvisibleUntilQuiet(t *testing.T) {
 	})
 }
 
+// TestPutNBISnapshotsAndRewinds pins the staging contract (DESIGN.md
+// §8.3): PutNBI copies the caller's bytes, so overwriting them afterwards
+// changes nothing; pending writes name arena offsets, so the arena may
+// grow mid-batch; quiet delivers every payload and rewinds the arena, so
+// a second round reuses it without touching what the first delivered;
+// and at steady state a batch allocates nothing. (Failures are Errorf:
+// a PE that left its body early would strand its peer in the barrier.)
+func TestPutNBISnapshotsAndRewinds(t *testing.T) {
+	sizes := []int{1, 7, 64, 300, 1000, 4096, 9, 2500, 16, 8192}
+	total := 0
+	for _, n := range sizes {
+		total += n
+	}
+	fill := func(b []byte, round, k int) {
+		for i := range b {
+			b[i] = byte(round*31 + k*7 + i)
+		}
+	}
+	run(t, 2, 2, func(pe *PE) {
+		off := pe.Malloc(2 * total)
+		pe.Barrier()
+		if pe.Rank() == 0 {
+			for round := 0; round < 2; round++ {
+				at := off + round*total
+				var firstCap int
+				for k, n := range sizes {
+					data := make([]byte, n)
+					fill(data, round, k)
+					pe.PutNBI(1, at, data)
+					if k == 0 {
+						firstCap = cap(pe.nbiStage)
+					}
+					fill(data, 99, k) // the caller reuses its slice at once
+					at += n
+				}
+				if round == 0 && cap(pe.nbiStage) == firstCap {
+					t.Errorf("arena never grew mid-batch (cap %d)", firstCap)
+				}
+				pe.Quiet()
+				if len(pe.nbiStage) != 0 || pe.PendingNBI() != 0 {
+					t.Errorf("round %d: quiet left %d staged bytes, %d pending", round, len(pe.nbiStage), pe.PendingNBI())
+				}
+				for r := 0; r <= round; r++ {
+					at := off + r*total
+					for k, n := range sizes {
+						got, want := make([]byte, n), make([]byte, n)
+						pe.rawRead(1, at, got)
+						fill(want, r, k)
+						if string(got) != string(want) {
+							t.Errorf("after round %d: round %d put %d (%d B) not intact at its target", round, r, k, n)
+						}
+						at += n
+					}
+				}
+			}
+		}
+		pe.Barrier()
+	})
+
+	run(t, 1, 1, func(pe *PE) {
+		off := pe.Malloc(16 * 64)
+		data := make([]byte, 64)
+		batch := func() {
+			for k := 0; k < 16; k++ {
+				pe.PutNBI(0, off+k*64, data)
+			}
+			pe.Quiet()
+		}
+		batch() // sizes the arena and the pending list
+		if allocs := testing.AllocsPerRun(100, batch); allocs != 0 {
+			t.Errorf("PutNBI x16 + Quiet allocates %.1f times at steady state, want 0", allocs)
+		}
+	})
+}
+
 func TestBarrierImpliesQuiet(t *testing.T) {
 	run(t, 2, 2, func(pe *PE) {
 		off := pe.Malloc(8)

@@ -16,9 +16,9 @@ import (
 //
 // Why record instead of re-running: Virtual-mode clock *arithmetic* is
 // deterministic, but the event sequence of a fresh execution is not -
-// the conveyor endgame can ship one extra partially-filled buffer when
-// the goroutine interleaving differs, which perturbs total charge
-// counts between otherwise identical runs. A recorded schedule pins the
+// the order of charges across conveyor channels, how deliveries fall
+// into batches and, for apps whose handlers retry, how many messages
+// there are all follow the goroutine interleaving. A recorded schedule pins the
 // interleaving, and because no runtime code path branches on clock
 // values (poll charges are explicitly excluded from the cost model for
 // exactly this reason), re-pricing the recorded event sequence under a
