@@ -43,9 +43,9 @@ func TestExperimentsSuiteTinyScale(t *testing.T) {
 			t.Errorf("missing %s/%s: %v", spec.dir, spec.file, err)
 		}
 	}
-	// Raw traces for the full grid.
+	// Raw traces for the full grid, in the default encoding.
 	for _, dir := range []string{"1n_cyclic", "1n_range", "2n_cyclic", "2n_range"} {
-		if _, err := os.Stat(filepath.Join(out, "traces", dir, "overall.txt")); err != nil {
+		if _, err := os.Stat(filepath.Join(out, "traces", dir, "overall.bin")); err != nil {
 			t.Errorf("missing traces/%s: %v", dir, err)
 		}
 	}

@@ -6,16 +6,26 @@ import (
 	"testing"
 )
 
+// TestRunEndToEnd: by default the trace is APBF; -format csv writes the
+// paper's text layout instead.
 func TestRunEndToEnd(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "trace")
-	err := run([]string{"-scale", "9", "-pes", "8", "-per-node", "4",
-		"-dist", "range", "-out", dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range []string{"PE0_send.csv", "overall.txt", "physical.txt", "actorprof_meta.txt"} {
-		if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
-			t.Errorf("missing trace file %s: %v", f, err)
+	for _, c := range []struct {
+		args  []string
+		files []string
+	}{
+		{nil, []string{"PE0_send.bin", "overall.bin", "physical.bin", "actorprof_meta.txt"}},
+		{[]string{"-format", "csv"}, []string{"PE0_send.csv", "overall.txt", "physical.txt", "actorprof_meta.txt"}},
+	} {
+		dir := filepath.Join(t.TempDir(), "trace")
+		err := run(append([]string{"-scale", "9", "-pes", "8", "-per-node", "4",
+			"-dist", "range", "-out", dir}, c.args...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range c.files {
+			if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
+				t.Errorf("%v: missing trace file %s: %v", c.args, f, err)
+			}
 		}
 	}
 }

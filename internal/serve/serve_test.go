@@ -37,6 +37,9 @@ func writeRun(t *testing.T, root, id string) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A CSV run, which carries no time index (the binary runs are
+	// writeIndexedRun's).
+	set.Config.Format = trace.FormatCSV
 	if err := set.WriteFiles(filepath.Join(root, id)); err != nil {
 		t.Fatal(err)
 	}

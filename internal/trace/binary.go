@@ -1,11 +1,12 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"slices"
+	"sync"
 
 	"actorprof/internal/conveyor"
 )
@@ -69,62 +70,46 @@ const (
 	segmentsBinFile = "segments.bin"
 )
 
-// newColumns returns ncols empty columns with room for rows values each,
-// carved from one allocation (a column that outgrows its share
-// reallocates alone).
-func newColumns(ncols, rows int) [][]int64 {
-	cols, backing := make([][]int64, ncols), make([]int64, ncols*rows)
-	for i := range cols {
-		cols[i] = backing[i*rows : i*rows : (i+1)*rows]
-	}
-	return cols
-}
-
 func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// binWriter encodes one APBF file. Errors are sticky and surface from
-// finish (matching the bufio.Writer convention of the CSV stream path).
-type binWriter struct {
-	w     *bufio.Writer
-	ncols int
-	cols  [][]int64
-	strs  []string
-	n     int
-	tmp   [binary.MaxVarintLen64]byte
-	err   error
+// shardWriter writes one trace file from a byte buffer, about binBufBytes
+// at a time: CSV lines appended to it, or APBF blocks coded into it from
+// column scratch, pushed a row at a time or filled a block at a time.
+// Errors are sticky and surface from finish. shardWriters pools them.
+type shardWriter struct {
+	w    io.Writer
+	cols [][]int64
+	strs []string
+	n    int
+	buf  []byte
+	err  error
 }
 
-// newBinWriter writes the header and returns an encoder for kind/ncols.
-func newBinWriter(w *bufio.Writer, kind byte, ncols int) *binWriter {
-	b := &binWriter{w: w, ncols: ncols, cols: newColumns(ncols, binBlockRows)}
-	if _, err := w.WriteString(binMagic); err != nil {
-		b.err = err
-	}
-	b.writeByte(binVersion)
-	b.writeByte(kind)
-	b.writeUvarint(uint64(ncols))
-	return b
+var shardWriters = sync.Pool{New: func() any { return new(shardWriter) }}
+
+// binBufBytes is how much a shardWriter gathers before a write, and the
+// smallest window a binReader reads a file through.
+const binBufBytes = 64 << 10
+
+// start points b at a new file on w.
+func (b *shardWriter) start(w io.Writer) {
+	b.w, b.buf, b.n, b.err, b.strs, b.cols = w, b.buf[:0], 0, nil, b.strs[:0], b.cols[:0]
 }
 
-func (b *binWriter) writeByte(c byte) {
-	if b.err == nil {
-		b.err = b.w.WriteByte(c)
+// header codes the header of an APBF file of kind/ncols.
+func (b *shardWriter) header(kind byte, ncols int) {
+	b.cols = slices.Grow(b.cols, ncols)[:ncols]
+	for c := range b.cols {
+		b.cols[c] = b.cols[c][:0]
 	}
-}
-
-func (b *binWriter) writeUvarint(u uint64) {
-	if b.err != nil {
-		return
-	}
-	n := binary.PutUvarint(b.tmp[:], u)
-	_, b.err = b.w.Write(b.tmp[:n])
+	b.buf = binary.AppendUvarint(append(append(b.buf, binMagic...), binVersion, kind), uint64(ncols))
 }
 
 // push appends one row. vals must have exactly ncols entries (the
 // pad/truncate policy for ragged records is the caller's).
-func (b *binWriter) push(vals ...int64) {
-	for i := 0; i < b.ncols; i++ {
+func (b *shardWriter) push(vals ...int64) {
+	for i := range b.cols {
 		b.cols[i] = append(b.cols[i], vals[i])
 	}
 	b.n++
@@ -134,46 +119,72 @@ func (b *binWriter) push(vals ...int64) {
 }
 
 // pushStr appends one row of a string-bearing kind (segments).
-func (b *binWriter) pushStr(s string, vals ...int64) {
+func (b *shardWriter) pushStr(s string, vals ...int64) {
 	b.strs = append(b.strs, s)
 	b.push(vals...)
 }
 
-// flushBlock emits the buffered rows as one block.
-func (b *binWriter) flushBlock() {
+// block hands out the columns of the next block, n <= binBlockRows rows
+// long, for the caller to fill; flushBlock codes them. No pushed row may
+// be pending.
+func (b *shardWriter) block(n int) [][]int64 {
+	for c := range b.cols {
+		b.cols[c] = slices.Grow(b.cols[c][:0], n)[:n]
+	}
+	b.n = n
+	return b.cols
+}
+
+// flushBlock codes the buffered rows as one block.
+func (b *shardWriter) flushBlock() {
 	if b.n == 0 {
 		return
 	}
-	b.writeUvarint(uint64(b.n))
+	buf := binary.AppendUvarint(b.buf, uint64(b.n))
 	for _, s := range b.strs {
-		b.writeUvarint(uint64(len(s)))
-		if b.err == nil {
-			_, b.err = b.w.WriteString(s)
-		}
+		buf = append(binary.AppendUvarint(buf, uint64(len(s))), s...)
 	}
-	for c := range b.cols {
-		for _, v := range b.cols[c] {
-			b.writeUvarint(zigzag(v))
+	for c, col := range b.cols {
+		for _, v := range col {
+			buf = binary.AppendUvarint(buf, zigzag(v))
 		}
-		b.cols[c] = b.cols[c][:0]
+		b.cols[c] = col[:0]
 	}
-	b.strs = b.strs[:0]
-	b.n = 0
+	b.buf, b.strs, b.n = buf, b.strs[:0], 0
+	b.gathered()
 }
 
-// finish flushes the final partial block and reports any sticky error.
-// It does not flush the underlying bufio.Writer.
-func (b *binWriter) finish() error {
+// gathered writes the buffer once it holds binBufBytes.
+func (b *shardWriter) gathered() {
+	if len(b.buf) >= binBufBytes {
+		b.write()
+	}
+}
+
+func (b *shardWriter) write() {
+	if b.err == nil {
+		_, b.err = b.w.Write(b.buf)
+	}
+	b.buf = b.buf[:0]
+}
+
+// finish codes the final partial block (if any), writes what is gathered
+// and reports any sticky error.
+func (b *shardWriter) finish() error {
 	b.flushBlock()
+	b.write()
 	return b.err
 }
 
-// binReader decodes one APBF file block by block, reusing column
-// scratch across blocks. It counts the bytes its bufio layer pulls from
-// the file, so it knows where each block it decodes sits.
+// binReader decodes one APBF file block by block from a window of its
+// bytes, refilled from the file as blocks run past it; a block's extent is
+// a pair of window offsets plus the window's file offset. binReaders pools
+// them, so a worker's window and columns outlive its shard.
 type binReader struct {
-	src     byteCounter
-	br      *bufio.Reader
+	src     io.Reader // the file past the window; nil once read to its end
+	data    []byte    // the window: data[p:] is not decoded yet
+	p       int
+	base    int64 // the file offset of data[0]
 	path    string
 	ncols   int
 	rowBase int64 // file-order index of the next block's first row
@@ -182,49 +193,76 @@ type binReader struct {
 	row     []int64 // rowCounters' scratch, like the CSV line scratch
 }
 
-type byteCounter struct {
-	r io.Reader
-	n int64
+var binReaders = sync.Pool{New: func() any { return new(binReader) }}
+
+// uvarint decodes the varint at data[p:] and returns it with the offset
+// past it. A varint the end of data cuts off is io.ErrUnexpectedEOF; one
+// past 64 bits is corruption, never a panic.
+func uvarint(data []byte, p int) (uint64, int, error) {
+	switch u, n := binary.Uvarint(data[p:]); {
+	case n > 0:
+		return u, p + n, nil
+	case n == 0:
+		return 0, p, io.ErrUnexpectedEOF
+	}
+	return 0, p, errors.New("varint overflows a 64-bit integer")
 }
 
-func (c *byteCounter) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
+// reset points d at an APBF file from offset off on - its header, or a
+// block whose first row has index rowBase: data are the file's bytes from
+// there, src the rest of the file (nil when data reach its end).
+func (d *binReader) reset(src io.Reader, data []byte, off, rowBase int64) {
+	d.src, d.data, d.p, d.base, d.rowBase = src, data, 0, off, rowBase
 }
 
-// newBinReader validates the header of the APBF file r. An empty file is
-// reported as (nil, nil): zero records, like an empty CSV file.
-func newBinReader(r io.Reader, path string, wantKind byte, minCols int) (*binReader, error) {
-	d := &binReader{src: byteCounter{r: r}, path: path}
-	d.br = bufio.NewReaderSize(&d.src, 64<<10)
-	if _, err := d.br.Peek(1); err == io.EOF {
-		return nil, nil
+// fill slides the undecoded bytes to the front of the window - a window
+// twice the size when they fill it - and reads the file into the rest.
+func (d *binReader) fill() error {
+	rest, buf := d.data[d.p:], d.data[:cap(d.data)]
+	if len(rest) == len(buf) {
+		buf = make([]byte, max(2*len(buf), binBufBytes))
 	}
-	var hdr [6]byte
-	if _, err := io.ReadFull(d.br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("trace: %s: truncated binary header: %w", path, err)
+	keep := copy(buf, rest)
+	n, err := io.ReadFull(d.src, buf[keep:])
+	d.data, d.p, d.base = buf[:keep+n], 0, d.base+int64(d.p)
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		d.src, err = nil, nil
 	}
-	if string(hdr[:4]) != binMagic {
-		return nil, fmt.Errorf("trace: %s: bad magic %q in binary header", path, hdr[:4])
+	return err
+}
+
+// header validates the APBF header at the start of d's bytes, leaving d
+// at the first block. An empty file reports ok == false: zero records,
+// like an empty CSV file.
+func (d *binReader) header(path string, wantKind byte, minCols int) (ok bool, err error) {
+	d.path = path
+	if d.src != nil {
+		if err := d.fill(); err != nil {
+			return false, err
+		}
 	}
-	if hdr[4] != binVersion {
-		return nil, fmt.Errorf("trace: %s: unsupported binary trace version %d (want %d)", path, hdr[4], binVersion)
+	data, hdr := d.data, len(binMagic)+2
+	switch {
+	case len(data) == 0:
+		return false, nil
+	case len(data) < hdr:
+		return false, fmt.Errorf("trace: %s: truncated binary header: %w", path, io.ErrUnexpectedEOF)
+	case string(data[:4]) != binMagic:
+		return false, fmt.Errorf("trace: %s: bad magic %q in binary header", path, data[:4])
+	case data[4] != binVersion:
+		return false, fmt.Errorf("trace: %s: unsupported binary trace version %d (want %d)", path, data[4], binVersion)
+	case data[5] != wantKind:
+		return false, fmt.Errorf("trace: %s: binary record kind %d, want %d", path, data[5], wantKind)
 	}
-	if hdr[5] != wantKind {
-		return nil, fmt.Errorf("trace: %s: binary record kind %d, want %d", path, hdr[5], wantKind)
-	}
-	ncols64, err := binary.ReadUvarint(d.br)
+	ncols, p, err := uvarint(data, hdr)
 	if err != nil {
-		return nil, fmt.Errorf("trace: %s: truncated binary header: %w", path, err)
+		return false, fmt.Errorf("trace: %s: truncated binary header: %w", path, err)
 	}
-	if ncols64 < uint64(minCols) || ncols64 > maxBinCols {
-		return nil, fmt.Errorf("trace: %s: binary header claims %d columns, want %d..%d",
-			path, ncols64, minCols, maxBinCols)
+	if ncols < uint64(minCols) || ncols > maxBinCols {
+		return false, fmt.Errorf("trace: %s: binary header claims %d columns, want %d..%d", path, ncols, minCols, maxBinCols)
 	}
-	d.ncols = int(ncols64)
-	d.cols = newColumns(d.ncols, binBlockRows)
-	return d, nil
+	d.p, d.ncols, d.cols = p, int(ncols), slices.Grow(d.cols[:0], int(ncols))[:ncols]
+	return true, nil
 }
 
 // block locates one decoded block: the bytes it occupies in its file and
@@ -235,25 +273,23 @@ type block struct {
 }
 
 // pos is the file offset of the next byte the decoder will consume.
-func (d *binReader) pos() int64 { return d.src.n - int64(d.br.Buffered()) }
+func (d *binReader) pos() int64 { return d.base + int64(d.p) }
 
-// seek points the decoder at r, the bytes of its file from the block
-// boundary at offset off on, whose first row has index rowBase.
-func (d *binReader) seek(r io.Reader, off, rowBase int64) {
-	d.src = byteCounter{r: r, n: off}
-	d.br.Reset(&d.src)
-	d.rowBase = rowBase
-}
-
-// eachBlock is the package's one block loop and readBlock's only caller:
-// it decodes block after block into d's columns and hands visit each
-// one's extent. It ends at a clean EOF, at a torn or corrupt block (lost
-// is the number of records it claimed) or at visit's first error.
+// eachBlock is the package's one block loop: it decodes block after
+// block into d's columns, refilling the window whenever a block runs past
+// it, and hands visit each one's extent. It ends at a clean end of the
+// bytes, at a torn or corrupt block (lost is the number of records it
+// claimed) or at visit's first error.
 func (d *binReader) eachBlock(withStrings bool, visit func(b block) error) (lost int, err error) {
-	for {
+	for d.p < len(d.data) || d.src != nil {
 		b := block{off: d.pos(), rowBase: d.rowBase}
 		n, lost, err := d.readBlock(withStrings)
-		if err != nil || n == 0 {
+		if err == io.ErrUnexpectedEOF { // the window ends inside the block
+			if err = d.fill(); err == nil {
+				continue
+			}
+		}
+		if err != nil {
 			return lost, err
 		}
 		b.rows, b.length = n, d.pos()-b.off
@@ -262,57 +298,78 @@ func (d *binReader) eachBlock(withStrings bool, visit func(b block) error) (lost
 			return 0, err
 		}
 	}
+	return 0, nil
 }
 
-// readBlock decodes the next block into d.cols (and d.strs when
-// withStrings). It returns n == 0 at a clean EOF. A torn or corrupt
-// block returns (lost, err) where lost is the number of records the
-// block claimed (the tolerant caller's skipped increment).
+// readBlock decodes the block at d.p into d.cols (and d.strs when
+// withStrings) and moves d past it. It returns io.ErrUnexpectedEOF, bare,
+// when the window ends inside the block and more of the file follows. A
+// torn or corrupt block returns (lost, err) where lost is the number of
+// records the block claimed (the tolerant caller's skipped increment); an
+// unreadable block header claims one.
 func (d *binReader) readBlock(withStrings bool) (n, lost int, err error) {
-	n64, err := binary.ReadUvarint(d.br)
-	if err == io.EOF {
-		return 0, 0, nil
-	}
-	if err != nil {
+	data, more := d.data, d.src != nil
+	n64, p, err := uvarint(data, d.p)
+	switch {
+	case err == io.ErrUnexpectedEOF && more:
+		return 0, 1, err
+	case err != nil:
 		return 0, 1, fmt.Errorf("trace: %s: torn binary block header: %w", d.path, err)
-	}
-	if n64 == 0 || n64 > maxBinRows {
+	case n64 == 0 || n64 > maxBinRows:
 		return 0, 1, fmt.Errorf("trace: %s: binary block claims %d rows (max %d)", d.path, n64, maxBinRows)
 	}
 	n = int(n64)
+	torn := func(err error) (int, int, error) {
+		if err == io.ErrUnexpectedEOF && more {
+			return 0, n, err
+		}
+		return 0, n, fmt.Errorf("trace: %s: torn binary block: %w", d.path, err)
+	}
+	// Every value takes a byte at least: a block claiming more than the
+	// bytes left is torn before any column is sized for it.
+	if left := len(data) - p; n*d.ncols > left && more {
+		return torn(io.ErrUnexpectedEOF)
+	} else if n*d.ncols > left {
+		return torn(fmt.Errorf("%d rows of %d columns in the %d bytes left", n, d.ncols, left))
+	}
 	if withStrings {
 		d.strs = d.strs[:0]
 		for i := 0; i < n; i++ {
-			l64, err := binary.ReadUvarint(d.br)
-			if err != nil {
-				return 0, n, fmt.Errorf("trace: %s: torn binary block: %w", d.path, err)
+			l, next, err := uvarint(data, p)
+			switch {
+			case err != nil:
+				return torn(err)
+			case l > maxBinStr:
+				return torn(fmt.Errorf("string length %d (max %d)", l, maxBinStr))
+			case next+int(l) > len(data):
+				return torn(io.ErrUnexpectedEOF)
 			}
-			if l64 > maxBinStr {
-				return 0, n, fmt.Errorf("trace: %s: binary string length %d (max %d)", d.path, l64, maxBinStr)
-			}
-			buf := make([]byte, l64)
-			if _, err := io.ReadFull(d.br, buf); err != nil {
-				return 0, n, fmt.Errorf("trace: %s: torn binary block: %w", d.path, err)
-			}
-			d.strs = append(d.strs, string(buf))
+			p = next + int(l)
+			d.strs = append(d.strs, string(data[next:p]))
 		}
 	}
-	for c := 0; c < d.ncols; c++ {
-		col := d.cols[c][:0]
-		for i := 0; i < n; i++ {
-			u, err := binary.ReadUvarint(d.br)
-			if err != nil {
-				return 0, n, fmt.Errorf("trace: %s: torn binary block: %w", d.path, err)
+	for c, col := range d.cols {
+		col = slices.Grow(col[:0], n)[:n]
+		for i := range col {
+			if p < len(data) && data[p] < 0x80 {
+				col[i] = unzigzag(uint64(data[p]))
+				p++
+				continue
 			}
-			col = append(col, unzigzag(u))
+			u, next, err := uvarint(data, p)
+			if err != nil {
+				return torn(err)
+			}
+			col[i], p = unzigzag(u), next
 		}
 		d.cols[c] = col
 	}
+	d.p = p
 	return n, 0, nil
 }
 
-// Per-kind row codecs (the kind table's toRow / fromRow), mirroring the
-// CSV codecs in fastio.go.
+// The run-wide kinds' row codecs (the kind table's toRow / fromRow),
+// mirroring the CSV codecs in fastio.go.
 
 // padCounters copies a record's counters into its row's counter columns.
 // Columnar blocks need a uniform width; ragged counter lists (possible
@@ -329,7 +386,7 @@ func (d *binReader) rowCounters(first, i int) []int64 {
 	if first == d.ncols {
 		return nil
 	}
-	if d.row == nil {
+	if cap(d.row) < d.ncols-first {
 		d.row = make([]int64, d.ncols-first)
 	}
 	counters := d.row[:d.ncols-first]
@@ -337,36 +394,6 @@ func (d *binReader) rowCounters(first, i int) []int64 {
 		counters[c-first] = d.cols[c][i]
 	}
 	return counters
-}
-
-func logicalToRow(r LogicalRecord, row []int64) string {
-	row[0], row[1], row[2] = int64(r.SrcNode), int64(r.SrcPE), int64(r.DstNode)
-	row[3], row[4] = int64(r.DstPE), int64(r.MsgSize)
-	return ""
-}
-
-func logicalFromRow(d *binReader, i int) LogicalRecord {
-	return LogicalRecord{
-		SrcNode: int(d.cols[0][i]), SrcPE: int(d.cols[1][i]),
-		DstNode: int(d.cols[2][i]), DstPE: int(d.cols[3][i]), MsgSize: int(d.cols[4][i]),
-	}
-}
-
-func papiToRow(r PAPIRecord, row []int64) string {
-	row[0], row[1] = int64(r.SrcNode), int64(r.SrcPE)
-	row[2], row[3] = int64(r.DstNode), int64(r.DstPE)
-	row[4], row[5], row[6] = int64(r.PktSize), int64(r.MailboxID), int64(r.NumSends)
-	padCounters(row[7:], r.Counters)
-	return ""
-}
-
-func papiFromRow(d *binReader, i int) PAPIRecord {
-	return PAPIRecord{
-		SrcNode: int(d.cols[0][i]), SrcPE: int(d.cols[1][i]),
-		DstNode: int(d.cols[2][i]), DstPE: int(d.cols[3][i]),
-		PktSize: int(d.cols[4][i]), MailboxID: int(d.cols[5][i]), NumSends: int(d.cols[6][i]),
-		Counters: d.rowCounters(7, i),
-	}
 }
 
 func physicalToRow(r PhysicalRecord, row []int64) string {
@@ -409,5 +436,64 @@ func segmentFromRow(d *binReader, i int) SegmentRecord {
 	return SegmentRecord{
 		PE: int(d.cols[0][i]), Name: d.strs[i],
 		Count: d.cols[1][i], Cycles: d.cols[2][i], Counters: slices.Clone(d.rowCounters(3, i)),
+	}
+}
+
+// The send kinds' column path between an APBF block's columns and the
+// packed form a Set holds (DESIGN.md §10), with no row on either side:
+// the send kinds have no row codec.
+
+// logicalSends is how a packed consumer takes PE pe's logical shard: a
+// CSV row once admitted, an APBF row straight from its block's columns.
+func logicalSends(m *meta, pe int, yield func(LogicalSend)) (func(LogicalRecord), rowFunc) {
+	rows := func(r LogicalRecord) { yield(LogicalSend{int32(r.DstPE), int32(r.MsgSize)}) }
+	return rows, func(d *binReader, i int) error {
+		c := d.cols
+		err := admitLogical(m, pe, int(c[0][i]), int(c[1][i]), int(c[2][i]), int(c[3][i]), int(c[4][i]))
+		if err == nil {
+			yield(LogicalSend{int32(c[3][i]), int32(c[4][i])})
+		}
+		return err
+	}
+}
+
+// papiSends is logicalSends for PE pe's PAPI shard. The counters yield
+// gets are the row's, valid until it returns.
+func papiSends(m *meta, pe int, yield func(PAPISend, []int64)) (func(PAPIRecord), rowFunc) {
+	rows := func(r PAPIRecord) {
+		yield(PAPISend{int32(r.DstPE), int32(r.PktSize), int32(r.MailboxID), int32(r.NumSends)}, r.Counters)
+	}
+	return rows, func(d *binReader, i int) error {
+		c := d.cols
+		dst, pkt, mbox, sends := int(c[3][i]), int(c[4][i]), int(c[5][i]), int(c[6][i])
+		err := admitPAPI(m, pe, int(c[0][i]), int(c[1][i]), int(c[2][i]), dst, pkt, mbox, sends)
+		if err == nil {
+			yield(PAPISend{int32(dst), int32(pkt), int32(mbox), int32(sends)}, d.rowCounters(7, i))
+		}
+		return err
+	}
+}
+
+// logicalColumns fills a block's columns with PE pe's logical rows from
+// lo on, as many as the columns are long. The source PE and node are the
+// shard's; a destination's node is DstPE / PEsPerNode.
+func (s *Set) logicalColumns(pe int, cols [][]int64, lo int) {
+	node := int64(pe / s.PEsPerNode)
+	for i, r := range s.Logical[pe][lo:][:len(cols[0])] {
+		cols[0][i], cols[1][i], cols[2][i] = node, int64(pe), int64(int(r.DstPE)/s.PEsPerNode)
+		cols[3][i], cols[4][i] = int64(r.DstPE), int64(r.MsgSize)
+	}
+}
+
+// papiColumns is logicalColumns for PE pe's PAPI rows and their counters.
+func (s *Set) papiColumns(pe int, cols [][]int64, lo int) {
+	k, node := len(s.Config.PAPIEvents), int64(pe/s.PEsPerNode)
+	counters := s.PAPICounters[pe][lo*k:]
+	for i, r := range s.PAPI[pe][lo:][:len(cols[0])] {
+		cols[0][i], cols[1][i], cols[2][i] = node, int64(pe), int64(int(r.DstPE)/s.PEsPerNode)
+		cols[3][i], cols[4][i], cols[5][i], cols[6][i] = int64(r.DstPE), int64(r.PktSize), int64(r.MailboxID), int64(r.NumSends)
+		for e, v := range counters[i*k : (i+1)*k] {
+			cols[7+e][i] = v
+		}
 	}
 }

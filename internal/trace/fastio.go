@@ -290,48 +290,33 @@ func parseSegment(line []byte, s *csvScratch) (SegmentRecord, error) {
 // strconv.AppendInt and flushed in whole lines. They share one signature
 // (the kind table's appendCSV); only segments.txt uses the event names.
 
+// appendInts appends vals as comma-separated decimals.
+func appendInts(buf []byte, vals ...int64) []byte {
+	for i, v := range vals {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		buf = strconv.AppendInt(buf, v, 10)
+	}
+	return buf
+}
+
 func appendLogical(buf []byte, r LogicalRecord, _ []string) []byte {
-	buf = strconv.AppendInt(buf, int64(r.SrcNode), 10)
-	buf = append(buf, ',')
-	buf = strconv.AppendInt(buf, int64(r.SrcPE), 10)
-	buf = append(buf, ',')
-	buf = strconv.AppendInt(buf, int64(r.DstNode), 10)
-	buf = append(buf, ',')
-	buf = strconv.AppendInt(buf, int64(r.DstPE), 10)
-	buf = append(buf, ',')
-	buf = strconv.AppendInt(buf, int64(r.MsgSize), 10)
+	buf = appendInts(buf, int64(r.SrcNode), int64(r.SrcPE), int64(r.DstNode), int64(r.DstPE), int64(r.MsgSize))
 	return append(buf, '\n')
 }
 
 func appendPAPI(buf []byte, r PAPIRecord, _ []string) []byte {
-	buf = strconv.AppendInt(buf, int64(r.SrcNode), 10)
-	buf = append(buf, ',')
-	buf = strconv.AppendInt(buf, int64(r.SrcPE), 10)
-	buf = append(buf, ',')
-	buf = strconv.AppendInt(buf, int64(r.DstNode), 10)
-	buf = append(buf, ',')
-	buf = strconv.AppendInt(buf, int64(r.DstPE), 10)
-	buf = append(buf, ',')
-	buf = strconv.AppendInt(buf, int64(r.PktSize), 10)
-	buf = append(buf, ',')
-	buf = strconv.AppendInt(buf, int64(r.MailboxID), 10)
-	buf = append(buf, ',')
-	buf = strconv.AppendInt(buf, int64(r.NumSends), 10)
+	buf = appendInts(buf, int64(r.SrcNode), int64(r.SrcPE), int64(r.DstNode), int64(r.DstPE),
+		int64(r.PktSize), int64(r.MailboxID), int64(r.NumSends))
 	for _, c := range r.Counters {
-		buf = append(buf, ',')
-		buf = strconv.AppendInt(buf, c, 10)
+		buf = strconv.AppendInt(append(buf, ','), c, 10)
 	}
 	return append(buf, '\n')
 }
 
 func appendPhysical(buf []byte, r PhysicalRecord, _ []string) []byte {
-	buf = append(buf, r.Kind.String()...)
-	buf = append(buf, ',')
-	buf = strconv.AppendInt(buf, int64(r.BufBytes), 10)
-	buf = append(buf, ',')
-	buf = strconv.AppendInt(buf, int64(r.SrcPE), 10)
-	buf = append(buf, ',')
-	buf = strconv.AppendInt(buf, int64(r.DstPE), 10)
+	buf = appendInts(append(append(buf, r.Kind.String()...), ','), int64(r.BufBytes), int64(r.SrcPE), int64(r.DstPE))
 	return append(buf, '\n')
 }
 

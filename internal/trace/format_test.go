@@ -13,13 +13,15 @@ import (
 
 // fullSet fabricates a trace set exercising all five record kinds
 // (logical, PAPI, physical, overall, segments) across enough PEs that
-// the parallel reader actually shards.
+// the parallel reader actually shards. It asks for the paper's text
+// layout: the tests that take it name CSV files.
 func fullSet(t *testing.T, npes int) *Set {
 	t.Helper()
 	m := machine(npes, 2)
 	c, err := NewCollector(Config{
 		Logical: true, Physical: true, Overall: true,
 		PAPIEvents: []papi.Event{papi.TOT_INS, papi.LST_INS},
+		Format:     FormatCSV,
 	}, m)
 	if err != nil {
 		t.Fatal(err)
@@ -252,6 +254,110 @@ func TestBinaryDetectedByContentNotName(t *testing.T) {
 		t.Fatalf("binary content under CSV names not auto-detected: %v", err)
 	}
 	recordsEqual(t, "sniffed", direct, sniffed)
+}
+
+// rewriteSet is a 2-PE trace of every kind whose PE 0 sends n times:
+// what a directory holds after WriteFiles in format is told by n alone.
+func rewriteSet(format Format, n int) *Set {
+	s := NewSet(Config{
+		Logical: true, Physical: true, Overall: true,
+		PAPIEvents: []papi.Event{papi.TOT_INS}, Format: format,
+	}, 2, 2)
+	for i := 0; i < n; i++ {
+		s.Logical[0] = append(s.Logical[0], LogicalSend{DstPE: 1, MsgSize: int32(8 + i)})
+		s.PAPI[0] = append(s.PAPI[0], PAPISend{DstPE: 1, PktSize: 8, NumSends: 1})
+		s.PAPICounters[0] = append(s.PAPICounters[0], int64(100+i))
+		s.Physical[0] = append(s.Physical[0], PhysicalRecord{Kind: conveyor.LocalSend, BufBytes: 64 * (i + 1), SrcPE: 0, DstPE: 1})
+	}
+	s.LogicalSendCount[0] = int64(n)
+	s.Overall = []OverallRecord{{PE: 0, TMain: int64(n), TComm: 1, TProc: 2, TTotal: int64(n) + 3}}
+	s.Segments[0] = []SegmentRecord{{PE: 0, Name: "relax", Count: int64(n), Cycles: 9, Counters: []int64{int64(n)}}}
+	return s
+}
+
+// TestRewriteReplacesSiblingEncoding: a directory written in one
+// encoding and then in the other holds the files, and reads back the
+// records, of the second write alone - in both orders. (Readers prefer a
+// shard's .bin to its .csv, so a leftover binary shard would shadow a CSV
+// rewrite.)
+func TestRewriteReplacesSiblingEncoding(t *testing.T) {
+	names := func(dir string) (out []string) {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			out = append(out, e.Name())
+		}
+		return out
+	}
+	for _, order := range [][2]Format{{FormatBinary, FormatCSV}, {FormatCSV, FormatBinary}} {
+		t.Run(order[0].String()+"-then-"+order[1].String(), func(t *testing.T) {
+			dir, fresh := t.TempDir(), t.TempDir()
+			if err := rewriteSet(order[0], 1).WriteFiles(dir); err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range []string{dir, fresh} {
+				if err := rewriteSet(order[1], 3).WriteFiles(d); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got, want := names(dir), names(fresh); !reflect.DeepEqual(got, want) {
+				t.Fatalf("the rewritten directory holds %v, a fresh write %v", got, want)
+			}
+			got, err := ReadSet(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := ReadSet(fresh)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recordsEqual(t, "rewritten", want, got)
+		})
+	}
+}
+
+// TestRewriteDropsTimeIndex: physical.idx describes the physical.bin it
+// was built over. A rewrite of the same size passes the index's own
+// staleness check, so WriteFiles removes the index with the old trace.
+func TestRewriteDropsTimeIndex(t *testing.T) {
+	withCycles := func(base int64) *Set {
+		s := NewSet(Config{Physical: true, Format: FormatBinary}, 2, 2)
+		for i := int64(0); i < 3; i++ {
+			s.Physical[0] = append(s.Physical[0], PhysicalRecord{Kind: conveyor.LocalSend, BufBytes: 64, SrcPE: 0, DstPE: 1, Cycles: base + i})
+		}
+		return s
+	}
+	dir := t.TempDir()
+	if err := withCycles(10).WriteFiles(dir); err != nil {
+		t.Fatal(err)
+	}
+	if built, err := BuildTimeIndex(dir); err != nil || !built {
+		t.Fatalf("BuildTimeIndex: built=%v err=%v", built, err)
+	}
+	before, err := os.Stat(filepath.Join(dir, physicalBinFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := withCycles(20)
+	if err := s.WriteFiles(dir); err != nil {
+		t.Fatal(err)
+	}
+	if after, err := os.Stat(filepath.Join(dir, physicalBinFile)); err != nil || after.Size() != before.Size() {
+		t.Fatalf("fixture: the rewrite is %v bytes (err %v), want the %d of the first write", after.Size(), err, before.Size())
+	}
+	if _, err := os.Stat(filepath.Join(dir, timeIndexFile)); !os.IsNotExist(err) {
+		t.Errorf("a rewritten physical trace kept the index built over the old one (stat: %v)", err)
+	}
+	q := Window{T0: 0, T1: 100}
+	got, err := QueryWindow(dir, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := QueryWindowSet(s, q); !reflect.DeepEqual(got, want) {
+		t.Errorf("query after the rewrite:\ngot  %+v\nwant %+v", got, want)
+	}
 }
 
 // TestSegmentsOutOfRangePE is the regression test for the seed bug

@@ -53,11 +53,14 @@ func (o ReadOptions) poolSize(npes int) int {
 }
 
 // WriteFiles writes every enabled trace to dir in the formats selected
-// by Config.Format: the paper's text formats (per-PE PEi_send.csv and
-// PEi_PAPI.csv, shared overall.txt/physical.txt/segments.txt), the
-// binary columnar *.bin siblings, or both. actorprof_meta.txt (run
-// parameters: number of PEs, PEs per node, PAPI event names) is always
-// text; the readers need it first. Shards are written in parallel.
+// by Config.Format: the binary columnar APBF files (the default: per-PE
+// PEi_send.bin and PEi_PAPI.bin, shared overall.bin/physical.bin/
+// segments.bin), the paper's text formats (PEi_send.csv, ...,
+// physical.txt), or both. A write in one encoding removes the trace
+// files dir holds in the other, and a physical trace written replaces the
+// time index. actorprof_meta.txt (run parameters: number of PEs, PEs per
+// node, PAPI event names) is always text; the readers need it first.
+// Shards are written in parallel.
 func (s *Set) WriteFiles(dir string) error {
 	if s.Config.Aggregate {
 		return fmt.Errorf("trace: WriteFiles needs raw records, but the set was collected with Config.Aggregate (only matrices were kept)")
@@ -72,39 +75,48 @@ func (s *Set) WriteFiles(dir string) error {
 		return err
 	}
 	format, events := s.Config.Format, eventNames(s.Config.PAPIEvents)
+	if err := dropOtherEncoding(dir, format); err != nil {
+		return err
+	}
 	var jobs []func() error
 	for pe := 0; pe < s.NumPEs; pe++ {
-		pe := pe
 		if s.Config.Logical {
 			jobs = append(jobs, func() error {
-				return writeShard(&logicalKind, dir, pe, format, events, len(s.Logical[pe]),
-					func(i int) LogicalRecord { return s.LogicalRecordAt(pe, i) })
+				return writeShardFill(&logicalKind, dir, pe, format, events, len(s.Logical[pe]),
+					func(i int) LogicalRecord { return s.LogicalRecordAt(pe, i) },
+					func(cols [][]int64, lo int) { s.logicalColumns(pe, cols, lo) })
 			})
 		}
 		if len(events) > 0 {
 			jobs = append(jobs, func() error {
-				return writeShard(&papiKind, dir, pe, format, events, len(s.PAPI[pe]),
-					func(i int) PAPIRecord { return s.PAPIRecordAt(pe, i) })
+				return writeShardFill(&papiKind, dir, pe, format, events, len(s.PAPI[pe]),
+					func(i int) PAPIRecord { return s.PAPIRecordAt(pe, i) },
+					func(cols [][]int64, lo int) { s.papiColumns(pe, cols, lo) })
 			})
 		}
 	}
 	if s.Config.Physical {
 		jobs = append(jobs, func() error {
+			// The time index describes the physical trace it was built
+			// over, and a rewrite can match its size check: it goes.
+			if err := removeStale(filepath.Join(dir, timeIndexFile)); err != nil {
+				return err
+			}
 			n, at := rows(s.Physical...)
-			return writeShard(&physicalKind, dir, 0, format, events, n, at)
+			return writeShardFill(&physicalKind, dir, 0, format, events, n, at, nil)
 		})
 	}
 	if s.Config.Overall {
 		jobs = append(jobs, func() error {
 			n, at := rows(s.OverallRecords())
-			return writeShard(&overallKind, dir, 0, format, events, n, at)
+			return writeShardFill(&overallKind, dir, 0, format, events, n, at, nil)
 		})
 	}
 	for _, recs := range s.Segments {
 		if len(recs) > 0 {
 			jobs = append(jobs, func() error {
 				n, at := rows(s.Segments...)
-				return writeShard(&segmentsKind, dir, 0, format, events, n, at)
+				return writeShardFill(&segmentsKind, dir, 0, format, events, n, at, nil)
 			})
 			break
 		}
@@ -112,7 +124,6 @@ func (s *Set) WriteFiles(dir string) error {
 	errs := make([]error, len(jobs))
 	tasks := make([]func(worker int), len(jobs))
 	for i := range jobs {
-		i := i
 		tasks[i] = func(int) { errs[i] = jobs[i]() }
 	}
 	runWorkerTasks(defaultWorkers(), tasks)
@@ -220,11 +231,11 @@ func newPAPICell(n, k int) *papiCell {
 	return c
 }
 
-func (c *papiCell) add(r PAPIRecord) {
-	c.recs = append(c.recs, PAPISend{int32(r.DstPE), int32(r.PktSize), int32(r.MailboxID), int32(r.NumSends)})
+func (c *papiCell) add(r PAPISend, counters []int64) {
+	c.recs = append(c.recs, r)
 	n := len(c.counters)
 	c.counters = slices.Grow(c.counters, c.k)[:n+c.k]
-	padCounters(c.counters[n:], r.Counters)
+	padCounters(c.counters[n:], counters)
 }
 
 // filePhysical files physical records under their initiating PEs in s,
@@ -284,12 +295,11 @@ func ReadSetOptions(dir string, opts ReadOptions) (*Set, int, error) {
 	have, skipped, err := walk(dir, m, opts, consumer{
 		// A send row is held packed: checkSend admitted it only if the
 		// packing loses nothing.
-		logical: func(_, pe int) func(LogicalRecord) {
-			c := newCell[LogicalSend](shardRows(&logicalKind, dir, pe, 0))
-			logical[pe] = c
-			return func(r LogicalRecord) { c.recs = append(c.recs, LogicalSend{int32(r.DstPE), int32(r.MsgSize)}) }
+		logical: func(_, pe int) func(LogicalSend) {
+			logical[pe] = newCell[LogicalSend](shardRows(&logicalKind, dir, pe, 0))
+			return logical[pe].add()
 		},
-		papi: func(_, pe int) func(PAPIRecord) {
+		papi: func(_, pe int) func(PAPISend, []int64) {
 			k := len(m.events)
 			papi[pe] = newPAPICell(shardRows(&papiKind, dir, pe, k), k)
 			return papi[pe].add

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bufio"
 	"bytes"
 	"os"
 	"path/filepath"
@@ -12,13 +11,13 @@ import (
 // apbf encodes rows as one APBF file of the given kind.
 func apbf(kind byte, rows ...[]int64) string {
 	var buf bytes.Buffer
-	w := bufio.NewWriter(&buf)
-	b := newBinWriter(w, kind, len(rows[0]))
+	var b shardWriter
+	b.start(&buf)
+	b.header(kind, len(rows[0]))
 	for _, row := range rows {
 		b.push(row...)
 	}
 	b.finish()
-	w.Flush()
 	return buf.String()
 }
 

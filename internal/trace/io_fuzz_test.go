@@ -85,6 +85,9 @@ func FuzzBinaryLogicalShard(f *testing.F) {
 	f.Add(append([]byte{}, "APBF\xff\x01\x05"...))                 // bad version byte
 	f.Add(append([]byte{}, "APBF\x01\x09\x05"...))                 // bad kind byte
 	f.Add(append([]byte{}, "APBF\x01\x01\xff\xff\xff\xff\x0f"...)) // absurd column count
+	for _, h := range hostileBlocks() {
+		f.Add(h.data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, logicalBinFile(0)), data, 0o644); err != nil {

@@ -10,10 +10,11 @@ import (
 // (PEi_send.csv, PEi_PAPI.csv, overall.txt, physical.txt) and this repo
 // adds segments.txt. Everything that differs between them - file names,
 // the APBF header, the CSV and APBF row codecs, the PE-range rule - is one
-// kind descriptor below; scanShard, sink and walk (pipeline.go) are
-// written once against it. Adding a column means editing that kind's four
-// codec functions; adding a kind means one more descriptor and one more
-// line in walk, WriteFiles and the consumer struct.
+// kind descriptor below; scan, sink and walk (pipeline.go) are written
+// once against it. Adding a column means editing that kind's codec
+// functions (a send kind's APBF codec is its column path, binary.go);
+// adding a kind means one more descriptor and one more line in walk,
+// WriteFiles and the consumer struct.
 type kind[T any] struct {
 	// csvFile / binFile name PE pe's shard (shared artifacts ignore pe).
 	csvFile, binFile func(pe int) string
@@ -44,7 +45,8 @@ type kind[T any] struct {
 	parseCSV  func(line []byte, s *csvScratch) (T, error)
 	// toRow fills one APBF row (len(row) is the file's column count) and
 	// returns the string column's value; fromRow decodes row i of the
-	// reader's current block.
+	// reader's current block. The send kinds have neither: their APBF
+	// blocks go column by column to and from the packed Set.
 	toRow   func(r T, row []int64) string
 	fromRow func(d *binReader, i int) T
 	// check rejects a decoded record the rest of the program could not
@@ -66,12 +68,8 @@ var logicalKind = kind[LogicalRecord]{
 	binKind: binKindLogical, cols: 5, minCols: 5,
 	csvRecBytes: 10, binRecBytes: 5,
 	appendCSV: appendLogical, parseCSV: parseLogical,
-	toRow: logicalToRow, fromRow: logicalFromRow,
 	check: func(r LogicalRecord, m *meta, pe int) error {
-		if err := checkSend("logical", m, pe, r.SrcNode, r.SrcPE, r.DstNode, r.DstPE); err != nil {
-			return err
-		}
-		return checkWidth("logical", "msgSize", r.MsgSize)
+		return admitLogical(m, pe, r.SrcNode, r.SrcPE, r.DstNode, r.DstPE, r.MsgSize)
 	},
 }
 
@@ -80,19 +78,8 @@ var papiKind = kind[PAPIRecord]{
 	binKind: binKindPAPI, cols: 7, minCols: 7, counters: true,
 	csvRecBytes: 14, binRecBytes: 7,
 	appendCSV: appendPAPI, parseCSV: parsePAPI,
-	toRow: papiToRow, fromRow: papiFromRow,
 	check: func(r PAPIRecord, m *meta, pe int) error {
-		err := checkSend("PAPI", m, pe, r.SrcNode, r.SrcPE, r.DstNode, r.DstPE)
-		if err == nil {
-			err = checkWidth("PAPI", "pktSize", r.PktSize)
-		}
-		if err == nil {
-			err = checkWidth("PAPI", "MAILBOXID", r.MailboxID)
-		}
-		if err == nil {
-			err = checkWidth("PAPI", "NUM_SENDS", r.NumSends)
-		}
-		return err
+		return admitPAPI(m, pe, r.SrcNode, r.SrcPE, r.DstNode, r.DstPE, r.PktSize, r.MailboxID, r.NumSends)
 	},
 }
 
@@ -164,10 +151,17 @@ func checkSend(kind string, m *meta, pe, srcNode, src, dstNode, dst int) error {
 	if err := checkEndpoints(kind, src, dst, m.npes); err != nil {
 		return err
 	}
-	if src != pe || srcNode != src/m.perNode || dstNode != dst/m.perNode {
+	if src != pe || !m.onNode(srcNode, src) || !m.onNode(dstNode, dst) {
 		return sendError(kind, m, pe, srcNode, src, dstNode, dst)
 	}
 	return nil
+}
+
+// onNode reports whether node is pe / m.perNode for a pe in [0, m.npes),
+// without a division (the dearest step of a send row's check).
+func (m *meta) onNode(node, pe int) bool {
+	first := node * m.perNode
+	return uint(node) < uint(m.npes) && first <= pe && pe-first < m.perNode
 }
 
 //go:noinline
@@ -179,6 +173,27 @@ func sendError(kind string, m *meta, pe, srcNode, src, dstNode, dst int) error {
 		return fmt.Errorf("trace: %s record with src node %d for PE %d at %d PEs per node", kind, srcNode, src, m.perNode)
 	}
 	return fmt.Errorf("trace: %s record with dst node %d for PE %d at %d PEs per node", kind, dstNode, dst, m.perNode)
+}
+
+// admitLogical is the admission rule on a logical row's fields, for a CSV
+// record (the kind's check) and a block's columns (logicalSends) alike.
+func admitLogical(m *meta, pe, srcNode, src, dstNode, dst, size int) error {
+	if err := checkSend("logical", m, pe, srcNode, src, dstNode, dst); err != nil {
+		return err
+	}
+	return checkWidth("logical", "msgSize", size)
+}
+
+// admitPAPI is admitLogical for a PAPI row.
+func admitPAPI(m *meta, pe, srcNode, src, dstNode, dst, pkt, mailbox, sends int) error {
+	if err := checkSend("PAPI", m, pe, srcNode, src, dstNode, dst); err != nil {
+		return err
+	} else if err := checkWidth("PAPI", "pktSize", pkt); err != nil {
+		return err
+	} else if err := checkWidth("PAPI", "MAILBOXID", mailbox); err != nil {
+		return err
+	}
+	return checkWidth("PAPI", "NUM_SENDS", sends)
 }
 
 // checkWidth holds a send row's other fields to the packed record's 32

@@ -10,16 +10,15 @@ import (
 	"path/filepath"
 )
 
-// The one trace pipeline: scanShard reads any kind's shard in either
-// encoding, sink writes one, and walk drives scanShard over a whole trace
-// directory. Every reader and writer in the package is one of these three
-// plus a few lines of its own.
+// The one trace pipeline: scan reads any kind's shard in either encoding,
+// sink writes one, and walk drives scan over a whole trace directory.
+// Every reader and writer in the package is one of these three plus a few
+// lines of its own.
 
 // openShard opens the first existing candidate path and sniffs whether
 // its content is the binary format (by magic, so auto-detection works
-// regardless of file extension), then rewinds: the decoder the caller
-// picks is the only buffer layer over the file. Returns an
-// os.IsNotExist-able error when no candidate exists.
+// regardless of file extension) at offset 0, leaving the file's offset
+// there. Returns an os.IsNotExist-able error when no candidate exists.
 func openShard(candidates ...string) (*os.File, bool, error) {
 	var lastErr error = os.ErrNotExist
 	for _, p := range candidates {
@@ -29,11 +28,8 @@ func openShard(candidates ...string) (*os.File, bool, error) {
 			continue
 		}
 		head := make([]byte, len(binMagic))
-		n, err := io.ReadFull(f, head)
-		if err == nil || err == io.EOF || err == io.ErrUnexpectedEOF {
-			_, err = f.Seek(0, io.SeekStart)
-		}
-		if err != nil {
+		n, err := f.ReadAt(head, 0)
+		if err != nil && err != io.EOF {
 			f.Close()
 			return nil, false, err
 		}
@@ -42,17 +38,36 @@ func openShard(candidates ...string) (*os.File, bool, error) {
 	return nil, false, lastErr
 }
 
-// scanShard streams PE pe's shard of kind k into yield without
-// materializing records: it resolves the binary/CSV candidates, sniffs
-// the format, decodes record by record and applies the kind's check.
-// A yielded record's Counters alias the scan's scratch and are valid only
+// rowFunc admits row i of d's current APBF block - decodes it, checks it
+// and hands it on - or returns why it cannot.
+type rowFunc func(d *binReader, i int) error
+
+// rowsOf is the row path of kind k for PE pe's shard: a CSV line or an
+// APBF row alike is decoded, checked and handed to yield as a record.
+func rowsOf[T any](k *kind[T]) func(m *meta, pe int, yield func(T)) (func(T), rowFunc) {
+	return func(m *meta, pe int, yield func(T)) (func(T), rowFunc) {
+		return yield, func(d *binReader, i int) error {
+			rec := k.fromRow(d, i)
+			err := k.check(rec, m, pe)
+			if err == nil {
+				yield(rec)
+			}
+			return err
+		}
+	}
+}
+
+// scan streams PE pe's shard of kind k without materializing records: it
+// resolves the binary/CSV candidates and sniffs the format. A CSV line is
+// parsed, checked and handed to yield; an APBF row goes to admit. A
+// yielded record's Counters alias the scan's scratch and are valid only
 // until yield returns: a consumer that keeps them copies them. found is
-// false when neither file exists. A record that fails to
-// decode or check is fatal in strict mode; a tolerant scan counts it in
-// skipped and carries on, so a torn tail or a corrupt line costs only the
-// records it tore. An unreadable APBF header counts as one skipped
-// artifact, a torn block as the rows it claimed.
-func scanShard[T any](k *kind[T], dir string, pe int, m *meta, tolerant bool, yield func(T)) (found bool, skipped int, err error) {
+// false when neither file exists. A record that fails to decode or check
+// is fatal in strict mode; a tolerant scan counts it in skipped and
+// carries on, so a torn tail or a corrupt line costs only the records it
+// tore. An unreadable APBF header counts as one skipped artifact, a torn
+// block as the rows it claimed.
+func scan[T any](k *kind[T], dir string, pe int, m *meta, tolerant bool, yield func(T), admit rowFunc) (found bool, skipped int, err error) {
 	f, isBin, err := openShard(filepath.Join(dir, k.binFile(pe)), filepath.Join(dir, k.csvFile(pe)))
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -62,22 +77,22 @@ func scanShard[T any](k *kind[T], dir string, pe int, m *meta, tolerant bool, yi
 	}
 	defer f.Close()
 	if isBin {
-		d, err := newBinReader(f, f.Name(), k.binKind, k.minCols)
+		d := binReaders.Get().(*binReader)
+		defer binReaders.Put(d)
+		d.reset(f, d.data[:0], 0, 0)
+		ok, err := d.header(f.Name(), k.binKind, k.minCols)
 		if err != nil && tolerant {
 			return true, 1, nil
 		}
-		if err != nil || d == nil { // d == nil: an empty file holds no records
+		if err != nil || !ok { // !ok: an empty file holds no records
 			return true, 0, err
 		}
 		lost, err := d.eachBlock(k.hasStr, func(b block) error {
 			for i := 0; i < b.rows; i++ {
-				rec := k.fromRow(d, i)
-				if err := k.check(rec, m, pe); err == nil {
-					yield(rec)
-				} else if tolerant {
-					skipped++
-				} else {
+				if err := admit(d, i); err != nil && !tolerant {
 					return err
+				} else if err != nil {
+					skipped++
 				}
 			}
 			return nil
@@ -118,17 +133,15 @@ func scanShard[T any](k *kind[T], dir string, pe int, m *meta, tolerant bool, yi
 }
 
 // sink is one open output file of one record kind, in one encoding: CSV
-// lines or APBF blocks. Write errors are sticky in the underlying writers
-// and surface from close.
+// lines or APBF blocks, both gathered in w's buffer. Write errors are
+// sticky in w and surface from close.
 type sink[T any] struct {
 	k      *kind[T]
 	f      *os.File
-	w      *bufio.Writer
-	bin    *binWriter // nil: CSV lines
+	w      *shardWriter
+	binary bool
 	events []string
-	buf    []byte  // CSV line scratch, initially line[:0]
 	row    []int64 // APBF row scratch
-	line   [128]byte
 }
 
 // openSink creates PE pe's shard of kind k in dir; events are the run's
@@ -142,41 +155,35 @@ func openSink[T any](k *kind[T], dir string, pe int, binary bool, events []strin
 	if err != nil {
 		return nil, fmt.Errorf("trace: %w", err)
 	}
-	s := &sink[T]{k: k, f: f, w: bufio.NewWriterSize(f, 1<<16), events: events}
-	if !binary {
-		s.buf = s.line[:0]
-	} else {
+	s := &sink[T]{k: k, f: f, w: shardWriters.Get().(*shardWriter), binary: binary, events: events}
+	s.w.start(f)
+	if binary {
 		ncols := k.cols
 		if k.counters {
 			ncols += len(events)
 		}
 		s.row = make([]int64, ncols)
-		s.bin = newBinWriter(s.w, k.binKind, ncols)
+		s.w.header(k.binKind, ncols)
 	}
 	return s, nil
 }
 
 func (s *sink[T]) put(r T) {
-	if s.bin == nil {
-		s.buf = s.k.appendCSV(s.buf[:0], r, s.events)
-		s.w.Write(s.buf)
+	if !s.binary {
+		s.w.buf = s.k.appendCSV(s.w.buf, r, s.events)
+		s.w.gathered()
 	} else if str := s.k.toRow(r, s.row); s.k.hasStr {
-		s.bin.pushStr(str, s.row...)
+		s.w.pushStr(str, s.row...)
 	} else {
-		s.bin.push(s.row...)
+		s.w.push(s.row...)
 	}
 }
 
 // close finishes the last block, flushes and closes the file - always,
 // so a failing sink never leaks its handle - and reports the first error.
 func (s *sink[T]) close() error {
-	var err error
-	if s.bin != nil {
-		err = s.bin.finish()
-	}
-	if ferr := s.w.Flush(); err == nil {
-		err = ferr
-	}
+	err := s.w.finish()
+	shardWriters.Put(s.w)
 	if cerr := s.f.Close(); err == nil {
 		err = cerr
 	}
@@ -220,22 +227,76 @@ func (ss sinks[T]) close() error {
 	return err
 }
 
-// writeShard writes PE pe's shard of kind k, in every encoding of format:
-// the n rows at(0), at(1), ..., at(n-1), asked for in that order.
-func writeShard[T any](k *kind[T], dir string, pe int, format Format, events []string, n int, at func(i int) T) error {
+// writeShardFill writes PE pe's shard of kind k, in every encoding of
+// format: the n rows at(0), at(1), ..., at(n-1), asked for in that order,
+// except that a send kind's APBF blocks, which have no row codec, are
+// filled column-wise: fill(cols, lo), lo the block's first row.
+func writeShardFill[T any](k *kind[T], dir string, pe int, format Format, events []string, n int, at func(i int) T,
+	fill func(cols [][]int64, lo int)) error {
 	out, err := openSinks(k, dir, pe, format, events)
 	if err != nil {
 		return err
 	}
-	for i := 0; i < n; i++ {
-		out.put(at(i))
+	rowSinks := out
+	if k.toRow == nil && format.binary() { // encodings puts the APBF sink last
+		bin := out[len(out)-1]
+		for lo := 0; lo < n; lo += binBlockRows {
+			fill(bin.w.block(min(binBlockRows, n-lo)), lo)
+			bin.w.flushBlock()
+		}
+		rowSinks = out[:len(out)-1]
+	}
+	for i := 0; len(rowSinks) > 0 && i < n; i++ {
+		rowSinks.put(at(i))
 	}
 	return out.close()
 }
 
-// rows is writeShard's (n, at) over the concatenation of per-PE slices,
+// dropOtherEncoding removes the trace shards dir holds in the encoding
+// format does not write (none for FormatBoth): readers prefer a .bin to a
+// .csv, so an earlier write's shard would shadow this write's or stand in
+// for one it does not write. One listing spares a rewrite in the same
+// encoding a removal per shard.
+func dropOtherEncoding(dir string, format Format) error {
+	if format == FormatBoth {
+		return nil
+	}
+	f, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("trace: %w", err)
+	}
+	names, err := f.Readdirnames(-1)
+	f.Close()
+	if err != nil {
+		return fmt.Errorf("trace: listing %s: %w", dir, err)
+	}
+	other := []string{"PE*_send.csv", "PE*_PAPI.csv", overallFile, physicalFile, segmentsFile}
+	if !format.binary() {
+		other = []string{"PE*_send.bin", "PE*_PAPI.bin", overallBinFile, physicalBinFile, segmentsBinFile}
+	}
+	for _, name := range names {
+		for _, pattern := range other {
+			if ok, _ := filepath.Match(pattern, name); ok {
+				if err := removeStale(filepath.Join(dir, name)); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// removeStale removes path if it exists.
+func removeStale(path string) error {
+	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("trace: %w", err)
+	}
+	return nil
+}
+
+// rows is writeShardFill's (n, at) over the concatenation of per-PE slices,
 // in PE order: the run-wide shards' rows. at must be asked for rows in
-// order, as writeShard does.
+// order, as writeShardFill does.
 func rows[T any](per ...[]T) (n int, at func(i int) T) {
 	for _, recs := range per {
 		n += len(recs)
@@ -252,14 +313,14 @@ func rows[T any](per ...[]T) (n int, at func(i int) T) {
 
 // consumer is what a reader plugs into walk: for each kind, a factory
 // the walker calls once per shard - on the worker about to scan it - for
-// the function that receives the shard's records. pe is -1 for the
-// run-wide files; walk opens no file of a kind whose factory is nil.
-// Shards scan concurrently, so a yield may only touch state owned by its
-// shard (a result slot) or by its worker (a partial accumulator that
-// merges commutatively).
+// the function that receives the shard's records, the send kinds' in the
+// packed form a Set holds. pe is -1 for the run-wide files; walk opens no
+// file of a kind whose factory is nil. Shards scan concurrently, so a
+// yield may only touch state owned by its shard (a result slot) or by its
+// worker (a partial accumulator that merges commutatively).
 type consumer struct {
-	logical  func(worker, pe int) func(LogicalRecord)
-	papi     func(worker, pe int) func(PAPIRecord)
+	logical  func(worker, pe int) func(LogicalSend)
+	papi     func(worker, pe int) func(PAPISend, []int64)
 	overall  func(worker, pe int) func(OverallRecord)
 	physical func(worker, pe int) func(PhysicalRecord)
 	segments func(worker, pe int) func(SegmentRecord)
@@ -278,14 +339,17 @@ type shardMark struct {
 }
 
 // scanTask appends the task that scans one shard into its result slot -
-// or nothing, when the consumer has no factory for the kind.
-func scanTask[T any](tasks []func(worker int), mark *shardMark, k *kind[T], dir string, pe int, m *meta, tolerant bool,
-	yield func(worker, pe int) func(T)) []func(worker int) {
-	if yield == nil {
+// or nothing, when the consumer has no factory f for the kind. takes
+// makes f's yield, got on the worker about to scan, into what takes the
+// shard's CSV rows and its APBF rows: rowsOf, or a send kind's packer.
+func scanTask[T, Y any](tasks []func(worker int), mark *shardMark, k *kind[T], dir string, pe int, m *meta, tolerant bool,
+	f func(worker, pe int) Y, takes func(m *meta, pe int, yield Y) (func(T), rowFunc)) []func(worker int) {
+	if f == nil {
 		return tasks
 	}
 	return append(tasks, func(w int) {
-		mark.found, mark.skipped, mark.err = scanShard(k, dir, pe, m, tolerant, yield(w, pe))
+		rows, admit := takes(m, pe, f(w, pe))
+		mark.found, mark.skipped, mark.err = scan(k, dir, pe, m, tolerant, rows, admit)
 	})
 }
 
@@ -301,14 +365,14 @@ func walk(dir string, m *meta, opts ReadOptions, c consumer) (features, int, err
 	marks := make([]shardMark, 2*n+3)
 	tasks := make([]func(worker int), 0, len(marks))
 	for pe := 0; pe < n; pe++ {
-		tasks = scanTask(tasks, &marks[pe], &logicalKind, dir, pe, m, tolerant, c.logical)
+		tasks = scanTask(tasks, &marks[pe], &logicalKind, dir, pe, m, tolerant, c.logical, logicalSends)
 	}
 	for pe := 0; pe < n; pe++ {
-		tasks = scanTask(tasks, &marks[n+pe], &papiKind, dir, pe, m, tolerant, c.papi)
+		tasks = scanTask(tasks, &marks[n+pe], &papiKind, dir, pe, m, tolerant, c.papi, papiSends)
 	}
-	tasks = scanTask(tasks, &marks[2*n], &overallKind, dir, -1, m, tolerant, c.overall)
-	tasks = scanTask(tasks, &marks[2*n+1], &physicalKind, dir, -1, m, tolerant, c.physical)
-	tasks = scanTask(tasks, &marks[2*n+2], &segmentsKind, dir, -1, m, tolerant, c.segments)
+	tasks = scanTask(tasks, &marks[2*n], &overallKind, dir, -1, m, tolerant, c.overall, rowsOf(&overallKind))
+	tasks = scanTask(tasks, &marks[2*n+1], &physicalKind, dir, -1, m, tolerant, c.physical, rowsOf(&physicalKind))
+	tasks = scanTask(tasks, &marks[2*n+2], &segmentsKind, dir, -1, m, tolerant, c.segments, rowsOf(&segmentsKind))
 	runWorkerTasks(opts.poolSize(n), tasks)
 
 	// merge folds marks, in file order, into skipped and the first error.

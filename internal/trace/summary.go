@@ -346,13 +346,13 @@ func ReadSummary(dir string, opts ReadOptions) (*Summary, int, error) {
 		partials[i] = &Summary{NumPEs: md.npes, Config: cfg}
 	}
 	have, skipped, err := walk(dir, md, opts, consumer{
-		logical: func(w, pe int) func(LogicalRecord) {
+		logical: func(w, pe int) func(LogicalSend) {
 			p := partials[w]
-			return func(r LogicalRecord) { p.foldLogical(pe, r.DstPE, r.MsgSize) }
+			return func(r LogicalSend) { p.foldLogical(pe, int(r.DstPE), int(r.MsgSize)) }
 		},
-		papi: func(w, pe int) func(PAPIRecord) {
+		papi: func(w, pe int) func(PAPISend, []int64) {
 			p := partials[w]
-			return func(r PAPIRecord) { p.addPAPI(pe, r.Counters) }
+			return func(_ PAPISend, counters []int64) { p.addPAPI(pe, counters) }
 		},
 		overall:  func(_, _ int) func(OverallRecord) { return overall.add() },
 		physical: func(w, _ int) func(PhysicalRecord) { return partials[w].foldPhysical },

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -210,19 +209,21 @@ func BuildTimeIndex(dir string) (built bool, err error) {
 	if err != nil {
 		return false, err
 	}
-	d, err := newBinReader(f, f.Name(), binKindPhysical, binPhysicalMinCols)
-	if err != nil {
-		return false, fmt.Errorf("trace: indexing %s: %w", f.Name(), err)
-	}
 	m, err := readMeta(filepath.Join(dir, MetaFile))
 	if err != nil {
 		return false, err
 	}
 	ix := &TimeIndex{dataSize: fi.Size()}
-	// pass runs the block iterator from where d stands to the end of the
-	// file; a torn tail ends it quietly.
+	// pass runs the block iterator over the file from its first block; a
+	// torn tail ends it quietly.
+	var d binReader
 	pass := func(visit func(b block) error) error {
-		if d == nil { // an empty file indexes as zero blocks
+		d.reset(io.NewSectionReader(f, 0, ix.dataSize), d.data[:0], 0, 0)
+		ok, err := d.header(f.Name(), binKindPhysical, binPhysicalMinCols)
+		if err != nil {
+			return fmt.Errorf("trace: indexing %s: %w", f.Name(), err)
+		}
+		if !ok { // an empty file indexes as zero blocks
 			return nil
 		}
 		ix.ncols = d.ncols
@@ -237,7 +238,7 @@ func BuildTimeIndex(dir string) (built bool, err error) {
 	err = pass(func(b block) error {
 		span := blockSpan{block: b, t0: math.MaxInt64, t1: math.MinInt64}
 		for i := 0; i < b.rows; i++ {
-			r := physicalFromRow(d, i)
+			r := physicalFromRow(&d, i)
 			if err := checkPhysical(r, m.npes); err != nil {
 				return err
 			}
@@ -268,12 +269,10 @@ func BuildTimeIndex(dir string) (built bool, err error) {
 
 	// Pass 2, over the records pass 1 checked: fold level 0, then halve upward.
 	if ix.nrows > 0 {
-		first := ix.blocks[0].off
-		d.seek(io.NewSectionReader(f, first, ix.dataSize-first), first, 0)
 		level0 := newLevel0(ix.TMin, ix.TMax)
 		err = pass(func(b block) error {
 			for i := 0; i < b.rows; i++ {
-				r := physicalFromRow(d, i)
+				r := physicalFromRow(&d, i)
 				level0.add(ix.TMin, ix.Domain.stamp(b.rowBase+int64(i), r), r)
 			}
 			return nil
@@ -312,44 +311,29 @@ func buildPyramid(level0 pyramidLevel) []pyramidLevel {
 
 // writeTimeIndex encodes ix and atomically replaces physical.idx.
 func writeTimeIndex(dir string, ix *TimeIndex) error {
-	var buf bytes.Buffer
-	buf.WriteString(aptxMagic)
-	buf.WriteByte(aptxVersion)
-	buf.WriteByte(byte(ix.Domain))
-	var tmp [binary.MaxVarintLen64]byte
-	putU := func(u uint64) { buf.Write(tmp[:binary.PutUvarint(tmp[:], u)]) }
-	putZ := func(v int64) { putU(zigzag(v)) }
-	putU(uint64(ix.ncols))
-	putU(uint64(ix.dataSize))
-	putU(uint64(ix.nrows))
-	putU(uint64(len(ix.blocks)))
+	buf := append([]byte(aptxMagic), aptxVersion, byte(ix.Domain))
+	put := func(us ...uint64) {
+		for _, u := range us {
+			buf = binary.AppendUvarint(buf, u)
+		}
+	}
+	put(uint64(ix.ncols), uint64(ix.dataSize), uint64(ix.nrows), uint64(len(ix.blocks)))
 	for _, b := range ix.blocks {
-		putU(uint64(b.off))
-		putU(uint64(b.length))
-		putU(uint64(b.rows))
-		putZ(b.t0)
-		putZ(b.t1)
+		put(uint64(b.off), uint64(b.length), uint64(b.rows), zigzag(b.t0), zigzag(b.t1))
 	}
-	putZ(ix.TMin)
-	putZ(ix.TMax)
+	width0 := int64(0)
 	if len(ix.levels) > 0 {
-		putU(uint64(ix.levels[0].width))
-	} else {
-		putU(0)
+		width0 = ix.levels[0].width
 	}
-	putU(uint64(len(ix.levels)))
+	put(zigzag(ix.TMin), zigzag(ix.TMax), uint64(width0), uint64(len(ix.levels)))
 	for _, lvl := range ix.levels {
-		putU(uint64(len(lvl.buckets)))
+		put(uint64(len(lvl.buckets)))
 		for _, b := range lvl.buckets {
-			putU(uint64(b.Count))
-			putU(uint64(b.Bytes))
-			putU(uint64(b.Kinds[0]))
-			putU(uint64(b.Kinds[1]))
-			putU(uint64(b.Kinds[2]))
+			put(uint64(b.Count), uint64(b.Bytes), uint64(b.Kinds[0]), uint64(b.Kinds[1]), uint64(b.Kinds[2]))
 		}
 	}
 	tmpPath := filepath.Join(dir, timeIndexFile+".tmp")
-	if err := os.WriteFile(tmpPath, buf.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(tmpPath, buf, 0o644); err != nil {
 		return fmt.Errorf("trace: writing time index: %w", err)
 	}
 	if err := os.Rename(tmpPath, filepath.Join(dir, timeIndexFile)); err != nil {
@@ -403,91 +387,63 @@ func decodeTimeIndex(raw []byte, path string) (*TimeIndex, error) {
 	bad := func(format string, args ...any) error {
 		return fmt.Errorf("trace: %s: %s", path, fmt.Sprintf(format, args...))
 	}
-	r := bytes.NewReader(raw)
-	hdr := make([]byte, len(aptxMagic)+2)
-	if _, err := io.ReadFull(r, hdr); err != nil {
+	hdr := len(aptxMagic) + 2
+	if len(raw) < hdr {
 		return nil, bad("truncated index header")
 	}
-	if string(hdr[:len(aptxMagic)]) != aptxMagic {
-		return nil, bad("bad magic %q in index header", hdr[:len(aptxMagic)])
+	if string(raw[:len(aptxMagic)]) != aptxMagic {
+		return nil, bad("bad magic %q in index header", raw[:len(aptxMagic)])
 	}
-	if hdr[len(aptxMagic)] != aptxVersion {
-		return nil, bad("unsupported index version %d (want %d)", hdr[len(aptxMagic)], aptxVersion)
+	if raw[len(aptxMagic)] != aptxVersion {
+		return nil, bad("unsupported index version %d (want %d)", raw[len(aptxMagic)], aptxVersion)
 	}
-	domain := ClockDomain(hdr[len(aptxMagic)+1])
+	domain := ClockDomain(raw[len(aptxMagic)+1])
 	if domain != DomainSequence && domain != DomainCycles {
 		return nil, bad("unknown clock domain %d", domain)
 	}
-	getU := func(what string) (uint64, error) {
-		u, err := binary.ReadUvarint(r)
-		if err != nil {
-			return 0, bad("truncated index: %s", what)
+	// get decodes the next varint off raw; the first failure sticks and
+	// names the field it cut.
+	p, cut := hdr, ""
+	get := func(what string) uint64 {
+		u, next, err := uvarint(raw, p)
+		if err != nil && cut == "" {
+			cut = what
 		}
-		return u, nil
+		p = next
+		return u
 	}
-	getZ := func(what string) (int64, error) {
-		u, err := getU(what)
-		return unzigzag(u), err
-	}
+	truncated := func() error { return bad("truncated index: %s", cut) }
 	ix := &TimeIndex{Domain: domain}
-	ncols, err := getU("ncols")
-	if err != nil {
-		return nil, err
-	}
-	if ncols > maxBinCols {
+	ncols, dataSize, nrows, nblocks := get("ncols"), get("data size"), get("row count"), get("block count")
+	switch {
+	case cut != "":
+		return nil, truncated()
+	case ncols > maxBinCols:
 		return nil, bad("index claims %d data columns (max %d)", ncols, maxBinCols)
+	case nblocks > uint64(len(raw)-p)/5 || int64(nblocks) > int64(dataSize)/2+1:
+		// A block takes five index bytes and two data bytes at least: both
+		// bound the table before it is sized.
+		return nil, bad("index claims %d blocks over a %d-byte data file", nblocks, int64(dataSize))
 	}
-	ix.ncols = int(ncols)
-	dataSize, err := getU("data size")
-	if err != nil {
-		return nil, err
-	}
-	ix.dataSize = int64(dataSize)
-	nrows, err := getU("row count")
-	if err != nil {
-		return nil, err
-	}
-	ix.nrows = int64(nrows)
-	nblocks, err := getU("block count")
-	if err != nil {
-		return nil, err
-	}
-	if int64(nblocks) > ix.dataSize/2+1 {
-		return nil, bad("index claims %d blocks over a %d-byte data file", nblocks, ix.dataSize)
-	}
+	ix.ncols, ix.dataSize, ix.nrows = int(ncols), int64(dataSize), int64(nrows)
 	ix.blocks = make([]blockSpan, nblocks)
-	var prevEnd int64
-	var rowBase int64
+	var prevEnd, rowBase int64
 	for i := range ix.blocks {
 		b := &ix.blocks[i]
-		off, err := getU("block offset")
-		if err != nil {
-			return nil, err
+		off, length, rows := get("block offset"), get("block length"), get("block rows")
+		b.t0, b.t1 = unzigzag(get("block span")), unzigzag(get("block span"))
+		if cut != "" {
+			return nil, truncated()
 		}
-		length, err := getU("block length")
-		if err != nil {
-			return nil, err
-		}
-		rows, err := getU("block rows")
-		if err != nil {
-			return nil, err
-		}
-		if b.t0, err = getZ("block span"); err != nil {
-			return nil, err
-		}
-		if b.t1, err = getZ("block span"); err != nil {
-			return nil, err
-		}
-		b.off, b.length, b.rows = int64(off), int64(length), int(rows)
-		b.rowBase = rowBase
-		if b.rows <= 0 || b.rows > maxBinRows {
+		b.off, b.length, b.rows, b.rowBase = int64(off), int64(length), int(rows), rowBase
+		switch {
+		case b.rows <= 0 || b.rows > maxBinRows:
 			return nil, bad("block %d claims %d rows (max %d)", i, b.rows, maxBinRows)
-		}
-		if b.off < prevEnd || b.length <= 0 || b.off+b.length > ix.dataSize {
-			return nil, bad("block %d extent [%d, %d) escapes the %d-byte data file",
-				i, b.off, b.off+b.length, ix.dataSize)
-		}
-		if b.t0 > b.t1 {
+		case int64(b.rows)*int64(ix.ncols) > b.length:
+			return nil, bad("block %d claims %d rows of %d columns in %d bytes", i, b.rows, ix.ncols, b.length)
+		case b.off < prevEnd || b.length <= 0 || b.off+b.length > ix.dataSize:
+			return nil, bad("block %d extent [%d, %d) escapes the %d-byte data file", i, b.off, b.off+b.length, ix.dataSize)
+		case b.t0 > b.t1:
 			return nil, bad("block %d span [%d, %d] is inverted", i, b.t0, b.t1)
 		}
 		prevEnd = b.off + b.length
@@ -496,32 +452,22 @@ func decodeTimeIndex(raw []byte, path string) (*TimeIndex, error) {
 	if rowBase != ix.nrows {
 		return nil, bad("blocks hold %d rows, header claims %d", rowBase, ix.nrows)
 	}
-	if ix.TMin, err = getZ("tmin"); err != nil {
-		return nil, err
-	}
-	if ix.TMax, err = getZ("tmax"); err != nil {
-		return nil, err
-	}
-	width0, err := getU("bucket width")
-	if err != nil {
-		return nil, err
-	}
-	nlevels, err := getU("level count")
-	if err != nil {
-		return nil, err
-	}
-	if nlevels > 64 {
+	ix.TMin, ix.TMax = unzigzag(get("tmin")), unzigzag(get("tmax"))
+	width0, nlevels := get("bucket width"), get("level count")
+	switch {
+	case cut != "":
+		return nil, truncated()
+	case nlevels > 64:
 		return nil, bad("index claims %d pyramid levels", nlevels)
-	}
-	if nlevels > 0 && (width0 == 0 || ix.TMin > ix.TMax) {
+	case nlevels > 0 && (width0 == 0 || ix.TMin > ix.TMax):
 		return nil, bad("pyramid over an empty span")
 	}
 	ix.levels = make([]pyramidLevel, nlevels)
 	width := int64(width0)
 	for l := range ix.levels {
-		nb, err := getU("bucket count")
-		if err != nil {
-			return nil, err
+		nb := get("bucket count")
+		if cut != "" {
+			return nil, truncated()
 		}
 		if nb > pyramidBase {
 			return nil, bad("level %d claims %d buckets (max %d)", l, nb, pyramidBase)
@@ -529,23 +475,20 @@ func decodeTimeIndex(raw []byte, path string) (*TimeIndex, error) {
 		lvl := pyramidLevel{width: width, buckets: make([]PyramidBucket, nb)}
 		for i := range lvl.buckets {
 			b := &lvl.buckets[i]
-			vals := []*int64{&b.Count, &b.Bytes, &b.Kinds[0], &b.Kinds[1], &b.Kinds[2]}
-			for _, p := range vals {
-				u, err := getU("bucket")
-				if err != nil {
-					return nil, err
-				}
-				*p = int64(u)
-				if *p < 0 {
+			for _, v := range []*int64{&b.Count, &b.Bytes, &b.Kinds[0], &b.Kinds[1], &b.Kinds[2]} {
+				if *v = int64(get("bucket")); *v < 0 {
 					return nil, bad("negative bucket value at level %d", l)
 				}
+			}
+			if cut != "" {
+				return nil, truncated()
 			}
 		}
 		ix.levels[l] = lvl
 		width *= 2
 	}
-	if r.Len() != 0 {
-		return nil, bad("%d trailing bytes after index", r.Len())
+	if p != len(raw) {
+		return nil, bad("%d trailing bytes after index", len(raw)-p)
 	}
 	return ix, nil
 }

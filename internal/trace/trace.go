@@ -11,13 +11,17 @@
 //	-DENABLE_TCOMM_PROFILING  -> Config.Overall
 //	-DENABLE_TRACE_PHYSICAL   -> Config.Physical
 //
-// File formats (paper Section III):
+// File formats (paper Section III), written with Config.Format =
+// FormatCSV:
 //
 //	PEi_send.csv : srcNode,srcPE,dstNode,dstPE,msgSize            (per logical send)
 //	PEi_PAPI.csv : srcNode,srcPE,dstNode,dstPE,pktSize,MAILBOXID,NUM_SENDS,<counters...>
 //	overall.txt  : Absolute [PEi] TCOMM_PROFILING (T_MAIN, T_COMM, T_PROC)
 //	               Relative [PEi] TCOMM_PROFILING (m, c, p)
 //	physical.txt : sendType,bufBytes,srcPE,dstPE
+//
+// By default a trace directory holds the same records as APBF, the
+// binary columnar *.bin siblings (binary.go). Readers sniff each file.
 package trace
 
 import (
@@ -54,9 +58,9 @@ type Config struct {
 	// future work; totals-based analyses scale the counts back up.
 	LogicalSample int
 	// Format selects the on-disk representation WriteFiles produces: the
-	// paper's CSV/text formats (the default), the compact binary columnar
-	// format, or both side by side. Readers auto-detect the format per
-	// file, so this only affects the writer.
+	// compact binary columnar APBF format (the zero value), the paper's
+	// CSV/text formats (FormatCSV), or both side by side. Readers
+	// auto-detect the format per file, so this only affects the writer.
 	Format Format
 	// Aggregate folds records into per-(src,dst) matrices at collection
 	// time instead of materializing them: the collector keeps an
@@ -72,12 +76,13 @@ type Config struct {
 type Format uint8
 
 const (
+	// FormatBinary, the zero Format, writes the compact binary columnar
+	// APBF files (PEi_send.bin, PEi_PAPI.bin, overall.bin, physical.bin,
+	// segments.bin).
+	FormatBinary Format = iota
 	// FormatCSV writes the paper's text formats (PEi_send.csv,
-	// PEi_PAPI.csv, overall.txt, physical.txt, segments.txt).
-	FormatCSV Format = iota
-	// FormatBinary writes the compact binary columnar *.bin siblings
-	// (PEi_send.bin, ..., physical.bin) instead.
-	FormatBinary
+	// PEi_PAPI.csv, overall.txt, physical.txt, segments.txt) instead.
+	FormatCSV
 	// FormatBoth writes both representations.
 	FormatBoth
 )
@@ -86,16 +91,16 @@ func (f Format) binary() bool { return f == FormatBinary || f == FormatBoth }
 
 // encodings lists what the format writes, as the sinks' binary flag.
 func (f Format) encodings() []bool {
-	return [...][]bool{FormatCSV: {false}, FormatBinary: {true}, FormatBoth: {false, true}}[f]
+	return [...][]bool{FormatBinary: {true}, FormatCSV: {false}, FormatBoth: {false, true}}[f]
 }
 
 // String names the format as the -format CLI flags spell it.
 func (f Format) String() string {
 	switch f {
-	case FormatCSV:
-		return "csv"
 	case FormatBinary:
 		return "binary"
+	case FormatCSV:
+		return "csv"
 	case FormatBoth:
 		return "both"
 	}
@@ -105,10 +110,10 @@ func (f Format) String() string {
 // ParseFormat parses a -format flag value.
 func ParseFormat(s string) (Format, error) {
 	switch s {
-	case "csv", "":
-		return FormatCSV, nil
-	case "binary", "bin":
+	case "binary", "bin", "":
 		return FormatBinary, nil
+	case "csv":
+		return FormatCSV, nil
 	case "both":
 		return FormatBoth, nil
 	}

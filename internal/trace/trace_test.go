@@ -35,13 +35,15 @@ func TestConfigAny(t *testing.T) {
 	}
 }
 
-// buildSet fabricates a small, fully-populated trace set.
+// buildSet fabricates a small, fully-populated trace set. It asks for
+// the paper's text layout: the tests that take it name CSV files.
 func buildSet(t *testing.T) *Set {
 	t.Helper()
 	m := machine(4, 2)
 	c, err := NewCollector(Config{
 		Logical: true, Physical: true, Overall: true,
 		PAPIEvents: []papi.Event{papi.TOT_INS, papi.LST_INS},
+		Format:     FormatCSV,
 	}, m)
 	if err != nil {
 		t.Fatal(err)

@@ -2,9 +2,9 @@ package trace
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 
 	"actorprof/internal/conveyor"
@@ -92,26 +92,37 @@ func (ix *TimeIndex) Query(dir string, q Window) (*WindowResult, error) {
 		return nil, err
 	}
 	defer f.Close()
-	// The header is what precedes the first block; only it is read here.
-	d, err := newBinReader(io.NewSectionReader(f, 0, ix.blocks[0].off), f.Name(), binKindPhysical, binPhysicalMinCols)
+	// The header is what precedes the first block, and then each block
+	// the window meets is read: exactly its extent.
+	buf := make([]byte, ix.blocks[0].off)
+	if _, err := f.ReadAt(buf, 0); err != nil {
+		return nil, err
+	}
+	var d binReader
+	d.reset(nil, buf, 0, 0)
+	ok, err := d.header(f.Name(), binKindPhysical, binPhysicalMinCols)
 	if err != nil {
 		return nil, err
 	}
-	if d == nil || d.ncols != ix.ncols {
+	if !ok || d.ncols != ix.ncols {
 		return nil, fmt.Errorf("trace: %s: header no longer matches the index built over it", f.Name())
 	}
 	for _, b := range ix.blocks {
 		if b.t1 < q.T0 || b.t0 >= q.T1 {
 			continue
 		}
-		d.seek(io.NewSectionReader(f, b.off, b.length), b.off, b.rowBase)
+		buf = slices.Grow(buf[:0], int(b.length))[:b.length]
+		if _, err := f.ReadAt(buf, b.off); err != nil {
+			return nil, err
+		}
+		d.reset(nil, buf, b.off, b.rowBase)
 		if _, err := d.eachBlock(false, func(at block) error {
 			if at != b.block {
 				return fmt.Errorf("trace: %s: bytes at %d decode as %d rows in %d bytes, the index says %d in %d",
 					f.Name(), b.off, at.rows, at.length, b.rows, b.length)
 			}
 			for i := 0; i < at.rows; i++ {
-				r := physicalFromRow(d, i)
+				r := physicalFromRow(&d, i)
 				if err := checkPhysical(r, ix.npes); err != nil {
 					return err
 				}
