@@ -1,7 +1,6 @@
 // Command actorprof is the ActorProf visualization utility: it renders
-// the trace files a profiled run produced (PEi_send.csv, PEi_PAPI.csv,
-// overall.txt, physical.txt) as terminal plots and, optionally, SVG
-// documents.
+// the trace directory a profiled run produced as terminal plots and,
+// optionally, SVG documents.
 //
 // It mirrors the paper's run-time flags:
 //
@@ -20,13 +19,17 @@
 //
 //	actorprof [flags] <trace-dir>
 //	actorprof export [-out file] [-timeline file.svg] [-index] <trace-dir>
+//	actorprof import <paper-dir> <out-dir>
 //
 // With no plot flags, every plot the trace directory supports is
 // rendered. The export subcommand writes the physical trace in Google
 // Trace Event JSON (a paper future-work item) as a full-model Perfetto /
 // chrome://tracing document (durations, counters, process metadata),
 // can rebuild the time-index sidecar (-index), and can render the
-// windowed activity timeline as SVG (-timeline).
+// windowed activity timeline as SVG (-timeline). The import subcommand
+// turns a directory that holds only the paper's text layout
+// (PEi_send.csv, PEi_PAPI.csv, overall.txt, physical.txt) into one the
+// readers open: APBF, with the paper's layout written again beside it.
 package main
 
 import (
@@ -60,7 +63,6 @@ func runExport(args []string) error {
 		timeline = fs.String("timeline", "", "also render the activity timeline SVG to this file")
 		lod      = fs.Int("lod", 1, "pyramid level of detail for -timeline (>= 1)")
 		index    = fs.Bool("index", false, "(re)build the time-index sidecar (physical.idx) before exporting")
-		workers  = fs.Int("workers", 0, "parallel trace-parse workers (0 = GOMAXPROCS)")
 	)
 	fs.Usage = func() {
 		fmt.Fprintln(fs.Output(), "usage: actorprof export [-out file] [-timeline file.svg] [-index] <trace-dir>")
@@ -85,7 +87,7 @@ func runExport(args []string) error {
 		}
 	}
 
-	phys, _, err := trace.ReadPhysical(dir, trace.ReadOptions{Workers: *workers})
+	phys, _, err := trace.ReadPhysical(dir, trace.ReadOptions{})
 	if err != nil {
 		return fmt.Errorf("reading trace directory %s: %w", dir, err)
 	}
@@ -143,12 +145,37 @@ func runExport(args []string) error {
 	return nil
 }
 
+// runImport is the "actorprof import <paper-dir> <out-dir>" subcommand:
+// it reads a directory in the paper's text layout - one written before
+// APBF was the encoding the readers open, or by another tool - and
+// writes it to out-dir as a trace directory, the paper's layout beside
+// the APBF files. A line it cannot admit is skipped and counted.
+func runImport(args []string) error {
+	if len(args) != 2 {
+		fmt.Fprintln(os.Stderr, "usage: actorprof import <paper-dir> <out-dir>")
+		return fmt.Errorf("expected a paper-layout directory and an output directory, got %d args", len(args))
+	}
+	set, skipped, err := trace.ImportPaper(args[0])
+	if err != nil {
+		return fmt.Errorf("importing %s: %w", args[0], err)
+	}
+	set.Config.Format = trace.FormatCSV
+	if err := set.WriteFiles(args[1]); err != nil {
+		return err
+	}
+	fmt.Printf("imported %s into %s (%d PEs, %d lines skipped)\n", args[0], args[1], set.NumPEs, skipped)
+	return nil
+}
+
 func run(args []string) error {
 	if len(args) > 0 && args[0] == "export" {
 		return runExport(args[1:])
 	}
 	if len(args) > 0 && args[0] == "whatif" {
 		return runWhatIf(args[1:])
+	}
+	if len(args) > 0 && args[0] == "import" {
+		return runImport(args[1:])
 	}
 	fs := flag.NewFlagSet("actorprof", flag.ContinueOnError)
 	var (
@@ -159,7 +186,6 @@ func run(args []string) error {
 		violins   = fs.Bool("violin", false, "render quartile violin plots")
 		svgDir    = fs.String("svg", "", "directory to also write SVG files into")
 		eventName = fs.String("event", "PAPI_TOT_INS", "PAPI event for -lp")
-		workers   = fs.Int("workers", 0, "parallel trace-parse workers (0 = GOMAXPROCS)")
 	)
 	fs.Usage = func() {
 		fmt.Fprintln(fs.Output(), "usage: actorprof [-l] [-lp] [-s] [-p] [-violin] [-svg dir] <trace-dir>")
@@ -176,7 +202,7 @@ func run(args []string) error {
 
 	// Every standard plot consumes only aggregate matrices, so the trace
 	// is folded into an O(PEs^2) Summary while it streams off disk.
-	set, _, err := trace.ReadSummary(dir, trace.ReadOptions{Workers: *workers})
+	set, _, err := trace.ReadSummary(dir, trace.ReadOptions{})
 	if err != nil {
 		return fmt.Errorf("reading trace directory %s: %w", dir, err)
 	}
@@ -189,15 +215,15 @@ func run(args []string) error {
 	if !all {
 		switch {
 		case *logical && !set.Config.Logical:
-			return fmt.Errorf("trace %s has no logical trace (-l needs PEi_send.csv files; enable trace.Config.Logical)", dir)
+			return fmt.Errorf("trace %s has no logical trace (-l needs PEi_send files; enable trace.Config.Logical)", dir)
 		case *physical && !set.Config.Physical:
-			return fmt.Errorf("trace %s has no physical trace (-p needs physical.txt; enable trace.Config.Physical)", dir)
+			return fmt.Errorf("trace %s has no physical trace (-p needs a physical file; enable trace.Config.Physical)", dir)
 		case *violins && !set.Config.Logical && !set.Config.Physical:
 			return fmt.Errorf("trace %s has neither logical nor physical records; nothing to plot with -violin", dir)
 		case *papiBar && len(set.Config.PAPIEvents) == 0:
-			return fmt.Errorf("trace %s has no PAPI events (-lp needs PEi_PAPI.csv files and papi_events in the meta file)", dir)
+			return fmt.Errorf("trace %s has no PAPI events (-lp needs PEi_PAPI files and papi_events in the meta file)", dir)
 		case *overall && !set.Config.Overall:
-			return fmt.Errorf("trace %s has no overall breakdown (-s needs overall.txt; enable trace.Config.Overall)", dir)
+			return fmt.Errorf("trace %s has no overall breakdown (-s needs an overall file; enable trace.Config.Overall)", dir)
 		}
 	} else if !set.Config.Logical && !set.Config.Physical && !set.Config.Overall &&
 		len(set.Config.PAPIEvents) == 0 {
@@ -245,7 +271,7 @@ func run(args []string) error {
 		}
 	}
 	if all || *papiBar {
-		// Named user segments (segments.txt), when the trace has any.
+		// Named user segments, when the trace has any.
 		hasSegs := false
 		for _, recs := range set.Segments {
 			if len(recs) > 0 {

@@ -10,10 +10,11 @@ import (
 	"actorprof/internal/apps"
 	"actorprof/internal/core"
 	"actorprof/internal/sim"
+	"actorprof/internal/trace"
 )
 
 // writeTrace produces a real trace directory for the CLI to consume.
-func writeTrace(t *testing.T) string {
+func writeTrace(t *testing.T, format trace.Format) string {
 	t.Helper()
 	dir := t.TempDir()
 	set, err := core.Run(core.Options{
@@ -28,6 +29,7 @@ func writeTrace(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	set.Config.Format = format
 	if err := set.WriteFiles(dir); err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +69,7 @@ func capture(t *testing.T, fn func() error) string {
 }
 
 func TestCLIAllPlots(t *testing.T) {
-	dir := writeTrace(t)
+	dir := writeTrace(t, trace.FormatBinary)
 	out := capture(t, func() error { return run([]string{dir}) })
 	for _, want := range []string{
 		"Logical Trace", "Physical Trace", "quartiles",
@@ -80,7 +82,7 @@ func TestCLIAllPlots(t *testing.T) {
 }
 
 func TestCLISelectedPlotOnly(t *testing.T) {
-	dir := writeTrace(t)
+	dir := writeTrace(t, trace.FormatBinary)
 	out := capture(t, func() error { return run([]string{"-s", dir}) })
 	if !strings.Contains(out, "Overall breakdown") {
 		t.Error("missing overall plot")
@@ -91,7 +93,7 @@ func TestCLISelectedPlotOnly(t *testing.T) {
 }
 
 func TestCLISVGOutput(t *testing.T) {
-	dir := writeTrace(t)
+	dir := writeTrace(t, trace.FormatBinary)
 	svgDir := t.TempDir()
 	capture(t, func() error { return run([]string{"-l", "-s", "-lp", "-p", "-violin", "-svg", svgDir, dir}) })
 	for _, f := range []string{
@@ -112,7 +114,7 @@ func TestCLISVGOutput(t *testing.T) {
 }
 
 func TestCLIExport(t *testing.T) {
-	dir := writeTrace(t)
+	dir := writeTrace(t, trace.FormatBinary)
 	jsonPath := filepath.Join(t.TempDir(), "events.json")
 	capture(t, func() error { return run([]string{"export", "-out", jsonPath, dir}) })
 	data, err := os.ReadFile(jsonPath)
@@ -134,65 +136,98 @@ func TestCLIDegenerateTraceDirs(t *testing.T) {
 	// Empty, partial, and truncated trace directories must produce a
 	// friendly error (or a clean zero-data render), never a panic.
 	meta := "num_PEs 4\nPEs_per_node 2\n"
+	// written writes a 4-PE Set of cfg's kinds, with the one overall
+	// record it asks for, and cuts the last byte off torn (a shard
+	// written, "" for none).
+	written := func(cfg trace.Config, torn string) func(t *testing.T, dir string) {
+		return func(t *testing.T, dir string) {
+			s := trace.NewSet(cfg, 4, 2)
+			s.Logical[0] = []trace.LogicalSend{{DstPE: 1, MsgSize: 8}}
+			s.Overall = []trace.OverallRecord{{PE: 0, TMain: 1, TComm: 2, TProc: 3, TTotal: 6}}
+			if err := s.WriteFiles(dir); err != nil {
+				t.Fatal(err)
+			}
+			if torn == "" {
+				return
+			}
+			path := filepath.Join(dir, torn)
+			fi, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Truncate(path, fi.Size()-1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	metaOnly := func(t *testing.T, dir string) {
+		if err := os.WriteFile(filepath.Join(dir, "actorprof_meta.txt"), []byte(meta), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
 	cases := []struct {
 		name    string
-		files   map[string]string
+		write   func(t *testing.T, dir string)
 		args    []string
 		wantErr string // "" = must succeed
 	}{
 		{
 			name:    "empty dir",
-			files:   map[string]string{},
+			write:   func(*testing.T, string) {},
 			args:    nil,
 			wantErr: "reading trace directory",
 		},
 		{
 			name:    "meta only, default plots",
-			files:   map[string]string{"actorprof_meta.txt": meta},
+			write:   metaOnly,
 			args:    nil,
 			wantErr: "no renderable data",
 		},
 		{
 			name:    "meta only, violin requested",
-			files:   map[string]string{"actorprof_meta.txt": meta},
+			write:   metaOnly,
 			args:    []string{"-violin"},
 			wantErr: "nothing to plot",
 		},
 		{
 			name:    "no overall, -s requested",
-			files:   map[string]string{"actorprof_meta.txt": meta, "PE0_send.csv": ""},
+			write:   written(trace.Config{Logical: true}, ""),
 			args:    []string{"-s"},
 			wantErr: "no overall breakdown",
 		},
 		{
 			name:    "no PAPI, -lp requested",
-			files:   map[string]string{"actorprof_meta.txt": meta, "PE0_send.csv": ""},
+			write:   written(trace.Config{Logical: true}, ""),
 			args:    []string{"-lp"},
 			wantErr: "no PAPI events",
 		},
 		{
 			name:    "no physical, export requested",
-			files:   map[string]string{"actorprof_meta.txt": meta, "PE0_send.csv": ""},
+			write:   written(trace.Config{Logical: true}, ""),
 			args:    []string{"export"},
 			wantErr: "nothing to export",
 		},
 		{
 			name:    "truncated logical line",
-			files:   map[string]string{"actorprof_meta.txt": meta, "PE0_send.csv": "0,0,1"},
+			write:   written(trace.Config{Logical: true}, "PE0_send.bin"),
 			args:    []string{"-l"},
 			wantErr: "reading trace directory",
 		},
 		{
 			name:    "truncated overall line",
-			files:   map[string]string{"actorprof_meta.txt": meta, "overall.txt": "Absolute [PE0] TCOMM_PROFILING (1, 2"},
+			write:   written(trace.Config{Overall: true}, "overall.bin"),
 			args:    []string{"-s"},
 			wantErr: "reading trace directory",
 		},
 		{
 			// No sends at all: all-zero violins must render, not crash
 			// (the historical stats.Summarize empty-input panic path).
-			name:    "empty csv renders zero plots",
-			files:   map[string]string{"actorprof_meta.txt": meta, "PE0_send.csv": "", "physical.txt": ""},
+			name: "empty csv renders zero plots",
+			write: func(t *testing.T, dir string) {
+				if err := trace.NewSet(trace.Config{Logical: true, Physical: true}, 4, 2).WriteFiles(dir); err != nil {
+					t.Fatal(err)
+				}
+			},
 			args:    []string{"-violin"},
 			wantErr: "",
 		},
@@ -200,11 +235,7 @@ func TestCLIDegenerateTraceDirs(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			for name, content := range tc.files {
-				if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
+			tc.write(t, dir)
 			var err error
 			out := capture(t, func() error {
 				err = run(append(append([]string(nil), tc.args...), dir))
@@ -226,6 +257,51 @@ func TestCLIDegenerateTraceDirs(t *testing.T) {
 	}
 }
 
+// TestCLIImport: a directory holding only the paper's text layout is
+// imported into one the readers open, which renders the plots the
+// original renders and holds the same text files, byte for byte.
+func TestCLIImport(t *testing.T) {
+	orig := writeTrace(t, trace.FormatCSV)
+	paper, out := t.TempDir(), filepath.Join(t.TempDir(), "imported")
+	entries, err := os.ReadDir(orig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var text []string
+	for _, e := range entries {
+		if filepath.Ext(e.Name()) == ".bin" {
+			continue
+		}
+		data, err := os.ReadFile(filepath.Join(orig, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(paper, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		text = append(text, e.Name())
+	}
+	if err := run([]string{"-l", paper}); err == nil || !strings.Contains(err.Error(), "no logical trace") {
+		t.Fatalf("a paper-layout directory read as a trace directory: %v", err)
+	}
+	if msg := capture(t, func() error { return run([]string{"import", paper, out}) }); !strings.Contains(msg, "0 lines skipped") {
+		t.Fatalf("import reported %q", msg)
+	}
+	for _, name := range text {
+		want, _ := os.ReadFile(filepath.Join(orig, name))
+		got, err := os.ReadFile(filepath.Join(out, name))
+		if err != nil || string(got) != string(want) {
+			t.Errorf("%s differs after import (err %v)", name, err)
+		}
+	}
+	if a, b := capture(t, func() error { return run([]string{"-l", "-s", orig}) }), capture(t, func() error { return run([]string{"-l", "-s", out}) }); strings.SplitN(a, "\n", 2)[1] != strings.SplitN(b, "\n", 2)[1] {
+		t.Errorf("the import renders differently from the original:\n%s\nvs\n%s", b, a)
+	}
+	if err := run([]string{"import", paper}); err == nil {
+		t.Error("import accepted a single directory")
+	}
+}
+
 func TestCLIBadArguments(t *testing.T) {
 	if err := run([]string{}); err == nil {
 		t.Error("expected error for missing trace dir")
@@ -233,7 +309,7 @@ func TestCLIBadArguments(t *testing.T) {
 	if err := run([]string{"/nonexistent/trace/dir"}); err == nil {
 		t.Error("expected error for bad trace dir")
 	}
-	dir := writeTrace(t)
+	dir := writeTrace(t, trace.FormatBinary)
 	if err := run([]string{"-lp", "-event", "PAPI_BOGUS", dir}); err == nil {
 		t.Error("expected error for unknown PAPI event")
 	}

@@ -26,16 +26,16 @@ var hotPath = map[string]bool{
 	"BenchmarkPutInt64Foreign": true,
 	"BenchmarkIngestForward":   true,
 	"BenchmarkIngestDeliver":   true,
-	// Trace-pipeline I/O: the parallel sharded reader/writer in both
-	// on-disk formats, plus the per-line parse/append helpers whose
-	// zero-allocation contract the allocs/op check enforces.
+	// Trace-pipeline I/O: the parallel sharded reader/writer of both
+	// formats (APBF alone, APBF plus the paper's layout), plus the
+	// per-line append helper whose zero-allocation contract the
+	// allocs/op check enforces.
 	"BenchmarkReadSet/format=csv":        true,
 	"BenchmarkReadSet/format=binary":     true,
 	"BenchmarkWriteFiles/format=csv":     true,
 	"BenchmarkWriteFiles/format=binary":  true,
 	"BenchmarkReadSummary/format=csv":    true,
 	"BenchmarkReadSummary/format=binary": true,
-	"BenchmarkParseLogicalLine":          true,
 	"BenchmarkAppendLogicalLine":         true,
 	// Windowed trace queries: the O(window) indexed paths gate (their
 	// cost must track the window, not the trace); the full-scan

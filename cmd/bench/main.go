@@ -37,7 +37,7 @@ const hotBench = "BenchmarkPushThroughput|BenchmarkPushPullLocal|BenchmarkExchan
 	"BenchmarkCodecRoundTrip|BenchmarkSendRecvUntraced|" +
 	"BenchmarkRuntimeWork|BenchmarkLoadInt64|BenchmarkPutInt64Foreign|BenchmarkIngestForward|BenchmarkIngestDeliver|" +
 	"BenchmarkReadSet|BenchmarkWriteFiles|BenchmarkReadSummary|" +
-	"BenchmarkParseLogicalLine|BenchmarkAppendLogicalLine|" +
+	"BenchmarkAppendLogicalLine|" +
 	"BenchmarkWindowQueryEvents|BenchmarkWindowQueryPyramid|BenchmarkWindowQueryFullScan|" +
 	"BenchmarkCriticalPath|BenchmarkWhatIfReplay"
 

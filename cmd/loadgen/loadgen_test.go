@@ -3,11 +3,11 @@ package main
 import (
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"testing"
 
 	"actorprof/internal/serve"
+	"actorprof/internal/trace"
 )
 
 func newInprocForTest(t *testing.T, root string) transport {
@@ -19,23 +19,15 @@ func newInprocForTest(t *testing.T, root string) transport {
 	return &inprocTransport{h: srv.Handler()}
 }
 
-// writeMiniRun drops a minimal logical-only 2-PE trace directory, the
-// same shape internal/serve's hardening tests use.
+// writeMiniRun writes a minimal logical-only 2-PE trace directory, one
+// send per PE, the same shape internal/serve's hardening tests use.
 func writeMiniRun(t *testing.T, root, id string, salt int) {
 	t.Helper()
-	dir := filepath.Join(root, id)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	s := trace.NewSet(trace.Config{Logical: true}, 2, 2)
+	s.Logical[0] = []trace.LogicalSend{{DstPE: 1, MsgSize: int32(8 + salt%7)}}
+	s.Logical[1] = []trace.LogicalSend{{DstPE: 0, MsgSize: int32(16 + salt%5)}}
+	if err := s.WriteFiles(filepath.Join(root, id)); err != nil {
 		t.Fatal(err)
-	}
-	files := map[string]string{
-		"actorprof_meta.txt": "num_PEs 2\nPEs_per_node 2\nlogical_sample 1\n",
-		"PE0_send.csv":       fmt.Sprintf("0,0,0,1,%d\n", 8+salt%7),
-		"PE1_send.csv":       fmt.Sprintf("0,1,1,0,%d\n", 16+salt%5),
-	}
-	for name, content := range files {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 

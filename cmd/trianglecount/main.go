@@ -17,8 +17,8 @@
 //	-dist NAME    cyclic | range | block (default cyclic)
 //	-buf N        conveyor buffer items (default 64)
 //	-out DIR      trace output directory (default actorprof_trace)
-//	-format F     trace file format: binary | csv | both (default binary,
-//	              the APBF *.bin files; csv is the paper's text layout)
+//	-format F     trace file format: binary | csv (default binary, the
+//	              APBF *.bin files; csv writes the paper's text layout too)
 package main
 
 import (
@@ -51,7 +51,7 @@ func run(args []string) error {
 		dist    = fs.String("dist", "cyclic", "row distribution: cyclic | range | block")
 		buf     = fs.Int("buf", 64, "conveyor aggregation buffer (items)")
 		out     = fs.String("out", "actorprof_trace", "trace output directory")
-		format  = fs.String("format", "binary", "trace file format: binary (APBF) | csv (the paper's text layout) | both")
+		format  = fs.String("format", "binary", "trace file format: binary (APBF) | csv (APBF plus the paper's text layout)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

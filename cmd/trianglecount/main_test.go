@@ -7,14 +7,14 @@ import (
 )
 
 // TestRunEndToEnd: by default the trace is APBF; -format csv writes the
-// paper's text layout instead.
+// paper's text layout beside it.
 func TestRunEndToEnd(t *testing.T) {
 	for _, c := range []struct {
 		args  []string
 		files []string
 	}{
 		{nil, []string{"PE0_send.bin", "overall.bin", "physical.bin", "actorprof_meta.txt"}},
-		{[]string{"-format", "csv"}, []string{"PE0_send.csv", "overall.txt", "physical.txt", "actorprof_meta.txt"}},
+		{[]string{"-format", "csv"}, []string{"PE0_send.bin", "PE0_send.csv", "overall.txt", "physical.bin", "physical.txt", "actorprof_meta.txt"}},
 	} {
 		dir := filepath.Join(t.TempDir(), "trace")
 		err := run(append([]string{"-scale", "9", "-pes", "8", "-per-node", "4",

@@ -385,9 +385,10 @@ func frac(part, total int64) float64 {
 }
 
 // TestPlotsIdenticalAcrossFormats pins the binary-format acceptance
-// criterion: the same trace written as CSV and as binary columnar files
-// must render byte-identical plots - whether loaded as a full Set or
-// folded into a Summary by the streaming aggregation path.
+// criterion: the same trace written in the paper's text layout (and
+// imported from it) and as binary columnar files must render
+// byte-identical plots - whether loaded as a full Set or folded into a
+// Summary by the streaming aggregation path.
 func TestPlotsIdenticalAcrossFormats(t *testing.T) {
 	rep := caseStudy(t, 16, 16, DistCyclic)
 	csvDir, binDir := t.TempDir(), t.TempDir()
@@ -427,9 +428,9 @@ func TestPlotsIdenticalAcrossFormats(t *testing.T) {
 		return out
 	}
 
-	fromCSV, err := trace.ReadSet(csvDir)
-	if err != nil {
-		t.Fatal(err)
+	fromCSV, skipped, err := trace.ImportPaper(csvDir)
+	if err != nil || skipped != 0 {
+		t.Fatalf("ImportPaper: skipped=%d err=%v", skipped, err)
 	}
 	want := render(fromCSV)
 

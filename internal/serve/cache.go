@@ -21,12 +21,16 @@ type renderResult struct {
 // variants are cached together, so both count.
 func (r renderResult) size() int64 { return int64(len(r.data) + len(r.gz)) }
 
+// gzipMinBytes is the smallest artifact worth gzip-encoding: below it
+// the gzip framing eats most of the saving.
+const gzipMinBytes = 860
+
 // withGzip compresses res.data and attaches the gzip variant when the
-// payload is large enough to matter and compression actually shrinks it
-// by at least 10%. Called inside the render closure, so the compression
-// cost is paid once per cache entry, not per response.
-func withGzip(res renderResult, minBytes int) renderResult {
-	if len(res.data) < minBytes {
+// payload is large enough to matter (gzipMinBytes) and compression
+// actually shrinks it by at least 10%. Called inside the render closure,
+// so the compression cost is paid once per cache entry, not per response.
+func withGzip(res renderResult) renderResult {
+	if len(res.data) < gzipMinBytes {
 		return res
 	}
 	var buf bytes.Buffer

@@ -1,15 +1,18 @@
 package serve
 
 import (
+	"bytes"
 	"compress/gzip"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
+
+	"actorprof/internal/trace"
 )
 
 // getH issues a request with extra headers (and an arbitrary method)
@@ -174,14 +177,11 @@ func TestETagChangesOnLiveIngest(t *testing.T) {
 	}
 
 	// More records land in the directory.
-	f, err := os.OpenFile(filepath.Join(root, "live", "PE0_send.csv"), os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
+	set := miniSet(0)
+	set.Logical[0] = append(set.Logical[0], trace.LogicalSend{DstPE: 1, MsgSize: 64})
+	if err := set.WriteFiles(filepath.Join(root, "live")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString("1,0,0,1,64\n"); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
 
 	res3, _ := getH(t, h, "GET", path, map[string]string{"If-None-Match": etag})
 	if res3.StatusCode != 200 {
@@ -210,21 +210,23 @@ func TestParamNormalizedInETag(t *testing.T) {
 	}
 }
 
-// TestGzipSkippedForSmallOrIncompressible: a server with a huge
-// GzipMinBytes never compresses, even for willing clients.
+// TestGzipSkippedForSmallOrIncompressible: an artifact below
+// gzipMinBytes, or one gzip cannot shrink by a tenth, carries no gzip
+// variant; a large compressible one does.
 func TestGzipSkippedForSmallOrIncompressible(t *testing.T) {
-	root := t.TempDir()
-	writeRun(t, root, "run1")
-	srv, err := New(Config{Root: root, GzipMinBytes: 1 << 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, _ := getH(t, srv.Handler(), "GET", "/runs/run1/plots/logical-heatmap.svg",
-		map[string]string{"Accept-Encoding": "gzip"})
-	if enc := res.Header.Get("Content-Encoding"); enc != "" {
-		t.Errorf("Content-Encoding = %q, want identity below the gzip threshold", enc)
-	}
-	if res.StatusCode != 200 {
-		t.Errorf("status = %d", res.StatusCode)
+	random := make([]byte, 4*gzipMinBytes)
+	rand.New(rand.NewSource(1)).Read(random)
+	for _, tc := range []struct {
+		name string
+		data []byte
+		gz   bool
+	}{
+		{"small", bytes.Repeat([]byte("a"), gzipMinBytes-1), false},
+		{"incompressible", random, false},
+		{"large and compressible", bytes.Repeat([]byte("a"), gzipMinBytes), true},
+	} {
+		if res := withGzip(renderResult{data: tc.data}); (res.gz != nil) != tc.gz {
+			t.Errorf("%s: gzip variant of %d bytes, want one: %v", tc.name, len(res.gz), tc.gz)
+		}
 	}
 }

@@ -207,25 +207,26 @@ func TestWindowedEventsEndpoint(t *testing.T) {
 	}
 }
 
-// TestEventsFullScanFallback queries a CSV-format run (which cannot
-// carry a time index): the endpoint must still answer - via the exact
-// full-scan reference - and say so in both the payload and the metrics.
+// TestEventsFullScanFallback queries a run written without a time index:
+// the endpoint must still answer - via the exact full-scan reference, in
+// the cycles domain its physical records carry - and say so in both the
+// payload and the metrics.
 func TestEventsFullScanFallback(t *testing.T) {
 	srv, _ := newTestServer(t)
 	h := srv.Handler()
 	res, body := get(t, h, "/runs/run1/events?lod=1")
 	if res.StatusCode != http.StatusOK {
-		t.Fatalf("/events on CSV run: %d (%s)", res.StatusCode, body)
+		t.Fatalf("/events on an unindexed run: %d (%s)", res.StatusCode, body)
 	}
 	var got trace.WindowResult
 	if err := json.Unmarshal([]byte(body), &got); err != nil {
 		t.Fatal(err)
 	}
 	if !got.FullScan {
-		t.Error("CSV run did not report full_scan")
+		t.Error("unindexed run did not report full_scan")
 	}
-	if got.DomainName != "sequence" {
-		t.Errorf("CSV reload domain = %q, want sequence", got.DomainName)
+	if got.DomainName != "cycles" {
+		t.Errorf("unindexed run domain = %q, want cycles", got.DomainName)
 	}
 	if n := srv.Metrics().WindowFullScans(); n != 1 {
 		t.Errorf("window full scans = %d, want 1", n)

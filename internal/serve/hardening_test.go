@@ -3,30 +3,28 @@ package serve
 import (
 	"fmt"
 	"net/http"
-	"os"
 	"path/filepath"
 	"testing"
+
+	"actorprof/internal/trace"
 )
 
-// writeMiniRun writes a minimal logical-only trace directory by hand:
-// cheap enough to create hundreds of runs in a test, unlike writeRun
-// which executes a full simulated app. The salt varies file contents so
+// miniSet is a minimal logical-only 2-PE trace, one send per PE: cheap
+// enough to write hundreds of runs in a test, unlike writeRun which
+// executes a full simulated app. The salt varies the message sizes so
 // distinct runs have distinct fingerprints.
+func miniSet(salt int) *trace.Set {
+	s := trace.NewSet(trace.Config{Logical: true}, 2, 2)
+	s.Logical[0] = []trace.LogicalSend{{DstPE: 1, MsgSize: int32(8 + salt%7)}}
+	s.Logical[1] = []trace.LogicalSend{{DstPE: 0, MsgSize: int32(16 + salt%5)}}
+	return s
+}
+
+// writeMiniRun writes miniSet(salt) as the trace directory id under root.
 func writeMiniRun(t testing.TB, root, id string, salt int) {
 	t.Helper()
-	dir := filepath.Join(root, id)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := miniSet(salt).WriteFiles(filepath.Join(root, id)); err != nil {
 		t.Fatal(err)
-	}
-	files := map[string]string{
-		"actorprof_meta.txt": "num_PEs 2\nPEs_per_node 2\nlogical_sample 1\n",
-		"PE0_send.csv":       fmt.Sprintf("0,0,0,1,%d\n", 8+salt%7),
-		"PE1_send.csv":       fmt.Sprintf("0,1,1,0,%d\n", 16+salt%5),
-	}
-	for name, content := range files {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
 	}
 }
 

@@ -52,10 +52,6 @@ type Config struct {
 	// 500ms; negative disables the window so every request re-stats,
 	// which tests that rewrite a directory use for immediacy).
 	SnapshotTTL time.Duration
-	// GzipMinBytes is the smallest artifact worth gzip-encoding
-	// (default 860; non-positive keeps the default, use a huge value to
-	// effectively disable compression).
-	GzipMinBytes int
 }
 
 // defaultRunsLimit bounds how many runs one /api/runs response returns
@@ -97,9 +93,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.SnapshotTTL == 0 {
 		cfg.SnapshotTTL = 500 * time.Millisecond
-	}
-	if cfg.GzipMinBytes <= 0 {
-		cfg.GzipMinBytes = 860
 	}
 	ttl := cfg.SnapshotTTL
 	if ttl < 0 {
@@ -337,7 +330,7 @@ func (s *Server) serveArtifact(w http.ResponseWriter, r *http.Request, runID, fp
 		if err != nil {
 			return renderResult{}, err
 		}
-		return withGzip(renderResult{data: data, contentType: contentType}, s.cfg.GzipMinBytes), nil
+		return withGzip(renderResult{data: data, contentType: contentType}), nil
 	})
 	if err != nil {
 		s.fail(w, err)

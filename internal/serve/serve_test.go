@@ -37,8 +37,8 @@ func writeRun(t *testing.T, root, id string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A CSV run, which carries no time index (the binary runs are
-	// writeIndexedRun's).
+	// The paper's layout beside the APBF files, and no time index (the
+	// indexed runs are writeIndexedRun's).
 	set.Config.Format = trace.FormatCSV
 	if err := set.WriteFiles(filepath.Join(root, id)); err != nil {
 		t.Fatal(err)
@@ -140,19 +140,7 @@ func TestMissingFeatureIs404(t *testing.T) {
 	root := t.TempDir()
 	// A logical-only run: physical and overall plots must 404 with a
 	// message naming the missing feature, not 500.
-	dir := filepath.Join(root, "partial")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	meta := "num_PEs 2\nPEs_per_node 2\nlogical_sample 1\n"
-	for name, content := range map[string]string{
-		"actorprof_meta.txt": meta,
-		"PE0_send.csv":       "0,0,0,1,8\n",
-	} {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	writeMiniRun(t, root, "partial", 0)
 	srv, err := New(Config{Root: root})
 	if err != nil {
 		t.Fatal(err)

@@ -142,22 +142,8 @@ func BenchmarkReadSummary(b *testing.B) {
 	}
 }
 
-// BenchmarkParseLogicalLine guards the byte-level line parser's
-// zero-allocation guarantee (the CSV read hot path).
-func BenchmarkParseLogicalLine(b *testing.B) {
-	line := []byte("1,17,2,35,4096")
-	out := make([]int64, 0, 8)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		vals, err := parseIntsComma(line, 5, out[:0])
-		if err != nil || vals[4] != 4096 {
-			b.Fatalf("parse failed: %v %v", vals, err)
-		}
-	}
-}
-
 // BenchmarkAppendLogicalLine guards the byte-level line appender's
-// zero-allocation guarantee (the CSV write hot path).
+// zero-allocation guarantee (the paper's layout's write hot path).
 func BenchmarkAppendLogicalLine(b *testing.B) {
 	r := LogicalRecord{SrcNode: 1, SrcPE: 17, DstNode: 2, DstPE: 35, MsgSize: 4096}
 	buf := make([]byte, 0, 64)

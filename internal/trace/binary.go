@@ -12,10 +12,11 @@ import (
 )
 
 // The compact binary columnar trace format ("APBF": ActorProf Binary
-// Format). CSV is the paper's interchange format, but at Section VI
-// trace sizes its decimal-and-comma encoding costs 2-4x the bytes and
-// most of the parse time. APBF stores the same five record kinds as
-// blocks of column-major zigzag varints:
+// Format), the one encoding the readers open. CSV is the paper's
+// interchange format (paper.go), but at Section VI trace sizes its
+// decimal-and-comma encoding costs 2-4x the bytes and most of the parse
+// time. APBF stores the five record kinds as blocks of column-major
+// zigzag varints:
 //
 //	header : "APBF" | version (1 byte) | kind (1 byte) | uvarint ncols
 //	block  : uvarint nrows (>0)
@@ -23,13 +24,12 @@ import (
 //	         ncols columns, each nrows zigzag-varint int64s
 //	... blocks repeat until EOF
 //
-// The header is self-describing (readers sniff the magic, so files are
-// auto-detected regardless of extension) and versioned. Column-major
-// blocks keep same-column values adjacent, which makes the varints short
-// (PE numbers and node IDs cluster) and the decode loop branch-free per
-// column. A torn tail - a writer that stopped mid-block - is detected
-// mid-block and counted toward the tolerant reader's skipped total,
-// exactly like a torn CSV line.
+// The header is self-describing and versioned. Column-major blocks keep
+// same-column values adjacent, which makes the varints short (PE numbers
+// and node IDs cluster) and the decode loop branch-free per column. A
+// torn tail - a writer that stopped mid-block - is detected mid-block and
+// counted toward the tolerant reader's skipped total as the rows the
+// block claimed.
 const (
 	binMagic   = "APBF"
 	binVersion = 1
@@ -60,7 +60,7 @@ const (
 	binPhysicalCols    = 5
 )
 
-// Binary sibling names of the CSV trace files.
+// APBF shard names (the paper's names are in paper.go).
 func logicalBinFile(pe int) string { return fmt.Sprintf("PE%d_send.bin", pe) }
 func papiBinFile(pe int) string    { return fmt.Sprintf("PE%d_PAPI.bin", pe) }
 
@@ -74,9 +74,10 @@ func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // shardWriter writes one trace file from a byte buffer, about binBufBytes
-// at a time: CSV lines appended to it, or APBF blocks coded into it from
-// column scratch, pushed a row at a time or filled a block at a time.
-// Errors are sticky and surface from finish. shardWriters pools them.
+// at a time: the paper's lines appended to it, or APBF blocks coded into
+// it from column scratch, pushed a row at a time or filled a block at a
+// time. Errors are sticky and surface from finish. shardWriters pools
+// them.
 type shardWriter struct {
 	w    io.Writer
 	cols [][]int64
@@ -190,7 +191,7 @@ type binReader struct {
 	rowBase int64 // file-order index of the next block's first row
 	cols    [][]int64
 	strs    []string
-	row     []int64 // rowCounters' scratch, like the CSV line scratch
+	row     []int64 // rowCounters' scratch
 }
 
 var binReaders = sync.Pool{New: func() any { return new(binReader) }}
@@ -232,8 +233,8 @@ func (d *binReader) fill() error {
 }
 
 // header validates the APBF header at the start of d's bytes, leaving d
-// at the first block. An empty file reports ok == false: zero records,
-// like an empty CSV file.
+// at the first block. An empty file reports ok == false: zero records.
+// It is the one place the magic is checked.
 func (d *binReader) header(path string, wantKind byte, minCols int) (ok bool, err error) {
 	d.path = path
 	if d.src != nil {
@@ -368,12 +369,11 @@ func (d *binReader) readBlock(withStrings bool) (n, lost int, err error) {
 	return n, 0, nil
 }
 
-// The run-wide kinds' row codecs (the kind table's toRow / fromRow),
-// mirroring the CSV codecs in fastio.go.
+// The run-wide kinds' row codecs (the kind table's toRow / fromRow).
 
 // padCounters copies a record's counters into its row's counter columns.
-// Columnar blocks need a uniform width; ragged counter lists (possible
-// only in hand-edited CSV) pad with zeros / truncate.
+// Columnar blocks need a uniform width; ragged counter lists (a
+// hand-built Set's) pad with zeros / truncate.
 func padCounters(dst, src []int64) {
 	for i := copy(dst, src); i < len(dst); i++ {
 		dst[i] = 0
@@ -409,7 +409,7 @@ func physicalFromRow(d *binReader, i int) PhysicalRecord {
 	}
 	// Column 4 (virtual-clock cycles) was added after the base format
 	// shipped; files written before it simply lack the column and load
-	// with Cycles == 0, exactly as CSV does.
+	// with Cycles == 0, as an imported physical.txt does.
 	if d.ncols >= binPhysicalCols {
 		rec.Cycles = d.cols[4][i]
 	}
@@ -443,11 +443,10 @@ func segmentFromRow(d *binReader, i int) SegmentRecord {
 // packed form a Set holds (DESIGN.md §10), with no row on either side:
 // the send kinds have no row codec.
 
-// logicalSends is how a packed consumer takes PE pe's logical shard: a
-// CSV row once admitted, an APBF row straight from its block's columns.
-func logicalSends(m *meta, pe int, yield func(LogicalSend)) (func(LogicalRecord), rowFunc) {
-	rows := func(r LogicalRecord) { yield(LogicalSend{int32(r.DstPE), int32(r.MsgSize)}) }
-	return rows, func(d *binReader, i int) error {
+// logicalSends is how a packed consumer takes PE pe's logical shard: each
+// APBF row admitted straight from its block's columns.
+func logicalSends(m *meta, pe int, yield func(LogicalSend)) rowFunc {
+	return func(d *binReader, i int) error {
 		c := d.cols
 		err := admitLogical(m, pe, int(c[0][i]), int(c[1][i]), int(c[2][i]), int(c[3][i]), int(c[4][i]))
 		if err == nil {
@@ -459,11 +458,8 @@ func logicalSends(m *meta, pe int, yield func(LogicalSend)) (func(LogicalRecord)
 
 // papiSends is logicalSends for PE pe's PAPI shard. The counters yield
 // gets are the row's, valid until it returns.
-func papiSends(m *meta, pe int, yield func(PAPISend, []int64)) (func(PAPIRecord), rowFunc) {
-	rows := func(r PAPIRecord) {
-		yield(PAPISend{int32(r.DstPE), int32(r.PktSize), int32(r.MailboxID), int32(r.NumSends)}, r.Counters)
-	}
-	return rows, func(d *binReader, i int) error {
+func papiSends(m *meta, pe int, yield func(PAPISend, []int64)) rowFunc {
+	return func(d *binReader, i int) error {
 		c := d.cols
 		dst, pkt, mbox, sends := int(c[3][i]), int(c[4][i]), int(c[5][i]), int(c[6][i])
 		err := admitPAPI(m, pe, int(c[0][i]), int(c[1][i]), int(c[2][i]), dst, pkt, mbox, sends)

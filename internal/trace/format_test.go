@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -14,7 +15,7 @@ import (
 // fullSet fabricates a trace set exercising all five record kinds
 // (logical, PAPI, physical, overall, segments) across enough PEs that
 // the parallel reader actually shards. It asks for the paper's text
-// layout: the tests that take it name CSV files.
+// layout beside the APBF files, which the rim oracle imports.
 func fullSet(t *testing.T, npes int) *Set {
 	t.Helper()
 	m := machine(npes, 2)
@@ -73,7 +74,7 @@ func recordsEqual(t *testing.T, label string, a, b *Set) {
 // per-PE file is one task writing its own slot and slots merge in file
 // order.
 func TestParallelReadMatchesSequential(t *testing.T) {
-	for _, format := range []Format{FormatCSV, FormatBinary, FormatBoth} {
+	for _, format := range []Format{FormatCSV, FormatBinary} {
 		t.Run("format="+format.String(), func(t *testing.T) {
 			set := fullSet(t, 8)
 			set.Config.Format = format
@@ -81,7 +82,7 @@ func TestParallelReadMatchesSequential(t *testing.T) {
 			if err := set.WriteFiles(dir); err != nil {
 				t.Fatal(err)
 			}
-			seq, skippedSeq, err := ReadSetOptions(dir, ReadOptions{Workers: 1})
+			seq, skippedSeq, err := readSet(dir, ReadOptions{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,7 +90,7 @@ func TestParallelReadMatchesSequential(t *testing.T) {
 				t.Fatalf("sequential read skipped %d records of a clean dir", skippedSeq)
 			}
 			for _, workers := range []int{0, 2, 3, 7, 16} {
-				par, skipped, err := ReadSetOptions(dir, ReadOptions{Workers: workers})
+				par, skipped, err := readSet(dir, ReadOptions{Workers: workers})
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
@@ -111,27 +112,29 @@ func TestParallelReadTolerantSkippedStable(t *testing.T) {
 	if err := set.WriteFiles(dir); err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt two logical shards and the shared physical file.
-	for _, name := range []string{logicalFile(1), logicalFile(6)} {
+	// Corrupt two logical shards' headers (one skip each) and append a
+	// one-row block with no row to the shared physical file (one more).
+	for _, name := range []string{logicalBinFile(1), logicalBinFile(6)} {
 		p := filepath.Join(dir, name)
 		data, err := os.ReadFile(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(p, append([]byte("garbage,line\n"), data...), 0o644); err != nil {
+		data[0] ^= 0xff
+		if err := os.WriteFile(p, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	p := filepath.Join(dir, physicalFile)
+	p := filepath.Join(dir, physicalBinFile)
 	data, err := os.ReadFile(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(p, append(data, []byte("warp_send,1,2,3\n")...), 0o644); err != nil {
+	if err := os.WriteFile(p, append(data, 0x01), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	seq, skippedSeq, err := ReadSetOptions(dir, ReadOptions{Tolerant: true, Workers: 1})
+	seq, skippedSeq, err := readSet(dir, ReadOptions{Tolerant: true, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +142,7 @@ func TestParallelReadTolerantSkippedStable(t *testing.T) {
 		t.Fatalf("sequential tolerant read skipped %d, want 3", skippedSeq)
 	}
 	for _, workers := range []int{0, 2, 5} {
-		par, skipped, err := ReadSetOptions(dir, ReadOptions{Tolerant: true, Workers: workers})
+		par, skipped, err := readSet(dir, ReadOptions{Tolerant: true, Workers: workers})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -150,136 +153,119 @@ func TestParallelReadTolerantSkippedStable(t *testing.T) {
 	}
 	// Strict mode must fail on the same corruption, with any worker count.
 	for _, workers := range []int{1, 4} {
-		if _, _, err := ReadSetOptions(dir, ReadOptions{Workers: workers}); err == nil {
+		if _, _, err := readSet(dir, ReadOptions{Workers: workers}); err == nil {
 			t.Fatalf("workers=%d: strict read accepted corrupted shards", workers)
 		}
 	}
 }
 
-// TestFormatRoundTripByteIdentical is the codec equivalence proof:
-// CSV -> binary -> CSV must reproduce every text file byte for byte,
-// for all five record kinds.
-func TestFormatRoundTripByteIdentical(t *testing.T) {
-	set := fullSet(t, 6)
-	csvDir := t.TempDir()
-	if err := set.WriteFiles(csvDir); err != nil {
-		t.Fatal(err)
-	}
-
-	fromCSV, err := ReadSet(csvDir)
+// readDir maps each file of dir to its bytes.
+func readDir(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	binDir := t.TempDir()
-	fromCSV.Config.Format = FormatBinary
-	if err := fromCSV.WriteFiles(binDir); err != nil {
-		t.Fatal(err)
-	}
-	// The binary directory must hold only *.bin payloads (plus meta).
-	entries, err := os.ReadDir(binDir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	files := map[string]string{}
 	for _, e := range entries {
-		if e.Name() == MetaFile {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = string(data)
+	}
+	return files
+}
+
+// importPaper writes s in the paper's layout, copies that layout alone -
+// the text files and the meta file, no APBF file - into a fresh directory
+// and imports it, which must skip nothing. It returns the import and the
+// files s was written as.
+func importPaper(t *testing.T, s *Set) (*Set, map[string]string) {
+	t.Helper()
+	s.Config.Format = FormatCSV
+	orig, paper := t.TempDir(), t.TempDir()
+	if err := s.WriteFiles(orig); err != nil {
+		t.Fatal(err)
+	}
+	files := readDir(t, orig)
+	for name, data := range files {
+		if strings.HasSuffix(name, ".bin") {
 			continue
 		}
-		if !strings.HasSuffix(e.Name(), ".bin") {
-			t.Fatalf("binary-format write produced non-binary file %s", e.Name())
-		}
-	}
-
-	fromBin, err := ReadSet(binDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	csvDir2 := t.TempDir()
-	fromBin.Config.Format = FormatCSV
-	if err := fromBin.WriteFiles(csvDir2); err != nil {
-		t.Fatal(err)
-	}
-	files, err := os.ReadDir(csvDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range files {
-		want, err := os.ReadFile(filepath.Join(csvDir, e.Name()))
-		if err != nil {
+		if err := os.WriteFile(filepath.Join(paper, name), []byte(data), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		got, err := os.ReadFile(filepath.Join(csvDir2, e.Name()))
-		if err != nil {
-			t.Fatalf("round trip lost %s: %v", e.Name(), err)
+	}
+	imported, skipped, err := ImportPaper(paper)
+	if err != nil || skipped != 0 {
+		t.Fatalf("ImportPaper: skipped %d, err %v", skipped, err)
+	}
+	return imported, files
+}
+
+// TestFormatRoundTripByteIdentical is the rim oracle: the paper's layout
+// alone (the text files and the meta file of a FormatCSV directory),
+// imported and written again, reproduces every file of that directory
+// byte for byte, for all five record kinds - the text files, and the APBF
+// files too, since fullSet's physical records carry no clock. Written as
+// FormatBinary, the import is the same APBF files and nothing else.
+func TestFormatRoundTripByteIdentical(t *testing.T) {
+	imported, want := importPaper(t, fullSet(t, 6))
+	for _, format := range []Format{FormatCSV, FormatBinary} {
+		imported.Config.Format = format
+		dir := t.TempDir()
+		if err := imported.WriteFiles(dir); err != nil {
+			t.Fatal(err)
 		}
-		if string(got) != string(want) {
-			t.Errorf("%s differs after CSV->binary->CSV round trip:\nwant:\n%s\ngot:\n%s",
-				e.Name(), want, got)
+		got := readDir(t, dir)
+		for name, data := range want {
+			if format == FormatBinary && name != MetaFile && !strings.HasSuffix(name, ".bin") {
+				continue
+			}
+			if got[name] != data {
+				t.Errorf("%s: %s differs after import and write:\nwant:\n%q\ngot:\n%q", format, name, data, got[name])
+			}
+			delete(got, name)
+		}
+		for name := range got {
+			t.Errorf("%s: the write after import added %s", format, name)
 		}
 	}
 }
 
-// TestBinaryDetectedByContentNotName: format auto-detection sniffs the
-// magic, so binary payloads under CSV names still parse.
-func TestBinaryDetectedByContentNotName(t *testing.T) {
-	set := fullSet(t, 4)
-	binDir := t.TempDir()
-	set.Config.Format = FormatBinary
-	if err := set.WriteFiles(binDir); err != nil {
-		t.Fatal(err)
+// rewriteSet is a 2-PE trace whose PE 0 sends n times: of every kind when
+// full, of the logical and overall kinds alone (no physical trace, no
+// segments, no PAPI events) otherwise. What a directory holds after
+// WriteFiles in format is told by the arguments alone.
+func rewriteSet(format Format, n int, full bool) *Set {
+	cfg := Config{Logical: true, Overall: true, Format: format}
+	if full {
+		cfg.Physical, cfg.PAPIEvents = true, []papi.Event{papi.TOT_INS}
 	}
-	mixDir := t.TempDir()
-	renames := map[string]string{
-		"PE0_send.bin": "PE0_send.csv", "PE1_send.bin": "PE1_send.csv",
-		"PE2_send.bin": "PE2_send.csv", "PE3_send.bin": "PE3_send.csv",
-		"PE0_PAPI.bin": "PE0_PAPI.csv", "PE1_PAPI.bin": "PE1_PAPI.csv",
-		"PE2_PAPI.bin": "PE2_PAPI.csv", "PE3_PAPI.bin": "PE3_PAPI.csv",
-		"overall.bin": overallFile, "physical.bin": physicalFile,
-		"segments.bin": segmentsFile, MetaFile: MetaFile,
-	}
-	for from, to := range renames {
-		data, err := os.ReadFile(filepath.Join(binDir, from))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(mixDir, to), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	direct, err := ReadSet(binDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sniffed, err := ReadSet(mixDir)
-	if err != nil {
-		t.Fatalf("binary content under CSV names not auto-detected: %v", err)
-	}
-	recordsEqual(t, "sniffed", direct, sniffed)
-}
-
-// rewriteSet is a 2-PE trace of every kind whose PE 0 sends n times:
-// what a directory holds after WriteFiles in format is told by n alone.
-func rewriteSet(format Format, n int) *Set {
-	s := NewSet(Config{
-		Logical: true, Physical: true, Overall: true,
-		PAPIEvents: []papi.Event{papi.TOT_INS}, Format: format,
-	}, 2, 2)
+	s := NewSet(cfg, 2, 2)
 	for i := 0; i < n; i++ {
 		s.Logical[0] = append(s.Logical[0], LogicalSend{DstPE: 1, MsgSize: int32(8 + i)})
-		s.PAPI[0] = append(s.PAPI[0], PAPISend{DstPE: 1, PktSize: 8, NumSends: 1})
-		s.PAPICounters[0] = append(s.PAPICounters[0], int64(100+i))
-		s.Physical[0] = append(s.Physical[0], PhysicalRecord{Kind: conveyor.LocalSend, BufBytes: 64 * (i + 1), SrcPE: 0, DstPE: 1})
+		if full {
+			s.PAPI[0] = append(s.PAPI[0], PAPISend{DstPE: 1, PktSize: 8, NumSends: 1})
+			s.PAPICounters[0] = append(s.PAPICounters[0], int64(100+i))
+			s.Physical[0] = append(s.Physical[0], PhysicalRecord{Kind: conveyor.LocalSend, BufBytes: 64 * (i + 1), SrcPE: 0, DstPE: 1})
+		}
 	}
 	s.LogicalSendCount[0] = int64(n)
 	s.Overall = []OverallRecord{{PE: 0, TMain: int64(n), TComm: 1, TProc: 2, TTotal: int64(n) + 3}}
-	s.Segments[0] = []SegmentRecord{{PE: 0, Name: "relax", Count: int64(n), Cycles: 9, Counters: []int64{int64(n)}}}
+	if full {
+		s.Segments[0] = []SegmentRecord{{PE: 0, Name: "relax", Count: int64(n), Cycles: 9, Counters: []int64{int64(n)}}}
+	}
 	return s
 }
 
-// TestRewriteReplacesSiblingEncoding: a directory written in one
-// encoding and then in the other holds the files, and reads back the
-// records, of the second write alone - in both orders. (Readers prefer a
-// shard's .bin to its .csv, so a leftover binary shard would shadow a CSV
-// rewrite.)
+// TestRewriteReplacesSiblingEncoding: a directory written in one format
+// and then rewritten in the other - by a write that also leaves out the
+// physical trace, the segments and the PAPI events - holds the files, and
+// reads back the records and features, of the second write alone, in
+// both orders. A leftover shard of a layout, a kind or the time index the
+// second write does not produce would be read back with it.
 func TestRewriteReplacesSiblingEncoding(t *testing.T) {
 	names := func(dir string) (out []string) {
 		entries, err := os.ReadDir(dir)
@@ -294,11 +280,14 @@ func TestRewriteReplacesSiblingEncoding(t *testing.T) {
 	for _, order := range [][2]Format{{FormatBinary, FormatCSV}, {FormatCSV, FormatBinary}} {
 		t.Run(order[0].String()+"-then-"+order[1].String(), func(t *testing.T) {
 			dir, fresh := t.TempDir(), t.TempDir()
-			if err := rewriteSet(order[0], 1).WriteFiles(dir); err != nil {
+			if err := rewriteSet(order[0], 1, true).WriteFiles(dir); err != nil {
 				t.Fatal(err)
 			}
+			if built, err := BuildTimeIndex(dir); err != nil || !built {
+				t.Fatalf("BuildTimeIndex: built=%v err=%v", built, err)
+			}
 			for _, d := range []string{dir, fresh} {
-				if err := rewriteSet(order[1], 3).WriteFiles(d); err != nil {
+				if err := rewriteSet(order[1], 3, false).WriteFiles(d); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -314,6 +303,16 @@ func TestRewriteReplacesSiblingEncoding(t *testing.T) {
 				t.Fatal(err)
 			}
 			recordsEqual(t, "rewritten", want, got)
+			if !reflect.DeepEqual(got.Config, want.Config) {
+				t.Fatalf("the rewritten directory reads as %+v, a fresh write as %+v", got.Config, want.Config)
+			}
+			gotSum, _, err := ReadSummary(dir, ReadOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wantSum := want.Summary(); !reflect.DeepEqual(gotSum, wantSum) {
+				t.Fatalf("ReadSummary of the rewritten directory:\n got %+v\nwant %+v", gotSum, wantSum)
+			}
 		})
 	}
 }
@@ -370,13 +369,8 @@ func TestSegmentsOutOfRangePE(t *testing.T) {
 	if err := set.WriteFiles(dir); err != nil {
 		t.Fatal(err)
 	}
-	p := filepath.Join(dir, segmentsFile)
-	data, err := os.ReadFile(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data = append(data, []byte("[PE9] SEGMENT rogue count=1 cycles=5 PAPI_TOT_INS=1 PAPI_LST_INS=1\n")...)
-	if err := os.WriteFile(p, data, 0o644); err != nil {
+	segs := append(slices.Concat(set.Segments...), SegmentRecord{PE: 9, Name: "rogue", Count: 1, Cycles: 5, Counters: []int64{1, 1}})
+	if err := writeShard(&segmentsKind, dir, 0, eventNames(set.Config.PAPIEvents), len(segs), func(i int) SegmentRecord { return segs[i] }); err != nil {
 		t.Fatal(err)
 	}
 
@@ -386,7 +380,7 @@ func TestSegmentsOutOfRangePE(t *testing.T) {
 		t.Fatalf("error should name the PE range violation, got: %v", err)
 	}
 
-	back, skipped, err := ReadSetLive(dir)
+	back, skipped, err := readSet(dir, ReadOptions{Tolerant: true})
 	if err != nil {
 		t.Fatalf("tolerant read must skip, not fail: %v", err)
 	}

@@ -14,24 +14,15 @@ import (
 	"actorprof/internal/papi"
 )
 
-// File naming, matching the paper's formats.
-func logicalFile(pe int) string { return fmt.Sprintf("PE%d_send.csv", pe) }
-func papiFile(pe int) string    { return fmt.Sprintf("PE%d_PAPI.csv", pe) }
+// MetaFile holds the run parameters; its presence is what marks a
+// directory as a trace directory.
+const MetaFile = "actorprof_meta.txt"
 
-const (
-	overallFile  = "overall.txt"
-	physicalFile = "physical.txt"
-	segmentsFile = "segments.txt"
-	// MetaFile holds the run parameters; its presence is what marks a
-	// directory as a trace directory.
-	MetaFile = "actorprof_meta.txt"
-)
-
-// ReadOptions tunes ReadSetOptions / ReadSummary / ReadPhysical.
+// ReadOptions tunes ReadSummary / ReadPhysical.
 type ReadOptions struct {
-	// Tolerant makes malformed lines (a torn tail, a corrupt record) count
-	// as skipped instead of fatal. This is ReadSetLive's behavior; the
-	// default (false) is ReadSet's strict behavior.
+	// Tolerant makes malformed records (a torn tail, a corrupt row) count
+	// as skipped instead of fatal. The default (false) is ReadSet's
+	// strict behavior.
 	Tolerant bool
 	// Workers bounds the parse worker pool. <= 0 means GOMAXPROCS. The
 	// result is identical for every worker count: each per-PE file is one
@@ -52,12 +43,12 @@ func (o ReadOptions) poolSize(npes int) int {
 	return workers
 }
 
-// WriteFiles writes every enabled trace to dir in the formats selected
-// by Config.Format: the binary columnar APBF files (the default: per-PE
-// PEi_send.bin and PEi_PAPI.bin, shared overall.bin/physical.bin/
-// segments.bin), the paper's text formats (PEi_send.csv, ...,
-// physical.txt), or both. A write in one encoding removes the trace
-// files dir holds in the other, and a physical trace written replaces the
+// WriteFiles writes every enabled trace to dir as APBF, the binary
+// columnar files the readers open (per-PE PEi_send.bin and PEi_PAPI.bin,
+// shared overall.bin/physical.bin/segments.bin), and - when Config.Format
+// is FormatCSV - the paper's text layout beside them (PEi_send.csv, ...,
+// physical.txt; paper.go). It first removes every other trace artifact dir
+// holds: shards of kinds, PEs or layouts this write leaves out, and the
 // time index. actorprof_meta.txt (run parameters: number of PEs, PEs per
 // node, PAPI event names) is always text; the readers need it first.
 // Shards are written in parallel.
@@ -74,57 +65,38 @@ func (s *Set) WriteFiles(dir string) error {
 	if err := s.writeMeta(dir); err != nil {
 		return err
 	}
-	format, events := s.Config.Format, eventNames(s.Config.PAPIEvents)
-	if err := dropOtherEncoding(dir, format); err != nil {
-		return err
-	}
-	var jobs []func() error
+	w := &dirWriter{dir: dir, events: eventNames(s.Config.PAPIEvents), paper: s.Config.Format == FormatCSV, keep: map[string]bool{}}
 	for pe := 0; pe < s.NumPEs; pe++ {
 		if s.Config.Logical {
-			jobs = append(jobs, func() error {
-				return writeShardFill(&logicalKind, dir, pe, format, events, len(s.Logical[pe]),
-					func(i int) LogicalRecord { return s.LogicalRecordAt(pe, i) },
-					func(cols [][]int64, lo int) { s.logicalColumns(pe, cols, lo) })
-			})
+			addShard(w, &logicalKind, pe, func() (int, func(int) LogicalRecord) {
+				return len(s.Logical[pe]), func(i int) LogicalRecord { return s.LogicalRecordAt(pe, i) }
+			}, func(cols [][]int64, lo int) { s.logicalColumns(pe, cols, lo) })
 		}
-		if len(events) > 0 {
-			jobs = append(jobs, func() error {
-				return writeShardFill(&papiKind, dir, pe, format, events, len(s.PAPI[pe]),
-					func(i int) PAPIRecord { return s.PAPIRecordAt(pe, i) },
-					func(cols [][]int64, lo int) { s.papiColumns(pe, cols, lo) })
-			})
+		if len(w.events) > 0 {
+			addShard(w, &papiKind, pe, func() (int, func(int) PAPIRecord) {
+				return len(s.PAPI[pe]), func(i int) PAPIRecord { return s.PAPIRecordAt(pe, i) }
+			}, func(cols [][]int64, lo int) { s.papiColumns(pe, cols, lo) })
 		}
 	}
 	if s.Config.Physical {
-		jobs = append(jobs, func() error {
-			// The time index describes the physical trace it was built
-			// over, and a rewrite can match its size check: it goes.
-			if err := removeStale(filepath.Join(dir, timeIndexFile)); err != nil {
-				return err
-			}
-			n, at := rows(s.Physical...)
-			return writeShardFill(&physicalKind, dir, 0, format, events, n, at, nil)
-		})
+		addShard(w, &physicalKind, 0, func() (int, func(int) PhysicalRecord) { return rows(s.Physical...) }, nil)
 	}
 	if s.Config.Overall {
-		jobs = append(jobs, func() error {
-			n, at := rows(s.OverallRecords())
-			return writeShardFill(&overallKind, dir, 0, format, events, n, at, nil)
-		})
+		addShard(w, &overallKind, 0, func() (int, func(int) OverallRecord) { return rows(s.OverallRecords()) }, nil)
 	}
 	for _, recs := range s.Segments {
 		if len(recs) > 0 {
-			jobs = append(jobs, func() error {
-				n, at := rows(s.Segments...)
-				return writeShardFill(&segmentsKind, dir, 0, format, events, n, at, nil)
-			})
+			addShard(w, &segmentsKind, 0, func() (int, func(int) SegmentRecord) { return rows(s.Segments...) }, nil)
 			break
 		}
 	}
-	errs := make([]error, len(jobs))
-	tasks := make([]func(worker int), len(jobs))
-	for i := range jobs {
-		tasks[i] = func(int) { errs[i] = jobs[i]() }
+	if err := dropStale(dir, w.keep); err != nil {
+		return err
+	}
+	errs := make([]error, len(w.jobs))
+	tasks := make([]func(worker int), len(w.jobs))
+	for i := range w.jobs {
+		tasks[i] = func(int) { errs[i] = w.jobs[i]() }
 	}
 	runWorkerTasks(defaultWorkers(), tasks)
 	for _, err := range errs {
@@ -133,6 +105,38 @@ func (s *Set) WriteFiles(dir string) error {
 		}
 	}
 	return nil
+}
+
+// dirWriter is what WriteFiles gathers before it writes: the jobs that
+// write the shards, one per file, and the files' names - what dropStale
+// keeps.
+type dirWriter struct {
+	dir    string
+	events []string
+	paper  bool
+	jobs   []func() error
+	keep   map[string]bool
+}
+
+// addShard adds the jobs that write PE pe's shard of kind k: its APBF
+// file and, for FormatCSV, its file in the paper's layout. src hands each
+// job its own (n, at), since rows' at is stateful; fill fills a send
+// kind's APBF blocks from the Set's columns.
+func addShard[T any](w *dirWriter, k *kind[T], pe int, src func() (int, func(int) T), fill func(cols [][]int64, lo int)) {
+	bin := k.binFile(pe)
+	w.keep[bin] = true
+	w.jobs = append(w.jobs, func() error {
+		n, at := src()
+		return writeShardFill(k, w.dir, bin, w.events, n, at, fill)
+	})
+	if w.paper {
+		text := k.csvFile(pe)
+		w.keep[text] = true
+		w.jobs = append(w.jobs, func() error {
+			n, at := src()
+			return writePaper(k, w.dir, text, w.events, n, at)
+		})
+	}
 }
 
 func eventNames(events []papi.Event) []string {
@@ -157,23 +161,15 @@ func (s *Set) writeMeta(dir string) error {
 	return nil
 }
 
-// ReadSet loads a trace directory written by WriteFiles back into a Set.
-// Missing optional files simply leave the corresponding feature disabled,
-// so the visualizer can work with partial trace directories. Every line
-// must parse: a malformed record is an error. For directories that may
-// hold torn or corrupt files, use ReadSetLive instead.
+// ReadSet loads a trace directory written by WriteFiles back into a Set,
+// from its APBF files. Missing optional files simply leave the
+// corresponding feature disabled, so the visualizer can work with partial
+// trace directories. Every record must decode and check: a malformed one
+// is an error. A directory that holds only the paper's text layout is
+// ImportPaper's.
 func ReadSet(dir string) (*Set, error) {
-	s, _, err := ReadSetOptions(dir, ReadOptions{})
+	s, _, err := readSet(dir, ReadOptions{})
 	return s, err
-}
-
-// ReadSetLive loads a trace directory that may hold torn or corrupt
-// files. Unlike ReadSet it skips malformed lines (a writer's partially
-// flushed tail, a damaged record) rather than failing on them. It returns
-// the number of lines skipped; a nonzero count indicates damage that
-// ReadSet would have reported as an error.
-func ReadSetLive(dir string) (*Set, int, error) {
-	return ReadSetOptions(dir, ReadOptions{Tolerant: true})
 }
 
 // cell holds the records one shard scan collects. A per-PE cell is its own
@@ -198,8 +194,6 @@ func shardRows[T any](k *kind[T], dir string, pe, nEvents int) int {
 	}
 	if fi, err := os.Stat(filepath.Join(dir, k.binFile(pe))); err == nil {
 		return int(fi.Size())/(k.binRecBytes+nEvents) + 1
-	} else if fi, err := os.Stat(filepath.Join(dir, k.csvFile(pe))); err == nil {
-		return int(fi.Size())/(k.csvRecBytes+2*nEvents) + 1
 	}
 	return 0
 }
@@ -276,13 +270,12 @@ func ReadPhysical(dir string, opts ReadOptions) (*Set, int, error) {
 	return s, skipped, nil
 }
 
-// ReadSetOptions is ReadSet/ReadSetLive with explicit options: the
-// walker plus collecting yields. Each shard appends to a cell it alone
-// owns and the cells are read only after the walk, so for every worker
-// count (including 1) it returns an identical Set, identical skipped
-// count, and - on malformed input - the same error a sequential read
-// would report first.
-func ReadSetOptions(dir string, opts ReadOptions) (*Set, int, error) {
+// readSet is ReadSet with explicit options: the walker plus collecting
+// yields. Each shard appends to a cell it alone owns and the cells are
+// read only after the walk, so for every worker count (including 1) it
+// returns an identical Set, identical skipped count, and - on malformed
+// input - the same error a sequential read would report first.
+func readSet(dir string, opts ReadOptions) (*Set, int, error) {
 	m, err := readMeta(filepath.Join(dir, MetaFile))
 	if err != nil {
 		return nil, 0, err

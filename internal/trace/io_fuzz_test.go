@@ -4,11 +4,15 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
+
+	"actorprof/internal/conveyor"
+	"actorprof/internal/papi"
 )
 
-// fuzzReadLogical reads dir's PE0 logical shard (CSV or binary, sniffed
-// by content like ReadSet does) of a one-PE-per-node world.
+// fuzzReadLogical reads dir's PE0 APBF logical shard of a
+// one-PE-per-node world.
 func fuzzReadLogical(dir string, tolerant bool) ([]LogicalRecord, int, error) {
 	var recs []LogicalRecord
 	_, skipped, err := scanShard(&logicalKind, dir, 0, &meta{npes: maxReadPEs, perNode: 1}, tolerant, func(r LogicalRecord) {
@@ -17,41 +21,47 @@ func fuzzReadLogical(dir string, tolerant bool) ([]LogicalRecord, int, error) {
 	return recs, skipped, err
 }
 
-// FuzzReadLogicalFile throws arbitrary bytes at the PEi_send.csv reader:
-// it must either error or return records, never panic - and a successful
-// parse must be stable under rewrite-and-reparse (the visualizer reads
-// files the profiler wrote).
+// FuzzReadLogicalFile throws arbitrary bytes at ImportPaper as a
+// PEi_send.csv: the import must never error on content (it skips what it
+// cannot admit) and never panic, and what it imports must be stable under
+// write-and-reimport - with the APBF files written beside the text
+// reading back the same records.
 func FuzzReadLogicalFile(f *testing.F) {
 	f.Add([]byte(""))
 	f.Add([]byte("0,1,0,2,8\n"))
-	f.Add([]byte("0,1,0,2,8,99\n\n1,15,0,3,16\n"))
+	f.Add([]byte("0,0,0,1,8,99\n\n0,0,1,3,16\n"))
 	f.Add([]byte("not,a,number,at,all\n"))
 	f.Add([]byte("1,2,3\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
-		path := filepath.Join(dir, "PE0_send.csv")
-		if err := os.WriteFile(path, data, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, MetaFile), []byte("num_PEs 4\nPEs_per_node 2\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		// Tolerant mode must never error on content problems, only skip.
-		if _, _, err := fuzzReadLogical(dir, true); err != nil {
-			t.Fatalf("tolerant read errored: %v", err)
-		}
-		recs, _, err := fuzzReadLogical(dir, false)
-		if err != nil {
-			return
-		}
-		// Idempotence: emit the parsed records in the writer's format and
-		// parse again - must reproduce the same records.
-		if err := writeShard(&logicalKind, dir, 0, FormatCSV, nil, len(recs), func(i int) LogicalRecord { return recs[i] }); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, "PE0_send.csv"), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		again, _, err := fuzzReadLogical(dir, false)
+		s, _, err := ImportPaper(dir)
 		if err != nil {
-			t.Fatalf("re-reading rewritten file: %v", err)
+			t.Fatalf("import errored on content: %v", err)
 		}
-		if len(recs) != len(again) || (len(recs) > 0 && !reflect.DeepEqual(recs, again)) {
-			t.Fatalf("reparse changed records:\n%+v\nvs\n%+v", recs, again)
+		again := t.TempDir()
+		s.Config.Format = FormatCSV
+		if err := s.WriteFiles(again); err != nil {
+			t.Fatal(err)
+		}
+		re, skipped, err := ImportPaper(again)
+		if err != nil || skipped != 0 {
+			t.Fatalf("re-importing the written layout: skipped %d, err %v", skipped, err)
+		}
+		bin, err := ReadSet(again)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, got := range []*Set{re, bin} {
+			same := slices.EqualFunc(got.Logical, s.Logical, slices.Equal[[]LogicalSend])
+			if !same || got.Config.Logical != s.Config.Logical {
+				t.Fatalf("write and re-read changed the records:\n%+v\nvs\n%+v", got.Logical, s.Logical)
+			}
 		}
 	})
 }
@@ -59,9 +69,8 @@ func FuzzReadLogicalFile(f *testing.F) {
 // FuzzBinaryLogicalShard throws arbitrary bytes at the APBF binary
 // decoder through the shard reader: truncated headers, bad version or
 // kind bytes, and torn block tails must never panic or allocate
-// unboundedly. Tolerant mode (how ReadSetLive reads torn files) must
-// never error; a successful strict parse must survive a binary
-// rewrite-and-reparse round trip.
+// unboundedly. Tolerant mode must never error; a successful strict parse
+// must survive a binary rewrite-and-reparse round trip.
 func FuzzBinaryLogicalShard(f *testing.F) {
 	valid := func() []byte {
 		dir := f.TempDir()
@@ -121,69 +130,88 @@ func FuzzBinaryLogicalShard(f *testing.F) {
 
 // FuzzReadSet drives the whole trace-directory reader over hostile file
 // contents: first with the fuzz data as the meta file itself, then with
-// a valid meta and the data in every per-PE and shared file. ReadSet
-// must return a set or an error, never panic. On the second directory
-// the two tolerant readers are also each other's differential oracle:
-// they share one walker, so ReadSummary must fold exactly the records
-// ReadSetLive admits, with the same skipped count, and ReadPhysical
-// must return exactly its physical records.
+// a valid meta and the data in all seven APBF files. ReadSet must return
+// a set or an error, never panic. On the second directory the tolerant
+// readers are also each other's differential oracle: they share one
+// walker, so ReadSummary must fold exactly the records a tolerant readSet
+// admits, with the same skipped count, and ReadPhysical must return
+// exactly its physical records.
 func FuzzReadSet(f *testing.F) {
+	// shard is one APBF file of a clean 2-PE trace of every kind.
+	shard := func(name string) []byte {
+		s := NewSet(Config{Logical: true, Physical: true, Overall: true, PAPIEvents: []papi.Event{papi.TOT_INS}}, 2, 2)
+		s.Logical[0] = []LogicalSend{{DstPE: 1, MsgSize: 8}}
+		s.PAPI[0], s.PAPICounters[0] = []PAPISend{{DstPE: 1, PktSize: 8, NumSends: 1}}, []int64{42}
+		s.Physical[0] = []PhysicalRecord{{Kind: conveyor.LocalSend, BufBytes: 64, SrcPE: 0, DstPE: 0, Cycles: 7}}
+		s.Overall = []OverallRecord{{PE: 0, TMain: 1, TComm: 2, TProc: 3, TTotal: 6}}
+		s.Segments[0] = []SegmentRecord{{PE: 0, Name: "relax", Count: 3, Cycles: 99, Counters: []int64{5}}}
+		dir := f.TempDir()
+		if err := s.WriteFiles(dir); err != nil {
+			f.Fatal(err)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		return data
+	}
 	f.Add([]byte(""))
 	f.Add([]byte("num_PEs 1\nPEs_per_node 1\nlogical_sample 1\n"))
-	f.Add([]byte("0,0,0,0,8\n"))
-	f.Add([]byte("Absolute [PE0] TCOMM_PROFILING (1, 2, 3)\n"))
-	f.Add([]byte("local_send,64,0,0\n"))
-	f.Add([]byte("[PE0] SEGMENT relax count=3 cycles=99\n"))
-	f.Add([]byte("[PE0] SEGMENT x count=y\n"))
-	f.Add([]byte("0,0,0,1,8,0,1,42\n0,1,0,0,8,-1,0,7\n"))
-	f.Add([]byte("Absolute [PE7] TCOMM_PROFILING (1, 2, 3)\n[PE7] SEGMENT x count=1 cycles=2\n"))
+	f.Add(shard(logicalBinFile(0)))
+	f.Add(shard(overallBinFile))
+	f.Add(shard(physicalBinFile))
+	f.Add(shard(segmentsBinFile))
+	segments := shard(segmentsBinFile)
+	f.Add(segments[:len(segments)-2]) // a torn segments block
+	f.Add(shard(papiBinFile(0)))
+	f.Add([]byte(apbf(binKindOverall, []int64{7, 1, 2, 3})))
 	// Send rows a packed Set cannot hold (kind.go checkSend): another
 	// shard's source, a node that is not the PE's, a field past 32 bits.
-	f.Add([]byte("0,1,0,0,8\n0,0,0,1,8,0,1,42\n"))
-	f.Add([]byte("1,0,0,1,8\n0,0,1,1,8\n"))
-	f.Add([]byte("0,0,0,1,4294967296\n0,0,0,1,8,0,4294967296,7\n"))
+	f.Add([]byte(apbf(binKindLogical, []int64{0, 1, 0, 0, 8})))
+	f.Add([]byte(apbf(binKindLogical, []int64{1, 0, 0, 1, 8}, []int64{0, 0, 1, 1, 8})))
+	f.Add([]byte(apbf(binKindPAPI, []int64{0, 0, 0, 1, 8, 0, 1 << 32, 7})))
 	f.Add([]byte(apbf(binKindLogical, []int64{0, 1, 0, 0, 8}, []int64{1, 0, 0, 1, 8}, []int64{0, 0, 1, 1, 8}, []int64{0, 0, 0, 1, 1 << 32})))
 	f.Add([]byte(apbf(binKindPAPI, []int64{0, 1, 0, 0, 8, 0, 1, 42}, []int64{0, 0, 0, 1, 1 << 32, 0, 1, 7})))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Case 1: the meta file itself is hostile.
 		dirA := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dirA, "actorprof_meta.txt"), data, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dirA, MetaFile), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		_, _ = ReadSet(dirA)
-		_, _, _ = ReadSetLive(dirA)
+		_, _, _ = readSet(dirA, ReadOptions{Tolerant: true})
 
 		// Case 2: valid meta, hostile everything else.
 		dirB := t.TempDir()
 		meta := []byte("num_PEs 2\nPEs_per_node 2\npapi_events PAPI_TOT_INS\nlogical_sample 1\n")
-		if err := os.WriteFile(filepath.Join(dirB, "actorprof_meta.txt"), meta, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dirB, MetaFile), meta, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		for _, name := range []string{
-			"PE0_send.csv", "PE1_send.csv", "PE0_PAPI.csv", "PE1_PAPI.csv",
-			"overall.txt", "physical.txt", "segments.txt",
-			"PE0_send.bin", "PE0_PAPI.bin",
-		} {
+		others := []string{
+			logicalBinFile(0), logicalBinFile(1), papiBinFile(0), papiBinFile(1),
+			overallBinFile, segmentsBinFile,
+		}
+		for _, name := range append(others, physicalBinFile) {
 			if err := os.WriteFile(filepath.Join(dirB, name), data, 0o644); err != nil {
 				t.Fatal(err)
 			}
 		}
 		_, _ = ReadSet(dirB)
-		// The live reader must tolerate the same hostility without error:
+		// The tolerant reader must take the same hostility without error:
 		// with a valid meta, content-level corruption is skipped, not fatal.
-		set, skipped, err := ReadSetLive(dirB)
+		set, skipped, err := readSet(dirB, ReadOptions{Tolerant: true})
 		if err != nil {
-			t.Fatalf("ReadSetLive errored on content corruption: %v", err)
+			t.Fatalf("tolerant readSet errored on content corruption: %v", err)
 		}
 		sum, sumSkipped, err := ReadSummary(dirB, ReadOptions{Tolerant: true})
 		if err != nil {
 			t.Fatalf("ReadSummary errored on content corruption: %v", err)
 		}
 		if sumSkipped != skipped {
-			t.Fatalf("ReadSummary skipped %d, ReadSetLive skipped %d", sumSkipped, skipped)
+			t.Fatalf("ReadSummary skipped %d, tolerant readSet skipped %d", sumSkipped, skipped)
 		}
 		if want := set.Summary(); !reflect.DeepEqual(sum, want) {
-			t.Fatalf("ReadSummary differs from ReadSetLive(...).Summary():\n got %+v\nwant %+v", sum, want)
+			t.Fatalf("ReadSummary differs from readSet(...).Summary():\n got %+v\nwant %+v", sum, want)
 		}
 		// The third consumer of that walker reads the physical kind alone:
 		// the same physical records, and none of the other files' skips.
@@ -192,16 +220,13 @@ func FuzzReadSet(f *testing.F) {
 			t.Fatalf("ReadPhysical errored on content corruption: %v", err)
 		}
 		if !reflect.DeepEqual(phys.Physical, set.Physical) || phys.Config.Physical != set.Config.Physical {
-			t.Fatalf("ReadPhysical differs from ReadSetLive(...).Physical:\n got %+v\nwant %+v", phys.Physical, set.Physical)
+			t.Fatalf("ReadPhysical differs from readSet(...).Physical:\n got %+v\nwant %+v", phys.Physical, set.Physical)
 		}
-		for _, name := range []string{
-			"PE0_send.csv", "PE1_send.csv", "PE0_PAPI.csv", "PE1_PAPI.csv",
-			"overall.txt", "segments.txt", "PE0_send.bin", "PE0_PAPI.bin",
-		} {
+		for _, name := range others {
 			os.Remove(filepath.Join(dirB, name))
 		}
-		if _, share, err := ReadSetLive(dirB); err != nil || physSkipped != share {
-			t.Fatalf("ReadPhysical skipped %d, the physical files' share is %d (err %v)", physSkipped, share, err)
+		if _, share, err := readSet(dirB, ReadOptions{Tolerant: true}); err != nil || physSkipped != share {
+			t.Fatalf("ReadPhysical skipped %d, the physical file's share is %d (err %v)", physSkipped, share, err)
 		}
 	})
 }

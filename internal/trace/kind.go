@@ -9,15 +9,17 @@ import (
 // The set of trace record kinds is closed: the paper fixes four artifacts
 // (PEi_send.csv, PEi_PAPI.csv, overall.txt, physical.txt) and this repo
 // adds segments.txt. Everything that differs between them - file names,
-// the APBF header, the CSV and APBF row codecs, the PE-range rule - is one
-// kind descriptor below; scan, sink and walk (pipeline.go) are written
-// once against it. Adding a column means editing that kind's codec
-// functions (a send kind's APBF codec is its column path, binary.go);
-// adding a kind means one more descriptor and one more line in walk,
-// WriteFiles and the consumer struct.
+// the APBF header and row codecs, the paper's line codec, the PE-range
+// rule - is one kind descriptor below; scan, writeShardFill and walk
+// (pipeline.go) and the paper's layout (paper.go) are written once
+// against it. Adding a column means editing that kind's codec functions
+// (a send kind's APBF codec is its column path, binary.go); adding a kind
+// means one more descriptor and one more line in walk, WriteFiles,
+// ImportPaper and the consumer struct.
 type kind[T any] struct {
-	// csvFile / binFile name PE pe's shard (shared artifacts ignore pe).
-	csvFile, binFile func(pe int) string
+	// binFile names PE pe's APBF shard, csvFile its file in the paper's
+	// layout (shared artifacts ignore pe).
+	binFile, csvFile func(pe int) string
 
 	// APBF header: the kind byte, the columns the writer emits (before
 	// one column per configured PAPI event when counters is set), the
@@ -28,78 +30,65 @@ type kind[T any] struct {
 	counters      bool
 	hasStr        bool
 
-	// csvPrefix, when set, selects the text lines that carry records;
-	// other lines are derived data and are ignored, not skipped.
-	csvPrefix string
-	// csvRecBytes / binRecBytes are low bytes-per-record figures, before
-	// the counter columns, for sizing a collecting reader's slices from
-	// the file size (shardRows); 0 means the shard is small enough not to
-	// bother. For the send kinds they are the shortest row there is - a
-	// digit and a separator per CSV field, a byte per APBF column, and 2
+	// binRecBytes is a low bytes-per-record figure, before the counter
+	// columns, for sizing a collecting reader's slices from the file size
+	// (shardRows); 0 means the shard is small enough not to bother. For
+	// the send kinds it is the shortest row there is - a byte per column,
 	// and 1 more per counter - so a send shard is never under-estimated.
-	csvRecBytes, binRecBytes int
+	binRecBytes int
 
-	// appendCSV appends r's text line(s); events are the PAPI event
-	// names in config order. parseCSV parses one trimmed, non-empty line.
+	// appendCSV appends r's line(s) in the paper's layout; events are the
+	// PAPI event names in config order.
 	appendCSV func(buf []byte, r T, events []string) []byte
-	parseCSV  func(line []byte, s *csvScratch) (T, error)
 	// toRow fills one APBF row (len(row) is the file's column count) and
 	// returns the string column's value; fromRow decodes row i of the
 	// reader's current block. The send kinds have neither: their APBF
 	// blocks go column by column to and from the packed Set.
 	toRow   func(r T, row []int64) string
 	fromRow func(d *binReader, i int) T
-	// check rejects a decoded record the rest of the program could not
-	// index with or hold: above all one that names a PE outside the world
+	// check rejects a decoded record of a run-wide kind the rest of the
+	// program could not index with: one that names a PE outside the world
 	// the meta file declares. The analysis layer indexes matrices and
 	// per-PE slices with these values directly, so admitting them would
-	// turn a corrupt trace line into an index-out-of-range panic (or a
-	// silently dropped record) during visualization. pe is the shard's PE
-	// (-1 for the run-wide files); a send row must name it as its source
-	// (checkSend).
-	check func(r T, m *meta, pe int) error
+	// turn a corrupt record into an index-out-of-range panic (or a
+	// silently dropped record) during visualization. The send kinds have
+	// none: their rule is admitLogical / admitPAPI, which the column path
+	// and ImportPaper apply to a row's fields.
+	check func(r T, m *meta) error
 }
 
 // shared names an artifact the whole run writes once.
 func shared(name string) func(int) string { return func(int) string { return name } }
 
 var logicalKind = kind[LogicalRecord]{
-	csvFile: logicalFile, binFile: logicalBinFile,
+	binFile: logicalBinFile, csvFile: logicalFile,
 	binKind: binKindLogical, cols: 5, minCols: 5,
-	csvRecBytes: 10, binRecBytes: 5,
-	appendCSV: appendLogical, parseCSV: parseLogical,
-	check: func(r LogicalRecord, m *meta, pe int) error {
-		return admitLogical(m, pe, r.SrcNode, r.SrcPE, r.DstNode, r.DstPE, r.MsgSize)
-	},
+	binRecBytes: 5,
+	appendCSV:   appendLogical,
 }
 
 var papiKind = kind[PAPIRecord]{
-	csvFile: papiFile, binFile: papiBinFile,
+	binFile: papiBinFile, csvFile: papiFile,
 	binKind: binKindPAPI, cols: 7, minCols: 7, counters: true,
-	csvRecBytes: 14, binRecBytes: 7,
-	appendCSV: appendPAPI, parseCSV: parsePAPI,
-	check: func(r PAPIRecord, m *meta, pe int) error {
-		return admitPAPI(m, pe, r.SrcNode, r.SrcPE, r.DstNode, r.DstPE, r.PktSize, r.MailboxID, r.NumSends)
-	},
+	binRecBytes: 7,
+	appendCSV:   appendPAPI,
 }
 
 var overallKind = kind[OverallRecord]{
-	csvFile: shared(overallFile), binFile: shared(overallBinFile),
+	binFile: shared(overallBinFile), csvFile: shared(overallFile),
 	binKind: binKindOverall, cols: 4, minCols: 4,
-	// Only "Absolute" lines carry data; "Relative" lines are re-derivable.
-	csvPrefix: "Absolute ",
-	appendCSV: appendOverall, parseCSV: parseOverall,
-	toRow: overallToRow, fromRow: overallFromRow,
-	check: func(r OverallRecord, m *meta, _ int) error { return checkPE("overall", "", r.PE, m.npes) },
+	appendCSV: appendOverall,
+	toRow:     overallToRow, fromRow: overallFromRow,
+	check: func(r OverallRecord, m *meta) error { return checkPE("overall", "", r.PE, m.npes) },
 }
 
 var physicalKind = kind[PhysicalRecord]{
-	csvFile: shared(physicalFile), binFile: shared(physicalBinFile),
+	binFile: shared(physicalBinFile), csvFile: shared(physicalFile),
 	binKind: binKindPhysical, cols: binPhysicalCols, minCols: binPhysicalMinCols,
-	csvRecBytes: 16, binRecBytes: 8,
-	appendCSV: appendPhysical, parseCSV: parsePhysical,
-	toRow: physicalToRow, fromRow: physicalFromRow,
-	check: func(r PhysicalRecord, m *meta, _ int) error { return checkPhysical(r, m.npes) },
+	binRecBytes: 8,
+	appendCSV:   appendPhysical,
+	toRow:       physicalToRow, fromRow: physicalFromRow,
+	check: func(r PhysicalRecord, m *meta) error { return checkPhysical(r, m.npes) },
 }
 
 // checkPhysical is named so that the index paths can call it statically.
@@ -111,16 +100,16 @@ func checkPhysical(r PhysicalRecord, npes int) error {
 }
 
 var segmentsKind = kind[SegmentRecord]{
-	csvFile: shared(segmentsFile), binFile: shared(segmentsBinFile),
+	binFile: shared(segmentsBinFile), csvFile: shared(segmentsFile),
 	binKind: binKindSegments, cols: 3, minCols: 3, counters: true, hasStr: true,
-	appendCSV: appendSegment, parseCSV: parseSegment,
-	toRow: segmentToRow, fromRow: segmentFromRow,
-	check: func(r SegmentRecord, m *meta, _ int) error { return checkPE("segments", "", r.PE, m.npes) },
+	appendCSV: appendSegment,
+	toRow:     segmentToRow, fromRow: segmentFromRow,
+	check: func(r SegmentRecord, m *meta) error { return checkPE("segments", "", r.PE, m.npes) },
 }
 
 // checkPE is the PE-range rule, for every kind: role says which of the
 // record's PEs this is ("" when it has only one). The error is built out
-// of line so that the rule itself inlines into the per-record check hooks.
+// of line so that the rule itself inlines into the per-record checks.
 func checkPE(kind, role string, pe, npes int) error {
 	if pe < 0 || pe >= npes {
 		return peRangeError(kind, role, pe, npes)
@@ -175,8 +164,8 @@ func sendError(kind string, m *meta, pe, srcNode, src, dstNode, dst int) error {
 	return fmt.Errorf("trace: %s record with dst node %d for PE %d at %d PEs per node", kind, dstNode, dst, m.perNode)
 }
 
-// admitLogical is the admission rule on a logical row's fields, for a CSV
-// record (the kind's check) and a block's columns (logicalSends) alike.
+// admitLogical is the admission rule on a logical row's fields, for a
+// block's columns (logicalSends) and a line ImportPaper parsed alike.
 func admitLogical(m *meta, pe, srcNode, src, dstNode, dst, size int) error {
 	if err := checkSend("logical", m, pe, srcNode, src, dstNode, dst); err != nil {
 		return err

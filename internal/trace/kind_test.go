@@ -32,13 +32,17 @@ type kindCase[T any] struct {
 
 var conformanceMeta = &meta{npes: 4, perNode: 2, sample: 1, events: []papi.Event{papi.TOT_INS, papi.LST_INS}}
 
-// TestKindConformance holds every record kind, in both encodings and
-// both read modes, to the contract scanShard and sink promise: what a
-// sink wrote scans back identical; a torn tail is an error when strict
+// TestKindConformance holds every record kind, in both layouts and both
+// read modes, to the contract scanShard and writeShardFill promise: what
+// was written scans back identical; a torn tail is an error when strict
 // and, when tolerant, costs exactly the records it tore (yielded +
 // skipped still accounts for every record written); a record naming a
 // PE outside the world is an error when strict, one skip when tolerant.
-// The shard is PE 0's, so the send rows name PE 0 as their source.
+// The paper's layout is read back by ImportPaper alone, which is always
+// tolerant: its "strict" half holds it to counting every line a strict
+// reader would refuse, its "tolerant" half to keeping every record a
+// tolerant one keeps. The shard is PE 0's, so the send rows name PE 0 as
+// their source.
 func TestKindConformance(t *testing.T) {
 	runKindCase(t, "logical", kindCase[LogicalRecord]{
 		k: &logicalKind, tearAfter: ",",
@@ -88,76 +92,152 @@ func TestKindConformance(t *testing.T) {
 
 func runKindCase[T any](t *testing.T, name string, c kindCase[T]) {
 	events := eventNames(conformanceMeta.events)
-	for _, format := range []Format{FormatCSV, FormatBinary} {
-		want := c.good
-		if format == FormatCSV && c.csvView != nil {
-			want = nil
-			for _, r := range c.good {
-				want = append(want, c.csvView(r))
-			}
+	modes := map[bool]string{false: "strict", true: "tolerant"}
+
+	// write puts recs into a fresh directory as PE 0's APBF shard and
+	// returns it with the path of the one file written.
+	write := func(t *testing.T, recs []T) (dir, path string) {
+		dir = t.TempDir()
+		if err := writeShard(c.k, dir, 0, events, len(recs), func(i int) T { return recs[i] }); err != nil {
+			t.Fatal(err)
 		}
-		// write puts recs into a fresh directory and returns it with the
-		// path of the one file written.
-		write := func(t *testing.T, recs []T) (dir, path string) {
-			dir = t.TempDir()
-			if err := writeShard(c.k, dir, 0, format, events, len(recs), func(i int) T { return recs[i] }); err != nil {
+		return dir, filepath.Join(dir, c.k.binFile(0))
+	}
+	scan := func(dir string, tolerant bool) (got []T, skipped int, err error) {
+		found, skipped, err := scanShard(c.k, dir, 0, conformanceMeta, tolerant, func(r T) {
+			if c.keep != nil {
+				r = c.keep(r)
+			}
+			got = append(got, r)
+		})
+		if !found {
+			t.Fatalf("shard not found in %s", dir)
+		}
+		return got, skipped, err
+	}
+	for _, tolerant := range []bool{false, true} {
+		t.Run(name+"/binary/"+modes[tolerant], func(t *testing.T) {
+			dir, _ := write(t, c.good)
+			got, skipped, err := scan(dir, tolerant)
+			if err != nil || skipped != 0 || !reflect.DeepEqual(got, c.good) {
+				t.Fatalf("round trip: skipped=%d err=%v\n got %+v\nwant %+v", skipped, err, got, c.good)
+			}
+
+			dir, path := write(t, c.good)
+			data, err := os.ReadFile(path)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if format == FormatBinary {
-				return dir, filepath.Join(dir, c.k.binFile(0))
+			if err := os.WriteFile(path, data[:len(data)-1], 0o644); err != nil { // mid-block
+				t.Fatal(err)
 			}
-			return dir, filepath.Join(dir, c.k.csvFile(0))
-		}
-		scan := func(dir string, tolerant bool) (got []T, skipped int, err error) {
-			found, skipped, err := scanShard(c.k, dir, 0, conformanceMeta, tolerant, func(r T) {
-				if c.keep != nil {
-					r = c.keep(r)
-				}
-				got = append(got, r)
-			})
-			if !found {
-				t.Fatalf("shard not found in %s", dir)
+			got, skipped, err = scan(dir, tolerant)
+			switch {
+			case !tolerant && err == nil:
+				t.Fatalf("torn tail: strict scan accepted it (%d records)", len(got))
+			case tolerant && (err != nil || skipped == 0 || len(got)+skipped != len(c.good)):
+				t.Fatalf("torn tail: %d yielded + %d skipped of %d written, err=%v", len(got), skipped, len(c.good), err)
 			}
-			return got, skipped, err
-		}
-		for _, tolerant := range []bool{false, true} {
-			mode := map[bool]string{false: "strict", true: "tolerant"}[tolerant]
-			t.Run(name+"/"+format.String()+"/"+mode, func(t *testing.T) {
-				dir, _ := write(t, c.good)
-				got, skipped, err := scan(dir, tolerant)
-				if err != nil || skipped != 0 || !reflect.DeepEqual(got, want) {
-					t.Fatalf("round trip: skipped=%d err=%v\n got %+v\nwant %+v", skipped, err, got, want)
-				}
 
-				dir, path := write(t, c.good)
-				data, err := os.ReadFile(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cut := len(data) - 1 // mid-block
-				if format == FormatCSV {
-					cut = bytes.LastIndex(data, []byte(c.tearAfter)) + len(c.tearAfter)
-				}
-				if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
-					t.Fatal(err)
-				}
-				got, skipped, err = scan(dir, tolerant)
-				switch {
-				case !tolerant && err == nil:
-					t.Fatalf("torn tail: strict scan accepted it (%d records)", len(got))
-				case tolerant && (err != nil || skipped == 0 || len(got)+skipped != len(c.good)):
-					t.Fatalf("torn tail: %d yielded + %d skipped of %d written, err=%v", len(got), skipped, len(c.good), err)
-				}
+			dir, _ = write(t, append(append([]T(nil), c.good...), c.bad))
+			got, skipped, err = scan(dir, tolerant)
+			switch {
+			case !tolerant && (err == nil || !strings.Contains(err.Error(), "outside [0, 4)")):
+				t.Fatalf("out-of-range PE: strict scan returned %v", err)
+			case tolerant && (err != nil || skipped != 1 || !reflect.DeepEqual(got, c.good)):
+				t.Fatalf("out-of-range PE: skipped=%d err=%v got %+v", skipped, err, got)
+			}
+		})
+	}
 
-				dir, _ = write(t, append(append([]T(nil), c.good...), c.bad))
-				got, skipped, err = scan(dir, tolerant)
-				switch {
-				case !tolerant && (err == nil || !strings.Contains(err.Error(), "outside [0, 4)")):
-					t.Fatalf("out-of-range PE: strict scan returned %v", err)
-				case tolerant && (err != nil || skipped != 1 || !reflect.DeepEqual(got, want)):
-					t.Fatalf("out-of-range PE: skipped=%d err=%v got %+v", skipped, err, got)
-				}
-			})
+	// The paper's layout: PE 0's text file beside the meta file, imported.
+	want := c.good
+	if c.csvView != nil {
+		want = nil
+		for _, r := range c.good {
+			want = append(want, c.csvView(r))
 		}
 	}
+	writeText := func(t *testing.T, recs []T) (dir, path string) {
+		dir = t.TempDir()
+		if err := NewSet(Config{PAPIEvents: conformanceMeta.events}, conformanceMeta.npes, conformanceMeta.perNode).writeMeta(dir); err != nil {
+			t.Fatal(err)
+		}
+		if err := writePaper(c.k, dir, c.k.csvFile(0), events, len(recs), func(i int) T { return recs[i] }); err != nil {
+			t.Fatal(err)
+		}
+		return dir, filepath.Join(dir, c.k.csvFile(0))
+	}
+	importShard := func(t *testing.T, dir string) ([]T, int) {
+		s, skipped, err := ImportPaper(dir)
+		if err != nil {
+			t.Fatalf("ImportPaper: %v", err)
+		}
+		return importedRecords[T](s), skipped
+	}
+	for _, tolerant := range []bool{false, true} {
+		t.Run(name+"/csv/"+modes[tolerant], func(t *testing.T) {
+			dir, _ := writeText(t, c.good)
+			got, skipped := importShard(t, dir)
+			switch {
+			case !tolerant && skipped != 0:
+				t.Fatalf("round trip: %d lines skipped", skipped)
+			case tolerant && !reflect.DeepEqual(got, want):
+				t.Fatalf("round trip:\n got %+v\nwant %+v", got, want)
+			}
+
+			dir, path := writeText(t, c.good)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cut := bytes.LastIndex(data, []byte(c.tearAfter)) + len(c.tearAfter)
+			if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			got, skipped = importShard(t, dir)
+			switch {
+			case !tolerant && skipped != 1:
+				t.Fatalf("torn tail: %d lines skipped, want the torn one", skipped)
+			case tolerant && len(got)+skipped != len(c.good):
+				t.Fatalf("torn tail: %d imported + %d skipped of %d written", len(got), skipped, len(c.good))
+			}
+
+			dir, _ = writeText(t, append(append([]T(nil), c.good...), c.bad))
+			got, skipped = importShard(t, dir)
+			switch {
+			case !tolerant && skipped != 1:
+				t.Fatalf("out-of-range PE: %d lines skipped, want 1", skipped)
+			case tolerant && !reflect.DeepEqual(got, want):
+				t.Fatalf("out-of-range PE: got %+v", got)
+			}
+		})
+	}
+}
+
+// importedRecords is what an imported Set holds of kind T, as records in
+// file order: PE 0's send rows, or a run-wide kind's records.
+func importedRecords[T any](s *Set) []T {
+	var recs any
+	switch any(*new(T)).(type) {
+	case LogicalRecord:
+		var out []LogicalRecord
+		for i := range s.Logical[0] {
+			out = append(out, s.LogicalRecordAt(0, i))
+		}
+		recs = out
+	case PAPIRecord:
+		var out []PAPIRecord
+		for i := range s.PAPI[0] {
+			out = append(out, s.PAPIRecordAt(0, i))
+		}
+		recs = out
+	case OverallRecord:
+		recs = s.Overall
+	case PhysicalRecord:
+		recs = slices.Concat(s.Physical...)
+	case SegmentRecord:
+		recs = slices.Concat(s.Segments...)
+	}
+	return recs.([]T)
 }

@@ -11,23 +11,20 @@ import (
 )
 
 // writeTornDir lays out a trace directory the way a writer that stopped
-// mid-record leaves it: meta present, and a logical CSV and physical.txt
-// whose final lines are torn (the buffer flushed mid-record).
+// mid-record leaves it: meta present, and a logical shard and physical.bin
+// whose final one-row blocks are torn (the buffer flushed mid-record).
 func writeTornDir(t *testing.T) string {
 	t.Helper()
-	dir := t.TempDir()
-	files := map[string]string{
-		"actorprof_meta.txt": "num_PEs 2\nPEs_per_node 2\nlogical_sample 1\n",
-		"PE0_send.csv":       "0,0,0,1,8\n0,0,0,1,16\n0,0,0",
-		"PE1_send.csv":       "0,1,0,0,8\n",
-		"physical.txt":       "local_send,64,0,1\nnonblock_send,128,0,1\nlocal_send,32,1,0\nnonblock_s",
-	}
-	for name, content := range files {
-		if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return dir
+	torn := func(file string) string { return file[:len(file)-1] }
+	local, nonblock := int64(conveyor.LocalSend), int64(conveyor.NonblockSend)
+	return writeTraceDir(t, map[string]string{
+		MetaFile:          "num_PEs 2\nPEs_per_node 2\nlogical_sample 1\n",
+		logicalBinFile(0): torn(apbfBlocks(binKindLogical, [][]int64{{0, 0, 0, 1, 8}, {0, 0, 0, 1, 16}}, [][]int64{{0, 0, 0, 1, 24}})),
+		logicalBinFile(1): apbf(binKindLogical, []int64{0, 1, 0, 0, 8}),
+		physicalBinFile: torn(apbfBlocks(binKindPhysical,
+			[][]int64{{local, 64, 0, 1, 0}, {nonblock, 128, 0, 1, 0}, {local, 32, 1, 0, 0}},
+			[][]int64{{nonblock, 256, 1, 0, 0}})),
+	})
 }
 
 // tear cuts the last 3 bytes off each named file of dir that exists.
@@ -45,24 +42,24 @@ func tear(t *testing.T, dir string, names ...string) {
 func TestReadSetLiveToleratesInProgressDir(t *testing.T) {
 	dir := writeTornDir(t)
 
-	// The strict reader must refuse the torn logical line.
+	// The strict reader must refuse the torn logical block.
 	if _, err := ReadSet(dir); err == nil {
-		t.Fatal("ReadSet accepted a torn logical line")
+		t.Fatal("ReadSet accepted a torn logical block")
 	}
 
-	s, skipped, err := ReadSetLive(dir)
+	s, skipped, err := readSet(dir, ReadOptions{Tolerant: true})
 	if err != nil {
-		t.Fatalf("ReadSetLive: %v", err)
+		t.Fatalf("tolerant readSet: %v", err)
 	}
 	if skipped != 2 {
-		t.Errorf("skipped = %d, want 2 (one torn logical, one torn physical)", skipped)
+		t.Errorf("skipped = %d, want 2 (one torn logical row, one torn physical row)", skipped)
 	}
 	if !s.Config.Logical || len(s.Logical[0]) != 2 || len(s.Logical[1]) != 1 {
 		t.Errorf("logical records = %d/%d, want 2/1", len(s.Logical[0]), len(s.Logical[1]))
 	}
-	// Physical records come from the torn file's complete lines.
+	// Physical records come from the torn file's complete blocks.
 	if !s.Config.Physical {
-		t.Fatal("physical feature not detected from a torn physical.txt")
+		t.Fatal("physical feature not detected from a torn physical.bin")
 	}
 	if len(s.Physical[0]) != 2 || len(s.Physical[1]) != 1 {
 		t.Errorf("physical records = %d/%d, want 2/1", len(s.Physical[0]), len(s.Physical[1]))
@@ -79,7 +76,7 @@ func TestReadSetLiveMatchesReadSetOnFinishedDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	live, skipped, err := ReadSetLive(dir)
+	live, skipped, err := readSet(dir, ReadOptions{Tolerant: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +94,8 @@ func TestReadSetLiveMatchesReadSetOnFinishedDir(t *testing.T) {
 
 // TestReadPhysicalMatchesReadSetLive: the physical-only reader returns
 // exactly the physical records, shape and feature flag the full tolerant
-// reader returns - for both encodings, for a finished directory, one
+// reader returns - for both formats (the paper's text files beside the
+// APBF ones change nothing a reader sees), for a finished directory, one
 // whose physical file alone is torn and one where a logical shard is torn
 // too, at any worker count - and its skipped count is the physical
 // shards' share of the full reader's.
@@ -140,17 +138,14 @@ func TestReadPhysicalMatchesReadSetLive(t *testing.T) {
 		"torn": func(t *testing.T, format Format) (string, int) {
 			dir, _ := finished(t, format)
 			tear(t, dir, physicalFile, physicalBinFile, logicalFile(1), logicalBinFile(1))
-			if format == FormatBinary {
-				return dir, 600 // PE 1's logical shard is one torn block
-			}
-			return dir, 1 // one torn logical line
+			return dir, 600 // PE 1's logical shard is one torn block
 		},
 	}
 	for _, format := range []Format{FormatCSV, FormatBinary} {
 		for state, build := range states {
 			t.Run(format.String()+"/"+state, func(t *testing.T) {
 				dir, othersSkipped := build(t, format)
-				full, fullSkipped, err := ReadSetLive(dir)
+				full, fullSkipped, err := readSet(dir, ReadOptions{Tolerant: true})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,54 +1,28 @@
 package trace
 
 import (
-	"bufio"
-	"bytes"
-	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 )
 
-// The one trace pipeline: scan reads any kind's shard in either encoding,
-// sink writes one, and walk drives scan over a whole trace directory.
-// Every reader and writer in the package is one of these three plus a few
-// lines of its own.
-
-// openShard opens the first existing candidate path and sniffs whether
-// its content is the binary format (by magic, so auto-detection works
-// regardless of file extension) at offset 0, leaving the file's offset
-// there. Returns an os.IsNotExist-able error when no candidate exists.
-func openShard(candidates ...string) (*os.File, bool, error) {
-	var lastErr error = os.ErrNotExist
-	for _, p := range candidates {
-		f, err := os.Open(p)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		head := make([]byte, len(binMagic))
-		n, err := f.ReadAt(head, 0)
-		if err != nil && err != io.EOF {
-			f.Close()
-			return nil, false, err
-		}
-		return f, n == len(head) && string(head) == binMagic, nil
-	}
-	return nil, false, lastErr
-}
+// The one trace pipeline: scan reads any kind's APBF shard,
+// writeShardFill writes one, and walk drives scan over a whole trace
+// directory. Every reader and the writer in the package are these three
+// plus a few lines of their own; the paper's text layout is written and
+// read at the rim (paper.go).
 
 // rowFunc admits row i of d's current APBF block - decodes it, checks it
 // and hands it on - or returns why it cannot.
 type rowFunc func(d *binReader, i int) error
 
-// rowsOf is the row path of kind k for PE pe's shard: a CSV line or an
-// APBF row alike is decoded, checked and handed to yield as a record.
-func rowsOf[T any](k *kind[T]) func(m *meta, pe int, yield func(T)) (func(T), rowFunc) {
-	return func(m *meta, pe int, yield func(T)) (func(T), rowFunc) {
-		return yield, func(d *binReader, i int) error {
+// rowsOf is the row path of run-wide kind k: an APBF row is decoded,
+// checked and handed to yield as a record.
+func rowsOf[T any](k *kind[T]) func(m *meta, pe int, yield func(T)) rowFunc {
+	return func(m *meta, _ int, yield func(T)) rowFunc {
+		return func(d *binReader, i int) error {
 			rec := k.fromRow(d, i)
-			err := k.check(rec, m, pe)
+			err := k.check(rec, m)
 			if err == nil {
 				yield(rec)
 			}
@@ -57,18 +31,14 @@ func rowsOf[T any](k *kind[T]) func(m *meta, pe int, yield func(T)) (func(T), ro
 	}
 }
 
-// scan streams PE pe's shard of kind k without materializing records: it
-// resolves the binary/CSV candidates and sniffs the format. A CSV line is
-// parsed, checked and handed to yield; an APBF row goes to admit. A
-// yielded record's Counters alias the scan's scratch and are valid only
-// until yield returns: a consumer that keeps them copies them. found is
-// false when neither file exists. A record that fails to decode or check
-// is fatal in strict mode; a tolerant scan counts it in skipped and
-// carries on, so a torn tail or a corrupt line costs only the records it
-// tore. An unreadable APBF header counts as one skipped artifact, a torn
-// block as the rows it claimed.
-func scan[T any](k *kind[T], dir string, pe int, m *meta, tolerant bool, yield func(T), admit rowFunc) (found bool, skipped int, err error) {
-	f, isBin, err := openShard(filepath.Join(dir, k.binFile(pe)), filepath.Join(dir, k.csvFile(pe)))
+// scan streams PE pe's APBF shard of kind k without materializing
+// records: each row goes to admit. found is false when the file does not
+// exist. A row that fails to decode or check is fatal in strict mode; a
+// tolerant scan counts it in skipped and carries on, so a torn tail or a
+// corrupt record costs only the records it tore. An unreadable header
+// counts as one skipped artifact, a torn block as the rows it claimed.
+func scan[T any](k *kind[T], dir string, pe int, tolerant bool, admit rowFunc) (found bool, skipped int, err error) {
+	f, err := os.Open(filepath.Join(dir, k.binFile(pe)))
 	if err != nil {
 		if os.IsNotExist(err) {
 			err = nil
@@ -76,191 +46,106 @@ func scan[T any](k *kind[T], dir string, pe int, m *meta, tolerant bool, yield f
 		return false, 0, err
 	}
 	defer f.Close()
-	if isBin {
-		d := binReaders.Get().(*binReader)
-		defer binReaders.Put(d)
-		d.reset(f, d.data[:0], 0, 0)
-		ok, err := d.header(f.Name(), k.binKind, k.minCols)
-		if err != nil && tolerant {
-			return true, 1, nil
-		}
-		if err != nil || !ok { // !ok: an empty file holds no records
-			return true, 0, err
-		}
-		lost, err := d.eachBlock(k.hasStr, func(b block) error {
-			for i := 0; i < b.rows; i++ {
-				if err := admit(d, i); err != nil && !tolerant {
-					return err
-				} else if err != nil {
-					skipped++
-				}
-			}
-			return nil
-		})
-		if tolerant {
-			return true, skipped + lost, nil
-		}
+	d := binReaders.Get().(*binReader)
+	defer binReaders.Put(d)
+	d.reset(f, d.data[:0], 0, 0)
+	ok, err := d.header(f.Name(), k.binKind, k.minCols)
+	if err != nil && tolerant {
+		return true, 1, nil
+	}
+	if err != nil || !ok { // !ok: an empty file holds no records
 		return true, 0, err
 	}
-	scratch := newCSVScratch(len(m.events))
-	prefix := []byte(k.csvPrefix)
-	sc := newLineScanner(f)
-	for sc.Scan() {
-		line := trimSpace(sc.Bytes())
-		if len(line) == 0 || !bytes.HasPrefix(line, prefix) {
-			continue
+	lost, err := d.eachBlock(k.hasStr, func(b block) error {
+		for i := 0; i < b.rows; i++ {
+			if err := admit(d, i); err != nil && !tolerant {
+				return err
+			} else if err != nil {
+				skipped++
+			}
 		}
-		rec, err := k.parseCSV(line, scratch)
-		if err == nil {
-			err = k.check(rec, m, pe)
-		}
-		if err == nil {
-			yield(rec)
-		} else if tolerant {
-			skipped++
-		} else {
-			return true, 0, err
-		}
+		return nil
+	})
+	if tolerant {
+		return true, skipped + lost, nil
 	}
-	err = sc.Err()
-	if err != nil && tolerant && errors.Is(err, bufio.ErrTooLong) {
-		// A too-long line is content corruption (count it, stop parsing);
-		// anything else is a real I/O failure and stays fatal.
-		skipped++
-		err = nil
-	}
-	return true, skipped, err
+	return true, 0, err
 }
 
-// sink is one open output file of one record kind, in one encoding: CSV
-// lines or APBF blocks, both gathered in w's buffer. Write errors are
-// sticky in w and surface from close.
-type sink[T any] struct {
-	k      *kind[T]
-	f      *os.File
-	w      *shardWriter
-	binary bool
-	events []string
-	row    []int64 // APBF row scratch
-}
-
-// openSink creates PE pe's shard of kind k in dir; events are the run's
-// PAPI event names (the counter columns).
-func openSink[T any](k *kind[T], dir string, pe int, binary bool, events []string) (*sink[T], error) {
-	name := k.csvFile(pe)
-	if binary {
-		name = k.binFile(pe)
-	}
+// createShard creates the file name in dir and points a pooled
+// shardWriter at it.
+func createShard(dir, name string) (*os.File, *shardWriter, error) {
 	f, err := os.Create(filepath.Join(dir, name))
 	if err != nil {
-		return nil, fmt.Errorf("trace: %w", err)
+		return nil, nil, fmt.Errorf("trace: %w", err)
 	}
-	s := &sink[T]{k: k, f: f, w: shardWriters.Get().(*shardWriter), binary: binary, events: events}
-	s.w.start(f)
-	if binary {
-		ncols := k.cols
-		if k.counters {
-			ncols += len(events)
-		}
-		s.row = make([]int64, ncols)
-		s.w.header(k.binKind, ncols)
-	}
-	return s, nil
+	w := shardWriters.Get().(*shardWriter)
+	w.start(f)
+	return f, w, nil
 }
 
-func (s *sink[T]) put(r T) {
-	if !s.binary {
-		s.w.buf = s.k.appendCSV(s.w.buf, r, s.events)
-		s.w.gathered()
-	} else if str := s.k.toRow(r, s.row); s.k.hasStr {
-		s.w.pushStr(str, s.row...)
-	} else {
-		s.w.push(s.row...)
-	}
-}
-
-// close finishes the last block, flushes and closes the file - always,
-// so a failing sink never leaks its handle - and reports the first error.
-func (s *sink[T]) close() error {
-	err := s.w.finish()
-	shardWriters.Put(s.w)
-	if cerr := s.f.Close(); err == nil {
+// closeShard writes out what w gathered and closes f - always, so a
+// failing write never leaks its handle - and reports the first error.
+func closeShard(f *os.File, w *shardWriter) error {
+	err := w.finish()
+	shardWriters.Put(w)
+	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
-		return fmt.Errorf("trace: writing %s: %w", s.f.Name(), err)
+		return fmt.Errorf("trace: writing %s: %w", f.Name(), err)
 	}
 	return nil
 }
 
-// sinks is one shard's open outputs: one sink per encoding the Format
-// selects, so "both" is two sinks in the slice and nothing else.
-type sinks[T any] []*sink[T]
-
-func openSinks[T any](k *kind[T], dir string, pe int, format Format, events []string) (sinks[T], error) {
-	if err := (Config{Format: format}).Validate(); err != nil {
-		return nil, err // never index the encodings table with it
-	}
-	var out sinks[T]
-	for _, binary := range format.encodings() {
-		s, err := openSink(k, dir, pe, binary, events)
-		if err != nil {
-			out.close()
-			return nil, err
-		}
-		out = append(out, s)
-	}
-	return out, nil
-}
-
-func (ss sinks[T]) put(r T) {
-	for _, s := range ss {
-		s.put(r)
-	}
-}
-
-func (ss sinks[T]) close() error {
-	var err error
-	for _, s := range ss {
-		err = errors.Join(err, s.close())
-	}
-	return err
-}
-
-// writeShardFill writes PE pe's shard of kind k, in every encoding of
-// format: the n rows at(0), at(1), ..., at(n-1), asked for in that order,
-// except that a send kind's APBF blocks, which have no row codec, are
-// filled column-wise: fill(cols, lo), lo the block's first row.
-func writeShardFill[T any](k *kind[T], dir string, pe int, format Format, events []string, n int, at func(i int) T,
+// writeShardFill writes the APBF shard name of kind k in dir; events are
+// the run's PAPI event names (the counter columns). A run-wide kind's
+// rows are at(0), at(1), ..., at(n-1), asked for in that order; a send
+// kind, which has no row codec, has its blocks filled column-wise:
+// fill(cols, lo), lo the block's first row.
+func writeShardFill[T any](k *kind[T], dir, name string, events []string, n int, at func(i int) T,
 	fill func(cols [][]int64, lo int)) error {
-	out, err := openSinks(k, dir, pe, format, events)
+	f, w, err := createShard(dir, name)
 	if err != nil {
 		return err
 	}
-	rowSinks := out
-	if k.toRow == nil && format.binary() { // encodings puts the APBF sink last
-		bin := out[len(out)-1]
+	ncols := k.cols
+	if k.counters {
+		ncols += len(events)
+	}
+	w.header(k.binKind, ncols)
+	if k.toRow == nil {
 		for lo := 0; lo < n; lo += binBlockRows {
-			fill(bin.w.block(min(binBlockRows, n-lo)), lo)
-			bin.w.flushBlock()
+			fill(w.block(min(binBlockRows, n-lo)), lo)
+			w.flushBlock()
 		}
-		rowSinks = out[:len(out)-1]
+		return closeShard(f, w)
 	}
-	for i := 0; len(rowSinks) > 0 && i < n; i++ {
-		rowSinks.put(at(i))
+	row := make([]int64, ncols)
+	for i := 0; i < n; i++ {
+		if str := k.toRow(at(i), row); k.hasStr {
+			w.pushStr(str, row...)
+		} else {
+			w.push(row...)
+		}
 	}
-	return out.close()
+	return closeShard(f, w)
 }
 
-// dropOtherEncoding removes the trace shards dir holds in the encoding
-// format does not write (none for FormatBoth): readers prefer a .bin to a
-// .csv, so an earlier write's shard would shadow this write's or stand in
-// for one it does not write. One listing spares a rewrite in the same
-// encoding a removal per shard.
-func dropOtherEncoding(dir string, format Format) error {
-	if format == FormatBoth {
-		return nil
-	}
+// artifacts are the names of everything a trace directory holds of its
+// trace: both layouts of every kind, and the time index built over it.
+var artifacts = []string{
+	"PE*_send.bin", "PE*_PAPI.bin", overallBinFile, physicalBinFile, segmentsBinFile,
+	"PE*_send.csv", "PE*_PAPI.csv", overallFile, physicalFile, segmentsFile,
+	timeIndexFile,
+}
+
+// dropStale removes every trace artifact dir holds that this write does
+// not produce (keep): a shard of a kind, a PE or a layout the write leaves
+// out would otherwise be read back with it, and physical.idx describes the
+// physical trace it was built over, whose size a rewrite can match. One
+// listing spares a rewrite a removal per shard.
+func dropStale(dir string, keep map[string]bool) error {
 	f, err := os.Open(dir)
 	if err != nil {
 		return fmt.Errorf("trace: %w", err)
@@ -270,26 +155,18 @@ func dropOtherEncoding(dir string, format Format) error {
 	if err != nil {
 		return fmt.Errorf("trace: listing %s: %w", dir, err)
 	}
-	other := []string{"PE*_send.csv", "PE*_PAPI.csv", overallFile, physicalFile, segmentsFile}
-	if !format.binary() {
-		other = []string{"PE*_send.bin", "PE*_PAPI.bin", overallBinFile, physicalBinFile, segmentsBinFile}
-	}
 	for _, name := range names {
-		for _, pattern := range other {
+		if keep[name] {
+			continue
+		}
+		for _, pattern := range artifacts {
 			if ok, _ := filepath.Match(pattern, name); ok {
-				if err := removeStale(filepath.Join(dir, name)); err != nil {
-					return err
+				if err := os.Remove(filepath.Join(dir, name)); err != nil && !os.IsNotExist(err) {
+					return fmt.Errorf("trace: %w", err)
 				}
+				break
 			}
 		}
-	}
-	return nil
-}
-
-// removeStale removes path if it exists.
-func removeStale(path string) error {
-	if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("trace: %w", err)
 	}
 	return nil
 }
@@ -340,16 +217,15 @@ type shardMark struct {
 
 // scanTask appends the task that scans one shard into its result slot -
 // or nothing, when the consumer has no factory f for the kind. takes
-// makes f's yield, got on the worker about to scan, into what takes the
-// shard's CSV rows and its APBF rows: rowsOf, or a send kind's packer.
+// makes f's yield, got on the worker about to scan, into what admits the
+// shard's rows: rowsOf, or a send kind's packer.
 func scanTask[T, Y any](tasks []func(worker int), mark *shardMark, k *kind[T], dir string, pe int, m *meta, tolerant bool,
-	f func(worker, pe int) Y, takes func(m *meta, pe int, yield Y) (func(T), rowFunc)) []func(worker int) {
+	f func(worker, pe int) Y, takes func(m *meta, pe int, yield Y) rowFunc) []func(worker int) {
 	if f == nil {
 		return tasks
 	}
 	return append(tasks, func(w int) {
-		rows, admit := takes(m, pe, f(w, pe))
-		mark.found, mark.skipped, mark.err = scan(k, dir, pe, m, tolerant, rows, admit)
+		mark.found, mark.skipped, mark.err = scan(k, dir, pe, tolerant, takes(m, pe, f(w, pe)))
 	})
 }
 

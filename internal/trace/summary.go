@@ -328,9 +328,9 @@ func newPAPITotals(nEvents, npes int) [][]int64 {
 
 // ReadSummary scans a trace directory into a Summary without ever
 // materializing record slices: the walker plus yields that fold every
-// record into per-worker partials. opts.Tolerant has ReadSetLive
-// semantics; the skipped count matches what ReadSetOptions would report
-// for the same directory.
+// record into per-worker partials. With opts.Tolerant a malformed record
+// is skipped and counted; the skipped count matches what a tolerant
+// readSet reports for the same directory.
 func ReadSummary(dir string, opts ReadOptions) (*Summary, int, error) {
 	md, err := readMeta(filepath.Join(dir, MetaFile))
 	if err != nil {

@@ -60,7 +60,8 @@ type ClockDomain byte
 const (
 	// DomainSequence addresses records by their position in file order:
 	// record i has timestamp i. It is the fallback for traces whose
-	// records carry no clock values (CSV reloads, pre-cycles binaries).
+	// records carry no clock values (imported paper layouts, pre-cycles
+	// binaries).
 	DomainSequence ClockDomain = 0
 	// DomainCycles uses the initiating PE's virtual-clock cycle count.
 	DomainCycles ClockDomain = 1
@@ -143,7 +144,7 @@ func (ix *TimeIndex) BucketWidth(lvl int) int64 {
 
 // clockRule is the clock-domain rule, shown every physical record of a
 // trace: the cycles domain only when there are records and each carries a
-// nonzero clock. One zeroed clock anywhere (a CSV reload, a pre-cycles
+// nonzero clock. One zeroed clock anywhere (an import, a pre-cycles
 // binary, a hand-built fixture) demotes the whole trace to the sequence
 // domain - the two are never interleaved.
 type clockRule struct {
@@ -191,8 +192,7 @@ func (l pyramidLevel) add(tmin, ts int64, r PhysicalRecord) {
 
 // BuildTimeIndex builds (or rebuilds) the physical.idx sidecar for a
 // trace directory. It returns built=false without error when the
-// directory has no binary physical trace to index (CSV-only and
-// physical-less traces are served by the full-scan fallback). A torn tail
+// directory has no physical trace to index. A torn tail
 // is not an error - the complete prefix is indexed, matching the tolerant
 // readers - but a record the readers reject is: no sidecar is written and
 // queries keep falling back to the full scan.

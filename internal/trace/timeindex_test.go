@@ -195,22 +195,18 @@ func TestTimeIndexStaleness(t *testing.T) {
 	}
 }
 
-// TestWindowQueryCSVFallback: a CSV-only directory carries no index (the
-// text format drops the cycles column entirely), so QueryWindow must
-// answer through the exact full-scan reference, in the sequence domain.
+// TestWindowQueryCSVFallback: a directory imported from the paper's layout
+// and written without an index (the text format drops the cycles column
+// entirely) must answer QueryWindow through the exact full-scan
+// reference, in the sequence domain.
 func TestWindowQueryCSVFallback(t *testing.T) {
-	s := cycleSet(t, 6, 40)
-	s.Config.Format = FormatCSV
+	ref, _ := importPaper(t, cycleSet(t, 6, 40))
 	dir := t.TempDir()
-	if err := s.WriteFiles(dir); err != nil {
+	if err := ref.WriteFiles(dir); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := LoadTimeIndex(dir); err == nil {
-		t.Fatal("CSV-only directory loaded a time index")
-	}
-	ref, err := ReadSet(dir)
-	if err != nil {
-		t.Fatal(err)
+		t.Fatal("an unindexed directory loaded a time index")
 	}
 	for _, q := range []Window{
 		{T0: 0, T1: 1 << 40},
@@ -222,10 +218,10 @@ func TestWindowQueryCSVFallback(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !res.FullScan {
-			t.Fatalf("CSV query %+v did not take the full-scan path", q)
+			t.Fatalf("query %+v did not take the full-scan path", q)
 		}
 		if res.Domain != DomainSequence {
-			t.Fatalf("CSV reload produced domain %s, want sequence (physical.txt has no clocks)", res.Domain)
+			t.Fatalf("the import produced domain %s, want sequence (physical.txt has no clocks)", res.Domain)
 		}
 		compareWindow(t, "csv", res, QueryWindowSet(ref, q))
 	}
@@ -314,9 +310,9 @@ func TestIndexedPathAppliesRecordCheck(t *testing.T) {
 	if _, err := ReadSet(dir); err == nil || !strings.Contains(err.Error(), "dst PE 7 outside [0, 2)") {
 		t.Fatalf("ReadSet = %v, want the dst PE range error", err)
 	}
-	live, skipped, err := ReadSetLive(dir)
+	live, skipped, err := readSet(dir, ReadOptions{Tolerant: true})
 	if err != nil || skipped != 1 {
-		t.Fatalf("ReadSetLive: skipped=%d err=%v, want the one bad record skipped", skipped, err)
+		t.Fatalf("tolerant readSet: skipped=%d err=%v, want the one bad record skipped", skipped, err)
 	}
 	q := Window{T0: 0, T1: 100}
 	want := QueryWindowSet(live, q)

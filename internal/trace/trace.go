@@ -11,8 +11,10 @@
 //	-DENABLE_TCOMM_PROFILING  -> Config.Overall
 //	-DENABLE_TRACE_PHYSICAL   -> Config.Physical
 //
-// File formats (paper Section III), written with Config.Format =
-// FormatCSV:
+// A trace directory holds its records as APBF, the binary columnar *.bin
+// files (binary.go): the one encoding every reader opens. With
+// Config.Format = FormatCSV, WriteFiles also writes the paper's text
+// files (Section III) beside them:
 //
 //	PEi_send.csv : srcNode,srcPE,dstNode,dstPE,msgSize            (per logical send)
 //	PEi_PAPI.csv : srcNode,srcPE,dstNode,dstPE,pktSize,MAILBOXID,NUM_SENDS,<counters...>
@@ -20,8 +22,8 @@
 //	               Relative [PEi] TCOMM_PROFILING (m, c, p)
 //	physical.txt : sendType,bufBytes,srcPE,dstPE
 //
-// By default a trace directory holds the same records as APBF, the
-// binary columnar *.bin siblings (binary.go). Readers sniff each file.
+// and ImportPaper reads a directory that holds only those back into a
+// Set (paper.go).
 package trace
 
 import (
@@ -57,10 +59,9 @@ type Config struct {
 	// This is the trace-size-management extension the paper lists as
 	// future work; totals-based analyses scale the counts back up.
 	LogicalSample int
-	// Format selects the on-disk representation WriteFiles produces: the
-	// compact binary columnar APBF format (the zero value), the paper's
-	// CSV/text formats (FormatCSV), or both side by side. Readers
-	// auto-detect the format per file, so this only affects the writer.
+	// Format selects what WriteFiles writes beside the APBF files, which
+	// it always writes and which are all the readers open: nothing (the
+	// zero value) or the paper's text layout (FormatCSV).
 	Format Format
 	// Aggregate folds records into per-(src,dst) matrices at collection
 	// time instead of materializing them: the collector keeps an
@@ -72,27 +73,19 @@ type Config struct {
 	Aggregate bool
 }
 
-// Format selects the on-disk trace representation.
+// Format selects the layouts a trace directory is written in.
 type Format uint8
 
 const (
 	// FormatBinary, the zero Format, writes the compact binary columnar
 	// APBF files (PEi_send.bin, PEi_PAPI.bin, overall.bin, physical.bin,
-	// segments.bin).
+	// segments.bin) alone.
 	FormatBinary Format = iota
-	// FormatCSV writes the paper's text formats (PEi_send.csv,
-	// PEi_PAPI.csv, overall.txt, physical.txt, segments.txt) instead.
+	// FormatCSV writes the APBF files plus, beside them, the paper's
+	// text layout (PEi_send.csv, PEi_PAPI.csv, overall.txt, physical.txt,
+	// segments.txt), which only ImportPaper reads back.
 	FormatCSV
-	// FormatBoth writes both representations.
-	FormatBoth
 )
-
-func (f Format) binary() bool { return f == FormatBinary || f == FormatBoth }
-
-// encodings lists what the format writes, as the sinks' binary flag.
-func (f Format) encodings() []bool {
-	return [...][]bool{FormatBinary: {true}, FormatCSV: {false}, FormatBoth: {false, true}}[f]
-}
 
 // String names the format as the -format CLI flags spell it.
 func (f Format) String() string {
@@ -101,8 +94,6 @@ func (f Format) String() string {
 		return "binary"
 	case FormatCSV:
 		return "csv"
-	case FormatBoth:
-		return "both"
 	}
 	return fmt.Sprintf("Format(%d)", uint8(f))
 }
@@ -114,10 +105,8 @@ func ParseFormat(s string) (Format, error) {
 		return FormatBinary, nil
 	case "csv":
 		return FormatCSV, nil
-	case "both":
-		return FormatBoth, nil
 	}
-	return 0, fmt.Errorf("trace: unknown format %q (want csv, binary, or both)", s)
+	return 0, fmt.Errorf("trace: unknown format %q (want binary or csv)", s)
 }
 
 func (c Config) withDefaults() Config {
@@ -139,7 +128,7 @@ func (c Config) Validate() error {
 	if c.PAPIRecordEvery > math.MaxInt32 {
 		return fmt.Errorf("trace: PAPIRecordEvery %d exceeds a record's 32-bit send count", c.PAPIRecordEvery)
 	}
-	if c.Format > FormatBoth {
+	if c.Format > FormatCSV {
 		return fmt.Errorf("trace: unknown trace format %d", c.Format)
 	}
 	return nil

@@ -472,10 +472,10 @@ func TestReadSetPartialTraces(t *testing.T) {
 		t.Fatal(err)
 	}
 	for pe := 0; pe < 4; pe++ {
-		os.Remove(filepath.Join(dir, logicalFile(pe)))
-		os.Remove(filepath.Join(dir, papiFile(pe)))
+		os.Remove(filepath.Join(dir, logicalBinFile(pe)))
+		os.Remove(filepath.Join(dir, papiBinFile(pe)))
 	}
-	os.Remove(filepath.Join(dir, physicalFile))
+	os.Remove(filepath.Join(dir, physicalBinFile))
 	back, err := ReadSet(dir)
 	if err != nil {
 		t.Fatal(err)

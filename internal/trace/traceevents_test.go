@@ -127,27 +127,19 @@ func TestExportClockDomainNeverMixed(t *testing.T) {
 }
 
 // TestExportCSVReloadIsSequenceDomain: physical.txt carries no clock
-// column, so a trace written as CSV and reloaded must export in the
+// column, so a trace imported from the paper's layout must export in the
 // sequence domain even though the original collector recorded cycles.
 func TestExportCSVReloadIsSequenceDomain(t *testing.T) {
 	s := cycleSet(t, 4, 30)
 	if physicalClockDomain(s) != DomainCycles {
 		t.Fatal("fixture should start in the cycles domain")
 	}
-	s.Config.Format = FormatCSV
-	dir := t.TempDir()
-	if err := s.WriteFiles(dir); err != nil {
-		t.Fatal(err)
-	}
-	re, err := ReadSet(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	re, _ := importPaper(t, s)
 	if got := physicalClockDomain(re); got != DomainSequence {
-		t.Fatalf("CSV reload classified as %s, want sequence", got)
+		t.Fatalf("import classified as %s, want sequence", got)
 	}
 	if _, d := exportedEvents(t, re); d != "sequence" {
-		t.Fatalf("CSV reload declared domain %v, want sequence", d)
+		t.Fatalf("import declared domain %v, want sequence", d)
 	}
 
 	// The binary round trip preserves the clocks and the domain.

@@ -16,7 +16,7 @@ import (
 // blocks whose timestamp spans intersect the window - O(window), not
 // O(trace) - and zoomed-out requests (LOD >= 1) are answered from the
 // index's pyramid alone, touching zero data blocks. Directories without
-// a usable index (CSV-only traces, torn or stale sidecars) fall back to
+// a usable index (never indexed, torn or stale sidecars) fall back to
 // an exact full-scan reference, QueryWindowSet, which is also the oracle
 // the differential test suite compares the indexed path against.
 
@@ -310,9 +310,9 @@ func QueryWindowSet(s *Set, q Window) *WindowResult {
 
 // QueryWindow answers q against a trace directory, using the time index
 // when one is present, valid, and fresh, and falling back to the exact
-// full-scan reference otherwise (CSV-only traces, torn or stale
-// sidecars). The fallback tolerates torn and corrupt files the same way
-// ReadSetLive does.
+// full-scan reference otherwise (no index, torn or stale sidecars). The
+// fallback reads the physical trace tolerantly: a torn or corrupt record
+// is skipped.
 func QueryWindow(dir string, q Window) (*WindowResult, error) {
 	if ix, err := LoadTimeIndex(dir); err == nil {
 		if res, err := ix.Query(dir, q); err == nil {
