@@ -29,8 +29,9 @@ import (
 )
 
 // hotPkgs and hotBench select the microbenchmarks of the message path,
-// the trace pipeline and the what-if engines.
-var hotPkgs = []string{"./internal/shmem", "./internal/conveyor", "./internal/actor", "./internal/trace", "./internal/whatif", "./internal/apps"}
+// the trace pipeline, the what-if engines and actorprofd's render miss.
+var hotPkgs = []string{"./internal/shmem", "./internal/conveyor", "./internal/actor", "./internal/trace", "./internal/whatif", "./internal/apps",
+	"./internal/viz", "./internal/serve"}
 
 const hotBench = "BenchmarkPushThroughput|BenchmarkPushPullLocal|BenchmarkExchangeLinear16PE|" +
 	"BenchmarkHandlerDispatch|BenchmarkHandlerDispatchBatch|BenchmarkISort|" +
@@ -39,7 +40,8 @@ const hotBench = "BenchmarkPushThroughput|BenchmarkPushPullLocal|BenchmarkExchan
 	"BenchmarkReadSet|BenchmarkWriteFiles|BenchmarkReadSummary|" +
 	"BenchmarkAppendLogicalLine|" +
 	"BenchmarkWindowQueryEvents|BenchmarkWindowQueryPyramid|BenchmarkWindowQueryFullScan|" +
-	"BenchmarkCriticalPath|BenchmarkWhatIfReplay"
+	"BenchmarkCriticalPath|BenchmarkWhatIfReplay|" +
+	"BenchmarkRenderHeatmapSVG|BenchmarkWithGzip"
 
 // suites maps a suite name to the package patterns and -bench regex the
 // runner hands to go test.

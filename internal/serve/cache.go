@@ -25,25 +25,49 @@ func (r renderResult) size() int64 { return int64(len(r.data) + len(r.gz)) }
 // the gzip framing eats most of the saving.
 const gzipMinBytes = 860
 
-// withGzip compresses res.data and attaches the gzip variant when the
-// payload is large enough to matter (gzipMinBytes) and compression
-// actually shrinks it by at least 10%. Called inside the render closure,
-// so the compression cost is paid once per cache entry, not per response.
+// gzipWriters holds idle BestSpeed compressors. A miss takes one, Resets
+// it onto its own scratch buffer, and returns it after Close: a writer is
+// never shared by two renders, and no miss allocates a compressor.
+var gzipWriters = sync.Pool{New: func() any {
+	zw, _ := gzip.NewWriterLevel(nil, gzip.BestSpeed)
+	return zw
+}}
+
+// scratchBuffers holds the buffers a miss renders and compresses into;
+// what the cache keeps is copied out of them at its exact size.
+var scratchBuffers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// withGzip makes res ready for the cache: res.data is copied to an
+// exact-size slice (it may be a scratch buffer's view), and a gzip
+// variant is attached when the payload is large enough to matter
+// (gzipMinBytes) and compression actually shrinks it by at least 10%.
+// Both variants have cap == len, so the entry's size() is what the cache
+// holds. Called inside the render closure, so the compression cost is
+// paid once per cache entry, not per response.
 func withGzip(res renderResult) renderResult {
+	res.data = exactCopy(res.data)
 	if len(res.data) < gzipMinBytes {
 		return res
 	}
-	var buf bytes.Buffer
-	zw, _ := gzip.NewWriterLevel(&buf, gzip.BestSpeed)
+	buf := scratchBuffers.Get().(*bytes.Buffer)
+	defer scratchBuffers.Put(buf)
+	buf.Reset()
+	zw := gzipWriters.Get().(*gzip.Writer)
+	zw.Reset(buf)
 	zw.Write(res.data)
-	if err := zw.Close(); err != nil {
+	err := zw.Close()
+	gzipWriters.Put(zw)
+	if err != nil || buf.Len() >= len(res.data)*9/10 {
 		return res
 	}
-	if buf.Len() >= len(res.data)*9/10 {
-		return res
-	}
-	res.gz = buf.Bytes()
+	res.gz = exactCopy(buf.Bytes())
 	return res
+}
+
+func exactCopy(b []byte) []byte {
+	out := make([]byte, len(b))
+	copy(out, b)
+	return out
 }
 
 // flight tracks one in-progress render so that concurrent requests for

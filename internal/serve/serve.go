@@ -224,10 +224,15 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 // any file in the trace directory does), the artifact name, and the
 // normalized parameter. No render is needed to compute it, so a
 // revalidation of an unchanged artifact costs a fingerprint lookup and
-// a hash - not a parse or a render.
-func etagFor(parts ...string) string {
-	h := sha256.Sum256([]byte(strings.Join(parts, "\x00")))
-	return hex.EncodeToString(h[:12])
+// a hash - not a parse or a render. key is those parts NUL-joined, the
+// string that also keys the cache (see serveArtifact); it is hashed in
+// place and hex-encoded into a fixed array, so the tag string is the
+// one allocation.
+func etagFor(key string) string {
+	sum := sha256.Sum256([]byte(key))
+	var tag [24]byte
+	hex.Encode(tag[:], sum[:12])
+	return string(tag[:])
 }
 
 // acceptsGzip reports whether the request's Accept-Encoding allows a
@@ -308,11 +313,15 @@ func (s *Server) writeNegotiated(w http.ResponseWriter, r *http.Request, res ren
 // is even consulted; otherwise the artifact is fetched or rendered
 // (single-flight, timed, gzip-encoded once when worth it) and written
 // with content negotiation. An endpoint supplies only its normalized
-// parameters and a render that returns bytes and their type.
+// parameters and a render that writes the bytes into a scratch buffer
+// and returns their type; the cache keeps an exact-size copy.
 func (s *Server) serveArtifact(w http.ResponseWriter, r *http.Request, runID, fp, name string, norm []string,
-	render func() (data []byte, contentType string, err error)) {
-	parts := append([]string{runID, fp, name}, norm...)
-	etagBase := etagFor(parts...)
+	render func(buf *bytes.Buffer) (contentType string, err error)) {
+	key := runID + "\x00" + fp + "\x00" + name
+	for _, p := range norm {
+		key += "\x00" + p
+	}
+	etagBase := etagFor(key)
 	if inm := r.Header.Get("If-None-Match"); inm != "" {
 		if matched, ok := etagMatches(inm, etagBase); ok {
 			h := w.Header()
@@ -323,14 +332,17 @@ func (s *Server) serveArtifact(w http.ResponseWriter, r *http.Request, runID, fp
 			return
 		}
 	}
-	res, err := s.cache.getOrRender(strings.Join(parts, "\x00"), func() (renderResult, error) {
+	res, err := s.cache.getOrRender(key, func() (renderResult, error) {
 		start := time.Now()
 		defer func() { s.metrics.observeRender(time.Since(start)) }()
-		data, contentType, err := render()
+		buf := scratchBuffers.Get().(*bytes.Buffer)
+		defer scratchBuffers.Put(buf)
+		buf.Reset()
+		contentType, err := render(buf)
 		if err != nil {
 			return renderResult{}, err
 		}
-		return withGzip(renderResult{data: data, contentType: contentType}), nil
+		return withGzip(renderResult{data: buf.Bytes(), contentType: contentType}), nil
 	})
 	if err != nil {
 		s.fail(w, err)
@@ -369,23 +381,30 @@ func (s *Server) handlePlot(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	s.serveArtifact(w, r, runID, fp, name, []string{param}, func() ([]byte, string, error) {
+	s.serveArtifact(w, r, runID, fp, name, []string{param}, func(buf *bytes.Buffer) (string, error) {
 		if format == "svg" {
 			p, err := art.plot(sum, param)
 			if err != nil {
-				return nil, "", err
+				return "", err
 			}
-			var buf bytes.Buffer
-			err = viz.RenderSVGTo(p, &buf)
-			return buf.Bytes(), "image/svg+xml", err
+			return "image/svg+xml", viz.RenderSVGTo(p, buf)
 		}
 		v, err := art.json(sum, param)
 		if err != nil {
-			return nil, "", err
+			return "", err
 		}
-		data, err := json.Marshal(v)
-		return data, "application/json", err
+		return "application/json", writeJSON(buf, v)
 	})
+}
+
+// writeJSON writes v to buf byte for byte as json.Marshal encodes it,
+// without Marshal's copy of the result.
+func writeJSON(buf *bytes.Buffer, v any) error {
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		return err
+	}
+	buf.Truncate(buf.Len() - 1) // Encode ends the value with a newline
+	return nil
 }
 
 func splitPlotName(name string) (kind, format string, ok bool) {
@@ -413,17 +432,15 @@ func (s *Server) handlePerfetto(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	s.serveArtifact(w, r, runID, fp, "perfetto", nil, func() ([]byte, string, error) {
+	s.serveArtifact(w, r, runID, fp, "perfetto", nil, func(buf *bytes.Buffer) (string, error) {
 		set, err := s.reg.physical(runID)
 		if err != nil {
-			return nil, "", err
+			return "", err
 		}
 		if !set.Config.Physical {
-			return nil, "", noData("run has no physical trace; nothing to export")
+			return "", noData("run has no physical trace; nothing to export")
 		}
-		var buf bytes.Buffer
-		err = set.ExportPerfetto(&buf)
-		return buf.Bytes(), "application/json", err
+		return "application/json", set.ExportPerfetto(buf)
 	})
 }
 
@@ -505,18 +522,17 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	norm := fmt.Sprintf("%d\x01%d\x01%d\x01%d", q.T0, q.T1, q.LOD, q.MaxEvents)
-	s.serveArtifact(w, r, runID, fp, "events", []string{norm}, func() ([]byte, string, error) {
+	s.serveArtifact(w, r, runID, fp, "events", []string{norm}, func(buf *bytes.Buffer) (string, error) {
 		res, err := s.reg.queryWindow(runID, q)
 		if err != nil {
-			return nil, "", err
+			return "", err
 		}
 		s.metrics.windowQueries.Add(1)
 		s.metrics.windowBlocksRead.Add(int64(res.BlocksRead))
 		if res.FullScan {
 			s.metrics.windowFullScans.Add(1)
 		}
-		data, err := json.Marshal(res)
-		return data, "application/json", err
+		return "application/json", writeJSON(buf, res)
 	})
 }
 

@@ -1,7 +1,7 @@
 package serve
 
 import (
-	"encoding/json"
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -12,6 +12,7 @@ import (
 
 	"actorprof/internal/core"
 	"actorprof/internal/sim"
+	"actorprof/internal/viz"
 	"actorprof/internal/whatif"
 )
 
@@ -156,44 +157,34 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	s.serveArtifact(w, r, runID, fp, "whatif", []string{q.norm()}, func() ([]byte, string, error) {
+	s.serveArtifact(w, r, runID, fp, "whatif", []string{q.norm()}, func(buf *bytes.Buffer) (string, error) {
 		sched, err := s.reg.scheduleFor(runID)
 		if err != nil {
-			return nil, "", err
+			return "", err
 		}
 		pert := whatif.Perturbation{Cost: whatif.ScaledCost(sched.Cost, q.scales)}
 		if q.speedup > 0 {
 			pert.HandlerSpeedup = map[int64]float64{q.actor: q.speedup}
 		}
 		if err := pert.Validate(); err != nil {
-			return nil, "", statusError{code: 400, msg: err.Error()}
+			return "", statusError{code: 400, msg: err.Error()}
 		}
 		rep, err := core.WhatIf(sched, pert)
 		if err != nil {
-			return nil, "", err
+			return "", err
 		}
-		var data []byte
-		contentType := "application/json"
-		switch {
-		case q.format == "json" && q.plot == "report":
-			data, err = json.Marshal(rep)
-		default:
-			var plot interface {
-				RenderSVG() (string, error)
-			}
-			if q.plot == "compare" {
-				plot = core.WhatIfPlot(rep, q.title())
-			} else {
-				plot = core.BottleneckPlot(rep.Projected, 12, "bottleneck ranking (projected)")
-			}
-			if q.format == "json" {
-				data, err = json.Marshal(plot)
-			} else {
-				var svg string
-				svg, err = plot.RenderSVG()
-				data, contentType = []byte(svg), "image/svg+xml"
-			}
+		if q.format == "json" && q.plot == "report" {
+			return "application/json", writeJSON(buf, rep)
 		}
-		return data, contentType, err
+		var plot viz.Plot
+		if q.plot == "compare" {
+			plot = core.WhatIfPlot(rep, q.title())
+		} else {
+			plot = core.BottleneckPlot(rep.Projected, 12, "bottleneck ranking (projected)")
+		}
+		if q.format == "json" {
+			return "application/json", writeJSON(buf, plot)
+		}
+		return "image/svg+xml", viz.RenderSVGTo(plot, buf)
 	})
 }

@@ -5,9 +5,9 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
+	"strconv"
 )
 
 // Quartiles is a five-number summary.
@@ -15,11 +15,21 @@ type Quartiles struct {
 	Min, Q1, Median, Q3, Max float64
 }
 
-// String renders the summary compactly.
-func (q Quartiles) String() string {
-	return fmt.Sprintf("min=%.4g q1=%.4g med=%.4g q3=%.4g max=%.4g",
-		q.Min, q.Q1, q.Median, q.Q3, q.Max)
+// String renders the summary compactly:
+// "min=%.4g q1=%.4g med=%.4g q3=%.4g max=%.4g".
+func (q Quartiles) String() string { return string(q.AppendTo(nil)) }
+
+// AppendTo appends the String form to b without fmt, so a plot can put
+// it in a mark's title at no allocation.
+func (q Quartiles) AppendTo(b []byte) []byte {
+	for i, v := range [5]float64{q.Min, q.Q1, q.Median, q.Q3, q.Max} {
+		b = append(b, quartileKeys[i]...)
+		b = strconv.AppendFloat(b, v, 'g', 4, 64)
+	}
+	return b
 }
+
+var quartileKeys = [5]string{"min=", " q1=", " med=", " q3=", " max="}
 
 // IQR returns the interquartile range.
 func (q Quartiles) IQR() float64 { return q.Q3 - q.Q1 }

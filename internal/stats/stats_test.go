@@ -1,7 +1,9 @@
 package stats
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -278,5 +280,26 @@ func TestDropNaNPreservesCleanSlice(t *testing.T) {
 	}
 	if math.IsNaN(in2[1]) == false {
 		t.Error("dropNaN mutated its input")
+	}
+}
+
+// TestQuartilesStringMatchesFmt: the fmt-free String is byte for byte
+// the "%.4g" form it replaced, so violin tooltips did not change.
+func TestQuartilesStringMatchesFmt(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.NaN(), 1e-5, 12345.6, 99995, 5e-324, 1e21}
+	for i := 0; i < 20_000; i++ {
+		var v [5]float64
+		for j := range v {
+			v[j] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(24)-12))
+		}
+		if i < len(special) {
+			v[i%5] = special[i]
+		}
+		q := Quartiles{v[0], v[1], v[2], v[3], v[4]}
+		want := fmt.Sprintf("min=%.4g q1=%.4g med=%.4g q3=%.4g max=%.4g", q.Min, q.Q1, q.Median, q.Q3, q.Max)
+		if got := q.String(); got != want {
+			t.Fatalf("String() = %q, fmt gives %q", got, want)
+		}
 	}
 }

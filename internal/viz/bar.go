@@ -3,6 +3,7 @@ package viz
 import (
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 )
 
@@ -109,8 +110,7 @@ func (b *Bar) RenderSVG() (string, error) {
 		x := marginL + float64(i)*barW
 		h := float64(v) / float64(mx) * plotH
 		y := marginT + plotH - h
-		d.roundedRect(x, y, barW-gap, h, 3, colSeries1,
-			fmt.Sprintf("%s: %d", b.Labels[i], v))
+		d.roundedRect(x, y, barW-gap, h, 3, colSeries1, d.tip().s(b.Labels[i]).s(": ").d(v))
 		if i == hiIdx {
 			d.text(x+(barW-gap)/2, y-5, formatCount(v), colTextPrim, "middle", 10)
 		}
@@ -119,7 +119,7 @@ func (b *Bar) RenderSVG() (string, error) {
 		}
 	}
 	d.line(marginL-4, marginT+plotH, width-20, marginT+plotH, colTextSec, 1)
-	return d.String(), nil
+	return d.close(), nil
 }
 
 // StackedBar is the overall-breakdown plot of Figures 12-13: one bar per
@@ -242,7 +242,7 @@ func (s *StackedBar) RenderSVG() (string, error) {
 	// Legend row (always present: >= 2 series).
 	lx := marginL
 	for i, ser := range s.Series {
-		d.rect(lx, 28, 10, 10, categorical(i), "")
+		d.rect(lx, 28, 10, 10, categorical(i), nil)
 		d.text(lx+14, 37, ser.Name, colTextSec, "start", 10)
 		lx += 14 + float64(len(ser.Name))*6 + 16
 	}
@@ -259,7 +259,7 @@ func (s *StackedBar) RenderSVG() (string, error) {
 		y := marginT + plotH - frac*plotH
 		d.line(marginL-4, y, width-20, y, colGrid, 1)
 		if s.Relative {
-			d.text(marginL-8, y+4, fmt.Sprintf("%.0f%%", frac*100), colTextSec, "end", 10)
+			d.text(marginL-8, y+4, strconv.FormatFloat(frac*100, 'f', 0, 64)+"%", colTextSec, "end", 10)
 		} else {
 			d.text(marginL-8, y+4, formatCount(int64(frac*float64(mx))), colTextSec, "end", 10)
 		}
@@ -289,12 +289,12 @@ func (s *StackedBar) RenderSVG() (string, error) {
 				segH = h // keep hairline segments visible
 			}
 			d.rect(x, y, barW-gap, segH, categorical(si),
-				fmt.Sprintf("%s %s: %d", label, ser.Name, ser.Values[i]))
+				d.tip().s(label).s(" ").s(ser.Name).s(": ").d(ser.Values[i]))
 		}
 		if n <= 20 || i%4 == 0 {
 			d.text(x+(barW-gap)/2, marginT+plotH+16, label, colTextSec, "middle", 9)
 		}
 	}
 	d.line(marginL-4, marginT+plotH, width-20, marginT+plotH, colTextSec, 1)
-	return d.String(), nil
+	return d.close(), nil
 }

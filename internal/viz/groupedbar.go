@@ -3,6 +3,7 @@ package viz
 import (
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 )
 
@@ -115,8 +116,8 @@ func (g *GroupedBar) RenderSVG() (string, error) {
 	// Legend with per-series maxima (each series has its own scale).
 	lx := marginL
 	for si, s := range g.Series {
-		d.rect(lx, 30, 10, 10, categorical(si), "")
-		label := fmt.Sprintf("%s (max %s)", s.Name, formatCount(maxes[si]))
+		d.rect(lx, 30, 10, 10, categorical(si), nil)
+		label := s.Name + " (max " + formatCount(maxes[si]) + ")"
 		d.text(lx+14, 39, label, colTextSec, "start", 10)
 		lx += 14 + float64(len(label))*6 + 14
 	}
@@ -124,7 +125,7 @@ func (g *GroupedBar) RenderSVG() (string, error) {
 	for k := 0; k <= 4; k++ {
 		y := marginT + plotH - float64(k)/4*plotH
 		d.line(marginL-4, y, width-20, y, colGrid, 1)
-		d.text(marginL-8, y+4, fmt.Sprintf("%d%%", k*25), colTextSec, "end", 10)
+		d.text(marginL-8, y+4, strconv.Itoa(k*25)+"%", colTextSec, "end", 10)
 	}
 	if g.YLabel != "" {
 		d.text(14, marginT+plotH/2, g.YLabel, colTextSec, "middle", 11)
@@ -137,12 +138,12 @@ func (g *GroupedBar) RenderSVG() (string, error) {
 			h := float64(v) / float64(maxes[si]) * plotH
 			x := gx + float64(si)*barW
 			d.roundedRect(x, marginT+plotH-h, barW-gap, h, 2, categorical(si),
-				fmt.Sprintf("%s %s: %d", label, s.Name, v))
+				d.tip().s(label).s(" ").s(s.Name).s(": ").d(v))
 		}
 		if nGroups <= 20 || li%4 == 0 {
 			d.text(gx+groupW/2-4, marginT+plotH+16, label, colTextSec, "middle", 9)
 		}
 	}
 	d.line(marginL-4, marginT+plotH, width-20, marginT+plotH, colTextSec, 1)
-	return d.String(), nil
+	return d.close(), nil
 }

@@ -3,6 +3,7 @@ package viz
 import (
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 )
 
@@ -59,24 +60,20 @@ func (h *Heatmap) max() int64 {
 	return mx
 }
 
-func (h *Heatmap) sendTotals() []int64 {
-	out := make([]int64, len(h.Cells))
+// totals returns the per-source send totals, the per-destination recv
+// totals and the largest of either.
+func (h *Heatmap) totals() (sends, recvs []int64, mx int64) {
+	sends, recvs = make([]int64, len(h.Cells)), make([]int64, len(h.Cells))
 	for i, row := range h.Cells {
-		for _, v := range row {
-			out[i] += v
-		}
-	}
-	return out
-}
-
-func (h *Heatmap) recvTotals() []int64 {
-	out := make([]int64, len(h.Cells))
-	for _, row := range h.Cells {
 		for j, v := range row {
-			out[j] += v
+			sends[i] += v
+			recvs[j] += v
 		}
 	}
-	return out
+	for i := range sends {
+		mx = max(mx, sends[i], recvs[i])
+	}
+	return sends, recvs, mx
 }
 
 // RenderText writes the heatmap as ANSI-free terminal art: one two-glyph
@@ -105,17 +102,7 @@ func (h *Heatmap) RenderText(w io.Writer) error {
 	}
 	fmt.Fprintln(w)
 
-	sends := h.sendTotals()
-	recvs := h.recvTotals()
-	var totMax int64
-	for i := range sends {
-		if sends[i] > totMax {
-			totMax = sends[i]
-		}
-		if recvs[i] > totMax {
-			totMax = recvs[i]
-		}
-	}
+	sends, recvs, totMax := h.totals()
 
 	for i := 0; i < n; i++ {
 		fmt.Fprintf(w, "%5d  ", i)
@@ -171,45 +158,35 @@ func (h *Heatmap) RenderSVG() (string, error) {
 	d.text(marginL, 22, h.Title, colTextPrim, "start", 14)
 	d.text(marginL+gridW/2, marginT-12, colL, colTextSec, "middle", 11)
 
-	sends := h.sendTotals()
-	recvs := h.recvTotals()
-	var totMax int64
-	for i := range sends {
-		if sends[i] > totMax {
-			totMax = sends[i]
-		}
-		if recvs[i] > totMax {
-			totMax = recvs[i]
-		}
-	}
+	sends, recvs, totMax := h.totals()
 
 	for i := 0; i < n; i++ {
 		y := marginT + float64(i)*cell
 		// Row label every few rows to avoid clutter on big matrices.
 		if n <= 20 || i%4 == 0 {
-			d.text(marginL-6, y+cell-5, fmt.Sprintf("%d", i), colTextSec, "end", 10)
+			d.text(marginL-6, y+cell-5, strconv.Itoa(i), colTextSec, "end", 10)
 		}
 		for j := 0; j < n; j++ {
 			x := marginL + float64(j)*cell
 			v := h.Cells[i][j]
 			d.rect(x, y, cell-gap, cell-gap, rampColor(logScale(v, mx)),
-				fmt.Sprintf("PE %d -> PE %d: %d sends", i, j, v))
+				d.tip().s("PE ").d(int64(i)).s(" -> PE ").d(int64(j)).s(": ").d(v).s(" sends"))
 		}
 		if h.Totals {
 			x := marginL + gridW + gutter
 			d.rect(x, y, cell-gap, cell-gap, rampColor(logScale(sends[i], totMax)),
-				fmt.Sprintf("PE %d total sends: %d", i, sends[i]))
+				d.tip().s("PE ").d(int64(i)).s(" total sends: ").d(sends[i]))
 		}
 	}
 	for j := 0; j < n; j++ {
 		x := marginL + float64(j)*cell
 		if n <= 20 || j%4 == 0 {
-			d.text(x+cell/2, marginT+gridW+extra+14, fmt.Sprintf("%d", j), colTextSec, "middle", 10)
+			d.text(x+cell/2, marginT+gridW+extra+14, strconv.Itoa(j), colTextSec, "middle", 10)
 		}
 		if h.Totals {
 			y := marginT + gridW + gutter
 			d.rect(x, y, cell-gap, cell-gap, rampColor(logScale(recvs[j], totMax)),
-				fmt.Sprintf("PE %d total recvs: %d", j, recvs[j]))
+				d.tip().s("PE ").d(int64(j)).s(" total recvs: ").d(recvs[j]))
 		}
 	}
 	if h.Totals {
@@ -225,10 +202,10 @@ func (h *Heatmap) RenderSVG() (string, error) {
 	steps := len(sequentialRamp)
 	for s := 0; s < steps; s++ {
 		d.rect(cbX, cbY+cbH-float64(s+1)*cbH/float64(steps), 14, cbH/float64(steps)+0.5,
-			sequentialRamp[s], "")
+			sequentialRamp[s], nil)
 	}
 	d.text(cbX+18, cbY+8, formatCount(mx), colTextSec, "start", 10)
 	d.text(cbX+18, cbY+cbH, "1", colTextSec, "start", 10)
 	d.text(cbX, cbY+cbH+16, "log", colTextSec, "start", 9)
-	return d.String(), nil
+	return d.close(), nil
 }

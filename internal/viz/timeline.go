@@ -3,6 +3,7 @@ package viz
 import (
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 )
 
@@ -138,11 +139,11 @@ func (tl *Timeline) RenderSVG() (string, error) {
 			continue
 		}
 		d.rect(x, marginT+plotH-h, bw, h, colSeries1,
-			fmt.Sprintf("[%d, %d): %d transfers, %d B", b.T0, b.T1, b.Count, b.Bytes))
+			d.tip().s("[").d(b.T0).s(", ").d(b.T1).s("): ").d(b.Count).s(" transfers, ").d(b.Bytes).s(" B"))
 	}
 	d.line(marginL-4, marginT+plotH, marginL+plotW, marginT+plotH, colTextSec, 1)
-	d.text(marginL, marginT+plotH+18, fmt.Sprintf("%d", t0), colTextSec, "start", 10)
-	d.text(marginL+plotW, marginT+plotH+18, fmt.Sprintf("%d", t1), colTextSec, "end", 10)
+	d.text(marginL, marginT+plotH+18, strconv.FormatInt(t0, 10), colTextSec, "start", 10)
+	d.text(marginL+plotW, marginT+plotH+18, strconv.FormatInt(t1, 10), colTextSec, "end", 10)
 	d.text(marginL+plotW/2, marginT+plotH+18, tl.XLabel, colTextSec, "middle", 10)
-	return d.String(), nil
+	return d.close(), nil
 }

@@ -137,7 +137,7 @@ func (v *Violin) RenderSVG() (string, error) {
 		// paper's "farthest outlier on top of the colored shape".
 		d.line(cx, yOf(q.Min), cx, yOf(q.Max), colViolinQ, 1.5)
 		d.roundedRect(cx-3, yOf(q.Q3), 6, yOf(q.Q1)-yOf(q.Q3), 2, colViolinQ,
-			fmt.Sprintf("%s: %s", g.Label, q))
+			q.AppendTo(d.tip().s(g.Label).s(": ")))
 		d.circle(cx, yOf(q.Median), 3.4, colViolinDot)
 		d.circle(cx, yOf(q.Max), 2.2, colViolinQ)
 
@@ -151,5 +151,5 @@ func (v *Violin) RenderSVG() (string, error) {
 		}
 		d.text(cx, marginT+plotH+18, label, colTextSec, "middle", 10)
 	}
-	return d.String(), nil
+	return d.close(), nil
 }

@@ -12,10 +12,11 @@
 package viz
 
 import (
-	"fmt"
 	"io"
 	"math"
+	"strconv"
 	"strings"
+	"sync"
 )
 
 // Plot is any renderer in this package: terminal text to a writer plus a
@@ -25,9 +26,10 @@ type Plot interface {
 	RenderSVG() (string, error)
 }
 
-// RenderSVGTo renders p's SVG document straight into w. This is the
-// write side used by callers that stream plots over a network or into a
-// cache (actorprofd) instead of holding the document as a string.
+// RenderSVGTo renders p's SVG document and writes it to w in one Write.
+// This is the write side used by callers that stream plots over a
+// network or into a cache (actorprofd) instead of holding the document
+// as a string.
 func RenderSVGTo(p Plot, w io.Writer) error {
 	doc, err := p.RenderSVG()
 	if err != nil {
@@ -112,83 +114,156 @@ func logScale(v, max int64) float64 {
 	return math.Log1p(float64(v)) / math.Log1p(float64(max))
 }
 
-// escape makes a string safe for SVG text content.
-func escape(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-	return r.Replace(s)
+// appendEscaped appends s to b, made safe for SVG text content.
+func appendEscaped(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if e := entities[s[i]]; e != "" {
+			b = append(b, e...)
+		} else {
+			b = append(b, s[i])
+		}
+	}
+	return b
 }
 
-// svgDoc assembles an SVG document of the given size.
+var entities = [256]string{'&': "&amp;", '<': "&lt;", '>': "&gt;", '"': "&quot;"}
+
+// svgDoc assembles an SVG document in one byte slice, recycled between
+// documents (newSVG takes one, close returns it). Its primitives do no
+// per-call setup: they append numbers as fmt's %.1f / %.0f print them,
+// so a mark costs only its bytes.
 type svgDoc struct {
-	w, h float64
-	b    strings.Builder
+	b       []byte
+	scratch []byte // the last title's bytes, reused by the next (see tip)
 }
+
+var svgDocs = sync.Pool{New: func() any { return new(svgDoc) }}
+
+// tip is a mark's <title> text, escaped as it is built in the
+// document's scratch bytes, so a titled mark allocates nothing.
+type tip []byte
+
+func (t tip) s(v string) tip            { return appendEscaped(t, v) }
+func (t tip) d(v int64) tip             { return strconv.AppendInt(t, v, 10) }
+func (t tip) f(v float64, prec int) tip { return strconv.AppendFloat(t, v, 'f', prec, 64) }
+
+// tip starts a title; rect and roundedRect copy it into the document.
+func (d *svgDoc) tip() tip { return d.scratch[:0] }
 
 func newSVG(w, h float64) *svgDoc {
-	d := &svgDoc{w: w, h: h}
-	fmt.Fprintf(&d.b, `<svg xmlns="http://www.w3.org/2000/svg" width="%.0f" height="%.0f" viewBox="0 0 %.0f %.0f" font-family="system-ui, sans-serif">`,
-		w, h, w, h)
-	d.rect(0, 0, w, h, colSurface, "")
+	d := svgDocs.Get().(*svgDoc)
+	d.b = append(d.b[:0], `<svg xmlns="http://www.w3.org/2000/svg"`...)
+	d.attrs(0, "width height", w, h)
+	d.b = append(d.b, ` viewBox="0 0 `...)
+	d.b = append(d.num(w, 0), ' ')
+	d.b = append(d.num(h, 0), `" font-family="system-ui, sans-serif">`...)
+	d.rect(0, 0, w, h, colSurface, nil)
 	return d
 }
 
-func (d *svgDoc) rect(x, y, w, h float64, fill, title string) {
-	fmt.Fprintf(&d.b, `<rect x="%.1f" y="%.1f" width="%.1f" height="%.1f" fill="%s"`, x, y, w, h, fill)
-	if title == "" {
-		d.b.WriteString("/>")
-		return
+// num appends v as strconv.AppendFloat(v, 'f', prec) - the call fmt's
+// %.<prec>f makes - does. A whole non-negative v, most coordinates, is
+// appended as an integer: 'f' with a precision is strconv's slow path.
+func (d *svgDoc) num(v float64, prec int) []byte {
+	if v < 1e15 && v == math.Trunc(v) && !math.Signbit(v) {
+		return append(strconv.AppendUint(d.b, uint64(v), 10), ".0"[:2*prec]...)
 	}
-	fmt.Fprintf(&d.b, `><title>%s</title></rect>`, escape(title))
+	return strconv.AppendFloat(d.b, v, 'f', prec, 64)
 }
 
-func (d *svgDoc) roundedRect(x, y, w, h, r float64, fill, title string) {
-	fmt.Fprintf(&d.b, `<rect x="%.1f" y="%.1f" width="%.1f" height="%.1f" rx="%.1f" fill="%s"`, x, y, w, h, r, fill)
-	if title == "" {
-		d.b.WriteString("/>")
+// attrs appends ` name="v"` for each space-separated name and its v,
+// at prec (0 or 1) decimals.
+func (d *svgDoc) attrs(prec int, names string, vs ...float64) {
+	for _, v := range vs {
+		name, rest, _ := strings.Cut(names, " ")
+		d.b = append(append(append(d.b, ' '), name...), `="`...)
+		d.b = append(d.num(v, prec), '"')
+		names = rest
+	}
+}
+
+// str appends ` name="v"`.
+func (d *svgDoc) str(name, v string) {
+	d.b = append(append(append(append(append(d.b, ' '), name...), `="`...), v...), '"')
+}
+
+func (d *svgDoc) rect(x, y, w, h float64, fill string, title tip) {
+	d.roundedRect(x, y, w, h, -1, fill, title)
+}
+
+// roundedRect draws a rect with corner radius r; r < 0 omits rx.
+func (d *svgDoc) roundedRect(x, y, w, h, r float64, fill string, title tip) {
+	d.b = append(d.b, "<rect"...)
+	d.attrs(1, "x y width height", x, y, w, h)
+	if r >= 0 {
+		d.attrs(1, "rx", r)
+	}
+	d.str("fill", fill)
+	if title == nil {
+		d.b = append(d.b, "/>"...)
 		return
 	}
-	fmt.Fprintf(&d.b, `><title>%s</title></rect>`, escape(title))
+	d.b = append(append(append(d.b, "><title>"...), title...), "</title></rect>"...)
+	d.scratch = title[:0]
 }
 
 func (d *svgDoc) line(x1, y1, x2, y2 float64, stroke string, width float64) {
-	fmt.Fprintf(&d.b, `<line x1="%.1f" y1="%.1f" x2="%.1f" y2="%.1f" stroke="%s" stroke-width="%.1f"/>`,
-		x1, y1, x2, y2, stroke, width)
+	d.b = append(d.b, "<line"...)
+	d.attrs(1, "x1 y1 x2 y2", x1, y1, x2, y2)
+	d.str("stroke", stroke)
+	d.attrs(1, "stroke-width", width)
+	d.b = append(d.b, "/>"...)
 }
 
 func (d *svgDoc) circle(cx, cy, r float64, fill string) {
-	fmt.Fprintf(&d.b, `<circle cx="%.1f" cy="%.1f" r="%.1f" fill="%s"/>`, cx, cy, r, fill)
+	d.b = append(d.b, "<circle"...)
+	d.attrs(1, "cx cy r", cx, cy, r)
+	d.str("fill", fill)
+	d.b = append(d.b, "/>"...)
 }
 
 func (d *svgDoc) polygon(points []float64, fill string) {
-	d.b.WriteString(`<polygon points="`)
+	d.b = append(d.b, `<polygon points="`...)
 	for i := 0; i+1 < len(points); i += 2 {
-		fmt.Fprintf(&d.b, "%.1f,%.1f ", points[i], points[i+1])
+		d.b = append(d.num(points[i], 1), ',')
+		d.b = append(d.num(points[i+1], 1), ' ')
 	}
-	fmt.Fprintf(&d.b, `" fill="%s"/>`, fill)
+	d.b = append(d.b, '"')
+	d.str("fill", fill)
+	d.b = append(d.b, "/>"...)
 }
 
 // anchor: "start", "middle", or "end".
 func (d *svgDoc) text(x, y float64, s, fill, anchor string, size float64) {
-	fmt.Fprintf(&d.b, `<text x="%.1f" y="%.1f" fill="%s" text-anchor="%s" font-size="%.0f">%s</text>`,
-		x, y, fill, anchor, size, escape(s))
+	d.b = append(d.b, "<text"...)
+	d.attrs(1, "x y", x, y)
+	d.str("fill", fill)
+	d.str("text-anchor", anchor)
+	d.attrs(0, "font-size", size)
+	d.b = append(appendEscaped(append(d.b, '>'), s), "</text>"...)
 }
 
-func (d *svgDoc) String() string {
-	return d.b.String() + "</svg>"
+// close ends the document and returns it; d is recycled and must not be
+// used again.
+func (d *svgDoc) close() string {
+	d.b = append(d.b, "</svg>"...)
+	s := string(d.b)
+	svgDocs.Put(d)
+	return s
 }
 
 // formatCount renders counts compactly (1234 -> "1.2k").
 func formatCount(v int64) string {
 	switch {
 	case v >= 1_000_000_000:
-		return fmt.Sprintf("%.1fG", float64(v)/1e9)
+		return strconv.FormatFloat(float64(v)/1e9, 'f', 1, 64) + "G"
 	case v >= 1_000_000:
-		return fmt.Sprintf("%.1fM", float64(v)/1e6)
+		return strconv.FormatFloat(float64(v)/1e6, 'f', 1, 64) + "M"
 	case v >= 10_000:
-		return fmt.Sprintf("%.0fk", float64(v)/1e3)
+		return strconv.FormatFloat(float64(v)/1e3, 'f', 0, 64) + "k"
 	case v >= 1_000:
-		return fmt.Sprintf("%.1fk", float64(v)/1e3)
+		return strconv.FormatFloat(float64(v)/1e3, 'f', 1, 64) + "k"
 	default:
-		return fmt.Sprintf("%d", v)
+		return strconv.FormatInt(v, 10)
 	}
 }

@@ -300,7 +300,7 @@ func TestLogScaleMonotone(t *testing.T) {
 }
 
 func TestEscape(t *testing.T) {
-	if got := escape(`a<b&"c"`); got != "a&lt;b&amp;&quot;c&quot;" {
+	if got := string(appendEscaped([]byte("x"), `a<b&"c">`)); got != "xa&lt;b&amp;&quot;c&quot;&gt;" {
 		t.Errorf("escape = %q", got)
 	}
 }

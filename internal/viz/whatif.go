@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strconv"
 	"strings"
 )
 
@@ -59,9 +60,9 @@ func deltaLabel(base, proj int64) string {
 		d = -d
 	}
 	if base == 0 {
-		return fmt.Sprintf("%s%s", sign, formatCount(d))
+		return sign + formatCount(d)
 	}
-	return fmt.Sprintf("%s%s (%s%.1f%%)", sign, formatCount(d), sign, 100*float64(d)/float64(base))
+	return sign + formatCount(d) + " (" + sign + strconv.FormatFloat(100*float64(d)/float64(base), 'f', 1, 64) + "%)"
 }
 
 // RenderText writes paired horizontal bars per row with delta labels.
@@ -116,15 +117,13 @@ func (p *WhatIf) RenderSVG() (string, error) {
 		if r.Projected > r.Baseline {
 			projCol = colSeries6
 		}
-		d.roundedRect(marginL, y, wb, barH, 2, sequentialRamp[4],
-			fmt.Sprintf("%s baseline: %d", r.Label, r.Baseline))
-		d.roundedRect(marginL, y+barH+3, wp, barH, 2, projCol,
-			fmt.Sprintf("%s projected: %d", r.Label, r.Projected))
+		d.roundedRect(marginL, y, wb, barH, 2, sequentialRamp[4], d.tip().s(r.Label).s(" baseline: ").d(r.Baseline))
+		d.roundedRect(marginL, y+barH+3, wp, barH, 2, projCol, d.tip().s(r.Label).s(" projected: ").d(r.Projected))
 		d.text(marginL+wb+6, y+barH-2, formatCount(r.Baseline), colTextSec, "start", 10)
-		d.text(marginL+wp+6, y+2*barH+2, fmt.Sprintf("%s  %s", formatCount(r.Projected), deltaLabel(r.Baseline, r.Projected)),
+		d.text(marginL+wp+6, y+2*barH+2, formatCount(r.Projected)+"  "+deltaLabel(r.Baseline, r.Projected),
 			colTextPrim, "start", 10)
 	}
-	return d.String(), nil
+	return d.close(), nil
 }
 
 // Ranked is the bottleneck-ranking plot: horizontal bars of a
@@ -218,13 +217,12 @@ func (p *Ranked) RenderSVG() (string, error) {
 		y := marginT + float64(i)*rowH
 		bw := r.Score / mx * plotW
 		d.text(marginL-8, y+barH-3, r.Label, colTextSec, "end", 11)
-		d.roundedRect(marginL, y, bw, barH, 2, rampColor(r.Score/mx),
-			fmt.Sprintf("%s: %.4f", r.Label, r.Score))
-		ann := fmt.Sprintf("%.3f", r.Score)
+		d.roundedRect(marginL, y, bw, barH, 2, rampColor(r.Score/mx), d.tip().s(r.Label).s(": ").f(r.Score, 4))
+		ann := strconv.FormatFloat(r.Score, 'f', 3, 64)
 		if r.Detail != "" {
 			ann += "  " + r.Detail
 		}
 		d.text(marginL+bw+6, y+barH-3, ann, colTextPrim, "start", 10)
 	}
-	return d.String(), nil
+	return d.close(), nil
 }
