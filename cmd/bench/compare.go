@@ -37,6 +37,9 @@ var hotPath = map[string]bool{
 	"BenchmarkReadSummary/format=csv":    true,
 	"BenchmarkReadSummary/format=binary": true,
 	"BenchmarkAppendLogicalLine":         true,
+	// A traced send through the collector, its sealing and its hand-over
+	// at Close: record mode may not allocate per send.
+	"BenchmarkCollectFullTrace": true,
 	// Windowed trace queries: the O(window) indexed paths gate (their
 	// cost must track the window, not the trace); the full-scan
 	// reference rides along informationally.

@@ -37,7 +37,7 @@ const hotBench = "BenchmarkPushThroughput|BenchmarkPushPullLocal|BenchmarkExchan
 	"BenchmarkHandlerDispatch|BenchmarkHandlerDispatchBatch|BenchmarkISort|" +
 	"BenchmarkCodecRoundTrip|BenchmarkSendRecvUntraced|" +
 	"BenchmarkRuntimeWork|BenchmarkLoadInt64|BenchmarkPutInt64Foreign|BenchmarkIngestForward|BenchmarkIngestDeliver|" +
-	"BenchmarkReadSet|BenchmarkWriteFiles|BenchmarkReadSummary|" +
+	"BenchmarkReadSet|BenchmarkWriteFiles|BenchmarkReadSummary|BenchmarkCollectFullTrace|" +
 	"BenchmarkAppendLogicalLine|" +
 	"BenchmarkWindowQueryEvents|BenchmarkWindowQueryPyramid|BenchmarkWindowQueryFullScan|" +
 	"BenchmarkCriticalPath|BenchmarkWhatIfReplay|" +

@@ -1,18 +1,20 @@
 // Package blocks provides the append-only record buffer behind the trace
-// collector and the schedule recorder: values land once, in fixed-size
-// blocks, and leave once when the run ends, as Flatten's exact-size slice;
-// Each reads them in place before that.
+// collector's physical records and the schedule recorder: values land
+// once, in fixed-size blocks, and leave once when the run ends, as
+// Flatten's exact-size slice; Each reads them in place before that. (A
+// traced send is not kept here: the collector seals its sends as APBF
+// blocks as the run goes, package trace.)
 //
 // A growing slice re-copies every element each time it doubles, and at
-// the collector's volumes (millions of 8-40 byte records per run) that
+// the recorders' volumes (hundreds of thousands of records per run) that
 // re-copying - not the recording - was the cost of being profiled. A Buf
 // never moves a value it has accepted until Flatten.
 package blocks
 
 // Len is the number of values per block. At 1024 a block of the widest
-// record (trace.PhysicalRecord, 40 bytes; a packed send is 8 + 16) is
-// 40 KiB, so a PE that records a handful of values pays for a handful of
-// pages, while the per-block allocation is amortised over a thousand appends.
+// record (trace.PhysicalRecord, 40 bytes) is 40 KiB, so a PE that records
+// a handful of values pays for a handful of pages, while the per-block
+// allocation is amortised over a thousand appends.
 const Len = 1024
 
 // Buf is an append-only buffer of T. The zero value is empty and ready

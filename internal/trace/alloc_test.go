@@ -10,8 +10,8 @@ import (
 // The traced path is under the same rule as the untraced one (DESIGN.md
 // §8): recording a message allocates nothing at steady state. Aggregate
 // mode retains no records and reads counters into a per-PE scratch; record mode
-// pays one block per blocks.Len records and one arena chunk per
-// arenaChunk counters. testing.AllocsPerRun counts process-global
+// fills one block of each send kind and pays only for the byte chunks the
+// blocks it seals land in. testing.AllocsPerRun counts process-global
 // allocations and reports whole numbers, so each run is a batch of sends
 // on one PE.
 

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -19,17 +20,22 @@ import (
 // send rebuilt as the row it was admitted as - source pe, nodes PE /
 // PEs_per_node.
 func scanShard[T any](k *kind[T], dir string, pe int, m *meta, tolerant bool, yield func(T)) (found bool, skipped int, err error) {
-	var admit rowFunc
+	var admit blockFunc
 	switch y := any(yield).(type) {
 	case func(LogicalRecord):
-		admit = logicalSends(m, pe, func(s LogicalSend) {
-			dst := int(s.DstPE)
-			y(LogicalRecord{pe / m.perNode, pe, dst / m.perNode, dst, int(s.MsgSize)})
+		admit = logicalSends(m, pe, func(run []LogicalSend) {
+			for _, s := range run {
+				dst := int(s.DstPE)
+				y(LogicalRecord{pe / m.perNode, pe, dst / m.perNode, dst, int(s.MsgSize)})
+			}
 		})
 	case func(PAPIRecord):
-		admit = papiSends(m, pe, func(s PAPISend, counters []int64) {
-			dst := int(s.DstPE)
-			y(PAPIRecord{pe / m.perNode, pe, dst / m.perNode, dst, int(s.PktSize), int(s.MailboxID), int(s.NumSends), counters})
+		n := len(m.events)
+		admit = papiSends(m, pe, func(run []PAPISend, counters []int64) {
+			for i, s := range run {
+				dst := int(s.DstPE)
+				y(PAPIRecord{pe / m.perNode, pe, dst / m.perNode, dst, int(s.PktSize), int(s.MailboxID), int(s.NumSends), counters[i*n : (i+1)*n : (i+1)*n]})
+			}
 		})
 	default:
 		admit = rowsOf(k)(m, pe, yield)
@@ -211,4 +217,115 @@ func TestAPBFBytesPinned(t *testing.T) {
 		lines = append(lines, fmt.Sprintf("%x  %s\n", sha256.Sum256(data), e.Name()))
 	}
 	checkExportGolden(t, "apbf_sha256", []byte(strings.Join(lines, "")))
+}
+
+// rowAdmit is the send rule row by row, the reference the block kernel
+// (logicalSends, papiSends) is held to: row i of c is admitted as a packed
+// record (its counters appended to words) or, strict, ends the scan with
+// the row rule's error; tolerant, it is one skip.
+func rowAdmit(m *meta, pe int, c [][]int64, papiRow, tolerant bool) (logical []LogicalSend, papis []PAPISend, words []int64, skipped int, err error) {
+	for i := range c[0] {
+		v := func(col int) int { return int(c[col][i]) }
+		var err error
+		if papiRow {
+			err = admitPAPI(m, pe, v(0), v(1), v(2), v(3), v(4), v(5), v(6))
+		} else {
+			err = admitLogical(m, pe, v(0), v(1), v(2), v(3), v(4))
+		}
+		switch {
+		case err != nil && !tolerant:
+			return logical, papis, words, 0, err
+		case err != nil:
+			skipped++
+		case papiRow:
+			papis = append(papis, PAPISend{int32(v(3)), int32(v(4)), int32(v(5)), int32(v(6))})
+			for e := range m.events {
+				words = append(words, c[7+e][i])
+			}
+		default:
+			logical = append(logical, LogicalSend{int32(v(3)), int32(v(4))})
+		}
+	}
+	return logical, papis, words, skipped, nil
+}
+
+// TestBlockAdmissionMatchesRows: for both send kinds, one bad value in
+// each column the send rule checks - at the first, a middle and the last
+// row of a block, and two bad rows side by side - gives the block kernel
+// the row rule's error text (strict), its skip count (tolerant) and the
+// records it admits before and around the bad rows.
+func TestBlockAdmissionMatchesRows(t *testing.T) {
+	const rows, pe = 9, 2
+	m := &meta{npes: 4, perNode: 2, sample: 1, events: []papi.Event{papi.TOT_INS, papi.LST_INS}}
+	block := func(ncols int) [][]int64 {
+		c := make([][]int64, ncols)
+		for col := range c {
+			c[col] = make([]int64, rows)
+		}
+		for i := range rows {
+			dst := int64(i % 4)
+			c[0][i], c[1][i], c[2][i], c[3][i], c[4][i] = 1, pe, dst/2, dst, int64(8+100*i)
+			for col := 5; col < ncols; col++ {
+				c[col][i] = int64(col*1000 - i)
+			}
+		}
+		return c
+	}
+	// bad sets one checked column of row i to a value the rule refuses.
+	type bad struct {
+		name string
+		set  func(c [][]int64, i int)
+	}
+	bads := []bad{
+		{"src PE", func(c [][]int64, i int) { c[1][i] = 3 }},
+		{"src PE out of range", func(c [][]int64, i int) { c[1][i] = -1 }},
+		{"src node", func(c [][]int64, i int) { c[0][i] = 0 }},
+		{"dst node", func(c [][]int64, i int) { c[2][i] = 1 - c[2][i] }},
+		{"dst node out of range", func(c [][]int64, i int) { c[2][i] = 1 << 40 }},
+		{"dst past the world", func(c [][]int64, i int) { c[2][i], c[3][i] = 2, 4 }},
+		{"dst negative", func(c [][]int64, i int) { c[2][i], c[3][i] = 0, -1 }},
+		{"msgSize past 32 bits", func(c [][]int64, i int) { c[4][i] = 1 << 32 }},
+	}
+	papiBads := append(bads,
+		bad{"MAILBOXID past 32 bits", func(c [][]int64, i int) { c[5][i] = -1<<31 - 1 }},
+		bad{"NUM_SENDS past 32 bits", func(c [][]int64, i int) { c[6][i] = 1 << 31 }})
+	for _, kind := range []struct {
+		name    string
+		papiRow bool
+		bads    []bad
+	}{{"logical", false, bads}, {"PAPI", true, papiBads}} {
+		ncols := 5
+		if kind.papiRow {
+			ncols = 7 + len(m.events)
+		}
+		for _, b := range kind.bads {
+			for _, at := range [][]int{{0}, {rows / 2}, {rows - 1}, {3, 4}} {
+				c := block(ncols)
+				for _, i := range at {
+					b.set(c, i)
+				}
+				for _, tolerant := range []bool{false, true} {
+					wantL, wantP, wantW, wantSkipped, wantErr := rowAdmit(m, pe, c, kind.papiRow, tolerant)
+					var gotL []LogicalSend
+					var gotP []PAPISend
+					var gotW []int64
+					admit := logicalSends(m, pe, func(run []LogicalSend) { gotL = append(gotL, run...) })
+					if kind.papiRow {
+						admit = papiSends(m, pe, func(run []PAPISend, words []int64) {
+							gotP, gotW = append(gotP, run...), append(gotW, words...)
+						})
+					}
+					skipped, err := admit(&binReader{cols: c}, rows, tolerant)
+					if fmt.Sprint(err) != fmt.Sprint(wantErr) || skipped != wantSkipped ||
+						!slices.Equal(gotL, wantL) || !slices.Equal(gotP, wantP) || !slices.Equal(gotW, wantW) {
+						t.Errorf("%s, %s at rows %v, tolerant %v: block gave err %v, %d skipped, %d+%d records; rows gave err %v, %d skipped, %d+%d records",
+							kind.name, b.name, at, tolerant, err, skipped, len(gotL), len(gotP), wantErr, wantSkipped, len(wantL), len(wantP))
+					}
+					if tolerant && wantSkipped != len(at) {
+						t.Errorf("%s, %s at rows %v: the row rule skipped %d rows, the fixture is wrong", kind.name, b.name, at, wantSkipped)
+					}
+				}
+			}
+		}
+	}
 }

@@ -277,7 +277,10 @@ func benchCollect(b *testing.B, cfg Config) {
 	pc.Close()
 }
 
-// BenchmarkCollectFullTrace is the record path (block arenas).
+// BenchmarkCollectFullTrace is the record path: sends packed into the
+// block being filled, sealed as APBF blocks, decoded once at Close. CI's
+// bench gate holds it at 0 allocs/op: the byte chunks sealed blocks land
+// in amortise below one allocation per send.
 func BenchmarkCollectFullTrace(b *testing.B) { benchCollect(b, fullTrace()) }
 
 // BenchmarkCollectAggregate is the benchmark's aggregation config, which

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -104,7 +105,11 @@ func (b *shardWriter) header(kind byte, ncols int) {
 	for c := range b.cols {
 		b.cols[c] = b.cols[c][:0]
 	}
-	b.buf = binary.AppendUvarint(append(append(b.buf, binMagic...), binVersion, kind), uint64(ncols))
+	b.buf = appendHeader(b.buf, kind, ncols)
+}
+
+func appendHeader(buf []byte, kind byte, ncols int) []byte {
+	return binary.AppendUvarint(append(append(buf, binMagic...), binVersion, kind), uint64(ncols))
 }
 
 // push appends one row. vals must have exactly ncols entries (the
@@ -141,18 +146,47 @@ func (b *shardWriter) flushBlock() {
 	if b.n == 0 {
 		return
 	}
-	buf := binary.AppendUvarint(b.buf, uint64(b.n))
-	for _, s := range b.strs {
+	b.buf = appendBlock(b.buf, b.n, b.strs, b.cols)
+	for c := range b.cols {
+		b.cols[c] = b.cols[c][:0]
+	}
+	b.strs, b.n = b.strs[:0], 0
+	b.gathered()
+}
+
+// appendBlock codes rows 0..n-1 of cols (and strs, for the kind that has
+// them) as one APBF block: the encoder of every writer and of a
+// collector's seal.
+func appendBlock(buf []byte, n int, strs []string, cols [][]int64) []byte {
+	buf = binary.AppendUvarint(buf, uint64(n))
+	for _, s := range strs {
 		buf = append(binary.AppendUvarint(buf, uint64(len(s))), s...)
 	}
-	for c, col := range b.cols {
-		for _, v := range col {
+	for _, col := range cols {
+		buf = appendColumn(buf, col[:n])
+	}
+	return buf
+}
+
+// appendColumn appends col as zigzag varints. Values that fit one byte -
+// most of a send block's - are stored by index into room grown once; from
+// the first that does not on, they are appended one by one.
+func appendColumn(buf []byte, col []int64) []byte {
+	n := len(buf)
+	buf = slices.Grow(buf, len(col))[:n+len(col)]
+	out := buf[n:]
+	for i, v := range col[:len(out)] {
+		if u := zigzag(v); u < 0x80 {
+			out[i] = byte(u)
+			continue
+		}
+		buf = buf[:n+i]
+		for _, v := range col[i:] {
 			buf = binary.AppendUvarint(buf, zigzag(v))
 		}
-		b.cols[c] = col[:0]
+		break
 	}
-	b.buf, b.strs, b.n = buf, b.strs[:0], 0
-	b.gathered()
+	return buf
 }
 
 // gathered writes the buffer once it holds binBufBytes.
@@ -163,7 +197,7 @@ func (b *shardWriter) gathered() {
 }
 
 func (b *shardWriter) write() {
-	if b.err == nil {
+	if b.err == nil && len(b.buf) > 0 {
 		_, b.err = b.w.Write(b.buf)
 	}
 	b.buf = b.buf[:0]
@@ -191,7 +225,9 @@ type binReader struct {
 	rowBase int64 // file-order index of the next block's first row
 	cols    [][]int64
 	strs    []string
-	row     []int64 // rowCounters' scratch
+	row     []int64       // a PAPI run's counters (papiSends)
+	sends   []LogicalSend // a send block's admitted run (logicalSends)
+	papis   []PAPISend    // papiSends'
 }
 
 var binReaders = sync.Pool{New: func() any { return new(binReader) }}
@@ -351,7 +387,18 @@ func (d *binReader) readBlock(withStrings bool) (n, lost int, err error) {
 	}
 	for c, col := range d.cols {
 		col = slices.Grow(col[:0], n)[:n]
-		for i := range col {
+		i := 0
+		// Eight one-byte varints - most of a send block's values - a word at a time.
+		for ; i+8 <= n && p+8 <= len(data); i, p = i+8, p+8 {
+			u := binary.LittleEndian.Uint64(data[p:])
+			if u&0x8080808080808080 != 0 {
+				break
+			}
+			c := col[i : i+8 : i+8]
+			c[0], c[1], c[2], c[3] = unzigzag(u&0x7f), unzigzag(u>>8&0x7f), unzigzag(u>>16&0x7f), unzigzag(u>>24&0x7f)
+			c[4], c[5], c[6], c[7] = unzigzag(u>>32&0x7f), unzigzag(u>>40&0x7f), unzigzag(u>>48&0x7f), unzigzag(u>>56)
+		}
+		for ; i < n; i++ {
 			if p < len(data) && data[p] < 0x80 {
 				col[i] = unzigzag(uint64(data[p]))
 				p++
@@ -370,31 +417,6 @@ func (d *binReader) readBlock(withStrings bool) (n, lost int, err error) {
 }
 
 // The run-wide kinds' row codecs (the kind table's toRow / fromRow).
-
-// padCounters copies a record's counters into its row's counter columns.
-// Columnar blocks need a uniform width; ragged counter lists (a
-// hand-built Set's) pad with zeros / truncate.
-func padCounters(dst, src []int64) {
-	for i := copy(dst, src); i < len(dst); i++ {
-		dst[i] = 0
-	}
-}
-
-// rowCounters gathers row i's columns from first on into the reader's
-// row scratch (nil when there are none): valid until the next call.
-func (d *binReader) rowCounters(first, i int) []int64 {
-	if first == d.ncols {
-		return nil
-	}
-	if cap(d.row) < d.ncols-first {
-		d.row = make([]int64, d.ncols-first)
-	}
-	counters := d.row[:d.ncols-first]
-	for c := first; c < d.ncols; c++ {
-		counters[c-first] = d.cols[c][i]
-	}
-	return counters
-}
 
 func physicalToRow(r PhysicalRecord, row []int64) string {
 	row[0], row[1], row[2] = int64(r.Kind), int64(r.BufBytes), int64(r.SrcPE)
@@ -426,48 +448,143 @@ func overallFromRow(d *binReader, i int) OverallRecord {
 	return OverallRecord{PE: int(d.cols[0][i]), TMain: m, TComm: c, TProc: p, TTotal: m + c + p}
 }
 
+// segmentToRow pads ragged counter lists (a hand-built Set's) with zeros
+// or truncates them: columnar blocks need a uniform width.
 func segmentToRow(r SegmentRecord, row []int64) string {
 	row[0], row[1], row[2] = int64(r.PE), r.Count, r.Cycles
-	padCounters(row[3:], r.Counters)
+	clear(row[3+copy(row[3:], r.Counters):])
 	return r.Name
 }
 
 func segmentFromRow(d *binReader, i int) SegmentRecord {
-	return SegmentRecord{
-		PE: int(d.cols[0][i]), Name: d.strs[i],
-		Count: d.cols[1][i], Cycles: d.cols[2][i], Counters: slices.Clone(d.rowCounters(3, i)),
+	rec := SegmentRecord{PE: int(d.cols[0][i]), Name: d.strs[i], Count: d.cols[1][i], Cycles: d.cols[2][i]}
+	for _, col := range d.cols[3:] {
+		rec.Counters = append(rec.Counters, col[i])
 	}
+	return rec
 }
 
 // The send kinds' column path between an APBF block's columns and the
 // packed form a Set holds (DESIGN.md §10), with no row on either side:
-// the send kinds have no row codec.
+// the send kinds have no row codec. One block kernel - the send rule a
+// column at a time, then the admitted rows packed into one run - serves
+// both readers, and its packers the collector's hand-over (collector.go).
 
-// logicalSends is how a packed consumer takes PE pe's logical shard: each
-// APBF row admitted straight from its block's columns.
-func logicalSends(m *meta, pe int, yield func(LogicalSend)) rowFunc {
-	return func(d *binReader, i int) error {
-		c := d.cols
-		err := admitLogical(m, pe, int(c[0][i]), int(c[1][i]), int(c[2][i]), int(c[3][i]), int(c[4][i]))
-		if err == nil {
-			yield(LogicalSend{int32(c[3][i]), int32(c[4][i])})
+// sendRun is the send rule (kind.go: checkSend, checkWidth) over rows
+// lo..hi-1 of a send block: where the run of rows it admits from lo on
+// ends. Columns 0-3 are both kinds' source node and PE - the shard's, so
+// constants - and destination node and PE; the widths columns after them
+// must fit 32 bits, each checked as a column of its own.
+func sendRun(m *meta, pe int, c [][]int64, widths, lo, hi int) int {
+	node, src, npes, per := int64(pe/m.perNode), int64(pe), uint64(m.npes), int64(m.perNode)
+	c0, c1, c2 := c[0][lo:hi], c[1][lo:hi], c[2][lo:hi]
+	for i, dst := range c[3][lo:hi] {
+		if first := c2[i] * per; c0[i] != node || c1[i] != src || uint64(dst) >= npes || uint64(c2[i]) >= npes || dst < first || dst-first >= per {
+			hi = lo + i
+			break
 		}
-		return err
+	}
+	for _, col := range c[4 : 4+widths] {
+		for i, v := range col[lo:hi] {
+			if int64(int32(v)) != v {
+				hi = lo + i
+				break
+			}
+		}
+	}
+	return hi
+}
+
+// admitSends runs the send rule over a send block of n rows: each run it
+// admits goes to pack, and the row that ends one to refuse - the row
+// rule, which words the error: fatal when strict, one skip when tolerant,
+// after which admission resumes.
+func admitSends(m *meta, pe int, c [][]int64, widths, n int, tolerant bool,
+	pack func(lo, hi int), refuse func(i int) error) (skipped int, err error) {
+	for lo := 0; lo < n; lo++ {
+		hi := sendRun(m, pe, c, widths, lo, n)
+		if pack(lo, hi); hi == n {
+			break
+		}
+		if err := refuse(hi); err == nil {
+			pack(hi, hi+1)
+		} else if !tolerant {
+			return 0, err
+		} else {
+			skipped++
+		}
+		lo = hi
+	}
+	return skipped, nil
+}
+
+// logicalSends is how a packed consumer takes PE pe's logical shard: a
+// block's admitted rows, packed into one run, go to yield, valid until it
+// returns.
+func logicalSends(m *meta, pe int, yield func([]LogicalSend)) blockFunc {
+	return func(d *binReader, n int, tolerant bool) (int, error) {
+		c, run := d.cols, d.sends[:0]
+		skipped, err := admitSends(m, pe, c, 1, n, tolerant,
+			func(lo, hi int) { run = packLogical(run, c, lo, hi) },
+			func(i int) error {
+				return admitLogical(m, pe, int(c[0][i]), int(c[1][i]), int(c[2][i]), int(c[3][i]), int(c[4][i]))
+			})
+		if d.sends = run; len(run) > 0 {
+			yield(run)
+		}
+		return skipped, err
 	}
 }
 
-// papiSends is logicalSends for PE pe's PAPI shard. The counters yield
-// gets are the row's, valid until it returns.
-func papiSends(m *meta, pe int, yield func(PAPISend, []int64)) rowFunc {
-	return func(d *binReader, i int) error {
-		c := d.cols
-		dst, pkt, mbox, sends := int(c[3][i]), int(c[4][i]), int(c[5][i]), int(c[6][i])
-		err := admitPAPI(m, pe, int(c[0][i]), int(c[1][i]), int(c[2][i]), dst, pkt, mbox, sends)
-		if err == nil {
-			yield(PAPISend{int32(dst), int32(pkt), int32(mbox), int32(sends)}, d.rowCounters(7, i))
+// papiSends is logicalSends for PE pe's PAPI shard; a run's counters are
+// len(m.events) words per record.
+func papiSends(m *meta, pe int, yield func([]PAPISend, []int64)) blockFunc {
+	return func(d *binReader, n int, tolerant bool) (int, error) {
+		c, run, words := d.cols, d.papis[:0], d.row[:0]
+		skipped, err := admitSends(m, pe, c, 3, n, tolerant,
+			func(lo, hi int) { run, words = packPAPI(run, words, c, len(m.events), lo, hi) },
+			func(i int) error {
+				return admitPAPI(m, pe, int(c[0][i]), int(c[1][i]), int(c[2][i]), int(c[3][i]), int(c[4][i]), int(c[5][i]), int(c[6][i]))
+			})
+		if d.papis, d.row = run, words; len(run) > 0 {
+			yield(run, words)
 		}
-		return err
+		return skipped, err
 	}
+}
+
+// packLogical appends rows lo..hi-1 of a logical block to run.
+func packLogical(run []LogicalSend, c [][]int64, lo, hi int) []LogicalSend {
+	dst, n := c[3][lo:hi], len(run)
+	run = slices.Grow(run, len(dst))[:n+len(dst)]
+	out, size := run[n:], c[4][lo:hi][:len(dst)]
+	for i, d := range dst {
+		out[i] = LogicalSend{int32(d), int32(size[i])}
+	}
+	return run
+}
+
+// packPAPI appends rows lo..hi-1 of a PAPI block to run and their k
+// counters to words: a block's counter columns beyond k are dropped and
+// missing ones read as zero, as the writer pads them.
+func packPAPI(run []PAPISend, words []int64, c [][]int64, k, lo, hi int) ([]PAPISend, []int64) {
+	dst, n := c[3][lo:hi], len(run)
+	run = slices.Grow(run, len(dst))[:n+len(dst)]
+	out, pkt, mbox, sends := run[n:], c[4][lo:hi][:len(dst)], c[5][lo:hi][:len(dst)], c[6][lo:hi][:len(dst)]
+	for i, d := range dst {
+		out[i] = PAPISend{int32(d), int32(pkt[i]), int32(mbox[i]), int32(sends[i])}
+	}
+	n = len(words)
+	words = slices.Grow(words, len(dst)*k)[:n+len(dst)*k]
+	if col := words[n:]; len(c)-7 < k {
+		clear(col)
+	}
+	for e, from := range c[7:min(len(c), 7+k)] {
+		for i, v := range from[lo:hi] {
+			words[n+i*k+e] = v
+		}
+	}
+	return run, words
 }
 
 // logicalColumns fills a block's columns with PE pe's logical rows from
@@ -492,4 +609,31 @@ func (s *Set) papiColumns(pe int, cols [][]int64, lo int) {
 			cols[7+e][i] = v
 		}
 	}
+}
+
+// sealedFile is an APBF file held in memory as a collector seals it, in
+// chunks that never move: 4 KiB doubling to binBufBytes, or one larger write.
+type sealedFile [][]byte
+
+// Write appends p to the last chunk, or to a new one where it does not fit.
+func (f *sealedFile) Write(p []byte) (int, error) {
+	last := len(*f) - 1
+	if last < 0 || len(p) > cap((*f)[last])-len((*f)[last]) {
+		size := 4 << 10
+		if last >= 0 {
+			size = min(2*cap((*f)[last]), binBufBytes)
+		}
+		*f, last = append(*f, make([]byte, 0, max(size, len(p)))), last+1
+	}
+	(*f)[last] = append((*f)[last], p...)
+	return len(p), nil
+}
+
+// reader reads the file back.
+func (f sealedFile) reader() io.Reader {
+	rs := make([]io.Reader, len(f))
+	for i, b := range f {
+		rs[i] = bytes.NewReader(b)
+	}
+	return io.MultiReader(rs...)
 }

@@ -33,6 +33,8 @@ func NewCollector(cfg Config, machine sim.Machine) (*Collector, error) {
 	set := NewSet(cfg, machine.NumPEs, machine.PEsPerNode)
 	if cfg.Aggregate {
 		set.memo.collected = &Summary{NumPEs: machine.NumPEs, Config: cfg}
+	} else {
+		set.memo.sealed = make([]sealedPE, machine.NumPEs)
 	}
 	return &Collector{cfg: cfg, machine: machine, set: set}, nil
 }
@@ -118,18 +120,15 @@ type PECollector struct {
 	aggPAPI     []int64
 	msg         stats.Stream
 
-	// Record-mode state (not aggregate). A send lands once, packed, in
-	// PE-private blocks, and its counter deltas stay in the chunk
-	// StopInto wrote them to: the i-th PAPI record's are the i-th slot of
-	// chunks. Close flattens the blocks into the Set's exact-size slices
-	// and joins the chunks into its counter column. Until then nothing
-	// else may see them, afterwards they are immutable (DESIGN.md §8).
-	logical  blocks.Buf[LogicalSend]
-	papiRecs blocks.Buf[PAPISend]
-	physical blocks.Buf[PhysicalRecord]
-	chunks   [][]int64 // counter slots, len(events) each: see slot
-	// scratch receives the counter deltas aggregate mode folds, so that
-	// mode allocates no chunk.
+	// Record-mode state (not aggregate). A send is written straight into
+	// its kind's block being filled, a row of the columns shardWriter
+	// codes, and a full block is sealed onto the kind's APBF shard, the
+	// bytes WriteFiles writes. Close decodes the shards once into the
+	// Set's exact-size slices. Until then nothing else may see them,
+	// afterwards they are immutable (DESIGN.md §8).
+	logical, papiRows sealer
+	physical          blocks.Buf[PhysicalRecord]
+	// scratch receives a PAPI record's counter deltas.
 	scratch [papi.MaxConcurrentEvents]int64
 
 	logicalCount int64
@@ -237,7 +236,9 @@ func (p *PECollector) LogicalSend(mailbox, dst, msgSize int) {
 // does for PAPI records.
 func (p *PECollector) recordLogical(dst, msgSize int) {
 	if !p.aggregate {
-		p.logical.Push(LogicalSend{pack(dst, "dst"), pack(msgSize, "msgSize")})
+		c, i := p.logical.next(logicalKind.cols, p)
+		c[3][i], c[4][i] = int64(pack(dst, "dst")), int64(pack(msgSize, "msgSize"))
+		p.logical.filled(binKindLogical, p)
 		return
 	}
 	if p.aggLogical == nil {
@@ -248,31 +249,11 @@ func (p *PECollector) recordLogical(dst, msgSize int) {
 }
 
 // stopCounters ends the running PAPI region and returns its counter
-// deltas: in the next chunk slot in record mode (the record aliases it
-// for the life of the Set), in the per-PE scratch otherwise (valid until
-// the next call).
+// deltas, in the per-PE scratch (valid until the next call).
 func (p *PECollector) stopCounters() []int64 {
 	counters := p.scratch[:len(p.events)]
-	if !p.aggregate {
-		counters = p.slot(p.papiRecs.Len())
-	}
 	p.eventSet.StopInto(counters)
 	return counters
-}
-
-// chunkWords is the size of a counter chunk: one allocation per
-// chunkWords / len(events) PAPI records.
-const chunkWords = 4096
-
-// slot returns the counters of the i-th retained PAPI record, capped at
-// their own length, adding the chunk that holds them if i is the next.
-func (p *PECollector) slot(i int) []int64 {
-	k := len(p.events)
-	per := chunkWords / k
-	if i/per == len(p.chunks) {
-		p.chunks = append(p.chunks, make([]int64, per*k))
-	}
-	return p.chunks[i/per][i%per*k:][:k:k]
 }
 
 // flushPAPI emits the pending PAPI record with the counter deltas since
@@ -289,13 +270,17 @@ func (p *PECollector) flushPAPI() {
 	p.pendingSends = 0
 }
 
-// recordPAPI records a finished PAPI record packed into the in-memory
-// blocks (counters already sit in their slot), or folds its counters into
-// the per-event aggregate totals.
+// recordPAPI writes a finished PAPI record into the block being filled,
+// or folds its counters into the per-event aggregate totals.
 func (p *PECollector) recordPAPI(dst, pkt, mailbox, sends int, counters []int64) {
 	if !p.aggregate {
+		c, i := p.papiRows.next(papiKind.cols+len(p.events), p)
 		// sends <= PAPIRecordEvery, which Config.Validate holds inside int32.
-		p.papiRecs.Push(PAPISend{pack(dst, "dst"), pack(pkt, "msgSize"), pack(mailbox, "mailbox"), int32(sends)})
+		c[3][i], c[4][i], c[5][i], c[6][i] = int64(pack(dst, "dst")), int64(pack(pkt, "msgSize")), int64(pack(mailbox, "mailbox")), int64(sends)
+		for e, v := range counters {
+			c[7+e][i] = v
+		}
+		p.papiRows.filled(binKindPAPI, p)
 		return
 	}
 	if p.aggPAPI == nil {
@@ -354,25 +339,81 @@ func (p *PECollector) OverallBreakdown(tMain, tProc, tTotal int64) {
 	p.hasOverall = true
 }
 
-// counterColumn joins the counter chunks into the exact-size column of
-// the n retained PAPI records (nil when there are none) and drops them.
-func (p *PECollector) counterColumn(n int) []int64 {
-	if n == 0 {
-		return nil
+// sealedPE is a PE's send shards as its collector sealed them: whole APBF
+// files, which the Set's memo keeps for WriteFiles.
+type sealedPE struct{ logical, papi sealedFile }
+
+// sealer is one send kind's block being filled - the columns shardWriter
+// codes, binBlockRows rows long - and the APBF shard its blocks are
+// sealed onto.
+type sealer struct {
+	cols  [][]int64
+	n     int // rows filled
+	rows  int // rows sealed
+	buf   []byte
+	shard sealedFile
+}
+
+// next returns the columns and the index of the next row, opening the
+// block on first use with ncols columns, the source node and PE - p's,
+// for every row - filled in.
+func (s *sealer) next(ncols int, p *PECollector) ([][]int64, int) {
+	if s.cols == nil {
+		words := make([]int64, ncols*binBlockRows)
+		for c := range ncols {
+			s.cols = append(s.cols, words[c*binBlockRows:][:binBlockRows:binBlockRows])
+		}
+		for i := range binBlockRows {
+			s.cols[0][i], s.cols[1][i] = int64(p.pe/p.parent.machine.PEsPerNode), int64(p.pe)
+		}
 	}
-	col, off := make([]int64, n*len(p.events)), 0
-	for _, chunk := range p.chunks {
-		off += copy(col[off:], chunk)
+	return s.cols, s.n
+}
+
+// filled counts the row next handed out, sealing the block once it is full.
+func (s *sealer) filled(kind byte, p *PECollector) {
+	if s.n++; s.n == binBlockRows {
+		s.seal(kind, p)
 	}
-	p.chunks = nil
-	return col
+}
+
+// seal codes the rows filled as an APBF block of kind - with the file's
+// header, if it is the first - and appends it to the shard. A row's
+// destination node is derived here from its PE, a column at a time.
+func (s *sealer) seal(kind byte, p *PECollector) {
+	if s.n == 0 {
+		return
+	}
+	per := int32(p.parent.machine.PEsPerNode)
+	for i, dst := range s.cols[3][:s.n] {
+		s.cols[2][i] = int64(int32(dst) / per)
+	}
+	if s.buf = s.buf[:0]; len(s.shard) == 0 {
+		s.buf = appendHeader(s.buf, kind, len(s.cols))
+	}
+	s.buf = appendBlock(s.buf, s.n, nil, s.cols)
+	s.shard.Write(s.buf) // a sealedFile's Write cannot fail
+	s.rows, s.n = s.rows+s.n, 0
+}
+
+// handOver decodes a sealed shard through the readers' block loop, each
+// block to pack. The bytes are the collector's own, so nothing is checked:
+// a record holds what the send packed.
+func handOver[T any](shard sealedFile, k *kind[T], pack func(c [][]int64, n int)) {
+	_, err := scanBytes(k, shard.reader(), "sealed shard", false, func(d *binReader, n int, _ bool) (int, error) {
+		pack(d.cols, n)
+		return 0, nil
+	})
+	if err != nil {
+		panic(err)
+	}
 }
 
 // Close flushes pending records into the shared Set. Idempotent. The
-// hand-over copies and the segment sort happen before the collector's
-// lock is taken, so PEs finishing together do not queue behind each
-// other's memmove. A record is copied once, at its packed width: the Set
-// holds what the blocks held (DESIGN.md §8).
+// hand-over and the segment sort happen before the collector's lock is
+// taken, so PEs finishing together do not queue behind each other. The
+// sealed shards are decoded once, into exact-size slices at the packed
+// width, and handed over with them (DESIGN.md §8).
 func (p *PECollector) Close() {
 	if p.closed {
 		return
@@ -388,8 +429,15 @@ func (p *PECollector) Close() {
 			p.recordPAPI(p.pe, 0, -1, 0, counters)
 		}
 	}
-	logical, papiRecs := p.logical.Flatten(), p.papiRecs.Flatten()
-	counters := p.counterColumn(len(papiRecs))
+	p.logical.seal(binKindLogical, p)
+	p.papiRows.seal(binKindPAPI, p)
+	sealed := sealedPE{p.logical.shard, p.papiRows.shard}
+	logical, papiRecs := newCell[LogicalSend](p.logical.rows), newPAPICell(p.papiRows.rows, len(p.events))
+	p.logical, p.papiRows = sealer{}, sealer{}
+	handOver(sealed.logical, &logicalKind, func(c [][]int64, n int) { logical.recs = packLogical(logical.recs, c, 0, n) })
+	handOver(sealed.papi, &papiKind, func(c [][]int64, n int) {
+		papiRecs.recs, papiRecs.counters = packPAPI(papiRecs.recs, papiRecs.counters, c, len(p.events), 0, n)
+	})
 	physical := p.physical.Flatten()
 	var segments []SegmentRecord
 	if len(p.segments) > 0 {
@@ -427,9 +475,12 @@ func (p *PECollector) Close() {
 		}
 		sum.addPAPI(p.pe, p.aggPAPI)
 	}
-	c.set.Logical[p.pe] = logical
+	c.set.Logical[p.pe] = logical.recs
 	c.set.LogicalSendCount[p.pe] = p.logicalCount
-	c.set.PAPI[p.pe], c.set.PAPICounters[p.pe] = papiRecs, counters
+	c.set.PAPI[p.pe], c.set.PAPICounters[p.pe] = papiRecs.recs, papiRecs.counters
+	if !p.aggregate {
+		c.set.memo.sealed[p.pe] = sealed
+	}
 	c.set.Physical[p.pe] = physical
 	if p.hasOverall {
 		c.set.Overall = append(c.set.Overall, p.overall)

@@ -1,10 +1,14 @@
 package trace
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -143,9 +147,10 @@ func TestCollectorMatchesAppendModel(t *testing.T) {
 // TestCountersDoNotShareCapacity: a PAPIRecordAt's Counters alias the
 // Set's counter column, so each must be capped at its own length, or a
 // consumer's append would write into the next record's counters. Across a
-// chunk boundary, so the joined column is what is checked.
+// sealed block boundary, so the column decoded at the hand-over is what is
+// checked.
 func TestCountersDoNotShareCapacity(t *testing.T) {
-	set := collect(t, fullTrace(), 2, 2, chunkWords+5)
+	set := collect(t, fullTrace(), 2, 2, binBlockRows+5)
 	for pe := range set.PAPI {
 		for i := range set.PAPI[pe] {
 			if c := set.PAPIRecordAt(pe, i).Counters; len(c) != 2 || cap(c) != 2 {
@@ -270,9 +275,10 @@ func allocated() uint64 {
 }
 
 // TestRecordModeFootprint bounds what a fully traced send costs in heap:
-// while the run executes, its two packed records and its counter slot
-// (8 + 16 + 16 bytes), and over the collector's whole life those plus
-// their one copy into the Set at Close (24 + 16) - not a wider record.
+// while the run executes, its two rows sealed as APBF (a byte or two per
+// column), and over the collector's whole life those plus the packed
+// records and counters Close decodes them into (24 + 16 bytes) - not a
+// packed block in flight and a copy of it at Close.
 func TestRecordModeFootprint(t *testing.T) {
 	const npes, perNode, n = 4, 2, 1 << 16
 	seqs := make([][]send, npes)
@@ -306,17 +312,91 @@ func TestRecordModeFootprint(t *testing.T) {
 	const sends = npes * n
 	t.Logf("%.1f bytes per send before Close, %.1f over the collector's life",
 		float64(running-start)/sends, float64(closed-start)/sends)
-	if per := float64(running-start) / sends; per > 48 {
-		t.Errorf("%.1f bytes allocated per send before Close, want <= 48", per)
+	if per := float64(running-start) / sends; per > 24 {
+		t.Errorf("%.1f bytes allocated per send before Close, want <= 24", per)
 	}
-	if per := float64(closed-start) / sends; per > 96 {
-		t.Errorf("%.1f bytes allocated per send over the collector's life, want <= 96", per)
+	if per := float64(closed-start) / sends; per > 72 {
+		t.Errorf("%.1f bytes allocated per send over the collector's life, want <= 72", per)
 	}
 	got := c.Set()
 	if !reflect.DeepEqual(got.Logical, want.Logical) || !reflect.DeepEqual(got.PAPI, want.PAPI) ||
 		!reflect.DeepEqual(got.PAPICounters, want.PAPICounters) ||
 		!reflect.DeepEqual(got.LogicalSendCount, want.LogicalSendCount) || !reflect.DeepEqual(got.Overall, want.Overall) {
 		t.Error("the handed-over set differs from the append-built one")
+	}
+}
+
+// TestSealedShardsMatchRefill: the send shards a collector seals as the
+// run goes are what WriteFiles writes of a collected Set, and they must be
+// the bytes a Set holding the same records as its own - built by hand, so
+// sealed from its packed records at write time - writes, file for file.
+// Runs of sends to one destination and mailbox let PAPIRecordEvery batch,
+// and the sizes and counters need multi-byte varints.
+func TestSealedShardsMatchRefill(t *testing.T) {
+	const npes, perNode = 4, 2
+	for _, n := range []int{0, 1, binBlockRows - 1, binBlockRows, binBlockRows + 1, 5000} {
+		for _, tweak := range []struct {
+			name string
+			cfg  func(*Config)
+		}{
+			{"every-send", func(*Config) {}},
+			{"PAPIRecordEvery-3", func(c *Config) { c.PAPIRecordEvery = 3 }},
+			{"LogicalSample-2", func(c *Config) { c.LogicalSample = 2 }},
+		} {
+			for _, format := range []Format{FormatBinary, FormatCSV} {
+				cfg := fullTrace()
+				cfg.Format = format
+				tweak.cfg(&cfg)
+				c, err := NewCollector(cfg, machine(npes, perNode))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for pe := 0; pe < npes; pe++ {
+					eng := papi.NewEngine()
+					pc := c.ForPE(pe, eng)
+					for i := 0; i < n; i++ {
+						eng.Tally(&papi.Work{Ins: int64(10 + (i*7919)%5000), LstIns: int64(i % 5)})
+						pc.LogicalSend((i/7)%3, (pe+i/5)%npes, 8+(i*31)%300)
+						if i%4 == 3 {
+							pc.PhysicalSendAt(conveyor.LocalSend, 64, pe, (pe+i/5)%npes, int64(i))
+						}
+					}
+					eng.Tally(&papi.Work{Ins: 3})
+					pc.OverallBreakdown(10, 20, 100)
+					pc.Close()
+				}
+				collected := c.Set()
+				if sp := collected.memo.sealed[npes-1]; n > 0 && (len(sp.logical) == 0 || len(sp.papi) == 0) {
+					t.Fatalf("n=%d: the collected Set holds no sealed shards", n)
+				}
+				byHand := NewSet(collected.Config, npes, perNode)
+				for pe := 0; pe < npes; pe++ {
+					byHand.Logical[pe], byHand.PAPI[pe] = slices.Clone(collected.Logical[pe]), slices.Clone(collected.PAPI[pe])
+					byHand.PAPICounters[pe], byHand.Physical[pe] = slices.Clone(collected.PAPICounters[pe]), collected.Physical[pe]
+				}
+				byHand.LogicalSendCount, byHand.Overall = collected.LogicalSendCount, collected.Overall
+				dirs := [2]string{t.TempDir(), t.TempDir()}
+				for i, s := range []*Set{collected, byHand} {
+					if err := s.WriteFiles(dirs[i]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				entries, err := os.ReadDir(dirs[0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if again, _ := os.ReadDir(dirs[1]); len(again) != len(entries) {
+					t.Fatalf("n=%d %s %s: %d files collected, %d by hand", n, tweak.name, format, len(entries), len(again))
+				}
+				for _, e := range entries {
+					a, _ := os.ReadFile(filepath.Join(dirs[0], e.Name()))
+					b, err := os.ReadFile(filepath.Join(dirs[1], e.Name()))
+					if err != nil || !bytes.Equal(a, b) {
+						t.Errorf("n=%d %s %s: %s differs (%d vs %d bytes, err %v)", n, tweak.name, format, e.Name(), len(a), len(b), err)
+					}
+				}
+			}
+		}
 	}
 }
 

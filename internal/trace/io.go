@@ -67,26 +67,30 @@ func (s *Set) WriteFiles(dir string) error {
 	}
 	w := &dirWriter{dir: dir, events: eventNames(s.Config.PAPIEvents), paper: s.Config.Format == FormatCSV, keep: map[string]bool{}}
 	for pe := 0; pe < s.NumPEs; pe++ {
+		var sealed sealedPE // none unless a collector recorded the Set
+		if s.memo != nil && pe < len(s.memo.sealed) {
+			sealed = s.memo.sealed[pe]
+		}
 		if s.Config.Logical {
 			addShard(w, &logicalKind, pe, func() (int, func(int) LogicalRecord) {
 				return len(s.Logical[pe]), func(i int) LogicalRecord { return s.LogicalRecordAt(pe, i) }
-			}, func(cols [][]int64, lo int) { s.logicalColumns(pe, cols, lo) })
+			}, sealed.logical, func(cols [][]int64, lo int) { s.logicalColumns(pe, cols, lo) })
 		}
 		if len(w.events) > 0 {
 			addShard(w, &papiKind, pe, func() (int, func(int) PAPIRecord) {
 				return len(s.PAPI[pe]), func(i int) PAPIRecord { return s.PAPIRecordAt(pe, i) }
-			}, func(cols [][]int64, lo int) { s.papiColumns(pe, cols, lo) })
+			}, sealed.papi, func(cols [][]int64, lo int) { s.papiColumns(pe, cols, lo) })
 		}
 	}
 	if s.Config.Physical {
-		addShard(w, &physicalKind, 0, func() (int, func(int) PhysicalRecord) { return rows(s.Physical...) }, nil)
+		addShard(w, &physicalKind, 0, func() (int, func(int) PhysicalRecord) { return rows(s.Physical...) }, nil, nil)
 	}
 	if s.Config.Overall {
-		addShard(w, &overallKind, 0, func() (int, func(int) OverallRecord) { return rows(s.OverallRecords()) }, nil)
+		addShard(w, &overallKind, 0, func() (int, func(int) OverallRecord) { return rows(s.OverallRecords()) }, nil, nil)
 	}
 	for _, recs := range s.Segments {
 		if len(recs) > 0 {
-			addShard(w, &segmentsKind, 0, func() (int, func(int) SegmentRecord) { return rows(s.Segments...) }, nil)
+			addShard(w, &segmentsKind, 0, func() (int, func(int) SegmentRecord) { return rows(s.Segments...) }, nil, nil)
 			break
 		}
 	}
@@ -120,12 +124,16 @@ type dirWriter struct {
 
 // addShard adds the jobs that write PE pe's shard of kind k: its APBF
 // file and, for FormatCSV, its file in the paper's layout. src hands each
-// job its own (n, at), since rows' at is stateful; fill fills a send
-// kind's APBF blocks from the Set's columns.
-func addShard[T any](w *dirWriter, k *kind[T], pe int, src func() (int, func(int) T), fill func(cols [][]int64, lo int)) {
+// job its own (n, at), since rows' at is stateful. A send kind's APBF
+// file is the shard its collector sealed, written as it is, or else is
+// sealed from the Set's packed records: fill fills a block's columns.
+func addShard[T any](w *dirWriter, k *kind[T], pe int, src func() (int, func(int) T), sealed sealedFile, fill func(cols [][]int64, lo int)) {
 	bin := k.binFile(pe)
 	w.keep[bin] = true
 	w.jobs = append(w.jobs, func() error {
+		if len(sealed) > 0 {
+			return writeSealed(w.dir, bin, sealed)
+		}
 		n, at := src()
 		return writeShardFill(k, w.dir, bin, w.events, n, at, fill)
 	})
@@ -207,29 +215,26 @@ func newCell[T any](n int) *cell[T] {
 	return c
 }
 
-// papiCell collects one PE's PAPI rows the way a Set holds them: a
-// PAPISend per record and k counter words in one column. A row's
-// counters beyond the meta file's k events are dropped and missing ones
-// read as zero, as the APBF writer pads them.
+// addRun is the yield that appends a send block's run to c.
+func (c *cell[T]) addRun(run []T) { c.recs = append(c.recs, run...) }
+
+// papiCell collects one PE's PAPI runs the way a Set holds them: a
+// PAPISend per record and its k counter words in one column.
 type papiCell struct {
-	k        int
 	recs     []PAPISend
 	counters []int64
 }
 
 func newPAPICell(n, k int) *papiCell {
-	c := &papiCell{k: k}
+	c := &papiCell{}
 	if n > 0 {
 		c.recs, c.counters = make([]PAPISend, 0, n), make([]int64, 0, n*k)
 	}
 	return c
 }
 
-func (c *papiCell) add(r PAPISend, counters []int64) {
-	c.recs = append(c.recs, r)
-	n := len(c.counters)
-	c.counters = slices.Grow(c.counters, c.k)[:n+c.k]
-	padCounters(c.counters[n:], counters)
+func (c *papiCell) add(run []PAPISend, counters []int64) {
+	c.recs, c.counters = append(c.recs, run...), append(c.counters, counters...)
 }
 
 // filePhysical files physical records under their initiating PEs in s,
@@ -288,11 +293,11 @@ func readSet(dir string, opts ReadOptions) (*Set, int, error) {
 	have, skipped, err := walk(dir, m, opts, consumer{
 		// A send row is held packed: checkSend admitted it only if the
 		// packing loses nothing.
-		logical: func(_, pe int) func(LogicalSend) {
+		logical: func(_, pe int) func([]LogicalSend) {
 			logical[pe] = newCell[LogicalSend](shardRows(&logicalKind, dir, pe, 0))
-			return logical[pe].add()
+			return logical[pe].addRun
 		},
-		papi: func(_, pe int) func(PAPISend, []int64) {
+		papi: func(_, pe int) func([]PAPISend, []int64) {
 			k := len(m.events)
 			papi[pe] = newPAPICell(shardRows(&papiKind, dir, pe, k), k)
 			return papi[pe].add

@@ -97,6 +97,11 @@ func FuzzBinaryLogicalShard(f *testing.F) {
 	for _, h := range hostileBlocks() {
 		f.Add(h.data)
 	}
+	// A bad row in mid-block - another source PE, a destination node that
+	// is not the PE's, a size past 32 bits - between rows the shard admits.
+	good := []int64{0, 0, 3, 3, 8}
+	f.Add([]byte(apbf(binKindLogical, good, []int64{0, 1, 1, 1, 8}, good)))
+	f.Add([]byte(apbf(binKindLogical, good, good, []int64{0, 0, 2, 3, 8}, []int64{0, 0, 1, 1, 1 << 32}, good)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()
 		if err := os.WriteFile(filepath.Join(dir, logicalBinFile(0)), data, 0o644); err != nil {
@@ -172,6 +177,10 @@ func FuzzReadSet(f *testing.F) {
 	f.Add([]byte(apbf(binKindPAPI, []int64{0, 0, 0, 1, 8, 0, 1 << 32, 7})))
 	f.Add([]byte(apbf(binKindLogical, []int64{0, 1, 0, 0, 8}, []int64{1, 0, 0, 1, 8}, []int64{0, 0, 1, 1, 8}, []int64{0, 0, 0, 1, 1 << 32})))
 	f.Add([]byte(apbf(binKindPAPI, []int64{0, 1, 0, 0, 8, 0, 1, 42}, []int64{0, 0, 0, 1, 1 << 32, 0, 1, 7})))
+	// A bad row in mid-block, between rows PE 0's shard admits.
+	goodL, goodP := []int64{0, 0, 0, 1, 8}, []int64{0, 0, 0, 1, 8, 0, 1, 42}
+	f.Add([]byte(apbf(binKindLogical, goodL, goodL, []int64{0, 0, 1, 1, 8}, goodL)))
+	f.Add([]byte(apbf(binKindPAPI, goodP, []int64{0, 0, 0, 1, 8, 1 << 31, 1, 7}, goodP, goodP)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Case 1: the meta file itself is hostile.
 		dirA := t.TempDir()

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 )
@@ -12,32 +13,38 @@ import (
 // plus a few lines of their own; the paper's text layout is written and
 // read at the rim (paper.go).
 
-// rowFunc admits row i of d's current APBF block - decodes it, checks it
-// and hands it on - or returns why it cannot.
-type rowFunc func(d *binReader, i int) error
+// blockFunc admits the n rows of d's current APBF block - decodes them,
+// checks them and hands them on. A row it cannot admit is its error when
+// strict; tolerant, it counts the row in skipped and goes on.
+type blockFunc func(d *binReader, n int, tolerant bool) (skipped int, err error)
 
-// rowsOf is the row path of run-wide kind k: an APBF row is decoded,
+// rowsOf is the row path of run-wide kind k: each APBF row is decoded,
 // checked and handed to yield as a record.
-func rowsOf[T any](k *kind[T]) func(m *meta, pe int, yield func(T)) rowFunc {
-	return func(m *meta, _ int, yield func(T)) rowFunc {
-		return func(d *binReader, i int) error {
-			rec := k.fromRow(d, i)
-			err := k.check(rec, m)
-			if err == nil {
-				yield(rec)
+func rowsOf[T any](k *kind[T]) func(m *meta, pe int, yield func(T)) blockFunc {
+	return func(m *meta, _ int, yield func(T)) blockFunc {
+		return func(d *binReader, n int, tolerant bool) (skipped int, err error) {
+			for i := 0; i < n; i++ {
+				rec := k.fromRow(d, i)
+				if err := k.check(rec, m); err == nil {
+					yield(rec)
+				} else if !tolerant {
+					return 0, err
+				} else {
+					skipped++
+				}
 			}
-			return err
+			return skipped, nil
 		}
 	}
 }
 
 // scan streams PE pe's APBF shard of kind k without materializing
-// records: each row goes to admit. found is false when the file does not
-// exist. A row that fails to decode or check is fatal in strict mode; a
-// tolerant scan counts it in skipped and carries on, so a torn tail or a
+// records: each block goes to admit. found is false when the file does
+// not exist. A row that fails to decode or check is fatal in strict mode;
+// a tolerant scan counts it in skipped and carries on, so a torn tail or a
 // corrupt record costs only the records it tore. An unreadable header
 // counts as one skipped artifact, a torn block as the rows it claimed.
-func scan[T any](k *kind[T], dir string, pe int, tolerant bool, admit rowFunc) (found bool, skipped int, err error) {
+func scan[T any](k *kind[T], dir string, pe int, tolerant bool, admit blockFunc) (found bool, skipped int, err error) {
 	f, err := os.Open(filepath.Join(dir, k.binFile(pe)))
 	if err != nil {
 		if os.IsNotExist(err) {
@@ -46,30 +53,32 @@ func scan[T any](k *kind[T], dir string, pe int, tolerant bool, admit rowFunc) (
 		return false, 0, err
 	}
 	defer f.Close()
+	skipped, err = scanBytes(k, f, f.Name(), tolerant, admit)
+	return true, skipped, err
+}
+
+// scanBytes is scan over the bytes of an APBF file of kind k, read from
+// src: a file, or a shard a collector sealed (collector.go).
+func scanBytes[T any](k *kind[T], src io.Reader, path string, tolerant bool, admit blockFunc) (skipped int, err error) {
 	d := binReaders.Get().(*binReader)
-	defer binReaders.Put(d)
-	d.reset(f, d.data[:0], 0, 0)
-	ok, err := d.header(f.Name(), k.binKind, k.minCols)
+	defer func() { d.src = nil; binReaders.Put(d) }() // a pooled reader keeps no source alive
+	d.reset(src, d.data[:0], 0, 0)
+	ok, err := d.header(path, k.binKind, k.minCols)
 	if err != nil && tolerant {
-		return true, 1, nil
+		return 1, nil
 	}
 	if err != nil || !ok { // !ok: an empty file holds no records
-		return true, 0, err
+		return 0, err
 	}
 	lost, err := d.eachBlock(k.hasStr, func(b block) error {
-		for i := 0; i < b.rows; i++ {
-			if err := admit(d, i); err != nil && !tolerant {
-				return err
-			} else if err != nil {
-				skipped++
-			}
-		}
-		return nil
+		n, err := admit(d, b.rows, tolerant)
+		skipped += n
+		return err
 	})
 	if tolerant {
-		return true, skipped + lost, nil
+		return skipped + lost, nil
 	}
-	return true, 0, err
+	return 0, err
 }
 
 // createShard creates the file name in dir and points a pooled
@@ -98,11 +107,27 @@ func closeShard(f *os.File, w *shardWriter) error {
 	return nil
 }
 
+// writeSealed writes a shard a collector sealed as the file name in dir:
+// a write per chunk.
+func writeSealed(dir, name string, sealed sealedFile) error {
+	f, w, err := createShard(dir, name)
+	if err != nil {
+		return err
+	}
+	for _, b := range sealed {
+		if w.err == nil {
+			_, w.err = f.Write(b)
+		}
+	}
+	return closeShard(f, w)
+}
+
 // writeShardFill writes the APBF shard name of kind k in dir; events are
 // the run's PAPI event names (the counter columns). A run-wide kind's
 // rows are at(0), at(1), ..., at(n-1), asked for in that order; a send
 // kind, which has no row codec, has its blocks filled column-wise:
-// fill(cols, lo), lo the block's first row.
+// fill(cols, lo), lo the block's first row - the blocks a collector seals
+// as the run goes (collector.go), and byte for byte the same.
 func writeShardFill[T any](k *kind[T], dir, name string, events []string, n int, at func(i int) T,
 	fill func(cols [][]int64, lo int)) error {
 	f, w, err := createShard(dir, name)
@@ -190,14 +215,15 @@ func rows[T any](per ...[]T) (n int, at func(i int) T) {
 
 // consumer is what a reader plugs into walk: for each kind, a factory
 // the walker calls once per shard - on the worker about to scan it - for
-// the function that receives the shard's records, the send kinds' in the
-// packed form a Set holds. pe is -1 for the run-wide files; walk opens no
+// the function that receives the shard's records: the send kinds' a
+// block's run at a time, in the packed form a Set holds (logicalSends,
+// papiSends). pe is -1 for the run-wide files; walk opens no
 // file of a kind whose factory is nil. Shards scan concurrently, so a
 // yield may only touch state owned by its shard (a result slot) or by its
 // worker (a partial accumulator that merges commutatively).
 type consumer struct {
-	logical  func(worker, pe int) func(LogicalSend)
-	papi     func(worker, pe int) func(PAPISend, []int64)
+	logical  func(worker, pe int) func([]LogicalSend)
+	papi     func(worker, pe int) func([]PAPISend, []int64)
 	overall  func(worker, pe int) func(OverallRecord)
 	physical func(worker, pe int) func(PhysicalRecord)
 	segments func(worker, pe int) func(SegmentRecord)
@@ -220,7 +246,7 @@ type shardMark struct {
 // makes f's yield, got on the worker about to scan, into what admits the
 // shard's rows: rowsOf, or a send kind's packer.
 func scanTask[T, Y any](tasks []func(worker int), mark *shardMark, k *kind[T], dir string, pe int, m *meta, tolerant bool,
-	f func(worker, pe int) Y, takes func(m *meta, pe int, yield Y) rowFunc) []func(worker int) {
+	f func(worker, pe int) Y, takes func(m *meta, pe int, yield Y) blockFunc) []func(worker int) {
 	if f == nil {
 		return tasks
 	}

@@ -169,6 +169,20 @@ func (m *Summary) foldLogical(src, dst, size int) {
 	m.MsgBytes.Observe(int64(size))
 }
 
+// foldSends folds PE pe's packed logical sends, or a run of them.
+func (m *Summary) foldSends(pe int, run []LogicalSend) {
+	for _, r := range run {
+		m.foldLogical(pe, int(r.DstPE), int(r.MsgSize))
+	}
+}
+
+// foldCounters folds PE pe's PAPI counter column, k words per record.
+func (m *Summary) foldCounters(pe, k int, col []int64) {
+	for ; k > 0 && len(col) >= k; col = col[k:] {
+		m.addPAPI(pe, col[:k])
+	}
+}
+
 func (m *Summary) foldPhysical(r PhysicalRecord) { m.physicalOf(r.Kind)[r.SrcPE][r.DstPE]++ }
 
 // merge adds a partial of the same shape into m: exact integer sums, so
@@ -267,13 +281,15 @@ func (m *Summary) PAPITotalsPerPE(ev papi.Event) []int64 {
 func (m *Summary) OverallRecords() []OverallRecord { return m.Overall }
 
 // summaryMemo is what copies of a Set share, so it lives behind a
-// pointer: the Summary, folded on first use, and - for a set whose
-// collector ran in aggregate mode - the partial that collector folded
-// sends into in place of the records it did not keep.
+// pointer: the Summary, folded on first use; for a set whose collector ran
+// in aggregate mode, the partial that collector folded sends into in
+// place of the records it did not keep; and for one it recorded, the send
+// shards it sealed (collector.go).
 type summaryMemo struct {
 	once      sync.Once
 	sum       *Summary
 	collected *Summary
+	sealed    []sealedPE
 }
 
 // Summary returns the set's aggregate view, folded from the record
@@ -288,16 +304,10 @@ func (s *Set) Summary() *Summary {
 	memo.once.Do(func() {
 		p := &Summary{NumPEs: s.NumPEs, Config: s.Config.withDefaults()}
 		for pe, recs := range s.Logical {
-			for _, r := range recs {
-				p.foldLogical(pe, int(r.DstPE), int(r.MsgSize))
-			}
+			p.foldSends(pe, recs)
 		}
-		if k := len(s.Config.PAPIEvents); k > 0 {
-			for pe, col := range s.PAPICounters {
-				for ; len(col) >= k; col = col[k:] {
-					p.addPAPI(pe, col[:k])
-				}
-			}
+		for pe, col := range s.PAPICounters {
+			p.foldCounters(pe, len(s.Config.PAPIEvents), col)
 		}
 		for _, recs := range s.Physical {
 			for _, r := range recs {
@@ -346,13 +356,13 @@ func ReadSummary(dir string, opts ReadOptions) (*Summary, int, error) {
 		partials[i] = &Summary{NumPEs: md.npes, Config: cfg}
 	}
 	have, skipped, err := walk(dir, md, opts, consumer{
-		logical: func(w, pe int) func(LogicalSend) {
+		logical: func(w, pe int) func([]LogicalSend) {
 			p := partials[w]
-			return func(r LogicalSend) { p.foldLogical(pe, int(r.DstPE), int(r.MsgSize)) }
+			return func(run []LogicalSend) { p.foldSends(pe, run) }
 		},
-		papi: func(w, pe int) func(PAPISend, []int64) {
-			p := partials[w]
-			return func(_ PAPISend, counters []int64) { p.addPAPI(pe, counters) }
+		papi: func(w, pe int) func([]PAPISend, []int64) {
+			p, k := partials[w], len(md.events)
+			return func(_ []PAPISend, col []int64) { p.foldCounters(pe, k, col) }
 		},
 		overall:  func(_, _ int) func(OverallRecord) { return overall.add() },
 		physical: func(w, _ int) func(PhysicalRecord) { return partials[w].foldPhysical },
