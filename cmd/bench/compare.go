@@ -50,6 +50,10 @@ var hotPath = map[string]bool{
 	// the recorded schedule, both allocation-stable per query.
 	"BenchmarkCriticalPath": true,
 	"BenchmarkWhatIfReplay": true,
+	// schedule.json's codec over a recorded 16-PE trianglecount
+	// schedule: a write allocates O(1), a read O(PEs), neither per event.
+	"BenchmarkWriteScheduleFile": true,
+	"BenchmarkReadScheduleFile":  true,
 	// actorprofd's render miss: a heatmap SVG allocates its document
 	// string, not a per-cell title or a growing buffer, and a gzip
 	// variant its exact-size copies, not a compressor.

@@ -40,7 +40,7 @@ const hotBench = "BenchmarkPushThroughput|BenchmarkPushPullLocal|BenchmarkExchan
 	"BenchmarkReadSet|BenchmarkWriteFiles|BenchmarkReadSummary|BenchmarkCollectFullTrace|" +
 	"BenchmarkAppendLogicalLine|" +
 	"BenchmarkWindowQueryEvents|BenchmarkWindowQueryPyramid|BenchmarkWindowQueryFullScan|" +
-	"BenchmarkCriticalPath|BenchmarkWhatIfReplay|" +
+	"BenchmarkCriticalPath|BenchmarkWhatIfReplay|BenchmarkWriteScheduleFile|BenchmarkReadScheduleFile|" +
 	"BenchmarkRenderHeatmapSVG|BenchmarkWithGzip"
 
 // suites maps a suite name to the package patterns and -bench regex the

@@ -40,7 +40,7 @@ type registry struct {
 	root     string
 	ttl      time.Duration // <= 0 disables the snapshot window
 	metrics  *Metrics
-	parseSem chan struct{} // bounds concurrent directory parses (ReadSummary and ReadPhysical)
+	parseSem chan struct{} // bounds concurrent parses (ReadSummary, ReadPhysical, ReadScheduleFile)
 
 	snapMu   sync.Mutex
 	snapDirs map[string]string
@@ -70,11 +70,13 @@ type runEntry struct {
 	ixFP string
 
 	// Recorded what-if schedule, loaded lazily and cached per
-	// fingerprint. nil with a matching schedFP means the directory
-	// carries no schedule.json (the run predates capture) and whatif
-	// requests 404 without re-statting it.
-	sched   *sim.Schedule
-	schedFP string
+	// fingerprint, as is a failed load (schedErr). nil with a matching
+	// schedFP and no error means the directory carries no schedule.json
+	// (the run predates capture) and whatif requests 404 without
+	// re-statting it.
+	sched    *sim.Schedule
+	schedErr error
+	schedFP  string
 
 	// Last fingerprint observed on disk and when; reused within the
 	// snapshot window so hot runs are not re-statted per request.
@@ -245,11 +247,13 @@ func (r *registry) load(id string) (*trace.Summary, string, RunInfo, error) {
 	defer run.unlock()
 	e := run.e
 	if e.sum == nil || e.fp != run.fp {
-		r.parseSem <- struct{}{}
-		start := time.Now()
-		sum, skipped, err := trace.ReadSummary(run.dir, trace.ReadOptions{Tolerant: true})
-		r.metrics.observeParse(time.Since(start), skipped)
-		<-r.parseSem
+		var sum *trace.Summary
+		var skipped int
+		var err error
+		r.parse(func() int {
+			sum, skipped, err = trace.ReadSummary(run.dir, trace.ReadOptions{Tolerant: true})
+			return skipped
+		})
 		if err != nil {
 			return nil, "", RunInfo{}, fmt.Errorf("serve: parsing run %q: %w", id, err)
 		}
@@ -258,17 +262,28 @@ func (r *registry) load(id string) (*trace.Summary, string, RunInfo, error) {
 	return e.sum, e.fp, r.infoLocked(id, run.dir, e), nil
 }
 
+// parse runs one parse of a run's files under the bound on concurrent
+// parses and counts it in the metrics; f returns the lines it skipped.
+func (r *registry) parse(f func() (skipped int)) {
+	r.parseSem <- struct{}{}
+	defer func() { <-r.parseSem }()
+	start := time.Now()
+	skipped := f()
+	r.metrics.observeParse(time.Since(start), skipped)
+}
+
 // physicalLocked returns the run's physical records alone - all the
 // Perfetto export and a full-scan window query draw - read once per
 // fingerprint and cached beside the time index. The caller holds run.
 func (r *registry) physicalLocked(id string, run lockedRun) (*trace.Set, error) {
 	e := run.e
 	if e.physFP != run.fp {
-		r.parseSem <- struct{}{}
-		start := time.Now()
-		set, skipped, err := trace.ReadPhysical(run.dir, trace.ReadOptions{Tolerant: true})
-		r.metrics.observeParse(time.Since(start), skipped)
-		<-r.parseSem
+		var set *trace.Set
+		var err error
+		r.parse(func() (skipped int) {
+			set, skipped, err = trace.ReadPhysical(run.dir, trace.ReadOptions{Tolerant: true})
+			return skipped
+		})
 		if err != nil {
 			return nil, fmt.Errorf("serve: parsing run %q: %w", id, err)
 		}

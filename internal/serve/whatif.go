@@ -18,8 +18,9 @@ import (
 
 // scheduleFor returns a run's recorded what-if schedule, loaded once
 // per directory fingerprint (the fingerprint covers schedule.json, so
-// a rewritten run invalidates the cache automatically). Runs without a
-// schedule 404.
+// a rewritten run invalidates the cache automatically) as a bounded,
+// counted parse. A failed load is remembered for the fingerprint too.
+// Runs without a schedule 404.
 func (r *registry) scheduleFor(id string) (*sim.Schedule, error) {
 	run, err := r.lock(id)
 	if err != nil {
@@ -28,14 +29,18 @@ func (r *registry) scheduleFor(id string) (*sim.Schedule, error) {
 	defer run.unlock()
 	e := run.e
 	if e.schedFP != run.fp {
-		sched, err := whatif.ReadScheduleFile(run.dir)
-		switch {
-		case errors.Is(err, os.ErrNotExist):
-			sched = nil
-		case err != nil:
-			return nil, err
+		var sched *sim.Schedule
+		r.parse(func() int {
+			sched, err = whatif.ReadScheduleFile(run.dir)
+			return 0
+		})
+		if errors.Is(err, os.ErrNotExist) {
+			err = nil
 		}
-		e.sched, e.schedFP = sched, run.fp
+		e.sched, e.schedErr, e.schedFP = sched, err, run.fp
+	}
+	if e.schedErr != nil {
+		return nil, e.schedErr
 	}
 	if e.sched == nil {
 		return nil, noData("run %s has no recorded schedule (%s); capture one with core.RunCaptured", id, whatif.ScheduleFileName)

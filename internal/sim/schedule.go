@@ -168,12 +168,17 @@ type Event struct {
 // MarshalJSON encodes the event compactly as a [kind, arg] pair; a
 // schedule holds an event per charge or run of instruction charges, so
 // the long form would bloat schedule.json severalfold.
-func (e Event) MarshalJSON() ([]byte, error) {
-	return json.Marshal([2]int64{int64(e.Kind), e.Arg})
-}
+func (e Event) MarshalJSON() ([]byte, error) { return appendEvent(nil, e), nil }
 
-// UnmarshalJSON decodes the [kind, arg] pair form.
+// UnmarshalJSON decodes the [kind, arg] pair form: as ParseSchedule
+// reads it, through encoding/json when it is not in the form writers
+// write.
 func (e *Event) UnmarshalJSON(data []byte) error {
+	d := decoder{data: data}
+	if ev, ok := d.pair(); ok && d.i == len(data) {
+		*e = ev
+		return nil
+	}
 	var pair []int64
 	if err := json.Unmarshal(data, &pair); err != nil {
 		return err

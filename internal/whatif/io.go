@@ -1,7 +1,6 @@
 package whatif
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,20 +12,24 @@ import (
 // trace directory's other artifacts.
 const ScheduleFileName = "schedule.json"
 
-// WriteScheduleFile writes the schedule as dir/schedule.json.
+// WriteScheduleFile writes the schedule as dir/schedule.json, through
+// the schedule's own codec (sim.Schedule.WriteJSON).
 func WriteScheduleFile(dir string, s *sim.Schedule) error {
 	if err := s.Validate(); err != nil {
 		return err
 	}
-	data, err := json.Marshal(s)
-	if err != nil {
-		return fmt.Errorf("whatif: encoding schedule: %w", err)
-	}
-	data = append(data, '\n')
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	return os.WriteFile(filepath.Join(dir, ScheduleFileName), data, 0o644)
+	f, err := os.Create(filepath.Join(dir, ScheduleFileName))
+	if err != nil {
+		return err
+	}
+	if err := s.WriteJSON(f); err != nil {
+		f.Close()
+		return fmt.Errorf("whatif: writing %s: %w", ScheduleFileName, err)
+	}
+	return f.Close()
 }
 
 // ReadScheduleFile loads and validates dir/schedule.json. A missing
@@ -37,14 +40,14 @@ func ReadScheduleFile(dir string) (*sim.Schedule, error) {
 	if err != nil {
 		return nil, err
 	}
-	var s sim.Schedule
-	if err := json.Unmarshal(data, &s); err != nil {
+	s, err := sim.ParseSchedule(data)
+	if err != nil {
 		return nil, fmt.Errorf("whatif: parsing %s: %w", ScheduleFileName, err)
 	}
 	if err := s.Validate(); err != nil {
 		return nil, fmt.Errorf("whatif: invalid %s: %w", ScheduleFileName, err)
 	}
-	return &s, nil
+	return s, nil
 }
 
 // HasSchedule reports whether dir carries a recorded schedule.
