@@ -95,7 +95,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		dir     = fs.String("dir", "results", "root directory of trace directories to serve")
 		cacheMB = fs.Int("cache-mb", 64, "rendered-artifact cache budget in MiB")
 		parseN  = fs.Int("parse-concurrency", 2, "max trace directories parsing at once")
-		timeout = fs.Duration("timeout", 30*time.Second, "per-request timeout")
+		timeout = fs.Duration("timeout", 30*time.Second,
+			"how long a request waits on a render, parse or disk scan before answering 503 (the work still finishes and is cached); writing the response is not bounded")
 		snapTTL = fs.Duration("snapshot-ttl", 500*time.Millisecond,
 			"how long directory scans and run fingerprints are reused before re-statting (negative disables)")
 		backfill = fs.Bool("backfill", false,

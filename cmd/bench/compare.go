@@ -50,6 +50,8 @@ var hotPath = map[string]bool{
 	// the recorded schedule, both allocation-stable per query.
 	"BenchmarkCriticalPath": true,
 	"BenchmarkWhatIfReplay": true,
+	// What one /whatif render runs: both projections and the replay.
+	"BenchmarkCompare": true,
 	// schedule.json's codec over a recorded 16-PE trianglecount
 	// schedule: a write allocates O(1), a read O(PEs), neither per event.
 	"BenchmarkWriteScheduleFile": true,
@@ -59,6 +61,14 @@ var hotPath = map[string]bool{
 	// variant its exact-size copies, not a compressor.
 	"BenchmarkRenderHeatmapSVG": true,
 	"BenchmarkWithGzip":         true,
+	// actorprofd's cache hit and revalidation through the whole handler:
+	// no goroutine, no timer, no buffered copy of the body.
+	"BenchmarkServeHit/svg/identity":  true,
+	"BenchmarkServeHit/svg/gzip":      true,
+	"BenchmarkServeHit/svg/304":       true,
+	"BenchmarkServeHit/json/identity": true,
+	"BenchmarkServeHit/json/gzip":     true,
+	"BenchmarkServeHit/json/304":      true,
 }
 
 // compare checks current against baseline: for hot-path benchmarks any

@@ -29,7 +29,8 @@ import (
 )
 
 // hotPkgs and hotBench select the microbenchmarks of the message path,
-// the trace pipeline, the what-if engines and actorprofd's render miss.
+// the trace pipeline, the what-if engines and actorprofd's render miss
+// and cache hit.
 var hotPkgs = []string{"./internal/shmem", "./internal/conveyor", "./internal/actor", "./internal/trace", "./internal/whatif", "./internal/apps",
 	"./internal/viz", "./internal/serve"}
 
@@ -41,7 +42,7 @@ const hotBench = "BenchmarkPushThroughput|BenchmarkPushPullLocal|BenchmarkExchan
 	"BenchmarkAppendLogicalLine|" +
 	"BenchmarkWindowQueryEvents|BenchmarkWindowQueryPyramid|BenchmarkWindowQueryFullScan|" +
 	"BenchmarkCriticalPath|BenchmarkWhatIfReplay|BenchmarkWriteScheduleFile|BenchmarkReadScheduleFile|" +
-	"BenchmarkRenderHeatmapSVG|BenchmarkWithGzip"
+	"BenchmarkCompare|BenchmarkRenderHeatmapSVG|BenchmarkWithGzip|BenchmarkServeHit"
 
 // suites maps a suite name to the package patterns and -bench regex the
 // runner hands to go test.

@@ -4,8 +4,13 @@ import (
 	"bytes"
 	"compress/gzip"
 	"container/list"
-	"errors"
+	"context"
+	"fmt"
+	"log"
+	"net/http"
+	"runtime/debug"
 	"sync"
+	"time"
 )
 
 // renderResult is one rendered artifact: the identity bytes, an
@@ -70,14 +75,106 @@ func exactCopy(b []byte) []byte {
 	return out
 }
 
-// flight tracks one in-progress render so that concurrent requests for
-// the same artifact wait for it instead of rendering redundantly
-// (single-flight de-duplication).
-type flight struct {
+// flight is one piece of work that can block - a render, a parse, a
+// disk scan - run on its own goroutine. Every request that needs its
+// result waits on done, each only up to its own deadline; the work runs
+// to the end regardless, so what it produces is kept for the next
+// request, as an abandoned handler's render always was.
+type flight[T any] struct {
 	done chan struct{}
-	res  renderResult
+	val  T
 	err  error
 }
+
+// The kinds of flight a request can wait on, as /metrics labels its
+// timeouts.
+type flightKind uint8
+
+const (
+	kindRender flightKind = iota
+	kindParse
+	kindScan
+)
+
+var flightKinds = [...]string{kindRender: "render", kindParse: "parse", kindScan: "scan"}
+
+// fly starts work in a new flight. land, when non-nil, runs once the
+// result is known and before any waiter sees it. A panic in work becomes
+// the flight's error - its waiters answer 500 - instead of killing the
+// daemon. seam, when non-nil, runs first (a test holds or fails a
+// flight through it).
+func fly[T any](kind flightKind, seam func(string), work func() (T, error), land func(*flight[T])) *flight[T] {
+	f := &flight[T]{done: make(chan struct{})}
+	go func() {
+		defer close(f.done)
+		defer func() {
+			if p := recover(); p != nil { // work never returned, so f.val is zero
+				f.err = fmt.Errorf("serve: %s panicked: %v", flightKinds[kind], p)
+				log.Printf("serve: %s panicked: %v\n%s", flightKinds[kind], p, debug.Stack())
+			}
+			if land != nil {
+				land(f)
+			}
+		}()
+		if seam != nil {
+			seam(flightKinds[kind])
+		}
+		f.val, f.err = work()
+	}()
+	return f
+}
+
+// landed reports whether f's result is known, without waiting.
+func (f *flight[T]) landed() bool {
+	select {
+	case <-f.done:
+		return true
+	default:
+		return false
+	}
+}
+
+// deadline is what a request brings to a wait: the instant it stops
+// waiting, and its context, whose end (the client went away) stops it
+// too. The zero deadline waits until the flight lands.
+type deadline struct {
+	at  time.Time
+	ctx context.Context
+}
+
+// timedOut is the error of a request whose deadline passed while it
+// waited on a flight of the given kind.
+type timedOut flightKind
+
+func (timedOut) Error() string { return "request timed out" }
+
+// wait returns f's result once it lands, or an error once d passes or
+// d's request ends first. A landed flight answers without arming a timer.
+func (f *flight[T]) wait(d deadline, kind flightKind) (T, error) {
+	if !f.landed() {
+		var expired <-chan time.Time
+		if !d.at.IsZero() {
+			t := time.NewTimer(time.Until(d.at))
+			defer t.Stop()
+			expired = t.C
+		}
+		var gone <-chan struct{}
+		if d.ctx != nil {
+			gone = d.ctx.Done()
+		}
+		select {
+		case <-f.done:
+		case <-expired:
+			return *new(T), timedOut(kind)
+		case <-gone:
+			return *new(T), errClientGone
+		}
+	}
+	return f.val, f.err
+}
+
+// errClientGone ends the wait of a request whose client went away.
+var errClientGone = statusError{code: http.StatusServiceUnavailable, msg: "client went away"}
 
 // cache is a byte-budgeted, scan-resistant segmented LRU (SLRU) of
 // rendered artifacts. Keys embed the source directory's fingerprint, so
@@ -105,7 +202,9 @@ type cache struct {
 	prob      *list.List // seen once; front = most recently used
 	prot      *list.List // seen twice or more; front = most recently used
 	items     map[string]*list.Element
-	flights   map[string]*flight
+	flights   map[string]*flight[renderResult]
+
+	seam func(kind string) // test seam: runs at the start of every render
 }
 
 type entry struct {
@@ -122,15 +221,15 @@ func newCache(maxBytes int64, m *Metrics) *cache {
 		prob:     list.New(),
 		prot:     list.New(),
 		items:    make(map[string]*list.Element),
-		flights:  make(map[string]*flight),
+		flights:  make(map[string]*flight[renderResult]),
 	}
 }
 
-// getOrRender returns the cached artifact for key, or renders it.
-// Concurrent calls with the same key share one render: the first caller
-// runs render() outside the lock, the rest block on its completion.
-// Render errors are returned to every waiter and are not cached.
-func (c *cache) getOrRender(key string, render func() (renderResult, error)) (renderResult, error) {
+// get returns the cached artifact for key, or renders it. A miss
+// renders in a flight; concurrent requests for the same key wait on
+// that one flight, each up to its own deadline. Render errors are
+// returned to every waiter and are not cached.
+func (c *cache) get(key string, d deadline, render func() (renderResult, error)) (renderResult, error) {
 	c.mu.Lock()
 	if el, ok := c.items[key]; ok {
 		c.touchLocked(el)
@@ -139,31 +238,23 @@ func (c *cache) getOrRender(key string, render func() (renderResult, error)) (re
 		c.metrics.cacheHits.Add(1)
 		return res, nil
 	}
-	if f, ok := c.flights[key]; ok {
-		c.mu.Unlock()
+	f, ok := c.flights[key]
+	if ok {
 		c.metrics.cacheCoalesced.Add(1)
-		<-f.done
-		return f.res, f.err
+	} else {
+		c.metrics.cacheMisses.Add(1)
+		f = fly(kindRender, c.seam, render, func(f *flight[renderResult]) {
+			c.mu.Lock()
+			delete(c.flights, key)
+			if f.err == nil {
+				c.insertLocked(key, f.val)
+			}
+			c.mu.Unlock()
+		})
+		c.flights[key] = f
 	}
-	f := &flight{done: make(chan struct{})}
-	// A render that panics unwinds past the assignment below; waiters
-	// then see this error instead of a zero result.
-	f.err = errors.New("serve: render aborted")
-	c.flights[key] = f
 	c.mu.Unlock()
-	c.metrics.cacheMisses.Add(1)
-
-	defer func() {
-		c.mu.Lock()
-		delete(c.flights, key)
-		if f.err == nil {
-			c.insertLocked(key, f.res)
-		}
-		c.mu.Unlock()
-		close(f.done)
-	}()
-	f.res, f.err = render()
-	return f.res, f.err
+	return f.wait(d, kindRender)
 }
 
 // touchLocked records a hit: protected entries move to their segment's

@@ -33,6 +33,8 @@ type Metrics struct {
 	windowBlocksRead atomic.Int64 // data-file blocks decoded by window queries
 	windowFullScans  atomic.Int64 // window queries answered by the full-scan fallback
 
+	timeouts [len(flightKinds)]atomic.Int64 // requests answered 503 at their deadline, by the flight they waited on
+
 	mu        sync.Mutex
 	responses map[int]int64 // HTTP status -> count
 }
@@ -141,6 +143,10 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 	emit("actorprofd_window_queries_total", "Windowed trace queries executed (cache misses on /events).", "counter", m.windowQueries.Load())
 	emit("actorprofd_window_blocks_read_total", "Trace data blocks decoded by windowed queries.", "counter", m.windowBlocksRead.Load())
 	emit("actorprofd_window_full_scans_total", "Windowed queries answered by the full-scan fallback (no usable time index).", "counter", m.windowFullScans.Load())
+	fmt.Fprintf(cw, "# HELP actorprofd_request_timeouts_total Requests answered 503 at their deadline, by what they waited on.\n# TYPE actorprofd_request_timeouts_total counter\n")
+	for kind, name := range flightKinds {
+		fmt.Fprintf(cw, "actorprofd_request_timeouts_total{on=%q} %d\n", name, m.timeouts[kind].Load())
+	}
 	return cw.n, cw.err
 }
 

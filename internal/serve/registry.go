@@ -1,7 +1,12 @@
 package serve
 
 import (
+	"crypto/sha256"
+	"encoding"
+	"encoding/hex"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -11,6 +16,7 @@ import (
 
 	"actorprof/internal/sim"
 	"actorprof/internal/trace"
+	"actorprof/internal/whatif"
 )
 
 // RunInfo describes one trace directory the daemon serves.
@@ -21,11 +27,13 @@ type RunInfo struct {
 	PEsPerNode int      `json:"pes_per_node"`
 	Skipped    int      `json:"skipped_lines"`
 	Features   []string `json:"features"`
+
+	schedule bool // the directory holds a what-if schedule
 }
 
-// registry resolves run IDs to trace directories and caches their parsed
-// Sets, keyed by a directory fingerprint so that a directory is re-parsed
-// when (and only when) its files change.
+// registry resolves run IDs to trace directories and caches what is
+// read from them, keyed by a directory fingerprint so that a directory
+// is re-read when (and only when) its files change.
 //
 // Disk metadata work is amortized by a snapshot window (ttl): the root
 // scan (ReadDir + one Stat per child) and each run's fingerprint
@@ -36,52 +44,90 @@ type RunInfo struct {
 // (TestSnapshotBoundsRegistryScans pins the fix). A run created less
 // than ttl ago is still found: a miss against a fresh snapshot forces
 // one re-scan before 404ing.
+//
+// Every read of the disk - a scan, a fingerprint, a parse - runs in a
+// flight, and the mutexes guard memory only: a request on a run never
+// blocks behind another request's disk work, only waits on it up to its
+// deadline.
 type registry struct {
 	root     string
 	ttl      time.Duration // <= 0 disables the snapshot window
 	metrics  *Metrics
-	parseSem chan struct{} // bounds concurrent parses (ReadSummary, ReadPhysical, ReadScheduleFile)
+	parseSem chan struct{}     // bounds concurrent parses (summary, physical records, time index, schedule)
+	seam     func(kind string) // test seam: runs at the start of every scan and parse
 
-	snapMu   sync.Mutex
-	snapDirs map[string]string
-	snapAt   time.Time
+	snapMu sync.Mutex
+	snap   snapshot[map[string]string]
 
 	mu   sync.Mutex
 	runs map[string]*runEntry
 }
 
+// runEntry is one run's cached reads. mu guards the fields, never a
+// read of the disk.
 type runEntry struct {
-	mu      sync.Mutex // serializes parsing of this one run
-	fp      string     // fingerprint the cached parse corresponds to
-	sum     *trace.Summary
-	skipped int
+	mu sync.Mutex
+	fp snapshot[dirPrint] // the fingerprint last read from disk
 
-	// The physical records alone (trace.ReadPhysical), loaded lazily and
-	// cached per fingerprint for the two record-level consumers: the
-	// Perfetto export and full-scan window queries.
-	phys   *trace.Set
-	physFP string
+	sum   memo[runSummary]
+	phys  memo[*trace.Set]       // the physical records alone, for the Perfetto export and full-scan window queries
+	ix    memo[*trace.TimeIndex] // nil when the directory carries no usable time index
+	sched memo[*sim.Schedule]    // nil when the run predates schedule capture
+}
 
-	// Time index for windowed queries, loaded lazily and cached per
-	// fingerprint. nil with a matching ixFP means the directory carries
-	// no usable index (CSV-only, stale) and queries fall back to
-	// the full-scan reference without re-statting the sidecar.
-	ix   *trace.TimeIndex
-	ixFP string
+// runSummary is what a run's aggregate parse yields.
+type runSummary struct {
+	sum      *trace.Summary
+	skipped  int
+	schedule bool // the directory holds a schedule.json
+}
 
-	// Recorded what-if schedule, loaded lazily and cached per
-	// fingerprint, as is a failed load (schedErr). nil with a matching
-	// schedFP and no error means the directory carries no schedule.json
-	// (the run predates capture) and whatif requests 404 without
-	// re-statting it.
-	sched    *sim.Schedule
-	schedErr error
-	schedFP  string
+// snapshot is a value read from disk by a flight and reused for ttl
+// after the read began.
+type snapshot[T any] struct {
+	f  *flight[T]
+	at time.Time
+}
 
-	// Last fingerprint observed on disk and when; reused within the
-	// snapshot window so hot runs are not re-statted per request.
-	curFP string
-	fpAt  time.Time
+// stale reports whether s must be read again: it is empty, older than
+// ttl (ttl <= 0: always), failed, or force is set. A read still in
+// progress is joined instead. The caller holds the lock that guards s.
+func (s *snapshot[T]) stale(ttl time.Duration, force bool) bool {
+	return s.f == nil || ttl <= 0 || force || s.f.landed() && (s.f.err != nil || time.Since(s.at) >= ttl)
+}
+
+// memo is a value parsed from a run's directory once per fingerprint.
+type memo[T any] struct {
+	fp string
+	f  *flight[T]
+}
+
+// load returns m's value for run, starting a parse flight when m holds
+// none for run's fingerprint, or holds a failure and keepErr is unset.
+// parse reads the value of run id from its directory and reports the
+// lines it skipped; it runs under the bound on concurrent parses and is
+// counted in the metrics.
+func load[T any](r *registry, d deadline, run resolvedRun, m *memo[T], keepErr bool,
+	parse func(dir, id string) (T, int, error)) (T, error) {
+	run.e.mu.Lock()
+	f := m.f
+	if f == nil || m.fp != run.fp.key || !keepErr && f.landed() && f.err != nil {
+		dir, id := run.dir, run.id
+		f = fly(kindParse, nil, func() (T, error) {
+			r.parseSem <- struct{}{}
+			defer func() { <-r.parseSem }()
+			if r.seam != nil {
+				r.seam(flightKinds[kindParse]) // a held parse holds its slot
+			}
+			start := time.Now()
+			v, skipped, err := parse(dir, id)
+			r.metrics.observeParse(time.Since(start), skipped)
+			return v, err
+		}, nil)
+		m.fp, m.f = run.fp.key, f
+	}
+	run.e.mu.Unlock()
+	return f.wait(d, kindParse)
 }
 
 func newRegistry(root string, parseConcurrency int, ttl time.Duration, m *Metrics) *registry {
@@ -138,26 +184,18 @@ func (r *registry) scanDisk() (map[string]string, error) {
 	return dirs, nil
 }
 
-// dirs returns the run-ID-to-directory map, reusing the snapshot when
-// it is younger than ttl. The mutex is held across the disk scan so a
-// burst of requests arriving at window expiry performs one scan, not
-// one per request. force skips the freshness check (used to re-check
-// for a run created inside the current window).
-func (r *registry) dirs(force bool) (map[string]string, error) {
-	if r.ttl <= 0 {
-		return r.scanDisk()
-	}
+// dirs returns the run-ID-to-directory map, reusing the snapshot while
+// it is younger than ttl. A burst of requests arriving at window expiry
+// waits on one scan, not one each. force skips the freshness check
+// (used to re-check for a run created inside the current window).
+func (r *registry) dirs(d deadline, force bool) (map[string]string, error) {
 	r.snapMu.Lock()
-	defer r.snapMu.Unlock()
-	if !force && r.snapDirs != nil && time.Since(r.snapAt) < r.ttl {
-		return r.snapDirs, nil
+	if r.snap.stale(r.ttl, force) {
+		r.snap.f, r.snap.at = fly(kindScan, r.seam, r.scanDisk, nil), time.Now()
 	}
-	dirs, err := r.scanDisk()
-	if err != nil {
-		return nil, err
-	}
-	r.snapDirs, r.snapAt = dirs, time.Now()
-	return dirs, nil
+	f := r.snap.f
+	r.snapMu.Unlock()
+	return f.wait(d, kindScan)
 }
 
 // fingerprint summarizes a trace directory's contents (file names,
@@ -182,34 +220,52 @@ func fingerprint(dir string) (string, error) {
 	return b.String(), nil
 }
 
-// lockedRun is a run resolved for one operation: its directory, its
-// cache slot with e.mu held, and the directory's current fingerprint.
-type lockedRun struct {
-	dir string
-	e   *runEntry
-	fp  string
+// dirPrint is a run directory's fingerprint in the two forms a request
+// uses: a short digest of the listing, the cache-key component, and the
+// SHA-256 state after "<run>\x00<listing>\x00", the start of every ETag's
+// input (etagFor), so that a request hashes only its artifact's name and
+// parameters.
+type dirPrint struct {
+	key string
+	tag []byte
 }
 
-// lock is the preamble every per-run operation shares: it resolves the
-// run ID to its directory and cache slot, takes the slot's lock - the
-// caller releases it with unlock - and reads the directory's fingerprint,
-// re-reading the directory only when the cached observation is older than
-// the snapshot window.
-func (r *registry) lock(id string) (lockedRun, error) {
-	dirs, err := r.dirs(false)
+func printOf(id, listing string) dirPrint {
+	sum := sha256.Sum256([]byte(listing))
+	h := sha256.New()
+	io.WriteString(h, id+"\x00"+listing+"\x00")
+	tag, _ := h.(encoding.BinaryMarshaler).MarshalBinary()
+	return dirPrint{key: hex.EncodeToString(sum[:12]), tag: tag}
+}
+
+// resolvedRun is a run resolved for one operation: its ID and directory,
+// its cache slot and the directory's current fingerprint.
+type resolvedRun struct {
+	id  string
+	dir string
+	e   *runEntry
+	fp  dirPrint
+}
+
+// resolve is the preamble every per-run operation shares: it resolves
+// the run ID to its directory and cache slot and reads the directory's
+// fingerprint, re-reading the directory only when the cached
+// observation is older than the snapshot window.
+func (r *registry) resolve(d deadline, id string) (resolvedRun, error) {
+	dirs, err := r.dirs(d, false)
 	if err != nil {
-		return lockedRun{}, err
+		return resolvedRun{}, err
 	}
 	dir, ok := dirs[id]
 	if !ok && r.ttl > 0 {
 		// The run may have been created inside the snapshot window.
-		if dirs, err = r.dirs(true); err != nil {
-			return lockedRun{}, err
+		if dirs, err = r.dirs(d, true); err != nil {
+			return resolvedRun{}, err
 		}
 		dir, ok = dirs[id]
 	}
 	if !ok {
-		return lockedRun{}, statusError{code: 404, msg: fmt.Sprintf("unknown run %q", id)}
+		return resolvedRun{}, statusError{code: 404, msg: fmt.Sprintf("unknown run %q", id)}
 	}
 	r.mu.Lock()
 	e := r.runs[id]
@@ -220,98 +276,59 @@ func (r *registry) lock(id string) (lockedRun, error) {
 	r.mu.Unlock()
 
 	e.mu.Lock()
-	if r.ttl <= 0 || e.curFP == "" || time.Since(e.fpAt) >= r.ttl {
-		r.metrics.fingerprints.Add(1)
-		fp, err := fingerprint(dir)
-		if err != nil {
-			e.mu.Unlock()
-			return lockedRun{}, err
-		}
-		e.curFP, e.fpAt = fp, time.Now()
+	if e.fp.stale(r.ttl, false) {
+		e.fp.f, e.fp.at = fly(kindScan, r.seam, func() (dirPrint, error) {
+			r.metrics.fingerprints.Add(1)
+			listing, err := fingerprint(dir)
+			if err != nil {
+				return dirPrint{}, err
+			}
+			return printOf(id, listing), nil
+		}, nil), time.Now()
 	}
-	return lockedRun{dir: dir, e: e, fp: e.curFP}, nil
+	f := e.fp.f
+	e.mu.Unlock()
+	fp, err := f.wait(d, kindScan)
+	if err != nil {
+		return resolvedRun{}, err
+	}
+	return resolvedRun{id: id, dir: dir, e: e, fp: fp}, nil
 }
 
-func (run lockedRun) unlock() { run.e.mu.Unlock() }
-
-// load returns the run's aggregate view - the streamed Summary itself,
-// read-only once parsed, so renders across plot kinds share its
-// matrices - along with its fingerprint (the cache-key component) and
-// its RunInfo. It re-parses only when the directory changed since the
+// summary returns the run's aggregate view - the streamed Summary
+// itself, read-only once parsed, so renders across plot kinds share its
+// matrices - along with the run (whose fingerprint is the cache-key
+// component). It re-parses only when the directory changed since the
 // last parse, and bounds how many parses run at once across all runs.
-func (r *registry) load(id string) (*trace.Summary, string, RunInfo, error) {
-	run, err := r.lock(id)
+func (r *registry) summary(d deadline, id string) (runSummary, resolvedRun, error) {
+	run, err := r.resolve(d, id)
 	if err != nil {
-		return nil, "", RunInfo{}, err
+		return runSummary{}, run, err
 	}
-	defer run.unlock()
-	e := run.e
-	if e.sum == nil || e.fp != run.fp {
-		var sum *trace.Summary
-		var skipped int
-		var err error
-		r.parse(func() int {
-			sum, skipped, err = trace.ReadSummary(run.dir, trace.ReadOptions{Tolerant: true})
-			return skipped
-		})
-		if err != nil {
-			return nil, "", RunInfo{}, fmt.Errorf("serve: parsing run %q: %w", id, err)
-		}
-		e.sum, e.fp, e.skipped = sum, run.fp, skipped
-	}
-	return e.sum, e.fp, r.infoLocked(id, run.dir, e), nil
+	v, err := load(r, d, run, &run.e.sum, false, readSummary)
+	return v, run, err
 }
 
-// parse runs one parse of a run's files under the bound on concurrent
-// parses and counts it in the metrics; f returns the lines it skipped.
-func (r *registry) parse(f func() (skipped int)) {
-	r.parseSem <- struct{}{}
-	defer func() { <-r.parseSem }()
-	start := time.Now()
-	skipped := f()
-	r.metrics.observeParse(time.Since(start), skipped)
-}
-
-// physicalLocked returns the run's physical records alone - all the
-// Perfetto export and a full-scan window query draw - read once per
-// fingerprint and cached beside the time index. The caller holds run.
-func (r *registry) physicalLocked(id string, run lockedRun) (*trace.Set, error) {
-	e := run.e
-	if e.physFP != run.fp {
-		var set *trace.Set
-		var err error
-		r.parse(func() (skipped int) {
-			set, skipped, err = trace.ReadPhysical(run.dir, trace.ReadOptions{Tolerant: true})
-			return skipped
-		})
-		if err != nil {
-			return nil, fmt.Errorf("serve: parsing run %q: %w", id, err)
-		}
-		e.phys, e.physFP = set, run.fp
-	}
-	return e.phys, nil
-}
-
-// physical is physicalLocked for a caller that holds nothing.
-func (r *registry) physical(id string) (*trace.Set, error) {
-	run, err := r.lock(id)
+func readSummary(dir, id string) (runSummary, int, error) {
+	sum, skipped, err := trace.ReadSummary(dir, trace.ReadOptions{Tolerant: true})
 	if err != nil {
-		return nil, err
+		return runSummary{}, skipped, fmt.Errorf("serve: parsing run %q: %w", id, err)
 	}
-	defer run.unlock()
-	return r.physicalLocked(id, run)
+	return runSummary{sum, skipped, whatif.HasSchedule(dir)}, skipped, nil
 }
 
-// fingerprintFor returns a run's current fingerprint without parsing
-// anything - the cache-key/ETag component for endpoints that defer the
-// expensive work into the render closure.
-func (r *registry) fingerprintFor(id string) (string, error) {
-	run, err := r.lock(id)
+// physical returns the run's physical records alone - all the Perfetto
+// export and a full-scan window query draw - read once per fingerprint.
+func (r *registry) physical(d deadline, run resolvedRun) (*trace.Set, error) {
+	return load(r, d, run, &run.e.phys, false, readPhysical)
+}
+
+func readPhysical(dir, id string) (*trace.Set, int, error) {
+	set, skipped, err := trace.ReadPhysical(dir, trace.ReadOptions{Tolerant: true})
 	if err != nil {
-		return "", err
+		return nil, skipped, fmt.Errorf("serve: parsing run %q: %w", id, err)
 	}
-	defer run.unlock()
-	return run.fp, nil
+	return set, skipped, nil
 }
 
 // queryWindow answers a windowed trace query against one run: through
@@ -320,27 +337,30 @@ func (r *registry) fingerprintFor(id string) (string, error) {
 // full-scan reference over the run's physical records otherwise
 // (CSV-only traces, torn or stale sidecars, a data file holding a record
 // the readers reject).
-func (r *registry) queryWindow(id string, q trace.Window) (*trace.WindowResult, error) {
-	run, err := r.lock(id)
+func (r *registry) queryWindow(d deadline, run resolvedRun, q trace.Window) (*trace.WindowResult, error) {
+	// A missing or stale sidecar loads as nil, once per fingerprint, so
+	// repeated queries do not re-stat it.
+	ix, err := load(r, d, run, &run.e.ix, true, func(dir, _ string) (*trace.TimeIndex, int, error) {
+		ix, _ := trace.LoadTimeIndex(dir)
+		return ix, 0, nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	defer run.unlock()
-	e := run.e
-	if e.ixFP != run.fp {
-		// One LoadTimeIndex per fingerprint: a missing or stale sidecar
-		// caches as nil so repeated queries do not re-stat it.
-		e.ix, _ = trace.LoadTimeIndex(run.dir)
-		e.ixFP = run.fp
-	}
-	if e.ix != nil {
-		res, err := e.ix.Query(run.dir, q)
+	if ix != nil {
+		res, err := ix.Query(run.dir, q)
 		if err == nil {
 			return res, nil
 		}
-		e.ix = nil // the data file does not hold what the index says: fall back
+		// The data file does not hold what the index says: fall back,
+		// and let the next query go straight to the full scan.
+		run.e.mu.Lock()
+		if run.e.ix.fp == run.fp.key {
+			run.e.ix.f = &flight[*trace.TimeIndex]{done: closed}
+		}
+		run.e.mu.Unlock()
 	}
-	set, err := r.physicalLocked(id, run)
+	set, err := r.physical(d, run)
 	if err != nil {
 		return nil, err
 	}
@@ -350,13 +370,16 @@ func (r *registry) queryWindow(id string, q trace.Window) (*trace.WindowResult, 
 	return trace.QueryWindowSet(set, q), nil
 }
 
+// closed is the done channel of a flight that was never flown.
+var closed = func() chan struct{} { c := make(chan struct{}); close(c); return c }()
+
 // listPage scans the root and returns the runs in [offset, offset+limit)
 // of the stable (lexicographically sorted) run-ID order, along with the
 // total run count. limit < 0 means "to the end". Only the runs inside
 // the window are parsed, so paging over thousands of runs costs one
 // page of parses, not all of them.
-func (r *registry) listPage(offset, limit int) ([]RunInfo, int, error) {
-	dirs, err := r.dirs(false)
+func (r *registry) listPage(d deadline, offset, limit int) ([]RunInfo, int, error) {
+	dirs, err := r.dirs(d, false)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -377,7 +400,10 @@ func (r *registry) listPage(offset, limit int) ([]RunInfo, int, error) {
 	}
 	infos := make([]RunInfo, 0, end-offset)
 	for _, id := range ids[offset:end] {
-		_, _, info, err := r.load(id)
+		v, run, err := r.summary(d, id)
+		if errors.As(err, new(timedOut)) || err == errClientGone {
+			return nil, 0, err
+		}
 		if err != nil {
 			// A run that fails to parse stays listed (its ID is real) with
 			// no features, so the listing never fails wholesale because one
@@ -385,36 +411,37 @@ func (r *registry) listPage(offset, limit int) ([]RunInfo, int, error) {
 			infos = append(infos, RunInfo{ID: id, Dir: dirs[id]})
 			continue
 		}
-		infos = append(infos, info)
+		infos = append(infos, runInfo(run, v))
 	}
 	return infos, total, nil
 }
 
 // list returns every run's info, parsing as needed.
 func (r *registry) list() ([]RunInfo, error) {
-	infos, _, err := r.listPage(0, -1)
+	infos, _, err := r.listPage(deadline{}, 0, -1)
 	return infos, err
 }
 
 // count returns the number of runs under the root (the healthz number)
 // without parsing any of them.
-func (r *registry) count() (int, error) {
-	dirs, err := r.dirs(false)
+func (r *registry) count(d deadline) (int, error) {
+	dirs, err := r.dirs(d, false)
 	if err != nil {
 		return 0, err
 	}
 	return len(dirs), nil
 }
 
-func (r *registry) infoLocked(id, dir string, e *runEntry) RunInfo {
+func runInfo(run resolvedRun, v runSummary) RunInfo {
 	info := RunInfo{
-		ID:         id,
-		Dir:        dir,
-		NumPEs:     e.sum.NumPEs,
-		PEsPerNode: e.sum.PEsPerNode,
-		Skipped:    e.skipped,
+		ID:         run.id,
+		Dir:        run.dir,
+		NumPEs:     v.sum.NumPEs,
+		PEsPerNode: v.sum.PEsPerNode,
+		Skipped:    v.skipped,
+		schedule:   v.schedule,
 	}
-	cfg := e.sum.Config
+	cfg := v.sum.Config
 	if cfg.Logical {
 		info.Features = append(info.Features, "logical")
 	}

@@ -19,12 +19,15 @@ package serve
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
+	"net/url"
 	"os"
 	"strconv"
 	"strings"
@@ -32,7 +35,6 @@ import (
 
 	"actorprof/internal/trace"
 	"actorprof/internal/viz"
-	"actorprof/internal/whatif"
 )
 
 // Config configures a Server.
@@ -45,7 +47,10 @@ type Config struct {
 	// ParseConcurrency bounds how many trace directories parse at once
 	// (default 2; parses are the memory-hungry operation).
 	ParseConcurrency int
-	// RequestTimeout bounds each request end to end (default 30s).
+	// RequestTimeout bounds how long a request waits on work that can
+	// block - a render, a parse, a disk scan - before it answers 503;
+	// the work still finishes and is cached. Writing the response is not
+	// bounded (default 30s).
 	RequestTimeout time.Duration
 	// SnapshotTTL is how long the registry reuses its root scan and
 	// per-run fingerprints before re-reading disk metadata (default
@@ -116,13 +121,14 @@ func New(cfg Config) (*Server, error) {
 	mux.HandleFunc("GET /runs/{run}/whatif", s.handleWhatIf)
 	mux.HandleFunc("GET /{$}", s.handleIndex)
 
-	var h http.Handler = http.TimeoutHandler(mux, cfg.RequestTimeout, "request timed out\n")
-	s.handler = s.instrument(h)
+	s.handler = s.instrument(mux)
 	return s, nil
 }
 
 // Handler returns the server's HTTP handler: every endpoint, wrapped in
-// the per-request timeout and the metrics middleware.
+// the metrics middleware. A request runs on its own goroutine and waits
+// on any work that can block - a render, a parse, a disk scan - in a
+// flight, for at most RequestTimeout (DESIGN.md §9 "Request model").
 func (s *Server) Handler() http.Handler { return s.handler }
 
 // Metrics exposes the server's counters (the /metrics data).
@@ -148,10 +154,23 @@ func (r *statusRecorder) WriteHeader(code int) {
 	r.ResponseWriter.WriteHeader(code)
 }
 
-// fail writes err as an HTTP error, mapping statusError codes through
-// and everything else to 500.
+// deadline fixes the instant a request stops waiting on flights:
+// RequestTimeout after its handler starts.
+func (s *Server) deadline(r *http.Request) deadline {
+	return deadline{at: time.Now().Add(s.cfg.RequestTimeout), ctx: r.Context()}
+}
+
+// fail writes err as an HTTP error, mapping statusError codes through,
+// a timed-out wait to 503 with the body http.TimeoutHandler wrote, and
+// everything else to 500.
 func (s *Server) fail(w http.ResponseWriter, err error) {
 	var se statusError
+	var to timedOut
+	if errors.As(err, &to) {
+		s.metrics.timeouts[to].Add(1)
+		http.Error(w, to.Error(), http.StatusServiceUnavailable)
+		return
+	}
 	if errors.As(err, &se) {
 		http.Error(w, se.msg, se.code)
 		return
@@ -160,7 +179,7 @@ func (s *Server) fail(w http.ResponseWriter, err error) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	n, err := s.reg.count()
+	n, err := s.reg.count(s.deadline(r))
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -204,7 +223,7 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	infos, total, err := s.reg.listPage(offset, limit)
+	infos, total, err := s.reg.listPage(s.deadline(r), offset, limit)
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -222,16 +241,24 @@ func (s *Server) handleRuns(w http.ResponseWriter, r *http.Request) {
 // etagFor derives the strong validator for an artifact from its cache
 // identity: the run, the registry fingerprint (which changes whenever
 // any file in the trace directory does), the artifact name, and the
-// normalized parameter. No render is needed to compute it, so a
-// revalidation of an unchanged artifact costs a fingerprint lookup and
-// a hash - not a parse or a render. key is those parts NUL-joined, the
-// string that also keys the cache (see serveArtifact); it is hashed in
-// place and hex-encoded into a fixed array, so the tag string is the
-// one allocation.
-func etagFor(key string) string {
-	sum := sha256.Sum256([]byte(key))
+// normalized parameters, NUL-joined. No render is needed to compute it,
+// so a revalidation of an unchanged artifact costs a fingerprint lookup
+// and a hash - not a parse or a render.
+func etagFor(key string) string { return etagAfter(nil, key) }
+
+// etagAfter is etagFor of an input whose start is already hashed into
+// the SHA-256 state prefix (nil: nothing) and whose rest is rest: a
+// request resumes its run's dirPrint.tag and hashes only its artifact's
+// name and parameters, not the whole directory listing.
+func etagAfter(prefix []byte, rest string) string {
+	h := sha256.New()
+	if prefix != nil {
+		h.(encoding.BinaryUnmarshaler).UnmarshalBinary(prefix)
+	}
+	io.WriteString(h, rest)
+	var sum [sha256.Size]byte
 	var tag [24]byte
-	hex.Encode(tag[:], sum[:12])
+	hex.Encode(tag[:], h.Sum(sum[:0])[:12])
 	return string(tag[:])
 }
 
@@ -240,11 +267,15 @@ func etagFor(key string) string {
 // gzip is not listed. Either refuses at q=0.
 func acceptsGzip(r *http.Request) bool {
 	star := false
-	for _, part := range strings.Split(r.Header.Get("Accept-Encoding"), ",") {
+	for rest := r.Header.Get("Accept-Encoding"); rest != ""; {
+		var part string
+		part, rest, _ = strings.Cut(rest, ",")
 		token, q, _ := strings.Cut(strings.TrimSpace(part), ";")
-		qv, hasQ := strings.CutPrefix(strings.TrimSpace(q), "q=")
-		f, err := strconv.ParseFloat(strings.TrimSpace(qv), 64)
-		allowed := !hasQ || err != nil || f != 0
+		allowed := true
+		if qv, hasQ := strings.CutPrefix(strings.TrimSpace(q), "q="); hasQ {
+			f, err := strconv.ParseFloat(strings.TrimSpace(qv), 64)
+			allowed = err != nil || f != 0
+		}
 		switch strings.TrimSpace(token) {
 		case "gzip":
 			return allowed
@@ -261,7 +292,9 @@ func acceptsGzip(r *http.Request) bool {
 // returns the matched tag so the 304 can echo the representation the
 // client actually holds.
 func etagMatches(inm, base string) (string, bool) {
-	for _, part := range strings.Split(inm, ",") {
+	for rest := inm; rest != ""; {
+		var part string
+		part, rest, _ = strings.Cut(rest, ",")
 		tag := strings.TrimSpace(part)
 		if tag == "*" {
 			return `"` + base + `"`, true
@@ -275,6 +308,13 @@ func etagMatches(inm, base string) (string, bool) {
 	return "", false
 }
 
+// Header values many responses share, assigned to canonical keys
+// without Header.Set's canonicalization; nothing writes into them.
+var (
+	varyAcceptEncoding = []string{"Accept-Encoding"}
+	gzipEncoding       = []string{"gzip"}
+)
+
 // writeNegotiated writes res honoring Accept-Encoding, the request
 // method (HEAD gets headers and Content-Length but no body), and - when
 // etagBase is non-empty - attaches the representation's ETag. The
@@ -284,21 +324,21 @@ func etagMatches(inm, base string) (string, bool) {
 func (s *Server) writeNegotiated(w http.ResponseWriter, r *http.Request, res renderResult, etagBase string) {
 	data := res.data
 	h := w.Header()
-	h.Set("Vary", "Accept-Encoding")
-	h.Set("Content-Type", res.contentType)
+	h["Vary"] = varyAcceptEncoding
+	h["Content-Type"] = []string{res.contentType}
 	etag := etagBase
 	if res.gz != nil && acceptsGzip(r) {
 		data = res.gz
-		h.Set("Content-Encoding", "gzip")
+		h["Content-Encoding"] = gzipEncoding
 		s.metrics.gzipResponses.Add(1)
 		if etag != "" {
 			etag += "-gz"
 		}
 	}
 	if etag != "" {
-		h.Set("ETag", `"`+etag+`"`)
+		h["Etag"] = []string{`"` + etag + `"`}
 	}
-	h.Set("Content-Length", strconv.Itoa(len(data)))
+	h["Content-Length"] = []string{strconv.Itoa(len(data))}
 	if r.Method == http.MethodHead {
 		return
 	}
@@ -315,24 +355,25 @@ func (s *Server) writeNegotiated(w http.ResponseWriter, r *http.Request, res ren
 // with content negotiation. An endpoint supplies only its normalized
 // parameters and a render that writes the bytes into a scratch buffer
 // and returns their type; the cache keeps an exact-size copy.
-func (s *Server) serveArtifact(w http.ResponseWriter, r *http.Request, runID, fp, name string, norm []string,
+func (s *Server) serveArtifact(w http.ResponseWriter, r *http.Request, d deadline, run resolvedRun, name string, norm []string,
 	render func(buf *bytes.Buffer) (contentType string, err error)) {
-	key := runID + "\x00" + fp + "\x00" + name
+	rest := name
 	for _, p := range norm {
-		key += "\x00" + p
+		rest += "\x00" + p
 	}
-	etagBase := etagFor(key)
+	key := run.id + "\x00" + run.fp.key + "\x00" + rest
+	etagBase := etagAfter(run.fp.tag, rest)
 	if inm := r.Header.Get("If-None-Match"); inm != "" {
 		if matched, ok := etagMatches(inm, etagBase); ok {
 			h := w.Header()
-			h.Set("Vary", "Accept-Encoding")
-			h.Set("ETag", matched)
+			h["Vary"] = varyAcceptEncoding
+			h["Etag"] = []string{matched}
 			w.WriteHeader(http.StatusNotModified)
 			s.metrics.notModified.Add(1)
 			return
 		}
 	}
-	res, err := s.cache.getOrRender(key, func() (renderResult, error) {
+	res, err := s.cache.get(key, d, func() (renderResult, error) {
 		start := time.Now()
 		defer func() { s.metrics.observeRender(time.Since(start)) }()
 		buf := scratchBuffers.Get().(*bytes.Buffer)
@@ -372,16 +413,18 @@ func (s *Server) handlePlot(w http.ResponseWriter, r *http.Request) {
 		param = r.URL.Query().Get("event")
 	}
 
-	sum, fp, _, err := s.reg.load(runID)
+	d := s.deadline(r)
+	v, run, err := s.reg.summary(d, runID)
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
+	sum := v.sum
 	if err := art.check(sum); err != nil {
 		s.fail(w, err)
 		return
 	}
-	s.serveArtifact(w, r, runID, fp, name, []string{param}, func(buf *bytes.Buffer) (string, error) {
+	s.serveArtifact(w, r, d, run, name, []string{param}, func(buf *bytes.Buffer) (string, error) {
 		if format == "svg" {
 			p, err := art.plot(sum, param)
 			if err != nil {
@@ -427,13 +470,14 @@ func splitPlotName(name string) (kind, format string, ok bool) {
 // revalidation or a cache hit reads nothing.
 func (s *Server) handlePerfetto(w http.ResponseWriter, r *http.Request) {
 	runID := r.PathValue("run")
-	fp, err := s.reg.fingerprintFor(runID)
+	d := s.deadline(r)
+	run, err := s.reg.resolve(d, runID)
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
-	s.serveArtifact(w, r, runID, fp, "perfetto", nil, func(buf *bytes.Buffer) (string, error) {
-		set, err := s.reg.physical(runID)
+	s.serveArtifact(w, r, d, run, "perfetto", nil, func(buf *bytes.Buffer) (string, error) {
+		set, err := s.reg.physical(deadline{}, run)
 		if err != nil {
 			return "", err
 		}
@@ -516,14 +560,15 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	fp, err := s.reg.fingerprintFor(runID)
+	d := s.deadline(r)
+	run, err := s.reg.resolve(d, runID)
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
 	norm := fmt.Sprintf("%d\x01%d\x01%d\x01%d", q.T0, q.T1, q.LOD, q.MaxEvents)
-	s.serveArtifact(w, r, runID, fp, "events", []string{norm}, func(buf *bytes.Buffer) (string, error) {
-		res, err := s.reg.queryWindow(runID, q)
+	s.serveArtifact(w, r, d, run, "events", []string{norm}, func(buf *bytes.Buffer) (string, error) {
+		res, err := s.reg.queryWindow(deadline{}, run, q)
 		if err != nil {
 			return "", err
 		}
@@ -538,7 +583,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 
 // handleIndex renders a minimal HTML directory of runs and plot links.
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
-	infos, total, err := s.reg.listPage(0, indexRunsLimit)
+	infos, total, err := s.reg.listPage(s.deadline(r), 0, indexRunsLimit)
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -550,22 +595,25 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		b.WriteString("<p>No trace directories found under the served root.</p>\n")
 	}
 	for _, info := range infos {
+		// The ID goes into every link as one escaped path segment: a run
+		// directory may be named a"b or x?y#z.
+		id := htmlEscape(url.PathEscape(info.ID))
 		fmt.Fprintf(&b, "<h2>%s</h2><ul>\n", htmlEscape(info.ID))
 		for _, kind := range artifactNames() {
 			if artifacts[kind].check(sourceStub(info)) != nil {
 				continue
 			}
 			fmt.Fprintf(&b, `<li><a href="/runs/%s/plots/%s.svg">%s.svg</a> | <a href="/runs/%s/plots/%s.json">json</a></li>`+"\n",
-				info.ID, kind, kind, info.ID, kind)
+				id, kind, kind, id, kind)
 		}
 		for _, f := range info.Features {
 			if f == "physical" {
-				fmt.Fprintf(&b, `<li><a href="/runs/%s/trace.perfetto.json">trace.perfetto.json</a> (Perfetto / chrome://tracing)</li>`+"\n", info.ID)
-				fmt.Fprintf(&b, `<li><a href="/runs/%s/events?lod=1">events?t0=&amp;t1=&amp;lod=</a> (windowed query)</li>`+"\n", info.ID)
+				fmt.Fprintf(&b, `<li><a href="/runs/%s/trace.perfetto.json">trace.perfetto.json</a> (Perfetto / chrome://tracing)</li>`+"\n", id)
+				fmt.Fprintf(&b, `<li><a href="/runs/%s/events?lod=1">events?t0=&amp;t1=&amp;lod=</a> (windowed query)</li>`+"\n", id)
 			}
 		}
-		if whatif.HasSchedule(info.Dir) {
-			fmt.Fprintf(&b, `<li><a href="/runs/%s/whatif">whatif</a> (causal projection; ?scale_network=&amp;plot=compare|bottleneck&amp;format=svg)</li>`+"\n", info.ID)
+		if info.schedule {
+			fmt.Fprintf(&b, `<li><a href="/runs/%s/whatif">whatif</a> (causal projection; ?scale_network=&amp;plot=compare|bottleneck&amp;format=svg)</li>`+"\n", id)
 		}
 		b.WriteString("</ul>\n")
 	}
@@ -595,7 +643,6 @@ func sourceStub(info RunInfo) trace.Source {
 	return s
 }
 
-func htmlEscape(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-	return r.Replace(s)
-}
+var htmlEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
+
+func htmlEscape(s string) string { return htmlEscaper.Replace(s) }

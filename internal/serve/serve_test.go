@@ -23,7 +23,7 @@ import (
 )
 
 // writeRun produces a finished trace directory named id under root.
-func writeRun(t *testing.T, root, id string) {
+func writeRun(t testing.TB, root, id string) {
 	t.Helper()
 	set, err := core.Run(core.Options{
 		Machine: sim.Machine{NumPEs: 8, PEsPerNode: 4},

@@ -21,31 +21,20 @@ import (
 // a rewritten run invalidates the cache automatically) as a bounded,
 // counted parse. A failed load is remembered for the fingerprint too.
 // Runs without a schedule 404.
-func (r *registry) scheduleFor(id string) (*sim.Schedule, error) {
-	run, err := r.lock(id)
-	if err != nil {
-		return nil, err
+func (r *registry) scheduleFor(d deadline, run resolvedRun) (*sim.Schedule, error) {
+	sched, err := load(r, d, run, &run.e.sched, true, readSchedule)
+	if err == nil && sched == nil {
+		return nil, noData("run %s has no recorded schedule (%s); capture one with core.RunCaptured", run.id, whatif.ScheduleFileName)
 	}
-	defer run.unlock()
-	e := run.e
-	if e.schedFP != run.fp {
-		var sched *sim.Schedule
-		r.parse(func() int {
-			sched, err = whatif.ReadScheduleFile(run.dir)
-			return 0
-		})
-		if errors.Is(err, os.ErrNotExist) {
-			err = nil
-		}
-		e.sched, e.schedErr, e.schedFP = sched, err, run.fp
+	return sched, err
+}
+
+func readSchedule(dir, _ string) (*sim.Schedule, int, error) {
+	sched, err := whatif.ReadScheduleFile(dir)
+	if errors.Is(err, os.ErrNotExist) {
+		err = nil
 	}
-	if e.schedErr != nil {
-		return nil, e.schedErr
-	}
-	if e.sched == nil {
-		return nil, noData("run %s has no recorded schedule (%s); capture one with core.RunCaptured", id, whatif.ScheduleFileName)
-	}
-	return e.sched, nil
+	return sched, 0, err
 }
 
 // whatifQuery is the parsed, normalized perturbation request.
@@ -157,13 +146,14 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	fp, err := s.reg.fingerprintFor(runID)
+	d := s.deadline(r)
+	run, err := s.reg.resolve(d, runID)
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
-	s.serveArtifact(w, r, runID, fp, "whatif", []string{q.norm()}, func(buf *bytes.Buffer) (string, error) {
-		sched, err := s.reg.scheduleFor(runID)
+	s.serveArtifact(w, r, d, run, "whatif", []string{q.norm()}, func(buf *bytes.Buffer) (string, error) {
+		sched, err := s.reg.scheduleFor(deadline{}, run)
 		if err != nil {
 			return "", err
 		}

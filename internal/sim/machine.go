@@ -123,18 +123,18 @@ func DefaultCostModel() CostModel {
 
 // NetworkTransferCost returns the clock charge for an inter-node
 // non-blocking put of n bytes.
-func (c CostModel) NetworkTransferCost(n int) int64 {
+func (c *CostModel) NetworkTransferCost(n int) int64 {
 	return c.NetworkLatency + int64(n)*c.NetworkPerByte
 }
 
 // LocalTransferCost returns the clock charge for an intra-node copy of
 // n bytes.
-func (c CostModel) LocalTransferCost(n int) int64 {
+func (c *CostModel) LocalTransferCost(n int) int64 {
 	return c.LocalCopyLatency + int64(n)*c.LocalCopyPerByte
 }
 
 // InstructionCost converts a simulated instruction count into cycles.
-func (c CostModel) InstructionCost(ins int64) int64 {
+func (c *CostModel) InstructionCost(ins int64) int64 {
 	return PriceInstructions(ins, c.InstructionCycles, c.InstructionScale)
 }
 

@@ -100,7 +100,7 @@ func (k EventKind) String() string {
 // pricing function shared by record-time charging (PE.ChargeEvent) and
 // the what-if replay/projection engines. Marker kinds price to zero, an
 // instruction run to one of its messages (charged InstrRunParts' n times).
-func (c CostModel) PriceEvent(kind EventKind, arg int64) int64 {
+func (c *CostModel) PriceEvent(kind EventKind, arg int64) int64 {
 	switch kind {
 	case EvNetworkPut:
 		return c.NetworkTransferCost(int(arg))

@@ -75,3 +75,19 @@ func BenchmarkWhatIfReplay(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCompare measures what one /whatif render runs: the baseline
+// and perturbed projections and the replay that validates them, over a
+// 32-PE schedule.
+func BenchmarkCompare(b *testing.B) {
+	s := benchSchedule(32, 32, 24)
+	p := Perturbation{Cost: ScaledCost(s.Cost, CostScales{Network: 2})}
+	b.ReportMetric(float64(s.Events()), "events")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Compare(s, p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

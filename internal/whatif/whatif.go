@@ -155,7 +155,7 @@ func (p Perturbation) Validate() error {
 // speed-up and skew round per message, so a run costs what its messages
 // would have separately). It is the single pricing definition shared by
 // Replay and Project; their exact agreement depends on both calling it.
-func (p Perturbation) price(kind sim.EventKind, arg int64, inHandler bool, handler int64) (cycles, count int64) {
+func (p *Perturbation) price(kind sim.EventKind, arg int64, inHandler bool, handler int64) (cycles, count int64) {
 	count = 1
 	if kind == sim.EvInstr {
 		_, count = sim.InstrRunParts(arg)
@@ -171,7 +171,7 @@ func (p Perturbation) price(kind sim.EventKind, arg int64, inHandler bool, handl
 
 // charge is what price advances a clock of the given skew by: exactly
 // Clock.ChargeRun's arithmetic, for the engine that keeps no Clock.
-func (p Perturbation) charge(ev sim.Event, st *attrib, skew int64) int64 {
+func (p *Perturbation) charge(ev sim.Event, st *attrib, skew int64) int64 {
 	n, count := p.price(ev.Kind, ev.Arg, st.inHandler, st.handler)
 	return count * sim.SkewCharge(n, skew)
 }
