@@ -50,7 +50,8 @@ var hotPath = map[string]bool{
 	// the recorded schedule, both allocation-stable per query.
 	"BenchmarkCriticalPath": true,
 	"BenchmarkWhatIfReplay": true,
-	// What one /whatif render runs: both projections and the replay.
+	// A what-if answered from the schedule alone: both projections and
+	// the replay (a /whatif render reuses its run's baseline projection).
 	"BenchmarkCompare": true,
 	// schedule.json's codec over a recorded 16-PE trianglecount
 	// schedule: a write allocates O(1), a read O(PEs), neither per event.
@@ -69,6 +70,17 @@ var hotPath = map[string]bool{
 	"BenchmarkServeHit/json/identity": true,
 	"BenchmarkServeHit/json/gzip":     true,
 	"BenchmarkServeHit/json/304":      true,
+	// actorprofd's misses through the whole handler: a plot rendered for
+	// an identity client (no compression) and a gzip one (compressed
+	// once), an /events window coded by WindowResult.AppendJSON, and a
+	// what-if's one projection and replay against its run's baseline.
+	"BenchmarkServeMiss/identity": true,
+	"BenchmarkServeMiss/gzip":     true,
+	"BenchmarkServeMiss/events":   true,
+	"BenchmarkServeMiss/whatif":   true,
+	// The /events body appended into a reused buffer: no allocation.
+	"BenchmarkWindowJSON/lod=0": true,
+	"BenchmarkWindowJSON/lod=2": true,
 }
 
 // compare checks current against baseline: for hot-path benchmarks any

@@ -42,7 +42,7 @@ const hotBench = "BenchmarkPushThroughput|BenchmarkPushPullLocal|BenchmarkExchan
 	"BenchmarkAppendLogicalLine|" +
 	"BenchmarkWindowQueryEvents|BenchmarkWindowQueryPyramid|BenchmarkWindowQueryFullScan|" +
 	"BenchmarkCriticalPath|BenchmarkWhatIfReplay|BenchmarkWriteScheduleFile|BenchmarkReadScheduleFile|" +
-	"BenchmarkCompare|BenchmarkRenderHeatmapSVG|BenchmarkWithGzip|BenchmarkServeHit"
+	"BenchmarkCompare|BenchmarkRenderHeatmapSVG|BenchmarkWithGzip|BenchmarkServeHit|BenchmarkServeMiss|BenchmarkWindowJSON"
 
 // suites maps a suite name to the package patterns and -bench regex the
 // runner hands to go test.

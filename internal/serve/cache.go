@@ -13,26 +13,25 @@ import (
 	"time"
 )
 
-// renderResult is one rendered artifact: the identity bytes, an
-// optional gzip-encoded variant (nil when compression is not
-// worthwhile), and the content type both are served with.
+// renderResult is one cache entry: an artifact's identity bytes, or its
+// gzip variant (the gzip bytes alone, or the identity bytes when gzip is
+// not worthwhile), and the content type either is served with.
 type renderResult struct {
 	data        []byte
 	gz          []byte
 	contentType string
 }
 
-// size is the entry's charge against the cache byte budget: both
-// variants are cached together, so both count.
+// size is the entry's charge against the cache byte budget.
 func (r renderResult) size() int64 { return int64(len(r.data) + len(r.gz)) }
 
 // gzipMinBytes is the smallest artifact worth gzip-encoding: below it
 // the gzip framing eats most of the saving.
 const gzipMinBytes = 860
 
-// gzipWriters holds idle BestSpeed compressors. A miss takes one, Resets
-// it onto its own scratch buffer, and returns it after Close: a writer is
-// never shared by two renders, and no miss allocates a compressor.
+// gzipWriters holds idle BestSpeed compressors. A render takes one, Resets
+// it onto its own scratch buffer, and returns it after Close: no two
+// renders share a writer, and no render allocates a compressor.
 var gzipWriters = sync.Pool{New: func() any {
 	zw, _ := gzip.NewWriterLevel(nil, gzip.BestSpeed)
 	return zw
@@ -42,15 +41,10 @@ var gzipWriters = sync.Pool{New: func() any {
 // what the cache keeps is copied out of them at its exact size.
 var scratchBuffers = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-// withGzip makes res ready for the cache: res.data is copied to an
-// exact-size slice (it may be a scratch buffer's view), and a gzip
-// variant is attached when the payload is large enough to matter
-// (gzipMinBytes) and compression actually shrinks it by at least 10%.
-// Both variants have cap == len, so the entry's size() is what the cache
-// holds. Called inside the render closure, so the compression cost is
-// paid once per cache entry, not per response.
+// withGzip attaches to res a gzip encoding of res.data, as an exact-size
+// copy, when the payload is large enough to matter (gzipMinBytes) and
+// compression actually shrinks it by at least 10%.
 func withGzip(res renderResult) renderResult {
-	res.data = exactCopy(res.data)
 	if len(res.data) < gzipMinBytes {
 		return res
 	}
@@ -255,6 +249,16 @@ func (c *cache) get(key string, d deadline, render func() (renderResult, error))
 	}
 	c.mu.Unlock()
 	return f.wait(d, kindRender)
+}
+
+// peek returns key's entry, if cached, without touching its recency.
+func (c *cache) peek(key string) (res renderResult, ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[key]; ok {
+		return el.Value.(*entry).res, true
+	}
+	return res, false
 }
 
 // touchLocked records a hit: protected entries move to their segment's

@@ -28,6 +28,7 @@ type Metrics struct {
 	fingerprints   atomic.Int64 // per-run fingerprint stats of a trace directory
 	notModified    atomic.Int64 // conditional requests answered 304
 	gzipResponses  atomic.Int64 // responses served with Content-Encoding: gzip
+	gzipEncodes    atomic.Int64 // gzip variants built, one per gzip-accepting miss
 
 	windowQueries    atomic.Int64 // /events window queries executed (cache misses)
 	windowBlocksRead atomic.Int64 // data-file blocks decoded by window queries
@@ -66,7 +67,7 @@ func (m *Metrics) CacheHits() int64 {
 	return m.cacheHits.Load() + m.cacheCoalesced.Load()
 }
 
-// CacheMisses returns how many requests had to render.
+// CacheMisses returns how many lookups had to render or compress.
 func (m *Metrics) CacheMisses() int64 { return m.cacheMisses.Load() }
 
 // RegistryScans returns how many times the registry re-read the served
@@ -124,7 +125,7 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 	m.mu.Unlock()
 	emit("actorprofd_cache_hits_total", "Artifact cache hits.", "counter", m.cacheHits.Load())
 	emit("actorprofd_cache_coalesced_total", "Requests that waited on another request's in-flight render.", "counter", m.cacheCoalesced.Load())
-	emit("actorprofd_cache_misses_total", "Artifact cache misses (renders).", "counter", m.cacheMisses.Load())
+	emit("actorprofd_cache_misses_total", "Artifact cache misses (renders and gzip variants).", "counter", m.cacheMisses.Load())
 	emit("actorprofd_cache_evictions_total", "Artifacts evicted to stay under the byte budget.", "counter", m.cacheEvictions.Load())
 	emit("actorprofd_cache_bytes", "Bytes currently held by the artifact cache.", "gauge", m.cacheBytes.Load())
 	emit("actorprofd_cache_hit_ratio", "Fraction of cache lookups served without rendering.", "gauge",
@@ -140,6 +141,7 @@ func (m *Metrics) WriteTo(w io.Writer) (int64, error) {
 	emit("actorprofd_fingerprints_total", "Trace-directory fingerprints computed from disk.", "counter", m.fingerprints.Load())
 	emit("actorprofd_not_modified_total", "Conditional requests answered 304 Not Modified.", "counter", m.notModified.Load())
 	emit("actorprofd_gzip_responses_total", "Responses served gzip-encoded.", "counter", m.gzipResponses.Load())
+	emit("actorprofd_gzip_encodes_total", "Gzip variants built (each a gzip-accepting request's miss).", "counter", m.gzipEncodes.Load())
 	emit("actorprofd_window_queries_total", "Windowed trace queries executed (cache misses on /events).", "counter", m.windowQueries.Load())
 	emit("actorprofd_window_blocks_read_total", "Trace data blocks decoded by windowed queries.", "counter", m.windowBlocksRead.Load())
 	emit("actorprofd_window_full_scans_total", "Windowed queries answered by the full-scan fallback (no usable time index).", "counter", m.windowFullScans.Load())

@@ -14,7 +14,6 @@ import (
 	"sync"
 	"time"
 
-	"actorprof/internal/sim"
 	"actorprof/internal/trace"
 	"actorprof/internal/whatif"
 )
@@ -72,7 +71,7 @@ type runEntry struct {
 	sum   memo[runSummary]
 	phys  memo[*trace.Set]       // the physical records alone, for the Perfetto export and full-scan window queries
 	ix    memo[*trace.TimeIndex] // nil when the directory carries no usable time index
-	sched memo[*sim.Schedule]    // nil when the run predates schedule capture
+	sched memo[*whatif.Baseline] // nil when the run predates schedule capture
 }
 
 // runSummary is what a run's aggregate parse yields.

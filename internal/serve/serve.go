@@ -315,19 +315,19 @@ var (
 	gzipEncoding       = []string{"gzip"}
 )
 
-// writeNegotiated writes res honoring Accept-Encoding, the request
-// method (HEAD gets headers and Content-Length but no body), and - when
-// etagBase is non-empty - attaches the representation's ETag. The
-// gzip variant is only used when it was rendered (res.gz non-nil) and
-// the client accepts it; Vary: Accept-Encoding is always set on
-// compressible endpoints so caches key correctly.
+// writeNegotiated writes res - an identity entry, or the gzip variant
+// entry a gzip-accepting request fetched - honoring the request method
+// (HEAD gets headers and Content-Length but no body) and, when etagBase
+// is non-empty, attaching the representation's ETag. Vary:
+// Accept-Encoding is always set on compressible endpoints so caches key
+// correctly.
 func (s *Server) writeNegotiated(w http.ResponseWriter, r *http.Request, res renderResult, etagBase string) {
 	data := res.data
 	h := w.Header()
 	h["Vary"] = varyAcceptEncoding
 	h["Content-Type"] = []string{res.contentType}
 	etag := etagBase
-	if res.gz != nil && acceptsGzip(r) {
+	if res.gz != nil {
 		data = res.gz
 		h["Content-Encoding"] = gzipEncoding
 		s.metrics.gzipResponses.Add(1)
@@ -345,14 +345,20 @@ func (s *Server) writeNegotiated(w http.ResponseWriter, r *http.Request, res ren
 	w.Write(data)
 }
 
+// gzipKey prefixes an identity key to key its gzip variant: no identity
+// key starts with a NUL byte, since a run ID is a directory name.
+const gzipKey = "\x00"
+
 // serveArtifact is the one pipeline behind every cached endpoint. The
 // cache key and the ETag derive from the same parts - the run, its
 // directory fingerprint, the artifact name and the normalized
 // parameters (none for an artifact that takes none) - so an
 // If-None-Match hit short-circuits to a body-less 304 before the cache
 // is even consulted; otherwise the artifact is fetched or rendered
-// (single-flight, timed, gzip-encoded once when worth it) and written
-// with content negotiation. An endpoint supplies only its normalized
+// (single-flight, timed) and written with content negotiation. Each
+// encoding is its own entry, made when a request asks for it: a client
+// that never accepts gzip never pays for compression, and a gzip miss
+// admits only its own variant. An endpoint supplies only its normalized
 // parameters and a render that writes the bytes into a scratch buffer
 // and returns their type; the cache keeps an exact-size copy.
 func (s *Server) serveArtifact(w http.ResponseWriter, r *http.Request, d deadline, run resolvedRun, name string, norm []string,
@@ -361,7 +367,6 @@ func (s *Server) serveArtifact(w http.ResponseWriter, r *http.Request, d deadlin
 	for _, p := range norm {
 		rest += "\x00" + p
 	}
-	key := run.id + "\x00" + run.fp.key + "\x00" + rest
 	etagBase := etagAfter(run.fp.tag, rest)
 	if inm := r.Header.Get("If-None-Match"); inm != "" {
 		if matched, ok := etagMatches(inm, etagBase); ok {
@@ -373,23 +378,50 @@ func (s *Server) serveArtifact(w http.ResponseWriter, r *http.Request, d deadlin
 			return
 		}
 	}
+	prefix := ""
+	if acceptsGzip(r) {
+		prefix = gzipKey
+	}
+	key := prefix + run.id + "\x00" + run.fp.key + "\x00" + rest
 	res, err := s.cache.get(key, d, func() (renderResult, error) {
-		start := time.Now()
-		defer func() { s.metrics.observeRender(time.Since(start)) }()
-		buf := scratchBuffers.Get().(*bytes.Buffer)
-		defer scratchBuffers.Put(buf)
-		buf.Reset()
-		contentType, err := render(buf)
-		if err != nil {
-			return renderResult{}, err
+		if prefix == "" {
+			return s.renderIdentity(render)
 		}
-		return withGzip(renderResult{data: buf.Bytes(), contentType: contentType}), nil
+		// Compress the identity entry if an identity client had it
+		// rendered; else render the bytes for this entry alone.
+		id, ok := s.cache.peek(key[len(prefix):])
+		if !ok {
+			var err error
+			if id, err = s.renderIdentity(render); err != nil {
+				return renderResult{}, err
+			}
+		}
+		s.metrics.gzipEncodes.Add(1)
+		if v := withGzip(id); v.gz != nil {
+			return renderResult{gz: v.gz, contentType: id.contentType}, nil
+		}
+		return id, nil
 	})
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
 	s.writeNegotiated(w, r, res, etagBase)
+}
+
+// renderIdentity runs an artifact's render into a scratch buffer and
+// returns an identity entry holding an exact-size copy of its bytes.
+func (s *Server) renderIdentity(render func(buf *bytes.Buffer) (string, error)) (renderResult, error) {
+	start := time.Now()
+	defer func() { s.metrics.observeRender(time.Since(start)) }()
+	buf := scratchBuffers.Get().(*bytes.Buffer)
+	defer scratchBuffers.Put(buf)
+	buf.Reset()
+	contentType, err := render(buf)
+	if err != nil {
+		return renderResult{}, err
+	}
+	return renderResult{data: exactCopy(buf.Bytes()), contentType: contentType}, nil
 }
 
 // handlePlot serves /runs/{run}/plots/{kind}.{svg|json}, the daemon's
@@ -577,7 +609,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		if res.FullScan {
 			s.metrics.windowFullScans.Add(1)
 		}
-		return "application/json", writeJSON(buf, res)
+		buf.Write(res.AppendJSON(buf.AvailableBuffer()))
+		return "application/json", nil
 	})
 }
 

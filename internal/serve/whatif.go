@@ -16,25 +16,29 @@ import (
 	"actorprof/internal/whatif"
 )
 
-// scheduleFor returns a run's recorded what-if schedule, loaded once
-// per directory fingerprint (the fingerprint covers schedule.json, so
-// a rewritten run invalidates the cache automatically) as a bounded,
-// counted parse. A failed load is remembered for the fingerprint too.
-// Runs without a schedule 404.
-func (r *registry) scheduleFor(d deadline, run resolvedRun) (*sim.Schedule, error) {
-	sched, err := load(r, d, run, &run.e.sched, true, readSchedule)
-	if err == nil && sched == nil {
+// baselineFor returns a run's recorded what-if schedule with its
+// baseline projection, loaded once per directory fingerprint (the
+// fingerprint covers schedule.json, so a rewritten run invalidates the
+// cache automatically) as a bounded, counted parse. A failed load is
+// remembered for the fingerprint too. Runs without a schedule 404.
+func (r *registry) baselineFor(d deadline, run resolvedRun) (*whatif.Baseline, error) {
+	base, err := load(r, d, run, &run.e.sched, true, readBaseline)
+	if err == nil && base == nil {
 		return nil, noData("run %s has no recorded schedule (%s); capture one with core.RunCaptured", run.id, whatif.ScheduleFileName)
 	}
-	return sched, err
+	return base, err
 }
 
-func readSchedule(dir, _ string) (*sim.Schedule, int, error) {
+func readBaseline(dir, _ string) (*whatif.Baseline, int, error) {
 	sched, err := whatif.ReadScheduleFile(dir)
 	if errors.Is(err, os.ErrNotExist) {
-		err = nil
+		return nil, 0, nil
 	}
-	return sched, 0, err
+	if err != nil {
+		return nil, 0, err
+	}
+	base, err := whatif.NewBaseline(sched)
+	return base, 0, err
 }
 
 // whatifQuery is the parsed, normalized perturbation request.
@@ -72,6 +76,9 @@ func whatifParams(r *http.Request) (whatifQuery, error) {
 		if *dst, err = scaleParam(r, name); err != nil {
 			return q, err
 		}
+		if *dst == 1 && name != "speedup" {
+			*dst = 0 // prices as unset does (whatif.ScaledCost): one cache entry for both
+		}
 	}
 	if raw := r.URL.Query().Get("actor"); raw != "" {
 		q.actor, err = strconv.ParseInt(raw, 10, 64)
@@ -81,6 +88,9 @@ func whatifParams(r *http.Request) (whatifQuery, error) {
 	}
 	if q.speedup > 0 && r.URL.Query().Get("actor") == "" {
 		return q, statusError{code: 400, msg: "speedup requires actor=<id> to name the handler to speed up"}
+	}
+	if q.speedup == 0 {
+		q.actor = 0 // unused without a speedup: not part of the cache key
 	}
 	q.plot = r.URL.Query().Get("plot")
 	switch q.plot {
@@ -153,18 +163,18 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.serveArtifact(w, r, d, run, "whatif", []string{q.norm()}, func(buf *bytes.Buffer) (string, error) {
-		sched, err := s.reg.scheduleFor(deadline{}, run)
+		base, err := s.reg.baselineFor(deadline{}, run)
 		if err != nil {
 			return "", err
 		}
-		pert := whatif.Perturbation{Cost: whatif.ScaledCost(sched.Cost, q.scales)}
+		pert := whatif.Perturbation{Cost: whatif.ScaledCost(base.Schedule().Cost, q.scales)}
 		if q.speedup > 0 {
 			pert.HandlerSpeedup = map[int64]float64{q.actor: q.speedup}
 		}
 		if err := pert.Validate(); err != nil {
 			return "", statusError{code: 400, msg: err.Error()}
 		}
-		rep, err := core.WhatIf(sched, pert)
+		rep, err := base.Compare(pert)
 		if err != nil {
 			return "", err
 		}

@@ -17,7 +17,7 @@ import (
 
 // writeCapturedRun produces a finished trace directory with a recorded
 // schedule sidecar under root.
-func writeCapturedRun(t *testing.T, root, id string) {
+func writeCapturedRun(t testing.TB, root, id string) {
 	t.Helper()
 	set, sched, err := core.RunCaptured(core.Options{
 		Machine: sim.Machine{NumPEs: 4, PEsPerNode: 2},

@@ -1,11 +1,13 @@
 package trace
 
 import (
+	"cmp"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
+	"strconv"
 
 	"actorprof/internal/conveyor"
 )
@@ -68,6 +70,66 @@ type WindowResult struct {
 	BlocksRead  int  `json:"blocks_read"`
 	TotalBlocks int  `json:"total_blocks"`
 	FullScan    bool `json:"full_scan,omitempty"`
+}
+
+// AppendJSON appends r to b as json.Marshal encodes it, without reflection
+// (FuzzWindowResultJSON holds the two byte-equal).
+func (r *WindowResult) AppendJSON(b []byte) []byte {
+	b = appendJSONString(append(b, `{"domain":`...), r.DomainName)
+	b = appendJSONInt(b, `,"lod":`, int64(r.LOD))
+	if r.BucketWidth != 0 {
+		b = appendJSONInt(b, `,"bucket_width":`, r.BucketWidth)
+	}
+	b = appendJSONInt(appendJSONInt(b, `,"t_min":`, r.TMin), `,"t_max":`, r.TMax)
+	for i, e := range r.Events {
+		b = append(b, ',')
+		if i == 0 {
+			b = append(b, `"events":[`...)
+		}
+		b = appendJSONInt(appendJSONInt(b, `{"ts":`, e.TS), `,"kind":`, int64(e.Kind))
+		b = appendJSONInt(appendJSONInt(b, `,"buf_bytes":`, int64(e.BufBytes)), `,"src_pe":`, int64(e.SrcPE))
+		b = append(appendJSONInt(b, `,"dst_pe":`, int64(e.DstPE)), '}')
+	}
+	if len(r.Events) > 0 {
+		b = append(b, ']')
+	}
+	for i, k := range r.Buckets {
+		b = append(b, ',')
+		if i == 0 {
+			b = append(b, `"buckets":[`...)
+		}
+		b = appendJSONInt(appendJSONInt(b, `{"t0":`, k.T0), `,"t1":`, k.T1)
+		b = appendJSONInt(appendJSONInt(b, `,"count":`, k.Count), `,"bytes":`, k.Bytes)
+		b = appendJSONInt(appendJSONInt(appendJSONInt(b, `,"kinds":[`, k.Kinds[0]), ",", k.Kinds[1]), ",", k.Kinds[2])
+		b = append(b, "]}"...)
+	}
+	if len(r.Buckets) > 0 {
+		b = append(b, ']')
+	}
+	if r.Truncated {
+		b = append(b, `,"truncated":true`...)
+	}
+	b = appendJSONInt(appendJSONInt(b, `,"blocks_read":`, int64(r.BlocksRead)), `,"total_blocks":`, int64(r.TotalBlocks))
+	if r.FullScan {
+		b = append(b, `,"full_scan":true`...)
+	}
+	return append(b, '}')
+}
+
+func appendJSONInt(b []byte, prefix string, v int64) []byte {
+	return strconv.AppendInt(append(b, prefix...), v, 10)
+}
+
+// appendJSONString appends s quoted as encoding/json quotes it: printable
+// ASCII that needs no escape as it is, anything else through Marshal.
+func appendJSONString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' || c > '~' || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	return append(append(append(b, '"'), s...), '"')
 }
 
 // Query answers q against the indexed physical trace in dir. Only the
@@ -242,7 +304,7 @@ func (res *WindowResult) addEvent(q Window, ts int64, r PhysicalRecord) {
 // MaxEvents cap. Stability means ties (same cycle on different PEs)
 // keep file order, so indexed and reference results are byte-identical.
 func finishEvents(res *WindowResult, q Window) {
-	sort.SliceStable(res.Events, func(i, j int) bool { return res.Events[i].TS < res.Events[j].TS })
+	slices.SortStableFunc(res.Events, func(a, b WindowEvent) int { return cmp.Compare(a.TS, b.TS) })
 	if q.MaxEvents > 0 && len(res.Events) > q.MaxEvents {
 		res.Events = res.Events[:q.MaxEvents]
 		res.Truncated = true

@@ -76,9 +76,9 @@ func BenchmarkWhatIfReplay(b *testing.B) {
 	}
 }
 
-// BenchmarkCompare measures what one /whatif render runs: the baseline
-// and perturbed projections and the replay that validates them, over a
-// 32-PE schedule.
+// BenchmarkCompare measures a what-if answered from the schedule alone:
+// the baseline and perturbed projections and the replay that validates
+// them, over a 32-PE schedule.
 func BenchmarkCompare(b *testing.B) {
 	s := benchSchedule(32, 32, 24)
 	p := Perturbation{Cost: ScaledCost(s.Cost, CostScales{Network: 2})}

@@ -201,6 +201,11 @@ func Project(s *sim.Schedule, p Perturbation) (*Analysis, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	return project(s, p), nil
+}
+
+// project is Project of a schedule and a perturbation already validated.
+func project(s *sim.Schedule, p Perturbation) *Analysis {
 	n := len(s.PEs)
 	barriers := 0
 	for _, ev := range s.PEs[0].Events {
@@ -369,7 +374,7 @@ func Project(s *sim.Schedule, p Perturbation) (*Analysis, error) {
 		}
 		return a.Actor < b.Actor
 	})
-	return an, nil
+	return an
 }
 
 // criticalPath assembles the window's edge chain from the generation

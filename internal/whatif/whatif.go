@@ -240,6 +240,11 @@ func Replay(s *sim.Schedule, p Perturbation) (RunTotals, error) {
 	if err := p.Validate(); err != nil {
 		return RunTotals{}, err
 	}
+	return replay(s, p)
+}
+
+// replay is Replay of a schedule and a perturbation already validated.
+func replay(s *sim.Schedule, p Perturbation) (RunTotals, error) {
 	n := len(s.PEs)
 	clocks := make([]*sim.Clock, n)
 	states := make([]attrib, n)
@@ -316,21 +321,47 @@ type Report struct {
 	Delta     Delta     `json:"delta"`
 }
 
+// Baseline is a validated schedule and its projection under its own
+// recorded pricing: what every what-if question over one run shares.
+// It is read-only once built, so concurrent Compares may share it, and
+// every Report they return points at its Analysis.
+type Baseline struct {
+	s  *sim.Schedule
+	an *Analysis
+}
+
+// NewBaseline validates s and projects its recorded pricing.
+func NewBaseline(s *sim.Schedule) (*Baseline, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	return &Baseline{s: s, an: project(s, Identity(s))}, nil
+}
+
+// Schedule returns the validated schedule.
+func (b *Baseline) Schedule() *sim.Schedule { return b.s }
+
 // Compare projects the perturbation against the schedule's own recorded
 // pricing and differentially validates the projection: the analytic
 // totals must agree bit-for-bit with a deterministic replay of the
 // perturbed schedule, otherwise an error is returned (an engine bug,
-// never a data artifact).
+// never a data artifact). It is NewBaseline(s).Compare(p), kept off the heap.
 func Compare(s *sim.Schedule, p Perturbation) (*Report, error) {
-	base, err := Project(s, Identity(s))
-	if err != nil {
+	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	proj, err := Project(s, p)
-	if err != nil {
+	b := Baseline{s: s, an: project(s, Identity(s))}
+	return b.Compare(p)
+}
+
+// Compare is the package-level Compare against b's schedule: one
+// projection and one replay of p, checked against each other.
+func (b *Baseline) Compare(p Perturbation) (*Report, error) {
+	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	replayed, err := Replay(s, p)
+	base, proj := b.an, project(b.s, p)
+	replayed, err := replay(b.s, p)
 	if err != nil {
 		return nil, err
 	}
