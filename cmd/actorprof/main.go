@@ -13,7 +13,7 @@
 //
 //	-violin        logical+physical violins
 //	-svg DIR       also write every selected plot as an SVG into DIR
-//	-event NAME    PAPI event for -lp (default PAPI_TOT_INS)
+//	-event NAME    PAPI event for -lp (default: the first one recorded)
 //
 // Usage:
 //
@@ -41,7 +41,6 @@ import (
 	"path/filepath"
 
 	"actorprof/internal/core"
-	"actorprof/internal/papi"
 	"actorprof/internal/trace"
 )
 
@@ -185,7 +184,7 @@ func run(args []string) error {
 		physical  = fs.Bool("p", false, "render the physical-trace heatmap")
 		violins   = fs.Bool("violin", false, "render quartile violin plots")
 		svgDir    = fs.String("svg", "", "directory to also write SVG files into")
-		eventName = fs.String("event", "PAPI_TOT_INS", "PAPI event for -lp")
+		eventName = fs.String("event", "", "PAPI event for -lp (default: the first event the run recorded)")
 	)
 	fs.Usage = func() {
 		fmt.Fprintln(fs.Output(), "usage: actorprof [-l] [-lp] [-s] [-p] [-violin] [-svg dir] <trace-dir>")
@@ -251,11 +250,9 @@ func run(args []string) error {
 		if p.Kind == "papi-grouped" && len(set.Config.PAPIEvents) < 2 {
 			continue
 		}
-		var ev papi.Event
-		if p.UsesEvent {
-			if ev, err = papi.EventByName(*eventName); err != nil {
-				return err
-			}
+		ev, err := p.Event(set, *eventName)
+		if err != nil {
+			return err
 		}
 		plot := p.Build(set, ev)
 		if err := plot.RenderText(os.Stdout); err != nil {

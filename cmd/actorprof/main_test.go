@@ -9,6 +9,7 @@ import (
 	"actorprof/internal/actor"
 	"actorprof/internal/apps"
 	"actorprof/internal/core"
+	"actorprof/internal/papi"
 	"actorprof/internal/sim"
 	"actorprof/internal/trace"
 )
@@ -312,5 +313,37 @@ func TestCLIBadArguments(t *testing.T) {
 	dir := writeTrace(t, trace.FormatBinary)
 	if err := run([]string{"-lp", "-event", "PAPI_BOGUS", dir}); err == nil {
 		t.Error("expected error for unknown PAPI event")
+	}
+}
+
+// TestCLIEventIsARecordedOne: -event resolves the way actorprofd's
+// ?event= does. An event the run did not record is an error, not an
+// all-zero bar chart, and with no -event the bar draws the first event
+// the run recorded.
+func TestCLIEventIsARecordedOne(t *testing.T) {
+	papiTrace := func(events ...papi.Event) string {
+		dir := t.TempDir()
+		set, err := core.Run(core.Options{
+			Machine: sim.Machine{NumPEs: 4, PEsPerNode: 4},
+			Trace:   trace.Config{Logical: true, PAPIEvents: events},
+		}, func(rt *actor.Runtime) error {
+			_, err := apps.Histogram(rt, apps.HistogramConfig{UpdatesPerPE: 50, TableSizePerPE: 8, Seed: 3})
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := set.WriteFiles(dir); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	err := run([]string{"-lp", "-event", "PAPI_L1_DCM", papiTrace(papi.TOT_INS)})
+	if err == nil || !strings.Contains(err.Error(), "did not record PAPI_L1_DCM (recorded: PAPI_TOT_INS)") {
+		t.Errorf("-event PAPI_L1_DCM on a PAPI_TOT_INS-only trace: err = %v, want an unrecorded-event error", err)
+	}
+	out := capture(t, func() error { return run([]string{"-lp", papiTrace(papi.LST_INS, papi.TOT_INS)}) })
+	if !strings.Contains(out, "PAPI_LST_INS per PE") || strings.Contains(out, "PAPI_TOT_INS per PE") {
+		t.Errorf("-lp without -event must draw the first recorded event, PAPI_LST_INS:\n%s", out)
 	}
 }

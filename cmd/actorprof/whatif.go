@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"actorprof/internal/core"
+	"actorprof/internal/viz"
 	"actorprof/internal/whatif"
 )
 
@@ -66,17 +67,7 @@ func runWhatIf(args []string) error {
 		return err
 	}
 
-	var hypo []string
-	addHypo := func(name string, f float64) {
-		if f > 0 && f != 1 {
-			hypo = append(hypo, fmt.Sprintf("%s x%g", name, f))
-		}
-	}
-	addHypo("network", *network)
-	addHypo("local", *local)
-	addHypo("quiet", *quiet)
-	addHypo("instr", *instr)
-	addHypo("ingest", *ingest)
+	hypo := scales.Phrases()
 	if *speedup > 0 {
 		hypo = append(hypo, fmt.Sprintf("actor %d handler %gx faster", *actor, *speedup))
 	}
@@ -119,17 +110,18 @@ func runWhatIf(args []string) error {
 		if err := os.MkdirAll(*svgDir, 0o755); err != nil {
 			return err
 		}
-		for name, svg := range map[string]interface {
-			RenderSVG() (string, error)
+		for _, fig := range []struct {
+			name string
+			plot viz.Plot
 		}{
-			"whatif":     core.WhatIfPlot(rep, "what-if: "+title),
-			"bottleneck": core.BottleneckPlot(rep.Projected, *top, "bottleneck ranking (projected)"),
+			{"whatif", core.WhatIfPlot(rep, "what-if: "+title)},
+			{"bottleneck", core.BottleneckPlot(rep.Projected, *top, "bottleneck ranking (projected)")},
 		} {
-			doc, err := svg.RenderSVG()
+			doc, err := fig.plot.RenderSVG()
 			if err != nil {
 				return err
 			}
-			path := filepath.Join(*svgDir, name+".svg")
+			path := filepath.Join(*svgDir, fig.name+".svg")
 			if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
 				return err
 			}

@@ -21,6 +21,7 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -29,6 +30,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -142,32 +144,18 @@ func (r *runner) runSweep(list string) error {
 		if err != nil {
 			return fmt.Errorf("bad sweep scale %q: %w", tok, err)
 		}
-		var cy, rg *core.TriangleReport
-		for _, dist := range []core.DistKind{core.DistCyclic, core.DistRange} {
-			exp := core.TriangleExperiment{
-				Scale: scale, EdgeFactor: 16, Seed: 42,
-				NumPEs: 16, PEsPerNode: 16, Dist: dist,
-			}
-			if cy != nil {
-				exp.Graph = cy.Graph
-			}
-			rep, err := core.RunTriangle(exp)
-			if err != nil {
-				return err
-			}
-			if !rep.Validated() {
-				return fmt.Errorf("scale %d %s: validation failed", scale, dist)
-			}
-			if dist == core.DistCyclic {
-				cy = rep
-			} else {
-				rg = rep
-			}
+		var reps []*core.TriangleReport // cyclic, then range
+		if err := grid(scale, []int{1}, func(_ string, rep *core.TriangleReport, _ time.Time) error {
+			reps = append(reps, rep)
+			return nil
+		}); err != nil {
+			return err
 		}
+		cy, rg := reps[0], reps[1]
 		cyM, rgM := cy.Set.LogicalMatrix(), rg.Set.LogicalMatrix()
 		rows = append(rows, fmt.Sprintf("| %d | %d | %d | %.1fx | %.1fx | %.1fx |",
 			scale, cy.Graph.NumVertices(), cyM.Total(),
-			ratio(maxOf(cyM.SendTotals()), maxOf(rgM.SendTotals())),
+			ratio(slices.Max(cyM.SendTotals()), slices.Max(rgM.SendTotals())),
 			trace.MaxOverMean(cy.Set.PAPITotalsPerPE(papi.TOT_INS)),
 			ratio(maxTotal(cy.Set), maxTotal(rg.Set))))
 		fmt.Println(rows[len(rows)-1])
@@ -207,107 +195,58 @@ func (r *runner) runScaleUp(pes, perNode, scale, keysPerPE int) error {
 		"| app | input | PEs | messages | validated | send imb (max/mean) | TOT_INS imb | host wall | ns/message | peak RSS so far | sleeps/PE mean (max) | yields/PE mean (max) |",
 		"|---|---|---|---|---|---|---|---|---|---|---|---|",
 	}
-	// How each PE waited for work (DESIGN.md §16): read on the PE's own
-	// goroutine when its app returns.
-	waits := make([]shmem.ProgressStats, pes)
-	// hostCols renders a row's host cost: wall-clock, wall-clock per
-	// logical message, the process's peak RSS when the row finished (a
-	// high-water mark, so a later row's includes the earlier ones), and
-	// the wait counters.
-	hostCols := func(wall time.Duration, msgs int64) string {
-		return fmt.Sprintf("%v | %.0f | %.0f MB | %s | %s", wall.Round(time.Millisecond),
-			float64(wall.Nanoseconds())/float64(msgs), peakRSSMB(),
-			meanMax(waits, func(w shmem.ProgressStats) int64 { return w.Sleeps }),
-			meanMax(waits, func(w shmem.ProgressStats) int64 { return w.Yields }))
-	}
-
 	// isort: the ISx weak-scaling input, batched dispatch.
-	{
-		icfg := apps.ISortConfig{KeysPerPE: keysPerPE, BucketWidth: 1 << 16, Seed: 42}
-		results := make([]apps.ISortResult, pes)
-		start := time.Now()
-		set, err := core.Run(core.Options{
-			Machine: sim.Machine{NumPEs: pes, PEsPerNode: perNode},
-			Trace:   scaleUpTrace(),
-		}, func(rt *actor.Runtime) error {
-			res, err := apps.ISort(rt, icfg)
-			if err != nil {
-				return err
-			}
-			results[rt.PE().Rank()] = res
-			waits[rt.PE().Rank()] = rt.PE().ProgressStats()
-			return nil
-		})
-		if err != nil {
+	icfg := apps.ISortConfig{KeysPerPE: keysPerPE, BucketWidth: 1 << 16, Seed: 42}
+	results := make([]apps.ISortResult, pes)
+	row, err := scaleUpRow("isort", fmt.Sprintf("%d keys/PE", keysPerPE), pes, perNode,
+		func(rt *actor.Runtime) (err error) {
+			results[rt.PE().Rank()], err = apps.ISort(rt, icfg)
 			return err
-		}
-		wall := time.Since(start)
-		want := apps.ISortSerial(pes, icfg)
-		validated := true
-		for pe := range results {
-			if !int64SlicesEqual(results[pe].Keys, want[pe]) {
-				validated = false
-				break
+		},
+		func() bool {
+			want := apps.ISortSerial(pes, icfg)
+			for pe := range results {
+				if !slices.Equal(results[pe].Keys, want[pe]) {
+					return false
+				}
 			}
-		}
-		lm := set.LogicalMatrix()
-		rows = append(rows, fmt.Sprintf("| isort | %d keys/PE | %d | %d | %v | %.1fx | %.1fx | %s |",
-			keysPerPE, pes, lm.Total(), validated,
-			trace.MaxOverMean(lm.SendTotals()),
-			trace.MaxOverMean(set.PAPITotalsPerPE(papi.TOT_INS)), hostCols(wall, lm.Total())))
-		fmt.Println(rows[len(rows)-1])
-		if !validated {
-			return fmt.Errorf("scaleup: isort validation failed at %d PEs", pes)
-		}
+			return true
+		})
+	if err != nil {
+		return err
 	}
+	rows = append(rows, row)
 
 	// trianglecount: the case-study kernel on an R-MAT graph several
 	// scales past the paper's, under the stressed (cyclic) distribution.
-	{
-		g, err := graph.GenerateRMAT(graph.Graph500(scale, 16, 42))
-		if err != nil {
-			return err
-		}
-		dist, err := core.DistCyclic.Build(g, pes)
-		if err != nil {
-			return err
-		}
-		counts := make([]int64, pes)
-		start := time.Now()
-		set, err := core.Run(core.Options{
-			Machine: sim.Machine{NumPEs: pes, PEsPerNode: perNode},
-			Trace:   scaleUpTrace(),
-		}, func(rt *actor.Runtime) error {
-			got, err := apps.TriangleCount(rt, g, dist)
-			if err != nil {
-				return err
-			}
-			counts[rt.PE().Rank()] = got
-			waits[rt.PE().Rank()] = rt.PE().ProgressStats()
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-		wall := time.Since(start)
-		expected := g.CountTrianglesSerial()
-		validated := true
-		for _, c := range counts {
-			if c != expected {
-				validated = false
-				break
-			}
-		}
-		lm := set.LogicalMatrix()
-		rows = append(rows, fmt.Sprintf("| trianglecount | R-MAT scale %d (%d vertices, %d edges) | %d | %d | %v | %.1fx | %.1fx | %s |",
-			scale, g.NumVertices(), g.NumEdges(), pes, lm.Total(), validated,
-			trace.MaxOverMean(lm.SendTotals()),
-			trace.MaxOverMean(set.PAPITotalsPerPE(papi.TOT_INS)), hostCols(wall, lm.Total())))
-		fmt.Println(rows[len(rows)-1])
-		if !validated {
-			return fmt.Errorf("scaleup: trianglecount validation failed (want %d)", expected)
-		}
+	g, err := graph.GenerateRMAT(graph.Graph500(scale, 16, 42))
+	if err != nil {
+		return err
 	}
+	dist, err := core.DistCyclic.Build(g, pes)
+	if err != nil {
+		return err
+	}
+	counts := make([]int64, pes)
+	row, err = scaleUpRow("trianglecount",
+		fmt.Sprintf("R-MAT scale %d (%d vertices, %d edges)", scale, g.NumVertices(), g.NumEdges()), pes, perNode,
+		func(rt *actor.Runtime) (err error) {
+			counts[rt.PE().Rank()], err = apps.TriangleCount(rt, g, dist)
+			return err
+		},
+		func() bool {
+			expected := g.CountTrianglesSerial()
+			for _, c := range counts {
+				if c != expected {
+					return false
+				}
+			}
+			return true
+		})
+	if err != nil {
+		return err
+	}
+	rows = append(rows, row)
 
 	content := fmt.Sprintf("# Scale-up scenario (%d PEs, streaming-aggregation path)\n\n%s\n",
 		pes, strings.Join(rows, "\n"))
@@ -317,6 +256,44 @@ func (r *runner) runScaleUp(pes, perNode, scale, keysPerPE int) error {
 	}
 	fmt.Printf("scale-up results written to %s\n", path)
 	return nil
+}
+
+// scaleUpRow runs app on pes PEs through the streaming-aggregation path,
+// checks its results with validated, and renders its scaleup.md row. The
+// row's host cost is the wall-clock, the wall-clock per logical message,
+// the process's peak RSS when the run finished (a high-water mark, so a
+// later row's includes the earlier ones), and how each PE waited for
+// work (DESIGN.md §16), read on the PE's own goroutine when app returns.
+func scaleUpRow(name, input string, pes, perNode int, app func(*actor.Runtime) error, validated func() bool) (string, error) {
+	waits := make([]shmem.ProgressStats, pes)
+	start := time.Now()
+	set, err := core.Run(core.Options{
+		Machine: sim.Machine{NumPEs: pes, PEsPerNode: perNode},
+		Trace:   scaleUpTrace(),
+	}, func(rt *actor.Runtime) error {
+		if err := app(rt); err != nil {
+			return err
+		}
+		waits[rt.PE().Rank()] = rt.PE().ProgressStats()
+		return nil
+	})
+	if err != nil {
+		return "", err
+	}
+	wall := time.Since(start)
+	ok := validated()
+	lm := set.LogicalMatrix()
+	row := fmt.Sprintf("| %s | %s | %d | %d | %v | %.1fx | %.1fx | %v | %.0f | %.0f MB | %s | %s |",
+		name, input, pes, lm.Total(), ok,
+		trace.MaxOverMean(lm.SendTotals()), trace.MaxOverMean(set.PAPITotalsPerPE(papi.TOT_INS)),
+		wall.Round(time.Millisecond), float64(wall.Nanoseconds())/float64(lm.Total()), peakRSSMB(),
+		meanMax(waits, func(w shmem.ProgressStats) int64 { return w.Sleeps }),
+		meanMax(waits, func(w shmem.ProgressStats) int64 { return w.Yields }))
+	fmt.Println(row)
+	if !ok {
+		return "", fmt.Errorf("scaleup: %s validation failed at %d PEs", name, pes)
+	}
+	return row, nil
 }
 
 // peakRSSMB is the process's maximum resident set so far.
@@ -341,71 +318,38 @@ func meanMax(waits []shmem.ProgressStats, counter func(shmem.ProgressStats) int6
 	return fmt.Sprintf("%.0f (%d)", float64(sum)/float64(len(waits)), mx)
 }
 
-func int64SlicesEqual(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 func (r *runner) run() error {
 	if err := os.MkdirAll(r.out, 0o755); err != nil {
 		return err
 	}
 	fmt.Printf("running the case-study grid at scale %d (paper: 16; set ACTORPROF_SCALE)\n", r.scale)
 
-	// The 2x2 grid of the case study, all features on, sharing one graph.
-	var shared *core.TriangleReport
-	for _, nodes := range []int{1, 2} {
-		for _, dist := range []core.DistKind{core.DistCyclic, core.DistRange} {
-			exp := core.TriangleExperiment{
-				Scale: r.scale, EdgeFactor: 16, Seed: 42,
-				NumPEs: nodes * 16, PEsPerNode: 16,
-				Dist: dist,
-			}
-			if shared != nil {
-				exp.Graph = shared.Graph
-			}
-			start := time.Now()
-			rep, err := core.RunTriangle(exp)
-			if err != nil {
-				return err
-			}
-			if shared == nil {
-				shared = rep
-				fmt.Printf("graph: %d vertices, %d edges, %d wedges, %d triangles\n",
-					rep.Graph.NumVertices(), rep.Graph.NumEdges(),
-					rep.Graph.Wedges(), rep.Expected)
-			}
-			if !rep.Validated() {
-				return fmt.Errorf("%dn %s: validation failed", nodes, dist)
-			}
-			key := fmt.Sprintf("%dn_%s", nodes, dist)
-			r.reports[key] = rep
-			dir := filepath.Join(r.out, "traces", key)
-			if err := rep.Set.WriteFiles(dir); err != nil {
-				return err
-			}
-			fmt.Printf("  %-10s: ok in %v (trace -> %s)\n", key, time.Since(start).Round(time.Millisecond), dir)
+	// The 2x2 grid of the case study.
+	if err := grid(r.scale, []int{1, 2}, func(key string, rep *core.TriangleReport, start time.Time) error {
+		if len(r.reports) == 0 {
+			fmt.Printf("graph: %d vertices, %d edges, %d wedges, %d triangles\n",
+				rep.Graph.NumVertices(), rep.Graph.NumEdges(), rep.Graph.Wedges(), rep.Expected)
 		}
+		r.reports[key] = rep
+		dir := filepath.Join(r.out, "traces", key)
+		if err := rep.Set.WriteFiles(dir); err != nil {
+			return err
+		}
+		fmt.Printf("  %-10s: ok in %v (trace -> %s)\n", key, time.Since(start).Round(time.Millisecond), dir)
+		return nil
+	}); err != nil {
+		return err
 	}
 
-	steps := []func() error{
-		r.fig34, r.fig5, r.fig6, r.fig7, r.fig89, r.fig1011, r.fig1213, r.overhead, r.apiProfile,
-	}
-	for _, step := range steps {
+	r.summarize()
+	for _, step := range []func() error{r.figures, r.overhead, r.apiProfile} {
 		if err := step(); err != nil {
 			return err
 		}
 	}
 
 	summaryPath := filepath.Join(r.out, "summary.md")
-	content := "# Reproduction summary (scale " + itoa(r.scale) + ")\n\n" +
+	content := "# Reproduction summary (scale " + strconv.Itoa(r.scale) + ")\n\n" +
 		"| Figure | Paper observation | Measured |\n|---|---|---|\n" +
 		strings.Join(r.summary, "\n") + "\n"
 	if err := os.WriteFile(summaryPath, []byte(content), 0o644); err != nil {
@@ -420,77 +364,99 @@ func (r *runner) add(fig, paper, measured string) {
 	r.summary = append(r.summary, fmt.Sprintf("| %s | %s | %s |", fig, paper, measured))
 }
 
-// save renders a plot to both SVG and text under a figure directory.
-func (r *runner) save(figDir, name string, textRender func(*os.File) error, svgRender func() (string, error)) error {
+// grid runs the case study at scale on 16 PEs per node for each count
+// in nodes, under the cyclic and then the range distribution, all
+// features on and sharing one R-MAT graph. It hands each validated run
+// to ran with its key ("1n_cyclic") and the time the run started.
+func grid(scale int, nodes []int, ran func(key string, rep *core.TriangleReport, start time.Time) error) error {
+	var g *graph.Graph
+	for _, n := range nodes {
+		for _, dist := range []core.DistKind{core.DistCyclic, core.DistRange} {
+			start := time.Now()
+			rep, err := core.RunTriangle(core.TriangleExperiment{
+				Scale: scale, EdgeFactor: 16, Seed: 42,
+				NumPEs: n * 16, PEsPerNode: 16, Dist: dist, Graph: g,
+			})
+			if err != nil {
+				return err
+			}
+			if !rep.Validated() {
+				return fmt.Errorf("scale %d, %dn %s: validation failed", scale, n, dist)
+			}
+			g = rep.Graph
+			if err := ran(fmt.Sprintf("%dn_%s", n, dist), rep, start); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// save renders p as <name>.svg and <name>.txt under a figure directory.
+func (r *runner) save(figDir, name string, p viz.Plot) error {
 	dir := filepath.Join(r.out, figDir)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	svg, err := svgRender()
+	svg, err := p.RenderSVG()
 	if err != nil {
 		return err
 	}
 	if err := os.WriteFile(filepath.Join(dir, name+".svg"), []byte(svg), 0o644); err != nil {
 		return err
 	}
-	f, err := os.Create(filepath.Join(dir, name+".txt"))
-	if err != nil {
+	var txt bytes.Buffer
+	if err := p.RenderText(&txt); err != nil {
 		return err
 	}
-	if err := textRender(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return os.WriteFile(filepath.Join(dir, name+".txt"), txt.Bytes(), 0o644)
 }
 
-func (r *runner) saveHeatmap(figDir, name string, h *viz.Heatmap) error {
-	return r.save(figDir, name, func(f *os.File) error { return h.RenderText(f) }, h.RenderSVG)
+// rep returns the grid's run on nodes nodes under dist.
+func (r *runner) rep(nodes int, dist core.DistKind) *core.TriangleReport {
+	return r.reports[fmt.Sprintf("%dn_%s", nodes, dist)]
 }
 
-func (r *runner) saveViolin(figDir, name string, v *viz.Violin) error {
-	return r.save(figDir, name, func(f *os.File) error { return v.RenderText(f) }, v.RenderSVG)
+// figure is one plot file of the paper's figures.
+type figure struct {
+	dir, name string
+	plot      viz.Plot
 }
 
-func (r *runner) fig34() error {
-	for _, spec := range []struct {
-		fig   string
-		nodes int
-	}{{"fig03_logical_heatmap_1node", 1}, {"fig04_logical_heatmap_2node", 2}} {
-		cy := r.reports[fmt.Sprintf("%dn_cyclic", spec.nodes)]
-		rg := r.reports[fmt.Sprintf("%dn_range", spec.nodes)]
-		if err := r.saveHeatmap(spec.fig, "cyclic",
-			core.LogicalHeatmap(cy.Set, "Logical trace - 1D Cyclic")); err != nil {
-			return err
-		}
-		if err := r.saveHeatmap(spec.fig, "range",
-			core.LogicalHeatmap(rg.Set, "Logical trace - 1D Range")); err != nil {
-			return err
-		}
-		cyM, rgM := cy.Set.LogicalMatrix(), rg.Set.LogicalMatrix()
-		r.add(fmt.Sprintf("Fig %d (%d node)", spec.nodes+2, spec.nodes),
-			"Cyclic: PE0-heavy, irregular; Range: (L) shape; cyclic max sends ~6x, recvs ~2x range's",
-			fmt.Sprintf("max sends cyclic/range %.1fx, max recvs %.1fx, cyclic send-imb %.1fx vs range %.1fx",
-				ratio(maxOf(cyM.SendTotals()), maxOf(rgM.SendTotals())),
-				ratio(maxOf(cyM.RecvTotals()), maxOf(rgM.RecvTotals())),
-				trace.MaxOverMean(cyM.SendTotals()), trace.MaxOverMean(rgM.SendTotals())))
-	}
-	return nil
-}
-
-func (r *runner) fig5() error {
+// figures saves the plots of Figures 3-13: the table of each run of the
+// grid, then the paper's combined violin panel per node count.
+func (r *runner) figures() error {
 	for _, nodes := range []int{1, 2} {
 		for _, dist := range []core.DistKind{core.DistCyclic, core.DistRange} {
-			rep := r.reports[fmt.Sprintf("%dn_%s", nodes, dist)]
-			name := fmt.Sprintf("%s_%dnode", dist, nodes)
-			if err := r.saveViolin("fig05_logical_violin", name,
-				core.LogicalViolin(rep.Set, "Logical violin - "+rep.DistName)); err != nil {
-				return err
+			rep, d, perNode := r.rep(nodes, dist), string(dist), fmt.Sprintf("%s_%dnode", dist, nodes)
+			// fig names the directory of figure n+nodes: the one- and
+			// two-node panels are consecutive figures.
+			fig := func(n int, what string) string { return fmt.Sprintf("fig%02d_%s_%dnode", n+nodes, what, nodes) }
+			figs := []figure{
+				{fig(2, "logical_heatmap"), d, core.LogicalHeatmap(rep.Set, "Logical trace - "+rep.DistName)},
+				{"fig05_logical_violin", perNode, core.LogicalViolin(rep.Set, "Logical violin - "+rep.DistName)},
+				{"fig07_physical_violin", perNode, core.PhysicalViolin(rep.Set, "Physical violin - "+rep.DistName)},
+				{fig(7, "physical_heatmap"), d, core.PhysicalHeatmap(rep.Set, "Physical trace - "+rep.DistName)},
+				{fig(9, "papi_bar"), d, core.PAPIBar(rep.Set, papi.TOT_INS, "PAPI_TOT_INS - "+rep.DistName)},
+				{fig(11, "overall"), d + "_absolute", core.OverallStacked(rep.Set, false, "Overall (absolute) - "+rep.DistName)},
+				{fig(11, "overall"), d + "_relative", core.OverallStacked(rep.Set, true, "Overall (relative) - "+rep.DistName)},
+			}
+			// Per-mechanism physical heatmaps, as the paper separates them.
+			for _, kind := range []conveyor.SendKind{conveyor.LocalSend, conveyor.NonblockSend} {
+				if m := rep.Set.PhysicalMatrixOf(kind); m.Total() > 0 {
+					figs = append(figs, figure{fig(7, "physical_heatmap"), fmt.Sprintf("%s_%s", dist, kind),
+						&viz.Heatmap{Title: fmt.Sprintf("%s - %s", kind, rep.DistName), Cells: m, Totals: true}})
+				}
+			}
+			for _, f := range figs {
+				if err := r.save(f.dir, f.name, f.plot); err != nil {
+					return err
+				}
 			}
 		}
 		// The paper's combined panel: all four groups on a shared axis.
-		cy := r.reports[fmt.Sprintf("%dn_cyclic", nodes)].Set.LogicalMatrix()
-		rg := r.reports[fmt.Sprintf("%dn_range", nodes)].Set.LogicalMatrix()
+		cy := r.rep(nodes, core.DistCyclic).Set.LogicalMatrix()
+		rg := r.rep(nodes, core.DistRange).Set.LogicalMatrix()
 		combined := &viz.Violin{
 			Title:  fmt.Sprintf("Logical sends/recvs per PE - %d node(s)", nodes),
 			YLabel: "messages per PE",
@@ -501,23 +467,34 @@ func (r *runner) fig5() error {
 				{Label: "range recvs", Values: toF(rg.RecvTotals())},
 			},
 		}
-		if err := r.saveViolin("fig05_logical_violin",
-			fmt.Sprintf("combined_%dnode", nodes), combined); err != nil {
+		if err := r.save("fig05_logical_violin", fmt.Sprintf("combined_%dnode", nodes), combined); err != nil {
 			return err
 		}
 	}
-	cy1 := r.reports["1n_cyclic"].Set.LogicalMatrix()
-	cy2 := r.reports["2n_cyclic"].Set.LogicalMatrix()
-	r.add("Fig 5",
-		"1 node: cyclic max recv ~1.33x max send; 2 nodes: max send ~2-3x max recv",
-		fmt.Sprintf("1n maxRecv/maxSend %.2f; 2n maxSend/maxRecv %.2f",
-			ratio(maxOf(cy1.RecvTotals()), maxOf(cy1.SendTotals())),
-			ratio(maxOf(cy2.SendTotals()), maxOf(cy2.RecvTotals()))))
 	return nil
 }
 
-func (r *runner) fig6() error {
-	m := r.reports["1n_range"].Set.LogicalMatrix()
+// summarize adds the summary rows of Figures 3-13, in figure order.
+func (r *runner) summarize() {
+	for _, nodes := range []int{1, 2} {
+		cyM, rgM := r.rep(nodes, core.DistCyclic).Set.LogicalMatrix(), r.rep(nodes, core.DistRange).Set.LogicalMatrix()
+		r.add(fmt.Sprintf("Fig %d (%d node)", nodes+2, nodes),
+			"Cyclic: PE0-heavy, irregular; Range: (L) shape; cyclic max sends ~6x, recvs ~2x range's",
+			fmt.Sprintf("max sends cyclic/range %.1fx, max recvs %.1fx, cyclic send-imb %.1fx vs range %.1fx",
+				ratio(slices.Max(cyM.SendTotals()), slices.Max(rgM.SendTotals())),
+				ratio(slices.Max(cyM.RecvTotals()), slices.Max(rgM.RecvTotals())),
+				trace.MaxOverMean(cyM.SendTotals()), trace.MaxOverMean(rgM.SendTotals())))
+	}
+
+	cy1 := r.rep(1, core.DistCyclic).Set.LogicalMatrix()
+	cy2 := r.rep(2, core.DistCyclic).Set.LogicalMatrix()
+	r.add("Fig 5",
+		"1 node: cyclic max recv ~1.33x max send; 2 nodes: max send ~2-3x max recv",
+		fmt.Sprintf("1n maxRecv/maxSend %.2f; 2n maxSend/maxRecv %.2f",
+			ratio(slices.Max(cy1.RecvTotals()), slices.Max(cy1.SendTotals())),
+			ratio(slices.Max(cy2.SendTotals()), slices.Max(cy2.RecvTotals()))))
+
+	m := r.rep(1, core.DistRange).Set.LogicalMatrix()
 	var upper int64
 	n := len(m)
 	for src := 0; src < n; src++ {
@@ -538,145 +515,76 @@ func (r *runner) fig6() error {
 	r.add("Fig 6",
 		"Range communication is lower-triangular; recvs decrease monotonically with PE id",
 		fmt.Sprintf("upper-triangle sends = %d; recv monotonicity %.2f", upper, agree/pairs))
-	return nil
-}
 
-func (r *runner) fig7() error {
-	for _, nodes := range []int{1, 2} {
-		for _, dist := range []core.DistKind{core.DistCyclic, core.DistRange} {
-			rep := r.reports[fmt.Sprintf("%dn_%s", nodes, dist)]
-			name := fmt.Sprintf("%s_%dnode", dist, nodes)
-			if err := r.saveViolin("fig07_physical_violin", name,
-				core.PhysicalViolin(rep.Set, "Physical violin - "+rep.DistName)); err != nil {
-				return err
-			}
-		}
-	}
-	cy := r.reports["1n_cyclic"].Set.PhysicalMatrix()
-	rg := r.reports["1n_range"].Set.PhysicalMatrix()
+	cyP, rgP := r.rep(1, core.DistCyclic).Set.PhysicalMatrix(), r.rep(1, core.DistRange).Set.PhysicalMatrix()
 	r.add("Fig 7",
 		"Cyclic buffer sends ~2-4x worse than range; recvs ~5-15% worse",
 		fmt.Sprintf("1n max buffer sends cyclic/range %.1fx; recvs %.2fx",
-			ratio(maxOf(cy.SendTotals()), maxOf(rg.SendTotals())),
-			ratio(maxOf(cy.RecvTotals()), maxOf(rg.RecvTotals()))))
-	return nil
-}
+			ratio(slices.Max(cyP.SendTotals()), slices.Max(rgP.SendTotals())),
+			ratio(slices.Max(cyP.RecvTotals()), slices.Max(rgP.RecvTotals()))))
 
-func (r *runner) fig89() error {
-	for _, spec := range []struct {
-		fig   string
-		nodes int
-	}{{"fig08_physical_heatmap_1node", 1}, {"fig09_physical_heatmap_2node", 2}} {
-		for _, dist := range []core.DistKind{core.DistCyclic, core.DistRange} {
-			rep := r.reports[fmt.Sprintf("%dn_%s", spec.nodes, dist)]
-			if err := r.saveHeatmap(spec.fig, string(dist),
-				core.PhysicalHeatmap(rep.Set, "Physical trace - "+rep.DistName)); err != nil {
-				return err
-			}
-			// Per-mechanism heatmaps, as the paper separates them.
-			for _, kind := range []conveyor.SendKind{conveyor.LocalSend, conveyor.NonblockSend} {
-				m := rep.Set.PhysicalMatrixOf(kind)
-				if m.Total() == 0 {
-					continue
-				}
-				hm := &viz.Heatmap{
-					Title:  fmt.Sprintf("%s - %s", kind, rep.DistName),
-					Cells:  m,
-					Totals: true,
-				}
-				if err := r.saveHeatmap(spec.fig, fmt.Sprintf("%s_%s", dist, kind), hm); err != nil {
-					return err
-				}
-			}
-		}
-	}
-	k1 := r.reports["1n_cyclic"].Set.PhysicalKindCounts()
-	k2 := r.reports["2n_cyclic"].Set.PhysicalKindCounts()
+	k1 := r.rep(1, core.DistCyclic).Set.PhysicalKindCounts()
+	k2 := r.rep(2, core.DistCyclic).Set.PhysicalKindCounts()
 	r.add("Fig 8/9",
 		"1 node: 1D linear (local_send only); 2 nodes: 2D mesh (rows local_send, columns nonblock_send)",
 		fmt.Sprintf("1n: local=%d nonblock=%d; 2n: local=%d nonblock=%d progress=%d",
 			k1[conveyor.LocalSend], k1[conveyor.NonblockSend],
 			k2[conveyor.LocalSend], k2[conveyor.NonblockSend], k2[conveyor.NonblockProgress]))
-	return nil
-}
 
-func (r *runner) fig1011() error {
-	for _, spec := range []struct {
-		fig   string
-		nodes int
-	}{{"fig10_papi_bar_1node", 1}, {"fig11_papi_bar_2node", 2}} {
-		for _, dist := range []core.DistKind{core.DistCyclic, core.DistRange} {
-			rep := r.reports[fmt.Sprintf("%dn_%s", spec.nodes, dist)]
-			bar := core.PAPIBar(rep.Set, papi.TOT_INS, "PAPI_TOT_INS - "+rep.DistName)
-			if err := r.save(spec.fig, string(dist),
-				func(f *os.File) error { return bar.RenderText(f) }, bar.RenderSVG); err != nil {
-				return err
-			}
-		}
-		cy := r.reports[fmt.Sprintf("%dn_cyclic", spec.nodes)]
-		rg := r.reports[fmt.Sprintf("%dn_range", spec.nodes)]
-		r.add(fmt.Sprintf("Fig %d (%d node)", spec.nodes+9, spec.nodes),
+	for _, nodes := range []int{1, 2} {
+		cy, rg := r.rep(nodes, core.DistCyclic).Set, r.rep(nodes, core.DistRange).Set
+		r.add(fmt.Sprintf("Fig %d (%d node)", nodes+9, nodes),
 			"PE0 TOT_INS imbalance up to ~4-5x under cyclic; flat under range",
 			fmt.Sprintf("cyclic imb %.1fx, range imb %.1fx",
-				trace.MaxOverMean(cy.Set.PAPITotalsPerPE(papi.TOT_INS)),
-				trace.MaxOverMean(rg.Set.PAPITotalsPerPE(papi.TOT_INS))))
+				trace.MaxOverMean(cy.PAPITotalsPerPE(papi.TOT_INS)),
+				trace.MaxOverMean(rg.PAPITotalsPerPE(papi.TOT_INS))))
 	}
-	return nil
-}
 
-func (r *runner) fig1213() error {
-	for _, spec := range []struct {
-		fig   string
-		nodes int
-	}{{"fig12_overall_1node", 1}, {"fig13_overall_2node", 2}} {
-		for _, dist := range []core.DistKind{core.DistCyclic, core.DistRange} {
-			rep := r.reports[fmt.Sprintf("%dn_%s", spec.nodes, dist)]
-			for _, mode := range []struct {
-				rel  bool
-				name string
-			}{{false, "absolute"}, {true, "relative"}} {
-				sb := core.OverallStacked(rep.Set, mode.rel,
-					fmt.Sprintf("Overall (%s) - %s", mode.name, rep.DistName))
-				if err := r.save(spec.fig, fmt.Sprintf("%s_%s", dist, mode.name),
-					func(f *os.File) error { return sb.RenderText(f) }, sb.RenderSVG); err != nil {
-					return err
-				}
-			}
-		}
-		cy := r.reports[fmt.Sprintf("%dn_cyclic", spec.nodes)]
-		rg := r.reports[fmt.Sprintf("%dn_range", spec.nodes)]
-		cm, cc, cp := shares(cy.Set)
-		rm, rc, rp := shares(rg.Set)
-		r.add(fmt.Sprintf("Fig %d (%d node)", spec.nodes+11, spec.nodes),
+	for _, nodes := range []int{1, 2} {
+		cy, rg := r.rep(nodes, core.DistCyclic).Set, r.rep(nodes, core.DistRange).Set
+		cm, cc, cp := shares(cy)
+		rm, rc, rp := shares(rg)
+		r.add(fmt.Sprintf("Fig %d (%d node)", nodes+11, nodes),
 			"COMM dominant; MAIN <=5%; PROC cyclic <=5% vs range 20-24%; range ~2x faster",
 			fmt.Sprintf("cyclic M/C/P %.0f/%.0f/%.0f%%, range %.0f/%.0f/%.0f%%, range %.1fx faster",
 				100*cm, 100*cc, 100*cp, 100*rm, 100*rc, 100*rp,
-				ratio(maxTotal(cy.Set), maxTotal(rg.Set))))
+				ratio(maxTotal(cy), maxTotal(rg))))
 	}
-	return nil
 }
 
 func (r *runner) overhead() error {
-	runWith := func(cfg trace.Config) time.Duration {
+	runWith := func(cfg trace.Config) (time.Duration, error) {
 		start := time.Now()
 		rep, err := core.RunTriangle(core.TriangleExperiment{
 			Graph:  r.reports["1n_cyclic"].Graph,
 			NumPEs: 16, PEsPerNode: 16,
 			Dist: core.DistCyclic, Trace: cfg,
 		})
-		if err != nil || !rep.Validated() {
-			log.Fatalf("overhead run failed: %v", err)
+		if err == nil && !rep.Validated() {
+			err = errors.New("validation failed")
 		}
-		return time.Since(start)
+		if err != nil {
+			return 0, fmt.Errorf("overhead run: %w", err)
+		}
+		return time.Since(start), nil
 	}
 	// Tracing off: Overall only (Config zero value would re-enable all
 	// defaults in RunTriangle, so pick the minimal real config).
-	off := runWith(trace.Config{Overall: true})
-	full := runWith(core.FullTrace())
+	off, err := runWith(trace.Config{Overall: true})
+	if err != nil {
+		return err
+	}
+	full, err := runWith(core.FullTrace())
+	if err != nil {
+		return err
+	}
 	sampled := core.FullTrace()
 	sampled.LogicalSample = 100
 	sampled.PAPIRecordEvery = 256
-	samp := runWith(sampled)
+	samp, err := runWith(sampled)
+	if err != nil {
+		return err
+	}
 	r.add("Sec IV-E",
 		"Tracing overhead grows with message volume; trace size is the scaling concern",
 		fmt.Sprintf("host wall-clock: minimal %v, full tracing %v (%.2fx), sampled %v (%.2fx)",
@@ -715,16 +623,6 @@ func (r *runner) apiProfile() error {
 	return nil
 }
 
-func maxOf(v []int64) int64 {
-	var m int64
-	for _, x := range v {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 func maxTotal(s *trace.Set) int64 {
 	var m int64
 	for _, r := range s.Overall {
@@ -755,8 +653,6 @@ func ratio(a, b int64) float64 {
 	}
 	return float64(a) / float64(b)
 }
-
-func itoa(v int) string { return fmt.Sprintf("%d", v) }
 
 func toF(vals []int64) []float64 {
 	out := make([]float64, len(vals))

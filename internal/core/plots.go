@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -20,6 +21,31 @@ const (
 	FeaturePAPI                     // PEi_PAPI.csv counters
 	FeatureMultiNode                // more PEs than fit on one node
 )
+
+// features holds each feature's name in actorprofd's run listing (none
+// for one the listing does not report) and the words a plot that needs
+// it is refused with.
+var features = [...]struct{ name, absent string }{
+	FeatureLogical:   {"logical", "run has no logical trace (PEi_send.csv)"},
+	FeaturePhysical:  {"physical", "run has no physical trace (physical.txt)"},
+	FeatureOverall:   {"overall", "run has no overall breakdown (overall.txt)"},
+	FeaturePAPI:      {"papi", "run has no PAPI events (PEi_PAPI.csv)"},
+	FeatureMultiNode: {"", "run fits on one node; no node-level hotspots to plot"},
+}
+
+// Absent says why a plot that needs the feature cannot be drawn.
+func (f Feature) Absent() string { return features[f].absent }
+
+// FeatureNames lists the named features s has, in Feature order.
+func FeatureNames(s trace.Source) []string {
+	var names []string
+	for f, info := range features {
+		if info.name != "" && Feature(f).In(s) {
+			names = append(names, info.name)
+		}
+	}
+	return names
+}
 
 // In reports whether s has the feature.
 func (f Feature) In(s trace.Source) bool {
@@ -107,6 +133,45 @@ func (p PlotSpec) TitleFor(ev papi.Event) string {
 		return fmt.Sprintf(p.Title, ev)
 	}
 	return p.Title
+}
+
+// ErrNotRecorded starts the error Event returns for a PAPI event the
+// run did not record.
+var ErrNotRecorded = errors.New("run did not record")
+
+// Event resolves the PAPI event the plot draws for s from a requested
+// name: "" is the first event s recorded, and a name papi does not know
+// or s did not record is an error. A plot that draws no event gets 0.
+func (p PlotSpec) Event(s trace.Source, name string) (papi.Event, error) {
+	if !p.UsesEvent {
+		return 0, nil
+	}
+	recorded := s.TraceConfig().PAPIEvents
+	if name == "" && len(recorded) > 0 {
+		return recorded[0], nil
+	}
+	ev, err := papi.EventByName(name)
+	if err != nil {
+		return 0, err
+	}
+	names := make([]string, len(recorded))
+	for i, have := range recorded {
+		if have == ev {
+			return ev, nil
+		}
+		names[i] = have.String()
+	}
+	return 0, fmt.Errorf("%w %s (recorded: %s)", ErrNotRecorded, ev, strings.Join(names, ", "))
+}
+
+// PlotOf returns the catalog entry of kind.
+func PlotOf(kind string) (PlotSpec, bool) {
+	for _, p := range Plots {
+		if p.Kind == kind {
+			return p, true
+		}
+	}
+	return PlotSpec{}, false
 }
 
 // SVGFile is the file name the CLI's -svg writes the plot under.

@@ -95,7 +95,7 @@ func TestCachedEntriesAreExactSize(t *testing.T) {
 			gz++
 		}
 	}
-	if len(c.items) < 2*len(artifacts) || gz == 0 {
+	if len(c.items) < 2*len(artifactNames()) || gz == 0 {
 		t.Fatalf("%d cached entries, %d with a gzip variant: the fixture exercised too little", len(c.items), gz)
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"actorprof/internal/core"
 	"actorprof/internal/trace"
 	"actorprof/internal/whatif"
 )
@@ -27,7 +28,8 @@ type RunInfo struct {
 	Skipped    int      `json:"skipped_lines"`
 	Features   []string `json:"features"`
 
-	schedule bool // the directory holds a what-if schedule
+	sum      *trace.Summary // nil when the run failed to parse
+	schedule bool           // the directory holds a what-if schedule
 }
 
 // registry resolves run IDs to trace directories and caches what is
@@ -432,26 +434,14 @@ func (r *registry) count(d deadline) (int, error) {
 }
 
 func runInfo(run resolvedRun, v runSummary) RunInfo {
-	info := RunInfo{
+	return RunInfo{
 		ID:         run.id,
 		Dir:        run.dir,
 		NumPEs:     v.sum.NumPEs,
 		PEsPerNode: v.sum.PEsPerNode,
 		Skipped:    v.skipped,
+		Features:   core.FeatureNames(v.sum),
+		sum:        v.sum,
 		schedule:   v.schedule,
 	}
-	cfg := v.sum.Config
-	if cfg.Logical {
-		info.Features = append(info.Features, "logical")
-	}
-	if cfg.Physical {
-		info.Features = append(info.Features, "physical")
-	}
-	if cfg.Overall {
-		info.Features = append(info.Features, "overall")
-	}
-	if len(cfg.PAPIEvents) > 0 {
-		info.Features = append(info.Features, "papi")
-	}
-	return info
 }

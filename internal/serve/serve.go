@@ -29,10 +29,12 @@ import (
 	"net/http"
 	"net/url"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
+	"actorprof/internal/core"
 	"actorprof/internal/trace"
 	"actorprof/internal/viz"
 )
@@ -158,6 +160,18 @@ func (r *statusRecorder) WriteHeader(code int) {
 // RequestTimeout after its handler starts.
 func (s *Server) deadline(r *http.Request) deadline {
 	return deadline{at: time.Now().Add(s.cfg.RequestTimeout), ctx: r.Context()}
+}
+
+// statusError carries an HTTP status with an error message.
+type statusError struct {
+	code int
+	msg  string
+}
+
+func (e statusError) Error() string { return e.msg }
+
+func noData(format string, args ...any) error {
+	return statusError{code: 404, msg: fmt.Sprintf(format, args...)}
 }
 
 // fail writes err as an HTTP error, mapping statusError codes through,
@@ -425,23 +439,23 @@ func (s *Server) renderIdentity(render func(buf *bytes.Buffer) (string, error)) 
 }
 
 // handlePlot serves /runs/{run}/plots/{kind}.{svg|json}, the daemon's
-// main endpoint.
+// main endpoint: the catalog's plot, drawn as SVG or written in its own
+// JSON form.
 func (s *Server) handlePlot(w http.ResponseWriter, r *http.Request) {
 	runID := r.PathValue("run")
 	name := r.PathValue("plot")
-	kind, format, ok := splitPlotName(name)
+	spec, format, ok := splitPlotName(name)
 	if !ok {
 		s.fail(w, statusError{code: 404, msg: fmt.Sprintf(
 			"unknown plot %q; plots are <kind>.svg or <kind>.json with kind one of: %s",
 			name, strings.Join(artifactNames(), ", "))})
 		return
 	}
-	art := artifacts[kind]
 	// Only plot kinds that consume ?event= key on it: anything else
 	// would let one URL template mint unbounded distinct cache entries
 	// for identical bytes (TestIrrelevantParamSharesCacheEntry).
 	param := ""
-	if art.UsesEvent {
+	if spec.UsesEvent {
 		param = r.URL.Query().Get("event")
 	}
 
@@ -452,23 +466,24 @@ func (s *Server) handlePlot(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sum := v.sum
-	if err := art.check(sum); err != nil {
-		s.fail(w, err)
+	if f, lacks := spec.Missing(sum); lacks {
+		s.fail(w, statusError{code: 404, msg: f.Absent()})
 		return
 	}
 	s.serveArtifact(w, r, d, run, name, []string{param}, func(buf *bytes.Buffer) (string, error) {
-		if format == "svg" {
-			p, err := art.plot(sum, param)
-			if err != nil {
-				return "", err
+		ev, err := spec.Event(sum, param)
+		if err != nil {
+			code := 400
+			if errors.Is(err, core.ErrNotRecorded) {
+				code = 404
 			}
+			return "", statusError{code: code, msg: err.Error()}
+		}
+		p := spec.Build(sum, ev)
+		if format == "svg" {
 			return "image/svg+xml", viz.RenderSVGTo(p, buf)
 		}
-		v, err := art.json(sum, param)
-		if err != nil {
-			return "", err
-		}
-		return "application/json", writeJSON(buf, v)
+		return "application/json", writeJSON(buf, p)
 	})
 }
 
@@ -482,17 +497,33 @@ func writeJSON(buf *bytes.Buffer, v any) error {
 	return nil
 }
 
-func splitPlotName(name string) (kind, format string, ok bool) {
+func splitPlotName(name string) (spec core.PlotSpec, format string, ok bool) {
 	dot := strings.LastIndexByte(name, '.')
 	if dot < 0 {
-		return "", "", false
+		return spec, "", false
 	}
-	kind, format = name[:dot], name[dot+1:]
+	format = name[dot+1:]
 	if format != "svg" && format != "json" {
-		return "", "", false
+		return spec, "", false
 	}
-	_, known := artifacts[kind]
-	return kind, format, known
+	spec, ok = core.PlotOf(name[:dot])
+	return spec, format, ok
+}
+
+// plotsByKind is the plot catalog in URL order, for error messages and
+// the index page.
+var plotsByKind = func() []core.PlotSpec {
+	ps := slices.Clone(core.Plots)
+	slices.SortFunc(ps, func(a, b core.PlotSpec) int { return strings.Compare(a.Kind, b.Kind) })
+	return ps
+}()
+
+func artifactNames() []string {
+	names := make([]string, len(plotsByKind))
+	for i, p := range plotsByKind {
+		names[i] = p.Kind
+	}
+	return names
 }
 
 // handlePerfetto serves the physical trace as Google Trace Event JSON in
@@ -632,15 +663,14 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		// directory may be named a"b or x?y#z.
 		id := htmlEscape(url.PathEscape(info.ID))
 		fmt.Fprintf(&b, "<h2>%s</h2><ul>\n", htmlEscape(info.ID))
-		for _, kind := range artifactNames() {
-			if artifacts[kind].check(sourceStub(info)) != nil {
-				continue
+		if info.sum != nil {
+			for _, p := range plotsByKind {
+				if _, lacks := p.Missing(info.sum); !lacks {
+					fmt.Fprintf(&b, `<li><a href="/runs/%s/plots/%s.svg">%s.svg</a> | <a href="/runs/%s/plots/%s.json">json</a></li>`+"\n",
+						id, p.Kind, p.Kind, id, p.Kind)
+				}
 			}
-			fmt.Fprintf(&b, `<li><a href="/runs/%s/plots/%s.svg">%s.svg</a> | <a href="/runs/%s/plots/%s.json">json</a></li>`+"\n",
-				id, kind, kind, id, kind)
-		}
-		for _, f := range info.Features {
-			if f == "physical" {
+			if core.FeaturePhysical.In(info.sum) {
 				fmt.Fprintf(&b, `<li><a href="/runs/%s/trace.perfetto.json">trace.perfetto.json</a> (Perfetto / chrome://tracing)</li>`+"\n", id)
 				fmt.Fprintf(&b, `<li><a href="/runs/%s/events?lod=1">events?t0=&amp;t1=&amp;lod=</a> (windowed query)</li>`+"\n", id)
 			}
@@ -654,26 +684,6 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(&b, "<p>...and %d more runs; page them via /api/runs?offset=&amp;limit=.</p>\n", total-len(infos))
 	}
 	fmt.Fprint(w, b.String())
-}
-
-// sourceStub rebuilds just enough of a trace source from a RunInfo for
-// the artifact availability checks (which only consult the config and
-// the PE counts).
-func sourceStub(info RunInfo) trace.Source {
-	s := &trace.Summary{NumPEs: info.NumPEs, PEsPerNode: info.PEsPerNode}
-	for _, f := range info.Features {
-		switch f {
-		case "logical":
-			s.Config.Logical = true
-		case "physical":
-			s.Config.Physical = true
-		case "overall":
-			s.Config.Overall = true
-		case "papi":
-			s.Config.PAPIEvents = append(s.Config.PAPIEvents, 0)
-		}
-	}
-	return s
 }
 
 var htmlEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")

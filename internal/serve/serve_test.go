@@ -73,11 +73,6 @@ func get(t *testing.T, h http.Handler, path string) (*http.Response, string) {
 func TestServesAllPlotFamilies(t *testing.T) {
 	srv, _ := newTestServer(t)
 	h := srv.Handler()
-	// A catalog kind without a payload builder panics at init; the other
-	// direction - a builder for a kind the catalog dropped - shows here.
-	if len(payloads) != len(core.Plots) {
-		t.Errorf("%d JSON payload builders for %d catalog plots", len(payloads), len(core.Plots))
-	}
 	for _, kind := range artifactNames() {
 		for _, format := range []string{"svg", "json"} {
 			path := fmt.Sprintf("/runs/run1/plots/%s.%s", kind, format)

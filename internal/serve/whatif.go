@@ -122,17 +122,7 @@ func (q whatifQuery) norm() string {
 }
 
 func (q whatifQuery) title() string {
-	var parts []string
-	add := func(name string, f float64) {
-		if f > 0 && f != 1 {
-			parts = append(parts, fmt.Sprintf("%s x%g", name, f))
-		}
-	}
-	add("network", q.scales.Network)
-	add("local", q.scales.Local)
-	add("quiet", q.scales.Quiet)
-	add("instr", q.scales.Instr)
-	add("ingest", q.scales.Ingest)
+	parts := q.scales.Phrases()
 	if q.speedup > 0 {
 		ord, mb := sim.ActorIDParts(q.actor)
 		parts = append(parts, fmt.Sprintf("s%d/m%d handler %gx faster", ord, mb, q.speedup))

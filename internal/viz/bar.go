@@ -11,13 +11,13 @@ import (
 // one bar per PE, e.g. total instructions.
 type Bar struct {
 	// Title heads the plot.
-	Title string
+	Title string `json:"title"`
 	// YLabel names the value axis (e.g. "PAPI_TOT_INS").
-	YLabel string
+	YLabel string `json:"y_label"`
 	// Labels name the bars (PE ids).
-	Labels []string
+	Labels []string `json:"labels"`
 	// Values are the bar heights, parallel to Labels.
-	Values []int64
+	Values []int64 `json:"values"`
 }
 
 func (b *Bar) validate() error {
@@ -127,22 +127,22 @@ func (b *Bar) RenderSVG() (string, error) {
 // relative shares.
 type StackedBar struct {
 	// Title heads the plot.
-	Title string
+	Title string `json:"title"`
 	// YLabel names the value axis ("cycles" or "fraction of total").
-	YLabel string
+	YLabel string `json:"y_label"`
 	// Labels name the bars (PE ids).
-	Labels []string
+	Labels []string `json:"labels"`
+	// Relative normalizes each bar to sum 1.
+	Relative bool `json:"relative"`
 	// Series are the stack layers, bottom-up; each must have one value
 	// per label.
-	Series []Series
-	// Relative normalizes each bar to sum 1.
-	Relative bool
+	Series []Series `json:"series"`
 }
 
 // Series is one stack layer.
 type Series struct {
-	Name   string
-	Values []int64
+	Name   string  `json:"name"`
+	Values []int64 `json:"values"`
 }
 
 func (s *StackedBar) validate() error {

@@ -1,6 +1,7 @@
 package viz
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -24,6 +25,14 @@ type GroupedBar struct {
 	// renderer still uses a linear scale per the paper's plots, but
 	// direct-labels the extremes).
 	LogHint bool
+}
+
+// MarshalJSON writes the plot in StackedBar's JSON form, never
+// relative. Its values are the raw series totals, so its y_label reads
+// "counter totals" (what -lp's series are), not the per-series shares
+// the drawn axis shows.
+func (g *GroupedBar) MarshalJSON() ([]byte, error) {
+	return json.Marshal(&StackedBar{Title: g.Title, YLabel: "counter totals", Labels: g.Labels, Series: g.Series})
 }
 
 func (g *GroupedBar) validate() error {

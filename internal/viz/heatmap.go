@@ -1,6 +1,7 @@
 package viz
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -74,6 +75,22 @@ func (h *Heatmap) totals() (sends, recvs []int64, mx int64) {
 		mx = max(mx, sends[i], recvs[i])
 	}
 	return sends, recvs, mx
+}
+
+// MarshalJSON writes the heatmap's JSON form: its title, its axis labels
+// (defaults filled in), the cells, and the send and recv totals, which
+// are written whether or not Totals draws them.
+func (h *Heatmap) MarshalJSON() ([]byte, error) {
+	row, col := h.labels()
+	sends, recvs, _ := h.totals()
+	return json.Marshal(struct {
+		Title      string    `json:"title"`
+		RowLabel   string    `json:"row_label"`
+		ColLabel   string    `json:"col_label"`
+		Cells      [][]int64 `json:"cells"`
+		SendTotals []int64   `json:"send_totals"`
+		RecvTotals []int64   `json:"recv_totals"`
+	}{h.Title, row, col, h.Cells, sends, recvs})
 }
 
 // RenderText writes the heatmap as ANSI-free terminal art: one two-glyph

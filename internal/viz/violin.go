@@ -1,6 +1,7 @@
 package viz
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -14,17 +15,26 @@ import (
 // median dot, and the extreme outlier at the top.
 type Violin struct {
 	// Title heads the plot.
-	Title string
+	Title string `json:"title"`
 	// YLabel names the value axis (e.g. "messages per PE").
-	YLabel string
+	YLabel string `json:"y_label"`
 	// Groups are the violins, rendered left to right.
-	Groups []ViolinGroup
+	Groups []ViolinGroup `json:"groups"`
 }
 
 // ViolinGroup is one violin: a label and its sample values (one per PE).
 type ViolinGroup struct {
 	Label  string
 	Values []float64
+}
+
+// MarshalJSON writes the group with the quartiles its violin draws.
+func (g ViolinGroup) MarshalJSON() ([]byte, error) {
+	return json.Marshal(struct {
+		Label     string          `json:"label"`
+		Quartiles stats.Quartiles `json:"quartiles"`
+		Values    []float64       `json:"values"`
+	}{g.Label, stats.Summarize(g.Values), g.Values})
 }
 
 func (v *Violin) validate() error {

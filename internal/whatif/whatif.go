@@ -96,6 +96,20 @@ type CostScales struct {
 	Ingest float64 `json:"ingest,omitempty"`
 }
 
+// Phrases describes the factors that change the pricing, in field
+// order: "network x2", "quiet x0.5". Unset factors and factors of 1 are
+// left out.
+func (sc CostScales) Phrases() []string {
+	names := [...]string{"network", "local", "quiet", "instr", "ingest"}
+	var parts []string
+	for i, f := range [...]float64{sc.Network, sc.Local, sc.Quiet, sc.Instr, sc.Ingest} {
+		if f > 0 && f != 1 {
+			parts = append(parts, fmt.Sprintf("%s x%g", names[i], f))
+		}
+	}
+	return parts
+}
+
 func scale64(v int64, f float64) int64 {
 	if f <= 0 || f == 1 {
 		return v
