@@ -1,8 +1,9 @@
 // Command chaos is the soak driver for the deterministic chaos harness:
 // it composes pseudo-random (app, machine, fault-plan) cells from one
-// seed word, runs each against the app's sequential oracle, and - on
-// failure - writes a JSON artifact with every failing cell's replay spec
-// and full plan.
+// seed word, runs each exactly as the differential matrix does (the
+// app's sequential oracle, then the what-if engine on the recorded
+// schedule), and - on failure - writes a JSON artifact with every
+// failing cell's replay spec and full plan.
 //
 // The nightly CI job runs it with a fresh seed; reproducing a red run
 // locally needs only the seed from the log:

@@ -606,8 +606,11 @@ func (r *runner) apiProfile() error {
 		Dist: core.DistCyclic, Trace: trace.Config{Physical: true},
 		APIProfile: prof,
 	})
-	if err != nil || !rep.Validated() {
-		return fmt.Errorf("api-profile run failed: %v", err)
+	if err == nil && !rep.Validated() {
+		err = errors.New("validation failed")
+	}
+	if err != nil {
+		return fmt.Errorf("api-profile run: %w", err)
 	}
 	kinds := rep.Set.PhysicalKindCounts()
 	nbi := prof.TotalCount(shmem.RoutinePutNBI)

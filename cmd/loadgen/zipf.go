@@ -3,33 +3,23 @@ package main
 import (
 	"math"
 	"sort"
+
+	"actorprof/internal/stats"
 )
 
-// splitmix64 is the SplitMix64 generator: tiny, fast, and - unlike
-// math/rand's default source - specified bit-for-bit, so a committed
-// LOAD.json is reproducible from the seed it records on any platform.
-// It is also designed to produce independent streams from sequential
-// seeds, which is exactly how per-client generators are derived.
+// splitmix64 is stats.SplitMix64 with the draws a workload mix needs.
+// A committed LOAD.json is reproducible from the seed it records, and
+// per-client generators are derived from sequential seeds.
 type splitmix64 struct{ state uint64 }
 
-func (s *splitmix64) next() uint64 {
-	s.state += 0x9e3779b97f4a7c15
-	z := s.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
+func (s *splitmix64) rng() *stats.SplitMix64 { return (*stats.SplitMix64)(&s.state) }
 
 // float64 returns a uniform draw in [0, 1).
-func (s *splitmix64) float64() float64 {
-	return float64(s.next()>>11) / (1 << 53)
-}
+func (s *splitmix64) float64() float64 { return s.rng().Float64() }
 
 // intn returns a uniform draw in [0, n). The modulo bias is far below
 // anything a workload mix could observe.
-func (s *splitmix64) intn(n int) int {
-	return int(s.next() % uint64(n))
-}
+func (s *splitmix64) intn(n int) int { return int(s.rng().Next() % uint64(n)) }
 
 // zipf draws ranks 0..n-1 with probability proportional to 1/(rank+1)^s
 // by inverse-CDF lookup over a precomputed cumulative table. n is the

@@ -6,6 +6,7 @@ import (
 	"actorprof/internal/actor"
 	"actorprof/internal/papi"
 	"actorprof/internal/shmem"
+	"actorprof/internal/stats"
 )
 
 // HistogramConfig parameterizes the Listing 1-2 program.
@@ -75,14 +76,8 @@ func Histogram(rt *actor.Runtime, cfg HistogramConfig) (HistogramResult, error) 
 	return HistogramResult{Local: larray, GlobalMass: mass}, nil
 }
 
-// splitmix is a tiny deterministic PRNG shared by the app workload
-// generators.
+// splitmix is stats.SplitMix64 under the name the app workload
+// generators and their oracles construct it by.
 type splitmix struct{ state uint64 }
 
-func (s *splitmix) next() uint64 {
-	s.state += 0x9e3779b97f4a7c15
-	z := s.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
+func (s *splitmix) next() uint64 { return (*stats.SplitMix64)(&s.state).Next() }

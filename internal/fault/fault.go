@@ -18,13 +18,13 @@
 //     per-PE order fixed by program structure (put counts, barrier
 //     counts, per-channel buffer sequence numbers), independent of
 //     goroutine scheduling. Decisions at these sites may charge virtual
-//     cycles and are recorded by Recorder; two runs with the same seed
-//     produce identical per-PE event logs.
+//     cycles, which a recorded sim.Schedule carries as EvDelay charges;
+//     two runs with the same seed charge the same values.
 //   - Schedule sites (SiteAdvance .. SiteHandler) fire at
 //     scheduling-dependent rates (poll loops, spin waits). Decisions at
 //     these sites must only perturb the goroutine schedule (extra
 //     yields), never the virtual clocks - otherwise Virtual-timing
-//     determinism would be lost - and they are never logged.
+//     determinism would be lost.
 //
 // The zero Injector (nil) costs one nil-interface check per hook, so an
 // uninstrumented run pays effectively nothing.
@@ -32,7 +32,7 @@ package fault
 
 // Site identifies one injection hook point in the runtime. The ordering
 // is load-bearing: sites up to and including SiteBufferCap are
-// deterministic (loggable), later ones are schedule-only.
+// deterministic, later ones are schedule-only.
 type Site int
 
 const (
@@ -99,8 +99,8 @@ func (s Site) String() string {
 }
 
 // Deterministic reports whether the site's per-PE invocation sequence is
-// fixed by program structure (and its decisions therefore loggable and
-// allowed to charge virtual cycles).
+// fixed by program structure (and its decisions therefore allowed to
+// charge virtual cycles).
 func (s Site) Deterministic() bool { return s <= SiteBufferCap }
 
 // Point identifies one hook invocation.

@@ -147,103 +147,6 @@ func TestNamedPlanAndPlanFromSeed(t *testing.T) {
 	}
 }
 
-func TestPlanArtifactRoundtrip(t *testing.T) {
-	p, _ := NamedPlan("delayed-transfers", 0xabcdef)
-	data, err := p.MarshalArtifact()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := UnmarshalPlan(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if *got != *p {
-		t.Fatalf("artifact roundtrip changed the plan:\n  in:  %+v\n  out: %+v", p, got)
-	}
-	if _, err := UnmarshalPlan([]byte("{not json")); err == nil {
-		t.Fatal("garbage artifact should error")
-	}
-}
-
-func TestRecorderLogsDeterministicSitesOnly(t *testing.T) {
-	p, _ := NamedPlan("chaos", 3)
-	r := NewRecorder(p, 2)
-	r.Decide(Point{PE: 0, Site: SiteBarrier, Index: 0})
-	r.Decide(Point{PE: 1, Site: SiteTransfer, Index: 0, Arg: 3})
-	r.Decide(Point{PE: 0, Site: SiteYield, Index: 0})   // schedule-only
-	r.Decide(Point{PE: 1, Site: SiteHandler, Index: 5}) // schedule-only
-	log := r.Log()
-	if log.Len() != 2 {
-		t.Fatalf("recorded %d events, want 2 (schedule-only sites must not log)", log.Len())
-	}
-}
-
-func TestRecorderLogCanonicalOrder(t *testing.T) {
-	p, _ := NamedPlan("chaos", 3)
-	// Two recorders see the same events in different arrival order; the
-	// canonical logs must still match.
-	pts := []Point{
-		{PE: 0, Site: SiteTransfer, Index: 2, Arg: 1},
-		{PE: 0, Site: SiteBarrier, Index: 0},
-		{PE: 0, Site: SiteTransfer, Index: 0, Arg: 3},
-		{PE: 0, Site: SiteTransfer, Index: 1, Arg: 1},
-	}
-	a, b := NewRecorder(p, 1), NewRecorder(p, 1)
-	for _, pt := range pts {
-		a.Decide(pt)
-	}
-	for i := len(pts) - 1; i >= 0; i-- {
-		b.Decide(pts[i])
-	}
-	if d := a.Log().Diff(b.Log()); d != "" {
-		t.Fatalf("canonicalized logs differ:\n%s", d)
-	}
-	if a.Log().String() != b.Log().String() {
-		t.Fatal("canonical strings differ")
-	}
-}
-
-func TestLogDiffFindsDivergence(t *testing.T) {
-	p, _ := NamedPlan("chaos", 3)
-	a, b := NewRecorder(p, 1), NewRecorder(p, 1)
-	a.Decide(Point{PE: 0, Site: SiteBarrier, Index: 0})
-	b.Decide(Point{PE: 0, Site: SiteBarrier, Index: 1})
-	if d := a.Log().Diff(b.Log()); d == "" {
-		t.Fatal("differing logs reported identical")
-	}
-	b2 := NewRecorder(p, 1)
-	b2.Decide(Point{PE: 0, Site: SiteBarrier, Index: 0})
-	b2.Decide(Point{PE: 0, Site: SiteBarrier, Index: 1})
-	if d := a.Log().Diff(b2.Log()); !strings.Contains(d, "event count") {
-		t.Fatalf("length divergence not reported: %q", d)
-	}
-	var empty Log
-	if d := a.Log().Diff(&empty); !strings.Contains(d, "PE count") {
-		t.Fatalf("PE-count divergence not reported: %q", d)
-	}
-}
-
-func TestRecorderDelegatesClockSkew(t *testing.T) {
-	p, _ := NamedPlan("stragglers", 0x5eed)
-	r := NewRecorder(p, 4)
-	for pe := 0; pe < 4; pe++ {
-		if got, want := r.ClockSkewPercent(pe), p.ClockSkewPercent(pe); got != want {
-			t.Fatalf("PE %d: recorder skew %d, plan skew %d", pe, got, want)
-		}
-	}
-	// A non-skewing inner injector reads as zero skew.
-	none, _ := NamedPlan("none", 1)
-	r2 := NewRecorder(noSkew{none}, 1)
-	if r2.ClockSkewPercent(0) != 0 {
-		t.Fatal("recorder invented skew for a non-ClockSkewer injector")
-	}
-}
-
-// noSkew strips the ClockSkewer implementation from a plan.
-type noSkew struct{ p *Plan }
-
-func (n noSkew) Decide(pt Point) Decision { return n.p.Decide(pt) }
-
 func TestBoundedAndChance(t *testing.T) {
 	if bounded(12345, 0) != 0 {
 		t.Fatal("bounded(_, 0) must be 0")

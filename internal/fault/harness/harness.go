@@ -1,26 +1,31 @@
 // Package harness is the reusable chaos-test harness on top of the
 // fault-injection layer: it runs registered FA-BSP applications at
-// multiple PE counts under a matrix of fault plans, checks every run
-// against the application's sequential oracle, and - when a run fails -
+// multiple PE counts under a matrix of fault plans, records each run's
+// schedule, checks the run against the application's sequential oracle
+// and the schedule against the what-if engine, and - when a run fails -
 // reports a single replay spec (app/plan/PEs/seed) that reproduces the
 // exact perturbation schedule.
 //
 // The harness owns no application knowledge: packages register their
 // apps as App values (internal/apps does this in ChaosApps), and the
 // differential tests, the replay path, and the nightly soak binary all
-// drive the same RunCell entry point.
+// drive the same Run entry point.
 package harness
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"strconv"
 	"strings"
-	"sync"
 
 	"actorprof/internal/actor"
 	"actorprof/internal/fault"
 	"actorprof/internal/shmem"
 	"actorprof/internal/sim"
+	"actorprof/internal/stats"
+	"actorprof/internal/whatif"
 )
 
 // App is one chaos-testable application: an SPMD body plus the oracle
@@ -103,50 +108,34 @@ func ParseSpec(str string) (Spec, error) {
 	return s, nil
 }
 
-// RunCell executes one cell and checks it against the app's oracle. A
-// failure is wrapped with the cell's replay spec, so the one line a CI
-// log shows is enough to reproduce the schedule.
-func RunCell(c Cell) error {
-	_, err := run(c, false)
-	return err
-}
-
-// RecordCell executes one cell with a fault.Recorder installed and
-// returns the deterministic-site event log alongside the verdict. Two
-// RecordCell calls with the same cell must produce identical logs - the
-// replay guarantee the harness tests enforce.
-func RecordCell(c Cell) (*fault.Log, error) {
-	return run(c, true)
-}
-
-func run(c Cell, record bool) (*fault.Log, error) {
+// Run executes one cell and returns its recorded schedule. The cell
+// passes when the app's oracle accepts the gathered per-PE results and
+// the what-if engine's analytic projection of the schedule agrees with
+// a deterministic replay bit for bit, both unperturbed and under the
+// seed's RandomPerturbation - so every chaos cell is also a soak of the
+// profiler itself. A failure is wrapped with the cell's replay spec, so
+// the one line a CI log shows is enough to reproduce the schedule.
+func Run(c Cell) (*sim.Schedule, error) {
 	if c.App.Run == nil {
 		return nil, fmt.Errorf("harness: app %q has no Run", c.App.Name)
 	}
 	if err := c.Machine.Validate(); err != nil {
 		return nil, err
 	}
-	var inj fault.Injector = c.Plan
-	var rec *fault.Recorder
-	if record {
-		rec = fault.NewRecorder(c.Plan, c.Machine.NumPEs)
-		inj = rec
-	}
+	cost := sim.DefaultCostModel()
+	rec := sim.NewScheduleRecorder(c.Machine, cost)
 	bufItems := c.App.BufferItems
 	if bufItems == 0 {
 		bufItems = 16
 	}
 	results := make([]any, c.Machine.NumPEs)
-	var mu sync.Mutex
-	err := shmem.Run(shmem.Config{Machine: c.Machine, Fault: inj}, func(pe *shmem.PE) {
+	err := shmem.Run(shmem.Config{Machine: c.Machine, Cost: cost, Fault: c.Plan, Schedule: rec}, func(pe *shmem.PE) {
 		rt := actor.NewRuntime(pe, actor.RuntimeOptions{BufferItems: bufItems})
 		res, err := c.App.Run(rt)
 		if err != nil {
 			panic(err)
 		}
-		mu.Lock()
 		results[pe.Rank()] = res
-		mu.Unlock()
 		rt.Close()
 		pe.Barrier()
 	})
@@ -154,19 +143,21 @@ func run(c Cell, record bool) (*fault.Log, error) {
 		err = c.App.Check(c.Machine, results)
 	}
 	if err != nil {
-		err = fmt.Errorf("chaos cell failed; replay spec %q: %w", c.Spec().String(), err)
+		return nil, fmt.Errorf("chaos cell failed; replay spec %q: %w", c.Spec().String(), err)
 	}
-	var log *fault.Log
-	if rec != nil {
-		log = rec.Log()
+	sched := rec.Schedule()
+	for _, p := range []whatif.Perturbation{whatif.Identity(sched), RandomPerturbation(cost, c.Plan.Seed)} {
+		if _, err := whatif.Compare(sched, p); err != nil {
+			return nil, fmt.Errorf("what-if differential failed; replay spec %q: %w", c.Spec().String(), err)
+		}
 	}
-	return log, err
+	return sched, nil
 }
 
 // Replay re-runs a failing cell from its spec alone: the app is looked
-// up by name, the plan rebuilt from (plan name, seed), and the run
-// recorded so the reproduced schedule can be inspected or compared.
-func Replay(apps []App, spec Spec) (*fault.Log, error) {
+// up by name and the plan rebuilt from (plan name, seed), and the cell
+// runs exactly as the matrix and the soak run it.
+func Replay(apps []App, spec Spec) (*sim.Schedule, error) {
 	app, ok := FindApp(apps, spec.App)
 	if !ok {
 		return nil, fmt.Errorf("harness: replay spec names unknown app %q", spec.App)
@@ -175,11 +166,85 @@ func Replay(apps []App, spec Spec) (*fault.Log, error) {
 	if err != nil {
 		return nil, err
 	}
-	return RecordCell(Cell{
+	return Run(Cell{
 		App:     app,
 		Machine: sim.Machine{NumPEs: spec.NumPEs, PEsPerNode: spec.PEsPerNode},
 		Plan:    plan,
 	})
+}
+
+// ValuesDiff compares the values of two recorded schedules and
+// describes the first difference by PE and event kind, or returns ""
+// when they are equal. Values are each PE's skew, the multiset of its
+// charged events (an instruction run counts as its messages' charges
+// one by one) and the identity replay's makespan. Orders are not
+// compared: the event sequence, where instruction runs break, marker
+// events and so the regime split follow the FA-BSP interleaving
+// (DESIGN.md §14).
+func ValuesDiff(a, b *sim.Schedule) string {
+	if len(a.PEs) != len(b.PEs) {
+		return fmt.Sprintf("PE count differs: %d vs %d", len(a.PEs), len(b.PEs))
+	}
+	for pe := range a.PEs {
+		if sa, sb := a.PEs[pe].Skew, b.PEs[pe].Skew; sa != sb {
+			return fmt.Sprintf("PE %d skew differs: %d%% vs %d%%", pe, sa, sb)
+		}
+		ca, cb := charges(a.PEs[pe]), charges(b.PEs[pe])
+		var differ []sim.Event
+		for _, m := range []map[sim.Event]int64{ca, cb} {
+			for e := range m {
+				if ca[e] != cb[e] {
+					differ = append(differ, e)
+				}
+			}
+		}
+		if len(differ) > 0 {
+			e := slices.MinFunc(differ, func(x, y sim.Event) int {
+				return cmp.Or(cmp.Compare(x.Kind, y.Kind), cmp.Compare(x.Arg, y.Arg))
+			})
+			return fmt.Sprintf("PE %d %s charges differ: arg %d charged %d times vs %d", pe, e.Kind, e.Arg, ca[e], cb[e])
+		}
+	}
+	ma, errA := whatif.Replay(a, whatif.Identity(a))
+	mb, errB := whatif.Replay(b, whatif.Identity(b))
+	switch {
+	case errA != nil || errB != nil:
+		return fmt.Sprintf("identity replay failed: %v / %v", errA, errB)
+	case ma.Makespan != mb.Makespan:
+		return fmt.Sprintf("identity replay makespan differs: %d vs %d cycles", ma.Makespan, mb.Makespan)
+	}
+	return ""
+}
+
+// charges counts a PE's charged events by (kind, arg), an instruction
+// run split into its per-message charges.
+func charges(l *sim.PELog) map[sim.Event]int64 {
+	m := make(map[sim.Event]int64)
+	for _, e := range l.Events {
+		switch {
+		case e.Kind == sim.EvInstr:
+			ins, n := sim.InstrRunParts(e.Arg)
+			m[sim.Event{Kind: e.Kind, Arg: ins}] += n
+		case e.Kind.Charged():
+			m[e]++
+		}
+	}
+	return m
+}
+
+// RandomPerturbation derives a deterministic pseudo-random what-if
+// hypothesis from one seed word: every cost group scaled by an
+// independent factor in [1/4, 4), log-uniformly. The same seed always
+// yields the same perturbation, so a failing what-if check replays
+// exactly like a failing oracle.
+func RandomPerturbation(base sim.CostModel, seed uint64) whatif.Perturbation {
+	h := splitmix64(seed ^ 0x243f6a8885a308d3)
+	f := func() float64 {
+		h = splitmix64(h)
+		return math.Pow(2, float64(h%4096)/1024-2)
+	}
+	sc := whatif.CostScales{Network: f(), Local: f(), Quiet: f(), Instr: f(), Ingest: f()}
+	return whatif.Perturbation{Cost: whatif.ScaledCost(base, sc)}
 }
 
 // FindApp returns the registered app with the given name.
@@ -209,11 +274,9 @@ func DeriveSeed(master uint64, app, plan string, m sim.Machine) uint64 {
 	return splitmix64(h)
 }
 
-// splitmix64 is the standard splitmix64 step, giving the harness its
-// own deterministic stream without sharing state with package fault.
+// splitmix64 is one stats.SplitMix64 step from state z: the harness's
+// seed mixer, without sharing state with package fault.
 func splitmix64(z uint64) uint64 {
-	z += 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	s := stats.SplitMix64(z)
+	return s.Next()
 }

@@ -1,10 +1,9 @@
 package harness
 
 import (
-	"fmt"
-
 	"actorprof/internal/fault"
 	"actorprof/internal/sim"
+	"actorprof/internal/stats"
 )
 
 // DefaultMachines returns the machine shapes the differential matrix
@@ -51,8 +50,9 @@ type Failure struct {
 // each failure's spec reproduces its cell alone.
 func RunRandom(apps []App, machines []sim.Machine, seed uint64, n int, logf func(format string, args ...any)) []Failure {
 	var failures []Failure
+	rng := stats.SplitMix64(seed)
 	for i := 0; i < n; i++ {
-		h := splitmix64(seed + uint64(i)*0x9e3779b97f4a7c15)
+		h := rng.Next()
 		cell := Cell{
 			App:     apps[h%uint64(len(apps))],
 			Machine: machines[(h>>20)%uint64(len(machines))],
@@ -61,7 +61,7 @@ func RunRandom(apps []App, machines []sim.Machine, seed uint64, n int, logf func
 		if logf != nil {
 			logf("cell %d/%d: %s", i+1, n, cell.Spec())
 		}
-		if err := RunCell(cell); err != nil {
+		if _, err := Run(cell); err != nil {
 			failures = append(failures, Failure{
 				Spec: cell.Spec(),
 				Plan: cell.Plan,
@@ -73,22 +73,4 @@ func RunRandom(apps []App, machines []sim.Machine, seed uint64, n int, logf func
 		}
 	}
 	return failures
-}
-
-// CheckSameResult is a convenience oracle for apps whose every PE must
-// return one identical, schedule-independent value: it compares each
-// PE's result against want using eq.
-func CheckSameResult[T any](want T, eq func(got, want T) error) func(sim.Machine, []any) error {
-	return func(m sim.Machine, perPE []any) error {
-		for pe, r := range perPE {
-			got, ok := r.(T)
-			if !ok {
-				return fmt.Errorf("PE %d returned %T, want %T", pe, r, want)
-			}
-			if err := eq(got, want); err != nil {
-				return fmt.Errorf("PE %d: %w", pe, err)
-			}
-		}
-		return nil
-	}
 }

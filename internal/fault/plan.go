@@ -1,7 +1,6 @@
 package fault
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 )
@@ -114,19 +113,6 @@ func (p *Plan) ClockSkewPercent(pe int) int64 {
 
 // String returns a compact replay-friendly description.
 func (p *Plan) String() string { return fmt.Sprintf("%s:%#x", p.Name, p.Seed) }
-
-// MarshalArtifact renders the plan as indented JSON, the shape the soak
-// job uploads so a failure can be replayed byte-for-byte.
-func (p *Plan) MarshalArtifact() ([]byte, error) { return json.MarshalIndent(p, "", "  ") }
-
-// UnmarshalPlan parses a plan artifact written by MarshalArtifact.
-func UnmarshalPlan(data []byte) (*Plan, error) {
-	var p Plan
-	if err := json.Unmarshal(data, &p); err != nil {
-		return nil, fmt.Errorf("fault: parsing plan artifact: %w", err)
-	}
-	return &p, nil
-}
 
 // --- named plan shapes ----------------------------------------------------
 

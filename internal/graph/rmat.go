@@ -1,6 +1,10 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+
+	"actorprof/internal/stats"
+)
 
 // RMATConfig parameterizes the recursive-matrix (R-MAT) generator. The
 // paper's case study uses the graph500 standard: scale 16, edge factor
@@ -44,23 +48,6 @@ func (c RMATConfig) Validate() error {
 	return nil
 }
 
-// splitmix64 is a tiny, fast, well-distributed PRNG with a 64-bit state;
-// it keeps graph generation deterministic without depending on
-// math/rand's sequence stability.
-type splitmix64 struct{ state uint64 }
-
-func (s *splitmix64) next() uint64 {
-	s.state += 0x9e3779b97f4a7c15
-	z := s.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-func (s *splitmix64) float64() float64 {
-	return float64(s.next()>>11) / float64(1<<53)
-}
-
 // GenerateRMAT samples an R-MAT graph and returns its lower-triangular
 // CSR. Generation is deterministic in the config (including Seed).
 func GenerateRMAT(cfg RMATConfig) (*Graph, error) {
@@ -69,12 +56,12 @@ func GenerateRMAT(cfg RMATConfig) (*Graph, error) {
 	}
 	n := int64(1) << cfg.Scale
 	m := n * int64(cfg.EdgeFactor)
-	rng := splitmix64{state: cfg.Seed ^ 0x5851f42d4c957f2d}
+	rng := stats.SplitMix64(cfg.Seed ^ 0x5851f42d4c957f2d)
 	edges := make([]Edge, 0, m)
 	for e := int64(0); e < m; e++ {
 		var u, v int64
 		for level := cfg.Scale - 1; level >= 0; level-- {
-			r := rng.float64()
+			r := rng.Float64()
 			switch {
 			case r < cfg.A:
 				// top-left quadrant: neither bit set
