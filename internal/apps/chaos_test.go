@@ -47,6 +47,31 @@ func TestChaosDifferentialMatrix(t *testing.T) {
 	}
 }
 
+// TestChaosWhatIfMatrix is the causal-profiler soak cell of the chaos
+// matrix: every app runs once per machine shape under a randomized
+// fault plan (fault.PlanFromSeed), so plan shapes the fixed matrix
+// pairs with other apps get covered too. Each cell is harness.Run, whose
+// what-if differential validates the recorded schedule - the analytic
+// projection must match a deterministic replay bit-for-bit, both
+// unperturbed and under a seed-derived random cost perturbation.
+func TestChaosWhatIfMatrix(t *testing.T) {
+	if *chaosReplay != "" {
+		t.Skip("replaying a single cell via -chaos.replay")
+	}
+	for _, app := range ChaosApps() {
+		for _, m := range harness.DefaultMachines() {
+			seed := harness.DeriveSeed(*chaosSeed, app.Name, "whatif", m)
+			cell := harness.Cell{App: app, Machine: m, Plan: fault.PlanFromSeed(seed)}
+			t.Run(cell.Spec().String(), func(t *testing.T) {
+				t.Parallel()
+				if _, err := harness.Run(cell); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+}
+
 // TestChaosReplayCell re-runs one reported cell:
 //
 //	go test ./internal/apps -run TestChaosReplayCell -chaos.replay 'bfs/tiny-buffers/8x4/0x1234'
