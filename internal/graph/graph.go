@@ -7,7 +7,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Graph is the lower triangular part L of a simple undirected graph's
@@ -22,43 +22,45 @@ type Graph struct {
 
 // NewFromEdges builds the lower-triangular CSR from an undirected edge
 // list. Self loops are dropped and duplicate edges are merged; each edge
-// {u,v} is stored once as (max, min).
+// {u,v} is stored once as (max, min). The build is a counting sort: count
+// each row, scatter the rows' columns, then sort and compact every row in
+// place. edges is only read.
 func NewFromEdges(n int64, edges []Edge) (*Graph, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("graph: need a positive vertex count, got %d", n)
 	}
-	canon := make([]Edge, 0, len(edges))
+	// rowPtr[u] counts row u, then becomes its end, then (as the scatter
+	// fills the row backwards) its start.
+	g := &Graph{n: n, rowPtr: make([]int64, n+1)}
 	for _, e := range edges {
 		if e.U < 0 || e.U >= n || e.V < 0 || e.V >= n {
 			return nil, fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", e.U, e.V, n)
 		}
-		if e.U == e.V {
-			continue
+		if e.U != e.V {
+			g.rowPtr[max(e.U, e.V)]++
 		}
-		if e.U < e.V {
-			e.U, e.V = e.V, e.U
-		}
-		canon = append(canon, e)
 	}
-	sort.Slice(canon, func(i, j int) bool {
-		if canon[i].U != canon[j].U {
-			return canon[i].U < canon[j].U
-		}
-		return canon[i].V < canon[j].V
-	})
-	g := &Graph{n: n, rowPtr: make([]int64, n+1)}
-	var prev Edge = Edge{U: -1, V: -1}
-	for _, e := range canon {
-		if e == prev {
-			continue
-		}
-		prev = e
-		g.cols = append(g.cols, e.V)
-		g.rowPtr[e.U+1]++
+	for i := int64(1); i < n; i++ {
+		g.rowPtr[i] += g.rowPtr[i-1]
 	}
+	g.rowPtr[n] = g.rowPtr[n-1]
+	g.cols = make([]int64, g.rowPtr[n])
+	for _, e := range edges {
+		if e.U != e.V {
+			u := max(e.U, e.V)
+			g.rowPtr[u]--
+			g.cols[g.rowPtr[u]] = min(e.U, e.V)
+		}
+	}
+	var end int64
 	for i := int64(0); i < n; i++ {
-		g.rowPtr[i+1] += g.rowPtr[i]
+		row := g.cols[g.rowPtr[i]:g.rowPtr[i+1]]
+		slices.Sort(row)
+		g.rowPtr[i] = end
+		end += int64(copy(g.cols[end:], slices.Compact(row)))
 	}
+	g.rowPtr[n] = end
+	g.cols = g.cols[:end]
 	return g, nil
 }
 
@@ -83,9 +85,8 @@ func (g *Graph) Row(i int64) []int64 { return g.cols[g.rowPtr[i]:g.rowPtr[i+1]] 
 // HasEdge reports whether l_ij = 1 (requires j < i; callers pass the
 // canonical orientation as Algorithm 1 does).
 func (g *Graph) HasEdge(i, j int64) bool {
-	row := g.Row(i)
-	k := sort.Search(len(row), func(k int) bool { return row[k] >= j })
-	return k < len(row) && row[k] == j
+	_, ok := slices.BinarySearch(g.Row(i), j)
+	return ok
 }
 
 // MaxDegree returns the largest lower-triangular row degree.
@@ -137,26 +138,28 @@ func (g *Graph) Symmetrize() *Graph {
 		}
 	}
 	for i := int64(0); i < g.n; i++ {
-		row := full.cols[full.rowPtr[i]:full.rowPtr[i+1]]
-		sort.Slice(row, func(a, b int) bool { return row[a] < row[b] })
+		slices.Sort(full.cols[full.rowPtr[i]:full.rowPtr[i+1]])
 	}
 	return full
 }
 
-// CountTrianglesSerial counts triangles with a sequential merge-based
+// CountTrianglesSerial counts triangles with a sequential marking
 // algorithm. The paper validates the distributed count against an answer
-// "also calculated by the application"; this is that reference.
+// "also calculated by the application"; this is that reference. It shares
+// no step with the distributed probe (HasEdge per wedge): for each row i
+// it walks i's neighbors j in ascending order, counts the members of
+// row(j) already stamped i, which are i's neighbors below j, then stamps j.
 func (g *Graph) CountTrianglesSerial() int64 {
 	var count int64
+	stamp := make([]int64, g.n)
 	for i := int64(0); i < g.n; i++ {
-		row := g.Row(i)
-		for a := 0; a < len(row); a++ {
-			for b := 0; b < a; b++ {
-				// row[a] = j > row[b] = k; triangle iff l_jk exists.
-				if g.HasEdge(row[a], row[b]) {
+		for _, j := range g.Row(i) {
+			for _, k := range g.Row(j) {
+				if stamp[k] == i+1 {
 					count++
 				}
 			}
+			stamp[j] = i + 1
 		}
 	}
 	return count

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 )
 
@@ -23,11 +24,12 @@ func (g *Graph) WriteEdgeList(w io.Writer) error {
 
 // ReadEdgeList parses the WriteEdgeList format (and tolerates plain
 // edge lists without the header by growing the vertex count to the
-// largest id seen).
+// largest id seen). An edge line must hold exactly two decimal ids, and
+// a header's edge count must equal the built graph's.
 func ReadEdgeList(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var n int64 = -1
+	n, m := int64(-1), int64(-1)
 	var edges []Edge
 	var maxID int64
 	for sc.Scan() {
@@ -38,20 +40,23 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 		if strings.HasPrefix(line, "#") {
 			var hdrN, hdrM int64
 			if _, err := fmt.Sscanf(line, "# vertices %d edges %d", &hdrN, &hdrM); err == nil {
-				n = hdrN
+				n, m = hdrN, hdrM
 			}
 			continue
 		}
-		var u, v int64
-		if _, err := fmt.Sscanf(line, "%d %d", &u, &v); err != nil {
+		f := strings.Fields(line)
+		if len(f) != 2 {
+			return nil, fmt.Errorf("graph: bad edge line %q: want two vertex ids, got %d fields", line, len(f))
+		}
+		u, err := strconv.ParseInt(f[0], 10, 64)
+		if err != nil {
 			return nil, fmt.Errorf("graph: bad edge line %q: %w", line, err)
 		}
-		if u > maxID {
-			maxID = u
+		v, err := strconv.ParseInt(f[1], 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("graph: bad edge line %q: %w", line, err)
 		}
-		if v > maxID {
-			maxID = v
-		}
+		maxID = max(maxID, u, v)
 		edges = append(edges, Edge{U: u, V: v})
 	}
 	if err := sc.Err(); err != nil {
@@ -60,5 +65,9 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 	if n < 0 {
 		n = maxID + 1
 	}
-	return NewFromEdges(n, edges)
+	g, err := NewFromEdges(n, edges)
+	if err == nil && m >= 0 && g.NumEdges() != m {
+		return nil, fmt.Errorf("graph: header says %d edges, the list holds %d", m, g.NumEdges())
+	}
+	return g, err
 }

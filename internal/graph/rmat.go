@@ -57,24 +57,30 @@ func GenerateRMAT(cfg RMATConfig) (*Graph, error) {
 	n := int64(1) << cfg.Scale
 	m := n * int64(cfg.EdgeFactor)
 	rng := stats.SplitMix64(cfg.Seed ^ 0x5851f42d4c957f2d)
-	edges := make([]Edge, 0, m)
-	for e := int64(0); e < m; e++ {
+	// One draw r per level picks a quadrant: below A neither bit, below
+	// A+B v's bit, below A+B+C u's bit, else both. The bounds are summed
+	// as the quadrant walk sums them, and the bits are taken without a
+	// branch: u's is r >= A+B, v's is (r >= A) != (r >= A+B) or r >= A+B+C.
+	ab, abc := cfg.A+cfg.B, cfg.A+cfg.B+cfg.C
+	edges := make([]Edge, m)
+	for e := range edges {
 		var u, v int64
-		for level := cfg.Scale - 1; level >= 0; level-- {
+		for level := 0; level < cfg.Scale; level++ {
 			r := rng.Float64()
-			switch {
-			case r < cfg.A:
-				// top-left quadrant: neither bit set
-			case r < cfg.A+cfg.B:
-				v |= 1 << level
-			case r < cfg.A+cfg.B+cfg.C:
-				u |= 1 << level
-			default:
-				u |= 1 << level
-				v |= 1 << level
-			}
+			uBit := bit(r >= ab)
+			vBit := (bit(r >= cfg.A) ^ uBit) | bit(r >= abc)
+			u, v = u<<1|uBit, v<<1|vBit
 		}
-		edges = append(edges, Edge{U: u, V: v})
+		edges[e] = Edge{U: u, V: v}
 	}
 	return NewFromEdges(n, edges)
+}
+
+// bit is 1 for true and 0 for false; the compiler lowers it to a flag
+// set, not a branch.
+func bit(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
 }

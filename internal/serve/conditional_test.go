@@ -65,6 +65,9 @@ func TestConditionalRequests(t *testing.T) {
 		{"accept gzip gets gzip", "GET", map[string]string{"Accept-Encoding": "gzip"}, 200, "gzip"},
 		{"accept anything gets gzip", "GET", map[string]string{"Accept-Encoding": "*"}, 200, "gzip"},
 		{"gzip at q=0 stays identity", "GET", map[string]string{"Accept-Encoding": "gzip;q=0"}, 200, "identity"},
+		{"codings match in any case", "GET", map[string]string{"Accept-Encoding": "GZIP"}, 200, "gzip"},
+		{"x-gzip is gzip", "GET", map[string]string{"Accept-Encoding": "x-gzip"}, 200, "gzip"},
+		{"an upper-case Q=0 refuses too", "GET", map[string]string{"Accept-Encoding": "gzip;Q=0"}, 200, "identity"},
 		{"refused gzip beats a wildcard", "GET", map[string]string{"Accept-Encoding": "*, gzip;q=0"}, 200, "identity"},
 		{"listed gzip beats a refused wildcard", "GET", map[string]string{"Accept-Encoding": "*;q=0, gzip"}, 200, "gzip"},
 		{"unknown coding stays identity", "GET", map[string]string{"Accept-Encoding": "br"}, 200, "identity"},

@@ -277,8 +277,10 @@ func etagAfter(prefix []byte, rest string) string {
 }
 
 // acceptsGzip reports whether the request's Accept-Encoding allows a
-// gzip response: an explicit gzip entry decides, and * applies only when
-// gzip is not listed. Either refuses at q=0.
+// gzip response: an explicit gzip (or its alias x-gzip) entry decides,
+// and * applies only when gzip is not listed. Either refuses at q=0.
+// Codings and the q parameter match case-insensitively (RFC 9110 §8.4.1,
+// §12.4.2).
 func acceptsGzip(r *http.Request) bool {
 	star := false
 	for rest := r.Header.Get("Accept-Encoding"); rest != ""; {
@@ -286,14 +288,14 @@ func acceptsGzip(r *http.Request) bool {
 		part, rest, _ = strings.Cut(rest, ",")
 		token, q, _ := strings.Cut(strings.TrimSpace(part), ";")
 		allowed := true
-		if qv, hasQ := strings.CutPrefix(strings.TrimSpace(q), "q="); hasQ {
-			f, err := strconv.ParseFloat(strings.TrimSpace(qv), 64)
+		if q = strings.TrimSpace(q); len(q) >= 2 && strings.EqualFold(q[:2], "q=") {
+			f, err := strconv.ParseFloat(strings.TrimSpace(q[2:]), 64)
 			allowed = err != nil || f != 0
 		}
-		switch strings.TrimSpace(token) {
-		case "gzip":
+		switch token = strings.TrimSpace(token); {
+		case strings.EqualFold(token, "gzip"), strings.EqualFold(token, "x-gzip"):
 			return allowed
-		case "*":
+		case token == "*":
 			star = allowed
 		}
 	}
