@@ -40,14 +40,26 @@ var (
 // one scale-16 R-MAT graph; ours shares one at the configured scale).
 func sharedGraph(b *testing.B) *graph.Graph {
 	b.Helper()
+	scale := benchScale(b)
 	benchGraphOnce.Do(func() {
-		g, err := graph.GenerateRMAT(graph.Graph500(core.EnvScale(), 16, benchSeed))
+		g, err := graph.GenerateRMAT(graph.Graph500(scale, 16, benchSeed))
 		if err != nil {
 			panic(err)
 		}
 		benchGraph = g
 	})
 	return benchGraph
+}
+
+// benchScale is the case-study scale, ACTORPROF_SCALE's when it is set;
+// a value that is set but invalid fails the benchmark.
+func benchScale(b *testing.B) int {
+	b.Helper()
+	scale, err := core.EnvScale()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return scale
 }
 
 // runCase executes one case-study cell and validates the count.
@@ -401,7 +413,7 @@ func BenchmarkAblationDistributions(b *testing.B) {
 // per-PE load, and simCycles divided by it gives the per-message cost
 // trend across machine sizes.
 func BenchmarkWeakScaling(b *testing.B) {
-	base := core.EnvScale() - 1
+	base := benchScale(b) - 1
 	for i, nodes := range []int{1, 2, 4} {
 		scale := base + i
 		b.Run(benchName("nodes", nodes), func(b *testing.B) {
@@ -495,7 +507,7 @@ func BenchmarkAppIndexGather(b *testing.B) {
 }
 
 func BenchmarkAppJaccard(b *testing.B) {
-	g, err := graph.GenerateRMAT(graph.Graph500(core.EnvScale()-2, 8, benchSeed))
+	g, err := graph.GenerateRMAT(graph.Graph500(benchScale(b)-2, 8, benchSeed))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -522,7 +534,7 @@ func BenchmarkAppJaccard(b *testing.B) {
 }
 
 func BenchmarkAppInfluence(b *testing.B) {
-	g, err := graph.GenerateRMAT(graph.Graph500(core.EnvScale()-3, 8, benchSeed))
+	g, err := graph.GenerateRMAT(graph.Graph500(benchScale(b)-3, 8, benchSeed))
 	if err != nil {
 		b.Fatal(err)
 	}

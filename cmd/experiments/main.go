@@ -5,7 +5,12 @@
 //
 // Usage:
 //
-//	experiments [-scale N] [-out DIR] [-cpuprofile FILE] [-memprofile FILE]
+//	experiments [-scale N | -sweep N,M,...] [-out DIR] [-cpuprofile FILE] [-memprofile FILE]
+//
+// The summary is one table of the paper's claims: a row per figure, the
+// paper's observation, and what the run measured. -sweep writes the same
+// table with one measured column per scale, to show how each claim's
+// factor moves with the input, and writes no figures or traces.
 //
 // -cpuprofile and -memprofile write runtime/pprof profiles of the whole
 // run (gzipped protobuf; read them with go tool pprof): CPU samples, and
@@ -16,7 +21,9 @@
 //
 //	results/
 //	  summary.md                    paper-vs-measured, one row per figure
+//	  scale_sweep.md                the same rows, one column per -sweep scale
 //	  fig03_.../  fig04_.../ ...    per-figure SVG + txt renderings
+//	  shmem_api_profile.txt         the Section V-B OpenSHMEM call counts
 //	  traces/<nodes>n_<dist>/       raw ActorProf trace files
 package main
 
@@ -48,12 +55,7 @@ import (
 	"actorprof/internal/viz"
 )
 
-type runner struct {
-	out     string
-	scale   int
-	reports map[string]*core.TriangleReport // key: "1n_cyclic" etc.
-	summary []string
-}
+type runner struct{ out string }
 
 func main() {
 	if err := runMain(os.Args[1:]); err != nil {
@@ -63,7 +65,8 @@ func main() {
 
 func runMain(args []string) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
-	scale := fs.Int("scale", core.EnvScale(), "R-MAT scale (paper: 16)")
+	defScale, envErr := core.EnvScale()
+	scale := fs.Int("scale", defScale, "R-MAT scale (paper: 16)")
 	out := fs.String("out", "results", "output directory")
 	sweep := fs.String("sweep", "", "comma-separated scales for a scale-sensitivity sweep (e.g. 10,11,12)")
 	scaleup := fs.Bool("scaleup", false, "run the 256-PE scale-up scenario (isort + trianglecount) through the streaming-aggregation path")
@@ -75,18 +78,35 @@ func runMain(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if envErr != nil {
+		return envErr
+	}
+	scales := []int{*scale}
+	if *sweep != "" {
+		scales = nil
+		for _, tok := range strings.Split(*sweep, ",") {
+			s, err := strconv.Atoi(strings.TrimSpace(tok))
+			if err != nil {
+				return fmt.Errorf("bad sweep scale %q: %w", tok, err)
+			}
+			scales = append(scales, s)
+		}
+	}
+	if lo := slices.Min(scales); lo < 1 {
+		return fmt.Errorf("scale %d: an R-MAT scale is at least 1", lo)
+	}
+	if err := os.MkdirAll(*out, 0o755); err != nil {
+		return err
+	}
 	stop, err := startProfiles(*cpuProfile, *memProfile)
 	if err != nil {
 		return err
 	}
-	r := &runner{out: *out, scale: *scale, reports: map[string]*core.TriangleReport{}}
-	switch {
-	case *scaleup:
+	r := &runner{out: *out}
+	if *scaleup {
 		err = r.runScaleUp(*suPEs, 16, *suScale, *suKeys)
-	case *sweep != "":
-		err = r.runSweep(*sweep)
-	default:
-		err = r.run()
+	} else {
+		err = r.run(scales, *sweep != "")
 	}
 	return errors.Join(err, stop())
 }
@@ -129,46 +149,6 @@ func writeHeapProfile(path string) error {
 	return errors.Join(pprof.WriteHeapProfile(f), f.Close())
 }
 
-// runSweep measures the scale sensitivity of the headline shape metrics:
-// the paper's factors (cyclic/range max sends, TOT_INS imbalance, range
-// speedup) at several R-MAT scales, demonstrating that the qualitative
-// conclusions are scale-stable while the factors grow with the skew.
-func (r *runner) runSweep(list string) error {
-	if err := os.MkdirAll(r.out, 0o755); err != nil {
-		return err
-	}
-	rows := []string{"| scale | vertices | messages | maxSend cy/rg | TOT_INS imb (cy) | range speedup |",
-		"|---|---|---|---|---|---|"}
-	for _, tok := range strings.Split(list, ",") {
-		scale, err := strconv.Atoi(strings.TrimSpace(tok))
-		if err != nil {
-			return fmt.Errorf("bad sweep scale %q: %w", tok, err)
-		}
-		var reps []*core.TriangleReport // cyclic, then range
-		if err := grid(scale, []int{1}, func(_ string, rep *core.TriangleReport, _ time.Time) error {
-			reps = append(reps, rep)
-			return nil
-		}); err != nil {
-			return err
-		}
-		cy, rg := reps[0], reps[1]
-		cyM, rgM := cy.Set.LogicalMatrix(), rg.Set.LogicalMatrix()
-		rows = append(rows, fmt.Sprintf("| %d | %d | %d | %.1fx | %.1fx | %.1fx |",
-			scale, cy.Graph.NumVertices(), cyM.Total(),
-			ratio(slices.Max(cyM.SendTotals()), slices.Max(rgM.SendTotals())),
-			trace.MaxOverMean(cy.Set.PAPITotalsPerPE(papi.TOT_INS)),
-			ratio(maxTotal(cy.Set), maxTotal(rg.Set))))
-		fmt.Println(rows[len(rows)-1])
-	}
-	content := "# Scale-sensitivity sweep (1 node, 16 PEs)\n\n" + strings.Join(rows, "\n") + "\n"
-	path := filepath.Join(r.out, "scale_sweep.md")
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("sweep written to %s\n", path)
-	return nil
-}
-
 // scaleUpTrace is the streaming-aggregation configuration the scale-up
 // scenario runs under: the collector folds every record into O(PEs^2)
 // matrices at collection time (paper Section VI: materializing the
@@ -188,9 +168,6 @@ func scaleUpTrace() trace.Config {
 // all profiling running through the streaming-aggregation path. Results
 // land in <out>/scaleup.md.
 func (r *runner) runScaleUp(pes, perNode, scale, keysPerPE int) error {
-	if err := os.MkdirAll(r.out, 0o755); err != nil {
-		return err
-	}
 	rows := []string{
 		"| app | input | PEs | messages | validated | send imb (max/mean) | TOT_INS imb | host wall | ns/message | peak RSS so far | sleeps/PE mean (max) | yields/PE mean (max) |",
 		"|---|---|---|---|---|---|---|---|---|---|---|---|",
@@ -318,78 +295,152 @@ func meanMax(waits []shmem.ProgressStats, counter func(shmem.ProgressStats) int6
 	return fmt.Sprintf("%.0f (%d)", float64(sum)/float64(len(waits)), mx)
 }
 
-func (r *runner) run() error {
-	if err := os.MkdirAll(r.out, 0o755); err != nil {
-		return err
-	}
-	fmt.Printf("running the case-study grid at scale %d (paper: 16; set ACTORPROF_SCALE)\n", r.scale)
+// study is what the driver keeps of the case study at one scale: each
+// grid run's O(PEs^2) Summary, never its Set, the Section IV-E host
+// timings, and the Section V-B API profile of the 2-node cyclic run.
+type study struct {
+	cells map[string]*trace.Summary // by key, "1n_cyclic"
+	wall  [3]time.Duration          // minimal, full and sampled tracing
+	prof  *shmem.APIProfile
+}
 
-	// The 2x2 grid of the case study.
-	if err := grid(r.scale, []int{1, 2}, func(key string, rep *core.TriangleReport, start time.Time) error {
-		if len(r.reports) == 0 {
-			fmt.Printf("graph: %d vertices, %d edges, %d wedges, %d triangles\n",
-				rep.Graph.NumVertices(), rep.Graph.NumEdges(), rep.Graph.Wedges(), rep.Expected)
-		}
-		r.reports[key] = rep
-		dir := filepath.Join(r.out, "traces", key)
-		if err := rep.Set.WriteFiles(dir); err != nil {
+// dists are the two distributions the case study compares, in table order.
+var dists = []core.DistKind{core.DistCyclic, core.DistRange}
+
+func key(nodes int, dist core.DistKind) string { return fmt.Sprintf("%dn_%s", nodes, dist) }
+
+func (s *study) cell(nodes int, dist core.DistKind) *trace.Summary { return s.cells[key(nodes, dist)] }
+
+// run measures the case study at each scale and writes the claims
+// table: to summary.md for a -scale run, which also writes every figure
+// and trace, or to scale_sweep.md, one measured column per scale, for a
+// sweep. It prints the table and then the process's peak RSS.
+func (r *runner) run(scales []int, sweep bool) error {
+	name, title, cols := "summary.md", fmt.Sprintf("Reproduction summary (scale %d)", scales[0]), []string{"Measured"}
+	if sweep {
+		name, title, cols = "scale_sweep.md", "Scale-sensitivity sweep (16 PEs per node)", nil
+	}
+	var studies []*study
+	for _, scale := range scales {
+		s, err := r.measure(scale, !sweep)
+		if err != nil {
 			return err
 		}
-		fmt.Printf("  %-10s: ok in %v (trace -> %s)\n", key, time.Since(start).Round(time.Millisecond), dir)
-		return nil
-	}); err != nil {
-		return err
-	}
-
-	r.summarize()
-	for _, step := range []func() error{r.figures, r.overhead, r.apiProfile} {
-		if err := step(); err != nil {
-			return err
+		studies = append(studies, s)
+		if sweep {
+			cols = append(cols, fmt.Sprintf("scale %d", scale))
 		}
 	}
-
-	summaryPath := filepath.Join(r.out, "summary.md")
-	content := "# Reproduction summary (scale " + strconv.Itoa(r.scale) + ")\n\n" +
-		"| Figure | Paper observation | Measured |\n|---|---|---|\n" +
-		strings.Join(r.summary, "\n") + "\n"
-	if err := os.WriteFile(summaryPath, []byte(content), 0o644); err != nil {
+	var b strings.Builder
+	fmt.Fprintf(&b, "# %s\n\n| Figure | Paper observation | %s |\n|---|---|%s\n",
+		title, strings.Join(cols, " | "), strings.Repeat("---|", len(cols)))
+	for _, c := range claims {
+		fmt.Fprintf(&b, "| %s | %s |", c.fig, c.paper)
+		for _, s := range studies {
+			fmt.Fprintf(&b, " %s |", c.measure(s))
+		}
+		b.WriteByte('\n')
+	}
+	path := filepath.Join(r.out, name)
+	if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("\nsummary written to %s\n", summaryPath)
-	fmt.Print("\n" + content)
+	fmt.Printf("\n%s written to %s\n\n%speak RSS %.0f MB\n", name, path, b.String(), peakRSSMB())
 	return nil
 }
 
-func (r *runner) add(fig, paper, measured string) {
-	r.summary = append(r.summary, fmt.Sprintf("| %s | %s | %s |", fig, paper, measured))
-}
-
-// grid runs the case study at scale on 16 PEs per node for each count
-// in nodes, under the cyclic and then the range distribution, all
-// features on and sharing one R-MAT graph. It hands each validated run
-// to ran with its key ("1n_cyclic") and the time the run started.
-func grid(scale int, nodes []int, ran func(key string, rep *core.TriangleReport, start time.Time) error) error {
+// measure runs the case study at scale: 1 and 2 nodes of 16 PEs under
+// each distribution, all features on and sharing one R-MAT graph, then
+// the Section IV-E overhead runs. With write set, each grid run's traces
+// and figures are written while its Set is alive, and the combined
+// violins and the API profile once the grid is done.
+func (r *runner) measure(scale int, write bool) (*study, error) {
+	s := &study{cells: map[string]*trace.Summary{}, prof: shmem.NewAPIProfile()}
 	var g *graph.Graph
-	for _, n := range nodes {
-		for _, dist := range []core.DistKind{core.DistCyclic, core.DistRange} {
+	for _, nodes := range []int{1, 2} {
+		for _, dist := range dists {
 			start := time.Now()
-			rep, err := core.RunTriangle(core.TriangleExperiment{
+			exp := core.TriangleExperiment{
 				Scale: scale, EdgeFactor: 16, Seed: 42,
-				NumPEs: n * 16, PEsPerNode: 16, Dist: dist, Graph: g,
-			})
+				NumPEs: nodes * 16, PEsPerNode: 16, Dist: dist, Graph: g,
+			}
+			if nodes == 2 && dist == core.DistCyclic {
+				exp.APIProfile = s.prof
+			}
+			rep, err := core.RunTriangle(exp)
 			if err != nil {
-				return err
+				return nil, fmt.Errorf("scale %d, %s: %w", scale, key(nodes, dist), err)
 			}
-			if !rep.Validated() {
-				return fmt.Errorf("scale %d, %dn %s: validation failed", scale, n, dist)
+			if g == nil {
+				g = rep.Graph
+				fmt.Printf("scale %d graph: %d vertices, %d edges, %d wedges, %d triangles\n",
+					scale, g.NumVertices(), g.NumEdges(), g.Wedges(), rep.Expected)
 			}
-			g = rep.Graph
-			if err := ran(fmt.Sprintf("%dn_%s", n, dist), rep, start); err != nil {
-				return err
+			s.cells[key(nodes, dist)] = rep.Set.Summary()
+			if write {
+				if err := r.write(nodes, dist, rep); err != nil {
+					return nil, err
+				}
 			}
+			fmt.Printf("  %-10s: ok in %v\n", key(nodes, dist), time.Since(start).Round(time.Millisecond))
 		}
 	}
-	return nil
+	sampled := core.FullTrace()
+	sampled.LogicalSample, sampled.PAPIRecordEvery = 100, 256
+	// Tracing off is Overall only: a zero Config enables every feature.
+	for i, cfg := range []trace.Config{{Overall: true}, core.FullTrace(), sampled} {
+		start := time.Now()
+		if _, err := core.RunTriangle(core.TriangleExperiment{
+			Graph: g, NumPEs: 16, PEsPerNode: 16, Dist: core.DistCyclic, Trace: cfg,
+		}); err != nil {
+			return nil, fmt.Errorf("scale %d, overhead run: %w", scale, err)
+		}
+		s.wall[i] = time.Since(start)
+	}
+	if !write {
+		return s, nil
+	}
+	// The paper's combined panel: all four groups on a shared axis.
+	for _, nodes := range []int{1, 2} {
+		combined := &viz.Violin{Title: fmt.Sprintf("Logical sends/recvs per PE - %d node(s)", nodes), YLabel: "messages per PE"}
+		for _, dist := range dists {
+			for _, grp := range core.LogicalViolin(s.cell(nodes, dist), "").Groups {
+				grp.Label = fmt.Sprintf("%s %s", dist, grp.Label)
+				combined.Groups = append(combined.Groups, grp)
+			}
+		}
+		if err := r.save("fig05_logical_violin", fmt.Sprintf("combined_%dnode", nodes), combined); err != nil {
+			return nil, err
+		}
+	}
+	return s, os.WriteFile(filepath.Join(r.out, "shmem_api_profile.txt"), []byte(s.prof.Report()), 0o644)
+}
+
+// write saves one grid run's traces under traces/<key> and its panels
+// of Figures 3-13.
+func (r *runner) write(nodes int, dist core.DistKind, rep *core.TriangleReport) error {
+	set, d, perNode := rep.Set, string(dist), fmt.Sprintf("%s_%dnode", dist, nodes)
+	// fig names the directory of figure n+nodes: the one- and two-node
+	// panels are consecutive figures.
+	fig := func(n int, what string) string { return fmt.Sprintf("fig%02d_%s_%dnode", n+nodes, what, nodes) }
+	err := errors.Join(
+		set.WriteFiles(filepath.Join(r.out, "traces", key(nodes, dist))),
+		r.save(fig(2, "logical_heatmap"), d, core.LogicalHeatmap(set, "Logical trace - "+rep.DistName)),
+		r.save("fig05_logical_violin", perNode, core.LogicalViolin(set, "Logical violin - "+rep.DistName)),
+		r.save("fig07_physical_violin", perNode, core.PhysicalViolin(set, "Physical violin - "+rep.DistName)),
+		r.save(fig(7, "physical_heatmap"), d, core.PhysicalHeatmap(set, "Physical trace - "+rep.DistName)),
+		r.save(fig(9, "papi_bar"), d, core.PAPIBar(set, papi.TOT_INS, "PAPI_TOT_INS - "+rep.DistName)),
+		r.save(fig(11, "overall"), d+"_absolute", core.OverallStacked(set, false, "Overall (absolute) - "+rep.DistName)),
+		r.save(fig(11, "overall"), d+"_relative", core.OverallStacked(set, true, "Overall (relative) - "+rep.DistName)),
+	)
+	// Per-mechanism physical heatmaps, as the paper separates them.
+	for _, kind := range []conveyor.SendKind{conveyor.LocalSend, conveyor.NonblockSend} {
+		if m := set.PhysicalMatrixOf(kind); m.Total() > 0 {
+			err = errors.Join(err, r.save(fig(7, "physical_heatmap"), fmt.Sprintf("%s_%s", dist, kind),
+				&viz.Heatmap{Title: fmt.Sprintf("%s - %s", kind, rep.DistName), Cells: m, Totals: true}))
+		}
+	}
+	return err
 }
 
 // save renders p as <name>.svg and <name>.txt under a figure directory.
@@ -412,255 +463,103 @@ func (r *runner) save(figDir, name string, p viz.Plot) error {
 	return os.WriteFile(filepath.Join(dir, name+".txt"), txt.Bytes(), 0o644)
 }
 
-// rep returns the grid's run on nodes nodes under dist.
-func (r *runner) rep(nodes int, dist core.DistKind) *core.TriangleReport {
-	return r.reports[fmt.Sprintf("%dn_%s", nodes, dist)]
+// claim is one row of the claims table: a figure, the paper's
+// observation of it, and its measurement in one study.
+type claim struct {
+	fig, paper string
+	measure    func(*study) string
 }
 
-// figure is one plot file of the paper's figures.
-type figure struct {
-	dir, name string
-	plot      viz.Plot
-}
-
-// figures saves the plots of Figures 3-13: the table of each run of the
-// grid, then the paper's combined violin panel per node count.
-func (r *runner) figures() error {
+// perNode is a claim the paper makes of both node counts: one row per
+// count, the 1-node one labelled figure first.
+func perNode(first int, paper string, measure func(s *study, nodes int) string) []claim {
+	var rows []claim
 	for _, nodes := range []int{1, 2} {
-		for _, dist := range []core.DistKind{core.DistCyclic, core.DistRange} {
-			rep, d, perNode := r.rep(nodes, dist), string(dist), fmt.Sprintf("%s_%dnode", dist, nodes)
-			// fig names the directory of figure n+nodes: the one- and
-			// two-node panels are consecutive figures.
-			fig := func(n int, what string) string { return fmt.Sprintf("fig%02d_%s_%dnode", n+nodes, what, nodes) }
-			figs := []figure{
-				{fig(2, "logical_heatmap"), d, core.LogicalHeatmap(rep.Set, "Logical trace - "+rep.DistName)},
-				{"fig05_logical_violin", perNode, core.LogicalViolin(rep.Set, "Logical violin - "+rep.DistName)},
-				{"fig07_physical_violin", perNode, core.PhysicalViolin(rep.Set, "Physical violin - "+rep.DistName)},
-				{fig(7, "physical_heatmap"), d, core.PhysicalHeatmap(rep.Set, "Physical trace - "+rep.DistName)},
-				{fig(9, "papi_bar"), d, core.PAPIBar(rep.Set, papi.TOT_INS, "PAPI_TOT_INS - "+rep.DistName)},
-				{fig(11, "overall"), d + "_absolute", core.OverallStacked(rep.Set, false, "Overall (absolute) - "+rep.DistName)},
-				{fig(11, "overall"), d + "_relative", core.OverallStacked(rep.Set, true, "Overall (relative) - "+rep.DistName)},
-			}
-			// Per-mechanism physical heatmaps, as the paper separates them.
-			for _, kind := range []conveyor.SendKind{conveyor.LocalSend, conveyor.NonblockSend} {
-				if m := rep.Set.PhysicalMatrixOf(kind); m.Total() > 0 {
-					figs = append(figs, figure{fig(7, "physical_heatmap"), fmt.Sprintf("%s_%s", dist, kind),
-						&viz.Heatmap{Title: fmt.Sprintf("%s - %s", kind, rep.DistName), Cells: m, Totals: true}})
-				}
-			}
-			for _, f := range figs {
-				if err := r.save(f.dir, f.name, f.plot); err != nil {
-					return err
-				}
-			}
-		}
-		// The paper's combined panel: all four groups on a shared axis.
-		cy := r.rep(nodes, core.DistCyclic).Set.LogicalMatrix()
-		rg := r.rep(nodes, core.DistRange).Set.LogicalMatrix()
-		combined := &viz.Violin{
-			Title:  fmt.Sprintf("Logical sends/recvs per PE - %d node(s)", nodes),
-			YLabel: "messages per PE",
-			Groups: []viz.ViolinGroup{
-				{Label: "cyclic sends", Values: toF(cy.SendTotals())},
-				{Label: "cyclic recvs", Values: toF(cy.RecvTotals())},
-				{Label: "range sends", Values: toF(rg.SendTotals())},
-				{Label: "range recvs", Values: toF(rg.RecvTotals())},
-			},
-		}
-		if err := r.save("fig05_logical_violin", fmt.Sprintf("combined_%dnode", nodes), combined); err != nil {
-			return err
-		}
+		rows = append(rows, claim{fmt.Sprintf("Fig %d (%d node)", first+nodes-1, nodes), paper,
+			func(s *study) string { return measure(s, nodes) }})
 	}
-	return nil
+	return rows
 }
 
-// summarize adds the summary rows of Figures 3-13, in figure order.
-func (r *runner) summarize() {
-	for _, nodes := range []int{1, 2} {
-		cyM, rgM := r.rep(nodes, core.DistCyclic).Set.LogicalMatrix(), r.rep(nodes, core.DistRange).Set.LogicalMatrix()
-		r.add(fmt.Sprintf("Fig %d (%d node)", nodes+2, nodes),
-			"Cyclic: PE0-heavy, irregular; Range: (L) shape; cyclic max sends ~6x, recvs ~2x range's",
-			fmt.Sprintf("max sends cyclic/range %.1fx, max recvs %.1fx, cyclic send-imb %.1fx vs range %.1fx",
-				ratio(slices.Max(cyM.SendTotals()), slices.Max(rgM.SendTotals())),
-				ratio(slices.Max(cyM.RecvTotals()), slices.Max(rgM.RecvTotals())),
-				trace.MaxOverMean(cyM.SendTotals()), trace.MaxOverMean(rgM.SendTotals())))
-	}
+// claims are the rows of summary.md and scale_sweep.md, in figure order.
+var claims = slices.Concat(
+	perNode(3, "Cyclic: PE0-heavy, irregular; Range: (L) shape; cyclic max sends ~6x, recvs ~2x range's",
+		func(s *study, nodes int) string {
+			cy, rg := s.cell(nodes, core.DistCyclic).LogicalMatrix(), s.cell(nodes, core.DistRange).LogicalMatrix()
+			return fmt.Sprintf("max sends cyclic/range %.1fx, max recvs %.1fx, cyclic send-imb %.1fx vs range %.1fx",
+				core.MaxRatio(cy.SendTotals(), rg.SendTotals()), core.MaxRatio(cy.RecvTotals(), rg.RecvTotals()),
+				trace.MaxOverMean(cy.SendTotals()), trace.MaxOverMean(rg.SendTotals()))
+		}),
+	[]claim{
+		{"Fig 5", "1 node: cyclic max recv ~1.33x max send; 2 nodes: max send ~2-3x max recv",
+			func(s *study) string {
+				cy1, cy2 := s.cell(1, core.DistCyclic).LogicalMatrix(), s.cell(2, core.DistCyclic).LogicalMatrix()
+				return fmt.Sprintf("1n maxRecv/maxSend %.2f; 2n maxSend/maxRecv %.2f",
+					core.MaxRatio(cy1.RecvTotals(), cy1.SendTotals()), core.MaxRatio(cy2.SendTotals(), cy2.RecvTotals()))
+			}},
+		{"Fig 6", "Range communication is lower-triangular; recvs decrease monotonically with PE id", lShape},
+		{"Fig 7", "Cyclic buffer sends ~2-4x worse than range; recvs ~5-15% worse",
+			func(s *study) string {
+				cy, rg := s.cell(1, core.DistCyclic).PhysicalMatrix(), s.cell(1, core.DistRange).PhysicalMatrix()
+				return fmt.Sprintf("1n max buffer sends cyclic/range %.1fx; recvs %.2fx",
+					core.MaxRatio(cy.SendTotals(), rg.SendTotals()), core.MaxRatio(cy.RecvTotals(), rg.RecvTotals()))
+			}},
+		{"Fig 8/9", "1 node: 1D linear (local_send only); 2 nodes: 2D mesh (rows local_send, columns nonblock_send)",
+			func(s *study) string {
+				k1, k2 := s.cell(1, core.DistCyclic).PhysicalKindCounts(), s.cell(2, core.DistCyclic).PhysicalKindCounts()
+				return fmt.Sprintf("1n: local=%d nonblock=%d; 2n: local=%d nonblock=%d progress=%d",
+					k1[conveyor.LocalSend], k1[conveyor.NonblockSend],
+					k2[conveyor.LocalSend], k2[conveyor.NonblockSend], k2[conveyor.NonblockProgress])
+			}},
+	},
+	perNode(10, "PE0 TOT_INS imbalance up to ~4-5x under cyclic; flat under range",
+		func(s *study, nodes int) string {
+			return fmt.Sprintf("cyclic imb %.1fx, range imb %.1fx",
+				trace.MaxOverMean(s.cell(nodes, core.DistCyclic).PAPITotalsPerPE(papi.TOT_INS)),
+				trace.MaxOverMean(s.cell(nodes, core.DistRange).PAPITotalsPerPE(papi.TOT_INS)))
+		}),
+	perNode(12, "COMM dominant; MAIN <=5%; PROC cyclic <=5% vs range 20-24%; range ~2x faster",
+		func(s *study, nodes int) string {
+			cy, rg := s.cell(nodes, core.DistCyclic), s.cell(nodes, core.DistRange)
+			cm, cc, cp := core.Shares(cy)
+			rm, rc, rp := core.Shares(rg)
+			return fmt.Sprintf("cyclic M/C/P %.0f/%.0f/%.0f%%, range %.0f/%.0f/%.0f%%, range %.1fx faster",
+				100*cm, 100*cc, 100*cp, 100*rm, 100*rc, 100*rp, core.Speedup(cy, rg))
+		}),
+	[]claim{
+		{"Sec IV-E", "Tracing overhead grows with message volume; trace size is the scaling concern",
+			func(s *study) string {
+				off, full, samp := s.wall[0], s.wall[1], s.wall[2]
+				return fmt.Sprintf("host wall-clock: minimal %v, full tracing %v (%.2fx), sampled %v (%.2fx)",
+					off.Round(time.Millisecond), full.Round(time.Millisecond), float64(full)/float64(off),
+					samp.Round(time.Millisecond), float64(samp)/float64(off))
+			}},
+		{"Sec V-B", "Existing profilers cannot capture shmem_putmem_nbi/shmem_quiet; a pshmem-style profiling interface could",
+			func(s *study) string {
+				kinds := s.cell(2, core.DistCyclic).PhysicalKindCounts()
+				return fmt.Sprintf("captured putmem_nbi=%d (= 2 x %d nonblock_sends), quiet=%d (= %d nonblock_progress)",
+					s.prof.TotalCount(shmem.RoutinePutNBI), kinds[conveyor.NonblockSend],
+					s.prof.TotalCount(shmem.RoutineQuiet), kinds[conveyor.NonblockProgress])
+			}},
+	},
+)
 
-	cy1 := r.rep(1, core.DistCyclic).Set.LogicalMatrix()
-	cy2 := r.rep(2, core.DistCyclic).Set.LogicalMatrix()
-	r.add("Fig 5",
-		"1 node: cyclic max recv ~1.33x max send; 2 nodes: max send ~2-3x max recv",
-		fmt.Sprintf("1n maxRecv/maxSend %.2f; 2n maxSend/maxRecv %.2f",
-			ratio(slices.Max(cy1.RecvTotals()), slices.Max(cy1.SendTotals())),
-			ratio(slices.Max(cy2.SendTotals()), slices.Max(cy2.RecvTotals()))))
-
-	m := r.rep(1, core.DistRange).Set.LogicalMatrix()
-	var upper int64
-	n := len(m)
-	for src := 0; src < n; src++ {
-		for dst := src + 1; dst < n; dst++ {
-			upper += m[src][dst]
-		}
-	}
-	var agree, pairs float64
+// lShape measures Figure 6 on the 1-node range run: the sends above the
+// diagonal, and the fraction of PE pairs p < q where p receives at least
+// as much as q.
+func lShape(s *study) string {
+	m := s.cell(1, core.DistRange).LogicalMatrix()
 	recvs := m.RecvTotals()
-	for p := 0; p < n; p++ {
-		for q := p + 1; q < n; q++ {
+	var upper int64
+	var agree, pairs float64
+	for p := range m {
+		for q := p + 1; q < len(m); q++ {
+			upper += m[p][q]
 			pairs++
 			if recvs[p] >= recvs[q] {
 				agree++
 			}
 		}
 	}
-	r.add("Fig 6",
-		"Range communication is lower-triangular; recvs decrease monotonically with PE id",
-		fmt.Sprintf("upper-triangle sends = %d; recv monotonicity %.2f", upper, agree/pairs))
-
-	cyP, rgP := r.rep(1, core.DistCyclic).Set.PhysicalMatrix(), r.rep(1, core.DistRange).Set.PhysicalMatrix()
-	r.add("Fig 7",
-		"Cyclic buffer sends ~2-4x worse than range; recvs ~5-15% worse",
-		fmt.Sprintf("1n max buffer sends cyclic/range %.1fx; recvs %.2fx",
-			ratio(slices.Max(cyP.SendTotals()), slices.Max(rgP.SendTotals())),
-			ratio(slices.Max(cyP.RecvTotals()), slices.Max(rgP.RecvTotals()))))
-
-	k1 := r.rep(1, core.DistCyclic).Set.PhysicalKindCounts()
-	k2 := r.rep(2, core.DistCyclic).Set.PhysicalKindCounts()
-	r.add("Fig 8/9",
-		"1 node: 1D linear (local_send only); 2 nodes: 2D mesh (rows local_send, columns nonblock_send)",
-		fmt.Sprintf("1n: local=%d nonblock=%d; 2n: local=%d nonblock=%d progress=%d",
-			k1[conveyor.LocalSend], k1[conveyor.NonblockSend],
-			k2[conveyor.LocalSend], k2[conveyor.NonblockSend], k2[conveyor.NonblockProgress]))
-
-	for _, nodes := range []int{1, 2} {
-		cy, rg := r.rep(nodes, core.DistCyclic).Set, r.rep(nodes, core.DistRange).Set
-		r.add(fmt.Sprintf("Fig %d (%d node)", nodes+9, nodes),
-			"PE0 TOT_INS imbalance up to ~4-5x under cyclic; flat under range",
-			fmt.Sprintf("cyclic imb %.1fx, range imb %.1fx",
-				trace.MaxOverMean(cy.PAPITotalsPerPE(papi.TOT_INS)),
-				trace.MaxOverMean(rg.PAPITotalsPerPE(papi.TOT_INS))))
-	}
-
-	for _, nodes := range []int{1, 2} {
-		cy, rg := r.rep(nodes, core.DistCyclic).Set, r.rep(nodes, core.DistRange).Set
-		cm, cc, cp := shares(cy)
-		rm, rc, rp := shares(rg)
-		r.add(fmt.Sprintf("Fig %d (%d node)", nodes+11, nodes),
-			"COMM dominant; MAIN <=5%; PROC cyclic <=5% vs range 20-24%; range ~2x faster",
-			fmt.Sprintf("cyclic M/C/P %.0f/%.0f/%.0f%%, range %.0f/%.0f/%.0f%%, range %.1fx faster",
-				100*cm, 100*cc, 100*cp, 100*rm, 100*rc, 100*rp,
-				ratio(maxTotal(cy), maxTotal(rg))))
-	}
-}
-
-func (r *runner) overhead() error {
-	runWith := func(cfg trace.Config) (time.Duration, error) {
-		start := time.Now()
-		rep, err := core.RunTriangle(core.TriangleExperiment{
-			Graph:  r.reports["1n_cyclic"].Graph,
-			NumPEs: 16, PEsPerNode: 16,
-			Dist: core.DistCyclic, Trace: cfg,
-		})
-		if err == nil && !rep.Validated() {
-			err = errors.New("validation failed")
-		}
-		if err != nil {
-			return 0, fmt.Errorf("overhead run: %w", err)
-		}
-		return time.Since(start), nil
-	}
-	// Tracing off: Overall only (Config zero value would re-enable all
-	// defaults in RunTriangle, so pick the minimal real config).
-	off, err := runWith(trace.Config{Overall: true})
-	if err != nil {
-		return err
-	}
-	full, err := runWith(core.FullTrace())
-	if err != nil {
-		return err
-	}
-	sampled := core.FullTrace()
-	sampled.LogicalSample = 100
-	sampled.PAPIRecordEvery = 256
-	samp, err := runWith(sampled)
-	if err != nil {
-		return err
-	}
-	r.add("Sec IV-E",
-		"Tracing overhead grows with message volume; trace size is the scaling concern",
-		fmt.Sprintf("host wall-clock: minimal %v, full tracing %v (%.2fx), sampled %v (%.2fx)",
-			off.Round(time.Millisecond), full.Round(time.Millisecond),
-			float64(full)/float64(off), samp.Round(time.Millisecond),
-			float64(samp)/float64(off)))
-	return nil
-}
-
-// apiProfile demonstrates the paper's Section V-B proposal: a
-// pshmem-style wrapper layer that *does* capture the non-blocking
-// OpenSHMEM routines existing profilers miss, cross-validated against
-// the physical trace.
-func (r *runner) apiProfile() error {
-	prof := shmem.NewAPIProfile()
-	rep, err := core.RunTriangle(core.TriangleExperiment{
-		Graph:  r.reports["2n_cyclic"].Graph,
-		NumPEs: 32, PEsPerNode: 16,
-		Dist: core.DistCyclic, Trace: trace.Config{Physical: true},
-		APIProfile: prof,
-	})
-	if err == nil && !rep.Validated() {
-		err = errors.New("validation failed")
-	}
-	if err != nil {
-		return fmt.Errorf("api-profile run: %w", err)
-	}
-	kinds := rep.Set.PhysicalKindCounts()
-	nbi := prof.TotalCount(shmem.RoutinePutNBI)
-	quiet := prof.TotalCount(shmem.RoutineQuiet)
-	if err := os.WriteFile(filepath.Join(r.out, "shmem_api_profile.txt"),
-		[]byte(prof.Report()), 0o644); err != nil {
-		return err
-	}
-	r.add("Sec V-B",
-		"Existing profilers cannot capture shmem_putmem_nbi/shmem_quiet; a pshmem-style profiling interface could",
-		fmt.Sprintf("captured putmem_nbi=%d (= 2 x %d nonblock_sends), quiet=%d (= %d nonblock_progress)",
-			nbi, kinds[conveyor.NonblockSend], quiet, kinds[conveyor.NonblockProgress]))
-	return nil
-}
-
-func maxTotal(s *trace.Set) int64 {
-	var m int64
-	for _, r := range s.Overall {
-		if r.TTotal > m {
-			m = r.TTotal
-		}
-	}
-	return m
-}
-
-func shares(s *trace.Set) (main, comm, proc float64) {
-	var tm, tc, tp, tt int64
-	for _, rec := range s.Overall {
-		tm += rec.TMain
-		tc += rec.TComm
-		tp += rec.TProc
-		tt += rec.TTotal
-	}
-	if tt == 0 {
-		return
-	}
-	return float64(tm) / float64(tt), float64(tc) / float64(tt), float64(tp) / float64(tt)
-}
-
-func ratio(a, b int64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return float64(a) / float64(b)
-}
-
-func toF(vals []int64) []float64 {
-	out := make([]float64, len(vals))
-	for i, v := range vals {
-		out[i] = float64(v)
-	}
-	return out
+	return fmt.Sprintf("upper-triangle sends = %d; recv monotonicity %.2f", upper, agree/pairs)
 }

@@ -147,14 +147,12 @@ func BottleneckPlot(an *whatif.Analysis, top int, title string) *viz.Ranked {
 		out.Rows = append(out.Rows, viz.RankedRow{
 			Label: b.Label,
 			Score: b.Score,
-			Detail: fmt.Sprintf("%s msgs in %s activations, avg %s cyc/msg",
-				formatInt(b.Messages), formatInt(b.Activations), formatInt(int64(b.AvgCycles))),
+			Detail: fmt.Sprintf("%d msgs in %d activations, avg %d cyc/msg",
+				b.Messages, b.Activations, int64(b.AvgCycles)),
 		})
 	}
 	return out
 }
-
-func formatInt(v int64) string { return fmt.Sprintf("%d", v) }
 
 // The plot constructors below accept any trace.Source - a fully
 // materialized *trace.Set or the O(PEs^2) *trace.Summary produced by

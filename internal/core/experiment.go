@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 
 	"actorprof/internal/actor"
@@ -63,7 +64,7 @@ type TriangleExperiment struct {
 	EdgeFactor int
 	Seed       uint64
 	// NumPEs / PEsPerNode shape the machine (16/16 and 32/16 in the
-	// paper).
+	// paper); they have no default.
 	NumPEs     int
 	PEsPerNode int
 	// Dist selects the row distribution.
@@ -88,14 +89,18 @@ type TriangleExperiment struct {
 // environment variable raises it (set 16 to match the paper exactly).
 const DefaultScale = 12
 
-// EnvScale resolves the effective default scale from ACTORPROF_SCALE.
-func EnvScale() int {
-	if s := os.Getenv("ACTORPROF_SCALE"); s != "" {
-		if v, err := strconv.Atoi(s); err == nil && v > 0 && v <= 24 {
-			return v
-		}
+// EnvScale resolves the effective default scale: ACTORPROF_SCALE when
+// it is set, DefaultScale when it is not. A value that is set but is not
+// a scale in 1..24 is an error that names it, never a silent default.
+func EnvScale() (int, error) {
+	s := os.Getenv("ACTORPROF_SCALE")
+	if s == "" {
+		return DefaultScale, nil
 	}
-	return DefaultScale
+	if v, err := strconv.Atoi(s); err == nil && v > 0 && v <= 24 {
+		return v, nil
+	}
+	return 0, fmt.Errorf("core: ACTORPROF_SCALE=%q is not a scale in 1..24", s)
 }
 
 // FullTrace returns a trace configuration with every ActorProf feature
@@ -124,25 +129,19 @@ type TriangleReport struct {
 }
 
 // Validated reports whether the distributed count matched the serial
-// reference (the paper's assertion-based validation).
+// reference (the paper's assertion-based validation), as it does in
+// every report RunTriangle returns.
 func (r *TriangleReport) Validated() bool { return r.Triangles == r.Expected }
 
 // RunTriangle executes the paper's Section IV case study: distributed
 // triangle counting over an R-MAT graph under the chosen distribution,
-// with ActorProf attached. Only the kernel is profiled; graph
-// construction and validation are excluded, as in the paper.
+// with ActorProf attached, and validates the count: it is an error for
+// any PE's count to differ from the serial reference. Only the kernel is
+// profiled; graph construction and validation are excluded, as in the
+// paper.
 func RunTriangle(exp TriangleExperiment) (*TriangleReport, error) {
-	if exp.Scale == 0 {
-		exp.Scale = EnvScale()
-	}
 	if exp.EdgeFactor == 0 {
 		exp.EdgeFactor = 16
-	}
-	if exp.NumPEs == 0 {
-		exp.NumPEs = 16
-	}
-	if exp.PEsPerNode == 0 {
-		exp.PEsPerNode = 16
 	}
 	if exp.Dist == "" {
 		exp.Dist = DistCyclic
@@ -153,10 +152,19 @@ func RunTriangle(exp TriangleExperiment) (*TriangleReport, error) {
 	g := exp.Graph
 	if g == nil {
 		var err error
+		if exp.Scale == 0 {
+			if exp.Scale, err = EnvScale(); err != nil {
+				return nil, err
+			}
+		}
 		g, err = graph.GenerateRMAT(graph.Graph500(exp.Scale, exp.EdgeFactor, exp.Seed))
 		if err != nil {
 			return nil, err
 		}
+	}
+	machine := sim.Machine{NumPEs: exp.NumPEs, PEsPerNode: exp.PEsPerNode}
+	if err := machine.Validate(); err != nil {
+		return nil, err
 	}
 	dist, err := exp.Dist.Build(g, exp.NumPEs)
 	if err != nil {
@@ -165,7 +173,7 @@ func RunTriangle(exp TriangleExperiment) (*TriangleReport, error) {
 
 	counts := make([]int64, exp.NumPEs)
 	set, sched, err := RunCaptured(Options{
-		Machine:     sim.Machine{NumPEs: exp.NumPEs, PEsPerNode: exp.PEsPerNode},
+		Machine:     machine,
 		Trace:       exp.Trace,
 		BufferItems: exp.BufferItems,
 		Topology:    exp.Topology,
@@ -181,19 +189,64 @@ func RunTriangle(exp TriangleExperiment) (*TriangleReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	report := &TriangleReport{
+	expected := g.CountTrianglesSerial()
+	for pe, c := range counts {
+		if c != expected {
+			return nil, fmt.Errorf("core: PE %d counted %d triangles under %s, the serial count is %d",
+				pe, c, exp.Dist, expected)
+		}
+	}
+	return &TriangleReport{
 		Set:       set,
 		Schedule:  sched,
 		Triangles: counts[0],
-		Expected:  g.CountTrianglesSerial(),
+		Expected:  expected,
 		Graph:     g,
 		DistName:  exp.Dist.Label(),
+	}, nil
+}
+
+// The arithmetic of the case study's claims, over any trace.Source.
+
+// MaxRatio is the ratio of two per-PE series' maxima - how much heavier
+// one run's hottest PE is than another's - or 0 when either is empty or
+// b's maximum is 0.
+func MaxRatio(a, b []int64) float64 {
+	if len(a) == 0 || len(b) == 0 {
+		return 0
 	}
-	for pe, c := range counts {
-		if c != report.Triangles {
-			return nil, fmt.Errorf("core: PE %d reported %d triangles, PE 0 reported %d",
-				pe, c, report.Triangles)
-		}
+	return ratio(slices.Max(a), slices.Max(b))
+}
+
+// MaxTotal is the largest per-PE T_TOTAL: the run's length in cycles.
+func MaxTotal(s trace.Source) int64 {
+	var m int64
+	for _, r := range s.OverallRecords() {
+		m = max(m, r.TTotal)
 	}
-	return report, nil
+	return m
+}
+
+// Speedup is how many times shorter fast's run is than slow's, by
+// MaxTotal, or 0 when fast's is 0.
+func Speedup(slow, fast trace.Source) float64 { return ratio(MaxTotal(slow), MaxTotal(fast)) }
+
+// Shares returns the MAIN, COMM and PROC cycles summed over every PE as
+// fractions of the summed T_TOTAL (all 0 for a run without one).
+func Shares(s trace.Source) (main, comm, proc float64) {
+	var tm, tc, tp, tt int64
+	for _, r := range s.OverallRecords() {
+		tm, tc, tp, tt = tm+r.TMain, tc+r.TComm, tp+r.TProc, tt+r.TTotal
+	}
+	if tt == 0 {
+		return 0, 0, 0
+	}
+	return float64(tm) / float64(tt), float64(tc) / float64(tt), float64(tp) / float64(tt)
+}
+
+func ratio(a, b int64) float64 {
+	if b == 0 {
+		return 0
+	}
+	return float64(a) / float64(b)
 }
