@@ -29,6 +29,7 @@ package main
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"flag"
 	"fmt"
@@ -95,6 +96,11 @@ func runMain(args []string) error {
 	if lo := slices.Min(scales); lo < 1 {
 		return fmt.Errorf("scale %d: an R-MAT scale is at least 1", lo)
 	}
+	suMachine := sim.Machine{NumPEs: *suPEs, PEsPerNode: 16}
+	suISort := apps.ISortConfig{KeysPerPE: *suKeys, BucketWidth: 1 << 16, Seed: 42}
+	if err := cmp.Or(suMachine.Validate(), suISort.Validate(*suPEs)); *scaleup && err != nil {
+		return err
+	}
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		return err
 	}
@@ -104,7 +110,7 @@ func runMain(args []string) error {
 	}
 	r := &runner{out: *out}
 	if *scaleup {
-		err = r.runScaleUp(*suPEs, 16, *suScale, *suKeys)
+		err = r.runScaleUp(suMachine, *suScale, suISort)
 	} else {
 		err = r.run(scales, *sweep != "")
 	}
@@ -167,15 +173,15 @@ func scaleUpTrace() trace.Config {
 // hundreds of PEs, validated against their sequential references, with
 // all profiling running through the streaming-aggregation path. Results
 // land in <out>/scaleup.md.
-func (r *runner) runScaleUp(pes, perNode, scale, keysPerPE int) error {
+func (r *runner) runScaleUp(m sim.Machine, scale int, icfg apps.ISortConfig) error {
+	pes, perNode := m.NumPEs, m.PEsPerNode
 	rows := []string{
 		"| app | input | PEs | messages | validated | send imb (max/mean) | TOT_INS imb | host wall | ns/message | peak RSS so far | sleeps/PE mean (max) | yields/PE mean (max) |",
 		"|---|---|---|---|---|---|---|---|---|---|---|---|",
 	}
 	// isort: the ISx weak-scaling input, batched dispatch.
-	icfg := apps.ISortConfig{KeysPerPE: keysPerPE, BucketWidth: 1 << 16, Seed: 42}
 	results := make([]apps.ISortResult, pes)
-	row, err := scaleUpRow("isort", fmt.Sprintf("%d keys/PE", keysPerPE), pes, perNode,
+	row, err := scaleUpRow("isort", fmt.Sprintf("%d keys/PE", icfg.KeysPerPE), pes, perNode,
 		func(rt *actor.Runtime) (err error) {
 			results[rt.PE().Rank()], err = apps.ISort(rt, icfg)
 			return err

@@ -21,6 +21,7 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"io"
@@ -56,13 +57,17 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
+	machine := sim.Machine{NumPEs: *pes, PEsPerNode: *perNode}
 	cfg := apps.ISortConfig{KeysPerPE: *keys, BucketWidth: *width, Seed: *seed}
+	if err := cmp.Or(machine.Validate(), cfg.Validate(*pes)); err != nil {
+		return err
+	}
 	fmt.Fprintf(out, "isort: %d keys/PE on %d PEs (%d node(s)), bucket width %d\n",
-		*keys, *pes, (*pes+*perNode-1)/(*perNode), *width)
+		*keys, *pes, machine.NumNodes(), *width)
 
 	results := make([]apps.ISortResult, *pes)
 	set, sched, err := core.RunCaptured(core.Options{
-		Machine:     sim.Machine{NumPEs: *pes, PEsPerNode: *perNode},
+		Machine:     machine,
 		Trace:       core.FullTrace(),
 		BufferItems: *buf,
 	}, func(rt *actor.Runtime) error {

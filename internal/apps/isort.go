@@ -21,6 +21,16 @@ type ISortConfig struct {
 	Seed uint64
 }
 
+// Validate reports whether cfg describes a sort on npes PEs: KeysPerPE
+// at least 0, BucketWidth positive, and npes times either within an int64.
+func (cfg ISortConfig) Validate(npes int) error {
+	if npes <= 0 || cfg.KeysPerPE < 0 || cfg.BucketWidth <= 0 ||
+		cfg.BucketWidth > math.MaxInt64/int64(npes) || cfg.KeysPerPE > math.MaxInt/npes {
+		return fmt.Errorf("apps: bad isort config %+v on %d PEs: want KeysPerPE >= 0, BucketWidth > 0 and PEs times either within int64", cfg, npes)
+	}
+	return nil
+}
+
 // ISortResult reports one PE's view of the sort.
 type ISortResult struct {
 	// Keys is this PE's bucket, sorted ascending. Placement is
@@ -41,11 +51,11 @@ type ISortResult struct {
 // redistribution phase is the batch-dispatch showcase: every delivered
 // pull-ring run is one handler invocation over a flat key slice.
 func ISort(rt *actor.Runtime, cfg ISortConfig) (ISortResult, error) {
-	if cfg.KeysPerPE < 0 || cfg.BucketWidth <= 0 {
-		return ISortResult{}, fmt.Errorf("apps: bad isort config %+v", cfg)
-	}
 	pe := rt.PE()
 	npes := pe.NumPEs()
+	if err := cfg.Validate(npes); err != nil {
+		return ISortResult{}, err
+	}
 	me := pe.Rank()
 	maxKey := int64(npes) * cfg.BucketWidth
 
@@ -163,31 +173,61 @@ func sortBucket(keys []int64, me int, width int64) error {
 }
 
 // ISortSerial computes the reference bucket contents: all keys every PE
-// would generate under cfg, sorted, sliced to PE rank's bucket. ISort's
-// deterministic placement makes the distributed result exactly equal.
+// would generate under cfg, sorted, one bucket per PE rank (ISort's result
+// exactly). In linear time: one draw of the keys counts each bucket, a
+// second puts every key in its bucket's range of one array, and a counting
+// pass (a comparison sort if the bucket is sparse) sorts each bucket, in
+// O(npes+BucketWidth) words beside that array. A bucket is a capped view
+// of it, nil if empty. It panics with cfg.Validate(npes)'s error, if any.
 func ISortSerial(npes int, cfg ISortConfig) [][]int64 {
-	maxKey := int64(npes) * cfg.BucketWidth
-	all := make([]int64, 0, npes*cfg.KeysPerPE)
-	for pe := 0; pe < npes; pe++ {
-		rng := splitmix{state: cfg.Seed + uint64(pe)*0x9e3779b97f4a7c15}
-		for i := 0; i < cfg.KeysPerPE; i++ {
-			all = append(all, int64(rng.next()%uint64(maxKey)))
+	if err := cfg.Validate(npes); err != nil {
+		panic(err)
+	}
+	maxKey, width := uint64(npes)*uint64(cfg.BucketWidth), cfg.BucketWidth
+	// starts[b] is bucket b's count, then its end, then (filled back to front) its start.
+	all, starts := make([]int64, npes*cfg.KeysPerPE), make([]int, npes)
+	for pass := 0; pass < 2; pass++ {
+		for pe := 0; pe < npes; pe++ {
+			rng := splitmix{state: cfg.Seed + uint64(pe)*0x9e3779b97f4a7c15}
+			for range cfg.KeysPerPE {
+				k := int64(rng.next() % maxKey)
+				if b := k / width; pass == 0 {
+					starts[b]++
+				} else {
+					starts[b]--
+					all[starts[b]] = k
+				}
+			}
+		}
+		for b := 1; pass == 0 && b < npes; b++ {
+			starts[b] += starts[b-1]
 		}
 	}
-	slices.Sort(all)
-	// Bucket b is the run of the sorted keys below (b+1)*BucketWidth;
-	// an empty bucket stays nil.
 	buckets := make([][]int64, npes)
-	lo := 0
-	for b := range buckets {
-		end, hi := int64(b+1)*cfg.BucketWidth, lo
-		for hi < len(all) && all[hi] < end {
-			hi++
+	var counts []int
+	for b, end := npes-1, len(all); b >= 0; b, end = b-1, starts[b] {
+		keys, lo := all[starts[b]:end:end], int64(b)*width
+		switch {
+		case len(keys) == 0:
+			continue
+		case width > 4*int64(len(keys))+1024:
+			slices.Sort(keys)
+		default:
+			if counts == nil {
+				counts = make([]int, width)
+			}
+			for _, k := range keys {
+				counts[k-lo]++
+			}
+			i := 0
+			for v, n := range counts {
+				for j := range n {
+					keys[i+j] = lo + int64(v)
+				}
+				i, counts[v] = i+n, 0
+			}
 		}
-		if hi > lo {
-			buckets[b] = all[lo:hi:hi]
-		}
-		lo = hi
+		buckets[b] = keys
 	}
 	return buckets
 }

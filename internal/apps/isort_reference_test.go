@@ -4,11 +4,15 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
 	"testing"
 	"unsafe"
+
+	"actorprof/internal/actor"
+	"actorprof/internal/shmem"
 )
 
 // refISortSerial is the comparison-sort reference ISortSerial replaced:
@@ -181,5 +185,62 @@ func BenchmarkISortSerial(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*npes*keys), "ns/key")
 		})
+	}
+}
+
+// TestISortConfigValidate: a negative key count, a non-positive width or
+// PE count, and a key range or key count past int64 are config errors,
+// which ISortSerial panics with; the largest range that fits is not.
+func TestISortConfigValidate(t *testing.T) {
+	for _, c := range []struct {
+		npes int
+		cfg  ISortConfig
+		ok   bool
+	}{
+		{64, ISortConfig{100000, 65536, 1}, true},
+		{4, ISortConfig{0, 1, 1}, true},
+		{4, ISortConfig{1, math.MaxInt64 / 4, 1}, true},
+		{3, ISortConfig{math.MaxInt / 3, 1, 1}, true},
+		{4, ISortConfig{-5, 64, 1}, false},
+		{4, ISortConfig{5, 0, 1}, false},
+		{4, ISortConfig{5, -64, 1}, false},
+		{0, ISortConfig{5, 64, 1}, false},
+		{-4, ISortConfig{5, 64, 1}, false},
+		{4, ISortConfig{1, math.MaxInt64/4 + 1, 1}, false},
+		{4, ISortConfig{1, 1 << 62, 1}, false},
+		{3, ISortConfig{math.MaxInt/3 + 1, 1, 1}, false},
+	} {
+		err := c.cfg.Validate(c.npes)
+		if (err == nil) != c.ok {
+			t.Errorf("%d PEs %+v: Validate = %v, want ok %v", c.npes, c.cfg, err, c.ok)
+		}
+		if c.ok {
+			continue
+		}
+		func() {
+			defer func() {
+				if r, _ := recover().(error); r == nil || r.Error() != err.Error() {
+					t.Errorf("%d PEs %+v: ISortSerial panicked with %v, want %v", c.npes, c.cfg, r, err)
+				}
+			}()
+			ISortSerial(c.npes, c.cfg)
+		}()
+	}
+}
+
+// TestISortValidatesConfig: ISort returns the config error on every PE
+// instead of dividing by a wrapped key range.
+func TestISortValidatesConfig(t *testing.T) {
+	err := shmem.Run(cfg(4, 4), func(pe *shmem.PE) {
+		rt := actor.NewRuntime(pe, actor.RuntimeOptions{})
+		for _, bad := range []ISortConfig{{-5, 64, 1}, {5, 0, 1}, {5, 1 << 62, 1}} {
+			if _, err := ISort(rt, bad); err == nil || err.Error() != bad.Validate(4).Error() {
+				panic(fmt.Sprintf("ISort(%+v) = %v, want the Validate error", bad, err))
+			}
+		}
+		pe.Barrier()
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
