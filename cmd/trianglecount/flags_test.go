@@ -19,6 +19,10 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"", []string{"-pes", "0"}, "NumPEs must be positive"},
 		{"", []string{"-pes", "12", "-per-node", "8"}, "multiple of PEsPerNode"},
 		{"", []string{"-scale", "0"}, "scale 0"},
+		{"", []string{"-buf", "-1"}, "buf -1"},
+		{"", []string{"-buf", "0"}, "buf 0"},
+		{"", []string{"-ef", "0"}, "ef 0"},
+		{"", []string{"-dist", "foo"}, `unknown distribution "foo"`},
 		{"16x", nil, `ACTORPROF_SCALE="16x"`},
 		{"26", []string{"-scale", "8"}, `ACTORPROF_SCALE="26"`},
 	} {

@@ -22,6 +22,7 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"os"
@@ -61,11 +62,11 @@ func run(args []string) error {
 	if envErr != nil {
 		return envErr
 	}
-	if *scale < 1 {
-		return fmt.Errorf("scale %d: an R-MAT scale is at least 1", *scale)
+	if *scale < 1 || *ef < 1 || *buf < 1 {
+		return fmt.Errorf("scale %d, ef %d, buf %d: an R-MAT scale, an edge factor and a conveyor buffer are each at least 1", *scale, *ef, *buf)
 	}
 	machine := sim.Machine{NumPEs: *pes, PEsPerNode: *perNode}
-	if err := machine.Validate(); err != nil {
+	if err := cmp.Or(machine.Validate(), core.DistKind(*dist).Validate()); err != nil {
 		return err
 	}
 

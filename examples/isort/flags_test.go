@@ -19,6 +19,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{[]string{"-pes", "0"}, "NumPEs must be positive"},
 		{[]string{"-pes", "12", "-per-node", "8"}, "multiple of PEsPerNode"},
 		{[]string{"-keys", "-5"}, "bad isort config {KeysPerPE:-5 "},
+		{[]string{"-buf", "-1"}, "buf -1"},
+		{[]string{"-buf", "0"}, "buf 0"},
 		{[]string{"-width", "0"}, "bad isort config {KeysPerPE:20000 BucketWidth:0 "},
 		{[]string{"-pes", "4", "-per-node", "4", "-width", "4611686018427387904"}, "within int64"},
 		{[]string{"-pes", "4", "-per-node", "4", "-keys", "4611686018427387904"}, "within int64"},

@@ -56,6 +56,9 @@ func run(args []string, out io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *buf < 1 {
+		return fmt.Errorf("buf %d: a conveyor buffer holds at least one item", *buf)
+	}
 
 	machine := sim.Machine{NumPEs: *pes, PEsPerNode: *perNode}
 	cfg := apps.ISortConfig{KeysPerPE: *keys, BucketWidth: *width, Seed: *seed}

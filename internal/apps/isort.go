@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"actorprof/internal/actor"
 	"actorprof/internal/papi"
@@ -60,17 +61,17 @@ func ISort(rt *actor.Runtime, cfg ISortConfig) (ISortResult, error) {
 	maxKey := int64(npes) * cfg.BucketWidth
 
 	// Generate this PE's keys and histogram them by destination bucket.
-	keys := make([]int64, cfg.KeysPerPE)
+	// No key is kept: the send loop re-seeds the stream and draws the
+	// same keys in the same order, so the host holds only the buckets.
+	seed := cfg.Seed + uint64(me)*0x9e3779b97f4a7c15
 	counts := make([]int64, npes)
-	rng := splitmix{state: cfg.Seed + uint64(me)*0x9e3779b97f4a7c15}
-	for i := range keys {
-		k := int64(rng.next() % uint64(maxKey))
-		keys[i] = k
-		counts[k/cfg.BucketWidth]++
+	rng := splitmix{state: seed}
+	for range cfg.KeysPerPE {
+		counts[int64(rng.next()%uint64(maxKey))/cfg.BucketWidth]++
 	}
 	// keygen + bucket index, per key; nothing is sent in between, so the
 	// loop's work is reported as one run.
-	rt.WorkN(papi.Work{Ins: 10, LstIns: 2, Cyc: 6}, len(keys))
+	rt.WorkN(papi.Work{Ins: 10, LstIns: 2, Cyc: 6}, cfg.KeysPerPE)
 
 	// Exchange the histogram: every PE learns how many keys each source
 	// will send it. The counts are one int64 per (src, dst) pair.
@@ -122,10 +123,11 @@ func ISort(rt *actor.Runtime, cfg ISortConfig) (ISortResult, error) {
 	})
 	rt.Finish(func() {
 		ksel.Start()
-		for _, k := range keys {
-			dst := int(k / cfg.BucketWidth)
+		rng := splitmix{state: seed}
+		for range cfg.KeysPerPE {
+			k := int64(rng.next() % uint64(maxKey))
 			rt.Work(papi.Work{Ins: 6, LstIns: 1, Cyc: 4}) // owner computation
-			ksel.Send(0, k, dst)
+			ksel.Send(0, k, int(k/cfg.BucketWidth))
 		}
 		ksel.Done(0)
 	})
@@ -158,7 +160,12 @@ func sortBucket(keys []int64, me int, width int64) error {
 		slices.Sort(keys)
 		return nil
 	}
-	counts := make([]int32, width)
+	table, _ := countTables.Get().(*[]int32)
+	if table == nil || int64(len(*table)) < width {
+		t := make([]int32, width)
+		table = &t
+	}
+	counts := (*table)[:width]
 	for _, k := range keys {
 		counts[k-lo]++
 	}
@@ -168,9 +175,15 @@ func sortBucket(keys []int64, me int, width int64) error {
 			keys[i] = lo + int64(v)
 			i++
 		}
+		counts[v] = 0
 	}
+	countTables.Put(table)
 	return nil
 }
+
+// countTables lends sortBucket its all-zero count tables, so a run holds
+// about one per host core instead of one per PE.
+var countTables sync.Pool
 
 // ISortSerial computes the reference bucket contents: all keys every PE
 // would generate under cfg, sorted, one bucket per PE rank (ISort's result

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -68,6 +69,35 @@ func TestSortBucketMatchesSlicesSort(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Goroutines sorting dense buckets of different widths and offsets at
+// once share countTables: each result must still be slices.Sort's (a
+// table handed back with a count left in it, or lent to two sorts at
+// once, shows as a wrong result, an index panic or, under -race, a race).
+func TestSortBucketSharesCountTables(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rnd := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < 50; i++ {
+				me, width := rnd.Intn(16), 1+rnd.Int63n(4096)
+				lo, keys := int64(me)*width, make([]int64, width/4+rnd.Int63n(2*width))
+				for j := range keys {
+					keys[j] = lo + rnd.Int63n(width)
+				}
+				want := slices.Clone(keys)
+				slices.Sort(want)
+				if err := sortBucket(keys, me, width); err != nil || !slices.Equal(keys, want) {
+					t.Errorf("goroutine %d (n=%d width=%d me=%d): err %v or result differs from slices.Sort", g, len(keys), width, me, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // ISortSerial cuts the buckets out of one sorted array; each must hold

@@ -67,6 +67,9 @@ func run(opts Options, app App, capture bool) (*trace.Set, *sim.Schedule, error)
 	if err := opts.Machine.Validate(); err != nil {
 		return nil, nil, err
 	}
+	if opts.BufferItems < 0 {
+		return nil, nil, fmt.Errorf("core: BufferItems %d: want a positive capacity, or 0 for the conveyor's default", opts.BufferItems)
+	}
 	// Default the cost model explicitly and reject degenerate ones
 	// (zero-value or free-network models silently produce all-zero
 	// profiles and poison what-if projections).

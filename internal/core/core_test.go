@@ -22,6 +22,24 @@ func TestRunValidatesMachine(t *testing.T) {
 	}
 }
 
+// TestRunValidatesBufferItems: a negative buffer capacity is an error
+// before any PE starts, not a conveyor panic on every PE; 0 is the
+// conveyor's default.
+func TestRunValidatesBufferItems(t *testing.T) {
+	m := sim.Machine{NumPEs: 2, PEsPerNode: 2}
+	started := false
+	_, err := Run(Options{Machine: m, BufferItems: -1}, func(rt *actor.Runtime) error {
+		started = true
+		return nil
+	})
+	if err == nil || !strings.Contains(err.Error(), "BufferItems -1") || started {
+		t.Fatalf("BufferItems -1: err %v, app started %v; want the BufferItems error and no PE", err, started)
+	}
+	if _, err := Run(Options{Machine: m}, func(rt *actor.Runtime) error { return nil }); err != nil {
+		t.Fatalf("BufferItems 0: %v", err)
+	}
+}
+
 func TestRunPropagatesAppErrors(t *testing.T) {
 	_, err := Run(Options{Machine: sim.Machine{NumPEs: 2, PEsPerNode: 2}},
 		func(rt *actor.Runtime) error {
@@ -259,6 +277,14 @@ func TestDistKindBuild(t *testing.T) {
 	}
 	if _, err := DistKind("bogus").Build(rep.Graph, 4); err == nil {
 		t.Fatal("expected error for unknown distribution")
+	}
+	for _, k := range []DistKind{DistCyclic, DistRange, DistBlock} {
+		if err := k.Validate(); err != nil {
+			t.Errorf("%s: %v", k, err)
+		}
+	}
+	if err := DistKind("bogus").Validate(); err == nil || !strings.Contains(err.Error(), `unknown distribution "bogus"`) {
+		t.Errorf("bogus: Validate = %v, want the unknown-distribution error", err)
 	}
 }
 

@@ -37,8 +37,16 @@ func (k DistKind) Build(g *graph.Graph, p int) (graph.Distribution, error) {
 	case DistBlock:
 		return graph.NewBlockDist(g.NumVertices(), p), nil
 	default:
-		return nil, fmt.Errorf("core: unknown distribution %q", k)
+		return nil, k.Validate()
 	}
+}
+
+// Validate reports whether k names a distribution Build constructs.
+func (k DistKind) Validate() error {
+	if k != DistCyclic && k != DistRange && k != DistBlock {
+		return fmt.Errorf("core: unknown distribution %q", k)
+	}
+	return nil
 }
 
 // Label returns the paper's name for the distribution.
