@@ -34,50 +34,14 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
 	"actorprof/internal/serve"
-	"actorprof/internal/trace"
 )
 
 // testOnReady, when set by tests, receives the bound listen address.
 var testOnReady func(addr string)
-
-// backfillIndexes builds the time-index sidecar for every trace
-// directory under root (root itself included when it is one), so runs
-// recorded before the index existed - or whose sidecar went stale -
-// answer windowed queries without the full-scan fallback. One corrupt
-// run logs and is skipped; it must not keep the daemon from starting.
-func backfillIndexes(root string, out io.Writer) error {
-	dirs := []string{root}
-	entries, err := os.ReadDir(root)
-	if err != nil {
-		return fmt.Errorf("backfill: scanning %s: %w", root, err)
-	}
-	for _, e := range entries {
-		if e.IsDir() {
-			dirs = append(dirs, filepath.Join(root, e.Name()))
-		}
-	}
-	built := 0
-	for _, d := range dirs {
-		if _, err := os.Stat(filepath.Join(d, trace.MetaFile)); err != nil {
-			continue // not a trace directory
-		}
-		ok, err := trace.BuildTimeIndex(d)
-		if err != nil {
-			fmt.Fprintf(out, "actorprofd: backfill %s: %v\n", d, err)
-			continue
-		}
-		if ok {
-			built++
-		}
-	}
-	fmt.Fprintf(out, "actorprofd: backfilled time indexes for %d run(s)\n", built)
-	return nil
-}
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -99,8 +63,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			"how long a request waits on a render, parse or disk scan before answering 503 (the work still finishes and is cached); writing the response is not bounded")
 		snapTTL = fs.Duration("snapshot-ttl", 500*time.Millisecond,
 			"how long directory scans and run fingerprints are reused before re-statting (negative disables)")
-		backfill = fs.Bool("backfill", false,
-			"build missing/stale time-index sidecars (physical.idx) for every served run at startup")
 	)
 	fs.Usage = func() {
 		fmt.Fprintln(fs.Output(), "usage: actorprofd [-addr host:port] [-dir root] [flags]")
@@ -112,12 +74,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if fs.NArg() != 0 {
 		fs.Usage()
 		return fmt.Errorf("unexpected arguments %v (the trace root is -dir)", fs.Args())
-	}
-
-	if *backfill {
-		if err := backfillIndexes(*dir, out); err != nil {
-			return err
-		}
 	}
 
 	srv, err := serve.New(serve.Config{

@@ -1,5 +1,6 @@
 // Command loadgen load-tests actorprofd and gates CI against a
-// committed LOAD.json, the serving-layer counterpart to cmd/bench.
+// committed LOAD.json; the compute hot path's allocation budgets are
+// tests in their own packages.
 //
 // Run mode drives a fleet of concurrent clients through a zipfian mix
 // of plot renders (hot-set traffic), sequential one-shot scans (the

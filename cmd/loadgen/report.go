@@ -114,8 +114,8 @@ type gateOpts struct {
 	minActive    float64 // fraction of clients that must complete >= 1 request
 }
 
-// compareReports gates current against baseline, mirroring cmd/bench's
-// compare: it returns the human-readable report and the failure count.
+// compareReports gates current against baseline: it returns the
+// human-readable report and the failure count.
 // The p99 gate is relative-with-floor (CI hardware varies, so small
 // absolute latencies are allowed to wobble); -max-p99 adds an absolute
 // ceiling for runs on known hardware.

@@ -38,6 +38,9 @@ func main() {
 }
 
 func run(scale, iters int, out io.Writer) error {
+	if iters < 1 {
+		return fmt.Errorf("-iters %d: PageRank runs at least 1 iteration", iters)
+	}
 	g, err := graph.GenerateRMAT(graph.Graph500(scale, 16, 99))
 	if err != nil {
 		return err

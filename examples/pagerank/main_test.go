@@ -25,3 +25,14 @@ func TestPageRankSmoke(t *testing.T) {
 		}
 	}
 }
+
+// TestPageRankRejectsNoIterations: -iters below 1 is refused before the
+// banner, not handed to the PEs.
+func TestPageRankRejectsNoIterations(t *testing.T) {
+	for _, iters := range []int{0, -1} {
+		var out bytes.Buffer
+		if err := run(4, iters, &out); err == nil || out.Len() != 0 {
+			t.Errorf("-iters %d: err %v, output %q; want an error and no output", iters, err, out.String())
+		}
+	}
+}

@@ -34,6 +34,9 @@ func main() {
 }
 
 func run(scale int, traceDir string, out io.Writer) error {
+	if scale < 1 {
+		return fmt.Errorf("-scale %d: an R-MAT scale is at least 1", scale)
+	}
 	var reports []*core.TriangleReport
 	for _, dist := range []core.DistKind{core.DistCyclic, core.DistRange} {
 		exp := core.TriangleExperiment{

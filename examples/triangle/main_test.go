@@ -39,3 +39,18 @@ func TestTriangleSmoke(t *testing.T) {
 		}
 	}
 }
+
+// TestTriangleRejectsScaleBelowOne: -scale 0 is refused, not read as the
+// experiment's default scale.
+func TestTriangleRejectsScaleBelowOne(t *testing.T) {
+	for _, scale := range []int{0, -3} {
+		dir := t.TempDir()
+		var out bytes.Buffer
+		if err := run(scale, dir, &out); err == nil || out.Len() != 0 {
+			t.Errorf("-scale %d: err %v, output %q; want an error and no output", scale, err, out.String())
+		}
+		if ents, _ := os.ReadDir(dir); len(ents) != 0 {
+			t.Errorf("-scale %d wrote %d trace dirs", scale, len(ents))
+		}
+	}
+}

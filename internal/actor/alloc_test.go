@@ -81,3 +81,13 @@ func TestHandlerDispatchZeroAlloc(t *testing.T) {
 		t.Error("no messages dispatched")
 	}
 }
+
+// TestRuntimeWorkZeroAlloc: reporting a message's work, the price every
+// handler pays per message, allocates nothing.
+func TestRuntimeWorkZeroAlloc(t *testing.T) {
+	runtimeWork(t, func(op func()) {
+		if allocs := testing.AllocsPerRun(1000, op); allocs != 0 {
+			t.Errorf("Runtime.Work allocated %.3f times per call, want 0", allocs)
+		}
+	})
+}

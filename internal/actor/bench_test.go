@@ -161,19 +161,27 @@ func BenchmarkCodecRoundTrip(b *testing.B) {
 	}
 }
 
-// BenchmarkRuntimeWork is the price of reporting one message's work: nine
-// counter adds and a clock charge. 14 ns/op when Engine.Tally took the
-// bundle by value (DESIGN.md §8), ≈ 7 by pointer.
-func BenchmarkRuntimeWork(b *testing.B) {
+// runtimeWork runs measure on a one-PE runtime, with op the report of
+// one message's work: nine counter adds and a clock charge.
+func runtimeWork(tb testing.TB, measure func(op func())) {
 	err := shmem.Run(shmem.Config{Machine: sim.Machine{NumPEs: 1, PEsPerNode: 1}}, func(pe *shmem.PE) {
 		rt := NewRuntime(pe, RuntimeOptions{})
+		measure(func() { rt.Work(papi.Work{Ins: 6, LstIns: 1, Cyc: 4}) })
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// BenchmarkRuntimeWork is the price of reporting one message's work: 14
+// ns/op when Engine.Tally took the bundle by value (DESIGN.md §8), ≈ 7 by
+// pointer.
+func BenchmarkRuntimeWork(b *testing.B) {
+	runtimeWork(b, func(op func()) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			rt.Work(papi.Work{Ins: 6, LstIns: 1, Cyc: 4})
+			op()
 		}
 	})
-	if err != nil {
-		b.Fatal(err)
-	}
 }

@@ -10,51 +10,11 @@ import (
 	"actorprof/internal/shmem"
 )
 
-// ccSerial computes component labels with union-find.
-func ccSerial(full *graph.Graph) ([]int64, int64) {
-	n := full.NumVertices()
-	parent := make([]int64, n)
-	for i := range parent {
-		parent[i] = int64(i)
-	}
-	var find func(int64) int64
-	find = func(x int64) int64 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	for i := int64(0); i < n; i++ {
-		for _, j := range full.Row(i) {
-			ri, rj := find(i), find(j)
-			if ri != rj {
-				if ri < rj {
-					parent[rj] = ri
-				} else {
-					parent[ri] = rj
-				}
-			}
-		}
-	}
-	labels := make([]int64, n)
-	var comps int64
-	for i := int64(0); i < n; i++ {
-		labels[i] = find(i)
-		if labels[i] == i {
-			comps++
-		}
-	}
-	// Normalize: label = min id of component (union by min above plus
-	// path compression guarantees the root is the min).
-	return labels, comps
-}
-
 func TestConnectedComponentsMatchesSerial(t *testing.T) {
 	// A sparse graph (low edge factor) so multiple components exist.
 	g := testGraph(t, 8, 1, 31)
 	full := g.Symmetrize()
-	wantLabels, wantComps := ccSerial(full)
+	wantLabels, wantComps := serialComponents(full)
 	if wantComps < 2 {
 		t.Fatalf("test graph should have several components, got %d", wantComps)
 	}

@@ -138,31 +138,10 @@ func TestIndexGatherFetchesCorrectValues(t *testing.T) {
 	}
 }
 
-// bfsSerial computes reference levels with a queue.
-func bfsSerial(full *graph.Graph, root int64) []int64 {
-	level := make([]int64, full.NumVertices())
-	for i := range level {
-		level[i] = -1
-	}
-	level[root] = 0
-	queue := []int64{root}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, nb := range full.Row(v) {
-			if level[nb] < 0 {
-				level[nb] = level[v] + 1
-				queue = append(queue, nb)
-			}
-		}
-	}
-	return level
-}
-
 func TestBFSMatchesSerial(t *testing.T) {
 	g := testGraph(t, 7, 8, 17)
 	full := g.Symmetrize()
-	want := bfsSerial(full, 0)
+	want := serialBFS(full, 0)
 	var wantVisited int64
 	for _, l := range want {
 		if l >= 0 {
@@ -220,43 +199,11 @@ func TestBFSValidatesRoot(t *testing.T) {
 	}
 }
 
-// pageRankSerial computes the reference ranks with dense iteration.
-func pageRankSerial(full *graph.Graph, damping float64, iters int) []float64 {
-	n := full.NumVertices()
-	rank := make([]float64, n)
-	for i := range rank {
-		rank[i] = 1 / float64(n)
-	}
-	for it := 0; it < iters; it++ {
-		acc := make([]float64, n)
-		var dangling float64
-		for v := int64(0); v < n; v++ {
-			row := full.Row(v)
-			if len(row) == 0 {
-				dangling += rank[v]
-				continue
-			}
-			share := rank[v] / float64(len(row))
-			for _, nb := range row {
-				acc[nb] += share
-			}
-		}
-		// Match the distributed version's fixed-point rounding of the
-		// dangling mass so results compare exactly in structure.
-		dangling = float64(int64(dangling*1e12)) / 1e12
-		base := (1-damping)/float64(n) + damping*dangling/float64(n)
-		for v := int64(0); v < n; v++ {
-			rank[v] = base + damping*acc[v]
-		}
-	}
-	return rank
-}
-
 func TestPageRankMatchesSerial(t *testing.T) {
 	g := testGraph(t, 6, 6, 13)
 	full := g.Symmetrize()
 	const damping, iters = 0.85, 5
-	want := pageRankSerial(full, damping, iters)
+	want := serialPageRank(full, damping, iters)
 
 	const npes, perNode = 4, 2
 	dist := graph.NewBlockDist(full.NumVertices(), npes)

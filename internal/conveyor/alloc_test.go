@@ -168,3 +168,17 @@ func TestBacklogRetryZeroAlloc(t *testing.T) {
 			wantParked, hops, allocs)
 	}
 }
+
+// TestIngestZeroAlloc: receiving a full buffer allocates nothing, whether
+// its items are delivered into the pull ring or forwarded a hop on.
+func TestIngestZeroAlloc(t *testing.T) {
+	for name, dst := range map[string]int{"Deliver": 1, "Forward": 3} {
+		t.Run(name, func(t *testing.T) {
+			ingestBuffer(t, dst, func(op func()) {
+				if allocs := testing.AllocsPerRun(100, op); allocs != 0 {
+					t.Errorf("ingest of a buffer for PE %d allocated %.1f times, want 0", dst, allocs)
+				}
+			})
+		})
+	}
+}

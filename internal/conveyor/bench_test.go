@@ -191,12 +191,13 @@ func BenchmarkPushPullLocal(b *testing.B) {
 	}
 }
 
-// benchIngest times ingest on one full buffer of 64 8-byte items, all
-// for PE dst, as PE 1 of a 2 x 2 mesh receives it: dst 1 delivers every
-// item into the pull ring, dst 3 forwards every item into the buffer
-// toward PE 1's column peer. reset undoes the buffer's effect so that the
-// next one meets the same state. 0 allocs/op; ns/op is per buffer.
-func benchIngest(b *testing.B, dst int, reset func(c *Conveyor)) {
+// ingestBuffer runs measure on PE 1 of a 2 x 2 mesh, with op the ingest
+// of one full buffer of 64 8-byte items, all for PE dst: dst 1 delivers
+// every item into the pull ring, dst 3 forwards every item into the
+// buffer toward PE 1's column peer. op then undoes the buffer's effect so
+// that the next one meets the same state. 0 allocs/op; ns/op is per
+// buffer.
+func ingestBuffer(tb testing.TB, dst int, measure func(op func())) {
 	err := shmem.Run(cfg(4, 2), func(pe *shmem.PE) {
 		c, err := New(pe, Options{ItemBytes: 8, BufferItems: 64})
 		if err != nil {
@@ -208,36 +209,44 @@ func benchIngest(b *testing.B, dst int, reset func(c *Conveyor)) {
 				binary.LittleEndian.PutUint32(buf[i*c.wireBytes+hdrOrig:], 0)
 				binary.LittleEndian.PutUint32(buf[i*c.wireBytes+hdrDst:], uint32(dst))
 			}
-			c.ingest(buf, 64) // grow the pull ring outside the timer
-			reset(c)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			op := func() {
 				c.ingest(buf, 64)
-				reset(c)
+				if dst == 1 {
+					for {
+						if _, _, n := c.PullRun(); n == 0 {
+							break
+						}
+					}
+				} else {
+					ob := c.outFor(dst)
+					ob.items, ob.n = ob.items[:0], 0
+				}
 			}
-			b.StopTimer()
+			op() // grow the pull ring before measuring
+			measure(op)
 		}
 		pe.Barrier()
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 }
 
+// loop is how the benchmarks time op: b.N calls after its setup, with
+// allocations reported.
+func loop(b *testing.B, op func()) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+	b.StopTimer()
+}
+
 func BenchmarkIngestDeliver(b *testing.B) {
-	benchIngest(b, 1, func(c *Conveyor) {
-		for {
-			if _, _, n := c.PullRun(); n == 0 {
-				return
-			}
-		}
-	})
+	ingestBuffer(b, 1, func(op func()) { loop(b, op) })
 }
 
 func BenchmarkIngestForward(b *testing.B) {
-	benchIngest(b, 3, func(c *Conveyor) {
-		ob := c.outFor(3)
-		ob.items, ob.n = ob.items[:0], 0
-	})
+	ingestBuffer(b, 3, func(op func()) { loop(b, op) })
 }

@@ -100,7 +100,7 @@ func run(opts Options, app App, capture bool) (*trace.Set, *sim.Schedule, error)
 			Topology:    opts.Topology,
 		})
 		if err := app(rt); err != nil {
-			panic(fmt.Sprintf("core: app failed on PE %d: %v", pe.Rank(), err))
+			pe.Abort(fmt.Errorf("core: app failed on PE %d: %w", pe.Rank(), err))
 		}
 		rt.Close()
 		pe.Barrier()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -51,6 +52,45 @@ func TestRunPropagatesAppErrors(t *testing.T) {
 		})
 	if err == nil {
 		t.Fatal("expected app error to propagate")
+	}
+}
+
+// An app's error comes back from Run as itself, wrapped with the PE that
+// returned it and without a goroutine dump, whether its peers are still
+// inside a Finish or return it too.
+func TestRunReturnsAppErrorWithoutStack(t *testing.T) {
+	sentinel := errors.New("app gave up")
+	for _, c := range []struct {
+		name   string
+		failOn func(rank int) bool
+	}{
+		{"one PE, peers in a Finish", func(rank int) bool { return rank == 1 }},
+		{"every PE", func(int) bool { return true }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := Run(Options{Machine: sim.Machine{NumPEs: 4, PEsPerNode: 2}},
+				func(rt *actor.Runtime) error {
+					if c.failOn(rt.PE().Rank()) {
+						return sentinel
+					}
+					sel, err := actor.NewActor(rt, actor.Int64Codec())
+					if err != nil {
+						return err
+					}
+					sel.Process(0, func(int64, int) {})
+					rt.Finish(func() {
+						sel.Start()
+						sel.Done(0)
+					})
+					return nil
+				})
+			if !errors.Is(err, sentinel) {
+				t.Fatalf("Run returned %v, want an error wrapping %v", err, sentinel)
+			}
+			if msg := err.Error(); strings.Contains(msg, "goroutine") || !strings.Contains(msg, "on PE ") {
+				t.Errorf("Run's error %q: want the failing PE named and no stack", msg)
+			}
+		})
 	}
 }
 

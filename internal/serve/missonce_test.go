@@ -180,58 +180,102 @@ func TestConcurrentWhatIfSharesBaseline(t *testing.T) {
 	}
 }
 
-// BenchmarkServeMiss serves cache misses through the whole handler, one
-// case per kind: a plot SVG for an identity and for a gzip-accepting
-// client, an /events window, and a what-if report. A one-byte cache
-// keeps only the newest entry, so alternating two URLs misses on every
-// request; the run's parses are memoized outside the cache and are
-// paid before the timer starts.
-func BenchmarkServeMiss(b *testing.B) {
-	root := b.TempDir()
-	writeRun(b, root, "run1")
-	writeIndexedRun(b, root, "ix", 16, 4096)
-	writeCapturedRun(b, root, "cap")
+// missCase is one kind of cache miss through the whole handler: two
+// URLs of one kind served alternately.
+type missCase struct {
+	name  string
+	paths [2]string
+	gzip  bool
+}
+
+// missCases are a plot SVG for an identity and for a gzip-accepting
+// client, an /events window, and a what-if report.
+var missCases = []missCase{
+	{"identity", missPlots, false},
+	{"gzip", missPlots, true},
+	{"events", [2]string{"/runs/ix/events?t0=30000&t1=31000", "/runs/ix/events?t0=40000&t1=41000"}, false},
+	{"whatif", [2]string{"/runs/cap/whatif?scale_network=2", "/runs/cap/whatif?scale_network=4"}, false},
+}
+
+var missPlots = [2]string{"/runs/run1/plots/logical-heatmap.svg", "/runs/run1/plots/physical-heatmap.svg"}
+
+// newMissServer serves missCases' three runs through a one-byte cache,
+// which keeps only the newest entry, so alternating two URLs misses on
+// every request.
+func newMissServer(tb testing.TB) *Server {
+	root := tb.TempDir()
+	writeRun(tb, root, "run1")
+	writeIndexedRun(tb, root, "ix", 16, 4096)
+	writeCapturedRun(tb, root, "cap")
 	srv, err := New(Config{Root: root, CacheBytes: 1})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
+	return srv
+}
+
+// serveMiss returns a function that serves c's next URL through h,
+// reusing its requests and one writer. Each URL is served once before
+// it returns, so the run's parses, memoized outside the cache, are paid.
+func serveMiss(tb testing.TB, h http.Handler, c missCase) func() {
+	var reqs [2]*http.Request
+	for i, p := range c.paths {
+		reqs[i] = httptest.NewRequest("GET", p, nil)
+		if c.gzip {
+			reqs[i].Header.Set("Accept-Encoding", "gzip")
+		}
+	}
+	w := &hitWriter{header: make(http.Header, 8)}
+	next := 0
+	serve := func() {
+		r := reqs[next%2]
+		next++
+		clear(w.header)
+		w.code = http.StatusOK
+		h.ServeHTTP(w, r)
+		if w.code != http.StatusOK {
+			tb.Fatalf("%s: status %d", r.URL, w.code)
+		}
+	}
+	serve()
+	serve()
+	return serve
+}
+
+// TestMissPathAllocs pins what each kind of cache miss allocates
+// through the whole handler: a rendered plot, compressed once for a gzip
+// client, an /events window coded by WindowResult.AppendJSON, and a
+// what-if's one projection and replay against its run's baseline.
+func TestMissPathAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under -race")
+	}
+	srv := newMissServer(t)
 	h := srv.Handler()
-	plots := [2]string{"/runs/run1/plots/logical-heatmap.svg", "/runs/run1/plots/physical-heatmap.svg"}
-	for _, c := range []struct {
-		name  string
-		paths [2]string
-		gzip  bool
-	}{
-		{"identity", plots, false},
-		{"gzip", plots, true},
-		{"events", [2]string{"/runs/ix/events?t0=30000&t1=31000", "/runs/ix/events?t0=40000&t1=41000"}, false},
-		{"whatif", [2]string{"/runs/cap/whatif?scale_network=2", "/runs/cap/whatif?scale_network=4"}, false},
-	} {
-		var reqs [2]*http.Request
-		for i, p := range c.paths {
-			reqs[i] = httptest.NewRequest("GET", p, nil)
-			if c.gzip {
-				reqs[i].Header.Set("Accept-Encoding", "gzip")
-			}
+	budget := map[string]float64{"identity": 29, "gzip": 31, "events": 68, "whatif": 86}
+	for _, c := range missCases {
+		// 100 misses: what a cold pool or map allocates once floors away.
+		n := testing.AllocsPerRun(100, serveMiss(t, h, c))
+		t.Logf("%s: %.0f allocs", c.name, n)
+		if n > budget[c.name] {
+			t.Errorf("%s allocates %.0f times, budget %.0f", c.name, n, budget[c.name])
 		}
-		w := &hitWriter{header: make(http.Header, 8)}
-		next := 0 // alternates across b.Run's calls of the function too
-		serve := func(tb testing.TB) {
-			r := reqs[next%2]
-			next++
-			clear(w.header)
-			w.code = http.StatusOK
-			h.ServeHTTP(w, r)
-			if w.code != http.StatusOK {
-				tb.Fatalf("%s: status %d", r.URL, w.code)
-			}
-		}
-		serve(b)
-		serve(b)
+	}
+	if hits := srv.Metrics().CacheHits(); hits != 0 {
+		t.Fatalf("%d cache hits: every request must miss", hits)
+	}
+}
+
+// BenchmarkServeMiss serves TestMissPathAllocs' misses.
+func BenchmarkServeMiss(b *testing.B) {
+	srv := newMissServer(b)
+	h := srv.Handler()
+	for _, c := range missCases {
+		serve := serveMiss(b, h, c)
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				serve(b)
+				serve()
 			}
 		})
 	}

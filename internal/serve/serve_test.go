@@ -46,7 +46,7 @@ func writeRun(t testing.TB, root, id string) {
 }
 
 // newTestServer builds a Server over a root holding one finished run.
-func newTestServer(t *testing.T) (*Server, string) {
+func newTestServer(t testing.TB) (*Server, string) {
 	t.Helper()
 	root := t.TempDir()
 	writeRun(t, root, "run1")

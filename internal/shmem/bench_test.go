@@ -99,34 +99,44 @@ func BenchmarkAllReduce(b *testing.B) {
 	})
 }
 
-// BenchmarkLoadInt64 is one poll of a sequence or ack word; with
-// BenchmarkPutInt64Foreign, what every buffer and every idle sweep pays
-// the heap. Two PEs, uncontended: ≈ 20 ns each under the per-PE heap
-// mutex, a bounds check and an atomic word access without it.
-func BenchmarkLoadInt64(b *testing.B) {
-	benchWorld(b, 2, 2, func(pe *PE) {
+// wordAccess runs measure on PE 0 of a two-PE node, with op one access
+// of PE 1's heap word: a load polls a sequence or ack word, a put writes
+// one. With both, what every buffer and every idle sweep pays the heap.
+func wordAccess(tb testing.TB, put bool, measure func(op func())) {
+	err := Run(Config{Machine: sim.Machine{NumPEs: 2, PEsPerNode: 2}}, func(pe *PE) {
 		off := pe.Malloc(8)
 		if pe.Rank() == 0 {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				pe.LoadInt64(1, off)
+			var v int64
+			op := func() { pe.LoadInt64(1, off) }
+			if put {
+				op = func() { v++; pe.PutInt64(1, off, v) }
 			}
+			measure(op)
 		}
 		pe.Barrier()
 	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// loop is how the benchmarks time op: b.N calls after its setup, with
+// allocations reported.
+func loop(b *testing.B, op func()) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
+	}
+}
+
+// BenchmarkLoadInt64 and BenchmarkPutInt64Foreign: uncontended, ≈ 20 ns
+// each under the per-PE heap mutex, a bounds check and an atomic word
+// access without it.
+func BenchmarkLoadInt64(b *testing.B) {
+	wordAccess(b, false, func(op func()) { loop(b, op) })
 }
 
 func BenchmarkPutInt64Foreign(b *testing.B) {
-	benchWorld(b, 2, 2, func(pe *PE) {
-		off := pe.Malloc(8)
-		if pe.Rank() == 0 {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				pe.PutInt64(1, off, int64(i))
-			}
-		}
-		pe.Barrier()
-	})
+	wordAccess(b, true, func(op func()) { loop(b, op) })
 }

@@ -83,8 +83,8 @@ type World struct {
 	sharedMu sync.Mutex
 	shared   map[any]any
 
-	// failed flips when any PE panics. Barrier waiters are unblocked by
-	// barrier poisoning, but PEs spinning in progress loops (conveyor
+	// failed flips when any PE panics or aborts. Barrier waiters are
+	// unblocked by barrier poisoning, but PEs spinning in progress loops (conveyor
 	// Advance) or asleep at a wait point (WaitIdle: a blocked Send, an
 	// idle selector worker, WaitUntil) never reach a barrier; they
 	// observe this flag at their Yield preemption point, or on the
@@ -109,6 +109,16 @@ func (w *World) fail(rank int) {
 // once the world has failed; Run translates it into a secondary error so
 // the root-cause panic stays the error Run returns.
 type peerAbort struct{ crashed int64 }
+
+// peFailure is the panic value Abort raises: the PE's own error, which
+// Run returns as the root cause, without a stack.
+type peFailure struct{ err error }
+
+// Abort stops this PE with err and fails the world as a crash does: peers
+// waiting at a barrier or spinning in progress abort, and Run returns err.
+func (p *PE) Abort(err error) {
+	panic(peFailure{err})
+}
 
 // abortIfFailed panics with peerAbort once any PE has crashed.
 func (p *PE) abortIfFailed() {
@@ -331,10 +341,14 @@ func Run(cfg Config, body func(pe *PE)) error {
 						pe.rank)
 					secondary[pe.rank] = true
 				default:
-					buf := make([]byte, 16<<10)
-					sz := runtime.Stack(buf, false)
-					errs[pe.rank] = fmt.Errorf("shmem: PE %d panicked: %v\n%s",
-						pe.rank, r, buf[:sz])
+					if f, ok := r.(peFailure); ok {
+						errs[pe.rank] = f.err
+					} else {
+						buf := make([]byte, 16<<10)
+						sz := runtime.Stack(buf, false)
+						errs[pe.rank] = fmt.Errorf("shmem: PE %d panicked: %v\n%s",
+							pe.rank, r, buf[:sz])
+					}
 					// Unblock the peers: poison the barrier for PEs waiting
 					// there, and raise the world failure flag for PEs
 					// spinning in progress loops (they observe it in Yield)

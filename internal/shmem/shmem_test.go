@@ -263,6 +263,20 @@ func TestPutNBISnapshotsAndRewinds(t *testing.T) {
 	})
 }
 
+// TestWordAccessZeroAlloc: loading or putting a peer's heap word, the
+// per-message floor's heap access, allocates nothing.
+func TestWordAccessZeroAlloc(t *testing.T) {
+	for name, put := range map[string]bool{"LoadInt64": false, "PutInt64Foreign": true} {
+		t.Run(name, func(t *testing.T) {
+			wordAccess(t, put, func(op func()) {
+				if allocs := testing.AllocsPerRun(1000, op); allocs != 0 {
+					t.Errorf("%s allocates %.1f times, want 0", name, allocs)
+				}
+			})
+		})
+	}
+}
+
 func TestBarrierImpliesQuiet(t *testing.T) {
 	run(t, 2, 2, func(pe *PE) {
 		off := pe.Malloc(8)

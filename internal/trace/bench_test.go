@@ -71,152 +71,159 @@ const (
 	benchRecsPerPE = 4096
 )
 
-// BenchmarkWriteFiles serializes the 64-PE set in each on-disk format.
-func BenchmarkWriteFiles(b *testing.B) {
-	for _, f := range []Format{FormatCSV, FormatBinary} {
-		b.Run("format="+f.String(), func(b *testing.B) {
-			set := benchSet(benchPEs, benchRecsPerPE, f)
-			dir := b.TempDir()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := set.WriteFiles(dir); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkReadSet parses the 64-PE trace directory back into a fully
-// materialized Set with the default worker pool (GOMAXPROCS).
-func BenchmarkReadSet(b *testing.B) {
-	for _, f := range []Format{FormatCSV, FormatBinary} {
-		b.Run("format="+f.String(), func(b *testing.B) {
-			dir := b.TempDir()
-			if err := benchSet(benchPEs, benchRecsPerPE, f).WriteFiles(dir); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			var records int
-			for i := 0; i < b.N; i++ {
-				set, err := ReadSet(dir)
-				if err != nil {
-					b.Fatal(err)
-				}
-				records = 0
-				for _, recs := range set.Logical {
-					records += len(recs)
-				}
-				if records != benchPEs*benchRecsPerPE {
-					b.Fatalf("parsed %d logical records, want %d", records, benchPEs*benchRecsPerPE)
-				}
-			}
-			b.ReportMetric(float64(records), "records")
-		})
-	}
-}
-
-// BenchmarkReadSummary folds the same directory into the O(PEs^2)
-// Summary without materializing record slices.
-func BenchmarkReadSummary(b *testing.B) {
-	for _, f := range []Format{FormatCSV, FormatBinary} {
-		b.Run("format="+f.String(), func(b *testing.B) {
-			dir := b.TempDir()
-			if err := benchSet(benchPEs, benchRecsPerPE, f).WriteFiles(dir); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sum, _, err := ReadSummary(dir, ReadOptions{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if got := sum.LogicalMatrix().Total(); got != benchPEs*benchRecsPerPE {
-					b.Fatalf("summary folded %d sends, want %d", got, benchPEs*benchRecsPerPE)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAppendLogicalLine guards the byte-level line appender's
-// zero-allocation guarantee (the paper's layout's write hot path).
-func BenchmarkAppendLogicalLine(b *testing.B) {
-	r := LogicalRecord{SrcNode: 1, SrcPE: 17, DstNode: 2, DstPE: 35, MsgSize: 4096}
-	buf := make([]byte, 0, 64)
+// loop is how the benchmarks time op: b.N calls after its setup, with
+// allocations reported.
+func loop(b *testing.B, op func()) {
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = appendLogical(buf[:0], r, nil)
-		if len(buf) == 0 {
-			b.Fatal("empty line")
+		op()
+	}
+}
+
+var benchFormats = []Format{FormatCSV, FormatBinary}
+
+// writeFilesOp serializes the 64-PE set in format f into one directory.
+func writeFilesOp(tb testing.TB, f Format) func() {
+	set := benchSet(benchPEs, benchRecsPerPE, f)
+	dir := tb.TempDir()
+	return func() {
+		if err := set.WriteFiles(dir); err != nil {
+			tb.Fatal(err)
 		}
 	}
 }
 
-// benchIndexedDir writes an ordered-cycle binary trace and its time
-// index, the windowed-query benchmarks' shared fixture.
-func benchIndexedDir(b *testing.B, npes, recsPerPE int) string {
-	b.Helper()
-	dir := b.TempDir()
-	if err := orderedCycleSet(b, npes, recsPerPE).WriteFiles(dir); err != nil {
-		b.Fatal(err)
-	}
-	if built, err := BuildTimeIndex(dir); err != nil || !built {
-		b.Fatalf("BuildTimeIndex: built=%v err=%v", built, err)
+// benchDir writes the 64-PE set in format f, the readers' input.
+func benchDir(tb testing.TB, f Format) string {
+	dir := tb.TempDir()
+	if err := benchSet(benchPEs, benchRecsPerPE, f).WriteFiles(dir); err != nil {
+		tb.Fatal(err)
 	}
 	return dir
 }
 
-// BenchmarkWindowQueryEvents answers a narrow raw-event window through
-// the time index: cost must track the window (a few blocks), not the
-// 256-block trace.
-func BenchmarkWindowQueryEvents(b *testing.B) {
-	const npes, recsPerPE = 64, 4096
-	dir := benchIndexedDir(b, npes, recsPerPE)
-	ix, err := LoadTimeIndex(dir)
-	if err != nil {
-		b.Fatal(err)
-	}
-	span := ix.TMax - ix.TMin + 1
-	q := Window{T0: ix.TMin + span/2, T1: ix.TMin + span/2 + span/64}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := ix.Query(dir, q)
+// readSetOp parses the 64-PE trace directory back into a fully
+// materialized Set with the default worker pool (GOMAXPROCS).
+func readSetOp(tb testing.TB, f Format) func() {
+	dir := benchDir(tb, f)
+	return func() {
+		set, err := ReadSet(dir)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-		if len(res.Events) == 0 || res.BlocksRead >= res.TotalBlocks {
-			b.Fatalf("window read %d/%d blocks with %d events", res.BlocksRead, res.TotalBlocks, len(res.Events))
+		records := 0
+		for _, recs := range set.Logical {
+			records += len(recs)
+		}
+		if records != benchPEs*benchRecsPerPE {
+			tb.Fatalf("parsed %d logical records, want %d", records, benchPEs*benchRecsPerPE)
 		}
 	}
 }
 
-// BenchmarkWindowQueryPyramid answers a zoomed-out query from the
-// index's pyramid alone - no data blocks at all.
-func BenchmarkWindowQueryPyramid(b *testing.B) {
-	const npes, recsPerPE = 64, 4096
-	dir := benchIndexedDir(b, npes, recsPerPE)
-	ix, err := LoadTimeIndex(dir)
-	if err != nil {
-		b.Fatal(err)
-	}
-	q := Window{T0: ix.TMin, T1: ix.TMax + 1, LOD: 2}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := ix.Query(dir, q)
+// readSummaryOp folds the same directory into the O(PEs^2) Summary
+// without materializing record slices.
+func readSummaryOp(tb testing.TB, f Format) func() {
+	dir := benchDir(tb, f)
+	return func() {
+		sum, _, err := ReadSummary(dir, ReadOptions{})
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-		if len(res.Buckets) == 0 || res.BlocksRead != 0 {
-			b.Fatalf("pyramid query returned %d buckets reading %d blocks", len(res.Buckets), res.BlocksRead)
+		if got := sum.LogicalMatrix().Total(); got != benchPEs*benchRecsPerPE {
+			tb.Fatalf("summary folded %d sends, want %d", got, benchPEs*benchRecsPerPE)
 		}
 	}
 }
+
+// appendLogicalLineOp appends one line of the paper's layout, the write
+// hot path of its text files, into a reused buffer.
+func appendLogicalLineOp(tb testing.TB) func() {
+	r := LogicalRecord{SrcNode: 1, SrcPE: 17, DstNode: 2, DstPE: 35, MsgSize: 4096}
+	buf := make([]byte, 0, 64)
+	return func() {
+		buf = appendLogical(buf[:0], r, nil)
+		if len(buf) == 0 {
+			tb.Fatal("empty line")
+		}
+	}
+}
+
+func BenchmarkWriteFiles(b *testing.B) {
+	for _, f := range benchFormats {
+		b.Run("format="+f.String(), func(b *testing.B) { loop(b, writeFilesOp(b, f)) })
+	}
+}
+
+func BenchmarkReadSet(b *testing.B) {
+	for _, f := range benchFormats {
+		b.Run("format="+f.String(), func(b *testing.B) { loop(b, readSetOp(b, f)) })
+	}
+}
+
+func BenchmarkReadSummary(b *testing.B) {
+	for _, f := range benchFormats {
+		b.Run("format="+f.String(), func(b *testing.B) { loop(b, readSummaryOp(b, f)) })
+	}
+}
+
+func BenchmarkAppendLogicalLine(b *testing.B) { loop(b, appendLogicalLineOp(b)) }
+
+// benchIndexedDir writes an ordered-cycle binary trace and its time
+// index, the windowed-query benchmarks' shared fixture.
+func benchIndexedDir(tb testing.TB, npes, recsPerPE int) string {
+	tb.Helper()
+	dir := tb.TempDir()
+	if err := orderedCycleSet(tb, npes, recsPerPE).WriteFiles(dir); err != nil {
+		tb.Fatal(err)
+	}
+	if built, err := BuildTimeIndex(dir); err != nil || !built {
+		tb.Fatalf("BuildTimeIndex: built=%v err=%v", built, err)
+	}
+	return dir
+}
+
+// benchWindows are the two windowed queries over benchIndexedDir's
+// 64-PE trace: a narrow raw-event window, whose cost must track the
+// window (a few blocks), not the 256-block trace, and a zoomed-out one
+// answered from the index's pyramid alone, reading no data block.
+var benchWindows = []struct {
+	name string
+	at   func(ix *TimeIndex) Window
+}{
+	{"lod=0", func(ix *TimeIndex) Window {
+		span := ix.TMax - ix.TMin + 1
+		return Window{T0: ix.TMin + span/2, T1: ix.TMin + span/2 + span/64}
+	}},
+	{"lod=2", func(ix *TimeIndex) Window { return Window{T0: ix.TMin, T1: ix.TMax + 1, LOD: 2} }},
+}
+
+// windowQueryOp answers benchWindows[w] through the time index.
+func windowQueryOp(tb testing.TB, w int) func() {
+	dir := benchIndexedDir(tb, 64, 4096)
+	ix, err := LoadTimeIndex(dir)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	q := benchWindows[w].at(ix)
+	return func() {
+		res, err := ix.Query(dir, q)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if q.LOD == 0 && (len(res.Events) == 0 || res.BlocksRead >= res.TotalBlocks) {
+			tb.Fatalf("window read %d/%d blocks with %d events", res.BlocksRead, res.TotalBlocks, len(res.Events))
+		}
+		if q.LOD > 0 && (len(res.Buckets) == 0 || res.BlocksRead != 0) {
+			tb.Fatalf("pyramid query returned %d buckets reading %d blocks", len(res.Buckets), res.BlocksRead)
+		}
+	}
+}
+
+func BenchmarkWindowQueryEvents(b *testing.B) { loop(b, windowQueryOp(b, 0)) }
+
+func BenchmarkWindowQueryPyramid(b *testing.B) { loop(b, windowQueryOp(b, 1)) }
 
 // BenchmarkWindowQueryFullScan is the reference path the indexed
 // queries are measured against: the same narrow window answered by
@@ -278,9 +285,9 @@ func benchCollect(b *testing.B, cfg Config) {
 }
 
 // BenchmarkCollectFullTrace is the record path: sends packed into the
-// block being filled, sealed as APBF blocks, decoded once at Close. CI's
-// bench gate holds it at 0 allocs/op: the byte chunks sealed blocks land
-// in amortise below one allocation per send.
+// block being filled, sealed as APBF blocks, decoded once at Close. The
+// byte chunks sealed blocks land in amortise below one allocation per
+// send (TestFullTraceSendAmortisedAlloc).
 func BenchmarkCollectFullTrace(b *testing.B) { benchCollect(b, fullTrace()) }
 
 // BenchmarkCollectAggregate is the benchmark's aggregation config, which

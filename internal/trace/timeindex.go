@@ -30,7 +30,7 @@ import (
 //	          { uvarint count | uvarint bytes | uvarint k0 | k1 | k2 }
 //
 // The index is written by an explicit pass over a finished trace
-// (BuildTimeIndex: `actorprof export -index`, actorprofd -backfill), and
+// (BuildTimeIndex, behind `actorprof export -index`), and
 // its reader is paranoid: any truncation, corruption, or staleness
 // (the data file changed size since the index was built) makes
 // LoadTimeIndex return an error, and every query path falls back to a

@@ -72,35 +72,24 @@ func FuzzWindowResultJSON(f *testing.F) {
 	})
 }
 
-// BenchmarkWindowJSON codes the /events body of a narrow raw-event
-// window and of a zoomed-out pyramid query into a reused buffer.
-func BenchmarkWindowJSON(b *testing.B) {
-	const npes, recsPerPE = 64, 4096
-	dir := benchIndexedDir(b, npes, recsPerPE)
+// windowJSONOp codes the /events body of benchWindows[w]'s result into
+// a reused buffer.
+func windowJSONOp(tb testing.TB, w int) func() {
+	dir := benchIndexedDir(tb, 64, 4096)
 	ix, err := LoadTimeIndex(dir)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	span := ix.TMax - ix.TMin + 1
-	for _, c := range []struct {
-		name string
-		q    Window
-	}{
-		{"lod=0", Window{T0: ix.TMin + span/2, T1: ix.TMin + span/2 + span/64}},
-		{"lod=2", Window{T0: ix.TMin, T1: ix.TMax + 1, LOD: 2}},
-	} {
-		res, err := ix.Query(dir, c.q)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(c.name, func(b *testing.B) {
-			buf := res.AppendJSON(nil)
-			b.SetBytes(int64(len(buf)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				buf = res.AppendJSON(buf[:0])
-			}
-		})
+	res, err := ix.Query(dir, benchWindows[w].at(ix))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	buf := res.AppendJSON(nil)
+	return func() { buf = res.AppendJSON(buf[:0]) }
+}
+
+func BenchmarkWindowJSON(b *testing.B) {
+	for w, c := range benchWindows {
+		b.Run(c.name, func(b *testing.B) { loop(b, windowJSONOp(b, w)) })
 	}
 }

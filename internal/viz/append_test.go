@@ -68,8 +68,9 @@ func TestHeatmapSVGAllocsConstant(t *testing.T) {
 		})
 	}
 	small, large := allocs(8), allocs(32)
-	if large > 8 || large != small {
-		t.Errorf("heatmap SVG allocates %.0f times at 8 PEs and %.0f at 32; want the same small constant", small, large)
+	t.Logf("%.0f allocs at 8 PEs, %.0f at 32", small, large)
+	if large > 5 || large != small {
+		t.Errorf("heatmap SVG allocates %.0f times at 8 PEs and %.0f at 32; want the same constant, at most 5", small, large)
 	}
 }
 

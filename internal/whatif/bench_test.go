@@ -1,9 +1,10 @@
-package whatif
+package whatif_test
 
 import (
 	"testing"
 
 	"actorprof/internal/sim"
+	"actorprof/internal/whatif"
 )
 
 // benchSchedule synthesizes a deterministic schedule shaped like a real
@@ -36,58 +37,96 @@ func benchSchedule(pes, gens, transfersPerGen int) *sim.Schedule {
 	return rec.Schedule()
 }
 
-// BenchmarkCriticalPath measures the analytic engine end to end:
-// projection, critical-path extraction, and bottleneck ranking over a
-// 16-PE, 32-generation schedule.
-func BenchmarkCriticalPath(b *testing.B) {
-	s := benchSchedule(16, 32, 24)
-	p := Identity(s)
-	b.ReportMetric(float64(s.Events()), "events")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		an, err := Project(s, p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(an.Windows) != 1 {
-			b.Fatalf("got %d windows", len(an.Windows))
-		}
-	}
-}
-
-// BenchmarkWhatIfReplay measures the deterministic replay engine over
-// the same schedule under a non-identity perturbation.
-func BenchmarkWhatIfReplay(b *testing.B) {
-	s := benchSchedule(16, 32, 24)
-	p := Perturbation{
-		Cost:           ScaledCost(s.Cost, CostScales{Network: 2, Instr: 0.5}),
-		HandlerSpeedup: map[int64]float64{sim.ActorID(1, 0): 2},
-	}
-	b.ReportMetric(float64(s.Events()), "events")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rt, err := Replay(s, p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rt.Makespan == 0 {
-			b.Fatal("zero makespan")
-		}
-	}
-}
-
-// BenchmarkCompare measures a what-if answered from the schedule alone:
-// the baseline and perturbed projections and the replay that validates
-// them, over a 32-PE schedule.
-func BenchmarkCompare(b *testing.B) {
-	s := benchSchedule(32, 32, 24)
-	p := Perturbation{Cost: ScaledCost(s.Cost, CostScales{Network: 2})}
-	b.ReportMetric(float64(s.Events()), "events")
+// loop is how the benchmarks time op: b.N calls after its setup, with
+// allocations reported.
+func loop(b *testing.B, op func()) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Compare(s, p); err != nil {
-			b.Fatal(err)
+		op()
+	}
+}
+
+// criticalPathOp runs the analytic engine end to end: projection,
+// critical-path extraction, and bottleneck ranking over a 16-PE,
+// 32-generation schedule.
+func criticalPathOp(tb testing.TB) func() {
+	s := benchSchedule(16, 32, 24)
+	p := whatif.Identity(s)
+	return func() {
+		an, err := whatif.Project(s, p)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if len(an.Windows) != 1 {
+			tb.Fatalf("got %d windows", len(an.Windows))
+		}
+	}
+}
+
+// replayOp runs the deterministic replay engine over the same schedule
+// under a non-identity perturbation.
+func replayOp(tb testing.TB) func() {
+	s := benchSchedule(16, 32, 24)
+	p := whatif.Perturbation{
+		Cost:           whatif.ScaledCost(s.Cost, whatif.CostScales{Network: 2, Instr: 0.5}),
+		HandlerSpeedup: map[int64]float64{sim.ActorID(1, 0): 2},
+	}
+	return func() {
+		rt, err := whatif.Replay(s, p)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if rt.Makespan == 0 {
+			tb.Fatal("zero makespan")
+		}
+	}
+}
+
+// compareOp answers a what-if from the schedule alone: the baseline and
+// perturbed projections and the replay that validates them, over a
+// 32-PE schedule.
+func compareOp(tb testing.TB) func() {
+	s := benchSchedule(32, 32, 24)
+	p := whatif.Perturbation{Cost: whatif.ScaledCost(s.Cost, whatif.CostScales{Network: 2})}
+	return func() {
+		if _, err := whatif.Compare(s, p); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkCriticalPath(b *testing.B) { loop(b, criticalPathOp(b)) }
+
+func BenchmarkWhatIfReplay(b *testing.B) { loop(b, replayOp(b)) }
+
+func BenchmarkCompare(b *testing.B) { loop(b, compareOp(b)) }
+
+// TestEngineAllocs holds the what-if benchmarks to their allocation
+// budgets, each operation built by its benchmark's setup: a projection
+// and a replay allocate per PE and per window, schedule.json's codec O(1)
+// per write and O(PEs) per read, none of them per event. fmt's printers
+// come from a sync.Pool, which drops Puts at random under -race.
+func TestEngineAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under -race")
+	}
+	for _, c := range []struct {
+		name   string
+		op     func(testing.TB) func()
+		runs   int
+		budget float64
+	}{
+		{"CriticalPath", criticalPathOp, 20, 47},
+		{"WhatIfReplay", replayOp, 20, 20},
+		{"Compare", compareOp, 20, 163},
+		{"WriteScheduleFile", writeScheduleFileOp, 5, 9},
+		{"ReadScheduleFile", readScheduleFileOp, 5, 294},
+	} {
+		n := testing.AllocsPerRun(c.runs, c.op(t))
+		t.Logf("%s: %.0f allocs", c.name, n)
+		if n > c.budget {
+			t.Errorf("%s allocates %.0f times, budget %.0f", c.name, n, c.budget)
 		}
 	}
 }

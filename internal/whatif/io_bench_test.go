@@ -21,51 +21,52 @@ var recorded = sync.OnceValues(func() (*sim.Schedule, error) {
 	return rep.Schedule, nil
 })
 
-func recordedSchedule(b *testing.B) *sim.Schedule {
+func recordedSchedule(tb testing.TB) *sim.Schedule {
 	s, err := recorded()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return s
 }
 
-func reportPerEvent(b *testing.B, s *sim.Schedule) {
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(s.Events()), "ns/event")
-}
-
-// BenchmarkWriteScheduleFile writes a recorded schedule.json: allocations
-// are O(1) per write, none per event.
-func BenchmarkWriteScheduleFile(b *testing.B) {
-	s := recordedSchedule(b)
-	dir := b.TempDir()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+// writeScheduleFileOp writes a recorded schedule.json: allocations are
+// O(1) per write, none per event.
+func writeScheduleFileOp(tb testing.TB) func() {
+	s := recordedSchedule(tb)
+	dir := tb.TempDir()
+	return func() {
 		if err := whatif.WriteScheduleFile(dir, s); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
-	reportPerEvent(b, s)
 }
 
-// BenchmarkReadScheduleFile reads it back and validates it: allocations
-// are O(PEs) per read, none per event.
-func BenchmarkReadScheduleFile(b *testing.B) {
-	s := recordedSchedule(b)
-	dir := b.TempDir()
+// readScheduleFileOp reads it back and validates it: allocations are
+// O(PEs) per read, none per event.
+func readScheduleFileOp(tb testing.TB) func() {
+	s := recordedSchedule(tb)
+	dir := tb.TempDir()
 	if err := whatif.WriteScheduleFile(dir, s); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		got, err := whatif.ReadScheduleFile(dir)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if got.Events() != s.Events() {
-			b.Fatalf("read %d events, wrote %d", got.Events(), s.Events())
+			tb.Fatalf("read %d events, wrote %d", got.Events(), s.Events())
 		}
 	}
-	reportPerEvent(b, s)
 }
+
+// benchPerEvent times op b.N times and reports its cost per event of
+// the recorded schedule.
+func benchPerEvent(b *testing.B, op func()) {
+	loop(b, op)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(recordedSchedule(b).Events()), "ns/event")
+}
+
+func BenchmarkWriteScheduleFile(b *testing.B) { benchPerEvent(b, writeScheduleFileOp(b)) }
+
+func BenchmarkReadScheduleFile(b *testing.B) { benchPerEvent(b, readScheduleFileOp(b)) }
