@@ -2,13 +2,12 @@ package trace
 
 import (
 	"bytes"
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"slices"
 	"sync"
 
+	"actorprof/internal/blocks"
 	"actorprof/internal/conveyor"
 )
 
@@ -17,13 +16,8 @@ import (
 // interchange format (paper.go), but at Section VI trace sizes its
 // decimal-and-comma encoding costs 2-4x the bytes and most of the parse
 // time. APBF stores the five record kinds as blocks of column-major
-// zigzag varints:
-//
-//	header : "APBF" | version (1 byte) | kind (1 byte) | uvarint ncols
-//	block  : uvarint nrows (>0)
-//	         [kind=segments only] nrows strings (uvarint len | bytes)
-//	         ncols columns, each nrows zigzag-varint int64s
-//	... blocks repeat until EOF
+// zigzag varints, coded and read by the block kernel in package blocks
+// (where the layout is drawn); segments is the kind with strings.
 //
 // The header is self-describing and versioned. Column-major blocks keep
 // same-column values adjacent, which makes the varints short (PE numbers
@@ -32,26 +26,17 @@ import (
 // counted toward the tolerant reader's skipped total as the rows the
 // block claimed.
 const (
-	binMagic   = "APBF"
-	binVersion = 1
-
 	binKindLogical  byte = 1
 	binKindPAPI     byte = 2
 	binKindPhysical byte = 3
 	binKindOverall  byte = 4
 	binKindSegments byte = 5
+	// Kind 6 is a schedule shard (package sim).
 
 	// binBlockRows is the encoder's block size: small enough that a torn
 	// tail loses few records, large enough to amortize the per-block row
 	// count.
-	binBlockRows = 1024
-
-	// maxBinRows / maxBinCols / maxBinStr bound what a (possibly
-	// hostile) header or block may claim, so a corrupt file cannot drive
-	// the reader into huge allocations.
-	maxBinRows = 1 << 20
-	maxBinCols = 1 << 10
-	maxBinStr  = 1 << 16
+	binBlockRows = blocks.Len
 
 	// Physical column counts: the base format carried 4 columns
 	// (kind, buf_bytes, src, dst); the current writer appends the
@@ -70,9 +55,6 @@ const (
 	physicalBinFile = "physical.bin"
 	segmentsBinFile = "segments.bin"
 )
-
-func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
-func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // shardWriter writes one trace file from a byte buffer, about binBufBytes
 // at a time: the paper's lines appended to it, or APBF blocks coded into
@@ -105,11 +87,7 @@ func (b *shardWriter) header(kind byte, ncols int) {
 	for c := range b.cols {
 		b.cols[c] = b.cols[c][:0]
 	}
-	b.buf = appendHeader(b.buf, kind, ncols)
-}
-
-func appendHeader(buf []byte, kind byte, ncols int) []byte {
-	return binary.AppendUvarint(append(append(buf, binMagic...), binVersion, kind), uint64(ncols))
+	b.buf = blocks.AppendHeader(b.buf, kind, ncols)
 }
 
 // push appends one row. vals must have exactly ncols entries (the
@@ -146,47 +124,12 @@ func (b *shardWriter) flushBlock() {
 	if b.n == 0 {
 		return
 	}
-	b.buf = appendBlock(b.buf, b.n, b.strs, b.cols)
+	b.buf = blocks.AppendBlock(b.buf, b.n, b.strs, b.cols)
 	for c := range b.cols {
 		b.cols[c] = b.cols[c][:0]
 	}
 	b.strs, b.n = b.strs[:0], 0
 	b.gathered()
-}
-
-// appendBlock codes rows 0..n-1 of cols (and strs, for the kind that has
-// them) as one APBF block: the encoder of every writer and of a
-// collector's seal.
-func appendBlock(buf []byte, n int, strs []string, cols [][]int64) []byte {
-	buf = binary.AppendUvarint(buf, uint64(n))
-	for _, s := range strs {
-		buf = append(binary.AppendUvarint(buf, uint64(len(s))), s...)
-	}
-	for _, col := range cols {
-		buf = appendColumn(buf, col[:n])
-	}
-	return buf
-}
-
-// appendColumn appends col as zigzag varints. Values that fit one byte -
-// most of a send block's - are stored by index into room grown once; from
-// the first that does not on, they are appended one by one.
-func appendColumn(buf []byte, col []int64) []byte {
-	n := len(buf)
-	buf = slices.Grow(buf, len(col))[:n+len(col)]
-	out := buf[n:]
-	for i, v := range col[:len(out)] {
-		if u := zigzag(v); u < 0x80 {
-			out[i] = byte(u)
-			continue
-		}
-		buf = buf[:n+i]
-		for _, v := range col[i:] {
-			buf = binary.AppendUvarint(buf, zigzag(v))
-		}
-		break
-	}
-	return buf
 }
 
 // gathered writes the buffer once it holds binBufBytes.
@@ -232,19 +175,6 @@ type binReader struct {
 
 var binReaders = sync.Pool{New: func() any { return new(binReader) }}
 
-// uvarint decodes the varint at data[p:] and returns it with the offset
-// past it. A varint the end of data cuts off is io.ErrUnexpectedEOF; one
-// past 64 bits is corruption, never a panic.
-func uvarint(data []byte, p int) (uint64, int, error) {
-	switch u, n := binary.Uvarint(data[p:]); {
-	case n > 0:
-		return u, p + n, nil
-	case n == 0:
-		return 0, p, io.ErrUnexpectedEOF
-	}
-	return 0, p, errors.New("varint overflows a 64-bit integer")
-}
-
 // reset points d at an APBF file from offset off on - its header, or a
 // block whose first row has index rowBase: data are the file's bytes from
 // there, src the rest of the file (nil when data reach its end).
@@ -268,9 +198,9 @@ func (d *binReader) fill() error {
 	return err
 }
 
-// header validates the APBF header at the start of d's bytes, leaving d
-// at the first block. An empty file reports ok == false: zero records.
-// It is the one place the magic is checked.
+// header validates the APBF header at the start of d's bytes
+// (blocks.Header), leaving d at the first block. An empty file reports
+// ok == false: zero records.
 func (d *binReader) header(path string, wantKind byte, minCols int) (ok bool, err error) {
 	d.path = path
 	if d.src != nil {
@@ -278,25 +208,15 @@ func (d *binReader) header(path string, wantKind byte, minCols int) (ok bool, er
 			return false, err
 		}
 	}
-	data, hdr := d.data, len(binMagic)+2
-	switch {
-	case len(data) == 0:
+	if len(d.data) == 0 {
 		return false, nil
-	case len(data) < hdr:
-		return false, fmt.Errorf("trace: %s: truncated binary header: %w", path, io.ErrUnexpectedEOF)
-	case string(data[:4]) != binMagic:
-		return false, fmt.Errorf("trace: %s: bad magic %q in binary header", path, data[:4])
-	case data[4] != binVersion:
-		return false, fmt.Errorf("trace: %s: unsupported binary trace version %d (want %d)", path, data[4], binVersion)
-	case data[5] != wantKind:
-		return false, fmt.Errorf("trace: %s: binary record kind %d, want %d", path, data[5], wantKind)
 	}
-	ncols, p, err := uvarint(data, hdr)
+	ncols, p, err := blocks.Header(d.data, wantKind)
 	if err != nil {
-		return false, fmt.Errorf("trace: %s: truncated binary header: %w", path, err)
+		return false, fmt.Errorf("trace: %s: %w", path, err)
 	}
-	if ncols < uint64(minCols) || ncols > maxBinCols {
-		return false, fmt.Errorf("trace: %s: binary header claims %d columns, want %d..%d", path, ncols, minCols, maxBinCols)
+	if ncols < uint64(minCols) || ncols > blocks.MaxCols {
+		return false, fmt.Errorf("trace: %s: binary header claims %d columns, want %d..%d", path, ncols, minCols, blocks.MaxCols)
 	}
 	d.p, d.ncols, d.cols = p, int(ncols), slices.Grow(d.cols[:0], int(ncols))[:ncols]
 	return true, nil
@@ -339,81 +259,22 @@ func (d *binReader) eachBlock(withStrings bool, visit func(b block) error) (lost
 }
 
 // readBlock decodes the block at d.p into d.cols (and d.strs when
-// withStrings) and moves d past it. It returns io.ErrUnexpectedEOF, bare,
-// when the window ends inside the block and more of the file follows. A
-// torn or corrupt block returns (lost, err) where lost is the number of
-// records the block claimed (the tolerant caller's skipped increment); an
-// unreadable block header claims one.
+// withStrings) and moves d past it: blocks.ReadBlock, its bare
+// io.ErrUnexpectedEOF meaning that the window ends inside the block and
+// more of the file follows.
 func (d *binReader) readBlock(withStrings bool) (n, lost int, err error) {
-	data, more := d.data, d.src != nil
-	n64, p, err := uvarint(data, d.p)
-	switch {
-	case err == io.ErrUnexpectedEOF && more:
-		return 0, 1, err
-	case err != nil:
-		return 0, 1, fmt.Errorf("trace: %s: torn binary block header: %w", d.path, err)
-	case n64 == 0 || n64 > maxBinRows:
-		return 0, 1, fmt.Errorf("trace: %s: binary block claims %d rows (max %d)", d.path, n64, maxBinRows)
-	}
-	n = int(n64)
-	torn := func(err error) (int, int, error) {
-		if err == io.ErrUnexpectedEOF && more {
-			return 0, n, err
-		}
-		return 0, n, fmt.Errorf("trace: %s: torn binary block: %w", d.path, err)
-	}
-	// Every value takes a byte at least: a block claiming more than the
-	// bytes left is torn before any column is sized for it.
-	if left := len(data) - p; n*d.ncols > left && more {
-		return torn(io.ErrUnexpectedEOF)
-	} else if n*d.ncols > left {
-		return torn(fmt.Errorf("%d rows of %d columns in the %d bytes left", n, d.ncols, left))
-	}
+	var strs *[]string
 	if withStrings {
-		d.strs = d.strs[:0]
-		for i := 0; i < n; i++ {
-			l, next, err := uvarint(data, p)
-			switch {
-			case err != nil:
-				return torn(err)
-			case l > maxBinStr:
-				return torn(fmt.Errorf("string length %d (max %d)", l, maxBinStr))
-			case next+int(l) > len(data):
-				return torn(io.ErrUnexpectedEOF)
-			}
-			p = next + int(l)
-			d.strs = append(d.strs, string(data[next:p]))
-		}
+		strs = &d.strs
 	}
-	for c, col := range d.cols {
-		col = slices.Grow(col[:0], n)[:n]
-		i := 0
-		// Eight one-byte varints - most of a send block's values - a word at a time.
-		for ; i+8 <= n && p+8 <= len(data); i, p = i+8, p+8 {
-			u := binary.LittleEndian.Uint64(data[p:])
-			if u&0x8080808080808080 != 0 {
-				break
-			}
-			c := col[i : i+8 : i+8]
-			c[0], c[1], c[2], c[3] = unzigzag(u&0x7f), unzigzag(u>>8&0x7f), unzigzag(u>>16&0x7f), unzigzag(u>>24&0x7f)
-			c[4], c[5], c[6], c[7] = unzigzag(u>>32&0x7f), unzigzag(u>>40&0x7f), unzigzag(u>>48&0x7f), unzigzag(u>>56)
-		}
-		for ; i < n; i++ {
-			if p < len(data) && data[p] < 0x80 {
-				col[i] = unzigzag(uint64(data[p]))
-				p++
-				continue
-			}
-			u, next, err := uvarint(data, p)
-			if err != nil {
-				return torn(err)
-			}
-			col[i], p = unzigzag(u), next
-		}
-		d.cols[c] = col
+	n, p, lost, err := blocks.ReadBlock(d.data, d.p, d.src != nil, d.cols, strs)
+	if err != nil && err != io.ErrUnexpectedEOF {
+		err = fmt.Errorf("trace: %s: %w", d.path, err)
 	}
-	d.p = p
-	return n, 0, nil
+	if err == nil {
+		d.p = p
+	}
+	return n, lost, err
 }
 
 // The run-wide kinds' row codecs (the kind table's toRow / fromRow).

@@ -389,9 +389,9 @@ func (s *sealer) seal(kind byte, p *PECollector) {
 		s.cols[2][i] = int64(int32(dst) / per)
 	}
 	if s.buf = s.buf[:0]; len(s.shard) == 0 {
-		s.buf = appendHeader(s.buf, kind, len(s.cols))
+		s.buf = blocks.AppendHeader(s.buf, kind, len(s.cols))
 	}
-	s.buf = appendBlock(s.buf, s.n, nil, s.cols)
+	s.buf = blocks.AppendBlock(s.buf, s.n, nil, s.cols)
 	s.shard.Write(s.buf) // a sealedFile's Write cannot fail
 	s.rows, s.n = s.rows+s.n, 0
 }

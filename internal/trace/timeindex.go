@@ -7,6 +7,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+
+	"actorprof/internal/blocks"
 )
 
 // The time index ("APTX": ActorProf Time indeX) is a sidecar to
@@ -319,13 +321,13 @@ func writeTimeIndex(dir string, ix *TimeIndex) error {
 	}
 	put(uint64(ix.ncols), uint64(ix.dataSize), uint64(ix.nrows), uint64(len(ix.blocks)))
 	for _, b := range ix.blocks {
-		put(uint64(b.off), uint64(b.length), uint64(b.rows), zigzag(b.t0), zigzag(b.t1))
+		put(uint64(b.off), uint64(b.length), uint64(b.rows), blocks.Zigzag(b.t0), blocks.Zigzag(b.t1))
 	}
 	width0 := int64(0)
 	if len(ix.levels) > 0 {
 		width0 = ix.levels[0].width
 	}
-	put(zigzag(ix.TMin), zigzag(ix.TMax), uint64(width0), uint64(len(ix.levels)))
+	put(blocks.Zigzag(ix.TMin), blocks.Zigzag(ix.TMax), uint64(width0), uint64(len(ix.levels)))
 	for _, lvl := range ix.levels {
 		put(uint64(len(lvl.buckets)))
 		for _, b := range lvl.buckets {
@@ -405,7 +407,7 @@ func decodeTimeIndex(raw []byte, path string) (*TimeIndex, error) {
 	// names the field it cut.
 	p, cut := hdr, ""
 	get := func(what string) uint64 {
-		u, next, err := uvarint(raw, p)
+		u, next, err := blocks.Uvarint(raw, p)
 		if err != nil && cut == "" {
 			cut = what
 		}
@@ -418,8 +420,8 @@ func decodeTimeIndex(raw []byte, path string) (*TimeIndex, error) {
 	switch {
 	case cut != "":
 		return nil, truncated()
-	case ncols > maxBinCols:
-		return nil, bad("index claims %d data columns (max %d)", ncols, maxBinCols)
+	case ncols > blocks.MaxCols:
+		return nil, bad("index claims %d data columns (max %d)", ncols, blocks.MaxCols)
 	case nblocks > uint64(len(raw)-p)/5 || int64(nblocks) > int64(dataSize)/2+1:
 		// A block takes five index bytes and two data bytes at least: both
 		// bound the table before it is sized.
@@ -431,14 +433,14 @@ func decodeTimeIndex(raw []byte, path string) (*TimeIndex, error) {
 	for i := range ix.blocks {
 		b := &ix.blocks[i]
 		off, length, rows := get("block offset"), get("block length"), get("block rows")
-		b.t0, b.t1 = unzigzag(get("block span")), unzigzag(get("block span"))
+		b.t0, b.t1 = blocks.Unzigzag(get("block span")), blocks.Unzigzag(get("block span"))
 		if cut != "" {
 			return nil, truncated()
 		}
 		b.off, b.length, b.rows, b.rowBase = int64(off), int64(length), int(rows), rowBase
 		switch {
-		case b.rows <= 0 || b.rows > maxBinRows:
-			return nil, bad("block %d claims %d rows (max %d)", i, b.rows, maxBinRows)
+		case b.rows <= 0 || b.rows > blocks.MaxRows:
+			return nil, bad("block %d claims %d rows (max %d)", i, b.rows, blocks.MaxRows)
 		case int64(b.rows)*int64(ix.ncols) > b.length:
 			return nil, bad("block %d claims %d rows of %d columns in %d bytes", i, b.rows, ix.ncols, b.length)
 		case b.off < prevEnd || b.length <= 0 || b.off+b.length > ix.dataSize:
@@ -452,7 +454,7 @@ func decodeTimeIndex(raw []byte, path string) (*TimeIndex, error) {
 	if rowBase != ix.nrows {
 		return nil, bad("blocks hold %d rows, header claims %d", rowBase, ix.nrows)
 	}
-	ix.TMin, ix.TMax = unzigzag(get("tmin")), unzigzag(get("tmax"))
+	ix.TMin, ix.TMax = blocks.Unzigzag(get("tmin")), blocks.Unzigzag(get("tmax"))
 	width0, nlevels := get("bucket width"), get("level count")
 	switch {
 	case cut != "":
