@@ -18,7 +18,7 @@
 // Usage:
 //
 //	actorprof [flags] <trace-dir>
-//	actorprof export [-out file] [-timeline file.svg] [-index] <trace-dir>
+//	actorprof export [-out file] [-timeline file.svg] [-index] [-schedule] <trace-dir>
 //	actorprof import <paper-dir> <out-dir>
 //
 // With no plot flags, every plot the trace directory supports is
@@ -26,7 +26,8 @@
 // Trace Event JSON (a paper future-work item) as a full-model Perfetto /
 // chrome://tracing document (durations, counters, process metadata),
 // can rebuild the time-index sidecar (-index), and can render the
-// windowed activity timeline as SVG (-timeline). The import subcommand
+// windowed activity timeline as SVG (-timeline); -schedule exports the
+// run's recorded what-if schedule as schedule.json instead. The import subcommand
 // turns a directory that holds only the paper's text layout
 // (PEi_send.csv, PEi_PAPI.csv, overall.txt, physical.txt) into one the
 // readers open: APBF, with the paper's layout written again beside it.
@@ -42,6 +43,7 @@ import (
 
 	"actorprof/internal/core"
 	"actorprof/internal/trace"
+	"actorprof/internal/whatif"
 )
 
 func main() {
@@ -54,17 +56,19 @@ func main() {
 // runExport is the "actorprof export <trace-dir>" subcommand: it writes
 // the physical trace in the full-model Perfetto form, optionally
 // rebuilds the time-index sidecar first, and can render the windowed
-// activity timeline as SVG.
+// activity timeline as SVG. With -schedule it writes the run's recorded
+// schedule as schedule.json instead.
 func runExport(args []string) error {
 	fs := flag.NewFlagSet("actorprof export", flag.ContinueOnError)
 	var (
-		out      = fs.String("out", "", `output file (default <trace-dir>/trace.perfetto.json, "-" for stdout)`)
+		out      = fs.String("out", "", `output file (default <trace-dir>/trace.perfetto.json, or schedule.json with -schedule; "-" for stdout)`)
 		timeline = fs.String("timeline", "", "also render the activity timeline SVG to this file")
 		lod      = fs.Int("lod", 1, "pyramid level of detail for -timeline (>= 1)")
 		index    = fs.Bool("index", false, "(re)build the time-index sidecar (physical.idx) before exporting")
+		schedule = fs.Bool("schedule", false, "write the recorded what-if schedule as JSON instead of the Perfetto document")
 	)
 	fs.Usage = func() {
-		fmt.Fprintln(fs.Output(), "usage: actorprof export [-out file] [-timeline file.svg] [-index] <trace-dir>")
+		fmt.Fprintln(fs.Output(), "usage: actorprof export [-out file] [-timeline file.svg] [-index] [-schedule] <trace-dir>")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
@@ -75,6 +79,14 @@ func runExport(args []string) error {
 		return fmt.Errorf("expected exactly one trace directory, got %d args", fs.NArg())
 	}
 	dir := fs.Arg(0)
+
+	if *schedule {
+		s, err := whatif.ReadScheduleFile(dir)
+		if err != nil {
+			return err
+		}
+		return writeOut(*out, filepath.Join(dir, whatif.ScheduleFileName), "the schedule as JSON", s.WriteJSON)
+	}
 
 	if *index {
 		built, err := trace.BuildTimeIndex(dir)
@@ -94,29 +106,8 @@ func runExport(args []string) error {
 		return fmt.Errorf("trace %s has no physical trace; nothing to export", dir)
 	}
 
-	dest := *out
-	if dest == "" {
-		dest = filepath.Join(dir, "trace.perfetto.json")
-	}
-	var w io.Writer = os.Stdout
-	var f *os.File
-	if dest != "-" {
-		if f, err = os.Create(dest); err != nil {
-			return err
-		}
-		w = f
-	}
-	err = phys.ExportPerfetto(w)
-	if f != nil {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if err != nil {
+	if err := writeOut(*out, filepath.Join(dir, "trace.perfetto.json"), "Trace Event JSON", phys.ExportPerfetto); err != nil {
 		return err
-	}
-	if dest != "-" {
-		fmt.Printf("wrote Trace Event JSON to %s\n", dest)
 	}
 
 	if *timeline != "" {
@@ -142,6 +133,29 @@ func runExport(args []string) error {
 		fmt.Printf("wrote activity timeline SVG to %s\n", *timeline)
 	}
 	return nil
+}
+
+// writeOut writes an export to dest - def when dest is empty, stdout
+// when it is "-" - and says where it went.
+func writeOut(dest, def, what string, write func(io.Writer) error) error {
+	if dest == "" {
+		dest = def
+	}
+	if dest == "-" {
+		return write(os.Stdout)
+	}
+	f, err := os.Create(dest)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		fmt.Printf("wrote %s to %s\n", what, dest)
+	}
+	return err
 }
 
 // runImport is the "actorprof import <paper-dir> <out-dir>" subcommand:

@@ -44,25 +44,50 @@ func runWhatIf(args []string) error {
 		return fmt.Errorf("expected exactly one trace directory, got %d args", fs.NArg())
 	}
 	dir := fs.Arg(0)
+	switch {
+	case *top < 1:
+		return fmt.Errorf("-top must be at least 1, got %d", *top)
+	case *edges < 0:
+		return fmt.Errorf("-edges must not be negative, got %d", *edges)
+	case *speedup != 0 && *actor < 0:
+		return fmt.Errorf("-speedup needs -actor <id>; run without -speedup first to see the bottleneck ranking's actor IDs")
+	}
+	// A factor given is a factor: 0 is what an unset one reads as.
+	var zero error
+	fs.Visit(func(f *flag.Flag) {
+		if v, ok := f.Value.(flag.Getter).Get().(float64); ok && v == 0 && zero == nil {
+			zero = fmt.Errorf("-%s %v", f.Name, whatif.CheckFactor(v))
+		}
+	})
+	if zero != nil {
+		return zero
+	}
 
 	sched, err := whatif.ReadScheduleFile(dir)
 	if errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("%s has no %s: the run predates schedule capture; re-run the workload (e.g. trianglecount) to record one", dir, whatif.ScheduleFileName)
+		return fmt.Errorf("%s has no recorded schedule: the run predates schedule capture; re-run the workload (e.g. trianglecount) to record one", dir)
 	}
 	if err != nil {
 		return err
 	}
-
-	scales := whatif.CostScales{Network: *network, Local: *local, Quiet: *quiet, Instr: *instr, Ingest: *ingest}
-	pert := whatif.Perturbation{Cost: whatif.ScaledCost(sched.Cost, scales)}
-	if *speedup > 0 {
-		if *actor < 0 {
-			return fmt.Errorf("-speedup needs -actor <id>; run without -speedup first to see the bottleneck ranking's actor IDs")
-		}
-		pert.HandlerSpeedup = map[int64]float64{*actor: *speedup}
+	base, err := whatif.NewBaseline(sched)
+	if err != nil {
+		return err
 	}
-
-	rep, err := core.WhatIf(sched, pert)
+	scales := whatif.CostScales{Network: *network, Local: *local, Quiet: *quiet, Instr: *instr, Ingest: *ingest}
+	q := whatif.Question{Scales: scales, Actor: *actor, Speedup: *speedup}
+	if err := base.Check(q); err != nil {
+		var qe *whatif.QuestionError
+		if errors.As(err, &qe) {
+			flagName := map[string]string{"speedup": "-speedup", "actor": "-actor"}[qe.Field]
+			if flagName == "" {
+				flagName = "-scale-" + qe.Field
+			}
+			return fmt.Errorf("%s %s", flagName, qe.Reason)
+		}
+		return err
+	}
+	rep, err := base.Compare(base.Perturbation(q))
 	if err != nil {
 		return err
 	}

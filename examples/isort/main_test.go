@@ -3,9 +3,10 @@ package main
 import (
 	"bytes"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
+
+	"actorprof/internal/whatif"
 )
 
 // TestISortExampleSmoke runs the example at a reduced size and checks
@@ -24,7 +25,7 @@ func TestISortExampleSmoke(t *testing.T) {
 	if err != nil || len(entries) == 0 {
 		t.Fatalf("no trace files written to %s (err=%v)", dir, err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "schedule.json")); err != nil {
-		t.Errorf("missing captured schedule: %v", err)
+	if !whatif.HasSchedule(dir) {
+		t.Errorf("missing captured schedule in %s", dir)
 	}
 }

@@ -105,7 +105,12 @@ func observeLockstep(t *testing.T, bufItems int, inj fault.Injector,
 	}
 	obs.Overall = coll.Set().OverallRecords()
 	for _, l := range rec.Schedule().PEs {
-		obs.Events = append(obs.Events, l.Events)
+		var evs []sim.Event
+		c := l.Walk(new(sim.Block))
+		for b := c.Next(); b != nil; b = c.Next() {
+			evs = append(evs, b...)
+		}
+		obs.Events = append(obs.Events, evs)
 	}
 	return obs
 }

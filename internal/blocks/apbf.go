@@ -167,9 +167,15 @@ func ReadBlock(data []byte, p int, more bool, cols [][]int64, strs *[]string) (n
 			c[4], c[5], c[6], c[7] = Unzigzag(u>>32&0x7f), Unzigzag(u>>40&0x7f), Unzigzag(u>>48&0x7f), Unzigzag(u>>56)
 		}
 		for ; i < n; i++ {
+			// One- and two-byte varints inline, longer ones through Uvarint.
 			if p < len(data) && data[p] < 0x80 {
 				col[i] = Unzigzag(uint64(data[p]))
 				p++
+				continue
+			}
+			if p+1 < len(data) && data[p+1] < 0x80 {
+				col[i] = Unzigzag(uint64(data[p]&0x7f) | uint64(data[p+1])<<7)
+				p += 2
 				continue
 			}
 			u, next, err := Uvarint(data, p)

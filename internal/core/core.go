@@ -115,12 +115,6 @@ func run(opts Options, app App, capture bool) (*trace.Set, *sim.Schedule, error)
 	return coll.Set(), sched, nil
 }
 
-// WhatIf projects a perturbation over a captured schedule and returns
-// the differentially validated report (see whatif.Compare).
-func WhatIf(sched *sim.Schedule, p whatif.Perturbation) (*whatif.Report, error) {
-	return whatif.Compare(sched, p)
-}
-
 // WhatIfPlot builds the what-if comparison plot: baseline vs projected
 // aggregate regimes plus the makespan, with deltas.
 func WhatIfPlot(rep *whatif.Report, title string) *viz.WhatIf {

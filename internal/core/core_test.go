@@ -559,7 +559,7 @@ func TestRunCapturedWritesSchedule(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !whatif.HasSchedule(dir) {
-		t.Fatal("trace directory has no schedule.json")
+		t.Fatal("trace directory has no schedule")
 	}
 	got, err := whatif.ReadScheduleFile(dir)
 	if err != nil {

@@ -220,13 +220,16 @@ func ValuesDiff(a, b *sim.Schedule) string {
 // run split into its per-message charges.
 func charges(l *sim.PELog) map[sim.Event]int64 {
 	m := make(map[sim.Event]int64)
-	for _, e := range l.Events {
-		switch {
-		case e.Kind == sim.EvInstr:
-			ins, n := sim.InstrRunParts(e.Arg)
-			m[sim.Event{Kind: e.Kind, Arg: ins}] += n
-		case e.Kind.Charged():
-			m[e]++
+	c := l.Walk(new(sim.Block))
+	for evs := c.Next(); evs != nil; evs = c.Next() {
+		for _, e := range evs {
+			switch {
+			case e.Kind == sim.EvInstr:
+				ins, n := sim.InstrRunParts(e.Arg)
+				m[sim.Event{Kind: e.Kind, Arg: ins}] += n
+			case e.Kind.Charged():
+				m[e]++
+			}
 		}
 	}
 	return m

@@ -123,9 +123,12 @@ func perturbed(s *sim.Schedule) bool {
 		if l.Skew != 0 {
 			return true
 		}
-		for _, e := range l.Events {
-			if e.Kind == sim.EvDelay {
-				return true
+		c := l.Walk(new(sim.Block))
+		for evs := c.Next(); evs != nil; evs = c.Next() {
+			for _, e := range evs {
+				if e.Kind == sim.EvDelay {
+					return true
+				}
 			}
 		}
 	}

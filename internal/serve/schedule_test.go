@@ -9,22 +9,22 @@ import (
 	"sync"
 	"testing"
 
-	"actorprof/internal/whatif"
+	"actorprof/internal/sim"
 )
 
-// TestCorruptScheduleParsedOnce: a truncated schedule.json costs one
+// TestCorruptScheduleParsedOnce: a torn schedule shard costs one
 // bounded, counted parse per fingerprint, however many what-if requests
 // ask for it at once, and every request gets the same status; rewriting
 // the file changes the fingerprint and loads the good schedule.
 func TestCorruptScheduleParsedOnce(t *testing.T) {
 	root := t.TempDir()
 	writeCapturedRun(t, root, "cap")
-	path := filepath.Join(root, "cap", whatif.ScheduleFileName)
+	path := filepath.Join(root, "cap", sim.ScheduleShardFile(0))
 	good, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, good[:len(good)/2], 0o644); err != nil {
+	if err := os.WriteFile(path, good[:len(good)-3], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	srv, err := New(Config{Root: root, SnapshotTTL: -1})
@@ -51,11 +51,11 @@ func TestCorruptScheduleParsedOnce(t *testing.T) {
 	}
 	for i, code := range codes {
 		if code != codes[0] || code == http.StatusOK {
-			t.Fatalf("request %d on a torn schedule.json: status %d (first: %d)", i, code, codes[0])
+			t.Fatalf("request %d on a torn schedule shard: status %d (first: %d)", i, code, codes[0])
 		}
 	}
 	if p := srv.Metrics().parses.Load(); p != 1 {
-		t.Fatalf("%d requests on one torn schedule.json cost %d parses, want 1", n+1, p)
+		t.Fatalf("%d requests on one torn schedule shard cost %d parses, want 1", n+1, p)
 	}
 
 	if err := os.WriteFile(path, good, 0o644); err != nil {
@@ -65,6 +65,6 @@ func TestCorruptScheduleParsedOnce(t *testing.T) {
 		t.Fatalf("after the rewrite: status %d: %s", res.StatusCode, body)
 	}
 	if p := srv.Metrics().parses.Load(); p != 2 {
-		t.Errorf("the rewritten schedule.json took %d parses in all, want 2", p)
+		t.Errorf("the rewritten schedule shard took %d parses in all, want 2", p)
 	}
 }

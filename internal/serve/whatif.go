@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"os"
 	"strconv"
@@ -43,11 +42,9 @@ func readBaseline(dir, _ string) (*whatif.Baseline, int, error) {
 
 // whatifQuery is the parsed, normalized perturbation request.
 type whatifQuery struct {
-	scales  whatif.CostScales
-	actor   int64
-	speedup float64
-	plot    string // "report", "compare", "bottleneck"
-	format  string // "json", "svg"
+	whatif.Question
+	plot   string // "report", "compare", "bottleneck"
+	format string // "json", "svg"
 }
 
 func scaleParam(r *http.Request, name string) (float64, error) {
@@ -56,7 +53,10 @@ func scaleParam(r *http.Request, name string) (float64, error) {
 		return 0, nil // unset = unchanged
 	}
 	v, err := strconv.ParseFloat(raw, 64)
-	if err != nil || v <= 0 || math.IsInf(v, 0) || math.IsNaN(v) {
+	if err == nil {
+		err = whatif.CheckFactor(v)
+	}
+	if err != nil {
 		return 0, statusError{code: 400, msg: fmt.Sprintf("%s must be a positive finite number, got %q", name, raw)}
 	}
 	return v, nil
@@ -66,12 +66,12 @@ func whatifParams(r *http.Request) (whatifQuery, error) {
 	var q whatifQuery
 	var err error
 	for name, dst := range map[string]*float64{
-		"scale_network": &q.scales.Network,
-		"scale_local":   &q.scales.Local,
-		"scale_quiet":   &q.scales.Quiet,
-		"scale_instr":   &q.scales.Instr,
-		"scale_ingest":  &q.scales.Ingest,
-		"speedup":       &q.speedup,
+		"scale_network": &q.Scales.Network,
+		"scale_local":   &q.Scales.Local,
+		"scale_quiet":   &q.Scales.Quiet,
+		"scale_instr":   &q.Scales.Instr,
+		"scale_ingest":  &q.Scales.Ingest,
+		"speedup":       &q.Speedup,
 	} {
 		if *dst, err = scaleParam(r, name); err != nil {
 			return q, err
@@ -81,16 +81,16 @@ func whatifParams(r *http.Request) (whatifQuery, error) {
 		}
 	}
 	if raw := r.URL.Query().Get("actor"); raw != "" {
-		q.actor, err = strconv.ParseInt(raw, 10, 64)
-		if err != nil || q.actor < 0 {
+		q.Actor, err = strconv.ParseInt(raw, 10, 64)
+		if err != nil || q.Actor < 0 {
 			return q, statusError{code: 400, msg: fmt.Sprintf("actor must be a non-negative actor ID, got %q", raw)}
 		}
 	}
-	if q.speedup > 0 && r.URL.Query().Get("actor") == "" {
+	if q.Speedup > 0 && r.URL.Query().Get("actor") == "" {
 		return q, statusError{code: 400, msg: "speedup requires actor=<id> to name the handler to speed up"}
 	}
-	if q.speedup == 0 {
-		q.actor = 0 // unused without a speedup: not part of the cache key
+	if q.Speedup == 0 {
+		q.Actor = 0 // unused without a speedup: not part of the cache key
 	}
 	q.plot = r.URL.Query().Get("plot")
 	switch q.plot {
@@ -117,15 +117,15 @@ func whatifParams(r *http.Request) (whatifQuery, error) {
 
 func (q whatifQuery) norm() string {
 	return fmt.Sprintf("%g\x01%g\x01%g\x01%g\x01%g\x01%d\x01%g\x01%s\x01%s",
-		q.scales.Network, q.scales.Local, q.scales.Quiet, q.scales.Instr, q.scales.Ingest,
-		q.actor, q.speedup, q.plot, q.format)
+		q.Scales.Network, q.Scales.Local, q.Scales.Quiet, q.Scales.Instr, q.Scales.Ingest,
+		q.Actor, q.Speedup, q.plot, q.format)
 }
 
 func (q whatifQuery) title() string {
-	parts := q.scales.Phrases()
-	if q.speedup > 0 {
-		ord, mb := sim.ActorIDParts(q.actor)
-		parts = append(parts, fmt.Sprintf("s%d/m%d handler %gx faster", ord, mb, q.speedup))
+	parts := q.Scales.Phrases()
+	if q.Speedup > 0 {
+		ord, mb := sim.ActorIDParts(q.Actor)
+		parts = append(parts, fmt.Sprintf("s%d/m%d handler %gx faster", ord, mb, q.Speedup))
 	}
 	if len(parts) == 0 {
 		return "what-if: baseline (no perturbation)"
@@ -157,14 +157,18 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return "", err
 		}
-		pert := whatif.Perturbation{Cost: whatif.ScaledCost(base.Schedule().Cost, q.scales)}
-		if q.speedup > 0 {
-			pert.HandlerSpeedup = map[int64]float64{q.actor: q.speedup}
-		}
-		if err := pert.Validate(); err != nil {
+		if err := base.Check(q.Question); err != nil {
+			var qe *whatif.QuestionError
+			if errors.As(err, &qe) {
+				param := map[string]string{"speedup": "speedup", "actor": "actor"}[qe.Field]
+				if param == "" {
+					param = "scale_" + qe.Field
+				}
+				err = fmt.Errorf("%s %s", param, qe.Reason)
+			}
 			return "", statusError{code: 400, msg: err.Error()}
 		}
-		rep, err := base.Compare(pert)
+		rep, err := base.Compare(base.Perturbation(q.Question))
 		if err != nil {
 			return "", err
 		}

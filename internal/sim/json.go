@@ -15,8 +15,8 @@ import (
 const writeChunk = 64 << 10
 
 // WriteJSON writes the schedule to w as the bytes json.Marshal writes for
-// it, then a newline, as json.Encoder does. Only sealed events
-// (PELog.Events) are written.
+// it, then a newline, as json.Encoder does: schedule.json, the export
+// (`actorprof export -schedule`). A log's events are read through its walk.
 func (s *Schedule) WriteJSON(w io.Writer) error {
 	head, err := json.Marshal(struct {
 		Machine Machine   `json:"machine"`
@@ -29,6 +29,7 @@ func (s *Schedule) WriteJSON(w io.Writer) error {
 	if s.PEs == nil {
 		b = append(b, "null"...)
 	} else {
+		var blk *Block
 		b = append(b, '[')
 		for i, l := range s.PEs {
 			if i > 0 {
@@ -41,20 +42,26 @@ func (s *Schedule) WriteJSON(w io.Writer) error {
 			if b = append(b, '{'); l.Skew != 0 {
 				b = append(strconv.AppendInt(append(b, `"skew":`...), l.Skew, 10), ',')
 			}
-			if b = append(b, `"events":`...); l.Events == nil {
+			if b = append(b, `"events":`...); l.Events == nil && l.rows+len(l.open[1]) == 0 {
 				b = append(b, "null}"...)
 				continue
 			}
+			if blk == nil && l.rows+len(l.open[1]) > 0 {
+				blk = new(Block)
+			}
 			b = append(b, '[')
-			for j, e := range l.Events {
-				if j > 0 {
-					b = append(b, ',')
-				}
-				if b = appendEvent(b, e); len(b) >= writeChunk {
-					if _, err := w.Write(b); err != nil {
-						return err
+			c, sep := l.Walk(blk), false
+			for evs := c.Next(); evs != nil; evs = c.Next() {
+				for _, e := range evs {
+					if sep {
+						b = append(b, ',')
 					}
-					b = b[:0]
+					if b, sep = appendEvent(b, e), true; len(b) >= writeChunk {
+						if _, err := w.Write(b); err != nil {
+							return err
+						}
+						b = b[:0]
+					}
 				}
 			}
 			b = append(b, "]}"...)
@@ -63,6 +70,13 @@ func (s *Schedule) WriteJSON(w io.Writer) error {
 	}
 	_, err = w.Write(append(b, "}\n"...))
 	return err
+}
+
+// MarshalJSON is WriteJSON's document, without the newline.
+func (s *Schedule) MarshalJSON() ([]byte, error) {
+	var buf bytes.Buffer
+	err := s.WriteJSON(&buf)
+	return bytes.TrimSuffix(buf.Bytes(), []byte("\n")), err
 }
 
 // appendEvent appends an event as its [kind, arg] pair.

@@ -4,9 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sync"
-
-	"actorprof/internal/blocks"
 )
 
 // This file defines the recorded-schedule model behind the causal
@@ -193,54 +190,6 @@ func (e *Event) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// PELog is one PE's recorded event sequence. Only the owning PE's
-// goroutine appends during the run; the log is read-only afterwards.
-type PELog struct {
-	// Skew is the PE's charge-inflation percent (fault-injected slow
-	// PE); replay applies the same SkewCharge arithmetic.
-	Skew int64 `json:"skew,omitempty"`
-	// Events is the ordered per-PE schedule. Appended events reach it
-	// when the log is sealed (ScheduleRecorder.Schedule); a log built as
-	// a literal or decoded from schedule.json is sealed from the start.
-	Events []Event `json:"events"`
-
-	// pending holds the events appended since the last seal, each
-	// written once into a PE-private block (DESIGN.md §8).
-	pending blocks.Buf[Event]
-}
-
-// Append records one event. An EvInstr that follows an EvInstr of the
-// same per-message instruction count extends it into one InstrRun, priced
-// everywhere as its messages one by one; any other event ends the run.
-func (l *PELog) Append(kind EventKind, arg int64) {
-	if last := l.pending.Last(); kind == EvInstr && last != nil && last.Kind == EvInstr && last.Arg >= 0 && arg >= 0 {
-		ins, n := InstrRunParts(last.Arg)
-		if more, m := InstrRunParts(arg); more == ins && n+m <= math.MaxInt32 {
-			last.Arg = (n+m)<<32 | ins // InstrRun(ins, n+m), its bounds just checked
-			return
-		}
-	}
-	l.pending.Push(Event{Kind: kind, Arg: arg})
-}
-
-// seal moves the appended events behind Events: one exact-size copy for
-// a log that is sealed once, as a recorded run's is. Idempotent.
-func (l *PELog) seal() {
-	if l.Events == nil {
-		l.Events = l.pending.Flatten()
-		return
-	}
-	l.Events = append(l.Events, l.pending.Flatten()...)
-}
-
-// each calls f on every run of the log's events in order, sealed or not.
-func (l *PELog) each(f func([]Event)) {
-	if len(l.Events) > 0 {
-		f(l.Events)
-	}
-	l.pending.Each(f)
-}
-
 // Schedule is a full recorded run: the machine shape, the cost model
 // the run was priced with, and every PE's event log. It is the input to
 // the what-if engine and the payload of a trace directory's
@@ -257,6 +206,8 @@ type Schedule struct {
 // priceable cost model, no negative charge, and equal barrier counts
 // across PEs (every barrier is an all-PE collective, so a completed run
 // cannot record anything else; replay synchronization depends on it).
+// A log's sealed blocks were checked as they were sealed or read, so
+// Validate walks only the events not yet sealed.
 func (s *Schedule) Validate() error {
 	if err := s.Machine.Validate(); err != nil {
 		return err
@@ -275,25 +226,9 @@ func (s *Schedule) Validate() error {
 		if l.Skew < 0 {
 			return fmt.Errorf("sim: schedule PE %d has negative skew %d", rank, l.Skew)
 		}
-		n, at := 0, 0
-		var bad error
-		l.each(func(evs []Event) {
-			for i, e := range evs {
-				if e.Kind >= NumEventKinds && bad == nil {
-					bad = fmt.Errorf("sim: schedule PE %d has unknown event kind %d", rank, e.Kind)
-				}
-				// Replay's clock would ignore what Project's sum subtracts.
-				if e.Kind.Charged() && e.Arg < 0 && bad == nil {
-					bad = fmt.Errorf("sim: schedule PE %d event %d is a negative charge: %s %d", rank, at+i, e.Kind, e.Arg)
-				}
-				if e.Kind == EvBarrier {
-					n++
-				}
-			}
-			at += len(evs)
-		})
-		if bad != nil {
-			return bad
+		n, err := l.check(rank)
+		if err != nil {
+			return err
 		}
 		if want < 0 {
 			want = n
@@ -309,7 +244,7 @@ func (s *Schedule) Validate() error {
 func (s *Schedule) Events() int {
 	n := 0
 	for _, l := range s.PEs {
-		n += len(l.Events) + l.pending.Len()
+		n += len(l.Events) + l.rows + len(l.open[1])
 	}
 	return n
 }
@@ -339,22 +274,13 @@ func NewScheduleRecorder(m Machine, cost CostModel) *ScheduleRecorder {
 func (r *ScheduleRecorder) PE(rank int) *PELog { return r.s.PEs[rank] }
 
 // Schedule returns the recorded schedule. Call only after the run has
-// completed (shmem.Run returned): this is where every PE's log is
-// sealed, so that PELog.Events is complete for the what-if engines and
-// schedule.json. Calling it again returns the same schedule.
+// completed (shmem.Run returned): this is where each PE's open block is
+// sealed and its scratch let go, so that every event is in a sealed
+// block; nothing is copied. Calling it again returns the same schedule.
 func (r *ScheduleRecorder) Schedule() *Schedule {
-	var wg sync.WaitGroup
 	for _, l := range r.s.PEs {
-		if l.pending.Len() == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(l *PELog) {
-			defer wg.Done()
-			l.seal()
-		}(l)
+		l.close()
 	}
-	wg.Wait()
 	return &r.s
 }
 

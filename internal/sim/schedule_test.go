@@ -111,12 +111,12 @@ func TestScheduleJSONRoundTrip(t *testing.T) {
 	if err := got.Validate(); err != nil {
 		t.Fatalf("round-tripped schedule invalid: %v", err)
 	}
-	if got.PEs[0].Skew != 7 || len(got.PEs[1].Events) != len(s.PEs[1].Events) {
+	if got.PEs[0].Skew != 7 || len(got.PEs[1].Events) != len(eventsOf(s.PEs[1])) {
 		t.Fatalf("round trip lost data: %+v", got.PEs)
 	}
-	for i, ev := range got.PEs[0].Events {
-		if ev != s.PEs[0].Events[i] {
-			t.Fatalf("event %d: %+v != %+v", i, ev, s.PEs[0].Events[i])
+	for i, ev := range eventsOf(s.PEs[0]) {
+		if ev != got.PEs[0].Events[i] {
+			t.Fatalf("event %d: %+v != %+v", i, got.PEs[0].Events[i], ev)
 		}
 	}
 }
@@ -135,8 +135,8 @@ func TestScheduleValidateRejects(t *testing.T) {
 		{"missing PE log", func(s *Schedule) { s.PEs = s.PEs[:1] }},
 		{"nil PE log", func(s *Schedule) { s.PEs[1] = nil }},
 		{"negative skew", func(s *Schedule) { s.PEs[0].Skew = -1 }},
-		{"unknown kind", func(s *Schedule) { s.PEs[0].Events[0].Kind = NumEventKinds }},
-		{"mismatched barriers", func(s *Schedule) { s.PEs[0].Events = nil }},
+		{"unknown kind", func(s *Schedule) { s.PEs[0] = NewPELog(0, Event{Kind: NumEventKinds}, Event{Kind: EvBarrier}) }},
+		{"mismatched barriers", func(s *Schedule) { s.PEs[0] = NewPELog(0) }},
 		{"bad cost", func(s *Schedule) { s.Cost = CostModel{} }},
 		{"bad machine", func(s *Schedule) { s.Machine.NumPEs = 0 }},
 	}
@@ -168,6 +168,16 @@ func TestActorIDParts(t *testing.T) {
 	}
 }
 
+// eventsOf reads a log's events through its walk.
+func eventsOf(l *PELog) []Event {
+	var evs []Event
+	c := l.Walk(new(Block))
+	for b := c.Next(); b != nil; b = c.Next() {
+		evs = append(evs, b...)
+	}
+	return evs
+}
+
 // recordedEvents is a deterministic event stream with every kind in it.
 func recordedEvents(pe, n int) []Event {
 	evs := make([]Event, n)
@@ -192,7 +202,7 @@ func TestPELogBlocksMatchAppend(t *testing.T) {
 				want[pe] = append(want[pe], e)
 			}
 		}
-		// Before the hand-over: nothing in Events yet, everything counted.
+		// Before the hand-over: the last block still open, everything counted.
 		unsealed := &rec.s
 		if got := unsealed.Events(); got != 2*n {
 			t.Fatalf("n=%d: Events() = %d before Schedule(), want %d", n, got, 2*n)
@@ -203,11 +213,11 @@ func TestPELogBlocksMatchAppend(t *testing.T) {
 
 		s := rec.Schedule()
 		for pe, l := range s.PEs {
-			if !reflect.DeepEqual(l.Events, want[pe]) {
-				t.Fatalf("n=%d PE %d: sealed log differs from the appended one (%d vs %d events)", n, pe, len(l.Events), len(want[pe]))
+			if got := eventsOf(l); !reflect.DeepEqual(got, want[pe]) {
+				t.Fatalf("n=%d PE %d: sealed log differs from the appended one (%d vs %d events)", n, pe, len(got), len(want[pe]))
 			}
-			if len(l.Events) != cap(l.Events) {
-				t.Errorf("n=%d PE %d: sealed log has spare capacity (%d of %d)", n, pe, len(l.Events), cap(l.Events))
+			if l.Events != nil || len(l.open[1]) != 0 || cap(l.open[1]) != 0 {
+				t.Errorf("n=%d PE %d: the schedule holds events outside its sealed blocks", n, pe)
 			}
 		}
 		if got := s.Events(); got != 2*n {
@@ -217,18 +227,15 @@ func TestPELogBlocksMatchAppend(t *testing.T) {
 			t.Fatalf("n=%d: Validate after Schedule(): %v", n, err)
 		}
 
-		var first *Event
-		if n > 0 {
-			first = &s.PEs[0].Events[0]
-		}
+		sealed := len(s.PEs[0].sealed)
 		again := rec.Schedule()
-		if again != s || !reflect.DeepEqual(again.PEs[1].Events, want[1]) || (n > 0 && &again.PEs[0].Events[0] != first) {
+		if again != s || !reflect.DeepEqual(eventsOf(again.PEs[1]), want[1]) || len(again.PEs[0].sealed) != sealed {
 			t.Fatalf("n=%d: a second Schedule() changed the schedule", n)
 		}
 
 		// Events appended after a seal join the log at the next one.
 		rec.PE(1).Append(EvRaw, 99)
-		if got := rec.Schedule().PEs[1].Events; !reflect.DeepEqual(got, append(want[1], Event{EvRaw, 99})) {
+		if got := eventsOf(rec.Schedule().PEs[1]); !reflect.DeepEqual(got, append(want[1], Event{EvRaw, 99})) {
 			t.Fatalf("n=%d: an event appended after Schedule() was lost or misplaced", n)
 		}
 	}
@@ -392,14 +399,14 @@ func TestAppendMergesOnlyAdjacentEqualInstr(t *testing.T) {
 		{EvInstr, InstrRun(53, 3)}, {EvMainPause, 0}, {EvInstr, 53}, {EvInstr, InstrRun(7, 5)},
 		{EvLocalCopy, 64}, {EvInstr, InstrRun(7, 5)},
 	}
-	if got := rec.Schedule().PEs[0].Events; !reflect.DeepEqual(got, want) {
+	if got := eventsOf(rec.Schedule().PEs[0]); !reflect.DeepEqual(got, want) {
 		t.Fatalf("sealed log\n got %v\nwant %v", got, want)
 	}
 	// The sealed run is closed: the next charge starts an event.
 	l.Append(EvInstr, 7)
 	l.Append(EvInstr, 7)
 	want = append(want, Event{EvInstr, InstrRun(7, 2)})
-	if got := rec.Schedule().PEs[0].Events; !reflect.DeepEqual(got, want) {
+	if got := eventsOf(rec.Schedule().PEs[0]); !reflect.DeepEqual(got, want) {
 		t.Fatalf("log after a second seal\n got %v\nwant %v", got, want)
 	}
 
@@ -412,7 +419,7 @@ func TestAppendMergesOnlyAdjacentEqualInstr(t *testing.T) {
 	l.Append(EvInstr, 9)
 	l.Append(EvInstr, InstrRun(9, math.MaxInt32))
 	want = []Event{{EvInstr, InstrRun(9, math.MaxInt32)}, {EvInstr, 9}, {EvInstr, InstrRun(9, math.MaxInt32)}}
-	if got := full.Schedule().PEs[0].Events; !reflect.DeepEqual(got, want) {
+	if got := eventsOf(full.Schedule().PEs[0]); !reflect.DeepEqual(got, want) {
 		t.Fatalf("log around a full run\n got %v\nwant %v", got, want)
 	}
 
@@ -437,7 +444,7 @@ func TestAppendMergesOnlyAdjacentEqualInstr(t *testing.T) {
 			appended = append(appended, Event{EvInstr, ins})
 		}
 	}
-	merged := long.Schedule().PEs[0].Events
+	merged := eventsOf(long.Schedule().PEs[0])
 	if len(merged) >= len(appended)/10 {
 		t.Errorf("%d appended charges left %d events: runs did not form", len(appended), len(merged))
 	}

@@ -5,6 +5,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+
+	"actorprof/internal/sim"
 )
 
 // The one trace pipeline: scan reads any kind's APBF shard,
@@ -158,18 +160,21 @@ func writeShardFill[T any](k *kind[T], dir, name string, events []string, n int,
 }
 
 // artifacts are the names of everything a trace directory holds of its
-// trace: both layouts of every kind, and the time index built over it.
-var artifacts = []string{
+// trace: both layouts of every kind, the time index built over it, and
+// the what-if schedule recorded with it, which its writer writes after
+// the trace.
+var artifacts = append([]string{
 	"PE*_send.bin", "PE*_PAPI.bin", overallBinFile, physicalBinFile, segmentsBinFile,
 	"PE*_send.csv", "PE*_PAPI.csv", overallFile, physicalFile, segmentsFile,
 	timeIndexFile,
-}
+}, sim.ScheduleFiles...)
 
 // dropStale removes every trace artifact dir holds that this write does
 // not produce (keep): a shard of a kind, a PE or a layout the write leaves
-// out would otherwise be read back with it, and physical.idx describes the
-// physical trace it was built over, whose size a rewrite can match. One
-// listing spares a rewrite a removal per shard.
+// out would otherwise be read back with it, physical.idx describes the
+// physical trace it was built over, whose size a rewrite can match, and a
+// schedule describes the run before. One listing spares a rewrite a
+// removal per shard.
 func dropStale(dir string, keep map[string]bool) error {
 	f, err := os.Open(dir)
 	if err != nil {

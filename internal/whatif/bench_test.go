@@ -104,9 +104,10 @@ func BenchmarkCompare(b *testing.B) { loop(b, compareOp(b)) }
 
 // TestEngineAllocs holds the what-if benchmarks to their allocation
 // budgets, each operation built by its benchmark's setup: a projection
-// and a replay allocate per PE and per window, schedule.json's codec O(1)
-// per write and O(PEs) per read, none of them per event. fmt's printers
-// come from a sync.Pool, which drops Puts at random under -race.
+// allocates per PE and per window, a replay a block per PE at once, and
+// the schedule's files O(1) per shard, written or read, none of them per
+// event. fmt's printers come from a sync.Pool, which drops Puts at random
+// under -race.
 func TestEngineAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under -race")
@@ -117,11 +118,11 @@ func TestEngineAllocs(t *testing.T) {
 		runs   int
 		budget float64
 	}{
-		{"CriticalPath", criticalPathOp, 20, 47},
-		{"WhatIfReplay", replayOp, 20, 20},
-		{"Compare", compareOp, 20, 163},
-		{"WriteScheduleFile", writeScheduleFileOp, 5, 9},
-		{"ReadScheduleFile", readScheduleFileOp, 5, 294},
+		{"CriticalPath", criticalPathOp, 20, 34},
+		{"WhatIfReplay", replayOp, 20, 3},
+		{"Compare", compareOp, 20, 72},
+		{"WriteScheduleFile", writeScheduleFileOp, 5, 118}, // 16 shards and the meta file
+		{"ReadScheduleFile", readScheduleFileOp, 5, 236},
 	} {
 		n := testing.AllocsPerRun(c.runs, c.op(t))
 		t.Logf("%s: %.0f allocs", c.name, n)

@@ -202,9 +202,10 @@ func TestDifferentialSkewed(t *testing.T) {
 	_ = set
 }
 
-// TestScheduleRoundTrip ensures schedule.json survives a write/read
-// cycle with projections intact, and that the file older writers produced
-// - the same bytes plus "timing":0 - loads and replays identically.
+// TestScheduleRoundTrip ensures a schedule survives a write/read cycle
+// with projections intact, and that the schedule.json older writers
+// produced - the JSON export's bytes plus "timing":0 - loads and replays
+// identically.
 func TestScheduleRoundTrip(t *testing.T) {
 	app := apps.ChaosApps()[1]
 	_, sched := capture(t, app, sim.Machine{NumPEs: 4, PEsPerNode: 2})
@@ -231,10 +232,11 @@ func TestScheduleRoundTrip(t *testing.T) {
 		t.Fatalf("round-tripped totals differ:\n%+v\n%+v", a.Totals, b.Totals)
 	}
 
-	data, err := os.ReadFile(filepath.Join(dir, whatif.ScheduleFileName))
-	if err != nil {
+	var buf bytes.Buffer
+	if err := sched.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
+	data := buf.Bytes()
 	oldBytes := bytes.Replace(data, []byte(`},"cost":`), []byte(`},"timing":0,"cost":`), 1)
 	if bytes.Equal(oldBytes, data) {
 		t.Fatal("schedule.json has no machine/cost boundary to put the old field at")

@@ -29,8 +29,8 @@ func recordedSchedule(tb testing.TB) *sim.Schedule {
 	return s
 }
 
-// writeScheduleFileOp writes a recorded schedule.json: allocations are
-// O(1) per write, none per event.
+// writeScheduleFileOp writes a recorded schedule's shards: allocations
+// are O(1) per shard, none per event.
 func writeScheduleFileOp(tb testing.TB) func() {
 	s := recordedSchedule(tb)
 	dir := tb.TempDir()
@@ -42,7 +42,7 @@ func writeScheduleFileOp(tb testing.TB) func() {
 }
 
 // readScheduleFileOp reads it back and validates it: allocations are
-// O(PEs) per read, none per event.
+// O(1) per shard, none per event.
 func readScheduleFileOp(tb testing.TB) func() {
 	s := recordedSchedule(tb)
 	dir := tb.TempDir()

@@ -176,17 +176,15 @@ func TestNegativeChargeIsALoadError(t *testing.T) {
 	if err := whatif.WriteScheduleFile(t.TempDir(), s); err == nil {
 		t.Error("WriteScheduleFile wrote a negative charge")
 	}
+	// A schedule.json, as written before shards, hand-edited.
 	dir := t.TempDir()
 	s.PEs[0].Events[2].Arg = 40
-	if err := whatif.WriteScheduleFile(dir, s); err != nil {
+	var data bytes.Buffer
+	if err := s.WriteJSON(&data); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, whatif.ScheduleFileName)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, bytes.Replace(data, []byte("[6,40]"), []byte("[6,-40]"), 1), 0o644); err != nil {
+	if err := os.WriteFile(path, bytes.Replace(data.Bytes(), []byte("[6,40]"), []byte("[6,-40]"), 1), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := whatif.ReadScheduleFile(dir); err == nil || !strings.Contains(err.Error(), "PE 0 event 2") {

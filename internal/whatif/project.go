@@ -207,30 +207,28 @@ func Project(s *sim.Schedule, p Perturbation) (*Analysis, error) {
 // project is Project of a schedule and a perturbation already validated.
 func project(s *sim.Schedule, p Perturbation) *Analysis {
 	n := len(s.PEs)
-	barriers := 0
-	for _, ev := range s.PEs[0].Events {
-		if ev.Kind == sim.EvBarrier {
-			barriers++
-		}
-	}
-	gens := barriers + 1
+	gens := s.PEs[0].Barriers() + 1
+	blk := new(sim.Block) // every walk here is over one log at a time
 
 	// Pass A: per-PE, per-generation charge sums under the perturbed
 	// pricing (handler state tracked because pricing depends on it).
-	gsum := make([][]int64, n)
+	gsum, sums := make([][]int64, n), make([]int64, n*gens)
 	for pe := 0; pe < n; pe++ {
-		gsum[pe] = make([]int64, gens)
+		gsum[pe] = sums[pe*gens : (pe+1)*gens]
 		skew := s.PEs[pe].Skew
 		var st attrib
 		g := 0
-		for _, ev := range s.PEs[pe].Events {
-			switch {
-			case ev.Kind == sim.EvBarrier:
-				g++
-			case ev.Kind.Charged():
-				gsum[pe][g] += p.charge(ev, &st, skew)
-			default:
-				st.marker(ev.Kind, ev.Arg, 0)
+		c := s.PEs[pe].Walk(blk)
+		for evs := c.Next(); evs != nil; evs = c.Next() {
+			for _, ev := range evs {
+				switch {
+				case ev.Kind == sim.EvBarrier:
+					g++
+				case ev.Kind.Charged():
+					gsum[pe][g] += p.charge(ev, &st, skew)
+				default:
+					st.marker(ev.Kind, ev.Arg, 0)
+				}
 			}
 		}
 	}
@@ -255,9 +253,11 @@ func project(s *sim.Schedule, p Perturbation) *Analysis {
 
 	// Pass B: absolute-clock walk. Reconstructs regime totals, finish
 	// windows, actor activation statistics, and the winners' full-gen
-	// breakdowns for the critical path.
+	// breakdowns for the critical path, keeping each winner's state at
+	// the start of its generation for a window that clips it.
 	totals := RunTotals{PerPE: make([]Totals, n), Makespan: M[gens]}
 	edgeAcc := make([]Breakdown, gens)
+	genSt := make([]attrib, gens)
 	actors := make(map[int64]*actorAgg)
 	var winStart, winEnd []int64
 	for pe := 0; pe < n; pe++ {
@@ -266,58 +266,64 @@ func project(s *sim.Schedule, p Perturbation) *Analysis {
 		g := 0
 		var prefix int64
 		finishes := 0
-		for _, ev := range s.PEs[pe].Events {
-			if ev.Kind == sim.EvBarrier {
-				g++
-				prefix = 0
-				continue
-			}
-			now := M[g] + prefix
-			if ev.Kind.Charged() {
-				dur := p.charge(ev, &st, skew)
-				if pe == winner[g] {
-					edgeAcc[g].add(ev.Kind, regimeOf(&st), dur)
-				}
-				prefix += dur
-				continue
-			}
-			switch ev.Kind {
-			case sim.EvFinishStart:
-				for len(winStart) <= finishes {
-					winStart = append(winStart, -1)
-					winEnd = append(winEnd, -1)
-				}
-				if winStart[finishes] < 0 || now < winStart[finishes] {
-					winStart[finishes] = now
-				}
-			case sim.EvFinishEnd:
-				if now > winEnd[finishes] {
-					winEnd[finishes] = now
-				}
-				finishes++
-			case sim.EvHandlerStart:
-				canon, msgs := sim.ActorIDCanon(ev.Arg)
-				a := actors[canon]
-				if a == nil {
-					a = &actorAgg{first: make([]int64, n), last: make([]int64, n), cnt: make([]int64, n)}
-					for i := range a.first {
-						a.first[i] = -1
+		c := s.PEs[pe].Walk(blk)
+		for evs := c.Next(); evs != nil; evs = c.Next() {
+			for _, ev := range evs {
+				if ev.Kind == sim.EvBarrier {
+					g++
+					prefix = 0
+					if pe == winner[g] {
+						genSt[g] = st
 					}
-					actors[canon] = a
+					continue
 				}
-				if a.first[pe] < 0 {
-					a.first[pe] = now
+				now := M[g] + prefix
+				if ev.Kind.Charged() {
+					dur := p.charge(ev, &st, skew)
+					if pe == winner[g] {
+						edgeAcc[g].add(ev.Kind, regimeOf(&st), dur)
+					}
+					prefix += dur
+					continue
 				}
-				a.last[pe] = now
-				a.cnt[pe]++
-				a.count++
-				a.msgs += msgs
-			case sim.EvHandlerEnd:
-				if a := actors[st.handler]; a != nil {
-					a.cycles += now - st.hstart
+				switch ev.Kind {
+				case sim.EvFinishStart:
+					for len(winStart) <= finishes {
+						winStart = append(winStart, -1)
+						winEnd = append(winEnd, -1)
+					}
+					if winStart[finishes] < 0 || now < winStart[finishes] {
+						winStart[finishes] = now
+					}
+				case sim.EvFinishEnd:
+					if now > winEnd[finishes] {
+						winEnd[finishes] = now
+					}
+					finishes++
+				case sim.EvHandlerStart:
+					canon, msgs := sim.ActorIDCanon(ev.Arg)
+					a := actors[canon]
+					if a == nil {
+						a = &actorAgg{first: make([]int64, n), last: make([]int64, n), cnt: make([]int64, n)}
+						for i := range a.first {
+							a.first[i] = -1
+						}
+						actors[canon] = a
+					}
+					if a.first[pe] < 0 {
+						a.first[pe] = now
+					}
+					a.last[pe] = now
+					a.cnt[pe]++
+					a.count++
+					a.msgs += msgs
+				case sim.EvHandlerEnd:
+					if a := actors[st.handler]; a != nil {
+						a.cycles += now - st.hstart
+					}
 				}
+				st.marker(ev.Kind, ev.Arg, now)
 			}
-			st.marker(ev.Kind, ev.Arg, now)
 		}
 		totals.PerPE[pe] = st.finish()
 	}
@@ -330,7 +336,7 @@ func project(s *sim.Schedule, p Perturbation) *Analysis {
 			continue
 		}
 		w := Window{Index: i, Start: winStart[i], End: winEnd[i], Span: winEnd[i] - winStart[i]}
-		w.Path = criticalPath(s, p, M, winner, edgeAcc, w.Start, w.End)
+		w.Path = criticalPath(s, p, M, winner, edgeAcc, genSt, blk, w.Start, w.End)
 		an.Windows = append(an.Windows, w)
 	}
 
@@ -383,7 +389,7 @@ func project(s *sim.Schedule, p Perturbation) *Analysis {
 // mid-way (the window starts at a finish marker, not a barrier), so its
 // winner is re-walked and clipped at the window start. Consecutive
 // generations won by the same PE merge into one edge.
-func criticalPath(s *sim.Schedule, p Perturbation, M []int64, winner []int, edgeAcc []Breakdown, start, end int64) CriticalPath {
+func criticalPath(s *sim.Schedule, p Perturbation, M []int64, winner []int, edgeAcc []Breakdown, genSt []attrib, blk *sim.Block, start, end int64) CriticalPath {
 	cp := CriticalPath{Span: end - start}
 	for g := 0; g < len(winner); g++ {
 		if M[g+1] <= start || M[g] >= end {
@@ -403,7 +409,7 @@ func criticalPath(s *sim.Schedule, p Perturbation, M []int64, winner []int, edge
 		if M[g] >= start && M[g+1] <= end {
 			b = edgeAcc[g]
 		} else {
-			b = genBreakdown(s, p, M, winner[g], g, es, ee)
+			b = genBreakdown(s.PEs[winner[g]], p, M[g], genSt[g], blk, g, es, ee)
 		}
 		if k := len(cp.Edges); k > 0 && cp.Edges[k-1].PE == winner[g] && cp.Edges[k-1].End == es {
 			cp.Edges[k-1].End = ee
@@ -415,44 +421,30 @@ func criticalPath(s *sim.Schedule, p Perturbation, M []int64, winner []int, edge
 	return cp
 }
 
-// genBreakdown re-walks one PE's schedule and attributes its
-// generation-g charges that fall inside [from, to), clipping a charge
-// that straddles a boundary so the attributed cycles tile the interval
-// exactly.
-func genBreakdown(s *sim.Schedule, p Perturbation, M []int64, pe, gen int, from, to int64) Breakdown {
-	skew := s.PEs[pe].Skew
-	var st attrib
+// genBreakdown re-walks generation gen of one PE's log - from its own
+// block, in the attribution state st the PE entered it in, its clock at
+// m - and attributes the charges that fall inside [from, to), clipping a
+// charge that straddles a boundary so the attributed cycles tile the
+// interval exactly.
+func genBreakdown(l *sim.PELog, p Perturbation, m int64, st attrib, blk *sim.Block, gen int, from, to int64) Breakdown {
 	var b Breakdown
-	g := 0
-	var prefix int64
-	for _, ev := range s.PEs[pe].Events {
-		if ev.Kind == sim.EvBarrier {
-			g++
-			prefix = 0
-			if g > gen {
-				break
-			}
-			continue
-		}
-		now := M[g] + prefix
-		if ev.Kind.Charged() {
-			dur := p.charge(ev, &st, skew)
-			if g == gen {
-				lo, hi := now, now+dur
-				if lo < from {
-					lo = from
-				}
-				if hi > to {
-					hi = to
-				}
-				if hi > lo {
+	now := m
+	c := l.WalkGen(gen, blk)
+	for evs := c.Next(); evs != nil; evs = c.Next() {
+		for _, ev := range evs {
+			switch {
+			case ev.Kind == sim.EvBarrier:
+				return b
+			case ev.Kind.Charged():
+				dur := p.charge(ev, &st, l.Skew)
+				if lo, hi := max(now, from), min(now+dur, to); hi > lo {
 					b.add(ev.Kind, regimeOf(&st), hi-lo)
 				}
+				now += dur
+			default:
+				st.marker(ev.Kind, ev.Arg, now)
 			}
-			prefix += dur
-			continue
 		}
-		st.marker(ev.Kind, ev.Arg, now)
 	}
 	return b
 }

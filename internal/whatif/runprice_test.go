@@ -54,9 +54,12 @@ func TestRunPricingUnderSkewAndNonDividingScale(t *testing.T) {
 				if l.Skew > 0 {
 					skewed++
 				}
-				for _, ev := range l.Events {
-					if _, n := sim.InstrRunParts(ev.Arg); ev.Kind == sim.EvInstr && n > 1 {
-						runs++
+				c := l.Walk(new(sim.Block))
+				for evs := c.Next(); evs != nil; evs = c.Next() {
+					for _, ev := range evs {
+						if _, n := sim.InstrRunParts(ev.Arg); ev.Kind == sim.EvInstr && n > 1 {
+							runs++
+						}
 					}
 				}
 			}

@@ -96,15 +96,21 @@ type CostScales struct {
 	Ingest float64 `json:"ingest,omitempty"`
 }
 
+// groupNames names the cost groups, in CostScales' field order.
+var groupNames = [...]string{"network", "local", "quiet", "instr", "ingest"}
+
+func (sc CostScales) factors() [len(groupNames)]float64 {
+	return [...]float64{sc.Network, sc.Local, sc.Quiet, sc.Instr, sc.Ingest}
+}
+
 // Phrases describes the factors that change the pricing, in field
 // order: "network x2", "quiet x0.5". Unset factors and factors of 1 are
 // left out.
 func (sc CostScales) Phrases() []string {
-	names := [...]string{"network", "local", "quiet", "instr", "ingest"}
 	var parts []string
-	for i, f := range [...]float64{sc.Network, sc.Local, sc.Quiet, sc.Instr, sc.Ingest} {
+	for i, f := range sc.factors() {
 		if f > 0 && f != 1 {
-			parts = append(parts, fmt.Sprintf("%s x%g", names[i], f))
+			parts = append(parts, fmt.Sprintf("%s x%g", groupNames[i], f))
 		}
 	}
 	return parts
@@ -129,6 +135,74 @@ func ScaledCost(base sim.CostModel, sc CostScales) sim.CostModel {
 	c.InstructionCycles = scale64(c.InstructionCycles, sc.Instr)
 	c.ItemIngestCycles = scale64(c.ItemIngestCycles, sc.Ingest)
 	return c
+}
+
+// Question is a what-if question as the front ends take it: a factor per
+// cost group, 0 where none is given, and a speedup of one actor's
+// handler, 0 for none.
+type Question struct {
+	Scales  CostScales
+	Actor   int64
+	Speedup float64
+}
+
+// QuestionError is Check's refusal. Field names the question's part - a
+// cost group ("network", "local", "quiet", "instr", "ingest"), "speedup"
+// or "actor" - for each front end to word as its own parameter.
+type QuestionError struct{ Field, Reason string }
+
+func (e *QuestionError) Error() string { return e.Field + " " + e.Reason }
+
+// CheckFactor is the rule every factor given keeps: finite and above zero.
+func CheckFactor(f float64) error {
+	if !(f > 0) || math.IsInf(f, 1) {
+		return fmt.Errorf("must be a positive finite number, got %g", f)
+	}
+	return nil
+}
+
+// Check refuses a question that would not be answered as asked: a factor
+// that is not finite and above zero, a cost it scales past what an int64
+// holds, or a speedup of an actor with no handler activations in the
+// schedule. Both what-if front ends ask it before answering.
+func (b *Baseline) Check(q Question) error {
+	c := b.s.Cost
+	costs := [len(groupNames)][]int64{{c.NetworkLatency, c.NetworkPerByte}, {c.LocalCopyLatency, c.LocalCopyPerByte},
+		{c.QuietLatency, c.SignalLatency}, {c.InstructionCycles}, {c.ItemIngestCycles}} // as ScaledCost scales them
+	for i, f := range q.Scales.factors() {
+		if f == 0 {
+			continue
+		}
+		if err := CheckFactor(f); err != nil {
+			return &QuestionError{groupNames[i], err.Error()}
+		}
+		for _, v := range costs[i] {
+			if math.Round(float64(v)*f) >= math.MaxInt64 {
+				return &QuestionError{groupNames[i], fmt.Sprintf("x%g takes a cost of %d cycles past an int64", f, v)}
+			}
+		}
+	}
+	if q.Speedup == 0 {
+		return nil
+	}
+	if err := CheckFactor(q.Speedup); err != nil {
+		return &QuestionError{"speedup", err.Error()}
+	}
+	for _, a := range b.an.Bottlenecks {
+		if a.Actor == q.Actor {
+			return nil
+		}
+	}
+	return &QuestionError{"actor", fmt.Sprintf("%d has no handler activations in the schedule", q.Actor)}
+}
+
+// Perturbation is q over b's schedule.
+func (b *Baseline) Perturbation(q Question) Perturbation {
+	p := Perturbation{Cost: ScaledCost(b.s.Cost, q.Scales)}
+	if q.Speedup != 0 {
+		p.HandlerSpeedup = map[int64]float64{q.Actor: q.Speedup}
+	}
+	return p
 }
 
 // Perturbation is one what-if hypothesis over a recorded schedule.
@@ -258,32 +332,40 @@ func Replay(s *sim.Schedule, p Perturbation) (RunTotals, error) {
 }
 
 // replay is Replay of a schedule and a perturbation already validated.
+// Each PE walks its log with its own cursor, resumed at every barrier.
 func replay(s *sim.Schedule, p Perturbation) (RunTotals, error) {
 	n := len(s.PEs)
-	clocks := make([]*sim.Clock, n)
-	states := make([]attrib, n)
-	idx := make([]int, n)
-	for i := range clocks {
-		clocks[i] = sim.NewClock(sim.Virtual)
-		clocks[i].SetSkewPercent(s.PEs[i].Skew)
+	type peReplay struct {
+		clock sim.Clock
+		st    attrib
+		c     sim.Cursor
+		evs   []sim.Event // the rest of the cursor's block
+	}
+	pes, blks := make([]peReplay, n), make([]sim.Block, n)
+	for i := range pes {
+		q := &pes[i]
+		q.clock.SetSkewPercent(s.PEs[i].Skew)
+		q.c = s.PEs[i].Walk(&blks[i])
+		q.evs = q.c.Next()
 	}
 	for {
 		atBarrier := 0
-		for pe := 0; pe < n; pe++ {
-			evs := s.PEs[pe].Events
-			for idx[pe] < len(evs) {
-				ev := evs[idx[pe]]
-				if ev.Kind == sim.EvBarrier {
-					atBarrier++
-					break
+		for i := range pes {
+			q := &pes[i]
+		walk:
+			for ; q.evs != nil; q.evs = q.c.Next() {
+				for j, ev := range q.evs {
+					if ev.Kind == sim.EvBarrier {
+						atBarrier++
+						q.evs = q.evs[j:]
+						break walk
+					}
+					if ev.Kind.Charged() {
+						q.clock.ChargeRun(p.price(ev.Kind, ev.Arg, q.st.inHandler, q.st.handler))
+					} else {
+						q.st.marker(ev.Kind, ev.Arg, q.clock.Now())
+					}
 				}
-				if ev.Kind.Charged() {
-					st := &states[pe]
-					clocks[pe].ChargeRun(p.price(ev.Kind, ev.Arg, st.inHandler, st.handler))
-				} else {
-					states[pe].marker(ev.Kind, ev.Arg, clocks[pe].Now())
-				}
-				idx[pe]++
 			}
 		}
 		if atBarrier == 0 {
@@ -295,20 +377,20 @@ func replay(s *sim.Schedule, p Perturbation) (RunTotals, error) {
 			return RunTotals{}, fmt.Errorf("whatif: replay desynchronized (%d of %d PEs at a barrier)", atBarrier, n)
 		}
 		var max int64
-		for pe := range clocks {
-			if now := clocks[pe].Now(); now > max {
+		for i := range pes {
+			if now := pes[i].clock.Now(); now > max {
 				max = now
 			}
 		}
-		for pe := range clocks {
-			clocks[pe].AdvanceTo(max)
-			idx[pe]++ // past the barrier marker
+		for i := range pes {
+			pes[i].clock.AdvanceTo(max)
+			pes[i].evs = pes[i].evs[1:] // past the barrier marker
 		}
 	}
 	out := RunTotals{PerPE: make([]Totals, n)}
-	for pe := range states {
-		out.PerPE[pe] = states[pe].finish()
-		if now := clocks[pe].Now(); now > out.Makespan {
+	for i := range pes {
+		out.PerPE[i] = pes[i].st.finish()
+		if now := pes[i].clock.Now(); now > out.Makespan {
 			out.Makespan = now
 		}
 	}
