@@ -37,8 +37,18 @@ func writeTrace(t *testing.T, format trace.Format) string {
 	return dir
 }
 
-// capture redirects stdout around fn.
+// capture redirects stdout around fn, which must succeed.
 func capture(t *testing.T, fn func() error) string {
+	t.Helper()
+	out, err := captureErr(t, fn)
+	if err != nil {
+		t.Fatalf("run failed: %v", err)
+	}
+	return out
+}
+
+// captureErr redirects stdout around fn.
+func captureErr(t *testing.T, fn func() error) (string, error) {
 	t.Helper()
 	old := os.Stdout
 	r, w, err := os.Pipe()
@@ -63,10 +73,7 @@ func capture(t *testing.T, fn func() error) string {
 	errCh <- fn()
 	w.Close()
 	os.Stdout = old
-	if err := <-errCh; err != nil {
-		t.Fatalf("run failed: %v", err)
-	}
-	return <-outCh
+	return <-outCh, <-errCh
 }
 
 func TestCLIAllPlots(t *testing.T) {

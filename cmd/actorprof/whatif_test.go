@@ -1,0 +1,103 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"actorprof/internal/actor"
+	"actorprof/internal/apps"
+	"actorprof/internal/core"
+	"actorprof/internal/sim"
+	"actorprof/internal/trace"
+	"actorprof/internal/whatif"
+)
+
+// capturedTrace writes a trace directory with the schedule its run recorded.
+func capturedTrace(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	set, sched, err := core.RunCaptured(core.Options{
+		Machine: sim.Machine{NumPEs: 4, PEsPerNode: 2},
+		Trace:   trace.Config{Overall: true},
+	}, func(rt *actor.Runtime) error {
+		_, err := apps.Histogram(rt, apps.HistogramConfig{UpdatesPerPE: 100, TableSizePerPE: 32, Seed: 7})
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := set.WriteFiles(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := whatif.WriteScheduleFile(dir, sched); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// TestCLIWhatIfRefusesWhatItCannotAnswer: a question the engines would
+// answer other than as asked - a factor not finite and above zero, a cost
+// scaled past an int64, a speedup of an actor that never ran, a count of
+// lines to print below one - is an error naming its flag, before anything
+// prints.
+func TestCLIWhatIfRefusesWhatItCannotAnswer(t *testing.T) {
+	dir := capturedTrace(t)
+	if out := capture(t, func() error { return run([]string{"whatif", "-actor", "0", "-speedup", "2", dir}) }); !strings.Contains(out, "handler 2x faster") {
+		t.Fatalf("a speedup of actor 0 was not answered:\n%s", out)
+	}
+	for _, args := range [][]string{ // the flag to name first
+		{"-scale-network", "-2"},
+		{"-scale-network", "0"},
+		{"-speedup", "-3", "-actor", "0"},
+		{"-scale-network", "NaN"},
+		{"-scale-instr", "1e300"},
+		{"-actor", "999999", "-speedup", "2"},
+		{"-top", "0"},
+		{"-edges", "-1"},
+	} {
+		flag := args[0]
+		out, err := captureErr(t, func() error { return run(append(append([]string{"whatif"}, args...), dir)) })
+		if err == nil || !strings.HasPrefix(err.Error(), flag+" ") {
+			t.Errorf("whatif %v: err = %v, want an error naming %s", args, err, flag)
+		}
+		if out != "" {
+			t.Errorf("whatif %v printed before refusing:\n%s", args, out)
+		}
+	}
+}
+
+// TestCLIExportSchedule: `actorprof export -schedule` writes, from a
+// schedule's shards, the bytes schedule.json had when it was the
+// schedule's file: testdata/schedule.golden.json, written then by
+// whatif.WriteScheduleFile for a recorded run.
+func TestCLIExportSchedule(t *testing.T) {
+	golden, err := os.ReadFile("testdata/schedule.golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy, dir := t.TempDir(), t.TempDir()
+	if err := os.WriteFile(filepath.Join(legacy, whatif.ScheduleFileName), golden, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := whatif.ReadScheduleFile(legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := whatif.WriteScheduleFile(dir, s); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, whatif.ScheduleFileName)
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("WriteScheduleFile wrote %s (%v)", whatif.ScheduleFileName, err)
+	}
+	capture(t, func() error { return run([]string{"export", "-schedule", dir}) })
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, golden) {
+		t.Errorf("export -schedule wrote %d bytes unlike the golden's %d (%v)", len(got), len(golden), err)
+	}
+	if out := capture(t, func() error { return run([]string{"export", "-schedule", "-out", "-", dir}) }); out != string(golden) {
+		t.Errorf("export -schedule -out - printed %d bytes unlike the golden's %d", len(out), len(golden))
+	}
+}

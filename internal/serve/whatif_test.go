@@ -40,6 +40,35 @@ func writeCapturedRun(t testing.TB, root, id string) {
 	}
 }
 
+// TestWhatIfRefusesWhatItCannotAnswer: /whatif asks the engines' own
+// check, so a cost scaled past an int64 and a speedup of an actor that
+// never ran are 400s naming their parameter, as the CLI's are errors
+// naming its flag.
+func TestWhatIfRefusesWhatItCannotAnswer(t *testing.T) {
+	root := t.TempDir()
+	writeCapturedRun(t, root, "cap")
+	srv, err := New(Config{Root: root})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := srv.Handler()
+	if res, body := get(t, h, "/runs/cap/whatif?actor=0&speedup=2"); res.StatusCode != http.StatusOK {
+		t.Fatalf("a speedup of actor 0: status %d: %s", res.StatusCode, body)
+	}
+	for query, param := range map[string]string{
+		"scale_network=1e300":    "scale_network ",
+		"scale_instr=1e300":      "scale_instr ",
+		"actor=999999&speedup=2": "actor ",
+		"scale_network=-2":       "scale_network ",
+		"speedup=NaN&actor=0":    "speedup ",
+	} {
+		res, body := get(t, h, "/runs/cap/whatif?"+query)
+		if res.StatusCode != http.StatusBadRequest || !strings.Contains(body, param) || strings.Contains(body, "-9223372036854775808") {
+			t.Errorf("%s: status %d, want a 400 naming %q: %s", query, res.StatusCode, param, body)
+		}
+	}
+}
+
 func TestWhatIfEndpoint(t *testing.T) {
 	root := t.TempDir()
 	writeCapturedRun(t, root, "cap1")
