@@ -167,7 +167,7 @@ func CheckFactor(f float64) error {
 // schedule. Both what-if front ends ask it before answering.
 func (b *Baseline) Check(q Question) error {
 	c := b.s.Cost
-	costs := [len(groupNames)][]int64{{c.NetworkLatency, c.NetworkPerByte}, {c.LocalCopyLatency, c.LocalCopyPerByte},
+	costs := [len(groupNames)][2]int64{{c.NetworkLatency, c.NetworkPerByte}, {c.LocalCopyLatency, c.LocalCopyPerByte},
 		{c.QuietLatency, c.SignalLatency}, {c.InstructionCycles}, {c.ItemIngestCycles}} // as ScaledCost scales them
 	for i, f := range q.Scales.factors() {
 		if f == 0 {
