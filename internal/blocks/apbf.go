@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"slices"
 )
 
@@ -167,16 +168,26 @@ func ReadBlock(data []byte, p int, more bool, cols [][]int64, strs *[]string) (n
 			c[4], c[5], c[6], c[7] = Unzigzag(u>>32&0x7f), Unzigzag(u>>40&0x7f), Unzigzag(u>>48&0x7f), Unzigzag(u>>56)
 		}
 		for ; i < n; i++ {
-			// One- and two-byte varints inline, longer ones through Uvarint.
 			if p < len(data) && data[p] < 0x80 {
 				col[i] = Unzigzag(uint64(data[p]))
 				p++
 				continue
 			}
-			if p+1 < len(data) && data[p+1] < 0x80 {
-				col[i] = Unzigzag(uint64(data[p]&0x7f) | uint64(data[p+1])<<7)
-				p += 2
-				continue
+			// A varint of up to eight bytes from one word, with no branch
+			// on its length: its last byte is the first without the high
+			// bit, and its 7-bit groups are packed in three steps. The
+			// bytes' tail, longer varints and every error go through Uvarint.
+			if p+8 <= len(data) {
+				u := binary.LittleEndian.Uint64(data[p:])
+				if ends := ^u & 0x8080808080808080; ends != 0 {
+					k := bits.TrailingZeros64(ends) + 1 // the varint's bits, 8 a byte
+					u &= ^uint64(0) >> (64 - k) & 0x7f7f7f7f7f7f7f7f
+					u = u&0x007f007f007f007f | (u&0x7f007f007f007f00)>>1
+					u = u&0x00003fff00003fff | (u&0x3fff00003fff0000)>>2
+					u = u&0x000000000fffffff | (u&0x0fffffff00000000)>>4
+					col[i], p = Unzigzag(u), p+k/8
+					continue
+				}
 			}
 			u, next, err := Uvarint(data, p)
 			if err != nil {

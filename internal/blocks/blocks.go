@@ -1,17 +1,23 @@
-// Package blocks provides the append-only record buffer behind the trace
-// collector's physical records and the schedule recorder: values land
-// once, in fixed-size blocks, and leave once when the run ends, as
-// Flatten's exact-size slice; Each reads them in place before that. (A
-// traced send is not kept here: the collector seals its sends as APBF
-// blocks as the run goes, package trace.)
+// Package blocks holds what a run's records are kept in as it goes.
 //
-// A growing slice re-copies every element each time it doubles, and at
-// the recorders' volumes (hundreds of thousands of records per run) that
-// re-copying - not the recording - was the cost of being profiled. A Buf
-// never moves a value it has accepted until Flatten.
+// The APBF block kernel (apbf.go) codes and decodes the blocks of the
+// column-coded binary trace format: the trace collector seals a PE's
+// sends into them and the trace readers decode them (package trace), and
+// the schedule recorder seals a PE's events into them, which the what-if
+// engines read a block at a time (package sim). A block is Len rows.
+//
+// Buf is the append-only record buffer behind the trace collector's
+// physical records: values land once, in fixed-size blocks, and leave
+// once when the run ends, as Flatten's exact-size slice; Each reads them
+// in place before that. A growing slice re-copies every element each
+// time it doubles, and at the recorders' volumes (hundreds of thousands
+// of records per run) that re-copying - not the recording - was the cost
+// of being profiled. A Buf never moves a value it has accepted until
+// Flatten.
 package blocks
 
-// Len is the number of values per block. At 1024 a block of the widest
+// Len is the number of values per block, and of rows per APBF block as
+// the writers code them. At 1024 a block of the widest
 // record (trace.PhysicalRecord, 40 bytes) is 40 KiB, so a PE that records
 // a handful of values pays for a handful of pages, while the per-block
 // allocation is amortised over a thousand appends.

@@ -56,9 +56,9 @@ func Run(opts Options, app App) (*trace.Set, error) {
 // RunCaptured is Run plus what-if schedule capture: every clock charge
 // and profiling region transition is recorded per PE, and the resulting
 // schedule feeds internal/whatif (critical paths, bottleneck ranking,
-// causal projections). whatif.WriteScheduleFile stores it next to a
-// trace directory as schedule.json, where actorprofd and `actorprof
-// whatif` find it.
+// causal projections). whatif.WriteScheduleFile stores it in a trace
+// directory as per-PE shards, where actorprofd and `actorprof whatif`
+// find it.
 func RunCaptured(opts Options, app App) (*trace.Set, *sim.Schedule, error) {
 	return run(opts, app, true)
 }

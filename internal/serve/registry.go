@@ -80,7 +80,7 @@ type runEntry struct {
 type runSummary struct {
 	sum      *trace.Summary
 	skipped  int
-	schedule bool // the directory holds a schedule.json
+	schedule bool // the directory holds a schedule (whatif.HasSchedule)
 }
 
 // snapshot is a value read from disk by a flight and reused for ttl

@@ -17,7 +17,7 @@ import (
 
 // baselineFor returns a run's recorded what-if schedule with its
 // baseline projection, loaded once per directory fingerprint (the
-// fingerprint covers schedule.json, so a rewritten run invalidates the
+// fingerprint covers the schedule's files, so a rewritten run invalidates the
 // cache automatically) as a bounded, counted parse. A failed load is
 // remembered for the fingerprint too. Runs without a schedule 404.
 func (r *registry) baselineFor(d deadline, run resolvedRun) (*whatif.Baseline, error) {

@@ -269,31 +269,23 @@ func ScheduleShardFile(pe int) string { return fmt.Sprintf("PE%d_schedule.bin", 
 var ScheduleFiles = []string{"PE*_schedule.bin", ScheduleMetaFile, ScheduleJSONFile}
 
 // WriteShard writes the log as a schedule shard: its sealed blocks as
-// they are, the events not sealed coded into blocks first.
+// they are. A literal or a log still recording is sealed first, a copy.
 func (l *PELog) WriteShard(w io.Writer) error {
-	buf := blocks.AppendHeader(nil, ScheduleKind, 2)
-	var cols [2][]int64
-	for evs := l.Events; len(evs) > 0; evs = evs[min(len(evs), blocks.Len):] {
-		part := evs[:min(len(evs), blocks.Len)]
-		cols[0], cols[1] = cols[0][:0], cols[1][:0]
-		for _, e := range part {
-			cols[0], cols[1] = append(cols[0], int64(e.Kind)), append(cols[1], e.Arg)
+	if len(l.Events)+len(l.open[1]) > 0 {
+		var evs []Event
+		c := l.Walk(new(Block))
+		for b := c.Next(); b != nil; b = c.Next() {
+			evs = append(evs, b...)
 		}
-		buf = blocks.AppendBlock(buf, len(part), nil, cols[:])
+		l = NewPELog(0, evs...)
 	}
-	if _, err := w.Write(buf); err != nil {
-		return err
-	}
+	_, err := w.Write(blocks.AppendHeader(nil, ScheduleKind, 2))
 	for _, b := range l.sealed {
-		if _, err := w.Write(b); err != nil {
-			return err
+		if err == nil {
+			_, err = w.Write(b)
 		}
 	}
-	if n := len(l.open[1]); n > 0 {
-		_, err := w.Write(blocks.AppendBlock(nil, n, nil, l.open[:]))
-		return err
-	}
-	return nil
+	return err
 }
 
 // ReadShard reads a schedule shard as a sealed log whose blocks stay in

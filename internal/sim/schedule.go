@@ -192,10 +192,10 @@ func (e *Event) UnmarshalJSON(data []byte) error {
 
 // Schedule is a full recorded run: the machine shape, the cost model
 // the run was priced with, and every PE's event log. It is the input to
-// the what-if engine and the payload of a trace directory's
-// schedule.json. A schedule.json that still carries the "timing" field
-// older writers emitted loads unchanged: its one value was Virtual, and
-// the decoder skips fields it does not know.
+// the what-if engine and the payload of a trace directory's schedule
+// files. A schedule.json that still carries the "timing" field older
+// writers emitted loads unchanged: its one value was Virtual, and the
+// decoder skips fields it does not know.
 type Schedule struct {
 	Machine Machine   `json:"machine"`
 	Cost    CostModel `json:"cost"`

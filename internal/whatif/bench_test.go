@@ -104,9 +104,9 @@ func BenchmarkCompare(b *testing.B) { loop(b, compareOp(b)) }
 
 // TestEngineAllocs holds the what-if benchmarks to their allocation
 // budgets, each operation built by its benchmark's setup: a projection
-// allocates per PE and per window, a replay a block per PE at once, and
-// the schedule's files O(1) per shard, written or read, none of them per
-// event. fmt's printers come from a sync.Pool, which drops Puts at random
+// allocates per PE and per window, a replay O(1) (its cursors' blocks
+// are pooled), and the schedule's files O(1) per shard, written or read,
+// none of them per event. fmt's printers come from a sync.Pool, which drops Puts at random
 // under -race.
 func TestEngineAllocs(t *testing.T) {
 	if raceEnabled {
@@ -118,9 +118,9 @@ func TestEngineAllocs(t *testing.T) {
 		runs   int
 		budget float64
 	}{
-		{"CriticalPath", criticalPathOp, 20, 34},
-		{"WhatIfReplay", replayOp, 20, 3},
-		{"Compare", compareOp, 20, 72},
+		{"CriticalPath", criticalPathOp, 20, 33},
+		{"WhatIfReplay", replayOp, 20, 2},
+		{"Compare", compareOp, 20, 69},
 		{"WriteScheduleFile", writeScheduleFileOp, 5, 118}, // 16 shards and the meta file
 		{"ReadScheduleFile", readScheduleFileOp, 5, 236},
 	} {

@@ -27,6 +27,7 @@ package whatif
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"actorprof/internal/sim"
 )
@@ -331,6 +332,11 @@ func Replay(s *sim.Schedule, p Perturbation) (RunTotals, error) {
 	return replay(s, p)
 }
 
+// blocks holds the engines' cursor scratch between walks: a what-if's
+// blocks are the size of its schedule's PE count, not of its events, and
+// taking them afresh for every question was most of what one allocated.
+var blocks = sync.Pool{New: func() any { return new(sim.Block) }}
+
 // replay is Replay of a schedule and a perturbation already validated.
 // Each PE walks its log with its own cursor, resumed at every barrier.
 func replay(s *sim.Schedule, p Perturbation) (RunTotals, error) {
@@ -338,16 +344,23 @@ func replay(s *sim.Schedule, p Perturbation) (RunTotals, error) {
 	type peReplay struct {
 		clock sim.Clock
 		st    attrib
+		b     *sim.Block
 		c     sim.Cursor
 		evs   []sim.Event // the rest of the cursor's block
 	}
-	pes, blks := make([]peReplay, n), make([]sim.Block, n)
+	pes := make([]peReplay, n)
 	for i := range pes {
 		q := &pes[i]
 		q.clock.SetSkewPercent(s.PEs[i].Skew)
-		q.c = s.PEs[i].Walk(&blks[i])
+		q.b = blocks.Get().(*sim.Block)
+		q.c = s.PEs[i].Walk(q.b)
 		q.evs = q.c.Next()
 	}
+	defer func() {
+		for i := range pes {
+			blocks.Put(pes[i].b)
+		}
+	}()
 	for {
 		atBarrier := 0
 		for i := range pes {
