@@ -8,8 +8,7 @@
 //
 // Buf is the append-only record buffer behind the trace collector's
 // physical records: values land once, in fixed-size blocks, and leave
-// once when the run ends, as Flatten's exact-size slice; Each reads them
-// in place before that. A growing slice re-copies every element each
+// once when the run ends, as Flatten's exact-size slice. A growing slice re-copies every element each
 // time it doubles, and at the recorders' volumes (hundreds of thousands
 // of records per run) that re-copying - not the recording - was the cost
 // of being profiled. A Buf never moves a value it has accepted until
@@ -62,16 +61,6 @@ func (b *Buf[T]) Last() *T {
 
 // Len returns the number of values pushed since the last Flatten.
 func (b *Buf[T]) Len() int { return len(b.full)*Len + len(b.cur) }
-
-// Each calls f on every buffered run of values, in push order.
-func (b *Buf[T]) Each(f func([]T)) {
-	for _, blk := range b.full {
-		f(blk)
-	}
-	if len(b.cur) > 0 {
-		f(b.cur)
-	}
-}
 
 // Flatten returns everything pushed so far as one exact-size slice (nil
 // when nothing was pushed) and empties the buffer: the one copy a value

@@ -21,20 +21,6 @@ func TestBufBlockBoundaries(t *testing.T) {
 		if b.Len() != n {
 			t.Fatalf("n=%d: Len() = %d", n, b.Len())
 		}
-		// Each sees every value, in order, before the hand-over.
-		seen := 0
-		b.Each(func(run []rec) {
-			for _, r := range run {
-				if r.id != seen {
-					t.Fatalf("n=%d: Each visited id %d at position %d", n, r.id, seen)
-				}
-				seen++
-			}
-		})
-		if seen != n {
-			t.Fatalf("n=%d: Each visited %d values", n, seen)
-		}
-
 		out := b.Flatten()
 		if n == 0 {
 			if out != nil {

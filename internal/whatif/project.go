@@ -208,8 +208,8 @@ func Project(s *sim.Schedule, p Perturbation) (*Analysis, error) {
 func project(s *sim.Schedule, p Perturbation) *Analysis {
 	n := len(s.PEs)
 	gens := s.PEs[0].Barriers() + 1
-	blk := blocks.Get().(*sim.Block) // every walk here is over one log at a time
-	defer blocks.Put(blk)
+	blk := cursorBlocks.Get().(*sim.Block) // every walk here is over one log at a time
+	defer cursorBlocks.Put(blk)
 
 	// Pass A: per-PE, per-generation charge sums under the perturbed
 	// pricing (handler state tracked because pricing depends on it).

@@ -332,10 +332,10 @@ func Replay(s *sim.Schedule, p Perturbation) (RunTotals, error) {
 	return replay(s, p)
 }
 
-// blocks holds the engines' cursor scratch between walks: a what-if's
-// blocks are the size of its schedule's PE count, not of its events, and
-// taking them afresh for every question was most of what one allocated.
-var blocks = sync.Pool{New: func() any { return new(sim.Block) }}
+// cursorBlocks holds the engines' cursor scratch between walks: a walk
+// needs a 32 KiB sim.Block per cursor alive (one per PE in a replay), and
+// a daemon answers many questions over one schedule.
+var cursorBlocks = sync.Pool{New: func() any { return new(sim.Block) }}
 
 // replay is Replay of a schedule and a perturbation already validated.
 // Each PE walks its log with its own cursor, resumed at every barrier.
@@ -352,13 +352,13 @@ func replay(s *sim.Schedule, p Perturbation) (RunTotals, error) {
 	for i := range pes {
 		q := &pes[i]
 		q.clock.SetSkewPercent(s.PEs[i].Skew)
-		q.b = blocks.Get().(*sim.Block)
+		q.b = cursorBlocks.Get().(*sim.Block)
 		q.c = s.PEs[i].Walk(q.b)
 		q.evs = q.c.Next()
 	}
 	defer func() {
 		for i := range pes {
-			blocks.Put(pes[i].b)
+			cursorBlocks.Put(pes[i].b)
 		}
 	}()
 	for {
