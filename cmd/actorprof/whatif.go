@@ -76,15 +76,12 @@ func runWhatIf(args []string) error {
 	}
 	scales := whatif.CostScales{Network: *network, Local: *local, Quiet: *quiet, Instr: *instr, Ingest: *ingest}
 	q := whatif.Question{Scales: scales, Actor: *actor, Speedup: *speedup}
-	if err := base.Check(q); err != nil {
-		var qe *whatif.QuestionError
-		if errors.As(err, &qe) {
-			flagName := map[string]string{"speedup": "-speedup", "actor": "-actor"}[qe.Field]
-			if flagName == "" {
-				flagName = "-scale-" + qe.Field
-			}
-			return fmt.Errorf("%s %s", flagName, qe.Reason)
+	if err := base.Check(q, func(part string) string {
+		if part == "speedup" || part == "actor" {
+			return "-" + part
 		}
+		return "-scale-" + part
+	}); err != nil {
 		return err
 	}
 	rep, err := base.Compare(base.Perturbation(q))

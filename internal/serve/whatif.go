@@ -157,15 +157,12 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return "", err
 		}
-		if err := base.Check(q.Question); err != nil {
-			var qe *whatif.QuestionError
-			if errors.As(err, &qe) {
-				param := map[string]string{"speedup": "speedup", "actor": "actor"}[qe.Field]
-				if param == "" {
-					param = "scale_" + qe.Field
-				}
-				err = fmt.Errorf("%s %s", param, qe.Reason)
+		if err := base.Check(q.Question, func(part string) string {
+			if part == "speedup" || part == "actor" {
+				return part
 			}
+			return "scale_" + part
+		}); err != nil {
 			return "", statusError{code: 400, msg: err.Error()}
 		}
 		rep, err := base.Compare(base.Perturbation(q.Question))

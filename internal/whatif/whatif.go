@@ -147,13 +147,6 @@ type Question struct {
 	Speedup float64
 }
 
-// QuestionError is Check's refusal. Field names the question's part - a
-// cost group ("network", "local", "quiet", "instr", "ingest"), "speedup"
-// or "actor" - for each front end to word as its own parameter.
-type QuestionError struct{ Field, Reason string }
-
-func (e *QuestionError) Error() string { return e.Field + " " + e.Reason }
-
 // CheckFactor is the rule every factor given keeps: finite and above zero.
 func CheckFactor(f float64) error {
 	if !(f > 0) || math.IsInf(f, 1) {
@@ -165,8 +158,11 @@ func CheckFactor(f float64) error {
 // Check refuses a question that would not be answered as asked: a factor
 // that is not finite and above zero, a cost it scales past what an int64
 // holds, or a speedup of an actor with no handler activations in the
-// schedule. Both what-if front ends ask it before answering.
-func (b *Baseline) Check(q Question) error {
+// schedule. Both what-if front ends ask it before answering. Its error
+// starts with the part of the question refused - a cost group
+// ("network", "local", "quiet", "instr", "ingest"), "speedup" or "actor" -
+// as name words it: the front end's own flag or parameter.
+func (b *Baseline) Check(q Question, name func(part string) string) error {
 	c := b.s.Cost
 	costs := [len(groupNames)][2]int64{{c.NetworkLatency, c.NetworkPerByte}, {c.LocalCopyLatency, c.LocalCopyPerByte},
 		{c.QuietLatency, c.SignalLatency}, {c.InstructionCycles}, {c.ItemIngestCycles}} // as ScaledCost scales them
@@ -175,11 +171,11 @@ func (b *Baseline) Check(q Question) error {
 			continue
 		}
 		if err := CheckFactor(f); err != nil {
-			return &QuestionError{groupNames[i], err.Error()}
+			return fmt.Errorf("%s %v", name(groupNames[i]), err)
 		}
 		for _, v := range costs[i] {
 			if math.Round(float64(v)*f) >= math.MaxInt64 {
-				return &QuestionError{groupNames[i], fmt.Sprintf("x%g takes a cost of %d cycles past an int64", f, v)}
+				return fmt.Errorf("%s x%g takes a cost of %d cycles past an int64", name(groupNames[i]), f, v)
 			}
 		}
 	}
@@ -187,14 +183,14 @@ func (b *Baseline) Check(q Question) error {
 		return nil
 	}
 	if err := CheckFactor(q.Speedup); err != nil {
-		return &QuestionError{"speedup", err.Error()}
+		return fmt.Errorf("%s %v", name("speedup"), err)
 	}
 	for _, a := range b.an.Bottlenecks {
 		if a.Actor == q.Actor {
 			return nil
 		}
 	}
-	return &QuestionError{"actor", fmt.Sprintf("%d has no handler activations in the schedule", q.Actor)}
+	return fmt.Errorf("%s %d has no handler activations in the schedule", name("actor"), q.Actor)
 }
 
 // Perturbation is q over b's schedule.
