@@ -245,6 +245,9 @@ func TestScheduleRoundTrip(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(oldDir, whatif.ScheduleFileName), oldBytes, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	if !whatif.HasSchedule(oldDir) {
+		t.Fatal("HasSchedule = false for a directory holding only schedule.json")
+	}
 	old, err := whatif.ReadScheduleFile(oldDir)
 	if err != nil {
 		t.Fatalf("read a schedule.json carrying \"timing\":0: %v", err)
