@@ -118,9 +118,9 @@ func TestEngineAllocs(t *testing.T) {
 		runs   int
 		budget float64
 	}{
-		{"CriticalPath", criticalPathOp, 20, 33},
+		{"CriticalPath", criticalPathOp, 20, 28},
 		{"WhatIfReplay", replayOp, 20, 2},
-		{"Compare", compareOp, 20, 69},
+		{"Compare", compareOp, 20, 61},
 		{"WriteScheduleFile", writeScheduleFileOp, 5, 118}, // 16 shards and the meta file
 		{"ReadScheduleFile", readScheduleFileOp, 5, 236},
 	} {

@@ -176,9 +176,14 @@ type actorAgg struct {
 	count  int64
 	msgs   int64
 	cycles int64
-	first  []int64
-	last   []int64
-	cnt    []int64
+	pe     []actorPE
+}
+
+// actorPE is one actor's activations on one PE: how many, and the first
+// and last one's clock as a prefix into its generation.
+type actorPE struct {
+	cnt, first, last int64
+	fg, lg           int
 }
 
 // Project analytically re-prices a recorded schedule under the
@@ -205,33 +210,107 @@ func Project(s *sim.Schedule, p Perturbation) (*Analysis, error) {
 }
 
 // project is Project of a schedule and a perturbation already validated.
+// It walks each PE's log once. A PE's clock at an event is M[g] plus the
+// PE's charges so far in generation g, and M is known only once every PE
+// has been walked, so the walk keeps a time as its generation and that
+// prefix: the attribution state machine runs on prefixes, an interval it
+// closes across barriers is owed M[to] - M[from], and every time the
+// analysis reports is resolved once M is known.
 func project(s *sim.Schedule, p Perturbation) *Analysis {
 	n := len(s.PEs)
 	gens := s.PEs[0].Barriers() + 1
 	blk := cursorBlocks.Get().(*sim.Block) // every walk here is over one log at a time
 	defer cursorBlocks.Put(blk)
 
-	// Pass A: per-PE, per-generation charge sums under the perturbed
-	// pricing (handler state tracked because pricing depends on it).
-	gsum, sums := make([][]int64, n), make([]int64, n*gens)
+	// Per PE and generation (row pe*gens+g): the charge sum under the
+	// perturbed pricing, the breakdown of those charges and the
+	// attribution state the PE entered the generation in. The winners'
+	// breakdowns and states make the critical path.
+	gsum := make([]int64, n*gens)
+	bd := make([]Breakdown, n*gens)
+	gst := make([]attrib, n*gens)
+	totals := RunTotals{PerPE: make([]Totals, n)}
+	actors := make(map[int64]*actorAgg)
+	type mark struct {
+		finish, g int
+		prefix    int64
+		start     bool
+	}
+	type owe struct {
+		t        *int64
+		to, from int
+	}
+	marks := make([]mark, 0, 2*n)  // finish markers, resolved into windows
+	owed := make([]owe, 0, n*gens) // intervals closed in a later generation than they opened; a MAIN interval across a barrier, mostly
 	for pe := 0; pe < n; pe++ {
-		gsum[pe] = sums[pe*gens : (pe+1)*gens]
-		skew := s.PEs[pe].Skew
+		skew, row := s.PEs[pe].Skew, pe*gens
 		var st attrib
-		g := 0
+		var from [3]int // the generation the open finish window, MAIN interval and handler began in
+		g, finishes := 0, 0
+		var prefix int64
+		t := &totals.PerPE[pe]
+		close := func(total *int64, i int) { // an interval opened in generation from[i] ends now
+			if from[i] != g {
+				owed = append(owed, owe{total, g, from[i]})
+			}
+		}
 		c := s.PEs[pe].Walk(blk)
 		for evs := c.Next(); evs != nil; evs = c.Next() {
 			for _, ev := range evs {
-				switch {
-				case ev.Kind == sim.EvBarrier:
-					g++
-				case ev.Kind.Charged():
-					gsum[pe][g] += p.charge(ev, &st, skew)
-				default:
-					st.marker(ev.Kind, ev.Arg, 0)
+				if ev.Kind == sim.EvBarrier {
+					gsum[row+g] = prefix
+					g, prefix = g+1, 0
+					gst[row+g] = st
+					continue
 				}
+				if ev.Kind.Charged() {
+					dur := p.charge(ev, &st, skew)
+					bd[row+g].add(ev.Kind, regimeOf(&st), dur)
+					prefix += dur
+					continue
+				}
+				switch ev.Kind {
+				case sim.EvFinishStart:
+					marks = append(marks, mark{finishes, g, prefix, true})
+					from[0], from[1] = g, g
+				case sim.EvFinishEnd:
+					marks = append(marks, mark{finishes, g, prefix, false})
+					close(&t.TTotal, 0)
+					finishes++
+				case sim.EvMainPause:
+					close(&t.TMain, 1)
+				case sim.EvMainResume:
+					from[1] = g
+				case sim.EvHandlerStart:
+					canon, msgs := sim.ActorIDCanon(ev.Arg)
+					a := actors[canon]
+					if a == nil {
+						a = &actorAgg{pe: make([]actorPE, n)}
+						actors[canon] = a
+					}
+					at := &a.pe[pe]
+					if at.cnt == 0 {
+						at.first, at.fg = prefix, g
+					}
+					at.last, at.lg = prefix, g
+					at.cnt++
+					a.count++
+					a.msgs += msgs
+					from[2] = g
+				case sim.EvHandlerEnd:
+					if a := actors[st.handler]; a != nil {
+						a.cycles += prefix - st.hstart
+						close(&a.cycles, 2)
+					}
+					if st.profiling {
+						close(&t.TProc, 2)
+					}
+				}
+				st.marker(ev.Kind, ev.Arg, prefix)
 			}
 		}
+		gsum[row+g] = prefix
+		t.TTotal, t.TMain, t.TProc = st.t.TTotal, st.t.TMain, st.t.TProc
 	}
 
 	// Generation release clocks and winners. The winner is the PE whose
@@ -244,89 +323,33 @@ func project(s *sim.Schedule, p Perturbation) *Analysis {
 		var mx int64
 		w := 0
 		for pe := 0; pe < n; pe++ {
-			if gsum[pe][g] > mx {
-				mx, w = gsum[pe][g], pe
+			if sum := gsum[pe*gens+g]; sum > mx {
+				mx, w = sum, pe
 			}
 		}
 		M[g+1] = M[g] + mx
 		winner[g] = w
 	}
-
-	// Pass B: absolute-clock walk. Reconstructs regime totals, finish
-	// windows, actor activation statistics, and the winners' full-gen
-	// breakdowns for the critical path, keeping each winner's state at
-	// the start of its generation for a window that clips it.
-	totals := RunTotals{PerPE: make([]Totals, n), Makespan: M[gens]}
-	edgeAcc := make([]Breakdown, gens)
-	genSt := make([]attrib, gens)
-	actors := make(map[int64]*actorAgg)
+	for _, o := range owed {
+		*o.t += M[o.to] - M[o.from]
+	}
+	for pe := range totals.PerPE {
+		t := &totals.PerPE[pe]
+		t.TComm = t.TTotal - t.TMain - t.TProc
+	}
+	totals.Makespan = M[gens]
 	var winStart, winEnd []int64
-	for pe := 0; pe < n; pe++ {
-		skew := s.PEs[pe].Skew
-		var st attrib
-		g := 0
-		var prefix int64
-		finishes := 0
-		c := s.PEs[pe].Walk(blk)
-		for evs := c.Next(); evs != nil; evs = c.Next() {
-			for _, ev := range evs {
-				if ev.Kind == sim.EvBarrier {
-					g++
-					prefix = 0
-					if pe == winner[g] {
-						genSt[g] = st
-					}
-					continue
-				}
-				now := M[g] + prefix
-				if ev.Kind.Charged() {
-					dur := p.charge(ev, &st, skew)
-					if pe == winner[g] {
-						edgeAcc[g].add(ev.Kind, regimeOf(&st), dur)
-					}
-					prefix += dur
-					continue
-				}
-				switch ev.Kind {
-				case sim.EvFinishStart:
-					for len(winStart) <= finishes {
-						winStart = append(winStart, -1)
-						winEnd = append(winEnd, -1)
-					}
-					if winStart[finishes] < 0 || now < winStart[finishes] {
-						winStart[finishes] = now
-					}
-				case sim.EvFinishEnd:
-					if now > winEnd[finishes] {
-						winEnd[finishes] = now
-					}
-					finishes++
-				case sim.EvHandlerStart:
-					canon, msgs := sim.ActorIDCanon(ev.Arg)
-					a := actors[canon]
-					if a == nil {
-						a = &actorAgg{first: make([]int64, n), last: make([]int64, n), cnt: make([]int64, n)}
-						for i := range a.first {
-							a.first[i] = -1
-						}
-						actors[canon] = a
-					}
-					if a.first[pe] < 0 {
-						a.first[pe] = now
-					}
-					a.last[pe] = now
-					a.cnt[pe]++
-					a.count++
-					a.msgs += msgs
-				case sim.EvHandlerEnd:
-					if a := actors[st.handler]; a != nil {
-						a.cycles += now - st.hstart
-					}
-				}
-				st.marker(ev.Kind, ev.Arg, now)
-			}
+	for _, m := range marks {
+		for len(winStart) <= m.finish {
+			winStart = append(winStart, -1)
+			winEnd = append(winEnd, -1)
 		}
-		totals.PerPE[pe] = st.finish()
+		switch now := M[m.g] + m.prefix; {
+		case m.start && (winStart[m.finish] < 0 || now < winStart[m.finish]):
+			winStart[m.finish] = now
+		case !m.start && now > winEnd[m.finish]:
+			winEnd[m.finish] = now
+		}
 	}
 
 	an := &Analysis{Cost: p.Cost, Totals: totals}
@@ -337,7 +360,7 @@ func project(s *sim.Schedule, p Perturbation) *Analysis {
 			continue
 		}
 		w := Window{Index: i, Start: winStart[i], End: winEnd[i], Span: winEnd[i] - winStart[i]}
-		w.Path = criticalPath(s, p, M, winner, edgeAcc, genSt, blk, w.Start, w.End)
+		w.Path = criticalPath(s, p, M, winner, bd, gst, blk, w.Start, w.End)
 		an.Windows = append(an.Windows, w)
 	}
 
@@ -355,10 +378,10 @@ func project(s *sim.Schedule, p Perturbation) *Analysis {
 			b.AvgCycles = float64(a.cycles) / float64(a.msgs)
 		}
 		var spanSum, gaps int64
-		for pe := 0; pe < n; pe++ {
-			if a.cnt[pe] >= 2 {
-				spanSum += a.last[pe] - a.first[pe]
-				gaps += a.cnt[pe] - 1
+		for _, at := range a.pe {
+			if at.cnt >= 2 {
+				spanSum += M[at.lg] + at.last - M[at.fg] - at.first
+				gaps += at.cnt - 1
 			}
 		}
 		if gaps > 0 {
@@ -390,8 +413,9 @@ func project(s *sim.Schedule, p Perturbation) *Analysis {
 // mid-way (the window starts at a finish marker, not a barrier), so its
 // winner is re-walked and clipped at the window start. Consecutive
 // generations won by the same PE merge into one edge.
-func criticalPath(s *sim.Schedule, p Perturbation, M []int64, winner []int, edgeAcc []Breakdown, genSt []attrib, blk *sim.Block, start, end int64) CriticalPath {
+func criticalPath(s *sim.Schedule, p Perturbation, M []int64, winner []int, bd []Breakdown, gst []attrib, blk *sim.Block, start, end int64) CriticalPath {
 	cp := CriticalPath{Span: end - start}
+	gens := len(winner)
 	for g := 0; g < len(winner); g++ {
 		if M[g+1] <= start || M[g] >= end {
 			continue
@@ -407,10 +431,10 @@ func criticalPath(s *sim.Schedule, p Perturbation, M []int64, winner []int, edge
 			continue
 		}
 		var b Breakdown
-		if M[g] >= start && M[g+1] <= end {
-			b = edgeAcc[g]
+		if row := winner[g]*gens + g; M[g] >= start && M[g+1] <= end {
+			b = bd[row]
 		} else {
-			b = genBreakdown(s.PEs[winner[g]], p, M[g], genSt[g], blk, g, es, ee)
+			b = genBreakdown(s.PEs[winner[g]], p, M[g], gst[row], blk, g, es, ee)
 		}
 		if k := len(cp.Edges); k > 0 && cp.Edges[k-1].PE == winner[g] && cp.Edges[k-1].End == es {
 			cp.Edges[k-1].End = ee
