@@ -249,7 +249,7 @@ func project(s *sim.Schedule, p Perturbation) *Analysis {
 		g, finishes := 0, 0
 		var prefix int64
 		t := &totals.PerPE[pe]
-		close := func(total *int64, i int) { // an interval opened in generation from[i] ends now
+		settle := func(total *int64, i int) { // an interval opened in generation from[i] ends now
 			if from[i] != g {
 				owed = append(owed, owe{total, g, from[i]})
 			}
@@ -275,10 +275,10 @@ func project(s *sim.Schedule, p Perturbation) *Analysis {
 					from[0], from[1] = g, g
 				case sim.EvFinishEnd:
 					marks = append(marks, mark{finishes, g, prefix, false})
-					close(&t.TTotal, 0)
+					settle(&t.TTotal, 0)
 					finishes++
 				case sim.EvMainPause:
-					close(&t.TMain, 1)
+					settle(&t.TMain, 1)
 				case sim.EvMainResume:
 					from[1] = g
 				case sim.EvHandlerStart:
@@ -300,10 +300,10 @@ func project(s *sim.Schedule, p Perturbation) *Analysis {
 				case sim.EvHandlerEnd:
 					if a := actors[st.handler]; a != nil {
 						a.cycles += prefix - st.hstart
-						close(&a.cycles, 2)
+						settle(&a.cycles, 2)
 					}
 					if st.profiling {
-						close(&t.TProc, 2)
+						settle(&t.TProc, 2)
 					}
 				}
 				st.marker(ev.Kind, ev.Arg, prefix)
