@@ -1,7 +1,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -64,9 +63,6 @@ func runWhatIf(args []string) error {
 	}
 
 	sched, err := whatif.ReadScheduleFile(dir)
-	if errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("%s has no recorded schedule: the run predates schedule capture; re-run the workload (e.g. trianglecount) to record one", dir)
-	}
 	if err != nil {
 		return err
 	}

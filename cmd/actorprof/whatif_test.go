@@ -101,3 +101,27 @@ func TestCLIExportSchedule(t *testing.T) {
 		t.Errorf("export -schedule -out - printed %d bytes unlike the golden's %d", len(out), len(golden))
 	}
 }
+
+// TestCLIScheduleOfNoDirectory: whatif and export -schedule report a
+// path that does not exist, or is no directory, as such - not as a run
+// without a schedule, and not by a schedule file's name - and a
+// directory without a schedule as one.
+func TestCLIScheduleOfNoDirectory(t *testing.T) {
+	empty := t.TempDir()
+	file := filepath.Join(empty, "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ dir, want string }{
+		{filepath.Join(empty, "no", "such", "dir"), "no such file or directory"},
+		{file, "is not a directory"},
+		{empty, "has no recorded schedule"},
+	} {
+		for _, cmd := range [][]string{{"whatif"}, {"export", "-schedule"}} {
+			_, err := captureErr(t, func() error { return run(append(cmd, c.dir)) })
+			if err == nil || !strings.Contains(err.Error(), c.want) || strings.Contains(err.Error(), "schedule.json") || strings.Contains(err.Error(), "schedule_meta.json") {
+				t.Errorf("%v %s: err = %v, want it to say %q and name no schedule file", cmd, c.dir, err, c.want)
+			}
+		}
+	}
+}

@@ -162,12 +162,13 @@ func TestValuesDiffIgnoresOrders(t *testing.T) {
 	m := sim.Machine{NumPEs: 2, PEsPerNode: 2}
 	sched := func(skew int64, pe1 ...sim.Event) *sim.Schedule {
 		return &sim.Schedule{Machine: m, Cost: sim.DefaultCostModel(), PEs: []*sim.PELog{
-			{Skew: skew, Events: []sim.Event{{Kind: sim.EvDelay, Arg: 500}, {Kind: sim.EvBarrier}}},
-			{Events: pe1},
+			sim.NewPELog(skew, sim.Event{Kind: sim.EvDelay, Arg: 500}, sim.Event{Kind: sim.EvBarrier}),
+			sim.NewPELog(0, pe1...),
 		}}
 	}
 	ev := func(k sim.EventKind, arg int64) sim.Event { return sim.Event{Kind: k, Arg: arg} }
-	base := sched(0, ev(sim.EvInstr, sim.InstrRun(10, 3)), ev(sim.EvDelay, 7), ev(sim.EvBarrier, 0), ev(sim.EvQuiet, 1))
+	basePE1 := []sim.Event{ev(sim.EvInstr, sim.InstrRun(10, 3)), ev(sim.EvDelay, 7), ev(sim.EvBarrier, 0), ev(sim.EvQuiet, 1)}
+	base := sched(0, basePE1...)
 	same := sched(0, ev(sim.EvHandlerStart, 0), ev(sim.EvDelay, 7), ev(sim.EvInstr, 10),
 		ev(sim.EvInstr, sim.InstrRun(10, 2)), ev(sim.EvHandlerEnd, 0), ev(sim.EvBarrier, 0), ev(sim.EvQuiet, 1))
 	if d := harness.ValuesDiff(base, same); d != "" {
@@ -178,7 +179,7 @@ func TestValuesDiffIgnoresOrders(t *testing.T) {
 		s    *sim.Schedule
 		want string
 	}{
-		{"skew", sched(20, base.PEs[1].Events...), "PE 0 skew"},
+		{"skew", sched(20, basePE1...), "PE 0 skew"},
 		{"charge", sched(0, ev(sim.EvInstr, sim.InstrRun(10, 2)), ev(sim.EvDelay, 7), ev(sim.EvBarrier, 0), ev(sim.EvQuiet, 1)), "PE 1 instr"},
 		{"barrier", sched(0, ev(sim.EvInstr, sim.InstrRun(10, 3)), ev(sim.EvBarrier, 0), ev(sim.EvDelay, 7), ev(sim.EvQuiet, 1)), "makespan"},
 		{"pes", &sim.Schedule{Machine: sim.Machine{NumPEs: 1, PEsPerNode: 1}, PEs: []*sim.PELog{{}}}, "PE count"},

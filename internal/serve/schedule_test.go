@@ -8,8 +8,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-
-	"actorprof/internal/sim"
 )
 
 // TestCorruptScheduleParsedOnce: a torn schedule shard costs one
@@ -19,7 +17,7 @@ import (
 func TestCorruptScheduleParsedOnce(t *testing.T) {
 	root := t.TempDir()
 	writeCapturedRun(t, root, "cap")
-	path := filepath.Join(root, "cap", sim.ScheduleShardFile(0))
+	path := filepath.Join(root, "cap", "PE0_schedule.bin")
 	good, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

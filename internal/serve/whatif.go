@@ -23,7 +23,7 @@ import (
 func (r *registry) baselineFor(d deadline, run resolvedRun) (*whatif.Baseline, error) {
 	base, err := load(r, d, run, &run.e.sched, true, readBaseline)
 	if err == nil && base == nil {
-		return nil, noData("run %s has no recorded schedule (%s); capture one with core.RunCaptured", run.id, whatif.ScheduleFileName)
+		return nil, noData("run %s has no recorded schedule; capture one with core.RunCaptured", run.id)
 	}
 	return base, err
 }

@@ -154,8 +154,8 @@ func TestWhatIfEndpoint(t *testing.T) {
 	if res.StatusCode != http.StatusNotFound {
 		t.Errorf("plain run: status %d, want 404: %s", res.StatusCode, body)
 	}
-	if !strings.Contains(body, "schedule") {
-		t.Errorf("plain run error does not mention the schedule: %s", body)
+	if !strings.Contains(body, "has no recorded schedule") || strings.Contains(body, ".json") {
+		t.Errorf("plain run error does not say it has no schedule, or names a file a capture does not write: %s", body)
 	}
 
 	// The index links whatif only for runs that recorded a schedule.

@@ -21,11 +21,7 @@ import (
 type PELog struct {
 	// Skew is the PE's charge-inflation percent (fault-injected slow
 	// PE); replay applies the same SkewCharge arithmetic.
-	Skew int64 `json:"skew,omitempty"`
-	// Events is a log written as a literal, or as ParseSchedule decodes
-	// schedule.json: the walk reads it before any sealed block. A
-	// recorded log and a log read from shards leave it nil.
-	Events []Event `json:"events"`
+	Skew int64
 
 	sealed [][]byte // the sealed blocks, each one coded APBF block
 	rows   int      // the events in sealed
@@ -114,30 +110,19 @@ func refused(kind, arg int64) bool {
 }
 
 // check is Validate for PE rank's log: its barrier count, or the first
-// event Validate refuses. The literal events and the open block are
-// walked; the sealed blocks were checked when they were sealed or read.
+// event Validate refuses. The open block is walked; the sealed blocks
+// were checked when they were sealed or read.
 func (l *PELog) check(rank int) (barriers int, err error) {
-	at := 0
-	scan := func(n int, ev func(i int) (kind, arg int64)) error {
-		for i := 0; i < n; i++ {
-			if k, a := ev(i); k == int64(EvBarrier) {
-				barriers++
-			} else if refused(k, a) {
-				return refusal(rank, at+i, k, a)
-			}
-		}
-		at += n
-		return nil
-	}
-	if err := scan(len(l.Events), func(i int) (int64, int64) { return int64(l.Events[i].Kind), l.Events[i].Arg }); err != nil {
-		return 0, err
-	}
 	if l.badAt > 0 {
-		return 0, refusal(rank, at+l.badAt-1, l.bad[0], l.bad[1])
+		return 0, refusal(rank, l.badAt-1, l.bad[0], l.bad[1])
 	}
-	barriers, at = barriers+len(l.bars), at+l.rows
-	if err := scan(len(l.open[1]), func(i int) (int64, int64) { return l.open[0][i], l.open[1][i] }); err != nil {
-		return 0, err
+	barriers = len(l.bars)
+	for i, k := range l.open[0] {
+		if k == int64(EvBarrier) {
+			barriers++
+		} else if refused(k, l.open[1][i]) {
+			return 0, refusal(rank, l.rows+i, k, l.open[1][i])
+		}
 	}
 	return barriers, nil
 }
@@ -155,9 +140,9 @@ func (l *PELog) Barriers() int {
 	return n
 }
 
-// NewPELog returns a log of evs, in order and sealed: a log written as
-// a literal, as Append would have recorded it without merging a single
-// instruction run.
+// NewPELog returns a log of evs, in order and sealed, as Append would
+// have recorded it without merging a single instruction run: how a log
+// is written by hand, or read from schedule.json.
 func NewPELog(skew int64, evs ...Event) *PELog {
 	l := &PELog{Skew: skew}
 	for _, e := range evs {
@@ -191,12 +176,12 @@ func (b *Block) events(kinds, args []int64) []Event {
 	return evs
 }
 
-// Cursor walks a log's events forward, a block at a time: the literal
-// events, each sealed block, then the open block. It is the one way the
-// events of a log are read.
+// Cursor walks a log's events forward, a block at a time: each sealed
+// block, then the open block. It is the one way the events of a log are
+// read.
 type Cursor struct {
 	l    *PELog
-	next int // the part Next reads: 0 the literal events, 1+i sealed block i, 1+len(sealed) the open block
+	next int // the block Next reads: i < len(sealed) sealed block i, len(sealed) the open block
 	skip int // barriers to pass before the first event Next returns
 	b    *Block
 }
@@ -210,13 +195,13 @@ func (l *PELog) Walk(b *Block) Cursor { return Cursor{l: l, b: b} }
 func (l *PELog) WalkGen(g int, b *Block) Cursor {
 	c := Cursor{l: l, skip: g, b: b}
 	switch {
-	case g == 0 || len(l.Events) > 0:
+	case g == 0:
 	case g <= len(l.bars):
 		blk := l.bars[g-1]
-		c.next = 1 + int(blk)
+		c.next = int(blk)
 		c.skip = g - sort.Search(g, func(i int) bool { return l.bars[i] >= blk })
 	default:
-		c.next, c.skip = 1+len(l.sealed), g-len(l.bars)
+		c.next, c.skip = len(l.sealed), g-len(l.bars)
 	}
 	return c
 }
@@ -224,13 +209,11 @@ func (l *PELog) WalkGen(g int, b *Block) Cursor {
 // Next returns the next block's events, valid until the next call, or
 // nil at the end of the log.
 func (c *Cursor) Next() []Event {
-	for l := c.l; c.next <= len(l.sealed)+1; {
+	for l := c.l; c.next <= len(l.sealed); {
 		var evs []Event
 		switch i := c.next; {
-		case i == 0:
-			evs = l.Events
-		case i <= len(l.sealed):
-			evs = c.b.decode(l.sealed[i-1])
+		case i < len(l.sealed):
+			evs = c.b.decode(l.sealed[i])
 		case len(l.open[1]) > 0:
 			evs = c.b.events(l.open[0], l.open[1])
 		}
@@ -250,40 +233,22 @@ func (c *Cursor) Next() []Event {
 	return nil
 }
 
-// A trace directory's schedule (DESIGN.md §14) is a shard per PE - an
-// APBF file of kind ScheduleKind whose blocks are the log's sealed blocks
-// as they are - and ScheduleMetaFile, which holds the machine, the cost
-// model and the per-PE skews. A directory written before shards holds
-// ScheduleJSONFile instead, which `actorprof export -schedule` also writes.
-const (
-	ScheduleKind     byte = 6
-	ScheduleMetaFile      = "schedule_meta.json"
-	ScheduleJSONFile      = "schedule.json"
-)
-
-// ScheduleShardFile names PE pe's schedule shard.
-func ScheduleShardFile(pe int) string { return fmt.Sprintf("PE%d_schedule.bin", pe) }
-
-// ScheduleFiles are the name patterns of every schedule file of a trace
-// directory, either layout.
-var ScheduleFiles = []string{"PE*_schedule.bin", ScheduleMetaFile, ScheduleJSONFile}
+// ScheduleKind is the APBF kind of a schedule shard: a PE's log, its
+// sealed blocks as they are (DESIGN.md §14). internal/trace names the
+// files and writes and reads them.
+const ScheduleKind byte = 6
 
 // WriteShard writes the log as a schedule shard: its sealed blocks as
-// they are. A literal or a log still recording is sealed first, a copy.
+// they are, then a log still recording its open block, coded.
 func (l *PELog) WriteShard(w io.Writer) error {
-	if len(l.Events)+len(l.open[1]) > 0 {
-		var evs []Event
-		c := l.Walk(new(Block))
-		for b := c.Next(); b != nil; b = c.Next() {
-			evs = append(evs, b...)
-		}
-		l = NewPELog(0, evs...)
-	}
 	_, err := w.Write(blocks.AppendHeader(nil, ScheduleKind, 2))
 	for _, b := range l.sealed {
 		if err == nil {
 			_, err = w.Write(b)
 		}
+	}
+	if err == nil && len(l.open[1]) > 0 {
+		_, err = w.Write(blocks.AppendBlock(nil, len(l.open[1]), nil, l.open[:]))
 	}
 	return err
 }

@@ -167,15 +167,9 @@ type Event struct {
 // the long form would bloat schedule.json severalfold.
 func (e Event) MarshalJSON() ([]byte, error) { return appendEvent(nil, e), nil }
 
-// UnmarshalJSON decodes the [kind, arg] pair form: as ParseSchedule
-// reads it, through encoding/json when it is not in the form writers
-// write.
+// UnmarshalJSON decodes the [kind, arg] pair form. It is not a [2]int64,
+// which encoding/json would fill from [7] or [7,0,1] without a word.
 func (e *Event) UnmarshalJSON(data []byte) error {
-	d := decoder{data: data}
-	if ev, ok := d.pair(); ok && d.i == len(data) {
-		*e = ev
-		return nil
-	}
 	var pair []int64
 	if err := json.Unmarshal(data, &pair); err != nil {
 		return err
@@ -244,7 +238,7 @@ func (s *Schedule) Validate() error {
 func (s *Schedule) Events() int {
 	n := 0
 	for _, l := range s.PEs {
-		n += len(l.Events) + l.rows + len(l.open[1])
+		n += l.rows + len(l.open[1])
 	}
 	return n
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -111,13 +112,8 @@ func TestScheduleJSONRoundTrip(t *testing.T) {
 	if err := got.Validate(); err != nil {
 		t.Fatalf("round-tripped schedule invalid: %v", err)
 	}
-	if got.PEs[0].Skew != 7 || len(got.PEs[1].Events) != len(eventsOf(s.PEs[1])) {
+	if got.PEs[0].Skew != 7 || !slices.Equal(eventsOf(got.PEs[0]), eventsOf(s.PEs[0])) || !slices.Equal(eventsOf(got.PEs[1]), eventsOf(s.PEs[1])) {
 		t.Fatalf("round trip lost data: %+v", got.PEs)
-	}
-	for i, ev := range eventsOf(s.PEs[0]) {
-		if ev != got.PEs[0].Events[i] {
-			t.Fatalf("event %d: %+v != %+v", i, got.PEs[0].Events[i], ev)
-		}
 	}
 }
 
@@ -216,7 +212,7 @@ func TestPELogBlocksMatchAppend(t *testing.T) {
 			if got := eventsOf(l); !reflect.DeepEqual(got, want[pe]) {
 				t.Fatalf("n=%d PE %d: sealed log differs from the appended one (%d vs %d events)", n, pe, len(got), len(want[pe]))
 			}
-			if l.Events != nil || len(l.open[1]) != 0 || cap(l.open[1]) != 0 {
+			if len(l.open[1]) != 0 || cap(l.open[1]) != 0 {
 				t.Errorf("n=%d PE %d: the schedule holds events outside its sealed blocks", n, pe)
 			}
 		}
@@ -497,7 +493,7 @@ func TestValidateRejectsNegativeCharge(t *testing.T) {
 	}
 	// An instruction run whose length bits are negative is a negative Arg.
 	s := &Schedule{Machine: Machine{NumPEs: 1, PEsPerNode: 1}, Cost: DefaultCostModel(),
-		PEs: []*PELog{{Events: []Event{{EvInstr, -1<<32 | 53}}}}}
+		PEs: []*PELog{NewPELog(0, Event{EvInstr, -1<<32 | 53})}}
 	if err := s.Validate(); err == nil {
 		t.Error("Validate accepted an instruction run of negative length")
 	}

@@ -146,6 +146,14 @@ func (b *shardWriter) write() {
 	b.buf = b.buf[:0]
 }
 
+// Write gathers p, blocks a coder wrote whole (sim.PELog.WriteShard);
+// the error is the sticky one.
+func (b *shardWriter) Write(p []byte) (int, error) {
+	b.buf = append(b.buf, p...)
+	b.gathered()
+	return len(p), b.err
+}
+
 // finish codes the final partial block (if any), writes what is gathered
 // and reports any sticky error.
 func (b *shardWriter) finish() error {

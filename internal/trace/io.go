@@ -327,16 +327,6 @@ func readSet(dir string, opts ReadOptions) (*Set, int, error) {
 
 // meta is the parsed actorprof_meta.txt: the run parameters every reader
 // needs before it can open a shard.
-// Shape reads the machine a trace directory was written for: its number
-// of PEs and PEs per node.
-func Shape(dir string) (numPEs, perNode int, err error) {
-	m, err := readMeta(filepath.Join(dir, MetaFile))
-	if err != nil {
-		return 0, 0, err
-	}
-	return m.npes, m.perNode, nil
-}
-
 type meta struct {
 	npes, perNode, sample int
 	events                []papi.Event

@@ -5,8 +5,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-
-	"actorprof/internal/sim"
 )
 
 // The one trace pipeline: scan reads any kind's APBF shard,
@@ -159,15 +157,28 @@ func writeShardFill[T any](k *kind[T], dir, name string, events []string, n int,
 	return closeShard(f, w)
 }
 
+// A trace directory's what-if schedule (DESIGN.md §14, schedule.go) is
+// a shard per PE - an APBF file of kind sim.ScheduleKind whose blocks are
+// the log's sealed blocks as they are - and scheduleMetaFile, which holds
+// the machine, the cost model and the per-PE skews. A directory written
+// before shards holds ScheduleJSONFile instead, which `actorprof export
+// -schedule` also writes.
+const (
+	scheduleMetaFile = "schedule_meta.json"
+	ScheduleJSONFile = "schedule.json"
+)
+
+func scheduleShardFile(pe int) string { return fmt.Sprintf("PE%d_schedule.bin", pe) }
+
 // artifacts are the names of everything a trace directory holds of its
 // trace: both layouts of every kind, the time index built over it, and
 // the what-if schedule recorded with it, which its writer writes after
 // the trace.
-var artifacts = append([]string{
+var artifacts = []string{
 	"PE*_send.bin", "PE*_PAPI.bin", overallBinFile, physicalBinFile, segmentsBinFile,
 	"PE*_send.csv", "PE*_PAPI.csv", overallFile, physicalFile, segmentsFile,
-	timeIndexFile,
-}, sim.ScheduleFiles...)
+	timeIndexFile, "PE*_schedule.bin", scheduleMetaFile, ScheduleJSONFile,
+}
 
 // dropStale removes every trace artifact dir holds that this write does
 // not produce (keep): a shard of a kind, a PE or a layout the write leaves

@@ -2,6 +2,7 @@ package whatif_test
 
 import (
 	"bytes"
+	"hash/fnv"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -17,8 +18,8 @@ import (
 // window of gens barrier generations, sends (instruction runs in the MAIN
 // regime), copies, ingests and handler activations in between - and
 // builds it twice: through PELog.Append, which merges adjacent equal
-// instruction charges into runs, and as the Events literal of one event
-// per charge that a recorder without the merge would have sealed.
+// instruction charges into runs, and through sim.NewPELog, one event per
+// charge, as a recorder without the merge would have sealed it.
 func randomLogs(seed int64, m sim.Machine, gens int, skew []int64) (merged, plain *sim.Schedule) {
 	rng := rand.New(rand.NewSource(seed))
 	cost := sim.DefaultCostModel()
@@ -26,12 +27,11 @@ func randomLogs(seed int64, m sim.Machine, gens int, skew []int64) (merged, plai
 	plain = &sim.Schedule{Machine: m, Cost: cost, PEs: make([]*sim.PELog, m.NumPEs)}
 	counts := []int64{7, 53, 120} // 53 and 7 round at IPC 2
 	for pe := range plain.PEs {
-		l, lit := rec.PE(pe), &sim.PELog{Skew: skew[pe]}
+		l, evs := rec.PE(pe), []sim.Event(nil)
 		l.Skew = skew[pe]
-		plain.PEs[pe] = lit
 		add := func(kind sim.EventKind, arg int64) {
 			l.Append(kind, arg)
-			lit.Events = append(lit.Events, sim.Event{Kind: kind, Arg: arg})
+			evs = append(evs, sim.Event{Kind: kind, Arg: arg})
 		}
 		// A run of 1-300 equal charges, now and then a few of them
 		// already a run (a delivered batch charges its messages at once).
@@ -71,6 +71,7 @@ func randomLogs(seed int64, m sim.Machine, gens int, skew []int64) (merged, plai
 			add(sim.EvBarrier, 0)
 		}
 		add(sim.EvFinishEnd, 0)
+		plain.PEs[pe] = sim.NewPELog(skew[pe], evs...)
 	}
 	return rec.Schedule(), plain
 }
@@ -156,17 +157,50 @@ func TestOldScheduleFileProjectsTheSame(t *testing.T) {
 	}
 }
 
+// TestScheduleFilesBytesPinned: the files WriteScheduleFile writes for
+// randomLogs(9, ...) - one block a shard merged, two unmerged, a skew on
+// PE 1 - have the FNV-64a digests they had when package whatif wrote
+// them, and no other file is written.
+func TestScheduleFilesBytesPinned(t *testing.T) {
+	merged, plain := randomLogs(9, sim.Machine{NumPEs: 2, PEsPerNode: 2}, 3, []int64{0, 12})
+	for _, c := range []struct {
+		s    *sim.Schedule
+		want map[string]uint64
+	}{
+		{merged, map[string]uint64{"PE0_schedule.bin": 0x170bd00d6206a188, "PE1_schedule.bin": 0x691d07e343c6bfc0, "schedule_meta.json": 0x325d49d1c97b4b73}},
+		{plain, map[string]uint64{"PE0_schedule.bin": 0x29a2a8b4295869df, "PE1_schedule.bin": 0x8e0be712124957e0, "schedule_meta.json": 0x325d49d1c97b4b73}},
+	} {
+		dir := t.TempDir()
+		if err := whatif.WriteScheduleFile(dir, c.s); err != nil {
+			t.Fatal(err)
+		}
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]uint64{}
+		for _, e := range ents {
+			data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := fnv.New64a()
+			h.Write(data)
+			got[e.Name()] = h.Sum64()
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%d events: wrote %#x, want %#x", c.s.Events(), got, c.want)
+		}
+	}
+}
+
 // TestNegativeChargeIsALoadError: Replay's clock ignores a negative
 // charge and Project's sum subtracted it (makespan 100 against 60 here),
 // so neither engine prices such a schedule and a file holding one does
 // not load.
 func TestNegativeChargeIsALoadError(t *testing.T) {
-	s := &sim.Schedule{
-		Machine: sim.Machine{NumPEs: 1, PEsPerNode: 1}, Cost: sim.DefaultCostModel(),
-		PEs: []*sim.PELog{{Events: []sim.Event{
-			{Kind: sim.EvFinishStart}, {Kind: sim.EvRaw, Arg: 100}, {Kind: sim.EvRaw, Arg: -40}, {Kind: sim.EvFinishEnd},
-		}}},
-	}
+	evs := []sim.Event{{Kind: sim.EvFinishStart}, {Kind: sim.EvRaw, Arg: 100}, {Kind: sim.EvRaw, Arg: -40}, {Kind: sim.EvFinishEnd}}
+	s := &sim.Schedule{Machine: sim.Machine{NumPEs: 1, PEsPerNode: 1}, Cost: sim.DefaultCostModel(), PEs: []*sim.PELog{sim.NewPELog(0, evs...)}}
 	if a, err := whatif.Project(s, whatif.Identity(s)); err == nil {
 		t.Errorf("Project priced a negative charge (makespan %d)", a.Totals.Makespan)
 	}
@@ -178,7 +212,8 @@ func TestNegativeChargeIsALoadError(t *testing.T) {
 	}
 	// A schedule.json, as written before shards, hand-edited.
 	dir := t.TempDir()
-	s.PEs[0].Events[2].Arg = 40
+	evs[2].Arg = 40
+	s.PEs[0] = sim.NewPELog(0, evs...)
 	var data bytes.Buffer
 	if err := s.WriteJSON(&data); err != nil {
 		t.Fatal(err)
