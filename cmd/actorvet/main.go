@@ -52,12 +52,15 @@ func vetMain(args []string, stdout, stderr io.Writer) int {
 		selected = nil
 		for _, name := range strings.Split(*rules, ",") {
 			name = strings.TrimSpace(name)
-			i := slices.IndexFunc(analysis.Rules, func(r analysis.Rule) bool { return r.Name == name })
+			named := func(r analysis.Rule) bool { return r.Name == name }
+			i := slices.IndexFunc(analysis.Rules, named)
 			if i < 0 {
 				fmt.Fprintf(stderr, "actorvet: unknown rule %q (try -list)\n", name)
 				return 2
 			}
-			selected = append(selected, analysis.Rules[i])
+			if !slices.ContainsFunc(selected, named) { // a repeated ID runs once
+				selected = append(selected, analysis.Rules[i])
+			}
 		}
 	}
 

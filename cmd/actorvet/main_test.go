@@ -13,7 +13,7 @@ const fixtureRoot = "../../internal/analysis/testdata/src"
 // fail loudly if a rule is dropped from the registry.
 var allRules = []string{
 	"blockinghandler", "divergedcollective", "escapingview", "rawoffset",
-	"sendafterdone", "sharedhandlerstate", "unpairedregion",
+	"unpairedregion",
 }
 
 func runVet(t *testing.T, args ...string) (code int, stdout, stderr string) {
@@ -104,13 +104,29 @@ func TestUnknownFormatExitsTwo(t *testing.T) {
 func TestRuleFilter(t *testing.T) {
 	// The unpairedregion fixture has findings; filtering to a rule that
 	// is silent there must exit 0.
-	code, stdout, _ := runVet(t, "-rules", "sendafterdone", filepath.Join(fixtureRoot, "unpairedregion"))
+	code, stdout, _ := runVet(t, "-rules", "rawoffset", filepath.Join(fixtureRoot, "unpairedregion"))
 	if code != 0 {
 		t.Fatalf("filtered run exit = %d, want 0\n%s", code, stdout)
 	}
 	code, _, stderr := runVet(t, "-rules", "nosuchrule", ".")
 	if code != 2 || !strings.Contains(stderr, "unknown rule") {
 		t.Fatalf("unknown rule: exit = %d, stderr = %s; want 2 with message", code, stderr)
+	}
+}
+
+// TestRepeatedRuleRunsOnce asserts a rule named twice in -rules reports
+// each finding once, in text and in SARIF alike.
+func TestRepeatedRuleRunsOnce(t *testing.T) {
+	dir := filepath.Join(fixtureRoot, "rawoffset")
+	for _, format := range []string{"text", "sarif"} {
+		_, once, _ := runVet(t, "-format", format, "-rules", "rawoffset", dir)
+		code, twice, stderr := runVet(t, "-format", format, "-rules", "rawoffset,rawoffset", dir)
+		if code != 1 {
+			t.Fatalf("-format %s: exit = %d, want 1 (stderr: %s)", format, code, stderr)
+		}
+		if twice != once {
+			t.Errorf("-format %s: -rules rawoffset,rawoffset printed\n%s\nwant what -rules rawoffset prints:\n%s", format, twice, once)
+		}
 	}
 }
 

@@ -17,11 +17,9 @@ type loc struct{ line, col int }
 var analyzerGolden = map[string][]loc{
 	"divergedcollective": {{13, 3}, {21, 12}, {28, 10}, {36, 14}, {43, 3}},
 	"blockinghandler":    {{12, 3}, {13, 3}, {24, 2}, {29, 3}, {41, 3}, {42, 3}},
-	"sendafterdone":      {{11, 2}, {16, 2}, {21, 2}, {27, 3}},
 	"unpairedregion":     {{12, 2}, {24, 2}, {41, 9}, {46, 2}, {47, 6}},
 	"rawoffset":          {{7, 17}, {8, 23}, {9, 21}, {10, 32}},
 	"escapingview":       {{18, 2}, {23, 3}, {29, 10}, {39, 7}, {49, 9}, {58, 9}, {65, 9}, {77, 9}, {90, 3}, {96, 3}, {102, 12}, {109, 8}, {116, 10}, {123, 2}},
-	"sharedhandlerstate": {{21, 4}, {22, 4}, {34, 2}, {43, 3}},
 }
 
 // ruleNamed returns the rule with the given ID from the Rules table.
@@ -172,9 +170,7 @@ func TestSeverities(t *testing.T) {
 	want := map[string]Severity{
 		"divergedcollective": SeverityError,
 		"blockinghandler":    SeverityError,
-		"sendafterdone":      SeverityError,
 		"escapingview":       SeverityError,
-		"sharedhandlerstate": SeverityError,
 		"unpairedregion":     SeverityWarning,
 		"rawoffset":          SeverityWarning,
 	}

@@ -60,43 +60,15 @@ func exprKey(e ast.Expr) string {
 	return ""
 }
 
-// litOrConstKey renders a mailbox-index expression to a comparable key:
-// integer literals by value ("0"), named constants/variables by name
-// ("mbDart"), anything computed as "".
-func litOrConstKey(e ast.Expr) string {
-	switch e := unparen(e).(type) {
-	case *ast.BasicLit:
-		return e.Value
-	case *ast.Ident:
-		return e.Name
-	}
-	return ""
-}
-
-// funcBodies yields every function body in the file along with the
-// enclosing function's type: declarations and, when walkLits is true,
-// function literals that are not already nested inside another yielded
-// body. Rules that treat literals as inline (executing at their
-// lexical position) should walk them from within the enclosing body
-// instead and pass walkLits=false here.
-func funcBodies(f *ast.File, walkLits bool, visit func(ft *ast.FuncType, body *ast.BlockStmt)) {
+// funcBodies yields the body of every function declaration in the
+// file. Function literals are not yielded on their own: the rules walk
+// them from within the enclosing body, as executing at their lexical
+// position, so nothing is visited (or reported) twice.
+func funcBodies(f *ast.File, visit func(body *ast.BlockStmt)) {
 	for _, decl := range f.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok || fd.Body == nil {
-			continue
+		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+			visit(fd.Body)
 		}
-		visit(fd.Type, fd.Body)
-	}
-	if !walkLits {
-		return
-	}
-	for _, decl := range f.Decls {
-		ast.Inspect(decl, func(n ast.Node) bool {
-			if fl, ok := n.(*ast.FuncLit); ok {
-				visit(fl.Type, fl.Body)
-			}
-			return true
-		})
 	}
 }
 

@@ -41,7 +41,7 @@ func isCollectiveCall(fn *types.Func) bool {
 // tracks the API without a parallel list to maintain.
 func runDivergedCollective(pass *Pass) {
 	for _, file := range pass.Pkg.Files {
-		funcBodies(file, false, func(ft *ast.FuncType, body *ast.BlockStmt) {
+		funcBodies(file, func(body *ast.BlockStmt) {
 			w := &divergenceWalker{pass: pass}
 			w.tainted = rankTaint(pass.Pkg.Info, body)
 			w.walkBlock(body, false)

@@ -14,14 +14,6 @@ type handler struct {
 	method string
 	typ    *ast.FuncType
 	body   *ast.BlockStmt
-	// root is the scope that counts as "this PE's state": for a literal,
-	// the enclosing shmem.Run closure when there is one, otherwise the
-	// enclosing function declaration; for a named handler, its own
-	// declaration. The fallback matters: a function like apps.BFS takes
-	// the per-PE Runtime as a parameter and is invoked once per PE from
-	// inside the SPMD closure, so its locals are per-PE state even though
-	// no shmem.Run is lexically visible.
-	root ast.Node
 }
 
 // handlerArgs maps each *actor.Selector method that installs a handler
@@ -44,16 +36,6 @@ func handlers(pass *Pass) []handler {
 	info := pass.Pkg.Info
 	var out []handler
 	for _, file := range pass.Pkg.Files {
-		// The SPMD roots: every closure passed to shmem.Run in this file.
-		var roots []ast.Node
-		ast.Inspect(file, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok && len(call.Args) == 2 && isFunc(calleeFunc(info, call), pkgShmem, "Run") {
-				if lit, ok := unparen(call.Args[1]).(*ast.FuncLit); ok {
-					roots = append(roots, lit)
-				}
-			}
-			return true
-		})
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
@@ -74,19 +56,11 @@ func handlers(pass *Pass) []handler {
 				}
 				switch h := unparen(call.Args[idx]).(type) {
 				case *ast.FuncLit:
-					root := ast.Node(fd)
-					for _, r := range roots {
-						if h.Pos() >= r.Pos() && h.End() <= r.End() {
-							root = r
-							break
-						}
-					}
-					out = append(out, handler{method: fn.Name(), typ: h.Type, body: h.Body, root: root})
+					out = append(out, handler{method: fn.Name(), typ: h.Type, body: h.Body})
 				case *ast.Ident:
 					if hf, ok := info.Uses[h].(*types.Func); ok {
 						if node := cg.nodeOf(hf); node != nil {
-							d := node.decl
-							out = append(out, handler{method: fn.Name(), typ: d.Type, body: d.Body, root: d})
+							out = append(out, handler{method: fn.Name(), typ: node.decl.Type, body: node.decl.Body})
 						}
 					}
 				}

@@ -29,18 +29,6 @@ var Rules = []Rule{
 		Run:      runRawOffset,
 	},
 	{
-		Name:     "sendafterdone",
-		Doc:      "Selector.Send on a mailbox after Done/DoneAll on the same selector in the same flow; Done promises no further sends, and the runtime panics on violation",
-		Severity: SeverityError,
-		Run:      runSendAfterDone,
-	},
-	{
-		Name:     "sharedhandlerstate",
-		Doc:      "message handler mutates a variable shared across PEs (package-level, or captured from outside the shmem.Run SPMD closure); handler state must be owned by one PE's actor and updated via Send",
-		Severity: SeverityError,
-		Run:      runSharedHandlerState,
-	},
-	{
 		Name:     "unpairedregion",
 		Doc:      "unbalanced region within a function: Pause without Resume, PAPI EventSet Start without Stop, SegmentEnter without SegmentExit, or a Malloc whose result is discarded",
 		Severity: SeverityWarning,

@@ -93,7 +93,7 @@ func batchFieldStore(sel *actor.Selector[int64], box *keyBox) {
 
 func batchGlobalSrcs(sel *actor.Selector[int64]) {
 	sel.ProcessBatch(1, func(msgs []int64, srcPEs []int) {
-		lastSrcs = srcPEs //actorvet:ignore sharedhandlerstate (source-PE scratch escapes to a package-level variable)
+		lastSrcs = srcPEs
 	})
 }
 
@@ -120,7 +120,7 @@ func batchChannelSend(sel *actor.Selector[int64], out chan []int64) {
 var kept []int64
 
 func keep(msgs []int64, srcPEs []int) {
-	kept = msgs //actorvet:ignore sharedhandlerstate (line 123: a named batch handler retains its scratch)
+	kept = msgs
 }
 
 func namedBatchHandler(sel *actor.Selector[int64]) {

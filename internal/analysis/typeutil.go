@@ -50,11 +50,6 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-// isFunc reports whether fn is the function or method pkgPath.name.
-func isFunc(fn *types.Func, pkgPath, name string) bool {
-	return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == pkgPath && fn.Name() == name
-}
-
 // funcIn reports whether fn is declared in pkgPath and its name is in
 // names.
 func funcIn(fn *types.Func, pkgPath string, names map[string]bool) bool {

@@ -28,11 +28,10 @@ import (
 func runUnpairedRegion(pass *Pass) {
 	specs := pairSpecs()
 	for _, file := range pass.Pkg.Files {
-		// walkLits=false: nested function literals are inspected as part
-		// of the enclosing declaration, so a pair split across a closure
-		// and its enclosing function still matches, and nothing is
-		// visited (or reported) twice.
-		funcBodies(file, false, func(ft *ast.FuncType, body *ast.BlockStmt) {
+		// Nested function literals are inspected as part of the
+		// enclosing declaration, so a pair split across a closure and
+		// its enclosing function still matches.
+		funcBodies(file, func(body *ast.BlockStmt) {
 			checkPairs(pass, body, specs)
 			checkDiscardedMalloc(pass, body)
 		})

@@ -87,19 +87,31 @@ func ChaosApps() []harness.App {
 				return Histogram(rt, chaosHistogram)
 			},
 			Check: func(m sim.Machine, perPE []any) error {
-				want := int64(m.NumPEs * chaosHistogram.UpdatesPerPE)
-				var mass int64
-				for pe, r := range perPE {
-					res := r.(HistogramResult)
-					if res.GlobalMass != want {
-						return fmt.Errorf("PE %d saw global mass %d, want %d", pe, res.GlobalMass, want)
-					}
-					for _, v := range res.Local {
-						mass += v
+				// Replay every PE's update stream serially: each cell must
+				// hold exactly the increments addressed to it.
+				cfg, npes := chaosHistogram, uint64(m.NumPEs)
+				want := make([][]int64, npes)
+				for pe := range want {
+					want[pe] = make([]int64, cfg.TableSizePerPE)
+				}
+				for src := range npes {
+					rng := splitmix{state: cfg.Seed + src*0x9e3779b97f4a7c15}
+					for range cfg.UpdatesPerPE {
+						r := rng.next()
+						want[r%npes][(r>>32)%uint64(cfg.TableSizePerPE)]++
 					}
 				}
-				if mass != want {
-					return fmt.Errorf("buckets hold %d updates, want %d", mass, want)
+				mass := int64(m.NumPEs * cfg.UpdatesPerPE)
+				for pe, r := range perPE {
+					res := r.(HistogramResult)
+					if res.GlobalMass != mass {
+						return fmt.Errorf("PE %d saw global mass %d, want %d", pe, res.GlobalMass, mass)
+					}
+					for i, v := range res.Local {
+						if v != want[pe][i] {
+							return fmt.Errorf("PE %d cell %d = %d, want %d", pe, i, v, want[pe][i])
+						}
+					}
 				}
 				return nil
 			},

@@ -121,7 +121,7 @@ func TestEngineAllocs(t *testing.T) {
 		{"CriticalPath", criticalPathOp, 20, 28},
 		{"WhatIfReplay", replayOp, 20, 2},
 		{"Compare", compareOp, 20, 61},
-		{"WriteScheduleFile", writeScheduleFileOp, 5, 118}, // 16 shards and the meta file
+		{"WriteScheduleFile", writeScheduleFileOp, 5, 116}, // 16 shards and the meta file
 		{"ReadScheduleFile", readScheduleFileOp, 5, 236},
 	} {
 		n := testing.AllocsPerRun(c.runs, c.op(t))
