@@ -1,6 +1,6 @@
 // Command actorvet runs the FA-BSP static-analysis suite over Go
-// packages and reports violations of the SPMD/actor-model invariants the
-// runtime otherwise only enforces at run time (or not at all):
+// packages and reports violations of the SPMD/actor-model invariants
+// that a run does not show (the runtime checks the others as it runs):
 //
 //	go run ./cmd/actorvet ./...
 //

@@ -61,19 +61,30 @@ func run(messages int, out io.Writer) error {
 		// Listing 1, lines 4-12: finish { start; N sends; done }.
 		rt.Finish(func() {
 			myActor.Start()
-			rng := uint64(pe.Rank())*0x9e3779b97f4a7c15 + 0xdeadbeef
+			rng := seed(pe.Rank())
 			for i := 0; i < messages; i++ {
-				rng = rng*6364136223846793005 + 1442695040888963407
-				dst := int(rng>>33) % pe.NumPEs()
-				idx := int64(rng>>13) % tableSize
+				dst, idx := draw(&rng, pe.NumPEs())
 				myActor.Send(0, idx, dst) // asynchronous SEND
 			}
 			myActor.Done(0)
 		})
 
-		// Sanity: global mass must equal the number of messages.
+		// Sanity: each cell must hold what a serial replay of every PE's
+		// stream sends it, and the global mass the number of messages.
+		want := make([]int64, tableSize)
+		for src := 0; src < pe.NumPEs(); src++ {
+			rng := seed(src)
+			for i := 0; i < messages; i++ {
+				if dst, idx := draw(&rng, pe.NumPEs()); dst == pe.Rank() {
+					want[idx]++
+				}
+			}
+		}
 		var local int64
-		for _, v := range larray {
+		for i, v := range larray {
+			if v != want[i] {
+				return fmt.Errorf("PE %d cell %d = %d, want %d", pe.Rank(), i, v, want[i])
+			}
 			local += v
 		}
 		total := pe.AllReduceInt64(shmem.OpSum, local)
@@ -95,4 +106,14 @@ func run(messages int, out io.Writer) error {
 	}
 	fmt.Fprintln(out)
 	return core.OverallStacked(set, true, "Quickstart: overall breakdown (relative)").RenderText(out)
+}
+
+// seed is PE rank's random stream before its first message.
+func seed(rank int) uint64 { return uint64(rank)*0x9e3779b97f4a7c15 + 0xdeadbeef }
+
+// draw advances a stream by one message and returns its destination PE
+// and table cell.
+func draw(rng *uint64, npes int) (dst int, idx int64) {
+	*rng = *rng*6364136223846793005 + 1442695040888963407
+	return int(*rng>>33) % npes, int64(*rng>>13) % tableSize
 }

@@ -67,10 +67,8 @@ type Runtime struct {
 	selectorSeq int
 }
 
-// NewRuntime creates the actor runtime for one PE. It is a collective
-// call when opts.Collector is set (all PEs must construct their runtimes
-// before selectors are created, which New enforces with its own
-// collectives anyway).
+// NewRuntime creates the actor runtime for one PE. It makes no
+// collective call; the selectors created on it do.
 func NewRuntime(pe *shmem.PE, opts RuntimeOptions) *Runtime {
 	rt := &Runtime{
 		pe:     pe,
@@ -160,7 +158,11 @@ func (rt *Runtime) instrCost(ins int64) int64 {
 // T_MAIN/T_COMM/T_PROC breakdown: the scope's duration (through the
 // trailing clock-synchronizing barrier, which models the BSP superstep
 // boundary where every PE waits for the stragglers) is T_TOTAL.
+//
+// Finish waits for every PE, so it panics inside a message handler:
+// the handler runs inside the progress the peers wait on.
 func (rt *Runtime) Finish(body func()) {
+	rt.pe.MayBlock("Finish")
 	// A schedule recording measures the scope even without a trace
 	// collector: the markers are what let the what-if engine reconstruct
 	// the breakdown offline.
@@ -182,8 +184,8 @@ func (rt *Runtime) Finish(body func()) {
 		rt.pe.RecordEvent(sim.EvFinishEnd, 0)
 		rt.profiling = false
 	}
-	// A nested Finish inside an instrumented one needs no handling: the
-	// outer scope's attribution continues seamlessly.
+	// A nested Finish in a Finish body (not a handler: see above) needs
+	// no handling: the outer scope's attribution continues seamlessly.
 }
 
 // Async schedules fn on this PE's cooperative queue (hclib::async).
@@ -242,6 +244,7 @@ func (rt *Runtime) handlerEnter(actor int64) int64 {
 		return -1
 	}
 	rt.inHandler = true
+	rt.pe.SetInHandler(true)
 	rt.pe.RecordEvent(sim.EvHandlerStart, actor)
 	return rt.pe.Clock().Now()
 }
@@ -251,6 +254,7 @@ func (rt *Runtime) handlerExit(actor, start int64) {
 		return
 	}
 	rt.inHandler = false
+	rt.pe.SetInHandler(false)
 	if rt.profiling {
 		rt.tProc += rt.pe.Clock().Now() - start
 	}

@@ -4,31 +4,6 @@ package actor
 // actorvet analyzers (internal/analysis). See the matching vet.go in
 // internal/shmem.
 
-// CollectiveFuncs returns the names of package-level functions that are
-// collective: every PE must call them in the same order with the same
-// parameters, because the conveyor construction underneath allocates
-// symmetric memory (an implicit barrier).
-func CollectiveFuncs() []string {
-	return []string{"NewSelector", "NewActor"}
-}
-
-// CollectiveMethods returns the names of *Runtime methods that end in a
-// clock-synchronizing barrier and therefore must be reached by every PE:
-// a Finish that only some ranks execute strands the others at the
-// superstep boundary.
-func CollectiveMethods() []string {
-	return []string{"Finish"}
-}
-
-// HandlerUnsafeMethods returns the names of methods that must never be
-// called from inside a message handler. Handlers run one at a time inside
-// conveyor progress (the paper's PROC region); these calls either block
-// on remote progress that cannot happen (Finish, conveyor Advance) or
-// re-enter the progress loop.
-func HandlerUnsafeMethods() []string {
-	return []string{"Finish", "Advance"}
-}
-
 // ProgressMethods returns the names of *Selector methods that drive (or
 // ride on) conveyor progress underneath: each may trigger a buffer
 // exchange that recycles the storage behind borrowed conveyor views, so

@@ -2,16 +2,16 @@
 // stdlib-only (go/ast, go/parser, go/types) analogue of
 // golang.org/x/tools/go/analysis, purpose-built to machine-check the
 // FA-BSP/SPMD programming disciplines that this repository's runtime
-// layers (shmem, conveyor, actor, trace) otherwise enforce only by
-// convention — and whose violations the ActorProf paper can only show
-// after the fact, as corrupted MAIN/PROC/COMM profiles or hung runs.
+// layers (shmem, conveyor, actor, trace) cannot check as they run —
+// whose violations the ActorProf paper can only show after the fact,
+// as corrupted MAIN/PROC/COMM profiles or silently wrong values.
 //
 // The framework loads whole programs from go-style patterns (./...):
 // every requested package plus its module-internal dependency closure is
 // type-checked in dependency order against a shared types.Info, so
 // rules see real cross-package objects in Uses/Defs/Selections — never
 // stubs. On top of the loader sit a call graph, a handler finder that
-// resolves every registered message handler, interprocedural dataflow
+// resolves every registered batch handler, interprocedural dataflow
 // summaries, and a per-function taint engine that the lifetime rule
 // (escapingview) consumes. Run collects position-tagged Diagnostics,
 // honors //actorvet:ignore suppression directives (validating them, and

@@ -15,11 +15,9 @@ type loc struct{ line, col int }
 // produce — rule IDs and positions are part of the contract (README
 // documents the directive placement relative to them).
 var analyzerGolden = map[string][]loc{
-	"divergedcollective": {{13, 3}, {21, 12}, {28, 10}, {36, 14}, {43, 3}},
-	"blockinghandler":    {{12, 3}, {13, 3}, {24, 2}, {29, 3}, {41, 3}, {42, 3}},
-	"unpairedregion":     {{12, 2}, {24, 2}, {41, 9}, {46, 2}, {47, 6}},
-	"rawoffset":          {{7, 17}, {8, 23}, {9, 21}, {10, 32}},
-	"escapingview":       {{18, 2}, {23, 3}, {29, 10}, {39, 7}, {49, 9}, {58, 9}, {65, 9}, {77, 9}, {90, 3}, {96, 3}, {102, 12}, {109, 8}, {116, 10}, {123, 2}},
+	"unpairedregion": {{12, 2}, {24, 2}, {41, 9}, {46, 2}, {47, 6}},
+	"rawoffset":      {{7, 17}, {8, 23}, {9, 21}, {10, 32}},
+	"escapingview":   {{18, 2}, {23, 3}, {29, 10}, {39, 7}, {49, 9}, {58, 9}, {65, 9}, {77, 9}, {90, 3}, {96, 3}, {102, 12}, {109, 8}, {116, 10}, {123, 2}},
 }
 
 // ruleNamed returns the rule with the given ID from the Rules table.
@@ -109,8 +107,8 @@ func TestIgnoreDirectives(t *testing.T) {
 		rule string
 		at   loc
 	}{
-		{"divergedcollective", loc{27, 3}},
-		{"staleignore", loc{27, 16}},
+		{"rawoffset", loc{22, 17}},
+		{"staleignore", loc{22, 30}},
 	}
 	if len(diags) != len(want) {
 		t.Fatalf("got %d findings, want %d: %+v", len(diags), len(want), diags)
@@ -135,10 +133,10 @@ func TestDirectiveEdgeCases(t *testing.T) {
 		at   loc
 		sev  Severity
 	}{
-		{"divergedcollective", loc{23, 3}, SeverityError}, // unknown-rule directive must not suppress
-		{"baddirective", loc{23, 16}, SeverityError},
-		{"staleignore", loc{28, 25}, SeverityWarning},
-		{"staleignore", loc{32, 13}, SeverityWarning},
+		{"rawoffset", loc{22, 17}, SeverityWarning}, // unknown-rule directive must not suppress
+		{"baddirective", loc{22, 30}, SeverityError},
+		{"staleignore", loc{26, 25}, SeverityWarning},
+		{"staleignore", loc{30, 13}, SeverityWarning},
 	}
 	if len(diags) != len(want) {
 		t.Fatalf("got %d findings, want %d: %+v", len(diags), len(want), diags)
@@ -155,7 +153,7 @@ func TestDirectiveEdgeCases(t *testing.T) {
 // run does not falsely call directives for inactive rules stale.
 func TestStaleIgnoreNotJudgedUnderFilter(t *testing.T) {
 	prog := loadFixture(t, "directives")
-	diags := Run(prog, []Rule{ruleNamed(t, "divergedcollective")})
+	diags := Run(prog, []Rule{ruleNamed(t, "rawoffset")})
 	for _, d := range diags {
 		if d.Rule == "staleignore" {
 			t.Errorf("filtered run judged a directive stale: %s at %s", d.Message, d.Position())
@@ -168,11 +166,9 @@ func TestStaleIgnoreNotJudgedUnderFilter(t *testing.T) {
 // (The directive checks' severities are pinned by TestDirectiveEdgeCases.)
 func TestSeverities(t *testing.T) {
 	want := map[string]Severity{
-		"divergedcollective": SeverityError,
-		"blockinghandler":    SeverityError,
-		"escapingview":       SeverityError,
-		"unpairedregion":     SeverityWarning,
-		"rawoffset":          SeverityWarning,
+		"escapingview":   SeverityError,
+		"unpairedregion": SeverityWarning,
+		"rawoffset":      SeverityWarning,
 	}
 	if len(Rules) != len(want) {
 		t.Fatalf("suite has %d rules, want %d", len(Rules), len(want))
@@ -224,7 +220,7 @@ func TestLoadPatterns(t *testing.T) {
 // complete cross-package type information: fixture selectors resolve to
 // objects of the actual runtime packages, never stubs.
 func TestLoaderCrossPackageTypeInfo(t *testing.T) {
-	prog := loadFixture(t, "blockinghandler")
+	prog := loadFixture(t, "rawoffset")
 	shmemPkg := prog.PackageOf("actorprof/internal/shmem")
 	if shmemPkg == nil {
 		t.Fatal("dependency actorprof/internal/shmem was not loaded")

@@ -68,9 +68,7 @@ func runEscapingView(pass *Pass) {
 	spec.summaries = summaries
 	spec.scratch = make(map[*ast.FuncType]string)
 	for _, h := range handlers(pass) {
-		if h.method != "Process" { // a batch handler: its slices are scratch
-			spec.scratch[h.typ] = h.method
-		}
+		spec.scratch[h.typ] = h.method
 	}
 	for _, file := range pass.Pkg.Files {
 		for _, decl := range file.Decls {

@@ -7,30 +7,22 @@ import (
 	"actorprof/internal/actor"
 )
 
-// handler is one registered message handler, resolved to its syntax.
+// handler is one registered batch handler, resolved to its signature.
 type handler struct {
-	// method is the *actor.Selector method that installed it: Process,
-	// or a batch method from actor.BatchHandlerMethods.
+	// method is the *actor.Selector method that installed it, one of
+	// actor.BatchHandlerMethods.
 	method string
 	typ    *ast.FuncType
-	body   *ast.BlockStmt
 }
 
-// handlerArgs maps each *actor.Selector method that installs a handler
-// to the index of its handler argument. Process is ProcessBatch with
-// the loop written for you, so both kinds run inside conveyor progress.
-var handlerArgs = func() map[string]int {
-	args := map[string]int{"Process": 1}
-	for name, idx := range actor.BatchHandlerMethods() {
-		args[name] = idx
-	}
-	return args
-}()
+// batchArgs maps each batch-handler method to its handler argument.
+var batchArgs = actor.BatchHandlerMethods()
 
-// handlers resolves every handler registered in the pass's package: a
-// function literal, or a named function resolved through the call graph
-// (which spans the whole program, cross-file and cross-package alike).
-// Handlers passed as function values or method values stay unresolved.
+// handlers resolves every batch handler registered in the pass's
+// package: a function literal, or a named function resolved through the
+// call graph (which spans the whole program, cross-file and
+// cross-package alike). Handlers passed as function values or method
+// values stay unresolved.
 func handlers(pass *Pass) []handler {
 	cg, _ := pass.Prog.facts()
 	info := pass.Pkg.Info
@@ -50,17 +42,17 @@ func handlers(pass *Pass) []handler {
 				if fn == nil {
 					return true
 				}
-				idx, ok := handlerArgs[fn.Name()]
+				idx, ok := batchArgs[fn.Name()]
 				if !ok || idx >= len(call.Args) || !isMethodOn(fn, pkgActor, "Selector", fn.Name()) {
 					return true
 				}
 				switch h := unparen(call.Args[idx]).(type) {
 				case *ast.FuncLit:
-					out = append(out, handler{method: fn.Name(), typ: h.Type, body: h.Body})
+					out = append(out, handler{method: fn.Name(), typ: h.Type})
 				case *ast.Ident:
 					if hf, ok := info.Uses[h].(*types.Func); ok {
 						if node := cg.nodeOf(hf); node != nil {
-							out = append(out, handler{method: fn.Name(), typ: node.decl.Type, body: node.decl.Body})
+							out = append(out, handler{method: fn.Name(), typ: node.decl.Type})
 						}
 					}
 				}

@@ -11,10 +11,10 @@ import (
 func sampleDiags() []Diagnostic {
 	return []Diagnostic{
 		{
-			Rule: "divergedcollective", Severity: SeverityError,
+			Rule: "escapingview", Severity: SeverityError,
 			File: "pkg/a.go", Line: 13, Col: 3,
-			Message: "collective pe.Barrier is only reachable under rank-dependent control flow",
-			Fix:     "hoist the collective",
+			Message: "borrowed view v escapes its borrow",
+			Fix:     "copy the elements first",
 		},
 		{
 			Rule: "rawoffset", Severity: SeverityWarning,
@@ -30,8 +30,8 @@ func TestTextReporterGolden(t *testing.T) {
 	if err := Report(&b, sampleDiags(), TextVerbose); err != nil {
 		t.Fatal(err)
 	}
-	want := "pkg/a.go:13:3: error: collective pe.Barrier is only reachable under rank-dependent control flow [divergedcollective]\n" +
-		"\tfix: hoist the collective\n" +
+	want := "pkg/a.go:13:3: error: borrowed view v escapes its borrow [escapingview]\n" +
+		"\tfix: copy the elements first\n" +
 		"pkg/b.go:7:17: warning: raw symmetric-heap offset arithmetic [rawoffset]\n" +
 		"2 finding(s)\n"
 	if b.String() != want {

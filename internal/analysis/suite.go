@@ -5,18 +5,6 @@ package analysis
 // emitted by Run itself, not listed here.
 var Rules = []Rule{
 	{
-		Name:     "blockinghandler",
-		Doc:      "message handler (func passed to Selector.Process or ProcessBatch) calls a blocking operation (barrier, collective, Finish, wait-until, conveyor advance); handlers run inside conveyor progress and must complete without blocking",
-		Severity: SeverityError,
-		Run:      runBlockingHandler,
-	},
-	{
-		Name:     "divergedcollective",
-		Doc:      "collective call (barrier, reduction, symmetric allocation, collector construction) reachable only under pe.Rank()-dependent conditionals or loops; diverged ranks deadlock the SPMD run",
-		Severity: SeverityError,
-		Run:      runDivergedCollective,
-	},
-	{
 		Name:     "escapingview",
 		Doc:      "borrowed conveyor view (Pull/PushSlot/PullRun result) or ProcessBatch scratch slice escapes its borrow — stored to a field, global, channel, or goroutine, or used after conveyor/actor progress recycled its backing buffer; copy the elements first (append([]T(nil), v...))",
 		Severity: SeverityError,

@@ -11,21 +11,19 @@ func multiLineStatement(pe *shmem.PE, base, i int) {
 		7)
 }
 
-func blockScoped(pe *shmem.PE) {
-	//actorvet:ignore divergedcollective intentional rank-0 gate
+func blockScoped(pe *shmem.PE, base, i int) {
+	//actorvet:ignore rawoffset rank 0's table is laid out by hand
 	if pe.Rank() == 0 {
-		pe.Barrier()
+		pe.PutInt64(1, base+8*i, 7)
 	}
 }
 
-func unknownRule(pe *shmem.PE) {
-	if pe.Rank() == 1 {
-		pe.Barrier() //actorvet:ignore nosuchrule
-	}
+func unknownRule(pe *shmem.PE, base, i int) {
+	pe.PutInt64(1, base+8*i, 7) //actorvet:ignore nosuchrule
 }
 
 func staleDirective(pe *shmem.PE, off int) {
-	pe.PutInt64(1, off, 7) //actorvet:ignore rawoffset nothing raw here
+	pe.PutInt64(1, off, 7) //actorvet:ignore unpairedregion nothing to pair here
 }
 
 func staleWildcard(pe *shmem.PE) {

@@ -4,10 +4,8 @@ package fixture
 
 import "actorprof/internal/shmem"
 
-func suppressedInline(pe *shmem.PE) {
-	if pe.Rank() == 0 {
-		pe.Barrier() //actorvet:ignore divergedcollective
-	}
+func suppressedInline(pe *shmem.PE, base, i int) {
+	pe.PutInt64(1, base+8*i, 7) //actorvet:ignore rawoffset
 }
 
 func suppressedLineAbove(pe *shmem.PE, base, i int) {
@@ -15,15 +13,11 @@ func suppressedLineAbove(pe *shmem.PE, base, i int) {
 	pe.PutInt64(1, base+8*i, 7)
 }
 
-func suppressedAllRules(pe *shmem.PE) {
-	if pe.Rank() == 1 {
-		//actorvet:ignore
-		pe.Barrier()
-	}
+func suppressedAllRules(pe *shmem.PE, base, i int) {
+	//actorvet:ignore
+	pe.PutInt64(1, base+8*i, 7)
 }
 
-func wrongRuleDoesNotSuppress(pe *shmem.PE) {
-	if pe.Rank() == 2 {
-		pe.Barrier() //actorvet:ignore rawoffset (line 27: still reported)
-	}
+func wrongRuleDoesNotSuppress(pe *shmem.PE, base, i int) {
+	pe.PutInt64(1, base+8*i, 7) //actorvet:ignore unpairedregion (line 22: still reported)
 }

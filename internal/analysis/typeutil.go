@@ -50,12 +50,6 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 	return nil
 }
 
-// funcIn reports whether fn is declared in pkgPath and its name is in
-// names.
-func funcIn(fn *types.Func, pkgPath string, names map[string]bool) bool {
-	return fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == pkgPath && names[fn.Name()]
-}
-
 // nameSet builds a membership set from a name list.
 func nameSet(names []string) map[string]bool {
 	set := make(map[string]bool, len(names))

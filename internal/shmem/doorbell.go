@@ -27,8 +27,8 @@ import (
 // ringing peers; everything else belongs to the owning goroutine.
 type doorbell struct {
 	epoch  atomic.Uint64
-	asleep atomic.Bool
-	wake   chan struct{} // capacity 1: a token means "epoch moved"
+	asleep atomic.Int32  // awake, flagged (about to recheck) or sleeping (counted blocked)
+	wake   chan struct{} // capacity 1: the token that ends a sleep
 
 	pollers []*Poller
 	// wokeIdle is set by a wake-up and cleared by the first sweep that
@@ -37,6 +37,14 @@ type doorbell struct {
 	wokeIdle bool
 	stats    ProgressStats
 }
+
+// The doorbell's asleep states. Only the owner moves awake -> flagged ->
+// sleeping; a ringer swaps either back to awake.
+const (
+	awake int32 = iota
+	flagged
+	sleeping
+)
 
 // ProgressStats counts how one PE waited for work. Plain owner-only
 // counters: read them from the PE's own goroutine (typically at the end
@@ -55,17 +63,20 @@ func (p *PE) ProgressStats() ProgressStats { return p.bell.stats }
 // be waiting on) changed. Callers make the change visible first.
 func (p *PE) ring() {
 	p.bell.epoch.Add(1)
-	if p.bell.asleep.Load() {
-		p.bell.rouse()
+	if p.bell.asleep.Load() != awake {
+		p.rouse()
 	}
 }
 
-// rouse hands a sleeping (or about to sleep) PE its wake token. Kept out
-// of ring so that ring inlines into every put.
-func (b *doorbell) rouse() {
-	select {
-	case b.wake <- struct{}{}:
-	default: // a token is already waiting
+// rouse wakes a sleeping PE, or keeps a flagged one from sleeping. Kept
+// out of ring so that ring inlines into every put. Only the ringer whose
+// swap ends a sleep un-counts the PE, before it can block itself, and
+// hands it the sleep's one token (DESIGN.md §16); so no token is ever
+// left over, and the send finds the channel empty.
+func (p *PE) rouse() {
+	if p.bell.asleep.Swap(awake) == sleeping {
+		p.world.barr.blocked.Add(-1)
+		p.bell.wake <- struct{}{}
 	}
 }
 
@@ -90,7 +101,7 @@ func (w *World) Ring(rank int) { w.pes[rank].ring() }
 func (w *World) Asleep() int {
 	n := 0
 	for _, pe := range w.pes {
-		if pe.bell.asleep.Load() {
+		if pe.bell.asleep.Load() != awake {
 			n++
 		}
 	}
@@ -181,7 +192,8 @@ func (p *PE) sweptIdle() (uint64, bool) {
 // as before. Like Yield it is a fault.SiteYield preemption point and
 // aborts with the crashed peer's rank once the world has failed -
 // checked before sleeping and again on wake-up, because World.fail
-// rings every doorbell.
+// rings every doorbell. A PE that falls asleep when every other PE is
+// blocked fails the run as a deadlock: nothing is left to ring.
 func (p *PE) WaitIdle() (slept bool) {
 	p.abortIfFailed()
 	if p.inj != nil {
@@ -192,15 +204,16 @@ func (p *PE) WaitIdle() (slept bool) {
 		return false
 	}
 	b := &p.bell
-	// Drop a token left by a ring this PE already accounted for, then
-	// flag-and-recheck: a ring after the flag sends a token, a ring
-	// before it moved the epoch.
-	select {
-	case <-b.wake:
-	default:
-	}
-	b.asleep.Store(true)
-	if b.epoch.Load() == e {
+	// Flag, then recheck: a ring before the flag moved the epoch, a ring
+	// after it swaps the flag back (and the swap below fails) or wakes
+	// the sleep.
+	b.asleep.Store(flagged)
+	if b.epoch.Load() == e && b.asleep.CompareAndSwap(flagged, sleeping) {
+		if w := p.world; w.barr.blocked.Add(1) == int64(w.NumPEs()) {
+			w.barr.mu.Lock()
+			defer w.barr.mu.Unlock()
+			p.deadlock()
+		}
 		if b.wokeIdle {
 			b.stats.EmptyWakes++
 		}
@@ -210,7 +223,7 @@ func (p *PE) WaitIdle() (slept bool) {
 		b.wokeIdle = true
 		slept = true
 	}
-	b.asleep.Store(false)
+	b.asleep.Store(awake)
 	p.abortIfFailed()
 	return slept
 }

@@ -25,7 +25,7 @@ func runDeadline(t *testing.T, d time.Duration, cfg Config, body func(pe *PE)) e
 // awaitAsleep spins (on the calling PE) until PE rank is blocked on its
 // doorbell. The asleep flag is raised just before the PE blocks.
 func awaitAsleep(pe *PE, rank int) {
-	for !pe.world.pes[rank].bell.asleep.Load() {
+	for pe.world.pes[rank].bell.asleep.Load() == awake {
 		pe.Yield()
 	}
 }

@@ -66,7 +66,7 @@ func (p *PE) Malloc(n int) int {
 
 	// shmem_malloc is a collective with an implicit barrier: no PE may
 	// proceed until all PEs have allocated (and thus extended their heaps).
-	p.Barrier()
+	p.barrier(collMalloc)
 	return off
 }
 

@@ -193,6 +193,7 @@ func (c WaitCmp) holds(a, b int64) bool {
 // this PE - a conveyor that has not terminated - cannot vouch for being
 // idle.
 func (p *PE) WaitUntilInt64(offset int, cmp WaitCmp, value int64) int64 {
+	p.MayBlock("WaitUntilInt64")
 	po := p.OpenPoller()
 	defer po.Close()
 	for {

@@ -6,7 +6,7 @@
 // one process. PEs are grouped into simulated cluster nodes (sim.Machine);
 // each PE owns a symmetric heap, and the usual OpenSHMEM operations are
 // provided: collective symmetric allocation, blocking and non-blocking
-// one-sided puts, gets, quiet/fence, barriers, broadcasts, reductions, and
+// one-sided puts, gets, quiet/fence, barriers, reductions, and
 // shmem_ptr-style direct intra-node access.
 //
 // Differences from a real OpenSHMEM are intentional and documented:
@@ -184,6 +184,8 @@ type PE struct {
 	// outlives it. Only the owning goroutine touches them.
 	pendingNBI []pendingWrite
 	nbiStage   []byte
+
+	inHandler bool // see SetInHandler; owner-only
 }
 
 // pendingWrite is one buffered PutNBI: its payload is
@@ -359,6 +361,7 @@ func Run(cfg Config, body func(pe *PE)) error {
 				}
 			}()
 			body(pe)
+			pe.await(collEnd, 0) // a PE's end is a collective too
 		}()
 	}
 	wg.Wait()

@@ -338,29 +338,6 @@ func TestAllReduce(t *testing.T) {
 	})
 }
 
-func TestBroadcast(t *testing.T) {
-	run(t, 4, 2, func(pe *PE) {
-		v := int64(-1)
-		if pe.Rank() == 3 {
-			v = 42
-		}
-		if got := pe.BroadcastInt64(3, v); got != 42 {
-			t.Errorf("PE %d broadcast got %d, want 42", pe.Rank(), got)
-		}
-	})
-}
-
-func TestAllGather(t *testing.T) {
-	run(t, 4, 2, func(pe *PE) {
-		vals := pe.AllGather(pe.Rank() * 7)
-		for i, v := range vals {
-			if v.(int) != i*7 {
-				t.Errorf("AllGather[%d] = %v, want %d", i, v, i*7)
-			}
-		}
-	})
-}
-
 func TestCopyLocalSameNodeOnly(t *testing.T) {
 	run(t, 4, 2, func(pe *PE) {
 		off := pe.Malloc(8)

@@ -3,38 +3,9 @@ package shmem
 // This file is the package's static-analysis contract: canonical lists of
 // the OpenSHMEM entry points whose calling disciplines the actorvet
 // analyzers (internal/analysis) enforce. Keeping the lists next to the
-// methods they describe means a new collective or RMA routine is added in
-// one review, not rediscovered by the linter months later.
-
-// CollectiveMethods returns the names of *PE methods that are collective:
-// every PE must call them the same number of times in the same order, or
-// the SPMD program deadlocks (each one contains at least one Barrier).
-func CollectiveMethods() []string {
-	return []string{
-		"Barrier",
-		"AllReduceInt64",
-		"BroadcastInt64",
-		"AllGather",
-		"Malloc",
-	}
-}
-
-// CollectiveFuncs returns the names of package-level functions in this
-// package that are collective (they call Malloc underneath).
-func CollectiveFuncs() []string {
-	return []string{"AllocInt64Array"}
-}
-
-// BlockingMethods returns the names of *PE methods that can block the
-// calling goroutine until a remote PE acts. Calling any of them from an
-// actor message handler deadlocks the runtime: handlers run inside
-// conveyor progress, and the remote PE whose action would unblock the
-// call may itself be waiting on this PE's progress.
-func BlockingMethods() []string {
-	// WaitUntilInt64 is the *PE spin-wait; WaitUntil is the typed
-	// Int64Array equivalent — both park the caller until a remote store.
-	return append(CollectiveMethods(), "WaitUntilInt64", "WaitUntil")
-}
+// methods they describe means a new RMA routine is added in one review,
+// not rediscovered by the linter months later. The collective and
+// handler disciplines are checked where they run (sync.go).
 
 // RawOffsetMethods returns, for each *PE (and Int64Array-bypassing) RMA
 // method that addresses the symmetric heap by raw byte offset, the index
