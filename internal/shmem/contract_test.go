@@ -98,18 +98,6 @@ func TestDivergedCollectiveFails(t *testing.T) {
 	}
 }
 
-func TestEveryPEReturningCompletesTheRun(t *testing.T) {
-	// PEs that end at different times complete the end generation once
-	// the last returns.
-	for _, npes := range []int{1, 2, 7} {
-		run(t, npes, 1, func(pe *PE) {
-			for i := 0; i < pe.Rank(); i++ {
-				pe.Yield()
-			}
-		})
-	}
-}
-
 func TestDeadlockIsReported(t *testing.T) {
 	for _, tc := range []struct {
 		name string
