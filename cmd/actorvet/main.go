@@ -1,6 +1,7 @@
-// Command actorvet runs the FA-BSP static-analysis suite over Go
-// packages and reports violations of the SPMD/actor-model invariants
-// that a run does not show (the runtime checks the others as it runs):
+// Command actorvet runs the static-analysis suite over Go packages and
+// reports what a run does not show: hand-rolled symmetric-heap offsets
+// (rawoffset) and malformed or stale //actorvet:ignore directives. The
+// runtime checks the FA-BSP contract itself as it runs (DESIGN.md §5):
 //
 //	go run ./cmd/actorvet ./...
 //
@@ -14,8 +15,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"slices"
-	"strings"
 
 	"actorprof/internal/analysis"
 )
@@ -29,7 +28,6 @@ func vetMain(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("actorvet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	format := fs.String("format", "text", "output format: text or sarif")
-	rules := fs.String("rules", "", "comma-separated rule IDs to run (default: all)")
 	list := fs.Bool("list", false, "list available rules and exit")
 	verbose := fs.Bool("v", false, "include fix hints in text output")
 	fs.Usage = func() {
@@ -47,23 +45,6 @@ func vetMain(args []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	selected := analysis.Rules
-	if *rules != "" {
-		selected = nil
-		for _, name := range strings.Split(*rules, ",") {
-			name = strings.TrimSpace(name)
-			named := func(r analysis.Rule) bool { return r.Name == name }
-			i := slices.IndexFunc(analysis.Rules, named)
-			if i < 0 {
-				fmt.Fprintf(stderr, "actorvet: unknown rule %q (try -list)\n", name)
-				return 2
-			}
-			if !slices.ContainsFunc(selected, named) { // a repeated ID runs once
-				selected = append(selected, analysis.Rules[i])
-			}
-		}
-	}
-
 	out := analysis.Text
 	switch {
 	case *format == "sarif":
@@ -84,7 +65,7 @@ func vetMain(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "actorvet: %v\n", err)
 		return 2
 	}
-	diags := analysis.Run(prog, selected)
+	diags := analysis.Run(prog)
 	if err := analysis.Report(stdout, diags, out); err != nil {
 		fmt.Fprintf(stderr, "actorvet: %v\n", err)
 		return 2

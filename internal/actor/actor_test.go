@@ -1,6 +1,8 @@
 package actor
 
 import (
+	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -324,51 +326,79 @@ func TestTracingIntegration(t *testing.T) {
 	}
 }
 
-// TestPauseExcludesSetup checks that Pause/Resume excludes a setup phase
+// TestPauseExcludesSetup checks that Unprofiled excludes a setup phase
 // from every trace stream, as the paper's case study excludes graph
-// loading.
+// loading: a run whose setup is unprofiled traces what the kernel-only
+// run traces - logical and physical sends, the overall breakdown, and
+// the PAPI counters the setup's loop and handlers charge - in record and
+// in aggregate mode alike, with the setup's selector made in a nested
+// Unprofiled.
 func TestPauseExcludesSetup(t *testing.T) {
 	const npes = 4
 	machine := sim.Machine{NumPEs: npes, PEsPerNode: npes}
-	coll, err := trace.NewCollector(trace.Config{Logical: true, Overall: true}, machine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = shmem.Run(shmem.Config{Machine: machine}, func(pe *shmem.PE) {
-		rt := NewRuntime(pe, RuntimeOptions{Collector: coll})
-
-		rt.Pause()
-		setup, _ := NewSelector(rt, 1, Int64Codec())
-		setup.Process(0, func(int64, int) {})
-		rt.Finish(func() {
-			setup.Start()
-			for i := 0; i < 40; i++ {
-				setup.Send(0, 7, (pe.Rank()+1)%npes)
-			}
-			setup.Done(0)
-		})
-		rt.Resume()
-
-		kernel, _ := NewSelector(rt, 1, Int64Codec())
-		kernel.Process(0, func(int64, int) {})
-		rt.Finish(func() {
-			kernel.Start()
-			for i := 0; i < 10; i++ {
-				kernel.Send(0, 7, (pe.Rank()+1)%npes)
-			}
-			kernel.Done(0)
-		})
-		rt.Close()
-		pe.Barrier()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	set := coll.Set()
-	for pe := 0; pe < npes; pe++ {
-		if got := len(set.Logical[pe]); got != 10 {
-			t.Errorf("PE %d logical records = %d, want 10 (setup must be excluded)", pe, got)
+	run := func(t *testing.T, aggregate, setup bool) *trace.Set {
+		t.Helper()
+		coll, err := trace.NewCollector(trace.Config{
+			Logical: true, Physical: true, Overall: true, Aggregate: aggregate,
+			PAPIEvents: []papi.Event{papi.TOT_INS},
+		}, machine)
+		if err != nil {
+			t.Fatal(err)
 		}
+		err = shmem.Run(shmem.Config{Machine: machine}, func(pe *shmem.PE) {
+			rt := NewRuntime(pe, RuntimeOptions{Collector: coll})
+			if setup {
+				rt.Unprofiled(func() {
+					var s *Selector[int64]
+					rt.Unprofiled(func() { // nested: the outer call stays in force
+						s, _ = NewSelector(rt, 1, Int64Codec())
+						s.Process(0, func(int64, int) { rt.Work(papi.Work{Ins: 500}) })
+					})
+					rt.Finish(func() {
+						s.Start()
+						for i := 0; i < 40; i++ {
+							rt.Work(papi.Work{Ins: 1500})
+							s.Send(0, 7, (pe.Rank()+1)%npes)
+						}
+						s.Done(0)
+					})
+				})
+			}
+			kernel, _ := NewSelector(rt, 1, Int64Codec())
+			kernel.Process(0, func(int64, int) {})
+			rt.Finish(func() {
+				kernel.Start()
+				for i := 0; i < 10; i++ {
+					kernel.Send(0, 7, (pe.Rank()+1)%npes)
+				}
+				kernel.Done(0)
+			})
+			rt.Close()
+			pe.Barrier()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return coll.Set()
+	}
+	for _, aggregate := range []bool{false, true} {
+		t.Run(fmt.Sprintf("aggregate=%v", aggregate), func(t *testing.T) {
+			kernelOnly, set := run(t, aggregate, false), run(t, aggregate, true)
+			for pe, n := range set.LogicalMatrix().SendTotals() {
+				if n != 10 {
+					t.Errorf("PE %d logical sends = %d, want 10 (setup must be excluded)", pe, n)
+				}
+			}
+			if got, want := set.PhysicalMatrix(), kernelOnly.PhysicalMatrix(); !reflect.DeepEqual(got, want) {
+				t.Errorf("physical matrix = %v, want the kernel-only run's %v", got, want)
+			}
+			if got, want := set.OverallRecords(), kernelOnly.OverallRecords(); !reflect.DeepEqual(got, want) {
+				t.Errorf("overall breakdown = %+v, want the kernel-only run's %+v", got, want)
+			}
+			if got, want := set.PAPITotalsPerPE(papi.TOT_INS), kernelOnly.PAPITotalsPerPE(papi.TOT_INS); !reflect.DeepEqual(got, want) {
+				t.Errorf("TOT_INS per PE = %v, want the kernel-only run's %v", got, want)
+			}
+		})
 	}
 }
 

@@ -38,9 +38,8 @@ type Runtime struct {
 
 	pc *trace.PECollector // nil when tracing is disabled
 
-	// paused suspends all collection (logical, PAPI, overall), so
-	// applications can exclude setup phases, as the paper's case study
-	// excludes graph loading and validation.
+	// paused suspends all collection (logical, physical, PAPI, overall)
+	// while Unprofiled runs its function.
 	paused bool
 
 	// Overall-breakdown region state. The MAIN timer runs while user
@@ -90,11 +89,27 @@ func (rt *Runtime) PE() *shmem.PE { return rt.pe }
 // Engine returns the PE's PAPI counter bank.
 func (rt *Runtime) Engine() *papi.Engine { return rt.engine }
 
-// Pause suspends trace collection on this PE (setup/validation phases).
-func (rt *Runtime) Pause() { rt.paused = true }
-
-// Resume re-enables trace collection.
-func (rt *Runtime) Resume() { rt.paused = false }
+// Unprofiled runs fn with trace collection suspended on this PE, so
+// applications can exclude setup phases, as the paper's case study
+// excludes graph loading and validation. fn's sends reach no logical,
+// physical or PAPI record, a Finish in it adds nothing to the overall
+// breakdown, and the PAPI counters it charges reach no record, total or
+// residual; counters charged before it still reach the next record.
+// Calls nest. A Segment around fn still measures it whole, and so does
+// the overall breakdown of a Finish whose body calls it.
+func (rt *Runtime) Unprofiled(fn func()) {
+	if rt.paused {
+		fn()
+		return
+	}
+	rt.paused = true
+	if rt.pc == nil {
+		fn()
+	} else {
+		rt.pc.Unprofiled(fn)
+	}
+	rt.paused = false
+}
 
 // Close flushes this PE's trace data into the collector. Call once, when
 // the PE's work is complete.
@@ -112,7 +127,7 @@ func (rt *Runtime) Close() {
 // around code regions that involve no asynchronous communication. The
 // segment's cycles and configured PAPI counter deltas aggregate per
 // (PE, name) into the trace's segments.txt. Without a collector (or
-// while paused), fn simply runs.
+// inside Unprofiled), fn simply runs.
 func (rt *Runtime) Segment(name string, fn func()) {
 	if !rt.collecting() {
 		fn()

@@ -1,24 +1,20 @@
 // Package analysis is actorvet's static-analysis framework: a small,
 // stdlib-only (go/ast, go/parser, go/types) analogue of
-// golang.org/x/tools/go/analysis, purpose-built to machine-check the
-// FA-BSP/SPMD programming disciplines that this repository's runtime
-// layers (shmem, conveyor, actor, trace) cannot check as they run —
-// whose violations the ActorProf paper can only show after the fact,
-// as corrupted MAIN/PROC/COMM profiles or silently wrong values.
+// golang.org/x/tools/go/analysis, for what this repository's runtime
+// cannot check as it runs. Its one rule, rawoffset, flags hand-rolled
+// symmetric-heap offsets, which silently alias a neighbouring object;
+// the FA-BSP contract itself (matched collectives, no waiting in a
+// handler, Send after Done) is checked by the runtime (DESIGN.md §5).
 //
 // The framework loads whole programs from go-style patterns (./...):
 // every requested package plus its module-internal dependency closure is
 // type-checked in dependency order against a shared types.Info, so
 // rules see real cross-package objects in Uses/Defs/Selections — never
-// stubs. On top of the loader sit a call graph, a handler finder that
-// resolves every registered batch handler, interprocedural dataflow
-// summaries, and a per-function taint engine that the lifetime rule
-// (escapingview) consumes. Run collects position-tagged Diagnostics,
-// honors //actorvet:ignore suppression directives (validating them, and
+// stubs. Run collects position-tagged Diagnostics, honors
+// //actorvet:ignore suppression directives (validating them, and
 // warning when they suppress nothing), and Report renders text or SARIF.
 // The shipped rules are the Rules table; each one's Doc explains the
-// invariant and ties it to the paper's region semantics (see DESIGN.md
-// §11).
+// invariant (see DESIGN.md §11).
 package analysis
 
 import (
@@ -29,9 +25,9 @@ import (
 // Severity classifies a diagnostic.
 type Severity string
 
-// Severity levels. Errors are invariant violations that deadlock or
-// corrupt a run; warnings are discipline violations that degrade
-// profiles or bypass safety rails.
+// Severity levels. An error is a directive naming an unknown rule,
+// which silently suppresses nothing; warnings are discipline violations
+// that bypass safety rails, and directives that suppress nothing.
 const (
 	SeverityError   Severity = "error"
 	SeverityWarning Severity = "warning"
@@ -74,10 +70,6 @@ type Rule struct {
 type Pass struct {
 	// Pkg is the package under analysis.
 	Pkg *Package
-	// Prog is the whole program the package was loaded into: the full
-	// dependency closure, shared type info, call graph, and
-	// interprocedural summaries.
-	Prog *Program
 
 	rule Rule
 	sink func(Diagnostic)

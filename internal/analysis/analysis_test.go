@@ -3,7 +3,6 @@ package analysis
 import (
 	"os"
 	"path/filepath"
-	"slices"
 	"testing"
 	"time"
 )
@@ -15,19 +14,7 @@ type loc struct{ line, col int }
 // produce — rule IDs and positions are part of the contract (README
 // documents the directive placement relative to them).
 var analyzerGolden = map[string][]loc{
-	"unpairedregion": {{12, 2}, {24, 2}, {41, 9}, {46, 2}, {47, 6}},
-	"rawoffset":      {{7, 17}, {8, 23}, {9, 21}, {10, 32}},
-	"escapingview":   {{18, 2}, {23, 3}, {29, 10}, {39, 7}, {49, 9}, {58, 9}, {65, 9}, {77, 9}, {90, 3}, {96, 3}, {102, 12}, {109, 8}, {116, 10}, {123, 2}},
-}
-
-// ruleNamed returns the rule with the given ID from the Rules table.
-func ruleNamed(t *testing.T, name string) Rule {
-	t.Helper()
-	i := slices.IndexFunc(Rules, func(r Rule) bool { return r.Name == name })
-	if i < 0 {
-		t.Fatalf("no rule named %s", name)
-	}
-	return Rules[i]
+	"rawoffset": {{7, 17}, {8, 23}, {9, 21}, {10, 32}},
 }
 
 func loadFixture(t *testing.T, dir string) *Program {
@@ -42,12 +29,12 @@ func loadFixture(t *testing.T, dir string) *Program {
 	return prog
 }
 
-// TestAnalyzerGolden runs each rule alone over its known-bad fixture
+// TestAnalyzerGolden runs the suite over each rule's known-bad fixture
 // and asserts the exact rule IDs and positions.
 func TestAnalyzerGolden(t *testing.T) {
 	for rule, want := range analyzerGolden {
 		t.Run(rule, func(t *testing.T) {
-			diags := Run(loadFixture(t, rule), []Rule{ruleNamed(t, rule)})
+			diags := Run(loadFixture(t, rule))
 			wantFile := filepath.Join("testdata", "src", rule, "bad.go")
 			if len(diags) != len(want) {
 				t.Fatalf("got %d findings, want %d: %+v", len(diags), len(want), diags)
@@ -77,7 +64,7 @@ func TestAnalyzerGolden(t *testing.T) {
 func TestFullSuiteOnFixtures(t *testing.T) {
 	for rule, want := range analyzerGolden {
 		t.Run(rule, func(t *testing.T) {
-			diags := Run(loadFixture(t, rule), Rules)
+			diags := Run(loadFixture(t, rule))
 			if len(diags) != len(want) {
 				t.Fatalf("full suite: got %d findings, want %d: %+v", len(diags), len(want), diags)
 			}
@@ -92,7 +79,7 @@ func TestFullSuiteOnFixtures(t *testing.T) {
 
 // TestCleanFixture asserts zero findings on the well-behaved program.
 func TestCleanFixture(t *testing.T) {
-	if diags := Run(loadFixture(t, "clean"), Rules); len(diags) != 0 {
+	if diags := Run(loadFixture(t, "clean")); len(diags) != 0 {
 		t.Fatalf("clean fixture produced findings: %+v", diags)
 	}
 }
@@ -102,7 +89,7 @@ func TestCleanFixture(t *testing.T) {
 // directive — which therefore suppressed nothing — is itself reported
 // stale.
 func TestIgnoreDirectives(t *testing.T) {
-	diags := Run(loadFixture(t, "ignored"), Rules)
+	diags := Run(loadFixture(t, "ignored"))
 	want := []struct {
 		rule string
 		at   loc
@@ -127,7 +114,7 @@ func TestIgnoreDirectives(t *testing.T) {
 // name is a loud baddirective error (and suppresses nothing), and
 // directives that suppress nothing are staleignore warnings.
 func TestDirectiveEdgeCases(t *testing.T) {
-	diags := Run(loadFixture(t, "directives"), Rules)
+	diags := Run(loadFixture(t, "directives"))
 	want := []struct {
 		rule string
 		at   loc
@@ -149,26 +136,12 @@ func TestDirectiveEdgeCases(t *testing.T) {
 	}
 }
 
-// TestStaleIgnoreNotJudgedUnderFilter asserts a -rules style filtered
-// run does not falsely call directives for inactive rules stale.
-func TestStaleIgnoreNotJudgedUnderFilter(t *testing.T) {
-	prog := loadFixture(t, "directives")
-	diags := Run(prog, []Rule{ruleNamed(t, "rawoffset")})
-	for _, d := range diags {
-		if d.Rule == "staleignore" {
-			t.Errorf("filtered run judged a directive stale: %s at %s", d.Message, d.Position())
-		}
-	}
-}
-
-// TestSeverities pins the severity split: rules whose violations
-// deadlock or corrupt data are errors, discipline rules are warnings.
-// (The directive checks' severities are pinned by TestDirectiveEdgeCases.)
+// TestSeverities pins the severity of every rule: rawoffset is a
+// discipline rule, a warning. (The directive checks' severities are
+// pinned by TestDirectiveEdgeCases.)
 func TestSeverities(t *testing.T) {
 	want := map[string]Severity{
-		"escapingview":   SeverityError,
-		"unpairedregion": SeverityWarning,
-		"rawoffset":      SeverityWarning,
+		"rawoffset": SeverityWarning,
 	}
 	if len(Rules) != len(want) {
 		t.Fatalf("suite has %d rules, want %d", len(Rules), len(want))
@@ -271,7 +244,7 @@ func TestWholeRepoAnalysisBudget(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading whole repo: %v", err)
 	}
-	diags := Run(prog, Rules)
+	diags := Run(prog)
 	elapsed := time.Since(start)
 	for _, d := range diags {
 		t.Errorf("repo is not actorvet-clean: %s: %s [%s]", d.Position(), d.Message, d.Rule)

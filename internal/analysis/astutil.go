@@ -45,9 +45,9 @@ func pathHasSuffix(path, suffix string) bool {
 	return path == suffix || strings.HasSuffix(path, "/"+suffix)
 }
 
-// exprKey renders a receiver expression to a stable string key — pe,
-// rt.pc, s.convs — for grouping calls by receiver. Unrenderable shapes
-// (calls, index expressions with computed indices) return "".
+// exprKey renders a receiver expression for messages — pe, rt.pc,
+// s.convs. Unrenderable shapes (calls, index expressions with computed
+// indices) return "".
 func exprKey(e ast.Expr) string {
 	switch e := unparen(e).(type) {
 	case *ast.Ident:
@@ -58,18 +58,6 @@ func exprKey(e ast.Expr) string {
 		}
 	}
 	return ""
-}
-
-// funcBodies yields the body of every function declaration in the
-// file. Function literals are not yielded on their own: the rules walk
-// them from within the enclosing body, as executing at their lexical
-// position, so nothing is visited (or reported) twice.
-func funcBodies(f *ast.File, visit func(body *ast.BlockStmt)) {
-	for _, decl := range f.Decls {
-		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-			visit(fd.Body)
-		}
-	}
 }
 
 // unparen strips parentheses from an expression (ast.Unparen arrived in

@@ -35,7 +35,7 @@ const (
 
 // Names of the directive-checking pseudo-rules. They are not in Rules —
 // Run emits them while validating the ignore index — but they occupy the
-// same rule namespace so they can be filtered and suppressed uniformly.
+// same rule namespace, so a directive may name them.
 const (
 	ruleBadDirective = "baddirective"
 	ruleStaleIgnore  = "staleignore"
@@ -186,11 +186,11 @@ func matchRules(set map[string]bool, rule string) bool {
 	return set != nil && (set[""] || set[rule])
 }
 
-// validate emits baddirective diagnostics for rule names that do not
-// exist. knownRules is the full rule namespace — every shipped rule
-// plus the pseudo-rules — regardless of any -rules filter, so a filtered
-// run still catches typos.
-func (idx *ignoreIndex) validate(knownRules map[string]bool, sink func(Diagnostic)) {
+// check emits a baddirective diagnostic for each directive that names
+// a rule outside knownRules (the full rule namespace: every shipped rule
+// plus the pseudo-rules), and a staleignore diagnostic for each other
+// directive that suppressed nothing.
+func (idx *ignoreIndex) check(knownRules map[string]bool, sink func(Diagnostic)) {
 	for _, e := range idx.entries {
 		var bad []string
 		for r := range e.rules {
@@ -198,50 +198,19 @@ func (idx *ignoreIndex) validate(knownRules map[string]bool, sink func(Diagnosti
 				bad = append(bad, r)
 			}
 		}
-		if len(bad) == 0 {
+		d := Diagnostic{File: e.position.Filename, Line: e.position.Line, Col: e.position.Column}
+		switch {
+		case len(bad) > 0:
+			sort.Strings(bad)
+			d.Rule, d.Severity = ruleBadDirective, SeverityError
+			d.Message = "//actorvet:ignore names unknown rule(s) " + strings.Join(bad, ", ") +
+				"; a typo here silently suppresses nothing — fix the rule name or delete the directive"
+		case !e.used:
+			d.Rule, d.Severity = ruleStaleIgnore, SeverityWarning
+			d.Message = "//actorvet:ignore directive suppresses nothing; the violation it justified is gone — delete the directive"
+		default:
 			continue
 		}
-		sort.Strings(bad)
-		sink(Diagnostic{
-			Rule:     ruleBadDirective,
-			Severity: SeverityError,
-			File:     e.position.Filename,
-			Line:     e.position.Line,
-			Col:      e.position.Column,
-			Message: "//actorvet:ignore names unknown rule(s) " + strings.Join(bad, ", ") +
-				"; a typo here silently suppresses nothing — fix the rule name or delete the directive",
-		})
-	}
-}
-
-// reportStale emits staleignore diagnostics for directives that
-// suppressed nothing. A directive is only judged against the rules that
-// actually ran: under a -rules filter, a directive for an inactive
-// rule is skipped rather than falsely called stale (wildcard directives
-// are judged only when the full suite ran).
-func (idx *ignoreIndex) reportStale(activeRules map[string]bool, fullSuite bool, sink func(Diagnostic)) {
-	for _, e := range idx.entries {
-		if e.used {
-			continue
-		}
-		judgeable := true
-		for r := range e.rules {
-			if r == "" {
-				judgeable = fullSuite
-			} else if !activeRules[r] {
-				judgeable = false
-			}
-		}
-		if !judgeable {
-			continue
-		}
-		sink(Diagnostic{
-			Rule:     ruleStaleIgnore,
-			Severity: SeverityWarning,
-			File:     e.position.Filename,
-			Line:     e.position.Line,
-			Col:      e.position.Column,
-			Message:  "//actorvet:ignore directive suppresses nothing; the violation it justified is gone — delete the directive",
-		})
+		sink(d)
 	}
 }

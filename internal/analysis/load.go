@@ -66,12 +66,6 @@ type Program struct {
 
 	// byPath indexes All by import path.
 	byPath map[string]*Package
-
-	// built lazily by Run (guarded by once): the call graph and the
-	// interprocedural dataflow summaries shared by the analyzers.
-	factsOnce sync.Once
-	callgraph *callGraph
-	summaries *summaryTable
 }
 
 // PackageOf returns the loaded package with the given import path, or nil.

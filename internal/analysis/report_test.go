@@ -11,15 +11,20 @@ import (
 func sampleDiags() []Diagnostic {
 	return []Diagnostic{
 		{
-			Rule: "escapingview", Severity: SeverityError,
+			Rule: "rawoffset", Severity: SeverityWarning,
 			File: "pkg/a.go", Line: 13, Col: 3,
-			Message: "borrowed view v escapes its borrow",
-			Fix:     "copy the elements first",
+			Message: "raw symmetric-heap offset arithmetic in pe.PutInt64",
+			Fix:     "use shmem.AllocInt64Array",
 		},
 		{
 			Rule: "rawoffset", Severity: SeverityWarning,
 			File: "pkg/b.go", Line: 7, Col: 17,
 			Message: "raw symmetric-heap offset arithmetic",
+		},
+		{
+			Rule: "baddirective", Severity: SeverityError,
+			File: "pkg/b.go", Line: 9, Col: 2,
+			Message: "//actorvet:ignore names unknown rule(s) nosuchrule",
 		},
 	}
 }
@@ -30,10 +35,11 @@ func TestTextReporterGolden(t *testing.T) {
 	if err := Report(&b, sampleDiags(), TextVerbose); err != nil {
 		t.Fatal(err)
 	}
-	want := "pkg/a.go:13:3: error: borrowed view v escapes its borrow [escapingview]\n" +
-		"\tfix: copy the elements first\n" +
+	want := "pkg/a.go:13:3: warning: raw symmetric-heap offset arithmetic in pe.PutInt64 [rawoffset]\n" +
+		"\tfix: use shmem.AllocInt64Array\n" +
 		"pkg/b.go:7:17: warning: raw symmetric-heap offset arithmetic [rawoffset]\n" +
-		"2 finding(s)\n"
+		"pkg/b.go:9:2: error: //actorvet:ignore names unknown rule(s) nosuchrule [baddirective]\n" +
+		"3 finding(s)\n"
 	if b.String() != want {
 		t.Errorf("text report:\n%s\nwant:\n%s", b.String(), want)
 	}
@@ -97,12 +103,12 @@ func TestSARIFReporterGolden(t *testing.T) {
 		t.Fatalf("version = %q, runs = %d; want 2.1.0 with one run", doc.Version, len(doc.Runs))
 	}
 	run := doc.Runs[0]
-	if run.Tool.Driver.Name != "actorvet" || len(run.Tool.Driver.Rules) != 2 || len(run.Results) != 2 {
-		t.Fatalf("driver = %q with %d rules, %d results; want actorvet with 2 rules, 2 results",
+	if run.Tool.Driver.Name != "actorvet" || len(run.Tool.Driver.Rules) != 2 || len(run.Results) != 3 {
+		t.Fatalf("driver = %q with %d rules, %d results; want actorvet with 2 rules, 3 results",
 			run.Tool.Driver.Name, len(run.Tool.Driver.Rules), len(run.Results))
 	}
-	if run.Results[0].Level != "error" || run.Results[1].Level != "warning" {
-		t.Errorf("levels = %s, %s; want error, warning", run.Results[0].Level, run.Results[1].Level)
+	if run.Results[0].Level != "warning" || run.Results[2].Level != "error" {
+		t.Errorf("levels = %s, %s; want warning, error", run.Results[0].Level, run.Results[2].Level)
 	}
 
 	// The empty document is still a well-formed run (code scanning

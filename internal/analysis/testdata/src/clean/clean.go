@@ -33,9 +33,10 @@ func wellBehaved(pe *shmem.PE, rt *actor.Runtime) error {
 
 func measuredSegment(rt *actor.Runtime, engine *papi.Engine) []int64 {
 	es, _ := papi.NewEventSet(engine, papi.TOT_INS)
-	rt.Pause()
-	es.Start()
-	deltas := es.Stop()
-	rt.Resume()
+	var deltas []int64
+	rt.Unprofiled(func() {
+		es.Start()
+		deltas = es.Stop()
+	})
 	return deltas
 }

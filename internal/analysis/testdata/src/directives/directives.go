@@ -23,7 +23,7 @@ func unknownRule(pe *shmem.PE, base, i int) {
 }
 
 func staleDirective(pe *shmem.PE, off int) {
-	pe.PutInt64(1, off, 7) //actorvet:ignore unpairedregion nothing to pair here
+	pe.PutInt64(1, off, 7) //actorvet:ignore rawoffset an opaque offset, nothing to suppress
 }
 
 func staleWildcard(pe *shmem.PE) {

@@ -19,5 +19,5 @@ func suppressedAllRules(pe *shmem.PE, base, i int) {
 }
 
 func wrongRuleDoesNotSuppress(pe *shmem.PE, base, i int) {
-	pe.PutInt64(1, base+8*i, 7) //actorvet:ignore unpairedregion (line 22: still reported)
+	pe.PutInt64(1, base+8*i, 7) //actorvet:ignore staleignore (line 22: still reported)
 }

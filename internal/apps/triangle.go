@@ -28,8 +28,8 @@ import (
 // exists. Returns the global triangle count (identical on every PE).
 //
 // The kernel - and only the kernel - is profiled, matching the case
-// study: callers that want setup excluded should Pause the runtime
-// around graph construction, not around this call.
+// study: callers that want setup excluded should run graph
+// construction in rt.Unprofiled, not this call.
 func TriangleCount(rt *actor.Runtime, g *graph.Graph, dist graph.Distribution) (int64, error) {
 	pe := rt.PE()
 	if dist.NumPEs() != pe.NumPEs() {

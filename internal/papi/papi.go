@@ -258,5 +258,24 @@ func (s *EventSet) PeekInto(dst []int64) {
 	}
 }
 
+// Exclude runs fn and leaves the counts it charges out of the running
+// region: the next Peek or Stop reads what was charged before and after
+// fn, as if fn had not run. fn must not stop, start or Exclude on the
+// set. On a stopped set, fn simply runs.
+func (s *EventSet) Exclude(fn func()) {
+	if !s.running {
+		fn()
+		return
+	}
+	var before [MaxConcurrentEvents]int64
+	for i, ev := range s.events {
+		before[i] = s.engine.Read(ev)
+	}
+	fn()
+	for i, ev := range s.events {
+		s.base[i] += s.engine.Read(ev) - before[i]
+	}
+}
+
 // Running reports whether the set is currently recording.
 func (s *EventSet) Running() bool { return s.running }

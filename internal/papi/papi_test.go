@@ -120,6 +120,24 @@ func TestEventSetRegionDeltas(t *testing.T) {
 	}
 }
 
+// Counts charged inside Exclude stay out of the region; those around it
+// stay in.
+func TestEventSetExclude(t *testing.T) {
+	e := NewEngine()
+	s, err := NewEventSet(e, TOT_INS, LST_INS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Exclude(func() { e.Tally(&Work{Ins: 7}) }) // stopped: just runs
+	s.Start()
+	e.Tally(&Work{Ins: 10, LstIns: 4})
+	s.Exclude(func() { e.Tally(&Work{Ins: 1000, LstIns: 100}) })
+	e.Tally(&Work{Ins: 20})
+	if got := s.Stop(); got[0] != 30 || got[1] != 4 {
+		t.Fatalf("Stop = %v, want [30 4]", got)
+	}
+}
+
 // The into-buffer reads are what the collector's send path uses: same
 // deltas as Peek/Stop, into the caller's memory, without allocating.
 func TestEventSetIntoBuffer(t *testing.T) {

@@ -1,11 +1,12 @@
 package shmem
 
-// This file is the package's static-analysis contract: canonical lists of
-// the OpenSHMEM entry points whose calling disciplines the actorvet
-// analyzers (internal/analysis) enforce. Keeping the lists next to the
-// methods they describe means a new RMA routine is added in one review,
-// not rediscovered by the linter months later. The collective and
-// handler disciplines are checked where they run (sync.go).
+// This file is the package's static-analysis contract: the canonical
+// list of the OpenSHMEM entry points that address the symmetric heap by
+// raw offset, which actorvet's rawoffset rule (internal/analysis)
+// checks. Keeping the list next to the methods it describes means a new
+// RMA routine is added in one review, not rediscovered by the linter
+// months later. The collective and handler disciplines are checked where
+// they run (sync.go).
 
 // RawOffsetMethods returns, for each *PE (and Int64Array-bypassing) RMA
 // method that addresses the symmetric heap by raw byte offset, the index

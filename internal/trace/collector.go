@@ -81,7 +81,7 @@ func (c *Collector) ForPE(pe int, engine *papi.Engine) *PECollector {
 		// The PAPI region deliberately spans the PE's whole lifetime:
 		// started here, read out and restarted by flushPAPI, stopped for
 		// good in Close.
-		es.Start() //actorvet:ignore unpairedregion
+		es.Start()
 	}
 	return pc
 }
@@ -201,6 +201,18 @@ func (p *PECollector) SegmentExit(tok SegmentToken, cycles int64) {
 	}
 }
 
+// Unprofiled runs fn with the PAPI counters it charges left out of this
+// PE's records, aggregate totals and Close's residual record (see
+// Runtime.Unprofiled). Counters charged before it still reach the next
+// record.
+func (p *PECollector) Unprofiled(fn func()) {
+	if p.eventSet == nil {
+		fn()
+		return
+	}
+	p.eventSet.Exclude(fn)
+}
+
 // LogicalSend records one application-level send of msgSize payload bytes
 // to PE dst via the given mailbox. It feeds both the logical trace and
 // the PAPI trace, as in ActorProf's instrumentation of HClib-Actor.
@@ -265,7 +277,7 @@ func (p *PECollector) flushPAPI() {
 	counters := p.stopCounters()
 	// Re-opens the lifetime-long region of ForPE that stopCounters just
 	// read out.
-	p.eventSet.Start() //actorvet:ignore unpairedregion
+	p.eventSet.Start()
 	p.recordPAPI(p.pendingDst, p.pendingPkt, p.pendingMailbox, p.pendingSends, counters)
 	p.pendingSends = 0
 }
