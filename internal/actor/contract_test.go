@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"actorprof/internal/papi"
 	"actorprof/internal/shmem"
 	"actorprof/internal/trace"
 )
@@ -87,5 +88,27 @@ func TestFinishOnOneNodeFails(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("Run returned %v, want an error naming %q", err, want)
 		}
+	}
+}
+
+func TestUnprofiledInAMeasuredFinishFails(t *testing.T) {
+	// A measured Finish's breakdown has no way to leave fn's cycles out,
+	// so Unprofiled refuses to run inside one instead of charging them
+	// to MAIN.
+	c := cfg(2, 2)
+	coll, err := trace.NewCollector(trace.Config{Overall: true}, c.Machine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = runDeadline(t, 30*time.Second, c, func(pe *shmem.PE) {
+		rt := NewRuntime(pe, RuntimeOptions{Collector: coll})
+		rt.Finish(func() {
+			rt.Unprofiled(func() { rt.Work(papi.Work{Ins: 1000000}) })
+		})
+		rt.Close()
+	})
+	want := `actor: PE \d called Unprofiled inside a measured Finish; move the phase outside the Finish`
+	if err == nil || !regexp.MustCompile(want).MatchString(err.Error()) {
+		t.Fatalf("Run returned %v, want an error matching %q", err, want)
 	}
 }

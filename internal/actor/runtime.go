@@ -1,6 +1,8 @@
 package actor
 
 import (
+	"fmt"
+
 	"actorprof/internal/conveyor"
 	"actorprof/internal/hclib"
 	"actorprof/internal/papi"
@@ -95,9 +97,14 @@ func (rt *Runtime) Engine() *papi.Engine { return rt.engine }
 // physical or PAPI record, a Finish in it adds nothing to the overall
 // breakdown, and the PAPI counters it charges reach no record, total or
 // residual; counters charged before it still reach the next record.
-// Calls nest. A Segment around fn still measures it whole, and so does
-// the overall breakdown of a Finish whose body calls it.
+// Calls nest. A Segment around fn still measures it whole.
+//
+// A measured Finish's breakdown would charge fn's cycles to MAIN, so
+// Unprofiled panics inside one: the phase belongs outside the Finish.
 func (rt *Runtime) Unprofiled(fn func()) {
+	if rt.profiling {
+		panic(fmt.Sprintf("actor: PE %d called Unprofiled inside a measured Finish; move the phase outside the Finish", rt.pe.Rank()))
+	}
 	if rt.paused {
 		fn()
 		return

@@ -3,7 +3,6 @@ package conveyor
 // The transport owns the symmetric slot layout (ack words, sequence
 // words, length-prefixed payload slots) and addresses it by raw byte
 // offset by design; the typed Int64Array view cannot express it.
-//actorvet:ignore-file rawoffset
 
 import (
 	"encoding/binary"

@@ -6,7 +6,9 @@ import "fmt"
 // len elements at the same heap offset, the idiomatic shape of SHMEM
 // programs (symmetric tables, counters, signal arrays). Methods mirror
 // the OpenSHMEM typed RMA calls. An Int64Array value is per-PE (it wraps
-// that PE's handle) but addresses the whole symmetric object.
+// that PE's handle) but addresses the whole symmetric object. It is how
+// an application reaches the symmetric heap: every index is checked, and
+// the view exposes no raw offset, which is the transport's API.
 type Int64Array struct {
 	pe  *PE
 	off int
@@ -25,10 +27,6 @@ func AllocInt64Array(pe *PE, n int) Int64Array {
 
 // Len returns the per-PE element count.
 func (a Int64Array) Len() int { return a.n }
-
-// Offset returns the symmetric heap offset (useful for interop with raw
-// RMA calls).
-func (a Int64Array) Offset() int { return a.off }
 
 func (a Int64Array) check(i int) {
 	if i < 0 || i >= a.n {

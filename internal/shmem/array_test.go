@@ -77,7 +77,7 @@ func TestAllocInt64ArraySymmetric(t *testing.T) {
 	offs := make([]int, 4)
 	run(t, 4, 2, func(pe *PE) {
 		a := AllocInt64Array(pe, 5)
-		offs[pe.Rank()] = a.Offset()
+		offs[pe.Rank()] = a.off
 		pe.Barrier()
 	})
 	for i := 1; i < 4; i++ {
