@@ -416,10 +416,10 @@ func TestSendAndRecvCounts(t *testing.T) {
 			}
 			sel.Done(0)
 		})
-		if sel.SendCount(0) != n {
+		if sel.sendCount[0] != n {
 			panic("send count mismatch")
 		}
-		if sel.RecvCount(0) != n {
+		if sel.recvCount[0] != n {
 			panic("recv count mismatch: each PE receives n from its neighbor")
 		}
 		rt.Close()
@@ -509,35 +509,8 @@ func TestTwoSelectorsConcurrently(t *testing.T) {
 		if sumB != 5*n {
 			panic("selector B lost messages")
 		}
-		if !a.Finished() || !b.Finished() {
+		if !a.finished || !b.finished {
 			panic("selectors not finished after finish scope")
-		}
-		rt.Close()
-		pe.Barrier()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDoneAll(t *testing.T) {
-	const npes = 4
-	err := shmem.Run(cfg(npes, 2), func(pe *shmem.PE) {
-		rt := NewRuntime(pe, RuntimeOptions{})
-		sel, _ := NewSelector(rt, 3, Int64Codec())
-		var got int64
-		for mb := 0; mb < 3; mb++ {
-			sel.Process(mb, func(v int64, src int) { got += v })
-		}
-		rt.Finish(func() {
-			sel.Start()
-			for mb := 0; mb < 3; mb++ {
-				sel.Send(mb, int64(mb+1), (pe.Rank()+1)%npes)
-			}
-			sel.DoneAll()
-		})
-		if got != 6 { // 1+2+3 from the left neighbor
-			panic("DoneAll lost messages")
 		}
 		rt.Close()
 		pe.Barrier()

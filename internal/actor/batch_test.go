@@ -46,7 +46,7 @@ func TestProcessBatchDelivery(t *testing.T) {
 		})
 		mu.Lock()
 		sums[pe.Rank()] = sum
-		recvs[pe.Rank()] = sel.RecvCount(0)
+		recvs[pe.Rank()] = sel.recvCount[0]
 		mu.Unlock()
 		rt.Close()
 		pe.Barrier()
@@ -113,7 +113,7 @@ func TestBatchAccountingPerMessage(t *testing.T) {
 			sel.Done(0)
 		})
 		mu.Lock()
-		recvs[pe.Rank()] = sel.RecvCount(0)
+		recvs[pe.Rank()] = sel.recvCount[0]
 		mu.Unlock()
 		rt.Close()
 		pe.Barrier()
@@ -175,7 +175,8 @@ func TestProcessBatchValidation(t *testing.T) {
 			sel.Start()
 			mustPanic("Process after Start", perMessage(1))
 			mustPanic("ProcessBatch after Start", perRun(1))
-			sel.DoneAll()
+			sel.Done(0)
+			sel.Done(1)
 		})
 		rt.Close()
 	})

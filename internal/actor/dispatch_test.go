@@ -92,7 +92,7 @@ func observeLockstep(t *testing.T, bufItems int, inj fault.Injector,
 					}
 				}
 			})
-			obs.Recv[me] = [2]int64{sel.RecvCount(0), sel.RecvCount(1)}
+			obs.Recv[me] = [2]int64{sel.recvCount[0], sel.recvCount[1]}
 			for ev := range obs.PAPI[me] {
 				obs.PAPI[me][ev] = rt.Engine().Read(papi.Event(ev))
 			}

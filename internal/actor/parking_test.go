@@ -73,7 +73,7 @@ func TestTwoSelectorsOneTerminatesFirst(t *testing.T) {
 			}
 			b.Done(0)
 		})
-		if !a.Finished() || !b.Finished() {
+		if !a.finished || !b.finished {
 			panic("selectors not finished after the finish scope")
 		}
 		stats[me] = pe.ProgressStats()

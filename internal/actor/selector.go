@@ -168,15 +168,6 @@ func (s *Selector[T]) ProcessBatch(mb int, fn func(msgs []T, srcPEs []int)) {
 	s.mailboxes[mb].handler = fn
 }
 
-// NumMailboxes returns the number of mailboxes.
-func (s *Selector[T]) NumMailboxes() int { return len(s.mailboxes) }
-
-// SendCount returns how many messages this PE has sent via mailbox mb.
-func (s *Selector[T]) SendCount(mb int) int64 { s.checkMailbox(mb); return s.sendCount[mb] }
-
-// RecvCount returns how many messages this PE has handled on mailbox mb.
-func (s *Selector[T]) RecvCount(mb int) int64 { s.checkMailbox(mb); return s.recvCount[mb] }
-
 func (s *Selector[T]) checkMailbox(mb int) {
 	if mb < 0 || mb >= len(s.mailboxes) {
 		panic(fmt.Sprintf("actor: mailbox %d out of range (selector has %d)", mb, len(s.mailboxes)))
@@ -296,18 +287,6 @@ func (s *Selector[T]) Done(mb int) {
 	s.drain(mb)
 	rt.exitRuntime()
 }
-
-// DoneAll marks every mailbox done.
-func (s *Selector[T]) DoneAll() {
-	for mb := range s.mailboxes {
-		if !s.mailboxes[mb].done {
-			s.Done(mb)
-		}
-	}
-}
-
-// Finished reports whether the selector has fully terminated.
-func (s *Selector[T]) Finished() bool { return s.finished }
 
 // MailboxComplete reports whether mailbox mb has globally quiesced: its
 // conveyor terminated and every delivered message on this PE handled.

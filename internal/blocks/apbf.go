@@ -62,7 +62,7 @@ func Header(data []byte, wantKind byte) (ncols uint64, p int, err error) {
 }
 
 // AppendBlock codes rows 0..n-1 of cols (and strs, for the kinds that
-// have them) as one APBF block: the encoder of every writer and sealer.
+// have them) as one APBF block: every writer's encoder, Log.Seal's too.
 func AppendBlock(buf []byte, n int, strs []string, cols [][]int64) []byte {
 	buf = binary.AppendUvarint(buf, uint64(n))
 	for _, s := range strs {

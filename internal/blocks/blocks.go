@@ -1,9 +1,9 @@
 // Package blocks holds what a run's records are kept in as it goes.
 //
 // The APBF block kernel (apbf.go) codes and decodes the blocks of the
-// column-coded binary trace format: the trace collector seals a PE's
-// sends into them and the trace readers decode them (package trace), and
-// the schedule recorder seals a PE's events into them, which the what-if
+// column-coded binary trace format, and Log (log.go) is the one per-PE
+// recorder that seals rows into them: the trace collector a PE's sends
+// (package trace), the schedule recorder a PE's events, which the what-if
 // engines read a block at a time (package sim). A block is Len rows.
 //
 // Buf is the append-only record buffer behind the trace collector's
@@ -48,15 +48,6 @@ func (b *Buf[T]) grow() {
 		b.full = append(b.full, b.cur)
 	}
 	b.cur = make([]T, 0, Len)
-}
-
-// Last returns the most recently pushed value for the owner to amend, or
-// nil when the buffer is empty (cur is empty only then: grow precedes a Push).
-func (b *Buf[T]) Last() *T {
-	if n := len(b.cur); n > 0 {
-		return &b.cur[n-1]
-	}
-	return nil
 }
 
 // Len returns the number of values pushed since the last Flatten.

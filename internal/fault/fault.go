@@ -98,11 +98,6 @@ func (s Site) String() string {
 	}
 }
 
-// Deterministic reports whether the site's per-PE invocation sequence is
-// fixed by program structure (and its decisions therefore allowed to
-// charge virtual cycles).
-func (s Site) Deterministic() bool { return s <= SiteBufferCap }
-
 // Point identifies one hook invocation.
 type Point struct {
 	// PE is the rank of the processing element at the hook.

@@ -43,12 +43,6 @@ type finishScope struct {
 // New creates an empty scheduler context.
 func New() *Context { return &Context{} }
 
-// Executed returns the total number of tasks this context has run.
-func (c *Context) Executed() int64 { return c.executed }
-
-// Pending returns the number of queued tasks.
-func (c *Context) Pending() int { return c.n }
-
 // SoleDrainTask reports, from inside a running task, whether that task
 // was started by a Finish drain loop and no other task is queued. Then
 // nothing else can run on this context until the task returns - the

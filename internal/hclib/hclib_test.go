@@ -13,8 +13,8 @@ func TestFinishDrainsTasks(t *testing.T) {
 	if ran != 10 {
 		t.Fatalf("ran = %d, want 10", ran)
 	}
-	if c.Pending() != 0 {
-		t.Fatalf("pending = %d after finish", c.Pending())
+	if c.n != 0 {
+		t.Fatalf("pending = %d after finish", c.n)
 	}
 }
 
@@ -128,8 +128,8 @@ func TestExecutedCounter(t *testing.T) {
 			c.Async(func() {})
 		}
 	})
-	if c.Executed() != 7 {
-		t.Fatalf("Executed = %d, want 7", c.Executed())
+	if c.executed != 7 {
+		t.Fatalf("Executed = %d, want 7", c.executed)
 	}
 }
 
@@ -167,8 +167,8 @@ func TestQueueStaysFIFOAcrossGrowthAndWrap(t *testing.T) {
 			t.Fatalf("task order %v: position %d ran task %d", got, i, id)
 		}
 	}
-	if ctx.Pending() != 0 {
-		t.Errorf("%d tasks pending after Finish", ctx.Pending())
+	if ctx.n != 0 {
+		t.Errorf("%d tasks pending after Finish", ctx.n)
 	}
 }
 

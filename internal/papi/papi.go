@@ -19,10 +19,7 @@
 // PE performs, which the cost model attributes identically.
 package papi
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Event identifies a simulated PAPI preset event.
 type Event int
@@ -78,13 +75,6 @@ func EventByName(name string) (Event, error) {
 		}
 	}
 	return 0, fmt.Errorf("papi: unknown event %q", name)
-}
-
-// EventNames returns all preset names, sorted.
-func EventNames() []string {
-	out := append([]string(nil), eventNames[:]...)
-	sort.Strings(out)
-	return out
 }
 
 // Work describes a bundle of abstract machine work charged to the

@@ -19,9 +19,6 @@ func TestEventNamesRoundTrip(t *testing.T) {
 	if _, err := EventByName("PAPI_NOPE"); err == nil {
 		t.Fatal("expected error for unknown event")
 	}
-	if len(EventNames()) != NumEvents {
-		t.Fatalf("EventNames returned %d names", len(EventNames()))
-	}
 }
 
 func TestEngineTallyAndRead(t *testing.T) {

@@ -46,30 +46,11 @@ func (a Int64Array) Set(i int, v int64) {
 	a.pe.StoreInt64Local(a.off+8*i, v)
 }
 
-// PutRemote writes element i of PE target's copy (shmem_int64_p).
-func (a Int64Array) PutRemote(target, i int, v int64) {
-	a.check(i)
-	a.pe.PutInt64(target, a.off+8*i, v)
-}
-
-// GetRemote reads element i of PE target's copy (shmem_int64_g).
-func (a Int64Array) GetRemote(target, i int) int64 {
-	a.check(i)
-	return a.pe.GetInt64(target, a.off+8*i)
-}
-
 // AddRemote atomically adds delta to element i of PE target's copy and
 // returns the previous value (shmem_int64_atomic_fetch_add).
 func (a Int64Array) AddRemote(target, i int, delta int64) int64 {
 	a.check(i)
 	return a.pe.AtomicFetchAddInt64(target, a.off+8*i, delta)
-}
-
-// WaitUntil blocks until this PE's element i satisfies cmp against v
-// (shmem_int64_wait_until).
-func (a Int64Array) WaitUntil(i int, cmp WaitCmp, v int64) int64 {
-	a.check(i)
-	return a.pe.WaitUntilInt64(a.off+8*i, cmp, v)
 }
 
 // Local snapshots this PE's copy into a fresh slice.

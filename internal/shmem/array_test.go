@@ -29,7 +29,7 @@ func TestInt64ArrayRemoteOps(t *testing.T) {
 		a := AllocInt64Array(pe, 4)
 		pe.Barrier()
 		next := (pe.Rank() + 1) % 4
-		a.PutRemote(next, 0, int64(100+pe.Rank()))
+		pe.PutInt64(next, a.off, int64(100+pe.Rank()))
 		a.AddRemote(next, 1, int64(pe.Rank()+1))
 		pe.Barrier()
 		prev := (pe.Rank() + 3) % 4
@@ -39,8 +39,8 @@ func TestInt64ArrayRemoteOps(t *testing.T) {
 		if got := a.Get(1); got != int64(prev+1) {
 			t.Errorf("PE %d element 1 = %d, want %d", pe.Rank(), got, prev+1)
 		}
-		if got := a.GetRemote(next, 0); got != int64(100+pe.Rank()) {
-			t.Errorf("GetRemote = %d", got)
+		if got := pe.GetInt64(next, a.off); got != int64(100+pe.Rank()) {
+			t.Errorf("GetInt64 = %d", got)
 		}
 		pe.Barrier()
 	})
@@ -51,11 +51,11 @@ func TestInt64ArrayWaitUntil(t *testing.T) {
 		a := AllocInt64Array(pe, 1)
 		pe.Barrier()
 		if pe.Rank() == 0 {
-			if got := a.WaitUntil(0, CmpEq, 42); got != 42 {
-				t.Errorf("WaitUntil = %d", got)
+			if got := pe.WaitUntilInt64(a.off, CmpEq, 42); got != 42 {
+				t.Errorf("WaitUntilInt64 = %d", got)
 			}
 		} else {
-			a.PutRemote(0, 0, 42)
+			pe.PutInt64(0, a.off, 42)
 		}
 		pe.Barrier()
 	})

@@ -184,7 +184,6 @@ func TestCallsThatWaitPanicInAHandler(t *testing.T) {
 		{"Malloc", func(pe *PE, _ Int64Array) { pe.Malloc(8) }},
 		{"Malloc", func(pe *PE, _ Int64Array) { AllocInt64Array(pe, 1) }},
 		{"WaitUntilInt64", func(pe *PE, a Int64Array) { pe.WaitUntilInt64(a.off, CmpEq, 0) }},
-		{"WaitUntilInt64", func(pe *PE, a Int64Array) { a.WaitUntil(0, CmpEq, 0) }},
 	} {
 		run(t, 2, 2, func(pe *PE) {
 			a := AllocInt64Array(pe, 1)

@@ -159,8 +159,3 @@ func (p *PE) StoreInt64Local(offset int, v int64) {
 func (p *PE) LoadBytesLocal(offset int, buf []byte) {
 	p.rawRead(p.rank, offset, buf)
 }
-
-// StoreBytesLocal writes data into this PE's own heap.
-func (p *PE) StoreBytesLocal(offset int, data []byte) {
-	p.rawWrite(p.rank, offset, data)
-}

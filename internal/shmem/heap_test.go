@@ -95,7 +95,7 @@ func TestHeapNeverMoves(t *testing.T) {
 		sizes := []int{0, 8, 13, 200, 4096, 1, 72, 30000}
 		for i := 0; i < 1000; i++ {
 			off := pe.Malloc(sizes[i%len(sizes)])
-			pe.StoreBytesLocal(off, make([]byte, sizes[i%len(sizes)])) // every byte of it is addressable
+			pe.LoadBytesLocal(off, make([]byte, sizes[i%len(sizes)])) // every byte of it is addressable
 		}
 		if now := pe.word(pe.rank, first+8); now != w || *now != 42+int64(pe.rank) {
 			t.Errorf("PE %d: the word at %d was at %p and is at %p holding %d", pe.rank, first+8, w, now, *now)

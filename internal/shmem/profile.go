@@ -16,7 +16,6 @@ const (
 	RoutinePutNBI
 	RoutineGet
 	RoutineQuiet
-	RoutineFence
 	RoutineAtomicFetchAdd
 	RoutineCopyLocal
 	RoutineReadLocal
@@ -29,7 +28,6 @@ var routineNames = [...]string{
 	RoutinePutNBI:         "shmem_putmem_nbi",
 	RoutineGet:            "shmem_getmem",
 	RoutineQuiet:          "shmem_quiet",
-	RoutineFence:          "shmem_fence",
 	RoutineAtomicFetchAdd: "shmem_atomic_fetch_add",
 	RoutineCopyLocal:      "shmem_ptr_memcpy",
 	RoutineReadLocal:      "shmem_ptr_read",

@@ -37,8 +37,8 @@ func (p *PE) PutInt64(target, offset int, v int64) {
 }
 
 // PutNBI is a non-blocking put (shmem_putmem_nbi). The write is buffered
-// at the initiator and becomes visible at the target only after Quiet (or
-// Fence). This is stricter than the OpenSHMEM memory model - real NBI
+// at the initiator and becomes visible at the target only after Quiet.
+// This is stricter than the OpenSHMEM memory model - real NBI
 // puts may land at any time - but it is exactly the guarantee correct
 // protocols rely on, so running under the strict model surfaces protocol
 // bugs instead of hiding them behind eager delivery.
@@ -59,10 +59,6 @@ func (p *PE) PutNBI(target, offset int, data []byte) {
 	p.nbiStage = append(p.nbiStage, data...)
 	p.pendingNBI = append(p.pendingNBI, pendingWrite{target: target, offset: offset, start: start, end: len(p.nbiStage)})
 }
-
-// PendingNBI returns the number of buffered non-blocking puts (useful for
-// tests and for the profiler's bookkeeping).
-func (p *PE) PendingNBI() int { return len(p.pendingNBI) }
 
 // Quiet (shmem_quiet) completes all outstanding non-blocking puts issued
 // by this PE, to *all* destinations, making them visible remotely. The
@@ -92,15 +88,6 @@ func (p *PE) quiet() {
 		p.pendingNBI = p.pendingNBI[:0]
 		p.nbiStage = p.nbiStage[:0]
 	}
-}
-
-// Fence (shmem_fence) orders puts per destination. The simulation's
-// buffered-delivery model cannot reorder writes to a single destination,
-// so Fence only needs to flush, exactly like Quiet, but charges nothing
-// extra beyond quiet latency when work is outstanding.
-func (p *PE) Fence() {
-	p.prof(RoutineFence, 0)
-	p.quiet()
 }
 
 // Get is a blocking one-sided get (shmem_getmem). Charged like a

@@ -179,7 +179,7 @@ type PE struct {
 	bell doorbell
 
 	// pendingNBI holds writes issued by PutNBI that have not yet been
-	// flushed by Quiet/Fence; nbiStage is the arena holding their
+	// flushed by Quiet; nbiStage is the arena holding their
 	// payloads back to back. quiet rewinds both, so no staging slice
 	// outlives it. Only the owning goroutine touches them.
 	pendingNBI []pendingWrite

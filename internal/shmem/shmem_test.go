@@ -165,15 +165,15 @@ func TestPutNBIInvisibleUntilQuiet(t *testing.T) {
 		pe.Barrier()
 		if pe.Rank() == 0 {
 			pe.PutNBI(1, off, []byte{1, 2, 3, 4, 5, 6, 7, 8})
-			if pe.PendingNBI() != 1 {
-				t.Errorf("PendingNBI = %d, want 1", pe.PendingNBI())
+			if len(pe.pendingNBI) != 1 {
+				t.Errorf("PendingNBI = %d, want 1", len(pe.pendingNBI))
 			}
 			if got := pe.LoadInt64(1, off); got != 0 {
 				t.Errorf("NBI put visible before quiet: %d", got)
 			}
 			pe.Quiet()
-			if pe.PendingNBI() != 0 {
-				t.Errorf("PendingNBI after Quiet = %d, want 0", pe.PendingNBI())
+			if len(pe.pendingNBI) != 0 {
+				t.Errorf("PendingNBI after Quiet = %d, want 0", len(pe.pendingNBI))
 			}
 			if got := pe.LoadInt64(1, off); got == 0 {
 				t.Error("NBI put not visible after quiet")
@@ -227,8 +227,8 @@ func TestPutNBISnapshotsAndRewinds(t *testing.T) {
 					t.Errorf("arena never grew mid-batch (cap %d)", firstCap)
 				}
 				pe.Quiet()
-				if len(pe.nbiStage) != 0 || pe.PendingNBI() != 0 {
-					t.Errorf("round %d: quiet left %d staged bytes, %d pending", round, len(pe.nbiStage), pe.PendingNBI())
+				if len(pe.nbiStage) != 0 || len(pe.pendingNBI) != 0 {
+					t.Errorf("round %d: quiet left %d staged bytes, %d pending", round, len(pe.nbiStage), len(pe.pendingNBI))
 				}
 				for r := 0; r <= round; r++ {
 					at := off + r*total

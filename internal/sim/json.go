@@ -41,7 +41,7 @@ func (s *Schedule) WriteJSON(w io.Writer) error {
 			if b = append(b, '{'); l.Skew != 0 {
 				b = append(strconv.AppendInt(append(b, `"skew":`...), l.Skew, 10), ',')
 			}
-			if b = append(b, `"events":`...); l.rows+len(l.open[1]) == 0 {
+			if b = append(b, `"events":`...); l.log.Len() == 0 {
 				b = append(b, "null}"...)
 				continue
 			}

@@ -13,19 +13,20 @@ import (
 )
 
 // refLog is the recorder a schedule had before its logs were sealed as
-// blocks: Append merged instruction runs into a blocks.Buf of events, and
-// the hand-over flattened it. The sealed recorder must read back as it.
-type refLog struct{ pending blocks.Buf[Event] }
+// blocks: Append merged instruction runs into a plain slice of events.
+// The sealed recorder must read back as it.
+type refLog struct{ pending []Event }
 
 func (l *refLog) Append(kind EventKind, arg int64) {
-	if last := l.pending.Last(); kind == EvInstr && last != nil && last.Kind == EvInstr && last.Arg >= 0 && arg >= 0 {
+	if n := len(l.pending); kind == EvInstr && n > 0 && l.pending[n-1].Kind == EvInstr && l.pending[n-1].Arg >= 0 && arg >= 0 {
+		last := &l.pending[n-1]
 		ins, n := InstrRunParts(last.Arg)
 		if more, m := InstrRunParts(arg); more == ins && n+m <= math.MaxInt32 {
 			last.Arg = (n+m)<<32 | ins
 			return
 		}
 	}
-	l.pending.Push(Event{Kind: kind, Arg: arg})
+	l.pending = append(l.pending, Event{Kind: kind, Arg: arg})
 }
 
 // TestSealedRecorderMatchesReference: for seeded event sequences - every
@@ -59,7 +60,7 @@ func TestSealedRecorderMatchesReference(t *testing.T) {
 		// A run opens at each straddled row: markers, which never merge,
 		// fill the rows before it.
 		for _, row := range straddle {
-			for ref.pending.Len() < row {
+			for len(ref.pending) < row {
 				marker()
 			}
 			run()
@@ -71,7 +72,7 @@ func TestSealedRecorderMatchesReference(t *testing.T) {
 				add(k, rng.Int63()>>rng.Intn(63))
 			}
 		}
-		want := ref.pending.Flatten()
+		want := ref.pending
 		if got := eventsOf(rec.Schedule().PEs[0]); !reflect.DeepEqual(got, want) {
 			i := 0
 			for i < min(len(got), len(want)) && got[i] == want[i] {
@@ -107,8 +108,8 @@ func TestWalkGenStartsAtItsGeneration(t *testing.T) {
 			barriers++
 		}
 	}
-	if sealed.Barriers() != barriers || len(sealed.sealed) < 5 {
-		t.Fatalf("%d vs %d barriers in %d blocks", sealed.Barriers(), barriers, len(sealed.sealed))
+	if sealed.Barriers() != barriers || sealed.log.Blocks() < 5 {
+		t.Fatalf("%d vs %d barriers in %d blocks", sealed.Barriers(), barriers, sealed.log.Blocks())
 	}
 	read := func(c Cursor) []Event {
 		var out []Event
@@ -188,8 +189,8 @@ func FuzzReadScheduleShard(f *testing.F) {
 		}
 		_, _ = l.check(0)
 		got := eventsOf(l)
-		if len(got) != l.rows {
-			t.Fatalf("the walk read %d of the shard's %d events", len(got), l.rows)
+		if len(got) != l.log.Len() {
+			t.Fatalf("the walk read %d of the shard's %d events", len(got), l.log.Len())
 		}
 		if _, p, _ := blocks.Header(data, ScheduleKind); !bytes.Equal(shardOf(t, l)[len(hdr):], data[p:]) {
 			t.Fatal("WriteShard did not write back the blocks it read")

@@ -238,7 +238,7 @@ func (s *Schedule) Validate() error {
 func (s *Schedule) Events() int {
 	n := 0
 	for _, l := range s.PEs {
-		n += l.rows + len(l.open[1])
+		n += l.log.Len()
 	}
 	return n
 }
@@ -273,7 +273,7 @@ func (r *ScheduleRecorder) PE(rank int) *PELog { return r.s.PEs[rank] }
 // block; nothing is copied. Calling it again returns the same schedule.
 func (r *ScheduleRecorder) Schedule() *Schedule {
 	for _, l := range r.s.PEs {
-		l.close()
+		l.log.Close()
 	}
 	return &r.s
 }

@@ -212,7 +212,7 @@ func TestPELogBlocksMatchAppend(t *testing.T) {
 			if got := eventsOf(l); !reflect.DeepEqual(got, want[pe]) {
 				t.Fatalf("n=%d PE %d: sealed log differs from the appended one (%d vs %d events)", n, pe, len(got), len(want[pe]))
 			}
-			if len(l.open[1]) != 0 || cap(l.open[1]) != 0 {
+			if open, _ := l.log.Filling(); len(open) != 0 || cap(open) != 0 {
 				t.Errorf("n=%d PE %d: the schedule holds events outside its sealed blocks", n, pe)
 			}
 		}
@@ -223,9 +223,9 @@ func TestPELogBlocksMatchAppend(t *testing.T) {
 			t.Fatalf("n=%d: Validate after Schedule(): %v", n, err)
 		}
 
-		sealed := len(s.PEs[0].sealed)
+		sealed := s.PEs[0].log.Blocks()
 		again := rec.Schedule()
-		if again != s || !reflect.DeepEqual(eventsOf(again.PEs[1]), want[1]) || len(again.PEs[0].sealed) != sealed {
+		if again != s || !reflect.DeepEqual(eventsOf(again.PEs[1]), want[1]) || again.PEs[0].log.Blocks() != sealed {
 			t.Fatalf("n=%d: a second Schedule() changed the schedule", n)
 		}
 

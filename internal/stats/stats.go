@@ -31,9 +31,6 @@ func (q Quartiles) AppendTo(b []byte) []byte {
 
 var quartileKeys = [5]string{"min=", " q1=", " med=", " q3=", " max="}
 
-// IQR returns the interquartile range.
-func (q Quartiles) IQR() float64 { return q.Q3 - q.Q1 }
-
 // quantile computes the p-quantile (0..1) of sorted data with linear
 // interpolation (the same "linear" method numpy defaults to, keeping the
 // plots comparable with the paper's python tooling).
@@ -100,15 +97,6 @@ func Summarize(vals []float64) Quartiles {
 	}
 }
 
-// SummarizeInts computes the five-number summary of integer counts.
-func SummarizeInts(vals []int64) Quartiles {
-	f := make([]float64, len(vals))
-	for i, v := range vals {
-		f[i] = float64(v)
-	}
-	return Summarize(f)
-}
-
 // Mean returns the arithmetic mean (0 for empty input; NaNs ignored).
 func Mean(vals []float64) float64 {
 	vals = dropNaN(vals)
@@ -120,15 +108,6 @@ func Mean(vals []float64) float64 {
 		sum += v
 	}
 	return sum / float64(len(vals))
-}
-
-// MeanInts returns the arithmetic mean of integer counts.
-func MeanInts(vals []int64) float64 {
-	f := make([]float64, len(vals))
-	for i, v := range vals {
-		f[i] = float64(v)
-	}
-	return Mean(f)
 }
 
 // StdDev returns the population standard deviation (NaNs ignored).
@@ -211,7 +190,7 @@ func EstimateDensity(vals []float64, bins int) Density {
 }
 
 // Stream accumulates count/sum/min/max of int64 observations in O(1)
-// memory: the streaming-aggregation counterpart of SummarizeInts for
+// memory: the streaming-aggregation counterpart of Summarize for
 // scans that never materialize the value slice. All state is exact
 // integer arithmetic, so Merge is commutative and associative - partial
 // accumulators folded by parallel trace shards in any order produce the

@@ -56,9 +56,6 @@ func TestEmptyInputConsistency(t *testing.T) {
 	if q := Summarize(nil); q != (Quartiles{}) {
 		t.Errorf("Summarize(nil) = %+v, want zero summary", q)
 	}
-	if q := SummarizeInts(nil); q != (Quartiles{}) {
-		t.Errorf("SummarizeInts(nil) = %+v, want zero summary", q)
-	}
 	if m := Mean(nil); m != 0 {
 		t.Errorf("Mean(nil) = %v, want 0", m)
 	}
@@ -105,19 +102,6 @@ func TestMeanAndStdDev(t *testing.T) {
 	}
 	if Mean(nil) != 0 || StdDev(nil) != 0 {
 		t.Error("empty-input mean/stddev should be 0")
-	}
-}
-
-func TestMeanInts(t *testing.T) {
-	if m := MeanInts([]int64{1, 2, 3}); !almost(m, 2) {
-		t.Errorf("MeanInts = %v, want 2", m)
-	}
-}
-
-func TestSummarizeInts(t *testing.T) {
-	q := SummarizeInts([]int64{10, 20, 30})
-	if q.Median != 20 {
-		t.Errorf("median = %v, want 20", q.Median)
 	}
 }
 
@@ -172,13 +156,6 @@ func TestHistogram(t *testing.T) {
 		if counts[i] != want[i] {
 			t.Fatalf("histogram = %v, want %v", counts, want)
 		}
-	}
-}
-
-func TestIQR(t *testing.T) {
-	q := Quartiles{Q1: 2, Q3: 6}
-	if q.IQR() != 4 {
-		t.Fatalf("IQR = %v, want 4", q.IQR())
 	}
 }
 

@@ -78,42 +78,6 @@ func (m Matrix) AggregateNodes(perNode int) Matrix {
 	return out
 }
 
-// OverallByPE returns the breakdown records indexed by PE (nil entries
-// for PEs without a record).
-func (s *Set) OverallByPE() []*OverallRecord {
-	out := make([]*OverallRecord, s.NumPEs)
-	for i := range s.Overall {
-		r := s.Overall[i]
-		if r.PE >= 0 && r.PE < s.NumPEs {
-			out[r.PE] = &r
-		}
-	}
-	return out
-}
-
-// MaxOverMin returns max(vals)/min over positive entries; it is the
-// imbalance factor quoted throughout the paper's case study ("PE0 suffers
-// an imbalance of up to ~5x"). Returns 0 when no positive entries exist.
-func MaxOverMin(vals []int64) float64 {
-	var mx int64
-	mn := int64(-1)
-	for _, v := range vals {
-		if v <= 0 {
-			continue
-		}
-		if v > mx {
-			mx = v
-		}
-		if mn < 0 || v < mn {
-			mn = v
-		}
-	}
-	if mn <= 0 {
-		return 0
-	}
-	return float64(mx) / float64(mn)
-}
-
 // MaxOverMean returns max(vals) / mean(vals), an imbalance factor robust
 // to near-zero minima (the paper's footnote 1 notes some PEs report
 // counts orders of magnitude below the peak).

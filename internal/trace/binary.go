@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"slices"
@@ -57,10 +56,10 @@ const (
 )
 
 // shardWriter writes one trace file from a byte buffer, about binBufBytes
-// at a time: the paper's lines appended to it, or APBF blocks coded into
-// it from column scratch, pushed a row at a time or filled a block at a
-// time. Errors are sticky and surface from finish. shardWriters pools
-// them.
+// at a time: the paper's lines appended to it, APBF blocks coded into it
+// from column scratch filled a block at a time, or a sealed log's blocks
+// as they are. Errors are sticky and surface from finish. shardWriters
+// pools them.
 type shardWriter struct {
 	w    io.Writer
 	cols [][]int64
@@ -84,33 +83,12 @@ func (b *shardWriter) start(w io.Writer) {
 // header codes the header of an APBF file of kind/ncols.
 func (b *shardWriter) header(kind byte, ncols int) {
 	b.cols = slices.Grow(b.cols, ncols)[:ncols]
-	for c := range b.cols {
-		b.cols[c] = b.cols[c][:0]
-	}
 	b.buf = blocks.AppendHeader(b.buf, kind, ncols)
 }
 
-// push appends one row. vals must have exactly ncols entries (the
-// pad/truncate policy for ragged records is the caller's).
-func (b *shardWriter) push(vals ...int64) {
-	for i := range b.cols {
-		b.cols[i] = append(b.cols[i], vals[i])
-	}
-	b.n++
-	if b.n >= binBlockRows {
-		b.flushBlock()
-	}
-}
-
-// pushStr appends one row of a string-bearing kind (segments).
-func (b *shardWriter) pushStr(s string, vals ...int64) {
-	b.strs = append(b.strs, s)
-	b.push(vals...)
-}
-
 // block hands out the columns of the next block, n <= binBlockRows rows
-// long, for the caller to fill; flushBlock codes them. No pushed row may
-// be pending.
+// long, for the caller to fill (and strs, for a string-bearing kind);
+// flushBlock codes them.
 func (b *shardWriter) block(n int) [][]int64 {
 	for c := range b.cols {
 		b.cols[c] = slices.Grow(b.cols[c][:0], n)[:n]
@@ -125,9 +103,6 @@ func (b *shardWriter) flushBlock() {
 		return
 	}
 	b.buf = blocks.AppendBlock(b.buf, b.n, b.strs, b.cols)
-	for c := range b.cols {
-		b.cols[c] = b.cols[c][:0]
-	}
 	b.strs, b.n = b.strs[:0], 0
 	b.gathered()
 }
@@ -146,18 +121,16 @@ func (b *shardWriter) write() {
 	b.buf = b.buf[:0]
 }
 
-// Write gathers p, blocks a coder wrote whole (sim.PELog.WriteShard);
-// the error is the sticky one.
+// Write gathers p, blocks a log sealed (blocks.Log.WriteFile); the error
+// is the sticky one.
 func (b *shardWriter) Write(p []byte) (int, error) {
 	b.buf = append(b.buf, p...)
 	b.gathered()
 	return len(p), b.err
 }
 
-// finish codes the final partial block (if any), writes what is gathered
-// and reports any sticky error.
+// finish writes what is gathered and reports any sticky error.
 func (b *shardWriter) finish() error {
-	b.flushBlock()
 	b.write()
 	return b.err
 }
@@ -287,9 +260,9 @@ func (d *binReader) readBlock(withStrings bool) (n, lost int, err error) {
 
 // The run-wide kinds' row codecs (the kind table's toRow / fromRow).
 
-func physicalToRow(r PhysicalRecord, row []int64) string {
-	row[0], row[1], row[2] = int64(r.Kind), int64(r.BufBytes), int64(r.SrcPE)
-	row[3], row[4] = int64(r.DstPE), r.Cycles
+func physicalToRow(r PhysicalRecord, c [][]int64, i int) string {
+	c[0][i], c[1][i], c[2][i] = int64(r.Kind), int64(r.BufBytes), int64(r.SrcPE)
+	c[3][i], c[4][i] = int64(r.DstPE), r.Cycles
 	return ""
 }
 
@@ -307,8 +280,8 @@ func physicalFromRow(d *binReader, i int) PhysicalRecord {
 	return rec
 }
 
-func overallToRow(r OverallRecord, row []int64) string {
-	row[0], row[1], row[2], row[3] = int64(r.PE), r.TMain, r.TComm, r.TProc
+func overallToRow(r OverallRecord, c [][]int64, i int) string {
+	c[0][i], c[1][i], c[2][i], c[3][i] = int64(r.PE), r.TMain, r.TComm, r.TProc
 	return ""
 }
 
@@ -319,9 +292,14 @@ func overallFromRow(d *binReader, i int) OverallRecord {
 
 // segmentToRow pads ragged counter lists (a hand-built Set's) with zeros
 // or truncates them: columnar blocks need a uniform width.
-func segmentToRow(r SegmentRecord, row []int64) string {
-	row[0], row[1], row[2] = int64(r.PE), r.Count, r.Cycles
-	clear(row[3+copy(row[3:], r.Counters):])
+func segmentToRow(r SegmentRecord, c [][]int64, i int) string {
+	c[0][i], c[1][i], c[2][i] = int64(r.PE), r.Count, r.Cycles
+	for e, col := range c[3:] {
+		col[i] = 0
+		if e < len(r.Counters) {
+			col[i] = r.Counters[e]
+		}
+	}
 	return r.Name
 }
 
@@ -478,31 +456,4 @@ func (s *Set) papiColumns(pe int, cols [][]int64, lo int) {
 			cols[7+e][i] = v
 		}
 	}
-}
-
-// sealedFile is an APBF file held in memory as a collector seals it, in
-// chunks that never move: 4 KiB doubling to binBufBytes, or one larger write.
-type sealedFile [][]byte
-
-// Write appends p to the last chunk, or to a new one where it does not fit.
-func (f *sealedFile) Write(p []byte) (int, error) {
-	last := len(*f) - 1
-	if last < 0 || len(p) > cap((*f)[last])-len((*f)[last]) {
-		size := 4 << 10
-		if last >= 0 {
-			size = min(2*cap((*f)[last]), binBufBytes)
-		}
-		*f, last = append(*f, make([]byte, 0, max(size, len(p)))), last+1
-	}
-	(*f)[last] = append((*f)[last], p...)
-	return len(p), nil
-}
-
-// reader reads the file back.
-func (f sealedFile) reader() io.Reader {
-	rs := make([]io.Reader, len(f))
-	for i, b := range f {
-		rs[i] = bytes.NewReader(b)
-	}
-	return io.MultiReader(rs...)
 }

@@ -121,12 +121,12 @@ type PECollector struct {
 	msg         stats.Stream
 
 	// Record-mode state (not aggregate). A send is written straight into
-	// its kind's block being filled, a row of the columns shardWriter
-	// codes, and a full block is sealed onto the kind's APBF shard, the
-	// bytes WriteFiles writes. Close decodes the shards once into the
-	// Set's exact-size slices. Until then nothing else may see them,
-	// afterwards they are immutable (DESIGN.md §8).
-	logical, papiRows sealer
+	// a row of its kind's log, whose full blocks are sealed as the APBF
+	// blocks of the kind's shard, the bytes WriteFiles writes. Close
+	// decodes them once into the Set's exact-size slices. Until then
+	// nothing else may see them, afterwards they are immutable (DESIGN.md
+	// §8).
+	logical, papiRows blocks.Log
 	physical          blocks.Buf[PhysicalRecord]
 	// scratch receives a PAPI record's counter deltas.
 	scratch [papi.MaxConcurrentEvents]int64
@@ -248,9 +248,14 @@ func (p *PECollector) LogicalSend(mailbox, dst, msgSize int) {
 // does for PAPI records.
 func (p *PECollector) recordLogical(dst, msgSize int) {
 	if !p.aggregate {
-		c, i := p.logical.next(logicalKind.cols, p)
+		c, i := p.logical.Filling()
+		if c == nil {
+			c = p.open(&p.logical, logicalKind.cols)
+		}
 		c[3][i], c[4][i] = int64(pack(dst, "dst")), int64(pack(msgSize, "msgSize"))
-		p.logical.filled(binKindLogical, p)
+		if p.logical.Add() {
+			p.seal(&p.logical)
+		}
 		return
 	}
 	if p.aggLogical == nil {
@@ -286,13 +291,18 @@ func (p *PECollector) flushPAPI() {
 // or folds its counters into the per-event aggregate totals.
 func (p *PECollector) recordPAPI(dst, pkt, mailbox, sends int, counters []int64) {
 	if !p.aggregate {
-		c, i := p.papiRows.next(papiKind.cols+len(p.events), p)
+		c, i := p.papiRows.Filling()
+		if c == nil {
+			c = p.open(&p.papiRows, papiKind.width(len(p.events)))
+		}
 		// sends <= PAPIRecordEvery, which Config.Validate holds inside int32.
 		c[3][i], c[4][i], c[5][i], c[6][i] = int64(pack(dst, "dst")), int64(pack(pkt, "msgSize")), int64(pack(mailbox, "mailbox")), int64(sends)
 		for e, v := range counters {
 			c[7+e][i] = v
 		}
-		p.papiRows.filled(binKindPAPI, p)
+		if p.papiRows.Add() {
+			p.seal(&p.papiRows)
+		}
 		return
 	}
 	if p.aggPAPI == nil {
@@ -301,12 +311,6 @@ func (p *PECollector) recordPAPI(dst, pkt, mailbox, sends int, counters []int64)
 	for i, v := range counters {
 		p.aggPAPI[i] += v
 	}
-}
-
-// PhysicalSend records one Conveyors transfer event; wire it to
-// conveyor.Options.OnPhysical.
-func (p *PECollector) PhysicalSend(kind conveyor.SendKind, bufBytes, src, dst int) {
-	p.PhysicalSendAt(kind, bufBytes, src, dst, 0)
 }
 
 // PhysicalSendAt records one Conveyors transfer event with the
@@ -351,74 +355,46 @@ func (p *PECollector) OverallBreakdown(tMain, tProc, tTotal int64) {
 	p.hasOverall = true
 }
 
-// sealedPE is a PE's send shards as its collector sealed them: whole APBF
-// files, which the Set's memo keeps for WriteFiles.
-type sealedPE struct{ logical, papi sealedFile }
+// sealedPE is a PE's send logs as its collector sealed them, which the
+// Set's memo keeps for WriteFiles.
+type sealedPE struct{ logical, papi blocks.Log }
 
-// sealer is one send kind's block being filled - the columns shardWriter
-// codes, binBlockRows rows long - and the APBF shard its blocks are
-// sealed onto.
-type sealer struct {
-	cols  [][]int64
-	n     int // rows filled
-	rows  int // rows sealed
-	buf   []byte
-	shard sealedFile
+// open opens l's block with ncols columns and the source node and PE -
+// p's, for every row - filled in, and returns its columns. A send opens
+// its kind's block when Filling finds none, so the check costs it no
+// call.
+func (p *PECollector) open(l *blocks.Log, ncols int) [][]int64 {
+	l.Open(ncols)
+	c, _ := l.Filling()
+	node, pe := int64(p.pe/p.parent.machine.PEsPerNode), int64(p.pe)
+	for i := range blocks.Len {
+		c[0][i], c[1][i] = node, pe
+	}
+	return c
 }
 
-// next returns the columns and the index of the next row, opening the
-// block on first use with ncols columns, the source node and PE - p's,
-// for every row - filled in.
-func (s *sealer) next(ncols int, p *PECollector) ([][]int64, int) {
-	if s.cols == nil {
-		words := make([]int64, ncols*binBlockRows)
-		for c := range ncols {
-			s.cols = append(s.cols, words[c*binBlockRows:][:binBlockRows:binBlockRows])
-		}
-		for i := range binBlockRows {
-			s.cols[0][i], s.cols[1][i] = int64(p.pe/p.parent.machine.PEsPerNode), int64(p.pe)
-		}
-	}
-	return s.cols, s.n
-}
-
-// filled counts the row next handed out, sealing the block once it is full.
-func (s *sealer) filled(kind byte, p *PECollector) {
-	if s.n++; s.n == binBlockRows {
-		s.seal(kind, p)
-	}
-}
-
-// seal codes the rows filled as an APBF block of kind - with the file's
-// header, if it is the first - and appends it to the shard. A row's
-// destination node is derived here from its PE, a column at a time.
-func (s *sealer) seal(kind byte, p *PECollector) {
-	if s.n == 0 {
-		return
-	}
+// seal seals l's open block, each row's destination node derived from
+// its PE first, a column at a time.
+func (p *PECollector) seal(l *blocks.Log) {
+	c, n := l.Filling()
 	per := int32(p.parent.machine.PEsPerNode)
-	for i, dst := range s.cols[3][:s.n] {
-		s.cols[2][i] = int64(int32(dst) / per)
+	for i := range n {
+		c[2][i] = int64(int32(c[3][i]) / per)
 	}
-	if s.buf = s.buf[:0]; len(s.shard) == 0 {
-		s.buf = blocks.AppendHeader(s.buf, kind, len(s.cols))
-	}
-	s.buf = blocks.AppendBlock(s.buf, s.n, nil, s.cols)
-	s.shard.Write(s.buf) // a sealedFile's Write cannot fail
-	s.rows, s.n = s.rows+s.n, 0
+	l.Seal()
 }
 
-// handOver decodes a sealed shard through the readers' block loop, each
-// block to pack. The bytes are the collector's own, so nothing is checked:
-// a record holds what the send packed.
-func handOver[T any](shard sealedFile, k *kind[T], pack func(c [][]int64, n int)) {
-	_, err := scanBytes(k, shard.reader(), "sealed shard", false, func(d *binReader, n int, _ bool) (int, error) {
-		pack(d.cols, n)
-		return 0, nil
-	})
-	if err != nil {
-		panic(err)
+// handOver seals what is open of l and hands each of its blocks to pack,
+// decoded into l's own columns, which it then lets go. The bytes are the
+// collector's own, so nothing is checked: a record holds what the send
+// packed.
+func (p *PECollector) handOver(l *blocks.Log, pack func(c [][]int64, n int)) {
+	p.seal(l)
+	scratch, _ := l.Filling()
+	for i := range l.Blocks() {
+		pack(l.Block(i, scratch))
 	}
+	l.Close()
 }
 
 // Close flushes pending records into the shared Set. Idempotent. The
@@ -441,15 +417,13 @@ func (p *PECollector) Close() {
 			p.recordPAPI(p.pe, 0, -1, 0, counters)
 		}
 	}
-	p.logical.seal(binKindLogical, p)
-	p.papiRows.seal(binKindPAPI, p)
-	sealed := sealedPE{p.logical.shard, p.papiRows.shard}
-	logical, papiRecs := newCell[LogicalSend](p.logical.rows), newPAPICell(p.papiRows.rows, len(p.events))
-	p.logical, p.papiRows = sealer{}, sealer{}
-	handOver(sealed.logical, &logicalKind, func(c [][]int64, n int) { logical.recs = packLogical(logical.recs, c, 0, n) })
-	handOver(sealed.papi, &papiKind, func(c [][]int64, n int) {
+	logical, papiRecs := newCell[LogicalSend](p.logical.Len()), newPAPICell(p.papiRows.Len(), len(p.events))
+	p.handOver(&p.logical, func(c [][]int64, n int) { logical.recs = packLogical(logical.recs, c, 0, n) })
+	p.handOver(&p.papiRows, func(c [][]int64, n int) {
 		papiRecs.recs, papiRecs.counters = packPAPI(papiRecs.recs, papiRecs.counters, c, len(p.events), 0, n)
 	})
+	sealed := sealedPE{p.logical, p.papiRows}
+	p.logical, p.papiRows = blocks.Log{}, blocks.Log{}
 	physical := p.physical.Flatten()
 	var segments []SegmentRecord
 	if len(p.segments) > 0 {

@@ -366,7 +366,7 @@ func TestSealedShardsMatchRefill(t *testing.T) {
 					pc.Close()
 				}
 				collected := c.Set()
-				if sp := collected.memo.sealed[npes-1]; n > 0 && (len(sp.logical) == 0 || len(sp.papi) == 0) {
+				if sp := collected.memo.sealed[npes-1]; n > 0 && (sp.logical.Blocks() == 0 || sp.papi.Blocks() == 0) {
 					t.Fatalf("n=%d: the collected Set holds no sealed shards", n)
 				}
 				byHand := NewSet(collected.Config, npes, perNode)

@@ -35,9 +35,9 @@ func fullSet(t *testing.T, npes int) *Set {
 			eng.Tally(&papi.Work{Ins: int64(10 + i), LstIns: int64(i)})
 			pc.LogicalSend(0, dst, 8+i%64)
 		}
-		pc.PhysicalSend(conveyor.LocalSend, 128, pe, (pe+1)%npes)
-		pc.PhysicalSend(conveyor.NonblockSend, 4096, pe, (pe+2)%npes)
-		pc.PhysicalSend(conveyor.NonblockProgress, 4096, pe, (pe+2)%npes)
+		pc.PhysicalSendAt(conveyor.LocalSend, 128, pe, (pe+1)%npes, 0)
+		pc.PhysicalSendAt(conveyor.NonblockSend, 4096, pe, (pe+2)%npes, 0)
+		pc.PhysicalSendAt(conveyor.NonblockProgress, 4096, pe, (pe+2)%npes, 0)
 		tok := pc.SegmentEnter("relax", 0)
 		eng.Tally(&papi.Work{Ins: int64(1000 * (pe + 1))})
 		pc.SegmentExit(tok, int64(77*(pe+1)))
@@ -410,8 +410,8 @@ func TestAggregateCollectorMatchesBuffered(t *testing.T) {
 				pc.LogicalSend(0, (pe+i)%6, 16+i)
 			}
 			eng.Tally(&papi.Work{Ins: int64(7 + pe), LstIns: 2}) // drain-phase work after the last send
-			pc.PhysicalSend(conveyor.LocalSend, 64, pe, (pe+1)%6)
-			pc.PhysicalSend(conveyor.NonblockSend, 128, pe, (pe+3)%6)
+			pc.PhysicalSendAt(conveyor.LocalSend, 64, pe, (pe+1)%6, 0)
+			pc.PhysicalSendAt(conveyor.NonblockSend, 128, pe, (pe+3)%6, 0)
 			pc.OverallBreakdown(int64(10+pe), int64(20+pe), int64(500+pe))
 			pc.Close()
 		}

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"cmp"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -11,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 
+	"actorprof/internal/blocks"
 	"actorprof/internal/papi"
 )
 
@@ -66,20 +68,21 @@ func (s *Set) WriteFiles(dir string) error {
 		return err
 	}
 	w := &dirWriter{dir: dir, events: eventNames(s.Config.PAPIEvents), paper: s.Config.Format == FormatCSV, keep: map[string]bool{}}
+	var none sealedPE
 	for pe := 0; pe < s.NumPEs; pe++ {
-		var sealed sealedPE // none unless a collector recorded the Set
+		sealed := &none // unless a collector recorded the Set
 		if s.memo != nil && pe < len(s.memo.sealed) {
-			sealed = s.memo.sealed[pe]
+			sealed = &s.memo.sealed[pe]
 		}
 		if s.Config.Logical {
 			addShard(w, &logicalKind, pe, func() (int, func(int) LogicalRecord) {
 				return len(s.Logical[pe]), func(i int) LogicalRecord { return s.LogicalRecordAt(pe, i) }
-			}, sealed.logical, func(cols [][]int64, lo int) { s.logicalColumns(pe, cols, lo) })
+			}, &sealed.logical, func(cols [][]int64, lo int) { s.logicalColumns(pe, cols, lo) })
 		}
 		if len(w.events) > 0 {
 			addShard(w, &papiKind, pe, func() (int, func(int) PAPIRecord) {
 				return len(s.PAPI[pe]), func(i int) PAPIRecord { return s.PAPIRecordAt(pe, i) }
-			}, sealed.papi, func(cols [][]int64, lo int) { s.papiColumns(pe, cols, lo) })
+			}, &sealed.papi, func(cols [][]int64, lo int) { s.papiColumns(pe, cols, lo) })
 		}
 	}
 	if s.Config.Physical {
@@ -125,14 +128,14 @@ type dirWriter struct {
 // addShard adds the jobs that write PE pe's shard of kind k: its APBF
 // file and, for FormatCSV, its file in the paper's layout. src hands each
 // job its own (n, at), since rows' at is stateful. A send kind's APBF
-// file is the shard its collector sealed, written as it is, or else is
+// file is the log its collector sealed, written as it is, or else is
 // sealed from the Set's packed records: fill fills a block's columns.
-func addShard[T any](w *dirWriter, k *kind[T], pe int, src func() (int, func(int) T), sealed sealedFile, fill func(cols [][]int64, lo int)) {
+func addShard[T any](w *dirWriter, k *kind[T], pe int, src func() (int, func(int) T), sealed *blocks.Log, fill func(cols [][]int64, lo int)) {
 	bin := k.binFile(pe)
 	w.keep[bin] = true
 	w.jobs = append(w.jobs, func() error {
-		if len(sealed) > 0 {
-			return writeSealed(w.dir, bin, sealed)
+		if sealed != nil && sealed.Len() > 0 {
+			return writeSealed(w.dir, bin, func(f io.Writer) error { return sealed.WriteFile(f, k.binKind, k.width(len(w.events))) })
 		}
 		n, at := src()
 		return writeShardFill(k, w.dir, bin, w.events, n, at, fill)

@@ -21,8 +21,11 @@ func apbfBlocks(kind byte, blocks ...[][]int64) string {
 	b.start(&buf)
 	b.header(kind, len(blocks[0][0]))
 	for _, rows := range blocks {
-		for _, row := range rows {
-			b.push(row...)
+		cols := b.block(len(rows))
+		for i, row := range rows {
+			for c, v := range row {
+				cols[c][i] = v
+			}
 		}
 		b.flushBlock()
 	}

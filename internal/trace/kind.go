@@ -40,11 +40,12 @@ type kind[T any] struct {
 	// appendCSV appends r's line(s) in the paper's layout; events are the
 	// PAPI event names in config order.
 	appendCSV func(buf []byte, r T, events []string) []byte
-	// toRow fills one APBF row (len(row) is the file's column count) and
-	// returns the string column's value; fromRow decodes row i of the
-	// reader's current block. The send kinds have neither: their APBF
-	// blocks go column by column to and from the packed Set.
-	toRow   func(r T, row []int64) string
+	// toRow fills row i of an APBF block's columns (len(c) is the file's
+	// column count) and returns the string column's value; fromRow
+	// decodes row i of the reader's current block. The send kinds have
+	// neither: their APBF blocks go column by column to and from the
+	// packed Set.
+	toRow   func(r T, c [][]int64, i int) string
 	fromRow func(d *binReader, i int) T
 	// check rejects a decoded record of a run-wide kind the rest of the
 	// program could not index with: one that names a PE outside the world
@@ -55,6 +56,15 @@ type kind[T any] struct {
 	// none: their rule is admitLogical / admitPAPI, which the column path
 	// and ImportPaper apply to a row's fields.
 	check func(r T, m *meta) error
+}
+
+// width is the column count of k's APBF files in a run of events PAPI
+// events.
+func (k *kind[T]) width(events int) int {
+	if k.counters {
+		return k.cols + events
+	}
+	return k.cols
 }
 
 // shared names an artifact the whole run writes once.

@@ -53,22 +53,15 @@ func scan[T any](k *kind[T], dir string, pe int, tolerant bool, admit blockFunc)
 		return false, 0, err
 	}
 	defer f.Close()
-	skipped, err = scanBytes(k, f, f.Name(), tolerant, admit)
-	return true, skipped, err
-}
-
-// scanBytes is scan over the bytes of an APBF file of kind k, read from
-// src: a file, or a shard a collector sealed (collector.go).
-func scanBytes[T any](k *kind[T], src io.Reader, path string, tolerant bool, admit blockFunc) (skipped int, err error) {
 	d := binReaders.Get().(*binReader)
-	defer func() { d.src = nil; binReaders.Put(d) }() // a pooled reader keeps no source alive
-	d.reset(src, d.data[:0], 0, 0)
-	ok, err := d.header(path, k.binKind, k.minCols)
+	defer func() { d.src = nil; binReaders.Put(d) }() // a pooled reader keeps no file alive
+	d.reset(f, d.data[:0], 0, 0)
+	ok, err := d.header(f.Name(), k.binKind, k.minCols)
 	if err != nil && tolerant {
-		return 1, nil
+		return true, 1, nil
 	}
 	if err != nil || !ok { // !ok: an empty file holds no records
-		return 0, err
+		return true, 0, err
 	}
 	lost, err := d.eachBlock(k.hasStr, func(b block) error {
 		n, err := admit(d, b.rows, tolerant)
@@ -76,9 +69,9 @@ func scanBytes[T any](k *kind[T], src io.Reader, path string, tolerant bool, adm
 		return err
 	})
 	if tolerant {
-		return skipped + lost, nil
+		return true, skipped + lost, nil
 	}
-	return 0, err
+	return true, 0, err
 }
 
 // createShard creates the file name in dir and points a pooled
@@ -107,18 +100,15 @@ func closeShard(f *os.File, w *shardWriter) error {
 	return nil
 }
 
-// writeSealed writes a shard a collector sealed as the file name in dir:
-// a write per chunk.
-func writeSealed(dir, name string, sealed sealedFile) error {
+// writeSealed writes the file name in dir as write writes it to a pooled
+// shardWriter, which gathers it into binBufBytes writes: a sealed
+// blocks.Log, a collector's send log or a schedule's.
+func writeSealed(dir, name string, write func(io.Writer) error) error {
 	f, w, err := createShard(dir, name)
 	if err != nil {
 		return err
 	}
-	for _, b := range sealed {
-		if w.err == nil {
-			_, w.err = f.Write(b)
-		}
-	}
+	w.err = write(w) // w's own error, sticky
 	return closeShard(f, w)
 }
 
@@ -134,25 +124,18 @@ func writeShardFill[T any](k *kind[T], dir, name string, events []string, n int,
 	if err != nil {
 		return err
 	}
-	ncols := k.cols
-	if k.counters {
-		ncols += len(events)
-	}
-	w.header(k.binKind, ncols)
-	if k.toRow == nil {
-		for lo := 0; lo < n; lo += binBlockRows {
-			fill(w.block(min(binBlockRows, n-lo)), lo)
-			w.flushBlock()
-		}
-		return closeShard(f, w)
-	}
-	row := make([]int64, ncols)
-	for i := 0; i < n; i++ {
-		if str := k.toRow(at(i), row); k.hasStr {
-			w.pushStr(str, row...)
+	w.header(k.binKind, k.width(len(events)))
+	for lo := 0; lo < n; lo += binBlockRows {
+		if cols := w.block(min(binBlockRows, n-lo)); k.toRow == nil {
+			fill(cols, lo)
 		} else {
-			w.push(row...)
+			for i := range cols[0] {
+				if str := k.toRow(at(lo+i), cols, i); k.hasStr {
+					w.strs = append(w.strs, str)
+				}
+			}
 		}
+		w.flushBlock()
 	}
 	return closeShard(f, w)
 }

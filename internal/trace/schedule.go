@@ -35,12 +35,7 @@ func WriteSchedule(dir string, s *sim.Schedule) error {
 	meta := scheduleMeta{Machine: s.Machine, Cost: s.Cost, Skew: make([]int64, len(s.PEs))}
 	for pe, l := range s.PEs {
 		meta.Skew[pe] = l.Skew
-		f, w, err := createShard(dir, scheduleShardFile(pe))
-		if err != nil {
-			return err
-		}
-		w.err = l.WriteShard(w) // w's own error, sticky
-		if err := closeShard(f, w); err != nil {
+		if err := writeSealed(dir, scheduleShardFile(pe), l.WriteShard); err != nil {
 			return err
 		}
 	}

@@ -119,13 +119,6 @@ type TimeIndex struct {
 	levels   []pyramidLevel
 }
 
-// NumBlocks reports how many data-file blocks the index covers; a
-// query's BlocksRead is bounded by it.
-func (ix *TimeIndex) NumBlocks() int { return len(ix.blocks) }
-
-// NumLevels reports the pyramid depth (level 0 is the finest).
-func (ix *TimeIndex) NumLevels() int { return len(ix.levels) }
-
 // Rows reports the total record count the index covers.
 func (ix *TimeIndex) Rows() int64 { return ix.nrows }
 

@@ -131,8 +131,8 @@ func TestPyramidFoldProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ix.NumLevels() < 2 {
-		t.Fatalf("pyramid has %d levels, want >= 2", ix.NumLevels())
+	if len(ix.levels) < 2 {
+		t.Fatalf("pyramid has %d levels, want >= 2", len(ix.levels))
 	}
 	var total int64
 	for _, b := range ix.levels[0].buckets {
@@ -141,7 +141,7 @@ func TestPyramidFoldProperty(t *testing.T) {
 	if total != ix.Rows() {
 		t.Fatalf("level 0 holds %d events, index covers %d rows", total, ix.Rows())
 	}
-	for l := 0; l+1 < ix.NumLevels(); l++ {
+	for l := 0; l+1 < len(ix.levels); l++ {
 		cur, next := ix.levels[l], ix.levels[l+1]
 		if next.width != 2*cur.width {
 			t.Fatalf("level %d width %d, level %d width %d (want doubling)", l, cur.width, l+1, next.width)
@@ -482,7 +482,7 @@ func TestWindowQueryReadsOnlyWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	total := ix.NumBlocks()
+	total := len(ix.blocks)
 	if total < 250 {
 		t.Fatalf("fixture built only %d blocks; load shape needs hundreds", total)
 	}

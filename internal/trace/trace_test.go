@@ -56,10 +56,10 @@ func buildSet(t *testing.T) *Set {
 			eng.Tally(&papi.Work{Ins: 100, LstIns: 30})
 			pc.LogicalSend(0, dst, 8)
 		}
-		pc.PhysicalSend(conveyor.LocalSend, 256, pe, (pe+1)%4)
+		pc.PhysicalSendAt(conveyor.LocalSend, 256, pe, (pe+1)%4, 0)
 		if pe%2 == 0 {
-			pc.PhysicalSend(conveyor.NonblockSend, 512, pe, (pe+2)%4)
-			pc.PhysicalSend(conveyor.NonblockProgress, 512, pe, (pe+2)%4)
+			pc.PhysicalSendAt(conveyor.NonblockSend, 512, pe, (pe+2)%4, 0)
+			pc.PhysicalSendAt(conveyor.NonblockProgress, 512, pe, (pe+2)%4, 0)
 		}
 		pc.OverallBreakdown(int64(100*(pe+1)), int64(50*(pe+1)), int64(1000*(pe+1)))
 		pc.Close()
@@ -420,20 +420,6 @@ func TestMatrixTotalsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMaxOverMin(t *testing.T) {
-	if got := MaxOverMin([]int64{2, 10, 5}); got != 5 {
-		t.Errorf("MaxOverMin = %v, want 5", got)
-	}
-	// Zeros are excluded (the paper's footnote: near-zero PEs are not
-	// absolute zeros but are orders of magnitude below the peak).
-	if got := MaxOverMin([]int64{0, 4, 8}); got != 2 {
-		t.Errorf("MaxOverMin with zeros = %v, want 2", got)
-	}
-	if got := MaxOverMin(nil); got != 0 {
-		t.Errorf("MaxOverMin(nil) = %v, want 0", got)
 	}
 }
 

@@ -79,13 +79,13 @@ func TestDifferentialAllApps(t *testing.T) {
 			}
 
 			// (1) Identity projection == recorded overall records.
-			recs := set.OverallByPE()
+			recs := set.OverallRecords()
 			if len(recs) != len(base.Totals.PerPE) {
 				t.Fatalf("got %d projected PEs, want %d", len(base.Totals.PerPE), len(recs))
 			}
 			var maxTotal int64
 			for pe, r := range recs {
-				if r == nil {
+				if r.PE != pe {
 					t.Fatalf("PE %d has no overall record", pe)
 				}
 				got := base.Totals.PerPE[pe]

@@ -71,7 +71,7 @@ func TestRunPricingUnderSkewAndNonDividingScale(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for pe, r := range coll.Set().OverallByPE() {
+			for pe, r := range coll.Set().OverallRecords() {
 				got := base.Totals.PerPE[pe]
 				want := whatif.Totals{TMain: r.TMain, TProc: r.TProc, TComm: r.TComm, TTotal: r.TTotal}
 				if got != want {
