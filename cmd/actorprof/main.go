@@ -85,7 +85,7 @@ func runExport(args []string) error {
 		if err != nil {
 			return err
 		}
-		return writeOut(*out, filepath.Join(dir, whatif.ScheduleFileName), "the schedule as JSON", s.WriteJSON)
+		return writeOut(*out, filepath.Join(dir, trace.ScheduleJSONFile), "the schedule as JSON", s.WriteJSON)
 	}
 
 	if *index {

@@ -72,27 +72,28 @@ func TestCLIWhatIfRefusesWhatItCannotAnswer(t *testing.T) {
 // TestCLIExportSchedule: `actorprof export -schedule` writes, from a
 // schedule's shards, the bytes schedule.json had when it was the
 // schedule's file: testdata/schedule.golden.json, written then by
-// whatif.WriteScheduleFile for a recorded run.
+// whatif.WriteScheduleFile for a recorded run. testdata/schedule holds
+// the shards that file was read into, written once by WriteScheduleFile.
 func TestCLIExportSchedule(t *testing.T) {
 	golden, err := os.ReadFile("testdata/schedule.golden.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, dir := t.TempDir(), t.TempDir()
-	if err := os.WriteFile(filepath.Join(legacy, whatif.ScheduleFileName), golden, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := whatif.ReadScheduleFile(legacy)
+	dir := t.TempDir()
+	ents, err := os.ReadDir("testdata/schedule")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := whatif.WriteScheduleFile(dir, s); err != nil {
-		t.Fatal(err)
+	for _, e := range ents {
+		data, err := os.ReadFile(filepath.Join("testdata/schedule", e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	path := filepath.Join(dir, whatif.ScheduleFileName)
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatalf("WriteScheduleFile wrote %s (%v)", whatif.ScheduleFileName, err)
-	}
+	path := filepath.Join(dir, trace.ScheduleJSONFile)
 	capture(t, func() error { return run([]string{"export", "-schedule", dir}) })
 	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, golden) {
 		t.Errorf("export -schedule wrote %d bytes unlike the golden's %d (%v)", len(got), len(golden), err)
@@ -105,17 +106,26 @@ func TestCLIExportSchedule(t *testing.T) {
 // TestCLIScheduleOfNoDirectory: whatif and export -schedule report a
 // path that does not exist, or is no directory, as such - not as a run
 // without a schedule, and not by a schedule file's name - and a
-// directory without a schedule as one.
+// directory without a schedule as one, also when it holds the schedule's
+// export, which is not read.
 func TestCLIScheduleOfNoDirectory(t *testing.T) {
-	empty := t.TempDir()
+	empty, exported := t.TempDir(), t.TempDir()
 	file := filepath.Join(empty, "file")
 	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	golden, err := os.ReadFile("testdata/schedule.golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(exported, trace.ScheduleJSONFile), golden, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct{ dir, want string }{
 		{filepath.Join(empty, "no", "such", "dir"), "no such file or directory"},
 		{file, "is not a directory"},
 		{empty, "has no recorded schedule"},
+		{exported, "has no recorded schedule"},
 	} {
 		for _, cmd := range [][]string{{"whatif"}, {"export", "-schedule"}} {
 			_, err := captureErr(t, func() error { return run(append(cmd, c.dir)) })

@@ -6,7 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"actorprof/internal/whatif"
+	"actorprof/internal/trace"
 )
 
 // TestISortExampleSmoke runs the example at a reduced size and checks
@@ -25,7 +25,7 @@ func TestISortExampleSmoke(t *testing.T) {
 	if err != nil || len(entries) == 0 {
 		t.Fatalf("no trace files written to %s (err=%v)", dir, err)
 	}
-	if !whatif.HasSchedule(dir) {
+	if !trace.HasSchedule(dir) {
 		t.Errorf("missing captured schedule in %s", dir)
 	}
 }

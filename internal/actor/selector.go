@@ -41,8 +41,9 @@ type Selector[T any] struct {
 
 	started  bool
 	finished bool
-	// sendCount / recvCount per mailbox, for tests and load statistics.
-	sendCount []int64
+	// recvCount is the messages each mailbox delivered, one add per
+	// drained run: the per-mailbox count a send/deliver conservation
+	// check compares with the sends addressed to it.
 	recvCount []int64
 	// inProgress guards against re-entrant progress from handler sends.
 	inProgress bool
@@ -91,7 +92,6 @@ func NewSelector[T any](rt *Runtime, n int, codec Codec[T]) (*Selector[T], error
 		codec:     codec,
 		mailboxes: make([]mailbox[T], n),
 		convs:     make([]*conveyor.Conveyor, n),
-		sendCount: make([]int64, n),
 		recvCount: make([]int64, n),
 	}
 	costs := papi.DefaultCostModel()
@@ -226,7 +226,6 @@ func (s *Selector[T]) Send(mb int, msg T, dst int) {
 
 	// Message construction and the mailbox append are MAIN-segment user
 	// work (Table I): tally the PAPI cost model and charge the clock.
-	s.sendCount[mb]++
 	rt.engine.Tally(&s.sendWork)
 	rt.pe.ChargeInstr(s.sendCyc, s.sendWork.Ins, 1)
 	if rt.collecting() {

@@ -558,7 +558,7 @@ func TestRunCapturedWritesSchedule(t *testing.T) {
 	if err := whatif.WriteScheduleFile(dir, sched); err != nil {
 		t.Fatal(err)
 	}
-	if !whatif.HasSchedule(dir) {
+	if !trace.HasSchedule(dir) {
 		t.Fatal("trace directory has no schedule")
 	}
 	got, err := whatif.ReadScheduleFile(dir)

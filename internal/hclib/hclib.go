@@ -27,8 +27,6 @@ type Context struct {
 	// scopes is the stack of active finish scopes; Async attributes new
 	// tasks to the innermost one.
 	scopes []*finishScope
-	// executed counts tasks run, for tests and the profiler.
-	executed int64
 }
 
 type task struct {
@@ -120,6 +118,5 @@ func (c *Context) runOne(drain bool) bool {
 	t.fn()
 	c.draining = outer
 	t.scope.pending--
-	c.executed++
 	return true
 }

@@ -121,18 +121,6 @@ func TestYield(t *testing.T) {
 	}
 }
 
-func TestExecutedCounter(t *testing.T) {
-	c := New()
-	c.Finish(func() {
-		for i := 0; i < 7; i++ {
-			c.Async(func() {})
-		}
-	})
-	if c.executed != 7 {
-		t.Fatalf("Executed = %d, want 7", c.executed)
-	}
-}
-
 func TestQueueStaysFIFOAcrossGrowthAndWrap(t *testing.T) {
 	// Interleave pushes and pops so the ring's head moves, wraps, and
 	// the ring grows while wrapped: order must stay first-in first-out.

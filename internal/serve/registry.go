@@ -80,7 +80,7 @@ type runEntry struct {
 type runSummary struct {
 	sum      *trace.Summary
 	skipped  int
-	schedule bool // the directory holds a schedule (whatif.HasSchedule)
+	schedule bool // the directory holds a schedule (trace.HasSchedule)
 }
 
 // snapshot is a value read from disk by a flight and reused for ttl
@@ -315,7 +315,7 @@ func readSummary(dir, id string) (runSummary, int, error) {
 	if err != nil {
 		return runSummary{}, skipped, fmt.Errorf("serve: parsing run %q: %w", id, err)
 	}
-	return runSummary{sum, skipped, whatif.HasSchedule(dir)}, skipped, nil
+	return runSummary{sum, skipped, trace.HasSchedule(dir)}, skipped, nil
 }
 
 // physical returns the run's physical records alone - all the Perfetto

@@ -72,7 +72,7 @@ func TestWhatIfRefusesWhatItCannotAnswer(t *testing.T) {
 func TestWhatIfEndpoint(t *testing.T) {
 	root := t.TempDir()
 	writeCapturedRun(t, root, "cap1")
-	writeRun(t, root, "plain") // no schedule.json
+	writeRun(t, root, "plain") // no schedule
 	srv, err := New(Config{Root: root})
 	if err != nil {
 		t.Fatal(err)

@@ -1,21 +1,23 @@
 package sim
 
 import (
-	"bytes"
 	"encoding/json"
 	"io"
 	"strconv"
 )
 
 // schedule.json's writer (DESIGN.md §14): events are coded by hand, the
-// rest goes through encoding/json, whose bytes it keeps.
+// rest goes through encoding/json, whose bytes it keeps. The form is an
+// export only; nothing reads it back.
 
 // writeChunk is how many bytes WriteJSON gathers per Write.
 const writeChunk = 64 << 10
 
-// WriteJSON writes the schedule to w as the bytes json.Marshal writes for
-// it, then a newline, as json.Encoder does: schedule.json, the export
-// (`actorprof export -schedule`). A log's events are read through its walk.
+// WriteJSON writes the schedule to w as schedule.json, the export
+// (`actorprof export -schedule`): the bytes encoding/json writes for
+// {"machine", "cost", "pes": [{"skew", "events"}]}, skew omitted when 0
+// and each event a compact [kind, arg] pair, then a newline, as
+// json.Encoder does. A log's events are read through its walk.
 func (s *Schedule) WriteJSON(w io.Writer) error {
 	head, err := json.Marshal(struct {
 		Machine Machine   `json:"machine"`
@@ -71,51 +73,8 @@ func (s *Schedule) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// MarshalJSON is WriteJSON's document, without the newline.
-func (s *Schedule) MarshalJSON() ([]byte, error) {
-	var buf bytes.Buffer
-	err := s.WriteJSON(&buf)
-	return bytes.TrimSuffix(buf.Bytes(), []byte("\n")), err
-}
-
-// UnmarshalJSON reads a schedule.json document into s, as ParseSchedule.
-func (s *Schedule) UnmarshalJSON(data []byte) error {
-	p, err := ParseSchedule(data)
-	if err == nil {
-		*s = *p
-	}
-	return err
-}
-
 // appendEvent appends an event as its [kind, arg] pair.
 func appendEvent(b []byte, e Event) []byte {
 	b = append(strconv.AppendUint(append(b, '['), uint64(e.Kind), 10), ',')
 	return append(strconv.AppendInt(b, e.Arg, 10), ']')
-}
-
-// ParseSchedule reads a schedule.json document through encoding/json and
-// seals each PE's log; Validate checks the values. Only a directory
-// written before schedule shards holds one (DESIGN.md §14).
-func ParseSchedule(data []byte) (*Schedule, error) {
-	var doc struct {
-		Machine Machine   `json:"machine"`
-		Cost    CostModel `json:"cost"`
-		PEs     []*struct {
-			Skew   int64   `json:"skew"`
-			Events []Event `json:"events"`
-		} `json:"pes"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return nil, err
-	}
-	s := &Schedule{Machine: doc.Machine, Cost: doc.Cost}
-	if doc.PEs != nil {
-		s.PEs = make([]*PELog, len(doc.PEs))
-	}
-	for pe, l := range doc.PEs {
-		if l != nil {
-			s.PEs[pe] = NewPELog(l.Skew, l.Events...)
-		}
-	}
-	return s, nil
 }

@@ -102,7 +102,7 @@ func (l *PELog) Barriers() int {
 
 // NewPELog returns a log of evs, in order and sealed, as Append would
 // have recorded it without merging a single instruction run: how a log
-// is written by hand, or read from schedule.json.
+// is written by hand.
 func NewPELog(skew int64, evs ...Event) *PELog {
 	l := &PELog{Skew: skew}
 	for _, e := range evs {

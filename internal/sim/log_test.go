@@ -142,27 +142,23 @@ func shardOf(tb testing.TB, l *PELog) []byte {
 // FuzzReadScheduleShard fuzzes what whatif.ReadScheduleFile does with a
 // schedule shard's bytes: no input panics the reader, the walk or
 // Validate; a shard it accepts is written back by WriteShard as it was
-// read; and on the seeds - shards of the logs of schedule.json documents,
-// torn, or with hostile row and column counts - it reads what the JSON
-// path reads, or refuses what is not a shard.
+// read; and on the seeds - shards of logs written by hand, torn, or with
+// hostile row and column counts - it reads the events the log was written
+// with, or refuses what is not a shard.
 func FuzzReadScheduleShard(f *testing.F) {
-	const doc = `{"machine":{"NumPEs":2,"PEsPerNode":1},"cost":{"NetworkLatency":5,"InstructionCycles":1,"InstructionScale":2},` +
-		`"pes":[{"events":[[0,128],[12,12884902146],[7,0],[3,8589934645],[6,-5],[13,0]]},{"skew":25,"events":[[7,0]]}]}`
-	s, err := ParseSchedule([]byte(doc))
-	if err != nil {
-		f.Fatal(err)
-	}
+	pe0 := []Event{{EvNetworkPut, 128}, {EvHandlerStart, BatchActorID(1, 2, 3)}, {EvBarrier, 0}, {EvInstr, InstrRun(53, 2)}, {EvRaw, -5}, {EvHandlerEnd, 0}}
+	pe1 := []Event{{EvBarrier, 0}}
 	rng := rand.New(rand.NewSource(7))
 	long := make([]Event, 3*blocks.Len+5)
 	for i := range long {
 		long[i] = Event{Kind: EventKind(rng.Intn(int(NumEventKinds))), Arg: rng.Int63() >> rng.Intn(63)}
 	}
-	want := map[string][]Event{} // a seed's events as the JSON path reads them; nil when it is no shard
+	want := map[string][]Event{} // a seed's events as written; nil when it is no shard
 	add := func(data []byte, evs []Event) {
 		f.Add(data)
 		want[string(data)] = evs
 	}
-	for _, evs := range [][]Event{eventsOf(s.PEs[0]), eventsOf(s.PEs[1]), long, {}} {
+	for _, evs := range [][]Event{pe0, pe1, long, {}} {
 		shard := shardOf(f, NewPELog(0, evs...))
 		add(shard, evs)
 		if len(evs) > 0 { // torn tails, read as an error or as the blocks before the tear

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 )
@@ -162,38 +161,14 @@ type Event struct {
 	Arg  int64
 }
 
-// MarshalJSON encodes the event compactly as a [kind, arg] pair; a
-// schedule holds an event per charge or run of instruction charges, so
-// the long form would bloat schedule.json severalfold.
-func (e Event) MarshalJSON() ([]byte, error) { return appendEvent(nil, e), nil }
-
-// UnmarshalJSON decodes the [kind, arg] pair form. It is not a [2]int64,
-// which encoding/json would fill from [7] or [7,0,1] without a word.
-func (e *Event) UnmarshalJSON(data []byte) error {
-	var pair []int64
-	if err := json.Unmarshal(data, &pair); err != nil {
-		return err
-	}
-	if len(pair) != 2 {
-		return fmt.Errorf("sim: schedule event must be a [kind, arg] pair, got %d elements", len(pair))
-	}
-	if pair[0] < 0 || pair[0] >= int64(NumEventKinds) {
-		return fmt.Errorf("sim: schedule event kind %d out of range", pair[0])
-	}
-	e.Kind, e.Arg = EventKind(pair[0]), pair[1]
-	return nil
-}
-
 // Schedule is a full recorded run: the machine shape, the cost model
 // the run was priced with, and every PE's event log. It is the input to
 // the what-if engine and the payload of a trace directory's schedule
-// files. A schedule.json that still carries the "timing" field older
-// writers emitted loads unchanged: its one value was Virtual, and the
-// decoder skips fields it does not know.
+// files.
 type Schedule struct {
-	Machine Machine   `json:"machine"`
-	Cost    CostModel `json:"cost"`
-	PEs     []*PELog  `json:"pes"`
+	Machine Machine
+	Cost    CostModel
+	PEs     []*PELog
 }
 
 // Validate checks internal consistency: machine/log agreement, a

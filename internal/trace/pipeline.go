@@ -143,9 +143,9 @@ func writeShardFill[T any](k *kind[T], dir, name string, events []string, n int,
 // A trace directory's what-if schedule (DESIGN.md §14, schedule.go) is
 // a shard per PE - an APBF file of kind sim.ScheduleKind whose blocks are
 // the log's sealed blocks as they are - and scheduleMetaFile, which holds
-// the machine, the cost model and the per-PE skews. A directory written
-// before shards holds ScheduleJSONFile instead, which `actorprof export
-// -schedule` also writes.
+// the machine, the cost model and the per-PE skews. ScheduleJSONFile is
+// the schedule's export (`actorprof export -schedule`), which nothing
+// reads.
 const (
 	scheduleMetaFile = "schedule_meta.json"
 	ScheduleJSONFile = "schedule.json"

@@ -20,8 +20,8 @@ type scheduleMeta struct {
 
 // WriteSchedule writes s into dir as its trace's what-if schedule
 // (DESIGN.md §14): each PE's log as a shard, its sealed blocks as they
-// are, then scheduleMetaFile. Every schedule file dir held before - of
-// either layout - goes first or is written over.
+// are, then scheduleMetaFile. Every schedule file dir held before - its
+// export included - goes first or is written over.
 func WriteSchedule(dir string, s *sim.Schedule) error {
 	if err := s.Validate(); err != nil {
 		return err
@@ -65,18 +65,15 @@ func dropSchedule(dir string, n int) error {
 }
 
 // ReadSchedule loads and validates dir's schedule: its shards, read into
-// the sealed form a recorded schedule has, or, in a directory written
-// before shards, its schedule.json. A directory with neither is an
+// the sealed form a recorded schedule has. A directory without them is an
 // os.ErrNotExist error: the run predates schedule capture (or was traced
-// without it) and cannot be what-if profiled. A path that is no directory
-// is an error that says so, and not os.ErrNotExist. A schedule of a
-// machine other than its trace's - a trace rewritten over an older run's
-// schedule - is refused.
+// without it) and cannot be what-if profiled. schedule.json is an export
+// and is not read: a directory holding only it has no schedule. A path
+// that is no directory is an error that says so, and not os.ErrNotExist.
+// A schedule of a machine other than its trace's - a trace rewritten over
+// an older run's schedule - is refused.
 func ReadSchedule(dir string) (*sim.Schedule, error) {
 	s, err := readScheduleShards(dir)
-	if errors.Is(err, os.ErrNotExist) {
-		s, err = readScheduleJSON(dir)
-	}
 	if err != nil {
 		if fi, serr := os.Stat(dir); serr != nil {
 			return nil, fmt.Errorf("trace: %v", serr) // %v: a missing dir is not a missing schedule
@@ -127,26 +124,9 @@ func readScheduleShards(dir string) (*sim.Schedule, error) {
 	return s, nil
 }
 
-// readScheduleJSON reads a schedule.json, its logs sealed.
-func readScheduleJSON(dir string) (*sim.Schedule, error) {
-	data, err := os.ReadFile(filepath.Join(dir, ScheduleJSONFile))
-	if err != nil {
-		return nil, err
-	}
-	s, err := sim.ParseSchedule(data)
-	if err != nil {
-		return nil, fmt.Errorf("trace: parsing %s: %w", ScheduleJSONFile, err)
-	}
-	return s, nil
-}
-
-// HasSchedule reports whether dir carries a recorded schedule, in either
-// layout.
+// HasSchedule reports whether dir carries a recorded schedule: its meta
+// file, written after its shards.
 func HasSchedule(dir string) bool {
-	for _, name := range []string{scheduleMetaFile, ScheduleJSONFile} {
-		if fi, err := os.Stat(filepath.Join(dir, name)); err == nil && !fi.IsDir() {
-			return true
-		}
-	}
-	return false
+	fi, err := os.Stat(filepath.Join(dir, scheduleMetaFile))
+	return err == nil && !fi.IsDir()
 }

@@ -68,21 +68,29 @@ func windowsPerturbations(s *sim.Schedule) []whatif.Perturbation {
 	}
 }
 
+// byHand is s with each log written again by hand, from the events its
+// walk reads: sim.NewPELog, not Append.
+func byHand(s *sim.Schedule) *sim.Schedule {
+	u := &sim.Schedule{Machine: s.Machine, Cost: s.Cost, PEs: make([]*sim.PELog, len(s.PEs))}
+	for pe, l := range s.PEs {
+		var evs []sim.Event
+		c := l.Walk(new(sim.Block))
+		for b := c.Next(); b != nil; b = c.Next() {
+			evs = append(evs, b...)
+		}
+		u.PEs[pe] = sim.NewPELog(l.Skew, evs...)
+	}
+	return u
+}
+
 // TestRecordedAndDecodedSchedulesCompareAlike: a recorded schedule - its
-// logs sealed blocks - and the same schedule decoded from its JSON - its
-// logs literals, read as one run of events - give identical Compare
-// reports, critical paths and bottleneck rankings included, as does the
-// schedule read back from its shards.
+// logs sealed as Append recorded them - and the same schedule decoded
+// from its events - its logs written by hand with sim.NewPELog - give
+// identical Compare reports, critical paths and bottleneck rankings
+// included, as does the schedule read back from its shards.
 func TestRecordedAndDecodedSchedulesCompareAlike(t *testing.T) {
 	recorded := windowsSchedule()
-	var doc bytes.Buffer
-	if err := recorded.WriteJSON(&doc); err != nil {
-		t.Fatal(err)
-	}
-	decoded, err := sim.ParseSchedule(doc.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
+	decoded := byHand(recorded)
 	dir := t.TempDir()
 	if err := whatif.WriteScheduleFile(dir, recorded); err != nil {
 		t.Fatal(err)
@@ -153,15 +161,19 @@ func TestScheduleOfAnotherMachineIsRefused(t *testing.T) {
 	if err := merged.WriteJSON(&doc); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, whatif.ScheduleFileName), doc.Bytes(), 0o644); err != nil {
+	export := filepath.Join(dir, trace.ScheduleJSONFile)
+	if err := os.WriteFile(export, doc.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	if err := trace.NewSet(trace.Config{Overall: true}, 4, 2).WriteFiles(dir); err != nil {
 		t.Fatal(err)
 	}
-	if whatif.HasSchedule(dir) {
+	if trace.HasSchedule(dir) {
 		t.Error("rewriting the trace kept the schedule of the run before")
+	}
+	if _, err := os.Stat(export); !os.IsNotExist(err) {
+		t.Errorf("rewriting the trace kept the export of the run before's schedule (%v)", err)
 	}
 	if err := whatif.WriteScheduleFile(dir, merged); err != nil {
 		t.Fatal(err)

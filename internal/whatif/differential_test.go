@@ -1,10 +1,7 @@
 package whatif_test
 
 import (
-	"bytes"
 	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"actorprof/internal/actor"
@@ -203,9 +200,7 @@ func TestDifferentialSkewed(t *testing.T) {
 }
 
 // TestScheduleRoundTrip ensures a schedule survives a write/read cycle
-// with projections intact, and that the schedule.json older writers
-// produced - the JSON export's bytes plus "timing":0 - loads and replays
-// identically.
+// with projections intact.
 func TestScheduleRoundTrip(t *testing.T) {
 	app := apps.ChaosApps()[1]
 	_, sched := capture(t, app, sim.Machine{NumPEs: 4, PEsPerNode: 2})
@@ -213,7 +208,7 @@ func TestScheduleRoundTrip(t *testing.T) {
 	if err := whatif.WriteScheduleFile(dir, sched); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	if !whatif.HasSchedule(dir) {
+	if !trace.HasSchedule(dir) {
 		t.Fatalf("HasSchedule = false after write")
 	}
 	got, err := whatif.ReadScheduleFile(dir)
@@ -230,36 +225,6 @@ func TestScheduleRoundTrip(t *testing.T) {
 	}
 	if !a.Totals.Equal(b.Totals) {
 		t.Fatalf("round-tripped totals differ:\n%+v\n%+v", a.Totals, b.Totals)
-	}
-
-	var buf bytes.Buffer
-	if err := sched.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	oldBytes := bytes.Replace(data, []byte(`},"cost":`), []byte(`},"timing":0,"cost":`), 1)
-	if bytes.Equal(oldBytes, data) {
-		t.Fatal("schedule.json has no machine/cost boundary to put the old field at")
-	}
-	oldDir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(oldDir, whatif.ScheduleFileName), oldBytes, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if !whatif.HasSchedule(oldDir) {
-		t.Fatal("HasSchedule = false for a directory holding only schedule.json")
-	}
-	old, err := whatif.ReadScheduleFile(oldDir)
-	if err != nil {
-		t.Fatalf("read a schedule.json carrying \"timing\":0: %v", err)
-	}
-	for _, p := range []whatif.Perturbation{whatif.Identity(sched), {Cost: whatif.ScaledCost(sched.Cost, whatif.CostScales{Network: 2})}} {
-		want, err := whatif.Replay(sched, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, err := whatif.Replay(old, p); err != nil || !got.Equal(want) {
-			t.Fatalf("the old file replays to %+v (%v), the written one to %+v", got, err, want)
-		}
 	}
 }
 

@@ -125,9 +125,9 @@ func TestMergedInstrRunsAreInvisible(t *testing.T) {
 	}
 }
 
-// TestOldScheduleFileProjectsTheSame: a schedule.json written before the
-// merge (an event per charge) still loads, and says what the merged one
-// of the same run says.
+// TestOldScheduleFileProjectsTheSame: a schedule written before the
+// merge (an event per charge), as shards, still loads, and says what the
+// merged one of the same run says.
 func TestOldScheduleFileProjectsTheSame(t *testing.T) {
 	merged, plain := randomLogs(9, sim.Machine{NumPEs: 2, PEsPerNode: 2}, 3, []int64{0, 12})
 	oldDir, newDir := t.TempDir(), t.TempDir()
@@ -210,16 +210,18 @@ func TestNegativeChargeIsALoadError(t *testing.T) {
 	if err := whatif.WriteScheduleFile(t.TempDir(), s); err == nil {
 		t.Error("WriteScheduleFile wrote a negative charge")
 	}
-	// A schedule.json, as written before shards, hand-edited.
+	// A schedule's files, PE 0's shard hand-edited: written again from
+	// the log holding the negative charge.
 	dir := t.TempDir()
 	evs[2].Arg = 40
-	s.PEs[0] = sim.NewPELog(0, evs...)
-	var data bytes.Buffer
-	if err := s.WriteJSON(&data); err != nil {
+	if err := whatif.WriteScheduleFile(dir, &sim.Schedule{Machine: s.Machine, Cost: s.Cost, PEs: []*sim.PELog{sim.NewPELog(0, evs...)}}); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, whatif.ScheduleFileName)
-	if err := os.WriteFile(path, bytes.Replace(data.Bytes(), []byte("[6,40]"), []byte("[6,-40]"), 1), 0o644); err != nil {
+	var shard bytes.Buffer
+	if err := s.PEs[0].WriteShard(&shard); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "PE0_schedule.bin"), shard.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := whatif.ReadScheduleFile(dir); err == nil || !strings.Contains(err.Error(), "PE 0 event 2") {
