@@ -222,21 +222,24 @@ func run(args []string) error {
 	fmt.Printf("trace: %s (%d PEs, %d per node)\n\n", dir, set.NumPEs, set.PEsPerNode)
 
 	all := !*logical && !*papiBar && !*overall && !*physical && !*violins
+	selected := map[string]bool{"l": *logical, "lp": *papiBar, "s": *overall, "p": *physical, "violin": *violins}
 	// Degenerate and partial directories must produce a friendly error,
 	// not a silent no-op (or, historically, a stats panic on empty violin
-	// input): tell the user which feature the trace is missing.
+	// input): a selected flag none of whose plots the trace can draw names
+	// the first feature it lacks, as actorprofd's 404 does.
 	if !all {
-		switch {
-		case *logical && !set.Config.Logical:
-			return fmt.Errorf("trace %s has no logical trace (-l needs PEi_send files; enable trace.Config.Logical)", dir)
-		case *physical && !set.Config.Physical:
-			return fmt.Errorf("trace %s has no physical trace (-p needs a physical file; enable trace.Config.Physical)", dir)
-		case *violins && !set.Config.Logical && !set.Config.Physical:
-			return fmt.Errorf("trace %s has neither logical nor physical records; nothing to plot with -violin", dir)
-		case *papiBar && len(set.Config.PAPIEvents) == 0:
-			return fmt.Errorf("trace %s has no PAPI events (-lp needs PEi_PAPI files and papi_events in the meta file)", dir)
-		case *overall && !set.Config.Overall:
-			return fmt.Errorf("trace %s has no overall breakdown (-s needs an overall file; enable trace.Config.Overall)", dir)
+		drawable, lacks := map[string]bool{}, map[string]core.Feature{}
+		for _, p := range core.Plots {
+			if f, missing := p.Missing(set); !missing {
+				drawable[p.Flag] = true
+			} else if _, seen := lacks[p.Flag]; !seen {
+				lacks[p.Flag] = f
+			}
+		}
+		for _, p := range core.Plots {
+			if selected[p.Flag] && !drawable[p.Flag] {
+				return fmt.Errorf("trace %s: -%s has nothing to plot: %s", dir, p.Flag, lacks[p.Flag].Absent())
+			}
 		}
 	} else if !set.Config.Logical && !set.Config.Physical && !set.Config.Overall &&
 		len(set.Config.PAPIEvents) == 0 {
@@ -252,7 +255,6 @@ func run(args []string) error {
 		return os.WriteFile(filepath.Join(*svgDir, name), []byte(doc), 0o644)
 	}
 
-	selected := map[string]bool{"l": *logical, "lp": *papiBar, "s": *overall, "p": *physical, "violin": *violins}
 	for _, p := range core.Plots {
 		if !all && !selected[p.Flag] {
 			continue

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"actorprof/internal/core"
 	"actorprof/internal/viz"
@@ -85,14 +84,7 @@ func runWhatIf(args []string) error {
 		return err
 	}
 
-	hypo := scales.Phrases()
-	if *speedup > 0 {
-		hypo = append(hypo, fmt.Sprintf("actor %d handler %gx faster", *actor, *speedup))
-	}
-	title := "baseline (no perturbation)"
-	if len(hypo) > 0 {
-		title = strings.Join(hypo, ", ")
-	}
+	title := q.Phrase()
 	fmt.Printf("what-if over %s: %s\n", dir, title)
 	fmt.Printf("(projection validated bit-for-bit against a deterministic replay)\n\n")
 

@@ -7,15 +7,15 @@ import (
 )
 
 // Log is one PE's append-only log of rows of int64 columns, kept as
-// APBF blocks: an open block of Len rows at most, which its owner
-// fills a row at a time, and the blocks sealed before it, each coded once
-// at exactly its size. The trace collector keeps a PE's sends in two, the
-// schedule recorder a PE's events in one. WriteFile writes a log as an
-// APBF file, Read reads one back without copying its blocks, and Block
-// decodes one block at a time for a walk. The column count is the
-// owner's, which every call that needs it passes. The zero value is an
-// empty log. Not safe for concurrent use: one goroutine owns a Log while
-// it records; it is read-only afterwards.
+// APBF blocks: an open block of Len rows at most, which its owner fills a
+// row at a time, and the blocks sealed before it, each coded once at
+// exactly its size. The trace collector keeps a PE's sends in two and its
+// physical transfers in a third, the schedule recorder a PE's events in
+// one. WriteFile writes a log as an APBF file, Read reads one back
+// without copying its blocks, and Block decodes one block at a time for a
+// walk. The column count is the owner's, which every call that needs it
+// passes. The zero value is an empty log. Not safe for concurrent use: one
+// goroutine owns a Log while it records; it is read-only afterwards.
 type Log struct {
 	open   [][]int64 // the open block's columns, Len rows each; nil until Open
 	n      int       // the open rows
@@ -24,18 +24,20 @@ type Log struct {
 	enc    []byte    // Seal's coding scratch
 }
 
-// Open gives the log an open block of ncols columns if it has none. A
-// seal keeps the columns as they are, so a column whose value is the same
-// in every row is filled once, when its block opens.
-func (l *Log) Open(ncols int) {
+// Open gives the log an open block of ncols columns if it has none, and
+// returns its columns. A seal keeps the columns as they are, so a column
+// whose value is the same in every row is filled once, when its block
+// opens.
+func (l *Log) Open(ncols int) [][]int64 {
 	if l.open != nil {
-		return
+		return l.open
 	}
 	words := make([]int64, ncols*Len)
 	l.open = make([][]int64, ncols)
 	for c := range l.open {
 		l.open[c] = words[c*Len:][:Len:Len]
 	}
+	return l.open
 }
 
 // Filling returns the open block's columns and its rows filled: its owner

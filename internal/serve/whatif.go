@@ -7,10 +7,8 @@ import (
 	"net/http"
 	"os"
 	"strconv"
-	"strings"
 
 	"actorprof/internal/core"
-	"actorprof/internal/sim"
 	"actorprof/internal/viz"
 	"actorprof/internal/whatif"
 )
@@ -121,18 +119,6 @@ func (q whatifQuery) norm() string {
 		q.Actor, q.Speedup, q.plot, q.format)
 }
 
-func (q whatifQuery) title() string {
-	parts := q.Scales.Phrases()
-	if q.Speedup > 0 {
-		ord, mb := sim.ActorIDParts(q.Actor)
-		parts = append(parts, fmt.Sprintf("s%d/m%d handler %gx faster", ord, mb, q.Speedup))
-	}
-	if len(parts) == 0 {
-		return "what-if: baseline (no perturbation)"
-	}
-	return "what-if: " + strings.Join(parts, ", ")
-}
-
 // handleWhatIf serves /runs/{run}/whatif: the causal projection of a
 // cost-model/handler perturbation over the run's recorded schedule,
 // differentially validated against a deterministic replay on every
@@ -174,7 +160,7 @@ func (s *Server) handleWhatIf(w http.ResponseWriter, r *http.Request) {
 		}
 		var plot viz.Plot
 		if q.plot == "compare" {
-			plot = core.WhatIfPlot(rep, q.title())
+			plot = core.WhatIfPlot(rep, "what-if: "+q.Phrase())
 		} else {
 			plot = core.BottleneckPlot(rep.Projected, 12, "bottleneck ranking (projected)")
 		}

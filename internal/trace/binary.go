@@ -266,16 +266,18 @@ func physicalToRow(r PhysicalRecord, c [][]int64, i int) string {
 	return ""
 }
 
-func physicalFromRow(d *binReader, i int) PhysicalRecord {
+// physicalFromRow decodes row i of a physical block's columns: a file's,
+// the time index's or the collector's own.
+func physicalFromRow(c [][]int64, _ []string, i int) PhysicalRecord {
 	rec := PhysicalRecord{
-		Kind: conveyor.SendKind(d.cols[0][i]), BufBytes: int(d.cols[1][i]),
-		SrcPE: int(d.cols[2][i]), DstPE: int(d.cols[3][i]),
+		Kind: conveyor.SendKind(c[0][i]), BufBytes: int(c[1][i]),
+		SrcPE: int(c[2][i]), DstPE: int(c[3][i]),
 	}
 	// Column 4 (virtual-clock cycles) was added after the base format
 	// shipped; files written before it simply lack the column and load
 	// with Cycles == 0, as an imported physical.txt does.
-	if d.ncols >= binPhysicalCols {
-		rec.Cycles = d.cols[4][i]
+	if len(c) >= binPhysicalCols {
+		rec.Cycles = c[4][i]
 	}
 	return rec
 }
@@ -285,9 +287,9 @@ func overallToRow(r OverallRecord, c [][]int64, i int) string {
 	return ""
 }
 
-func overallFromRow(d *binReader, i int) OverallRecord {
-	m, c, p := d.cols[1][i], d.cols[2][i], d.cols[3][i]
-	return OverallRecord{PE: int(d.cols[0][i]), TMain: m, TComm: c, TProc: p, TTotal: m + c + p}
+func overallFromRow(c [][]int64, _ []string, i int) OverallRecord {
+	m, comm, p := c[1][i], c[2][i], c[3][i]
+	return OverallRecord{PE: int(c[0][i]), TMain: m, TComm: comm, TProc: p, TTotal: m + comm + p}
 }
 
 // segmentToRow pads ragged counter lists (a hand-built Set's) with zeros
@@ -303,9 +305,9 @@ func segmentToRow(r SegmentRecord, c [][]int64, i int) string {
 	return r.Name
 }
 
-func segmentFromRow(d *binReader, i int) SegmentRecord {
-	rec := SegmentRecord{PE: int(d.cols[0][i]), Name: d.strs[i], Count: d.cols[1][i], Cycles: d.cols[2][i]}
-	for _, col := range d.cols[3:] {
+func segmentFromRow(c [][]int64, strs []string, i int) SegmentRecord {
+	rec := SegmentRecord{PE: int(c[0][i]), Name: strs[i], Count: c[1][i], Cycles: c[2][i]}
+	for _, col := range c[3:] {
 		rec.Counters = append(rec.Counters, col[i])
 	}
 	return rec

@@ -120,14 +120,13 @@ type PECollector struct {
 	aggPAPI     []int64
 	msg         stats.Stream
 
-	// Record-mode state (not aggregate). A send is written straight into
-	// a row of its kind's log, whose full blocks are sealed as the APBF
-	// blocks of the kind's shard, the bytes WriteFiles writes. Close
-	// decodes them once into the Set's exact-size slices. Until then
-	// nothing else may see them, afterwards they are immutable (DESIGN.md
-	// §8).
-	logical, papiRows blocks.Log
-	physical          blocks.Buf[PhysicalRecord]
+	// Record-mode state (not aggregate). A send or a physical transfer is
+	// written straight into a row of its kind's log, whose full blocks are
+	// sealed as APBF blocks - for a send kind, the blocks of its shard, the
+	// bytes WriteFiles writes. Close decodes them once into the Set's
+	// exact-size slices. Until then nothing else may see them, afterwards
+	// they are immutable (DESIGN.md §8).
+	logical, papiRows, physical blocks.Log
 	// scratch receives a PAPI record's counter deltas.
 	scratch [papi.MaxConcurrentEvents]int64
 
@@ -323,7 +322,14 @@ func (p *PECollector) PhysicalSendAt(kind conveyor.SendKind, bufBytes, src, dst 
 		Kind: kind, BufBytes: bufBytes, SrcPE: src, DstPE: dst, Cycles: cycles,
 	}
 	if !p.aggregate {
-		p.physical.Push(rec)
+		c, i := p.physical.Filling()
+		if c == nil {
+			c = p.physical.Open(physicalKind.cols)
+		}
+		physicalToRow(rec, c, i)
+		if p.physical.Add() {
+			p.physical.Seal()
+		}
 		return
 	}
 	if k := int(kind); src == p.pe && k >= 0 && k < len(p.aggPhys) &&
@@ -364,8 +370,7 @@ type sealedPE struct{ logical, papi blocks.Log }
 // its kind's block when Filling finds none, so the check costs it no
 // call.
 func (p *PECollector) open(l *blocks.Log, ncols int) [][]int64 {
-	l.Open(ncols)
-	c, _ := l.Filling()
+	c := l.Open(ncols)
 	node, pe := int64(p.pe/p.parent.machine.PEsPerNode), int64(p.pe)
 	for i := range blocks.Len {
 		c[0][i], c[1][i] = node, pe
@@ -384,12 +389,10 @@ func (p *PECollector) seal(l *blocks.Log) {
 	l.Seal()
 }
 
-// handOver seals what is open of l and hands each of its blocks to pack,
-// decoded into l's own columns, which it then lets go. The bytes are the
-// collector's own, so nothing is checked: a record holds what the send
-// packed.
-func (p *PECollector) handOver(l *blocks.Log, pack func(c [][]int64, n int)) {
-	p.seal(l)
+// handOver hands each of l's sealed blocks to pack, decoded into l's own
+// columns, which it then lets go. The bytes are the collector's own, so
+// nothing is checked: a record holds what was recorded.
+func handOver(l *blocks.Log, pack func(c [][]int64, n int)) {
 	scratch, _ := l.Filling()
 	for i := range l.Blocks() {
 		pack(l.Block(i, scratch))
@@ -417,14 +420,22 @@ func (p *PECollector) Close() {
 			p.recordPAPI(p.pe, 0, -1, 0, counters)
 		}
 	}
+	p.seal(&p.logical)
+	p.seal(&p.papiRows)
+	p.physical.Seal()
 	logical, papiRecs := newCell[LogicalSend](p.logical.Len()), newPAPICell(p.papiRows.Len(), len(p.events))
-	p.handOver(&p.logical, func(c [][]int64, n int) { logical.recs = packLogical(logical.recs, c, 0, n) })
-	p.handOver(&p.papiRows, func(c [][]int64, n int) {
+	physical := newCell[PhysicalRecord](p.physical.Len())
+	handOver(&p.logical, func(c [][]int64, n int) { logical.recs = packLogical(logical.recs, c, 0, n) })
+	handOver(&p.papiRows, func(c [][]int64, n int) {
 		papiRecs.recs, papiRecs.counters = packPAPI(papiRecs.recs, papiRecs.counters, c, len(p.events), 0, n)
 	})
+	handOver(&p.physical, func(c [][]int64, n int) {
+		for i := range n {
+			physical.recs = append(physical.recs, physicalFromRow(c, nil, i))
+		}
+	})
 	sealed := sealedPE{p.logical, p.papiRows}
-	p.logical, p.papiRows = blocks.Log{}, blocks.Log{}
-	physical := p.physical.Flatten()
+	p.logical, p.papiRows, p.physical = blocks.Log{}, blocks.Log{}, blocks.Log{}
 	var segments []SegmentRecord
 	if len(p.segments) > 0 {
 		names := make([]string, 0, len(p.segments))
@@ -467,7 +478,7 @@ func (p *PECollector) Close() {
 	if !p.aggregate {
 		c.set.memo.sealed[p.pe] = sealed
 	}
-	c.set.Physical[p.pe] = physical
+	c.set.Physical[p.pe] = physical.recs
 	if p.hasOverall {
 		c.set.Overall = append(c.set.Overall, p.overall)
 	}

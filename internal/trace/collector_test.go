@@ -112,7 +112,8 @@ func appendModel(npes, perNode, n int) *Set {
 // plain append builds, record for record.
 func TestCollectorMatchesAppendModel(t *testing.T) {
 	const npes, perNode = 4, 2
-	for _, n := range []int{0, 1, blocks.Len - 1, blocks.Len, blocks.Len + 1, 3*blocks.Len + 7} {
+	for _, n := range []int{0, 1, blocks.Len - 1, blocks.Len, blocks.Len + 1, 3*blocks.Len + 7,
+		4*blocks.Len - 4, 4 * blocks.Len, 4*blocks.Len + 4, 8*blocks.Len + 12} {
 		got, want := collect(t, fullTrace(), npes, perNode, n), appendModel(npes, perNode, n)
 		if n == 0 {
 			// No sends: the kinds that recorded nothing stay nil.

@@ -42,11 +42,11 @@ type kind[T any] struct {
 	appendCSV func(buf []byte, r T, events []string) []byte
 	// toRow fills row i of an APBF block's columns (len(c) is the file's
 	// column count) and returns the string column's value; fromRow
-	// decodes row i of the reader's current block. The send kinds have
+	// decodes row i of a block's columns and strings. The send kinds have
 	// neither: their APBF blocks go column by column to and from the
 	// packed Set.
 	toRow   func(r T, c [][]int64, i int) string
-	fromRow func(d *binReader, i int) T
+	fromRow func(c [][]int64, strs []string, i int) T
 	// check rejects a decoded record of a run-wide kind the rest of the
 	// program could not index with: one that names a PE outside the world
 	// the meta file declares. The analysis layer indexes matrices and

@@ -24,7 +24,7 @@ func rowsOf[T any](k *kind[T]) func(m *meta, pe int, yield func(T)) blockFunc {
 	return func(m *meta, _ int, yield func(T)) blockFunc {
 		return func(d *binReader, n int, tolerant bool) (skipped int, err error) {
 			for i := 0; i < n; i++ {
-				rec := k.fromRow(d, i)
+				rec := k.fromRow(d.cols, d.strs, i)
 				if err := k.check(rec, m); err == nil {
 					yield(rec)
 				} else if !tolerant {

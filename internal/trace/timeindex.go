@@ -233,7 +233,7 @@ func BuildTimeIndex(dir string) (built bool, err error) {
 	err = pass(func(b block) error {
 		span := blockSpan{block: b, t0: math.MaxInt64, t1: math.MinInt64}
 		for i := 0; i < b.rows; i++ {
-			r := physicalFromRow(&d, i)
+			r := physicalFromRow(d.cols, nil, i)
 			if err := checkPhysical(r, m.npes); err != nil {
 				return err
 			}
@@ -267,7 +267,7 @@ func BuildTimeIndex(dir string) (built bool, err error) {
 		level0 := newLevel0(ix.TMin, ix.TMax)
 		err = pass(func(b block) error {
 			for i := 0; i < b.rows; i++ {
-				r := physicalFromRow(&d, i)
+				r := physicalFromRow(d.cols, nil, i)
 				level0.add(ix.TMin, ix.Domain.stamp(b.rowBase+int64(i), r), r)
 			}
 			return nil

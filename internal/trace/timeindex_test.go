@@ -368,7 +368,7 @@ func TestBlockIteratorExtents(t *testing.T) {
 	rowsOf := func(t *testing.T, d *binReader, b block) (recs []PhysicalRecord) {
 		t.Helper()
 		for i := 0; i < b.rows; i++ {
-			r := physicalFromRow(d, i)
+			r := physicalFromRow(d.cols, nil, i)
 			if err := checkPhysical(r, npes); err != nil {
 				t.Fatal(err)
 			}

@@ -184,7 +184,7 @@ func (ix *TimeIndex) Query(dir string, q Window) (*WindowResult, error) {
 					f.Name(), b.off, at.rows, at.length, b.rows, b.length)
 			}
 			for i := 0; i < at.rows; i++ {
-				r := physicalFromRow(&d, i)
+				r := physicalFromRow(d.cols, nil, i)
 				if err := checkPhysical(r, ix.npes); err != nil {
 					return err
 				}

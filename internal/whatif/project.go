@@ -1,7 +1,6 @@
 package whatif
 
 import (
-	"fmt"
 	"sort"
 
 	"actorprof/internal/sim"
@@ -366,10 +365,9 @@ func project(s *sim.Schedule, p Perturbation) *Analysis {
 
 	// Bottleneck ranking.
 	for id, a := range actors {
-		ord, mb := sim.ActorIDParts(id)
 		b := Bottleneck{
 			Actor:       id,
-			Label:       fmt.Sprintf("s%d/m%d", ord, mb),
+			Label:       actorLabel(id),
 			Activations: a.count,
 			Messages:    a.msgs,
 			TotalCycles: a.cycles,

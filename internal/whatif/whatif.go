@@ -27,6 +27,7 @@ package whatif
 import (
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 
 	"actorprof/internal/sim"
@@ -104,19 +105,6 @@ func (sc CostScales) factors() [len(groupNames)]float64 {
 	return [...]float64{sc.Network, sc.Local, sc.Quiet, sc.Instr, sc.Ingest}
 }
 
-// Phrases describes the factors that change the pricing, in field
-// order: "network x2", "quiet x0.5". Unset factors and factors of 1 are
-// left out.
-func (sc CostScales) Phrases() []string {
-	var parts []string
-	for i, f := range sc.factors() {
-		if f > 0 && f != 1 {
-			parts = append(parts, fmt.Sprintf("%s x%g", groupNames[i], f))
-		}
-	}
-	return parts
-}
-
 func scale64(v int64, f float64) int64 {
 	if f <= 0 || f == 1 {
 		return v
@@ -145,6 +133,33 @@ type Question struct {
 	Scales  CostScales
 	Actor   int64
 	Speedup float64
+}
+
+// Phrase words q as both front ends title it: the factors that change
+// the pricing, in field order, then the speedup, its actor labelled as
+// the bottleneck ranking labels it - "network x2, s0/m17 handler 2x
+// faster" - or "baseline (no perturbation)". Unset factors and factors of
+// 1 are left out.
+func (q Question) Phrase() string {
+	var parts []string
+	for i, f := range q.Scales.factors() {
+		if f > 0 && f != 1 {
+			parts = append(parts, fmt.Sprintf("%s x%g", groupNames[i], f))
+		}
+	}
+	if q.Speedup > 0 {
+		parts = append(parts, fmt.Sprintf("%s handler %gx faster", actorLabel(q.Actor), q.Speedup))
+	}
+	if parts == nil {
+		return "baseline (no perturbation)"
+	}
+	return strings.Join(parts, ", ")
+}
+
+// actorLabel renders an actor ID as s<ordinal>/m<mailbox>.
+func actorLabel(id int64) string {
+	ord, mb := sim.ActorIDParts(id)
+	return fmt.Sprintf("s%d/m%d", ord, mb)
 }
 
 // CheckFactor is the rule every factor given keeps: finite and above zero.
