@@ -8,11 +8,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"actorprof/internal/core"
 )
 
 // transport abstracts how a request reaches actorprofd: over real
@@ -183,29 +186,20 @@ func discoverTargets(ctx context.Context, tr transport) ([]string, int, error) {
 			break
 		}
 		for _, run := range page.Runs {
-			features := map[string]bool{}
-			for _, f := range run.Features {
-				features[f] = true
-			}
-			var kinds []string
-			if features["logical"] {
-				kinds = append(kinds, "logical-heatmap", "logical-violin")
-			}
-			if features["physical"] {
-				kinds = append(kinds, "physical-heatmap", "physical-violin")
-				if run.PEsPerNode > 0 && run.NumPEs > run.PEsPerNode {
-					kinds = append(kinds, "node-heatmap")
+			// The listing names every feature but the multi-node one,
+			// which holds as Feature.In reads it off the run's shape.
+			lacks := func(f core.Feature) bool {
+				if f == core.FeatureMultiNode {
+					return run.NumPEs <= run.PEsPerNode
 				}
+				return !slices.Contains(run.Features, f.Name())
 			}
-			if features["overall"] {
-				kinds = append(kinds, "overall-absolute", "overall-relative")
-			}
-			if features["papi"] {
-				kinds = append(kinds, "papi-bar", "papi-grouped")
-			}
-			for _, kind := range kinds {
+			for _, p := range core.Plots {
+				if slices.ContainsFunc(p.Needs, lacks) {
+					continue
+				}
 				for _, format := range []string{"svg", "json"} {
-					targets = append(targets, fmt.Sprintf("/runs/%s/plots/%s.%s", run.ID, kind, format))
+					targets = append(targets, fmt.Sprintf("/runs/%s/plots/%s.%s", run.ID, p.Kind, format))
 				}
 			}
 		}

@@ -1,7 +1,7 @@
 // Package actor implements HClib-Actor: the actor/selector layer that
 // realizes the Fine-grained Asynchronous Bulk Synchronous Parallel
-// (FA-BSP) model on top of the simulated OpenSHMEM runtime, the hclib
-// cooperative tasking layer, and the Conveyors aggregation library.
+// (FA-BSP) model on top of the simulated OpenSHMEM runtime and the
+// Conveyors aggregation library.
 //
 // The programming model matches the paper's Listings 1-2: each PE
 // creates a Selector with one or more mailboxes, installs a Process

@@ -70,6 +70,21 @@ func TestCallsThatWaitFailInAHandler(t *testing.T) {
 	}
 }
 
+func TestStartOutsideAFinishFails(t *testing.T) {
+	// Only a Finish waits for a selector's termination, so a selector
+	// started outside one could never be awaited.
+	err := runDeadline(t, 30*time.Second, cfg(2, 2), func(pe *shmem.PE) {
+		rt := NewRuntime(pe, RuntimeOptions{})
+		sel, _ := NewActor(rt, Int64Codec())
+		sel.Process(0, func(int64, int) {})
+		sel.Start()
+	})
+	want := `actor: PE \d called Start outside a Finish`
+	if err == nil || !regexp.MustCompile(want).MatchString(err.Error()) {
+		t.Fatalf("Run returned %v, want an error matching %q", err, want)
+	}
+}
+
 func TestFinishOnOneNodeFails(t *testing.T) {
 	// A measured Finish ends in a barrier: PEs that skip it return, and
 	// the run fails naming both, instead of stranding the Finish there.

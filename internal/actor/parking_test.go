@@ -93,11 +93,95 @@ func TestTwoSelectorsOneTerminatesFirst(t *testing.T) {
 	}
 }
 
+func TestNestedFinishReturnsWithALiveOuterSelector(t *testing.T) {
+	// The outer selector is live across an inner Finish: the inner one
+	// waits for its own selector only, sweeping the outer one along, and
+	// the outer selector then terminates in its own Finish.
+	const npes = 4
+	outer := make([]int64, npes)
+	inner := make([]int64, npes)
+	err := runDeadline(t, 30*time.Second, cfg(npes, 2), func(pe *shmem.PE) {
+		rt := NewRuntime(pe, RuntimeOptions{})
+		a, _ := NewActor(rt, Int64Codec())
+		b, _ := NewActor(rt, Int64Codec())
+		me := pe.Rank()
+		a.Process(0, func(v int64, _ int) { outer[me] += v })
+		b.Process(0, func(v int64, _ int) { inner[me] += v })
+		rt.Finish(func() {
+			a.Start()
+			a.Send(0, 1, (me+1)%npes)
+			rt.Finish(func() {
+				b.Start()
+				b.Send(0, 10, (me+2)%npes)
+				b.Done(0)
+			})
+			if !b.finished || a.finished {
+				panic("the inner Finish returned before its selector terminated, or after the outer one's")
+			}
+			a.Done(0)
+		})
+		rt.Close()
+		pe.Barrier()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pe := 0; pe < npes; pe++ {
+		if outer[pe] != 1 || inner[pe] != 10 {
+			t.Errorf("PE %d handled outer=%d inner=%d, want 1 and 10", pe, outer[pe], inner[pe])
+		}
+	}
+}
+
+func TestTwoLiveSelectorsSleep(t *testing.T) {
+	// PE 0 holds both A and B open until its peers are asleep in their
+	// Finish drain loop with two live selectors each, then sends a late
+	// round on both; the sleepers must wake for it and for termination.
+	const npes, n = 4, 40
+	sumA := make([]int64, npes)
+	sumB := make([]int64, npes)
+	err := runDeadline(t, 30*time.Second, cfg(npes, 2), func(pe *shmem.PE) {
+		rt := NewRuntime(pe, RuntimeOptions{BufferItems: 8})
+		a, _ := NewActor(rt, Int64Codec())
+		b, _ := NewActor(rt, Int64Codec())
+		me := pe.Rank()
+		a.Process(0, func(v int64, _ int) { sumA[me] += v })
+		b.Process(0, func(v int64, _ int) { sumB[me] += v })
+		rt.Finish(func() {
+			a.Start()
+			b.Start()
+			for i := 0; i < n; i++ {
+				a.Send(0, 1, (me+i)%npes)
+				b.Send(0, 1, (me+i+1)%npes)
+			}
+			if me == 0 {
+				awaitPeersAsleep(pe)
+				for dst := 0; dst < npes; dst++ {
+					a.Send(0, 1000, dst)
+					b.Send(0, 1000, dst)
+				}
+			}
+			a.Done(0)
+			b.Done(0)
+		})
+		rt.Close()
+		pe.Barrier()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pe := 0; pe < npes; pe++ {
+		if sumA[pe] != n+1000 || sumB[pe] != n+1000 {
+			t.Errorf("PE %d handled A=%d B=%d, want %d each", pe, sumA[pe], sumB[pe], n+1000)
+		}
+	}
+}
+
 func TestWorkerReachedThroughYieldDoesNotSleep(t *testing.T) {
-	// PE 0 declares Done, lets the progress worker run once through
-	// rt.Yield(), and then has a barrier to reach; its peers declare Done
-	// only after that barrier. A worker that slept inside rt.Yield()
-	// would wait for a termination that needs PE 0 at the barrier.
+	// PE 0 declares Done, makes progress once through sel.Progress(), the
+	// single-shot caller, and then has a barrier to reach; its peers
+	// declare Done only after that barrier. Progress that slept would
+	// wait for a termination that needs PE 0 at the barrier.
 	const npes = 4
 	err := runDeadline(t, 30*time.Second, cfg(npes, 2), func(pe *shmem.PE) {
 		rt := NewRuntime(pe, RuntimeOptions{})
@@ -107,7 +191,7 @@ func TestWorkerReachedThroughYieldDoesNotSleep(t *testing.T) {
 			sel.Start()
 			if pe.Rank() == 0 {
 				sel.Done(0)
-				rt.Yield()
+				sel.Progress()
 				pe.Barrier()
 			} else {
 				pe.Barrier()

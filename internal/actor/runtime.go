@@ -2,9 +2,9 @@ package actor
 
 import (
 	"fmt"
+	"slices"
 
 	"actorprof/internal/conveyor"
-	"actorprof/internal/hclib"
 	"actorprof/internal/papi"
 	"actorprof/internal/shmem"
 	"actorprof/internal/sim"
@@ -24,13 +24,12 @@ type RuntimeOptions struct {
 	Topology conveyor.Topology
 }
 
-// Runtime is the per-PE HClib-Actor runtime: it owns the PE's cooperative
-// task queue, its PAPI counter bank, and the ActorProf instrumentation
+// Runtime is the per-PE HClib-Actor runtime: it owns the PE's live
+// selectors, its PAPI counter bank, and the ActorProf instrumentation
 // state. Create one per PE with NewRuntime inside the SPMD body, and
 // Close it before the body returns.
 type Runtime struct {
 	pe     *shmem.PE
-	ctx    *hclib.Context
 	engine *papi.Engine
 	opts   RuntimeOptions
 	// insCycles/insScale are the world cost model's instruction price,
@@ -66,6 +65,21 @@ type Runtime struct {
 	// logical actor on every PE; handler schedule markers carry
 	// sim.ActorID(ordinal, mailbox).
 	selectorSeq int
+
+	// live holds the selectors started and not yet terminated, in Start
+	// order; depth counts the open Finish scopes.
+	live  []liveSelector
+	depth int
+}
+
+// liveSelector is a started selector and the depth of the Finish it was
+// started in, the scope that waits for its termination.
+type liveSelector struct {
+	sel interface {
+		progress()
+		terminated() bool
+	}
+	depth int
 }
 
 // NewRuntime creates the actor runtime for one PE. It makes no
@@ -73,7 +87,6 @@ type Runtime struct {
 func NewRuntime(pe *shmem.PE, opts RuntimeOptions) *Runtime {
 	rt := &Runtime{
 		pe:     pe,
-		ctx:    hclib.New(),
 		engine: papi.NewEngine(),
 		opts:   opts,
 	}
@@ -174,12 +187,14 @@ func (rt *Runtime) instrCost(ins int64) int64 {
 	return sim.PriceInstructions(ins, rt.insCycles, rt.insScale)
 }
 
-// Finish opens an hclib finish scope, runs body, and waits until every
-// task spawned within it - including selector progress workers - has
-// completed. When tracing is active, the scope is the unit of the overall
-// T_MAIN/T_COMM/T_PROC breakdown: the scope's duration (through the
-// trailing clock-synchronizing barrier, which models the BSP superstep
-// boundary where every PE waits for the stragglers) is T_TOTAL.
+// Finish runs body, then sweeps the PE's live selectors until every
+// selector started within this scope has terminated (hclib::finish
+// waiting on its selectors' progress workers). A nested Finish waits for
+// its own selectors only; those of enclosing scopes are swept along and
+// keep making progress. When tracing is active, the scope is the unit of
+// the overall T_MAIN/T_COMM/T_PROC breakdown: the scope's duration
+// (through the trailing clock-synchronizing barrier, which models the BSP
+// superstep boundary where every PE waits for the stragglers) is T_TOTAL.
 //
 // Finish waits for every PE, so it panics inside a message handler:
 // the handler runs inside the progress the peers wait on.
@@ -195,10 +210,17 @@ func (rt *Runtime) Finish(body func()) {
 		rt.finishStart = rt.pe.Clock().Now()
 		rt.mainStart = rt.finishStart
 	}
-	rt.ctx.Finish(body)
+	rt.depth++
+	body()
+	for rt.sweep() {
+		// Wait point: the body is over and every live selector has just
+		// been swept, so WaitIdle sleeps only if none of them found work.
+		rt.pe.WaitIdle()
+	}
+	rt.depth--
 	if measured {
-		// The user body has returned and all workers have drained; the
-		// remainder until the barrier releases is communication/wait.
+		// The user body has returned and all selectors have terminated;
+		// the remainder until the barrier releases is communication/wait.
 		rt.pauseMainTimer()
 		rt.pe.Barrier()
 		now := rt.pe.Clock().Now()
@@ -206,16 +228,25 @@ func (rt *Runtime) Finish(body func()) {
 		rt.pe.RecordEvent(sim.EvFinishEnd, 0)
 		rt.profiling = false
 	}
-	// A nested Finish in a Finish body (not a handler: see above) needs
-	// no handling: the outer scope's attribution continues seamlessly.
 }
 
-// Async schedules fn on this PE's cooperative queue (hclib::async).
-func (rt *Runtime) Async(fn func()) { rt.ctx.Async(fn) }
-
-// Yield lets one queued runtime task run (cooperative interleaving point
-// for long local computations).
-func (rt *Runtime) Yield() { rt.ctx.Yield() }
+// sweep makes one round of progress on every live selector in Start
+// order, drops those that terminated, and reports whether one started in
+// the innermost open Finish is still live. It iterates by index: a
+// handler run by the round may Start a selector, which appends.
+func (rt *Runtime) sweep() (own bool) {
+	for i := 0; i < len(rt.live); {
+		l := rt.live[i]
+		l.sel.progress()
+		if l.sel.terminated() {
+			rt.live = slices.Delete(rt.live, i, i+1)
+			continue
+		}
+		own = own || l.depth == rt.depth
+		i++
+	}
+	return own
+}
 
 // --- overall-breakdown internals -----------------------------------------
 

@@ -174,10 +174,10 @@ func (s *Selector[T]) checkMailbox(mb int) {
 	}
 }
 
-// Start launches the selector: its progress worker is scheduled on the
-// PE's task queue and will run until every mailbox is done and drained.
-// Start must be called inside a Finish scope, whose completion then
-// coincides with the selector's termination (Listing 1).
+// Start launches the selector: the enclosing Finish sweeps it, after its
+// body and until every mailbox is done and drained. Start must be called
+// inside a Finish scope, whose completion then coincides with the
+// selector's termination (Listing 1).
 func (s *Selector[T]) Start() {
 	if s.started {
 		panic("actor: Start called twice")
@@ -187,26 +187,12 @@ func (s *Selector[T]) Start() {
 			panic(fmt.Sprintf("actor: mailbox %d has no Process or ProcessBatch handler", mb))
 		}
 	}
-	s.started = true
-	var worker func()
-	worker = func() {
-		s.progress()
-		if s.terminated() {
-			s.finished = true
-			return
-		}
-		// Wait point: when a Finish drain loop runs this worker and
-		// nothing else is queued, the finish body is over and only a
-		// remote event can give this PE work, so sleep until the
-		// doorbell rings (if the sweep above was idle). Reached through
-		// Yield the caller has local work - or a barrier - to get back
-		// to, and the worker must return at once.
-		if s.rt.ctx.SoleDrainTask() {
-			s.rt.pe.WaitIdle()
-		}
-		s.rt.ctx.Async(worker)
+	rt := s.rt
+	if rt.depth == 0 {
+		panic(fmt.Sprintf("actor: PE %d called Start outside a Finish", rt.pe.Rank()))
 	}
-	s.rt.ctx.Async(worker)
+	s.started = true
+	rt.live = append(rt.live, liveSelector{s, rt.depth})
 }
 
 // Send delivers msg asynchronously to mailbox mb of the selector instance
@@ -305,7 +291,7 @@ func (s *Selector[T]) MailboxComplete(mb int) bool {
 func (s *Selector[T]) Progress() { s.progress() }
 
 // progress advances every mailbox's conveyor and dispatches received
-// messages. It is the body of the selector's cooperative worker task.
+// messages. It is what a Finish drain round runs for the selector.
 func (s *Selector[T]) progress() {
 	if s.inProgress {
 		return
@@ -386,12 +372,13 @@ func (s *Selector[T]) drain(mb int) {
 }
 
 // terminated reports whether every mailbox's conveyor has completed and
-// every delivered message has been handled.
+// every delivered message has been handled, and records it in finished.
 func (s *Selector[T]) terminated() bool {
 	for mb := range s.convs {
 		if !s.convs[mb].Complete() || s.convs[mb].PendingPulls() > 0 {
 			return false
 		}
 	}
+	s.finished = true
 	return true
 }

@@ -36,6 +36,10 @@ var features = [...]struct{ name, absent string }{
 // Absent says why a plot that needs the feature cannot be drawn.
 func (f Feature) Absent() string { return features[f].absent }
 
+// Name is the feature's name in actorprofd's run listing, "" for one the
+// listing does not report.
+func (f Feature) Name() string { return features[f].name }
+
 // FeatureNames lists the named features s has, in Feature order.
 func FeatureNames(s trace.Source) []string {
 	var names []string

@@ -73,7 +73,7 @@ type runEntry struct {
 	sum   memo[runSummary]
 	phys  memo[*trace.Set]       // the physical records alone, for the Perfetto export and full-scan window queries
 	ix    memo[*trace.TimeIndex] // nil when the directory carries no usable time index
-	sched memo[*whatif.Baseline] // nil when the run predates schedule capture
+	sched memo[*whatif.Baseline] // nil when the directory holds no schedule
 }
 
 // runSummary is what a run's aggregate parse yields.
@@ -335,9 +335,9 @@ func readPhysical(dir, id string) (*trace.Set, int, error) {
 // queryWindow answers a windowed trace query against one run: through
 // the cached time index when the directory carries a fresh one (reading
 // only the blocks the window intersects), falling back to the exact
-// full-scan reference over the run's physical records otherwise
-// (CSV-only traces, torn or stale sidecars, a data file holding a record
-// the readers reject).
+// full-scan reference over the run's physical records otherwise (no
+// sidecar, a torn or stale one, a data file holding a record the readers
+// reject).
 func (r *registry) queryWindow(d deadline, run resolvedRun, q trace.Window) (*trace.WindowResult, error) {
 	// A missing or stale sidecar loads as nil, once per fingerprint, so
 	// repeated queries do not re-stat it.
